@@ -3,8 +3,8 @@
 //! Ground-truth labels require counting suitable machines per constrained
 //! task. This bench measures the inverted-index path (`count_suitable`)
 //! against the retained linear scan (`count_suitable_linear`) at
-//! increasing cluster sizes, in the same run — the `BENCH_PR1.json`
-//! speedup target (≥5× at 10k machines) reads straight off these ids.
+//! increasing cluster sizes, in the same run — the PR-1 speedup target
+//! (≥5× at 10k machines) reads straight off these ids.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

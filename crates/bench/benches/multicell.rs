@@ -17,7 +17,7 @@
 //!   dispatch overhead.
 //!
 //! Record with `CTLM_BENCH_JSON=$PWD/out.json cargo bench -p ctlm-bench
-//! --bench multicell`; gated by `bench_check` against `BENCH_PR6.json`.
+//! --bench multicell`; gated by `bench_check` against `BENCH_PR7.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ctlm_lab::{run_spec, ExperimentSpec};

@@ -1,38 +1,29 @@
 //! Parallel-dispatch overhead of the rayon shim.
 //!
-//! The shim used to spawn scoped threads on every parallel call; it now
-//! feeds a persistent worker pool. This bench isolates the per-call
-//! dispatch cost on a small payload (the regime `PAR_THRESHOLD` guards):
-//! run it twice to compare —
+//! The shim feeds a persistent worker pool. This bench isolates the
+//! per-call dispatch cost on a small payload (the regime `PAR_THRESHOLD`
+//! guards):
 //!
 //! ```text
 //! RAYON_NUM_THREADS=4 cargo bench -p ctlm-bench --bench par_dispatch
-//! RAYON_NUM_THREADS=4 CTLM_RAYON_DISPATCH=scoped \
-//!     cargo bench -p ctlm-bench --bench par_dispatch
 //! ```
 //!
-//! On a single-core host without `RAYON_NUM_THREADS`, both modes run
-//! inline and the numbers converge (the fast path spawns nothing).
+//! On a single-core host without `RAYON_NUM_THREADS`, everything runs
+//! inline (the fast path spawns nothing).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rayon::prelude::*;
 
 fn bench_dispatch(c: &mut Criterion) {
-    let mode =
-        if std::env::var("CTLM_RAYON_DISPATCH").is_ok_and(|v| v.eq_ignore_ascii_case("scoped")) {
-            "scoped"
-        } else {
-            "pool"
-        };
     let data: Vec<f32> = (0..4096).map(|i| i as f32 * 0.5).collect();
     let mut group = c.benchmark_group("par_dispatch");
-    group.bench_function(format!("{mode}/map_collect_4096"), |b| {
+    group.bench_function("pool/map_collect_4096", |b| {
         b.iter(|| {
             let v: Vec<f32> = data.par_iter().map(|x| x * 2.0 + 1.0).collect();
             v
         })
     });
-    group.bench_function(format!("{mode}/sum_4096"), |b| {
+    group.bench_function("pool/sum_4096", |b| {
         b.iter(|| data.par_iter().map(|x| x * x).sum::<f32>())
     });
     group.finish();

@@ -5,7 +5,7 @@
 //! clusters at 1k/10k/100k machines, for the request mix the Fig. 3
 //! simulation issues (unconstrained background tasks, windowed
 //! constraints, single-machine pins), plus a scaled Fig. 3 scenario run
-//! on the kernel. The `BENCH_PR4.json` acceptance target (indexed ≥ 5×
+//! on the kernel. The PR-4 acceptance target (indexed ≥ 5×
 //! linear at 100k machines) reads straight off the
 //! `placement/{indexed,linear}/100000` ids.
 

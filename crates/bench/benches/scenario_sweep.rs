@@ -6,8 +6,8 @@
 //! The workload itself is kept tiny so the numbers track dispatch, not
 //! simulation — compare `single_point` (one run, no grid) against
 //! `grid_8_points` (2 knob values × 2 seeds × 2 repeats of the same
-//! run) to see the per-point cost. Track alongside the BENCH_PR1/PR2
-//! medians (`CTLM_BENCH_JSON=… cargo bench -p ctlm-bench`).
+//! run) to see the per-point cost. Record with
+//! `CTLM_BENCH_JSON=… cargo bench -p ctlm-bench`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ctlm_lab::{run_spec, ExperimentSpec};

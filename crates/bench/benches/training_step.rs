@@ -7,7 +7,7 @@
 //!   comparing the zero-allocation Workspace path on the blocked kernels
 //!   (`optimized_minibatch`) against the seed's allocating formulation on
 //!   the retained naive kernels (`naive_minibatch`). These two ids carry
-//!   the `BENCH_PR1.json` ≥2× target.
+//!   the PR-1 ≥2× target.
 //! * **`training_step/{growing_transfer,fully_retrain}`** — the paper's
 //!   model-level comparison (Growing 1–6 min vs 7–42 min from scratch),
 //!   at CI scale.

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! CTLM_BENCH_JSON=bench_ci.json cargo bench -p ctlm-bench --bench matching ...
-//! cargo run -p ctlm-bench --bin bench_check -- bench_ci.json BENCH_PR4.json
+//! cargo run -p ctlm-bench --bin bench_check -- bench_ci.json BENCH_PR7.json
 //! ```
 //!
 //! Only the gated groups are compared (`matching/`, `training_step/`,

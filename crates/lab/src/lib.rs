@@ -63,7 +63,7 @@ pub mod sweep;
 pub use observe::Observations;
 pub use report::LabReport;
 pub use spec::ExperimentSpec;
-pub use sweep::{run_spec, run_spec_json, run_spec_materialised, run_spec_observed};
+pub use sweep::{run_spec, run_spec_json, run_spec_observed};
 
 /// Harness-level failure: a malformed spec, an unknown registry name, a
 /// bad knob path.

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! ctlm-lab <spec.json> [--out report.json] [--json] [--seed N] [--threads N]
-//!          [--materialised] [--no-meta] [--metrics metrics.json] [--trace]
-//!          [--spans spans.json]
+//!          [--no-meta] [--metrics metrics.json] [--trace] [--spans spans.json]
 //! ctlm-lab --diff <a.json> <b.json> [--tolerance X]
 //! ctlm-lab explain <spans.json> [--task N] [--machine M] [--worst-latency K]
 //! ```
@@ -14,13 +13,10 @@
 //! stdout, `--seed` overrides the spec's `sim.seed` (and any sweep seed
 //! list), and `--threads` overrides `execution.threads` (worker threads
 //! for multi-cell shard execution; results never depend on it).
-//! `--materialised` forces the classic materialise-everything arrival
-//! path (the default streams synthetic arrivals; results are
-//! bit-identical, only peak memory differs). Reports carry a `_meta`
-//! block with the run's peak RSS, allocator high-water mark, host
-//! fingerprint, and (multi-cell runs) the `_perf` per-shard wall-clock
-//! profile; `--no-meta` omits all of it so two reports can be compared
-//! byte for byte.
+//! Reports carry a `_meta` block with the run's peak RSS, allocator
+//! high-water mark, host fingerprint, and (multi-cell runs) the `_perf`
+//! per-shard wall-clock profile; `--no-meta` omits all of it so two
+//! reports can be compared byte for byte.
 //!
 //! `--metrics <path>` writes the deterministic sim-plane telemetry
 //! registry (engine placement/admission counters, queue-depth
@@ -69,7 +65,7 @@ static ALLOC: TrackingAlloc = TrackingAlloc;
 
 fn main() {
     let args = ParsedArgs::from_env(
-        &["--json", "--diff", "--materialised", "--no-meta", "--trace"],
+        &["--json", "--diff", "--no-meta", "--trace"],
         &[
             "--out",
             "--seed",
@@ -160,13 +156,8 @@ fn main() {
     if !args.flag("--no-meta") {
         spec.observability.profile = true;
     }
-    let mode = if args.flag("--materialised") {
-        ArrivalMode::Materialised
-    } else {
-        ArrivalMode::Streaming
-    };
-    let (mut report, obs) =
-        ctlm_lab::run_spec_observed(&spec, mode).unwrap_or_else(|e| panic!("{e}"));
+    let (mut report, obs) = ctlm_lab::run_spec_observed(&spec, ArrivalMode::Streaming)
+        .unwrap_or_else(|e| panic!("{e}"));
     if !args.flag("--no-meta") {
         let host = HostFingerprint::detect();
         let perf = obs.perf.clone().map(|mut p| {

@@ -90,7 +90,7 @@ pub struct SchedulerRun {
 }
 
 /// One cell's structured result.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CellRun {
     /// Cell name.
     pub cell: String,
@@ -121,6 +121,7 @@ pub struct CellRun {
     /// work, link timeouts — when the scenario ran a fault plane.
     /// Serialized only when present, so fault-free reports stay
     /// byte-identical to earlier snapshots.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub recovery: Option<RecoveryReport>,
 }
 
@@ -146,56 +147,6 @@ pub struct RecoveryReport {
     pub link_timeouts: u64,
     /// Planned machine downtime over the horizon (µs·machine).
     pub unavailable_machine_us: u64,
-}
-
-// Manual impls: the `recovery` field is appended only when present, so
-// reports from fault-free specs keep the exact byte layout of earlier
-// snapshots (the derive would emit `"recovery": null`).
-impl serde::Serialize for CellRun {
-    fn to_value(&self) -> serde_json::Value {
-        let mut fields = vec![
-            ("cell".to_string(), self.cell.to_value()),
-            ("placed".to_string(), self.placed.to_value()),
-            ("unplaced".to_string(), self.unplaced.to_value()),
-            ("preemptions".to_string(), self.preemptions.to_value()),
-            (
-                "churn_rescheduled".to_string(),
-                self.churn_rescheduled.to_value(),
-            ),
-            ("gangs_placed".to_string(), self.gangs_placed.to_value()),
-            ("spilled_in".to_string(), self.spilled_in.to_value()),
-            ("spilled_out".to_string(), self.spilled_out.to_value()),
-            ("group0".to_string(), self.group0.to_value()),
-            ("other".to_string(), self.other.to_value()),
-            ("bands".to_string(), self.bands.to_value()),
-            ("autoscale".to_string(), self.autoscale.to_value()),
-        ];
-        if let Some(r) = &self.recovery {
-            fields.push(("recovery".to_string(), r.to_value()));
-        }
-        serde_json::Value::Object(fields)
-    }
-}
-
-impl serde::Deserialize for CellRun {
-    fn from_value(v: &serde_json::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            cell: serde::Deserialize::from_value(v.get_field("cell"))?,
-            placed: serde::Deserialize::from_value(v.get_field("placed"))?,
-            unplaced: serde::Deserialize::from_value(v.get_field("unplaced"))?,
-            preemptions: serde::Deserialize::from_value(v.get_field("preemptions"))?,
-            churn_rescheduled: serde::Deserialize::from_value(v.get_field("churn_rescheduled"))?,
-            gangs_placed: serde::Deserialize::from_value(v.get_field("gangs_placed"))?,
-            spilled_in: serde::Deserialize::from_value(v.get_field("spilled_in"))?,
-            spilled_out: serde::Deserialize::from_value(v.get_field("spilled_out"))?,
-            group0: serde::Deserialize::from_value(v.get_field("group0"))?,
-            other: serde::Deserialize::from_value(v.get_field("other"))?,
-            bands: serde::Deserialize::from_value(v.get_field("bands"))?,
-            autoscale: serde::Deserialize::from_value(v.get_field("autoscale"))?,
-            // Missing in fault-free and pre-fault reports → None.
-            recovery: serde::Deserialize::from_value(v.get_field("recovery"))?,
-        })
-    }
 }
 
 /// Latency within one suitable-node-group band.
@@ -239,7 +190,7 @@ impl CellRun {
 }
 
 /// Medians for one (grid point, scheduler, cell) across seeds × repeats.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SummaryRow {
     /// The grid point's knob values.
     pub knobs: Vec<KnobSetting>,
@@ -264,66 +215,8 @@ pub struct SummaryRow {
     /// Median dead-lettered task count (fault-plane cells only;
     /// serialized only when present, keeping fault-free reports
     /// byte-identical to earlier snapshots).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub median_dead_lettered: Option<f64>,
-}
-
-impl serde::Serialize for SummaryRow {
-    fn to_value(&self) -> serde_json::Value {
-        let mut fields = vec![
-            ("knobs".to_string(), self.knobs.to_value()),
-            ("scheduler".to_string(), self.scheduler.to_value()),
-            ("cell".to_string(), self.cell.to_value()),
-            ("runs".to_string(), self.runs.to_value()),
-            (
-                "median_group0_mean".to_string(),
-                self.median_group0_mean.to_value(),
-            ),
-            (
-                "median_group0_p50".to_string(),
-                self.median_group0_p50.to_value(),
-            ),
-            (
-                "median_other_mean".to_string(),
-                self.median_other_mean.to_value(),
-            ),
-            ("median_placed".to_string(), self.median_placed.to_value()),
-            (
-                "median_unplaced".to_string(),
-                self.median_unplaced.to_value(),
-            ),
-            (
-                "median_fleet_peak".to_string(),
-                self.median_fleet_peak.to_value(),
-            ),
-        ];
-        if self.median_dead_lettered.is_some() {
-            fields.push((
-                "median_dead_lettered".to_string(),
-                self.median_dead_lettered.to_value(),
-            ));
-        }
-        serde_json::Value::Object(fields)
-    }
-}
-
-impl serde::Deserialize for SummaryRow {
-    fn from_value(v: &serde_json::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            knobs: serde::Deserialize::from_value(v.get_field("knobs"))?,
-            scheduler: serde::Deserialize::from_value(v.get_field("scheduler"))?,
-            cell: serde::Deserialize::from_value(v.get_field("cell"))?,
-            runs: serde::Deserialize::from_value(v.get_field("runs"))?,
-            median_group0_mean: serde::Deserialize::from_value(v.get_field("median_group0_mean"))?,
-            median_group0_p50: serde::Deserialize::from_value(v.get_field("median_group0_p50"))?,
-            median_other_mean: serde::Deserialize::from_value(v.get_field("median_other_mean"))?,
-            median_placed: serde::Deserialize::from_value(v.get_field("median_placed"))?,
-            median_unplaced: serde::Deserialize::from_value(v.get_field("median_unplaced"))?,
-            median_fleet_peak: serde::Deserialize::from_value(v.get_field("median_fleet_peak"))?,
-            median_dead_lettered: serde::Deserialize::from_value(
-                v.get_field("median_dead_lettered"),
-            )?,
-        })
-    }
 }
 
 /// Median of a sample (mean of the middle pair for even sizes); `None`

@@ -7,16 +7,23 @@
 //! queue) hosted on a [`ParallelSim`] coordinator, which advances all
 //! shards epoch by epoch on the rayon pool — `execution.threads` wide —
 //! and exchanges cross-cell traffic only at epoch barriers. The only
-//! cross-cell traffic is spillover: a [`SpilloverForwarder`](ctlm_sched::engine::SpilloverForwarder) emits
-//! [`SchedEvent::SpillRequest`] outbox entries for tasks its home cell
-//! cannot admit, and the barrier hook here routes them (home cell or a
-//! feasible sibling, per the spillover policy) in the coordinator's
-//! deterministic `(time, priority, shard, seq)` merge order. Everything
-//! else — churn, autoscalers with their ownership guards, gang and
-//! rollout sources, in-timeline retraining — is per-cell state and stays
-//! inside its shard, which is what makes dispatching shards to worker
-//! threads sound (see the `ctlm_sim::parallel` island invariant).
-//! Model registries are `Arc`-based and safe to hot-swap from a shard.
+//! cross-cell traffic is spillover: each cell's arrival feed (attached
+//! with `spill`) emits [`SchedEvent::SpillRequest`] outbox entries for
+//! tasks its home cell cannot admit, and the barrier hook here routes
+//! them (home cell or a feasible sibling, per the spillover policy) in
+//! the coordinator's deterministic `(time, priority, shard, seq)` merge
+//! order. Everything else — churn, autoscalers with their ownership
+//! guards, gang and rollout sources, in-timeline retraining — is
+//! per-cell state and stays inside its shard, which is what makes
+//! dispatching shards to worker threads sound (see the
+//! `ctlm_sim::parallel` island invariant). Model registries are
+//! `Arc`-based and safe to hot-swap from a shard.
+//!
+//! Arrivals reach a cell through the one
+//! [`Simulator::attach_cell`] entry point, as a borrowed list or as a
+//! [`SyntheticStream`]; which one is decided in
+//! [`run_scheduler_observed`] from what the spec needs (see
+//! [`ArrivalMode`]), never by the user.
 //!
 //! Because multi-cell specs *always* run the epoch-sharded semantics
 //! (thread count only changes which OS thread runs a shard), reports
@@ -34,7 +41,7 @@ use ctlm_data::vocab::ValueVocab;
 use ctlm_sched::engine::{CellHandle, EngineState, PRIO_ADMIT, PRIO_STATE};
 use ctlm_sched::scenario::{ChurnSource, GangSource, RolloutSource};
 use ctlm_sched::{
-    EngineStats, ExponentialBackoff, FaultPlane, FaultStats, FixedRetry, OwnershipGuard,
+    Arrivals, EngineStats, ExponentialBackoff, FaultPlane, FaultStats, FixedRetry, OwnershipGuard,
     PendingTask, RetryPolicy, SchedCluster, SchedEvent, Scheduler, SimResult, Simulator,
 };
 use ctlm_sim::{Component, Ctx, EpochAutotune, Event, LaneStats, ParallelPerf, ParallelSim, Sim};
@@ -49,16 +56,20 @@ use crate::spec::{ExperimentSpec, SpilloverPolicy, WorkloadSpec};
 use crate::stream::SyntheticStream;
 use crate::LabError;
 
-/// How a run realises its synthetic arrival populations.
+/// How a run realises its synthetic arrival populations. Not a user
+/// choice — every run is [`ArrivalMode::Streaming`]; the other variant
+/// exists for the equivalence tests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArrivalMode {
     /// Decode synthetic arrivals chunk by chunk at attach time — peak
-    /// memory O(chunk) per cell. Cells that cannot stream (trace
-    /// slices, model-backed schedulers and retraining scenarios, which
-    /// train on the whole population) silently fall back to
-    /// materialising; results are bit-identical either way.
+    /// memory O(chunk) per cell — wherever nothing needs the whole
+    /// population up front. Cells that do (trace slices, model-backed
+    /// schedulers and retraining scenarios, which train on it) build the
+    /// list and feed it borrowed; results are bit-identical either way.
     Streaming,
-    /// Materialise every arrival list up front (the classic path).
+    /// The test oracle: build every arrival list up front, so
+    /// `streaming_equivalence.rs` can pin the streamed report against
+    /// the list-fed one.
     Materialised,
 }
 
@@ -119,9 +130,8 @@ pub struct CellTelemetry {
 type AttachedCell<'a> = (CellHandle<'a>, Option<Rc<RefCell<AutoscaleStats>>>);
 
 /// Attaches one cell — engine, arrival feed, cycle timer, and every
-/// scenario component — to `sim`. With `spillover` the arrival feed is
-/// the admit-or-spill [`SpilloverForwarder`](ctlm_sched::engine::SpilloverForwarder) (its `SpillRequest`s go to
-/// the shard outbox); otherwise the plain arrival source.
+/// scenario component — to `sim`. With `spillover` the arrival feed
+/// admits-or-spills (its `SpillRequest`s go to the shard outbox).
 #[allow(clippy::too_many_arguments)]
 fn attach_full_cell<'a>(
     sim: &mut Sim<'a, SchedEvent>,
@@ -134,32 +144,17 @@ fn attach_full_cell<'a>(
     spillover: bool,
 ) -> Result<AttachedCell<'a>, LabError> {
     let horizon = spec.sim.horizon;
-    let handle = match &cell.arrivals {
-        BuiltArrivals::Materialised(arrivals) => {
-            if spillover {
-                simulator.attach_cell_spillover(sim, &cell.name, cluster, arrivals, scheduler)
-            } else {
-                simulator.attach_cell(sim, &cell.name, cluster, arrivals, scheduler)
-            }
-        }
-        BuiltArrivals::Streamed(w) => {
-            let stream = SyntheticStream::new(
-                w,
-                &spec.sim,
-                cell.index,
-                cell.index as u64 * CELL_ID_STRIDE,
-                spec.execution.arrival_chunk,
-            )?;
-            simulator.attach_cell_stream(
-                sim,
-                &cell.name,
-                cluster,
-                Box::new(stream),
-                scheduler,
-                spillover,
-            )
-        }
+    let arrivals = match &cell.arrivals {
+        BuiltArrivals::Materialised(list) => Arrivals::List(list),
+        BuiltArrivals::Streamed(w) => Arrivals::Stream(Box::new(SyntheticStream::new(
+            w,
+            &spec.sim,
+            cell.index,
+            cell.index as u64 * CELL_ID_STRIDE,
+            spec.execution.arrival_chunk,
+        )?)),
     };
+    let handle = simulator.attach_cell(sim, &cell.name, cluster, arrivals, scheduler, spillover);
     // The flight recorder is per-cell state behind the engine handle;
     // faults and the autoscaler share the same log so control-plane
     // decisions land next to the task lifecycle they explain.
@@ -306,17 +301,8 @@ fn route_spill(
 }
 
 /// Runs the spec once under the named scheduler, returning per-cell
-/// outcomes.
-pub fn run_scheduler(
-    spec: &ExperimentSpec,
-    sched_name: &str,
-    mode: ArrivalMode,
-) -> Result<Vec<CellOutcome>, LabError> {
-    run_scheduler_observed(spec, sched_name, mode).map(|(outcomes, _)| outcomes)
-}
-
-/// [`run_scheduler`], also returning the wall-clock shard profile when
-/// the spec's `observability.profile` knob is on (multi-cell runs only —
+/// outcomes plus the wall-clock shard profile when the spec's
+/// `observability.profile` knob is on (multi-cell runs only —
 /// single-timeline runs have no shards or barriers to time).
 pub fn run_scheduler_observed(
     spec: &ExperimentSpec,
@@ -485,8 +471,8 @@ pub fn run_scheduler_observed(
                     );
                     continue;
                 }
-                // The home engine resolves the index whether the task
-                // lives in its materialised arena or its streaming slab.
+                // The home engine's arena resolves the index whether the
+                // task came from a borrowed list or a streamed chunk.
                 let target = {
                     let state = states[home].borrow();
                     route_spill(&states, policy, home, state.task(idx))
@@ -519,8 +505,8 @@ pub fn run_scheduler_observed(
                     states[home]
                         .borrow_mut()
                         .span_spill_resolve(idx, at, "routed", target as u64);
-                    // The clone is the task's new home; the slab slot
-                    // (no-op for materialised cells) can retire.
+                    // The clone is the task's new home; the arena slot
+                    // (no-op for list-fed cells) can retire.
                     states[home].borrow_mut().release_slot(idx);
                     shards[target].schedule_prio(
                         at,
@@ -607,14 +593,14 @@ pub fn run_scheduler_observed(
     Ok((outcomes, perf))
 }
 
+/// One training row: `(arrival time, sparse CO-VV entries, label)`.
+type LabeledRow = (Micros, Vec<(usize, f32)>, u8);
+
 /// The online-retraining scenario component: every `period`, retrain on
 /// the arrivals observed so far and hot-swap the result into the run's
 /// [`ModelRegistry`] — the declarative form of the paper's
 /// replay-retrain-schedule loop. Training happens synchronously on the
 /// simulation timeline, so runs stay bit-deterministic.
-/// One training row: `(arrival time, sparse CO-VV entries, label)`.
-type LabeledRow = (Micros, Vec<(usize, f32)>, u8);
-
 pub struct RetrainSource {
     /// Training rows sorted by arrival.
     rows: Vec<LabeledRow>,
@@ -643,7 +629,7 @@ impl RetrainSource {
         let mut rows: Vec<LabeledRow> = cell
             .arrivals
             .list()
-            .expect("retraining cells materialise their arrivals")
+            .expect("retraining cells build their arrival list")
             .iter()
             .map(|t| {
                 (
@@ -666,11 +652,6 @@ impl RetrainSource {
             trained_upto: 0,
             ticks: 0,
         }
-    }
-
-    /// Number of models installed so far.
-    pub fn installs(&self) -> u64 {
-        self.ticks
     }
 }
 

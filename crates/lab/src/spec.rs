@@ -716,7 +716,10 @@ pub struct DegradedRegistrySpec {
 /// attempts; `exponential` doubles from `base` up to `cap` with seeded
 /// jitter. A task exceeding `budget` attempts dead-letters
 /// (`failed_permanently` in the report — never a silently hung task).
-#[derive(Clone, Debug, PartialEq)]
+/// A partial `retry` object keeps the defaults below for the fields it
+/// omits.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct RetrySpec {
     /// Policy name: `fixed` or `exponential`.
     pub policy: String,
@@ -740,48 +743,6 @@ impl Default for RetrySpec {
             budget: 3,
             jitter: 0.5,
         }
-    }
-}
-
-impl serde::Serialize for RetrySpec {
-    fn to_value(&self) -> serde_json::Value {
-        serde_json::Value::Object(vec![
-            (
-                "policy".to_string(),
-                serde_json::Value::Str(self.policy.clone()),
-            ),
-            ("base".to_string(), serde_json::Value::Num(self.base as f64)),
-            ("cap".to_string(), serde_json::Value::Num(self.cap as f64)),
-            (
-                "budget".to_string(),
-                serde_json::Value::Num(self.budget as f64),
-            ),
-            ("jitter".to_string(), serde_json::Value::Num(self.jitter)),
-        ])
-    }
-}
-
-// Manual impl so a partial `retry` object keeps the struct defaults for
-// the fields it omits (mirrors [`ExecutionSpec`]).
-impl serde::Deserialize for RetrySpec {
-    fn from_value(v: &serde_json::Value) -> Result<Self, serde::Error> {
-        let serde_json::Value::Object(fields) = v else {
-            return Err(serde::Error::msg(format!(
-                "expected retry object, got {v:?}"
-            )));
-        };
-        let mut out = RetrySpec::default();
-        for (key, val) in fields {
-            match key.as_str() {
-                "policy" => out.policy = serde::Deserialize::from_value(val)?,
-                "base" => out.base = serde::Deserialize::from_value(val)?,
-                "cap" => out.cap = serde::Deserialize::from_value(val)?,
-                "budget" => out.budget = serde::Deserialize::from_value(val)?,
-                "jitter" => out.jitter = serde::Deserialize::from_value(val)?,
-                other => return Err(serde::Error::msg(format!("unknown retry field {other:?}"))),
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -855,8 +816,10 @@ impl Default for TrainSpec {
 /// always run the epoch-sharded semantics — one kernel shard per cell,
 /// synchronised at epoch barriers — so these knobs tune *wall-clock*
 /// behaviour only; for a fixed (spec, seed, `epoch_us`), reports are
-/// bit-identical for every `threads` value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// bit-identical for every `threads` value. A partial `execution`
+/// object keeps the defaults below for the fields it omits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ExecutionSpec {
     /// Worker threads for shard execution: 0 = the rayon pool's
     /// configured width, 1 = sequential (no pool dispatch), n = chunk
@@ -904,55 +867,23 @@ impl EpochSpec {
     }
 }
 
-impl serde::Serialize for ExecutionSpec {
+// On the wire the knob is a bare number or the string `"auto"`, not the
+// derive's externally tagged enum.
+impl serde::Serialize for EpochSpec {
     fn to_value(&self) -> serde_json::Value {
-        let epoch = match self.epoch_us {
-            EpochSpec::Fixed(us) => serde_json::Value::Num(us as f64),
+        match self {
+            EpochSpec::Fixed(us) => us.to_value(),
             EpochSpec::Auto => serde_json::Value::Str("auto".to_string()),
-        };
-        serde_json::Value::Object(vec![
-            (
-                "threads".to_string(),
-                serde_json::Value::Num(self.threads as f64),
-            ),
-            ("epoch_us".to_string(), epoch),
-            (
-                "arrival_chunk".to_string(),
-                serde_json::Value::Num(self.arrival_chunk as f64),
-            ),
-        ])
+        }
     }
 }
 
-// Manual impl so a partial `execution` object keeps the struct defaults
-// for the fields it omits (the derive would fall back to the field
-// type's zero).
-impl serde::Deserialize for ExecutionSpec {
+impl serde::Deserialize for EpochSpec {
     fn from_value(v: &serde_json::Value) -> Result<Self, serde::Error> {
-        let serde_json::Value::Object(fields) = v else {
-            return Err(serde::Error::msg(format!(
-                "expected execution object, got {v:?}"
-            )));
-        };
-        let mut out = ExecutionSpec::default();
-        for (key, val) in fields {
-            match key.as_str() {
-                "threads" => out.threads = serde::Deserialize::from_value(val)?,
-                "epoch_us" => {
-                    out.epoch_us = match val {
-                        serde_json::Value::Str(s) if s == "auto" => EpochSpec::Auto,
-                        other => EpochSpec::Fixed(serde::Deserialize::from_value(other)?),
-                    }
-                }
-                "arrival_chunk" => out.arrival_chunk = serde::Deserialize::from_value(val)?,
-                other => {
-                    return Err(serde::Error::msg(format!(
-                        "unknown execution field {other:?}"
-                    )))
-                }
-            }
+        match v {
+            serde_json::Value::Str(s) if s == "auto" => Ok(EpochSpec::Auto),
+            other => Ok(EpochSpec::Fixed(serde::Deserialize::from_value(other)?)),
         }
-        Ok(out)
     }
 }
 
@@ -976,7 +907,8 @@ impl Default for ExecutionSpec {
 /// * the **host plane** (`profile`) reads the wall clock — per-shard
 ///   run/barrier/drain timings land exclusively in the report's
 ///   `_meta._perf` block, which `--no-meta` (and byte-compares) drop.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ObservabilitySpec {
     /// Collect the deterministic metrics registry (engine counters,
     /// queue-depth histograms, kernel lane stats, slab recycle stats,
@@ -1001,47 +933,6 @@ pub struct ObservabilitySpec {
     /// `ctlm-lab --spans <path>` (report bytes never change). The
     /// `--spans` flag switches this on.
     pub spans: bool,
-}
-
-impl serde::Serialize for ObservabilitySpec {
-    fn to_value(&self) -> serde_json::Value {
-        serde_json::Value::Object(vec![
-            ("metrics".to_string(), serde_json::Value::Bool(self.metrics)),
-            (
-                "trace_events".to_string(),
-                serde_json::Value::Num(self.trace_events as f64),
-            ),
-            ("profile".to_string(), serde_json::Value::Bool(self.profile)),
-            ("spans".to_string(), serde_json::Value::Bool(self.spans)),
-        ])
-    }
-}
-
-// Manual impl so a partial `observability` object keeps the struct
-// defaults for the fields it omits (mirrors [`ExecutionSpec`]).
-impl serde::Deserialize for ObservabilitySpec {
-    fn from_value(v: &serde_json::Value) -> Result<Self, serde::Error> {
-        let serde_json::Value::Object(fields) = v else {
-            return Err(serde::Error::msg(format!(
-                "expected observability object, got {v:?}"
-            )));
-        };
-        let mut out = ObservabilitySpec::default();
-        for (key, val) in fields {
-            match key.as_str() {
-                "metrics" => out.metrics = serde::Deserialize::from_value(val)?,
-                "trace_events" => out.trace_events = serde::Deserialize::from_value(val)?,
-                "profile" => out.profile = serde::Deserialize::from_value(val)?,
-                "spans" => out.spans = serde::Deserialize::from_value(val)?,
-                other => {
-                    return Err(serde::Error::msg(format!(
-                        "unknown observability field {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// A sweep grid: the cartesian product of every knob's values, crossed

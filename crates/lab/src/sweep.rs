@@ -34,17 +34,9 @@ pub fn run_spec_json(text: &str) -> Result<LabReport, LabError> {
 
 /// Expands and executes a parsed spec. Synthetic arrivals stream
 /// (decoded chunk by chunk at attach time) wherever nothing needs the
-/// whole population up front; the report is bit-identical to
-/// [`run_spec_materialised`].
+/// whole population up front.
 pub fn run_spec(spec: &ExperimentSpec) -> Result<LabReport, LabError> {
     run_spec_observed(spec, ArrivalMode::Streaming).map(|(report, _)| report)
-}
-
-/// [`run_spec`], but with every arrival list materialised up front — the
-/// classic path. Exists so tests (and `ctlm-lab --materialised`) can pin
-/// the streamed report against it.
-pub fn run_spec_materialised(spec: &ExperimentSpec) -> Result<LabReport, LabError> {
-    run_spec_observed(spec, ArrivalMode::Materialised).map(|(report, _)| report)
 }
 
 /// Expands and executes a spec, also returning the accumulated

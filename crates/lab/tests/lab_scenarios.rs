@@ -10,8 +10,8 @@ use ctlm_autoscale::ProvisionDelay;
 use ctlm_lab::report::to_pretty_json;
 use ctlm_lab::spec::{
     ArrivalProcess, AutoscaleSpec, ChurnSpec, ExecutionSpec, ExperimentSpec, GangSpec, KnobSpec,
-    MachineGroup, ObservabilitySpec, PlacerSpec, PolicyParams, RestrictiveSpec, ScenarioSpec,
-    SizeDist, SpilloverPolicy, SweepSpec, SyntheticWorkload, TrainSpec, WorkloadSpec,
+    MachineGroup, ObservabilitySpec, PlacerSpec, PolicyParams, RestrictiveSpec, RetrySpec,
+    ScenarioSpec, SizeDist, SpilloverPolicy, SweepSpec, SyntheticWorkload, TrainSpec, WorkloadSpec,
 };
 use ctlm_lab::{run_spec, run_spec_json};
 use ctlm_sched::SimConfig;
@@ -216,6 +216,60 @@ fn serde_default_and_field_errors() {
     // Unknown enum variants list the registry of expected names.
     let err = serde_json::from_str::<WorkloadSpec>(r#"{"Bogus": {}}"#).expect_err("bad variant");
     assert!(err.to_string().contains("Trace/Synthetic"), "got: {err}");
+
+    // Partial knob blocks keep the struct's own defaults (not the field
+    // types' zeros) for what they omit; `epoch_us` is a number or "auto".
+    let exec: ExecutionSpec =
+        serde_json::from_str(r#"{"threads": 4, "epoch_us": "auto"}"#).expect("partial execution");
+    assert_eq!(exec.threads, 4);
+    assert!(exec.epoch_us.is_auto());
+    assert_eq!(
+        exec.arrival_chunk,
+        ExecutionSpec::default().arrival_chunk,
+        "omitted field keeps the struct default"
+    );
+    let obs: ObservabilitySpec = serde_json::from_str(r#"{"spans": true}"#).expect("partial");
+    assert!(obs.spans && !obs.metrics && obs.trace_events == 0);
+    let retry: RetrySpec = serde_json::from_str(r#"{"budget": 9}"#).expect("partial retry");
+    assert_eq!((retry.budget, retry.base), (9, RetrySpec::default().base));
+
+    // Unknown keys in those blocks are typos, not extensions.
+    for (bad, ty) in [
+        (
+            serde_json::from_str::<ExecutionSpec>(r#"{"thread": 4}"#).map(|_| ()),
+            "ExecutionSpec",
+        ),
+        (
+            serde_json::from_str::<ObservabilitySpec>(r#"{"span": true}"#).map(|_| ()),
+            "ObservabilitySpec",
+        ),
+        (
+            serde_json::from_str::<RetrySpec>(r#"{"budgit": 1}"#).map(|_| ()),
+            "RetrySpec",
+        ),
+    ] {
+        let msg = bad.expect_err("unknown key").to_string();
+        assert!(msg.contains(&format!("unknown {ty} field")), "got: {msg}");
+    }
+
+    // The normalised document (what sweep knob paths address) keeps its
+    // key order and the bare number / "auto" spelling.
+    assert_eq!(
+        serde_json::to_string(&ExecutionSpec::default()).unwrap(),
+        r#"{"threads":1,"epoch_us":1000000,"arrival_chunk":8192}"#
+    );
+    assert_eq!(
+        serde_json::to_string(&exec).unwrap(),
+        r#"{"threads":4,"epoch_us":"auto","arrival_chunk":8192}"#
+    );
+    assert_eq!(
+        serde_json::to_string(&ObservabilitySpec::default()).unwrap(),
+        r#"{"metrics":false,"trace_events":0,"profile":false,"spans":false}"#
+    );
+    assert_eq!(
+        serde_json::to_string(&RetrySpec::default()).unwrap(),
+        r#"{"policy":"exponential","base":2000000,"cap":60000000,"budget":3,"jitter":0.5}"#
+    );
 }
 
 #[test]

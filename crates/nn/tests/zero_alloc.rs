@@ -10,7 +10,7 @@
 //! see `ctlm_nn::workspace`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use ctlm_nn::{Adam, CrossEntropyLoss, Net, Optimizer, Workspace};
 use ctlm_tensor::init::seeded_rng;
@@ -18,11 +18,22 @@ use ctlm_tensor::{Csr, CsrBuilder};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Per thread: the harness runs tests on parallel threads and does
+    /// its own bookkeeping meanwhile, and none of that may land in a
+    /// measured window. Everything measured here runs on the test's own
+    /// thread. Const-initialised and drop-free, so touching it from the
+    /// allocator neither allocates nor outlives the thread's TLS.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -89,14 +100,14 @@ fn steady_state_training_step_does_not_allocate() {
         step(&mut xb, &mut yb, &mut net, &mut ws, &mut opt, chunk);
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut total_loss = 0.0f32;
     for _ in 0..5 {
         for chunk in order.chunks(n) {
             total_loss += step(&mut xb, &mut yb, &mut net, &mut ws, &mut opt, chunk);
         }
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert!(total_loss.is_finite());
     assert_eq!(
         after - before,

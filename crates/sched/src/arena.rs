@@ -1,18 +1,20 @@
-//! The engine's owned task arena: index-stable chunk segments with
-//! liveness-based buffer recycling.
+//! The engine's task arena: a borrowed arrival list plus index-stable
+//! owned chunk segments with liveness-based buffer recycling.
 //!
-//! The engine references tasks by `usize` arena index. Indices below the
-//! borrowed arrival list's length resolve into that slice; everything
-//! else — streamed arrival chunks, gang members, dynamic admits — lives
-//! here. The slab hands out **monotonically increasing** indices (never
-//! reused), so an index stays a stable name for its task for the whole
-//! run, while storage is reclaimed the moment a *segment* (one pushed
-//! chunk) has no live tasks left: the engine releases a task's slot when
-//! it finishes, is dropped as infeasible, is evicted by preemption, or
-//! is spilled to a sibling cell, and fully drained front segments give
-//! their buffers back to a small pool for the next chunk refill. That is
-//! what keeps the streaming path's peak memory at O(chunk + in-flight)
-//! instead of O(total tasks).
+//! The engine references tasks by `usize` arena index, and this module
+//! alone decides which storage an index lives in. Indices below the
+//! borrowed arrival list's length (the **base**) resolve into that
+//! slice — nothing is cloned, nothing is ever reclaimed there. Everything
+//! else — streamed arrival chunks, gang members, dynamic admits — is
+//! owned here and continues the numbering past the base. The slab hands
+//! out **monotonically increasing** indices (never reused), so an index
+//! stays a stable name for its task for the whole run, while storage is
+//! reclaimed the moment a *segment* (one pushed chunk) has no live tasks
+//! left: the engine releases a task's slot when it finishes, is dropped
+//! as infeasible, is evicted by preemption, or is spilled to a sibling
+//! cell, and fully drained front segments give their buffers back to a
+//! small pool for the next chunk refill. That is what keeps a streamed
+//! cell's peak memory at O(chunk + in-flight) instead of O(total tasks).
 
 use std::collections::VecDeque;
 
@@ -34,14 +36,17 @@ struct Segment {
     open: bool,
 }
 
-/// Index-stable task storage behind the engine's borrowed arrival list.
-/// All indices here are **relative** (slab-local, from 0); the engine
-/// offsets them by the borrowed list's length.
-#[derive(Default)]
-pub(crate) struct TaskSlab {
+/// Index-stable task storage over the engine's borrowed arrival list.
+/// Every index in and out is an **absolute** arena index: `0..base.len()`
+/// is the borrowed list, pushed tasks follow.
+pub(crate) struct TaskSlab<'a> {
+    /// The borrowed arrival list — not a segment: never counted in
+    /// [`TaskSlab::retired`] / [`TaskSlab::resident_segments`], and
+    /// releasing a slot in it is a no-op.
+    base: &'a [PendingTask],
     /// Live segments, ordered by `start`.
     segments: VecDeque<Segment>,
-    /// Total tasks ever pushed — the next relative index.
+    /// One past the last index handed out — the next pushed index.
     len: usize,
     /// Cleared buffers from retired segments, reused for new chunks.
     pool: Vec<Vec<PendingTask>>,
@@ -50,10 +55,17 @@ pub(crate) struct TaskSlab {
     retired: u64,
 }
 
-impl TaskSlab {
-    /// Tasks ever pushed (relative indices are `0..len()`).
-    pub(crate) fn len(&self) -> usize {
-        self.len
+impl<'a> TaskSlab<'a> {
+    /// An arena over `base` (may be empty); the first pushed task gets
+    /// index `base.len()`.
+    pub(crate) fn over(base: &'a [PendingTask]) -> Self {
+        Self {
+            base,
+            segments: VecDeque::new(),
+            len: base.len(),
+            pool: Vec::new(),
+            retired: 0,
+        }
     }
 
     /// A cleared buffer for the next chunk — recycled when available.
@@ -71,7 +83,7 @@ impl TaskSlab {
 
     /// Pushes a sealed segment (a streamed chunk or a gang), taking
     /// ownership of the buffer. Returns `(start, len)` of the segment's
-    /// relative index range. Empty buffers push no segment.
+    /// index range. Empty buffers push no segment.
     pub(crate) fn push_sealed(&mut self, tasks: Vec<PendingTask>) -> (usize, usize) {
         let start = self.len;
         let n = tasks.len();
@@ -91,7 +103,7 @@ impl TaskSlab {
 
     /// Pushes one dynamically admitted task, growing the tail segment
     /// when it is open (so admit-heavy runs do not fragment into
-    /// single-task segments). Returns the task's relative index.
+    /// single-task segments). Returns the task's index.
     pub(crate) fn push_one(&mut self, t: PendingTask) -> usize {
         let idx = self.len;
         self.len += 1;
@@ -114,12 +126,15 @@ impl TaskSlab {
         idx
     }
 
-    /// The task behind a relative index.
+    /// The task behind an index.
     ///
     /// # Panics
     /// Panics on indices never pushed or whose segment has been retired
     /// (a released slot must never be read again).
     pub(crate) fn get(&self, idx: usize) -> &PendingTask {
+        if let Some(t) = self.base.get(idx) {
+            return t;
+        }
         let seg = self.segment_for(idx);
         &seg.tasks[idx - seg.start]
     }
@@ -127,8 +142,11 @@ impl TaskSlab {
     /// Releases one slot: the task is dead (finished, dropped,
     /// evicted, or spilled away) and will never be read again. Fully
     /// drained segments at the slab front retire — their buffers go to
-    /// the pool.
+    /// the pool. No-op for the borrowed base (nothing to reclaim there).
     pub(crate) fn release(&mut self, idx: usize) {
+        if idx < self.base.len() {
+            return;
+        }
         let pos = self.position_for(idx);
         let seg = &mut self.segments[pos];
         debug_assert!(seg.live > 0, "slot {idx} double-released");
@@ -204,7 +222,7 @@ mod tests {
 
     #[test]
     fn indices_are_stable_across_segments() {
-        let mut slab = TaskSlab::default();
+        let mut slab = TaskSlab::over(&[]);
         let (s0, n0) = slab.push_sealed((0..4).map(task).collect());
         let one = slab.push_one(task(100));
         let (s1, _) = slab.push_sealed((10..13).map(task).collect());
@@ -214,12 +232,39 @@ mod tests {
         assert_eq!(slab.get(2).id, 2);
         assert_eq!(slab.get(4).id, 100);
         assert_eq!(slab.get(6).id, 11);
-        assert_eq!(slab.len(), 8);
+        assert_eq!(slab.push_one(task(101)), 8);
+    }
+
+    #[test]
+    fn borrowed_base_resolves_below_pushed_tasks_and_never_recycles() {
+        let base: Vec<PendingTask> = (0..3).map(task).collect();
+        let mut slab = TaskSlab::over(&base);
+        // Pushed indices continue past the base.
+        assert_eq!(slab.push_one(task(50)), 3);
+        assert_eq!(slab.push_sealed((60..62).map(task).collect()), (4, 2));
+        assert_eq!(slab.get(0).id, 0);
+        assert_eq!(slab.get(2).id, 2);
+        assert_eq!(slab.get(3).id, 50);
+        assert_eq!(slab.get(5).id, 61);
+        // The base is not a segment and releasing into it reclaims
+        // nothing — its tasks stay readable.
+        assert_eq!(slab.resident_segments(), 2);
+        for idx in 0..3 {
+            slab.release(idx);
+        }
+        assert_eq!((slab.retired(), slab.resident_segments()), (0, 2));
+        assert_eq!(slab.get(1).id, 1);
+        // Owned segments behind it still retire as before.
+        for idx in 3..6 {
+            slab.release(idx);
+        }
+        assert_eq!((slab.retired(), slab.resident_segments()), (2, 0));
+        assert_eq!(slab.get(2).id, 2);
     }
 
     #[test]
     fn front_segments_retire_and_recycle_buffers() {
-        let mut slab = TaskSlab::default();
+        let mut slab = TaskSlab::over(&[]);
         slab.push_sealed((0..4).map(task).collect());
         slab.push_sealed((4..8).map(task).collect());
         // Drain the second segment first: nothing retires (front alive).
@@ -240,7 +285,7 @@ mod tests {
 
     #[test]
     fn open_tail_segment_absorbs_single_admits() {
-        let mut slab = TaskSlab::default();
+        let mut slab = TaskSlab::over(&[]);
         slab.push_one(task(0));
         slab.push_one(task(1));
         slab.push_one(task(2));

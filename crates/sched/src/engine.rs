@@ -10,8 +10,9 @@
 //! What used to be a bespoke `while now <= horizon` loop is now a set of
 //! kernel components exchanging [`SchedEvent`]s on one timeline:
 //!
-//! * [`ArrivalSource`] — walks the (borrowed) arrival list and emits
-//!   admission events at each task's arrival time;
+//! * [`ArrivalFeed`] — walks the cell's arrivals (a borrowed list, or
+//!   chunks pulled from an [`ArrivalStream`]) and emits admission events
+//!   at each task's arrival time;
 //! * [`CycleTimer`] — fires the scheduler pass every `cycle` µs;
 //! * [`EngineComponent`] — owns the cluster, queues and result; handles
 //!   admissions, scheduler passes, task completions, machine churn and
@@ -50,7 +51,7 @@ use crate::latency::LatencyStats;
 use crate::placement::{BestFit, PlaceCtx, Placement, Placer, PreemptiveBestFit};
 use crate::queue::PendingTask;
 use crate::scheduler::Scheduler;
-use crate::stream::{ArrivalStream, StreamingSource};
+use crate::stream::{ArrivalFeed, ArrivalStream, Arrivals};
 
 /// Delivery class for completions and machine-state changes — first at a
 /// timestamp.
@@ -110,8 +111,8 @@ pub enum SchedEvent {
         value: Option<AttrValue>,
     },
     /// A task (index into the **home** cell's arrival arena) its home
-    /// cell could not admit at arrival time. Emitted cross-shard by
-    /// [`SpilloverForwarder`] via the epoch outbox; never delivered to an
+    /// cell could not admit at arrival time. Emitted cross-shard by a
+    /// spilling [`ArrivalFeed`] via the epoch outbox; never delivered to an
     /// engine — the coordinator's barrier hook resolves it into an
     /// [`SchedEvent::Arrival`] (home cell) or [`SchedEvent::Admit`]
     /// (sibling cell) at the epoch boundary.
@@ -291,14 +292,12 @@ struct FaultRuntime {
 /// the driver via `Rc<RefCell<...>>` (dslab-style).
 pub struct EngineState<'a> {
     cfg: SimConfig,
-    /// The arrival list, borrowed from the driver — admissions reference
-    /// tasks by index instead of cloning them. Streamed cells pass `&[]`
-    /// and feed every task through the slab instead.
-    arrivals: &'a [PendingTask],
-    /// Arena for tasks entering mid-run — streamed arrival chunks, gang
-    /// members, dynamic admits. Indices continue past `arrivals.len()`;
-    /// released slots let drained chunk segments reclaim their buffers.
-    slab: TaskSlab,
+    /// The task arena: the arrival list borrowed from the driver
+    /// (admissions reference tasks by index instead of cloning them;
+    /// empty for streamed cells) followed by the tasks entering mid-run —
+    /// streamed arrival chunks, gang members, dynamic admits. Released
+    /// slots let drained chunk segments reclaim their buffers.
+    slab: TaskSlab<'a>,
     /// The cluster under scheduling.
     pub cluster: SchedCluster,
     scheduler: &'a mut dyn Scheduler,
@@ -346,15 +345,14 @@ impl<'a> EngineState<'a> {
     ) -> Self {
         // Record and bookkeeping capacities are reserved for the known
         // arrival population up front, so steady-state passes never grow
-        // them (part of the zero-allocation-per-pass contract; tasks
-        // arriving through the dynamic `extra` arena may still grow).
+        // them (part of the zero-allocation-per-pass contract; streamed
+        // and dynamically admitted tasks may still grow them).
         let n = arrivals.len();
         let mut result = SimResult::default();
         result.placed.reserve(n);
         Self {
             cfg,
-            arrivals,
-            slab: TaskSlab::default(),
+            slab: TaskSlab::over(arrivals),
             cluster,
             scheduler,
             main_placer,
@@ -383,38 +381,21 @@ impl<'a> EngineState<'a> {
     /// Panics for released slots (see [`EngineState::release_slot`]) —
     /// a released index must never be read again.
     pub fn task(&self, idx: usize) -> &PendingTask {
-        if idx < self.arrivals.len() {
-            &self.arrivals[idx]
-        } else {
-            self.slab.get(idx - self.arrivals.len())
+        self.slab.get(idx)
+    }
+
+    /// Pulls `stream`'s next time-sorted chunk into the arena as one
+    /// index-stable segment — into a buffer recycled from drained chunk
+    /// segments when one is available, so steady-state streaming reuses
+    /// the same few allocations. Returns the segment's `(start, len)`
+    /// arena index range, `None` once the stream is exhausted.
+    pub(crate) fn pull_chunk(&mut self, stream: &mut dyn ArrivalStream) -> Option<(usize, usize)> {
+        let mut buf = self.slab.take_buffer();
+        if stream.refill(&mut buf) == 0 {
+            self.slab.recycle_buffer(buf);
+            return None;
         }
-    }
-
-    /// Appends a dynamically created task to the arena, returning its
-    /// index.
-    pub fn push_extra(&mut self, t: PendingTask) -> usize {
-        self.arrivals.len() + self.slab.push_one(t)
-    }
-
-    /// Appends one time-sorted arrival chunk to the arena as an
-    /// index-stable segment, taking ownership of the buffer. Returns the
-    /// segment's `(start, len)` arena index range. The streaming arrival
-    /// path ([`StreamingSource`]) refills through this.
-    pub fn push_chunk(&mut self, buf: Vec<PendingTask>) -> (usize, usize) {
-        let (rel, len) = self.slab.push_sealed(buf);
-        (self.arrivals.len() + rel, len)
-    }
-
-    /// A cleared task buffer for the next arrival chunk — recycled from
-    /// drained chunk segments when one is available, so steady-state
-    /// streaming reuses the same few allocations.
-    pub fn take_slab_buffer(&mut self) -> Vec<PendingTask> {
-        self.slab.take_buffer()
-    }
-
-    /// Returns an unused chunk buffer to the recycle pool.
-    pub fn recycle_slab_buffer(&mut self, buf: Vec<PendingTask>) {
-        self.slab.recycle_buffer(buf);
+        Some(self.slab.push_sealed(buf))
     }
 
     /// Marks an arena slot dead — the task finished, was dropped as
@@ -423,9 +404,7 @@ impl<'a> EngineState<'a> {
     /// No-op for indices in the borrowed arrival list (nothing to
     /// reclaim there). The index must never be read again afterwards.
     pub fn release_slot(&mut self, idx: usize) {
-        if idx >= self.arrivals.len() {
-            self.slab.release(idx - self.arrivals.len());
-        }
+        self.slab.release(idx);
     }
 
     /// Pending main-queue depth (scenario components may inspect it).
@@ -523,12 +502,6 @@ impl<'a> EngineState<'a> {
         self.spans.as_ref().expect("just set").clone()
     }
 
-    /// The span-log handle, when [`EngineState::enable_spans`] switched
-    /// the recorder on.
-    pub fn spans_handle(&self) -> Option<Rc<RefCell<SpanLog>>> {
-        self.spans.clone()
-    }
-
     /// Takes the recorded span log out of the engine (after the run),
     /// leaving the recorder disabled. Finish the run first (e.g.
     /// [`CellHandle::finish`]) so open spans are closed at the horizon.
@@ -555,11 +528,6 @@ impl<'a> EngineState<'a> {
         }
     }
 
-    /// Tasks currently resident in the dynamic-admission slab.
-    pub fn slab_len(&self) -> usize {
-        self.slab.len()
-    }
-
     /// Slab segments retired (fully drained and recycled) so far.
     pub fn slab_retired(&self) -> u64 {
         self.slab.retired()
@@ -571,14 +539,9 @@ impl<'a> EngineState<'a> {
     }
 
     /// Counts one task spilled out of this cell at arrival time (bumped
-    /// by the spillover forwarders, which own the emit site).
+    /// by the arrival feed, which owns the emit site).
     pub(crate) fn note_spill_request(&mut self) {
         self.stats.spill_requests += 1;
-    }
-
-    /// Tasks placed so far (monotone during the run).
-    pub fn placed_count(&self) -> usize {
-        self.result.placed.len()
     }
 
     /// Mean scheduling latency over the `last` most recently placed
@@ -694,11 +657,9 @@ impl<'a> EngineState<'a> {
     /// opening its `queued` span (`cause` says how it got here:
     /// `"arrival"`, `"dynamic"`, `"retry"`, `"churn_requeue"`).
     fn admit(&mut self, idx: usize, now: Micros, cause: &'static str) {
-        let t = if idx < self.arrivals.len() {
-            &self.arrivals[idx]
-        } else {
-            self.slab.get(idx - self.arrivals.len())
-        };
+        // Read through the arena field so the scheduler can borrow
+        // mutably alongside it.
+        let t = self.slab.get(idx);
         let id = t.id;
         let high_priority = self.scheduler.route_high_priority(t);
         if let Some(s) = &self.spans {
@@ -816,11 +777,7 @@ impl<'a> EngineState<'a> {
     ) {
         // Field-precise task lookup so the placement scratch can borrow
         // mutably alongside the (shared) cluster and arena borrows.
-        let t = if idx < self.arrivals.len() {
-            &self.arrivals[idx]
-        } else {
-            self.slab.get(idx - self.arrivals.len())
-        };
+        let t = self.slab.get(idx);
         let task_id = t.id;
         match placer.place(&self.cluster, t, &mut self.place_ctx) {
             Placement::Placed(m) => {
@@ -940,14 +897,8 @@ impl<'a> EngineState<'a> {
     fn try_gang(&mut self, start: usize, len: usize, ctx: &mut Ctx<'_, SchedEvent>) -> bool {
         let mut pairs = std::mem::take(&mut self.place_ctx.gang);
         let placed = {
-            let (arrivals, slab) = (self.arrivals, &self.slab);
-            let members = (start..start + len).map(|i| {
-                if i < arrivals.len() {
-                    &arrivals[i]
-                } else {
-                    slab.get(i - arrivals.len())
-                }
-            });
+            let slab = &self.slab;
+            let members = (start..start + len).map(|i| slab.get(i));
             crate::gang::place_gang_into(&mut self.cluster, members, &mut pairs)
         };
         if placed {
@@ -1119,14 +1070,14 @@ impl<'a> EngineState<'a> {
             }
             SchedEvent::Admit(t) => {
                 self.stats.admitted_dynamic += 1;
-                let idx = self.push_extra(*t);
+                let idx = self.slab.push_one(*t);
                 self.admit(idx, ctx.now(), "dynamic");
             }
             SchedEvent::GangArrival(members) => {
                 // Members enter the arena contiguously (one sealed slab
                 // segment), so the gang is just a range — no per-gang
                 // index list.
-                let (start, len) = self.push_chunk(members);
+                let (start, len) = self.slab.push_sealed(members);
                 self.stats.admitted_gang_members += len as u64;
                 if self.spans.is_some() {
                     let now = ctx.now();
@@ -1259,69 +1210,6 @@ impl Component<SchedEvent> for EngineComponent<'_> {
     }
 }
 
-/// Emits [`SchedEvent::Arrival`] admissions as simulated time reaches
-/// each task's arrival stamp. Borrows the arrival list — nothing is
-/// copied.
-pub struct ArrivalSource<'a> {
-    arrivals: &'a [PendingTask],
-    next: usize,
-    engine: CompId,
-}
-
-impl Component<SchedEvent> for ArrivalSource<'_> {
-    fn on_event(&mut self, _event: Event<SchedEvent>, ctx: &mut Ctx<'_, SchedEvent>) {
-        let now = ctx.now();
-        while self.next < self.arrivals.len() && self.arrivals[self.next].arrival <= now {
-            ctx.emit_prio(0, PRIO_ADMIT, self.engine, SchedEvent::Arrival(self.next));
-            self.next += 1;
-        }
-        if self.next < self.arrivals.len() {
-            let delay = self.arrivals[self.next].arrival - now;
-            ctx.emit_self_prio(delay, PRIO_ADMIT, SchedEvent::Wake);
-        }
-    }
-}
-
-/// An [`ArrivalSource`] for cells participating in cross-cell spillover
-/// under the epoch-sharded coordinator.
-///
-/// Tasks the home cell can admit at their arrival instant are delivered
-/// locally as [`SchedEvent::Arrival`] — the fast path, identical to
-/// [`ArrivalSource`] and with no task clone. Tasks the home cell has no
-/// feasible machine for are emitted into the shard's epoch outbox as
-/// [`SchedEvent::SpillRequest`]; the coordinator's barrier hook routes
-/// them (home queue or a sibling cell, per the spillover policy) at the
-/// next epoch boundary. Spilled tasks keep their original arrival
-/// stamp, so queue latency honestly includes the barrier wait.
-pub struct SpilloverForwarder<'a> {
-    arrivals: &'a [PendingTask],
-    next: usize,
-    engine: CompId,
-    state: Rc<RefCell<EngineState<'a>>>,
-}
-
-impl Component<SchedEvent> for SpilloverForwarder<'_> {
-    fn on_event(&mut self, _event: Event<SchedEvent>, ctx: &mut Ctx<'_, SchedEvent>) {
-        let now = ctx.now();
-        while self.next < self.arrivals.len() && self.arrivals[self.next].arrival <= now {
-            if self.state.borrow().can_admit(&self.arrivals[self.next]) {
-                ctx.emit_prio(0, PRIO_ADMIT, self.engine, SchedEvent::Arrival(self.next));
-            } else {
-                let mut st = self.state.borrow_mut();
-                st.note_spill_request();
-                st.span_spill_open(self.next, now);
-                drop(st);
-                ctx.emit_remote(PRIO_ADMIT, SchedEvent::SpillRequest(self.next));
-            }
-            self.next += 1;
-        }
-        if self.next < self.arrivals.len() {
-            let delay = self.arrivals[self.next].arrival - now;
-            ctx.emit_self_prio(delay, PRIO_ADMIT, SchedEvent::Wake);
-        }
-    }
-}
-
 /// Fires the scheduler pass every `period` µs up to the horizon.
 pub struct CycleTimer {
     period: Micros,
@@ -1372,26 +1260,43 @@ impl Simulator {
         self.config
     }
 
-    /// Registers one scheduling **cell** — engine component, arrival
-    /// source and cycle timer — on an existing kernel simulation, so
-    /// several cells can share a single timeline (multi-cell runs).
+    /// Registers one scheduling **cell** — engine component, arrival feed
+    /// and cycle timer — on an existing kernel simulation, so several
+    /// cells can share a single timeline (multi-cell runs).
     ///
-    /// `name` prefixes the registered component names. An empty arrival
-    /// list is fine: cells fed exclusively through
-    /// [`SchedEvent::Admit`] (e.g. by a spillover router) pass `&[]`.
+    /// `name` prefixes the registered component names. `arrivals` is
+    /// either a borrowed time-sorted list (no task is cloned; an empty
+    /// list is fine for cells fed exclusively through
+    /// [`SchedEvent::Admit`]) or a pull-based [`ArrivalStream`], decoded
+    /// chunk by chunk into the task arena one chunk ahead of the clock —
+    /// peak arena memory O(chunk + in-flight tasks) instead of O(total
+    /// tasks). The event sequence is identical either way.
+    ///
+    /// With `spill`, tasks the cell cannot admit at their arrival instant
+    /// go to the shard outbox as [`SchedEvent::SpillRequest`] instead of
+    /// the home queue. Meant for per-cell shards under a
+    /// [`ParallelSim`](ctlm_sim::ParallelSim) coordinator whose barrier
+    /// hook routes them (the hook reads the task via
+    /// [`EngineState::task`] and must call [`EngineState::release_slot`]
+    /// when it clones the task away to a sibling cell).
     pub fn attach_cell<'a>(
         &'a self,
         sim: &mut Sim<'a, SchedEvent>,
         name: &str,
         cluster: SchedCluster,
-        arrivals: &'a [PendingTask],
+        arrivals: Arrivals<'a>,
         scheduler: &'a mut dyn Scheduler,
+        spill: bool,
     ) -> CellHandle<'a> {
         let cfg = self.config;
+        let (list, stream) = match arrivals {
+            Arrivals::List(list) => (list, None),
+            Arrivals::Stream(stream) => (&[][..], Some(stream)),
+        };
         let state = Rc::new(RefCell::new(EngineState::new(
             cfg,
             cluster,
-            arrivals,
+            list,
             scheduler,
             self.main_placer.as_ref(),
             self.hp_placer.as_ref(),
@@ -1403,16 +1308,11 @@ impl Simulator {
             },
         );
         state.borrow_mut().engine_id = engine;
-        let source = sim.add_component(
-            format!("{name}/arrival_source"),
-            ArrivalSource {
-                arrivals,
-                next: 0,
-                engine,
-            },
-        );
-        if let Some(first) = arrivals.first() {
-            sim.schedule_prio(first.arrival, PRIO_ADMIT, source, source, SchedEvent::Wake);
+        let mut feed = ArrivalFeed::new(list.len(), stream, state.clone(), engine, spill);
+        let first = feed.first_arrival();
+        let feed = sim.add_component(format!("{name}/arrival_feed"), feed);
+        if let Some(at) = first {
+            sim.schedule_prio(at, PRIO_ADMIT, feed, feed, SchedEvent::Wake);
         }
         let timer = sim.add_component(
             format!("{name}/cycle_timer"),
@@ -1424,78 +1324,6 @@ impl Simulator {
         );
         sim.schedule_prio(0, PRIO_PASS, timer, timer, SchedEvent::Wake);
         CellHandle { engine, state }
-    }
-
-    /// [`Simulator::attach_cell`] for a cell whose arrivals go through
-    /// spillover: registers a [`SpilloverForwarder`] (admit-or-spill) in
-    /// place of the plain [`ArrivalSource`]. Meant for per-cell shards
-    /// under a [`ParallelSim`](ctlm_sim::ParallelSim) coordinator whose
-    /// barrier hook resolves the [`SchedEvent::SpillRequest`] outbox
-    /// entries.
-    pub fn attach_cell_spillover<'a>(
-        &'a self,
-        sim: &mut Sim<'a, SchedEvent>,
-        name: &str,
-        cluster: SchedCluster,
-        arrivals: &'a [PendingTask],
-        scheduler: &'a mut dyn Scheduler,
-    ) -> CellHandle<'a> {
-        let cell = self.attach_cell(sim, name, cluster, &[], scheduler);
-        // The engine still needs the arena for Arrival(idx) lookups even
-        // though the forwarder, not an ArrivalSource, walks it.
-        cell.state.borrow_mut().arrivals = arrivals;
-        let forwarder = sim.add_component(
-            format!("{name}/spillover_forwarder"),
-            SpilloverForwarder {
-                arrivals,
-                next: 0,
-                engine: cell.engine,
-                state: cell.state.clone(),
-            },
-        );
-        if let Some(first) = arrivals.first() {
-            sim.schedule_prio(
-                first.arrival,
-                PRIO_ADMIT,
-                forwarder,
-                forwarder,
-                SchedEvent::Wake,
-            );
-        }
-        cell
-    }
-
-    /// [`Simulator::attach_cell`] for a cell fed by a pull-based
-    /// [`ArrivalStream`] instead of a materialised arrival list: registers
-    /// a [`StreamingSource`] that decodes fixed-size, time-sorted chunks
-    /// into the engine's task slab on demand, always one chunk ahead of
-    /// the simulation clock. Peak arena memory is O(chunk + in-flight
-    /// tasks) instead of O(total tasks), and the event sequence is
-    /// identical to the materialised source's.
-    ///
-    /// With `spill`, the source behaves like a [`SpilloverForwarder`]:
-    /// tasks the cell cannot admit at their arrival instant go to the
-    /// shard outbox as [`SchedEvent::SpillRequest`] for the coordinator's
-    /// barrier hook to route (the hook reads the task via
-    /// [`EngineState::task`] and must call [`EngineState::release_slot`]
-    /// when it clones the task away to a sibling cell).
-    pub fn attach_cell_stream<'a>(
-        &'a self,
-        sim: &mut Sim<'a, SchedEvent>,
-        name: &str,
-        cluster: SchedCluster,
-        stream: Box<dyn ArrivalStream + 'a>,
-        scheduler: &'a mut dyn Scheduler,
-        spill: bool,
-    ) -> CellHandle<'a> {
-        let cell = self.attach_cell(sim, name, cluster, &[], scheduler);
-        let mut source = StreamingSource::new(stream, cell.state.clone(), cell.engine, spill);
-        let first = source.prime();
-        let source_id = sim.add_component(format!("{name}/stream_source"), source);
-        if let Some(at) = first {
-            sim.schedule_prio(at, PRIO_ADMIT, source_id, source_id, SchedEvent::Wake);
-        }
-        cell
     }
 
     /// Builds the simulation harness without running it, so scenario
@@ -1511,7 +1339,14 @@ impl Simulator {
         scheduler: &'a mut dyn Scheduler,
     ) -> Harness<'a> {
         let mut sim = Sim::new();
-        let cell = self.attach_cell(&mut sim, "cell", cluster, arrivals, scheduler);
+        let cell = self.attach_cell(
+            &mut sim,
+            "cell",
+            cluster,
+            Arrivals::List(arrivals),
+            scheduler,
+            false,
+        );
         Harness {
             sim,
             engine: cell.engine,
@@ -1822,9 +1657,9 @@ mod tests {
     }
 
     #[test]
-    fn streaming_source_matches_materialised_run() {
+    fn stream_fed_cell_matches_list_fed_run() {
         // Feeding the identical workload through a chunked SliceStream
-        // (any chunk size) must reproduce the borrowed-slice run exactly
+        // (any chunk size) must reproduce the borrowed-list run exactly
         // — same placements, latencies, preemptions.
         use crate::stream::SliceStream;
         let (mut cluster, arrivals) = contended_setup();
@@ -1839,11 +1674,11 @@ mod tests {
                     if which == 0 { &mut main } else { &mut orac };
                 let s = sim();
                 let mut kernel = Sim::new();
-                let cell = s.attach_cell_stream(
+                let cell = s.attach_cell(
                     &mut kernel,
                     "cell",
                     fresh,
-                    Box::new(SliceStream::new(&arrivals, chunk)),
+                    Arrivals::Stream(Box::new(SliceStream::new(&arrivals, chunk))),
                     sched,
                     false,
                 );

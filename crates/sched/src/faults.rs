@@ -334,12 +334,6 @@ impl FaultPlane {
     pub fn first_time(&self) -> Option<Micros> {
         self.plan.events.first().map(|&(t, _)| t)
     }
-
-    /// The seeded plan-seed mix, exposed so drivers derive fault seeds
-    /// the same way everywhere.
-    pub fn plan_seed(base: u64) -> u64 {
-        base ^ PLAN_SEED_MIX
-    }
 }
 
 impl Component<SchedEvent> for FaultPlane {

@@ -16,13 +16,15 @@
 //! ## The component model
 //!
 //! The simulation is a set of `ctlm_sim::Component`s on one deterministic
-//! timeline. [`engine::ArrivalSource`] admits tasks from a *borrowed*
-//! arrival list, [`engine::CycleTimer`] fires the scheduler pass, and
-//! [`engine::EngineComponent`] owns the cluster, the two queues and the
-//! result. Scenario components ([`scenario`]) join the same timeline:
-//! machine churn, all-or-nothing gang arrivals, staged attribute
-//! rollouts, and (in examples) live trace feeds that drive retraining
-//! mid-run.
+//! timeline. One [`stream::ArrivalFeed`] per cell admits tasks at their
+//! arrival instant — from a *borrowed* arrival list or from chunks
+//! pulled off an [`stream::ArrivalStream`], attached through the single
+//! [`engine::Simulator::attach_cell`] — [`engine::CycleTimer`] fires the
+//! scheduler pass, and [`engine::EngineComponent`] owns the cluster, the
+//! two queues and the result. Scenario components ([`scenario`]) join
+//! the same timeline: machine churn, all-or-nothing gang arrivals,
+//! staged attribute rollouts, and (in examples) live trace feeds that
+//! drive retraining mid-run.
 //!
 //! Policies are open: the [`scheduler::Scheduler`] trait routes each
 //! arriving task to the high-priority or main queue
@@ -44,8 +46,9 @@
 //!   their CO and scheduled together”) and atomic gang placement;
 //! * [`engine`] — the kernel-hosted simulation measuring scheduling
 //!   latency per suitable-node group;
-//! * [`stream`] — pull-based arrival streaming: chunked task decode
-//!   ([`stream::ArrivalStream`]) feeding the engine's task slab without
+//! * [`stream`] — the arrival feed and its two inputs
+//!   ([`stream::Arrivals`]): a borrowed list, or chunked task decode
+//!   ([`stream::ArrivalStream`]) into the engine's task arena without
 //!   materialising the whole workload;
 //! * [`scenario`] — churn, gang and rollout event sources;
 //! * [`faults`] — the fault plane: seeded machine crashes (abrupt, task
@@ -84,4 +87,4 @@ pub use lifecycle::{LifecycleOwner, OwnershipGuard};
 pub use placement::{BestFit, PlaceCtx, Placer, PreemptiveBestFit};
 pub use queue::{PendingQueue, PendingTask};
 pub use scheduler::{Enhanced, LiveRegistry, MainOnly, OracleEnhanced, Scheduler};
-pub use stream::{ArrivalStream, SliceStream, StreamingSource};
+pub use stream::{ArrivalStream, Arrivals, SliceStream};

@@ -1,30 +1,29 @@
-//! Pull-based arrival streaming: chunked task decode feeding the engine
-//! without materialising the whole workload.
+//! Arrival feeding: the one component that admits a cell's arrivals, and
+//! the pull-based chunk interface that lets it run without the whole
+//! workload in memory.
 //!
-//! The classic path builds every [`PendingTask`] up front and the engine
-//! borrows the slice — simple, but peak memory is O(total tasks), which
-//! is what caps fleet-scale experiments long before CPU does. The
-//! streaming path inverts the flow:
+//! A cell's arrivals come in one of two shapes ([`Arrivals`]):
 //!
-//! * an [`ArrivalStream`] produces fixed-size, time-sorted chunks of
-//!   arrivals *on demand* (a generator replaying its RNG lazily, a trace
-//!   slice decoded incrementally, or [`SliceStream`] adapting an
-//!   existing list);
-//! * a [`StreamingSource`] component pulls the next chunk whenever the
-//!   simulation clock catches up with the tasks decoded so far — i.e.
-//!   chunks are always decoded *ahead of* the clock, on whatever worker
-//!   thread is running the cell's shard (the rayon pool in multi-cell
-//!   runs);
-//! * each chunk enters the engine's **task slab** as one index-stable
-//!   segment; tasks are freed as they finish (or are dropped/spilled),
-//!   and fully drained segments return their buffers to a small pool for
-//!   the next refill.
+//! * a **borrowed list** — every [`PendingTask`] built up front, the
+//!   engine's task arena resolving indices straight into the slice (no
+//!   clone). Simple, but peak memory is O(total tasks), which is what
+//!   caps fleet-scale experiments long before CPU does;
+//! * an [`ArrivalStream`] producing fixed-size, time-sorted chunks *on
+//!   demand* (a generator replaying its RNG lazily, a trace decoded
+//!   incrementally, or [`SliceStream`] adapting an existing list in
+//!   tests). Each chunk enters the arena as one index-stable segment;
+//!   tasks are freed as they finish (or are dropped/spilled), and fully
+//!   drained segments return their buffers to a small pool for the next
+//!   refill — peak memory O(chunk + in-flight tasks) per cell.
 //!
-//! Peak memory is therefore O(chunk + in-flight tasks) per cell instead
-//! of O(total tasks), while the event sequence is *identical* to the
-//! materialised path: the source wakes at exactly the same arrival
-//! instants and emits exactly the same admissions (the lab's
-//! stream-vs-materialised equivalence tests pin this bit-for-bit).
+//! Either way the same [`ArrivalFeed`] walks arena indices `[next, end)`
+//! — the whole list, or the chunk decoded so far — and pulls the next
+//! chunk (when there is a stream) whenever the simulation clock catches
+//! up, i.e. chunks are always decoded *ahead of* the clock, on whatever
+//! worker thread is running the cell's shard. It wakes once per distinct
+//! arrival instant and emits the same admissions in the same order, so
+//! the event sequence does not depend on the shape (the lab's
+//! list-vs-stream equivalence tests pin this bit-for-bit).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -48,8 +47,8 @@ use crate::queue::PendingTask;
 /// * `out` is handed in empty (the consumer recycles drained segment
 ///   buffers through it) and implementations must only append.
 ///
-/// Implementations decide their own chunk size; [`StreamingSource`]
-/// adapts to whatever run length a refill produces.
+/// Implementations decide their own chunk size; [`ArrivalFeed`] adapts
+/// to whatever run length a refill produces.
 pub trait ArrivalStream {
     /// Appends the next time-sorted run of tasks to `out`; returns how
     /// many were appended (0 = exhausted).
@@ -59,9 +58,9 @@ pub trait ArrivalStream {
 /// [`ArrivalStream`] over an existing time-sorted task list, cloning
 /// `chunk` tasks per refill.
 ///
-/// This is the compatibility adapter: workloads that must exist in
-/// memory anyway (model training reads them, replayed traces) can still
-/// feed the engine through the one streaming path.
+/// A test adapter: it lets the equivalence tests push one workload
+/// through both [`Arrivals`] shapes. Lists that exist in memory anyway
+/// are fed as [`Arrivals::List`], which clones nothing.
 pub struct SliceStream<'a> {
     tasks: &'a [PendingTask],
     pos: usize,
@@ -98,23 +97,38 @@ impl ArrivalStream for SliceStream<'_> {
     }
 }
 
-/// The kernel component draining an [`ArrivalStream`] into a cell.
+/// What feeds a cell its arrivals — the `arrivals` argument of
+/// [`Simulator::attach_cell`](crate::engine::Simulator::attach_cell).
+pub enum Arrivals<'a> {
+    /// A borrowed time-sorted list; the task arena resolves its indices
+    /// into the slice, nothing is cloned. May be empty (cells fed
+    /// exclusively through [`SchedEvent::Admit`]).
+    List(&'a [PendingTask]),
+    /// Chunks pulled on demand into the task arena.
+    Stream(Box<dyn ArrivalStream + 'a>),
+}
+
+/// The kernel component admitting a cell's arrivals: one wake per
+/// distinct arrival instant, admissions emitted at [`PRIO_ADMIT`] in
+/// arrival order as [`SchedEvent::Arrival`] arena indices (no task
+/// clone).
 ///
-/// Mirrors [`ArrivalSource`](crate::engine::ArrivalSource) /
-/// [`SpilloverForwarder`](crate::engine::SpilloverForwarder) event
-/// behaviour exactly — one wake per distinct arrival instant, admissions
-/// emitted at [`PRIO_ADMIT`] in arrival order — but reads tasks from the
-/// engine's slab (where each decoded chunk lands as one segment) instead
-/// of a borrowed slice. With `spill`, tasks the home cell cannot admit
-/// at their arrival instant go to the shard outbox as
-/// [`SchedEvent::SpillRequest`], as the forwarder does.
-pub struct StreamingSource<'a> {
-    stream: Box<dyn ArrivalStream + 'a>,
+/// With `spill` (cells under cross-cell spillover on the epoch-sharded
+/// coordinator), tasks the home cell has no feasible machine for at
+/// their arrival instant go to the shard's epoch outbox as
+/// [`SchedEvent::SpillRequest`] instead; the coordinator's barrier hook
+/// routes them (home queue or a sibling cell, per the spillover policy)
+/// at the next epoch boundary. Spilled tasks keep their original arrival
+/// stamp, so queue latency honestly includes the barrier wait.
+pub struct ArrivalFeed<'a> {
+    /// Refills `[next, end)` once drained; `None` for a list-fed cell,
+    /// whose whole list is the one and only run.
+    stream: Option<Box<dyn ArrivalStream + 'a>>,
     state: Rc<RefCell<EngineState<'a>>>,
     engine: CompId,
-    /// Absolute arena index of the next task to admit.
+    /// Arena index of the next task to admit.
     next: usize,
-    /// One past the last decoded task's arena index.
+    /// One past the last task known to the arena.
     end: usize,
     spill: bool,
     /// Last emitted arrival stamp — guards the stream's cross-chunk
@@ -122,12 +136,12 @@ pub struct StreamingSource<'a> {
     last_arrival: Micros,
 }
 
-impl<'a> StreamingSource<'a> {
-    /// Builds the source; call [`StreamingSource::prime`] before
-    /// registering it to decode the first chunk and learn the first
-    /// arrival time.
-    pub fn new(
-        stream: Box<dyn ArrivalStream + 'a>,
+impl<'a> ArrivalFeed<'a> {
+    /// A feed over `state`'s arena: the borrowed list occupies indices
+    /// `0..list_len` (0 for a stream-fed cell), `stream` refills past it.
+    pub(crate) fn new(
+        list_len: usize,
+        stream: Option<Box<dyn ArrivalStream + 'a>>,
         state: Rc<RefCell<EngineState<'a>>>,
         engine: CompId,
         spill: bool,
@@ -137,45 +151,45 @@ impl<'a> StreamingSource<'a> {
             state,
             engine,
             next: 0,
-            end: 0,
+            end: list_len,
             spill,
             last_arrival: 0,
         }
     }
 
-    /// Decodes the first chunk; returns the first arrival time (`None`
-    /// for an empty stream — no wake needs scheduling).
-    pub fn prime(&mut self) -> Option<Micros> {
-        if !self.refill() {
-            return None;
-        }
-        Some(self.state.borrow().task(self.next).arrival)
+    /// The first arrival time, decoding a stream's first chunk to learn
+    /// it — `None` when there is nothing to feed (no wake needs
+    /// scheduling). Call once, before registering the feed.
+    pub(crate) fn first_arrival(&mut self) -> Option<Micros> {
+        (self.next < self.end || self.refill()).then(|| self.state.borrow().task(self.next).arrival)
     }
 
-    /// Pulls the next chunk into a fresh slab segment. Returns false
-    /// when the stream is exhausted.
+    /// Pulls the next chunk into a fresh arena segment. Returns false
+    /// when there is no stream or it is exhausted.
     fn refill(&mut self) -> bool {
-        let mut buf = self.state.borrow_mut().take_slab_buffer();
-        let n = self.stream.refill(&mut buf);
+        debug_assert!(self.next == self.end, "refill only when drained");
         let mut state = self.state.borrow_mut();
-        if n == 0 {
-            state.recycle_slab_buffer(buf);
+        let Some((start, len)) = self
+            .stream
+            .as_deref_mut()
+            .and_then(|stream| state.pull_chunk(stream))
+        else {
             return false;
-        }
+        };
         debug_assert!(
-            buf.windows(2).all(|w| w[0].arrival <= w[1].arrival)
-                && buf[0].arrival >= self.last_arrival,
+            (start..start + len)
+                .map(|i| state.task(i).arrival)
+                .is_sorted()
+                && state.task(start).arrival >= self.last_arrival,
             "ArrivalStream chunks must be sorted across refills"
         );
-        let (start, len) = state.push_chunk(buf);
-        debug_assert!(self.next == self.end, "refill only when drained");
         self.next = start;
         self.end = start + len;
         true
     }
 }
 
-impl Component<SchedEvent> for StreamingSource<'_> {
+impl Component<SchedEvent> for ArrivalFeed<'_> {
     fn on_event(&mut self, _event: Event<SchedEvent>, ctx: &mut Ctx<'_, SchedEvent>) {
         let now = ctx.now();
         loop {

@@ -16,7 +16,7 @@
 //!   capacities have settled.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use ctlm_data::compaction::collapse;
 use ctlm_sched::engine::{SimConfig, SimResult, Simulator};
@@ -30,11 +30,22 @@ use serde::Serialize;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Per thread: the harness runs tests on parallel threads and does
+    /// its own bookkeeping meanwhile, and none of that may land in a
+    /// measured window. Everything measured here runs on the test's own
+    /// thread. Const-initialised and drop-free, so touching it from the
+    /// allocator neither allocates nor outlives the thread's TLS.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -43,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -112,9 +123,9 @@ fn steady_state_scheduling_pass_does_not_allocate() {
     // wheel revolutions (2 × 67 s) of timer traffic.
     harness.sim.run_until(150_000_000);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     harness.sim.run_until(390_000_000);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -156,9 +167,9 @@ fn scheduling_pass_with_telemetry_enabled_does_not_allocate() {
 
     harness.sim.run_until(150_000_000);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     harness.sim.run_until(390_000_000);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -223,9 +234,9 @@ fn fault_free_run_adds_zero_allocations_and_identical_report_bytes() {
         }
 
         harness.sim.run_until(150_000_000);
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = allocations();
         harness.sim.run_until(390_000_000);
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        let after = allocations();
         assert_eq!(
             after - before,
             0,
@@ -278,9 +289,9 @@ fn span_recorder_disabled_is_free_and_enabled_changes_no_report_byte() {
         let spans = with_spans.then(|| harness.state().borrow_mut().enable_spans());
 
         harness.sim.run_until(150_000_000);
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = allocations();
         harness.sim.run_until(390_000_000);
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        let after = allocations();
         assert_eq!(
             after - before,
             0,
@@ -351,9 +362,9 @@ fn capacity_index_maintenance_does_not_allocate_in_steady_state() {
     };
 
     churn(32); // warm every bucket/alloc-map shape the cycle produces
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     churn(512);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

@@ -489,8 +489,8 @@ pub mod naive {
     //!
     //! Retained on purpose: the property tests pin every blocked kernel
     //! to these within 1e-5, and the criterion benches measure both sides
-    //! in the same run (`BENCH_PR1.json`). Textbook loops over `get()`,
-    //! no blocking, no parallelism.
+    //! in the same run. Textbook loops over `get()`, no blocking, no
+    //! parallelism.
 
     use crate::dense::Matrix;
     use crate::sparse::Csr;

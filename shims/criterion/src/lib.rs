@@ -9,7 +9,7 @@
 //!
 //! When the `CTLM_BENCH_JSON` environment variable names a file, results
 //! are merged into it as `{"group/bench": {"median_ns": ..}}` — the
-//! mechanism the repo uses to produce `BENCH_PR1.json`. A merge refreshes
+//! mechanism the repo uses to produce `BENCH_PR7.json`. A merge refreshes
 //! each entry's median while preserving other annotations (such as
 //! `"host_sensitive": true`) and records the machine's fingerprint under
 //! a `"_meta"` entry so `bench_check` can flag cross-host comparisons.

@@ -17,13 +17,11 @@
 //! `RAYON_NUM_THREADS=1`) everything runs inline and no thread is ever
 //! spawned.
 //!
-//! Compared to the previous scoped-thread design, a parallel call costs
-//! one channel send per range instead of one `thread::spawn`: a
-//! 4096-element `par_iter().map().collect()` at `RAYON_NUM_THREADS=4`
-//! drops from ~72 µs (scoped) to ~28 µs (pool) per call on the 1-core CI
-//! container — see `benches/par_dispatch.rs`. Set
-//! `CTLM_RAYON_DISPATCH=scoped` to get the old per-call spawning back
-//! for comparison.
+//! A parallel call costs one channel send per range, not one
+//! `thread::spawn`: a 4096-element `par_iter().map().collect()` at
+//! `RAYON_NUM_THREADS=4` takes ~28 µs per call on the 1-core CI
+//! container (the per-call scoped-thread design this replaced took
+//! ~72 µs) — `benches/par_dispatch.rs` tracks it.
 
 mod pool;
 

@@ -134,15 +134,6 @@ pub fn configured_threads() -> usize {
     n.max(1)
 }
 
-/// True when `CTLM_RAYON_DISPATCH=scoped` forces the pre-pool behavior
-/// (per-call scoped threads) — kept for dispatch-overhead benchmarking.
-fn force_scoped() -> bool {
-    static SCOPED: OnceLock<bool> = OnceLock::new();
-    *SCOPED.get_or_init(|| {
-        std::env::var("CTLM_RAYON_DISPATCH").is_ok_and(|v| v.eq_ignore_ascii_case("scoped"))
-    })
-}
-
 /// The global pool, started on first use with `configured_threads() - 1`
 /// workers (the calling thread is always the remaining worker).
 fn pool() -> &'static Pool {
@@ -173,16 +164,6 @@ pub fn run_jobs(jobs: Vec<Job<'_>>) {
     let rest: Vec<Job<'_>> = jobs.collect();
     if rest.is_empty() {
         first();
-        return;
-    }
-    if force_scoped() {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = rest.into_iter().map(|j| scope.spawn(j)).collect();
-            first();
-            for h in handles {
-                h.join().expect("rayon-shim worker panicked");
-            }
-        });
         return;
     }
     let pool = pool();

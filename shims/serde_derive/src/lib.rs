@@ -10,6 +10,18 @@
 //! Structs serialize to objects keyed by field name; enums are externally
 //! tagged (`"Variant"` for unit variants, `{"Variant": payload}`
 //! otherwise), matching real serde's default representation.
+//!
+//! Honored `#[serde(...)]` attributes, in real serde's spelling (anything
+//! else is a compile-time panic, not a silent no-op):
+//!
+//! * field `default` — a missing (or `null`) value is
+//!   `Default::default()`;
+//! * field `skip_serializing_if = "path"` — the field is left out of the
+//!   object when `path(&field)` is true (e.g. `"Option::is_none"`);
+//! * container `default` (named structs) — missing (or `null`) fields
+//!   come from the struct's own `Default`;
+//! * container `deny_unknown_fields` (named structs) — a key that names
+//!   no field is an error.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -20,12 +32,19 @@ enum Shape {
     Enum(Vec<Variant>),
 }
 
-/// A named field plus the serde attributes the shim honors.
+/// The `#[serde(...)]` attributes the shim honors, as seen on one
+/// container or field (see the module docs for what each means where).
+#[derive(Default)]
+struct Attrs {
+    default: bool,
+    deny_unknown_fields: bool,
+    /// The predicate path of `skip_serializing_if = "path"`.
+    skip_serializing_if: Option<String>,
+}
+
 struct Field {
     name: String,
-    /// `#[serde(default)]`: a missing (or `null`) value falls back to
-    /// `Default::default()` instead of erroring.
-    default: bool,
+    attrs: Attrs,
 }
 
 struct Variant {
@@ -41,17 +60,23 @@ enum VariantKind {
 
 struct Input {
     name: String,
+    attrs: Attrs,
     shape: Shape,
 }
 
-fn parse_input(input: TokenStream) -> Input {
-    let mut iter = input.into_iter().peekable();
-    // Skip outer attributes and visibility.
+type Tokens = std::iter::Peekable<proc_macro::token_stream::IntoIter>;
+
+/// Consumes leading `#[...]` attributes and a visibility qualifier,
+/// returning the serde attributes among them.
+fn take_attrs_and_vis(iter: &mut Tokens) -> Attrs {
+    let mut attrs = Attrs::default();
     loop {
         match iter.peek() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                 iter.next();
-                iter.next(); // the [...] group
+                if let Some(TokenTree::Group(g)) = iter.next() {
+                    note_serde_attr(g.stream(), &mut attrs);
+                }
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
                 iter.next();
@@ -61,9 +86,42 @@ fn parse_input(input: TokenStream) -> Input {
                     }
                 }
             }
-            _ => break,
+            _ => return attrs,
         }
     }
+}
+
+/// Records the items of a `serde(...)` attribute body (the `[...]`
+/// group's stream) into `attrs`; any other attribute is ignored.
+fn note_serde_attr(stream: TokenStream, attrs: &mut Attrs) {
+    let mut iter = stream.into_iter();
+    if !matches!(iter.next(), Some(TokenTree::Ident(id)) if id.to_string() == "serde") {
+        return;
+    }
+    let Some(TokenTree::Group(g)) = iter.next() else {
+        return;
+    };
+    let mut items = g.stream().into_iter();
+    while let Some(tt) = items.next() {
+        let TokenTree::Ident(key) = tt else {
+            continue; // separating commas
+        };
+        match key.to_string().as_str() {
+            "default" => attrs.default = true,
+            "deny_unknown_fields" => attrs.deny_unknown_fields = true,
+            "skip_serializing_if" => {
+                items.next(); // `=`
+                let path = items.next().map(|lit| lit.to_string());
+                attrs.skip_serializing_if = path.map(|p| p.trim_matches('"').to_string());
+            }
+            other => panic!("serde_derive shim: unsupported attribute `{other}`"),
+        }
+    }
+}
+
+fn parse_input(input: TokenStream) -> Input {
+    let mut iter = input.into_iter().peekable();
+    let attrs = take_attrs_and_vis(&mut iter);
     let kind = match iter.next() {
         Some(TokenTree::Ident(id)) => id.to_string(),
         other => panic!("serde_derive shim: expected struct/enum, got {other:?}"),
@@ -94,24 +152,10 @@ fn parse_input(input: TokenStream) -> Input {
         },
         other => panic!("serde_derive shim: cannot derive for `{other}`"),
     };
-    Input { name, shape }
-}
-
-/// True when an attribute body (the `[...]` group's stream) is a serde
-/// attribute containing the `default` flag, e.g. `serde(default)`.
-fn attr_has_serde_default(stream: TokenStream) -> bool {
-    let mut iter = stream.into_iter();
-    match iter.next() {
-        Some(TokenTree::Ident(id)) if id.to_string() == "serde" => {}
-        _ => return false,
+    if (attrs.default || attrs.deny_unknown_fields) && !matches!(shape, Shape::NamedStruct(_)) {
+        panic!("serde_derive shim: container attributes on {name} need a named-field struct");
     }
-    match iter.next() {
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => g
-            .stream()
-            .into_iter()
-            .any(|tt| matches!(tt, TokenTree::Ident(id) if id.to_string() == "default")),
-        _ => false,
-    }
+    Input { name, attrs, shape }
 }
 
 /// Parses `attr* vis? name: Type` fields separated by top-level commas.
@@ -119,33 +163,13 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut iter = stream.into_iter().peekable();
     loop {
-        // Skip attributes and visibility, noting `#[serde(default)]`.
-        let mut default = false;
-        loop {
-            match iter.peek() {
-                Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                    iter.next();
-                    if let Some(TokenTree::Group(g)) = iter.next() {
-                        default |= attr_has_serde_default(g.stream());
-                    }
-                }
-                Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
-                    iter.next();
-                    if let Some(TokenTree::Group(g)) = iter.peek() {
-                        if g.delimiter() == Delimiter::Parenthesis {
-                            iter.next();
-                        }
-                    }
-                }
-                _ => break,
-            }
-        }
+        let attrs = take_attrs_and_vis(&mut iter);
         let Some(TokenTree::Ident(id)) = iter.next() else {
             break;
         };
         fields.push(Field {
             name: id.to_string(),
-            default,
+            attrs,
         });
         match iter.next() {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
@@ -255,6 +279,20 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
     variants
 }
 
+/// Serialization statement for one named field: pushes `(name, value)`
+/// onto the pair vector `vec`, reading the field through the reference
+/// expression `access` — unless its `skip_serializing_if` predicate says
+/// to leave it out.
+fn field_push(vec: &str, f: &Field, access: &str) -> String {
+    let name = &f.name;
+    let push =
+        format!("{vec}.push(({name:?}.to_string(), ::serde::Serialize::to_value({access})));");
+    match &f.attrs.skip_serializing_if {
+        Some(pred) => format!("if !{pred}({access}) {{ {push} }}"),
+        None => push,
+    }
+}
+
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let input = parse_input(input);
@@ -263,17 +301,14 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         Shape::NamedStruct(fields) => {
             let pushes: String = fields
                 .iter()
-                .map(|f| {
-                    let f = &f.name;
-                    format!(
-                        "__fields.push(({f:?}.to_string(), \
-                         ::serde::Serialize::to_value(&self.{f})));"
-                    )
-                })
+                .map(|f| field_push("__fields", f, &format!("&self.{}", f.name)))
                 .collect();
+            // Sized up front, like the `vec![..]` literal a hand-written
+            // impl would build: one allocation, however many fields.
             format!(
-                "let mut __fields: Vec<(String, ::serde::Value)> = Vec::new(); {pushes} \
-                 ::serde::Value::Object(__fields)"
+                "let mut __fields: Vec<(String, ::serde::Value)> = \
+                 Vec::with_capacity({}); {pushes} ::serde::Value::Object(__fields)",
+                fields.len()
             )
         }
         Shape::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
@@ -315,13 +350,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                                 fields.iter().map(|f| format!("ref {}", f.name)).collect();
                             let pushes: String = fields
                                 .iter()
-                                .map(|f| {
-                                    let f = &f.name;
-                                    format!(
-                                        "__inner.push(({f:?}.to_string(), \
-                                         ::serde::Serialize::to_value({f})));"
-                                    )
-                                })
+                                .map(|f| field_push("__inner", f, &f.name))
                                 .collect();
                             format!(
                                 "{name}::{vname} {{ {} }} => {{ \
@@ -348,24 +377,62 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Deserialization initializer for one named field: reads `owner.field`
-/// out of `src`, attaching the `Owner.field` path to any error. With
-/// `#[serde(default)]`, a missing or `null` value falls back to
-/// `Default::default()` instead of erroring.
-fn field_init(owner: &str, f: &Field, src: &str) -> String {
+/// out of `src`, attaching the `Owner.field` path to any error. A
+/// missing or `null` value falls back to the struct default's field
+/// (`__d`, under a container `#[serde(default)]`) or to
+/// `Default::default()` (field `#[serde(default)]`) instead of erroring.
+fn field_init(owner: &str, f: &Field, src: &str, container_default: bool) -> String {
     let fname = &f.name;
-    if f.default {
+    let read = |value: &str| {
         format!(
-            "{fname}: {{ let __fv = {src}.get_field({fname:?}); \
-             if matches!(__fv, ::serde::Value::Null) {{ ::core::default::Default::default() }} \
-             else {{ ::serde::Deserialize::from_value(__fv)\
-             .map_err(|__e| __e.context(concat!({owner:?}, \".\", {fname:?})))? }} }}"
-        )
-    } else {
-        format!(
-            "{fname}: ::serde::Deserialize::from_value({src}.get_field({fname:?}))\
+            "::serde::Deserialize::from_value({value})\
              .map_err(|__e| __e.context(concat!({owner:?}, \".\", {fname:?})))?"
         )
+    };
+    let field = format!("{src}.get_field({fname:?})");
+    let fallback = if container_default {
+        format!("__d.{fname}")
+    } else if f.attrs.default {
+        "::core::default::Default::default()".to_string()
+    } else {
+        return format!("{fname}: {}", read(&field));
+    };
+    format!(
+        "{fname}: {{ let __fv = {field}; if matches!(__fv, ::serde::Value::Null) \
+         {{ {fallback} }} else {{ {} }} }}",
+        read("__fv")
+    )
+}
+
+/// Statements a named struct's container attributes put ahead of its
+/// field initializers: the value must be an object, its keys must all
+/// name fields (`deny_unknown_fields`), and `__d` holds the struct's
+/// `Default` for [`field_init`] to fall back on (`default`).
+fn container_preamble(name: &str, attrs: &Attrs, fields: &[Field]) -> String {
+    let mut out = String::new();
+    if attrs.default || attrs.deny_unknown_fields {
+        out += &format!(
+            "let ::serde::Value::Object(__pairs) = __v else {{ \
+             return Err(::serde::Error::msg(format!(\
+             \"invalid {name} value {{__v:?}} (expected an object)\"))); }};"
+        );
     }
+    if attrs.deny_unknown_fields {
+        let known: Vec<String> = fields.iter().map(|f| format!("{:?}", f.name)).collect();
+        // Joined without quotes: see the enum `expected` list below.
+        let expected: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+        out += &format!(
+            "for (__k, _) in __pairs {{ if !matches!(__k.as_str(), {}) {{ \
+             return Err(::serde::Error::msg(format!(\
+             \"unknown {name} field {{__k:?}} (expected one of {})\"))); }} }}",
+            known.join(" | "),
+            expected.join("/")
+        );
+    }
+    if attrs.default {
+        out += &format!("let __d: {name} = ::core::default::Default::default();");
+    }
+    out
 }
 
 #[proc_macro_derive(Deserialize, attributes(serde))]
@@ -374,8 +441,15 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let name = &input.name;
     let body = match &input.shape {
         Shape::NamedStruct(fields) => {
-            let inits: Vec<String> = fields.iter().map(|f| field_init(name, f, "__v")).collect();
-            format!("Ok({name} {{ {} }})", inits.join(", "))
+            let inits: Vec<String> = fields
+                .iter()
+                .map(|f| field_init(name, f, "__v", input.attrs.default))
+                .collect();
+            format!(
+                "{} Ok({name} {{ {} }})",
+                container_preamble(name, &input.attrs, fields),
+                inits.join(", ")
+            )
         }
         Shape::TupleStruct(1) => {
             format!("Ok({name}(::serde::Deserialize::from_value(__v)?))")
@@ -426,7 +500,9 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                         VariantKind::Named(fields) => {
                             let inits: Vec<String> = fields
                                 .iter()
-                                .map(|f| field_init(&format!("{name}::{vname}"), f, "__inner"))
+                                .map(|f| {
+                                    field_init(&format!("{name}::{vname}"), f, "__inner", false)
+                                })
                                 .collect();
                             format!(
                                 "{vname:?} => Ok({name}::{vname} {{ {} }}),",
