@@ -41,7 +41,6 @@ use ctlm_sched::engine::EngineState;
 use ctlm_sched::lifecycle::{LifecycleOwner, OwnershipGuard};
 use ctlm_sched::{SchedEvent, SimConfig};
 use ctlm_sim::{Component, Ctx, Event};
-use ctlm_telemetry::SpanLog;
 use ctlm_trace::{AttrValue, Machine, MachineId, Micros};
 
 use crate::delay::ProvisionDelay;
@@ -242,9 +241,6 @@ pub struct Autoscaler<'a> {
     /// Victim-selection scratch.
     scratch: Vec<MachineId>,
     stats: Rc<RefCell<AutoscaleStats>>,
-    /// Cell span log for control-plane decision spans (scale-up/down
-    /// verdicts with the policy that made them).
-    spans: Option<Rc<RefCell<SpanLog>>>,
 }
 
 impl<'a> Autoscaler<'a> {
@@ -282,20 +278,9 @@ impl<'a> Autoscaler<'a> {
                 next_attr,
                 scratch: Vec::new(),
                 stats: stats.clone(),
-                spans: None,
             },
             stats,
         )
-    }
-
-    /// Registers the cell's flight-recorder handle (from
-    /// [`EngineState::enable_spans`]): every scale decision records a
-    /// control span carrying the policy name, the machine delta and the
-    /// crash-replacement count — the audit trail that answers "why was
-    /// the autoscaler late".
-    pub fn with_spans(mut self, spans: Rc<RefCell<SpanLog>>) -> Self {
-        self.spans = Some(spans);
-        self
     }
 
     /// Orders one machine from the template; it comes online (or joins
@@ -510,39 +495,33 @@ impl<'a> Autoscaler<'a> {
             if crash_lost > 0 {
                 self.engine.borrow_mut().note_replacements(replacements);
             }
-            if let Some(spans) = &self.spans {
-                let cause = if crash_lost > 0 {
-                    "crash_loss"
-                } else {
-                    "demand"
-                };
-                spans.borrow_mut().instant_ctrl(
-                    0,
-                    "scale_up",
-                    now,
-                    cause,
-                    self.policy.name(),
-                    "",
-                    ordered as u64,
-                    replacements,
-                );
-            }
+            // The decision's audit trail — policy, machine delta, crash
+            // replacements — on the cell's flight recorder (when on).
+            let cause = if crash_lost > 0 {
+                "crash_loss"
+            } else {
+                "demand"
+            };
+            self.engine.borrow_mut().control_decision(
+                "scale_up",
+                now,
+                cause,
+                self.policy.name(),
+                ordered as u64,
+                replacements,
+            );
             self.scale_up(now, ordered);
         } else if desired < signals.fleet {
             self.stats.borrow_mut().scale_downs += 1;
             let released = signals.fleet - desired;
-            if let Some(spans) = &self.spans {
-                spans.borrow_mut().instant_ctrl(
-                    0,
-                    "scale_down",
-                    now,
-                    "surplus",
-                    self.policy.name(),
-                    "",
-                    released as u64,
-                    0,
-                );
-            }
+            self.engine.borrow_mut().control_decision(
+                "scale_down",
+                now,
+                "surplus",
+                self.policy.name(),
+                released as u64,
+                0,
+            );
             self.cancel_active_orders(self.inflight_active());
             self.scale_down(now, released);
         } else if desired < committed {

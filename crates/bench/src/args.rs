@@ -52,10 +52,11 @@ impl ParsedArgs {
         Ok(out)
     }
 
-    /// [`ParsedArgs::parse`] over the process arguments, panicking with
-    /// the error message on a bad command line (the binaries' behavior).
+    /// [`ParsedArgs::parse`] over the process arguments; a bad command
+    /// line prints `error: …` and exits with code 2 (the binaries'
+    /// behavior).
     pub fn from_env(flags: &[&str], options: &[&str]) -> Self {
-        Self::parse(std::env::args().skip(1), flags, options).unwrap_or_else(|e| panic!("{e}"))
+        Self::parse(std::env::args().skip(1), flags, options).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// True when the flag was present.
@@ -68,16 +69,13 @@ impl ParsedArgs {
         self.options.get(name).map(String::as_str)
     }
 
-    /// An option parsed into `T`, or `default` when absent.
-    ///
-    /// # Panics
-    /// Panics when the value does not parse — a bad command line, not a
-    /// recoverable state for the binaries.
+    /// An option parsed into `T`, or `default` when absent. A value that
+    /// does not parse is a bad command line: `error: …`, exit code 2.
     pub fn option_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         match self.option(name) {
             Some(raw) => raw
                 .parse()
-                .unwrap_or_else(|_| panic!("{name} got unparsable value {raw:?}")),
+                .unwrap_or_else(|_| usage_error(&format!("{name} got unparsable value {raw:?}"))),
             None => default,
         }
     }
@@ -86,6 +84,13 @@ impl ParsedArgs {
     pub fn positionals(&self) -> &[String] {
         &self.positionals
     }
+}
+
+/// Reports a bad command line the way every binary does: one `error:`
+/// line on stderr, exit code 2 — no panic banner, no backtrace hint.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 #[cfg(test)]

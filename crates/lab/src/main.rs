@@ -49,6 +49,8 @@
 //! baseline regresses on any increase) — so CI can diff two runs
 //! directly.
 
+use std::process::ExitCode;
+
 use ctlm_bench::ParsedArgs;
 use ctlm_lab::memtrack::{self, TrackingAlloc};
 use ctlm_lab::observe::Observations;
@@ -63,7 +65,17 @@ use serde::Deserialize;
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc;
 
-fn main() {
+fn main() -> ExitCode {
+    run().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::from(2)
+    })
+}
+
+/// A bad command line or an unusable input file is an `Err` (one
+/// `error: …` line, exit code 2); `Ok` carries the exit code of a
+/// command that ran (1 when `--diff` found regressions).
+fn run() -> Result<ExitCode, String> {
     let args = ParsedArgs::from_env(
         &["--json", "--diff", "--no-meta", "--trace"],
         &[
@@ -79,66 +91,54 @@ fn main() {
         ],
     );
     if args.positionals().first().map(String::as_str) == Some("explain") {
-        run_explain(&args);
-        return;
+        return run_explain(&args);
     }
     if args.flag("--diff") {
         let [a, b] = args.positionals() else {
-            eprintln!("usage: ctlm-lab --diff <a.json> <b.json> [--tolerance X]");
-            std::process::exit(2);
+            return Err("usage: ctlm-lab --diff <a.json> <b.json> [--tolerance X]".into());
         };
-        let tolerance: f64 = args
-            .option("--tolerance")
-            .map(|t| {
-                t.parse()
-                    .unwrap_or_else(|_| panic!("--tolerance needs a number"))
-            })
-            .unwrap_or(0.0);
-        let (va, vb) = (load_json(a), load_json(b));
+        let tolerance: f64 = number(&args, "--tolerance")?.unwrap_or(0.0);
+        let (va, vb) = (load_json(a)?, load_json(b)?);
         warn_schema_mismatch(&va, &vb);
         // Two metrics files (written by `--metrics`) diff as counter
         // deltas — informational, never gating.
         if let (Some(ma), Some(mb)) = (parse_metrics(&va), parse_metrics(&vb)) {
             print_metrics_diff(&ma, &mb);
-            return;
+            return Ok(ExitCode::SUCCESS);
         }
-        let regressions = print_diff(&parse_report(a, &va), &parse_report(b, &vb), tolerance);
-        if !regressions.is_empty() {
-            eprintln!(
-                "\n{} regression(s) beyond tolerance {tolerance}:",
-                regressions.len()
-            );
-            for r in &regressions {
-                eprintln!("  {r}");
-            }
-            std::process::exit(1);
+        let regressions = print_diff(&parse_report(a, &va)?, &parse_report(b, &vb)?, tolerance);
+        if regressions.is_empty() {
+            return Ok(ExitCode::SUCCESS);
         }
-        return;
+        eprintln!(
+            "\n{} regression(s) beyond tolerance {tolerance}:",
+            regressions.len()
+        );
+        for r in &regressions {
+            eprintln!("  {r}");
+        }
+        return Ok(ExitCode::from(1));
     }
     let [path] = args.positionals() else {
-        eprintln!(
-            "usage: ctlm-lab <spec.json> [--out report.json] [--json] [--seed N] [--threads N]"
+        return Err(
+            "usage: ctlm-lab <spec.json> [--out report.json] [--json] [--seed N] [--threads N]\n\
+             \x20      ctlm-lab --diff <a.json> <b.json> [--tolerance X]"
+                .into(),
         );
-        eprintln!("       ctlm-lab --diff <a.json> <b.json> [--tolerance X]");
-        std::process::exit(2);
     };
     let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read spec {path:?}: {e}"));
-    let mut spec = ExperimentSpec::from_json(&text).unwrap_or_else(|e| panic!("{e}"));
-    if let Some(seed) = args.option("--seed") {
-        spec.sim.seed = seed
-            .parse()
-            .unwrap_or_else(|_| panic!("--seed needs a number"));
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read spec {path:?}: {e}"))?;
+    let mut spec = ExperimentSpec::from_json(&text).map_err(|e| e.to_string())?;
+    if let Some(seed) = number(&args, "--seed")? {
+        spec.sim.seed = seed;
         // An explicit sweep seed list would shadow the override; clear
         // it so every grid point runs under the requested seed.
         if let Some(sweep) = spec.sweep.as_mut() {
             sweep.seeds.clear();
         }
     }
-    if let Some(threads) = args.option("--threads") {
-        spec.execution.threads = threads
-            .parse()
-            .unwrap_or_else(|_| panic!("--threads needs a number"));
+    if let Some(threads) = number(&args, "--threads")? {
+        spec.execution.threads = threads;
     }
     let metrics_out = args.option("--metrics");
     if metrics_out.is_some() {
@@ -156,8 +156,8 @@ fn main() {
     if !args.flag("--no-meta") {
         spec.observability.profile = true;
     }
-    let (mut report, obs) = ctlm_lab::run_spec_observed(&spec, ArrivalMode::Streaming)
-        .unwrap_or_else(|e| panic!("{e}"));
+    let (mut report, obs) =
+        ctlm_lab::run_spec_observed(&spec, ArrivalMode::Streaming).map_err(|e| e.to_string())?;
     if !args.flag("--no-meta") {
         let host = HostFingerprint::detect();
         let perf = obs.perf.clone().map(|mut p| {
@@ -172,44 +172,49 @@ fn main() {
         });
     }
     if let Some(path) = metrics_out {
-        let json = to_pretty_json(&metrics_document(&obs));
-        std::fs::write(path, format!("{json}\n"))
-            .unwrap_or_else(|e| panic!("cannot write {path:?}: {e}"));
-        eprintln!("metrics written to {path}");
+        write_json("metrics", path, &to_pretty_json(&metrics_document(&obs)))?;
     }
     if let Some(path) = spans_out {
         let doc = ctlm_lab::flight::trace_document(&obs, !args.flag("--no-meta"));
-        let json = to_pretty_json(&doc);
-        std::fs::write(path, format!("{json}\n"))
-            .unwrap_or_else(|e| panic!("cannot write {path:?}: {e}"));
-        eprintln!("spans written to {path}");
+        write_json("spans", path, &to_pretty_json(&doc))?;
     }
     let json = to_pretty_json(&report);
     if let Some(out) = args.option("--out") {
-        std::fs::write(out, format!("{json}\n"))
-            .unwrap_or_else(|e| panic!("cannot write {out:?}: {e}"));
-        eprintln!("report written to {out}");
+        write_json("report", out, &json)?;
     }
     if args.flag("--json") {
         println!("{json}");
     } else {
         print_summary(&report);
     }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// A numeric option, `None` when absent.
+fn number<T: std::str::FromStr>(args: &ParsedArgs, name: &str) -> Result<Option<T>, String> {
+    args.option(name)
+        .map(|v| v.parse().map_err(|_| format!("{name} needs a number")))
+        .transpose()
+}
+
+/// Writes one output document (newline-terminated) and says so.
+fn write_json(what: &str, path: &str, json: &str) -> Result<(), String> {
+    std::fs::write(path, format!("{json}\n")).map_err(|e| format!("cannot write {path:?}: {e}"))?;
+    eprintln!("{what} written to {path}");
+    Ok(())
 }
 
 /// The `explain` subcommand: parse a written spans file and print the
 /// requested narrative(s). With no selector, prints a recording
 /// summary.
-fn run_explain(args: &ParsedArgs) {
-    let positionals = args.positionals();
-    let Some(path) = positionals.get(1) else {
-        eprintln!(
+fn run_explain(args: &ParsedArgs) -> Result<ExitCode, String> {
+    let Some(path) = args.positionals().get(1) else {
+        return Err(
             "usage: ctlm-lab explain <spans.json> [--task N] [--machine M] [--worst-latency K]"
+                .into(),
         );
-        std::process::exit(2);
     };
-    let doc = load_json(path);
-    let rec = ctlm_lab::flight::parse_trace(&doc).unwrap_or_else(|e| panic!("{e}"));
+    let rec = ctlm_lab::flight::parse_trace(&load_json(path)?).map_err(|e| e.to_string())?;
     if rec.schema_version != ctlm_telemetry::SCHEMA_VERSION as f64 as u64 {
         eprintln!(
             "warning: spans file has schema_version {}, this binary writes {}",
@@ -217,23 +222,17 @@ fn run_explain(args: &ParsedArgs) {
             ctlm_telemetry::SCHEMA_VERSION
         );
     }
-    let parse_id = |name: &str| -> Option<u64> {
-        args.option(name).map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{name} needs a number"))
-        })
-    };
     let mut printed = false;
-    if let Some(task) = parse_id("--task") {
+    if let Some(task) = number(args, "--task")? {
         print!("{}", ctlm_lab::flight::explain_task(&rec, task));
         printed = true;
     }
-    if let Some(machine) = parse_id("--machine") {
+    if let Some(machine) = number(args, "--machine")? {
         print!("{}", ctlm_lab::flight::explain_machine(&rec, machine));
         printed = true;
     }
-    if let Some(k) = parse_id("--worst-latency") {
-        print!("{}", ctlm_lab::flight::explain_worst(&rec, k as usize));
+    if let Some(k) = number(args, "--worst-latency")? {
+        print!("{}", ctlm_lab::flight::explain_worst(&rec, k));
         printed = true;
     }
     if !printed {
@@ -252,6 +251,7 @@ fn run_explain(args: &ParsedArgs) {
         );
         println!("select with --task N, --machine M, or --worst-latency K");
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn fmt_ms(v: Option<f64>) -> String {
@@ -261,15 +261,13 @@ fn fmt_ms(v: Option<f64>) -> String {
     }
 }
 
-fn load_json(path: &str) -> serde_json::Value {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read report {path:?}: {e}"));
-    serde_json::from_str(&text).unwrap_or_else(|e| panic!("cannot parse {path:?}: {e}"))
+fn load_json(path: &str) -> Result<serde_json::Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| format!("cannot parse {path:?}: {e}"))
 }
 
-fn parse_report(path: &str, value: &serde_json::Value) -> LabReport {
-    Deserialize::from_value(value)
-        .unwrap_or_else(|e| panic!("{path:?} is not a ctlm-lab report: {e}"))
+fn parse_report(path: &str, value: &serde_json::Value) -> Result<LabReport, String> {
+    Deserialize::from_value(value).map_err(|e| format!("{path:?} is not a ctlm-lab report: {e}"))
 }
 
 /// A metrics file (written by `--metrics`) is an object with a

@@ -12,12 +12,13 @@
 //! tasks its home cell cannot admit, and the barrier hook here routes
 //! them (home cell or a feasible sibling, per the spillover policy) in
 //! the coordinator's deterministic `(time, priority, shard, seq)` merge
-//! order. Everything else — churn, autoscalers with their ownership
-//! guards, gang and rollout sources, in-timeline retraining — is
-//! per-cell state and stays inside its shard, which is what makes
-//! dispatching shards to worker threads sound (see the
-//! `ctlm_sim::parallel` island invariant). Model registries are
-//! `Arc`-based and safe to hot-swap from a shard.
+//! order, telling the home engine each verdict with one
+//! [`EngineState::resolve_spill`] call. Everything else — churn,
+//! autoscalers with their ownership guards, gang and rollout sources,
+//! in-timeline retraining — is per-cell state and stays inside its
+//! shard, which is what makes dispatching shards to worker threads
+//! sound (see the `ctlm_sim::parallel` island invariant). Model
+//! registries are `Arc`-based and safe to hot-swap from a shard.
 //!
 //! Arrivals reach a cell through the one
 //! [`Simulator::attach_cell`] entry point, as a borrowed list or as a
@@ -38,7 +39,7 @@ use ctlm_core::{GrowingModel, TaskCoAnalyzer, TrainConfig};
 use ctlm_data::dataset::{DatasetBuilder, NUM_GROUPS};
 use ctlm_data::encode::co_vv::CoVvEncoder;
 use ctlm_data::vocab::ValueVocab;
-use ctlm_sched::engine::{CellHandle, EngineState, PRIO_ADMIT, PRIO_STATE};
+use ctlm_sched::engine::{CellHandle, EngineState, SpillRoute, PRIO_ADMIT, PRIO_STATE};
 use ctlm_sched::scenario::{ChurnSource, GangSource, RolloutSource};
 use ctlm_sched::{
     Arrivals, EngineStats, ExponentialBackoff, FaultPlane, FaultStats, FixedRetry, OwnershipGuard,
@@ -156,8 +157,9 @@ fn attach_full_cell<'a>(
     };
     let handle = simulator.attach_cell(sim, &cell.name, cluster, arrivals, scheduler, spillover);
     // The flight recorder is per-cell state behind the engine handle;
-    // faults and the autoscaler share the same log so control-plane
-    // decisions land next to the task lifecycle they explain.
+    // the fault plane shares the log so crash provenance lands next to
+    // the task lifecycle it explains (the autoscaler records through
+    // the engine state it already holds).
     let spans = spec
         .observability
         .spans
@@ -210,11 +212,7 @@ fn attach_full_cell<'a>(
     if let Some(auto) = &cell.autoscale {
         let policy =
             build_autoscale_policy(&auto.policy, &auto.params, &spec.sim, &auto.config.template)?;
-        let (mut scaler, stats) =
-            Autoscaler::new(auto.config.clone(), policy, handle.state(), guard);
-        if let Some(s) = &spans {
-            scaler = scaler.with_spans(s.clone());
-        }
+        let (scaler, stats) = Autoscaler::new(auto.config.clone(), policy, handle.state(), guard);
         let id = sim.add_component(format!("{}/autoscaler", cell.name), scaler);
         sim.schedule_prio(0, PRIO_STATE, id, id, SchedEvent::Wake);
         autoscale_stats = Some(stats);
@@ -449,73 +447,53 @@ pub fn run_scheduler_observed(
                 // A spill emitted inside one of its cell's link-outage
                 // windows times out at the barrier: it never reaches a
                 // sibling, bouncing back to the home queue once the
-                // outage clears (re-admission behind the backlog).
-                if let Some(&(_, end)) = outages[home]
-                    .iter()
-                    .find(|&&(s, e)| msg.time >= s && msg.time < e)
-                {
-                    link_timeouts[home] += 1;
-                    let at = end.clamp(bound.min(horizon), horizon);
-                    states[home].borrow_mut().span_spill_resolve(
-                        idx,
-                        at,
-                        "link_timeout",
-                        home as u64,
-                    );
-                    shards[home].schedule_prio(
-                        at,
-                        PRIO_ADMIT,
-                        engines[home],
-                        engines[home],
-                        SchedEvent::Arrival(idx),
-                    );
-                    continue;
-                }
-                // The home engine's arena resolves the index whether the
-                // task came from a borrowed list or a streamed chunk.
-                let target = {
-                    let state = states[home].borrow();
-                    route_spill(&states, policy, home, state.task(idx))
-                };
-                // Deliver at the barrier, never before the horizon guard:
-                // near-horizon spills still get admitted so the engine
-                // counts them placed-or-unplaced like any queued task.
-                let at = bound.min(horizon);
-                if target == home {
-                    // Home admission stays an arena index — no clone.
-                    states[home].borrow_mut().span_spill_resolve(
-                        idx,
-                        at,
-                        "routed_home",
-                        home as u64,
-                    );
-                    shards[home].schedule_prio(
-                        at,
-                        PRIO_ADMIT,
-                        engines[home],
-                        engines[home],
-                        SchedEvent::Arrival(idx),
-                    );
-                } else {
+                // outage clears (re-admission behind the backlog). Any
+                // other lands in the cell `route_spill` picks, at the
+                // barrier — never before the horizon guard: near-horizon
+                // spills still get admitted so the engine counts them
+                // placed-or-unplaced like any queued task.
+                let mut outages = outages[home].iter();
+                let (route, target, at) =
+                    match outages.find(|&&(s, e)| msg.time >= s && msg.time < e) {
+                        Some(&(_, end)) => {
+                            link_timeouts[home] += 1;
+                            let at = end.clamp(bound.min(horizon), horizon);
+                            (SpillRoute::LinkTimeout, home, at)
+                        }
+                        None => {
+                            // The home engine's arena resolves the index
+                            // whether the task came from a borrowed list or a
+                            // streamed chunk.
+                            let state = states[home].borrow();
+                            let target = route_spill(&states, policy, home, state.task(idx));
+                            let route = if target == home {
+                                SpillRoute::Home
+                            } else {
+                                SpillRoute::Sibling
+                            };
+                            (route, target, bound.min(horizon))
+                        }
+                    };
+                // Home admission stays an arena index — no clone. A
+                // sibling gets a clone, the task's new home; resolving
+                // then retires the home arena slot (a no-op for list-fed
+                // cells).
+                let mut state = states[home].borrow_mut();
+                let event = if route == SpillRoute::Sibling {
                     spills[target].0 += 1;
                     spills[home].1 += 1;
-                    let task = states[home].borrow().task(idx).clone();
-                    // Resolve the transit span before the slot retires —
-                    // the span needs the task id the slot still holds.
-                    states[home]
-                        .borrow_mut()
-                        .span_spill_resolve(idx, at, "routed", target as u64);
-                    // The clone is the task's new home; the arena slot
-                    // (no-op for list-fed cells) can retire.
-                    states[home].borrow_mut().release_slot(idx);
-                    shards[target].schedule_prio(
-                        at,
-                        PRIO_ADMIT,
-                        engines[target],
-                        engines[target],
-                        SchedEvent::Admit(Box::new(task)),
-                    );
-                }
+                    SchedEvent::Admit(Box::new(state.task(idx).clone()))
+                } else {
+                    SchedEvent::Arrival(idx)
+                };
+                state.resolve_spill(idx, at, route, target);
+                shards[target].schedule_prio(
+                    at,
+                    PRIO_ADMIT,
+                    engines[target],
+                    engines[target],
+                    event,
+                );
             }
         });
         for (i, lane) in lanes.iter_mut().enumerate() {

@@ -79,6 +79,15 @@ fn observability_never_changes_report_bytes() {
             "no spans recorded for {}",
             path.display()
         );
+        // A task is in one lifecycle state at a time and the ledger
+        // closes every span before it opens the next, so the recorder
+        // never has to close one implicitly.
+        let mut records = obs.spans.iter().flat_map(|(_, log)| log.records());
+        assert!(
+            !records.any(|r| r.outcome == "superseded"),
+            "a span was superseded in {}",
+            path.display()
+        );
     }
 }
 

@@ -133,20 +133,34 @@ fn randomized_synthetic_specs_stream_bit_identically() {
 
 /// Which cells stream is the code's decision, not the user's: the flag
 /// that used to force list-fed arrivals is gone from the CLI, so
-/// `ParsedArgs` rejects it like any other unknown argument.
+/// `ParsedArgs` rejects it like any other unknown argument — and like
+/// every other bad command line or unusable input, as an error (one
+/// `error:` line, exit code 2), never a panic.
 #[test]
 fn the_retired_arrival_switch_is_an_unknown_argument() {
     // Spelled in two halves so a grep for the retired flag stays empty.
     let retired = concat!("--", "materialised");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ctlm-lab"))
-        .arg(experiments_dir().join("streaming_smoke.json"))
-        .arg(retired)
-        .output()
-        .expect("ctlm-lab runs");
-    assert!(!out.status.success(), "a retired flag must not be accepted");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown argument") && stderr.contains(retired),
-        "got: {stderr}"
-    );
+    let spec = experiments_dir().join("streaming_smoke.json");
+    let spec = spec.to_str().expect("utf-8 path");
+    let malformed = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("malformed_spec.json");
+    std::fs::write(&malformed, "{\"name\": ").expect("scratch file");
+    let malformed = malformed.to_str().expect("utf-8 path");
+    for (args, expect) in [
+        (&[spec, retired][..], &["unknown argument", retired][..]),
+        (&["/nonexistent/spec.json"], &["cannot read spec"]),
+        (&[malformed], &["ctlm-lab: serde"]),
+        (&[spec, "--seed", "x"], &["--seed needs a number"]),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ctlm-lab"))
+            .args(args)
+            .output()
+            .expect("ctlm-lab runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
+        for needle in expect {
+            assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        }
+    }
 }

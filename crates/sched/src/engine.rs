@@ -7,16 +7,22 @@
 //! Kubernetes-style preemption fallback). The output is scheduling
 //! latency per ground-truth suitable-node group.
 //!
-//! What used to be a bespoke `while now <= horizon` loop is now a set of
-//! kernel components exchanging [`SchedEvent`]s on one timeline:
+//! The simulation is a set of kernel components exchanging
+//! [`SchedEvent`]s on one timeline:
 //!
 //! * [`ArrivalFeed`] — walks the cell's arrivals (a borrowed list, or
 //!   chunks pulled from an [`ArrivalStream`]) and emits admission events
 //!   at each task's arrival time;
 //! * [`CycleTimer`] — fires the scheduler pass every `cycle` µs;
-//! * [`EngineComponent`] — owns the cluster, queues and result; handles
+//! * [`EngineComponent`] — owns the cluster and the queues; handles
 //!   admissions, scheduler passes, task completions, machine churn and
 //!   gang arrivals.
+//!
+//! This module only *schedules*: it routes, places, draws runtimes and
+//! emits events. What each step of a task's life records — counters,
+//! the result, the retry budget, the flight-recorder span, which arena
+//! slots are dead — is the private `ledger` module's decision alone;
+//! the engine reports every transition there as one `Step`.
 //!
 //! Intra-instant ordering is pinned by kernel delivery classes: at one
 //! timestamp, completions and machine-state changes ([`PRIO_STATE`])
@@ -31,7 +37,7 @@
 //! the back — exactly the pathology the paper's analyzer removes.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -40,14 +46,15 @@ use serde::{Deserialize, Serialize};
 
 use ctlm_data::compaction::collapse;
 use ctlm_sim::{CompId, Component, Ctx, Event, Sim};
-use ctlm_telemetry::{Histogram, SpanLog, TraceEvent, TraceRing};
+use ctlm_telemetry::{SpanLog, TraceEvent, TraceRing};
 use ctlm_trace::{
     AttrId, AttrValue, EventPayload, GeneratedTrace, Machine, MachineId, Micros, TaskId,
 };
 
 use crate::arena::TaskSlab;
 use crate::cluster::{CapacityFit, SchedCluster};
-use crate::latency::LatencyStats;
+use crate::ledger::{Admission, Exit, Ledger, Next, Step, Via};
+pub use crate::ledger::{EngineStats, PlacedRecord, SimResult, SpillRoute};
 use crate::placement::{BestFit, PlaceCtx, Placement, Placer, PreemptiveBestFit};
 use crate::queue::PendingTask;
 use crate::scheduler::Scheduler;
@@ -151,143 +158,6 @@ impl Default for SimConfig {
     }
 }
 
-/// One placed task's outcome.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PlacedRecord {
-    /// Task id.
-    pub task: TaskId,
-    /// Ground-truth suitable-node group.
-    pub truth_group: u8,
-    /// Scheduling latency: placement time − arrival time (µs).
-    pub latency: Micros,
-    /// Whether this task was ever preempted after placement.
-    pub was_preempted: bool,
-}
-
-/// Simulation output.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SimResult {
-    /// Placed tasks.
-    pub placed: Vec<PlacedRecord>,
-    /// Tasks never placed within the horizon.
-    pub unplaced: usize,
-    /// Total preemption evictions performed.
-    pub preemptions: usize,
-    /// Tasks evicted by machine churn and re-queued for placement.
-    pub churn_rescheduled: usize,
-    /// Gangs placed atomically.
-    pub gangs_placed: usize,
-    /// Crash-lost tasks whose retry budget ran out — the dead-letter
-    /// terminal state. Always 0 without the fault plane. These tasks hold
-    /// a placed record (they were running when lost), so the conservation
-    /// identity stays `admitted == placed + unplaced` with
-    /// `failed_permanently ≤ placed`.
-    #[serde(default)]
-    pub failed_permanently: usize,
-}
-
-impl SimResult {
-    /// Latency statistics over tasks whose truth group satisfies `pred`.
-    pub fn latency_where(&self, pred: impl Fn(u8) -> bool) -> Option<LatencyStats> {
-        let samples: Vec<Micros> = self
-            .placed
-            .iter()
-            .filter(|r| pred(r.truth_group))
-            .map(|r| r.latency)
-            .collect();
-        // One gather, sorted in place — no second snapshot copy.
-        LatencyStats::from_vec(samples)
-    }
-
-    /// Latency statistics for Group 0 (single-suitable-node) tasks.
-    pub fn group0_latency(&self) -> Option<LatencyStats> {
-        self.latency_where(|g| g == 0)
-    }
-
-    /// Latency statistics for everything else.
-    pub fn other_latency(&self) -> Option<LatencyStats> {
-        self.latency_where(|g| g != 0)
-    }
-}
-
-/// Sim-plane engine telemetry: always-on placement-outcome and admission
-/// counters plus queue-depth histograms.
-///
-/// Everything here is a pure function of the (deterministic) event
-/// sequence — identical across thread counts and with/without metrics
-/// export — and maintaining it is a few integer increments per event
-/// with zero allocation (the histograms are fixed arrays), so it stays
-/// inside the zero-allocation scheduling-pass contract.
-#[derive(Clone, Debug, Default)]
-pub struct EngineStats {
-    /// Tasks placed without preemption.
-    pub placed: u64,
-    /// Tasks placed after evicting preemption victims.
-    pub placed_with_preemption: u64,
-    /// Tasks dropped as infeasible (no machine can ever suit them).
-    pub infeasible: u64,
-    /// `NoCapacity` outcomes — suitable machines existed but none had
-    /// room; the task burned a cycle slot and went back to its queue.
-    pub no_capacity: u64,
-    /// Admissions from the arrival list or stream
-    /// ([`SchedEvent::Arrival`]).
-    pub admitted_arrivals: u64,
-    /// Dynamic admissions ([`SchedEvent::Admit`] — spill-ins, online
-    /// feeds).
-    pub admitted_dynamic: u64,
-    /// Gang members admitted ([`SchedEvent::GangArrival`]).
-    pub admitted_gang_members: u64,
-    /// Tasks this cell declined at arrival time and emitted to the epoch
-    /// outbox as [`SchedEvent::SpillRequest`].
-    pub spill_requests: u64,
-    /// Scheduler passes executed.
-    pub cycles: u64,
-    /// High-priority-queue depth, sampled at the start of every pass.
-    pub hp_depth: Histogram,
-    /// Main-queue depth, sampled at the start of every pass.
-    pub main_depth: Histogram,
-}
-
-/// A running task's bookkeeping entry.
-#[derive(Clone, Copy, Debug)]
-struct Running {
-    /// Arena index of the task.
-    idx: usize,
-    /// Machine the task occupies.
-    machine: MachineId,
-    /// Placement epoch (monotone per placement).
-    epoch: u64,
-    /// When this placement started — a crash severing the task charges
-    /// `now − started` to the lost-work account.
-    started: Micros,
-}
-
-/// Per-task retry bookkeeping under the fault plane, keyed by arena
-/// index (entries are dropped when the task finishes or dead-letters, so
-/// recycled slab slots never inherit stale budgets).
-#[derive(Clone, Copy, Debug, Default)]
-struct RetryState {
-    /// Losses charged against the policy budget so far.
-    attempts: u32,
-    /// When the task was last lost.
-    lost_at: Micros,
-    /// True while a retry is scheduled but the task has not re-placed.
-    pending: bool,
-}
-
-/// The engine's optional fault runtime: the retry policy, its dedicated
-/// seeded jitter RNG, per-task budgets and the fault telemetry. Boxed
-/// behind `Option` so fault-free simulations carry one null-pointer-sized
-/// field and take none of these code paths — the zero-allocation
-/// scheduling-pass contract and report bytes are unchanged when no
-/// `faults` block is configured.
-struct FaultRuntime {
-    policy: Box<dyn crate::faults::RetryPolicy>,
-    rng: StdRng,
-    attempts: HashMap<usize, RetryState>,
-    stats: crate::faults::FaultStats,
-}
-
 /// The engine's mutable state, shared between the engine component and
 /// the driver via `Rc<RefCell<...>>` (dslab-style).
 pub struct EngineState<'a> {
@@ -310,28 +180,17 @@ pub struct EngineState<'a> {
     /// per-gang index list is ever allocated.
     pending_gangs: Vec<(usize, usize)>,
     rng: StdRng,
-    result: SimResult,
-    running: HashMap<TaskId, Running>,
-    preempted: HashSet<TaskId>,
-    placed_once: HashSet<TaskId>,
+    /// All accounting — counters, result, the live-task table, the
+    /// fault runtime, the flight recorder. Every lifecycle transition
+    /// is reported there and recorded nowhere else.
+    ledger: Ledger,
     next_epoch: u64,
     engine_id: CompId,
     /// Reusable placement scratch threaded through every attempt.
     place_ctx: PlaceCtx,
-    /// Always-on sim-plane counters/histograms (see [`EngineStats`]).
-    stats: EngineStats,
     /// Bounded structured event trace; `None` (the default) records
     /// nothing. See [`EngineState::enable_trace`].
     trace: Option<TraceRing>,
-    /// Fault-plane runtime; `None` (the default) means crashes
-    /// dead-letter immediately and no fault bookkeeping runs. See
-    /// [`EngineState::enable_faults`].
-    faults: Option<Box<FaultRuntime>>,
-    /// Causal flight recorder; `None` (the default) records nothing and
-    /// takes none of the span code paths. Shared (`Rc`) so control-plane
-    /// components (fault plane, autoscaler) can record into the same
-    /// per-cell log. See [`EngineState::enable_spans`].
-    spans: Option<Rc<RefCell<SpanLog>>>,
 }
 
 impl<'a> EngineState<'a> {
@@ -343,13 +202,7 @@ impl<'a> EngineState<'a> {
         main_placer: &'a dyn Placer,
         hp_placer: &'a dyn Placer,
     ) -> Self {
-        // Record and bookkeeping capacities are reserved for the known
-        // arrival population up front, so steady-state passes never grow
-        // them (part of the zero-allocation-per-pass contract; streamed
-        // and dynamically admitted tasks may still grow them).
         let n = arrivals.len();
-        let mut result = SimResult::default();
-        result.placed.reserve(n);
         Self {
             cfg,
             slab: TaskSlab::over(arrivals),
@@ -361,25 +214,21 @@ impl<'a> EngineState<'a> {
             main: VecDeque::with_capacity(n.min(1024)),
             pending_gangs: Vec::new(),
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x5C4E_D111),
-            result,
-            running: HashMap::with_capacity(n),
-            preempted: HashSet::new(),
-            placed_once: HashSet::with_capacity(n),
+            ledger: Ledger::new(n),
             next_epoch: 0,
             engine_id: 0,
             place_ctx: PlaceCtx::new(),
-            stats: EngineStats::default(),
             trace: None,
-            faults: None,
-            spans: None,
         }
     }
 
     /// The task behind an arena index.
     ///
     /// # Panics
-    /// Panics for released slots (see [`EngineState::release_slot`]) —
-    /// a released index must never be read again.
+    /// Panics for released slots — the task finished, was dropped as
+    /// infeasible, evicted or dead-lettered, or was cloned away to a
+    /// sibling cell ([`EngineState::resolve_spill`]), and its chunk
+    /// segment may have reclaimed the buffer.
     pub fn task(&self, idx: usize) -> &PendingTask {
         self.slab.get(idx)
     }
@@ -396,15 +245,6 @@ impl<'a> EngineState<'a> {
             return None;
         }
         Some(self.slab.push_sealed(buf))
-    }
-
-    /// Marks an arena slot dead — the task finished, was dropped as
-    /// infeasible, was evicted, or was cloned away to a sibling cell —
-    /// so its chunk segment can reclaim its buffer once fully drained.
-    /// No-op for indices in the borrowed arrival list (nothing to
-    /// reclaim there). The index must never be read again afterwards.
-    pub fn release_slot(&mut self, idx: usize) {
-        self.slab.release(idx);
     }
 
     /// Pending main-queue depth (scenario components may inspect it).
@@ -426,9 +266,7 @@ impl<'a> EngineState<'a> {
     /// gang members; churn requeues are *not* re-counted) — control
     /// planes diff successive reads for an arrival-rate estimate.
     pub fn admitted(&self) -> u64 {
-        self.stats.admitted_arrivals
-            + self.stats.admitted_dynamic
-            + self.stats.admitted_gang_members
+        self.ledger.admitted()
     }
 
     /// Cumulative `NoCapacity` placement outcomes — the queue-pressure
@@ -436,14 +274,14 @@ impl<'a> EngineState<'a> {
     /// had room, so the task burned a cycle slot and went back to the
     /// queue.
     pub fn no_capacity_events(&self) -> u64 {
-        self.stats.no_capacity
+        self.ledger.stats().no_capacity
     }
 
     /// The sim-plane telemetry counters and histograms accumulated so
     /// far. Always maintained (the cost is a handful of integer adds per
     /// event); exporters snapshot this after the run.
     pub fn stats(&self) -> &EngineStats {
-        &self.stats
+        self.ledger.stats()
     }
 
     /// Switches on the bounded structured event trace: the last
@@ -472,60 +310,62 @@ impl<'a> EngineState<'a> {
     /// [`SchedEvent::MachineCrash`] dead-letters every lost task
     /// immediately.
     pub fn enable_faults(&mut self, policy: Box<dyn crate::faults::RetryPolicy>, seed: u64) {
-        self.faults = Some(Box::new(FaultRuntime {
-            policy,
-            rng: StdRng::seed_from_u64(seed ^ 0xFA17_4E77),
-            attempts: HashMap::new(),
-            stats: crate::faults::FaultStats::default(),
-        }));
+        self.ledger.enable_faults(policy, seed);
     }
 
     /// The fault runtime's counters and histograms, when
     /// [`EngineState::enable_faults`] switched it on.
     pub fn fault_stats(&self) -> Option<&crate::faults::FaultStats> {
-        self.faults.as_deref().map(|f| &f.stats)
+        self.ledger.fault_stats()
     }
 
     /// Switches on the causal flight recorder and returns a handle to
     /// the cell's span log (idempotent — repeated calls share one log).
-    /// Control-plane components (fault plane, autoscaler) clone the
-    /// handle to record their decision spans into the same timeline.
+    /// The fault plane clones the handle to record its crash provenance
+    /// into the same timeline.
     ///
     /// Recording is sim-plane only, so the log is byte-identical across
     /// `execution.threads`, and span storage grows only on lifecycle
     /// *transitions* — steady-state scheduling passes update open spans
     /// in place without allocating.
     pub fn enable_spans(&mut self) -> Rc<RefCell<SpanLog>> {
-        if self.spans.is_none() {
-            self.spans = Some(Rc::new(RefCell::new(SpanLog::new())));
-        }
-        self.spans.as_ref().expect("just set").clone()
+        self.ledger.enable_spans()
     }
 
     /// Takes the recorded span log out of the engine (after the run),
     /// leaving the recorder disabled. Finish the run first (e.g.
     /// [`CellHandle::finish`]) so open spans are closed at the horizon.
     pub fn take_spans(&mut self) -> Option<SpanLog> {
-        self.spans
-            .take()
-            .map(|rc| std::mem::take(&mut *rc.borrow_mut()))
+        self.ledger.take_spans()
+    }
+
+    /// Records a control-plane decision (the autoscaler's `scale_up` /
+    /// `scale_down` verdicts) as an instant span on the cell's control
+    /// track: `plan` is the policy that decided, `a`/`b` the
+    /// kind-specific payload words. No-op without the flight recorder.
+    pub fn control_decision(
+        &mut self,
+        kind: &'static str,
+        now: Micros,
+        cause: &'static str,
+        plan: &'static str,
+        a: u64,
+        b: u64,
+    ) {
+        self.record(now, Step::Control(kind, cause, plan, a, b));
     }
 
     /// Crash events that removed an online machine so far — control
     /// planes diff successive reads to detect crash-induced capacity
     /// loss (always 0 without the fault runtime).
     pub fn crashed_machines(&self) -> u64 {
-        self.faults
-            .as_deref()
-            .map_or(0, |f| f.stats.crashed_machines)
+        self.fault_stats().map_or(0, |f| f.crashed_machines)
     }
 
     /// Counts replacement machines the control plane ordered against
     /// crash-induced capacity loss (no-op when the fault plane is off).
     pub fn note_replacements(&mut self, n: u64) {
-        if let Some(f) = self.faults.as_deref_mut() {
-            f.stats.replacements_ordered += n;
-        }
+        self.ledger.note_replacements(n);
     }
 
     /// Slab segments retired (fully drained and recycled) so far.
@@ -538,31 +378,34 @@ impl<'a> EngineState<'a> {
         self.slab.resident_segments()
     }
 
-    /// Counts one task spilled out of this cell at arrival time (bumped
-    /// by the arrival feed, which owns the emit site).
-    pub(crate) fn note_spill_request(&mut self) {
-        self.stats.spill_requests += 1;
-    }
-
     /// Mean scheduling latency over the `last` most recently placed
     /// tasks (`None` before anything placed) — the admission-latency
     /// signal, windowed so old history cannot mask a building backlog.
     pub fn recent_latency_mean(&self, last: usize) -> Option<f64> {
-        if self.result.placed.is_empty() || last == 0 {
+        let placed = self.ledger.placed();
+        if placed.is_empty() || last == 0 {
             return None;
         }
-        let tail = &self.result.placed[self.result.placed.len().saturating_sub(last)..];
+        let tail = &placed[placed.len().saturating_sub(last)..];
         Some(tail.iter().map(|r| r.latency as f64).sum::<f64>() / tail.len() as f64)
     }
 
-    /// Drains a machine through the engine's churn path: its running
-    /// tasks re-enter admission (counted as churn reschedules) and the
-    /// machine is parked offline. The autoscaler's scale-down hook —
-    /// identical semantics to a [`SchedEvent::MachineFail`] delivery.
-    /// `now` is the caller's sim time (span timestamps and requeue
-    /// records are stamped with it). Returns false for unknown machines.
+    /// Drains a machine — a [`SchedEvent::MachineFail`] delivery, and the
+    /// autoscaler's scale-down hook: its running tasks re-enter
+    /// admission (they keep their first-placement latency record; the
+    /// reschedule is counted) and the machine is parked offline. `now`
+    /// is the caller's sim time. Returns false for unknown machines.
     pub fn drain_machine(&mut self, id: MachineId, now: Micros) -> bool {
-        self.machine_fail(id, now)
+        let Some(evicted) = self.cluster.remove_machine(id) else {
+            return false;
+        };
+        self.record(now, Step::MachineDrained(id));
+        for (task, ..) in evicted {
+            if let Next::Requeue(idx) = self.record(now, Step::Left(task, id, Exit::Drained)) {
+                self.enqueue(idx);
+            }
+        }
+        true
     }
 
     /// Adds a machine to the live fleet (capacity + attribute indexes
@@ -590,180 +433,85 @@ impl<'a> EngineState<'a> {
     /// streams the capacity index so per-task routing stays
     /// allocation-free.
     pub fn can_admit(&self, task: &PendingTask) -> bool {
-        let backlog = self.hp.len() + self.main.len() + self.pending_gang_members();
-        backlog < self.cfg.attempts_per_cycle
-            && matches!(
-                self.cluster.tightest_fit(&task.reqs, task.cpu, task.memory),
-                CapacityFit::Fit(_)
-            )
+        self.rejection(task).is_none()
     }
 
-    /// Why [`EngineState::can_admit`] says no right now — the rejection
-    /// reason stamped into spill decision records. `"admittable"` when
-    /// the cell would in fact admit the task.
-    pub fn admit_rejection(&self, task: &PendingTask) -> &'static str {
+    /// Why [`EngineState::can_admit`] says no right now (`None`: it says
+    /// yes) — the reason a spill's transit span opens with.
+    pub(crate) fn rejection(&self, task: &PendingTask) -> Option<&'static str> {
         let backlog = self.hp.len() + self.main.len() + self.pending_gang_members();
         if backlog >= self.cfg.attempts_per_cycle {
-            return "backlog_full";
+            return Some("backlog_full");
         }
         match self.cluster.tightest_fit(&task.reqs, task.cpu, task.memory) {
-            CapacityFit::Fit(_) => "admittable",
-            CapacityFit::NoCapacity => "no_capacity",
-            CapacityFit::Infeasible => "infeasible",
+            CapacityFit::Fit(_) => None,
+            CapacityFit::NoCapacity => Some("no_capacity"),
+            CapacityFit::Infeasible => Some("infeasible"),
         }
     }
 
-    /// Opens a `spill_transit` span for a task this cell just emitted to
-    /// the epoch outbox, recording the admission-rejection reason. No-op
-    /// without the flight recorder.
-    pub(crate) fn span_spill_open(&mut self, idx: usize, now: Micros) {
-        if self.spans.is_none() {
-            return;
-        }
-        let (id, reason) = {
-            let t = self.task(idx);
-            (t.id, self.admit_rejection(t))
-        };
-        if let Some(s) = &self.spans {
-            s.borrow_mut().open_task(id, "spill_transit", now, reason);
-        }
+    /// The arrival feed just emitted the task to the epoch outbox as a
+    /// [`SchedEvent::SpillRequest`]; `reason` is its
+    /// [`EngineState::rejection`].
+    pub(crate) fn spilled(&mut self, idx: usize, now: Micros, reason: &'static str) {
+        self.record(now, Step::Spilled(idx, reason));
     }
 
-    /// Closes the task's pending `spill_transit` span with the route the
-    /// coordinator chose (`"routed"` + target cell, `"routed_home"`, or
-    /// `"link_timeout"`). The multi-cell barrier hook calls this when it
-    /// resolves a [`SchedEvent::SpillRequest`]; no-op without the flight
-    /// recorder. Call before releasing the task's arena slot.
-    pub fn span_spill_resolve(
-        &mut self,
-        idx: usize,
-        at: Micros,
-        outcome: &'static str,
-        target: u64,
-    ) {
-        if self.spans.is_none() {
-            return;
-        }
-        let id = self.task(idx).id;
-        if let Some(s) = &self.spans {
-            let mut log = s.borrow_mut();
-            if log.open_task_kind(id) == Some("spill_transit") {
-                log.close_task_with(id, at, outcome, "", "", target, 0);
-            }
-        }
+    /// The coordinator's barrier hook resolved a
+    /// [`SchedEvent::SpillRequest`]: the task lands in cell `cell` (the
+    /// home cell's own index unless `route` is [`SpillRoute::Sibling`])
+    /// at time `at`. Closes the transit span and, for a task cloned away
+    /// to a sibling, retires the home arena slot — clone it first.
+    pub fn resolve_spill(&mut self, idx: usize, at: Micros, route: SpillRoute, cell: usize) {
+        self.record(at, Step::SpillResolved(idx, route, cell));
     }
 
-    /// Routes an admitted task into the high-priority or main queue,
-    /// opening its `queued` span (`cause` says how it got here:
-    /// `"arrival"`, `"dynamic"`, `"retry"`, `"churn_requeue"`).
-    fn admit(&mut self, idx: usize, now: Micros, cause: &'static str) {
+    /// Reports one lifecycle transition to the ledger.
+    fn record(&mut self, now: Micros, step: Step) -> Next {
+        self.ledger
+            .transition(&mut self.slab, &self.cluster, now, step)
+    }
+
+    /// Admits a task: recorded, then routed into a queue.
+    fn admit(&mut self, idx: usize, now: Micros, cause: Admission) {
+        self.record(now, Step::Admitted(idx, cause));
+        self.enqueue(idx);
+    }
+
+    /// Routes a task to the back of the high-priority or main queue.
+    fn enqueue(&mut self, idx: usize) {
         // Read through the arena field so the scheduler can borrow
         // mutably alongside it.
-        let t = self.slab.get(idx);
-        let id = t.id;
-        let high_priority = self.scheduler.route_high_priority(t);
-        if let Some(s) = &self.spans {
-            s.borrow_mut().open_task(id, "queued", now, cause);
-        }
-        if high_priority {
+        if self.scheduler.route_high_priority(self.slab.get(idx)) {
             self.hp.push_back(idx);
         } else {
             self.main.push_back(idx);
         }
     }
 
-    /// Reserves the task on the machine and emits its completion event.
-    /// `plan` is the placer plan that made the decision (recorded in the
-    /// span audit; the placement itself is already made).
-    fn commit(
-        &mut self,
-        idx: usize,
-        machine: MachineId,
-        plan: &'static str,
-        ctx: &mut Ctx<'_, SchedEvent>,
-    ) {
-        let now = ctx.now();
-        let (id, cpu, memory, priority, arrival, truth_group) = {
-            let t = self.task(idx);
-            (t.id, t.cpu, t.memory, t.priority, t.arrival, t.truth_group)
-        };
-        if self.spans.is_some() {
-            // Decision record: chosen machine, the capacity index's
-            // candidate estimate, and which index arm the placer walked.
-            let (cand, arm) = {
-                let reqs = &self.task(idx).reqs;
-                (
-                    self.cluster.candidate_estimate(reqs) as u64,
-                    self.cluster.plan_hint(reqs),
-                )
-            };
-            if let Some(s) = &self.spans {
-                let mut log = s.borrow_mut();
-                log.close_task_with(id, now, "placed", plan, arm, machine, cand);
-                log.open_task_full(id, "running", now, "placed", plan, arm, 0, machine, cand);
-            }
-        }
-        self.cluster.place(machine, id, cpu, memory, priority);
-        let u: f64 = self.rng.gen_range(1e-9..1.0);
-        let runtime = (((-u.ln()) * self.cfg.mean_runtime as f64) as Micros).max(1);
+    /// Reserves the task on the machine and emits its completion event
+    /// (`via` names what made the decision; the decision itself is
+    /// already made).
+    fn commit(&mut self, idx: usize, machine: MachineId, via: Via, ctx: &mut Ctx<'_, SchedEvent>) {
         let epoch = self.next_epoch;
         self.next_epoch += 1;
-        self.running.insert(
-            id,
-            Running {
-                idx,
-                machine,
-                epoch,
-                started: now,
-            },
-        );
-        if let Some(f) = self.faults.as_deref_mut() {
-            if let Some(st) = f.attempts.get_mut(&idx) {
-                if st.pending {
-                    st.pending = false;
-                    f.stats.reschedule.record(now.saturating_sub(st.lost_at));
-                }
-            }
-        }
+        self.record(ctx.now(), Step::Placed(idx, machine, epoch, via));
+        let t = self.slab.get(idx);
+        let task = t.id;
+        self.cluster
+            .place(machine, task, t.cpu, t.memory, t.priority);
+        let u: f64 = self.rng.gen_range(1e-9..1.0);
+        let runtime = (((-u.ln()) * self.cfg.mean_runtime as f64) as Micros).max(1);
         ctx.emit_prio(
             runtime,
             PRIO_STATE,
             self.engine_id,
             SchedEvent::Finish {
-                task: id,
+                task,
                 machine,
                 epoch,
             },
         );
-        if self.placed_once.insert(id) {
-            self.result.placed.push(PlacedRecord {
-                task: id,
-                truth_group,
-                latency: now - arrival,
-                was_preempted: self.preempted.contains(&id),
-            });
-        }
-    }
-
-    /// Evicts a preemption victim (Kubernetes-style: the victim loses its
-    /// slot; rescheduling checkpointed work is out of scope for the
-    /// latency experiment). `preemptor` is the task that claimed the
-    /// room — the span audit's answer to "why was I preempted".
-    fn evict_victim(&mut self, machine: MachineId, victim: TaskId, now: Micros, preemptor: TaskId) {
-        if let Some(s) = &self.spans {
-            s.borrow_mut()
-                .close_task_with(victim, now, "preempted", "", "", machine, preemptor);
-        }
-        self.cluster.release(machine, victim);
-        if let Some(r) = self.running.remove(&victim) {
-            // The victim never re-enters a queue — its slot is dead.
-            self.release_slot(r.idx);
-        }
-        self.result.preemptions += 1;
-        self.preempted.insert(victim);
-        if let Some(rec) = self.result.placed.iter_mut().find(|r| r.task == victim) {
-            rec.was_preempted = true;
-        }
     }
 
     /// One attempt for the queue head; returns the task to the queue's
@@ -778,73 +526,23 @@ impl<'a> EngineState<'a> {
         // Field-precise task lookup so the placement scratch can borrow
         // mutably alongside the (shared) cluster and arena borrows.
         let t = self.slab.get(idx);
-        let task_id = t.id;
+        let (by, now) = (t.id, ctx.now());
         match placer.place(&self.cluster, t, &mut self.place_ctx) {
-            Placement::Placed(m) => {
-                self.stats.placed += 1;
-                self.commit(idx, m, placer.name(), ctx);
-            }
-            Placement::PlacedWithPreemption(m, victims) => {
-                self.stats.placed_with_preemption += 1;
-                let now = ctx.now();
-                for v in victims {
-                    self.evict_victim(m, v, now, task_id);
+            Placement::Placed(m) => self.commit(idx, m, Via::Placer(placer.name()), ctx),
+            Placement::PlacedWithPreemption(machine, victims) => {
+                for task in victims {
+                    self.record(now, Step::Left(task, machine, Exit::Preempted(by)));
+                    self.cluster.release(machine, task);
                 }
-                self.commit(idx, m, placer.name(), ctx);
+                self.commit(idx, machine, Via::Preempting(placer.name()), ctx);
             }
             Placement::Infeasible => {
                 // No node can ever satisfy the affinity — Kubernetes
                 // would error the pod; we drop it (and free its slot).
-                self.stats.infeasible += 1;
-                if let Some(s) = &self.spans {
-                    s.borrow_mut().close_task_with(
-                        task_id,
-                        ctx.now(),
-                        "infeasible",
-                        placer.name(),
-                        "",
-                        0,
-                        0,
-                    );
-                }
-                if self.faults.is_some() && self.placed_once.contains(&task_id) {
-                    // A crash-retried task whose every suitable machine
-                    // is down: it already holds a placed record, so
-                    // counting it unplaced would break task conservation
-                    // — it dead-letters instead.
-                    self.result.failed_permanently += 1;
-                    let mut attempts = 0;
-                    if let Some(f) = self.faults.as_deref_mut() {
-                        f.stats.dead_lettered += 1;
-                        attempts = f.attempts.remove(&idx).map_or(0, |st| st.attempts as u64);
-                    }
-                    if let Some(s) = &self.spans {
-                        s.borrow_mut().instant_task(
-                            task_id,
-                            "dead_letter",
-                            ctx.now(),
-                            "infeasible",
-                            placer.name(),
-                            "",
-                            attempts,
-                            0,
-                        );
-                    }
-                } else {
-                    self.result.unplaced += 1;
-                }
-                self.release_slot(idx);
+                self.record(now, Step::Infeasible(idx, placer.name()));
             }
             Placement::NoCapacity => {
-                self.stats.no_capacity += 1;
-                if self.spans.is_some() {
-                    // In-place attempt bump on the open `queued` span —
-                    // the steady-state path stays allocation-free.
-                    let cand = self.cluster.candidate_estimate(&self.task(idx).reqs) as u64;
-                    if let Some(s) = &self.spans {
-                        s.borrow_mut().note_attempt(task_id, cand);
-                    }
-                }
+                self.record(now, Step::NoCapacity(idx));
                 if high_priority {
                     self.hp.push_back(idx);
                 } else {
@@ -857,9 +555,7 @@ impl<'a> EngineState<'a> {
     /// The scheduler pass: retry gangs, serve the whole HP queue, then a
     /// bounded number of main-queue heads.
     fn cycle(&mut self, ctx: &mut Ctx<'_, SchedEvent>) {
-        self.stats.cycles += 1;
-        self.stats.hp_depth.record(self.hp.len() as u64);
-        self.stats.main_depth.record(self.main.len() as u64);
+        self.ledger.pass(self.hp.len(), self.main.len());
         // Gangs retry all-or-nothing ahead of individual placements —
         // compacted in place (FIFO retry order preserved, no take/realloc
         // churn on the pending list).
@@ -902,135 +598,44 @@ impl<'a> EngineState<'a> {
             crate::gang::place_gang_into(&mut self.cluster, members, &mut pairs)
         };
         if placed {
-            self.result.gangs_placed += 1;
+            self.record(ctx.now(), Step::GangPlaced);
             for (idx, &(task, machine)) in (start..start + len).zip(pairs.iter()) {
                 debug_assert_eq!(self.task(idx).id, task);
                 // `place_gang_into` already reserved capacity; release
                 // and re-commit so runtime draw, completion event and
                 // record go through the one bookkeeping path.
                 self.cluster.release(machine, task);
-                self.commit(idx, machine, "gang", ctx);
+                self.commit(idx, machine, Via::Gang, ctx);
             }
         }
         self.place_ctx.gang = pairs;
         placed
     }
 
-    /// A machine drains: running tasks re-enter admission (they keep
-    /// their first-placement latency record; the reschedule is counted).
-    /// Returns false for unknown machines.
-    fn machine_fail(&mut self, id: MachineId, now: Micros) -> bool {
-        let Some(evicted) = self.cluster.remove_machine(id) else {
-            return false;
-        };
-        if let Some(s) = &self.spans {
-            s.borrow_mut()
-                .open_machine(id, "machine_drain", now, "drain", "");
-        }
-        for (task, ..) in evicted {
-            if let Some(r) = self.running.remove(&task) {
-                self.result.churn_rescheduled += 1;
-                if let Some(s) = &self.spans {
-                    s.borrow_mut().close_task(task, now, "machine_drain");
-                }
-                self.admit(r.idx, now, "churn_requeue");
-            }
-        }
-        true
-    }
-
-    /// A machine *crashes* — the abrupt sibling of [`Self::machine_fail`]:
-    /// capacity leaves atomically (the same offline parking, so a later
-    /// [`SchedEvent::MachineRestore`] revives it empty), but running
-    /// tasks are lost, not requeued. Each loss is charged against the
-    /// retry policy: within budget, a [`SchedEvent::TaskRetry`] is
-    /// scheduled after the backoff delay; over budget (or with no fault
-    /// runtime at all) the task dead-letters as `failed_permanently`.
-    /// Crashing an already-offline machine is capacity-inert.
-    fn machine_crash(&mut self, id: MachineId, ctx: &mut Ctx<'_, SchedEvent>) {
-        let Some(evicted) = self.cluster.remove_machine(id) else {
+    /// A machine *crashes* — the abrupt sibling of
+    /// [`Self::drain_machine`]: capacity leaves atomically (the same
+    /// offline parking, so a later [`SchedEvent::MachineRestore`] revives
+    /// it empty), but running tasks are lost, not requeued: each gets a
+    /// [`SchedEvent::TaskRetry`] after its backoff delay unless the
+    /// ledger dead-letters it. Crashing an already-offline machine is
+    /// capacity-inert.
+    fn machine_crash(&mut self, machine: MachineId, ctx: &mut Ctx<'_, SchedEvent>) {
+        let Some(evicted) = self.cluster.remove_machine(machine) else {
             return;
         };
         let now = ctx.now();
-        if let Some(f) = self.faults.as_deref_mut() {
-            f.stats.crashed_machines += 1;
-        }
-        if let Some(s) = &self.spans {
-            s.borrow_mut()
-                .open_machine(id, "machine_down", now, "crash", "");
-        }
+        self.record(now, Step::MachineCrashed(machine));
         // Evicted tasks arrive sorted by task id, so RNG draws (backoff
         // jitter) consume in a deterministic order.
         for (task, ..) in evicted {
-            let Some(r) = self.running.remove(&task) else {
-                continue;
-            };
-            let (retry_after, attempt_no, policy_name) = match self.faults.as_deref_mut() {
-                Some(f) => {
-                    let st = f.attempts.entry(r.idx).or_default();
-                    st.attempts += 1;
-                    st.lost_at = now;
-                    let attempt_no = st.attempts as u64;
-                    f.stats.tasks_lost += 1;
-                    f.stats.lost_work_us += now.saturating_sub(r.started);
-                    let delay = f.policy.delay(st.attempts, &mut f.rng);
-                    match delay {
-                        Some(d) => {
-                            st.pending = true;
-                            f.stats.retries_scheduled += 1;
-                            f.stats.backoff.record(d);
-                        }
-                        None => {
-                            f.stats.dead_lettered += 1;
-                            f.attempts.remove(&r.idx);
-                        }
-                    }
-                    (delay, attempt_no, f.policy.name())
-                }
-                // No retry runtime: lost work dead-letters immediately.
-                None => (None, 0, "none"),
-            };
-            if let Some(s) = &self.spans {
-                // The causal crash chain: running closes on the crash,
-                // then either a retry_wait span carries the policy draw
-                // or the dead-letter terminal records the spent budget.
-                let mut log = s.borrow_mut();
-                log.close_task(task, now, "machine_crash");
-                match retry_after {
-                    Some(d) => log.open_task_full(
-                        task,
-                        "retry_wait",
-                        now,
-                        "machine_crash",
-                        policy_name,
-                        "",
-                        attempt_no,
-                        d,
-                        id,
-                    ),
-                    None => log.instant_task(
-                        task,
-                        "dead_letter",
-                        now,
-                        "budget_exhausted",
-                        policy_name,
-                        "",
-                        attempt_no,
-                        id,
-                    ),
-                }
-            }
-            match retry_after {
-                Some(delay) => ctx.emit_prio(
+            let lost = Step::Left(task, machine, Exit::Crashed);
+            if let Next::Retry(idx, delay) = self.record(now, lost) {
+                ctx.emit_prio(
                     delay,
                     PRIO_ADMIT,
                     self.engine_id,
-                    SchedEvent::TaskRetry(r.idx),
-                ),
-                None => {
-                    self.result.failed_permanently += 1;
-                    self.release_slot(r.idx);
-                }
+                    SchedEvent::TaskRetry(idx),
+                );
             }
         }
     }
@@ -1063,30 +668,20 @@ impl<'a> EngineState<'a> {
                 b,
             });
         }
+        let now = ctx.now();
         match ev {
-            SchedEvent::Arrival(idx) => {
-                self.stats.admitted_arrivals += 1;
-                self.admit(idx, ctx.now(), "arrival");
-            }
+            SchedEvent::Arrival(idx) => self.admit(idx, now, Admission::Arrival),
             SchedEvent::Admit(t) => {
-                self.stats.admitted_dynamic += 1;
                 let idx = self.slab.push_one(*t);
-                self.admit(idx, ctx.now(), "dynamic");
+                self.admit(idx, now, Admission::Dynamic);
             }
             SchedEvent::GangArrival(members) => {
                 // Members enter the arena contiguously (one sealed slab
                 // segment), so the gang is just a range — no per-gang
                 // index list.
                 let (start, len) = self.slab.push_sealed(members);
-                self.stats.admitted_gang_members += len as u64;
-                if self.spans.is_some() {
-                    let now = ctx.now();
-                    for i in start..start + len {
-                        let id = self.task(i).id;
-                        if let Some(s) = &self.spans {
-                            s.borrow_mut().open_task(id, "queued", now, "gang");
-                        }
-                    }
+                for idx in start..start + len {
+                    self.record(now, Step::Admitted(idx, Admission::Gang));
                 }
                 if !self.try_gang(start, len, ctx) {
                     self.pending_gangs.push((start, len));
@@ -1098,59 +693,27 @@ impl<'a> EngineState<'a> {
                 machine,
                 epoch,
             } => {
-                // Stale completions (task preempted or churned since)
-                // are ignored via the epoch guard.
-                if self
-                    .running
-                    .get(&task)
-                    .is_some_and(|r| r.machine == machine && r.epoch == epoch)
-                {
-                    let r = self.running.remove(&task).expect("checked above");
-                    if let Some(s) = &self.spans {
-                        s.borrow_mut().close_task(task, ctx.now(), "finished");
-                    }
+                // Stale completions (task preempted, churned or crashed
+                // since) are ignored via the epoch guard.
+                if self.ledger.runs(task, machine, epoch) {
+                    self.record(now, Step::Left(task, machine, Exit::Finished));
                     self.cluster.release(machine, task);
-                    self.release_slot(r.idx);
-                    // The task terminated: drop its retry budget so a
-                    // recycled arena slot never inherits it.
-                    if let Some(f) = self.faults.as_deref_mut() {
-                        f.attempts.remove(&r.idx);
-                    }
                 }
             }
             SchedEvent::MachineFail(id) => {
-                self.machine_fail(id, ctx.now());
+                self.drain_machine(id, now);
             }
             SchedEvent::MachineCrash(id) => self.machine_crash(id, ctx),
             SchedEvent::TaskRetry(idx) => {
-                let now = ctx.now();
-                if self.spans.is_some() {
-                    let id = self.task(idx).id;
-                    if let Some(s) = &self.spans {
-                        s.borrow_mut().close_task(id, now, "backoff_elapsed");
-                    }
-                }
-                self.admit(idx, now, "retry");
+                self.record(now, Step::BackoffElapsed(idx));
+                self.enqueue(idx);
             }
             SchedEvent::MachineRestore(id) => {
-                if let Some(s) = &self.spans {
-                    s.borrow_mut().close_machine(id, ctx.now(), "restored");
-                }
+                self.record(now, Step::MachineRestored(id));
                 self.cluster.restore_machine(id);
             }
             SchedEvent::MachineJoin(m) => {
-                if let Some(s) = &self.spans {
-                    s.borrow_mut().instant_ctrl(
-                        m.id,
-                        "machine_join",
-                        ctx.now(),
-                        "join",
-                        "",
-                        "",
-                        0,
-                        0,
-                    );
-                }
+                self.record(now, Step::MachineJoined(m.id));
                 self.cluster.add_machine(*m);
             }
             SchedEvent::AttrUpdate {
@@ -1168,33 +731,13 @@ impl<'a> EngineState<'a> {
         }
     }
 
-    /// Takes the final cluster and result out of the state, counting
-    /// still-queued tasks as unplaced — except churn-requeued tasks that
-    /// already hold a placed record (they were placed once; counting
-    /// them again would make placed + unplaced exceed the task count).
+    /// Takes the final cluster and result out of the state; tasks still
+    /// queued (individually or as pending gang members) end here.
     fn finish(&mut self) -> (SchedCluster, SimResult) {
-        // Spans still open at the horizon (queued, running, retry_wait,
-        // machine_down, …) close deterministically at `end = horizon`.
-        if let Some(s) = &self.spans {
-            s.borrow_mut().close_all(self.cfg.horizon);
-        }
-        let hp = std::mem::take(&mut self.hp);
-        let main = std::mem::take(&mut self.main);
-        let gangs = std::mem::take(&mut self.pending_gangs);
-        let queued = hp
-            .iter()
-            .chain(main.iter())
-            .copied()
-            .chain(gangs.iter().flat_map(|&(start, len)| start..start + len));
-        for idx in queued {
-            if !self.placed_once.contains(&self.task(idx).id) {
-                self.result.unplaced += 1;
-            }
-        }
-        (
-            std::mem::take(&mut self.cluster),
-            std::mem::take(&mut self.result),
-        )
+        let queued = (self.hp.drain(..).chain(self.main.drain(..)))
+            .chain(self.pending_gangs.drain(..).flat_map(|(s, len)| s..s + len));
+        let result = self.ledger.finish(&self.slab, self.cfg.horizon, queued);
+        (std::mem::take(&mut self.cluster), result)
     }
 }
 
@@ -1277,8 +820,8 @@ impl Simulator {
     /// the home queue. Meant for per-cell shards under a
     /// [`ParallelSim`](ctlm_sim::ParallelSim) coordinator whose barrier
     /// hook routes them (the hook reads the task via
-    /// [`EngineState::task`] and must call [`EngineState::release_slot`]
-    /// when it clones the task away to a sibling cell).
+    /// [`EngineState::task`] and reports each verdict with
+    /// [`EngineState::resolve_spill`]).
     pub fn attach_cell<'a>(
         &'a self,
         sim: &mut Sim<'a, SchedEvent>,

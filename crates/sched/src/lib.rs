@@ -21,7 +21,7 @@
 //! pulled off an [`stream::ArrivalStream`], attached through the single
 //! [`engine::Simulator::attach_cell`] — [`engine::CycleTimer`] fires the
 //! scheduler pass, and [`engine::EngineComponent`] owns the cluster, the
-//! two queues and the result. Scenario components ([`scenario`]) join
+//! two queues and the task ledger. Scenario components ([`scenario`]) join
 //! the same timeline: machine churn, all-or-nothing gang arrivals,
 //! staged attribute rollouts, and (in examples) live trace feeds that
 //! drive retraining mid-run.
@@ -45,7 +45,10 @@
 //! * [`gang`] — gang grouping (“tasks in the same job are grouped by
 //!   their CO and scheduled together”) and atomic gang placement;
 //! * [`engine`] — the kernel-hosted simulation measuring scheduling
-//!   latency per suitable-node group;
+//!   latency per suitable-node group. It only schedules; the private
+//!   `ledger` module alone decides what each lifecycle transition
+//!   records (counters, result, live-task table, retry budgets, spans,
+//!   arena-slot release) — its module doc holds the transition table;
 //! * [`stream`] — the arrival feed and its two inputs
 //!   ([`stream::Arrivals`]): a borrowed list, or chunked task decode
 //!   ([`stream::ArrivalStream`]) into the engine's task arena without
@@ -69,6 +72,7 @@ pub mod engine;
 pub mod faults;
 pub mod gang;
 pub mod latency;
+mod ledger;
 pub mod lifecycle;
 pub mod placement;
 pub mod queue;

@@ -114,8 +114,9 @@ pub enum Arrivals<'a> {
 /// clone).
 ///
 /// With `spill` (cells under cross-cell spillover on the epoch-sharded
-/// coordinator), tasks the home cell has no feasible machine for at
-/// their arrival instant go to the shard's epoch outbox as
+/// coordinator), tasks the home cell declines at their arrival instant
+/// (see [`EngineState::can_admit`]; reported to the engine's ledger with
+/// the reason) go to the shard's epoch outbox as
 /// [`SchedEvent::SpillRequest`] instead; the coordinator's barrier hook
 /// routes them (home queue or a sibling cell, per the spillover policy)
 /// at the next epoch boundary. Spilled tasks keep their original arrival
@@ -196,25 +197,23 @@ impl Component<SchedEvent> for ArrivalFeed<'_> {
             if self.next == self.end && !self.refill() {
                 return; // exhausted — no further wakes
             }
-            let (arrival, admit_home) = {
+            let (arrival, rejection) = {
                 let state = self.state.borrow();
                 let task = state.task(self.next);
-                let local = !self.spill || task.arrival > now || state.can_admit(task);
-                (task.arrival, local)
+                let due = self.spill && task.arrival <= now;
+                (task.arrival, due.then(|| state.rejection(task)).flatten())
             };
             if arrival > now {
                 ctx.emit_self_prio(arrival - now, PRIO_ADMIT, SchedEvent::Wake);
                 return;
             }
             self.last_arrival = arrival;
-            if admit_home {
-                ctx.emit_prio(0, PRIO_ADMIT, self.engine, SchedEvent::Arrival(self.next));
-            } else {
-                let mut st = self.state.borrow_mut();
-                st.note_spill_request();
-                st.span_spill_open(self.next, now);
-                drop(st);
-                ctx.emit_remote(PRIO_ADMIT, SchedEvent::SpillRequest(self.next));
+            match rejection {
+                None => ctx.emit_prio(0, PRIO_ADMIT, self.engine, SchedEvent::Arrival(self.next)),
+                Some(reason) => {
+                    self.state.borrow_mut().spilled(self.next, now, reason);
+                    ctx.emit_remote(PRIO_ADMIT, SchedEvent::SpillRequest(self.next));
+                }
             }
             self.next += 1;
         }

@@ -166,8 +166,14 @@ fn preemption_fallback_fires_on_the_hp_path() {
         .find(|p| p.task == 99)
         .expect("pinned placed");
     assert_eq!(rec.truth_group, 0);
-    // Victims are marked.
-    assert!(r.placed.iter().any(|p| p.was_preempted));
+    // The victims' records are marked — one per eviction, all of them
+    // low-priority fillers — and the preemptor's is not.
+    assert!(!rec.was_preempted, "the preemptor was never evicted");
+    let victims: Vec<u64> = (r.placed.iter().filter(|p| p.was_preempted))
+        .map(|p| p.task)
+        .collect();
+    assert_eq!(victims.len(), r.preemptions);
+    assert!(victims.iter().all(|&id| id < 12), "victims: {victims:?}");
 }
 
 #[test]
@@ -234,6 +240,40 @@ fn churn_drains_machines_and_requeues_their_tasks() {
     );
     // Rescheduled tasks keep one placed record each (first placement).
     assert_eq!(result.placed.len(), 18);
+}
+
+#[test]
+fn a_requeued_task_that_turns_infeasible_is_counted_once() {
+    // Pinned to machine 0, the task places there; machine 0 then drains
+    // for good, so the requeued task has no machine left that suits it
+    // and is dropped as infeasible. It holds its one placed record
+    // already — counting it unplaced too would break
+    // `admitted == placed + unplaced`.
+    let arrivals = vec![pinned(7, 0, 0.5, 2, 0)];
+    let simulator = Simulator::new(SimConfig {
+        cycle: 500_000,
+        attempts_per_cycle: 4,
+        mean_runtime: 400_000_000,
+        horizon: 20_000_000,
+        seed: 1,
+    });
+    let mut scheduler = MainOnly;
+    let mut harness = simulator.harness(cluster(2), &arrivals, &mut scheduler);
+    let plan = ChurnPlan::new(vec![(5_000_000, ChurnAction::Fail(0))]);
+    let churn = ChurnSource::new(plan, harness.engine);
+    let first = churn.first_time();
+    attach_source(&mut harness, "churn", churn, first, 0);
+    let state = harness.state();
+    let (_, result) = harness.run();
+    let state = state.borrow();
+    assert_eq!(result.churn_rescheduled, 1);
+    assert_eq!(state.stats().infeasible, 1);
+    assert_eq!((result.placed.len(), result.unplaced), (1, 0));
+    assert_eq!(
+        state.admitted() as usize,
+        result.placed.len() + result.unplaced
+    );
+    assert_eq!(result.failed_permanently, 0, "no fault plane ran");
 }
 
 #[test]

@@ -17,12 +17,12 @@
 //!
 //! - Every field is sim-plane state (sim time, static tags, ids), so a
 //!   log is byte-identical across `execution.threads` values.
-//! - Closed records live in a segment arena of fixed-size buffers that
-//!   are recycled rather than freed (mirroring `TaskSlab`): steady-state
-//!   recording — updating an open span in place, closing into a
-//!   non-full segment — never allocates. New segments appear only when
-//!   the log *grows*, i.e. on lifecycle transitions, which never happen
-//!   inside the zero-allocation scheduling pass's measured window.
+//! - Closed records live in a segment arena of fixed-size buffers, so
+//!   growth never moves a record: steady-state recording — updating an
+//!   open span in place, closing into a non-full segment — never
+//!   allocates. New segments appear only when the log *grows*, i.e. on
+//!   lifecycle transitions, which never happen inside the
+//!   zero-allocation scheduling pass's measured window.
 //! - Open spans close deterministically at the horizon
 //!   ([`SpanLog::close_all`] walks subjects in sorted order) with
 //!   `outcome = "horizon"` and `end = horizon`.
@@ -99,8 +99,8 @@ struct OpenSpan {
     b: u64,
 }
 
-/// The per-cell span log: closed records in a recycled segment arena
-/// plus open-span tables keyed by subject id.
+/// The per-cell span log: closed records in a segment arena plus
+/// open-span tables keyed by subject id.
 ///
 /// Open tables are keyed by *task id* (globally unique across cells —
 /// the lab strides cell id spaces), not arena slot: slots are recycled
@@ -109,8 +109,6 @@ struct OpenSpan {
 #[derive(Clone, Debug, Default)]
 pub struct SpanLog {
     segments: Vec<Vec<SpanRecord>>,
-    /// Cleared segments kept for reuse (recycled, never freed).
-    spare: Vec<Vec<SpanRecord>>,
     open_tasks: HashMap<u64, OpenSpan>,
     open_machines: HashMap<u64, OpenSpan>,
     recorded: u64,
@@ -144,11 +142,7 @@ impl SpanLog {
 
     fn push(&mut self, rec: SpanRecord) {
         if self.segments.last().is_none_or(|s| s.len() == SEGMENT) {
-            let seg = self
-                .spare
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(SEGMENT));
-            self.segments.push(seg);
+            self.segments.push(Vec::with_capacity(SEGMENT));
         }
         self.segments.last_mut().expect("segment present").push(rec);
         self.recorded += 1;
@@ -235,12 +229,6 @@ impl SpanLog {
             open.b = b;
             self.push(finish_record(subject, "task", open, now, outcome));
         }
-    }
-
-    /// The kind of the subject's open span, if any (used to close
-    /// conditionally, e.g. only a pending `spill_transit`).
-    pub fn open_task_kind(&self, subject: u64) -> Option<&'static str> {
-        self.open_tasks.get(&subject).map(|o| o.kind)
     }
 
     /// Records an instant (zero-duration) task span, e.g. `dead_letter`.
@@ -349,19 +337,6 @@ impl SpanLog {
             self.close_machine(subject, horizon, "horizon");
         }
     }
-
-    /// Clears the log for reuse, keeping segment buffers allocated
-    /// (mirrors `TaskSlab` recycling: A/B comparison runs reuse the same
-    /// arena without churning the allocator).
-    pub fn recycle(&mut self) {
-        for mut seg in self.segments.drain(..) {
-            seg.clear();
-            self.spare.push(seg);
-        }
-        self.open_tasks.clear();
-        self.open_machines.clear();
-        self.recorded = 0;
-    }
 }
 
 fn finish_record(
@@ -416,7 +391,8 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].kind, "queued");
         assert_eq!(recs[0].outcome, "superseded");
-        assert_eq!(log.open_task_kind(1), Some("running"));
+        log.close_task(1, 30, "finished");
+        assert_eq!(log.records().last().map(|r| r.kind), Some("running"));
     }
 
     #[test]
@@ -463,25 +439,5 @@ mod tests {
         log.open_task(9_999, "queued", 0, "arrival");
         log.close_task(9_999, 1, "placed");
         assert_eq!(log.segments.len(), segs + 1, "grows only when full");
-    }
-
-    #[test]
-    fn recycle_keeps_segment_buffers() {
-        let mut log = SpanLog::new();
-        for i in 0..(SEGMENT as u64 * 2 + 5) {
-            log.open_task(i, "queued", i, "arrival");
-            log.close_task(i, i + 1, "placed");
-        }
-        let segs = log.segments.len();
-        log.recycle();
-        assert!(log.is_empty());
-        assert_eq!(log.spare.len(), segs);
-        // Refilling reuses the spare buffers: no fresh segments needed
-        // until the old capacity is exhausted.
-        for i in 0..SEGMENT as u64 {
-            log.open_task(i, "queued", i, "arrival");
-            log.close_task(i, i + 1, "placed");
-        }
-        assert_eq!(log.spare.len(), segs - 1);
     }
 }
