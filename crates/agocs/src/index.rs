@@ -21,7 +21,8 @@
 //!
 //! The index is maintained incrementally by
 //! [`ClusterState`](crate::state::ClusterState) and
-//! `ctlm_sched::SchedCluster` on machine add/remove and attribute
+//! `ctlm_sched::SchedCluster` (which keys it by machine-table slot, see
+//! [`AttrIndex::add_keyed`]) on machine add/remove and attribute
 //! updates; `tests/index_properties.rs` pins it to the retained linear
 //! scan over randomized clusters and constraint sets.
 
@@ -96,10 +97,19 @@ impl AttrIndex {
     /// Indexes a machine's attributes. The machine must not already be
     /// indexed (callers re-indexing an id remove it first).
     pub fn add_machine(&mut self, m: &Machine) {
-        debug_assert!(!self.all.contains(&m.id), "machine {} double-indexed", m.id);
-        self.all.insert(m.id);
+        self.add_keyed(m.id, m);
+    }
+
+    /// [`AttrIndex::add_machine`] under `key` instead of the machine's
+    /// own id — for an owner that addresses machines by a dense handle
+    /// of its own (`ctlm_sched::SchedCluster` keys the index by table
+    /// slot, so a query's answer indexes its table without a lookup).
+    /// Every other call then takes and yields that key.
+    pub fn add_keyed(&mut self, key: MachineId, m: &Machine) {
+        debug_assert!(!self.all.contains(&key), "machine {key} double-indexed");
+        self.all.insert(key);
         for (attr, value) in &m.attributes {
-            self.attrs.entry(*attr).or_default().insert(m.id, value);
+            self.attrs.entry(*attr).or_default().insert(key, value);
         }
     }
 

@@ -8,6 +8,14 @@
 //! on the kernel. The PR-4 acceptance target (indexed ≥ 5×
 //! linear at 100k machines) reads straight off the
 //! `placement/{indexed,linear}/100000` ids.
+//!
+//! `loaded_cluster` draws eighths, whose sums are exact. The
+//! `near_miss` and `mem_bound` ids load what the lab's synthetic
+//! workloads actually draw — decimal sizes and memory-bound tasks —
+//! where a machine can sit in the request's capacity bucket and still
+//! not hold it (`1.0 − 4 × 0.2 < 0.2`), or have the CPU and not the
+//! memory. A probe's cost there must not grow with the number of such
+//! machines; CI gates `near_miss/100000 : near_miss/1000`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -41,6 +49,48 @@ fn loaded_cluster(n: usize) -> SchedCluster {
                 c.place(i, task_id, s, s, 2);
                 task_id += 1;
             }
+        }
+    }
+    c
+}
+
+/// `scale_steady`'s base cells: unit machines under 0.2-core tasks,
+/// machine `i` carrying `4 − i % 4` of them — so a quarter of the fleet
+/// is full at four (free CPU `0.19999999999999996`, still in
+/// `capacity_bucket(0.2)`) and the tightest machine that does hold a
+/// fifth of a core sits one occupied bucket up.
+fn near_miss_cluster(n: usize) -> SchedCluster {
+    let mut c = SchedCluster::from_machines((0..n as u64).map(|i| Machine::new(i, 1.0, 1.0)));
+    let mut task_id = 0u64;
+    for i in 0..n as u64 {
+        for _ in 0..4 - i % 4 {
+            c.place(i, task_id, 0.2, 0.2, 2);
+            task_id += 1;
+        }
+    }
+    assert!(!c.fits(0, 0.2, 0.2), "four fifths fill a unit machine");
+    c
+}
+
+/// Memory-bound load: every third machine carries three
+/// (0.1 core, 0.3 memory) tasks — CPU to spare, memory gone — the next
+/// carries two, the next none. One machine three quarters into the
+/// fleet shares the full machines' capacity bucket but holds a
+/// CPU-bound task instead, so a probe for one more memory-bound task
+/// cannot pass the bucket over: it has to read its way to that machine.
+fn mem_bound_cluster(n: usize) -> SchedCluster {
+    let mut c = SchedCluster::from_machines((0..n as u64).map(|i| Machine::new(i, 1.0, 1.0)));
+    let roomy = (n as u64 * 3 / 4) / 3 * 3;
+    let mut task_id = 0u64;
+    for i in 0..n as u64 {
+        if i == roomy {
+            c.place(i, task_id, 0.3, 0.1, 2);
+            task_id += 1;
+            continue;
+        }
+        for _ in 0..[3, 2, 0][(i % 3) as usize] {
+            c.place(i, task_id, 0.1, 0.3, 2);
+            task_id += 1;
         }
     }
     c
@@ -120,6 +170,29 @@ fn bench_placement(c: &mut Criterion) {
             })
         });
     }
+    let agreeing = |cluster: &SchedCluster, t: &PendingTask| {
+        let placed = best_fit(cluster, t);
+        assert!(matches!(placed, Placement::Placed(_)), "{placed:?}");
+        assert_eq!(placed, best_fit_linear(cluster, t));
+    };
+    for n in [1_000usize, 10_000, 100_000] {
+        let cluster = near_miss_cluster(n);
+        let t = probe(vec![], 0.2);
+        agreeing(&cluster, &t);
+        group.bench_with_input(BenchmarkId::new("near_miss", n), &n, |b, _| {
+            b.iter(|| best_fit(std::hint::black_box(&cluster), std::hint::black_box(&t)))
+        });
+    }
+    let n = 10_000usize;
+    let cluster = mem_bound_cluster(n);
+    let t = PendingTask {
+        memory: 0.3,
+        ..probe(vec![], 0.1)
+    };
+    agreeing(&cluster, &t);
+    group.bench_with_input(BenchmarkId::new("mem_bound", n), &n, |b, _| {
+        b.iter(|| best_fit(std::hint::black_box(&cluster), std::hint::black_box(&t)))
+    });
     group.finish();
 }
 

@@ -22,6 +22,13 @@
 //! reports carry a `_meta.host` fingerprint (the criterion shim records
 //! one) and the hosts differ, a warning notes that ratios are
 //! indicative only.
+//!
+//! `--max-ratio <id_a>:<id_b>=<k>` adds one assertion *within* the
+//! current report: exit 1 when `median(a) / median(b) > k`. Both sides
+//! ran on the same host minutes apart, so unlike the baseline comparison
+//! it holds on any runner — CI uses it to pin that a capacity probe does
+//! not get slower as the fleet grows
+//! (`placement/near_miss/100000:placement/near_miss/1000`).
 
 use ctlm_bench::args::ParsedArgs;
 use ctlm_telemetry::HostFingerprint;
@@ -69,13 +76,20 @@ fn load(path: &str) -> Value {
     serde_json::from_str(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
 }
 
+/// Parses `--max-ratio`'s `<id_a>:<id_b>=<k>`.
+fn parse_max_ratio(raw: &str) -> Option<(&str, &str, f64)> {
+    let (ids, k) = raw.rsplit_once('=')?;
+    let (a, b) = ids.split_once(':')?;
+    Some((a, b, k.parse().ok()?))
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match ParsedArgs::parse(argv, &[], &["--threshold", "--groups"]) {
+    let parsed = match ParsedArgs::parse(argv, &[], &["--threshold", "--groups", "--max-ratio"]) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("bench_check: {e}");
-            eprintln!("usage: bench_check <current.json> <baseline.json> [--threshold 1.25] [--groups matching/,placement/]");
+            eprintln!("usage: bench_check <current.json> <baseline.json> [--threshold 1.25] [--groups matching/,placement/] [--max-ratio <id_a>:<id_b>=<k>]");
             std::process::exit(2);
         }
     };
@@ -108,6 +122,27 @@ fn main() {
     }
     let current = medians(&current_doc);
     let baseline = medians(&baseline_doc);
+    let mut ratio_exceeded = false;
+    if let Some(raw) = parsed.option("--max-ratio") {
+        let Some((a, b, k)) = parse_max_ratio(raw) else {
+            eprintln!("bench_check: --max-ratio wants <id_a>:<id_b>=<k>, got {raw:?}");
+            std::process::exit(2);
+        };
+        let median_of = |id: &str| {
+            current
+                .iter()
+                .find(|(name, _)| name == id)
+                .map(|&(_, m)| m)
+                .unwrap_or_else(|| {
+                    eprintln!("bench_check: --max-ratio: {id} is not in {current_path}");
+                    std::process::exit(2)
+                })
+        };
+        let ratio = median_of(a) / median_of(b);
+        ratio_exceeded = ratio > k;
+        let verdict = if ratio_exceeded { "EXCEEDED" } else { "ok" };
+        println!("{a} : {b}  ratio {ratio:.2}  limit {k}  {verdict}");
+    }
     let mut compared = 0usize;
     let mut regressions = Vec::new();
     let mut warned = 0usize;
@@ -153,6 +188,9 @@ fn main() {
     }
     if regressions.is_empty() {
         println!("bench_check: {compared} medians within {threshold}× of baseline");
+        if ratio_exceeded {
+            std::process::exit(1);
+        }
     } else {
         eprintln!(
             "bench_check: {} of {compared} medians regressed beyond {threshold}×:",

@@ -179,6 +179,9 @@ pub struct EngineState<'a> {
     /// arena — gang members are pushed contiguously on arrival, so no
     /// per-gang index list is ever allocated.
     pending_gangs: Vec<(usize, usize)>,
+    /// Σ `len` over `pending_gangs`, kept beside it because every
+    /// arrival probe and spill re-probe reads it.
+    pending_gang_members: usize,
     rng: StdRng,
     /// All accounting — counters, result, the live-task table, the
     /// fault runtime, the flight recorder. Every lifecycle transition
@@ -213,6 +216,7 @@ impl<'a> EngineState<'a> {
             hp: VecDeque::with_capacity(n.min(1024)),
             main: VecDeque::with_capacity(n.min(1024)),
             pending_gangs: Vec::new(),
+            pending_gang_members: 0,
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x5C4E_D111),
             ledger: Ledger::new(n),
             next_epoch: 0,
@@ -259,7 +263,14 @@ impl<'a> EngineState<'a> {
 
     /// Gang members awaiting an all-or-nothing retry.
     pub fn pending_gang_members(&self) -> usize {
-        self.pending_gangs.iter().map(|&(_, len)| len).sum()
+        debug_assert_eq!(
+            self.pending_gang_members,
+            self.pending_gangs
+                .iter()
+                .map(|&(_, len)| len)
+                .sum::<usize>()
+        );
+        self.pending_gang_members
     }
 
     /// Cumulative task admissions (fresh arrivals, dynamic admits and
@@ -562,7 +573,9 @@ impl<'a> EngineState<'a> {
         let mut write = 0;
         for read in 0..self.pending_gangs.len() {
             let (start, len) = self.pending_gangs[read];
-            if !self.try_gang(start, len, ctx) {
+            if self.try_gang(start, len, ctx) {
+                self.pending_gang_members -= len;
+            } else {
                 self.pending_gangs[write] = (start, len);
                 write += 1;
             }
@@ -685,6 +698,7 @@ impl<'a> EngineState<'a> {
                 }
                 if !self.try_gang(start, len, ctx) {
                     self.pending_gangs.push((start, len));
+                    self.pending_gang_members += len;
                 }
             }
             SchedEvent::Cycle => self.cycle(ctx),
@@ -737,6 +751,7 @@ impl<'a> EngineState<'a> {
         let queued = (self.hp.drain(..).chain(self.main.drain(..)))
             .chain(self.pending_gangs.drain(..).flat_map(|(s, len)| s..s + len));
         let result = self.ledger.finish(&self.slab, self.cfg.horizon, queued);
+        self.pending_gang_members = 0;
         (std::mem::take(&mut self.cluster), result)
     }
 }

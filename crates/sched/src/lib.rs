@@ -35,9 +35,10 @@
 //!
 //! ## Modules
 //!
-//! * [`cluster`] — machines with capacity accounting, churn
-//!   (offline/restore) and the cheap [`cluster::SchedCluster::reset`]
-//!   path for A/B policy runs;
+//! * [`cluster`] — the slot-indexed machine table with capacity
+//!   accounting, the capacity index a probe walks without a hash lookup,
+//!   churn (offline/restore) and the cheap
+//!   [`cluster::SchedCluster::reset`] path for A/B policy runs;
 //! * [`queue`] — the pending job queue(s);
 //! * [`scheduler`] — the open routing-policy trait and its impls;
 //! * [`placement`] — placement strategies: best-fit, first-fit, soft

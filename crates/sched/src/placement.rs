@@ -15,9 +15,15 @@
 //! **zero heap allocations** (pinned by
 //! `crates/sched/tests/zero_alloc_pass.rs`). Tie-breaks are defined over
 //! `(capacity_bucket(free_cpu), id)` — see [`capacity_bucket`] — which makes
-//! the answer independent of visit order. [`best_fit_linear`] retains
-//! the pre-index full scan as the equivalence reference for property
-//! tests and the `placement` bench family.
+//! the answer independent of visit order. Strategies that have to
+//! examine every candidate ([`FirstFit`], [`best_fit_soft`], the
+//! preemption fallback) receive them from
+//! [`SchedCluster::suitable_visit`] as
+//! [`MachineView`](crate::cluster::MachineView)s already resolved to the
+//! machine table's rows, so none pays a lookup per machine visited.
+//! [`best_fit_linear`] retains the pre-index full scan as the
+//! equivalence reference for property tests and the `placement` bench
+//! family.
 
 use ctlm_trace::{MachineId, TaskId};
 
@@ -111,10 +117,10 @@ impl Placer for FirstFit {
     fn place(&self, cluster: &SchedCluster, task: &PendingTask, _ctx: &mut PlaceCtx) -> Placement {
         let mut best: Option<MachineId> = None;
         let mut suitable_any = false;
-        cluster.suitable_visit(&task.reqs, |id| {
+        cluster.suitable_visit(&task.reqs, |m| {
             suitable_any = true;
-            if cluster.fits(id, task.cpu, task.memory) && best.is_none_or(|b| id < b) {
-                best = Some(id);
+            if m.fits(task.cpu, task.memory) && best.is_none_or(|b| m.id() < b) {
+                best = Some(m.id());
             }
             true
         });
@@ -202,14 +208,11 @@ pub fn best_fit_soft(
     // instead of score so the whole key minimises lexicographically.
     let mut best: Option<(usize, usize, MachineId)> = None;
     let mut suitable_any = false;
-    cluster.suitable_visit(&task.reqs, |id| {
+    cluster.suitable_visit(&task.reqs, |m| {
         suitable_any = true;
-        if cluster.fits(id, task.cpu, task.memory) {
-            let misses = soft
-                .iter()
-                .filter(|r| !r.accepts(cluster.machine_attr(id, r.attr)))
-                .count();
-            let key = (misses, capacity_bucket(cluster.free_cpu(id)), id);
+        if m.fits(task.cpu, task.memory) {
+            let misses = soft.iter().filter(|r| !r.accepts(m.attr(r.attr))).count();
+            let key = (misses, capacity_bucket(m.free_cpu()), m.id());
             if best.is_none_or(|b| key < b) {
                 best = Some(key);
             }
@@ -247,10 +250,10 @@ pub fn best_fit_with_preemption(
         best: best_evictions,
         ..
     } = ctx;
-    cluster.suitable_visit(&task.reqs, |id| {
-        let mut free_cpu = cluster.free_cpu(id);
-        let mut free_mem = cluster.free_mem(id);
-        cluster.preemption_candidates_into(id, task.priority, cands);
+    cluster.suitable_visit(&task.reqs, |m| {
+        let mut free_cpu = m.free_cpu();
+        let mut free_mem = m.free_mem();
+        m.preemption_candidates_into(task.priority, cands);
         trial.clear();
         for &(victim, vc, vm, _p) in cands.iter() {
             if free_cpu >= task.cpu && free_mem >= task.memory {
@@ -261,7 +264,7 @@ pub fn best_fit_with_preemption(
             trial.push(victim);
         }
         if free_cpu >= task.cpu && free_mem >= task.memory && !trial.is_empty() {
-            let key = (trial.len(), id);
+            let key = (trial.len(), m.id());
             if best.is_none_or(|b| key < b) {
                 best = Some(key);
                 std::mem::swap(trial, best_evictions);

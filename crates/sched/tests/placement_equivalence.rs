@@ -2,6 +2,15 @@
 //! reference scan — over randomized clusters, task shapes, and
 //! admit/complete/drain/restore churn sequences that exercise the
 //! incremental maintenance of the free-capacity ordering.
+//!
+//! Two size families. Eighths sum exactly, so a machine in the request's
+//! capacity bucket always holds the request. Tenths do not
+//! (`1.0 − 4 × 0.2 < 0.2`): accumulated rounding leaves machines in the
+//! bucket that miss by an ulp, and with memory drawn independently of
+//! CPU (`mem > cpu` included) machines that have the CPU and not the
+//! memory — the cases the index's per-bucket bounds exist for. A third
+//! family draws CPU below a bucket's width, so the index's in-place
+//! update path runs.
 
 use proptest::prelude::*;
 
@@ -24,18 +33,34 @@ enum ChurnOp {
     Restore(usize),
 }
 
-fn arb_op() -> impl Strategy<Value = ChurnOp> {
+/// `(cpu, mem)` in eighths of a unit machine: every sum is exact.
+fn eighths() -> impl Strategy<Value = (f64, f64)> {
+    (1u32..8, 1u32..8).prop_map(|(c, m)| (c as f64 / 8.0, m as f64 / 8.0))
+}
+
+/// `(cpu, mem)` in tenths (fifths among them), memory up to 0.8
+/// whatever the CPU: sums round, and half the draws are memory-bound.
+fn tenths() -> impl Strategy<Value = (f64, f64)> {
+    (1u32..6, 1u32..9).prop_map(|(c, m)| (c as f64 / 10.0, m as f64 / 10.0))
+}
+
+/// CPU below a capacity bucket's width (1/1024 core), memory in
+/// tenths: most placements leave the machine in its bucket, so the index
+/// is updated in place and memory alone decides who fits.
+fn crumbs() -> impl Strategy<Value = (f64, f64)> {
+    (1u32..4, 1u32..9).prop_map(|(c, m)| (c as f64 / 4096.0, m as f64 / 10.0))
+}
+
+fn arb_op<S>(size: fn() -> S) -> impl Strategy<Value = ChurnOp>
+where
+    S: Strategy<Value = (f64, f64)> + 'static,
+{
+    let admit = || {
+        (size(), 0u8..10).prop_map(|((cpu, mem), priority)| ChurnOp::Admit { cpu, mem, priority })
+    };
     prop_oneof![
-        (1u32..8, 1u32..8, 0u8..10).prop_map(|(c, m, p)| ChurnOp::Admit {
-            cpu: c as f64 / 8.0,
-            mem: m as f64 / 8.0,
-            priority: p,
-        }),
-        (1u32..8, 1u32..8, 0u8..10).prop_map(|(c, m, p)| ChurnOp::Admit {
-            cpu: c as f64 / 8.0,
-            mem: m as f64 / 8.0,
-            priority: p,
-        }),
+        admit(),
+        admit(),
         (0usize..64).prop_map(ChurnOp::Complete),
         (0usize..64).prop_map(ChurnOp::Complete),
         (0usize..64).prop_map(ChurnOp::Drain),
@@ -100,6 +125,60 @@ fn assert_equivalent(cluster: &SchedCluster, task: &PendingTask) {
     }
 }
 
+/// Applies `ops` to a fresh fleet, checking every probe against the
+/// linear reference after every step and once more after a reset.
+fn check_churn(
+    machines: usize,
+    ops: Vec<ChurnOp>,
+    probes: Vec<(Vec<TaskConstraint>, (f64, f64))>,
+) -> Result<(), TestCaseError> {
+    let mut cluster = fleet(machines);
+    let mut live: Vec<(u64, MachineId)> = Vec::new();
+    let mut drained: Vec<MachineId> = Vec::new();
+    let mut next_task = 0u64;
+    let check = |cluster: &SchedCluster| {
+        for (reqs, (cpu, mem)) in &probes {
+            assert_equivalent(cluster, &probe(reqs, *cpu, *mem));
+        }
+    };
+    for op in ops {
+        match op {
+            ChurnOp::Admit { cpu, mem, priority } => {
+                let t = probe(&[], cpu, mem);
+                if let Placement::Placed(m) = best_fit(&cluster, &t) {
+                    cluster.place(m, next_task, cpu, mem, priority);
+                    live.push((next_task, m));
+                    next_task += 1;
+                }
+            }
+            ChurnOp::Complete(k) => {
+                if !live.is_empty() {
+                    let (task, m) = live.remove(k % live.len());
+                    prop_assert!(cluster.release(m, task));
+                }
+            }
+            ChurnOp::Drain(k) => {
+                let id = (k % machines) as MachineId;
+                if cluster.remove_machine(id).is_some() {
+                    live.retain(|&(_, m)| m != id);
+                    drained.push(id);
+                }
+            }
+            ChurnOp::Restore(k) => {
+                if !drained.is_empty() {
+                    let id = drained.remove(k % drained.len());
+                    prop_assert!(cluster.restore_machine(id));
+                }
+            }
+        }
+        check(&cluster);
+    }
+    // And after a reset, the rebuilt index still agrees.
+    cluster.reset();
+    check(&cluster);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -109,54 +188,31 @@ proptest! {
     #[test]
     fn indexed_best_fit_tracks_linear_reference_under_churn(
         machines in 2usize..24,
-        ops in prop::collection::vec(arb_op(), 0..60),
-        probes in prop::collection::vec((arb_reqs(), 1u32..8), 1..6),
+        ops in prop::collection::vec(arb_op(eighths), 0..60),
+        probes in prop::collection::vec((arb_reqs(), eighths()), 1..6),
     ) {
-        let mut cluster = fleet(machines);
-        let mut live: Vec<(u64, MachineId)> = Vec::new();
-        let mut drained: Vec<MachineId> = Vec::new();
-        let mut next_task = 0u64;
-        for op in ops {
-            match op {
-                ChurnOp::Admit { cpu, mem, priority } => {
-                    let t = probe(&[], cpu, mem);
-                    if let Placement::Placed(m) = best_fit(&cluster, &t) {
-                        cluster.place(m, next_task, cpu, mem, priority);
-                        live.push((next_task, m));
-                        next_task += 1;
-                    }
-                }
-                ChurnOp::Complete(k) => {
-                    if !live.is_empty() {
-                        let (task, m) = live.remove(k % live.len());
-                        prop_assert!(cluster.release(m, task));
-                    }
-                }
-                ChurnOp::Drain(k) => {
-                    let id = (k % machines) as MachineId;
-                    if cluster.remove_machine(id).is_some() {
-                        live.retain(|&(_, m)| m != id);
-                        drained.push(id);
-                    }
-                }
-                ChurnOp::Restore(k) => {
-                    if !drained.is_empty() {
-                        let id = drained.remove(k % drained.len());
-                        prop_assert!(cluster.restore_machine(id));
-                    }
-                }
-            }
-            for (reqs, cpu) in &probes {
-                let t = probe(reqs, *cpu as f64 / 8.0, *cpu as f64 / 8.0);
-                assert_equivalent(&cluster, &t);
-            }
-        }
-        // And after a reset, the rebuilt index still agrees.
-        cluster.reset();
-        for (reqs, cpu) in &probes {
-            let t = probe(reqs, *cpu as f64 / 8.0, *cpu as f64 / 8.0);
-            assert_equivalent(&cluster, &t);
-        }
+        check_churn(machines, ops, probes)?;
+    }
+
+    /// The same under decimal and memory-bound sizes, where machines in
+    /// the request's bucket can fail the exact `free ≥ request` test.
+    #[test]
+    fn near_miss_and_memory_bound_sizes_track_linear_reference_under_churn(
+        machines in 2usize..24,
+        ops in prop::collection::vec(arb_op(tenths), 0..80),
+        probes in prop::collection::vec((arb_reqs(), tenths()), 1..6),
+    ) {
+        check_churn(machines, ops, probes)?;
+    }
+
+    /// The same when placements do not move machines between buckets.
+    #[test]
+    fn in_place_updates_track_linear_reference_under_churn(
+        machines in 2usize..8,
+        ops in prop::collection::vec(arb_op(crumbs), 0..80),
+        probes in prop::collection::vec((arb_reqs(), crumbs()), 1..6),
+    ) {
+        check_churn(machines, ops, probes)?;
     }
 
     /// Saturation boundary: filling the fleet flips probes from Placed to

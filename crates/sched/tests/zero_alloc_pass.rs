@@ -10,10 +10,11 @@
 //!   pathology the paper's analyzer exists to remove) across many
 //!   simulated passes and asserts the allocation counter does not move;
 //! * the *cluster* test exercises the mutation path — `tightest_fit`
-//!   probes, `place`/`release` churn updating the capacity buckets —
-//!   outside the kernel, with recurring task shapes, and asserts the
-//!   incremental index maintenance is allocation-free once bucket
-//!   capacities have settled.
+//!   probes, `place`/`release` churn updating the capacity buckets, and
+//!   drain / restore / reset over the machine table — outside the
+//!   kernel, with recurring task shapes, and asserts the incremental
+//!   index maintenance is allocation-free once bucket capacities have
+//!   settled.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -369,6 +370,68 @@ fn capacity_index_maintenance_does_not_allocate_in_steady_state() {
         after - before,
         0,
         "steady-state place/release churn allocated {} times",
+        after - before
+    );
+
+    // The same contract on what the lab's workloads draw — tenths, whose
+    // sums round (machines that miss a request by an ulp), a
+    // memory-bound shape, and one below a capacity bucket's width (the
+    // index is rewritten in place) — and across the whole machine table:
+    // a drained machine keeps its slot, its task buffer and its place in
+    // the buckets' buffers, so drain, restore and reset allocate nothing
+    // either. A drain copies the task list out for its caller, which is
+    // the one allocation a *loaded* drain costs; the window drains idle
+    // machines. Attribute values are shared by two machines each: the
+    // attribute index drops a value's posting list with its last holder
+    // and would re-allocate it on restore.
+    let mut d = SchedCluster::from_machines((0..8u64).map(|i| {
+        let mut m = Machine::new(i, 1.0, 1.0);
+        m.set_attr(0, AttrValue::Int(i as i64 / 2));
+        m
+    }));
+    let pair = collapse(&[TaskConstraint::new(0, Op::Equal(Some(AttrValue::Int(1))))]).unwrap();
+    let shapes = [(0.2, 0.2), (0.1, 0.3), (0.0005, 0.1)];
+    let mut table_churn = |rounds: u64| {
+        for r in 0..rounds {
+            // Eleven of each shape: the 0.2s fill two machines to the
+            // near-miss and start a third.
+            for k in 0..33u64 {
+                let (cpu, mem) = shapes[(k % 3) as usize];
+                match d.tightest_fit(&[], cpu, mem) {
+                    CapacityFit::Fit(m) => d.place(m, r % 5 * 33 + k, cpu, mem, 2),
+                    other => panic!("eight machines hold this load: {other:?}"),
+                }
+            }
+            assert!(!matches!(
+                d.tightest_fit(&pair, 0.2, 0.2),
+                CapacityFit::Infeasible
+            ));
+            if r % 16 == 15 {
+                d.reset();
+                continue;
+            }
+            for k in 0..33u64 {
+                let id = r % 5 * 33 + k;
+                assert!((0..8).any(|m| d.release(m, id)), "task {id} must be live");
+            }
+            let idle = r % 8;
+            assert_eq!(d.remove_machine(idle), Some(vec![]));
+            assert!(!d.fits(idle, 0.1, 0.1));
+            if r % 16 == 7 {
+                d.reset(); // brings the drained machine back itself
+            } else {
+                assert!(d.restore_machine(idle));
+            }
+        }
+    };
+    table_churn(64);
+    let before = allocations();
+    table_churn(512);
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "place/release/drain/restore/reset churn allocated {} times",
         after - before
     );
 }
