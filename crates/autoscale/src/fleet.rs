@@ -39,8 +39,8 @@ use serde::{Deserialize, Serialize};
 
 use ctlm_sched::engine::EngineState;
 use ctlm_sched::lifecycle::{LifecycleOwner, OwnershipGuard};
-use ctlm_sched::{SchedEvent, SimConfig};
-use ctlm_sim::{Component, Ctx, Event};
+use ctlm_sched::{SchedEvent, SimConfig, TimedSource};
+use ctlm_sim::Ctx;
 use ctlm_trace::{AttrValue, Machine, MachineId, Micros};
 
 use crate::delay::ProvisionDelay;
@@ -219,9 +219,9 @@ struct Provision {
     dest: Destination,
 }
 
-/// The control-plane component. Register it on the cell's simulation
-/// and seed one wake-up at time 0 (class [`PRIO_STATE`]); it self-wakes
-/// on its cadence and at provisioning completions from there.
+/// The control-plane component: a [`TimedSource`] —
+/// [`attach`](ctlm_sched::attach) it to the cell's simulation. It first
+/// acts at time 0, then on its cadence and at provisioning completions.
 pub struct Autoscaler<'a> {
     cfg: AutoscaleConfig,
     policy: Box<dyn AutoscalePolicy>,
@@ -232,6 +232,9 @@ pub struct Autoscaler<'a> {
     provisioning: Vec<Provision>,
     /// Standby machines, oldest first.
     warm: Vec<Machine>,
+    /// The next wake: the earlier of the next provisioning completion
+    /// and the next evaluation tick, horizon permitting.
+    next_wake: Option<Micros>,
     next_eval: Micros,
     last_admitted: u64,
     last_no_capacity: u64,
@@ -270,6 +273,7 @@ impl<'a> Autoscaler<'a> {
                 rng,
                 provisioning: Vec::new(),
                 warm: Vec::new(),
+                next_wake: Some(0),
                 next_eval,
                 last_admitted: 0,
                 last_no_capacity: 0,
@@ -554,9 +558,14 @@ impl<'a> Autoscaler<'a> {
     }
 }
 
-impl Component<SchedEvent> for Autoscaler<'_> {
-    fn on_event(&mut self, _event: Event<SchedEvent>, ctx: &mut Ctx<'_, SchedEvent>) {
-        let now = ctx.now();
+impl TimedSource for Autoscaler<'_> {
+    const CLASS: u8 = PRIO_STATE;
+
+    fn next_time(&self) -> Option<Micros> {
+        self.next_wake
+    }
+
+    fn fire(&mut self, now: Micros, _ctx: &mut Ctx<'_, SchedEvent>) {
         if self.stats.borrow().timeline.is_empty() {
             // First wake: baseline the timeline at the initial fleet
             // (and prefill the warm pool without waiting a cadence).
@@ -572,14 +581,8 @@ impl Component<SchedEvent> for Autoscaler<'_> {
             self.evaluate(now);
         }
         self.record(now);
-        // Next wake: the earlier of the next provisioning completion and
-        // the next evaluation tick, horizon permitting.
-        let mut next = self.next_eval;
-        if let Some(p) = self.provisioning.first() {
-            next = next.min(p.ready_at);
-        }
-        if next <= self.cfg.horizon {
-            ctx.emit_self_prio(next - now, PRIO_STATE, SchedEvent::Wake);
-        }
+        let ready = self.provisioning.first().map(|p| p.ready_at);
+        let next = ready.map_or(self.next_eval, |r| r.min(self.next_eval));
+        self.next_wake = (next <= self.cfg.horizon).then_some(next);
     }
 }

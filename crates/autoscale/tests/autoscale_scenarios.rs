@@ -12,9 +12,9 @@ use ctlm_autoscale::{
     AutoscaleConfig, AutoscalePolicy, AutoscaleStats, Autoscaler, MachineTemplate, Predictive,
     ProvisionDelay, TargetTracking, ThresholdStep,
 };
-use ctlm_sched::engine::{SimConfig, Simulator, PRIO_STATE};
+use ctlm_sched::engine::{SimConfig, Simulator};
 use ctlm_sched::scenario::{ChurnAction, ChurnPlan, ChurnSource};
-use ctlm_sched::{OwnershipGuard, PendingTask, SchedCluster, SchedEvent, SimResult};
+use ctlm_sched::{attach, OwnershipGuard, PendingTask, SchedCluster, SimResult};
 use ctlm_trace::{Machine, Micros};
 
 fn fleet(n: usize) -> SchedCluster {
@@ -62,19 +62,10 @@ fn run_autoscaled(
     let guard = OwnershipGuard::new();
     if let Some(plan) = churn {
         let source = ChurnSource::new(plan, harness.engine).with_guard(guard.clone());
-        let first = source.first_time();
-        let id = harness.sim.add_component("churn", source);
-        if let Some(t) = first {
-            harness
-                .sim
-                .schedule_prio(t, PRIO_STATE, id, id, SchedEvent::Wake);
-        }
+        attach(&mut harness.sim, "churn", source);
     }
     let (scaler, stats) = Autoscaler::new(cfg, policy, harness.state(), guard);
-    let id = harness.sim.add_component("autoscaler", scaler);
-    harness
-        .sim
-        .schedule_prio(0, PRIO_STATE, id, id, SchedEvent::Wake);
+    attach(&mut harness.sim, "autoscaler", scaler);
     let (cluster, result) = harness.run();
     let stats = Rc::try_unwrap(stats)
         .map(RefCell::into_inner)

@@ -17,10 +17,10 @@ use ctlm_autoscale::{
     AutoscaleConfig, AutoscalePolicy, Autoscaler, Predictive, ProvisionDelay, Signals,
     TargetTracking, ThresholdStep,
 };
-use ctlm_sched::engine::{SimConfig, Simulator, PRIO_STATE};
+use ctlm_sched::engine::{SimConfig, Simulator};
 use ctlm_sched::placement::{best_fit, Placement};
 use ctlm_sched::scheduler::MainOnly;
-use ctlm_sched::{OwnershipGuard, PendingTask, SchedCluster, SchedEvent};
+use ctlm_sched::{attach, OwnershipGuard, PendingTask, SchedCluster};
 use ctlm_trace::Machine;
 
 /// A rotating, deterministic signal mix: idle, loaded, backlogged.
@@ -152,10 +152,7 @@ fn bench_elastic_small(c: &mut Criterion) {
                 harness.state(),
                 OwnershipGuard::new(),
             );
-            let id = harness.sim.add_component("autoscaler", scaler);
-            harness
-                .sim
-                .schedule_prio(0, PRIO_STATE, id, id, SchedEvent::Wake);
+            attach(&mut harness.sim, "autoscaler", scaler);
             let (_, result) = harness.run();
             let peak = stats.borrow().peak_active();
             assert!(peak > 3, "the burst must grow the fleet");

@@ -16,11 +16,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ctlm_autoscale::{AutoscaleConfig, Autoscaler, ProvisionDelay, ThresholdStep};
-use ctlm_sched::engine::{SimConfig, Simulator, PRIO_STATE};
+use ctlm_sched::engine::{SimConfig, Simulator};
 use ctlm_sched::faults::{ExponentialBackoff, FaultPlan, FaultPlane, FixedRetry, RetryPolicy};
-use ctlm_sched::scenario::attach_source;
 use ctlm_sched::scheduler::MainOnly;
-use ctlm_sched::{OwnershipGuard, PendingTask, SchedCluster, SchedEvent};
+use ctlm_sched::{attach, OwnershipGuard, PendingTask, SchedCluster};
 use ctlm_trace::Machine;
 
 /// Prices one retry decision: 16 policy calls across a rotating attempt
@@ -115,9 +114,9 @@ fn bench_crash_recovery_roundtrip(c: &mut Criterion) {
                 (10_000_000, 50_000_000),
                 20_000_000,
             );
-            let plane = FaultPlane::new(plan, harness.engine).with_guard(guard.clone());
-            let first = plane.first_time();
-            attach_source(&mut harness, "faults", plane, first, PRIO_STATE);
+            let plane =
+                FaultPlane::new(plan, harness.engine, harness.state()).with_guard(guard.clone());
+            attach(&mut harness.sim, "faults", plane);
             let cfg = AutoscaleConfig {
                 warm_pool: 1,
                 delay: ProvisionDelay::Fixed(3_000_000),
@@ -129,10 +128,7 @@ fn bench_crash_recovery_roundtrip(c: &mut Criterion) {
                 harness.state(),
                 guard,
             );
-            let id = harness.sim.add_component("autoscaler", scaler);
-            harness
-                .sim
-                .schedule_prio(0, PRIO_STATE, id, id, SchedEvent::Wake);
+            attach(&mut harness.sim, "autoscaler", scaler);
             let state = harness.state();
             let (_, result) = harness.run();
             let lost = state

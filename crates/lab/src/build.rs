@@ -165,21 +165,24 @@ pub fn build_cell(
             c.outage,
         )
     });
-    let gangs = build_gangs(scenario, id_base);
+    let gangs = build_gangs(scenario, id_base)?;
     let rollout = scenario.rollout.as_ref().map(|r| {
         let stages = r.stages.max(1);
         let chunk = machine_ids.len().div_ceil(stages);
-        let stages: Vec<RolloutStage> = machine_ids
+        let stages = machine_ids
             .chunks(chunk.max(1))
             .enumerate()
-            .map(|(k, ms)| RolloutStage {
-                time: r.start + k as Micros * r.period,
-                machines: ms.to_vec(),
-                value: AttrValue::Int(r.value),
+            .map(|(k, ms)| {
+                Ok(RolloutStage {
+                    time: kth_time("rollout stage", r.start, k, r.period)?,
+                    machines: ms.to_vec(),
+                    value: AttrValue::Int(r.value),
+                })
             })
-            .collect();
-        (r.attr, stages)
+            .collect::<Result<Vec<_>, LabError>>()?;
+        Ok::<_, LabError>((r.attr, stages))
     });
+    let rollout = rollout.transpose()?;
     let autoscale = scenario.autoscale.as_ref().map(|a| {
         // Template default: provision what the cell already runs —
         // the first synthetic machine group's shape (unit capacity for
@@ -255,7 +258,9 @@ pub fn build_cell(
             .map(|l| {
                 (0..l.count.max(1))
                     .map(|k| {
-                        let start = l.start + k as Micros * l.period;
+                        // An outage pushed past the end of time never
+                        // opens: saturate, do not wrap.
+                        let start = l.start.saturating_add(l.period.saturating_mul(k as Micros));
                         (start, start.saturating_add(l.duration))
                     })
                     .collect()
@@ -381,14 +386,30 @@ fn build_synthetic_arrivals(
     Ok(arrivals)
 }
 
+/// `start + k · period`, the time of the `k`-th repetition of `what` —
+/// an error, not a wrapped time, when it does not fit in [`Micros`].
+fn kth_time(what: &str, start: Micros, k: usize, period: Micros) -> Result<Micros, LabError> {
+    period
+        .checked_mul(k as Micros)
+        .and_then(|offset| start.checked_add(offset))
+        .ok_or_else(|| {
+            LabError::msg(format!(
+                "{what} {k}: start {start} + {k} × period {period} overflows the time axis"
+            ))
+        })
+}
+
 /// Gang arrivals from the scenario spec.
-fn build_gangs(scenario: &ScenarioSpec, id_base: u64) -> Vec<(Micros, Vec<PendingTask>)> {
+fn build_gangs(
+    scenario: &ScenarioSpec,
+    id_base: u64,
+) -> Result<Vec<(Micros, Vec<PendingTask>)>, LabError> {
     let Some(g) = &scenario.gangs else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
     (0..g.count)
         .map(|k| {
-            let time = g.start + k as Micros * g.period;
+            let time = kth_time("gang", g.start, k, g.period)?;
             let members = (0..g.size)
                 .map(|m| PendingTask {
                     id: id_base + 600_000_000 + (k * g.size + m) as u64,
@@ -401,7 +422,7 @@ fn build_gangs(scenario: &ScenarioSpec, id_base: u64) -> Vec<(Micros, Vec<Pendin
                     truth_group: 25,
                 })
                 .collect();
-            (time, members)
+            Ok((time, members))
         })
         .collect()
 }

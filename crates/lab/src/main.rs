@@ -12,11 +12,11 @@
 //! pretty-printed JSON, `--json` replaces the summary with the report on
 //! stdout, `--seed` overrides the spec's `sim.seed` (and any sweep seed
 //! list), and `--threads` overrides `execution.threads` (worker threads
-//! for multi-cell shard execution; results never depend on it).
+//! for shard execution; results never depend on it).
 //! Reports carry a `_meta` block with the run's peak RSS, allocator
-//! high-water mark, host fingerprint, and (multi-cell runs) the `_perf`
-//! per-shard wall-clock profile; `--no-meta` omits all of it so two
-//! reports can be compared byte for byte.
+//! high-water mark, host fingerprint, and the `_perf` per-shard
+//! wall-clock profile (one shard for a single-cell spec); `--no-meta`
+//! omits all of it so two reports can be compared byte for byte.
 //!
 //! `--metrics <path>` writes the deterministic sim-plane telemetry
 //! registry (engine placement/admission counters, queue-depth

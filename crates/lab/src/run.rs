@@ -1,24 +1,26 @@
 //! Spec → one assembled kernel run.
 //!
-//! Single-cell specs assemble the classic single-timeline harness: the
-//! cell's components attach to one `ctlm-sim` [`Sim`] and
-//! `run_until(horizon)` drives it. Multi-cell specs run **epoch-sharded**:
-//! every cell becomes its own kernel shard (its own clock and event
-//! queue) hosted on a [`ParallelSim`] coordinator, which advances all
-//! shards epoch by epoch on the rayon pool — `execution.threads` wide —
-//! and exchanges cross-cell traffic only at epoch barriers. The only
-//! cross-cell traffic is spillover: each cell's arrival feed (attached
-//! with `spill`) emits [`SchedEvent::SpillRequest`] outbox entries for
-//! tasks its home cell cannot admit, and the barrier hook here routes
-//! them (home cell or a feasible sibling, per the spillover policy) in
-//! the coordinator's deterministic `(time, priority, shard, seq)` merge
-//! order, telling the home engine each verdict with one
-//! [`EngineState::resolve_spill`] call. Everything else — churn,
-//! autoscalers with their ownership guards, gang and rollout sources,
-//! in-timeline retraining — is per-cell state and stays inside its
-//! shard, which is what makes dispatching shards to worker threads
-//! sound (see the `ctlm_sim::parallel` island invariant). Model
-//! registries are `Arc`-based and safe to hot-swap from a shard.
+//! There is one run path. Every spec, one cell or many, runs
+//! **epoch-sharded**: every cell becomes its own kernel shard (its own
+//! [`Sim`]: clock, event queue, components) hosted on a [`ParallelSim`]
+//! coordinator, which advances all shards epoch by epoch on the rayon
+//! pool — `execution.threads` wide — and exchanges cross-cell traffic
+//! only at epoch barriers. A one-cell spec is one shard with nothing to
+//! exchange: its event sequence is the plain `run_until(horizon)` one.
+//! The only cross-cell traffic is spillover: each cell's arrival feed
+//! (attached with `spill`) emits [`SchedEvent::SpillRequest`] outbox
+//! entries for tasks its home cell cannot admit, and the barrier hook
+//! here routes them (home cell or a feasible sibling, per the spillover
+//! policy) in the coordinator's deterministic `(time, priority, shard,
+//! seq)` merge order, telling the home engine each verdict with one
+//! [`EngineState::resolve_spill`] call. Everything else — churn, the
+//! fault plane, autoscalers with their ownership guards, gang and
+//! rollout sources, in-timeline retraining: each a [`TimedSource`] put
+//! on the cell's timeline by the one [`attach`] — is per-cell state and
+//! stays inside its shard, which is what makes dispatching shards to
+//! worker threads sound (see the `ctlm_sim::parallel` island
+//! invariant). Model registries are `Arc`-based and safe to hot-swap
+//! from a shard.
 //!
 //! Arrivals reach a cell through the one
 //! [`Simulator::attach_cell`] entry point, as a borrowed list or as a
@@ -26,9 +28,9 @@
 //! [`run_scheduler_observed`] from what the spec needs (see
 //! [`ArrivalMode`]), never by the user.
 //!
-//! Because multi-cell specs *always* run the epoch-sharded semantics
-//! (thread count only changes which OS thread runs a shard), reports
-//! are bit-identical for any `execution.threads` value.
+//! Because the epoch-sharded semantics never depend on the thread count
+//! (it only changes which OS thread runs a shard), reports are
+//! bit-identical for any `execution.threads` value.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -41,11 +43,13 @@ use ctlm_data::encode::co_vv::CoVvEncoder;
 use ctlm_data::vocab::ValueVocab;
 use ctlm_sched::engine::{CellHandle, EngineState, SpillRoute, PRIO_ADMIT, PRIO_STATE};
 use ctlm_sched::scenario::{ChurnSource, GangSource, RolloutSource};
+use ctlm_sched::timed::next_tick;
 use ctlm_sched::{
-    Arrivals, EngineStats, ExponentialBackoff, FaultPlane, FaultStats, FixedRetry, OwnershipGuard,
-    PendingTask, RetryPolicy, SchedCluster, SchedEvent, Scheduler, SimResult, Simulator,
+    attach, Arrivals, EngineStats, ExponentialBackoff, FaultPlane, FaultStats, FixedRetry,
+    OwnershipGuard, PendingTask, RetryPolicy, SchedCluster, SchedEvent, Scheduler, SimResult,
+    Simulator, TimedSource,
 };
-use ctlm_sim::{Component, Ctx, EpochAutotune, Event, LaneStats, ParallelPerf, ParallelSim, Sim};
+use ctlm_sim::{Ctx, EpochAutotune, LaneStats, ParallelPerf, ParallelSim, Sim};
 use ctlm_telemetry::{SpanLog, TraceRing};
 use ctlm_trace::Micros;
 
@@ -53,7 +57,7 @@ use crate::build::{build_cell, BuiltArrivals, BuiltCell, CELL_ID_STRIDE};
 use crate::registry::{
     build_autoscale_policy, build_placer, build_scheduler, train_config, SchedulerInstance,
 };
-use crate::spec::{ExperimentSpec, SpilloverPolicy, WorkloadSpec};
+use crate::spec::{ExperimentSpec, RetrainSpec, SpilloverPolicy, WorkloadSpec};
 use crate::stream::SyntheticStream;
 use crate::LabError;
 
@@ -156,24 +160,16 @@ fn attach_full_cell<'a>(
         )?)),
     };
     let handle = simulator.attach_cell(sim, &cell.name, cluster, arrivals, scheduler, spillover);
-    // The flight recorder is per-cell state behind the engine handle;
-    // the fault plane shares the log so crash provenance lands next to
-    // the task lifecycle it explains (the autoscaler records through
-    // the engine state it already holds).
-    let spans = spec
-        .observability
-        .spans
-        .then(|| handle.state().borrow_mut().enable_spans());
+    if spec.observability.spans {
+        handle.state().borrow_mut().enable_spans();
+    }
+    let part = |what: &str| format!("{}/{what}", cell.name);
     // Churn and the autoscaler mutate the same fleet; the shared
     // guard keeps them off each other's machines.
     let guard = OwnershipGuard::new();
     if let Some(plan) = &cell.churn {
         let churn = ChurnSource::new(plan.clone(), handle.engine).with_guard(guard.clone());
-        let first = churn.first_time();
-        let id = sim.add_component(format!("{}/churn", cell.name), churn);
-        if let Some(t) = first {
-            sim.schedule_prio(t, PRIO_STATE, id, id, SchedEvent::Wake);
-        }
+        attach(sim, part("churn"), churn);
     }
     // The fault plane shares the guard too: a crash override-claims the
     // machine, voiding any in-flight drain or provision claim.
@@ -195,43 +191,28 @@ fn attach_full_cell<'a>(
             policy,
             spec.sim.seed ^ (cell.index as u64).wrapping_mul(0x9E37_79B9),
         );
-        let mut plane = FaultPlane::new(bf.plan.clone(), handle.engine).with_guard(guard.clone());
+        let mut plane = FaultPlane::new(bf.plan.clone(), handle.engine, handle.state())
+            .with_guard(guard.clone());
         if let Some(reg) = registry {
             plane = plane.with_registry(reg.clone());
         }
-        if let Some(s) = &spans {
-            plane = plane.with_spans(s.clone());
-        }
-        let first = plane.first_time();
-        let id = sim.add_component(format!("{}/faults", cell.name), plane);
-        if let Some(t) = first {
-            sim.schedule_prio(t, PRIO_STATE, id, id, SchedEvent::Wake);
-        }
+        attach(sim, part("faults"), plane);
     }
     let mut autoscale_stats = None;
     if let Some(auto) = &cell.autoscale {
         let policy =
             build_autoscale_policy(&auto.policy, &auto.params, &spec.sim, &auto.config.template)?;
         let (scaler, stats) = Autoscaler::new(auto.config.clone(), policy, handle.state(), guard);
-        let id = sim.add_component(format!("{}/autoscaler", cell.name), scaler);
-        sim.schedule_prio(0, PRIO_STATE, id, id, SchedEvent::Wake);
+        attach(sim, part("autoscaler"), scaler);
         autoscale_stats = Some(stats);
     }
     if !cell.gangs.is_empty() {
         let gangs = GangSource::new(cell.gangs.clone(), handle.engine);
-        let first = gangs.first_time();
-        let id = sim.add_component(format!("{}/gangs", cell.name), gangs);
-        if let Some(t) = first {
-            sim.schedule_prio(t, PRIO_ADMIT, id, id, SchedEvent::Wake);
-        }
+        attach(sim, part("gangs"), gangs);
     }
     if let Some((attr, stages)) = &cell.rollout {
         let rollout = RolloutSource::new(*attr, stages.clone(), handle.engine);
-        let first = rollout.first_time();
-        let id = sim.add_component(format!("{}/rollout", cell.name), rollout);
-        if let Some(t) = first {
-            sim.schedule_prio(t, PRIO_STATE, id, id, SchedEvent::Wake);
-        }
+        attach(sim, part("rollout"), rollout);
     }
     // In-timeline retraining: only meaningful when the scheduler reads a
     // registry (`live_registry`); otherwise the cadence is inert.
@@ -240,17 +221,11 @@ fn attach_full_cell<'a>(
             cell,
             registry.clone(),
             train_config(&spec.train),
-            retrain.period,
+            retrain,
             horizon,
             spec.sim.seed,
         );
-        let first = if retrain.start > 0 {
-            retrain.start
-        } else {
-            retrain.period
-        };
-        let id = sim.add_component(format!("{}/retrain", cell.name), source);
-        sim.schedule_prio(first, PRIO_STATE, id, id, SchedEvent::Wake);
+        attach(sim, part("retrain"), source);
     }
     Ok((handle, autoscale_stats))
 }
@@ -300,8 +275,7 @@ fn route_spill(
 
 /// Runs the spec once under the named scheduler, returning per-cell
 /// outcomes plus the wall-clock shard profile when the spec's
-/// `observability.profile` knob is on (multi-cell runs only —
-/// single-timeline runs have no shards or barriers to time).
+/// `observability.profile` knob is on.
 pub fn run_scheduler_observed(
     spec: &ExperimentSpec,
     sched_name: &str,
@@ -350,158 +324,119 @@ pub fn run_scheduler_observed(
     let mut spills = vec![(0usize, 0usize); built.len()];
     let mut link_timeouts = vec![0u64; built.len()];
     let trace_capacity = spec.observability.trace_events;
-    let mut lanes = vec![LaneStats::default(); built.len()];
-    let mut perf: Option<ParallelPerf> = None;
 
-    if built.len() == 1 {
-        // Single cell: the classic one-timeline harness, no coordination.
-        let mut sim: Sim<'_, SchedEvent> = Sim::new();
-        for (((cell, simulator), instance), cluster) in built
-            .iter()
-            .zip(&simulators)
-            .zip(instances.iter_mut())
-            .zip(clusters)
-        {
-            let (handle, stats) = attach_full_cell(
-                &mut sim,
-                spec,
-                cell,
-                simulator,
-                instance.scheduler.as_mut(),
-                &registries[0],
-                cluster,
-                false,
-            )?;
-            handles.push(handle);
-            autoscale_stats.push(stats);
-        }
-        if trace_capacity > 0 {
-            handles[0].state().borrow_mut().enable_trace(trace_capacity);
-        }
-        sim.run_until(horizon);
-        lanes[0] = sim.lane_stats();
-        drop(sim);
-    } else {
-        // Multi-cell: one kernel shard per cell under the epoch-barrier
-        // coordinator. Always — so `execution.threads` can never change
-        // the simulated outcome, only the wall clock.
-        let mut psim: ParallelSim<'_, SchedEvent> =
-            ParallelSim::new(spec.execution.epoch_us.initial(), spec.execution.threads);
-        if spec.execution.epoch_us.is_auto() {
-            psim.set_autotune(EpochAutotune::default());
-        }
-        if spec.observability.profile {
-            psim.enable_profiling();
-        }
-        for ((((cell, simulator), instance), registry), cluster) in built
-            .iter()
-            .zip(&simulators)
-            .zip(instances.iter_mut())
-            .zip(&registries)
-            .zip(clusters)
-        {
-            let mut sim: Sim<'_, SchedEvent> = Sim::new();
-            let (handle, stats) = attach_full_cell(
-                &mut sim,
-                spec,
-                cell,
-                simulator,
-                instance.scheduler.as_mut(),
-                registry,
-                cluster,
-                route_all,
-            )?;
-            psim.add_shard(sim);
-            handles.push(handle);
-            autoscale_stats.push(stats);
-        }
-        let engines: Vec<_> = handles.iter().map(|h| h.engine).collect();
-        let states: Vec<_> = handles.iter().map(|h| h.state()).collect();
-        if trace_capacity > 0 {
-            for state in &states {
-                state.borrow_mut().enable_trace(trace_capacity);
-            }
-        }
-        let policy = spec.spillover;
-        // Per-cell outbound link-outage windows from the fault plane —
-        // pure spec data, so timeout decisions are thread-count-free.
-        let outages: Vec<&[(Micros, Micros)]> = built
-            .iter()
-            .map(|c| {
-                c.faults
-                    .as_ref()
-                    .map(|f| f.outages.as_slice())
-                    .unwrap_or(&[])
-            })
-            .collect();
-        psim.run_until(horizon, |bound, msgs, shards| {
-            // Spill requests arrive merged in (time, priority, shard,
-            // seq) order; injections below preserve it as queue order in
-            // each target shard, so delivery is independent of how the
-            // epoch's shards were scheduled onto workers.
-            for msg in msgs {
-                let SchedEvent::SpillRequest(idx) = msg.payload else {
-                    continue;
-                };
-                let home = msg.shard;
-                // A spill emitted inside one of its cell's link-outage
-                // windows times out at the barrier: it never reaches a
-                // sibling, bouncing back to the home queue once the
-                // outage clears (re-admission behind the backlog). Any
-                // other lands in the cell `route_spill` picks, at the
-                // barrier — never before the horizon guard: near-horizon
-                // spills still get admitted so the engine counts them
-                // placed-or-unplaced like any queued task.
-                let mut outages = outages[home].iter();
-                let (route, target, at) =
-                    match outages.find(|&&(s, e)| msg.time >= s && msg.time < e) {
-                        Some(&(_, end)) => {
-                            link_timeouts[home] += 1;
-                            let at = end.clamp(bound.min(horizon), horizon);
-                            (SpillRoute::LinkTimeout, home, at)
-                        }
-                        None => {
-                            // The home engine's arena resolves the index
-                            // whether the task came from a borrowed list or a
-                            // streamed chunk.
-                            let state = states[home].borrow();
-                            let target = route_spill(&states, policy, home, state.task(idx));
-                            let route = if target == home {
-                                SpillRoute::Home
-                            } else {
-                                SpillRoute::Sibling
-                            };
-                            (route, target, bound.min(horizon))
-                        }
-                    };
-                // Home admission stays an arena index — no clone. A
-                // sibling gets a clone, the task's new home; resolving
-                // then retires the home arena slot (a no-op for list-fed
-                // cells).
-                let mut state = states[home].borrow_mut();
-                let event = if route == SpillRoute::Sibling {
-                    spills[target].0 += 1;
-                    spills[home].1 += 1;
-                    SchedEvent::Admit(Box::new(state.task(idx).clone()))
-                } else {
-                    SchedEvent::Arrival(idx)
-                };
-                state.resolve_spill(idx, at, route, target);
-                shards[target].schedule_prio(
-                    at,
-                    PRIO_ADMIT,
-                    engines[target],
-                    engines[target],
-                    event,
-                );
-            }
-        });
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            *lane = psim.shard(i).lane_stats();
-        }
-        perf = psim.perf().cloned();
-        drop(psim);
+    // One kernel shard per cell under the epoch-barrier coordinator.
+    // Always — so `execution.threads` can never change the simulated
+    // outcome, only the wall clock.
+    let mut psim: ParallelSim<'_, SchedEvent> =
+        ParallelSim::new(spec.execution.epoch_us.initial(), spec.execution.threads);
+    if spec.execution.epoch_us.is_auto() {
+        psim.set_autotune(EpochAutotune::default());
     }
+    if spec.observability.profile {
+        psim.enable_profiling();
+    }
+    for ((((cell, simulator), instance), registry), cluster) in built
+        .iter()
+        .zip(&simulators)
+        .zip(instances.iter_mut())
+        .zip(&registries)
+        .zip(clusters)
+    {
+        let mut sim: Sim<'_, SchedEvent> = Sim::new();
+        let (handle, stats) = attach_full_cell(
+            &mut sim,
+            spec,
+            cell,
+            simulator,
+            instance.scheduler.as_mut(),
+            registry,
+            cluster,
+            route_all,
+        )?;
+        psim.add_shard(sim);
+        handles.push(handle);
+        autoscale_stats.push(stats);
+    }
+    let engines: Vec<_> = handles.iter().map(|h| h.engine).collect();
+    let states: Vec<_> = handles.iter().map(|h| h.state()).collect();
+    if trace_capacity > 0 {
+        for state in &states {
+            state.borrow_mut().enable_trace(trace_capacity);
+        }
+    }
+    let policy = spec.spillover;
+    // Per-cell outbound link-outage windows from the fault plane —
+    // pure spec data, so timeout decisions are thread-count-free.
+    let outages: Vec<&[(Micros, Micros)]> = built
+        .iter()
+        .map(|c| {
+            c.faults
+                .as_ref()
+                .map(|f| f.outages.as_slice())
+                .unwrap_or(&[])
+        })
+        .collect();
+    psim.run_until(horizon, |bound, msgs, shards| {
+        // Spill requests arrive merged in (time, priority, shard,
+        // seq) order; injections below preserve it as queue order in
+        // each target shard, so delivery is independent of how the
+        // epoch's shards were scheduled onto workers.
+        for msg in msgs {
+            let SchedEvent::SpillRequest(idx) = msg.payload else {
+                continue;
+            };
+            let home = msg.shard;
+            // A spill emitted inside one of its cell's link-outage
+            // windows times out at the barrier: it never reaches a
+            // sibling, bouncing back to the home queue once the
+            // outage clears (re-admission behind the backlog). Any
+            // other lands in the cell `route_spill` picks, at the
+            // barrier — never before the horizon guard: near-horizon
+            // spills still get admitted so the engine counts them
+            // placed-or-unplaced like any queued task.
+            let mut outages = outages[home].iter();
+            let (route, target, at) = match outages.find(|&&(s, e)| msg.time >= s && msg.time < e) {
+                Some(&(_, end)) => {
+                    link_timeouts[home] += 1;
+                    let at = end.clamp(bound.min(horizon), horizon);
+                    (SpillRoute::LinkTimeout, home, at)
+                }
+                None => {
+                    // The home engine's arena resolves the index
+                    // whether the task came from a borrowed list or a
+                    // streamed chunk.
+                    let state = states[home].borrow();
+                    let target = route_spill(&states, policy, home, state.task(idx));
+                    let route = if target == home {
+                        SpillRoute::Home
+                    } else {
+                        SpillRoute::Sibling
+                    };
+                    (route, target, bound.min(horizon))
+                }
+            };
+            // Home admission stays an arena index — no clone. A
+            // sibling gets a clone, the task's new home; resolving
+            // then retires the home arena slot (a no-op for list-fed
+            // cells).
+            let mut state = states[home].borrow_mut();
+            let event = if route == SpillRoute::Sibling {
+                spills[target].0 += 1;
+                spills[home].1 += 1;
+                SchedEvent::Admit(Box::new(state.task(idx).clone()))
+            } else {
+                SchedEvent::Arrival(idx)
+            };
+            state.resolve_spill(idx, at, route, target);
+            shards[target].schedule_prio(at, PRIO_ADMIT, engines[target], engines[target], event);
+        }
+    });
+    let lanes: Vec<LaneStats> = (0..built.len())
+        .map(|i| psim.shard(i).lane_stats())
+        .collect();
+    let perf = psim.perf().cloned();
+    drop(psim);
 
     let outcomes = handles
         .iter()
@@ -515,25 +450,6 @@ pub fn run_scheduler_observed(
             let state = handle.state();
             let state = state.borrow();
             let fstats = state.fault_stats().cloned();
-            if let Some(fs) = &fstats {
-                // Task conservation: every loss event scheduled a retry
-                // or dead-lettered, and every dead-letter reached the
-                // result's terminal counter — no silently hung tasks.
-                assert_eq!(
-                    fs.dead_lettered as usize, result.failed_permanently,
-                    "cell {:?}: dead-letter stats and result disagree",
-                    cell.name
-                );
-                assert!(
-                    fs.retries_scheduled + fs.dead_lettered >= fs.tasks_lost,
-                    "cell {:?}: lost tasks unaccounted for \
-                     (lost {} > retried {} + dead-lettered {})",
-                    cell.name,
-                    fs.tasks_lost,
-                    fs.retries_scheduled,
-                    fs.dead_lettered
-                );
-            }
             let recovery = cell.faults.as_ref().map(|bf| {
                 let fs = fstats.clone().unwrap_or_default();
                 crate::report::RecoveryReport {
@@ -574,7 +490,7 @@ pub fn run_scheduler_observed(
 /// One training row: `(arrival time, sparse CO-VV entries, label)`.
 type LabeledRow = (Micros, Vec<(usize, f32)>, u8);
 
-/// The online-retraining scenario component: every `period`, retrain on
+/// The online-retraining scenario source: every `period`, retrain on
 /// the arrivals observed so far and hot-swap the result into the run's
 /// [`ModelRegistry`] — the declarative form of the paper's
 /// replay-retrain-schedule loop. Training happens synchronously on the
@@ -586,6 +502,7 @@ pub struct RetrainSource {
     vocab: ValueVocab,
     model: GrowingModel,
     registry: ModelRegistry,
+    next: Option<Micros>,
     period: Micros,
     horizon: Micros,
     seed: u64,
@@ -594,12 +511,13 @@ pub struct RetrainSource {
 }
 
 impl RetrainSource {
-    /// Builds the component from a cell's arrival population.
+    /// Builds the source from a cell's arrival population; the first
+    /// tick is at `cadence.start`, or one period in when that is 0.
     pub fn new(
         cell: &BuiltCell,
         registry: ModelRegistry,
         config: TrainConfig,
-        period: Micros,
+        cadence: &RetrainSpec,
         horizon: Micros,
         seed: u64,
     ) -> Self {
@@ -624,7 +542,12 @@ impl RetrainSource {
             vocab: cell.vocab.clone(),
             model: GrowingModel::new(config),
             registry,
-            period,
+            next: Some(if cadence.start > 0 {
+                cadence.start
+            } else {
+                cadence.period
+            }),
+            period: cadence.period,
             horizon,
             seed,
             trained_upto: 0,
@@ -633,9 +556,14 @@ impl RetrainSource {
     }
 }
 
-impl Component<SchedEvent> for RetrainSource {
-    fn on_event(&mut self, _event: Event<SchedEvent>, ctx: &mut Ctx<'_, SchedEvent>) {
-        let now = ctx.now();
+impl TimedSource for RetrainSource {
+    const CLASS: u8 = PRIO_STATE;
+
+    fn next_time(&self) -> Option<Micros> {
+        self.next
+    }
+
+    fn fire(&mut self, now: Micros, _ctx: &mut Ctx<'_, SchedEvent>) {
         let seen = self.rows.partition_point(|&(t, ..)| t <= now);
         if seen >= RETRAIN_MIN_ROWS && seen > self.trained_upto {
             self.trained_upto = seen;
@@ -650,8 +578,6 @@ impl Component<SchedEvent> for RetrainSource {
                 .install(TaskCoAnalyzer::new(self.model.to_net(), self.vocab.clone()));
             self.ticks += 1;
         }
-        if now + self.period <= self.horizon {
-            ctx.emit_self_prio(self.period, PRIO_STATE, SchedEvent::Wake);
-        }
+        self.next = next_tick(now, self.period, self.horizon);
     }
 }

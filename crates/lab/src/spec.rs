@@ -60,9 +60,9 @@ pub struct ExperimentSpec {
     /// `live_registry` retraining).
     #[serde(default)]
     pub train: TrainSpec,
-    /// Parallel-execution knobs for multi-cell runs (thread count and
-    /// epoch length). Ignored by single-cell specs, which run on one
-    /// timeline. Results never depend on `threads`.
+    /// Parallel-execution knobs (thread count and epoch length). A
+    /// single-cell spec is one shard: neither knob can change its
+    /// results. Results never depend on `threads`.
     #[serde(default)]
     pub execution: ExecutionSpec,
     /// Observability knobs: deterministic metrics collection, bounded
@@ -139,7 +139,22 @@ impl ExperimentSpec {
         // Contradictory soft-affinity terms fail at parse time, not
         // mid-sweep.
         crate::registry::soft_requirements(&self.placers.soft)?;
+        // A zero period never leaves the instant it fires at.
+        if self.sim.cycle == 0 {
+            return Err(LabError::msg("`sim.cycle` must be > 0"));
+        }
         for cell in self.cell_specs() {
+            if cell
+                .scenario
+                .retrain
+                .as_ref()
+                .is_some_and(|r| r.period == 0)
+            {
+                return Err(LabError::msg(format!(
+                    "cell {:?}: retrain period must be > 0",
+                    cell.name
+                )));
+            }
             let Some(auto) = &cell.scenario.autoscale else {
                 continue;
             };
@@ -812,9 +827,9 @@ impl Default for TrainSpec {
     }
 }
 
-/// Parallel-execution knobs for multi-cell runs. Multi-cell specs
-/// always run the epoch-sharded semantics — one kernel shard per cell,
-/// synchronised at epoch barriers — so these knobs tune *wall-clock*
+/// Parallel-execution knobs. Every spec runs the epoch-sharded
+/// semantics — one kernel shard per cell, synchronised at epoch
+/// barriers — so these knobs tune *wall-clock*
 /// behaviour only; for a fixed (spec, seed, `epoch_us`), reports are
 /// bit-identical for every `threads` value. A partial `execution`
 /// object keeps the defaults below for the fields it omits.
@@ -920,7 +935,7 @@ pub struct ObservabilitySpec {
     /// overwrites in place, so tracing keeps the zero-allocation pass
     /// contract. `ctlm-lab --trace` enables it at a default capacity.
     pub trace_events: usize,
-    /// Profile multi-cell runs on the wall clock: per-shard `run_before`
+    /// Profile runs on the wall clock: per-shard `run_before`
     /// time, derived barrier wait, and coordinator outbox-drain time per
     /// epoch round. Host-dependent — emitted only into `_meta._perf`.
     pub profile: bool,

@@ -74,6 +74,27 @@ fn identical_spec_and_seed_give_bit_identical_reports() {
 }
 
 #[test]
+fn a_single_cell_is_one_shard_whatever_the_threads_and_epoch() {
+    // A one-cell spec runs as one shard under the epoch coordinator
+    // like any other: with no sibling to exchange with, neither the
+    // worker count nor where the barriers fall may move a report byte.
+    let mut spec = ExperimentSpec::from_json(&busy_spec()).expect("busy spec parses");
+    let mut reports = Vec::new();
+    for (threads, epoch_us) in [
+        (1, "1000000"),
+        (4, "1000000"),
+        (4, "70000"),
+        (1, "\"auto\""),
+    ] {
+        spec.execution.threads = threads;
+        spec.execution.epoch_us = serde_json::from_str(epoch_us).expect("epoch spec");
+        let report = run_spec(&spec).expect("single-cell run");
+        reports.push(to_pretty_json(&Serialize::to_value(&report)));
+    }
+    assert!(reports.iter().all(|r| *r == reports[0]));
+}
+
+#[test]
 fn oracle_beats_main_only_from_spec_alone() {
     let report = run_spec_json(&busy_spec()).expect("run");
     for row_pair in report.summary.chunks(2) {

@@ -1,9 +1,9 @@
 //! The parallel-execution determinism contract, pinned: for a given
 //! (spec, seed, epoch length), lab reports are **bit-identical** for any
-//! `execution.threads` value. Multi-cell specs always run the
-//! epoch-sharded semantics, so thread count can only move work between
-//! OS threads — never reorder events; single-cell specs ignore the knob
-//! entirely. Every checked-in experiment spec is covered (the scaled
+//! `execution.threads` value. Every spec — a one-cell spec is one shard
+//! — runs the epoch-sharded semantics, so thread count can only move
+//! work between OS threads, never reorder events. Every checked-in
+//! experiment spec is covered (the scaled
 //! scenarios under `experiments/scale/` are release-profile material and
 //! excluded).
 

@@ -142,19 +142,78 @@ fn the_retired_arrival_switch_is_an_unknown_argument() {
     let retired = concat!("--", "materialised");
     let spec = experiments_dir().join("streaming_smoke.json");
     let spec = spec.to_str().expect("utf-8 path");
-    let malformed = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("malformed_spec.json");
-    std::fs::write(&malformed, "{\"name\": ").expect("scratch file");
-    let malformed = malformed.to_str().expect("utf-8 path");
+    let scratch = |name: &str, text: &str| {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+        std::fs::write(&path, text).expect("scratch file");
+        path.to_str().expect("utf-8 path").to_string()
+    };
+    let malformed = scratch("malformed_spec.json", "{\"name\": ");
+    // One valid single-cell spec, bent one field at a time into the
+    // shapes that used to hang (a zero period) or wrap (a period that
+    // overflows the time axis by its second repetition).
+    let bent = |name: &str, scheduler: &str, cycle: u64, scenario: &str| {
+        let text = format!(
+            r#"{{"name": "bent", "schedulers": ["{scheduler}"],
+                "sim": {{"cycle": {cycle}, "attempts_per_cycle": 3, "mean_runtime": 5000000,
+                         "horizon": 60000000, "seed": 7}},
+                "workload": {{"Synthetic": {{
+                    "machines": [{{"count": 4, "cpu": 1.0, "memory": 1.0}}],
+                    "tasks": 40, "arrival": {{"Uniform": {{"gap": 30000}}}}}}}},
+                "scenario": {{{scenario}}}}}"#
+        );
+        scratch(name, &text)
+    };
+    let forever = u64::MAX;
+    let cycle_zero = bent("cycle_zero.json", "main_only", 0, "");
+    let retrain_zero = bent(
+        "retrain_zero.json",
+        "live_registry",
+        500_000,
+        r#""retrain": {"period": 0}"#,
+    );
+    let gang_overflow = bent(
+        "gang_overflow.json",
+        "main_only",
+        500_000,
+        &format!(
+            r#""gangs": {{"count": 3, "size": 2, "start": 1000000, "period": {forever}, "cpu": 0.1}}"#
+        ),
+    );
+    let rollout_overflow = bent(
+        "rollout_overflow.json",
+        "main_only",
+        500_000,
+        &format!(
+            r#""rollout": {{"attr": 1, "value": 5, "stages": 3, "start": 1000000, "period": {forever}}}"#
+        ),
+    );
     for (args, expect) in [
         (&[spec, retired][..], &["unknown argument", retired][..]),
         (&["/nonexistent/spec.json"], &["cannot read spec"]),
-        (&[malformed], &["ctlm-lab: serde"]),
+        (&[&malformed], &["ctlm-lab: serde"]),
         (&[spec, "--seed", "x"], &["--seed needs a number"]),
+        (&[&cycle_zero], &["`sim.cycle` must be > 0"]),
+        (&[&retrain_zero], &["retrain period must be > 0"]),
+        (&[&gang_overflow], &["gang 1", "overflows the time axis"]),
+        (&[&rollout_overflow], &["rollout stage 1", "overflows"]),
     ] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ctlm-lab"))
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_ctlm-lab"))
             .args(args)
-            .output()
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
             .expect("ctlm-lab runs");
+        // A rejected command line returns at once; a minute means the
+        // run went ahead and is spinning at one instant.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while child.try_wait().expect("ctlm-lab polls").is_none() {
+            if std::time::Instant::now() > deadline {
+                child.kill().expect("ctlm-lab stops");
+                panic!("{args:?}: no exit within the wall-clock limit");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("ctlm-lab exits");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");

@@ -18,6 +18,11 @@
 //!   admissions, scheduler passes, task completions, machine churn and
 //!   gang arrivals.
 //!
+//! The first two — like every scenario source, the fault plane and the
+//! autoscaler — are [`TimedSource`]s: they state when they next act and
+//! what they do then, and the one walker behind
+//! [`attach`] wakes and re-arms them.
+//!
 //! This module only *schedules*: it routes, places, draws runtimes and
 //! emits events. What each step of a task's life records — counters,
 //! the result, the retry budget, the flight-recorder span, which arena
@@ -55,10 +60,12 @@ use crate::arena::TaskSlab;
 use crate::cluster::{CapacityFit, SchedCluster};
 use crate::ledger::{Admission, Exit, Ledger, Next, Step, Via};
 pub use crate::ledger::{EngineStats, PlacedRecord, SimResult, SpillRoute};
+use crate::lifecycle::LifecycleOwner;
 use crate::placement::{BestFit, PlaceCtx, Placement, Placer, PreemptiveBestFit};
 use crate::queue::PendingTask;
 use crate::scheduler::Scheduler;
 use crate::stream::{ArrivalFeed, ArrivalStream, Arrivals};
+use crate::timed::{attach, next_tick, TimedSource};
 
 /// Delivery class for completions and machine-state changes — first at a
 /// timestamp.
@@ -330,17 +337,16 @@ impl<'a> EngineState<'a> {
         self.ledger.fault_stats()
     }
 
-    /// Switches on the causal flight recorder and returns a handle to
-    /// the cell's span log (idempotent — repeated calls share one log).
-    /// The fault plane clones the handle to record its crash provenance
-    /// into the same timeline.
+    /// Switches on the causal flight recorder (idempotent). The log is
+    /// the ledger's alone; [`EngineState::take_spans`] hands it over
+    /// after the run.
     ///
     /// Recording is sim-plane only, so the log is byte-identical across
     /// `execution.threads`, and span storage grows only on lifecycle
     /// *transitions* — steady-state scheduling passes update open spans
     /// in place without allocating.
-    pub fn enable_spans(&mut self) -> Rc<RefCell<SpanLog>> {
-        self.ledger.enable_spans()
+    pub fn enable_spans(&mut self) {
+        self.ledger.enable_spans();
     }
 
     /// Takes the recorded span log out of the engine (after the run),
@@ -364,6 +370,21 @@ impl<'a> EngineState<'a> {
         b: u64,
     ) {
         self.record(now, Step::Control(kind, cause, plan, a, b));
+    }
+
+    /// Records the fault plane's crash provenance — whose lifecycle
+    /// claim on `machine` the crash displaced (`None`: nobody's) — on
+    /// the cell's control track. Called when the crash is decided, ahead
+    /// of its delivery, so the record precedes the `machine_down` span
+    /// it explains. No-op without the flight recorder.
+    pub fn claim_overridden(
+        &mut self,
+        machine: MachineId,
+        now: Micros,
+        by: Option<LifecycleOwner>,
+    ) {
+        let owner = by.map_or("unclaimed", LifecycleOwner::name);
+        self.record(now, Step::ClaimOverridden(machine, owner));
     }
 
     /// Crash events that removed an online machine so far — control
@@ -768,19 +789,24 @@ impl Component<SchedEvent> for EngineComponent<'_> {
     }
 }
 
-/// Fires the scheduler pass every `period` µs up to the horizon.
+/// Fires the scheduler pass every `period` µs, from 0 up to the horizon.
 pub struct CycleTimer {
+    next: Option<Micros>,
     period: Micros,
     horizon: Micros,
     engine: CompId,
 }
 
-impl Component<SchedEvent> for CycleTimer {
-    fn on_event(&mut self, _event: Event<SchedEvent>, ctx: &mut Ctx<'_, SchedEvent>) {
+impl TimedSource for CycleTimer {
+    const CLASS: u8 = PRIO_PASS;
+
+    fn next_time(&self) -> Option<Micros> {
+        self.next
+    }
+
+    fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>) {
         ctx.emit_prio(0, PRIO_PASS, self.engine, SchedEvent::Cycle);
-        if ctx.now() + self.period <= self.horizon {
-            ctx.emit_self_prio(self.period, PRIO_PASS, SchedEvent::Wake);
-        }
+        self.next = next_tick(now, self.period, self.horizon);
     }
 }
 
@@ -794,7 +820,12 @@ pub struct Simulator {
 impl Simulator {
     /// A simulator with the given parameters and the default strategies:
     /// best-fit on the main queue, preemptive best-fit on the HP queue.
+    ///
+    /// # Panics
+    /// Panics when `config.cycle` is 0 — the scheduler pass would never
+    /// leave time 0.
     pub fn new(config: SimConfig) -> Self {
+        assert!(config.cycle > 0, "scheduler pass period must be positive");
         Self {
             config,
             main_placer: Box::new(BestFit),
@@ -866,21 +897,15 @@ impl Simulator {
             },
         );
         state.borrow_mut().engine_id = engine;
-        let mut feed = ArrivalFeed::new(list.len(), stream, state.clone(), engine, spill);
-        let first = feed.first_arrival();
-        let feed = sim.add_component(format!("{name}/arrival_feed"), feed);
-        if let Some(at) = first {
-            sim.schedule_prio(at, PRIO_ADMIT, feed, feed, SchedEvent::Wake);
-        }
-        let timer = sim.add_component(
-            format!("{name}/cycle_timer"),
-            CycleTimer {
-                period: cfg.cycle,
-                horizon: cfg.horizon,
-                engine,
-            },
-        );
-        sim.schedule_prio(0, PRIO_PASS, timer, timer, SchedEvent::Wake);
+        let feed = ArrivalFeed::new(list.len(), stream, state.clone(), engine, spill);
+        attach(sim, format!("{name}/arrival_feed"), feed);
+        let timer = CycleTimer {
+            next: Some(0),
+            period: cfg.cycle,
+            horizon: cfg.horizon,
+            engine,
+        };
+        attach(sim, format!("{name}/cycle_timer"), timer);
         CellHandle { engine, state }
     }
 

@@ -45,12 +45,13 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use ctlm_sim::{CompId, Component, Ctx, Event};
-use ctlm_telemetry::{Histogram, SpanLog};
+use ctlm_sim::{CompId, Ctx};
+use ctlm_telemetry::Histogram;
 use ctlm_trace::{MachineId, Micros};
 
-use crate::engine::{SchedEvent, PRIO_STATE};
+use crate::engine::{EngineState, SchedEvent, PRIO_STATE};
 use crate::lifecycle::{LifecycleOwner, OwnershipGuard};
+use crate::timed::{Plan, TimedSource};
 
 /// Seed mix for fault plans, keeping the fault RNG stream disjoint from
 /// churn (`^ 0xC4012`) and the engine (`^ 0x5C4E_D111`).
@@ -268,40 +269,44 @@ pub struct FaultStats {
 }
 
 /// Walks a [`FaultPlan`], injecting fault events at the engine — the
-/// abrupt sibling of [`ChurnSource`](crate::scenario::ChurnSource).
+/// abrupt sibling of [`ChurnSource`](crate::scenario::ChurnSource), and
+/// like it a [`TimedSource`] put on the timeline by
+/// [`attach`](crate::timed::attach).
 ///
 /// Crashes do not negotiate: where churn's drain skips a machine someone
 /// else holds, a crash [`override_claim`](OwnershipGuard::override_claim)s
 /// it, voiding any in-flight drain or provision claim (the displaced
 /// owner discovers this through
 /// [`release_owned`](OwnershipGuard::release_owned) and must abandon the
-/// machine). Recovery releases the fault claim and restores the machine
-/// empty. Registry faults poison/heal the shared model registry.
-pub struct FaultPlane {
-    plan: FaultPlan,
-    next: usize,
+/// machine). Each crash reports the displaced owner to the cell's engine
+/// ([`EngineState::claim_overridden`](crate::engine::EngineState::claim_overridden))
+/// when the crash is *decided*, ahead of its delivery — the provenance a
+/// post-mortem needs to tell "the fault plane stole this machine from
+/// the autoscaler" from a plain crash. Recovery releases the fault claim
+/// and restores the machine empty. Registry faults poison/heal the
+/// shared model registry.
+pub struct FaultPlane<'a> {
+    plan: Plan<FaultAction>,
     engine: CompId,
+    state: Rc<RefCell<EngineState<'a>>>,
     guard: Option<OwnershipGuard>,
     registry: Option<ctlm_core::ModelRegistry>,
     /// Outstanding outage depth per machine: a machine recovers only
     /// when its last overlapping outage ends.
     down: HashMap<MachineId, u32>,
-    /// Cell span log for control-plane decision spans (crash provenance:
-    /// whose lifecycle claim the override displaced).
-    spans: Option<Rc<RefCell<SpanLog>>>,
 }
 
-impl FaultPlane {
-    /// A fault plane over `plan`, targeting the engine component.
-    pub fn new(plan: FaultPlan, engine: CompId) -> Self {
+impl<'a> FaultPlane<'a> {
+    /// A fault plane over `plan`, targeting the engine component whose
+    /// shared state is `state`.
+    pub fn new(plan: FaultPlan, engine: CompId, state: Rc<RefCell<EngineState<'a>>>) -> Self {
         Self {
-            plan,
-            next: 0,
+            plan: Plan::new(plan.events),
             engine,
+            state,
             guard: None,
             registry: None,
             down: HashMap::new(),
-            spans: None,
         }
     }
 
@@ -312,59 +317,36 @@ impl FaultPlane {
         self
     }
 
-    /// Registers the cell's flight-recorder handle (from
-    /// [`EngineState::enable_spans`](crate::engine::EngineState::enable_spans)):
-    /// each crash records a `claim_override` control span carrying the
-    /// displaced owner — the crash provenance a post-mortem needs to
-    /// tell "the fault plane stole this machine from the autoscaler"
-    /// from a plain crash.
-    pub fn with_spans(mut self, spans: Rc<RefCell<SpanLog>>) -> Self {
-        self.spans = Some(spans);
-        self
-    }
-
     /// Registers the model registry that degradation faults poison.
     pub fn with_registry(mut self, registry: ctlm_core::ModelRegistry) -> Self {
         self.registry = Some(registry);
         self
     }
-
-    /// First fault time, if any (the harness seeds the first wake-up
-    /// there).
-    pub fn first_time(&self) -> Option<Micros> {
-        self.plan.events.first().map(|&(t, _)| t)
-    }
 }
 
-impl Component<SchedEvent> for FaultPlane {
-    fn on_event(&mut self, _event: Event<SchedEvent>, ctx: &mut Ctx<'_, SchedEvent>) {
-        let now = ctx.now();
-        while self.next < self.plan.events.len() && self.plan.events[self.next].0 <= now {
-            let (_, action) = &self.plan.events[self.next];
+impl TimedSource for FaultPlane<'_> {
+    const CLASS: u8 = PRIO_STATE;
+
+    fn next_time(&self) -> Option<Micros> {
+        self.plan.next_time()
+    }
+
+    fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>) {
+        while let Some(action) = self.plan.pop_due(now) {
             match action {
                 FaultAction::Crash(id) => {
                     let depth = self.down.entry(*id).or_insert(0);
                     *depth += 1;
                     if *depth == 1 {
-                        let mut displaced = None;
-                        if let Some(g) = &self.guard {
-                            // A crash is not a negotiation: displace any
-                            // in-flight drain/provision claim.
-                            displaced = g.override_claim(*id, LifecycleOwner::Fault);
-                        }
-                        if let Some(s) = &self.spans {
-                            let provenance = displaced.map_or("unclaimed", LifecycleOwner::name);
-                            s.borrow_mut().instant_ctrl(
-                                *id,
-                                "claim_override",
-                                now,
-                                "crash",
-                                "fault",
-                                provenance,
-                                0,
-                                0,
-                            );
-                        }
+                        // A crash is not a negotiation: displace any
+                        // in-flight drain/provision claim.
+                        let displaced = self
+                            .guard
+                            .as_ref()
+                            .and_then(|g| g.override_claim(*id, LifecycleOwner::Fault));
+                        self.state
+                            .borrow_mut()
+                            .claim_overridden(*id, now, displaced);
                     }
                     ctx.emit_prio(0, PRIO_STATE, self.engine, SchedEvent::MachineCrash(*id));
                 }
@@ -378,12 +360,8 @@ impl Component<SchedEvent> for FaultPlane {
                             if let Some(g) = &self.guard {
                                 g.release_owned(*id, LifecycleOwner::Fault);
                             }
-                            ctx.emit_prio(
-                                0,
-                                PRIO_STATE,
-                                self.engine,
-                                SchedEvent::MachineRestore(*id),
-                            );
+                            let back = SchedEvent::MachineRestore(*id);
+                            ctx.emit_prio(0, PRIO_STATE, self.engine, back);
                         }
                     }
                 }
@@ -398,11 +376,6 @@ impl Component<SchedEvent> for FaultPlane {
                     }
                 }
             }
-            self.next += 1;
-        }
-        if self.next < self.plan.events.len() {
-            let delay = self.plan.events[self.next].0 - now;
-            ctx.emit_self_prio(delay, PRIO_STATE, SchedEvent::Wake);
         }
     }
 }

@@ -30,14 +30,12 @@
 //! | `MachineRestored` | — | — | close the machine's span → `restored` |
 //! | `MachineJoined` | — | — | instant `machine_join`(`join`) |
 //! | `Control` | — | — | instant ctrl span as given: the autoscaler's `scale_up`(`demand` / `crash_loss`; a = ordered, b = replacements) and `scale_down`(`surplus`; a = released) |
+//! | `ClaimOverridden` | — | — | instant `claim_override`(`crash`) on the machine, plan = `fault`, detail = the displaced owner: the fault plane's crash provenance, reported when a crash is *decided*, ahead of its `MachineCrashed` |
 //!
-//! The only span written elsewhere is the fault plane's `claim_override`,
-//! recorded when a crash is *decided*, ahead of its delivery here.
+//! No span is written anywhere else: the ledger owns the log outright.
 //! `lab::flight::payload_args` names the `a`/`b` words per kind.
 
-use std::cell::RefCell;
 use std::collections::hash_map::{Entry, HashMap};
-use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -212,6 +210,8 @@ pub(crate) enum Step {
     MachineJoined(MachineId),
     /// A control-plane decision: kind, cause, plan, payload words a, b.
     Control(&'static str, &'static str, &'static str, u64, u64),
+    /// The fault plane took the machine from the named lifecycle owner.
+    ClaimOverridden(MachineId, &'static str),
 }
 
 /// What the engine owes a task after a transition.
@@ -259,12 +259,10 @@ struct FaultRuntime {
     stats: FaultStats,
 }
 
-type Spans = Option<Rc<RefCell<SpanLog>>>;
-
 /// Writes to the flight recorder when it is on.
-fn rec(spans: &Spans, write: impl FnOnce(&mut SpanLog)) {
-    if let Some(s) = spans {
-        write(&mut s.borrow_mut());
+fn rec(spans: &mut Option<SpanLog>, write: impl FnOnce(&mut SpanLog)) {
+    if let Some(log) = spans {
+        write(log);
     }
 }
 
@@ -275,8 +273,7 @@ pub(crate) struct Ledger {
     result: SimResult,
     live: HashMap<TaskId, Live>,
     faults: Option<Box<FaultRuntime>>,
-    /// Shared (`Rc`) so the fault plane can record into the same log.
-    spans: Spans,
+    spans: Option<SpanLog>,
 }
 
 impl Ledger {
@@ -325,12 +322,12 @@ impl Ledger {
         }
     }
 
-    pub(crate) fn enable_spans(&mut self) -> Rc<RefCell<SpanLog>> {
-        self.spans.get_or_insert_with(Default::default).clone()
+    pub(crate) fn enable_spans(&mut self) {
+        self.spans.get_or_insert_with(SpanLog::default);
     }
 
     pub(crate) fn take_spans(&mut self) -> Option<SpanLog> {
-        self.spans.take().map(|shared| shared.take())
+        self.spans.take()
     }
 
     /// Per-pass sampling: one more cycle, the queue depths at its start.
@@ -366,7 +363,7 @@ impl Ledger {
         now: Micros,
         step: Step,
     ) -> Next {
-        let spans = &self.spans;
+        let spans = &mut self.spans;
         match step {
             Step::Admitted(idx, cause) => {
                 let (count, cause) = match cause {
@@ -462,7 +459,7 @@ impl Ledger {
                     self.result.failed_permanently += 1;
                     f.stats.dead_lettered += 1;
                     let losses = held.losses.into();
-                    rec(&self.spans, |l| {
+                    rec(&mut self.spans, |l| {
                         l.instant_task(task, "dead_letter", now, "infeasible", plan, "", losses, 0)
                     });
                 }
@@ -499,6 +496,9 @@ impl Ledger {
             Step::Control(kind, cause, plan, a, b) => rec(spans, |l| {
                 l.instant_ctrl(0, kind, now, cause, plan, "", a, b)
             }),
+            Step::ClaimOverridden(id, owner) => rec(spans, |l| {
+                l.instant_ctrl(id, "claim_override", now, "crash", "fault", owner, 0, 0)
+            }),
         }
         Next::Done
     }
@@ -515,7 +515,7 @@ impl Ledger {
         why: Exit,
         now: Micros,
     ) -> Next {
-        let spans = &self.spans;
+        let spans = &mut self.spans;
         let entry = match self.live.entry(task) {
             Entry::Occupied(e) if matches!(e.get().phase, Phase::Running { .. }) => Some(e),
             _ => None,
@@ -598,12 +598,26 @@ impl Ledger {
         horizon: Micros,
         queued: impl Iterator<Item = usize>,
     ) -> SimResult {
-        rec(&self.spans, |l| l.close_all(horizon));
+        rec(&mut self.spans, |l| l.close_all(horizon));
         for idx in queued {
             self.end_short(slab.get(idx).id);
         }
         let ended = (self.result.placed.len() + self.result.unplaced) as u64;
         debug_assert_eq!(self.admitted(), ended, "admitted == placed + unplaced");
+        if let Some(f) = self.fault_stats() {
+            // No silently hung task: every dead-letter reached the
+            // result's terminal counter, and every loss scheduled a
+            // retry or dead-lettered.
+            let dead = self.result.failed_permanently as u64;
+            assert_eq!(f.dead_lettered, dead, "dead-letter stats == result");
+            assert!(
+                f.retries_scheduled + f.dead_lettered >= f.tasks_lost,
+                "lost tasks unaccounted for: lost {} > retried {} + dead-lettered {}",
+                f.tasks_lost,
+                f.retries_scheduled,
+                f.dead_lettered
+            );
+        }
         std::mem::take(&mut self.result)
     }
 }

@@ -24,7 +24,10 @@
 //! two queues and the task ledger. Scenario components ([`scenario`]) join
 //! the same timeline: machine churn, all-or-nothing gang arrivals,
 //! staged attribute rollouts, and (in examples) live trace feeds that
-//! drive retraining mid-run.
+//! drive retraining mid-run. Everything that acts on its own schedule —
+//! those, the feed, the timer, the fault plane, the autoscaler — is a
+//! [`timed::TimedSource`] behind the one walker [`timed::attach`]
+//! registers.
 //!
 //! Policies are open: the [`scheduler::Scheduler`] trait routes each
 //! arriving task to the high-priority or main queue
@@ -54,6 +57,8 @@
 //!   ([`stream::Arrivals`]): a borrowed list, or chunked task decode
 //!   ([`stream::ArrivalStream`]) into the engine's task arena without
 //!   materialising the whole workload;
+//! * [`timed`] — the timed-source seam: the trait, the one component
+//!   that wakes / fires / re-arms a source, and `attach`;
 //! * [`scenario`] — churn, gang and rollout event sources;
 //! * [`faults`] — the fault plane: seeded machine crashes (abrupt, task
 //!   losing — distinct from [`scenario`]'s graceful drains, which
@@ -80,6 +85,7 @@ pub mod queue;
 pub mod scenario;
 pub mod scheduler;
 pub mod stream;
+pub mod timed;
 pub mod updater;
 
 pub use cluster::{CapacityFit, SchedCluster};
@@ -93,3 +99,4 @@ pub use placement::{BestFit, PlaceCtx, Placer, PreemptiveBestFit};
 pub use queue::{PendingQueue, PendingTask};
 pub use scheduler::{Enhanced, LiveRegistry, MainOnly, OracleEnhanced, Scheduler};
 pub use stream::{ArrivalStream, Arrivals, SliceStream};
+pub use timed::{attach, TimedSource};

@@ -1,23 +1,27 @@
 //! Scenario components — event sources the old monolithic simulation
 //! loop could not express.
 //!
-//! Each type here is a kernel [`Component`] that joins a
-//! [`Harness`](crate::engine::Harness) and emits [`SchedEvent`]s at the
-//! engine. Because they share the one timeline, scenarios compose: churn
-//! can run under any [`Scheduler`](crate::scheduler::Scheduler), gangs
-//! can arrive during churn, and a staged kernel rollout can grow the
-//! attribute vocabulary while tasks are being scheduled.
+//! Each type here is a [`TimedSource`] over a time-sorted [`Plan`]: it
+//! says what one due action does to the engine and nothing else —
+//! [`attach`](crate::timed::attach) puts it on a cell's timeline (e.g.
+//! [`Harness::sim`](crate::engine::Harness)) behind the one walker that
+//! wakes it and re-arms it. Because they share the one timeline,
+//! scenarios compose: churn can run under any
+//! [`Scheduler`](crate::scheduler::Scheduler), gangs can arrive during
+//! churn, and a staged kernel rollout can grow the attribute vocabulary
+//! while tasks are being scheduled.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use std::collections::HashSet;
 
-use ctlm_sim::{CompId, Component, Ctx, Event};
+use ctlm_sim::{CompId, Ctx};
 use ctlm_trace::{AttrId, AttrValue, Machine, MachineId, Micros};
 
 use crate::engine::{SchedEvent, PRIO_ADMIT, PRIO_STATE};
 use crate::lifecycle::{LifecycleOwner, OwnershipGuard};
+use crate::timed::{Plan, TimedSource};
 
 /// One churn action at a point in time.
 #[derive(Clone, Debug)]
@@ -65,7 +69,9 @@ impl ChurnPlan {
             let id = pool.swap_remove(rng.gen_range(0..pool.len()));
             let t = window.0 + rng.gen_range(0..span);
             events.push((t, ChurnAction::Fail(id)));
-            events.push((t + outage + k as Micros, ChurnAction::Restore(id)));
+            // A restore that would land past the end of time never lands.
+            let back = t.saturating_add(outage).saturating_add(k as Micros);
+            events.push((back, ChurnAction::Restore(id)));
         }
         Self::new(events)
     }
@@ -86,8 +92,7 @@ impl ChurnPlan {
 /// registration, so the count lives on the guard side of tests via
 /// claims; drivers that need the number can pre-check the plan).
 pub struct ChurnSource {
-    plan: ChurnPlan,
-    next: usize,
+    plan: Plan<ChurnAction>,
     engine: CompId,
     guard: Option<OwnershipGuard>,
     /// Machines this source currently holds drained (claim released and
@@ -99,8 +104,7 @@ impl ChurnSource {
     /// A source over `plan`, targeting the engine component.
     pub fn new(plan: ChurnPlan, engine: CompId) -> Self {
         Self {
-            plan,
-            next: 0,
+            plan: Plan::new(plan.events),
             engine,
             guard: None,
             held: HashSet::new(),
@@ -114,19 +118,17 @@ impl ChurnSource {
         self.guard = Some(guard);
         self
     }
-
-    /// First action time, if any (the harness seeds the first wake-up
-    /// there).
-    pub fn first_time(&self) -> Option<Micros> {
-        self.plan.events.first().map(|&(t, _)| t)
-    }
 }
 
-impl Component<SchedEvent> for ChurnSource {
-    fn on_event(&mut self, _event: Event<SchedEvent>, ctx: &mut Ctx<'_, SchedEvent>) {
-        let now = ctx.now();
-        while self.next < self.plan.events.len() && self.plan.events[self.next].0 <= now {
-            let (_, action) = &self.plan.events[self.next];
+impl TimedSource for ChurnSource {
+    const CLASS: u8 = PRIO_STATE;
+
+    fn next_time(&self) -> Option<Micros> {
+        self.plan.next_time()
+    }
+
+    fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>) {
+        while let Some(action) = self.plan.pop_due(now) {
             let ev = match action {
                 ChurnAction::Fail(id) => {
                     match &self.guard {
@@ -134,7 +136,6 @@ impl Component<SchedEvent> for ChurnSource {
                             // Another owner is operating on this machine
                             // — skip the outage (and, via `held`, the
                             // paired restore).
-                            self.next += 1;
                             continue;
                         }
                         Some(_) => {
@@ -149,7 +150,6 @@ impl Component<SchedEvent> for ChurnSource {
                         if !self.held.remove(id) {
                             // The fail was skipped; restoring would
                             // resurrect a machine we never drained.
-                            self.next += 1;
                             continue;
                         }
                         if !g.release_owned(*id, LifecycleOwner::Churn) {
@@ -157,7 +157,6 @@ impl Component<SchedEvent> for ChurnSource {
                             // crash took the machine); recovery belongs
                             // to the new owner — restoring here would
                             // resurrect a crashed machine early.
-                            self.next += 1;
                             continue;
                         }
                     }
@@ -166,11 +165,6 @@ impl Component<SchedEvent> for ChurnSource {
                 ChurnAction::Join(m) => SchedEvent::MachineJoin(m.clone()),
             };
             ctx.emit_prio(0, PRIO_STATE, self.engine, ev);
-            self.next += 1;
-        }
-        if self.next < self.plan.events.len() {
-            let delay = self.plan.events[self.next].0 - now;
-            ctx.emit_self_prio(delay, PRIO_STATE, SchedEvent::Wake);
         }
     }
 }
@@ -179,39 +173,31 @@ impl Component<SchedEvent> for ChurnSource {
 /// Members are owned tasks — they join the engine's arena on arrival and
 /// never pass through the individual admission path.
 pub struct GangSource {
-    gangs: Vec<(Micros, Vec<crate::queue::PendingTask>)>,
-    next: usize,
+    gangs: Plan<Vec<crate::queue::PendingTask>>,
     engine: CompId,
 }
 
 impl GangSource {
     /// A source over `(time, members)` gangs (sorted internally).
-    pub fn new(mut gangs: Vec<(Micros, Vec<crate::queue::PendingTask>)>, engine: CompId) -> Self {
-        gangs.sort_by_key(|&(t, _)| t);
+    pub fn new(gangs: Vec<(Micros, Vec<crate::queue::PendingTask>)>, engine: CompId) -> Self {
         Self {
-            gangs,
-            next: 0,
+            gangs: Plan::new(gangs),
             engine,
         }
     }
-
-    /// First gang arrival time, if any.
-    pub fn first_time(&self) -> Option<Micros> {
-        self.gangs.first().map(|&(t, _)| t)
-    }
 }
 
-impl Component<SchedEvent> for GangSource {
-    fn on_event(&mut self, _event: Event<SchedEvent>, ctx: &mut Ctx<'_, SchedEvent>) {
-        let now = ctx.now();
-        while self.next < self.gangs.len() && self.gangs[self.next].0 <= now {
-            let members = std::mem::take(&mut self.gangs[self.next].1);
-            ctx.emit_prio(0, PRIO_ADMIT, self.engine, SchedEvent::GangArrival(members));
-            self.next += 1;
-        }
-        if self.next < self.gangs.len() {
-            let delay = self.gangs[self.next].0 - now;
-            ctx.emit_self_prio(delay, PRIO_ADMIT, SchedEvent::Wake);
+impl TimedSource for GangSource {
+    const CLASS: u8 = PRIO_ADMIT;
+
+    fn next_time(&self) -> Option<Micros> {
+        self.gangs.next_time()
+    }
+
+    fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>) {
+        while let Some(members) = self.gangs.pop_due(now) {
+            let gang = SchedEvent::GangArrival(std::mem::take(members));
+            ctx.emit_prio(0, PRIO_ADMIT, self.engine, gang);
         }
     }
 }
@@ -235,51 +221,38 @@ pub struct RolloutStage {
 /// live (see `examples/online_simulation.rs`).
 pub struct RolloutSource {
     attr: AttrId,
-    stages: Vec<RolloutStage>,
-    next: usize,
+    stages: Plan<RolloutStage>,
     engine: CompId,
 }
 
 impl RolloutSource {
     /// A source rolling `attr` through `stages` (sorted internally).
-    pub fn new(attr: AttrId, mut stages: Vec<RolloutStage>, engine: CompId) -> Self {
-        stages.sort_by_key(|s| s.time);
+    pub fn new(attr: AttrId, stages: Vec<RolloutStage>, engine: CompId) -> Self {
         Self {
             attr,
-            stages,
-            next: 0,
+            stages: Plan::new(stages.into_iter().map(|s| (s.time, s)).collect()),
             engine,
         }
     }
-
-    /// First stage time, if any.
-    pub fn first_time(&self) -> Option<Micros> {
-        self.stages.first().map(|s| s.time)
-    }
 }
 
-impl Component<SchedEvent> for RolloutSource {
-    fn on_event(&mut self, _event: Event<SchedEvent>, ctx: &mut Ctx<'_, SchedEvent>) {
-        let now = ctx.now();
-        while self.next < self.stages.len() && self.stages[self.next].time <= now {
-            let stage = &self.stages[self.next];
-            for &m in &stage.machines {
-                ctx.emit_prio(
-                    0,
-                    PRIO_STATE,
-                    self.engine,
-                    SchedEvent::AttrUpdate {
-                        machine: m,
-                        attr: self.attr,
-                        value: Some(stage.value.clone()),
-                    },
-                );
+impl TimedSource for RolloutSource {
+    const CLASS: u8 = PRIO_STATE;
+
+    fn next_time(&self) -> Option<Micros> {
+        self.stages.next_time()
+    }
+
+    fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>) {
+        while let Some(stage) = self.stages.pop_due(now) {
+            for &machine in &stage.machines {
+                let update = SchedEvent::AttrUpdate {
+                    machine,
+                    attr: self.attr,
+                    value: Some(stage.value.clone()),
+                };
+                ctx.emit_prio(0, PRIO_STATE, self.engine, update);
             }
-            self.next += 1;
-        }
-        if self.next < self.stages.len() {
-            let delay = self.stages[self.next].time - now;
-            ctx.emit_self_prio(delay, PRIO_STATE, SchedEvent::Wake);
         }
     }
 }
@@ -298,8 +271,7 @@ impl Component<SchedEvent> for RolloutSource {
 /// timeline, so an analyzer hot-swapped mid-run immediately changes
 /// routing — something the two old monolithic loops could not express.
 pub struct OnlineTraceFeed<'a> {
-    events: Vec<ctlm_trace::TraceEvent>,
-    next: usize,
+    events: Plan<ctlm_trace::TraceEvent>,
     engine: CompId,
     replay: ctlm_agocs::ReplayComponent<'a>,
     group_width: usize,
@@ -315,26 +287,24 @@ impl<'a> OnlineTraceFeed<'a> {
         replay: ctlm_agocs::ReplayComponent<'a>,
     ) -> Self {
         Self {
-            events,
-            next: 0,
+            events: Plan::new(events.into_iter().map(|e| (e.time, e)).collect()),
             engine,
             replay,
             group_width,
         }
     }
-
-    /// First event time, if any.
-    pub fn first_time(&self) -> Option<Micros> {
-        self.events.first().map(|e| e.time)
-    }
 }
 
-impl Component<SchedEvent> for OnlineTraceFeed<'_> {
-    fn on_event(&mut self, _event: Event<SchedEvent>, ctx: &mut Ctx<'_, SchedEvent>) {
+impl TimedSource for OnlineTraceFeed<'_> {
+    const CLASS: u8 = PRIO_STATE;
+
+    fn next_time(&self) -> Option<Micros> {
+        self.events.next_time()
+    }
+
+    fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>) {
         use ctlm_trace::EventPayload;
-        let now = ctx.now();
-        while self.next < self.events.len() && self.events[self.next].time <= now {
-            let ev = &self.events[self.next];
+        while let Some(ev) = self.events.pop_due(now) {
             // Replay sees the event first, so suitable-node labels below
             // are computed against the state *including* this event.
             self.replay.observe(ev);
@@ -388,11 +358,6 @@ impl Component<SchedEvent> for OnlineTraceFeed<'_> {
                 }
                 _ => {}
             }
-            self.next += 1;
-        }
-        if self.next < self.events.len() {
-            let delay = self.events[self.next].time - now;
-            ctx.emit_self_prio(delay, PRIO_STATE, SchedEvent::Wake);
         }
     }
 }
@@ -402,24 +367,4 @@ impl Component<SchedEvent> for OnlineTraceFeed<'_> {
 /// online simulations that feed whole traces through the kernel.
 pub fn compress_event_times(events: &mut [ctlm_trace::TraceEvent], span: Micros) {
     ctlm_trace::event::compress_times(events, span);
-}
-
-/// Registers a self-waking scenario source on a harness and seeds its
-/// first wake-up, returning the component id. `first` is the source's
-/// first action time; sources with nothing to do are still registered
-/// but never woken.
-pub fn attach_source<'a>(
-    harness: &mut crate::engine::Harness<'a>,
-    name: &str,
-    source: impl Component<SchedEvent> + 'a,
-    first: Option<Micros>,
-    priority: u8,
-) -> CompId {
-    let id = harness.sim.add_component(name, source);
-    if let Some(t) = first {
-        harness
-            .sim
-            .schedule_prio(t, priority, id, id, SchedEvent::Wake);
-    }
-    id
 }

@@ -28,11 +28,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ctlm_sim::{CompId, Component, Ctx, Event};
+use ctlm_sim::{CompId, Ctx};
 use ctlm_trace::Micros;
 
 use crate::engine::{EngineState, SchedEvent, PRIO_ADMIT};
 use crate::queue::PendingTask;
+use crate::timed::TimedSource;
 
 /// A pull-based producer of time-sorted arrival chunks.
 ///
@@ -108,7 +109,7 @@ pub enum Arrivals<'a> {
     Stream(Box<dyn ArrivalStream + 'a>),
 }
 
-/// The kernel component admitting a cell's arrivals: one wake per
+/// The [`TimedSource`] admitting a cell's arrivals: one wake per
 /// distinct arrival instant, admissions emitted at [`PRIO_ADMIT`] in
 /// arrival order as [`SchedEvent::Arrival`] arena indices (no task
 /// clone).
@@ -139,7 +140,9 @@ pub struct ArrivalFeed<'a> {
 
 impl<'a> ArrivalFeed<'a> {
     /// A feed over `state`'s arena: the borrowed list occupies indices
-    /// `0..list_len` (0 for a stream-fed cell), `stream` refills past it.
+    /// `0..list_len` (0 for a stream-fed cell), `stream` refills past it
+    /// — its first chunk is decoded here, so the first arrival time is
+    /// known before the feed is attached.
     pub(crate) fn new(
         list_len: usize,
         stream: Option<Box<dyn ArrivalStream + 'a>>,
@@ -147,7 +150,7 @@ impl<'a> ArrivalFeed<'a> {
         engine: CompId,
         spill: bool,
     ) -> Self {
-        Self {
+        let mut feed = Self {
             stream,
             state,
             engine,
@@ -155,27 +158,25 @@ impl<'a> ArrivalFeed<'a> {
             end: list_len,
             spill,
             last_arrival: 0,
+        };
+        feed.refill();
+        feed
+    }
+
+    /// Once `[next, end)` is drained, pulls the next chunk into a fresh
+    /// arena segment; without a stream, or with it exhausted, the feed
+    /// stays drained — and is done.
+    fn refill(&mut self) {
+        if self.next < self.end {
+            return;
         }
-    }
-
-    /// The first arrival time, decoding a stream's first chunk to learn
-    /// it — `None` when there is nothing to feed (no wake needs
-    /// scheduling). Call once, before registering the feed.
-    pub(crate) fn first_arrival(&mut self) -> Option<Micros> {
-        (self.next < self.end || self.refill()).then(|| self.state.borrow().task(self.next).arrival)
-    }
-
-    /// Pulls the next chunk into a fresh arena segment. Returns false
-    /// when there is no stream or it is exhausted.
-    fn refill(&mut self) -> bool {
-        debug_assert!(self.next == self.end, "refill only when drained");
         let mut state = self.state.borrow_mut();
         let Some((start, len)) = self
             .stream
             .as_deref_mut()
             .and_then(|stream| state.pull_chunk(stream))
         else {
-            return false;
+            return;
         };
         debug_assert!(
             (start..start + len)
@@ -186,17 +187,18 @@ impl<'a> ArrivalFeed<'a> {
         );
         self.next = start;
         self.end = start + len;
-        true
     }
 }
 
-impl Component<SchedEvent> for ArrivalFeed<'_> {
-    fn on_event(&mut self, _event: Event<SchedEvent>, ctx: &mut Ctx<'_, SchedEvent>) {
-        let now = ctx.now();
-        loop {
-            if self.next == self.end && !self.refill() {
-                return; // exhausted — no further wakes
-            }
+impl TimedSource for ArrivalFeed<'_> {
+    const CLASS: u8 = PRIO_ADMIT;
+
+    fn next_time(&self) -> Option<Micros> {
+        (self.next < self.end).then(|| self.state.borrow().task(self.next).arrival)
+    }
+
+    fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>) {
+        while self.next < self.end {
             let (arrival, rejection) = {
                 let state = self.state.borrow();
                 let task = state.task(self.next);
@@ -204,7 +206,6 @@ impl Component<SchedEvent> for ArrivalFeed<'_> {
                 (task.arrival, due.then(|| state.rejection(task)).flatten())
             };
             if arrival > now {
-                ctx.emit_self_prio(arrival - now, PRIO_ADMIT, SchedEvent::Wake);
                 return;
             }
             self.last_arrival = arrival;
@@ -216,6 +217,7 @@ impl Component<SchedEvent> for ArrivalFeed<'_> {
                 }
             }
             self.next += 1;
+            self.refill();
         }
     }
 }

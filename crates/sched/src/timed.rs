@@ -1,0 +1,204 @@
+//! The timed-source seam: one walker for every component that acts on
+//! its own schedule.
+//!
+//! Churn, gangs, rollouts, trace feeds, the fault plane, the cycle
+//! timer, the arrival feed, the autoscaler and the lab's in-timeline
+//! retrainer all have the same shape — wake at a known time, apply what
+//! is due, sleep until the next known time. A [`TimedSource`] states
+//! only that: when it next acts ([`TimedSource::next_time`]), what it
+//! does then ([`TimedSource::fire`]) and in which delivery class
+//! ([`TimedSource::CLASS`]). [`attach`] registers it behind the one
+//! kernel component that wakes, fires and re-arms, and seeds the first
+//! wake. The walker refuses a re-arm that does not advance the clock, so
+//! a source that stops making progress (a zero period that slipped past
+//! validation) panics at its first wake instead of spinning at one
+//! instant forever.
+
+use ctlm_sim::{CompId, Component, Ctx, Event, Sim};
+use ctlm_trace::Micros;
+
+use crate::engine::SchedEvent;
+
+/// A component that acts at times it knows in advance.
+pub trait TimedSource {
+    /// Delivery class of this source's wakes — where in an instant's
+    /// state → admit → pass order it acts.
+    const CLASS: u8;
+
+    /// When the source next acts; `None` once it is done. The walker
+    /// reads it at [`attach`] (the first wake) and after every
+    /// [`TimedSource::fire`] (the re-arm).
+    fn next_time(&self) -> Option<Micros>;
+
+    /// Applies everything due at `now`, in order. Afterwards
+    /// [`TimedSource::next_time`] must lie strictly after `now`.
+    fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>);
+}
+
+/// The one kernel component behind every [`TimedSource`].
+struct Walker<S>(S);
+
+impl<S: TimedSource> Component<SchedEvent> for Walker<S> {
+    fn on_event(&mut self, _event: Event<SchedEvent>, ctx: &mut Ctx<'_, SchedEvent>) {
+        let now = ctx.now();
+        self.0.fire(now, ctx);
+        if let Some(next) = self.0.next_time() {
+            assert!(
+                next > now,
+                "timed source fired at {now} and re-armed at {next}: it must advance the clock"
+            );
+            ctx.emit_self_prio(next - now, S::CLASS, SchedEvent::Wake);
+        }
+    }
+}
+
+/// Registers `source` on `sim` under `name` and seeds its first wake;
+/// a source with nothing to do is registered but never woken.
+pub fn attach<'a, S: TimedSource + 'a>(
+    sim: &mut Sim<'a, SchedEvent>,
+    name: impl Into<String>,
+    source: S,
+) -> CompId {
+    let first = source.next_time();
+    let id = sim.add_component(name, Walker(source));
+    if let Some(t) = first {
+        sim.schedule_prio(t, S::CLASS, id, id, SchedEvent::Wake);
+    }
+    id
+}
+
+/// The tick after `now` of a source firing every `period` up to
+/// `horizon` (inclusive); `None` past the horizon, and when the sum
+/// would overflow.
+pub fn next_tick(now: Micros, period: Micros, horizon: Micros) -> Option<Micros> {
+    now.checked_add(period).filter(|&t| t <= horizon)
+}
+
+/// A time-sorted list of actions walked by a cursor — the state every
+/// plan-shaped source (churn, gangs, rollouts, faults, trace feeds)
+/// shares.
+pub struct Plan<T> {
+    items: Vec<(Micros, T)>,
+    next: usize,
+}
+
+impl<T> Plan<T> {
+    /// A plan over `(time, action)` pairs, sorted by time (stable: the
+    /// relative order of same-time actions is kept).
+    pub fn new(mut items: Vec<(Micros, T)>) -> Self {
+        items.sort_by_key(|&(t, _)| t);
+        Self { items, next: 0 }
+    }
+
+    /// The next action's time; `None` after the last one.
+    pub fn next_time(&self) -> Option<Micros> {
+        self.items.get(self.next).map(|&(t, _)| t)
+    }
+
+    /// The next action when it is due at `now`, moving past it.
+    pub fn pop_due(&mut self, now: Micros) -> Option<&mut T> {
+        let (t, action) = self.items.get_mut(self.next)?;
+        (*t <= now).then(|| {
+            self.next += 1;
+            action
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    type Log = Rc<RefCell<Vec<(Micros, u32)>>>;
+
+    /// Walks a plan of tags, logging `(now, tag)` per action.
+    struct Tags(Plan<u32>, Log);
+
+    impl TimedSource for Tags {
+        const CLASS: u8 = 1;
+        fn next_time(&self) -> Option<Micros> {
+            self.0.next_time()
+        }
+        fn fire(&mut self, now: Micros, _ctx: &mut Ctx<'_, SchedEvent>) {
+            while let Some(tag) = self.0.pop_due(now) {
+                self.1.borrow_mut().push((now, *tag));
+            }
+        }
+    }
+
+    /// Ticks every `period` from 0 up to `horizon`, logging each tick.
+    struct Every {
+        next: Option<Micros>,
+        period: Micros,
+        horizon: Micros,
+        log: Log,
+    }
+
+    impl TimedSource for Every {
+        const CLASS: u8 = 2;
+        fn next_time(&self) -> Option<Micros> {
+            self.next
+        }
+        fn fire(&mut self, now: Micros, _ctx: &mut Ctx<'_, SchedEvent>) {
+            self.log.borrow_mut().push((now, 0));
+            self.next = next_tick(now, self.period, self.horizon);
+        }
+    }
+
+    fn every(period: Micros, horizon: Micros, log: &Log) -> Every {
+        Every {
+            next: Some(0),
+            period,
+            horizon,
+            log: log.clone(),
+        }
+    }
+
+    #[test]
+    fn same_instant_actions_fire_in_plan_order_under_one_wake() {
+        let log = Log::default();
+        let plan = Plan::new(vec![(30, 4), (10, 1), (20, 2), (20, 3)]);
+        let mut sim = Sim::new();
+        attach(&mut sim, "tags", Tags(plan, log.clone()));
+        sim.run();
+        assert_eq!(*log.borrow(), [(10, 1), (20, 2), (20, 3), (30, 4)]);
+        assert_eq!(sim.events_delivered(), 3, "one wake per distinct instant");
+    }
+
+    #[test]
+    fn no_wake_is_scheduled_after_the_last_action() {
+        let log = Log::default();
+        let mut sim = Sim::new();
+        attach(&mut sim, "tags", Tags(Plan::new(vec![(5, 1)]), log.clone()));
+        attach(&mut sim, "idle", Tags(Plan::new(vec![]), log.clone()));
+        assert_eq!(sim.pending(), 1, "an empty plan is never woken");
+        sim.run();
+        assert_eq!((sim.pending(), sim.now()), (0, 5));
+        assert_eq!(*log.borrow(), [(5, 1)]);
+    }
+
+    #[test]
+    fn a_periodic_sources_last_tick_is_the_last_multiple_inside_the_horizon() {
+        for (period, horizon, last) in [(10, 35, 30), (10, 40, 40), (50, 35, 0)] {
+            let log = Log::default();
+            let mut sim = Sim::new();
+            attach(&mut sim, "every", every(period, horizon, &log));
+            sim.run();
+            let ticks: Vec<Micros> = log.borrow().iter().map(|&(t, _)| t).collect();
+            let expected: Vec<Micros> = (0..=last).step_by(period as usize).collect();
+            assert_eq!(ticks, expected, "period {period}, horizon {horizon}");
+            assert_eq!(sim.pending(), 0, "nothing armed past the horizon");
+        }
+        assert_eq!(next_tick(Micros::MAX - 1, 2, Micros::MAX), None, "no wrap");
+    }
+
+    #[test]
+    #[should_panic(expected = "must advance the clock")]
+    fn a_source_that_does_not_advance_trips_the_guard() {
+        let mut sim = Sim::new();
+        attach(&mut sim, "stuck", every(0, 100, &Log::default()));
+        sim.run();
+    }
+}

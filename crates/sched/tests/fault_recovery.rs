@@ -13,9 +13,9 @@ use proptest::prelude::*;
 use ctlm_data::compaction::collapse;
 use ctlm_sched::engine::{SimConfig, SimResult, Simulator};
 use ctlm_sched::faults::{ExponentialBackoff, FaultPlan, FaultPlane, FixedRetry, RetryPolicy};
-use ctlm_sched::scenario::{attach_source, ChurnAction, ChurnPlan, ChurnSource};
+use ctlm_sched::scenario::{ChurnAction, ChurnPlan, ChurnSource};
 use ctlm_sched::scheduler::MainOnly;
-use ctlm_sched::{FaultStats, OwnershipGuard, PendingTask, SchedCluster};
+use ctlm_sched::{attach, FaultStats, OwnershipGuard, PendingTask, SchedCluster};
 use ctlm_trace::{AttrValue, ConstraintOp as Op, Machine, MachineId, TaskConstraint};
 
 fn cluster(n: u64) -> (SchedCluster, Vec<MachineId>) {
@@ -146,9 +146,8 @@ fn run_case(case: &FaultCase) -> (SimResult, u64, FaultStats) {
         .state()
         .borrow_mut()
         .enable_faults(policy(case), case.sim_seed);
-    let plane = FaultPlane::new(plan, harness.engine);
-    let first = plane.first_time();
-    attach_source(&mut harness, "faults", plane, first, 0);
+    let plane = FaultPlane::new(plan, harness.engine, harness.state());
+    attach(&mut harness.sim, "faults", plane);
     let state = harness.state();
     let (_, result) = harness.run();
     let state = state.borrow();
@@ -242,11 +241,10 @@ fn crash_overrides_inflight_drain_and_conservation_holds() {
     );
     let guard = OwnershipGuard::new();
     let churn = ChurnSource::new(churn_plan, harness.engine).with_guard(guard.clone());
-    let first = churn.first_time();
-    attach_source(&mut harness, "churn", churn, first, 0);
-    let plane = FaultPlane::new(fault_plan, harness.engine).with_guard(guard.clone());
-    let first = plane.first_time();
-    attach_source(&mut harness, "faults", plane, first, 0);
+    attach(&mut harness.sim, "churn", churn);
+    let plane =
+        FaultPlane::new(fault_plan, harness.engine, harness.state()).with_guard(guard.clone());
+    attach(&mut harness.sim, "faults", plane);
     let state = harness.state();
     let (cluster_after, result) = harness.run();
     let state = state.borrow();
@@ -287,9 +285,8 @@ fn crash_without_retry_runtime_dead_letters_immediately() {
     let simulator = Simulator::new(config);
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster, &arrivals, &mut scheduler);
-    let plane = FaultPlane::new(plan, harness.engine);
-    let first = plane.first_time();
-    attach_source(&mut harness, "faults", plane, first, 0);
+    let plane = FaultPlane::new(plan, harness.engine, harness.state());
+    attach(&mut harness.sim, "faults", plane);
     let state = harness.state();
     let (_, result) = harness.run();
     let state = state.borrow();

@@ -12,9 +12,9 @@ use ctlm_data::encode::co_vv::CoVvEncoder;
 use ctlm_data::vocab::ValueVocab;
 use ctlm_sched::engine::{SimConfig, SimResult, Simulator};
 use ctlm_sched::placement::PreemptiveBestFit;
-use ctlm_sched::scenario::{attach_source, ChurnAction, ChurnPlan, ChurnSource, GangSource};
+use ctlm_sched::scenario::{ChurnAction, ChurnPlan, ChurnSource, GangSource};
 use ctlm_sched::scheduler::{Enhanced, LiveRegistry, MainOnly, OracleEnhanced, Scheduler};
-use ctlm_sched::{PendingTask, SchedCluster};
+use ctlm_sched::{attach, PendingTask, SchedCluster};
 use ctlm_trace::{AttrValue, ConstraintOp as Op, Machine, TaskConstraint};
 
 fn cluster(n: u64) -> SchedCluster {
@@ -225,8 +225,7 @@ fn churn_drains_machines_and_requeues_their_tasks() {
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster(6), &arrivals, &mut scheduler);
     let churn = ChurnSource::new(plan, harness.engine);
-    let first = churn.first_time();
-    attach_source(&mut harness, "churn", churn, first, 0);
+    attach(&mut harness.sim, "churn", churn);
     let (cluster_after, result) = harness.run();
     assert!(
         result.churn_rescheduled >= 9,
@@ -261,8 +260,7 @@ fn a_requeued_task_that_turns_infeasible_is_counted_once() {
     let mut harness = simulator.harness(cluster(2), &arrivals, &mut scheduler);
     let plan = ChurnPlan::new(vec![(5_000_000, ChurnAction::Fail(0))]);
     let churn = ChurnSource::new(plan, harness.engine);
-    let first = churn.first_time();
-    attach_source(&mut harness, "churn", churn, first, 0);
+    attach(&mut harness.sim, "churn", churn);
     let state = harness.state();
     let (_, result) = harness.run();
     let state = state.borrow();
@@ -292,8 +290,7 @@ fn churned_cluster_resets_for_ab_runs() {
     let mut harness = simulator.harness(cluster(6), &arrivals, &mut scheduler);
     let plan = ChurnPlan::new(vec![(5_000_000, ChurnAction::Fail(4))]);
     let churn = ChurnSource::new(plan, harness.engine);
-    let first = churn.first_time();
-    attach_source(&mut harness, "churn", churn, first, 0);
+    attach(&mut harness.sim, "churn", churn);
     let (mut cluster_after, _) = harness.run();
     assert_eq!(cluster_after.len(), 5, "machine 4 still drained");
     cluster_after.reset();
@@ -328,8 +325,7 @@ fn capacity_index_stays_consistent_through_kernel_churn() {
         (30_000_000, ChurnAction::Fail(2)),
     ]);
     let churn = ChurnSource::new(plan, harness.engine);
-    let first = churn.first_time();
-    attach_source(&mut harness, "churn", churn, first, 0);
+    attach(&mut harness.sim, "churn", churn);
     let (cluster_after, result) = harness.run();
     assert!(result.placed.len() > 12, "most tasks place despite churn");
     assert_eq!(cluster_after.len(), 5, "machine 2 still drained");
@@ -376,8 +372,7 @@ fn gangs_place_all_or_nothing_on_the_kernel() {
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster(6), &arrivals, &mut scheduler);
     let gangs = GangSource::new(vec![(1_000_000, gang_members)], harness.engine);
-    let first = gangs.first_time();
-    attach_source(&mut harness, "gangs", gangs, first, 1);
+    attach(&mut harness.sim, "gangs", gangs);
     let (_, result) = harness.run();
     assert_eq!(result.gangs_placed, 1, "gang must eventually place whole");
     let placed_members = result

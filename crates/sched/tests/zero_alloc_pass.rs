@@ -23,9 +23,8 @@ use ctlm_data::compaction::collapse;
 use ctlm_sched::engine::{SimConfig, SimResult, Simulator};
 use ctlm_sched::faults::{FaultPlan, FaultPlane};
 use ctlm_sched::placement::{best_fit, Placement};
-use ctlm_sched::scenario::attach_source;
 use ctlm_sched::scheduler::MainOnly;
-use ctlm_sched::{CapacityFit, PendingTask, SchedCluster};
+use ctlm_sched::{attach, CapacityFit, PendingTask, SchedCluster, TimedSource};
 use ctlm_trace::{AttrValue, ConstraintOp as Op, Machine, TaskConstraint};
 use serde::Serialize;
 
@@ -228,10 +227,9 @@ fn fault_free_run_adds_zero_allocations_and_identical_report_bytes() {
         if with_empty_plane {
             let plan = FaultPlan::default();
             assert!(plan.is_empty());
-            let plane = FaultPlane::new(plan, harness.engine);
-            let first = plane.first_time();
-            assert!(first.is_none(), "empty plan must never wake");
-            attach_source(&mut harness, "faults", plane, first, 0);
+            let plane = FaultPlane::new(plan, harness.engine, harness.state());
+            assert!(plane.next_time().is_none(), "empty plan must never wake");
+            attach(&mut harness.sim, "faults", plane);
         }
 
         harness.sim.run_until(150_000_000);
@@ -287,7 +285,10 @@ fn span_recorder_disabled_is_free_and_enabled_changes_no_report_byte() {
         let simulator = Simulator::new(config);
         let mut scheduler = MainOnly;
         let mut harness = simulator.harness(fleet(4), &arrivals, &mut scheduler);
-        let spans = with_spans.then(|| harness.state().borrow_mut().enable_spans());
+        let state = harness.state();
+        if with_spans {
+            state.borrow_mut().enable_spans();
+        }
 
         harness.sim.run_until(150_000_000);
         let before = allocations();
@@ -300,8 +301,9 @@ fn span_recorder_disabled_is_free_and_enabled_changes_no_report_byte() {
             after - before
         );
         let (_, result) = harness.run();
-        if let Some(spans) = spans {
-            let log = spans.borrow();
+        let log = state.borrow_mut().take_spans();
+        assert_eq!(log.is_some(), with_spans);
+        if let Some(log) = log {
             assert!(!log.is_empty(), "recorder on but no spans closed");
             assert_eq!(log.open_count(), 0, "horizon close must drain opens");
         }

@@ -29,8 +29,8 @@
 //!   barriers, merged in a deterministic `(time, priority, shard, seq)`
 //!   order — so results are bit-identical for any thread count.
 //!
-//! Single-timeline users (the replayer, single-cell scenarios) use the
-//! shard layer directly and never pay for coordination.
+//! Single-timeline users (the replayer, the `ctlm-sched` harness) use
+//! the shard layer directly and never pay for coordination.
 //!
 //! ```
 //! use ctlm_sim::{Component, Ctx, Event, Sim};

@@ -88,6 +88,18 @@ impl<'a, E> CellKernel<'a, E> {
     pub fn shard_id(&self) -> usize {
         self.shard
     }
+
+    /// One epoch of this shard: every event before `bound`, timed into
+    /// `last_run_ns` when profiling (no clock call otherwise).
+    fn run_epoch(&mut self, bound: Time, profile: bool) {
+        if profile {
+            let t0 = std::time::Instant::now();
+            self.sim.run_before(bound);
+            self.last_run_ns = t0.elapsed().as_nanos() as u64;
+        } else {
+            self.sim.run_before(bound);
+        }
+    }
 }
 
 impl<'a, E> std::ops::Deref for CellKernel<'a, E> {
@@ -336,40 +348,16 @@ impl<'a, E: Send> ParallelSim<'a, E> {
                 let chunk = self.shards.len().div_ceil(effective);
                 self.shards.par_chunks_mut(chunk).for_each(|shards| {
                     for shard in shards {
-                        if profile {
-                            let t0 = std::time::Instant::now();
-                            shard.sim.run_before(bound);
-                            shard.last_run_ns = t0.elapsed().as_nanos() as u64;
-                        } else {
-                            shard.sim.run_before(bound);
-                        }
+                        shard.run_epoch(bound, profile);
                     }
                 });
+            } else if let Some(order) = &self.exec_order {
+                for &i in order {
+                    self.shards[i].run_epoch(bound, profile);
+                }
             } else {
-                match &self.exec_order {
-                    Some(order) => {
-                        for &i in order {
-                            let shard = &mut self.shards[i];
-                            if profile {
-                                let t0 = std::time::Instant::now();
-                                shard.sim.run_before(bound);
-                                shard.last_run_ns = t0.elapsed().as_nanos() as u64;
-                            } else {
-                                shard.sim.run_before(bound);
-                            }
-                        }
-                    }
-                    None => {
-                        for shard in &mut self.shards {
-                            if profile {
-                                let t0 = std::time::Instant::now();
-                                shard.sim.run_before(bound);
-                                shard.last_run_ns = t0.elapsed().as_nanos() as u64;
-                            } else {
-                                shard.sim.run_before(bound);
-                            }
-                        }
-                    }
+                for shard in &mut self.shards {
+                    shard.run_epoch(bound, profile);
                 }
             }
             if let Some(perf) = &mut self.perf {

@@ -27,12 +27,9 @@
 //! ```
 
 use ctlm::prelude::*;
-use ctlm::sched::engine::PRIO_STATE;
-use ctlm::sched::scenario::{
-    attach_source, compress_event_times, ChurnPlan, ChurnSource, OnlineTraceFeed,
-};
+use ctlm::sched::scenario::{compress_event_times, ChurnPlan, ChurnSource, OnlineTraceFeed};
 use ctlm::sched::updater::ModelUpdater;
-use ctlm::sched::SchedCluster;
+use ctlm::sched::{attach, SchedCluster};
 use ctlm::trace::generator::attrs;
 use ctlm::trace::{AttrValue, EventPayload, TraceEvent};
 
@@ -124,8 +121,7 @@ fn main() {
     });
     let mut harness = sim.harness(SchedCluster::new(), &[], &mut scheduler);
     let feed = OnlineTraceFeed::new(events, trace.group_width, harness.engine, replay_comp);
-    let first = feed.first_time();
-    attach_source(&mut harness, "online_feed", feed, first, PRIO_STATE);
+    attach(&mut harness.sim, "online_feed", feed);
 
     // Mid-run churn: 8 machines drain in minutes 8–22, back ~3 minutes
     // later; their tasks re-enter the queue. Best-fit packs the
@@ -141,8 +137,7 @@ fn main() {
         3 * 60 * 1_000_000,
     );
     let churn = ChurnSource::new(plan, harness.engine);
-    let churn_first = churn.first_time();
-    attach_source(&mut harness, "churn", churn, churn_first, PRIO_STATE);
+    attach(&mut harness.sim, "churn", churn);
 
     println!("online simulation: replay + scheduling + churn + rollout on one timeline\n");
     let (cluster, result) = harness.run();
