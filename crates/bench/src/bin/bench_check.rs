@@ -23,12 +23,15 @@
 //! one) and the hosts differ, a warning notes that ratios are
 //! indicative only.
 //!
-//! `--max-ratio <id_a>:<id_b>=<k>` adds one assertion *within* the
-//! current report: exit 1 when `median(a) / median(b) > k`. Both sides
-//! ran on the same host minutes apart, so unlike the baseline comparison
-//! it holds on any runner — CI uses it to pin that a capacity probe does
-//! not get slower as the fleet grows
-//! (`placement/near_miss/100000:placement/near_miss/1000`).
+//! `--max-ratio <id_a>:<id_b>=<k>[,<id_c>:<id_d>=<k2>…]` adds
+//! assertions *within* the current report: exit 1 when
+//! `median(a) / median(b) > k`. Both sides ran on the same host minutes
+//! apart, so unlike the baseline comparison it holds on any runner — CI
+//! uses it to pin that a capacity probe does not get slower as the fleet
+//! grows (`placement/near_miss/100000:placement/near_miss/1000`) and
+//! that the input-major training step keeps its lead over the naive one
+//! at the shape the lab retrains at
+//! (`training_step/fig3_shape_optimized:training_step/fig3_shape_naive`).
 
 use ctlm_bench::args::ParsedArgs;
 use ctlm_telemetry::HostFingerprint;
@@ -89,7 +92,7 @@ fn main() {
         Ok(p) => p,
         Err(e) => {
             eprintln!("bench_check: {e}");
-            eprintln!("usage: bench_check <current.json> <baseline.json> [--threshold 1.25] [--groups matching/,placement/] [--max-ratio <id_a>:<id_b>=<k>]");
+            eprintln!("usage: bench_check <current.json> <baseline.json> [--threshold 1.25] [--groups matching/,placement/] [--max-ratio <id_a>:<id_b>=<k>[,…]]");
             std::process::exit(2);
         }
     };
@@ -123,7 +126,11 @@ fn main() {
     let current = medians(&current_doc);
     let baseline = medians(&baseline_doc);
     let mut ratio_exceeded = false;
-    if let Some(raw) = parsed.option("--max-ratio") {
+    for raw in parsed
+        .option("--max-ratio")
+        .into_iter()
+        .flat_map(|list| list.split(','))
+    {
         let Some((a, b, k)) = parse_max_ratio(raw) else {
             eprintln!("bench_check: --max-ratio wants <id_a>:<id_b>=<k>, got {raw:?}");
             std::process::exit(2);
@@ -139,8 +146,8 @@ fn main() {
                 })
         };
         let ratio = median_of(a) / median_of(b);
-        ratio_exceeded = ratio > k;
-        let verdict = if ratio_exceeded { "EXCEEDED" } else { "ok" };
+        ratio_exceeded |= ratio > k;
+        let verdict = if ratio > k { "EXCEEDED" } else { "ok" };
         println!("{a} : {b}  ratio {ratio:.2}  limit {k}  {verdict}");
     }
     let mut compared = 0usize;

@@ -5,17 +5,33 @@
 //! accuracy, Group-0 F1 and epoch count at that step.
 
 use ctlm_bench::{opt_f1, replay_cell, rule, Cli};
-use ctlm_core::pipeline::{run_model_over_steps, ModelKind};
-use ctlm_core::TrainConfig;
+use ctlm_core::pipeline::{run_model_over_steps_observed, ModelKind};
+use ctlm_core::{StepPhases, TrainConfig};
 use ctlm_trace::CellSet;
+
+/// One model's host-plane totals over all steps: attempts, and where the
+/// training wall time went.
+#[derive(Default)]
+struct HostTotals {
+    attempts: usize,
+    phases: StepPhases,
+}
 
 fn main() {
     let cli = Cli::parse();
     println!("TABLE XI. MODEL EVALUATION RESULTS FOR CLUSTERDATA-2019C\n");
     let out = replay_cell(&cli, CellSet::C2019c);
     let cfg = TrainConfig::default();
-    let growing = run_model_over_steps(ModelKind::Growing, &out.steps, cfg, cli.seed);
-    let retrain = run_model_over_steps(ModelKind::FullyRetrain, &out.steps, cfg, cli.seed);
+    let run = |kind| {
+        let mut host = HostTotals::default();
+        let summary = run_model_over_steps_observed(kind, &out.steps, cfg, cli.seed, |step| {
+            host.attempts += step.attempts;
+            host.phases.add(&step.phases);
+        });
+        (summary, host)
+    };
+    let (growing, growing_host) = run(ModelKind::Growing);
+    let (retrain, retrain_host) = run(ModelKind::FullyRetrain);
 
     println!(
         "{:<5} {:<9} {:>8} {:>5} {:>6} | {:>9} {:>9} {:>6} | {:>9} {:>9} {:>6}",
@@ -57,6 +73,24 @@ fn main() {
         retrain.epochs_total,
         retrain.wall_time_total
     );
+    // Host plane: never part of a step record, printed here only.
+    for (name, summary, host) in [
+        ("Growing", &growing, &growing_host),
+        ("Fully Retrain", &retrain, &retrain_host),
+    ] {
+        let wall = summary.wall_time_total.as_secs_f64();
+        let parts: Vec<String> = host
+            .phases
+            .parts()
+            .iter()
+            .map(|(part, d)| format!("{part} {:.1}%", 100.0 * d.as_secs_f64() / wall))
+            .collect();
+        println!(
+            "{name}: {} attempts; wall time by phase: {}",
+            host.attempts,
+            parts.join(", ")
+        );
+    }
     let saved = 100.0 * (1.0 - growing.epochs_total as f64 / retrain.epochs_total.max(1) as f64);
     println!("epoch reduction: {saved:.0}% (paper reports 40–91% across cells)");
 }

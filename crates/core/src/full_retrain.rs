@@ -47,9 +47,7 @@ impl FullRetrainModel {
     /// Panics before the first step.
     pub fn to_net(&self) -> Net {
         let sd = self.state.as_ref().expect("model not trained yet");
-        let mut net = fresh_two_layer(self.features, &self.config, 0);
-        net.load_state_dict(sd).expect("own state dict must load");
-        net
+        Net::from_state_dict(sd).expect("own state dict must load")
     }
 
     /// Trains from scratch on the step's dataset.

@@ -18,8 +18,9 @@ use serde::{Deserialize, Serialize};
 use ctlm_data::dataset::Dataset;
 use ctlm_nn::state_dict::pad_input_weight;
 use ctlm_nn::{Layer, Net, StateDict};
+use ctlm_tensor::Csr;
 
-use crate::trainer::{fresh_two_layer, train_step, StepOutcome, TrainConfig, Warmth};
+use crate::trainer::{fresh_two_layer, train_rows, StepOutcome, TrainConfig, Warmth};
 
 /// The continuously-growing CTLM model.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -65,9 +66,7 @@ impl GrowingModel {
     /// Panics when called before any training step.
     pub fn to_net(&self) -> Net {
         let sd = self.state.as_ref().expect("model not trained yet");
-        let mut net = fresh_two_layer(self.features, &self.config, 0);
-        net.load_state_dict(sd).expect("own state dict must load");
-        net
+        Net::from_state_dict(sd).expect("own state dict must load")
     }
 
     /// Like [`GrowingModel::to_net`] but zero-padded to `width` (Listing 2
@@ -82,36 +81,38 @@ impl GrowingModel {
         let sd = self.state.as_ref().expect("model not trained yet");
         let mut padded = sd.clone();
         pad_input_weight(&mut padded, "fc1.weight", width).expect("own fc1.weight must pad");
-        let mut net = fresh_two_layer(width, &self.config, 0);
-        net.load_state_dict(&padded)
-            .expect("padded state dict must load");
-        net
+        Net::from_state_dict(&padded).expect("padded state dict must load")
     }
 
     /// Runs one training step on the (cumulative) dataset of a feature-
     /// extension step, transferring knowledge from the previous step's
     /// model when possible.
+    ///
+    /// # Panics
+    /// Panics if the configuration's `max_attempts` is 0.
     pub fn step(&mut self, dataset: &Dataset, seed: u64) -> StepOutcome {
-        let new_width = dataset.features_count();
+        self.step_rows(&dataset.x, &dataset.y, seed)
+    }
+
+    /// [`GrowingModel::step`] on the first `y.len()` rows of `x`, borrowed
+    /// — for a caller that keeps one append-only training set and trains
+    /// on ever longer prefixes of it (see
+    /// [`train_rows`]).
+    pub fn step_rows(&mut self, x: &Csr, y: &[u8], seed: u64) -> StepOutcome {
+        let new_width = x.cols();
         let warm = match (&self.state, new_width) {
             (Some(sd), w) if w >= self.features && self.features > 0 => {
                 // Listing 2: reshape inside the state dict, then restore.
                 let mut padded = sd.clone();
                 let pretrained = pad_input_weight(&mut padded, "fc1.weight", w)
                     .expect("own fc1.weight must pad");
-                let mut net = fresh_two_layer(w, &self.config, seed);
-                net.load_state_dict(&padded)
-                    .expect("padded state dict must load");
+                let mut net = Net::from_state_dict(&padded).expect("padded state dict must load");
                 // Listing 1/3 freezing: every layer frozen except fc1
                 // (whose weight gets the multiplier and whose bias trains
                 // freely).
-                for (i, layer) in net.layers_mut().iter_mut().enumerate() {
+                for layer in net.dense_layers_mut() {
                     if let Layer::Linear(l) = layer {
-                        if i == 0 {
-                            l.unfreeze();
-                        } else {
-                            l.freeze();
-                        }
+                        l.freeze();
                     }
                 }
                 Some((
@@ -124,7 +125,7 @@ impl GrowingModel {
             _ => None,
         };
         let cfg = self.config;
-        let (outcome, net) = train_step(dataset, &cfg, seed, warm, |s| {
+        let (outcome, net) = train_rows(x, y, &cfg, seed, warm, |s| {
             fresh_two_layer(new_width, &cfg, s)
         });
         self.state = Some(net.state_dict());
@@ -200,8 +201,7 @@ mod tests {
         // Pad manually (no retraining) and re-predict on widened rows.
         let mut padded = m.state_dict().unwrap().clone();
         pad_input_weight(&mut padded, "fc1.weight", 48).unwrap();
-        let mut net_after = fresh_two_layer(48, m.config(), 0);
-        net_after.load_state_dict(&padded).unwrap();
+        let net_after = Net::from_state_dict(&padded).unwrap();
         let ds_wide = widened(&ds, 8);
         let pred_after = net_after.predict(&ds_wide.x);
         assert_eq!(

@@ -36,4 +36,4 @@ pub use hybrid::{HybridAnalyzer, HybridVerdict, VerdictSource};
 pub use pipeline::{
     run_baseline_over_steps, run_model_over_steps, BaselineKind, RunSummary, StepRecord,
 };
-pub use trainer::{StepOutcome, TrainConfig};
+pub use trainer::{StepOutcome, StepPhases, TrainConfig};

@@ -19,7 +19,7 @@ use ctlm_data::split::{stratified_split, SplitConfig};
 
 use crate::full_retrain::FullRetrainModel;
 use crate::growing::GrowingModel;
-use crate::trainer::TrainConfig;
+use crate::trainer::{StepOutcome, TrainConfig};
 
 /// Per-step record (one Table XI row).
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -102,6 +102,20 @@ pub fn run_model_over_steps(
     config: TrainConfig,
     seed: u64,
 ) -> RunSummary {
+    run_model_over_steps_observed(kind, steps, config, seed, |_| {})
+}
+
+/// [`run_model_over_steps`], showing `on_step` every step's full
+/// [`StepOutcome`] — the host-plane figures (attempts, the phase
+/// breakdown of the wall time) that a [`StepRecord`] deliberately does
+/// not carry, because records are compared byte for byte across runs.
+pub fn run_model_over_steps_observed(
+    kind: ModelKind,
+    steps: &[DatasetStep],
+    config: TrainConfig,
+    seed: u64,
+    mut on_step: impl FnMut(&StepOutcome),
+) -> RunSummary {
     assert!(!steps.is_empty(), "no dataset steps to run over");
     let mut growing = GrowingModel::new(config);
     let mut retrain = FullRetrainModel::new(config);
@@ -111,6 +125,7 @@ pub fn run_model_over_steps(
             ModelKind::Growing => growing.step(&step.vv, seed.wrapping_add(i as u64)),
             ModelKind::FullyRetrain => retrain.step(&step.vv, seed.wrapping_add(i as u64)),
         };
+        on_step(&outcome);
         records.push(StepRecord {
             step: step.index,
             label: step.label.clone(),

@@ -11,6 +11,22 @@
 //!    0.95 *and* the Group-0 F1 exceeds 0.9;
 //! 6. if the thresholds are not met within 100 epochs, discard and
 //!    reinitialise (fail-fast), giving up after ten attempts.
+//!
+//! The routine copies no training data. [`train_rows`] borrows a feature
+//! matrix and a label slice, takes the first `y.len()` rows as the
+//! step's dataset, and trains straight from the split's index lists:
+//! each mini-batch is gathered from the borrowed matrix into one reused
+//! buffer, and only the test rows are gathered — once per step — for the
+//! per-epoch evaluation. A caller holding one append-only training set
+//! (the lab's in-timeline retrainer) therefore pays per step for the
+//! split and the training itself, never for re-assembling rows it has
+//! already seen. [`train_step`] is the same call over a whole
+//! [`Dataset`].
+//!
+//! Where a step's time goes is reported beside it: [`StepOutcome::phases`]
+//! splits `wall_time` into split, gather, forward + backward, gradient
+//! scaling, optimiser and evaluation (host plane only — it never reaches
+//! a serialised record).
 
 use std::time::{Duration, Instant};
 
@@ -70,6 +86,70 @@ impl Default for TrainConfig {
     }
 }
 
+/// Where one training step's wall time went. The parts cover the step
+/// from the split to the last evaluation; what they leave out of
+/// [`StepOutcome::wall_time`] is per-attempt set-up (building the
+/// network, sizing buffers). Host-dependent like `wall_time`, so it stays
+/// on the outcome and is never copied into a
+/// [`StepRecord`](crate::pipeline::StepRecord).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StepPhases {
+    /// Stratified split, plus gathering the test rows.
+    pub split: Duration,
+    /// Mini-batch gathers (`select_rows_into` + labels).
+    pub gather: Duration,
+    /// `Net::train_batch`: zero-grad, forward, loss, backward.
+    pub forward_backward: Duration,
+    /// The Listing-3 multiplier on `fc1.weight`'s gradient.
+    pub grad_scale: Duration,
+    /// `Adam::step`.
+    pub optimiser: Duration,
+    /// Per-epoch test prediction and scoring.
+    pub evaluate: Duration,
+}
+
+impl StepPhases {
+    /// The parts by name, in the order a step runs them.
+    pub fn parts(&self) -> [(&'static str, Duration); 6] {
+        [
+            ("split", self.split),
+            ("gather", self.gather),
+            ("forward+backward", self.forward_backward),
+            ("grad-scale", self.grad_scale),
+            ("optimiser", self.optimiser),
+            ("evaluate", self.evaluate),
+        ]
+    }
+
+    /// Sum of the parts.
+    pub fn total(&self) -> Duration {
+        self.parts().iter().map(|&(_, d)| d).sum()
+    }
+
+    /// Adds another step's parts to these.
+    pub fn add(&mut self, other: &StepPhases) {
+        self.split += other.split;
+        self.gather += other.gather;
+        self.forward_backward += other.forward_backward;
+        self.grad_scale += other.grad_scale;
+        self.optimiser += other.optimiser;
+        self.evaluate += other.evaluate;
+    }
+}
+
+/// Hands out the time since it was last asked, so consecutive phases
+/// tile the interval with one clock read per boundary.
+struct Lap(Instant);
+
+impl Lap {
+    fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        let d = now - self.0;
+        self.0 = now;
+        d
+    }
+}
+
 /// Result of one training step (one row of Table XI).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct StepOutcome {
@@ -86,6 +166,8 @@ pub struct StepOutcome {
     /// Wall time of the whole step, including splitting and evaluation —
     /// the quantity the paper reports in minutes per step.
     pub wall_time: Duration,
+    /// Where `wall_time` went.
+    pub phases: StepPhases,
     /// Feature-array width trained at.
     pub features_count: usize,
 }
@@ -102,28 +184,58 @@ pub enum Warmth {
     },
 }
 
-/// Splits, trains and evaluates one dataset step.
+/// Splits, trains and evaluates one dataset step: [`train_rows`] over
+/// the whole dataset.
 ///
-/// `make_fresh` constructs a new network for (re)initialisation attempts;
-/// `warm` optionally supplies a transfer-loaded network for the first
-/// attempt. Returns the outcome plus the final network.
+/// # Panics
+/// Panics if `config.max_attempts` is 0 or the dataset is empty.
 pub fn train_step(
     dataset: &Dataset,
     config: &TrainConfig,
     seed: u64,
     warm: Option<(Net, Warmth)>,
+    make_fresh: impl FnMut(u64) -> Net,
+) -> (StepOutcome, Net) {
+    train_rows(&dataset.x, &dataset.y, config, seed, warm, make_fresh)
+}
+
+/// Splits, trains and evaluates one step on the first `y.len()` rows of
+/// `x` — the whole matrix, or a prefix of a longer append-only one. No
+/// row is copied except into the mini-batch and test buffers.
+///
+/// `make_fresh` constructs a new network for (re)initialisation attempts;
+/// `warm` optionally supplies a transfer-loaded network for the first
+/// attempt. Returns the outcome plus the final network.
+///
+/// # Panics
+/// Panics if `config.max_attempts` is 0 (no attempt, so no network to
+/// return — `ExperimentSpec::validate` rejects such a spec before it gets
+/// here), if `y` is empty or longer than `x` has rows.
+pub fn train_rows(
+    x: &Csr,
+    y: &[u8],
+    config: &TrainConfig,
+    seed: u64,
+    warm: Option<(Net, Warmth)>,
     mut make_fresh: impl FnMut(u64) -> Net,
 ) -> (StepOutcome, Net) {
+    assert!(config.max_attempts > 0, "max_attempts must be at least 1");
+    assert!(y.len() <= x.rows(), "more labels than feature rows");
     let t_start = Instant::now();
+    let mut lap = Lap(t_start);
+    let mut phases = StepPhases::default();
     let (train_idx, test_idx) = stratified_split(
-        &dataset.y,
+        y,
         SplitConfig {
             test_fraction: config.test_fraction,
             seed,
         },
     );
-    let train = dataset.select(&train_idx);
-    let test = dataset.select(&test_idx);
+    // The test side is read whole once per epoch, so it is gathered once;
+    // the training side is only ever read a mini-batch at a time.
+    let test_x = x.select_rows(&test_idx);
+    let test_y: Vec<u8> = test_idx.iter().map(|&i| y[i]).collect();
+    phases.split = lap.lap();
     let loss_fn = CrossEntropyLoss::group0_boosted(config.n_classes, config.group0_class_weight);
 
     let mut total_epochs = 0usize;
@@ -131,6 +243,15 @@ pub fn train_step(
     let mut used_transfer = false;
     let mut best: Option<(Evaluation, Net)> = None;
     let mut accepted = false;
+
+    // Steady-state buffers, reused across every batch, epoch and attempt:
+    // the batch's row numbers, the gathered mini-batch, its labels, and
+    // the forward/backward workspace. After the first batch warms their
+    // capacities, training runs without heap allocation.
+    let mut ws = Workspace::new();
+    let mut rows: Vec<usize> = Vec::with_capacity(config.batch_size);
+    let mut xb = Csr::empty(0, x.cols());
+    let mut yb: Vec<u8> = Vec::with_capacity(config.batch_size);
 
     let mut pending_warm = warm;
     while attempts < config.max_attempts {
@@ -148,43 +269,44 @@ pub fn train_step(
         let multiplier = match warmth {
             Warmth::Transfer { pretrained_cols } => Some(ColumnGradScale::new(
                 pretrained_cols,
-                dataset.features_count(),
+                x.cols(),
                 config.pretrained_gradient_rate,
             )),
             Warmth::Fresh => None,
         };
         let mut opt = Adam::new(config.lr);
-        let mut batches = BatchIter::new(train.len(), config.batch_size, seed ^ attempts as u64);
-
-        // Steady-state buffers, reused across every batch and epoch of
-        // this attempt: the gathered mini-batch, its labels, and the
-        // forward/backward workspace. After the first batch warms their
-        // capacities, the whole train step runs without heap allocation.
-        let mut ws = Workspace::new();
-        let mut xb = Csr::empty(0, train.x.cols());
-        let mut yb: Vec<u8> = Vec::with_capacity(config.batch_size);
+        let mut batches =
+            BatchIter::new(train_idx.len(), config.batch_size, seed ^ attempts as u64);
 
         let mut eval = Evaluation {
             accuracy: 0.0,
             group0_f1: None,
         };
+        lap.lap();
         for _epoch in 0..config.epochs_limit {
             total_epochs += 1;
             for batch in batches.batches() {
-                train.x.select_rows_into(batch, &mut xb);
+                rows.clear();
+                rows.extend(batch.iter().map(|&i| train_idx[i]));
+                x.select_rows_into(&rows, &mut xb);
                 yb.clear();
-                yb.extend(batch.iter().map(|&i| train.y[i]));
+                yb.extend(rows.iter().map(|&r| y[r]));
+                phases.gather += lap.lap();
                 net.train_batch(&xb, &yb, &loss_fn, &mut ws);
+                phases.forward_backward += lap.lap();
                 if let Some(m) = &multiplier {
                     // Listing 3: scale pre-trained fc1.weight gradients in
                     // place before the optimizer step.
                     m.apply(net.input_layer_mut());
+                    phases.grad_scale += lap.lap();
                 }
                 opt.step(&mut net);
+                phases.optimiser += lap.lap();
             }
             // model.eval(); evaluate; early-exit when acceptable.
-            let pred = net.predict(&test.x);
-            eval = Evaluation::compute(&test.y, &pred, config.n_classes);
+            let pred = net.predict(&test_x);
+            eval = Evaluation::compute(&test_y, &pred, config.n_classes);
+            phases.evaluate += lap.lap();
             if accept(&eval, config) {
                 accepted = true;
                 break;
@@ -203,7 +325,7 @@ pub fn train_step(
         // Fail-fast: discard this model; the next attempt reinitialises.
     }
 
-    let (evaluation, net) = best.expect("at least one attempt ran");
+    let (evaluation, net) = best.expect("max_attempts > 0, so an attempt ran");
     (
         StepOutcome {
             evaluation,
@@ -212,7 +334,8 @@ pub fn train_step(
             used_transfer,
             accepted,
             wall_time: t_start.elapsed(),
-            features_count: dataset.features_count(),
+            phases,
+            features_count: x.cols(),
         },
         net,
     )
@@ -314,6 +437,67 @@ pub(crate) mod tests {
         assert!(!out.accepted);
         assert_eq!(out.attempts, 3, "must stop after max_attempts");
         assert_eq!(out.epochs, 6, "2 epochs × 3 attempts");
+    }
+
+    #[test]
+    fn phases_sum_to_the_wall_time() {
+        let ds = synthetic_dataset(4_000, 120, 4);
+        let cfg = TrainConfig {
+            epochs_limit: 6,
+            max_attempts: 1,
+            accepted_accuracy: 2.0,
+            ..TrainConfig::default()
+        };
+        let (out, _) = train_step(&ds, &cfg, 4, None, |s| {
+            fresh_two_layer(ds.features_count(), &cfg, s)
+        });
+        let (parts, wall) = (out.phases.total(), out.wall_time);
+        assert!(parts <= wall, "parts {parts:?} exceed the step's {wall:?}");
+        assert!(
+            parts.as_secs_f64() >= 0.95 * wall.as_secs_f64(),
+            "phases account for {parts:?} of {wall:?}: {:?}",
+            out.phases
+        );
+        assert_eq!(out.phases.grad_scale, Duration::ZERO, "fresh start");
+        assert!(
+            out.phases
+                .parts()
+                .iter()
+                .filter(|p| p.1 > Duration::ZERO)
+                .count()
+                == 5
+        );
+    }
+
+    /// Training on a row prefix of a longer matrix is training on a
+    /// dataset holding exactly those rows.
+    #[test]
+    fn a_row_prefix_trains_like_its_own_dataset() {
+        let full = synthetic_dataset(900, 50, 5);
+        let n = 600;
+        let prefix = full.select(&(0..n).collect::<Vec<_>>());
+        let cfg = TrainConfig {
+            epochs_limit: 3,
+            max_attempts: 2,
+            ..TrainConfig::default()
+        };
+        let fresh = |s| fresh_two_layer(50, &cfg, s);
+        let (a, net_a) = train_rows(&full.x, &full.y[..n], &cfg, 5, None, fresh);
+        let (b, net_b) = train_step(&prefix, &cfg, 5, None, fresh);
+        assert_eq!(net_a.state_dict(), net_b.state_dict());
+        assert_eq!(a.evaluation.accuracy, b.evaluation.accuracy);
+        assert_eq!((a.epochs, a.attempts), (b.epochs, b.attempts));
+    }
+
+    #[test]
+    #[should_panic(expected = "max_attempts must be at least 1")]
+    fn zero_attempts_is_a_documented_panic() {
+        let ds = synthetic_dataset(100, 20, 6);
+        let cfg = TrainConfig {
+            max_attempts: 0,
+            ..TrainConfig::default()
+        };
+        let _ = train_step(&ds, &cfg, 6, None, |s| fresh_two_layer(20, &cfg, s));
     }
 
     #[test]

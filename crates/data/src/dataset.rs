@@ -139,6 +139,17 @@ impl DatasetBuilder {
             n_classes: self.n_classes,
         }
     }
+
+    /// Consumes the builder into a dataset with the given final width —
+    /// [`DatasetBuilder::snapshot`] without the copy, for a builder that
+    /// has seen its last row.
+    pub fn finish(self, cols: usize) -> Dataset {
+        Dataset {
+            x: self.x.finish_with_cols(cols),
+            y: self.y,
+            n_classes: self.n_classes,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -191,6 +202,8 @@ mod tests {
         assert_eq!(d.x.get(2, 5), 1.0);
         // The builder keeps accumulating after a snapshot.
         assert_eq!(b.len(), 3);
+        let finished = b.finish(6);
+        assert_eq!((finished.x, finished.y), (d.x, d.y));
     }
 
     #[test]

@@ -5,8 +5,12 @@
 //! attributes in that same order, and all randomness flows through
 //! seeded [`StdRng`]s — the property the determinism tests pin down.
 
+use std::sync::OnceLock;
+
 use rand::rngs::StdRng;
 
+use ctlm_data::dataset::{Dataset, DatasetBuilder, NUM_GROUPS};
+use ctlm_data::encode::co_vv::CoVvEncoder;
 use ctlm_data::vocab::ValueVocab;
 use ctlm_sched::engine::{arrivals_from_trace, compress_timeline};
 use ctlm_sched::scenario::{ChurnPlan, RolloutStage};
@@ -119,6 +123,47 @@ pub struct BuiltCell {
     pub autoscale: Option<BuiltAutoscale>,
     /// Resolved fault plane, if the scenario requested one.
     pub faults: Option<BuiltFaults>,
+    /// The arrivals as a labelled CO-VV dataset, encoded on first use
+    /// (see [`BuiltCell::training_set`]).
+    training: OnceLock<Dataset>,
+}
+
+impl BuiltCell {
+    /// The cell's training set: one CO-VV row per arrival, in arrival
+    /// order, encoded against the cell's machine vocabulary and labelled
+    /// with the ground-truth suitable-node group the builder computed.
+    ///
+    /// This is the one place a cell's arrivals are encoded. It runs on
+    /// first use and every model-side consumer shares the result: the
+    /// `enhanced` scheduler trains on the whole set, the in-timeline
+    /// retrainer on the row prefix that has arrived by each tick — rows
+    /// are in arrival order, so the arrivals seen by time `t` *are* a
+    /// prefix.
+    ///
+    /// # Panics
+    /// Panics on a cell built streaming: callers that train on the
+    /// population build it materialised.
+    pub fn training_set(&self) -> &Dataset {
+        self.training.get_or_init(|| {
+            let arrivals = self
+                .arrivals
+                .list()
+                .expect("model-backed runs materialise their arrivals");
+            assert!(
+                arrivals.is_sorted_by_key(|t| t.arrival),
+                "arrival lists are time-sorted"
+            );
+            let width = self.vocab.len();
+            let mut b = DatasetBuilder::new(width, NUM_GROUPS);
+            for t in arrivals {
+                b.push(
+                    CoVvEncoder.encode_requirements(&t.reqs, &self.vocab),
+                    t.truth_group,
+                );
+            }
+            b.finish(width)
+        })
+    }
 }
 
 /// Builds one cell from its spec. `index` namespaces task ids and seeds
@@ -212,12 +257,8 @@ pub fn build_cell(
             params: a.params,
             config: AutoscaleConfig {
                 min: a.min,
-                // Parse-time validation rejects min > max, but sweep
-                // points rewrite knobs without re-validating — guard
-                // like `AutoscaleConfig::new` so a swept band can never
-                // panic `clamp` mid-run.
-                max: a.max.max(a.min),
-                cadence: a.cadence.max(1),
+                max: a.max,
+                cadence: a.cadence,
                 warm_pool: a.warm_pool,
                 delay: a.delay,
                 template,
@@ -286,6 +327,7 @@ pub fn build_cell(
         retrain: scenario.retrain.clone(),
         autoscale,
         faults,
+        training: OnceLock::new(),
     })
 }
 

@@ -14,8 +14,6 @@ use std::sync::Arc;
 use ctlm_autoscale::{AutoscalePolicy, MachineTemplate, Predictive, TargetTracking, ThresholdStep};
 use ctlm_core::{GrowingModel, ModelRegistry, TaskCoAnalyzer, TrainConfig};
 use ctlm_data::compaction::collapse;
-use ctlm_data::dataset::{DatasetBuilder, NUM_GROUPS};
-use ctlm_data::encode::co_vv::CoVvEncoder;
 use ctlm_sched::placement::{BestFit, FirstFit, Placer, PreemptiveBestFit, SoftAffinityBestFit};
 use ctlm_sched::scheduler::{Enhanced, LiveRegistry, MainOnly, OracleEnhanced, Scheduler};
 use ctlm_sched::SimConfig;
@@ -189,25 +187,14 @@ pub fn soft_requirements(
         .map_err(|e| LabError::msg(format!("unsatisfiable soft-affinity set: {e:?}")))
 }
 
-/// Trains a [`TaskCoAnalyzer`] on the cell's own arrival population:
-/// CO-VV rows against the cell's machine vocabulary, labelled with the
-/// ground-truth suitable-node groups the builder computed.
+/// Trains a [`TaskCoAnalyzer`] on the cell's own arrival population —
+/// its [`BuiltCell::training_set`]: CO-VV rows against the cell's machine
+/// vocabulary, labelled with the ground-truth suitable-node groups the
+/// builder computed.
 pub fn train_analyzer(cell: &BuiltCell, train: &TrainSpec, seed: u64) -> TaskCoAnalyzer {
-    let vocab = cell.vocab.clone();
-    let width = vocab.len();
-    let enc = CoVvEncoder;
-    let mut b = DatasetBuilder::new(width, NUM_GROUPS);
-    let arrivals = cell
-        .arrivals
-        .list()
-        .expect("model-backed schedulers materialise their arrivals");
-    for t in arrivals {
-        b.push(enc.encode_requirements(&t.reqs, &vocab), t.truth_group);
-    }
-    let ds = b.snapshot(width);
     let mut model = GrowingModel::new(train_config(train));
-    model.step(&ds, seed);
-    TaskCoAnalyzer::new(model.to_net(), vocab)
+    model.step(cell.training_set(), seed);
+    TaskCoAnalyzer::new(model.to_net(), cell.vocab.clone())
 }
 
 /// The spec's training budget over the paper's defaults.

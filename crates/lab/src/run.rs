@@ -24,9 +24,25 @@
 //!
 //! Arrivals reach a cell through the one
 //! [`Simulator::attach_cell`] entry point, as a borrowed list or as a
-//! [`SyntheticStream`]; which one is decided in
-//! [`run_scheduler_observed`] from what the spec needs (see
-//! [`ArrivalMode`]), never by the user.
+//! [`SyntheticStream`]; which one is decided here from what the spec
+//! needs (see [`ArrivalMode`]), never by the user.
+//!
+//! **Cells are built once per grid point.** A spec usually lists several
+//! schedulers to A/B on the same workload, and building a cell (trace
+//! generation, ground-truth groups) costs more than simulating it.
+//! [`run_schedulers_observed`] therefore builds a point's cells once per
+//! arrival flavour — list-fed and streamed, at most two builds — and runs
+//! every scheduler against them, each with its own copy of the fleet.
+//! [`run_scheduler_observed`] is the same run on cells built for it
+//! alone.
+//!
+//! **Retraining pays only for what is new.** A list-fed cell carries one
+//! arrival-ordered CO-VV training set ([`BuiltCell::training_set`],
+//! encoded on first use and shared with the `enhanced` scheduler's
+//! analyzer). [`RetrainSource`] holds no rows of its own: a tick finds
+//! how many arrivals the clock has passed and trains on that row prefix
+//! of the shared set, borrowed — no builder, no snapshot, no copy of the
+//! training side (see `ctlm_core::trainer::train_rows`).
 //!
 //! Because the epoch-sharded semantics never depend on the thread count
 //! (it only changes which OS thread runs a shard), reports are
@@ -38,9 +54,6 @@ use std::rc::Rc;
 use ctlm_autoscale::{AutoscaleStats, Autoscaler};
 use ctlm_core::ModelRegistry;
 use ctlm_core::{GrowingModel, TaskCoAnalyzer, TrainConfig};
-use ctlm_data::dataset::{DatasetBuilder, NUM_GROUPS};
-use ctlm_data::encode::co_vv::CoVvEncoder;
-use ctlm_data::vocab::ValueVocab;
 use ctlm_sched::engine::{CellHandle, EngineState, SpillRoute, PRIO_ADMIT, PRIO_STATE};
 use ctlm_sched::scenario::{ChurnSource, GangSource, RolloutSource};
 use ctlm_sched::timed::next_tick;
@@ -57,7 +70,7 @@ use crate::build::{build_cell, BuiltArrivals, BuiltCell, CELL_ID_STRIDE};
 use crate::registry::{
     build_autoscale_policy, build_placer, build_scheduler, train_config, SchedulerInstance,
 };
-use crate::spec::{ExperimentSpec, RetrainSpec, SpilloverPolicy, WorkloadSpec};
+use crate::spec::{CellSpec, ExperimentSpec, RetrainSpec, SpilloverPolicy, WorkloadSpec};
 use crate::stream::SyntheticStream;
 use crate::LabError;
 
@@ -273,30 +286,109 @@ fn route_spill(
     }
 }
 
-/// Runs the spec once under the named scheduler, returning per-cell
-/// outcomes plus the wall-clock shard profile when the spec's
-/// `observability.profile` knob is on.
+/// One scheduler's run of a spec: per-cell outcomes plus the wall-clock
+/// shard profile when the spec's `observability.profile` knob is on.
+pub type SchedulerOutcome = (Vec<CellOutcome>, Option<ParallelPerf>);
+
+/// Whether a cell streams its arrivals in a run under `sched_name`: only
+/// when nothing needs its full arrival population up front — trace slices
+/// replay a list, model-backed schedulers and the retraining scenario
+/// train on it.
+fn streams(cs: &CellSpec, sched_name: &str, mode: ArrivalMode) -> bool {
+    mode == ArrivalMode::Streaming
+        && matches!(cs.workload, WorkloadSpec::Synthetic(_))
+        && !matches!(sched_name, "enhanced" | "live_registry")
+        && cs.scenario.retrain.is_none()
+}
+
+/// Builds every cell of the spec the way a run under `sched_name` feeds
+/// it.
+fn build_cells(
+    spec: &ExperimentSpec,
+    sched_name: &str,
+    mode: ArrivalMode,
+) -> Result<Vec<BuiltCell>, LabError> {
+    spec.cell_specs()
+        .iter()
+        .enumerate()
+        .map(|(i, cs)| build_cell(cs, &spec.sim, i, streams(cs, sched_name, mode)))
+        .collect()
+}
+
+/// Runs the spec once under the named scheduler on cells built for this
+/// one run. [`run_schedulers_observed`] is the entry point for a spec's
+/// whole scheduler list (it builds once and shares); this one serves
+/// callers that time or inspect a single scheduler's run.
 pub fn run_scheduler_observed(
     spec: &ExperimentSpec,
     sched_name: &str,
     mode: ArrivalMode,
-) -> Result<(Vec<CellOutcome>, Option<ParallelPerf>), LabError> {
+) -> Result<SchedulerOutcome, LabError> {
+    let mut built = build_cells(spec, sched_name, mode)?;
+    let clusters = built
+        .iter_mut()
+        .map(|c| std::mem::take(&mut c.cluster))
+        .collect();
+    run_cells(spec, sched_name, &built, clusters)
+}
+
+/// Runs the spec once under each of its schedulers, in list order,
+/// handing every run's outcome to `each`.
+///
+/// A grid point's cells are built once per arrival flavour, not once per
+/// scheduler: one list-fed set serves every scheduler whose run streams
+/// nothing (and carries the CO-VV training set `enhanced` and
+/// `live_registry` share), one streamed set serves the rest — at most two
+/// builds however long the list, and a large synthetic spec under
+/// `main_only` still streams in O(chunk). Each run gets its own copy of
+/// the fleet; the last run on a set takes the set's own, and the set is
+/// dropped with it.
+pub fn run_schedulers_observed(
+    spec: &ExperimentSpec,
+    mode: ArrivalMode,
+    mut each: impl FnMut(&str, SchedulerOutcome),
+) -> Result<(), LabError> {
+    let names = spec.scheduler_names();
     let cell_specs = spec.cell_specs();
-    let mut built: Vec<BuiltCell> = cell_specs
+    let streamed: Vec<bool> = names
         .iter()
-        .enumerate()
-        .map(|(i, cs)| {
-            // A cell streams only when nothing needs its full arrival
-            // population up front: trace slices replay a list,
-            // model-backed schedulers and the retraining scenario train
-            // on it.
-            let streaming = mode == ArrivalMode::Streaming
-                && matches!(cs.workload, WorkloadSpec::Synthetic(_))
-                && !matches!(sched_name, "enhanced" | "live_registry")
-                && cs.scenario.retrain.is_none();
-            build_cell(cs, &spec.sim, i, streaming)
-        })
-        .collect::<Result<_, _>>()?;
+        .map(|name| cell_specs.iter().any(|cs| streams(cs, name, mode)))
+        .collect();
+    let mut sets: [Option<Vec<BuiltCell>>; 2] = [None, None];
+    for (k, name) in names.iter().enumerate() {
+        let set = &mut sets[usize::from(streamed[k])];
+        let built = match set {
+            Some(built) => built,
+            None => set.insert(build_cells(spec, name, mode)?),
+        };
+        let last = !streamed[k + 1..].contains(&streamed[k]);
+        let clusters = built
+            .iter_mut()
+            .map(|c| {
+                if last {
+                    std::mem::take(&mut c.cluster)
+                } else {
+                    c.cluster.clone()
+                }
+            })
+            .collect();
+        let outcome = run_cells(spec, name, built, clusters)?;
+        if last {
+            *set = None;
+        }
+        each(name, outcome);
+    }
+    Ok(())
+}
+
+/// Runs built cells once under the named scheduler, each engine taking
+/// its fleet from `clusters`.
+fn run_cells(
+    spec: &ExperimentSpec,
+    sched_name: &str,
+    built: &[BuiltCell],
+    clusters: Vec<SchedCluster>,
+) -> Result<SchedulerOutcome, LabError> {
     let mut instances: Vec<SchedulerInstance> = built
         .iter()
         .map(|c| build_scheduler(sched_name, c, &spec.train, spec.sim.seed))
@@ -311,10 +403,6 @@ pub fn run_scheduler_observed(
             ))
         })
         .collect::<Result<_, LabError>>()?;
-    let clusters: Vec<SchedCluster> = built
-        .iter_mut()
-        .map(|c| std::mem::take(&mut c.cluster))
-        .collect();
     let route_all = spec.spillover.enabled() && built.len() > 1;
     let horizon = spec.sim.horizon;
 
@@ -487,19 +575,19 @@ pub fn run_scheduler_observed(
     Ok((outcomes, perf))
 }
 
-/// One training row: `(arrival time, sparse CO-VV entries, label)`.
-type LabeledRow = (Micros, Vec<(usize, f32)>, u8);
-
 /// The online-retraining scenario source: every `period`, retrain on
 /// the arrivals observed so far and hot-swap the result into the run's
 /// [`ModelRegistry`] — the declarative form of the paper's
 /// replay-retrain-schedule loop. Training happens synchronously on the
 /// simulation timeline, so runs stay bit-deterministic.
-pub struct RetrainSource {
-    /// Training rows sorted by arrival.
-    rows: Vec<LabeledRow>,
-    width: usize,
-    vocab: ValueVocab,
+///
+/// The source owns no training data. It borrows the cell's
+/// [`BuiltCell::training_set`] — encoded once, shared with `enhanced` —
+/// and a tick trains on the row prefix `..seen` of it, where `seen`
+/// counts the arrivals up to `now`: what a tick costs beyond the training
+/// itself is a binary search, whatever the run's length.
+pub struct RetrainSource<'a> {
+    cell: &'a BuiltCell,
     model: GrowingModel,
     registry: ModelRegistry,
     next: Option<Micros>,
@@ -510,36 +598,19 @@ pub struct RetrainSource {
     ticks: u64,
 }
 
-impl RetrainSource {
-    /// Builds the source from a cell's arrival population; the first
+impl<'a> RetrainSource<'a> {
+    /// Builds the source over a cell's arrival population; the first
     /// tick is at `cadence.start`, or one period in when that is 0.
     pub fn new(
-        cell: &BuiltCell,
+        cell: &'a BuiltCell,
         registry: ModelRegistry,
         config: TrainConfig,
         cadence: &RetrainSpec,
         horizon: Micros,
         seed: u64,
     ) -> Self {
-        let enc = CoVvEncoder;
-        let mut rows: Vec<LabeledRow> = cell
-            .arrivals
-            .list()
-            .expect("retraining cells build their arrival list")
-            .iter()
-            .map(|t| {
-                (
-                    t.arrival,
-                    enc.encode_requirements(&t.reqs, &cell.vocab),
-                    t.truth_group,
-                )
-            })
-            .collect();
-        rows.sort_by_key(|&(t, ..)| t);
         Self {
-            rows,
-            width: cell.vocab.len(),
-            vocab: cell.vocab.clone(),
+            cell,
             model: GrowingModel::new(config),
             registry,
             next: Some(if cadence.start > 0 {
@@ -554,9 +625,18 @@ impl RetrainSource {
             ticks: 0,
         }
     }
+
+    /// How many rows of the training set have arrived by `now`.
+    fn seen(&self, now: Micros) -> usize {
+        self.cell
+            .arrivals
+            .list()
+            .expect("retraining cells build their arrival list")
+            .partition_point(|t| t.arrival <= now)
+    }
 }
 
-impl TimedSource for RetrainSource {
+impl TimedSource for RetrainSource<'_> {
     const CLASS: u8 = PRIO_STATE;
 
     fn next_time(&self) -> Option<Micros> {
@@ -564,18 +644,19 @@ impl TimedSource for RetrainSource {
     }
 
     fn fire(&mut self, now: Micros, _ctx: &mut Ctx<'_, SchedEvent>) {
-        let seen = self.rows.partition_point(|&(t, ..)| t <= now);
+        let seen = self.seen(now);
         if seen >= RETRAIN_MIN_ROWS && seen > self.trained_upto {
             self.trained_upto = seen;
-            let mut b = DatasetBuilder::new(self.width, NUM_GROUPS);
-            for (_, row, label) in &self.rows[..seen] {
-                b.push(row.iter().copied(), *label);
-            }
-            let ds = b.snapshot(self.width);
-            self.model
-                .step(&ds, self.seed ^ self.ticks.wrapping_mul(0x9E37_79B9));
-            self.registry
-                .install(TaskCoAnalyzer::new(self.model.to_net(), self.vocab.clone()));
+            let set = self.cell.training_set();
+            self.model.step_rows(
+                &set.x,
+                &set.y[..seen],
+                self.seed ^ self.ticks.wrapping_mul(0x9E37_79B9),
+            );
+            self.registry.install(TaskCoAnalyzer::new(
+                self.model.to_net(),
+                self.cell.vocab.clone(),
+            ));
             self.ticks += 1;
         }
         self.next = next_tick(now, self.period, self.horizon);

@@ -143,6 +143,10 @@ impl ExperimentSpec {
         if self.sim.cycle == 0 {
             return Err(LabError::msg("`sim.cycle` must be > 0"));
         }
+        // No attempt, no model: the trainer would have nothing to return.
+        if self.train.max_attempts == 0 {
+            return Err(LabError::msg("`train.max_attempts` must be > 0"));
+        }
         for cell in self.cell_specs() {
             if cell
                 .scenario

@@ -13,7 +13,7 @@ use serde_json::Value;
 
 use crate::observe::Observations;
 use crate::report::{knob_settings, summarize, LabReport, RunReport, SchedulerRun};
-use crate::run::{run_scheduler_observed, ArrivalMode};
+use crate::run::{run_schedulers_observed, ArrivalMode};
 use crate::spec::ExperimentSpec;
 use crate::LabError;
 
@@ -58,29 +58,24 @@ pub fn run_spec_observed(
         .par_iter()
         .map(|p| {
             let mut obs = Observations::default();
-            let schedulers = p
-                .spec
-                .scheduler_names()
-                .iter()
-                .map(|name| {
-                    let (outcomes, perf) = run_scheduler_observed(&p.spec, name, mode)?;
-                    // `threads == 0` means "pool width" (the ParallelSim
-                    // convention); record the width that actually ran so
-                    // `_perf.threads` is meaningful.
-                    let threads = match p.spec.execution.threads {
-                        0 => rayon::current_num_threads().max(1),
-                        n => n,
-                    };
-                    obs.record_run(name, &outcomes, perf.as_ref(), threads);
-                    Ok(SchedulerRun {
-                        scheduler: name.clone(),
-                        cells: outcomes
-                            .iter()
-                            .map(crate::report::CellRun::from_outcome)
-                            .collect(),
-                    })
-                })
-                .collect::<Result<Vec<_>, LabError>>()?;
+            let mut schedulers = Vec::new();
+            // `threads == 0` means "pool width" (the ParallelSim
+            // convention); record the width that actually ran so
+            // `_perf.threads` is meaningful.
+            let threads = match p.spec.execution.threads {
+                0 => rayon::current_num_threads().max(1),
+                n => n,
+            };
+            run_schedulers_observed(&p.spec, mode, |name, (outcomes, perf)| {
+                obs.record_run(name, &outcomes, perf.as_ref(), threads);
+                schedulers.push(SchedulerRun {
+                    scheduler: name.to_string(),
+                    cells: outcomes
+                        .iter()
+                        .map(crate::report::CellRun::from_outcome)
+                        .collect(),
+                });
+            })?;
             Ok((
                 RunReport {
                     knobs: p
@@ -159,6 +154,9 @@ fn expand(spec: &ExperimentSpec, base: &Value) -> Result<Vec<Point>, LabError> {
                 let mut spec: ExperimentSpec =
                     Deserialize::from_value(&doc).map_err(LabError::from)?;
                 spec.sim.seed = effective;
+                // A point is a spec: a knob swept to a value the parser
+                // would refuse fails the same way, before anything runs.
+                spec.validate()?;
                 points.push(Point {
                     knob_choice: choice.clone(),
                     seed: effective,

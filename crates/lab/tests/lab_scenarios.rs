@@ -631,9 +631,9 @@ fn autoscale_spec_validation_rejects_bad_blocks() {
 
 #[test]
 fn sweeping_the_autoscale_band_below_min_cannot_panic() {
-    // Parse-time validation rejects min > max, but sweep points rewrite
-    // knobs without re-validating: the builder must clamp the band
-    // instead of letting `desired.clamp(min, max)` panic mid-sweep.
+    // A sweep point is validated like the spec it was expanded from: a
+    // band swept to min > max is the parser's error before anything
+    // runs, not a `desired.clamp(min, max)` panic mid-sweep.
     let spec = r#"{
         "name": "band-sweep",
         "sim": {"cycle": 500000, "attempts_per_cycle": 4,
@@ -648,7 +648,10 @@ fn sweeping_the_autoscale_band_below_min_cannot_panic() {
         }},
         "sweep": {"knobs": [{"path": "scenario.autoscale.max", "values": [2, 8]}]}
     }"#;
-    let report = run_spec_json(spec).expect("swept band must run, clamped");
+    let err = run_spec_json(spec).expect_err("min 4 > swept max 2");
+    assert!(err.to_string().contains("exceeds max"), "{err}");
+    // The valid half of the same grid runs, and the floor holds.
+    let report = run_spec_json(&spec.replace("[2, 8]", "[4, 8]")).expect("valid band");
     assert_eq!(report.runs.len(), 2);
     for run in &report.runs {
         let auto = run.schedulers[0].cells[0]
@@ -657,6 +660,35 @@ fn sweeping_the_autoscale_band_below_min_cannot_panic() {
             .expect("autoscale stats");
         assert!(auto.timeline.iter().all(|s| s.active >= 4), "floor holds");
     }
+}
+
+/// Same rule on the training budget: a swept `max_attempts: 0` is the
+/// parser's error, not the trainer's precondition panic and not a run
+/// reported under a knob value it did not use.
+#[test]
+fn sweeping_the_training_attempts_to_zero_cannot_panic() {
+    let spec = r#"{
+        "name": "attempts",
+        "sim": {"cycle": 500000, "attempts_per_cycle": 3,
+                 "mean_runtime": 6000000, "horizon": 30000000, "seed": 3},
+        "schedulers": ["enhanced"],
+        "workload": {"Synthetic": {
+            "machines": [{"count": 4, "cpu": 1.0, "memory": 1.0}],
+            "tasks": 80,
+            "arrival": {"Uniform": {"gap": 40000}},
+            "restrictive": {"count": 3, "start": 5000000,
+                             "period": 5000000, "cpu": 0.2, "priority": 6}
+        }},
+        "train": {"epochs_limit": 1, "max_attempts": 1},
+        "sweep": {"knobs": [{"path": "train.max_attempts", "values": [0, 1]}]}
+    }"#;
+    let err = run_spec_json(spec).expect_err("swept to no attempts");
+    assert!(
+        err.to_string().contains("`train.max_attempts` must be > 0"),
+        "{err}"
+    );
+    let report = run_spec_json(&spec.replace("[0, 1]", "[1, 2]")).expect("valid budgets");
+    assert_eq!(report.runs.len(), 2);
 }
 
 #[test]

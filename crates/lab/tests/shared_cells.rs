@@ -1,0 +1,153 @@
+//! One build, one encoding, shared: a grid point's cells are built once
+//! per arrival flavour and every scheduler of the spec runs against them,
+//! and the in-timeline retrainer trains on row prefixes of the one CO-VV
+//! training set its cell carries. Both must be invisible in the output —
+//! the report is byte-equal to one assembled from standalone
+//! per-scheduler runs (the property the benchmark's traced pass relies
+//! on), and every tick's prefix is the dataset a from-scratch builder
+//! over the arrivals seen so far would have produced.
+
+use ctlm_core::GrowingModel;
+use ctlm_data::dataset::{DatasetBuilder, NUM_GROUPS};
+use ctlm_data::encode::co_vv::CoVvEncoder;
+use ctlm_lab::build::build_cell;
+use ctlm_lab::registry::train_config;
+use ctlm_lab::report::{summarize, to_pretty_json, CellRun, LabReport, RunReport, SchedulerRun};
+use ctlm_lab::run::{run_scheduler_observed, ArrivalMode};
+use ctlm_lab::{run_spec_observed, ExperimentSpec};
+
+/// A small Fig. 3 + live-retrain spec: all four schedulers on one trace
+/// slice, retraining every 5 simulated seconds.
+fn trace_spec() -> ExperimentSpec {
+    ExperimentSpec::from_json(
+        r#"{
+        "name": "shared",
+        "sim": {"cycle": 500000, "attempts_per_cycle": 4,
+                 "mean_runtime": 8000000, "horizon": 90000000, "seed": 5},
+        "schedulers": ["main_only", "enhanced", "oracle", "live_registry"],
+        "placers": {"main": "best_fit", "hp": "preemptive_best_fit"},
+        "workload": {"Trace": {"cell": "C2019c", "machines": 80,
+                                "collections": 400, "max_tasks": 1500,
+                                "compress_to": 60000000}},
+        "scenario": {"retrain": {"period": 5000000}},
+        "train": {"epochs_limit": 2, "max_attempts": 1}
+    }"#,
+    )
+    .expect("spec parses")
+}
+
+/// A synthetic spec whose scheduler list needs both flavours: `main_only`
+/// and `oracle` stream, `enhanced` trains on the list.
+fn two_flavour_spec() -> ExperimentSpec {
+    ExperimentSpec::from_json(
+        r#"{
+        "name": "flavours",
+        "sim": {"cycle": 500000, "attempts_per_cycle": 3,
+                 "mean_runtime": 6000000, "horizon": 60000000, "seed": 8},
+        "schedulers": ["main_only", "enhanced", "oracle"],
+        "execution": {"arrival_chunk": 64},
+        "workload": {"Synthetic": {
+            "machines": [{"count": 6, "cpu": 1.0, "memory": 1.0}],
+            "tasks": 300,
+            "arrival": {"Uniform": {"gap": 40000}},
+            "restrictive": {"count": 4, "start": 20000000,
+                             "period": 6000000, "cpu": 0.2, "priority": 6}
+        }},
+        "train": {"epochs_limit": 3, "max_attempts": 1}
+    }"#,
+    )
+    .expect("spec parses")
+}
+
+#[test]
+fn shared_cells_report_equals_the_one_assembled_from_standalone_runs() {
+    for spec in [trace_spec(), two_flavour_spec()] {
+        let (shared, _) = run_spec_observed(&spec, ArrivalMode::Streaming).expect("spec runs");
+        let schedulers = spec
+            .scheduler_names()
+            .into_iter()
+            .map(|name| {
+                let (outcomes, _) = run_scheduler_observed(&spec, &name, ArrivalMode::Streaming)
+                    .expect("scheduler runs");
+                SchedulerRun {
+                    scheduler: name,
+                    cells: outcomes.iter().map(CellRun::from_outcome).collect(),
+                }
+            })
+            .collect();
+        let runs = vec![RunReport {
+            knobs: Vec::new(),
+            seed: spec.sim.seed,
+            repeat: 0,
+            schedulers,
+        }];
+        let standalone = LabReport {
+            name: spec.name.clone(),
+            summary: summarize(&runs),
+            runs,
+            _meta: None,
+        };
+        assert_eq!(
+            to_pretty_json(&shared),
+            to_pretty_json(&standalone),
+            "{}: sharing built cells across schedulers changed the report",
+            spec.name
+        );
+    }
+}
+
+#[test]
+fn every_retrain_tick_trains_on_what_a_from_scratch_builder_would_hold() {
+    let spec = trace_spec();
+    let cell_spec = &spec.cell_specs()[0];
+    let cell = build_cell(cell_spec, &spec.sim, 0, false).expect("cell builds");
+    let arrivals = cell.arrivals.list().expect("trace cells materialise");
+    let set = cell.training_set();
+    assert_eq!(set.len(), arrivals.len());
+    let width = cell.vocab.len();
+    let period = cell_spec
+        .scenario
+        .retrain
+        .as_ref()
+        .expect("retrains")
+        .period;
+
+    let mut ticks = 0;
+    let mut last = None;
+    for now in (1..)
+        .map(|k| k * period)
+        .take_while(|&t| t <= spec.sim.horizon)
+    {
+        let seen = arrivals.partition_point(|t| t.arrival <= now);
+        if seen == 0 {
+            continue;
+        }
+        let mut b = DatasetBuilder::new(width, NUM_GROUPS);
+        for t in &arrivals[..seen] {
+            b.push(
+                CoVvEncoder.encode_requirements(&t.reqs, &cell.vocab),
+                t.truth_group,
+            );
+        }
+        let scratch = b.snapshot(width);
+        // `Csr` equality is shape, indptr, indices and values.
+        let prefix = set.x.select_rows(&(0..seen).collect::<Vec<_>>());
+        assert_eq!(prefix, scratch.x, "tick at {now}: features differ");
+        assert_eq!(
+            &set.y[..seen],
+            &scratch.y[..],
+            "tick at {now}: labels differ"
+        );
+        ticks += 1;
+        last = Some((seen, scratch));
+    }
+    assert!(ticks >= 10, "the spec must retrain many times, got {ticks}");
+
+    // And training on the prefix is training on that dataset.
+    let (seen, scratch) = last.expect("ticked");
+    let config = train_config(&spec.train);
+    let (mut on_prefix, mut on_scratch) = (GrowingModel::new(config), GrowingModel::new(config));
+    on_prefix.step_rows(&set.x, &set.y[..seen], 3);
+    on_scratch.step(&scratch, 3);
+    assert_eq!(on_prefix.state_dict(), on_scratch.state_dict());
+}

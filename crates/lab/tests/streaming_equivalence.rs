@@ -149,9 +149,10 @@ fn the_retired_arrival_switch_is_an_unknown_argument() {
     };
     let malformed = scratch("malformed_spec.json", "{\"name\": ");
     // One valid single-cell spec, bent one field at a time into the
-    // shapes that used to hang (a zero period) or wrap (a period that
-    // overflows the time axis by its second repetition).
-    let bent = |name: &str, scheduler: &str, cycle: u64, scenario: &str| {
+    // shapes that used to hang (a zero period), wrap (a period that
+    // overflows the time axis by its second repetition) or panic (a
+    // training budget of no attempts).
+    let bent_trained = |name: &str, scheduler: &str, cycle: u64, scenario: &str, attempts: u32| {
         let text = format!(
             r#"{{"name": "bent", "schedulers": ["{scheduler}"],
                 "sim": {{"cycle": {cycle}, "attempts_per_cycle": 3, "mean_runtime": 5000000,
@@ -159,11 +160,16 @@ fn the_retired_arrival_switch_is_an_unknown_argument() {
                 "workload": {{"Synthetic": {{
                     "machines": [{{"count": 4, "cpu": 1.0, "memory": 1.0}}],
                     "tasks": 40, "arrival": {{"Uniform": {{"gap": 30000}}}}}}}},
+                "train": {{"epochs_limit": 1, "max_attempts": {attempts}}},
                 "scenario": {{{scenario}}}}}"#
         );
         scratch(name, &text)
     };
+    let bent = |name: &str, scheduler: &str, cycle: u64, scenario: &str| {
+        bent_trained(name, scheduler, cycle, scenario, 1)
+    };
     let forever = u64::MAX;
+    let no_attempts = bent_trained("no_attempts.json", "enhanced", 500_000, "", 0);
     let cycle_zero = bent("cycle_zero.json", "main_only", 0, "");
     let retrain_zero = bent(
         "retrain_zero.json",
@@ -193,6 +199,7 @@ fn the_retired_arrival_switch_is_an_unknown_argument() {
         (&[&malformed], &["ctlm-lab: serde"]),
         (&[spec, "--seed", "x"], &["--seed needs a number"]),
         (&[&cycle_zero], &["`sim.cycle` must be > 0"]),
+        (&[&no_attempts], &["`train.max_attempts` must be > 0"]),
         (&[&retrain_zero], &["retrain period must be > 0"]),
         (&[&gang_overflow], &["gang 1", "overflows the time axis"]),
         (&[&rollout_overflow], &["rollout stage 1", "overflows"]),

@@ -3,8 +3,10 @@
 //! The paper's models need a narrow slice of PyTorch, which this crate
 //! implements natively:
 //!
-//! * [`Linear`] layers with `(out_features × in_features)` weights and the
-//!   `requires_grad` freezing semantics of Listing 1;
+//! * [`SparseLinear`] — the input layer, weight stored input-major so
+//!   sparse rows read and update contiguous memory — and dense
+//!   [`Linear`] layers with `(out_features × in_features)` weights, both
+//!   with the `requires_grad` freezing semantics of Listing 1;
 //! * [`Net`] — an `nn.Sequential` equivalent with named layers
 //!   (`fc1`, `fc2`, …) and explicit forward/backward over sparse inputs;
 //! * [`CrossEntropyLoss`] with per-class weights (the paper boosts
@@ -27,7 +29,7 @@ pub mod state_dict;
 pub mod workspace;
 
 pub use batch::BatchIter;
-pub use layer::{Layer, Linear};
+pub use layer::{Layer, Linear, SparseLinear};
 pub use loss::CrossEntropyLoss;
 pub use net::Net;
 pub use optim::{Adam, Optimizer, Sgd};

@@ -1,16 +1,24 @@
 //! The `nn.Sequential` equivalent.
 //!
-//! A [`Net`] is an ordered stack of [`Layer`]s whose first layer consumes
-//! a sparse batch. Linear layers are named `fc1`, `fc2`, … in order, so
-//! state dicts carry the exact keys the paper's listings manipulate
-//! (`fc1.weight`, `fc1.bias`, `fc2.weight`, `fc2.bias`).
+//! A [`Net`] is a [`SparseLinear`] input layer, which consumes the sparse
+//! batch, followed by an ordered stack of dense [`Layer`]s. Linear layers
+//! are named `fc1`, `fc2`, … in order, so state dicts carry the exact
+//! keys the paper's listings manipulate (`fc1.weight`, `fc1.bias`,
+//! `fc2.weight`, `fc2.bias`).
+//!
+//! The input layer stores `fc1.weight` input-major `(in × out)`; the
+//! state dict is the one place that is visible, and it is hidden there:
+//! [`Net::state_dict`] and [`Net::load_state_dict`] transpose at the
+//! boundary, so dicts keep PyTorch's `(out × in)` shape and the
+//! Listing-2 padding surgery, saved models and serde round-trips are
+//! layout-blind.
 
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-use ctlm_tensor::{Csr, Matrix};
+use ctlm_tensor::{ops, Csr, Matrix};
 
-use crate::layer::{relu_backward, relu_backward_into, Layer, Linear};
+use crate::layer::{relu_backward, relu_backward_into, Layer, Linear, SparseLinear};
 use crate::loss::CrossEntropyLoss;
 use crate::state_dict::{StateDict, StateDictError, TensorData};
 use crate::workspace::Workspace;
@@ -18,12 +26,15 @@ use crate::workspace::Workspace;
 /// A sequential network over sparse input batches.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Net {
+    /// `fc1`, the only layer that sees the sparse batch.
+    input: SparseLinear,
+    /// Everything after it, in order.
     layers: Vec<Layer>,
 }
 
 /// Cached activations from a training forward pass, consumed by
-/// [`Net::backward`]. `inputs[i]` is the dense input to layer `i+1`
-/// (layer 0's input is the sparse batch itself).
+/// [`Net::backward`]. `inputs[i]` is the dense input to dense layer `i`
+/// (the input layer's own input is the sparse batch itself).
 pub struct ForwardCache {
     inputs: Vec<Matrix>,
     /// The network output (logits).
@@ -48,15 +59,34 @@ impl ParamName {
     }
 }
 
+/// Looks up `key` and checks its shape (and that the payload holds what
+/// the shape says — a hand-edited or truncated saved dict must be an
+/// error, not a slice-length panic).
+fn tensor<'a>(
+    sd: &'a StateDict,
+    key: String,
+    expected: &[usize],
+) -> Result<&'a TensorData, StateDictError> {
+    let Some(t) = sd.get(&key) else {
+        return Err(StateDictError::MissingKey(key));
+    };
+    if t.shape != expected || t.data.len() != t.numel() {
+        return Err(StateDictError::ShapeMismatch {
+            key,
+            expected: expected.to_vec(),
+            found: t.shape.clone(),
+        });
+    }
+    Ok(t)
+}
+
 impl Net {
     /// Builds the paper's model (Listing 1): two bare linear layers,
     /// `fc1: in → hidden`, `fc2: hidden → classes`, no activation.
     pub fn two_layer(in_features: usize, hidden: usize, classes: usize, rng: &mut StdRng) -> Self {
         Self {
-            layers: vec![
-                Layer::Linear(Linear::new(in_features, hidden, rng)),
-                Layer::Linear(Linear::new(hidden, classes, rng)),
-            ],
+            input: SparseLinear::new(in_features, hidden, rng),
+            layers: vec![Layer::Linear(Linear::new(hidden, classes, rng))],
         }
     }
 
@@ -64,42 +94,60 @@ impl Net {
     /// `MLPClassifier` architecture used as a baseline).
     pub fn mlp(in_features: usize, hidden: usize, classes: usize, rng: &mut StdRng) -> Self {
         Self {
+            input: SparseLinear::new(in_features, hidden, rng),
             layers: vec![
-                Layer::Linear(Linear::new(in_features, hidden, rng)),
                 Layer::Relu,
                 Layer::Linear(Linear::new(hidden, classes, rng)),
             ],
         }
     }
 
-    /// Builds from an explicit layer stack.
-    ///
-    /// # Panics
-    /// Panics unless the first layer is linear.
-    pub fn from_layers(layers: Vec<Layer>) -> Self {
-        assert!(
-            matches!(layers.first(), Some(Layer::Linear(_))),
-            "first layer must be linear (it consumes the sparse batch)"
-        );
-        Self { layers }
+    /// Builds from an explicit input layer and the dense stack after it.
+    pub fn from_layers(input: SparseLinear, layers: Vec<Layer>) -> Self {
+        Self { input, layers }
     }
 
-    /// The layer stack (read-only).
-    pub fn layers(&self) -> &[Layer] {
+    /// Builds the bare linear stack a state dict describes — `fc1`,
+    /// `fc2`, … for as long as `fcN.weight` is present, no activations
+    /// (the paper's Listing-1 architecture) — with every parameter taken
+    /// from the dict. Shapes come from the `(out × in)` weights, so no
+    /// weight is drawn only to be overwritten.
+    pub fn from_state_dict(sd: &StateDict) -> Result<Self, StateDictError> {
+        let dims = |n: usize| match sd.get(&format!("fc{n}.weight")) {
+            Some(t) if t.shape.len() == 2 => Ok(Some((t.shape[1], t.shape[0]))),
+            Some(t) => Err(StateDictError::ShapeMismatch {
+                key: format!("fc{n}.weight"),
+                expected: vec![0, 0],
+                found: t.shape.clone(),
+            }),
+            None => Ok(None),
+        };
+        let (in_features, hidden) =
+            dims(1)?.ok_or_else(|| StateDictError::MissingKey("fc1.weight".to_string()))?;
+        let mut net = Self {
+            input: SparseLinear::zeros(in_features, hidden),
+            layers: Vec::new(),
+        };
+        while let Some((i, o)) = dims(net.layers.len() + 2)? {
+            net.layers.push(Layer::Linear(Linear::zeros(i, o)));
+        }
+        net.load_state_dict(sd)?;
+        Ok(net)
+    }
+
+    /// The dense layers after the input layer (read-only).
+    pub fn dense_layers(&self) -> &[Layer] {
         &self.layers
     }
 
-    /// Mutable layer access (freezing, ablation surgery).
-    pub fn layers_mut(&mut self) -> &mut [Layer] {
+    /// Mutable access to the dense layers (freezing, ablation surgery).
+    pub fn dense_layers_mut(&mut self) -> &mut [Layer] {
         &mut self.layers
     }
 
     /// Input feature width of the network.
     pub fn in_features(&self) -> usize {
-        match &self.layers[0] {
-            Layer::Linear(l) => l.in_features(),
-            Layer::Relu => unreachable!("first layer is linear by construction"),
-        }
+        self.input.in_features()
     }
 
     /// Output width (class count).
@@ -111,33 +159,24 @@ impl Net {
                 Layer::Linear(lin) => Some(lin.out_features()),
                 Layer::Relu => None,
             })
-            .expect("network has at least one linear layer")
+            .unwrap_or_else(|| self.input.out_features())
     }
 
-    /// The first linear layer — the paper's `fc1`, target of all the
+    /// The sparse input layer — the paper's `fc1`, target of all the
     /// growing-model surgery.
-    pub fn input_layer_mut(&mut self) -> &mut Linear {
-        match &mut self.layers[0] {
-            Layer::Linear(l) => l,
-            Layer::Relu => unreachable!("first layer is linear by construction"),
-        }
+    pub fn input_layer_mut(&mut self) -> &mut SparseLinear {
+        &mut self.input
     }
 
     /// Immutable access to `fc1`.
-    pub fn input_layer(&self) -> &Linear {
-        match &self.layers[0] {
-            Layer::Linear(l) => l,
-            Layer::Relu => unreachable!("first layer is linear by construction"),
-        }
+    pub fn input_layer(&self) -> &SparseLinear {
+        &self.input
     }
 
     /// Inference forward pass.
     pub fn forward(&self, x: &Csr) -> Matrix {
-        let mut h = match &self.layers[0] {
-            Layer::Linear(l) => l.forward_sparse(x),
-            Layer::Relu => unreachable!(),
-        };
-        for layer in &self.layers[1..] {
+        let mut h = self.input.forward(x);
+        for layer in &self.layers {
             h = layer.forward_dense(&h);
         }
         h
@@ -158,12 +197,9 @@ impl Net {
     /// training loops should prefer [`Net::train_batch`], which reuses
     /// buffers across batches.
     pub fn forward_train(&self, x: &Csr) -> ForwardCache {
-        let mut inputs = Vec::with_capacity(self.layers.len().saturating_sub(1));
-        let mut h = match &self.layers[0] {
-            Layer::Linear(l) => l.forward_sparse(x),
-            Layer::Relu => unreachable!(),
-        };
-        for layer in &self.layers[1..] {
+        let mut inputs = Vec::with_capacity(self.layers.len());
+        let mut h = self.input.forward(x);
+        for layer in &self.layers {
             let next = layer.forward_dense(&h);
             inputs.push(std::mem::replace(&mut h, next));
         }
@@ -173,32 +209,25 @@ impl Net {
     /// Backpropagates `grad_logits`, accumulating parameter gradients.
     pub fn backward(&mut self, x: &Csr, cache: &ForwardCache, grad_logits: &Matrix) {
         let mut grad = grad_logits.clone();
-        // Walk layers in reverse; layer i>0 reads cache.inputs[i-1].
-        for i in (1..self.layers.len()).rev() {
-            let input = &cache.inputs[i - 1];
-            grad = match &mut self.layers[i] {
+        for (layer, input) in self.layers.iter_mut().zip(&cache.inputs).rev() {
+            grad = match layer {
                 Layer::Linear(l) => l.backward_dense(input, &grad),
                 Layer::Relu => relu_backward(input, &grad),
             };
         }
-        match &mut self.layers[0] {
-            Layer::Linear(l) => l.backward_sparse(x, &grad),
-            Layer::Relu => unreachable!(),
-        }
+        self.input.backward(x, &grad);
     }
 
-    /// Training forward pass into workspace buffers: `ws.acts[i]` receives
-    /// layer `i`'s output, `ws.logits()` the final logits. No allocation
-    /// once the workspace has warmed up to the batch shape.
+    /// Training forward pass into workspace buffers: `ws.acts[0]`
+    /// receives the input layer's output, `ws.acts[i]` dense layer
+    /// `i - 1`'s, `ws.logits()` the final logits. No allocation once the
+    /// workspace has warmed up to the batch shape.
     pub fn forward_train_ws(&self, x: &Csr, ws: &mut Workspace) {
-        ws.ensure_layers(self.layers.len());
-        match &self.layers[0] {
-            Layer::Linear(l) => l.forward_sparse_into(x, &mut ws.acts[0]),
-            Layer::Relu => unreachable!("first layer is linear by construction"),
-        }
-        for (i, layer) in self.layers.iter().enumerate().skip(1) {
-            let (prev, rest) = ws.acts.split_at_mut(i);
-            layer.forward_dense_into(&prev[i - 1], &mut rest[0]);
+        ws.ensure_layers(1 + self.layers.len());
+        self.input.forward_into(x, &mut ws.acts[0]);
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (prev, rest) = ws.acts.split_at_mut(i + 1);
+            layer.forward_dense_into(&prev[i], &mut rest[0]);
         }
     }
 
@@ -207,20 +236,17 @@ impl Net {
     /// [`CrossEntropyLoss::forward_into`]); parameter gradients accumulate
     /// in place and intermediate gradients reuse `ws.grads`.
     pub fn backward_ws(&mut self, x: &Csr, ws: &mut Workspace) {
-        for i in (1..self.layers.len()).rev() {
-            let input = &ws.acts[i - 1];
-            let (before, after) = ws.grads.split_at_mut(i);
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            let input = &ws.acts[i];
+            let (before, after) = ws.grads.split_at_mut(i + 1);
             let grad_out = &after[0];
-            let grad_in = &mut before[i - 1];
-            match &mut self.layers[i] {
+            let grad_in = &mut before[i];
+            match layer {
                 Layer::Linear(l) => l.backward_dense_into(input, grad_out, grad_in),
                 Layer::Relu => relu_backward_into(input, grad_out, grad_in),
             }
         }
-        match &mut self.layers[0] {
-            Layer::Linear(l) => l.backward_sparse(x, &ws.grads[0]),
-            Layer::Relu => unreachable!("first layer is linear by construction"),
-        }
+        self.input.backward(x, &ws.grads[0]);
     }
 
     /// One full training step on a mini-batch — `zero_grad`, forward,
@@ -237,7 +263,7 @@ impl Net {
     ) -> f32 {
         self.zero_grad();
         self.forward_train_ws(x, ws);
-        let last = self.layers.len() - 1;
+        let last = self.layers.len();
         let loss = loss_fn.forward_into(&ws.acts[last], targets, &mut ws.grads[last]);
         self.backward_ws(x, ws);
         loss
@@ -245,6 +271,7 @@ impl Net {
 
     /// Zeroes all accumulated gradients.
     pub fn zero_grad(&mut self) {
+        self.input.zero_grad();
         for layer in &mut self.layers {
             if let Layer::Linear(l) = layer {
                 l.zero_grad();
@@ -254,12 +281,27 @@ impl Net {
 
     /// Visits every parameter tensor as `(name, data, grad, requires_grad)`.
     /// Names follow the PyTorch convention of the listings: `fcN.weight`,
-    /// `fcN.bias` with N counting linear layers from 1. Names are
-    /// formatted into a stack buffer, so visiting allocates nothing —
+    /// `fcN.bias` with N counting linear layers from 1. `data` and `grad`
+    /// are each tensor's own storage in its own layout (`fc1.weight` is
+    /// input-major), which is all an element-wise optimizer needs. Names
+    /// are formatted into a stack buffer, so visiting allocates nothing —
     /// optimizers run this on every step.
     pub fn visit_params_mut(&mut self, mut f: impl FnMut(&str, &mut [f32], &[f32], bool)) {
         let mut name = ParamName::default();
-        let mut n = 0;
+        let fc1 = &mut self.input;
+        f(
+            name.format(1, "weight"),
+            fc1.weight.as_mut_slice(),
+            fc1.grad_weight.as_slice(),
+            fc1.weight_requires_grad,
+        );
+        f(
+            name.format(1, "bias"),
+            &mut fc1.bias,
+            &fc1.grad_bias,
+            fc1.bias_requires_grad,
+        );
+        let mut n = 1;
         for layer in &mut self.layers {
             if let Layer::Linear(l) = layer {
                 n += 1;
@@ -280,9 +322,27 @@ impl Net {
     }
 
     /// Extracts the model's state dict (PyTorch `model.state_dict()`).
+    /// Every weight is `(out × in)`, `fc1.weight` included: it is
+    /// transposed out of its input-major storage straight into the
+    /// dict's tensor.
     pub fn state_dict(&self) -> StateDict {
+        let bias = |b: &[f32]| TensorData {
+            shape: vec![b.len()],
+            data: b.to_vec(),
+        };
         let mut sd = StateDict::new();
-        let mut n = 0;
+        let (d, hidden) = self.input.weight.shape();
+        let mut fc1 = vec![0.0; d * hidden];
+        ops::transpose_slice(self.input.weight.as_slice(), d, hidden, &mut fc1);
+        sd.insert(
+            "fc1.weight".to_string(),
+            TensorData {
+                shape: vec![hidden, d],
+                data: fc1,
+            },
+        );
+        sd.insert("fc1.bias".to_string(), bias(&self.input.bias));
+        let mut n = 1;
         for layer in &self.layers {
             if let Layer::Linear(l) = layer {
                 n += 1;
@@ -293,13 +353,7 @@ impl Net {
                         data: l.weight.as_slice().to_vec(),
                     },
                 );
-                sd.insert(
-                    format!("fc{n}.bias"),
-                    TensorData {
-                        shape: vec![l.bias.len()],
-                        data: l.bias.clone(),
-                    },
-                );
+                sd.insert(format!("fc{n}.bias"), bias(&l.bias));
             }
         }
         sd
@@ -307,39 +361,23 @@ impl Net {
 
     /// Restores parameters from a state dict (PyTorch
     /// `model.load_state_dict()`): strict shape checking, all keys
-    /// required.
+    /// required. Values are written into the existing storage —
+    /// `fc1.weight` transposed into its input-major matrix — so loading
+    /// allocates nothing.
     pub fn load_state_dict(&mut self, sd: &StateDict) -> Result<(), StateDictError> {
-        let mut n = 0;
+        let (d, hidden) = self.input.weight.shape();
+        let w = tensor(sd, "fc1.weight".to_string(), &[hidden, d])?;
+        ops::transpose_slice(&w.data, hidden, d, self.input.weight.as_mut_slice());
+        let b = tensor(sd, "fc1.bias".to_string(), &[hidden])?;
+        self.input.bias.copy_from_slice(&b.data);
+        let mut n = 1;
         for layer in &mut self.layers {
             if let Layer::Linear(l) = layer {
                 n += 1;
-                let wname = format!("fc{n}.weight");
-                let bname = format!("fc{n}.bias");
-                let w = sd
-                    .get(&wname)
-                    .ok_or_else(|| StateDictError::MissingKey(wname.clone()))?;
-                let expect = vec![l.weight.rows(), l.weight.cols()];
-                if w.shape != expect {
-                    return Err(StateDictError::ShapeMismatch {
-                        key: wname,
-                        expected: expect,
-                        found: w.shape.clone(),
-                    });
-                }
-                // Shapes verified equal: copy straight into the existing
-                // storage instead of cloning the tensor data into a fresh
-                // vector and dropping the old one.
+                let shape = [l.weight.rows(), l.weight.cols()];
+                let w = tensor(sd, format!("fc{n}.weight"), &shape)?;
                 l.weight.as_mut_slice().copy_from_slice(&w.data);
-                let b = sd
-                    .get(&bname)
-                    .ok_or_else(|| StateDictError::MissingKey(bname.clone()))?;
-                if b.shape != vec![l.bias.len()] {
-                    return Err(StateDictError::ShapeMismatch {
-                        key: bname,
-                        expected: vec![l.bias.len()],
-                        found: b.shape.clone(),
-                    });
-                }
+                let b = tensor(sd, format!("fc{n}.bias"), &[l.bias.len()])?;
                 l.bias.copy_from_slice(&b.data);
             }
         }
@@ -383,7 +421,44 @@ mod tests {
         let mut net2 = Net::two_layer(8, 5, 3, &mut seeded_rng(99));
         net2.load_state_dict(&sd).unwrap();
         let (x, _) = toy_batch(8);
-        assert!(net.forward(&x).max_abs_diff(&net2.forward(&x)) < 1e-6);
+        assert_eq!(net.forward(&x), net2.forward(&x));
+        // state_dict → load_state_dict → state_dict is the identity.
+        assert_eq!(net2.state_dict(), sd);
+    }
+
+    #[test]
+    fn state_dict_shows_pytorch_shapes_over_input_major_storage() {
+        let net = Net::two_layer(8, 5, 3, &mut seeded_rng(2));
+        let sd = net.state_dict();
+        assert_eq!(sd["fc1.weight"].shape, vec![5, 8], "[hidden, in]");
+        assert_eq!(sd["fc2.weight"].shape, vec![3, 5]);
+        let w = &net.input_layer().weight;
+        assert_eq!(w.shape(), (8, 5), "stored (in × out)");
+        for o in 0..5 {
+            for j in 0..8 {
+                assert_eq!(sd["fc1.weight"].data[o * 8 + j], w.get(j, o));
+            }
+        }
+    }
+
+    #[test]
+    fn from_state_dict_rebuilds_the_same_network() {
+        let net = Net::two_layer(8, 5, 3, &mut seeded_rng(2));
+        let sd = net.state_dict();
+        let rebuilt = Net::from_state_dict(&sd).unwrap();
+        assert_eq!(rebuilt.state_dict(), sd);
+        let (x, _) = toy_batch(8);
+        assert_eq!(net.forward(&x), rebuilt.forward(&x));
+        assert_eq!(rebuilt.dense_layers().len(), 1);
+
+        let mut broken = sd.clone();
+        broken.remove("fc2.bias");
+        assert!(matches!(
+            Net::from_state_dict(&broken),
+            Err(StateDictError::MissingKey(k)) if k == "fc2.bias"
+        ));
+        broken.remove("fc1.weight");
+        assert!(Net::from_state_dict(&broken).is_err());
     }
 
     #[test]
@@ -393,6 +468,42 @@ mod tests {
         let sd = net.state_dict();
         let mut bigger = Net::two_layer(9, 5, 3, &mut rng);
         let err = bigger.load_state_dict(&sd).unwrap_err();
+        assert!(matches!(err, StateDictError::ShapeMismatch { .. }));
+    }
+
+    /// The dict speaks `[hidden, in]`: a `fc1.weight` shaped like the
+    /// layer's own `(in × out)` storage is a mismatch even though its
+    /// payload has the right length, and so is a wrong-shaped `fc2`.
+    #[test]
+    fn load_state_dict_rejects_right_length_wrong_shape() {
+        let mut net = Net::two_layer(8, 5, 3, &mut seeded_rng(3));
+        let good = net.state_dict();
+
+        let mut sd = good.clone();
+        sd.get_mut("fc1.weight").unwrap().shape = vec![8, 5];
+        assert!(matches!(
+            net.load_state_dict(&sd).unwrap_err(),
+            StateDictError::ShapeMismatch { key, expected, found }
+                if key == "fc1.weight" && expected == [5, 8] && found == [8, 5]
+        ));
+
+        let mut sd = good.clone();
+        sd.get_mut("fc2.weight").unwrap().shape = vec![5, 3];
+        assert!(matches!(
+            net.load_state_dict(&sd).unwrap_err(),
+            StateDictError::ShapeMismatch { key, expected, found }
+                if key == "fc2.weight" && expected == [3, 5] && found == [5, 3]
+        ));
+
+        net.load_state_dict(&good).unwrap();
+    }
+
+    #[test]
+    fn load_state_dict_rejects_a_payload_shorter_than_its_shape() {
+        let mut net = Net::two_layer(8, 5, 3, &mut seeded_rng(2));
+        let mut sd = net.state_dict();
+        sd.get_mut("fc1.weight").unwrap().data.pop();
+        let err = net.load_state_dict(&sd).unwrap_err();
         assert!(matches!(err, StateDictError::ShapeMismatch { .. }));
     }
 
@@ -413,14 +524,15 @@ mod tests {
 
         let eps = 1e-3f32;
         // Check a sample of fc1.weight entries numerically.
-        for (r, c) in [(0usize, 0usize), (1, 2), (3, 4)] {
-            let analytic = net.input_layer().grad_weight.get(r, c);
-            let orig = net.input_layer().weight.get(r, c);
-            net.input_layer_mut().weight.set(r, c, orig + eps);
+        // (input column, hidden unit): fc1 is stored input-major.
+        for (c, r) in [(0usize, 0usize), (2, 1), (4, 3)] {
+            let analytic = net.input_layer().grad_weight.get(c, r);
+            let orig = net.input_layer().weight.get(c, r);
+            net.input_layer_mut().weight.set(c, r, orig + eps);
             let (lp, _) = loss_fn.forward(&net.forward(&x), &y);
-            net.input_layer_mut().weight.set(r, c, orig - eps);
+            net.input_layer_mut().weight.set(c, r, orig - eps);
             let (lm, _) = loss_fn.forward(&net.forward(&x), &y);
-            net.input_layer_mut().weight.set(r, c, orig);
+            net.input_layer_mut().weight.set(c, r, orig);
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
                 (analytic - numeric).abs() < 2e-2_f32.max(0.05 * numeric.abs()),
@@ -442,12 +554,12 @@ mod tests {
         let eps = 1e-3f32;
         // Check one entry of the *second* linear layer (fc2).
         let (r, c) = (1usize, 3usize);
-        let analytic = match &net.layers()[2] {
+        let analytic = match &net.dense_layers()[1] {
             Layer::Linear(l) => l.grad_weight.get(r, c),
             _ => unreachable!(),
         };
         let get_set = |net: &mut Net, v: Option<f32>| -> f32 {
-            match &mut net.layers[2] {
+            match &mut net.layers[1] {
                 Layer::Linear(l) => {
                     let old = l.weight.get(r, c);
                     if let Some(v) = v {
@@ -496,8 +608,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "first layer must be linear")]
-    fn from_layers_rejects_relu_first() {
-        let _ = Net::from_layers(vec![Layer::Relu]);
+    fn from_layers_takes_the_input_layer_by_type() {
+        let mut rng = seeded_rng(9);
+        let net = Net::from_layers(
+            SparseLinear::new(5, 4, &mut rng),
+            vec![Layer::Relu, Layer::Linear(Linear::new(4, 3, &mut rng))],
+        );
+        assert_eq!((net.in_features(), net.out_features()), (5, 3));
+        let (x, _) = toy_batch(5);
+        assert_eq!(net.forward(&x).shape(), (3, 3));
     }
 }

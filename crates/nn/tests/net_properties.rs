@@ -51,7 +51,8 @@ proptest! {
         net.backward(&x, &cache, &grad);
 
         let eps = 1e-2f32;
-        let (r, c) = (0usize, d - 1);
+        // fc1 is stored input-major: (input column, hidden unit).
+        let (r, c) = (d - 1, 0usize);
         let analytic = net.input_layer().grad_weight.get(r, c);
         let orig = net.input_layer().weight.get(r, c);
         net.input_layer_mut().weight.set(r, c, orig + eps);
@@ -84,8 +85,8 @@ proptest! {
 
         let mut sd = net.state_dict();
         pad_input_weight(&mut sd, "fc1.weight", d + extra).unwrap();
-        let mut wide = Net::two_layer(d + extra, hidden, classes, &mut seeded_rng(seed + 1));
-        wide.load_state_dict(&sd).unwrap();
+        let wide = Net::from_state_dict(&sd).unwrap();
+        prop_assert_eq!(wide.in_features(), d + extra);
 
         // Same rows, widened matrix.
         let mut b = CsrBuilder::new(d + extra);
@@ -93,7 +94,7 @@ proptest! {
             b.push_row(x.row_entries(r));
         }
         let after = wide.forward(&b.finish());
-        prop_assert!(before.max_abs_diff(&after) < 1e-5);
+        prop_assert_eq!(before, after);
     }
 
     /// Loss is permutation-equivariant over the batch: shuffling samples

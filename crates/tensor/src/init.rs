@@ -27,6 +27,27 @@ pub fn linear_weight(out_features: usize, in_features: usize, rng: &mut StdRng) 
     Matrix::from_vec(out_features, in_features, data)
 }
 
+/// [`linear_weight`] stored input-major, `(in_features × out_features)`:
+/// the same draws in the same order (output-major, as PyTorch fills its
+/// `(out × in)` tensor), each written straight to its transposed slot —
+/// so a sparse input layer starts from exactly the weights its
+/// `(out × in)` state-dict view shows.
+pub fn linear_weight_input_major(
+    in_features: usize,
+    out_features: usize,
+    rng: &mut StdRng,
+) -> Matrix {
+    let bound = 1.0 / (in_features.max(1) as f32).sqrt();
+    let mut w = Matrix::zeros(in_features, out_features);
+    let data = w.as_mut_slice();
+    for o in 0..out_features {
+        for j in 0..in_features {
+            data[j * out_features + o] = rng.gen_range(-bound..bound);
+        }
+    }
+    w
+}
+
 /// Bias vector with the same `1/√in_features` uniform bound.
 pub fn linear_bias(out_features: usize, in_features: usize, rng: &mut StdRng) -> Vec<f32> {
     let bound = 1.0 / (in_features.max(1) as f32).sqrt();
@@ -55,6 +76,13 @@ mod tests {
         let bound = 1.0 / (30.0f32).sqrt();
         assert!(b.iter().all(|v| v.abs() <= bound));
         assert_eq!(b.len(), 26);
+    }
+
+    #[test]
+    fn input_major_weight_is_the_transpose_of_the_same_draws() {
+        let w = linear_weight(5, 7, &mut seeded_rng(9));
+        let w_im = linear_weight_input_major(7, 5, &mut seeded_rng(9));
+        assert_eq!(w_im, w.transpose());
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //!   [`csr_matmul_bt_into`]) and outer-product kernels
 //!   ([`matmul_at_acc`]) keep an `NR`-wide accumulator tile in registers,
 //!   amortising every load of the shared operand over `NR` outputs;
+//! * **input-major sparse products** — the sparse input layer stores its
+//!   weight `(in × out)`, so [`csr_matmul_into`] and
+//!   [`csr_matmul_at_acc`] touch one contiguous `out`-wide row per stored
+//!   entry instead of `out` elements at stride `in`;
 //! * **`_into`/`_acc` variants** — every kernel can write into (or
 //!   accumulate onto) a caller-provided buffer, which is what lets
 //!   `ctlm_nn::Workspace` run steady-state training steps without heap
@@ -242,8 +246,19 @@ pub fn matmul_at_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 pub fn transpose_into(a: &Matrix, out: &mut Matrix) {
     let (n, m) = a.shape();
     out.resize(m, n);
-    let a_data = a.as_slice();
-    let out_data = out.as_mut_slice();
+    transpose_slice(a.as_slice(), n, m, out.as_mut_slice());
+}
+
+/// [`transpose_into`] over flat row-major slices: `a (n×m) → out (m×n)`,
+/// written into storage the caller already owns — the form the state-dict
+/// boundary of `ctlm_nn::Net` uses, where one side is a tensor payload
+/// rather than a [`Matrix`].
+///
+/// # Panics
+/// Panics unless both slices hold `n · m` elements.
+pub fn transpose_slice(a_data: &[f32], n: usize, m: usize, out_data: &mut [f32]) {
+    assert_eq!(a_data.len(), n * m, "transpose source length mismatch");
+    assert_eq!(out_data.len(), n * m, "transpose output length mismatch");
     for rb in (0..n).step_by(TILE) {
         let r_end = (rb + TILE).min(n);
         for cb in (0..m).step_by(TILE) {
@@ -271,6 +286,12 @@ pub fn csr_matmul_bt(x: &Csr, w: &Matrix) -> Matrix {
 ///
 /// `NR` output neurons share each pass over the row's nonzeros, turning
 /// the hot loop into `NR` independent gathers per stored entry.
+///
+/// No layer calls this any more: `ctlm_nn` keeps its sparse input layer
+/// input-major and runs [`csr_matmul_into`], which produces the same bits
+/// from contiguous loads. The kernel stays public until the next benchmark
+/// re-anchor because `benchmark/src/probes.rs` times it, and as the
+/// reference `tests/kernel_properties.rs` pins the input-major kernel to.
 pub fn csr_matmul_bt_into(x: &Csr, w: &Matrix, out: &mut Matrix) {
     assert_eq!(x.cols(), w.cols(), "csr_matmul_bt inner dimension mismatch");
     let n = x.rows();
@@ -327,6 +348,9 @@ pub fn csr_grad_weight(grad_out: &Matrix, x: &Csr) -> Matrix {
 /// pre-shaped `(grad_out.cols × x.cols)`. Parallelises over output
 /// neurons so each thread owns one `grad_W` row.
 ///
+/// Like [`csr_matmul_bt_into`], retained only as the bit-for-bit
+/// reference of its input-major successor, [`csr_matmul_at_acc`].
+///
 /// # Panics
 /// Panics on sample-count or output-shape mismatch.
 pub fn csr_grad_weight_acc(grad_out: &Matrix, x: &Csr, gw: &mut Matrix) {
@@ -360,6 +384,97 @@ pub fn csr_grad_weight_acc(grad_out: &Matrix, x: &Csr, gw: &mut Matrix) {
             .for_each(body);
     } else {
         gw.as_mut_slice().chunks_mut(d).enumerate().for_each(body);
+    }
+}
+
+/// Sparse × dense product with the weight stored input-major:
+/// `x (n×d, CSR) · w (d×out) → (n×out)` — the forward pass of
+/// `ctlm_nn`'s sparse input layer. Every stored entry is one contiguous
+/// `out`-wide axpy (`out_row += v · w[j]`) instead of `out` loads at
+/// stride `d`.
+///
+/// Bit-identical to [`csr_matmul_bt_into`] on the transposed weight:
+/// each output element still receives its row's products in stored-entry
+/// order, starting from that kernel's zero.
+pub fn csr_matmul_into(x: &Csr, w: &Matrix, out: &mut Matrix) {
+    assert_eq!(x.cols(), w.rows(), "csr_matmul inner dimension mismatch");
+    let n = x.rows();
+    let out_f = w.cols();
+    out.resize(n, out_f);
+    let w_data = w.as_slice();
+    // The `(out × d)` kernel sums its `out % NR` tail columns with
+    // `Iterator::sum`, whose identity is -0.0; its tiled columns start at
+    // +0.0. Starting each column from the same zero keeps rows without
+    // stored entries equal in sign as well as value.
+    let tiled = out_f - out_f % NR;
+    let body = |(r, out_row): (usize, &mut [f32])| {
+        out_row[..tiled].fill(0.0);
+        out_row[tiled..].fill(-0.0);
+        for (j, v) in x.row_entries(r) {
+            let w_row = &w_data[j * out_f..(j + 1) * out_f];
+            for (o, &wv) in out_row.iter_mut().zip(w_row) {
+                *o += v * wv;
+            }
+        }
+    };
+    if n >= PAR_THRESHOLD {
+        out.as_mut_slice()
+            .par_chunks_mut(out_f)
+            .enumerate()
+            .for_each(body);
+    } else {
+        out.as_mut_slice()
+            .chunks_mut(out_f)
+            .enumerate()
+            .for_each(body);
+    }
+}
+
+/// Accumulating transposed-sparse × dense product:
+/// `out (d×m) += xᵀ (d×n, CSR) · g (n×m)` — the input-major weight
+/// gradient of the sparse input layer (`g` is `dL/d(output)`). Every
+/// stored entry updates one contiguous `m`-wide row of `out`.
+///
+/// Sequential: rows of `out` are shared between samples, and at the
+/// paper's shapes (≈ 7 k stored entries × 30 per batch) a fork-join costs
+/// more than the update. Bit-identical to [`csr_grad_weight_acc`] on the
+/// transposed gradient: each element accumulates over samples in row
+/// order, then stored-entry order, and exact zeros in `g` add nothing.
+///
+/// # Panics
+/// Panics on sample-count or output-shape mismatch.
+pub fn csr_matmul_at_acc(x: &Csr, g: &Matrix, out: &mut Matrix) {
+    assert_eq!(x.rows(), g.rows(), "csr_matmul_at sample-count mismatch");
+    assert_eq!(
+        out.shape(),
+        (x.cols(), g.cols()),
+        "csr_matmul_at_acc output shape mismatch"
+    );
+    let m = g.cols();
+    let out_data = out.as_mut_slice();
+    for r in 0..x.rows() {
+        let g_row = g.row(r);
+        // A zero gradient leaves its element untouched, as in the
+        // `(out × d)` kernel (no `0 · inf`, no sign change): a select
+        // per element. The select loop alone would be correct for every
+        // row, but real gradients almost never hold an exact zero, and
+        // the plain axpy runs at half its cost — 34 vs 70 µs per call at
+        // the lab's retrain shape (128 rows × 58 entries, 30 wide; both
+        // loops lifted into one `rustc -O` program, five alternating
+        // rounds of 20 000 calls) — so one scan of the row picks it.
+        let has_zero = g_row.contains(&0.0);
+        for (j, v) in x.row_entries(r) {
+            let out_row = &mut out_data[j * m..(j + 1) * m];
+            if has_zero {
+                for (o, &gv) in out_row.iter_mut().zip(g_row) {
+                    *o = if gv != 0.0 { *o + gv * v } else { *o };
+                }
+            } else {
+                for (o, &gv) in out_row.iter_mut().zip(g_row) {
+                    *o += gv * v;
+                }
+            }
+        }
     }
 }
 

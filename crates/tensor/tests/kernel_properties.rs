@@ -129,6 +129,39 @@ proptest! {
         prop_assert!(close(&acc, &doubled, n as f32 * 2.0));
     }
 
+    /// The input-major sparse kernels against the `(out × in)` ones they
+    /// replaced in `ctlm-nn`: not close — equal, bit for bit, which is
+    /// what lets the layout change under recorded goldens. `sparse` mixes
+    /// in rows without stored entries, `dense` exact zeros in `grad_out`;
+    /// `o` crosses the NR = 4 tile tail and `n` the parallel threshold.
+    #[test]
+    fn input_major_csr_kernels_equal_out_major_bit_for_bit(
+        n in arb_dim(),
+        d in arb_inner(),
+        o in arb_dim(),
+        seed in 0u64..100,
+    ) {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let x = sparse(n, d, seed);
+        let w = dense(o, d, seed ^ 4);
+        let mut out_major = Matrix::zeros(0, 0);
+        ops::csr_matmul_bt_into(&x, &w, &mut out_major);
+        let mut input_major = dense(3, 3, 9);
+        ops::csr_matmul_into(&x, &w.transpose(), &mut input_major);
+        prop_assert_eq!(input_major.shape(), (n, o));
+        prop_assert_eq!(bits(&input_major), bits(&out_major));
+
+        // Accumulated twice onto a gradient that is already non-zero.
+        let go = dense(n, o, seed ^ 5);
+        let mut gw = dense(o, d, seed ^ 6);
+        let mut gw_t = gw.transpose();
+        for _ in 0..2 {
+            ops::csr_grad_weight_acc(&go, &x, &mut gw);
+            ops::csr_matmul_at_acc(&x, &go, &mut gw_t);
+        }
+        prop_assert_eq!(bits(&gw_t.transpose()), bits(&gw));
+    }
+
     #[test]
     fn reductions_match_naive(n in arb_inner(), m in arb_dim(), seed in 0u64..100) {
         let a = dense(n, m, seed);
