@@ -11,13 +11,14 @@
 //! * `value_of` — each machine's current value (O(1) requirement
 //!   re-checks without touching the `Machine` itself),
 //!
-//! plus the set of all live machines. A query materialises candidates
-//! from its most selective requirement — equality and range postings are
-//! usually tiny — and verifies the remaining requirements via `value_of`
+//! plus the set of all live machines. A query walks the postings of its
+//! most selective requirement — equality and range postings are usually
+//! tiny — and verifies the remaining requirements via `value_of`
 //! lookups, so matching cost scales with the answer size rather than the
-//! cluster size. All-negative queries (not-present / not-equal only)
-//! still walk the full machine set once, exactly like the linear scan
-//! they replace.
+//! cluster size. There is one such walk, [`AttrIndex::matching_visit`];
+//! counting, existence and the sorted list are all folds over it.
+//! All-negative queries (not-present / not-equal only) still walk the
+//! full machine set once, exactly like the linear scan they replace.
 //!
 //! The index is maintained incrementally by
 //! [`ClusterState`](crate::state::ClusterState) and
@@ -166,53 +167,6 @@ impl AttrIndex {
         }
     }
 
-    /// Materialises the sorted candidate list for one requirement.
-    fn candidates(&self, req: &AttrRequirement, out: &mut Vec<MachineId>) {
-        out.clear();
-        let postings = self.attrs.get(&req.attr);
-        if let Some(eq) = &req.equal {
-            if let Some(set) = postings.and_then(|p| p.by_value.get(eq)) {
-                out.extend(set.iter().copied());
-            }
-            return;
-        }
-        if req.lo.is_some() || req.hi.is_some() {
-            let Some(p) = postings else { return };
-            let lo = req.lo.unwrap_or(i64::MIN);
-            let hi = req.hi.unwrap_or(i64::MAX);
-            for (n, set) in p.by_int.range(lo..=hi) {
-                if !req.excluded.contains(&AttrValue::Int(*n)) {
-                    out.extend(set.iter().copied());
-                }
-            }
-            out.sort_unstable();
-            return;
-        }
-        match req.presence {
-            Presence::Required => {
-                if let Some(p) = postings {
-                    out.extend(
-                        p.present.iter().copied().filter(|id| {
-                            p.value_of.get(id).is_none_or(|v| !req.excluded.contains(v))
-                        }),
-                    );
-                }
-            }
-            Presence::Forbidden => match postings {
-                Some(p) => out.extend(self.all.difference(&p.present).copied()),
-                None => out.extend(self.all.iter().copied()),
-            },
-            Presence::Any => {
-                // Exclusion-only requirement: everything except the
-                // machines holding an excluded value.
-                out.extend(self.all.iter().copied().filter(|id| {
-                    self.state_of(*id, req.attr)
-                        .is_none_or(|v| !req.excluded.contains(v))
-                }));
-            }
-        }
-    }
-
     /// Estimated result size for a requirement set: the candidate count
     /// of its most selective requirement (an upper bound on the true
     /// match count). Callers use it to pick between candidate-driven and
@@ -231,8 +185,9 @@ impl AttrIndex {
         reqs.iter().all(|r| r.accepts(self.state_of(id, r.attr)))
     }
 
-    /// Streams the candidates of one requirement to `f` (unsorted);
-    /// returns false if `f` stopped the walk.
+    /// Streams the candidates of one requirement to `f` (unsorted) — the
+    /// index's one postings traversal; returns false if `f` stopped the
+    /// walk.
     fn candidates_visit(
         &self,
         req: &AttrRequirement,
@@ -310,8 +265,10 @@ impl AttrIndex {
     }
 
     /// Streams every machine satisfying the requirements to `f`, without
-    /// materialising a candidate list — the placement hot loop's
-    /// allocation-free form of [`AttrIndex::matching`].
+    /// materialising a candidate list: seeds from the most selective
+    /// requirement and verifies the rest per candidate. Every other query
+    /// ([`matching`](AttrIndex::matching), [`count_matching`](AttrIndex::count_matching),
+    /// [`matches_any`](AttrIndex::matches_any)) is this walk.
     ///
     /// Visit **order is unspecified** (unlike `matching`, candidates are
     /// not sorted); each matching machine is visited exactly once.
@@ -362,27 +319,16 @@ impl AttrIndex {
         out
     }
 
-    /// [`AttrIndex::matching`] into a caller-provided buffer (the
-    /// scheduler's placement loop runs this per task).
+    /// [`AttrIndex::matching`] into a caller-provided buffer: the
+    /// [`matching_visit`](AttrIndex::matching_visit) walk, collected and
+    /// sorted.
     pub fn matching_into(&self, reqs: &[AttrRequirement], out: &mut Vec<MachineId>) {
         out.clear();
-        if reqs.is_empty() {
-            out.extend(self.all.iter().copied());
-            return;
-        }
-        // Seed with the most selective requirement, verify the rest.
-        let seed = reqs
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, r)| self.selectivity(r))
-            .map(|(i, _)| i)
-            .expect("non-empty requirements");
-        self.candidates(&reqs[seed], out);
-        out.retain(|&id| {
-            reqs.iter()
-                .enumerate()
-                .all(|(i, r)| i == seed || r.accepts(self.state_of(id, r.attr)))
+        self.matching_visit(reqs, |id| {
+            out.push(id);
+            true
         });
+        out.sort_unstable();
     }
 
     /// Number of machines satisfying every requirement — streamed, so

@@ -22,7 +22,9 @@ use crate::state::ClusterState;
 /// its cost scales with the answer, not the cluster.
 pub const PAR_THRESHOLD: usize = 1024;
 
-/// Evaluates collapsed requirements against one machine.
+/// Evaluates collapsed requirements against one machine — the point
+/// check `ctlm_sched::SchedCluster` runs per capacity-ordered candidate.
+#[inline]
 pub fn machine_suitable(machine: &Machine, reqs: &[AttrRequirement]) -> bool {
     reqs.iter().all(|r| r.accepts(machine.attr(r.attr)))
 }

@@ -46,6 +46,17 @@ fn build_cluster(spec: &[(u64, Vec<(u32, AttrValue)>)]) -> ClusterState {
     s
 }
 
+/// Operators that name no value a machine must hold — exclusions and
+/// not-present: the queries with no posting list to seed from, which
+/// walk the live set.
+fn arb_negative_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        arb_value().prop_map(Op::NotEqual),
+        Just(Op::NotPresent),
+        Just(Op::Equal(None)),
+    ]
+}
+
 fn arb_machine_attrs() -> impl Strategy<Value = Vec<(u32, AttrValue)>> {
     prop::collection::vec((0u32..3, arb_value()), 0..4)
 }
@@ -81,6 +92,42 @@ proptest! {
                 suitable_machines_linear(&state, &reqs),
                 "listing diverged for {:?}", &reqs
             );
+        }
+    }
+
+    /// The index has one traversal and three readings of it: the sorted
+    /// list (`matching_into`, into a buffer that held something else),
+    /// the streamed visit (sorted here) and the retained linear scan are
+    /// the same set — for general, exclusion-only and all-negative
+    /// requirement sets alike.
+    #[test]
+    fn one_traversal_every_reading(
+        machines in prop::collection::vec(arb_machine_attrs(), 0..40),
+        general in prop::collection::vec((0u32..3, arb_op()), 0..5),
+        exclusions in prop::collection::vec((0u32..4, arb_value().prop_map(Op::NotEqual)), 1..5),
+        negatives in prop::collection::vec((0u32..4, arb_negative_op()), 1..5),
+    ) {
+        let spec: Vec<(u64, Vec<(u32, AttrValue)>)> =
+            machines.into_iter().enumerate().map(|(i, a)| (i as u64, a)).collect();
+        let state = build_cluster(&spec);
+        let mut listed = vec![u64::MAX; 3];
+        for ops in [general, exclusions, negatives] {
+            let cs: Vec<TaskConstraint> =
+                ops.into_iter().map(|(a, op)| TaskConstraint::new(a, op)).collect();
+            let Ok(reqs) = collapse(&cs) else { continue };
+            let linear = suitable_machines_linear(&state, &reqs);
+            state.index().matching_into(&reqs, &mut listed);
+            prop_assert_eq!(&listed, &linear, "matching_into diverged for {:?}", &reqs);
+            let mut visited = Vec::new();
+            let finished = state.index().matching_visit(&reqs, |id| {
+                visited.push(id);
+                true
+            });
+            prop_assert!(finished);
+            visited.sort_unstable();
+            prop_assert_eq!(&visited, &linear, "matching_visit diverged for {:?}", &reqs);
+            prop_assert_eq!(state.index().count_matching(&reqs), linear.len());
+            prop_assert_eq!(state.index().matches_any(&reqs), !linear.is_empty());
         }
     }
 

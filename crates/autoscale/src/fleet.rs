@@ -301,7 +301,10 @@ impl<'a> Autoscaler<'a> {
         // "drain while provisioning" impossible for any other owner.
         let claimed = self.guard.try_claim(id, LifecycleOwner::Autoscaler);
         debug_assert!(claimed, "provisioned ids are namespaced and unclaimed");
-        let ready_at = now + self.cfg.delay.sample(&mut self.rng);
+        // A delay that runs past the end of time is an order that never
+        // completes (like a link outage that never opens), not a wrapped
+        // `ready_at` in the past.
+        let ready_at = now.saturating_add(self.cfg.delay.sample(&mut self.rng));
         let pos = self
             .provisioning
             .partition_point(|p| (p.ready_at, p.machine.id) <= (ready_at, id));

@@ -130,6 +130,28 @@ fn burst_grows_the_fleet_then_drain_shrinks_it() {
     assert!(stats.timeline.iter().all(|s| s.active >= 2));
 }
 
+/// A provisioning delay past the end of the time axis saturates: the
+/// orders are placed and never complete (the parent wrapped `ready_at`
+/// into the past in release builds and overflowed in debug ones).
+#[test]
+fn a_delay_past_the_end_of_time_is_an_order_that_never_completes() {
+    let config = sim_config(120_000_000, 5);
+    let arrivals = burst_arrivals(200, 20_000_000, 66_000, 0.25);
+    let policy = ThresholdStep {
+        up_pending: 5,
+        step: 4,
+        ..ThresholdStep::default()
+    };
+    let cfg = AutoscaleConfig {
+        delay: ProvisionDelay::Fixed(Micros::MAX),
+        ..threshold_cfg(2, 20, &config)
+    };
+    let (cluster, _, stats) = run_autoscaled(4, &arrivals, config, cfg, Box::new(policy), None);
+    assert!(stats.provisioned > 0, "the burst must order machines");
+    assert_eq!(stats.warm_activations, 0, "no order ever completed");
+    assert!(stats.peak_active() <= 4 && cluster.len() <= 4);
+}
+
 #[test]
 fn target_tracking_and_predictive_also_absorb_the_burst() {
     let config = sim_config(240_000_000, 9);

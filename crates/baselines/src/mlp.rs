@@ -6,7 +6,7 @@
 //! `min(200, n)`, `max_iter` epochs with a no-improvement early stop
 //! (`tol` 1e-4 over `n_iter_no_change` 10 epochs).
 
-use ctlm_nn::{Adam, BatchIter, CrossEntropyLoss, Net, Optimizer};
+use ctlm_nn::{Adam, BatchIter, CrossEntropyLoss, Net, Optimizer, Workspace};
 use ctlm_tensor::init::seeded_rng;
 use ctlm_tensor::Csr;
 
@@ -65,6 +65,7 @@ impl Classifier for MlpClassifier {
         let mut opt = Adam::new(self.lr);
         let batch_size = self.batch_size.unwrap_or_else(|| 200.min(x.rows())).max(1);
         let mut batches = BatchIter::new(x.rows(), batch_size, self.seed);
+        let mut ws = Workspace::new();
 
         let mut best_loss = f32::INFINITY;
         let mut since_best = 0usize;
@@ -77,12 +78,8 @@ impl Classifier for MlpClassifier {
             for batch in batches.epoch() {
                 let xb = x.select_rows(&batch);
                 let yb: Vec<u8> = batch.iter().map(|&i| y[i]).collect();
-                net.zero_grad();
-                let cache = net.forward_train(&xb);
-                let (loss, grad) = loss_fn.forward(&cache.logits, &yb);
-                net.backward(&xb, &cache, &grad);
+                epoch_loss += net.train_batch(&xb, &yb, &loss_fn, &mut ws);
                 opt.step(&mut net);
-                epoch_loss += loss;
                 nb += 1;
             }
             epoch_loss /= nb.max(1) as f32;

@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use ctlm_agocs::Replayer;
-use ctlm_core::{GrowingModel, TaskCoAnalyzer, TrainConfig};
+use ctlm_core::{GrowingModel, TrainConfig};
 use ctlm_trace::{AttrValue, CellSet, ConstraintOp, Scale, TaskConstraint, TraceGenerator};
 
 fn bench_inference(c: &mut Criterion) {
@@ -29,7 +29,7 @@ fn bench_inference(c: &mut Criterion) {
     for (i, s) in out.steps.iter().enumerate() {
         model.step(&s.vv, i as u64);
     }
-    let analyzer = TaskCoAnalyzer::new(model.to_net(), out.vocab.clone());
+    let analyzer = model.analyzer(out.vocab.clone());
     let node_attr = trace.catalog.get("node_index").expect("known attribute");
     let constraints = vec![
         TaskConstraint::new(node_attr, ConstraintOp::GreaterThanEqual(10)),

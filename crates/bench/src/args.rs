@@ -86,9 +86,10 @@ impl ParsedArgs {
     }
 }
 
-/// Reports a bad command line the way every binary does: one `error:`
-/// line on stderr, exit code 2 — no panic banner, no backtrace hint.
-fn usage_error(message: &str) -> ! {
+/// Reports a bad command line (or an unusable input file) the way every
+/// binary does: one `error:` line on stderr, exit code 2 — no panic
+/// banner, no backtrace hint.
+pub fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2)
 }

@@ -1,7 +1,7 @@
 //! Fig. 3 — enhanced cluster job scheduling with the Task CO Analyzer.
 //!
 //! End-to-end: replay a trace, train the Growing model on its dataset
-//! steps, build a [`TaskCoAnalyzer`], then push identical task arrivals
+//! steps, build a `TaskCoAnalyzer`, then push identical task arrivals
 //! through (a) a conventional FIFO/best-fit scheduler and (b) the
 //! enhanced pipeline where the analyzer routes predicted-Group-0 tasks to
 //! the High-Priority Scheduler. Reports scheduling latency per group —
@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use ctlm_bench::{replay_cell, rule, Cli};
-use ctlm_core::{GrowingModel, TaskCoAnalyzer, TrainConfig};
+use ctlm_core::{GrowingModel, TrainConfig};
 use ctlm_sched::engine::{arrivals_from_trace, compress_timeline, SimConfig, Simulator};
 use ctlm_sched::latency::LatencyStats;
 use ctlm_sched::scheduler::{Enhanced, MainOnly, OracleEnhanced};
@@ -43,7 +43,7 @@ fn main() {
     for (i, step) in out.steps.iter().enumerate() {
         model.step(&step.vv, cli.seed.wrapping_add(i as u64));
     }
-    let analyzer = TaskCoAnalyzer::new(model.to_net(), out.vocab.clone());
+    let analyzer = model.analyzer(out.vocab.clone());
     println!(
         "analyzer trained: {} features, priority threshold = group {}\n",
         analyzer.features(),

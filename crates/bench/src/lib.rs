@@ -43,14 +43,16 @@ pub struct Cli {
 
 impl Cli {
     /// Parses `--medium`, `--full` and `--seed N` from `std::env::args`
-    /// via the shared [`args::ParsedArgs`] helper.
+    /// via the shared [`args::ParsedArgs`] helper. Anything else — a
+    /// stray positional included — is `error: …` and exit code 2.
     pub fn parse() -> Self {
         let parsed = ParsedArgs::from_env(&["--medium", "--full"], &["--seed"]);
-        assert!(
-            parsed.positionals().is_empty(),
-            "unexpected positional arguments {:?}",
-            parsed.positionals()
-        );
+        if !parsed.positionals().is_empty() {
+            args::usage_error(&format!(
+                "unexpected positional arguments {:?}",
+                parsed.positionals()
+            ));
+        }
         let scale = if parsed.flag("--full") {
             RunScale::Full
         } else if parsed.flag("--medium") {

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use std::sync::RwLock;
 
-use ctlm_data::compaction::{collapse, CompactionError};
+use ctlm_data::compaction::{collapse, AttrRequirement, CompactionError};
 use ctlm_data::encode::co_vv::CoVvEncoder;
 use ctlm_data::vocab::ValueVocab;
 use ctlm_nn::Net;
@@ -51,18 +51,24 @@ impl TaskCoAnalyzer {
         }
     }
 
-    /// Predicts the suitable-node group for a task's constraints.
-    /// Unconstrained tasks score the top group without a model call.
-    pub fn predict_group(&self, constraints: &[TaskConstraint]) -> Result<u8, CompactionError> {
-        if constraints.is_empty() {
-            return Ok((ctlm_data::dataset::NUM_GROUPS - 1) as u8);
+    /// Scores an already-collapsed requirement set: CO-VV row, one network
+    /// call; an unconstrained task scores the top group without one. This
+    /// is the only place the analyzer encodes and classifies —
+    /// [`Self::predict_group`], the schedulers (whose queues hold
+    /// collapsed requirements) and the hybrid rule layer all end here.
+    pub fn group_of(&self, reqs: &[AttrRequirement]) -> u8 {
+        if reqs.is_empty() {
+            return (ctlm_data::dataset::NUM_GROUPS - 1) as u8;
         }
-        let reqs = collapse(constraints)?;
-        let entries = CoVvEncoder.encode_requirements(&reqs, &self.vocab);
         let mut b = CsrBuilder::new(self.vocab.len());
-        b.push_row(entries);
-        let x = b.finish();
-        Ok(self.net.predict(&x)[0])
+        b.push_row(CoVvEncoder.encode_requirements(reqs, &self.vocab));
+        self.net.predict(&b.finish())[0]
+    }
+
+    /// Predicts the suitable-node group for a task's raw constraints:
+    /// [`collapse`], then [`Self::group_of`].
+    pub fn predict_group(&self, constraints: &[TaskConstraint]) -> Result<u8, CompactionError> {
+        Ok(self.group_of(&collapse(constraints)?))
     }
 
     /// True when the task should be routed to the high-priority
@@ -80,17 +86,6 @@ impl TaskCoAnalyzer {
     /// Feature width the analyzer scores at.
     pub fn features(&self) -> usize {
         self.vocab.len()
-    }
-
-    /// The vocabulary the analyzer encodes against (scheduler integration
-    /// encodes pre-collapsed requirements directly).
-    pub fn vocab(&self) -> &ValueVocab {
-        &self.vocab
-    }
-
-    /// The underlying network.
-    pub fn net(&self) -> &Net {
-        &self.net
     }
 }
 
@@ -198,6 +193,12 @@ mod tests {
     /// dataset labelling tasks by how many values their constraints
     /// reject — a miniature CO-VV world.
     fn trained_analyzer() -> TaskCoAnalyzer {
+        let (model, vocab) = trained_model();
+        model.analyzer(vocab)
+    }
+
+    /// The model and vocabulary behind [`trained_analyzer`].
+    fn trained_model() -> (GrowingModel, ValueVocab) {
         let mut vocab = ValueVocab::new();
         for v in 0..24 {
             vocab.observe(0, &AttrValue::Int(v));
@@ -222,7 +223,7 @@ mod tests {
         });
         let out = m.step(&ds, 5);
         assert!(out.accepted, "toy training failed: {:?}", out.evaluation);
-        TaskCoAnalyzer::new(m.to_net(), vocab)
+        (m, vocab)
     }
 
     #[test]
@@ -253,6 +254,41 @@ mod tests {
         ];
         assert!(a.predict_group(&bad).is_err());
         assert!(a.is_high_priority(&bad));
+    }
+
+    /// `GrowingModel::analyzer` over a vocabulary that has outgrown the
+    /// trained width pads `fc1.weight`; the new columns carry zero
+    /// weights, so every training row scores as it did unpadded — even
+    /// though the wider vocabulary marks new (rejected) values on it.
+    #[test]
+    fn analyzer_over_a_wider_vocabulary_pads_and_predicts_identically() {
+        let (model, vocab) = trained_model();
+        let narrow = model.analyzer(vocab.clone());
+        let mut wide_vocab = vocab;
+        for v in 24..31 {
+            wide_vocab.observe(0, &AttrValue::Int(v));
+        }
+        wide_vocab.observe(1, &AttrValue::from("gpu"));
+        let wide = model.analyzer(wide_vocab);
+        assert_eq!(narrow.features(), model.features());
+        assert_eq!(wide.features(), model.features() + 7 + 2);
+        for k in 1..24i64 {
+            let cs = vec![TaskConstraint::new(0, Op::LessThan(k))];
+            assert_eq!(
+                wide.predict_group(&cs).unwrap(),
+                narrow.predict_group(&cs).unwrap(),
+                "node < {k}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot shrink")]
+    fn analyzer_over_a_narrower_vocabulary_panics() {
+        let (model, _) = trained_model();
+        let mut narrow = ValueVocab::new();
+        narrow.observe(0, &AttrValue::Int(0));
+        model.analyzer(narrow);
     }
 
     #[test]

@@ -16,10 +16,12 @@
 use serde::{Deserialize, Serialize};
 
 use ctlm_data::dataset::Dataset;
+use ctlm_data::vocab::ValueVocab;
 use ctlm_nn::state_dict::pad_input_weight;
 use ctlm_nn::{Layer, Net, StateDict};
 use ctlm_tensor::Csr;
 
+use crate::analyzer::TaskCoAnalyzer;
 use crate::trainer::{fresh_two_layer, train_rows, StepOutcome, TrainConfig, Warmth};
 
 /// The continuously-growing CTLM model.
@@ -69,19 +71,37 @@ impl GrowingModel {
         Net::from_state_dict(sd).expect("own state dict must load")
     }
 
-    /// Like [`GrowingModel::to_net`] but zero-padded to `width` (Listing 2
-    /// without retraining) — used when the analyzer's vocabulary has
+    /// Like [`GrowingModel::to_net`] but zero-padded to `width` — the
+    /// Listing-2 surgery, done inside a copy of the state dict before
+    /// restoring it. A warm training step starts from this network, and
+    /// [`GrowingModel::analyzer`] scores with it when the vocabulary has
     /// grown past the last trained width; the padded columns contribute
-    /// nothing until the next training step.
+    /// nothing until they are trained.
     ///
     /// # Panics
     /// Panics when untrained or when `width < features()`.
     pub fn to_net_padded(&self, width: usize) -> Net {
         assert!(width >= self.features, "cannot shrink to width {width}");
+        if width == self.features {
+            return self.to_net();
+        }
         let sd = self.state.as_ref().expect("model not trained yet");
         let mut padded = sd.clone();
         pad_input_weight(&mut padded, "fc1.weight", width).expect("own fc1.weight must pad");
         Net::from_state_dict(&padded).expect("padded state dict must load")
+    }
+
+    /// The current model as a [`TaskCoAnalyzer`] over `vocab` — the one
+    /// place a trained model becomes an analyzer. The vocabulary may have
+    /// outgrown the last trained width (values observed after the
+    /// training snapshot): `fc1.weight` is then zero-padded to it, and the
+    /// new columns contribute nothing until the next training step.
+    ///
+    /// # Panics
+    /// Panics when untrained or when `vocab` is narrower than
+    /// [`features`](Self::features).
+    pub fn analyzer(&self, vocab: ValueVocab) -> TaskCoAnalyzer {
+        TaskCoAnalyzer::new(self.to_net_padded(vocab.len()), vocab)
     }
 
     /// Runs one training step on the (cumulative) dataset of a feature-
@@ -100,30 +120,19 @@ impl GrowingModel {
     /// [`train_rows`]).
     pub fn step_rows(&mut self, x: &Csr, y: &[u8], seed: u64) -> StepOutcome {
         let new_width = x.cols();
-        let warm = match (&self.state, new_width) {
-            (Some(sd), w) if w >= self.features && self.features > 0 => {
-                // Listing 2: reshape inside the state dict, then restore.
-                let mut padded = sd.clone();
-                let pretrained = pad_input_weight(&mut padded, "fc1.weight", w)
-                    .expect("own fc1.weight must pad");
-                let mut net = Net::from_state_dict(&padded).expect("padded state dict must load");
-                // Listing 1/3 freezing: every layer frozen except fc1
-                // (whose weight gets the multiplier and whose bias trains
-                // freely).
-                for layer in net.dense_layers_mut() {
-                    if let Layer::Linear(l) = layer {
-                        l.freeze();
-                    }
+        let warm = (self.features > 0 && new_width >= self.features).then(|| {
+            // Listing 2: reshape inside the state dict, then restore.
+            let mut net = self.to_net_padded(new_width);
+            // Listing 1/3 freezing: every layer frozen except fc1 (whose
+            // weight gets the multiplier and whose bias trains freely).
+            for layer in net.dense_layers_mut() {
+                if let Layer::Linear(l) = layer {
+                    l.freeze();
                 }
-                Some((
-                    net,
-                    Warmth::Transfer {
-                        pretrained_cols: pretrained,
-                    },
-                ))
             }
-            _ => None,
-        };
+            let pretrained_cols = self.features;
+            (net, Warmth::Transfer { pretrained_cols })
+        });
         let cfg = self.config;
         let (outcome, net) = train_rows(x, y, &cfg, seed, warm, |s| {
             fresh_two_layer(new_width, &cfg, s)

@@ -71,9 +71,11 @@ impl HybridAnalyzer {
         &self,
         constraints: &[TaskConstraint],
     ) -> Result<HybridVerdict, CompactionError> {
-        let reqs = collapse(constraints)?; // contradiction ⇒ Err, rule layer
-                                           // Rule: Equal on a unique-per-node attribute pins the task to at
-                                           // most one node ⇒ Group 0, regardless of what the model thinks.
+        // Collapsed once: the rules read it, then the model scores it.
+        // A contradiction is the rule layer's first verdict (`Err`).
+        let reqs = collapse(constraints)?;
+        // Rule: Equal on a unique-per-node attribute pins the task to at
+        // most one node ⇒ Group 0, regardless of what the model thinks.
         let pinned = reqs
             .iter()
             .any(|r| r.equal.is_some() && self.unique_attrs.contains(&r.attr));
@@ -83,7 +85,7 @@ impl HybridAnalyzer {
                 source: VerdictSource::Rule,
             });
         }
-        let model_group = self.model.predict_group(constraints)?;
+        let model_group = self.model.group_of(&reqs);
         // Clamp: a range of width w on a unique attribute can match at
         // most w nodes; if that bound maps below the model's group, trust
         // the bound (the misclassification case the paper worries about).
@@ -97,7 +99,9 @@ impl HybridAnalyzer {
             }
         }
         if let Some(b) = bound {
-            let bound_group = ctlm_data::dataset::group_for_count(b.max(1), self.group_width());
+            // Bucketed at width 1: the clamp only fires when the count
+            // bound is small, where every group width agrees.
+            let bound_group = ctlm_data::dataset::group_for_count(b.max(1), 1);
             if bound_group < model_group {
                 return Ok(HybridVerdict {
                     group: bound_group,
@@ -109,14 +113,6 @@ impl HybridAnalyzer {
             group: model_group,
             source: VerdictSource::Model,
         })
-    }
-
-    /// The group width used for rule-side bucketing. Uses width 1 — the
-    /// clamp only fires when the *count bound* is small, where every
-    /// width agrees; callers with a cell-specific width can bucket the
-    /// bound themselves.
-    fn group_width(&self) -> usize {
-        1
     }
 
     /// High-priority routing with rules in front.
@@ -167,7 +163,7 @@ mod tests {
             ..TrainConfig::default()
         });
         m.step(&ds, 1);
-        HybridAnalyzer::new(TaskCoAnalyzer::new(m.to_net(), vocab), [0])
+        HybridAnalyzer::new(m.analyzer(vocab), [0])
     }
 
     #[test]

@@ -19,6 +19,22 @@
 //!   tasks in real time and flags restrictive ones for the
 //!   high-priority scheduler; hot-swappable via [`analyzer::ModelRegistry`]
 //!   so retraining never blocks the main scheduler.
+//!
+//! ## The analyzer seam
+//!
+//! The Fig. 3 loop crosses this crate at two points, and each has one
+//! definition:
+//!
+//! * **requirements → verdict** is [`TaskCoAnalyzer::group_of`]: the only
+//!   place a CO-VV row is encoded and the network called.
+//!   [`TaskCoAnalyzer::predict_group`] is `collapse` + `group_of`; the
+//!   `ctlm-sched` routers, whose queues already hold collapsed
+//!   requirements, call `group_of` directly; [`HybridAnalyzer::predict`]
+//!   collapses once for its rules and hands the same requirements on.
+//! * **trained model → analyzer** is [`GrowingModel::analyzer`]: the only
+//!   place a model is paired with a vocabulary, zero-padding `fc1.weight`
+//!   when the vocabulary has outgrown the last trained width.
+//!   `TaskCoAnalyzer::new` remains for a hand-built `Net`.
 
 pub mod analyzer;
 pub mod expiry;

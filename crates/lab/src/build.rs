@@ -430,7 +430,12 @@ fn build_synthetic_arrivals(
 
 /// `start + k · period`, the time of the `k`-th repetition of `what` —
 /// an error, not a wrapped time, when it does not fit in [`Micros`].
-fn kth_time(what: &str, start: Micros, k: usize, period: Micros) -> Result<Micros, LabError> {
+pub(crate) fn kth_time(
+    what: &str,
+    start: Micros,
+    k: usize,
+    period: Micros,
+) -> Result<Micros, LabError> {
     period
         .checked_mul(k as Micros)
         .and_then(|offset| start.checked_add(offset))

@@ -47,20 +47,13 @@ impl Observations {
         threads: usize,
     ) {
         for o in outcomes {
-            record_cell(&mut self.metrics, scheduler, o);
+            let key = format!("{scheduler}.{}", o.cell);
+            record_cell(&mut self.metrics, &key, o);
             if let Some(ring) = &o.telemetry.trace {
-                let key = format!("{scheduler}.{}", o.cell);
-                match self.traces.iter_mut().find(|(k, _)| *k == key) {
-                    Some(slot) => slot.1 = ring.clone(),
-                    None => self.traces.push((key, ring.clone())),
-                }
+                upsert(&mut self.traces, &key, ring);
             }
             if let Some(log) = &o.telemetry.spans {
-                let key = format!("{scheduler}.{}", o.cell);
-                match self.spans.iter_mut().find(|(k, _)| *k == key) {
-                    Some(slot) => slot.1 = log.clone(),
-                    None => self.spans.push((key, log.clone())),
-                }
+                upsert(&mut self.spans, &key, log);
             }
         }
         if let Some(p) = perf {
@@ -69,10 +62,7 @@ impl Observations {
                 Some(acc) => acc.merge(&report),
                 None => self.perf = Some(report),
             }
-            match self.host_rounds.iter_mut().find(|(k, _)| k == scheduler) {
-                Some(slot) => slot.1 = p.clone(),
-                None => self.host_rounds.push((scheduler.to_string(), p.clone())),
-            }
+            upsert(&mut self.host_rounds, scheduler, p);
         }
     }
 
@@ -83,16 +73,10 @@ impl Observations {
     pub fn merge(&mut self, other: &Observations) {
         self.metrics.merge(&other.metrics);
         for (key, ring) in &other.traces {
-            match self.traces.iter_mut().find(|(k, _)| k == key) {
-                Some(slot) => slot.1 = ring.clone(),
-                None => self.traces.push((key.clone(), ring.clone())),
-            }
+            upsert(&mut self.traces, key, ring);
         }
         for (key, log) in &other.spans {
-            match self.spans.iter_mut().find(|(k, _)| k == key) {
-                Some(slot) => slot.1 = log.clone(),
-                None => self.spans.push((key.clone(), log.clone())),
-            }
+            upsert(&mut self.spans, key, log);
         }
         if let Some(p) = &other.perf {
             match &mut self.perf {
@@ -101,11 +85,17 @@ impl Observations {
             }
         }
         for (key, p) in &other.host_rounds {
-            match self.host_rounds.iter_mut().find(|(k, _)| k == key) {
-                Some(slot) => slot.1 = p.clone(),
-                None => self.host_rounds.push((key.clone(), p.clone())),
-            }
+            upsert(&mut self.host_rounds, key, p);
         }
+    }
+}
+
+/// Last write wins under `key`; a new key goes to the end, so the list
+/// stays in first-appearance order.
+fn upsert<T: Clone>(list: &mut Vec<(String, T)>, key: &str, value: &T) {
+    match list.iter_mut().find(|(k, _)| k == key) {
+        Some(slot) => slot.1 = value.clone(),
+        None => list.push((key.to_string(), value.clone())),
     }
 }
 
@@ -126,11 +116,11 @@ pub fn perf_report(p: &ParallelPerf, threads: usize) -> PerfReport {
     }
 }
 
-/// Records one cell's telemetry under `scheduler.cell.*` names. Counter
-/// deltas accumulate across runs (sweep points, seeds, repeats); gauges
-/// keep the last run's value in fold order.
-fn record_cell(m: &mut Metrics, scheduler: &str, o: &CellOutcome) {
-    let p = format!("{scheduler}.{}", o.cell);
+/// Records one cell's telemetry under `p.*` names (`p` is the cell's
+/// `scheduler.cell` key). Counter deltas accumulate across runs (sweep
+/// points, seeds, repeats); gauges keep the last run's value in fold
+/// order.
+fn record_cell(m: &mut Metrics, p: &str, o: &CellOutcome) {
     let t = &o.telemetry;
     let s = &t.stats;
     for (name, v) in [

@@ -194,7 +194,7 @@ pub fn soft_requirements(
 pub fn train_analyzer(cell: &BuiltCell, train: &TrainSpec, seed: u64) -> TaskCoAnalyzer {
     let mut model = GrowingModel::new(train_config(train));
     model.step(cell.training_set(), seed);
-    TaskCoAnalyzer::new(model.to_net(), cell.vocab.clone())
+    model.analyzer(cell.vocab.clone())
 }
 
 /// The spec's training budget over the paper's defaults.

@@ -53,7 +53,7 @@ use std::rc::Rc;
 
 use ctlm_autoscale::{AutoscaleStats, Autoscaler};
 use ctlm_core::ModelRegistry;
-use ctlm_core::{GrowingModel, TaskCoAnalyzer, TrainConfig};
+use ctlm_core::{GrowingModel, TrainConfig};
 use ctlm_sched::engine::{CellHandle, EngineState, SpillRoute, PRIO_ADMIT, PRIO_STATE};
 use ctlm_sched::scenario::{ChurnSource, GangSource, RolloutSource};
 use ctlm_sched::timed::next_tick;
@@ -653,10 +653,8 @@ impl TimedSource for RetrainSource<'_> {
                 &set.y[..seen],
                 self.seed ^ self.ticks.wrapping_mul(0x9E37_79B9),
             );
-            self.registry.install(TaskCoAnalyzer::new(
-                self.model.to_net(),
-                self.cell.vocab.clone(),
-            ));
+            self.registry
+                .install(self.model.analyzer(self.cell.vocab.clone()));
             self.ticks += 1;
         }
         self.next = next_tick(now, self.period, self.horizon);

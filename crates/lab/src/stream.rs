@@ -32,7 +32,7 @@ use ctlm_data::dataset::group_for_count;
 use ctlm_sched::{ArrivalStream, PendingTask, SimConfig};
 use ctlm_trace::{AttrValue, ConstraintOp, Micros, TaskConstraint};
 
-use crate::build::{sample_gap, sample_size, ATTR_VALUE_STRIDE};
+use crate::build::{kth_time, sample_gap, sample_size, ATTR_VALUE_STRIDE};
 use crate::spec::{ArrivalProcess, SizeDist, SyntheticWorkload};
 use crate::LabError;
 
@@ -94,9 +94,18 @@ impl SyntheticStream {
         // come from the same RNG positions the one-pass builder gave
         // them (gap, then cpu, then memory per task — Uniform gaps and
         // Fixed sizes draw nothing, matching the samplers).
+        // The burn also walks the background clock once, so a population
+        // whose gaps run past the end of the time axis is refused here
+        // rather than wrapping mid-stream into an unsorted arrival list.
         let mut burn = StdRng::seed_from_u64(seed);
-        for _ in 0..w.tasks {
-            sample_gap(&w.arrival, &mut burn);
+        let mut clock: Micros = 0;
+        for k in 0..w.tasks {
+            let gap = sample_gap(&w.arrival, &mut burn);
+            clock = clock.checked_add(gap).ok_or_else(|| {
+                LabError::msg(format!(
+                    "background task {k}: arrival gap {gap} after {clock} overflows the time axis"
+                ))
+            })?;
             sample_size(&w.cpu, &mut burn);
             sample_size(&w.memory, &mut burn);
         }
@@ -118,7 +127,7 @@ impl SyntheticStream {
                     memory: r.cpu,
                     priority: r.priority,
                     reqs,
-                    arrival: r.start + j as Micros * r.period,
+                    arrival: kth_time("restrictive task", r.start, j, r.period)?,
                     truth_group: 0,
                 });
             }
@@ -151,6 +160,7 @@ impl SyntheticStream {
     /// Generates the next background task (consuming its RNG draws in
     /// the canonical gap/cpu/memory order).
     fn gen_background(&mut self) -> PendingTask {
+        // Cannot wrap: `new` walked these same draws with `checked_add`.
         self.now += sample_gap(&self.arrival, &mut self.rng);
         let t = PendingTask {
             id: self.id_base + self.next_id,

@@ -691,6 +691,46 @@ fn sweeping_the_training_attempts_to_zero_cannot_panic() {
     assert_eq!(report.runs.len(), 2);
 }
 
+/// Arrival times that do not fit the time axis are refused at build
+/// time, for the streamed (`main_only`) and the materialised (`enhanced`)
+/// flavour alike: the parent wrapped them and ran to exit 0 on an
+/// unsorted arrival list.
+#[test]
+fn arrivals_past_the_end_of_the_time_axis_are_errors_not_wrapped_runs() {
+    let spec = |scheduler: &str, gap: u64, restrictive: &str| {
+        format!(
+            r#"{{
+            "name": "bent",
+            "sim": {{"cycle": 500000, "attempts_per_cycle": 3,
+                     "mean_runtime": 5000000, "horizon": 60000000, "seed": 7}},
+            "schedulers": ["{scheduler}"],
+            "workload": {{"Synthetic": {{
+                "machines": [{{"count": 4, "cpu": 1.0, "memory": 1.0}}],
+                "tasks": 40,
+                "arrival": {{"Uniform": {{"gap": {gap}}}}}{restrictive}
+            }}}},
+            "train": {{"epochs_limit": 1, "max_attempts": 1}}
+        }}"#
+        )
+    };
+    let bent_period = r#", "restrictive": {"count": 3, "start": 1000000,
+        "period": 18446744073709551615, "cpu": 0.2, "priority": 6}"#;
+    for scheduler in ["main_only", "enhanced"] {
+        let err = run_spec_json(&spec(scheduler, 30_000, bent_period))
+            .expect_err("restrictive period overflows");
+        assert!(
+            err.to_string().contains("restrictive task 1") && err.to_string().contains("overflows"),
+            "{scheduler}: {err}"
+        );
+        let err = run_spec_json(&spec(scheduler, 1 << 63, "")).expect_err("gaps overflow");
+        assert!(
+            err.to_string().contains("background task 1") && err.to_string().contains("overflows"),
+            "{scheduler}: {err}"
+        );
+        run_spec_json(&spec(scheduler, 30_000, "")).expect("the unbent spec runs");
+    }
+}
+
 #[test]
 fn report_diffing_pairs_rows_and_computes_deltas() {
     use ctlm_lab::report::{diff_reports, SummaryDiff};

@@ -7,14 +7,20 @@
 //! on), and every tick's prefix is the dataset a from-scratch builder
 //! over the arrivals seen so far would have produced.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use ctlm_core::GrowingModel;
 use ctlm_data::dataset::{DatasetBuilder, NUM_GROUPS};
 use ctlm_data::encode::co_vv::CoVvEncoder;
 use ctlm_lab::build::build_cell;
-use ctlm_lab::registry::train_config;
+use ctlm_lab::registry::{train_analyzer, train_config};
 use ctlm_lab::report::{summarize, to_pretty_json, CellRun, LabReport, RunReport, SchedulerRun};
 use ctlm_lab::run::{run_scheduler_observed, ArrivalMode};
+use ctlm_lab::spec::WorkloadSpec;
 use ctlm_lab::{run_spec_observed, ExperimentSpec};
+use ctlm_sched::scheduler::{Enhanced, Scheduler};
+use ctlm_trace::{EventPayload, Scale, TraceGenerator};
 
 /// A small Fig. 3 + live-retrain spec: all four schedulers on one trace
 /// slice, retraining every 5 simulated seconds.
@@ -150,4 +156,70 @@ fn every_retrain_tick_trains_on_what_a_from_scratch_builder_would_hold() {
     on_prefix.step_rows(&set.x, &set.y[..seen], 3);
     on_scratch.step(&scratch, 3);
     assert_eq!(on_prefix.state_dict(), on_scratch.state_dict());
+}
+
+/// The analyzer has one scorer. Over every task of the checked-in Fig. 3
+/// cell, scoring the trace's raw constraints (`predict_group`: collapse,
+/// then `group_of`) and scoring the collapsed requirements the queue
+/// holds (`group_of`) give the same group, and the `enhanced` scheduler
+/// lifts exactly the tasks `is_high_priority` flags.
+#[test]
+fn raw_constraints_collapsed_requirements_and_enhanced_agree_over_the_fig3_cell() {
+    let text = std::fs::read_to_string("../../experiments/fig3_ab.json").expect("spec readable");
+    let spec = ExperimentSpec::from_json(&text).expect("spec parses");
+    let cell_spec = &spec.cell_specs()[0];
+    let cell = build_cell(cell_spec, &spec.sim, 0, false).expect("cell builds");
+    let analyzer = Arc::new(train_analyzer(&cell, &spec.train, spec.sim.seed));
+
+    // The raw constraint lists, from the trace the cell was cut from.
+    let WorkloadSpec::Trace(w) = &cell_spec.workload else {
+        panic!("fig3_ab is a trace spec");
+    };
+    let trace = TraceGenerator::generate_cell(
+        w.cell,
+        Scale {
+            machines: w.machines,
+            collections: w.collections,
+            seed: w.seed.unwrap_or(spec.sim.seed),
+        },
+    );
+    let raw: HashMap<_, _> = trace
+        .events
+        .iter()
+        .filter_map(|ev| match &ev.payload {
+            EventPayload::TaskSubmit(t) => Some((t.id, t.constraints.as_slice())),
+            _ => None,
+        })
+        .collect();
+
+    let mut enhanced = Enhanced::new(analyzer.clone());
+    let (mut constrained, mut lifted) = (0, 0);
+    for t in cell.arrivals.list().expect("trace cells materialise") {
+        let constraints = raw[&t.id];
+        assert_eq!(
+            analyzer
+                .predict_group(constraints)
+                .expect("admitted tasks collapse"),
+            analyzer.group_of(&t.reqs),
+            "task {}: raw and collapsed scoring disagree",
+            t.id
+        );
+        let routed = enhanced.route_high_priority(t);
+        assert_eq!(
+            routed,
+            analyzer.is_high_priority(constraints),
+            "task {}",
+            t.id
+        );
+        constrained += usize::from(!t.reqs.is_empty());
+        lifted += usize::from(routed);
+    }
+    assert!(
+        constrained > 500,
+        "the cell must exercise the model ({constrained})"
+    );
+    assert!(
+        lifted > 0 && lifted < constrained,
+        "lifted {lifted} of {constrained}"
+    );
 }

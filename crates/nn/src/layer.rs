@@ -83,14 +83,7 @@ impl SparseLinear {
         self.weight.cols()
     }
 
-    /// `y = x W + b` over a sparse batch.
-    pub fn forward(&self, x: &Csr) -> Matrix {
-        let mut y = Matrix::zeros(0, 0);
-        self.forward_into(x, &mut y);
-        y
-    }
-
-    /// [`SparseLinear::forward`] into a caller-provided buffer
+    /// `y = x W + b` over a sparse batch, into a caller-provided buffer
     /// (allocation-free once the buffer has warmed up).
     pub fn forward_into(&self, x: &Csr, out: &mut Matrix) {
         ops::csr_matmul_into(x, &self.weight, out);
@@ -190,28 +183,14 @@ impl Linear {
         self.weight.rows()
     }
 
-    /// `y = x Wᵀ + b` over a dense batch.
-    pub fn forward_dense(&self, x: &Matrix) -> Matrix {
-        let mut y = Matrix::zeros(0, 0);
-        self.forward_dense_into(x, &mut y);
-        y
-    }
-
-    /// [`Linear::forward_dense`] into a caller-provided buffer.
+    /// `y = x Wᵀ + b` over a dense batch, into a caller-provided buffer.
     pub fn forward_dense_into(&self, x: &Matrix, out: &mut Matrix) {
         ops::matmul_bt_into(x, &self.weight, out);
         ops::add_bias(out, &self.bias);
     }
 
-    /// Accumulates gradients for a dense input batch and returns the
-    /// gradient w.r.t. the input (`grad_in = grad_out · W`).
-    pub fn backward_dense(&mut self, x: &Matrix, grad_out: &Matrix) -> Matrix {
-        let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_dense_into(x, grad_out, &mut grad_in);
-        grad_in
-    }
-
-    /// [`Linear::backward_dense`] with the input gradient written into a
+    /// Accumulates gradients for a dense input batch and writes the
+    /// gradient w.r.t. the input (`grad_in = grad_out · W`) into a
     /// caller-provided buffer; parameter gradients accumulate in place,
     /// so the whole call is allocation-free on warmed buffers.
     pub fn backward_dense_into(&mut self, x: &Matrix, grad_out: &Matrix, grad_in: &mut Matrix) {
@@ -256,14 +235,6 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Applies the layer forward (dense path).
-    pub fn forward_dense(&self, x: &Matrix) -> Matrix {
-        match self {
-            Layer::Linear(l) => l.forward_dense(x),
-            Layer::Relu => relu(x),
-        }
-    }
-
     /// Applies the layer forward into a caller-provided buffer.
     pub fn forward_dense_into(&self, x: &Matrix, out: &mut Matrix) {
         match self {
@@ -273,14 +244,7 @@ impl Layer {
     }
 }
 
-/// Element-wise ReLU.
-pub fn relu(x: &Matrix) -> Matrix {
-    let mut y = Matrix::zeros(0, 0);
-    relu_into(x, &mut y);
-    y
-}
-
-/// [`relu`] into a caller-provided buffer.
+/// Element-wise ReLU into a caller-provided buffer.
 pub fn relu_into(x: &Matrix, out: &mut Matrix) {
     out.copy_from(x);
     out.as_mut_slice().iter_mut().for_each(|v| {
@@ -290,14 +254,8 @@ pub fn relu_into(x: &Matrix, out: &mut Matrix) {
     });
 }
 
-/// Backward of ReLU: passes gradient where the forward input was > 0.
-pub fn relu_backward(x: &Matrix, grad_out: &Matrix) -> Matrix {
-    let mut g = Matrix::zeros(0, 0);
-    relu_backward_into(x, grad_out, &mut g);
-    g
-}
-
-/// [`relu_backward`] into a caller-provided buffer.
+/// Backward of ReLU into a caller-provided buffer: passes gradient where
+/// the forward input was > 0.
 pub fn relu_backward_into(x: &Matrix, grad_out: &Matrix, out: &mut Matrix) {
     assert_eq!(x.shape(), grad_out.shape());
     out.copy_from(grad_out);
@@ -336,8 +294,9 @@ mod tests {
         b.push_row([(0, 1.0), (4, 1.0)]);
         b.push_row([(2, 1.0)]);
         let x = b.finish();
-        let ys = l.forward(&x);
-        let yd = dense_twin(&l).forward_dense(&x.to_dense());
+        let (mut ys, mut yd) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        l.forward_into(&x, &mut ys);
+        dense_twin(&l).forward_dense_into(&x.to_dense(), &mut yd);
         assert!(ys.max_abs_diff(&yd) < 1e-5);
     }
 
@@ -348,7 +307,7 @@ mod tests {
         l.freeze();
         let x = Matrix::from_fn(3, 4, |r, c| (r + c) as f32);
         let go = Matrix::full(3, 2, 1.0);
-        let _ = l.backward_dense(&x, &go);
+        l.backward_dense_into(&x, &go, &mut Matrix::zeros(0, 0));
         assert_eq!(l.grad_weight, Matrix::zeros(2, 4));
         assert!(l.grad_bias.iter().all(|&g| g == 0.0));
     }
@@ -359,7 +318,7 @@ mod tests {
         let mut l = Linear::new(2, 1, &mut rng);
         let x = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let go = Matrix::from_vec(2, 1, vec![1.0, 1.0]);
-        let _ = l.backward_dense(&x, &go);
+        l.backward_dense_into(&x, &go, &mut Matrix::zeros(0, 0));
         // grad_W[0][j] = sum_i go[i] * x[i][j] = [1+3, 2+4]
         assert_eq!(l.grad_weight.row(0), &[4.0, 6.0]);
         assert_eq!(l.grad_bias, vec![2.0]);
@@ -376,7 +335,7 @@ mod tests {
         let x = b.finish();
         let go = Matrix::from_fn(2, 3, |r, c| (r as f32 + 1.0) * (c as f32 - 1.0));
         ls.backward(&x, &go);
-        let _ = ld.backward_dense(&x.to_dense(), &go);
+        ld.backward_dense_into(&x.to_dense(), &go, &mut Matrix::zeros(0, 0));
         assert!(ls.grad_weight.max_abs_diff(&ld.grad_weight.transpose()) < 1e-5);
         for (a, b) in ls.grad_bias.iter().zip(ld.grad_bias.iter()) {
             assert!((a - b).abs() < 1e-5);
@@ -389,8 +348,8 @@ mod tests {
         let mut l = Linear::new(2, 1, &mut rng);
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let go = Matrix::from_vec(1, 1, vec![1.0]);
-        let _ = l.backward_dense(&x, &go);
-        let _ = l.backward_dense(&x, &go);
+        l.backward_dense_into(&x, &go, &mut Matrix::zeros(0, 0));
+        l.backward_dense_into(&x, &go, &mut Matrix::zeros(0, 0));
         assert_eq!(l.grad_weight.row(0), &[2.0, 2.0]);
         l.zero_grad();
         assert_eq!(l.grad_weight.row(0), &[0.0, 0.0]);
@@ -399,10 +358,12 @@ mod tests {
     #[test]
     fn relu_and_its_backward() {
         let x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -0.5]);
-        let y = relu(&x);
+        let mut y = Matrix::zeros(0, 0);
+        relu_into(&x, &mut y);
         assert_eq!(y.row(0), &[0.0, 0.0, 2.0, 0.0]);
         let go = Matrix::full(1, 4, 1.0);
-        let gx = relu_backward(&x, &go);
+        let mut gx = Matrix::zeros(0, 0);
+        relu_backward_into(&x, &go, &mut gx);
         assert_eq!(gx.row(0), &[0.0, 0.0, 1.0, 0.0]);
     }
 }

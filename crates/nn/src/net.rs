@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use ctlm_tensor::{ops, Csr, Matrix};
 
-use crate::layer::{relu_backward, relu_backward_into, Layer, Linear, SparseLinear};
+use crate::layer::{relu_backward_into, Layer, Linear, SparseLinear};
 use crate::loss::CrossEntropyLoss;
 use crate::state_dict::{StateDict, StateDictError, TensorData};
 use crate::workspace::Workspace;
@@ -30,15 +30,6 @@ pub struct Net {
     input: SparseLinear,
     /// Everything after it, in order.
     layers: Vec<Layer>,
-}
-
-/// Cached activations from a training forward pass, consumed by
-/// [`Net::backward`]. `inputs[i]` is the dense input to dense layer `i`
-/// (the input layer's own input is the sparse batch itself).
-pub struct ForwardCache {
-    inputs: Vec<Matrix>,
-    /// The network output (logits).
-    pub logits: Matrix,
 }
 
 /// Fixed-capacity formatter for `fcN.weight`/`fcN.bias` parameter names —
@@ -173,11 +164,14 @@ impl Net {
         &self.input
     }
 
-    /// Inference forward pass.
+    /// Inference forward pass: the layers' buffer-writing forwards over
+    /// two matrices that swap roles, the last one returned.
     pub fn forward(&self, x: &Csr) -> Matrix {
-        let mut h = self.input.forward(x);
+        let (mut h, mut next) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        self.input.forward_into(x, &mut h);
         for layer in &self.layers {
-            h = layer.forward_dense(&h);
+            layer.forward_dense_into(&h, &mut next);
+            std::mem::swap(&mut h, &mut next);
         }
         h
     }
@@ -191,38 +185,11 @@ impl Net {
             .collect()
     }
 
-    /// Training forward pass, caching the activations backward needs.
-    ///
-    /// Allocating convenience wrapper around the [`Workspace`] path —
-    /// training loops should prefer [`Net::train_batch`], which reuses
-    /// buffers across batches.
-    pub fn forward_train(&self, x: &Csr) -> ForwardCache {
-        let mut inputs = Vec::with_capacity(self.layers.len());
-        let mut h = self.input.forward(x);
-        for layer in &self.layers {
-            let next = layer.forward_dense(&h);
-            inputs.push(std::mem::replace(&mut h, next));
-        }
-        ForwardCache { inputs, logits: h }
-    }
-
-    /// Backpropagates `grad_logits`, accumulating parameter gradients.
-    pub fn backward(&mut self, x: &Csr, cache: &ForwardCache, grad_logits: &Matrix) {
-        let mut grad = grad_logits.clone();
-        for (layer, input) in self.layers.iter_mut().zip(&cache.inputs).rev() {
-            grad = match layer {
-                Layer::Linear(l) => l.backward_dense(input, &grad),
-                Layer::Relu => relu_backward(input, &grad),
-            };
-        }
-        self.input.backward(x, &grad);
-    }
-
     /// Training forward pass into workspace buffers: `ws.acts[0]`
     /// receives the input layer's output, `ws.acts[i]` dense layer
     /// `i - 1`'s, `ws.logits()` the final logits. No allocation once the
     /// workspace has warmed up to the batch shape.
-    pub fn forward_train_ws(&self, x: &Csr, ws: &mut Workspace) {
+    fn forward_train_ws(&self, x: &Csr, ws: &mut Workspace) {
         ws.ensure_layers(1 + self.layers.len());
         self.input.forward_into(x, &mut ws.acts[0]);
         for (i, layer) in self.layers.iter().enumerate() {
@@ -235,7 +202,7 @@ impl Net {
     /// last layer to hold `dL/dlogits` (as written by
     /// [`CrossEntropyLoss::forward_into`]); parameter gradients accumulate
     /// in place and intermediate gradients reuse `ws.grads`.
-    pub fn backward_ws(&mut self, x: &Csr, ws: &mut Workspace) {
+    fn backward_ws(&mut self, x: &Csr, ws: &mut Workspace) {
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             let input = &ws.acts[i];
             let (before, after) = ws.grads.split_at_mut(i + 1);
@@ -517,10 +484,7 @@ mod tests {
         let loss_fn = CrossEntropyLoss::with_weights(vec![3.0, 1.0, 1.0]);
 
         // Analytic gradients.
-        net.zero_grad();
-        let cache = net.forward_train(&x);
-        let (_, grad_logits) = loss_fn.forward(&cache.logits, &y);
-        net.backward(&x, &cache, &grad_logits);
+        net.train_batch(&x, &y, &loss_fn, &mut Workspace::new());
 
         let eps = 1e-3f32;
         // Check a sample of fc1.weight entries numerically.
@@ -547,10 +511,7 @@ mod tests {
         let mut net = Net::mlp(5, 6, 3, &mut rng);
         let (x, y) = toy_batch(5);
         let loss_fn = CrossEntropyLoss::uniform(3);
-        net.zero_grad();
-        let cache = net.forward_train(&x);
-        let (_, grad_logits) = loss_fn.forward(&cache.logits, &y);
-        net.backward(&x, &cache, &grad_logits);
+        net.train_batch(&x, &y, &loss_fn, &mut Workspace::new());
         let eps = 1e-3f32;
         // Check one entry of the *second* linear layer (fc2).
         let (r, c) = (1usize, 3usize);

@@ -151,6 +151,7 @@ impl Optimizer for Sgd {
 mod tests {
     use super::*;
     use crate::loss::CrossEntropyLoss;
+    use crate::workspace::Workspace;
     use ctlm_tensor::init::seeded_rng;
     use ctlm_tensor::CsrBuilder;
 
@@ -172,11 +173,9 @@ mod tests {
         let (x, y) = toy_problem();
         let loss_fn = CrossEntropyLoss::uniform(3);
         let (first, _) = loss_fn.forward(&net.forward(&x), &y);
+        let mut ws = Workspace::new();
         for _ in 0..epochs {
-            net.zero_grad();
-            let cache = net.forward_train(&x);
-            let (_, grad) = loss_fn.forward(&cache.logits, &y);
-            net.backward(&x, &cache, &grad);
+            net.train_batch(&x, &y, &loss_fn, &mut ws);
             optimizer.step(&mut net);
         }
         let (last, _) = loss_fn.forward(&net.forward(&x), &y);
@@ -209,11 +208,9 @@ mod tests {
         let (x, y) = toy_problem();
         let loss_fn = CrossEntropyLoss::uniform(3);
         let mut opt = Adam::new(0.1);
+        let mut ws = Workspace::new();
         for _ in 0..5 {
-            net.zero_grad();
-            let cache = net.forward_train(&x);
-            let (_, grad) = loss_fn.forward(&cache.logits, &y);
-            net.backward(&x, &cache, &grad);
+            net.train_batch(&x, &y, &loss_fn, &mut ws);
             opt.step(&mut net);
         }
         let after = net.state_dict();
@@ -237,11 +234,9 @@ mod tests {
         b.push_row([(1, 1.0)]);
         let x = b.finish();
         let loss_fn = CrossEntropyLoss::uniform(2);
+        let mut ws = Workspace::new();
         for _ in 0..3 {
-            net.zero_grad();
-            let cache = net.forward_train(&x);
-            let (_, g) = loss_fn.forward(&cache.logits, &[0, 1]);
-            net.backward(&x, &cache, &g);
+            net.train_batch(&x, &[0, 1], &loss_fn, &mut ws);
             opt.step(&mut net);
         }
         // Grow the input layer and keep stepping with the same optimizer —
@@ -253,10 +248,7 @@ mod tests {
         b2.push_row([(4, 1.0)]);
         b2.push_row([(5, 1.0)]);
         let x2 = b2.finish();
-        net.zero_grad();
-        let cache = net.forward_train(&x2);
-        let (_, g) = loss_fn.forward(&cache.logits, &[0, 1]);
-        net.backward(&x2, &cache, &g);
+        net.train_batch(&x2, &[0, 1], &loss_fn, &mut ws);
         opt.step(&mut net);
     }
 }

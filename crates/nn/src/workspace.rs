@@ -1,14 +1,14 @@
 //! Reusable training-step buffers.
 //!
 //! The seed implementation allocated on every mini-batch: a clone of each
-//! hidden activation in `forward_train`, a clone of `grad_logits` in
-//! `backward`, a fresh softmax matrix in the loss, and fresh gradient
+//! hidden activation on the way forward, a clone of the logit gradient on
+//! the way back, a fresh softmax matrix in the loss, and fresh gradient
 //! temporaries in each layer. A [`Workspace`] owns all of those buffers
-//! instead; [`crate::Net::train_batch`] threads it through
-//! forward → loss → backward so a steady-state step performs **zero heap
-//! allocations** — buffers resize in place only when the batch shape or
-//! the architecture actually changes (`nn/tests/zero_alloc.rs` pins this
-//! with a counting allocator).
+//! instead; [`crate::Net::train_batch`] — the only training pass there
+//! is — threads it through forward → loss → backward so a steady-state
+//! step performs **zero heap allocations**: buffers resize in place only
+//! when the batch shape or the architecture actually changes
+//! (`nn/tests/zero_alloc.rs` pins this with a counting allocator).
 //!
 //! One caveat, documented rather than hidden: above
 //! `ctlm_tensor::ops::PAR_THRESHOLD` output rows the kernels take their

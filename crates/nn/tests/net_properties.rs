@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use ctlm_nn::state_dict::pad_input_weight;
-use ctlm_nn::{CrossEntropyLoss, Net};
+use ctlm_nn::{CrossEntropyLoss, Net, Workspace};
 use ctlm_tensor::init::seeded_rng;
 use ctlm_tensor::CsrBuilder;
 
@@ -45,10 +45,7 @@ proptest! {
         let (x, y) = random_batch(n, d, seed ^ 0xABCD);
         let loss_fn = CrossEntropyLoss::with_weights(vec![w0 as f32, 1.0, 1.0]);
 
-        net.zero_grad();
-        let cache = net.forward_train(&x);
-        let (_, grad) = loss_fn.forward(&cache.logits, &y);
-        net.backward(&x, &cache, &grad);
+        net.train_batch(&x, &y, &loss_fn, &mut Workspace::new());
 
         let eps = 1e-2f32;
         // fc1 is stored input-major: (input column, hidden unit).

@@ -119,8 +119,9 @@ fn steady_state_training_step_does_not_allocate() {
 
 #[test]
 fn workspace_reuse_still_learns() {
-    // The allocation-free path must be numerically identical to the
-    // allocating reference path.
+    // There is one training pass, so the reference for a reused
+    // workspace is a fresh one: buffers left over from another batch
+    // shape and another architecture must not leak into the step.
     let (x, y) = batch(60, 24, 3);
     let loss_fn = CrossEntropyLoss::uniform(26);
 
@@ -128,23 +129,20 @@ fn workspace_reuse_still_learns() {
     let mut net_a = Net::two_layer(24, 12, 26, &mut rng_a);
     let mut net_b = net_a.clone();
 
-    // Reference: allocating forward/backward.
-    net_a.zero_grad();
-    let cache = net_a.forward_train(&x);
-    let (loss_ref, grad) = loss_fn.forward(&cache.logits, &y);
-    net_a.backward(&x, &cache, &grad);
+    // Reference: a workspace nothing has touched.
+    let loss_ref = net_a.train_batch(&x, &y, &loss_fn, &mut Workspace::new());
 
-    // Workspace path.
+    // Reused: warmed on a wider, deeper network and a different batch.
     let mut ws = Workspace::new();
+    let (x_other, y_other) = batch(17, 31, 4);
+    Net::mlp(31, 20, 26, &mut seeded_rng(12)).train_batch(&x_other, &y_other, &loss_fn, &mut ws);
     let loss_ws = net_b.train_batch(&x, &y, &loss_fn, &mut ws);
 
-    assert!((loss_ref - loss_ws).abs() < 1e-6, "{loss_ref} vs {loss_ws}");
-    assert!(
-        net_a
-            .input_layer()
-            .grad_weight
-            .max_abs_diff(&net_b.input_layer().grad_weight)
-            < 1e-6,
-        "workspace path diverged from reference gradients"
+    assert_eq!(loss_ref.to_bits(), loss_ws.to_bits());
+    assert_eq!(
+        net_a.input_layer().grad_weight,
+        net_b.input_layer().grad_weight,
+        "a reused workspace changed the gradients"
     );
+    assert_eq!(ws.logits().shape(), (60, 26));
 }

@@ -41,6 +41,7 @@
 
 use std::collections::HashMap;
 
+use ctlm_agocs::matcher::machine_suitable;
 use ctlm_agocs::AttrIndex;
 use ctlm_data::compaction::AttrRequirement;
 use ctlm_trace::{AttrId, AttrValue, Machine, MachineId, TaskId};
@@ -69,11 +70,6 @@ impl Hot {
     fn fits(&self, cpu: f64, mem: f64) -> bool {
         self.free_cpu >= cpu && self.free_mem >= mem
     }
-}
-
-/// True when the machine satisfies every requirement.
-fn accepts(m: &Machine, reqs: &[AttrRequirement]) -> bool {
-    reqs.iter().all(|r| r.accepts(m.attr(r.attr)))
 }
 
 /// Where a slot's machine stands.
@@ -580,21 +576,17 @@ impl SchedCluster {
     }
 
     /// Machines satisfying the requirements (constraint feasibility only,
-    /// not capacity), in ascending id order — answered by the inverted
-    /// index.
+    /// not capacity), in ascending id order — the
+    /// [`suitable_visit`](Self::suitable_visit) walk, collected and
+    /// sorted (the linear reference placer and tests read it).
     pub fn suitable(&self, reqs: &[AttrRequirement]) -> Vec<MachineId> {
         let mut out = Vec::new();
-        self.suitable_into(reqs, &mut out);
-        out
-    }
-
-    /// [`SchedCluster::suitable`] into a caller-provided buffer.
-    pub fn suitable_into(&self, reqs: &[AttrRequirement], out: &mut Vec<MachineId>) {
-        self.index.matching_into(reqs, out);
-        for key in out.iter_mut() {
-            *key = self.hot[*key as usize].id;
-        }
+        self.suitable_visit(reqs, |m| {
+            out.push(m.id());
+            true
+        });
         out.sort_unstable();
+        out
     }
 
     /// Streams every suitable machine to `f` without materialising a
@@ -658,7 +650,8 @@ impl SchedCluster {
             if bucket.cpu.max >= cpu && bucket.mem.max >= mem {
                 for &s in &bucket.slots {
                     let s = s as usize;
-                    if self.hot[s].fits(cpu, mem) && accepts(&self.slots[s].machine, reqs) {
+                    if self.hot[s].fits(cpu, mem) && machine_suitable(&self.slots[s].machine, reqs)
+                    {
                         return CapacityFit::Fit(self.hot[s].id);
                     }
                 }

@@ -1069,20 +1069,13 @@ pub fn arrivals_from_trace(
                 continue;
             };
             let suitable = index.count_matching(&reqs);
-            if suitable == 0 {
-                continue;
-            }
-            let truth_group = ctlm_data::dataset::group_for_count(suitable, trace.group_width);
-            arrivals.push(PendingTask {
-                id: task.id,
-                collection: task.collection,
-                cpu: task.cpu.min(0.9),
-                memory: task.memory.min(0.9),
-                priority: task.priority,
+            arrivals.extend(PendingTask::from_submission(
+                task,
                 reqs,
-                arrival: ev.time,
-                truth_group,
-            });
+                suitable,
+                trace.group_width,
+                ev.time,
+            ));
         }
     }
     (SchedCluster::from_machines(machines), arrivals)

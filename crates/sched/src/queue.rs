@@ -3,7 +3,8 @@
 use std::collections::VecDeque;
 
 use ctlm_data::compaction::AttrRequirement;
-use ctlm_trace::{CollectionId, Micros, TaskId};
+use ctlm_data::dataset::group_for_count;
+use ctlm_trace::{CollectionId, Micros, Task, TaskId};
 
 /// A task waiting to be scheduled.
 #[derive(Clone, Debug)]
@@ -25,6 +26,33 @@ pub struct PendingTask {
     /// Ground-truth suitable-node group (for reporting only — the
     /// schedulers never read it).
     pub truth_group: u8,
+}
+
+impl PendingTask {
+    /// A trace submission as a labelled arrival — the one place a
+    /// [`Task`] becomes a `PendingTask`. `reqs` are its collapsed
+    /// constraints and `suitable` how many machines satisfy them; `None`
+    /// when no machine does (such a task can never place and is not an
+    /// arrival). Requests are clamped to 0.9 of a node, and the
+    /// ground-truth label is `suitable` bucketed `group_width` wide.
+    pub fn from_submission(
+        task: &Task,
+        reqs: Vec<AttrRequirement>,
+        suitable: usize,
+        group_width: usize,
+        arrival: Micros,
+    ) -> Option<Self> {
+        (suitable > 0).then(|| Self {
+            id: task.id,
+            collection: task.collection,
+            cpu: task.cpu.min(0.9),
+            memory: task.memory.min(0.9),
+            priority: task.priority,
+            reqs,
+            arrival,
+            truth_group: group_for_count(suitable, group_width),
+        })
+    }
 }
 
 /// FIFO pending queue with requeue-at-back semantics.

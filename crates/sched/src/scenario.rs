@@ -335,23 +335,18 @@ impl TimedSource for OnlineTraceFeed<'_> {
                 EventPayload::TaskSubmit(task) => {
                     if let Ok(reqs) = ctlm_data::compaction::collapse(&task.constraints) {
                         let suitable = self.replay.suitable_count(&reqs);
-                        if suitable > 0 {
-                            let truth_group =
-                                ctlm_data::dataset::group_for_count(suitable, self.group_width);
+                        if let Some(t) = crate::queue::PendingTask::from_submission(
+                            task,
+                            reqs,
+                            suitable,
+                            self.group_width,
+                            ev.time,
+                        ) {
                             ctx.emit_prio(
                                 0,
                                 PRIO_ADMIT,
                                 self.engine,
-                                SchedEvent::Admit(Box::new(crate::queue::PendingTask {
-                                    id: task.id,
-                                    collection: task.collection,
-                                    cpu: task.cpu.min(0.9),
-                                    memory: task.memory.min(0.9),
-                                    priority: task.priority,
-                                    reqs,
-                                    arrival: ev.time,
-                                    truth_group,
-                                })),
+                                SchedEvent::Admit(Box::new(t)),
                             );
                         }
                     }

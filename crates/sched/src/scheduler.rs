@@ -54,7 +54,7 @@ impl Enhanced {
 
 impl Scheduler for Enhanced {
     fn route_high_priority(&mut self, task: &PendingTask) -> bool {
-        !task.reqs.is_empty() && analyzer_flags(&self.analyzer, task)
+        flags(&self.analyzer, task)
     }
     fn name(&self) -> &'static str {
         "enhanced"
@@ -110,7 +110,7 @@ impl Scheduler for LiveRegistry {
             self.cached = self.registry.get().map(|a| (v, a));
         }
         match &self.cached {
-            Some((_, analyzer)) => !task.reqs.is_empty() && analyzer_flags(analyzer, task),
+            Some((_, analyzer)) => flags(analyzer, task),
             None => false,
         }
     }
@@ -119,17 +119,12 @@ impl Scheduler for LiveRegistry {
     }
 }
 
-/// Scores a pending task's collapsed requirements through the analyzer's
-/// network (the queue stores collapsed requirements; the analyzer's
-/// public API consumes raw constraints).
-pub fn analyzer_flags(analyzer: &TaskCoAnalyzer, t: &PendingTask) -> bool {
-    use ctlm_data::encode::co_vv::CoVvEncoder;
-    use ctlm_tensor::CsrBuilder;
-    let entries = CoVvEncoder.encode_requirements(&t.reqs, analyzer.vocab());
-    let mut b = CsrBuilder::new(analyzer.features());
-    b.push_row(entries);
-    let g = analyzer.net().predict(&b.finish())[0];
-    g <= analyzer.priority_threshold
+/// The model-backed routing rule: a constrained task whose predicted
+/// group is at or below the analyzer's priority threshold. The queue
+/// stores collapsed requirements, so this is
+/// [`TaskCoAnalyzer::group_of`] directly — no second collapse.
+fn flags(analyzer: &TaskCoAnalyzer, task: &PendingTask) -> bool {
+    !task.reqs.is_empty() && analyzer.group_of(&task.reqs) <= analyzer.priority_threshold
 }
 
 #[cfg(test)]

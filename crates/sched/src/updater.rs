@@ -10,7 +10,7 @@ use std::thread::JoinHandle;
 
 use std::sync::mpsc::{channel, Sender};
 
-use ctlm_core::{GrowingModel, ModelRegistry, TaskCoAnalyzer, TrainConfig};
+use ctlm_core::{GrowingModel, ModelRegistry, TrainConfig};
 use ctlm_data::dataset::Dataset;
 use ctlm_data::vocab::ValueVocab;
 
@@ -48,15 +48,8 @@ impl ModelUpdater {
                         if outcome.accepted || model.is_trained() {
                             // The vocabulary may already be wider than
                             // the step's dataset (values observed after
-                            // the snapshot); pad without retraining.
-                            let net = if vocab.len() > model.features() {
-                                model.to_net_padded(vocab.len())
-                            } else {
-                                model.to_net()
-                            };
-                            let mut analyzer = TaskCoAnalyzer::new(net, *vocab);
-                            analyzer.priority_threshold = 0;
-                            registry.install(analyzer);
+                            // the snapshot); `analyzer` pads for that.
+                            registry.install(model.analyzer(*vocab));
                         }
                         steps_done += 1;
                     }

@@ -102,9 +102,7 @@ fn tiny_analyzer() -> TaskCoAnalyzer {
         ..TrainConfig::default()
     });
     model.step(&ds, 3);
-    let mut analyzer = TaskCoAnalyzer::new(model.to_net(), vocab);
-    analyzer.priority_threshold = 0;
-    analyzer
+    model.analyzer(vocab)
 }
 
 fn run_twice(mut make: impl FnMut() -> Box<dyn Scheduler>) -> (SimResult, SimResult) {

@@ -62,7 +62,7 @@ fn main() {
 
     // 4. Real-time task analysis: route restrictive tasks to the
     //    high-priority scheduler.
-    let analyzer = TaskCoAnalyzer::new(model.to_net(), replay.vocab.clone());
+    let analyzer = model.analyzer(replay.vocab.clone());
     let node = trace.catalog.get("node_index").expect("attribute exists");
     let pinned = vec![TaskConstraint::new(
         node,

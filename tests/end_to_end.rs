@@ -53,7 +53,7 @@ fn full_pipeline_2019c() {
 
     // The final model powers an analyzer whose predictions agree with
     // ground truth on a held-out re-encoding of the last step.
-    let analyzer = TaskCoAnalyzer::new(model.to_net(), replay.vocab.clone());
+    let analyzer = model.analyzer(replay.vocab.clone());
     assert_eq!(analyzer.features(), replay.vocab.len());
 }
 
@@ -125,7 +125,7 @@ fn scheduler_integration_runs_all_policies() {
     for (i, step) in replay.steps.iter().enumerate() {
         model.step(&step.vv, i as u64);
     }
-    let analyzer = TaskCoAnalyzer::new(model.to_net(), replay.vocab.clone());
+    let analyzer = model.analyzer(replay.vocab.clone());
 
     let (mut cluster, mut arrivals) = arrivals_from_trace(&trace, 1_500);
     assert!(!arrivals.is_empty());

@@ -39,7 +39,7 @@ fn trained_setup() -> (
 #[test]
 fn hybrid_analyzer_rules_over_a_trace_trained_model() {
     let (trace, replay, model) = trained_setup();
-    let analyzer = TaskCoAnalyzer::new(model.to_net(), replay.vocab.clone());
+    let analyzer = model.analyzer(replay.vocab.clone());
     let node = trace
         .catalog
         .get(attrs::NODE_INDEX)
