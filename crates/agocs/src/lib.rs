@@ -30,7 +30,7 @@ pub use corrector::{correct_stream, CorrectionReport};
 pub use index::AttrIndex;
 pub use matcher::{count_suitable, count_suitable_linear, suitable_machines};
 pub use replay::{
-    DatasetStep, ReplayComponent, ReplayConfig, ReplayHandle, ReplayOutput, ReplaySession, Replayer,
+    DatasetStep, Observed, ReplayConfig, ReplayHandle, ReplayOutput, ReplaySession, Replayer,
 };
 pub use state::ClusterState;
 pub use stats::{CoDistribution, CoStatsCollector};

@@ -1,5 +1,4 @@
-//! Event replay and dataset generation (paper Fig. 1), hosted on the
-//! `ctlm-sim` kernel.
+//! Event replay and dataset generation (paper Fig. 1).
 //!
 //! The replayer walks the corrected event stream, maintains the cluster
 //! state, computes each constrained task's ground-truth suitable-node
@@ -9,25 +8,26 @@
 //! exactly the retraining points Table XI tabulates.
 //!
 //! The logic lives in [`ReplaySession`], an incremental state machine
-//! consuming one [`TraceEvent`] at a time. [`ReplayComponent`] wraps a
-//! session as a kernel component so replay shares a timeline with other
-//! components (the scheduler engine, churn sources, rollouts) — the
-//! online loop where dataset steps drive live retraining mid-simulation.
-//! [`Replayer::replay`] is the batch convenience: it hosts the corrected
-//! stream on a kernel instance and runs it to completion.
+//! consuming one [`TraceEvent`] at a time. [`Replayer::replay`] is the
+//! batch form: a fold of the session over the corrected stream.
+//! [`ReplayHandle`] shares a session between a driver and a feed that
+//! walks the stream inside a simulation (`ctlm_sched`'s
+//! `OnlineTraceFeed`), so replay shares a timeline with the scheduler
+//! engine, churn sources and rollouts — the online loop where dataset
+//! steps drive live retraining mid-simulation.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
+use ctlm_data::compaction::{collapse, AttrRequirement};
 use ctlm_data::dataset::{group_for_count, Dataset, DatasetBuilder, NUM_GROUPS};
 use ctlm_data::encode::co_el::CoElEncoder;
 use ctlm_data::encode::co_vv::CoVvEncoder;
 use ctlm_data::vocab::ValueVocab;
-use ctlm_sim::{Component, Ctx, Event, Sim};
 use ctlm_trace::event::format_day_hour_minute;
-use ctlm_trace::{EventPayload, GeneratedTrace, Micros, TraceEvent};
+use ctlm_trace::{EventPayload, GeneratedTrace, Micros, Task, TraceEvent};
 
 use crate::corrector::{correct_stream, CorrectionReport};
 use crate::matcher::count_suitable;
@@ -109,6 +109,19 @@ pub struct ReplayOutput {
     pub vocab: ValueVocab,
 }
 
+/// What one [`ReplaySession::observe`] call produced.
+#[derive(Debug, Default)]
+pub struct Observed {
+    /// The dataset step this event completed, if any.
+    pub step: Option<DatasetStep>,
+    /// For a task submission whose constraints do not contradict: its
+    /// collapsed requirements and how many machines satisfy them in the
+    /// cluster state *including* this event (every machine for an
+    /// unconstrained task) — the labelling the dataset row used, handed
+    /// back so an online feed admits the task without redoing it.
+    pub submission: Option<(Vec<AttrRequirement>, usize)>,
+}
+
 /// The incremental replay state machine: feed it trace events in time
 /// order via [`ReplaySession::observe`]; finished steps come back as
 /// they fire, and [`ReplaySession::finish`] flushes the trailing step
@@ -167,18 +180,6 @@ impl ReplaySession {
         &self.vocab
     }
 
-    /// Dataset rows encoded so far.
-    pub fn rows(&self) -> usize {
-        self.vv_builder.len()
-    }
-
-    /// Ground-truth suitable-machine count for a requirement set against
-    /// the session's *current* cluster state — online feeds label
-    /// scheduling arrivals with exactly the truth the replay sees.
-    pub fn suitable_count(&self, reqs: &[ctlm_data::compaction::AttrRequirement]) -> usize {
-        count_suitable(&self.state, reqs)
-    }
-
     fn emit_step(&mut self, time: Micros) -> DatasetStep {
         let width = self.vocab.len();
         self.vv_builder.widen(width);
@@ -205,19 +206,20 @@ impl ReplaySession {
         step
     }
 
-    /// Consumes one (corrected) trace event, returning a dataset step
-    /// when a pending vocabulary growth matures into one.
-    pub fn observe(&mut self, ev: &TraceEvent) -> Option<DatasetStep> {
+    /// Consumes one (corrected) trace event, returning the dataset step
+    /// a pending vocabulary growth matured into (or step 0) and, for a
+    /// task submission, its labelling.
+    pub fn observe(&mut self, ev: &TraceEvent) -> Observed {
         self.last_time = ev.time;
+        let mut out = Observed::default();
         // Flush a pending growth step once the merge window elapses and
         // the initial model exists.
-        let mut emitted = None;
         if let Some(t0) = self.growth_pending_since {
             if self.step0_emitted
                 && ev.time > t0 + self.cfg.step_merge_window
                 && self.vv_builder.len() > self.rows_at_last_step
             {
-                emitted = Some(self.emit_step(t0));
+                out.step = Some(self.emit_step(t0));
                 self.growth_pending_since = None;
             }
         }
@@ -255,48 +257,7 @@ impl ReplaySession {
             EventPayload::CollectionFinish(id) => {
                 self.markers_swept += self.state.sweep_collection(*id);
             }
-            EventPayload::TaskSubmit(task) => {
-                self.stats
-                    .record(ev.time, task.cpu, task.memory, task.has_constraints());
-                self.state.add_task_marker(task.id, task.collection);
-                if !task.has_constraints() {
-                    return emitted;
-                }
-                let reqs = match ctlm_data::compaction::collapse(&task.constraints) {
-                    Ok(r) => r,
-                    Err(_) => {
-                        // The paper: contradictions are logged and the
-                        // task is ignored by the simulation.
-                        self.skipped_contradictions += 1;
-                        return emitted;
-                    }
-                };
-                let suitable = count_suitable(&self.state, &reqs);
-                if suitable == 0 {
-                    self.skipped_unschedulable += 1;
-                    return emitted;
-                }
-                let label = group_for_count(suitable, self.group_width);
-                if label == 0 {
-                    self.group0_rows += 1;
-                }
-                self.vv_builder.widen(self.vocab.len());
-                let vv_row = self.vv_encoder.encode_requirements(&reqs, &self.vocab);
-                self.vv_builder.push(vv_row, label);
-                if self.cfg.build_co_el {
-                    let el_row = self.el_encoder.encode_requirements(&reqs);
-                    self.el_builder.widen(self.el_encoder.len());
-                    self.el_builder.push(el_row, label);
-                }
-                // Step 0 fires once enough rows exist for the initial
-                // training.
-                if !self.step0_emitted && self.vv_builder.len() >= self.cfg.min_rows_for_step0 {
-                    debug_assert!(emitted.is_none(), "step 0 cannot race a growth step");
-                    emitted = Some(self.emit_step(ev.time));
-                    self.step0_emitted = true;
-                    self.growth_pending_since = None;
-                }
-            }
+            EventPayload::TaskSubmit(task) => self.submit(ev.time, task, &mut out),
             EventPayload::TaskUpdate { .. } => {
                 // Resource updates do not change constraints; markers
                 // stay.
@@ -305,7 +266,48 @@ impl ReplaySession {
                 self.state.remove_task_marker(*task);
             }
         }
-        emitted
+        out
+    }
+
+    /// Records one task submission: statistics, its marker, its
+    /// labelling and — for a constrained task at least one machine
+    /// suits — a dataset row, which may complete step 0.
+    fn submit(&mut self, time: Micros, task: &Task, out: &mut Observed) {
+        self.stats
+            .record(time, task.cpu, task.memory, task.has_constraints());
+        self.state.add_task_marker(task.id, task.collection);
+        let Ok(reqs) = collapse(&task.constraints) else {
+            // The paper: contradictions are logged and the task is
+            // ignored by the simulation.
+            self.skipped_contradictions += 1;
+            return;
+        };
+        let suitable = count_suitable(&self.state, &reqs);
+        if task.has_constraints() && suitable == 0 {
+            self.skipped_unschedulable += 1;
+        } else if task.has_constraints() {
+            let label = group_for_count(suitable, self.group_width);
+            if label == 0 {
+                self.group0_rows += 1;
+            }
+            self.vv_builder.widen(self.vocab.len());
+            let vv_row = self.vv_encoder.encode_requirements(&reqs, &self.vocab);
+            self.vv_builder.push(vv_row, label);
+            if self.cfg.build_co_el {
+                let el_row = self.el_encoder.encode_requirements(&reqs);
+                self.el_builder.widen(self.el_encoder.len());
+                self.el_builder.push(el_row, label);
+            }
+            // Step 0 fires once enough rows exist for the initial
+            // training.
+            if !self.step0_emitted && self.vv_builder.len() >= self.cfg.min_rows_for_step0 {
+                debug_assert!(out.step.is_none(), "step 0 cannot race a growth step");
+                out.step = Some(self.emit_step(time));
+                self.step0_emitted = true;
+                self.growth_pending_since = None;
+            }
+        }
+        out.submission = Some((reqs, suitable));
     }
 
     /// Flushes the trailing step (if rows or vocabulary grew since the
@@ -323,9 +325,9 @@ impl ReplaySession {
     }
 
     /// Emits the trailing step if rows or vocabulary grew since the last
-    /// one — the single flush rule shared by the batch and component
-    /// paths.
-    pub fn flush_trailing(&mut self) -> Option<DatasetStep> {
+    /// one — the single flush rule shared by [`ReplaySession::finish`] and
+    /// [`ReplayHandle::finish`].
+    fn flush_trailing(&mut self) -> Option<DatasetStep> {
         if self.vv_builder.len() > self.rows_at_last_step
             || self.vocab.len() > self.width_at_last_step
         {
@@ -354,14 +356,13 @@ impl ReplaySession {
     }
 }
 
-/// A [`ReplaySession`] as a kernel component: deliver it [`TraceEvent`]s
-/// and it accumulates dataset steps, invoking `on_step` as each fires —
-/// the hook online simulations use to submit retraining work while the
-/// scheduler keeps running.
-///
-/// State lives behind `Rc<RefCell<...>>` (the kernel's shared-state
-/// idiom) so the driver can finish the session after the run.
-pub struct ReplayComponent<'a> {
+/// A [`ReplaySession`] shared between a driver and the feed that walks
+/// the stream inside a simulation: the feed observes through its clone,
+/// `on_step` fires as each dataset step completes — the hook online
+/// simulations use to submit retraining work while the scheduler keeps
+/// running — and the driver finishes the session after the run.
+#[derive(Clone)]
+pub struct ReplayHandle<'a> {
     inner: Rc<RefCell<ReplayInner<'a>>>,
 }
 
@@ -372,9 +373,9 @@ struct ReplayInner<'a> {
     on_step: Option<Box<dyn FnMut(&DatasetStep, &ValueVocab) + 'a>>,
 }
 
-impl<'a> ReplayInner<'a> {
-    fn observe(&mut self, ev: &TraceEvent) {
-        if let Some(step) = self.session.observe(ev) {
+impl ReplayInner<'_> {
+    fn emit(&mut self, step: Option<DatasetStep>) {
+        if let Some(step) = step {
             if let Some(f) = self.on_step.as_mut() {
                 f(&step, self.session.vocab());
             }
@@ -383,61 +384,16 @@ impl<'a> ReplayInner<'a> {
     }
 }
 
-/// Driver-side handle to a [`ReplayComponent`]'s state: finish it after
-/// the simulation ran to collect the [`ReplayOutput`].
-pub struct ReplayHandle<'a> {
-    inner: Rc<RefCell<ReplayInner<'a>>>,
-}
-
-impl ReplayHandle<'_> {
-    /// Dataset rows encoded so far (borrows the shared state briefly).
-    pub fn rows(&self) -> usize {
-        self.inner.borrow().session.rows()
-    }
-
-    /// Steps emitted so far.
-    pub fn steps_emitted(&self) -> usize {
-        self.inner.borrow().steps.len()
-    }
-
-    /// Flushes the trailing step (also reported through the callback)
-    /// and assembles the output. Call after the simulation has run; the
-    /// component must have been dropped with the kernel by then.
-    pub fn finish(self, correction: CorrectionReport) -> ReplayOutput {
-        let inner = Rc::try_unwrap(self.inner)
-            .ok()
-            .expect("replay state uniquely owned after the run")
-            .into_inner();
-        let ReplayInner {
-            mut session,
-            mut steps,
-            mut on_step,
-        } = inner;
-        if let Some(step) = session.flush_trailing() {
-            if let Some(f) = on_step.as_mut() {
-                f(&step, session.vocab());
-            }
-            steps.push(step);
+impl<'a> ReplayHandle<'a> {
+    /// A handle to a fresh session.
+    pub fn new(cfg: ReplayConfig, group_width: usize) -> Self {
+        Self {
+            inner: Rc::new(RefCell::new(ReplayInner {
+                session: ReplaySession::new(cfg, group_width),
+                steps: Vec::new(),
+                on_step: None,
+            })),
         }
-        session.into_output(steps, correction)
-    }
-}
-
-impl<'a> ReplayComponent<'a> {
-    /// A component around a fresh session, returning the component and
-    /// the driver-side handle.
-    pub fn new(cfg: ReplayConfig, group_width: usize) -> (Self, ReplayHandle<'a>) {
-        let inner = Rc::new(RefCell::new(ReplayInner {
-            session: ReplaySession::new(cfg, group_width),
-            steps: Vec::new(),
-            on_step: None,
-        }));
-        (
-            Self {
-                inner: inner.clone(),
-            },
-            ReplayHandle { inner },
-        )
     }
 
     /// Installs a step callback (called with each step and the
@@ -447,30 +403,26 @@ impl<'a> ReplayComponent<'a> {
         self
     }
 
-    /// Consumes one trace event — wrappers embedding replay in a wider
-    /// event type call this directly.
-    pub fn observe(&self, ev: &TraceEvent) {
-        self.inner.borrow_mut().observe(ev);
+    /// Consumes one trace event, returning the session's labelling of a
+    /// task submission (see [`Observed::submission`]).
+    pub fn observe(&self, ev: &TraceEvent) -> Option<(Vec<AttrRequirement>, usize)> {
+        let mut inner = self.inner.borrow_mut();
+        let seen = inner.session.observe(ev);
+        inner.emit(seen.step);
+        seen.submission
     }
 
-    /// [`ReplaySession::suitable_count`] against the embedded session.
-    pub fn suitable_count(&self, reqs: &[ctlm_data::compaction::AttrRequirement]) -> usize {
-        self.inner.borrow().session.suitable_count(reqs)
-    }
-}
-
-impl Component<TraceEvent> for ReplayComponent<'_> {
-    fn on_event(&mut self, event: Event<TraceEvent>, _ctx: &mut Ctx<'_, TraceEvent>) {
-        self.inner.borrow_mut().observe(&event.payload);
-    }
-}
-
-/// Replay equally consumes borrowed events — the batch replayer keeps
-/// the corrected stream in one buffer and runs the kernel over `&Trace­Event`
-/// payloads, so no event is ever copied into the queue.
-impl Component<&TraceEvent> for ReplayComponent<'_> {
-    fn on_event(&mut self, event: Event<&TraceEvent>, _ctx: &mut Ctx<'_, &TraceEvent>) {
-        self.inner.borrow_mut().observe(event.payload);
+    /// Flushes the trailing step (also reported through the callback)
+    /// and assembles the output. Call after the simulation has run: the
+    /// feed's clone must have been dropped with the kernel by then.
+    pub fn finish(self, correction: CorrectionReport) -> ReplayOutput {
+        let mut inner = Rc::try_unwrap(self.inner)
+            .ok()
+            .expect("replay state uniquely owned after the run")
+            .into_inner();
+        let trailing = inner.session.flush_trailing();
+        inner.emit(trailing);
+        inner.session.into_output(inner.steps, correction)
     }
 }
 
@@ -486,22 +438,21 @@ impl Replayer {
         Self { config }
     }
 
-    /// Replays a generated trace into dataset steps and statistics by
-    /// hosting the corrected event stream on a `ctlm-sim` kernel: every
-    /// corrected event is scheduled at its trace timestamp and delivered
-    /// to a [`ReplayComponent`] (same-time events keep stream order via
-    /// the kernel's stable tie-break).
+    /// Replays a generated trace into dataset steps and statistics:
+    /// corrects the stream, folds a [`ReplaySession`] over it in stream
+    /// order (the corrected stream is time-sorted; same-time events keep
+    /// their order), and finishes the session.
     pub fn replay(&self, trace: &GeneratedTrace) -> ReplayOutput {
         let (events, correction) = correct_stream(&trace.events);
-        let mut sim: Sim<'_, &TraceEvent> = Sim::new();
-        let (component, handle) = ReplayComponent::new(self.config, trace.group_width);
-        let replay = sim.add_component("replay", component);
-        sim.schedule_batch(0, replay, replay, events.iter().map(|ev| (ev.time, ev)));
-        sim.run();
-        drop(sim);
-        handle.finish(correction)
+        let mut session = ReplaySession::new(self.config, trace.group_width);
+        let steps = events
+            .iter()
+            .filter_map(|ev| session.observe(ev).step)
+            .collect();
+        session.finish(steps, correction)
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -654,6 +605,57 @@ mod tests {
         let (la, lb) = (a.steps.last().unwrap(), b.steps.last().unwrap());
         assert_eq!(la.vv.y, lb.vv.y);
         assert_eq!(la.features_count, lb.features_count);
+    }
+
+    #[test]
+    fn replay_is_the_fold_of_a_session_over_the_corrected_stream() {
+        let trace = TraceGenerator::generate_cell(
+            CellSet::C2019c,
+            Scale {
+                machines: 130,
+                collections: 400,
+                seed: 17,
+            },
+        );
+        let (events, correction) = correct_stream(&trace.events);
+        assert!(
+            events.windows(2).any(|w| w[0].time == w[1].time),
+            "the stream must hold same-timestamp events for order to matter"
+        );
+        let mut session = ReplaySession::new(ReplayConfig::default(), trace.group_width);
+        let mut steps = Vec::new();
+        for ev in &events {
+            steps.extend(session.observe(ev).step);
+        }
+        let by_hand = session.finish(steps, correction);
+        let out = Replayer::default().replay(&trace);
+
+        assert_eq!(out.steps.len(), by_hand.steps.len());
+        for (a, b) in out.steps.iter().zip(&by_hand.steps) {
+            assert_eq!(
+                (a.index, a.time, &a.label, a.features_count, a.new_features),
+                (b.index, b.time, &b.label, b.features_count, b.new_features)
+            );
+            assert_eq!((&a.vv.x, &a.vv.y), (&b.vv.x, &b.vv.y));
+            let (ael, bel) = (a.el.as_ref().unwrap(), b.el.as_ref().unwrap());
+            assert_eq!((&ael.x, &ael.y), (&bel.x, &bel.y));
+        }
+        assert_eq!(out.correction, by_hand.correction);
+        assert_eq!(
+            (out.total_rows, out.group0_rows, out.vocab.len()),
+            (by_hand.total_rows, by_hand.group0_rows, by_hand.vocab.len())
+        );
+        assert_eq!(
+            (out.skipped_contradictions, out.skipped_unschedulable),
+            (
+                by_hand.skipped_contradictions,
+                by_hand.skipped_unschedulable
+            )
+        );
+        assert_eq!(
+            (out.markers_swept_by_collection, out.markers_leaked),
+            (by_hand.markers_swept_by_collection, by_hand.markers_leaked)
+        );
     }
 
     #[test]

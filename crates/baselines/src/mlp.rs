@@ -6,7 +6,7 @@
 //! `min(200, n)`, `max_iter` epochs with a no-improvement early stop
 //! (`tol` 1e-4 over `n_iter_no_change` 10 epochs).
 
-use ctlm_nn::{Adam, BatchIter, CrossEntropyLoss, Net, Optimizer, Workspace};
+use ctlm_nn::{Adam, BatchIter, CrossEntropyLoss, Net, Workspace};
 use ctlm_tensor::init::seeded_rng;
 use ctlm_tensor::Csr;
 

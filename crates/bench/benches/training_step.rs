@@ -23,7 +23,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ctlm_agocs::Replayer;
 use ctlm_core::{FullRetrainModel, GrowingModel, TrainConfig};
 use ctlm_data::dataset::Dataset;
-use ctlm_nn::{Adam, CrossEntropyLoss, Net, Optimizer, Workspace};
+use ctlm_nn::{Adam, CrossEntropyLoss, Net, Workspace};
 use ctlm_tensor::init::seeded_rng;
 use ctlm_tensor::ops::naive;
 use ctlm_tensor::{Csr, CsrBuilder, Matrix};

@@ -36,7 +36,7 @@ use ctlm_data::dataset::{Dataset, NUM_GROUPS};
 use ctlm_data::metrics::Evaluation;
 use ctlm_data::split::{stratified_split, SplitConfig};
 use ctlm_nn::grad_scale::ColumnGradScale;
-use ctlm_nn::{Adam, BatchIter, CrossEntropyLoss, Net, Optimizer, Workspace};
+use ctlm_nn::{Adam, BatchIter, CrossEntropyLoss, Net, Workspace};
 use ctlm_tensor::init::seeded_rng;
 use ctlm_tensor::Csr;
 

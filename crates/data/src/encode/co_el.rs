@@ -78,24 +78,6 @@ impl CoElEncoder {
         out.dedup_by_key(|&mut (c, _)| c);
         out
     }
-
-    /// Encodes without registering new labels; unknown labels are dropped.
-    /// Used when a frozen model must score new tasks (the failure mode the
-    /// paper describes: unseen COs are invisible to a CO-EL model).
-    pub fn encode_frozen(
-        &self,
-        constraints: &[TaskConstraint],
-    ) -> Result<Vec<(usize, f32)>, CompactionError> {
-        let reqs = collapse(constraints)?;
-        let mut out = Vec::new();
-        for req in reqs {
-            if let Some(&c) = self.index.get(&req.to_string()) {
-                out.push((c, 1.0));
-            }
-        }
-        out.sort_unstable_by_key(|&(c, _)| c);
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -152,21 +134,6 @@ mod tests {
             .encode(&[c(0, Op::Present), c(1, Op::NotEqual(AttrValue::from("a")))])
             .unwrap();
         assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn frozen_encoding_drops_unseen_labels() {
-        let mut e = CoElEncoder::new();
-        e.encode(&[c(0, Op::Present)]).unwrap();
-        let frozen = e
-            .encode_frozen(&[c(0, Op::Present), c(2, Op::NotPresent)])
-            .unwrap();
-        assert_eq!(
-            frozen.len(),
-            1,
-            "unseen CO must be invisible to a frozen CO-EL model"
-        );
-        assert_eq!(e.len(), 1, "frozen encoding must not register labels");
     }
 
     #[test]

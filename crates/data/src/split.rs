@@ -79,52 +79,6 @@ pub fn stratified_split(y: &[u8], config: SplitConfig) -> (Vec<usize>, Vec<usize
     (train, test)
 }
 
-/// Stratified K-fold indices (“stratified randomized folds were used to
-/// preserve class proportions”): each fold's test side draws
-/// proportionally from every class. Classes with fewer samples than
-/// folds appear in as many folds as they have samples (the rest of the
-/// folds see them only in training).
-///
-/// Returns `k` pairs of `(train_indices, test_indices)`.
-///
-/// # Panics
-/// Panics if `k < 2` or `y` is empty.
-pub fn stratified_k_fold(y: &[u8], k: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
-    assert!(k >= 2, "k-fold needs k >= 2");
-    assert!(!y.is_empty(), "cannot fold an empty dataset");
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xF0_1D5);
-
-    let n_classes = y.iter().copied().max().unwrap() as usize + 1;
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n_classes];
-    for (i, &label) in y.iter().enumerate() {
-        buckets[label as usize].push(i);
-    }
-    // Assign each sample a fold round-robin within its (shuffled) class.
-    let mut fold_of = vec![0usize; y.len()];
-    for bucket in buckets.iter_mut() {
-        bucket.shuffle(&mut rng);
-        for (pos, &i) in bucket.iter().enumerate() {
-            fold_of[i] = pos % k;
-        }
-    }
-    (0..k)
-        .map(|fold| {
-            let mut train = Vec::new();
-            let mut test = Vec::new();
-            for (i, &f) in fold_of.iter().enumerate() {
-                if f == fold {
-                    test.push(i);
-                } else {
-                    train.push(i);
-                }
-            }
-            train.shuffle(&mut rng);
-            test.shuffle(&mut rng);
-            (train, test)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,51 +190,6 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn rejects_empty_labels() {
         let _ = stratified_split(&[], SplitConfig::default());
-    }
-
-    #[test]
-    fn k_fold_test_sides_partition_everything() {
-        let y = labels(&[(0, 9), (1, 17), (3, 4)]);
-        let folds = stratified_k_fold(&y, 3, 7);
-        assert_eq!(folds.len(), 3);
-        let mut all_test: Vec<usize> = folds.iter().flat_map(|(_, t)| t.iter().copied()).collect();
-        all_test.sort_unstable();
-        assert_eq!(all_test, (0..y.len()).collect::<Vec<_>>());
-        for (train, test) in &folds {
-            assert_eq!(train.len() + test.len(), y.len());
-            let overlap = train.iter().any(|i| test.contains(i));
-            assert!(!overlap, "train/test overlap in a fold");
-        }
-    }
-
-    #[test]
-    fn k_fold_preserves_class_proportions() {
-        let y = labels(&[(0, 30), (1, 60)]);
-        for (_, test) in stratified_k_fold(&y, 3, 1) {
-            let c0 = test.iter().filter(|&&i| y[i] == 0).count();
-            let c1 = test.iter().filter(|&&i| y[i] == 1).count();
-            assert_eq!(c0, 10);
-            assert_eq!(c1, 20);
-        }
-    }
-
-    #[test]
-    fn k_fold_handles_tiny_classes() {
-        // A 2-sample class across 4 folds: appears in exactly 2 test
-        // sides, trains in the others.
-        let y = labels(&[(0, 2), (1, 40)]);
-        let folds = stratified_k_fold(&y, 4, 3);
-        let test_appearances: usize = folds
-            .iter()
-            .map(|(_, t)| t.iter().filter(|&&i| y[i] == 0).count())
-            .sum();
-        assert_eq!(test_appearances, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "k >= 2")]
-    fn k_fold_rejects_k1() {
-        let _ = stratified_k_fold(&[0, 1], 1, 0);
     }
 
     mod properties {

@@ -177,6 +177,14 @@ impl ExperimentSpec {
             }
         }
         for cell in self.cell_specs() {
+            if let Some(c) = &cell.scenario.churn {
+                if c.window.0 > c.window.1 {
+                    return Err(LabError::msg(format!(
+                        "cell {:?}: churn window start {} exceeds end {}",
+                        cell.name, c.window.0, c.window.1
+                    )));
+                }
+            }
             let Some(faults) = &cell.scenario.faults else {
                 continue;
             };

@@ -193,6 +193,13 @@ fn the_retired_arrival_switch_is_an_unknown_argument() {
             r#""rollout": {{"attr": 1, "value": 5, "stages": 3, "start": 1000000, "period": {forever}}}"#
         ),
     );
+    // An inverted churn window used to run with its span clamped to 1 µs.
+    let churn_inverted = bent(
+        "churn_inverted.json",
+        "main_only",
+        500_000,
+        r#""churn": {"failures": 2, "window": [50000000, 10000000], "outage": 1000000}"#,
+    );
     for (args, expect) in [
         (&[spec, retired][..], &["unknown argument", retired][..]),
         (&["/nonexistent/spec.json"], &["cannot read spec"]),
@@ -203,6 +210,10 @@ fn the_retired_arrival_switch_is_an_unknown_argument() {
         (&[&retrain_zero], &["retrain period must be > 0"]),
         (&[&gang_overflow], &["gang 1", "overflows the time axis"]),
         (&[&rollout_overflow], &["rollout stage 1", "overflows"]),
+        (
+            &[&churn_inverted],
+            &["churn window start 50000000 exceeds end 10000000"],
+        ),
     ] {
         let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_ctlm-lab"))
             .args(args)

@@ -11,7 +11,7 @@
 //!   (`fc1`, `fc2`, …) and explicit forward/backward over sparse inputs;
 //! * [`CrossEntropyLoss`] with per-class weights (the paper boosts
 //!   Group 0 by 200×);
-//! * [`Adam`] (lr 0.05 in the paper) and plain [`Sgd`];
+//! * [`Adam`] (lr 0.05 in the paper);
 //! * [`StateDict`] save/load plus the Listing-2 input-weight zero-padding;
 //! * [`grad_scale`] — the Listing-3 in-place gradient-multiplier trick
 //!   that trains pre-trained input columns at 10 % rate while new columns
@@ -32,6 +32,6 @@ pub use batch::BatchIter;
 pub use layer::{Layer, Linear, SparseLinear};
 pub use loss::CrossEntropyLoss;
 pub use net::Net;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use state_dict::{pad_input_weight, StateDict, StateDictError, TensorData};
 pub use workspace::Workspace;

@@ -1,20 +1,13 @@
-//! Optimizers.
+//! The optimizer.
 //!
 //! [`Adam`] reproduces `torch.optim.Adam` (β₁ 0.9, β₂ 0.999, ε 1e-8, the
-//! paper's learning rate is 0.05); [`Sgd`] is the plain variant the SGD
-//! baseline and ablations use. Both respect `requires_grad` — frozen
+//! paper's learning rate is 0.05). It respects `requires_grad` — frozen
 //! tensors are skipped entirely, matching PyTorch where frozen parameters
 //! are excluded from the optimizer's work.
 
 use std::collections::HashMap;
 
 use crate::net::Net;
-
-/// Common optimizer interface over a [`Net`].
-pub trait Optimizer {
-    /// Applies one update step from the accumulated gradients.
-    fn step(&mut self, net: &mut Net);
-}
 
 /// Adam with PyTorch-default hyper-parameters.
 #[derive(Clone, Debug)]
@@ -52,10 +45,9 @@ impl Adam {
     pub fn lr(&self) -> f32 {
         self.lr
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, net: &mut Net) {
+    /// Applies one update step from the accumulated gradients.
+    pub fn step(&mut self, net: &mut Net) {
         self.t += 1;
         let t = self.t;
         let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
@@ -93,60 +85,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// Plain SGD with optional momentum.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: HashMap<String, Vec<f32>>,
-}
-
-impl Sgd {
-    /// SGD without momentum.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            velocity: HashMap::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, net: &mut Net) {
-        let (lr, mu) = (self.lr, self.momentum);
-        let velocity = &mut self.velocity;
-        net.visit_params_mut(|name, data, grad, requires_grad| {
-            if !requires_grad {
-                return;
-            }
-            if mu == 0.0 {
-                for i in 0..data.len() {
-                    data[i] -= lr * grad[i];
-                }
-                return;
-            }
-            if velocity.get(name).is_none_or(|v| v.len() != data.len()) {
-                velocity.insert(name.to_string(), vec![0.0; data.len()]);
-            }
-            let v = velocity.get_mut(name).expect("just inserted");
-            for i in 0..data.len() {
-                v[i] = mu * v[i] + grad[i];
-                data[i] -= lr * v[i];
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,7 +105,7 @@ mod tests {
         (b.finish(), y)
     }
 
-    fn train_loss(optimizer: &mut dyn Optimizer, epochs: usize) -> (f32, f32) {
+    fn train_loss(optimizer: &mut Adam, epochs: usize) -> (f32, f32) {
         let mut rng = seeded_rng(10);
         let mut net = Net::two_layer(6, 8, 3, &mut rng);
         let (x, y) = toy_problem();
@@ -187,13 +125,6 @@ mod tests {
         let mut opt = Adam::new(0.05);
         let (first, last) = train_loss(&mut opt, 30);
         assert!(last < first * 0.2, "Adam failed to learn: {first} → {last}");
-    }
-
-    #[test]
-    fn sgd_reduces_loss() {
-        let mut opt = Sgd::with_momentum(0.5, 0.9);
-        let (first, last) = train_loss(&mut opt, 60);
-        assert!(last < first * 0.5, "SGD failed to learn: {first} → {last}");
     }
 
     #[test]

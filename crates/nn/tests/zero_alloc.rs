@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ctlm_nn::{Adam, CrossEntropyLoss, Net, Optimizer, Workspace};
+use ctlm_nn::{Adam, CrossEntropyLoss, Net, Workspace};
 use ctlm_tensor::init::seeded_rng;
 use ctlm_tensor::{Csr, CsrBuilder};
 

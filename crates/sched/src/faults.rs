@@ -183,12 +183,14 @@ impl FaultPlan {
         let mut events = Vec::with_capacity(crashes * 2 * chunk);
         for _ in 0..crashes {
             let zone = domains[rng.gen_range(0..domains.len())];
-            let t = window.0 + rng.gen_range(0..span);
+            let t = window.0.saturating_add(rng.gen_range(0..span));
             let u: f64 = rng.gen_range(1e-9..1.0);
             let outage = (((-u.ln()) * mttr as f64) as Micros).max(1);
+            // A recovery that would land past the end of time never lands.
+            let back = t.saturating_add(outage);
             for &m in zone {
                 events.push((t, FaultAction::Crash(m)));
-                events.push((t + outage, FaultAction::Recover(m)));
+                events.push((back, FaultAction::Recover(m)));
             }
         }
         Self::new(events)
@@ -459,6 +461,18 @@ mod tests {
             plan.events,
             FaultPlan::zone_crashes(9, &fleet, 3, 2, (1_000, 2_000), 5_000).events
         );
+    }
+
+    #[test]
+    fn a_recovery_past_the_end_of_time_saturates() {
+        // Crashes at the last representable instant with an outage as
+        // long as the time axis: every recovery clamps to the end of
+        // time — none wraps to before its crash.
+        let fleet: Vec<MachineId> = (0..4).collect();
+        let plan =
+            FaultPlan::zone_crashes(1, &fleet, 2, 2, (Micros::MAX, Micros::MAX), Micros::MAX);
+        assert_eq!(plan.events.len(), 8);
+        assert!(plan.events.iter().all(|&(t, _)| t == Micros::MAX));
     }
 
     #[test]

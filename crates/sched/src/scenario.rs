@@ -260,20 +260,21 @@ impl TimedSource for RolloutSource {
 /// Feeds a (corrected, time-ordered) trace event stream into a combined
 /// replay + scheduling simulation — the online loop the paper describes.
 ///
-/// Each trace event is first observed by the embedded
-/// [`ReplayComponent`](ctlm_agocs::ReplayComponent) (growing the
+/// Each trace event is first observed by the shared replay session
+/// behind a [`ReplayHandle`](ctlm_agocs::ReplayHandle) (growing the
 /// vocabulary, emitting dataset steps — whose callback typically submits
 /// retraining work to a background
 /// [`ModelUpdater`](crate::updater::ModelUpdater)), then mirrored at the
 /// engine: machine adds/removes/attribute updates become cluster churn,
-/// and task submissions become admissions labelled with the *live*
-/// ground-truth suitable-node count. Replay and scheduling share one
+/// and task submissions become admissions carrying the session's own
+/// labelling — the *live* ground-truth suitable-node count its dataset
+/// row was built from. Replay and scheduling share one
 /// timeline, so an analyzer hot-swapped mid-run immediately changes
 /// routing — something the two old monolithic loops could not express.
 pub struct OnlineTraceFeed<'a> {
     events: Plan<ctlm_trace::TraceEvent>,
     engine: CompId,
-    replay: ctlm_agocs::ReplayComponent<'a>,
+    replay: ctlm_agocs::ReplayHandle<'a>,
     group_width: usize,
 }
 
@@ -284,7 +285,7 @@ impl<'a> OnlineTraceFeed<'a> {
         events: Vec<ctlm_trace::TraceEvent>,
         group_width: usize,
         engine: CompId,
-        replay: ctlm_agocs::ReplayComponent<'a>,
+        replay: ctlm_agocs::ReplayHandle<'a>,
     ) -> Self {
         Self {
             events: Plan::new(events.into_iter().map(|e| (e.time, e)).collect()),
@@ -305,9 +306,9 @@ impl TimedSource for OnlineTraceFeed<'_> {
     fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>) {
         use ctlm_trace::EventPayload;
         while let Some(ev) = self.events.pop_due(now) {
-            // Replay sees the event first, so suitable-node labels below
-            // are computed against the state *including* this event.
-            self.replay.observe(ev);
+            // Replay sees the event first, so a submission's suitable-node
+            // count is taken against the state *including* this event.
+            let submission = self.replay.observe(ev);
             match &ev.payload {
                 EventPayload::MachineAdd(m) => ctx.emit_prio(
                     0,
@@ -333,22 +334,17 @@ impl TimedSource for OnlineTraceFeed<'_> {
                     },
                 ),
                 EventPayload::TaskSubmit(task) => {
-                    if let Ok(reqs) = ctlm_data::compaction::collapse(&task.constraints) {
-                        let suitable = self.replay.suitable_count(&reqs);
-                        if let Some(t) = crate::queue::PendingTask::from_submission(
+                    let admitted = submission.and_then(|(reqs, suitable)| {
+                        crate::queue::PendingTask::from_submission(
                             task,
                             reqs,
                             suitable,
                             self.group_width,
                             ev.time,
-                        ) {
-                            ctx.emit_prio(
-                                0,
-                                PRIO_ADMIT,
-                                self.engine,
-                                SchedEvent::Admit(Box::new(t)),
-                            );
-                        }
+                        )
+                    });
+                    if let Some(t) = admitted {
+                        ctx.emit_prio(0, PRIO_ADMIT, self.engine, SchedEvent::Admit(Box::new(t)));
                     }
                 }
                 _ => {}

@@ -385,3 +385,100 @@ fn gangs_place_all_or_nothing_on_the_kernel() {
         "atomic placement: one cycle, identical latency {latencies:?}"
     );
 }
+
+/// Routes everything to the main queue and logs each task the first
+/// time it is routed (a requeue routes again): `(constrained, truth_group)`
+/// in admission order.
+#[derive(Default)]
+struct AdmissionLog {
+    seen: std::collections::HashSet<u64>,
+    admitted: Vec<(bool, u8)>,
+}
+
+impl Scheduler for AdmissionLog {
+    fn route_high_priority(&mut self, task: &PendingTask) -> bool {
+        if self.seen.insert(task.id) {
+            self.admitted
+                .push((!task.reqs.is_empty(), task.truth_group));
+        }
+        false
+    }
+    fn name(&self) -> &'static str {
+        "admission_log"
+    }
+}
+
+#[test]
+fn online_feed_emits_the_steps_replay_does_and_labels_tasks_with_their_rows() {
+    use ctlm_agocs::{correct_stream, ReplayConfig, ReplayHandle, Replayer};
+    use ctlm_sched::scenario::OnlineTraceFeed;
+    use ctlm_trace::{CellSet, Scale, TraceGenerator};
+
+    let trace = TraceGenerator::generate_cell(
+        CellSet::C2019c,
+        Scale {
+            machines: 60,
+            collections: 250,
+            seed: 19,
+        },
+    );
+    let folded = Replayer::default().replay(&trace);
+    assert!(
+        folded.steps.len() >= 2,
+        "the trace must grow its vocabulary"
+    );
+
+    // The same corrected stream, walked inside a scheduling simulation.
+    let (events, correction) = correct_stream(&trace.events);
+    let end = events.last().unwrap().time;
+    let mut step_widths = Vec::new();
+    let replay = ReplayHandle::new(ReplayConfig::default(), trace.group_width)
+        .on_step(|step, vocab| step_widths.push((step.index, vocab.len())));
+    let simulator = Simulator::new(SimConfig {
+        cycle: 3_600_000_000, // hourly passes over the month-long trace
+        attempts_per_cycle: 64,
+        mean_runtime: 60_000_000,
+        horizon: end + 3_600_000_000,
+        seed: 19,
+    });
+    let mut log = AdmissionLog::default();
+    let mut harness = simulator.harness(SchedCluster::new(), &[], &mut log);
+    let feed = OnlineTraceFeed::new(events, trace.group_width, harness.engine, replay.clone());
+    attach(&mut harness.sim, "online_feed", feed);
+    let (_, result) = harness.run();
+    let online = replay.finish(correction);
+
+    // The fold and the timeline agree, step for step.
+    assert_eq!(online.steps.len(), folded.steps.len());
+    for (a, b) in online.steps.iter().zip(&folded.steps) {
+        assert_eq!(
+            (a.index, a.time, a.features_count, a.vv.len()),
+            (b.index, b.time, b.features_count, b.vv.len())
+        );
+        assert_eq!(a.vv.x, b.vv.x);
+        assert_eq!(a.vv.y, b.vv.y);
+    }
+    // The callback saw every step, trailing flush included, each with
+    // the vocabulary as of that step.
+    let widths: Vec<(usize, usize)> = online
+        .steps
+        .iter()
+        .map(|s| (s.index, s.features_count))
+        .collect();
+    assert_eq!(step_widths, widths);
+
+    // One labelling per task: the constrained tasks the feed admitted
+    // are, in order, the dataset's rows, under the same labels.
+    let row_labels: Vec<u8> = log
+        .admitted
+        .iter()
+        .filter(|&&(constrained, _)| constrained)
+        .map(|&(_, group)| group)
+        .collect();
+    assert_eq!(row_labels, online.steps.last().unwrap().vv.y);
+    assert!(
+        log.admitted.len() > row_labels.len(),
+        "unconstrained tasks admit too"
+    );
+    assert_eq!(result.placed.len() + result.unplaced, log.admitted.len());
+}

@@ -59,25 +59,30 @@ impl<E> PartialOrd for Entry<E> {
 /// Always-on per-lane routing and pop counters — sim-plane telemetry.
 ///
 /// Each field is a plain `u64` bumped on the corresponding branch of
-/// [`EventQueue::push`] / [`EventQueue::push_sorted_batch`] /
-/// [`EventQueue::pop`]; maintaining them is a handful of increments per
-/// event and never allocates, so they are unconditionally on. The values
-/// are a pure function of the (deterministic) event sequence — identical
-/// across thread counts for a given shard — which makes them safe to
-/// export into byte-compared metrics files.
+/// [`EventQueue::push`] / [`EventQueue::pop`]; maintaining them is a
+/// handful of increments per event and never allocates, so they are
+/// unconditionally on. The values are a pure function of the
+/// (deterministic) event sequence — identical across thread counts for a
+/// given shard — which makes them safe to export into byte-compared
+/// metrics files.
+///
+/// `batch_wheel`, `batch_sorted` and `pop_sorted` belonged to the retired
+/// sorted-batch lane and always read 0; they remain because exported
+/// metrics files are byte-compared and the frozen `benchmark/` reads
+/// `pop_sorted` (ROADMAP queues them for the next benchmark re-anchor).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LaneStats {
     /// `push` calls routed into a timer-wheel slot.
     pub push_wheel: u64,
     /// `push` calls routed to the binary heap.
     pub push_heap: u64,
-    /// Batch events routed into a timer-wheel slot.
+    /// Retired with the sorted-batch lane: always 0.
     pub batch_wheel: u64,
-    /// Batch events appended to the sorted FIFO lane.
+    /// Retired with the sorted-batch lane: always 0.
     pub batch_sorted: u64,
     /// Events popped out of a drained wheel slot.
     pub pop_wheel: u64,
-    /// Events popped from the sorted FIFO lane.
+    /// Retired with the sorted-batch lane: always 0.
     pub pop_sorted: u64,
     /// Events popped from the binary heap.
     pub pop_heap: u64,
@@ -94,15 +99,11 @@ const WHEEL_SLOTS: usize = 1024;
 /// order, so two runs that schedule the same events pop them in the same
 /// order — the kernel's reproducibility guarantee.
 ///
-/// Three lanes hold pending events; the total order is lane-independent
+/// Two lanes hold pending events; the total order is lane-independent
 /// (pop always compares the lane heads by the full key), so lane routing
 /// is pure placement policy:
 ///
 /// * **heap** — the general O(log n) lane;
-/// * **sorted** — bulk pre-sorted streams (a replayed trace is one long
-///   time-ordered event list): [`EventQueue::push_sorted_batch`] appends
-///   to a FIFO, so feeding N already-ordered events costs O(N) instead
-///   of O(N log N) heap sifts;
 /// * **wheel** — a timing-wheel lane for the near future (the dominant
 ///   `emit_self` cycle-timer and task-completion pattern): events within
 ///   one wheel revolution of the clock land in a bucketed slot in O(1)
@@ -112,7 +113,6 @@ const WHEEL_SLOTS: usize = 1024;
 ///   pattern allocates nothing.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    sorted: std::collections::VecDeque<Event<E>>,
     /// Timer-wheel slots; slot `page % WHEEL_SLOTS` holds events of
     /// exactly one time page (`time >> WHEEL_SHIFT`) at a time.
     wheel: Vec<Vec<Event<E>>>,
@@ -134,7 +134,6 @@ impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self {
             heap: BinaryHeap::new(),
-            sorted: std::collections::VecDeque::new(),
             wheel: std::iter::repeat_with(Vec::new).take(WHEEL_SLOTS).collect(),
             wheel_len: 0,
             active_page: 0,
@@ -193,116 +192,43 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules a time-ordered bulk stream, assigning sequence numbers
-    /// in stream order.
-    ///
-    /// Each event is routed by the same placement policy as
-    /// [`EventQueue::push`]: events whose time page falls inside the
-    /// wheel window land in a wheel slot in O(1), everything further out
-    /// appends to the sorted FIFO lane. Since sequence numbers follow the
-    /// stream and the `(time, priority, seq)` total order is
-    /// lane-independent, the pop order is identical whichever lane held
-    /// an event — wheel routing just keeps near-future batch spans out of
-    /// the sorted lane, so batches may overlap within the wheel horizon
-    /// (a second replay stream or another cell's arrivals can start
-    /// before the first stream's tail).
-    ///
-    /// # Panics
-    /// Panics if the batch is not internally sorted by time, or if an
-    /// event beyond the wheel window starts before the sorted lane's
-    /// current tail.
-    pub fn push_sorted_batch(
-        &mut self,
-        priority: u8,
-        src: CompId,
-        dst: CompId,
-        batch: impl IntoIterator<Item = (Time, E)>,
-    ) {
-        let mut tail = self.sorted.back().map(|e| e.time).unwrap_or(0);
-        let mut prev = 0;
-        for (time, payload) in batch {
-            assert!(time >= prev, "sorted batch out of order");
-            prev = time;
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let ev = Event {
-                time,
-                priority,
-                seq,
-                src,
-                dst,
-                payload,
-            };
-            let page = time >> WHEEL_SHIFT;
-            if page > self.active_page && page - self.active_page < WHEEL_SLOTS as u64 {
-                self.wheel[(page % WHEEL_SLOTS as u64) as usize].push(ev);
-                self.wheel_len += 1;
-                self.stats.batch_wheel += 1;
-            } else {
-                assert!(time >= tail, "sorted batch out of order");
-                tail = time;
-                self.sorted.push_back(ev);
-                self.stats.batch_sorted += 1;
-            }
-        }
-    }
-
-    /// Removes and returns the earliest event across all lanes.
+    /// Removes and returns the earliest event across both lanes.
     pub fn pop(&mut self) -> Option<Event<E>> {
         self.prime();
-        // Lane heads by (time, priority, seq); the smallest key wins.
+        // Lane heads by (time, priority, seq); the smaller key wins.
         let key = |e: &Event<E>| (e.time, e.priority, e.seq);
-        let heads = [
-            self.run.last().map(&key),
-            self.sorted.front().map(&key),
-            self.heap.peek().map(|e| key(&e.0)),
-        ];
-        let winner = heads
-            .iter()
-            .enumerate()
-            .filter_map(|(lane, k)| k.map(|k| (k, lane)))
-            .min()?
-            .1;
-        let ev = match winner {
-            0 => {
-                self.stats.pop_wheel += 1;
-                self.run.pop()
-            }
-            1 => {
-                self.stats.pop_sorted += 1;
-                self.sorted.pop_front()
-            }
-            _ => {
-                self.stats.pop_heap += 1;
-                self.heap.pop().map(|e| e.0)
-            }
+        let from_wheel = match (self.run.last(), self.heap.peek()) {
+            (Some(w), Some(h)) => key(w) < key(&h.0),
+            (Some(_), None) => true,
+            (None, _) => false,
         };
-        if let Some(ev) = &ev {
-            if self.wheel_len == 0 && self.run.is_empty() {
-                // Wheel idle: fast-forward its window to the clock so
-                // near-future pushes use it again.
-                self.active_page = self.active_page.max(ev.time >> WHEEL_SHIFT);
-            }
+        let ev = if from_wheel {
+            self.stats.pop_wheel += 1;
+            self.run.pop()?
+        } else {
+            let ev = self.heap.pop()?.0;
+            self.stats.pop_heap += 1;
+            ev
+        };
+        if self.wheel_len == 0 && self.run.is_empty() {
+            // Wheel idle: fast-forward its window to the clock so
+            // near-future pushes use it again.
+            self.active_page = self.active_page.max(ev.time >> WHEEL_SHIFT);
         }
-        ev
+        Some(ev)
     }
 
     /// Delivery time of the earliest event, if any.
     pub fn peek_time(&mut self) -> Option<Time> {
         self.prime();
-        [
-            self.run.last().map(|e| e.time),
-            self.sorted.front().map(|e| e.time),
-            self.heap.peek().map(|e| e.0.time),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
+        let wheel = self.run.last().map(|e| e.time);
+        let heap = self.heap.peek().map(|e| e.0.time);
+        wheel.into_iter().chain(heap).min()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.sorted.len() + self.wheel_len + self.run.len()
+        self.heap.len() + self.wheel_len + self.run.len()
     }
 
     /// True when no events are pending.
@@ -408,43 +334,12 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(1 << WHEEL_SHIFT, 0, 0, 0, "wheel");
         q.push(0, 0, 0, 0, "heap");
-        q.push_sorted_batch(0, 0, 0, [(5u64, "sorted")]);
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
         assert_eq!(q.peek_time(), Some(0));
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec!["heap", "sorted", "wheel"]);
+        assert_eq!(order, vec!["heap", "wheel"]);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn sorted_batches_route_through_the_wheel_window() {
-        // Two batches overlapping inside the wheel horizon: the wheel
-        // absorbs the near-future spans, so the second batch may start
-        // before the first one's tail, and pops still follow the global
-        // (time, priority, seq) order.
-        let slot = 1u64 << WHEEL_SHIFT;
-        let horizon = slot * WHEEL_SLOTS as u64;
-        let mut q = EventQueue::new();
-        let batch_a: Vec<(Time, u64)> = (0..400u64)
-            .map(|i| (slot + i * slot / 2, i))
-            .chain((0..50u64).map(|i| (horizon + i * slot, 1000 + i)))
-            .collect();
-        let batch_b: Vec<(Time, u64)> = (0..400u64)
-            .map(|i| (slot * 3 + i * slot / 3, 2000 + i))
-            .collect();
-        let mut expect: Vec<(Time, u8, u64)> = batch_a
-            .iter()
-            .chain(batch_b.iter())
-            .enumerate()
-            .map(|(seq, (t, _))| (*t, 0, seq as u64))
-            .collect();
-        expect.sort_unstable();
-        q.push_sorted_batch(0, 0, 0, batch_a);
-        q.push_sorted_batch(0, 0, 0, batch_b);
-        let got: Vec<(Time, u8, u64)> =
-            std::iter::from_fn(|| q.pop().map(|e| (e.time, e.priority, e.seq))).collect();
-        assert_eq!(got, expect);
     }
 
     #[test]
@@ -452,20 +347,15 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(1 << WHEEL_SHIFT, 0, 0, 0, "wheel");
         q.push(0, 0, 0, 0, "heap");
-        q.push_sorted_batch(0, 0, 0, [(5u64, "sorted")]);
         let s = q.lane_stats();
         assert_eq!((s.push_wheel, s.push_heap), (1, 1));
-        assert_eq!((s.batch_wheel, s.batch_sorted), (0, 1));
         while q.pop().is_some() {}
+        // Popping an empty queue counts nothing.
+        assert!(q.pop().is_none());
         let s = q.lane_stats();
-        assert_eq!((s.pop_wheel, s.pop_sorted, s.pop_heap), (1, 1, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted batch out of order")]
-    fn unsorted_batch_panics() {
-        let mut q = EventQueue::new();
-        q.push_sorted_batch(0, 0, 0, [(10u64, "a"), (5, "b")]);
+        assert_eq!((s.pop_wheel, s.pop_heap), (1, 1));
+        // The sorted-batch lane's counters are retired: always 0.
+        assert_eq!((s.batch_wheel, s.batch_sorted, s.pop_sorted), (0, 0, 0));
     }
 
     #[test]

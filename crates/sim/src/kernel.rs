@@ -185,30 +185,6 @@ impl<'a, E> Sim<'a, E> {
         self.queue.push(time, priority, src, dst, payload);
     }
 
-    /// Schedules a time-ordered bulk stream (e.g. a replayed trace) in
-    /// one O(N) pass — see
-    /// [`EventQueue::push_sorted_batch`](crate::event::EventQueue::push_sorted_batch).
-    ///
-    /// # Panics
-    /// Panics if the batch is out of order or starts before the clock.
-    pub fn schedule_batch(
-        &mut self,
-        priority: u8,
-        src: CompId,
-        dst: CompId,
-        batch: impl IntoIterator<Item = (Time, E)>,
-    ) {
-        let now = self.now;
-        self.queue.push_sorted_batch(
-            priority,
-            src,
-            dst,
-            batch.into_iter().inspect(move |(t, _)| {
-                assert!(*t >= now, "cannot schedule into the past");
-            }),
-        );
-    }
-
     /// Delivers the earliest pending event. Returns false when the queue
     /// is empty. Events addressed to unregistered components are dropped
     /// (counted as delivered) — the equivalent of dslab's undelivered-log.

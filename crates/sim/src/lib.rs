@@ -1,13 +1,14 @@
 //! # ctlm-sim — the deterministic discrete-event simulation kernel
 //!
-//! A small dslab-style kernel shared by the scheduler simulation
-//! (`ctlm-sched`) and the AGOCS trace replayer (`ctlm-agocs`): a
-//! monotonic microsecond clock, a typed event queue with stable
-//! tie-breaking, and a [`Component`] trait that event handlers register
-//! on. Everything that used to be a bespoke simulation loop becomes a
-//! component exchanging events on one timeline, so scenarios compose —
-//! trace replay, scheduling, machine churn and live model retraining can
-//! all run in a single simulation.
+//! A small dslab-style kernel under the scheduler simulation
+//! (`ctlm-sched`, its only direct client): a monotonic microsecond
+//! clock, a typed event queue with stable tie-breaking, and a
+//! [`Component`] trait that event handlers register on. Everything that
+//! used to be a bespoke simulation loop becomes a component exchanging
+//! events on one timeline, so scenarios compose — scheduling, machine
+//! churn, an online trace feed and live model retraining can all run in
+//! a single simulation. (Batch trace replay is a plain fold in
+//! `ctlm-agocs` and does not link this crate.)
 //!
 //! Determinism is the design constraint: two runs over the same inputs
 //! deliver the same events in the same order. The queue orders by
@@ -18,9 +19,8 @@
 //! The crate splits into two layers:
 //!
 //! * **Shard layer** ([`kernel`], [`event`]) — a sequential [`Sim`]: one
-//!   clock, one `(time, priority, seq)`-ordered queue (heap,
-//!   sorted-batch, and timer-wheel lanes), and the registered
-//!   components. One `Sim` is one *cell kernel*: a self-contained
+//!   clock, one `(time, priority, seq)`-ordered queue (heap and
+//!   timer-wheel lanes), and the registered components. One `Sim` is one *cell kernel*: a self-contained
 //!   simulation island with no shared mutable state outside it.
 //! * **Coordinator layer** ([`parallel`]) — [`ParallelSim`] hosts many
 //!   shards and advances them in epoch-barrier rounds on the worker
@@ -29,8 +29,8 @@
 //!   barriers, merged in a deterministic `(time, priority, shard, seq)`
 //!   order — so results are bit-identical for any thread count.
 //!
-//! Single-timeline users (the replayer, the `ctlm-sched` harness) use
-//! the shard layer directly and never pay for coordination.
+//! A single-timeline user (the `ctlm-sched` harness) uses the shard
+//! layer directly and never pays for coordination.
 //!
 //! ```
 //! use ctlm_sim::{Component, Ctx, Event, Sim};

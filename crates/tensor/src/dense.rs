@@ -172,38 +172,11 @@ impl Matrix {
         }
     }
 
-    /// In-place `self += alpha * other` (axpy over the whole matrix).
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn axpy(&mut self, alpha: f32, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch in axpy");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-    }
-
     /// Returns the transpose as a new matrix (cache-blocked; see
     /// [`crate::ops::transpose_into`]).
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
         crate::ops::transpose_into(self, &mut out);
-        out
-    }
-
-    /// Pads the matrix on the right with `extra` zero columns, preserving
-    /// existing values. This is the Rust equivalent of the paper's
-    /// Listing 2 (`torch.nn.functional.pad(..., pad=(0, extra))` on
-    /// `fc1.weight`): existing weights keep their column index, new columns
-    /// start at zero so the model's behaviour on the old feature prefix is
-    /// unchanged.
-    pub fn pad_cols(&self, extra: usize) -> Matrix {
-        let new_cols = self.cols + extra;
-        let mut out = Matrix::zeros(self.rows, new_cols);
-        for r in 0..self.rows {
-            out.data[r * new_cols..r * new_cols + self.cols]
-                .copy_from_slice(&self.data[r * self.cols..(r + 1) * self.cols]);
-        }
         out
     }
 
@@ -224,11 +197,6 @@ impl Matrix {
                 best
             })
             .collect()
-    }
-
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Maximum absolute element difference to another matrix of the same
@@ -277,21 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn pad_cols_preserves_prefix_and_zeroes_suffix() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let p = m.pad_cols(3);
-        assert_eq!(p.shape(), (2, 5));
-        assert_eq!(p.row(0), &[1.0, 2.0, 0.0, 0.0, 0.0]);
-        assert_eq!(p.row(1), &[3.0, 4.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn pad_cols_zero_extra_is_identity() {
-        let m = Matrix::from_fn(4, 3, |r, c| (r + c) as f32);
-        assert_eq!(m.pad_cols(0), m);
-    }
-
-    #[test]
     fn transpose_involution() {
         let m = Matrix::from_fn(3, 5, |r, c| (r * 31 + c) as f32);
         assert_eq!(m.transpose().transpose(), m);
@@ -304,18 +257,9 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
-        let mut a = Matrix::full(2, 2, 1.0);
-        let b = Matrix::full(2, 2, 2.0);
-        a.axpy(0.5, &b);
-        assert!(a.as_slice().iter().all(|&v| (v - 2.0).abs() < 1e-6));
+    fn scale_multiplies_every_element() {
+        let mut a = Matrix::full(2, 2, 2.0);
         a.scale(2.0);
         assert!(a.as_slice().iter().all(|&v| (v - 4.0).abs() < 1e-6));
-    }
-
-    #[test]
-    fn frobenius_norm_matches_manual() {
-        let m = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 }

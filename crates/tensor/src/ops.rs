@@ -56,17 +56,11 @@ const NR: usize = 4;
 /// Edge length of the square tiles used by [`transpose_into`].
 const TILE: usize = 32;
 
-/// Dense GEMM: `a (n×k) · b (k×m) → (n×m)`.
+/// Dense GEMM: `a (n×k) · b (k×m) → out (n×m)`, into a caller-provided
+/// output (resized, fully overwritten).
 ///
 /// # Panics
 /// Panics on inner-dimension mismatch.
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    matmul_into(a, b, &mut out);
-    out
-}
-
-/// [`matmul`] into a caller-provided output (resized, fully overwritten).
 pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
     let (n, k) = a.shape();
@@ -112,14 +106,8 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 }
 
 /// `a (n×k) · bᵀ` where `b` is `(m×k)` — the PyTorch `x @ W.T` used in
-/// `nn.Linear.forward` with `W` stored as `(out_features, in_features)`.
-pub fn matmul_bt(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(a.rows(), b.rows());
-    matmul_bt_into(a, b, &mut out);
-    out
-}
-
-/// [`matmul_bt`] into a caller-provided output (resized, overwritten).
+/// `nn.Linear.forward` with `W` stored as `(out_features, in_features)` —
+/// into a caller-provided output (resized, overwritten).
 ///
 /// Register microkernel: `NR` output columns share every load of the
 /// `a`-row, with `NR` scalar accumulators the compiler keeps in
@@ -172,24 +160,10 @@ pub fn matmul_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// `aᵀ (k×n) · b (n×m) → (k×m)` without materialising the transpose —
-/// the weight-gradient product `grad_W = grad_outᵀ · x` for dense inputs.
-pub fn matmul_at(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    matmul_at_acc(a, b, &mut out);
-    out
-}
-
-/// [`matmul_at`] into a caller-provided output (resized, overwritten).
-pub fn matmul_at_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    out.resize(a.cols(), b.cols());
-    out.zero();
-    matmul_at_acc(a, b, out);
-}
-
-/// Accumulating [`matmul_at`]: `out += aᵀ · b`, with `out` pre-shaped
-/// `(a.cols × b.cols)`. This is the gradient-accumulation form — layers
-/// add straight onto `grad_weight` with no temporary.
+/// `out (k×m) += aᵀ (k×n) · b (n×m)` without materialising the
+/// transpose, with `out` pre-shaped `(a.cols × b.cols)` — the
+/// weight-gradient product `grad_W += grad_outᵀ · x` for dense inputs:
+/// layers add straight onto `grad_weight` with no temporary.
 ///
 /// Outer-product microkernel: an `NR`-row group of `out` (columns of `a`)
 /// consumes each `b`-row once, so `b` is streamed `NR×` less often than
@@ -272,17 +246,9 @@ pub fn transpose_slice(a_data: &[f32], n: usize, m: usize, out_data: &mut [f32])
     }
 }
 
-/// Sparse × dense-transposed product: `x (n×d, CSR) · Wᵀ` with `W (out×d)`.
-///
-/// This is the input-layer forward pass on CO-VV/CO-EL batches; cost is
-/// `O(nnz · out)` rather than `O(n · d · out)`.
-pub fn csr_matmul_bt(x: &Csr, w: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(x.rows(), w.rows());
-    csr_matmul_bt_into(x, w, &mut out);
-    out
-}
-
-/// [`csr_matmul_bt`] into a caller-provided output (resized, overwritten).
+/// Sparse × dense-transposed product: `x (n×d, CSR) · Wᵀ` with
+/// `W (out×d)`, into a caller-provided output (resized, overwritten);
+/// cost is `O(nnz · out)` rather than `O(n · d · out)`.
 ///
 /// `NR` output neurons share each pass over the row's nonzeros, turning
 /// the hot loop into `NR` independent gathers per stored entry.
@@ -337,15 +303,9 @@ pub fn csr_matmul_bt_into(x: &Csr, w: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// Sparse weight-gradient product: `grad_W (out×d) = grad_outᵀ (out×n) · x (n×d, CSR)`.
-pub fn csr_grad_weight(grad_out: &Matrix, x: &Csr) -> Matrix {
-    let mut gw = Matrix::zeros(grad_out.cols(), x.cols());
-    csr_grad_weight_acc(grad_out, x, &mut gw);
-    gw
-}
-
-/// Accumulating [`csr_grad_weight`]: `gw += grad_outᵀ · x` with `gw`
-/// pre-shaped `(grad_out.cols × x.cols)`. Parallelises over output
+/// Sparse weight-gradient product, accumulating:
+/// `gw (out×d) += grad_outᵀ (out×n) · x (n×d, CSR)` with `gw` pre-shaped
+/// `(grad_out.cols × x.cols)`. Parallelises over output
 /// neurons so each thread owns one `grad_W` row.
 ///
 /// Like [`csr_matmul_bt_into`], retained only as the bit-for-bit
@@ -521,14 +481,8 @@ pub fn add_bias(a: &mut Matrix, bias: &[f32]) {
     }
 }
 
-/// Column sums of `a` — the bias gradient `Σ_samples grad_out`.
-pub fn col_sums(a: &Matrix) -> Vec<f32> {
-    let mut out = vec![0.0f32; a.cols()];
-    col_sums_acc(a, &mut out);
-    out
-}
-
-/// Accumulating column sums: `out[c] += Σ_r a[r][c]`. Sequential below
+/// Accumulating column sums: `out[c] += Σ_r a[r][c]` — the bias gradient
+/// `Σ_samples grad_out`. Sequential below
 /// [`PAR_THRESHOLD`] rows (and allocation-free there — the Workspace hot
 /// path); above it, row blocks reduce in parallel into per-block partials.
 ///
@@ -569,15 +523,8 @@ pub fn col_sums_acc(a: &Matrix, out: &mut [f32]) {
     }
 }
 
-/// Row-wise softmax, numerically stabilised by max subtraction.
-pub fn softmax_rows(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    softmax_rows_inplace(&mut out);
-    out
-}
-
-/// In-place row-wise softmax — the allocation-free path
-/// `CrossEntropyLoss` uses on workspace buffers.
+/// In-place row-wise softmax, numerically stabilised by max subtraction —
+/// the allocation-free path `CrossEntropyLoss` uses on workspace buffers.
 pub fn softmax_rows_inplace(logits: &mut Matrix) {
     let (n, m) = logits.shape();
     let body = |row: &mut [f32]| {
@@ -739,6 +686,34 @@ mod tests {
     use super::*;
     use crate::sparse::CsrBuilder;
 
+    // The kernels under test write into (or accumulate onto) a caller's
+    // buffer; these give each a fresh one.
+    fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        matmul_into(a, b, &mut out);
+        out
+    }
+    fn matmul_bt(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        matmul_bt_into(a, b, &mut out);
+        out
+    }
+    fn matmul_at(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        matmul_at_acc(a, b, &mut out);
+        out
+    }
+    fn col_sums(a: &Matrix) -> Vec<f32> {
+        let mut out = vec![0.0; a.cols()];
+        col_sums_acc(a, &mut out);
+        out
+    }
+    fn softmax_rows(logits: &Matrix) -> Matrix {
+        let mut out = logits.clone();
+        softmax_rows_inplace(&mut out);
+        out
+    }
+
     #[test]
     fn matmul_matches_naive() {
         let a = Matrix::from_fn(7, 5, |r, c| (r as f32 - c as f32) * 0.5);
@@ -816,7 +791,8 @@ mod tests {
         }
         let x = b.finish();
         let w = Matrix::from_fn(4, 10, |r, c| (r as f32 + 1.0) * 0.1 * (c as f32 - 4.0));
-        let sparse_out = csr_matmul_bt(&x, &w);
+        let mut sparse_out = Matrix::zeros(0, 0);
+        csr_matmul_bt_into(&x, &w, &mut sparse_out);
         let dense_out = matmul_bt(&x.to_dense(), &w);
         assert!(sparse_out.max_abs_diff(&dense_out) < 1e-4);
     }
@@ -829,7 +805,8 @@ mod tests {
         }
         let x = b.finish();
         let go = Matrix::from_fn(20, 3, |r, c| ((r + c) % 7) as f32 * 0.3 - 0.9);
-        let sparse_gw = csr_grad_weight(&go, &x);
+        let mut sparse_gw = Matrix::zeros(3, 12);
+        csr_grad_weight_acc(&go, &x, &mut sparse_gw);
         let dense_gw = matmul_at(&go, &x.to_dense());
         assert!(sparse_gw.max_abs_diff(&dense_gw) < 1e-4);
     }

@@ -147,22 +147,6 @@ impl Csr {
             out.indptr.push(out.indices.len() as u32);
         }
     }
-
-    /// Vertically stacks two matrices with the same column count.
-    ///
-    /// # Panics
-    /// Panics if column counts differ.
-    pub fn vstack(&self, other: &Csr) -> Csr {
-        assert_eq!(self.cols, other.cols, "vstack column mismatch");
-        let mut b = CsrBuilder::new(self.cols);
-        for r in 0..self.rows {
-            b.push_row(self.row_entries(r));
-        }
-        for r in 0..other.rows {
-            b.push_row(other.row_entries(r));
-        }
-        b.finish()
-    }
 }
 
 /// Incremental row-by-row CSR builder.
@@ -345,15 +329,6 @@ mod tests {
         assert_eq!(s.rows(), 2);
         assert_eq!(s.get(0, 0), 2.0);
         assert_eq!(s.get(1, 1), 1.0);
-    }
-
-    #[test]
-    fn vstack_concatenates() {
-        let m = sample();
-        let v = m.vstack(&m);
-        assert_eq!(v.rows(), 6);
-        assert_eq!(v.get(3, 1), 1.0);
-        assert_eq!(v.nnz(), 8);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! single `ctlm-sim` kernel run.
 //!
 //! The old codebase ran Fig. 3 and the Table XI replay as two separate
-//! monolithic loops; hosted on the kernel they compose:
+//! monolithic loops; on one timeline they compose:
 //!
 //! 1. An [`OnlineTraceFeed`] walks the corrected trace stream. Every
-//!    event is observed by the embedded replay component (vocabulary,
+//!    event is observed by the shared replay session (vocabulary,
 //!    dataset rows, Table XI steps) and mirrored at the scheduler engine
 //!    (machine joins, attribute updates, task admissions labelled with
 //!    live ground truth).
@@ -88,15 +88,15 @@ fn main() {
             ..TrainConfig::default()
         },
     );
-    let (replay_comp, replay_handle) = ctlm::agocs::ReplayComponent::new(
+    let replay = ctlm::agocs::ReplayHandle::new(
         ctlm::agocs::ReplayConfig {
             min_rows_for_step0: 30,
             step_merge_window: 2 * 60 * 1_000_000, // 2 sim-minutes
             build_co_el: false,
         },
         trace.group_width,
-    );
-    let replay_comp = replay_comp.on_step(|step, vocab| {
+    )
+    .on_step(|step, vocab| {
         println!(
             "  [t={}] dataset step {}: {} rows, {} features (+{}) → retraining",
             step.label,
@@ -120,7 +120,7 @@ fn main() {
         seed: 21,
     });
     let mut harness = sim.harness(SchedCluster::new(), &[], &mut scheduler);
-    let feed = OnlineTraceFeed::new(events, trace.group_width, harness.engine, replay_comp);
+    let feed = OnlineTraceFeed::new(events, trace.group_width, harness.engine, replay.clone());
     attach(&mut harness.sim, "online_feed", feed);
 
     // Mid-run churn: 8 machines drain in minutes 8–22, back ~3 minutes
@@ -144,7 +144,7 @@ fn main() {
     // Finishing the replay flushes the trailing step (one last retrain
     // submission) and releases the updater borrow; shutdown then drains
     // the training queue.
-    let replay_out = replay_handle.finish(correction);
+    let replay_out = replay.finish(correction);
     let steps_done = updater.shutdown();
 
     println!("\nsimulation finished:");
