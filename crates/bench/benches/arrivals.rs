@@ -17,7 +17,8 @@
 //!   dry mid-run.
 //!
 //! Record with `CTLM_BENCH_JSON=$PWD/out.json cargo bench -p ctlm-bench
-//! --bench arrivals`; gated by `bench_check` against `BENCH_PR7.json`.
+//! --bench arrivals`; CI gates `stream_1m : materialise_1m` by a same-run
+//! `bench_check --max-ratio`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ctlm_lab::spec::{ArrivalProcess, MachineGroup, RestrictiveSpec, SizeDist, SyntheticWorkload};

@@ -9,7 +9,9 @@
 //! indexes). The latter is the acceptance guard for PR-5: placement
 //! medians must stay at indexed speed while machines come and go
 //! mid-run. `autoscale/elastic_small` prices a whole elastic scenario
-//! on the kernel.
+//! on the kernel. Neither is gated in CI: the ratio to
+//! `placement/indexed_churn/10000` spreads too widely on a shared host,
+//! so `e2e_bench`'s `chaos_mix` workload covers both paths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -9,7 +9,9 @@
 //! the retry policy backs them off and requeues, the autoscaler reads
 //! the capacity loss as a scale-up signal and orders replacements, and
 //! the recovered machines rejoin — the scenario every chaos spec in
-//! `experiments/` exercises, kept under the 1.25× `bench_check` gate.
+//! `experiments/` exercises. Its ratio to `autoscale/elastic_small` (the
+//! same loop without crashes) spreads too widely on a shared host to
+//! gate, so `e2e_bench`'s `chaos_mix` workload covers the path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

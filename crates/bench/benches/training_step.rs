@@ -7,13 +7,13 @@
 //!   comparing the zero-allocation Workspace path on the blocked kernels
 //!   (`optimized_minibatch`) against the seed's allocating formulation on
 //!   the retained naive kernels (`naive_minibatch`). These two ids carry
-//!   the PR-1 ≥2× target.
+//!   the PR-1 ≥2× target, which CI gates as their same-run ratio.
 //! * **`training_step/fig3_shape_{optimized,naive}`** — the same pair at
 //!   the shape the lab's in-timeline retraining actually runs
 //!   (`fig3_trace`: batch 128, 1 211 CO-VV columns, ≈ 58 stored entries
 //!   per row, hidden 30), where the sparse input layer dominates. CI
-//!   gates their ratio at pool width 1, where it depends on the kernels
-//!   and not on the runner.
+//!   runs the whole family at pool width 1, where both ratios depend on
+//!   the kernels and not on the runner.
 //! * **`training_step/{growing_transfer,fully_retrain}`** — the paper's
 //!   model-level comparison (Growing 1–6 min vs 7–42 min from scratch),
 //!   at CI scale.

@@ -21,7 +21,8 @@ impl ParsedArgs {
     /// Parses `argv` (without the program name) against the declared
     /// vocabulary: `flags` take no value, `options` consume the next
     /// argument. Anything starting with `--` outside the vocabulary is an
-    /// error; everything else is positional.
+    /// error, and so is an option given twice (one value would be
+    /// silently dropped); everything else is positional.
     pub fn parse(
         argv: impl IntoIterator<Item = String>,
         flags: &[&str],
@@ -34,6 +35,9 @@ impl ParsedArgs {
                 out.flags.insert(arg);
             } else if options.contains(&arg.as_str()) {
                 let value = iter.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                if out.options.contains_key(&arg) {
+                    return Err(format!("{arg} given twice"));
+                }
                 out.options.insert(arg, value);
             } else if arg.starts_with("--") {
                 return Err(format!(
@@ -120,6 +124,13 @@ mod tests {
     fn unknown_and_missing_value_error() {
         assert!(ParsedArgs::parse(argv(&["--bogus"]), &[], &[]).is_err());
         assert!(ParsedArgs::parse(argv(&["--seed"]), &[], &["--seed"]).is_err());
+    }
+
+    #[test]
+    fn repeated_option_errors() {
+        let err =
+            ParsedArgs::parse(argv(&["--seed", "1", "--seed", "2"]), &[], &["--seed"]).unwrap_err();
+        assert_eq!(err, "--seed given twice");
     }
 
     #[test]

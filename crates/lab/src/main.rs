@@ -54,7 +54,9 @@ use std::process::ExitCode;
 use ctlm_bench::ParsedArgs;
 use ctlm_lab::memtrack::{self, TrackingAlloc};
 use ctlm_lab::observe::Observations;
-use ctlm_lab::report::{diff_reports, to_pretty_json, LabReport, ReportMeta, SummaryDiff};
+use ctlm_lab::report::{
+    diff_reports, to_pretty_json, KnobSetting, LabReport, ReportMeta, SummaryDiff,
+};
 use ctlm_lab::run::ArrivalMode;
 use ctlm_lab::ExperimentSpec;
 use ctlm_telemetry::{HostFingerprint, Metrics, PerfReport};
@@ -356,11 +358,12 @@ fn print_metrics_diff(a: &Metrics, b: &Metrics) {
     println!("({unchanged} unchanged counter(s) not shown)");
 }
 
-fn point_label(diff: &SummaryDiff) -> String {
-    if diff.knobs.is_empty() {
+/// A sweep point's knobs as `leaf=value` pairs, `-` for the base point.
+fn point_label(knobs: &[KnobSetting]) -> String {
+    if knobs.is_empty() {
         "-".to_string()
     } else {
-        diff.knobs
+        knobs
             .iter()
             .map(|k| {
                 format!(
@@ -487,7 +490,7 @@ fn print_diff(a: &LabReport, b: &LabReport, tolerance: f64) -> Vec<String> {
         let unplaced = format!("{} → {}", opt(row.unplaced.0), opt(row.unplaced.1));
         println!(
             "{:<34} {:<14} {:<10} {:<34} {:<34} {:>14}{}",
-            point_label(&row),
+            point_label(&row.knobs),
             row.scheduler,
             row.cell,
             fmt_pair_ms(row.group0_mean),
@@ -530,7 +533,7 @@ fn print_diff(a: &LabReport, b: &LabReport, tolerance: f64) -> Vec<String> {
             if let Some((va, vb)) = regressed(pair, tolerance) {
                 regressions.push(format!(
                     "{} / {} / {}: {metric} {va} → {vb}",
-                    point_label(&row),
+                    point_label(&row.knobs),
                     row.scheduler,
                     row.cell
                 ));
@@ -555,24 +558,9 @@ fn print_summary(report: &LabReport) {
     );
     println!("{}", "-".repeat(124));
     for row in &report.summary {
-        let point = if row.knobs.is_empty() {
-            "-".to_string()
-        } else {
-            row.knobs
-                .iter()
-                .map(|k| {
-                    format!(
-                        "{}={}",
-                        k.path.rsplit('.').next().unwrap_or(&k.path),
-                        k.value
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
         println!(
             "{:<40} {:<14} {:<10} {:>5} {:>14} {:>13} {:>12} {:>9}",
-            point,
+            point_label(&row.knobs),
             row.scheduler,
             row.cell,
             row.runs,

@@ -773,35 +773,6 @@ impl SchedCluster {
         true
     }
 
-    /// Tasks on a machine with priority strictly below `priority`, sorted
-    /// lowest-priority first — the Kubernetes preemption candidate order.
-    ///
-    /// # Panics
-    /// Panics when `id` is not online (never seen, drained or taken).
-    pub fn preemption_candidates(
-        &self,
-        id: MachineId,
-        priority: u8,
-    ) -> Vec<(TaskId, f64, f64, u8)> {
-        let mut out = Vec::new();
-        self.preemption_candidates_into(id, priority, &mut out);
-        out
-    }
-
-    /// [`SchedCluster::preemption_candidates`] into a caller-provided
-    /// buffer.
-    ///
-    /// # Panics
-    /// Panics when `id` is not online (never seen, drained or taken).
-    pub fn preemption_candidates_into(
-        &self,
-        id: MachineId,
-        priority: u8,
-        out: &mut Vec<(TaskId, f64, f64, u8)>,
-    ) {
-        self.view(id).preemption_candidates_into(priority, out);
-    }
-
     /// One online machine's attribute value.
     pub fn machine_attr(&self, id: MachineId, attr: AttrId) -> Option<&AttrValue> {
         self.online_slot(id)
@@ -862,7 +833,8 @@ mod tests {
         c.place(1, 10, 0.2, 0.2, 3);
         c.place(1, 11, 0.2, 0.2, 1);
         c.place(1, 12, 0.2, 0.2, 9);
-        let cands = c.preemption_candidates(1, 5);
+        let mut cands = Vec::new();
+        c.view(1).preemption_candidates_into(5, &mut cands);
         assert_eq!(
             cands.iter().map(|&(t, ..)| t).collect::<Vec<_>>(),
             vec![11, 10]
@@ -1037,12 +1009,6 @@ mod tests {
         let mut c = cluster3();
         c.remove_machine(1);
         c.free_cpu(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "machine 99 is not online")]
-    fn preemption_candidates_of_a_never_seen_machine_panic() {
-        cluster3().preemption_candidates(99, 5);
     }
 
     impl SchedCluster {

@@ -1,88 +1,21 @@
-//! Gang grouping.
+//! Atomic gang placement.
 //!
 //! “This approach works well with gang scheduling, where tasks in the
-//! same job are grouped by their CO and scheduled together.” Tasks of one
-//! collection sharing identical collapsed constraints form a *gang*; the
-//! engine can be configured to place gangs all-or-nothing.
-
-use std::collections::HashMap;
-
-use ctlm_trace::CollectionId;
+//! same job are grouped by their CO and scheduled together.” A gang
+//! arrives as one event ([`crate::scenario::GangSource`]) and the engine
+//! places it all-or-nothing.
 
 use crate::queue::PendingTask;
 
-/// Key identifying a gang: the collection plus a fingerprint of the
-/// collapsed constraints.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct GangKey {
-    /// The collection the tasks belong to.
-    pub collection: CollectionId,
-    /// Display fingerprint of the constraint set.
-    pub co_fingerprint: String,
-}
-
-/// Groups pending tasks into gangs (collection × CO set).
-pub fn group_into_gangs(tasks: Vec<PendingTask>) -> Vec<(GangKey, Vec<PendingTask>)> {
-    let mut map: HashMap<GangKey, Vec<PendingTask>> = HashMap::new();
-    let mut order: Vec<GangKey> = Vec::new();
-    for t in tasks {
-        let fp = t
-            .reqs
-            .iter()
-            .map(|r| r.to_string())
-            .collect::<Vec<_>>()
-            .join(" && ");
-        let key = GangKey {
-            collection: t.collection,
-            co_fingerprint: fp,
-        };
-        if !map.contains_key(&key) {
-            order.push(key.clone());
-        }
-        map.entry(key).or_default().push(t);
-    }
-    order
-        .into_iter()
-        .map(|k| {
-            let v = map.remove(&k).expect("key inserted above");
-            (k, v)
-        })
-        .collect()
-}
-
-/// All-or-nothing gang placement: reserves machines for *every* task of
-/// the gang or places nothing. Returns the `(task, machine)` assignments
-/// on success; on failure the cluster is left untouched.
+/// All-or-nothing gang placement into a caller-provided assignment
+/// buffer — the engine's scratch-threaded form (no allocation per gang
+/// attempt). Reserves machines for *every* member or places nothing:
+/// returns true when the whole gang placed, with the `(task, machine)`
+/// assignments in member order in `out`; on false the cluster and `out`
+/// are left empty of this attempt.
 ///
 /// Greedy best-fit per member with rollback — sufficient for the paper's
-/// usage (“tasks in the same job are grouped by their CO and scheduled
-/// together”), where gang members share one constraint set.
-pub fn place_gang(
-    cluster: &mut crate::cluster::SchedCluster,
-    gang: &[PendingTask],
-) -> Option<Vec<(u64, u64)>> {
-    place_gang_by_ref(cluster, gang.iter())
-}
-
-/// [`place_gang`] over borrowed members — the kernel engine's form, where
-/// gang members live in the shared task arena and are never cloned.
-/// Assignments are returned in member order.
-pub fn place_gang_by_ref<'a>(
-    cluster: &mut crate::cluster::SchedCluster,
-    gang: impl IntoIterator<Item = &'a PendingTask>,
-) -> Option<Vec<(u64, u64)>> {
-    let mut placed: Vec<(u64, u64)> = Vec::new();
-    if place_gang_into(cluster, gang, &mut placed) {
-        Some(placed)
-    } else {
-        None
-    }
-}
-
-/// [`place_gang_by_ref`] into a caller-provided assignment buffer — the
-/// engine's scratch-threaded form (no allocation per gang attempt).
-/// Returns true when the whole gang placed; on false the cluster and
-/// `out` are left empty of this attempt.
+/// usage, where gang members share one constraint set.
 pub fn place_gang_into<'a>(
     cluster: &mut crate::cluster::SchedCluster,
     gang: impl IntoIterator<Item = &'a PendingTask>,
@@ -111,49 +44,24 @@ pub fn place_gang_into<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ctlm_data::compaction::collapse;
-    use ctlm_trace::{ConstraintOp as Op, TaskConstraint};
+    use crate::cluster::SchedCluster;
+    use ctlm_trace::{AttrValue, Machine};
 
-    fn task(id: u64, collection: u64, lt: Option<i64>) -> PendingTask {
-        let reqs = match lt {
-            Some(v) => collapse(&[TaskConstraint::new(0, Op::LessThan(v))]).unwrap(),
-            None => vec![],
-        };
+    fn task(id: u64) -> PendingTask {
         PendingTask {
             id,
-            collection,
-            cpu: 0.1,
+            collection: 5,
+            cpu: 0.8,
             memory: 0.1,
             priority: 0,
-            reqs,
+            reqs: vec![],
             arrival: 0,
             truth_group: 25,
         }
     }
 
     #[test]
-    fn same_collection_same_co_groups_together() {
-        let gangs = group_into_gangs(vec![task(1, 7, Some(3)), task(2, 7, Some(3))]);
-        assert_eq!(gangs.len(), 1);
-        assert_eq!(gangs[0].1.len(), 2);
-    }
-
-    #[test]
-    fn different_co_splits_the_gang() {
-        let gangs = group_into_gangs(vec![task(1, 7, Some(3)), task(2, 7, Some(9))]);
-        assert_eq!(gangs.len(), 2);
-    }
-
-    #[test]
-    fn different_collections_never_merge() {
-        let gangs = group_into_gangs(vec![task(1, 7, None), task(2, 8, None)]);
-        assert_eq!(gangs.len(), 2);
-    }
-
-    #[test]
     fn gang_places_all_or_nothing() {
-        use crate::cluster::SchedCluster;
-        use ctlm_trace::{AttrValue, Machine};
         let mut ms = Vec::new();
         for i in 0..2u64 {
             let mut m = Machine::new(i, 1.0, 1.0);
@@ -161,37 +69,21 @@ mod tests {
             ms.push(m);
         }
         let mut cluster = SchedCluster::from_machines(ms);
+        let mut out = vec![(9, 9)];
 
         // A 3-member gang needing 0.8 CPU each on 2 machines: only two
         // fit, so nothing must be reserved.
-        let gang: Vec<PendingTask> = (0..3)
-            .map(|i| PendingTask {
-                cpu: 0.8,
-                memory: 0.1,
-                ..task(100 + i, 5, None)
-            })
-            .collect();
-        assert!(place_gang(&mut cluster, &gang).is_none());
+        let gang: Vec<PendingTask> = (100..103).map(task).collect();
+        assert!(!place_gang_into(&mut cluster, &gang, &mut out));
+        assert!(out.is_empty());
         assert!(
             (cluster.cpu_utilisation()).abs() < 1e-9,
             "failed gang must leave no reservations behind"
         );
 
-        // A 2-member gang fits and reserves both slots.
-        let ok = place_gang(&mut cluster, &gang[..2]).expect("2 members fit");
-        assert_eq!(ok.len(), 2);
+        // A 2-member gang fits and reserves both slots, in member order.
+        assert!(place_gang_into(&mut cluster, &gang[..2], &mut out));
+        assert_eq!(out.iter().map(|&(t, _)| t).collect::<Vec<_>>(), [100, 101]);
         assert!(cluster.cpu_utilisation() > 0.0);
-    }
-
-    #[test]
-    fn insertion_order_is_preserved() {
-        let gangs = group_into_gangs(vec![
-            task(1, 9, None),
-            task(2, 7, Some(1)),
-            task(3, 9, None),
-        ]);
-        assert_eq!(gangs[0].0.collection, 9);
-        assert_eq!(gangs[0].1.len(), 2);
-        assert_eq!(gangs[1].0.collection, 7);
     }
 }

@@ -42,12 +42,11 @@
 //!   accounting, the capacity index a probe walks without a hash lookup,
 //!   churn (offline/restore) and the cheap
 //!   [`cluster::SchedCluster::reset`] path for A/B policy runs;
-//! * [`queue`] — the pending job queue(s);
+//! * [`queue`] — the pending task record;
 //! * [`scheduler`] — the open routing-policy trait and its impls;
 //! * [`placement`] — placement strategies: best-fit, first-fit, soft
 //!   affinity, and the Kubernetes-style preemption fallback;
-//! * [`gang`] — gang grouping (“tasks in the same job are grouped by
-//!   their CO and scheduled together”) and atomic gang placement;
+//! * [`gang`] — atomic (all-or-nothing) gang placement;
 //! * [`engine`] — the kernel-hosted simulation measuring scheduling
 //!   latency per suitable-node group. It only schedules; the private
 //!   `ledger` module alone decides what each lifecycle transition
@@ -96,7 +95,7 @@ pub use faults::{
 pub use latency::LatencyStats;
 pub use lifecycle::{LifecycleOwner, OwnershipGuard};
 pub use placement::{BestFit, PlaceCtx, Placer, PreemptiveBestFit};
-pub use queue::{PendingQueue, PendingTask};
+pub use queue::PendingTask;
 pub use scheduler::{Enhanced, LiveRegistry, MainOnly, OracleEnhanced, Scheduler};
 pub use stream::{ArrivalStream, Arrivals, SliceStream};
 pub use timed::{attach, TimedSource};

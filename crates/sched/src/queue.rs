@@ -1,6 +1,5 @@
-//! Pending job queues.
-
-use std::collections::VecDeque;
+//! The pending task: one arrival waiting to be placed, as the engine's
+//! task arena stores it.
 
 use ctlm_data::compaction::AttrRequirement;
 use ctlm_data::dataset::group_for_count;
@@ -52,87 +51,5 @@ impl PendingTask {
             arrival,
             truth_group: group_for_count(suitable, group_width),
         })
-    }
-}
-
-/// FIFO pending queue with requeue-at-back semantics.
-#[derive(Clone, Debug, Default)]
-pub struct PendingQueue {
-    inner: VecDeque<PendingTask>,
-}
-
-impl PendingQueue {
-    /// Empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Queue length.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Enqueues a newly arrived task.
-    pub fn push(&mut self, t: PendingTask) {
-        self.inner.push_back(t);
-    }
-
-    /// Pops the head task for a placement attempt.
-    pub fn pop(&mut self) -> Option<PendingTask> {
-        self.inner.pop_front()
-    }
-
-    /// Returns a task to the back of the queue after a failed attempt.
-    pub fn requeue(&mut self, t: PendingTask) {
-        self.inner.push_back(t);
-    }
-
-    /// Peeks at the head.
-    pub fn peek(&self) -> Option<&PendingTask> {
-        self.inner.front()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn task(id: TaskId) -> PendingTask {
-        PendingTask {
-            id,
-            collection: 1,
-            cpu: 0.1,
-            memory: 0.1,
-            priority: 0,
-            reqs: vec![],
-            arrival: 0,
-            truth_group: 25,
-        }
-    }
-
-    #[test]
-    fn fifo_order() {
-        let mut q = PendingQueue::new();
-        q.push(task(1));
-        q.push(task(2));
-        assert_eq!(q.pop().unwrap().id, 1);
-        assert_eq!(q.peek().unwrap().id, 2);
-    }
-
-    #[test]
-    fn requeue_goes_to_back() {
-        let mut q = PendingQueue::new();
-        q.push(task(1));
-        q.push(task(2));
-        let t = q.pop().unwrap();
-        q.requeue(t);
-        assert_eq!(q.pop().unwrap().id, 2);
-        assert_eq!(q.pop().unwrap().id, 1);
-        assert!(q.is_empty());
     }
 }

@@ -87,10 +87,9 @@ impl ChurnPlan {
 /// When built [`ChurnSource::with_guard`], every Fail claims the machine
 /// on the shared [`OwnershipGuard`] first; a failed claim (the
 /// autoscaler is provisioning, draining or parking that machine) skips
-/// the outage — and its paired Restore — instead of racing. Skipped
-/// outages are counted ([`ChurnSource`] exposes no handle after
-/// registration, so the count lives on the guard side of tests via
-/// claims; drivers that need the number can pre-check the plan).
+/// the outage — and its paired Restore — instead of racing. A skipped
+/// outage emits no event and is recorded nowhere: the run simply has
+/// one churn failure fewer than the plan lists.
 pub struct ChurnSource {
     plan: Plan<ChurnAction>,
     engine: CompId,
@@ -351,11 +350,4 @@ impl TimedSource for OnlineTraceFeed<'_> {
             }
         }
     }
-}
-
-/// Rescales trace event times into `[0, span]`, preserving order — the
-/// stream-level analogue of [`crate::engine::compress_timeline`], for
-/// online simulations that feed whole traces through the kernel.
-pub fn compress_event_times(events: &mut [ctlm_trace::TraceEvent], span: Micros) {
-    ctlm_trace::event::compress_times(events, span);
 }

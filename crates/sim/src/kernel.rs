@@ -35,11 +35,6 @@ impl<E> Ctx<'_, E> {
         self.now
     }
 
-    /// The handling component's own id.
-    pub fn self_id(&self) -> CompId {
-        self.self_id
-    }
-
     /// Emits `payload` to `dst` after `delay` microseconds, in delivery
     /// class 0 (first at its timestamp).
     pub fn emit(&mut self, delay: Time, dst: CompId, payload: E) {
@@ -50,17 +45,6 @@ impl<E> Ctx<'_, E> {
     /// deliver first among events sharing a timestamp.
     pub fn emit_prio(&mut self, delay: Time, priority: u8, dst: CompId, payload: E) {
         self.out.push((self.now + delay, priority, dst, payload));
-    }
-
-    /// Emits `payload` to `dst` at absolute time `time` (clamped to now —
-    /// the clock never runs backwards).
-    pub fn emit_at(&mut self, time: Time, dst: CompId, payload: E) {
-        self.emit_at_prio(time, 0, dst, payload);
-    }
-
-    /// [`Ctx::emit_at`] with an explicit delivery class.
-    pub fn emit_at_prio(&mut self, time: Time, priority: u8, dst: CompId, payload: E) {
-        self.out.push((time.max(self.now), priority, dst, payload));
     }
 
     /// Emits `payload` back to the handling component after `delay` —

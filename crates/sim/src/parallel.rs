@@ -69,7 +69,6 @@ pub struct RemoteEvent<E> {
 /// [`Sim::schedule_prio`] etc. directly on a shard.
 pub struct CellKernel<'a, E> {
     sim: Sim<'a, E>,
-    shard: usize,
     /// Wall-clock ns the shard's last `run_before` took — written by
     /// whichever worker ran the shard this round (exactly one per round,
     /// so no race), read by the coordinator after the barrier. Only
@@ -84,11 +83,6 @@ pub struct CellKernel<'a, E> {
 unsafe impl<E: Send> Send for CellKernel<'_, E> {}
 
 impl<'a, E> CellKernel<'a, E> {
-    /// This shard's index in the coordinator.
-    pub fn shard_id(&self) -> usize {
-        self.shard
-    }
-
     /// One epoch of this shard: every event before `bound`, timed into
     /// `last_run_ns` when profiling (no clock call otherwise).
     fn run_epoch(&mut self, bound: Time, profile: bool) {
@@ -253,33 +247,16 @@ impl<'a, E: Send> ParallelSim<'a, E> {
 
     /// Adds a shard, returning its index.
     pub fn add_shard(&mut self, sim: Sim<'a, E>) -> usize {
-        let shard = self.shards.len();
         self.shards.push(CellKernel {
             sim,
-            shard,
             last_run_ns: 0,
         });
-        shard
-    }
-
-    /// Number of shards attached.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.shards.len() - 1
     }
 
     /// A shard by index.
     pub fn shard(&self, i: usize) -> &CellKernel<'a, E> {
         &self.shards[i]
-    }
-
-    /// A shard by index, mutably.
-    pub fn shard_mut(&mut self, i: usize) -> &mut CellKernel<'a, E> {
-        &mut self.shards[i]
-    }
-
-    /// All shards, mutably (e.g. for seeding before the run).
-    pub fn shards_mut(&mut self) -> &mut [CellKernel<'a, E>] {
-        &mut self.shards
     }
 
     /// The configured epoch length (µs).
@@ -301,8 +278,8 @@ impl<'a, E: Send> ParallelSim<'a, E> {
     /// Overrides the order in which the *sequential* path (threads ≤ 1)
     /// runs shards within an epoch. Exists so tests can prove the merge
     /// order is independent of shard scheduling — any permutation of
-    /// `0..num_shards()` must produce identical results. Ignored on the
-    /// parallel path.
+    /// the shard indices [`ParallelSim::add_shard`] returned must produce
+    /// identical results. Ignored on the parallel path.
     #[doc(hidden)]
     pub fn set_sequential_order(&mut self, order: Vec<usize>) {
         assert_eq!(order.len(), self.shards.len());

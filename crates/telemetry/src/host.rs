@@ -4,8 +4,8 @@
 //! different container instance with less memory bandwidth — went
 //! undiagnosed because nothing recorded *which host* produced a number.
 //! The fingerprint answers that: cpu model + core count, attached to
-//! bench JSON and lab-report `_meta` so comparisons can warn when the
-//! hosts differ.
+//! lab-report `_meta` so `ctlm-lab --diff` can warn when the hosts
+//! differ.
 
 use serde::{Deserialize, Error, Serialize, Value};
 

@@ -27,9 +27,10 @@
 //! ```
 
 use ctlm::prelude::*;
-use ctlm::sched::scenario::{compress_event_times, ChurnPlan, ChurnSource, OnlineTraceFeed};
+use ctlm::sched::scenario::{ChurnPlan, ChurnSource, OnlineTraceFeed};
 use ctlm::sched::updater::ModelUpdater;
 use ctlm::sched::{attach, SchedCluster};
+use ctlm::trace::event::compress_times;
 use ctlm::trace::generator::attrs;
 use ctlm::trace::{AttrValue, EventPayload, TraceEvent};
 
@@ -47,7 +48,7 @@ fn main() {
 
     // Compress the multi-week trace onto a loaded 30-minute window.
     let window = 30 * 60 * 1_000_000;
-    compress_event_times(&mut events, window);
+    compress_times(&mut events, window);
 
     // Staged kernel rollout: three waves of a brand-new kernel version
     // wash over slices of the fleet mid-run, growing the vocabulary and

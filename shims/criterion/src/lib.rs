@@ -8,11 +8,10 @@
 //! without timing.
 //!
 //! When the `CTLM_BENCH_JSON` environment variable names a file, results
-//! are merged into it as `{"group/bench": {"median_ns": ..}}` — the
-//! mechanism the repo uses to produce `BENCH_PR7.json`. A merge refreshes
-//! each entry's median while preserving other annotations (such as
-//! `"host_sensitive": true`) and records the machine's fingerprint under
-//! a `"_meta"` entry so `bench_check` can flag cross-host comparisons.
+//! are merged into it as `{"group/bench": {"median_ns": ..}}`: an id this
+//! run measured replaces its entry, every other entry stays, so several
+//! bench binaries accumulate one report for `bench_check`'s same-run
+//! ratios.
 
 use std::time::Instant;
 
@@ -108,62 +107,20 @@ impl Criterion {
             })
             .unwrap_or_default();
         for (id, median) in &self.results {
-            let mut fields = vec![("median_ns".to_string(), Value::Num(*median))];
-            // Refresh the median but keep any other annotations the
-            // checked-in report carries (e.g. `"host_sensitive": true`,
-            // which downgrades `bench_check` regressions to warnings).
-            if let Some((_, Value::Object(old))) = doc.iter().find(|(k, _)| k == id) {
-                for (k, v) in old {
-                    if k != "median_ns" {
-                        fields.push((k.clone(), v.clone()));
-                    }
-                }
-            }
-            let entry = Value::Object(fields);
+            let entry = Value::Object(vec![("median_ns".to_string(), Value::Num(*median))]);
             if let Some(slot) = doc.iter_mut().find(|(k, _)| k == id) {
                 slot.1 = entry;
             } else {
                 doc.push((id.clone(), entry));
             }
         }
-        // Bench medians are only comparable within one machine, so record
-        // where this run happened. The entry has no `median_ns` field and
-        // is therefore invisible to the median comparison itself.
-        let meta = Value::Object(vec![("host".to_string(), host_fingerprint())]);
-        if let Some(slot) = doc.iter_mut().find(|(k, _)| k == "_meta") {
-            slot.1 = meta;
-        } else {
-            doc.push(("_meta".to_string(), meta));
-        }
         let rendered = serde_json::to_string(&Value::Object(doc)).expect("render bench report");
         std::fs::write(&path, pretty(&rendered)).expect("write bench report");
     }
 }
 
-/// Best-effort host fingerprint for the report's `_meta` entry. Field
-/// shape mirrors `ctlm-telemetry`'s `HostFingerprint` so `bench_check`
-/// can deserialize it directly (the shim stays dependency-free).
-fn host_fingerprint() -> Value {
-    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    Value::Object(vec![
-        ("cpu_model".to_string(), Value::Str(cpu_model)),
-        ("cores".to_string(), Value::Num(cores as f64)),
-    ])
-}
-
-/// Inserts line breaks after object commas so the checked-in report diffs
-/// line by line.
+/// Inserts line breaks after object commas so the report diffs line by
+/// line.
 fn pretty(json: &str) -> String {
     let mut out = String::with_capacity(json.len() + 64);
     let mut depth = 0usize;
@@ -424,11 +381,11 @@ mod tests {
     }
 
     #[test]
-    fn summary_merge_keeps_annotations_and_records_host() {
+    fn summary_merge_refreshes_measured_ids_and_keeps_the_rest() {
         let path = std::env::temp_dir().join("ctlm_criterion_shim_merge_test.json");
         std::fs::write(
             &path,
-            r#"{"g/sum": {"median_ns": 10.0, "host_sensitive": true}}"#,
+            r#"{"g/sum": {"median_ns": 10.0, "stale": true}, "h/other": {"median_ns": 7.0}}"#,
         )
         .unwrap();
         std::env::set_var("CTLM_BENCH_JSON", &path);
@@ -442,15 +399,15 @@ mod tests {
         std::env::remove_var("CTLM_BENCH_JSON");
         let doc: Value = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         std::fs::remove_file(&path).ok();
-        let entry = doc.get_field("g/sum");
-        assert_eq!(entry.get_field("median_ns").as_f64(), Some(42.0));
-        assert!(matches!(
-            entry.get_field("host_sensitive"),
-            Value::Bool(true)
-        ));
-        let host = doc.get_field("_meta").get_field("host");
-        assert!(host.get_field("cpu_model").as_str().is_some());
-        assert!(host.get_field("cores").as_f64().unwrap_or(0.0) >= 1.0);
+        let entry =
+            |median: f64| Value::Object(vec![("median_ns".to_string(), Value::Num(median))]);
+        assert_eq!(
+            doc,
+            Value::Object(vec![
+                ("g/sum".to_string(), entry(42.0)),
+                ("h/other".to_string(), entry(7.0)),
+            ])
+        );
     }
 
     #[test]
