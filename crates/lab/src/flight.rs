@@ -59,78 +59,82 @@ fn st(s: &str) -> Value {
     Value::Str(s.to_string())
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// An object field, its key as the `String` a [`Value`] holds.
+fn field(key: &str, v: Value) -> (String, Value) {
+    (key.to_string(), v)
+}
+
+/// An object of fixed shape: its field `Vec` is allocated once, at size
+/// `N`.
+fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(Vec::from(fields.map(|(k, v)| field(k, v))))
 }
 
 /// A `"M"` metadata event naming a process or (with `tid`) a thread.
 fn meta_event(pid: u64, tid: Option<u64>, which: &str, name: &str) -> Value {
-    let mut fields = vec![("name", st(which)), ("ph", st("M")), ("pid", num(pid))];
+    let mut fields = Vec::with_capacity(4 + usize::from(tid.is_some()));
+    fields.extend([
+        field("name", st(which)),
+        field("ph", st("M")),
+        field("pid", num(pid)),
+    ]);
     if let Some(t) = tid {
-        fields.push(("tid", num(t)));
+        fields.push(field("tid", num(t)));
     }
-    fields.push(("args", obj(vec![("name", st(name))])));
-    obj(fields)
+    fields.push(field("args", obj([("name", st(name))])));
+    Value::Object(fields)
 }
 
 /// The kind-specific payload words under their named keys — the half of
-/// the decision record that is not a static tag.
-fn payload_args(r: &SpanRecord) -> Vec<(&'static str, Value)> {
+/// the decision record that is not a static tag. At most two, so they
+/// come back on the stack and `span_event` can size its `args` exactly.
+fn payload_args(r: &SpanRecord) -> [Option<(&'static str, u64)>; 2] {
+    let nonzero = |key, word| (word != 0).then_some((key, word));
     match r.kind {
-        "queued" | "running" => {
-            let mut out = Vec::new();
-            if r.a != 0 || r.outcome == "placed" {
-                out.push(("machine", num(r.a)));
-            }
+        "queued" | "running" => [
+            (r.a != 0 || r.outcome == "placed").then_some(("machine", r.a)),
             // A preemption close overwrites the candidate word with the
             // task that evicted this one.
             if r.outcome == "preempted" {
-                out.push(("preemptor", num(r.b)));
-            } else if r.b != 0 {
-                out.push(("candidates", num(r.b)));
-            }
-            out
-        }
-        "retry_wait" => vec![("delay_us", num(r.a)), ("crashed_machine", num(r.b))],
-        "spill_transit" => vec![("target_cell", num(r.a))],
-        "dead_letter" => vec![("machine", num(r.a))],
-        "scale_up" => vec![("ordered", num(r.a)), ("crash_replacements", num(r.b))],
-        "scale_down" => vec![("released", num(r.a))],
-        _ => {
-            let mut out = Vec::new();
-            if r.a != 0 {
-                out.push(("a", num(r.a)));
-            }
-            if r.b != 0 {
-                out.push(("b", num(r.b)));
-            }
-            out
-        }
+                Some(("preemptor", r.b))
+            } else {
+                nonzero("candidates", r.b)
+            },
+        ],
+        "retry_wait" => [Some(("delay_us", r.a)), Some(("crashed_machine", r.b))],
+        "spill_transit" => [Some(("target_cell", r.a)), None],
+        "dead_letter" => [Some(("machine", r.a)), None],
+        "scale_up" => [Some(("ordered", r.a)), Some(("crash_replacements", r.b))],
+        "scale_down" => [Some(("released", r.a)), None],
+        _ => [nonzero("a", r.a), nonzero("b", r.b)],
     }
 }
 
 /// One span as a complete (`"X"`) trace event.
 fn span_event(r: &SpanRecord, pid: u64, tid: u64) -> Value {
-    let mut args = vec![("subject", num(r.subject)), ("cause", st(r.cause))];
-    if !r.outcome.is_empty() {
-        args.push(("outcome", st(r.outcome)));
-    }
-    if !r.plan.is_empty() {
-        args.push(("plan", st(r.plan)));
-    }
-    if !r.detail.is_empty() {
-        args.push(("detail", st(r.detail)));
+    let tags = [
+        ("outcome", r.outcome),
+        ("plan", r.plan),
+        ("detail", r.detail),
+    ];
+    let payload = payload_args(r);
+    let len = 2
+        + tags.iter().filter(|(_, s)| !s.is_empty()).count()
+        + usize::from(r.attempts > 0)
+        + payload.iter().flatten().count();
+    let mut args = Vec::with_capacity(len);
+    args.push(field("subject", num(r.subject)));
+    args.push(field("cause", st(r.cause)));
+    for (key, s) in tags {
+        if !s.is_empty() {
+            args.push(field(key, st(s)));
+        }
     }
     if r.attempts > 0 {
-        args.push(("attempts", num(r.attempts)));
+        args.push(field("attempts", num(r.attempts)));
     }
-    args.extend(payload_args(r));
-    obj(vec![
+    args.extend(payload.into_iter().flatten().map(|(k, n)| field(k, num(n))));
+    obj([
         ("name", st(r.kind)),
         ("cat", st(r.group)),
         ("ph", st("X")),
@@ -138,25 +142,27 @@ fn span_event(r: &SpanRecord, pid: u64, tid: u64) -> Value {
         ("tid", num(tid)),
         ("ts", num(r.start)),
         ("dur", num(r.end - r.start)),
-        ("args", obj(args)),
+        ("args", Value::Object(args)),
     ])
 }
 
 /// A flow step (`"s"` start or `"f"` finish-with-enclosing-binding).
 fn flow_event(name: &str, ph: &str, id: u64, pid: u64, tid: u64, ts: u64) -> Value {
-    let mut fields = vec![
-        ("name", st(name)),
-        ("cat", st("causal")),
-        ("ph", st(ph)),
-        ("id", num(id)),
-        ("pid", num(pid)),
-        ("tid", num(tid)),
-        ("ts", num(ts)),
-    ];
-    if ph == "f" {
-        fields.push(("bp", st("e")));
+    let finish = ph == "f";
+    let mut fields = Vec::with_capacity(7 + usize::from(finish));
+    fields.extend([
+        field("name", st(name)),
+        field("cat", st("causal")),
+        field("ph", st(ph)),
+        field("id", num(id)),
+        field("pid", num(pid)),
+        field("tid", num(tid)),
+        field("ts", num(ts)),
+    ]);
+    if finish {
+        fields.push(field("bp", st("e")));
     }
-    obj(fields)
+    Value::Object(fields)
 }
 
 /// Thread id of a record inside its cell's process pair. Task spans get
@@ -173,11 +179,11 @@ fn record_tid(r: &SpanRecord) -> u64 {
 
 /// Per-track index of `queued` spans by subject, for flow-arrow
 /// targets.
-fn queued_index(records: &[&SpanRecord]) -> HashMap<u64, Vec<SpanRecord>> {
-    let mut by_subject: HashMap<u64, Vec<SpanRecord>> = HashMap::new();
-    for r in records {
+fn queued_index<'a>(records: &[&'a SpanRecord]) -> HashMap<u64, Vec<&'a SpanRecord>> {
+    let mut by_subject: HashMap<u64, Vec<&SpanRecord>> = HashMap::new();
+    for &r in records {
         if r.kind == "queued" {
-            by_subject.entry(r.subject).or_default().push(**r);
+            by_subject.entry(r.subject).or_default().push(r);
         }
     }
     by_subject
@@ -202,7 +208,7 @@ pub fn trace_document(obs: &Observations, include_host: bool) -> Value {
             None => sched_cells.push((sched, vec![i])),
         }
     }
-    let queued: Vec<HashMap<u64, Vec<SpanRecord>>> =
+    let queued: Vec<HashMap<u64, Vec<&SpanRecord>>> =
         tracks.iter().map(|(_, rs)| queued_index(rs)).collect();
     let track_of = |from_track: usize, cell_idx: usize| -> Option<usize> {
         sched_cells
@@ -296,10 +302,10 @@ pub fn trace_document(obs: &Observations, include_host: bool) -> Value {
         }
     }
 
-    Value::Object(vec![
-        ("schema_version".to_string(), num(SCHEMA_VERSION)),
-        ("displayTimeUnit".to_string(), st("ms")),
-        ("traceEvents".to_string(), Value::Array(events)),
+    obj([
+        ("schema_version", num(SCHEMA_VERSION)),
+        ("displayTimeUnit", st("ms")),
+        ("traceEvents", Value::Array(events)),
     ])
 }
 
@@ -328,7 +334,7 @@ fn host_track(pid: u64, sched: &str, perf: &ParallelPerf) -> Vec<Value> {
     for (r, &bound) in perf.round_bounds.iter().enumerate() {
         for s in 0..shards {
             let run_ns = perf.round_shard_run_ns[r * shards + s];
-            events.push(obj(vec![
+            events.push(obj([
                 ("name", st("round")),
                 ("cat", st("host")),
                 ("ph", st("X")),
@@ -338,7 +344,7 @@ fn host_track(pid: u64, sched: &str, perf: &ParallelPerf) -> Vec<Value> {
                 ("dur", num(run_ns / 1_000)),
                 (
                     "args",
-                    obj(vec![("round", num(r as u64)), ("run_ns", num(run_ns))]),
+                    obj([("round", num(r as u64)), ("run_ns", num(run_ns))]),
                 ),
             ]));
         }
@@ -410,7 +416,7 @@ pub fn parse_trace(doc: &Value) -> Result<FlightRecording, LabError> {
         }
     }
     let mut spans = Vec::new();
-    for ev in events {
+    for (i, ev) in events.iter().enumerate() {
         if ev.get_field("ph") != "X" || ev.get_field("cat") == "host" {
             continue;
         }
@@ -422,6 +428,12 @@ pub fn parse_trace(doc: &Value) -> Result<FlightRecording, LabError> {
         let gets = |k: &str| args.get_field(k).as_str().unwrap_or("").to_string();
         let ts = ev.get_field("ts").as_f64().unwrap_or(0.0) as u64;
         let dur = ev.get_field("dur").as_f64().unwrap_or(0.0) as u64;
+        let kind = ev.get_field("name").as_str().unwrap_or("");
+        let end = ts.checked_add(dur).ok_or_else(|| {
+            LabError::msg(format!(
+                "traceEvents[{i}] ({kind:?}): ts {ts} + dur {dur} overflows the time axis"
+            ))
+        })?;
         let mut payload = Vec::new();
         if let Value::Object(pairs) = args {
             for (k, v) in pairs {
@@ -439,10 +451,10 @@ pub fn parse_trace(doc: &Value) -> Result<FlightRecording, LabError> {
         spans.push(ExplainSpan {
             cell: cell.clone(),
             group: ev.get_field("cat").as_str().unwrap_or("").to_string(),
-            kind: ev.get_field("name").as_str().unwrap_or("").to_string(),
+            kind: kind.to_string(),
             subject: args.get_field("subject").as_f64().unwrap_or(0.0) as u64,
             start: ts,
-            end: ts + dur,
+            end,
             cause: gets("cause"),
             outcome: gets("outcome"),
             plan: gets("plan"),
@@ -555,7 +567,8 @@ pub fn explain_machine(rec: &FlightRecording, machine: u64) -> String {
 /// The `k` tasks with the largest queue-to-first-run latency, each with
 /// its full causal chain. Tasks that never reached `running` are ranked
 /// by their total recorded extent instead (they are the pathological
-/// cases worth reading).
+/// cases worth reading). A task on several tracks (two schedulers, a
+/// spill) is ranked once, by its worst track.
 pub fn explain_worst(rec: &FlightRecording, k: usize) -> String {
     /// Per-task latency accumulator: earliest queue, earliest run, max extent.
     type Milestones = (Option<u64>, Option<u64>, u64);
@@ -575,19 +588,20 @@ pub fn explain_worst(rec: &FlightRecording, k: usize) -> String {
         }
         e.2 = e.2.max(s.end);
     }
-    let mut ranked: Vec<(u64, u64)> = by_task
-        .iter()
-        .filter_map(|(&(_, subject), &(queued, running, extent))| {
-            let q = queued?;
-            let latency = match running {
-                Some(r) if r >= q => r - q,
-                _ => extent.saturating_sub(q),
-            };
-            Some((latency, subject))
-        })
-        .collect();
+    let mut worst: HashMap<u64, u64> = HashMap::new();
+    for (&(_, subject), &(queued, running, extent)) in &by_task {
+        let Some(q) = queued else {
+            continue;
+        };
+        let latency = match running {
+            Some(r) if r >= q => r - q,
+            _ => extent.saturating_sub(q),
+        };
+        let w = worst.entry(subject).or_insert(latency);
+        *w = (*w).max(latency);
+    }
+    let mut ranked: Vec<(u64, u64)> = worst.into_iter().map(|(s, l)| (l, s)).collect();
     ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    ranked.dedup_by_key(|&mut (_, subject)| subject);
     if ranked.is_empty() {
         return "no task spans recorded".to_string();
     }
@@ -761,6 +775,45 @@ mod tests {
         let pos1 = text.find("task 1").expect("second-worst listed");
         assert!(pos2 < pos1, "ranked by latency desc:\n{text}");
         assert!(!text.contains("#3"), "only k entries");
+    }
+
+    #[test]
+    fn worst_latency_lists_a_task_on_two_tracks_once() {
+        let waited = |waits: &[(u64, u64)]| {
+            let mut log = SpanLog::new();
+            for &(task, wait) in waits {
+                log.open_task(task, "queued", 100, "arrival");
+                log.close_task_with(task, 100 + wait, "placed", "p", "", 1, 1);
+                log.open_task_full(task, "running", 100 + wait, "placed", "p", "", 0, 1, 1);
+                log.close_task(task, 100 + wait + 10, "finished");
+            }
+            log
+        };
+        let mut obs = Observations::default();
+        obs.spans
+            .push(("main_only.hot".to_string(), waited(&[(1, 900), (2, 500)])));
+        obs.spans
+            .push(("enhanced.hot".to_string(), waited(&[(1, 100), (2, 500)])));
+        let rec = parse_trace(&trace_document(&obs, false)).unwrap();
+        let text = explain_worst(&rec, 3);
+        let headers: Vec<&str> = text.lines().filter(|l| l.starts_with('#')).collect();
+        assert_eq!(headers.len(), 2, "one entry per task:\n{text}");
+        assert!(headers[0].starts_with("#1 task 1 — 0.900ms"), "{text}");
+        assert!(headers[1].starts_with("#2 task 2 — 0.500ms"), "{text}");
+    }
+
+    #[test]
+    fn span_end_past_the_time_axis_is_an_error() {
+        let doc = serde_json::json!({
+            "traceEvents": [
+                {"name": "process_name", "ph": "M", "pid": 1, "args": {"name": "a.b tasks"}},
+                {"name": "queued", "cat": "task", "ph": "X", "pid": 1, "tid": 1,
+                 "ts": 1.8e19, "dur": 1.8e19, "args": {"subject": 1}}
+            ]
+        });
+        let err = parse_trace(&doc).unwrap_err().to_string();
+        assert!(err.contains("traceEvents[1]"), "{err}");
+        assert!(err.contains("\"queued\""), "{err}");
     }
 
     #[test]

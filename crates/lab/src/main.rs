@@ -49,6 +49,7 @@
 //! baseline regresses on any increase) — so CI can diff two runs
 //! directly.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use ctlm_bench::ParsedArgs;
@@ -199,9 +200,15 @@ fn number<T: std::str::FromStr>(args: &ParsedArgs, name: &str) -> Result<Option<
         .transpose()
 }
 
-/// Writes one output document (newline-terminated) and says so.
+/// Writes one output document (newline-terminated) and says so. The
+/// newline is a second write, not a copy of the document.
 fn write_json(what: &str, path: &str, json: &str) -> Result<(), String> {
-    std::fs::write(path, format!("{json}\n")).map_err(|e| format!("cannot write {path:?}: {e}"))?;
+    let write = || -> std::io::Result<()> {
+        let mut file = std::fs::File::create(path)?;
+        file.write_all(json.as_bytes())?;
+        file.write_all(b"\n")
+    };
+    write().map_err(|e| format!("cannot write {path:?}: {e}"))?;
     eprintln!("{what} written to {path}");
     Ok(())
 }

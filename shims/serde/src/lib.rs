@@ -7,7 +7,13 @@
 //! traits for plain structs and enums. The wire format is self-consistent
 //! within this workspace (maps serialize as arrays of `[key, value]`
 //! pairs; enums are externally tagged like real serde).
+//!
+//! Printing borrows: `serde_json` renders from [`Serialize::as_value`],
+//! which a [`Value`] answers with itself, so a tree built by hand (the
+//! flight-recorder document) is printed without being copied. Every
+//! other type lowers through its one `to_value` call.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::time::Duration;
@@ -152,6 +158,14 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// The value-tree form of `self`.
     fn to_value(&self) -> Value;
+
+    /// The value-tree form of `self`, borrowed where it already is one:
+    /// a [`Value`] lends itself, every other type lowers through
+    /// [`Serialize::to_value`]. Printers read this, so printing a
+    /// `Value` never copies it.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Rebuilds a type from a [`Value`] tree.
@@ -163,6 +177,10 @@ pub trait Deserialize: Sized {
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
     }
 }
 
@@ -266,6 +284,10 @@ impl Deserialize for String {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 

@@ -6,6 +6,11 @@
 //! `f32` payloads round-trip exactly through `f64`). Integral numbers are
 //! emitted without a fractional part so the output looks like ordinary
 //! JSON.
+//!
+//! The printers borrow a [`Value`] ([`serde::Serialize::as_value`]) and
+//! write straight into the output `String`: printing a tree costs only
+//! that buffer's growth — no copy of the tree, no per-node indentation
+//! or number-formatting temporaries.
 
 use std::fmt::Write as _;
 
@@ -14,7 +19,7 @@ pub use serde::{Error, Value};
 /// Serializes a value to a JSON string.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out)?;
+    write_value(&value.as_value(), &mut out)?;
     Ok(out)
 }
 
@@ -28,39 +33,44 @@ pub fn to_vec<T: serde::Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error>
 /// newline) — for documents meant to be read, like `ctlm-lab` reports.
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value_pretty(&value.to_value(), 0, &mut out)?;
+    write_value_pretty(&value.as_value(), 0, &mut out)?;
     Ok(out)
 }
 
+/// A newline and then `depth` two-space indents.
+fn newline_indent(depth: usize, out: &mut String) {
+    out.push('\n');
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+}
+
 fn write_value_pretty(v: &Value, depth: usize, out: &mut String) -> Result<(), Error> {
-    let pad = "  ".repeat(depth + 1);
     match v {
         Value::Array(items) if !items.is_empty() => {
-            out.push_str("[\n");
+            out.push('[');
             for (i, item) in items.iter().enumerate() {
-                out.push_str(&pad);
-                write_value_pretty(item, depth + 1, out)?;
-                if i + 1 < items.len() {
+                if i > 0 {
                     out.push(',');
                 }
-                out.push('\n');
+                newline_indent(depth + 1, out);
+                write_value_pretty(item, depth + 1, out)?;
             }
-            out.push_str(&"  ".repeat(depth));
+            newline_indent(depth, out);
             out.push(']');
         }
         Value::Object(pairs) if !pairs.is_empty() => {
-            out.push_str("{\n");
+            out.push('{');
             for (i, (k, val)) in pairs.iter().enumerate() {
-                out.push_str(&pad);
+                if i > 0 {
+                    out.push(',');
+                }
+                newline_indent(depth + 1, out);
                 write_string(k, out);
                 out.push_str(": ");
                 write_value_pretty(val, depth + 1, out)?;
-                if i + 1 < pairs.len() {
-                    out.push(',');
-                }
-                out.push('\n');
             }
-            out.push_str(&"  ".repeat(depth));
+            newline_indent(depth, out);
             out.push('}');
         }
         leaf => write_value(leaf, out)?,
@@ -112,7 +122,7 @@ fn write_value(v: &Value, out: &mut String) -> Result<(), Error> {
                 )));
             }
             if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                write!(out, "{}", *n as i64).expect("string write");
+                write_int(*n as i64, out);
             } else {
                 write!(out, "{n}").expect("string write");
             }
@@ -144,21 +154,52 @@ fn write_value(v: &Value, out: &mut String) -> Result<(), Error> {
     Ok(())
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("string write");
-            }
-            c => out.push(c),
+/// An integer in decimal, without going through `fmt`.
+fn write_int(n: i64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut pos = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        pos -= 1;
+        digits[pos] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
+    if n < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[pos..]).expect("ASCII digits"));
+}
+
+/// A quoted, escaped string. Runs with nothing to escape are pushed
+/// whole; every escaped byte is ASCII, so the run bounds are char
+/// boundaries.
+fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -339,12 +380,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // A run with nothing to unescape, copied whole. It
+                    // ends at an ASCII byte, so it is whole characters.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|e| Error::msg(e.to_string()))?;
-                    let c = rest.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -410,6 +454,15 @@ mod tests {
     }
 
     #[test]
+    fn parses_a_long_string_in_one_pass() {
+        // Decoding once re-validated the rest of the document per
+        // character: quadratic, so this 3 MB string never finished.
+        let long = "é✓x".repeat(1 << 19);
+        let back: Value = from_str(&to_string(&long).unwrap()).unwrap();
+        assert_eq!(back.as_str(), Some(long.as_str()));
+    }
+
+    #[test]
     fn rejects_trailing_garbage() {
         assert!(from_str::<Value>("{} x").is_err());
     }
@@ -424,6 +477,59 @@ mod tests {
         );
         let back: Value = from_str(&pretty).unwrap();
         assert_eq!(v, back);
+    }
+
+    /// Every case the writer special-cases: escapes, non-ASCII, signed
+    /// and negative-zero integers, both sides of the 9e15 integer
+    /// cut-off, fractions, empty containers.
+    fn writer_cases() -> Value {
+        json!({
+            "k\"ey": "q\"b\\n\nc\u{1}\t\r\u{1f}",
+            "utf8": "héllo ✓ 日本",
+            "ints": [(-42), 0, (-0.0f64)],
+            "big": [8.99e15, 9.1e15],
+            "frac": [0.5, (-2.25), 1e-7],
+            "empty": {"a": [], "o": {}}
+        })
+    }
+
+    #[test]
+    fn compact_text_is_pinned() {
+        assert_eq!(
+            to_string(&writer_cases()).unwrap(),
+            r#"{"k\"ey":"q\"b\\n\nc\u0001\t\r\u001f","utf8":"héllo ✓ 日本","ints":[-42,0,0],"big":[8990000000000000,9100000000000000],"frac":[0.5,-2.25,0.0000001],"empty":{"a":[],"o":{}}}"#
+        );
+    }
+
+    #[test]
+    fn pretty_text_is_pinned() {
+        let pretty = to_string_pretty(&writer_cases()).unwrap();
+        assert_eq!(
+            pretty,
+            r#"{
+  "k\"ey": "q\"b\\n\nc\u0001\t\r\u001f",
+  "utf8": "héllo ✓ 日本",
+  "ints": [
+    -42,
+    0,
+    0
+  ],
+  "big": [
+    8990000000000000,
+    9100000000000000
+  ],
+  "frac": [
+    0.5,
+    -2.25,
+    0.0000001
+  ],
+  "empty": {
+    "a": [],
+    "o": {}
+  }
+}"#
+        );
+        assert_eq!(from_str::<Value>(&pretty).unwrap(), writer_cases());
     }
 
     #[test]
