@@ -26,7 +26,9 @@ use ctlm_trace::TaskConstraint;
 #[derive(Clone, Debug)]
 pub struct TaskCoAnalyzer {
     net: Arc<Net>,
-    vocab: ValueVocab,
+    /// Shared, not owned: a retrainer hot-swapping analyzers over one
+    /// vocabulary hands each the same `Arc` instead of a deep copy.
+    vocab: Arc<ValueVocab>,
     /// Groups at or below this threshold are flagged high-priority
     /// (paper: Group 0 — tasks allocable to a single node).
     pub priority_threshold: u8,
@@ -34,11 +36,13 @@ pub struct TaskCoAnalyzer {
 
 impl TaskCoAnalyzer {
     /// Builds an analyzer from a trained network and the vocabulary it
-    /// was trained against.
+    /// was trained against (owned, or an `Arc` shared with other
+    /// analyzers).
     ///
     /// # Panics
     /// Panics when the network width disagrees with the vocabulary.
-    pub fn new(net: Net, vocab: ValueVocab) -> Self {
+    pub fn new(net: Net, vocab: impl Into<Arc<ValueVocab>>) -> Self {
+        let vocab = vocab.into();
         assert_eq!(
             net.in_features(),
             vocab.len(),

@@ -13,6 +13,8 @@
 //! 4. on acceptance-failure after 100 epochs, discards the pre-trained
 //!    model and reinitialises (fail-fast), up to ten attempts.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use ctlm_data::dataset::Dataset;
@@ -100,7 +102,8 @@ impl GrowingModel {
     /// # Panics
     /// Panics when untrained or when `vocab` is narrower than
     /// [`features`](Self::features).
-    pub fn analyzer(&self, vocab: ValueVocab) -> TaskCoAnalyzer {
+    pub fn analyzer(&self, vocab: impl Into<Arc<ValueVocab>>) -> TaskCoAnalyzer {
+        let vocab = vocab.into();
         TaskCoAnalyzer::new(self.to_net_padded(vocab.len()), vocab)
     }
 

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 use ctlm_trace::{AttrId, AttrValue, ConstraintOp, TaskConstraint};
 
 /// Presence demanded of the attribute.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Presence {
     /// No presence requirement beyond what other fields imply.
     Any,
@@ -36,7 +36,12 @@ pub enum Presence {
 }
 
 /// The collapsed normal form of all constraints on one attribute.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// `Eq + Hash` make a collapsed set (`[AttrRequirement]`) a map key:
+/// everything that is a pure function of a task's constraints — its
+/// ground-truth suitable count, its CO-VV row, its routing decision —
+/// can be computed once per distinct set.
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AttrRequirement {
     /// The attribute this requirement constrains.
     pub attr: AttrId,
@@ -509,6 +514,49 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(reqs.iter().map(|r| r.attr).collect::<Vec<_>>(), vec![5, 2]);
+    }
+
+    /// The collapsed set is the memo key for per-set work, so constraint
+    /// lists that differ only in operator order or redundant bounds must
+    /// land on one key: `==` and the same hash.
+    #[test]
+    fn reordered_and_redundant_constraints_collapse_to_one_key() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |reqs: &[AttrRequirement]| {
+            let mut h = DefaultHasher::new();
+            reqs.hash(&mut h);
+            h.finish()
+        };
+        let a = collapse(&[
+            c(0, Op::LessThan(8)),
+            c(0, Op::LessThan(3)),
+            c(0, Op::GreaterThan(0)),
+            c(1, Op::NotEqual("x".into())),
+            c(1, Op::NotEqual("y".into())),
+        ])
+        .unwrap();
+        let b = collapse(&[
+            c(0, Op::GreaterThanEqual(1)),
+            c(1, Op::NotEqual("y".into())),
+            c(0, Op::LessThanEqual(2)),
+            c(1, Op::NotEqual("x".into())),
+            c(1, Op::NotEqual("y".into())),
+            c(0, Op::NotEqual(iv(7))),
+        ])
+        .unwrap();
+        assert_eq!(a, b);
+        assert_eq!(hash(&a), hash(&b));
+        // Attribute order is part of the key: a different first
+        // appearance is a second key (a memo miss), never a false hit.
+        let swapped = collapse(&[
+            c(1, Op::NotEqual("x".into())),
+            c(1, Op::NotEqual("y".into())),
+            c(0, Op::GreaterThan(0)),
+            c(0, Op::LessThan(3)),
+        ])
+        .unwrap();
+        assert_ne!(a, swapped);
     }
 
     #[test]

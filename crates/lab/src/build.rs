@@ -5,10 +5,12 @@
 //! attributes in that same order, and all randomness flows through
 //! seeded [`StdRng`]s — the property the determinism tests pin down.
 
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 
+use ctlm_data::compaction::AttrRequirement;
 use ctlm_data::dataset::{Dataset, DatasetBuilder, NUM_GROUPS};
 use ctlm_data::encode::co_vv::CoVvEncoder;
 use ctlm_data::vocab::ValueVocab;
@@ -155,11 +157,15 @@ impl BuiltCell {
             );
             let width = self.vocab.len();
             let mut b = DatasetBuilder::new(width, NUM_GROUPS);
+            // A row is a pure function of the collapsed set: encode each
+            // distinct set once. Only looked up, never iterated — hash
+            // order reaches no output.
+            let mut rows: HashMap<&[AttrRequirement], Vec<(usize, f32)>> = HashMap::new();
             for t in arrivals {
-                b.push(
-                    CoVvEncoder.encode_requirements(&t.reqs, &self.vocab),
-                    t.truth_group,
-                );
+                let row = rows
+                    .entry(t.reqs.as_slice())
+                    .or_insert_with(|| CoVvEncoder.encode_requirements(&t.reqs, &self.vocab));
+                b.push(row.iter().copied(), t.truth_group);
             }
             b.finish(width)
         })

@@ -50,10 +50,12 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use ctlm_autoscale::{AutoscaleStats, Autoscaler};
 use ctlm_core::ModelRegistry;
 use ctlm_core::{GrowingModel, TrainConfig};
+use ctlm_data::vocab::ValueVocab;
 use ctlm_sched::engine::{CellHandle, EngineState, SpillRoute, PRIO_ADMIT, PRIO_STATE};
 use ctlm_sched::scenario::{ChurnSource, GangSource, RolloutSource};
 use ctlm_sched::timed::next_tick;
@@ -588,6 +590,9 @@ fn run_cells(
 /// itself is a binary search, whatever the run's length.
 pub struct RetrainSource<'a> {
     cell: &'a BuiltCell,
+    /// The cell's vocabulary, shared by every analyzer the source
+    /// installs.
+    vocab: Arc<ValueVocab>,
     model: GrowingModel,
     registry: ModelRegistry,
     next: Option<Micros>,
@@ -611,6 +616,7 @@ impl<'a> RetrainSource<'a> {
     ) -> Self {
         Self {
             cell,
+            vocab: Arc::new(cell.vocab.clone()),
             model: GrowingModel::new(config),
             registry,
             next: Some(if cadence.start > 0 {
@@ -654,7 +660,7 @@ impl TimedSource for RetrainSource<'_> {
                 self.seed ^ self.ticks.wrapping_mul(0x9E37_79B9),
             );
             self.registry
-                .install(self.model.analyzer(self.cell.vocab.clone()));
+                .install(self.model.analyzer(self.vocab.clone()));
             self.ticks += 1;
         }
         self.next = next_tick(now, self.period, self.horizon);

@@ -12,9 +12,11 @@
 //!
 //! One caveat, documented rather than hidden: above
 //! `ctlm_tensor::ops::PAR_THRESHOLD` output rows the kernels take their
-//! Rayon path, and the thread-pool shim allocates while dispatching. The
-//! zero-allocation guarantee is for the sequential path; the parallel
-//! path trades those dispatch allocations for multi-core throughput.
+//! Rayon path, and at a pool width above one the thread-pool shim
+//! allocates while dispatching. At width 1 those paths run inline and
+//! allocate nothing either, so the guarantee covers every batch size
+//! there (the test pins the trainer's 128-row batch); wider pools trade
+//! the dispatch allocations for multi-core throughput.
 
 use ctlm_tensor::Matrix;
 

@@ -2,12 +2,13 @@
 //! gather, forward, weighted loss, backward, Adam — performs zero heap
 //! allocations once buffers have warmed up.
 //!
-//! A counting global allocator wraps the system one; the test warms every
+//! A counting global allocator wraps the system one; each test warms every
 //! buffer with a few steps, then asserts the allocation counter does not
-//! move for subsequent steps. Shapes stay below
-//! `ctlm_tensor::ops::PAR_THRESHOLD` because the guarantee is for the
-//! sequential path (the Rayon shim allocates while dispatching workers —
-//! see `ctlm_nn::workspace`).
+//! move for subsequent steps. One batch shape stays below
+//! `ctlm_tensor::ops::PAR_THRESHOLD`; the other is the trainer's 128 rows,
+//! above it, at pool width 1 — where the kernels' parallel paths run
+//! inline. Above width 1 the Rayon shim allocates while dispatching
+//! workers (see `ctlm_nn::workspace`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -64,18 +65,17 @@ fn batch(n: usize, d: usize, seed: u64) -> (Csr, Vec<u8>) {
     (b.finish(), y)
 }
 
-#[test]
-fn steady_state_training_step_does_not_allocate() {
-    // Paper-shaped model below the parallel threshold: batch 48, 40
-    // features, hidden 30, 26 classes.
-    let (n, d) = (48usize, 40usize);
+/// Warms a paper-shaped model (hidden 30, 26 classes) on `n`-row batches
+/// of `d` features, then asserts five more epochs of steps allocate
+/// nothing.
+fn assert_steady_state_steps_do_not_allocate(n: usize, d: usize) {
     let mut rng = seeded_rng(7);
     let mut net = Net::two_layer(d, 30, 26, &mut rng);
     let loss_fn = CrossEntropyLoss::group0_boosted(26, 200.0);
     let mut opt = Adam::paper_default();
     let mut ws = Workspace::new();
 
-    let (full, labels) = batch(n * 4, d, 1);
+    let (full, labels) = batch(n * 4 - 5, d, 1);
     let order: Vec<usize> = (0..full.rows()).collect();
     let mut xb = Csr::empty(0, d);
     let mut yb: Vec<u8> = Vec::new();
@@ -112,9 +112,28 @@ fn steady_state_training_step_does_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "steady-state training steps allocated {} times",
+        "steady-state {n}-row training steps allocated {} times",
         after - before
     );
+}
+
+#[test]
+fn steady_state_training_step_does_not_allocate() {
+    // Below the parallel threshold: every kernel takes its sequential
+    // path, whatever the pool width.
+    const { assert!(48 < ctlm_tensor::ops::PAR_THRESHOLD) };
+    assert_steady_state_steps_do_not_allocate(48, 40);
+}
+
+#[test]
+fn steady_state_trainer_sized_step_does_not_allocate_at_width_one() {
+    // The trainer's batch size, above the parallel threshold, at the pool
+    // width the benchmark pins. The shim reads its width once, on the
+    // first parallel call, and no other test in this binary makes one.
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    assert_eq!(rayon::current_num_threads(), 1, "pool width already fixed");
+    const { assert!(128 >= ctlm_tensor::ops::PAR_THRESHOLD) };
+    assert_steady_state_steps_do_not_allocate(128, 40);
 }
 
 #[test]

@@ -49,7 +49,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use ctlm_data::compaction::collapse;
+use ctlm_data::compaction::{collapse, AttrRequirement};
 use ctlm_sim::{CompId, Component, Ctx, Event, Sim};
 use ctlm_telemetry::{SpanLog, TraceEvent, TraceRing};
 use ctlm_trace::{
@@ -1060,6 +1060,10 @@ pub fn arrivals_from_trace(
         }
     }
     let mut arrivals = Vec::new();
+    // The index is fixed from here on, so a suitable count is a pure
+    // function of the collapsed set: one index walk per distinct set.
+    // Only looked up, never iterated — hash order reaches no output.
+    let mut suitable_by_set: HashMap<Vec<AttrRequirement>, usize> = HashMap::new();
     for ev in &trace.events {
         if arrivals.len() >= max_tasks {
             break;
@@ -1068,7 +1072,14 @@ pub fn arrivals_from_trace(
             let Ok(reqs) = collapse(&task.constraints) else {
                 continue;
             };
-            let suitable = index.count_matching(&reqs);
+            let suitable = match suitable_by_set.get(reqs.as_slice()) {
+                Some(&n) => n,
+                None => {
+                    let n = index.count_matching(&reqs);
+                    suitable_by_set.insert(reqs.clone(), n);
+                    n
+                }
+            };
             arrivals.extend(PendingTask::from_submission(
                 task,
                 reqs,

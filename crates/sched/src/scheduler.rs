@@ -7,9 +7,11 @@
 //! high-priority queue (served with preemption fallback ahead of the
 //! main queue) or the main FIFO queue.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use ctlm_core::{ModelRegistry, TaskCoAnalyzer};
+use ctlm_data::compaction::AttrRequirement;
 
 use crate::queue::PendingTask;
 
@@ -43,18 +45,22 @@ impl Scheduler for MainOnly {
 #[derive(Clone, Debug)]
 pub struct Enhanced {
     analyzer: Arc<TaskCoAnalyzer>,
+    decisions: Decisions,
 }
 
 impl Enhanced {
     /// An enhanced scheduler around a trained analyzer.
     pub fn new(analyzer: Arc<TaskCoAnalyzer>) -> Self {
-        Self { analyzer }
+        Self {
+            analyzer,
+            decisions: Decisions::default(),
+        }
     }
 }
 
 impl Scheduler for Enhanced {
     fn route_high_priority(&mut self, task: &PendingTask) -> bool {
-        flags(&self.analyzer, task)
+        self.decisions.flags(&self.analyzer, task)
     }
     fn name(&self) -> &'static str {
         "enhanced"
@@ -85,6 +91,9 @@ pub struct LiveRegistry {
     /// Cached analyzer, refreshed only when the registry version moves —
     /// keeps the per-task cost at one atomic load.
     cached: Option<(u64, Arc<TaskCoAnalyzer>)>,
+    /// Decisions of the cached analyzer; cleared on every refresh, so an
+    /// install, a poison and a heal each route afresh.
+    decisions: Decisions,
 }
 
 impl LiveRegistry {
@@ -93,11 +102,13 @@ impl LiveRegistry {
         Self {
             registry,
             cached: None,
+            decisions: Decisions::default(),
         }
     }
 
-    /// Number of distinct model versions this scheduler has routed with
-    /// (0 until the first install lands).
+    /// The registry version this scheduler last routed with. It counts
+    /// every registry bump — installs, poisons and heals — and reads 0
+    /// until the first install lands and while the registry is degraded.
     pub fn model_version(&self) -> u64 {
         self.cached.as_ref().map(|(v, _)| *v).unwrap_or(0)
     }
@@ -108,9 +119,10 @@ impl Scheduler for LiveRegistry {
         let v = self.registry.version();
         if self.cached.as_ref().map(|(cv, _)| *cv) != Some(v) {
             self.cached = self.registry.get().map(|a| (v, a));
+            self.decisions.clear();
         }
         match &self.cached {
-            Some((_, analyzer)) => flags(analyzer, task),
+            Some((_, analyzer)) => self.decisions.flags(analyzer, task),
             None => false,
         }
     }
@@ -119,12 +131,34 @@ impl Scheduler for LiveRegistry {
     }
 }
 
-/// The model-backed routing rule: a constrained task whose predicted
-/// group is at or below the analyzer's priority threshold. The queue
-/// stores collapsed requirements, so this is
-/// [`TaskCoAnalyzer::group_of`] directly — no second collapse.
-fn flags(analyzer: &TaskCoAnalyzer, task: &PendingTask) -> bool {
-    !task.reqs.is_empty() && analyzer.group_of(&task.reqs) <= analyzer.priority_threshold
+/// One analyzer's routing decisions, memoised per distinct collapsed
+/// requirement set — the decision is a pure function of the set, and a
+/// trace repeats a few hundred sets across thousands of tasks. Only
+/// looked up, never iterated, so hash order reaches no output. The owner
+/// clears it whenever its analyzer changes.
+#[derive(Clone, Debug, Default)]
+struct Decisions(HashMap<Vec<AttrRequirement>, bool>);
+
+impl Decisions {
+    /// The model-backed routing rule: a constrained task whose predicted
+    /// group is at or below the analyzer's priority threshold. The queue
+    /// stores collapsed requirements, so a miss is
+    /// [`TaskCoAnalyzer::group_of`] directly — no second collapse.
+    fn flags(&mut self, analyzer: &TaskCoAnalyzer, task: &PendingTask) -> bool {
+        if task.reqs.is_empty() {
+            return false;
+        }
+        if let Some(&flag) = self.0.get(task.reqs.as_slice()) {
+            return flag;
+        }
+        let flag = analyzer.group_of(&task.reqs) <= analyzer.priority_threshold;
+        self.0.insert(task.reqs.clone(), flag);
+        flag
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
 }
 
 #[cfg(test)]
@@ -161,5 +195,56 @@ mod tests {
         let mut s = LiveRegistry::new(ModelRegistry::new());
         assert!(!s.route_high_priority(&task(0)));
         assert_eq!(s.model_version(), 0);
+    }
+
+    /// An analyzer whose network answers `group` for every row: a
+    /// zero-weight input layer and an output bias that picks the class.
+    fn constant_analyzer(group: usize) -> TaskCoAnalyzer {
+        use ctlm_data::vocab::ValueVocab;
+        use ctlm_nn::{Layer, Linear, Net, SparseLinear};
+        use ctlm_trace::AttrValue;
+        let mut vocab = ValueVocab::new();
+        vocab.observe(0, &AttrValue::Int(0));
+        let mut out = Linear::zeros(1, ctlm_data::dataset::NUM_GROUPS);
+        out.bias[group] = 1.0;
+        let net = Net::from_layers(
+            SparseLinear::zeros(vocab.len(), 1),
+            vec![Layer::Linear(out)],
+        );
+        TaskCoAnalyzer::new(net, vocab)
+    }
+
+    fn pinned_task() -> PendingTask {
+        use ctlm_data::compaction::collapse;
+        use ctlm_trace::{AttrValue, ConstraintOp as Op, TaskConstraint};
+        PendingTask {
+            reqs: collapse(&[TaskConstraint::new(0, Op::Equal(Some(AttrValue::Int(0))))]).unwrap(),
+            ..task(0)
+        }
+    }
+
+    /// Two models disagree on one set; the scheduler's per-set memo must
+    /// follow whichever model is current at each moment — install A,
+    /// install B, poison, heal.
+    #[test]
+    fn live_registry_decisions_follow_the_current_model() {
+        let registry = ModelRegistry::new();
+        let mut s = LiveRegistry::new(registry.clone());
+        let t = pinned_task();
+        registry.install(constant_analyzer(0));
+        assert!(s.route_high_priority(&t), "A flags group 0");
+        assert!(s.route_high_priority(&t), "A, memoised");
+        assert_eq!(s.model_version(), 1);
+        registry.install(constant_analyzer(5));
+        assert!(!s.route_high_priority(&t), "B predicts group 5");
+        assert_eq!(s.model_version(), 2);
+        registry.poison();
+        assert!(!s.route_high_priority(&t), "degraded: no model");
+        assert_eq!(s.model_version(), 0);
+        registry.heal();
+        assert!(!s.route_high_priority(&t), "healed back to B");
+        assert_eq!(s.model_version(), 4);
+        registry.install(constant_analyzer(0));
+        assert!(s.route_high_priority(&t), "A again");
     }
 }

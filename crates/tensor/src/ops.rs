@@ -56,6 +56,10 @@ const NR: usize = 4;
 /// Edge length of the square tiles used by [`transpose_into`].
 const TILE: usize = 32;
 
+/// Columns whose block partials [`col_sums_acc`] keeps on the stack at
+/// once (256 B): one strip covers the paper's layer widths (30, 26).
+const COL_STRIP: usize = 64;
+
 /// Dense GEMM: `a (n×k) · b (k×m) → out (n×m)`, into a caller-provided
 /// output (resized, fully overwritten).
 ///
@@ -482,9 +486,13 @@ pub fn add_bias(a: &mut Matrix, bias: &[f32]) {
 }
 
 /// Accumulating column sums: `out[c] += Σ_r a[r][c]` — the bias gradient
-/// `Σ_samples grad_out`. Sequential below
-/// [`PAR_THRESHOLD`] rows (and allocation-free there — the Workspace hot
-/// path); above it, row blocks reduce in parallel into per-block partials.
+/// `Σ_samples grad_out`. Allocation-free at every size (the Workspace hot
+/// path). Below [`PAR_THRESHOLD`] rows each column sums in row order;
+/// above it each column adds one partial per `MC`-row block, in block
+/// order. That association is pinned — trained weights, and so every
+/// model-backed report, depend on its bits. The partials of a
+/// 64-column strip live on the stack; a layer-wide output is too little
+/// work to be worth a pool dispatch.
 ///
 /// # Panics
 /// Panics when `out.len() != a.cols()`.
@@ -494,28 +502,28 @@ pub fn col_sums_acc(a: &Matrix, out: &mut [f32]) {
     if m == 0 {
         return;
     }
+    let data = a.as_slice();
     if n >= PAR_THRESHOLD {
-        let data = a.as_slice();
-        let blocks = n.div_ceil(MC);
-        let partials: Vec<Vec<f32>> = (0..blocks)
-            .into_par_iter()
-            .map(|b| {
-                let mut acc = vec![0.0f32; m];
-                for row in data[b * MC * m..((b + 1) * MC * m).min(data.len())].chunks_exact(m) {
-                    for (o, &v) in acc.iter_mut().zip(row.iter()) {
-                        *o += v;
+        for (strip, out_strip) in out.chunks_mut(COL_STRIP).enumerate() {
+            let c0 = strip * COL_STRIP;
+            let w = out_strip.len();
+            let mut partial = [0.0f32; COL_STRIP];
+            let partial = &mut partial[..w];
+            for block in data.chunks(MC * m) {
+                partial.fill(0.0);
+                for row in block.chunks_exact(m) {
+                    let row = &row[c0..c0 + w];
+                    for (p, &v) in partial.iter_mut().zip(row) {
+                        *p += v;
                     }
                 }
-                acc
-            })
-            .collect();
-        for p in partials {
-            for (o, v) in out.iter_mut().zip(p) {
-                *o += v;
+                for (o, &p) in out_strip.iter_mut().zip(partial.iter()) {
+                    *o += p;
+                }
             }
         }
     } else {
-        for row in a.as_slice().chunks_exact(m) {
+        for row in data.chunks_exact(m) {
             for (o, &v) in out.iter_mut().zip(row.iter()) {
                 *o += v;
             }
@@ -875,6 +883,28 @@ mod tests {
         let reference = naive::col_sums(&a);
         for (p, n) in par.iter().zip(reference.iter()) {
             assert!((p - n).abs() < 1e-3, "{p} vs {n}");
+        }
+    }
+
+    /// Above the threshold the association is pinned: per column, one
+    /// partial per `MC`-row block (summed from 0.0 in row order), added
+    /// onto `out` in block order. Trained weights depend on these bits.
+    #[test]
+    fn col_sums_adds_block_partials_in_block_order() {
+        let (n, m) = (3 * PAR_THRESHOLD + 7, 5);
+        let a = Matrix::from_fn(n, m, |r, c| (r as f32 * 0.37 + c as f32).sin() * 1e3);
+        let mut out = vec![0.25f32; m];
+        col_sums_acc(&a, &mut out);
+        for (c, &got) in out.iter().enumerate() {
+            let mut want = 0.25f32;
+            for b in 0..n.div_ceil(MC) {
+                let mut partial = 0.0f32;
+                for r in b * MC..((b + 1) * MC).min(n) {
+                    partial += a.get(r, c);
+                }
+                want += partial;
+            }
+            assert_eq!(got.to_bits(), want.to_bits(), "column {c}");
         }
     }
 

@@ -193,7 +193,8 @@ impl CsrBuilder {
 
     /// Appends a row given `(column, value)` pairs. Pairs need not be
     /// sorted; they are sorted here. Zero values are dropped; duplicate
-    /// columns keep the last value.
+    /// columns keep the last value. A row whose kept columns already
+    /// strictly increase (what the encoders emit) is stored as given.
     ///
     /// # Panics
     /// Panics if any column index is `>= cols()`.
@@ -205,6 +206,10 @@ impl CsrBuilder {
                 self.indices.push(c as u32);
                 self.values.push(v);
             }
+        }
+        if self.indices[start..].windows(2).all(|p| p[0] < p[1]) {
+            self.indptr.push(self.indices.len() as u32);
+            return;
         }
         // Sort the freshly appended slice by column and de-duplicate
         // (keeping the last write, matching dense overwrite semantics).
@@ -276,6 +281,17 @@ mod tests {
         assert_eq!(m.get(0, 2), 0.0);
         assert_eq!(m.get(2, 4), -1.0);
         assert_eq!(m.row_nnz(1), 0);
+    }
+
+    #[test]
+    fn push_row_sorts_dedups_last_write_wins_and_drops_zeros() {
+        let mut b = CsrBuilder::new(6);
+        b.push_row([(0, 1.0), (2, 2.0), (5, 3.0)]);
+        b.push_row([(4, 1.0), (1, 2.0), (4, 7.0), (3, 0.0), (0, 5.0), (1, 9.0)]);
+        let m = b.finish();
+        assert_eq!(m.indptr, vec![0, 3, 6]);
+        assert_eq!(m.indices, vec![0, 2, 5, 0, 1, 4]);
+        assert_eq!(m.values, vec![1.0, 2.0, 3.0, 5.0, 9.0, 7.0]);
     }
 
     #[test]
