@@ -23,6 +23,14 @@
 //! already seen. [`train_step`] is the same call over a whole
 //! [`Dataset`].
 //!
+//! CO-VV data repeats rows (every unconstrained task is the empty row),
+//! and work that depends only on a row runs once per distinct row:
+//! `Net::train_batch` forwards each distinct `(row, label)` pair of a
+//! batch once, and the test rows are reduced to their distinct rows when
+//! they are gathered, so each epoch predicts those and maps the
+//! predictions back. No float moves: a row's prediction does not depend
+//! on the rows beside it.
+//!
 //! Where a step's time goes is reported beside it: [`StepOutcome::phases`]
 //! splits `wall_time` into split, gather, forward + backward, gradient
 //! scaling, optimiser and evaluation (host plane only — it never reaches
@@ -36,7 +44,7 @@ use ctlm_data::dataset::{Dataset, NUM_GROUPS};
 use ctlm_data::metrics::Evaluation;
 use ctlm_data::split::{stratified_split, SplitConfig};
 use ctlm_nn::grad_scale::ColumnGradScale;
-use ctlm_nn::{Adam, BatchIter, CrossEntropyLoss, Net, Workspace};
+use ctlm_nn::{Adam, BatchIter, CrossEntropyLoss, Net, RowSlots, Workspace};
 use ctlm_tensor::init::seeded_rng;
 use ctlm_tensor::Csr;
 
@@ -94,7 +102,8 @@ impl Default for TrainConfig {
 /// [`StepRecord`](crate::pipeline::StepRecord).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StepPhases {
-    /// Stratified split, plus gathering the test rows.
+    /// Stratified split, plus gathering the test rows and finding the
+    /// distinct ones.
     pub split: Duration,
     /// Mini-batch gathers (`select_rows_into` + labels).
     pub gather: Duration,
@@ -231,10 +240,18 @@ pub fn train_rows(
             seed,
         },
     );
-    // The test side is read whole once per epoch, so it is gathered once;
-    // the training side is only ever read a mini-batch at a time.
-    let test_x = x.select_rows(&test_idx);
+    // The test side is read whole once per epoch, so it is gathered once,
+    // each distinct row stored once: an epoch predicts those rows and
+    // maps the predictions back. The training side is only ever read a
+    // mini-batch at a time.
     let test_y: Vec<u8> = test_idx.iter().map(|&i| y[i]).collect();
+    let mut test_slots = RowSlots::new();
+    let test_x = {
+        let all = x.select_rows(&test_idx);
+        test_slots.assign(&all, None);
+        all.select_rows(test_slots.firsts())
+    };
+    let mut pred: Vec<u8> = Vec::with_capacity(test_y.len());
     phases.split = lap.lap();
     let loss_fn = CrossEntropyLoss::group0_boosted(config.n_classes, config.group0_class_weight);
 
@@ -304,7 +321,14 @@ pub fn train_rows(
                 phases.optimiser += lap.lap();
             }
             // model.eval(); evaluate; early-exit when acceptable.
-            let pred = net.predict(&test_x);
+            let distinct_pred = net.predict(&test_x);
+            pred.clear();
+            pred.extend(
+                test_slots
+                    .slot_of()
+                    .iter()
+                    .map(|&s| distinct_pred[s as usize]),
+            );
             eval = Evaluation::compute(&test_y, &pred, config.n_classes);
             phases.evaluate += lap.lap();
             if accept(&eval, config) {
@@ -487,6 +511,49 @@ pub(crate) mod tests {
         assert_eq!(net_a.state_dict(), net_b.state_dict());
         assert_eq!(a.evaluation.accuracy, b.evaluation.accuracy);
         assert_eq!((a.epochs, a.attempts), (b.epochs, b.attempts));
+    }
+
+    /// Scoring each distinct test row once and mapping the predictions
+    /// back is scoring every test row: on data shaped like CO-VV (mostly
+    /// the empty row, the rest a few repeated rows), after every epoch.
+    #[test]
+    fn deduplicated_evaluation_equals_scoring_every_test_row() {
+        use ctlm_data::split::{stratified_split, SplitConfig};
+        use rand::Rng;
+        let mut rng = seeded_rng(8);
+        let mut b = DatasetBuilder::new(40, NUM_GROUPS);
+        for _ in 0..600 {
+            if rng.gen_bool(0.8) {
+                b.push(std::iter::empty::<(usize, f32)>(), 25);
+            } else {
+                let set = rng.gen_range(0..8usize);
+                b.push((set..40).step_by(3).map(|c| (c, 1.0)), set as u8);
+            }
+        }
+        let ds = b.snapshot(40);
+        let seed = 8;
+        let base = TrainConfig {
+            max_attempts: 1,
+            accepted_accuracy: 2.0,
+            ..TrainConfig::default()
+        };
+        let split = SplitConfig {
+            test_fraction: base.test_fraction,
+            seed,
+        };
+        let (_, test_idx) = stratified_split(&ds.y, split);
+        let test_x = ds.x.select_rows(&test_idx);
+        let test_y: Vec<u8> = test_idx.iter().map(|&i| ds.y[i]).collect();
+        for epochs in 1..=4 {
+            let cfg = TrainConfig {
+                epochs_limit: epochs,
+                ..base
+            };
+            let (out, net) = train_step(&ds, &cfg, seed, None, |s| fresh_two_layer(40, &cfg, s));
+            assert_eq!(out.epochs, epochs);
+            let direct = Evaluation::compute(&test_y, &net.predict(&test_x), cfg.n_classes);
+            assert_eq!(out.evaluation, direct, "after epoch {epochs}");
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! * [`split`] — stratified train/test splitting (the paper stratifies
 //!   whenever every class has at least two samples).
 //! * [`metrics`] — accuracy, confusion matrices and per-class F1 (the
-//!   evaluation tracks overall accuracy and Group-0 F1).
+//!   evaluation tracks overall accuracy and Group-0 F1, counted in one
+//!   pass).
 
 pub mod compaction;
 pub mod dataset;

@@ -2,8 +2,10 @@
 //!
 //! The paper's evaluation reports two numbers per model and step: overall
 //! accuracy and the F1 score of Group 0 (tasks allocable to a single
-//! node). We additionally expose the full confusion matrix and per-class
-//! precision/recall, which the ablation benches use.
+//! node); [`Evaluation::compute`] counts both in one allocation-free pass,
+//! since the trainer scores every epoch. The full confusion matrix and
+//! per-class precision / recall / F1 are kept for inspection, and as the
+//! reference the tests pin `Evaluation` to.
 
 use serde::{Deserialize, Serialize};
 
@@ -33,10 +35,10 @@ pub fn confusion_matrix(truth: &[u8], pred: &[u8], n_classes: usize) -> Vec<Vec<
     m
 }
 
-/// Per-class `(precision, recall, f1)`. Classes absent from both truth and
-/// predictions report `(1, 1, 1)` by the scikit-learn zero-division=1
-/// convention is *not* used here; we use the more common 0.0 for undefined
-/// precision/recall but define F1 of an absent class as `None`.
+/// Per-class `(precision, recall, f1)`. A class absent from both truth
+/// and predictions reports `None`; otherwise an undefined precision or
+/// recall is 0.0 (scikit-learn's `zero_division=1` convention, which
+/// would report `(1, 1, 1)`, is *not* used).
 pub fn f1_scores(truth: &[u8], pred: &[u8], n_classes: usize) -> Vec<Option<(f64, f64, f64)>> {
     let m = confusion_matrix(truth, pred, n_classes);
     (0..n_classes)
@@ -44,27 +46,31 @@ pub fn f1_scores(truth: &[u8], pred: &[u8], n_classes: usize) -> Vec<Option<(f64
             let tp = m[c][c];
             let fn_: usize = (0..n_classes).filter(|&p| p != c).map(|p| m[c][p]).sum();
             let fp: usize = (0..n_classes).filter(|&t| t != c).map(|t| m[t][c]).sum();
-            if tp + fn_ + fp == 0 {
-                return None; // class absent everywhere
-            }
-            let precision = if tp + fp == 0 {
-                0.0
-            } else {
-                tp as f64 / (tp + fp) as f64
-            };
-            let recall = if tp + fn_ == 0 {
-                0.0
-            } else {
-                tp as f64 / (tp + fn_) as f64
-            };
-            let f1 = if precision + recall == 0.0 {
-                0.0
-            } else {
-                2.0 * precision * recall / (precision + recall)
-            };
-            Some((precision, recall, f1))
+            // `None` when the class is absent everywhere.
+            (tp + fn_ + fp > 0).then(|| precision_recall_f1(tp, fp, fn_))
         })
         .collect()
+}
+
+/// `(precision, recall, f1)` from one class's counts, 0.0 where a ratio
+/// is undefined.
+fn precision_recall_f1(tp: usize, fp: usize, fn_: usize) -> (f64, f64, f64) {
+    let precision = if tp + fp == 0 {
+        0.0
+    } else {
+        tp as f64 / (tp + fp) as f64
+    };
+    let recall = if tp + fn_ == 0 {
+        0.0
+    } else {
+        tp as f64 / (tp + fn_) as f64
+    };
+    let f1 = if precision + recall == 0.0 {
+        0.0
+    } else {
+        2.0 * precision * recall / (precision + recall)
+    };
+    (precision, recall, f1)
 }
 
 /// One evaluation snapshot — the pair of numbers every paper table tracks.
@@ -78,21 +84,38 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
-    /// Computes the snapshot from truth/prediction vectors.
+    /// Computes the snapshot from truth/prediction vectors in one pass
+    /// that allocates nothing: the correct count and Group 0's tp / fp /
+    /// fn, the counts [`accuracy`] and [`f1_scores`] derive the same two
+    /// numbers from.
+    ///
+    /// # Panics
+    /// Panics when lengths differ, inputs are empty, or a class is not
+    /// below `n_classes`.
     pub fn compute(truth: &[u8], pred: &[u8], n_classes: usize) -> Self {
-        let acc = accuracy(truth, pred);
-        let f1s = f1_scores(truth, pred, n_classes);
+        assert_eq!(truth.len(), pred.len(), "length mismatch");
+        assert!(!truth.is_empty(), "empty evaluation set");
+        let (mut correct, mut tp, mut fp, mut fn_) = (0usize, 0usize, 0usize, 0usize);
+        for (&t, &p) in truth.iter().zip(pred) {
+            assert!(
+                usize::from(t.max(p)) < n_classes,
+                "class {} out of range",
+                t.max(p)
+            );
+            correct += usize::from(t == p);
+            match (t == 0, p == 0) {
+                (true, true) => tp += 1,
+                (true, false) => fn_ += 1,
+                (false, true) => fp += 1,
+                (false, false) => {}
+            }
+        }
         // The paper omits Group-0 F1 "when no Group 0 samples were present
         // in the test dataset": that is, when the *truth* has none.
-        let group0_present = truth.contains(&0);
-        let group0_f1 = if group0_present {
-            f1s[0].map(|(_, _, f1)| f1)
-        } else {
-            None
-        };
+        let group0_present = tp + fn_ > 0;
         Self {
-            accuracy: acc,
-            group0_f1,
+            accuracy: correct as f64 / truth.len() as f64,
+            group0_f1: group0_present.then(|| precision_recall_f1(tp, fp, fn_).2),
         }
     }
 }
@@ -100,6 +123,7 @@ impl Evaluation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn accuracy_basic() {
@@ -151,6 +175,31 @@ mod tests {
         assert!(e.group0_f1.is_none(), "no Group 0 in truth ⇒ omitted");
         let e2 = Evaluation::compute(&[0, 2, 3], &[0, 2, 3], 4);
         assert_eq!(e2.group0_f1, Some(1.0));
+    }
+
+    proptest! {
+        /// The one-pass count gives the bits of `accuracy` and of class
+        /// 0's entry in `f1_scores`, with Group 0 present or absent.
+        #[test]
+        fn evaluation_matches_accuracy_and_class_zero_f1(
+            pairs in prop::collection::vec((0u8..4, 0u8..4), 1..60),
+        ) {
+            let (truth, pred): (Vec<u8>, Vec<u8>) = pairs.into_iter().unzip();
+            let e = Evaluation::compute(&truth, &pred, 4);
+            prop_assert_eq!(e.accuracy.to_bits(), accuracy(&truth, &pred).to_bits());
+            let reference = if truth.contains(&0) {
+                f1_scores(&truth, &pred, 4)[0].map(|(_, _, f1)| f1.to_bits())
+            } else {
+                None
+            };
+            prop_assert_eq!(e.group0_f1.map(f64::to_bits), reference);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn evaluation_rejects_a_class_beyond_n_classes() {
+        let _ = Evaluation::compute(&[0, 1], &[0, 4], 4);
     }
 
     #[test]

@@ -189,17 +189,23 @@ impl Linear {
         ops::add_bias(out, &self.bias);
     }
 
-    /// Accumulates gradients for a dense input batch and writes the
-    /// gradient w.r.t. the input (`grad_in = grad_out · W`) into a
-    /// caller-provided buffer; parameter gradients accumulate in place,
-    /// so the whole call is allocation-free on warmed buffers.
-    pub fn backward_dense_into(&mut self, x: &Matrix, grad_out: &Matrix, grad_in: &mut Matrix) {
+    /// Accumulates gradients for a dense input batch straight onto
+    /// `grad_weight`/`grad_bias` (frozen tensors are skipped). `x` and
+    /// `grad_out` hold the same samples in the same order; the sums run
+    /// over them in that order.
+    pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) {
         if self.weight_requires_grad {
             ops::matmul_at_acc(grad_out, x, &mut self.grad_weight);
         }
         if self.bias_requires_grad {
             ops::col_sums_acc(grad_out, &mut self.grad_bias);
         }
+    }
+
+    /// Writes the gradient w.r.t. the input, `grad_in = grad_out · W`,
+    /// into a caller-provided buffer. Each output row depends on its own
+    /// `grad_out` row only.
+    pub fn input_grad_into(&self, grad_out: &Matrix, grad_in: &mut Matrix) {
         ops::matmul_into(grad_out, &self.weight, grad_in);
     }
 
@@ -307,7 +313,7 @@ mod tests {
         l.freeze();
         let x = Matrix::from_fn(3, 4, |r, c| (r + c) as f32);
         let go = Matrix::full(3, 2, 1.0);
-        l.backward_dense_into(&x, &go, &mut Matrix::zeros(0, 0));
+        l.backward(&x, &go);
         assert_eq!(l.grad_weight, Matrix::zeros(2, 4));
         assert!(l.grad_bias.iter().all(|&g| g == 0.0));
     }
@@ -318,10 +324,15 @@ mod tests {
         let mut l = Linear::new(2, 1, &mut rng);
         let x = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let go = Matrix::from_vec(2, 1, vec![1.0, 1.0]);
-        l.backward_dense_into(&x, &go, &mut Matrix::zeros(0, 0));
+        l.backward(&x, &go);
         // grad_W[0][j] = sum_i go[i] * x[i][j] = [1+3, 2+4]
         assert_eq!(l.grad_weight.row(0), &[4.0, 6.0]);
         assert_eq!(l.grad_bias, vec![2.0]);
+        // grad_in[i] = go[i] · W, row by row.
+        let mut gi = Matrix::zeros(0, 0);
+        l.input_grad_into(&go, &mut gi);
+        assert_eq!(gi.row(0), l.weight.row(0));
+        assert_eq!(gi.row(1), l.weight.row(0));
     }
 
     #[test]
@@ -335,7 +346,7 @@ mod tests {
         let x = b.finish();
         let go = Matrix::from_fn(2, 3, |r, c| (r as f32 + 1.0) * (c as f32 - 1.0));
         ls.backward(&x, &go);
-        ld.backward_dense_into(&x.to_dense(), &go, &mut Matrix::zeros(0, 0));
+        ld.backward(&x.to_dense(), &go);
         assert!(ls.grad_weight.max_abs_diff(&ld.grad_weight.transpose()) < 1e-5);
         for (a, b) in ls.grad_bias.iter().zip(ld.grad_bias.iter()) {
             assert!((a - b).abs() < 1e-5);
@@ -348,8 +359,8 @@ mod tests {
         let mut l = Linear::new(2, 1, &mut rng);
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let go = Matrix::from_vec(1, 1, vec![1.0]);
-        l.backward_dense_into(&x, &go, &mut Matrix::zeros(0, 0));
-        l.backward_dense_into(&x, &go, &mut Matrix::zeros(0, 0));
+        l.backward(&x, &go);
+        l.backward(&x, &go);
         assert_eq!(l.grad_weight.row(0), &[2.0, 2.0]);
         l.zero_grad();
         assert_eq!(l.grad_weight.row(0), &[0.0, 0.0]);

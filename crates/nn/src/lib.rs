@@ -17,7 +17,9 @@
 //!   that trains pre-trained input columns at 10 % rate while new columns
 //!   train at full rate;
 //! * [`Workspace`] — reusable forward/backward buffers making the
-//!   steady-state [`Net::train_batch`] step allocation-free.
+//!   steady-state [`Net::train_batch`] step allocation-free, and
+//!   [`RowSlots`], the distinct-row map that lets a step run its per-row
+//!   work once per distinct `(row, label)` pair.
 
 pub mod batch;
 pub mod grad_scale;
@@ -34,4 +36,4 @@ pub use loss::CrossEntropyLoss;
 pub use net::Net;
 pub use optim::Adam;
 pub use state_dict::{pad_input_weight, StateDict, StateDictError, TensorData};
-pub use workspace::Workspace;
+pub use workspace::{RowSlots, Workspace};

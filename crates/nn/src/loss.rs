@@ -51,43 +51,70 @@ impl CrossEntropyLoss {
     /// # Panics
     /// Panics on shape mismatch or out-of-range targets.
     pub fn forward(&self, logits: &Matrix, targets: &[u8]) -> (f32, Matrix) {
+        let identity: Vec<u32> = (0..targets.len() as u32).collect();
         let mut grad = Matrix::zeros(0, 0);
-        let loss = self.forward_into(logits, targets, &mut grad);
+        let loss = self.forward_into(logits, targets, &identity, &mut grad);
         (loss, grad)
     }
 
-    /// [`CrossEntropyLoss::forward`] with the logit gradient written into
-    /// a caller-provided buffer: the softmax runs in place on `grad`, so
-    /// a warmed buffer makes the whole loss+gradient step allocation-free.
+    /// [`CrossEntropyLoss::forward`] over a batch stored once per distinct
+    /// `(row, label)` pair: sample `i` of the batch has label `targets[i]`
+    /// and logits `logits.row(slot_of[i])`, with slots numbered in order
+    /// of first appearance (what [`crate::workspace::RowSlots`] hands
+    /// out). `grad` receives `dL/dlogits` per slot.
+    ///
+    /// The softmax and the per-row gradient scaling run once per slot;
+    /// the loss and weight sums run over the batch in its order, so the
+    /// result has the bits of the per-sample computation. The softmax
+    /// runs in place on `grad`, so a warmed buffer makes the whole
+    /// loss+gradient step allocation-free.
     ///
     /// # Panics
-    /// Panics on shape mismatch or out-of-range targets.
-    pub fn forward_into(&self, logits: &Matrix, targets: &[u8], grad: &mut Matrix) -> f32 {
-        assert_eq!(logits.rows(), targets.len(), "batch size mismatch");
+    /// Panics on shape mismatch, out-of-range targets, or slots that are
+    /// not numbered in order of first appearance.
+    pub fn forward_into(
+        &self,
+        logits: &Matrix,
+        targets: &[u8],
+        slot_of: &[u32],
+        grad: &mut Matrix,
+    ) -> f32 {
+        assert_eq!(slot_of.len(), targets.len(), "batch size mismatch");
         assert_eq!(logits.cols(), self.weights.len(), "class count mismatch");
         grad.copy_from(logits);
         ops::softmax_rows_inplace(grad);
         let mut loss = 0.0f64;
         let mut weight_sum = 0.0f64;
-        for (i, &t) in targets.iter().enumerate() {
+        for (&t, &s) in targets.iter().zip(slot_of) {
             let t = t as usize;
             assert!(t < self.weights.len(), "target {t} out of range");
             let w = self.weights[t] as f64;
-            let p = grad.get(i, t).max(1e-12) as f64;
+            let p = grad.get(s as usize, t).max(1e-12) as f64;
             loss -= w * p.ln();
             weight_sum += w;
         }
 
-        // grad wrt logits: w[y_i] * (softmax - onehot) / Σ w[y_i]
+        // grad wrt logits: w[y_i] * (softmax - onehot) / Σ w[y_i], written
+        // once per slot, at the slot's first sample.
         let inv = 1.0 / weight_sum as f32;
-        for (i, &t) in targets.iter().enumerate() {
+        let mut next = 0u32;
+        for (&t, &s) in targets.iter().zip(slot_of) {
+            assert!(
+                s <= next,
+                "slots must be numbered in order of first appearance"
+            );
+            if s < next {
+                continue;
+            }
+            next += 1;
             let w = self.weights[t as usize];
-            let row = grad.row_mut(i);
+            let row = grad.row_mut(s as usize);
             for v in row.iter_mut() {
                 *v *= w * inv;
             }
             row[t as usize] -= w * inv;
         }
+        assert_eq!(next as usize, logits.rows(), "a logit row has no sample");
         (loss / weight_sum) as f32
     }
 }

@@ -21,7 +21,7 @@ use ctlm_tensor::{ops, Csr, Matrix};
 use crate::layer::{relu_backward_into, Layer, Linear, SparseLinear};
 use crate::loss::CrossEntropyLoss;
 use crate::state_dict::{StateDict, StateDictError, TensorData};
-use crate::workspace::Workspace;
+use crate::workspace::{RowSlots, Workspace};
 
 /// A sequential network over sparse input batches.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -48,6 +48,20 @@ impl ParamName {
         let len = self.buf.len() - remaining;
         std::str::from_utf8(&self.buf[..len]).expect("ASCII parameter name")
     }
+}
+
+/// `m`'s rows in batch order: `m` itself when every batch row is its own
+/// slot, else row `slot_of[r]` of `m` copied to row `r` of `buf`. The
+/// batch reductions read this, so each sums its operands in batch order.
+fn batch_order<'a>(m: &'a Matrix, slots: &RowSlots, buf: &'a mut Matrix) -> &'a Matrix {
+    if slots.is_identity() {
+        return m;
+    }
+    buf.resize(slots.slot_of().len(), m.cols());
+    for (r, &s) in slots.slot_of().iter().enumerate() {
+        buf.row_mut(r).copy_from_slice(m.row(s as usize));
+    }
+    buf
 }
 
 /// Looks up `key` and checks its shape (and that the payload holds what
@@ -185,35 +199,15 @@ impl Net {
             .collect()
     }
 
-    /// Training forward pass into workspace buffers: `ws.acts[0]`
-    /// receives the input layer's output, `ws.acts[i]` dense layer
-    /// `i - 1`'s, `ws.logits()` the final logits. No allocation once the
-    /// workspace has warmed up to the batch shape.
-    fn forward_train_ws(&self, x: &Csr, ws: &mut Workspace) {
-        ws.ensure_layers(1 + self.layers.len());
-        self.input.forward_into(x, &mut ws.acts[0]);
-        for (i, layer) in self.layers.iter().enumerate() {
-            let (prev, rest) = ws.acts.split_at_mut(i + 1);
-            layer.forward_dense_into(&prev[i], &mut rest[0]);
-        }
-    }
-
-    /// Backward pass over workspace buffers. Expects `ws.grads` for the
-    /// last layer to hold `dL/dlogits` (as written by
-    /// [`CrossEntropyLoss::forward_into`]); parameter gradients accumulate
-    /// in place and intermediate gradients reuse `ws.grads`.
-    fn backward_ws(&mut self, x: &Csr, ws: &mut Workspace) {
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            let input = &ws.acts[i];
-            let (before, after) = ws.grads.split_at_mut(i + 1);
-            let grad_out = &after[0];
-            let grad_in = &mut before[i];
-            match layer {
-                Layer::Linear(l) => l.backward_dense_into(input, grad_out, grad_in),
-                Layer::Relu => relu_backward_into(input, grad_out, grad_in),
-            }
-        }
-        self.input.backward(x, &ws.grads[0]);
+    /// The widest activation: `fc1`'s output or a later linear layer's.
+    fn widest(&self) -> usize {
+        self.layers
+            .iter()
+            .filter_map(|l| match l {
+                Layer::Linear(lin) => Some(lin.out_features()),
+                Layer::Relu => None,
+            })
+            .fold(self.input.out_features(), usize::max)
     }
 
     /// One full training step on a mini-batch — `zero_grad`, forward,
@@ -221,6 +215,14 @@ impl Net {
     /// Steady-state calls perform zero heap allocations (see
     /// [`Workspace`]); the caller applies gradient scaling and the
     /// optimizer step.
+    ///
+    /// Every per-row operation — the forward pass, the softmax, the
+    /// gradient scaling and each `grad_in = grad_out · W` — runs once per
+    /// distinct `(row, label)` pair of the batch. The reductions across
+    /// the batch (parameter gradients, loss) read it in batch order, so
+    /// the loss and every gradient have the bits a per-sample pass gives.
+    /// A batch without duplicates runs the same code with an identity
+    /// slot map.
     pub fn train_batch(
         &mut self,
         x: &Csr,
@@ -229,10 +231,49 @@ impl Net {
         ws: &mut Workspace,
     ) -> f32 {
         self.zero_grad();
-        self.forward_train_ws(x, ws);
+        ws.prepare(1 + self.layers.len(), x.rows(), self.widest());
+        let Workspace {
+            acts,
+            grads,
+            slots,
+            distinct,
+            batch_grad,
+            batch_act,
+        } = ws;
+        slots.assign(x, Some(targets));
+        let rows = if slots.is_identity() {
+            x
+        } else {
+            x.select_rows_into(slots.firsts(), distinct);
+            &*distinct
+        };
+
+        // Forward: acts[0] is fc1's output, acts[i] dense layer i − 1's.
+        self.input.forward_into(rows, &mut acts[0]);
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (prev, rest) = acts.split_at_mut(i + 1);
+            layer.forward_dense_into(&prev[i], &mut rest[0]);
+        }
         let last = self.layers.len();
-        let loss = loss_fn.forward_into(&ws.acts[last], targets, &mut ws.grads[last]);
-        self.backward_ws(x, ws);
+        let loss = loss_fn.forward_into(&acts[last], targets, slots.slot_of(), &mut grads[last]);
+
+        // Backward: grads[i] carries dL/d(acts[i]).
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            let (before, after) = grads.split_at_mut(i + 1);
+            let (grad_out, grad_in) = (&after[0], &mut before[i]);
+            match layer {
+                Layer::Linear(l) => {
+                    if l.weight_requires_grad || l.bias_requires_grad {
+                        let input = batch_order(&acts[i], slots, batch_act);
+                        l.backward(input, batch_order(grad_out, slots, batch_grad));
+                    }
+                    l.input_grad_into(grad_out, grad_in);
+                }
+                Layer::Relu => relu_backward_into(&acts[i], grad_out, grad_in),
+            }
+        }
+        self.input
+            .backward(x, batch_order(&grads[0], slots, batch_grad));
         loss
     }
 

@@ -1,4 +1,5 @@
-//! Reusable training-step buffers.
+//! Reusable training-step buffers, and the slot map that lets a step run
+//! once per distinct row.
 //!
 //! The seed implementation allocated on every mini-batch: a clone of each
 //! hidden activation on the way forward, a clone of the logit gradient on
@@ -10,6 +11,17 @@
 //! when the batch shape or the architecture actually changes
 //! (`nn/tests/zero_alloc.rs` pins this with a counting allocator).
 //!
+//! CO-VV batches repeat rows: every unconstrained task encodes to the
+//! same empty row, and tasks sharing a constraint set share a row. A
+//! step therefore first numbers the batch's distinct `(row, label)` pairs
+//! with a [`RowSlots`] map, and the activation and gradient buffers hold
+//! **one row per distinct pair**, not per batch row. Only the reductions
+//! across the batch (parameter gradients, loss) read the batch in its
+//! own order, through the map. Buffers are sized for the whole batch on
+//! first use — the trainer builds a fresh workspace per step, so growing
+//! them by doubling as distinct counts vary would cost allocations on
+//! every step.
+//!
 //! One caveat, documented rather than hidden: above
 //! `ctlm_tensor::ops::PAR_THRESHOLD` output rows the kernels take their
 //! Rayon path, and at a pool width above one the thread-pool shim
@@ -18,17 +30,136 @@
 //! there (the test pins the trainer's 128-row batch); wider pools trade
 //! the dispatch allocations for multi-core throughput.
 
-use ctlm_tensor::Matrix;
+use ctlm_tensor::{Csr, Matrix};
 
-/// Scratch buffers for one training loop: per-layer activations and
-/// per-layer gradient carriers, reused across batches and epochs.
+/// Marks an unused [`RowSlots`] table entry.
+const EMPTY: u32 = u32::MAX;
+
+/// Numbers the distinct rows of a matrix `0, 1, 2, …` in order of first
+/// appearance. Two rows share a slot when they store the same columns
+/// with bit-identical values ([`Csr::rows_equal`]) and, when labels are
+/// given, carry the same label. The hash table behind it is only probed,
+/// never iterated, so the numbering depends on the rows alone.
 #[derive(Clone, Debug, Default)]
+pub struct RowSlots {
+    /// Row `r`'s slot.
+    slot_of: Vec<u32>,
+    /// Slot `s`'s first row.
+    firsts: Vec<usize>,
+    /// Open-addressing table of slots, linear probing, load ≤ ½.
+    table: Vec<u32>,
+}
+
+impl RowSlots {
+    /// An empty map; buffers materialise on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Numbers the distinct rows of `x` — distinct `(row, label)` pairs
+    /// when `labels` is given. Allocation-free once the map has seen a
+    /// matrix with at least as many rows.
+    ///
+    /// # Panics
+    /// Panics when `labels` and `x` differ in length.
+    pub fn assign(&mut self, x: &Csr, labels: Option<&[u8]>) {
+        self.assign_hashed(x, labels, |r| x.row_hash(r));
+    }
+
+    /// [`RowSlots::assign`] with the row hash supplied, so a test can
+    /// force every row onto one probe sequence.
+    fn assign_hashed(&mut self, x: &Csr, labels: Option<&[u8]>, hash: impl Fn(usize) -> u64) {
+        let n = x.rows();
+        if let Some(l) = labels {
+            assert_eq!(l.len(), n, "batch size mismatch");
+        }
+        let label = |r: usize| labels.map_or(0, |l| l[r]);
+        let bits = (2 * n).max(2).next_power_of_two().trailing_zeros();
+        let size = 1usize << bits;
+        if self.table.len() < size {
+            self.table.resize(size, EMPTY);
+        }
+        let table = &mut self.table[..size];
+        table.fill(EMPTY);
+        self.slot_of.clear();
+        self.slot_of.reserve(n);
+        self.firsts.clear();
+        self.firsts.reserve(n);
+        for r in 0..n {
+            let t = label(r);
+            // Multiplicative hashing: the product's top bits index the table.
+            let mixed = (hash(r) ^ u64::from(t)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut i = (mixed >> (64 - bits)) as usize;
+            let slot = loop {
+                match table[i] {
+                    EMPTY => {
+                        let s = self.firsts.len() as u32;
+                        table[i] = s;
+                        self.firsts.push(r);
+                        break s;
+                    }
+                    s => {
+                        let first = self.firsts[s as usize];
+                        if label(first) == t && x.rows_equal(first, r) {
+                            break s;
+                        }
+                    }
+                }
+                i = (i + 1) & (size - 1);
+            };
+            self.slot_of.push(slot);
+        }
+    }
+
+    /// Each row's slot, in row order.
+    pub fn slot_of(&self) -> &[u32] {
+        &self.slot_of
+    }
+
+    /// Each slot's first row, in slot order.
+    pub fn firsts(&self) -> &[usize] {
+        &self.firsts
+    }
+
+    /// True when no two rows share a slot, so slot `r` is row `r`.
+    pub fn is_identity(&self) -> bool {
+        self.firsts.len() == self.slot_of.len()
+    }
+}
+
+/// Scratch buffers for one training loop: the batch's slot map and its
+/// distinct rows, per-layer activations and gradient carriers over those
+/// rows, and batch-order copies for the reductions — reused across
+/// batches and epochs.
+#[derive(Clone, Debug)]
 pub struct Workspace {
-    /// `acts[i]` is the dense output of layer `i` (the last entry holds
-    /// the logits).
+    /// `acts[i]` is the dense output of layer `i` per distinct row (the
+    /// last entry holds the logits).
     pub(crate) acts: Vec<Matrix>,
-    /// `grads[i]` carries `dL/d(acts[i])` during the backward pass.
+    /// `grads[i]` carries `dL/d(acts[i])` per distinct row during the
+    /// backward pass.
     pub(crate) grads: Vec<Matrix>,
+    /// The batch's distinct `(row, label)` pairs.
+    pub(crate) slots: RowSlots,
+    /// The distinct rows, gathered when the batch has duplicates.
+    pub(crate) distinct: Csr,
+    /// A gradient carrier expanded back to batch order.
+    pub(crate) batch_grad: Matrix,
+    /// An activation expanded back to batch order.
+    pub(crate) batch_act: Matrix,
+}
+
+impl Default for Workspace {
+    fn default() -> Self {
+        Self {
+            acts: Vec::new(),
+            grads: Vec::new(),
+            slots: RowSlots::new(),
+            distinct: Csr::empty(0, 0),
+            batch_grad: Matrix::zeros(0, 0),
+            batch_act: Matrix::zeros(0, 0),
+        }
+    }
 }
 
 impl Workspace {
@@ -37,11 +168,12 @@ impl Workspace {
         Self::default()
     }
 
-    /// Sizes the per-layer buffer vectors to exactly `n_layers` entries —
-    /// existing buffers keep their capacity, so reuse with the same
-    /// architecture never reallocates, and `logits()` always refers to
-    /// the current network's last layer.
-    pub(crate) fn ensure_layers(&mut self, n_layers: usize) {
+    /// Sizes the per-layer buffer vectors to exactly `n_layers` entries
+    /// and makes room in every matrix for `rows × width` — the whole
+    /// batch at the network's widest layer, which no distinct-row count
+    /// exceeds. Existing buffers keep their capacity, so reuse with the
+    /// same architecture never reallocates.
+    pub(crate) fn prepare(&mut self, n_layers: usize, rows: usize, width: usize) {
         self.acts.truncate(n_layers);
         self.grads.truncate(n_layers);
         while self.acts.len() < n_layers {
@@ -50,15 +182,71 @@ impl Workspace {
         while self.grads.len() < n_layers {
             self.grads.push(Matrix::zeros(0, 0));
         }
+        let matrices = self.acts.iter_mut().chain(self.grads.iter_mut());
+        for m in matrices.chain([&mut self.batch_grad, &mut self.batch_act]) {
+            m.reserve(rows, width);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ctlm_tensor::CsrBuilder;
+
+    /// Rows 0/2/5 are equal, 1/4 are empty, 3 differs from 0 in one
+    /// value bit.
+    fn rows() -> Csr {
+        let next_up = f32::from_bits(1.0f32.to_bits() + 1);
+        let mut b = CsrBuilder::new(6);
+        b.push_row([(0, 1.0), (4, 1.0)]);
+        b.push_row([]);
+        b.push_row([(0, 1.0), (4, 1.0)]);
+        b.push_row([(0, next_up), (4, 1.0)]);
+        b.push_row([]);
+        b.push_row([(0, 1.0), (4, 1.0)]);
+        b.finish()
     }
 
-    /// The logits of the most recent forward pass.
-    ///
-    /// # Panics
-    /// Panics before any forward pass has run.
-    pub fn logits(&self) -> &Matrix {
-        self.acts
-            .last()
-            .expect("no forward pass has populated this workspace")
+    #[test]
+    fn slots_number_distinct_rows_in_order_of_first_appearance() {
+        let x = rows();
+        let mut slots = RowSlots::new();
+        slots.assign(&x, None);
+        assert_eq!(slots.slot_of(), &[0, 1, 0, 2, 1, 0]);
+        assert_eq!(slots.firsts(), &[0, 1, 3]);
+        assert!(!slots.is_identity());
+
+        // A label splits a row; equal rows with equal labels still merge.
+        slots.assign(&x, Some(&[7, 7, 8, 7, 7, 7]));
+        assert_eq!(slots.slot_of(), &[0, 1, 2, 3, 1, 0]);
+        assert_eq!(slots.firsts(), &[0, 1, 2, 3]);
+    }
+
+    /// Every row hashing alike puts every row on one probe sequence:
+    /// only `rows_equal` and the label keep rows apart, and the numbering
+    /// is the same as with the real hash.
+    #[test]
+    fn a_forced_hash_collision_merges_nothing() {
+        let x = rows();
+        let labels = [7, 7, 8, 7, 7, 7];
+        let (mut real, mut forced) = (RowSlots::new(), RowSlots::new());
+        real.assign(&x, Some(&labels));
+        forced.assign_hashed(&x, Some(&labels), |_| 42);
+        assert_eq!(forced.slot_of(), real.slot_of());
+        assert_eq!(forced.firsts(), real.firsts());
+    }
+
+    #[test]
+    fn distinct_rows_map_to_themselves() {
+        let mut b = CsrBuilder::new(3);
+        for c in 0..3 {
+            b.push_row([(c, 1.0)]);
+        }
+        b.push_row([]);
+        let mut slots = RowSlots::new();
+        slots.assign(&b.finish(), None);
+        assert!(slots.is_identity());
+        assert_eq!(slots.slot_of(), &[0, 1, 2, 3]);
     }
 }

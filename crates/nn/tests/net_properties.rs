@@ -1,12 +1,15 @@
-//! Property tests over the NN substrate: gradient correctness and the
-//! Listing-2 padding invariant on random networks.
+//! Property tests over the NN substrate: gradient correctness, the
+//! Listing-2 padding invariant on random networks, and bit-identity of
+//! the once-per-distinct-row training pass with a per-sample one.
 
 use proptest::prelude::*;
 
+use ctlm_nn::grad_scale::ColumnGradScale;
+use ctlm_nn::layer::relu_backward_into;
 use ctlm_nn::state_dict::pad_input_weight;
-use ctlm_nn::{CrossEntropyLoss, Net, Workspace};
+use ctlm_nn::{Adam, CrossEntropyLoss, Layer, Net, RowSlots, Workspace};
 use ctlm_tensor::init::seeded_rng;
-use ctlm_tensor::CsrBuilder;
+use ctlm_tensor::{ops, Csr, CsrBuilder, Matrix};
 
 fn random_batch(n: usize, d: usize, seed: u64) -> (ctlm_tensor::Csr, Vec<u8>) {
     use rand::Rng;
@@ -24,6 +27,162 @@ fn random_batch(n: usize, d: usize, seed: u64) -> (ctlm_tensor::Csr, Vec<u8>) {
         y.push(rng.gen_range(0..3));
     }
     (b.finish(), y)
+}
+
+/// A batch full of duplicates: about 60 % one empty row, the rest drawn
+/// from five stored rows under three labels — so a row appears under
+/// more than one label — plus a twin of stored row 0 whose first value is
+/// one bit larger, which must not merge with it.
+fn duplicate_batch(n: usize, d: usize, seed: u64) -> (Csr, Vec<u8>) {
+    use rand::Rng;
+    let mut rng = seeded_rng(seed);
+    let next_up = f32::from_bits(1.0f32.to_bits() + 1);
+    let mut b = CsrBuilder::new(d);
+    let mut y = Vec::new();
+    for _ in 0..n {
+        let label = rng.gen_range(0..3u8);
+        match rng.gen_range(0..10) {
+            0..=5 => b.push_row([]),
+            6 => b.push_row([(0, next_up), (d - 1, 2.0)]),
+            _ => {
+                let set = rng.gen_range(0..5usize);
+                b.push_row([(set, 1.0), (d - 1, 2.0)]);
+            }
+        }
+        y.push(label);
+    }
+    (b.finish(), y)
+}
+
+/// The per-sample training pass, written with the public kernels: every
+/// batch row forwarded, soft-maxed, scaled and back-propagated on its own
+/// buffer row, as the step ran before rows were deduplicated. Leaves the
+/// gradients on `net` and returns the loss.
+fn per_sample_step(net: &mut Net, x: &Csr, y: &[u8], loss_fn: &CrossEntropyLoss) -> f32 {
+    net.zero_grad();
+    let fc1 = net.input_layer();
+    let mut acts = vec![Matrix::zeros(0, 0)];
+    ops::csr_matmul_into(x, &fc1.weight, &mut acts[0]);
+    ops::add_bias(&mut acts[0], &fc1.bias);
+    for layer in net.dense_layers() {
+        let prev = acts.last().expect("fc1 output");
+        let mut out = Matrix::zeros(0, 0);
+        match layer {
+            Layer::Linear(l) => {
+                ops::matmul_bt_into(prev, &l.weight, &mut out);
+                ops::add_bias(&mut out, &l.bias);
+            }
+            Layer::Relu => {
+                out.copy_from(prev);
+                for v in out.as_mut_slice() {
+                    if *v < 0.0 {
+                        *v = 0.0;
+                    }
+                }
+            }
+        }
+        acts.push(out);
+    }
+
+    let weights = loss_fn.weights();
+    let mut grad = acts.last().expect("logits").clone();
+    ops::softmax_rows_inplace(&mut grad);
+    let (mut loss, mut weight_sum) = (0.0f64, 0.0f64);
+    for (i, &t) in y.iter().enumerate() {
+        let w = weights[t as usize] as f64;
+        loss -= w * (grad.get(i, t as usize).max(1e-12) as f64).ln();
+        weight_sum += w;
+    }
+    let inv = 1.0 / weight_sum as f32;
+    for (i, &t) in y.iter().enumerate() {
+        let w = weights[t as usize];
+        let row = grad.row_mut(i);
+        row.iter_mut().for_each(|v| *v *= w * inv);
+        row[t as usize] -= w * inv;
+    }
+
+    for (i, layer) in net.dense_layers_mut().iter_mut().enumerate().rev() {
+        let mut grad_in = Matrix::zeros(0, 0);
+        match layer {
+            Layer::Linear(l) => {
+                if l.weight_requires_grad {
+                    ops::matmul_at_acc(&grad, &acts[i], &mut l.grad_weight);
+                }
+                if l.bias_requires_grad {
+                    ops::col_sums_acc(&grad, &mut l.grad_bias);
+                }
+                ops::matmul_into(&grad, &l.weight, &mut grad_in);
+            }
+            Layer::Relu => relu_backward_into(&acts[i], &grad, &mut grad_in),
+        }
+        grad = grad_in;
+    }
+    let fc1 = net.input_layer_mut();
+    ops::csr_matmul_at_acc(x, &grad, &mut fc1.grad_weight);
+    ops::col_sums_acc(&grad, &mut fc1.grad_bias);
+    (loss / weight_sum) as f32
+}
+
+/// Every parameter's values and gradient, as bits, in visiting order.
+fn param_bits(net: &mut Net) -> Vec<(String, Vec<u32>, Vec<u32>)> {
+    let mut out = Vec::new();
+    net.visit_params_mut(|name, data, grad, _| {
+        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect();
+        out.push((name.to_string(), bits(data), bits(grad)));
+    });
+    out
+}
+
+/// The three nets the trainer and baselines run — the paper's model
+/// fresh, the paper's model on the growing path (`fc2` frozen, pre-trained
+/// `fc1` columns at the reduced rate), and the MLP with its ReLU — each
+/// for three steps on duplicate-heavy batches.
+#[test]
+fn deduplicated_step_matches_the_per_sample_pass_bit_for_bit() {
+    // Row counts on both sides of the kernels' parallel threshold: the
+    // batch's reductions change association there.
+    const { assert!(40 < ops::PAR_THRESHOLD && 130 > ops::PAR_THRESHOLD) };
+    let d = 12;
+    for n in [40, 130] {
+        for arch in ["fresh", "growing", "mlp"] {
+            let mut rng = seeded_rng(n as u64);
+            let mut net = if arch == "mlp" {
+                Net::mlp(d, 7, 3, &mut rng)
+            } else {
+                Net::two_layer(d, 7, 3, &mut rng)
+            };
+            let scale = (arch == "growing").then(|| {
+                if let Layer::Linear(fc2) = &mut net.dense_layers_mut()[0] {
+                    fc2.freeze();
+                }
+                ColumnGradScale::new(d / 2, d, 0.1)
+            });
+            let loss_fn = CrossEntropyLoss::with_weights(vec![200.0, 1.0, 3.0]);
+            let (mut dedup, mut reference) = (net.clone(), net);
+            let (mut opt_a, mut opt_b) = (Adam::paper_default(), Adam::paper_default());
+            let mut ws = Workspace::new();
+            for step in 0..3u64 {
+                let (x, y) = duplicate_batch(n, d, 100 * n as u64 + step);
+                let mut slots = RowSlots::new();
+                slots.assign(&x, Some(&y));
+                assert!(slots.firsts().len() <= 7 * 3, "7 rows × 3 labels");
+                let loss_a = dedup.train_batch(&x, &y, &loss_fn, &mut ws);
+                let loss_b = per_sample_step(&mut reference, &x, &y, &loss_fn);
+                if let Some(m) = &scale {
+                    m.apply(dedup.input_layer_mut());
+                    m.apply(reference.input_layer_mut());
+                }
+                let at = format!("{arch}, {n} rows, step {step}");
+                assert_eq!(loss_a.to_bits(), loss_b.to_bits(), "loss: {at}");
+                let grads = param_bits(&mut dedup);
+                assert_eq!(grads, param_bits(&mut reference), "gradients: {at}");
+                opt_a.step(&mut dedup);
+                opt_b.step(&mut reference);
+                let weights = param_bits(&mut dedup);
+                assert_eq!(weights, param_bits(&mut reference), "Adam: {at}");
+            }
+        }
+    }
 }
 
 proptest! {

@@ -149,6 +149,14 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Makes room for a `rows × cols` shape without changing the current
+    /// one, so a later [`Matrix::resize`] within it does not reallocate.
+    /// The first call on an empty matrix allocates exactly that much.
+    pub fn reserve(&mut self, rows: usize, cols: usize) {
+        self.data
+            .reserve((rows * cols).saturating_sub(self.data.len()));
+    }
+
     /// Copies another matrix's contents into this one, reshaping as
     /// needed (no allocation when the element count fits capacity).
     pub fn copy_from(&mut self, other: &Matrix) {

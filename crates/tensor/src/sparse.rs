@@ -86,6 +86,38 @@ impl Csr {
         (self.indptr[r + 1] - self.indptr[r]) as usize
     }
 
+    /// The storage range of one row in `indices` / `values`.
+    #[inline]
+    fn row_range(&self, r: usize) -> std::ops::Range<usize> {
+        self.indptr[r] as usize..self.indptr[r + 1] as usize
+    }
+
+    /// Whether rows `a` and `b` store the same columns with bit-identical
+    /// values — the equality under which two rows produce the same bits
+    /// through every kernel. `1.0` and the next float up differ, as do
+    /// two NaNs with different payloads.
+    pub fn rows_equal(&self, a: usize, b: usize) -> bool {
+        let (ra, rb) = (self.row_range(a), self.row_range(b));
+        self.indices[ra.clone()] == self.indices[rb.clone()]
+            && self.values[ra]
+                .iter()
+                .zip(&self.values[rb])
+                .all(|(u, v)| u.to_bits() == v.to_bits())
+    }
+
+    /// A hash of row `r`'s stored columns and value bits: rows that
+    /// [`Csr::rows_equal`] calls equal hash equal. Unequal rows may
+    /// collide, so a caller confirms a match with `rows_equal`.
+    pub fn row_hash(&self, r: usize) -> u64 {
+        let range = self.row_range(r);
+        let mut h = range.len() as u64;
+        for (&c, &v) in self.indices[range.clone()].iter().zip(&self.values[range]) {
+            let word = (u64::from(c) << 32) | u64::from(v.to_bits());
+            h = (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+        h
+    }
+
     /// Value at `(r, c)`; zero when not stored. O(log row_nnz).
     pub fn get(&self, r: usize, c: usize) -> f32 {
         let lo = self.indptr[r] as usize;
@@ -130,20 +162,28 @@ impl Csr {
 
     /// Like [`Csr::select_rows`], writing into a caller-provided matrix.
     /// `out`'s buffers are reused, so the mini-batch loop can gather
-    /// batches without allocating once capacities have warmed up.
+    /// batches without allocating once capacities have warmed up; a
+    /// buffer too small for this selection grows once, to at least its
+    /// exact size, before anything is copied.
     pub fn select_rows_into(&self, rows: &[usize], out: &mut Csr) {
+        let mut nnz = 0;
+        for &r in rows {
+            assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
+            nnz += self.row_nnz(r);
+        }
         out.rows = rows.len();
         out.cols = self.cols;
         out.indptr.clear();
         out.indices.clear();
         out.values.clear();
+        out.indptr.reserve(rows.len() + 1);
+        out.indices.reserve(nnz);
+        out.values.reserve(nnz);
         out.indptr.push(0);
         for &r in rows {
-            assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
-            let lo = self.indptr[r] as usize;
-            let hi = self.indptr[r + 1] as usize;
-            out.indices.extend_from_slice(&self.indices[lo..hi]);
-            out.values.extend_from_slice(&self.values[lo..hi]);
+            let range = self.row_range(r);
+            out.indices.extend_from_slice(&self.indices[range.clone()]);
+            out.values.extend_from_slice(&self.values[range]);
             out.indptr.push(out.indices.len() as u32);
         }
     }
@@ -345,6 +385,25 @@ mod tests {
         assert_eq!(s.rows(), 2);
         assert_eq!(s.get(0, 0), 2.0);
         assert_eq!(s.get(1, 1), 1.0);
+    }
+
+    #[test]
+    fn rows_equal_compares_columns_and_value_bits() {
+        let next_up = f32::from_bits(1.0f32.to_bits() + 1);
+        let mut b = CsrBuilder::new(4);
+        b.push_row([(1, 1.0), (3, 2.0)]);
+        b.push_row([]);
+        b.push_row([(1, 1.0), (3, 2.0)]);
+        b.push_row([(1, next_up), (3, 2.0)]);
+        b.push_row([(1, 1.0), (2, 2.0)]);
+        b.push_row([]);
+        let m = b.finish();
+        assert!(m.rows_equal(0, 2) && m.rows_equal(1, 5) && m.rows_equal(3, 3));
+        assert_eq!(m.row_hash(0), m.row_hash(2));
+        assert_eq!(m.row_hash(1), m.row_hash(5));
+        assert!(!m.rows_equal(0, 3), "values differ in one bit");
+        assert!(!m.rows_equal(0, 4), "columns differ");
+        assert!(!m.rows_equal(0, 1), "a stored row is not the empty row");
     }
 
     #[test]
