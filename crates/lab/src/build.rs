@@ -3,12 +3,10 @@
 //! Everything here is deterministic in the spec plus the effective seed:
 //! machine lists are built in declaration order, vocabularies observe
 //! attributes in that same order, and all randomness flows through
-//! seeded [`StdRng`]s — the property the determinism tests pin down.
+//! seeded [`StdRng`](rand::rngs::StdRng)s — the property the determinism tests pin down.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
-
-use rand::rngs::StdRng;
 
 use ctlm_data::compaction::AttrRequirement;
 use ctlm_data::dataset::{Dataset, DatasetBuilder, NUM_GROUPS};
@@ -17,16 +15,15 @@ use ctlm_data::vocab::ValueVocab;
 use ctlm_sched::engine::{arrivals_from_trace, compress_timeline};
 use ctlm_sched::scenario::{ChurnPlan, RolloutStage};
 use ctlm_sched::{ArrivalStream, FaultPlan, PendingTask, SchedCluster, SimConfig};
-use ctlm_trace::pareto::{BoundedPareto, Exponential};
 use ctlm_trace::{
     AttrId, AttrValue, EventPayload, Machine, MachineId, Micros, Scale, TraceGenerator,
 };
 
-use ctlm_autoscale::{AutoscaleConfig, MachineTemplate};
+use ctlm_autoscale::AutoscaleConfig;
 
 use crate::spec::{
-    ArrivalProcess, CellSpec, PolicyParams, RetrainSpec, RetrySpec, ScenarioSpec, SizeDist,
-    SyntheticWorkload, TraceWorkload, WorkloadSpec,
+    CellSpec, PolicyParams, RetrainSpec, RetrySpec, ScenarioSpec, SyntheticWorkload, TraceWorkload,
+    WorkloadSpec,
 };
 use crate::stream::SyntheticStream;
 use crate::LabError;
@@ -172,12 +169,12 @@ impl BuiltCell {
     }
 }
 
-/// Builds one cell from its spec. `index` namespaces task ids and seeds
-/// so sibling cells never collide. With `streaming`, synthetic arrivals
-/// are *not* materialised — the cell carries its workload description
-/// and the attach path decodes it chunk by chunk (trace slices always
-/// materialise; callers must not request streaming for cells whose
-/// scheduler trains on the arrival population).
+/// Builds one cell from a spec that passed [`CellSpec::validate`].
+/// `index` namespaces task ids and seeds so sibling cells never collide.
+/// With `streaming`, synthetic arrivals are *not* materialised — the
+/// attach path decodes them chunk by chunk, and refuses there an arrival
+/// past the end of time (trace slices always materialise; callers must
+/// not stream cells whose scheduler trains on the arrival population).
 pub fn build_cell(
     spec: &CellSpec,
     sim: &SimConfig,
@@ -187,18 +184,15 @@ pub fn build_cell(
     let id_base = index as u64 * CELL_ID_STRIDE;
     let (cluster, arrivals, machine_ids, vocab) = match &spec.workload {
         WorkloadSpec::Trace(w) => {
-            let (cluster, mut arrivals, ids, vocab) = build_trace_workload(w, sim)?;
+            let (cluster, mut arrivals, ids, vocab) = build_trace_workload(w, sim);
             for t in arrivals.iter_mut() {
                 t.id += id_base;
             }
             (cluster, BuiltArrivals::Materialised(arrivals), ids, vocab)
         }
         WorkloadSpec::Synthetic(w) => {
-            let (cluster, ids, vocab) = build_synthetic_fleet(w, index)?;
+            let (cluster, ids, vocab) = build_synthetic_fleet(w, index);
             let arrivals = if streaming {
-                // Validate the generator parameters now (fail at build,
-                // not mid-attach), but drop the decoded tasks.
-                SyntheticStream::new(w, sim, index, id_base, 1)?;
                 BuiltArrivals::Streamed(w.clone())
             } else {
                 BuiltArrivals::Materialised(build_synthetic_arrivals(w, sim, index, id_base)?)
@@ -235,20 +229,6 @@ pub fn build_cell(
     });
     let rollout = rollout.transpose()?;
     let autoscale = scenario.autoscale.as_ref().map(|a| {
-        // Template default: provision what the cell already runs —
-        // the first synthetic machine group's shape (unit capacity for
-        // trace slices, whose fleets are heterogeneous anyway).
-        let template = a.template.unwrap_or_else(|| match &spec.workload {
-            WorkloadSpec::Synthetic(w) => w
-                .machines
-                .first()
-                .map(|g| MachineTemplate {
-                    cpu: g.cpu,
-                    memory: g.memory,
-                })
-                .unwrap_or_default(),
-            WorkloadSpec::Trace(_) => MachineTemplate::default(),
-        });
         // Synthetic cells carry the pin attribute (attr 0); provisioned
         // machines continue the cell's value sequence past the initial
         // fleet so no restrictive task ever aliases one.
@@ -267,7 +247,7 @@ pub fn build_cell(
                 cadence: a.cadence,
                 warm_pool: a.warm_pool,
                 delay: a.delay,
-                template,
+                template: a.machine_template(&spec.workload),
                 seed: sim.seed ^ (index as u64).wrapping_mul(0xA5A5_1EAF_0000_0001),
                 horizon: sim.horizon,
                 id_base: AUTOSCALE_ID_BASE,
@@ -340,10 +320,7 @@ pub fn build_cell(
 type Workload = (SchedCluster, Vec<PendingTask>, Vec<MachineId>, ValueVocab);
 
 /// Cluster + arrivals from a generated trace slice.
-fn build_trace_workload(w: &TraceWorkload, sim: &SimConfig) -> Result<Workload, LabError> {
-    if w.machines == 0 {
-        return Err(LabError::msg("trace workload needs machines > 0"));
-    }
+fn build_trace_workload(w: &TraceWorkload, sim: &SimConfig) -> Workload {
     let trace = TraceGenerator::generate_cell(
         w.cell,
         Scale {
@@ -373,7 +350,7 @@ fn build_trace_workload(w: &TraceWorkload, sim: &SimConfig) -> Result<Workload, 
             }
         }
     }
-    Ok((cluster, arrivals, machine_ids, vocab))
+    (cluster, arrivals, machine_ids, vocab)
 }
 
 /// Cluster, machine ids and vocabulary from an explicit synthetic fleet
@@ -382,13 +359,8 @@ fn build_trace_workload(w: &TraceWorkload, sim: &SimConfig) -> Result<Workload, 
 fn build_synthetic_fleet(
     w: &SyntheticWorkload,
     index: usize,
-) -> Result<(SchedCluster, Vec<MachineId>, ValueVocab), LabError> {
+) -> (SchedCluster, Vec<MachineId>, ValueVocab) {
     let total: usize = w.machines.iter().map(|g| g.count).sum();
-    if total == 0 {
-        return Err(LabError::msg(
-            "synthetic workload needs at least one machine",
-        ));
-    }
     let mut machines = Vec::with_capacity(total);
     let mut vocab = ValueVocab::new();
     // Pin-attribute values are offset per cell: without this, a task
@@ -406,7 +378,7 @@ fn build_synthetic_fleet(
         }
     }
     let machine_ids: Vec<MachineId> = machines.iter().map(|m| m.id).collect();
-    Ok((SchedCluster::from_machines(machines), machine_ids, vocab))
+    (SchedCluster::from_machines(machines), machine_ids, vocab)
 }
 
 /// The materialised synthetic arrival list — exactly the drained
@@ -478,26 +450,4 @@ fn build_gangs(
             Ok((time, members))
         })
         .collect()
-}
-
-pub(crate) fn sample_gap(p: &ArrivalProcess, rng: &mut StdRng) -> Micros {
-    match p {
-        ArrivalProcess::Uniform { gap } => *gap,
-        ArrivalProcess::Exponential { mean_gap } => {
-            (Exponential::new(*mean_gap as f64).sample(rng) as Micros).max(1)
-        }
-        ArrivalProcess::Pareto { lo, hi, alpha } => {
-            (BoundedPareto::new(*lo, *hi, *alpha).sample(rng) as Micros).max(1)
-        }
-    }
-}
-
-pub(crate) fn sample_size(d: &SizeDist, rng: &mut StdRng) -> f64 {
-    let raw = match d {
-        SizeDist::Fixed(v) => *v,
-        SizeDist::Pareto { lo, hi, alpha } => BoundedPareto::new(*lo, *hi, *alpha).sample(rng),
-    };
-    // Never request more than a whole machine: the engine treats
-    // capacities as fractions of one node.
-    raw.clamp(0.001, 0.95)
 }

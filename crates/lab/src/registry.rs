@@ -46,40 +46,18 @@ pub const PLACER_NAMES: &[&str] = &[
 /// Autoscaling-policy registry names, in registration order.
 pub const AUTOSCALE_POLICY_NAMES: &[&str] = &["threshold", "target_tracking", "predictive"];
 
-/// Validates a scheduler name without building it.
+/// Validates a scheduler name without building it (that needs a cell).
 pub fn check_scheduler(name: &str) -> Result<(), LabError> {
     if SCHEDULER_NAMES.contains(&name) {
-        Ok(())
-    } else {
-        Err(LabError::msg(format!(
-            "unknown scheduler {name:?} (registry: {})",
-            SCHEDULER_NAMES.join(", ")
-        )))
+        return Ok(());
     }
+    Err(unknown("scheduler", name, SCHEDULER_NAMES))
 }
 
-/// Validates a placer name without building it.
-pub fn check_placer(name: &str) -> Result<(), LabError> {
-    if PLACER_NAMES.contains(&name) {
-        Ok(())
-    } else {
-        Err(LabError::msg(format!(
-            "unknown placer {name:?} (registry: {})",
-            PLACER_NAMES.join(", ")
-        )))
-    }
-}
-
-/// Validates an autoscaling-policy name without building it.
-pub fn check_autoscale_policy(name: &str) -> Result<(), LabError> {
-    if AUTOSCALE_POLICY_NAMES.contains(&name) {
-        Ok(())
-    } else {
-        Err(LabError::msg(format!(
-            "unknown autoscale policy {name:?} (registry: {})",
-            AUTOSCALE_POLICY_NAMES.join(", ")
-        )))
-    }
+/// The error for a `kind` name missing from its `registry`.
+fn unknown(kind: &str, name: &str, registry: &[&str]) -> LabError {
+    let names = registry.join(", ");
+    LabError::msg(format!("unknown {kind} {name:?} (registry: {names})"))
 }
 
 /// Builds an autoscaling policy by registry name. Unset [`PolicyParams`]
@@ -92,7 +70,6 @@ pub fn build_autoscale_policy(
     sim: &SimConfig,
     template: &MachineTemplate,
 ) -> Result<Box<dyn AutoscalePolicy>, LabError> {
-    check_autoscale_policy(name)?;
     match name {
         "threshold" => Ok(Box::new(ThresholdStep {
             up_pending: params.up_pending.unwrap_or(8) as usize,
@@ -111,7 +88,7 @@ pub fn build_autoscale_policy(
             sim.mean_runtime,
             template.cpu,
         ))),
-        other => Err(LabError::msg(format!("unknown autoscale policy {other:?}"))),
+        other => Err(unknown("autoscale policy", other, AUTOSCALE_POLICY_NAMES)),
     }
 }
 
@@ -145,7 +122,7 @@ pub fn build_scheduler(
                 registry: Some(registry),
             })
         }
-        other => Err(LabError::msg(format!("unknown scheduler {other:?}"))),
+        other => Err(unknown("scheduler", other, SCHEDULER_NAMES)),
     }
 }
 
@@ -160,7 +137,7 @@ pub fn build_placer(name: &str, spec: &PlacerSpec) -> Result<Box<dyn Placer>, La
         "best_fit_soft" => Ok(Box::new(SoftAffinityBestFit {
             soft: soft_requirements(&spec.soft)?,
         })),
-        other => Err(LabError::msg(format!("unknown placer {other:?}"))),
+        other => Err(unknown("placer", other, PLACER_NAMES)),
     }
 }
 

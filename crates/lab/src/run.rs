@@ -60,9 +60,8 @@ use ctlm_sched::engine::{CellHandle, EngineState, SpillRoute, PRIO_ADMIT, PRIO_S
 use ctlm_sched::scenario::{ChurnSource, GangSource, RolloutSource};
 use ctlm_sched::timed::next_tick;
 use ctlm_sched::{
-    attach, Arrivals, EngineStats, ExponentialBackoff, FaultPlane, FaultStats, FixedRetry,
-    OwnershipGuard, PendingTask, RetryPolicy, SchedCluster, SchedEvent, Scheduler, SimResult,
-    Simulator, TimedSource,
+    attach, Arrivals, EngineStats, FaultPlane, FaultStats, OwnershipGuard, PendingTask,
+    SchedCluster, SchedEvent, Scheduler, SimResult, Simulator, TimedSource,
 };
 use ctlm_sim::{Ctx, EpochAutotune, LaneStats, ParallelPerf, ParallelSim, Sim};
 use ctlm_telemetry::{SpanLog, TraceRing};
@@ -150,9 +149,8 @@ pub struct CellTelemetry {
 type AttachedCell<'a> = (CellHandle<'a>, Option<Rc<RefCell<AutoscaleStats>>>);
 
 /// Attaches one cell — engine, arrival feed, cycle timer, and every
-/// scenario component — to `sim`. With `spillover` the arrival feed
+/// scenario component — to `sim`. Under spillover the arrival feed
 /// admits-or-spills (its `SpillRequest`s go to the shard outbox).
-#[allow(clippy::too_many_arguments)]
 fn attach_full_cell<'a>(
     sim: &mut Sim<'a, SchedEvent>,
     spec: &ExperimentSpec,
@@ -161,7 +159,6 @@ fn attach_full_cell<'a>(
     scheduler: &'a mut dyn Scheduler,
     registry: &Option<ModelRegistry>,
     cluster: SchedCluster,
-    spillover: bool,
 ) -> Result<AttachedCell<'a>, LabError> {
     let horizon = spec.sim.horizon;
     let arrivals = match &cell.arrivals {
@@ -174,7 +171,8 @@ fn attach_full_cell<'a>(
             spec.execution.arrival_chunk,
         )?)),
     };
-    let handle = simulator.attach_cell(sim, &cell.name, cluster, arrivals, scheduler, spillover);
+    let spill = spec.spillover.enabled();
+    let handle = simulator.attach_cell(sim, &cell.name, cluster, arrivals, scheduler, spill);
     if spec.observability.spans {
         handle.state().borrow_mut().enable_spans();
     }
@@ -189,21 +187,8 @@ fn attach_full_cell<'a>(
     // The fault plane shares the guard too: a crash override-claims the
     // machine, voiding any in-flight drain or provision claim.
     if let Some(bf) = &cell.faults {
-        let retry = &bf.retry;
-        let policy: Box<dyn RetryPolicy> = match retry.policy.as_str() {
-            "fixed" => Box::new(FixedRetry {
-                delay: retry.base,
-                budget: retry.budget,
-            }),
-            _ => Box::new(ExponentialBackoff {
-                base: retry.base,
-                cap: retry.cap.max(retry.base),
-                budget: retry.budget,
-                jitter: retry.jitter,
-            }),
-        };
         handle.state().borrow_mut().enable_faults(
-            policy,
+            bf.retry.build()?,
             spec.sim.seed ^ (cell.index as u64).wrapping_mul(0x9E37_79B9),
         );
         let mut plane = FaultPlane::new(bf.plan.clone(), handle.engine, handle.state())
@@ -405,7 +390,6 @@ fn run_cells(
             ))
         })
         .collect::<Result<_, LabError>>()?;
-    let route_all = spec.spillover.enabled() && built.len() > 1;
     let horizon = spec.sim.horizon;
 
     let mut handles = Vec::with_capacity(built.len());
@@ -442,7 +426,6 @@ fn run_cells(
             instance.scheduler.as_mut(),
             registry,
             cluster,
-            route_all,
         )?;
         psim.add_shard(sim);
         handles.push(handle);

@@ -12,14 +12,33 @@
 //! at the root) or **multi-cell** (a `cells` array, each entry with its
 //! own workload and scenario, optionally joined by the spillover
 //! router). See `experiments/*.json` for complete examples.
+//!
+//! The valid domain — what a spec generator may draw — is stated once:
+//! [`ExperimentSpec::validate`] keeps the cross-block rules and defers to
+//! the `validate` of [`CellSpec`], [`WorkloadSpec`], [`ArrivalProcess`],
+//! [`SizeDist`], [`ScenarioSpec`], [`AutoscaleSpec`], [`FaultsSpec`],
+//! [`RetrySpec`], [`PlacerSpec`], [`TrainSpec`], [`ExecutionSpec`] and
+//! [`SweepSpec`]. A block that becomes a runtime object validates by
+//! calling the constructor the run calls; nothing downstream re-checks.
 
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use ctlm_autoscale::{MachineTemplate, ProvisionDelay};
-use ctlm_sched::SimConfig;
+use ctlm_sched::{ExponentialBackoff, FixedRetry, RetryPolicy, SimConfig};
+use ctlm_trace::pareto::{BoundedPareto, Exponential};
 use ctlm_trace::{AttrId, CellSet, Micros};
 
 use crate::LabError;
+
+/// Returns the formatted [`LabError`] unless `cond` holds.
+macro_rules! ensure {
+    ($cond:expr, $($msg:tt)+) => {
+        if !$cond {
+            return Err(LabError::msg(format!($($msg)+)));
+        }
+    };
+}
 
 /// A complete experiment description.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -84,189 +103,39 @@ impl ExperimentSpec {
         Ok(spec)
     }
 
-    /// Serializes the spec back to JSON.
-    pub fn to_json(&self) -> Result<String, LabError> {
-        serde_json::to_string(self).map_err(LabError::from)
-    }
-
-    /// Structural sanity checks the type system cannot express.
+    /// The cross-block rules; each block then validates itself.
     pub fn validate(&self) -> Result<(), LabError> {
-        if self.cells.is_empty() && self.workload.is_none() {
-            return Err(LabError::msg(
-                "spec needs either a top-level `workload` or a `cells` array",
-            ));
-        }
-        if !self.cells.is_empty() && self.workload.is_some() {
-            return Err(LabError::msg(
-                "`workload` and `cells` are mutually exclusive — move the workload into a cell",
-            ));
-        }
-        if self.spillover.enabled() && self.cells.len() < 2 {
-            return Err(LabError::msg("`spillover` needs at least two cells"));
-        }
-        if self.spillover.enabled() {
-            // Synthetic cells stride their pin-attribute values so no
-            // task can alias a sibling's machines; generated traces
-            // share one attribute space, so a spilled constrained task
-            // could silently match a look-alike machine elsewhere.
-            for cell in &self.cells {
-                if matches!(cell.workload, WorkloadSpec::Trace(_)) {
-                    return Err(LabError::msg(format!(
-                        "cell {:?}: spillover supports Synthetic workloads only \
-                         (trace cells share an attribute space, so spilled \
-                         constrained tasks would alias sibling machines)",
-                        cell.name
-                    )));
-                }
-            }
-        }
-        {
-            let mut seen = std::collections::HashSet::new();
-            for cell in &self.cells {
-                if !seen.insert(cell.name.as_str()) {
-                    return Err(LabError::msg(format!(
-                        "duplicate cell name {:?} — summary rows are keyed by cell name",
-                        cell.name
-                    )));
-                }
-            }
+        ensure!(
+            !self.cells.is_empty() || self.workload.is_some(),
+            "spec needs either a top-level `workload` or a `cells` array"
+        );
+        ensure!(
+            self.cells.is_empty() || self.workload.is_none(),
+            "`workload` and `cells` are mutually exclusive — move the workload into a cell"
+        );
+        ensure!(
+            !self.spillover.enabled() || self.cells.len() >= 2,
+            "`spillover` needs at least two cells"
+        );
+        let mut seen = std::collections::HashSet::new();
+        if let Some(dup) = self.cells.iter().find(|c| !seen.insert(c.name.as_str())) {
+            return Err(LabError::msg(format!(
+                "duplicate cell name {:?} — summary rows are keyed by cell name",
+                dup.name
+            )));
         }
         for name in self.scheduler_names() {
             crate::registry::check_scheduler(&name)?;
         }
-        crate::registry::check_placer(&self.placers.main)?;
-        crate::registry::check_placer(&self.placers.hp)?;
-        // Contradictory soft-affinity terms fail at parse time, not
-        // mid-sweep.
-        crate::registry::soft_requirements(&self.placers.soft)?;
         // A zero period never leaves the instant it fires at.
-        if self.sim.cycle == 0 {
-            return Err(LabError::msg("`sim.cycle` must be > 0"));
-        }
-        // No attempt, no model: the trainer would have nothing to return.
-        if self.train.max_attempts == 0 {
-            return Err(LabError::msg("`train.max_attempts` must be > 0"));
-        }
+        ensure!(self.sim.cycle > 0, "`sim.cycle` must be > 0");
+        self.placers.validate()?;
+        self.train.validate()?;
         for cell in self.cell_specs() {
-            if cell
-                .scenario
-                .retrain
-                .as_ref()
-                .is_some_and(|r| r.period == 0)
-            {
-                return Err(LabError::msg(format!(
-                    "cell {:?}: retrain period must be > 0",
-                    cell.name
-                )));
-            }
-            let Some(auto) = &cell.scenario.autoscale else {
-                continue;
-            };
-            crate::registry::check_autoscale_policy(&auto.policy)?;
-            if auto.min > auto.max {
-                return Err(LabError::msg(format!(
-                    "cell {:?}: autoscale min {} exceeds max {}",
-                    cell.name, auto.min, auto.max
-                )));
-            }
-            if auto.cadence == 0 {
-                return Err(LabError::msg(format!(
-                    "cell {:?}: autoscale cadence must be > 0",
-                    cell.name
-                )));
-            }
+            cell.validate(&self.sim, self.spillover)?;
         }
-        for cell in self.cell_specs() {
-            if let Some(c) = &cell.scenario.churn {
-                if c.window.0 > c.window.1 {
-                    return Err(LabError::msg(format!(
-                        "cell {:?}: churn window start {} exceeds end {}",
-                        cell.name, c.window.0, c.window.1
-                    )));
-                }
-            }
-            let Some(faults) = &cell.scenario.faults else {
-                continue;
-            };
-            if let Some(c) = &faults.crashes {
-                if c.window.0 > c.window.1 {
-                    return Err(LabError::msg(format!(
-                        "cell {:?}: crash window start {} exceeds end {}",
-                        cell.name, c.window.0, c.window.1
-                    )));
-                }
-                if c.count > 0 && c.mttr == 0 {
-                    return Err(LabError::msg(format!(
-                        "cell {:?}: crash mttr must be > 0",
-                        cell.name
-                    )));
-                }
-            }
-            if let Some(l) = &faults.link_outage {
-                if l.duration == 0 {
-                    return Err(LabError::msg(format!(
-                        "cell {:?}: link_outage duration must be > 0",
-                        cell.name
-                    )));
-                }
-                if l.count > 1 && l.period == 0 {
-                    return Err(LabError::msg(format!(
-                        "cell {:?}: repeated link_outage needs period > 0",
-                        cell.name
-                    )));
-                }
-                if !self.spillover.enabled() {
-                    return Err(LabError::msg(format!(
-                        "cell {:?}: link_outage needs spillover enabled \
-                         (there is no link to fail otherwise)",
-                        cell.name
-                    )));
-                }
-            }
-            if let Some(d) = &faults.degraded_registry {
-                if d.duration == 0 {
-                    return Err(LabError::msg(format!(
-                        "cell {:?}: degraded_registry duration must be > 0",
-                        cell.name
-                    )));
-                }
-            }
-            match faults.retry.policy.as_str() {
-                "fixed" | "exponential" => {}
-                other => {
-                    return Err(LabError::msg(format!(
-                        "cell {:?}: unknown retry policy {other:?} \
-                         (expected \"fixed\" or \"exponential\")",
-                        cell.name
-                    )))
-                }
-            }
-            if faults.retry.base == 0 {
-                return Err(LabError::msg(format!(
-                    "cell {:?}: retry base delay must be > 0",
-                    cell.name
-                )));
-            }
-        }
-        if self.execution.epoch_us == EpochSpec::Fixed(0) {
-            return Err(LabError::msg(
-                "`execution.epoch_us` must be > 0 (or \"auto\")",
-            ));
-        }
-        if self.execution.arrival_chunk == 0 {
-            return Err(LabError::msg("`execution.arrival_chunk` must be > 0"));
-        }
-        if let Some(sweep) = &self.sweep {
-            for knob in &sweep.knobs {
-                if knob.values.is_empty() {
-                    return Err(LabError::msg(format!(
-                        "sweep knob {:?} has no values",
-                        knob.path
-                    )));
-                }
-            }
-        }
-        Ok(())
+        self.execution.validate()?;
+        self.sweep.as_ref().map_or(Ok(()), SweepSpec::validate)
     }
 
     /// The scheduler list with the empty-list default applied.
@@ -366,6 +235,32 @@ pub struct CellSpec {
     pub scenario: ScenarioSpec,
 }
 
+impl CellSpec {
+    /// The cell's blocks and spillover rules: the one place errors get
+    /// the `cell "<name>": ` prefix.
+    pub fn validate(&self, sim: &SimConfig, spillover: SpilloverPolicy) -> Result<(), LabError> {
+        self.rules(sim, spillover)
+            .map_err(|e| LabError::msg(format!("cell {:?}: {}", self.name, e.0)))
+    }
+
+    fn rules(&self, sim: &SimConfig, spillover: SpilloverPolicy) -> Result<(), LabError> {
+        // Only synthetic cells stride their pin-attribute values apart.
+        ensure!(
+            !spillover.enabled() || matches!(self.workload, WorkloadSpec::Synthetic(_)),
+            "spillover supports Synthetic workloads only \
+             (trace cells share an attribute space, so spilled \
+             constrained tasks would alias sibling machines)"
+        );
+        let faults = self.scenario.faults.as_ref();
+        ensure!(
+            spillover.enabled() || faults.is_none_or(|f| f.link_outage.is_none()),
+            "link_outage needs spillover enabled (there is no link to fail otherwise)"
+        );
+        self.workload.validate()?;
+        self.scenario.validate(sim, &self.workload)
+    }
+}
+
 /// Placement strategies for the two queues, by registry name.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PlacerSpec {
@@ -389,6 +284,16 @@ impl Default for PlacerSpec {
             hp: "preemptive_best_fit".to_string(),
             soft: Vec::new(),
         }
+    }
+}
+
+impl PlacerSpec {
+    /// Builds both strategies; the soft list must be satisfiable anyway.
+    pub fn validate(&self) -> Result<(), LabError> {
+        for name in [&self.main, &self.hp] {
+            crate::registry::build_placer(name, self)?;
+        }
+        crate::registry::soft_requirements(&self.soft).map(drop)
     }
 }
 
@@ -430,6 +335,25 @@ pub enum WorkloadSpec {
     /// A fully synthetic workload: explicit machine groups plus
     /// generated arrivals.
     Synthetic(SyntheticWorkload),
+}
+
+impl WorkloadSpec {
+    /// A fleet, and samplers whose constructors accept their parameters.
+    pub fn validate(&self) -> Result<(), LabError> {
+        match self {
+            Self::Trace(w) => ensure!(w.machines > 0, "trace workload needs machines > 0"),
+            Self::Synthetic(w) => {
+                ensure!(
+                    w.machines.iter().any(|g| g.count > 0),
+                    "synthetic workload needs at least one machine"
+                );
+                w.arrival.validate()?;
+                w.cpu.validate("cpu")?;
+                w.memory.validate("memory")?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Replayed-trace workload parameters.
@@ -514,6 +438,31 @@ pub enum ArrivalProcess {
     },
 }
 
+impl ArrivalProcess {
+    /// Draws one gap (µs, at least 1 for the random processes).
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> Micros {
+        match *self {
+            Self::Uniform { gap } => gap,
+            Self::Exponential { mean_gap } => {
+                (Exponential::new(mean_gap as f64).sample(rng) as Micros).max(1)
+            }
+            Self::Pareto { lo, hi, alpha } => {
+                (BoundedPareto::new(lo, hi, alpha).sample(rng) as Micros).max(1)
+            }
+        }
+    }
+
+    /// The constructor `sample` calls accepts the parameters.
+    pub fn validate(&self) -> Result<(), LabError> {
+        match *self {
+            Self::Uniform { .. } => Ok(()),
+            Self::Exponential { mean_gap } => Exponential::try_new(mean_gap as f64).map(drop),
+            Self::Pareto { lo, hi, alpha } => BoundedPareto::try_new(lo, hi, alpha).map(drop),
+        }
+        .map_err(|e| LabError::msg(format!("arrival {self:?}: {e}")))
+    }
+}
+
 /// Resource-request distributions.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum SizeDist {
@@ -537,6 +486,27 @@ impl Default for SizeDist {
     }
 }
 
+impl SizeDist {
+    /// Draws one request, clamped below a whole machine: the engine
+    /// treats capacities as fractions of one node.
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> f64 {
+        let raw = match *self {
+            Self::Fixed(v) => v,
+            Self::Pareto { lo, hi, alpha } => BoundedPareto::new(lo, hi, alpha).sample(rng),
+        };
+        raw.clamp(0.001, 0.95)
+    }
+
+    /// The constructor `sample` calls accepts `what`'s parameters.
+    pub fn validate(&self, what: &str) -> Result<(), LabError> {
+        match *self {
+            Self::Fixed(_) => Ok(()),
+            Self::Pareto { lo, hi, alpha } => BoundedPareto::try_new(lo, hi, alpha).map(drop),
+        }
+        .map_err(|e| LabError::msg(format!("{what} {self:?}: {e}")))
+    }
+}
+
 /// Restrictive tasks: pinned to one uniformly chosen machine each
 /// (ground-truth Group 0) — the population the paper's analyzer exists
 /// to protect.
@@ -557,31 +527,51 @@ pub struct RestrictiveSpec {
 /// Scenario components with intensities; every field is optional, and
 /// all active components share the cell's timeline.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct ScenarioSpec {
     /// Machine churn: seeded random drain/restore waves.
-    #[serde(default)]
     pub churn: Option<ChurnSpec>,
     /// All-or-nothing gang arrivals.
-    #[serde(default)]
     pub gangs: Option<GangSpec>,
     /// A staged attribute rollout washing over the fleet.
-    #[serde(default)]
     pub rollout: Option<RolloutSpec>,
     /// Online retraining cadence (drives the `live_registry` scheduler).
-    #[serde(default)]
     pub retrain: Option<RetrainSpec>,
     /// Elastic fleet control: the `ctlm-autoscale` control plane
     /// watching this cell's signals. Multi-cell specs give each cell
     /// its own block, so cells autoscale independently (spillover
     /// included).
-    #[serde(default)]
     pub autoscale: Option<AutoscaleSpec>,
     /// Fault-plane injection: abrupt correlated machine crashes (lost
     /// work, MTTR recovery), spillover link outages, registry
     /// degradation windows, and the retry policy deciding between
     /// rescheduling and dead-lettering lost tasks.
-    #[serde(default)]
     pub faults: Option<FaultsSpec>,
+}
+
+impl ScenarioSpec {
+    /// Each present component's rules.
+    pub fn validate(&self, sim: &SimConfig, workload: &WorkloadSpec) -> Result<(), LabError> {
+        if let Some(r) = &self.retrain {
+            ensure!(r.period > 0, "retrain period must be > 0");
+        }
+        if let Some(auto) = &self.autoscale {
+            auto.validate(sim, workload)?;
+        }
+        if let Some(c) = &self.churn {
+            check_window("churn", c.window)?;
+        }
+        self.faults.as_ref().map_or(Ok(()), FaultsSpec::validate)
+    }
+}
+
+/// A `[start, end]` window must not end before it starts.
+fn check_window(what: &str, (start, end): (Micros, Micros)) -> Result<(), LabError> {
+    ensure!(
+        start <= end,
+        "{what} window start {start} exceeds end {end}"
+    );
+    Ok(())
 }
 
 /// One cell's autoscaler: policy selection by registry name plus the
@@ -615,41 +605,62 @@ pub struct AutoscaleSpec {
     pub params: PolicyParams,
 }
 
+impl AutoscaleSpec {
+    /// Builds the policy; a zero-mean `Exponential` delay boots in 1 µs.
+    pub fn validate(&self, sim: &SimConfig, workload: &WorkloadSpec) -> Result<(), LabError> {
+        let template = self.machine_template(workload);
+        crate::registry::build_autoscale_policy(&self.policy, &self.params, sim, &template)?;
+        let (min, max) = (self.min, self.max);
+        ensure!(min <= max, "autoscale min {min} exceeds max {max}");
+        ensure!(self.cadence > 0, "autoscale cadence must be > 0");
+        if let ProvisionDelay::Pareto { lo, hi, alpha } = self.delay {
+            BoundedPareto::try_new(lo, hi, alpha)
+                .map_err(|e| LabError::msg(format!("autoscale delay {:?}: {e}", self.delay)))?;
+        }
+        Ok(())
+    }
+
+    /// `template`, else the first machine group's shape (unit capacity for traces).
+    pub(crate) fn machine_template(&self, workload: &WorkloadSpec) -> MachineTemplate {
+        let first = match workload {
+            WorkloadSpec::Synthetic(w) => w.machines.first(),
+            WorkloadSpec::Trace(_) => None,
+        };
+        let shape = first.map(|g| MachineTemplate {
+            cpu: g.cpu,
+            memory: g.memory,
+        });
+        self.template.or(shape).unwrap_or_default()
+    }
+}
+
 /// Optional numeric knobs for the autoscaling policies. Each policy
 /// reads its own subset; unset fields fall back to the registry
 /// defaults (documented per field).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct PolicyParams {
     /// `threshold`: queue pressure triggering a scale-up (default 8).
-    #[serde(default)]
     pub up_pending: Option<u64>,
     /// `threshold`: recent mean admission latency (µs) triggering a
     /// scale-up regardless of queue depth (default: disabled).
-    #[serde(default)]
     pub up_latency: Option<f64>,
     /// `threshold`: idle-fleet utilisation below which machines shed
     /// (default 0.3).
-    #[serde(default)]
     pub down_util: Option<f64>,
     /// `threshold`: machines added/removed per decision (default 2).
-    #[serde(default)]
     pub step: Option<u64>,
     /// `target_tracking`: the utilisation setpoint (default 0.6).
-    #[serde(default)]
     pub target_util: Option<f64>,
     /// `target_tracking`: dead band around the setpoint (default 0.1).
-    #[serde(default)]
     pub tolerance: Option<f64>,
     /// `predictive`: sliding-window length in evaluation periods
     /// (default 6).
-    #[serde(default)]
     pub window: Option<u64>,
     /// `predictive`: capacity multiplier over the forecast
     /// (default 1.2).
-    #[serde(default)]
     pub headroom: Option<f64>,
     /// `predictive`: estimated CPU request per task (default 0.25).
-    #[serde(default)]
     pub task_cpu: Option<f64>,
 }
 
@@ -673,23 +684,41 @@ pub struct ChurnSpec {
 /// engine charges each lost task against the retry budget and either
 /// reschedules it after a backoff delay or dead-letters it.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct FaultsSpec {
     /// Correlated failure-domain crashes with seeded MTTR recovery.
-    #[serde(default)]
     pub crashes: Option<CrashSpec>,
     /// Transient spillover link outages: windows during which this
     /// cell's outbound spill requests time out at the epoch barrier and
     /// bounce back to the home queue.
-    #[serde(default)]
     pub link_outage: Option<LinkOutageSpec>,
     /// A degraded model-registry window: `live_registry` cells fall
     /// back to main-queue routing until the registry heals.
-    #[serde(default)]
     pub degraded_registry: Option<DegradedRegistrySpec>,
     /// Retry policy for crash-lost tasks (default: exponential backoff,
     /// budget 3).
-    #[serde(default)]
     pub retry: RetrySpec,
+}
+
+impl FaultsSpec {
+    /// Windows that open, outages that last and a policy that builds.
+    pub fn validate(&self) -> Result<(), LabError> {
+        if let Some(c) = &self.crashes {
+            check_window("crash", c.window)?;
+            ensure!(c.count == 0 || c.mttr > 0, "crash mttr must be > 0");
+        }
+        if let Some(l) = &self.link_outage {
+            ensure!(l.duration > 0, "link_outage duration must be > 0");
+            ensure!(
+                l.count <= 1 || l.period > 0,
+                "repeated link_outage needs period > 0"
+            );
+        }
+        if let Some(d) = &self.degraded_registry {
+            ensure!(d.duration > 0, "degraded_registry duration must be > 0");
+        }
+        self.retry.validate()
+    }
 }
 
 /// Correlated crash process: `count` crash events inside `window`, each
@@ -773,6 +802,34 @@ impl Default for RetrySpec {
     }
 }
 
+impl RetrySpec {
+    /// The policy builds, and waits before a retry.
+    pub fn validate(&self) -> Result<(), LabError> {
+        self.build()?;
+        ensure!(self.base > 0, "retry base delay must be > 0");
+        Ok(())
+    }
+
+    /// The retry policy a faulted cell's engine consults.
+    pub(crate) fn build(&self) -> Result<Box<dyn RetryPolicy>, LabError> {
+        match self.policy.as_str() {
+            "fixed" => Ok(Box::new(FixedRetry {
+                delay: self.base,
+                budget: self.budget,
+            })),
+            "exponential" => Ok(Box::new(ExponentialBackoff {
+                base: self.base,
+                cap: self.cap.max(self.base),
+                budget: self.budget,
+                jitter: self.jitter,
+            })),
+            other => Err(LabError::msg(format!(
+                "unknown retry policy {other:?} (expected \"fixed\" or \"exponential\")"
+            ))),
+        }
+    }
+}
+
 /// Gang arrival process: `count` gangs of `size` members each.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GangSpec {
@@ -836,6 +893,14 @@ impl Default for TrainSpec {
             epochs_limit: 40,
             max_attempts: 2,
         }
+    }
+}
+
+impl TrainSpec {
+    /// With no attempt the trainer would have no model to return.
+    pub fn validate(&self) -> Result<(), LabError> {
+        ensure!(self.max_attempts > 0, "`train.max_attempts` must be > 0");
+        Ok(())
     }
 }
 
@@ -924,6 +989,21 @@ impl Default for ExecutionSpec {
     }
 }
 
+impl ExecutionSpec {
+    /// Epochs and arrival chunks that make progress.
+    pub fn validate(&self) -> Result<(), LabError> {
+        ensure!(
+            self.epoch_us != EpochSpec::Fixed(0),
+            "`execution.epoch_us` must be > 0 (or \"auto\")"
+        );
+        ensure!(
+            self.arrival_chunk > 0,
+            "`execution.arrival_chunk` must be > 0"
+        );
+        Ok(())
+    }
+}
+
 /// Observability knobs. Two strictly separated planes:
 ///
 /// * the **sim plane** (`metrics`, `trace_events`, `spans`) reads simulation
@@ -965,20 +1045,29 @@ pub struct ObservabilitySpec {
 /// A sweep grid: the cartesian product of every knob's values, crossed
 /// with `seeds` × `repeats`. Runs execute in parallel on the rayon
 /// pool; the report carries per-point medians.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct SweepSpec {
     /// Numeric knobs, addressed by dotted path into the spec document
     /// (e.g. `"scenario.churn.failures"`, `"cells.0.workload.Synthetic.tasks"`).
-    #[serde(default)]
     pub knobs: Vec<KnobSpec>,
     /// Seeds to run each grid point under (empty → the spec's
     /// `sim.seed`).
-    #[serde(default)]
     pub seeds: Vec<u64>,
     /// Repeats per (point, seed); repeat `k` runs under `seed + k`
     /// (0 → 1).
-    #[serde(default)]
     pub repeats: usize,
+}
+
+impl SweepSpec {
+    /// Every knob has values (each grid point validates as a spec).
+    pub fn validate(&self) -> Result<(), LabError> {
+        for knob in &self.knobs {
+            let path = &knob.path;
+            ensure!(!knob.values.is_empty(), "sweep knob {path:?} has no values");
+        }
+        Ok(())
+    }
 }
 
 /// One sweep dimension.

@@ -32,7 +32,7 @@ use ctlm_data::dataset::group_for_count;
 use ctlm_sched::{ArrivalStream, PendingTask, SimConfig};
 use ctlm_trace::{AttrValue, ConstraintOp, Micros, TaskConstraint};
 
-use crate::build::{kth_time, sample_gap, sample_size, ATTR_VALUE_STRIDE};
+use crate::build::{kth_time, ATTR_VALUE_STRIDE};
 use crate::spec::{ArrivalProcess, SizeDist, SyntheticWorkload};
 use crate::LabError;
 
@@ -100,14 +100,14 @@ impl SyntheticStream {
         let mut burn = StdRng::seed_from_u64(seed);
         let mut clock: Micros = 0;
         for k in 0..w.tasks {
-            let gap = sample_gap(&w.arrival, &mut burn);
+            let gap = w.arrival.sample(&mut burn);
             clock = clock.checked_add(gap).ok_or_else(|| {
                 LabError::msg(format!(
                     "background task {k}: arrival gap {gap} after {clock} overflows the time axis"
                 ))
             })?;
-            sample_size(&w.cpu, &mut burn);
-            sample_size(&w.memory, &mut burn);
+            w.cpu.sample(&mut burn);
+            w.memory.sample(&mut burn);
         }
         let attr_base = index as i64 * ATTR_VALUE_STRIDE;
         let mut restrictive = Vec::new();
@@ -161,12 +161,12 @@ impl SyntheticStream {
     /// the canonical gap/cpu/memory order).
     fn gen_background(&mut self) -> PendingTask {
         // Cannot wrap: `new` walked these same draws with `checked_add`.
-        self.now += sample_gap(&self.arrival, &mut self.rng);
+        self.now += self.arrival.sample(&mut self.rng);
         let t = PendingTask {
             id: self.id_base + self.next_id,
             collection: 1,
-            cpu: sample_size(&self.cpu, &mut self.rng),
-            memory: sample_size(&self.memory, &mut self.rng),
+            cpu: self.cpu.sample(&mut self.rng),
+            memory: self.memory.sample(&mut self.rng),
             priority: self.priority,
             reqs: vec![],
             arrival: self.now,

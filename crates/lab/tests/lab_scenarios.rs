@@ -272,6 +272,20 @@ fn serde_default_and_field_errors() {
         let msg = bad.expect_err("unknown key").to_string();
         assert!(msg.contains(&format!("unknown {ty} field")), "got: {msg}");
     }
+    // An all-optional block given as a non-object is malformed, not empty.
+    for (block, ty) in [
+        (r#""scenario": 5"#, "ScenarioSpec"),
+        (r#""scenario": {"faults": "x"}"#, "FaultsSpec"),
+        (r#""sweep": []"#, "SweepSpec"),
+    ] {
+        let text = format!(
+            r#"{{"name": "bad", "workload": {{"Trace": {{"cell": "C2019a", "machines": 4, "collections": 2}}}}, {block}}}"#
+        );
+        let msg = ExperimentSpec::from_json(&text)
+            .expect_err(block)
+            .to_string();
+        assert!(msg.contains(&format!("invalid {ty} value")), "got: {msg}");
+    }
 
     // The normalised document (what sweep knob paths address) keeps its
     // key order and the bare number / "auto" spelling.
@@ -627,6 +641,159 @@ fn autoscale_spec_validation_rejects_bad_blocks() {
     );
     let err = ExperimentSpec::from_json(&bad_cadence).expect_err("cadence 0");
     assert!(err.to_string().contains("cadence"), "{err}");
+    let bad_delay = base.replace(
+        "AUTO",
+        r#"{"policy": "threshold", "min": 1, "max": 4, "cadence": 1000000,
+            "delay": {"Pareto": {"lo": 5000000, "hi": 1000000, "alpha": 1.2}}}"#,
+    );
+    let err = ExperimentSpec::from_json(&bad_delay).expect_err("hi below lo");
+    assert!(
+        err.to_string()
+            .contains("autoscale delay Pareto { lo: 5000000.0, hi: 1000000.0, alpha: 1.2 }: require 0 < lo < hi"),
+        "{err}"
+    );
+}
+
+/// Every per-cell rule reports its cell through one wrapper: one
+/// two-cell spec, one bad block at a time in cell `b`, and every error
+/// starts `cell "b": ` exactly once.
+#[test]
+fn every_per_cell_error_names_its_cell_once() {
+    let uniform = r#""arrival": {"Uniform": {"gap": 30000}}"#;
+    let synthetic = |fields: &str| {
+        format!(
+            r#"{{"Synthetic": {{"machines": [{{"count": 4, "cpu": 1.0, "memory": 1.0}}],
+                "tasks": 40, {fields}}}}}"#
+        )
+    };
+    let good = synthetic(uniform);
+    let spec = |spillover: bool, workload: &str, scenario: &str| {
+        format!(
+            r#"{{"name": "prefix", "spillover": {spillover}, "cells": [
+                {{"name": "a", "workload": {good}}},
+                {{"name": "b", "workload": {workload}, "scenario": {{{scenario}}}}}]}}"#
+        )
+    };
+    let autoscale = |policy: &str, min: u32, cadence: u64, delay: &str| {
+        format!(
+            r#""autoscale": {{"policy": "{policy}", "min": {min}, "max": 4,
+                "cadence": {cadence}, "delay": {delay}}}"#
+        )
+    };
+    let fixed = r#"{"Fixed": 1000}"#;
+    let trace = |machines: usize| {
+        format!(r#"{{"Trace": {{"cell": "C2019a", "machines": {machines}, "collections": 5}}}}"#)
+    };
+    let cases = [
+        spec(true, &trace(8), ""),
+        spec(
+            false,
+            &good,
+            r#""faults": {"link_outage": {"start": 1, "duration": 5}}"#,
+        ),
+        spec(false, &trace(0), ""),
+        spec(false, &good.replace("\"count\": 4", "\"count\": 0"), ""),
+        spec(
+            false,
+            &synthetic(r#""arrival": {"Exponential": {"mean_gap": 0}}"#),
+            "",
+        ),
+        spec(
+            false,
+            &synthetic(r#""arrival": {"Pareto": {"lo": 10, "hi": 5, "alpha": 1}}"#),
+            "",
+        ),
+        spec(
+            false,
+            &synthetic(&format!(
+                r#"{uniform}, "cpu": {{"Pareto": {{"lo": 0, "hi": 0.5, "alpha": 1}}}}"#
+            )),
+            "",
+        ),
+        spec(
+            false,
+            &synthetic(&format!(
+                r#"{uniform}, "memory": {{"Pareto": {{"lo": 0.1, "hi": 0.5, "alpha": -1}}}}"#
+            )),
+            "",
+        ),
+        spec(false, &good, r#""retrain": {"period": 0}"#),
+        spec(false, &good, &autoscale("quantum", 1, 1_000_000, fixed)),
+        spec(false, &good, &autoscale("threshold", 9, 1_000_000, fixed)),
+        spec(false, &good, &autoscale("threshold", 1, 0, fixed)),
+        spec(
+            false,
+            &good,
+            &autoscale(
+                "threshold",
+                1,
+                1_000_000,
+                r#"{"Pareto": {"lo": 0, "hi": 5, "alpha": 1}}"#,
+            ),
+        ),
+        spec(
+            false,
+            &good,
+            r#""churn": {"failures": 1, "window": [9, 3], "outage": 5}"#,
+        ),
+        spec(
+            false,
+            &good,
+            r#""faults": {"crashes": {"count": 1, "window": [9, 3], "mttr": 5}}"#,
+        ),
+        spec(
+            false,
+            &good,
+            r#""faults": {"crashes": {"count": 1, "window": [3, 9], "mttr": 0}}"#,
+        ),
+        spec(
+            true,
+            &good,
+            r#""faults": {"link_outage": {"start": 1, "duration": 0}}"#,
+        ),
+        spec(
+            true,
+            &good,
+            r#""faults": {"link_outage": {"start": 1, "duration": 5, "count": 2}}"#,
+        ),
+        spec(
+            false,
+            &good,
+            r#""faults": {"degraded_registry": {"start": 1, "duration": 0}}"#,
+        ),
+        spec(false, &good, r#""faults": {"retry": {"policy": "linear"}}"#),
+        spec(false, &good, r#""faults": {"retry": {"base": 0}}"#),
+    ];
+    for text in &cases {
+        let err = ExperimentSpec::from_json(text).expect_err(text).to_string();
+        assert!(err.starts_with("ctlm-lab: cell \"b\": "), "{err}");
+        assert_eq!(err.matches("cell \"b\"").count(), 1, "{err}");
+    }
+    ExperimentSpec::from_json(&spec(false, &good, "")).expect("the unbent spec parses");
+}
+
+/// A sweep knob that bends a sampler parameter out of its domain fails
+/// with the parser's error before any grid point runs.
+#[test]
+fn sweeping_a_pareto_bound_to_zero_cannot_panic() {
+    let spec = r#"{
+        "name": "pareto-sweep",
+        "sim": {"cycle": 500000, "attempts_per_cycle": 4,
+                 "mean_runtime": 5000000, "horizon": 20000000, "seed": 3},
+        "workload": {"Synthetic": {
+            "machines": [{"count": 4, "cpu": 1.0, "memory": 1.0}],
+            "tasks": 40, "arrival": {"Uniform": {"gap": 300000}},
+            "cpu": {"Pareto": {"lo": 0.05, "hi": 0.4, "alpha": 1.2}}
+        }},
+        "sweep": {"knobs": [{"path": "workload.Synthetic.cpu.Pareto.lo", "values": [0.05, 0]}]}
+    }"#;
+    let err = run_spec_json(spec).expect_err("lo swept to 0");
+    assert!(
+        err.to_string().contains("cpu Pareto") && err.to_string().contains("require 0 < lo < hi"),
+        "{err}"
+    );
+    let report = run_spec_json(&spec.replace("[0.05, 0]", "[0.05, 0.1]")).expect("valid bounds");
+    assert_eq!(report.runs.len(), 2);
 }
 
 #[test]
@@ -691,10 +858,10 @@ fn sweeping_the_training_attempts_to_zero_cannot_panic() {
     assert_eq!(report.runs.len(), 2);
 }
 
-/// Arrival times that do not fit the time axis are refused at build
-/// time, for the streamed (`main_only`) and the materialised (`enhanced`)
-/// flavour alike: the parent wrapped them and ran to exit 0 on an
-/// unsorted arrival list.
+/// Arrival times that do not fit the time axis are refused before the
+/// run starts — at build time for the materialised (`enhanced`) flavour,
+/// at attach time for the streamed (`main_only`) one: unchecked, they
+/// wrapped and ran to exit 0 on an unsorted arrival list.
 #[test]
 fn arrivals_past_the_end_of_the_time_axis_are_errors_not_wrapped_runs() {
     let spec = |scheduler: &str, gap: u64, restrictive: &str| {

@@ -151,22 +151,33 @@ fn the_retired_arrival_switch_is_an_unknown_argument() {
     // One valid single-cell spec, bent one field at a time into the
     // shapes that used to hang (a zero period), wrap (a period that
     // overflows the time axis by its second repetition) or panic (a
-    // training budget of no attempts).
-    let bent_trained = |name: &str, scheduler: &str, cycle: u64, scenario: &str, attempts: u32| {
-        let text = format!(
+    // training budget of no attempts, a sampler parameter outside its
+    // distribution's domain).
+    let uniform = r#""arrival": {"Uniform": {"gap": 30000}}"#;
+    let bent_text = |scheduler: &str, cycle: u64, scenario: &str, attempts: u32| {
+        format!(
             r#"{{"name": "bent", "schedulers": ["{scheduler}"],
                 "sim": {{"cycle": {cycle}, "attempts_per_cycle": 3, "mean_runtime": 5000000,
                          "horizon": 60000000, "seed": 7}},
                 "workload": {{"Synthetic": {{
                     "machines": [{{"count": 4, "cpu": 1.0, "memory": 1.0}}],
-                    "tasks": 40, "arrival": {{"Uniform": {{"gap": 30000}}}}}}}},
+                    "tasks": 40, {uniform}}}}},
                 "train": {{"epochs_limit": 1, "max_attempts": {attempts}}},
                 "scenario": {{{scenario}}}}}"#
-        );
-        scratch(name, &text)
+        )
+    };
+    let bent_trained = |name: &str, scheduler: &str, cycle: u64, scenario: &str, attempts: u32| {
+        scratch(name, &bent_text(scheduler, cycle, scenario, attempts))
     };
     let bent = |name: &str, scheduler: &str, cycle: u64, scenario: &str| {
         bent_trained(name, scheduler, cycle, scenario, 1)
+    };
+    // The same spec with its samplers replaced.
+    let bent_samplers = |name: &str, samplers: &str| {
+        scratch(
+            name,
+            &bent_text("main_only", 500_000, "", 1).replace(uniform, samplers),
+        )
     };
     let forever = u64::MAX;
     let no_attempts = bent_trained("no_attempts.json", "enhanced", 500_000, "", 0);
@@ -200,6 +211,30 @@ fn the_retired_arrival_switch_is_an_unknown_argument() {
         500_000,
         r#""churn": {"failures": 2, "window": [50000000, 10000000], "outage": 1000000}"#,
     );
+    let zero_mean_gap = bent_samplers(
+        "zero_mean_gap.json",
+        r#""arrival": {"Exponential": {"mean_gap": 0}}"#,
+    );
+    let pareto_arrival = bent_samplers(
+        "pareto_arrival.json",
+        r#""arrival": {"Pareto": {"lo": 0, "hi": 200000, "alpha": 1.4}}"#,
+    );
+    let pareto_cpu = bent_samplers(
+        "pareto_cpu.json",
+        &format!(r#"{uniform}, "cpu": {{"Pareto": {{"lo": 0.5, "hi": 0.5, "alpha": 1.2}}}}"#),
+    );
+    let pareto_memory = bent_samplers(
+        "pareto_memory.json",
+        &format!(r#"{uniform}, "memory": {{"Pareto": {{"lo": 0.05, "hi": 0.5, "alpha": 0}}}}"#),
+    );
+    // Used to panic mid-run, at the first scale-up.
+    let pareto_delay = bent(
+        "pareto_delay.json",
+        "main_only",
+        500_000,
+        r#""autoscale": {"policy": "threshold", "min": 1, "max": 8, "cadence": 1000000,
+            "delay": {"Pareto": {"lo": 0, "hi": 60000000, "alpha": 1.2}}}"#,
+    );
     for (args, expect) in [
         (&[spec, retired][..], &["unknown argument", retired][..]),
         (&["/nonexistent/spec.json"], &["cannot read spec"]),
@@ -213,6 +248,20 @@ fn the_retired_arrival_switch_is_an_unknown_argument() {
         (
             &[&churn_inverted],
             &["churn window start 50000000 exceeds end 10000000"],
+        ),
+        (
+            &[&zero_mean_gap],
+            &["arrival Exponential", "require mean > 0"],
+        ),
+        (
+            &[&pareto_arrival],
+            &["arrival Pareto", "require 0 < lo < hi"],
+        ),
+        (&[&pareto_cpu], &["cpu Pareto", "require 0 < lo < hi"]),
+        (&[&pareto_memory], &["memory Pareto", "require alpha > 0"]),
+        (
+            &[&pareto_delay],
+            &["autoscale delay Pareto", "require 0 < lo < hi"],
         ),
     ] {
         let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_ctlm-lab"))
@@ -235,6 +284,7 @@ fn the_retired_arrival_switch_is_an_unknown_argument() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
         for needle in expect {
             assert!(stderr.contains(needle), "{args:?}: {stderr}");

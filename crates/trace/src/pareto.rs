@@ -26,9 +26,19 @@ impl BoundedPareto {
     /// # Panics
     /// Panics unless `0 < lo < hi` and `alpha > 0`.
     pub fn new(lo: f64, hi: f64, alpha: f64) -> Self {
-        assert!(lo > 0.0 && hi > lo, "require 0 < lo < hi");
-        assert!(alpha > 0.0, "require alpha > 0");
-        Self { lo, hi, alpha }
+        Self::try_new(lo, hi, alpha).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates the distribution, or names the rule the parameters break
+    /// (where [`BoundedPareto::new`] would panic).
+    pub fn try_new(lo: f64, hi: f64, alpha: f64) -> Result<Self, &'static str> {
+        if !(lo > 0.0 && hi > lo) {
+            Err("require 0 < lo < hi")
+        } else if alpha > 0.0 {
+            Ok(Self { lo, hi, alpha })
+        } else {
+            Err("require alpha > 0")
+        }
     }
 
     /// Draws one sample.
@@ -56,8 +66,17 @@ impl Exponential {
     /// # Panics
     /// Panics unless `mean > 0`.
     pub fn new(mean: f64) -> Self {
-        assert!(mean > 0.0, "require mean > 0");
-        Self { mean }
+        Self::try_new(mean).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates the distribution, or names the rule `mean` breaks (where
+    /// [`Exponential::new`] would panic).
+    pub fn try_new(mean: f64) -> Result<Self, &'static str> {
+        if mean > 0.0 {
+            Ok(Self { mean })
+        } else {
+            Err("require mean > 0")
+        }
     }
 
     /// Draws one sample via inverse-CDF; always strictly positive.
