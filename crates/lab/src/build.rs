@@ -6,7 +6,7 @@
 //! seeded [`StdRng`](rand::rngs::StdRng)s — the property the determinism tests pin down.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use ctlm_data::compaction::AttrRequirement;
 use ctlm_data::dataset::{Dataset, DatasetBuilder, NUM_GROUPS};
@@ -108,8 +108,9 @@ pub struct BuiltCell {
     /// Machine ids in declaration order (churn picks from these).
     pub machine_ids: Vec<MachineId>,
     /// Machine-side attribute vocabulary, observed in declaration order
-    /// (model-backed schedulers encode against this).
-    pub vocab: ValueVocab,
+    /// (model-backed schedulers encode against this, and every analyzer
+    /// trained on the cell shares it).
+    pub vocab: Arc<ValueVocab>,
     /// Churn plan derived from the scenario, if any.
     pub churn: Option<ChurnPlan>,
     /// Gang arrivals derived from the scenario.
@@ -306,7 +307,7 @@ pub fn build_cell(
         cluster,
         arrivals,
         machine_ids,
-        vocab,
+        vocab: Arc::new(vocab),
         churn,
         gangs,
         rollout,

@@ -32,7 +32,9 @@
 //! generation, ground-truth groups) costs more than simulating it.
 //! [`run_schedulers_observed`] therefore builds a point's cells once per
 //! arrival flavour — list-fed and streamed, at most two builds — and runs
-//! every scheduler against them, each with its own copy of the fleet.
+//! every scheduler against them, each with its own usage state over the
+//! shared fleet (a run that changes its fleet copies it then; see
+//! [`SchedCluster`]).
 //! [`run_scheduler_observed`] is the same run on cells built for it
 //! alone.
 //!
@@ -327,9 +329,10 @@ pub fn run_scheduler_observed(
 /// nothing (and carries the CO-VV training set `enhanced` and
 /// `live_registry` share), one streamed set serves the rest — at most two
 /// builds however long the list, and a large synthetic spec under
-/// `main_only` still streams in O(chunk). Each run gets its own copy of
-/// the fleet; the last run on a set takes the set's own, and the set is
-/// dropped with it.
+/// `main_only` still streams in O(chunk). Each run gets its own usage
+/// state over the shared fleet; the last run on a set takes the set's own
+/// cluster, and the set is dropped with it — so a run that is the only
+/// one on its set holds the fleet's only reference and never copies it.
 pub fn run_schedulers_observed(
     spec: &ExperimentSpec,
     mode: ArrivalMode,
@@ -599,7 +602,7 @@ impl<'a> RetrainSource<'a> {
     ) -> Self {
         Self {
             cell,
-            vocab: Arc::new(cell.vocab.clone()),
+            vocab: cell.vocab.clone(),
             model: GrowingModel::new(config),
             registry,
             next: Some(if cadence.start > 0 {

@@ -111,6 +111,67 @@ fn oracle_beats_main_only_from_spec_alone() {
 }
 
 #[test]
+fn a_schedulers_results_do_not_depend_on_its_place_in_the_list() {
+    // The schedulers of a grid point share one built fleet, copy-on-write.
+    // Every run here changes its fleet — churn drains and restores,
+    // a rollout rewrites an attribute, the autoscaler adds and takes
+    // machines, crashes take them down — so a run that saw another run's
+    // changes would report differently in the other order.
+    let spec = |order: &str| {
+        format!(
+            r#"{{
+            "name": "order",
+            "sim": {{"cycle": 500000, "attempts_per_cycle": 4,
+                     "mean_runtime": 8000000, "horizon": 120000000, "seed": 5}},
+            "schedulers": {order},
+            "workload": {{"Synthetic": {{
+                "machines": [{{"count": 8, "cpu": 1.0, "memory": 1.0}}],
+                "tasks": 300,
+                "arrival": {{"Exponential": {{"mean_gap": 60000}}}},
+                "cpu": {{"Pareto": {{"lo": 0.05, "hi": 0.4, "alpha": 1.2}}}},
+                "priority": 2,
+                "restrictive": {{"count": 4, "start": 4000000,
+                                 "period": 9000000, "cpu": 0.2, "priority": 6}}
+            }}}},
+            "scenario": {{
+                "churn": {{"failures": 2, "window": [10000000, 40000000],
+                           "outage": 15000000, "seed": 4}},
+                "rollout": {{"attr": 7, "value": 2, "stages": 3,
+                             "start": 5000000, "period": 10000000}},
+                "autoscale": {{"policy": "threshold", "min": 4, "max": 14,
+                               "cadence": 2000000, "warm_pool": 1}},
+                "faults": {{"crashes": {{"count": 2, "window": [20000000, 70000000],
+                                         "mttr": 20000000, "zones": 4, "seed": 6}}}}
+            }}
+        }}"#
+        )
+    };
+    let forward = run_spec_json(&spec(r#"["main_only", "oracle"]"#)).expect("forward order");
+    let reverse = run_spec_json(&spec(r#"["oracle", "main_only"]"#)).expect("reverse order");
+    let runs = |r: &ctlm_lab::report::LabReport| r.runs[0].schedulers.clone();
+    let (forward, reverse) = (runs(&forward), runs(&reverse));
+    for sched in &forward {
+        let other = reverse
+            .iter()
+            .find(|s| s.scheduler == sched.scheduler)
+            .expect("both orders run every scheduler");
+        assert_eq!(sched.cells, other.cells, "{}", sched.scheduler);
+        let cell = &sched.cells[0];
+        assert!(cell.churn_rescheduled > 0, "churn must move tasks");
+        let recovery = cell.recovery.as_ref().expect("the cell runs a fault plane");
+        assert!(recovery.machines_crashed > 0, "crashes must fire");
+        let fleet = cell
+            .autoscale
+            .as_ref()
+            .expect("the cell runs an autoscaler");
+        assert!(
+            fleet.scale_ups + fleet.scale_downs > 0,
+            "the autoscaler must act"
+        );
+    }
+}
+
+#[test]
 fn checked_in_specs_parse_and_spillover_runs_deterministically() {
     for name in [
         "fig3_ab",

@@ -3,13 +3,14 @@
 //! ## Layout
 //!
 //! Every machine the cluster has seen owns one **slot** for good — the
-//! index of its row in two parallel tables:
+//! index of its row in three parallel tables:
 //!
 //! * `hot` — `(id, free_cpu, free_mem)`, 24 bytes a machine, the only
 //!   thing a capacity probe reads;
-//! * `slots` — the [`Machine`] itself, its usage sums, its task list and
-//!   whether it is online, parked (drained, restorable) or vacant
-//!   (taken by [`SchedCluster::take_offline`]).
+//! * `slots` — the machine's usage sums, its task list and whether it is
+//!   online, parked (drained, restorable) or vacant (taken by
+//!   [`SchedCluster::take_offline`]);
+//! * the fleet's `machines` — the [`Machine`] itself.
 //!
 //! A `MachineId` is hashed to its slot once, where a call enters with an
 //! id (`place`, `release`, `remove_machine`, `restore_machine`,
@@ -17,6 +18,31 @@
 //! hashes: the capacity index's buckets hold slots (sorted by machine
 //! id) and the attribute index is keyed by slot, so whatever either of
 //! them yields indexes the tables directly.
+//!
+//! ## Sharing
+//!
+//! A cluster is two parts:
+//!
+//! * the **fleet** — `slot_of`, the `machines` table and the slot-keyed
+//!   attribute index — behind an `Arc`, shared by every clone;
+//! * the **usage state** — `hot`, `slots`, the online count, the
+//!   capacity index and the fleet totals — owned by each clone.
+//!
+//! A grid point's schedulers run the same fleet once each, so
+//! [`SchedCluster::clone`] copies only the usage state: four buffers,
+//! plus one per non-empty capacity bucket and one per machine holding
+//! tasks. On an idle fleet of one machine shape that is the same count
+//! at 100 machines as at 10 000 (`zero_alloc_pass.rs` pins it).
+//! Every write to the fleet — `add_machine`, a machine going offline or
+//! coming back (`remove_machine`, `restore_machine`, `reset`),
+//! `update_attr` and `take_offline` — goes through one private
+//! accessor, `fleet_mut`, which is `Arc::make_mut`: the first such write
+//! on a shared fleet copies it, once, and later writes reuse the copy. A
+//! run whose fleet never changes never copies; one whose fleet does
+//! (churn, rollout, autoscaling, crashes) pays at its first change what
+//! a deep clone used to cost up front. A cluster that holds the only
+//! reference writes in place, so the zero-allocation drain / restore /
+//! reset contract is unchanged.
 //!
 //! ## The capacity index
 //!
@@ -40,6 +66,7 @@
 //! `a_unit_machine_holds_four_fifth_core_tasks_not_five`.
 
 use std::collections::HashMap;
+use std::sync::{Arc, LazyLock};
 
 use ctlm_agocs::matcher::machine_suitable;
 use ctlm_agocs::AttrIndex;
@@ -84,10 +111,10 @@ enum State {
     Vacant,
 }
 
-/// Everything about a machine a probe does not read.
+/// A machine's usage in one run: everything per run a probe does not
+/// read.
 #[derive(Clone, Debug)]
 struct Slot {
-    machine: Machine,
     cpu_used: f64,
     mem_used: f64,
     /// Tasks placed here as `(task, cpu, memory, priority)`.
@@ -101,6 +128,7 @@ struct Slot {
 #[derive(Clone, Copy, Debug)]
 pub struct MachineView<'a> {
     hot: &'a Hot,
+    machine: &'a Machine,
     slot: &'a Slot,
 }
 
@@ -128,7 +156,7 @@ impl MachineView<'_> {
 
     /// One attribute value.
     pub fn attr(&self, attr: AttrId) -> Option<&AttrValue> {
-        self.slot.machine.attr(attr)
+        self.machine.attr(attr)
     }
 
     /// Tasks here with priority strictly below `priority`, lowest
@@ -295,24 +323,35 @@ pub enum CapacityFit {
     Infeasible,
 }
 
+/// The machine side of a cluster, shared copy-on-write between clones
+/// (see "Sharing" in the module docs).
+#[derive(Clone, Debug, Default)]
+struct Fleet {
+    /// `MachineId → slot`, consulted once per id-keyed call. An id keeps
+    /// its slot for good, parked or vacant included.
+    slot_of: HashMap<MachineId, u32>,
+    /// The machine in each slot.
+    machines: Vec<Machine>,
+    /// Keyed by slot, online machines only.
+    index: AttrIndex,
+}
+
 /// The scheduler's view of the cluster: trace machines plus usage, in a
 /// slot-indexed table (see the module docs). An inverted [`AttrIndex`]
 /// mirrors the fleet so per-task suitability queries in the placement
 /// loop scale with the candidate set instead of the cluster size, and a
 /// bucketed capacity index keeps machines ordered by free capacity so
 /// best-fit resolves without scanning every suitable candidate (the
-/// Fig. 3 simulation at 100k+ machines).
-#[derive(Clone, Debug, Default)]
+/// Fig. 3 simulation at 100k+ machines). Clones share the machine table
+/// and the attribute index until one of them changes its fleet.
+#[derive(Clone, Debug)]
 pub struct SchedCluster {
-    /// `MachineId → slot`, consulted once per id-keyed call. An id keeps
-    /// its slot for good, parked or vacant included.
-    slot_of: HashMap<MachineId, u32>,
+    /// Written only through [`SchedCluster::fleet_mut`].
+    fleet: Arc<Fleet>,
     hot: Vec<Hot>,
     slots: Vec<Slot>,
     /// Machines online.
     online: usize,
-    /// Keyed by slot, online machines only.
-    index: AttrIndex,
     cap: CapacityIndex,
     /// Fleet-wide CPU capacity / usage, maintained incrementally so
     /// [`SchedCluster::cpu_utilisation`] is O(1) and a pure function of
@@ -322,6 +361,24 @@ pub struct SchedCluster {
     /// least-loaded spillover router) would flip.
     cpu_capacity_total: f64,
     cpu_used_total: f64,
+}
+
+impl Default for SchedCluster {
+    /// Empty cluster. Every empty cluster shares one empty fleet, so one
+    /// costs no allocation (what `mem::take` leaves behind) until it
+    /// gains a machine.
+    fn default() -> Self {
+        static EMPTY: LazyLock<Arc<Fleet>> = LazyLock::new(Arc::default);
+        Self {
+            fleet: Arc::clone(&EMPTY),
+            hot: Vec::new(),
+            slots: Vec::new(),
+            online: 0,
+            cap: CapacityIndex::default(),
+            cpu_capacity_total: 0.0,
+            cpu_used_total: 0.0,
+        }
+    }
 }
 
 impl SchedCluster {
@@ -335,7 +392,9 @@ impl SchedCluster {
         let machines = machines.into_iter();
         let mut c = Self::new();
         let n = machines.size_hint().0;
-        c.slot_of.reserve(n);
+        let fleet = c.fleet_mut();
+        fleet.slot_of.reserve(n);
+        fleet.machines.reserve(n);
         c.hot.reserve(n);
         c.slots.reserve(n);
         for m in machines {
@@ -344,9 +403,15 @@ impl SchedCluster {
         c
     }
 
+    /// The fleet, for writing: copied first when another clone shares
+    /// it. The only place the fleet is written through.
+    fn fleet_mut(&mut self) -> &mut Fleet {
+        Arc::make_mut(&mut self.fleet)
+    }
+
     /// The slot of a known machine, whatever its state.
     fn slot(&self, id: MachineId) -> Option<usize> {
-        self.slot_of.get(&id).map(|&s| s as usize)
+        self.fleet.slot_of.get(&id).map(|&s| s as usize)
     }
 
     /// The slot of an online machine.
@@ -358,6 +423,7 @@ impl SchedCluster {
     fn view_at(&self, slot: usize) -> MachineView<'_> {
         MachineView {
             hot: &self.hot[slot],
+            machine: &self.fleet.machines[slot],
             slot: &self.slots[slot],
         }
     }
@@ -376,14 +442,16 @@ impl SchedCluster {
     /// Puts the (empty) machine in `slot` into the fleet: both indexes
     /// and the fleet totals.
     fn bring_online(&mut self, slot: usize) {
-        let m = &self.slots[slot].machine;
+        let fleet = self.fleet_mut();
+        let m = &fleet.machines[slot];
+        fleet.index.add_keyed(slot as u64, m);
+        let (id, cpu, memory) = (m.id, m.cpu, m.memory);
         self.hot[slot] = Hot {
-            id: m.id,
-            free_cpu: m.cpu,
-            free_mem: m.memory,
+            id,
+            free_cpu: cpu,
+            free_mem: memory,
         };
-        self.index.add_keyed(slot as u64, m);
-        self.cpu_capacity_total += m.cpu;
+        self.cpu_capacity_total += cpu;
         self.cap.insert(&self.hot, slot as u32);
         self.slots[slot].state = State::Online;
         self.online += 1;
@@ -393,10 +461,10 @@ impl SchedCluster {
     /// fleet totals and zeroes its usage; the caller settles its task
     /// list and its new state.
     fn take_down(&mut self, slot: usize) {
-        self.index.remove_machine(slot as u64);
+        self.fleet_mut().index.remove_machine(slot as u64);
         self.cap.remove(&self.hot, slot as u32);
         let s = &mut self.slots[slot];
-        self.cpu_capacity_total -= s.machine.cpu;
+        self.cpu_capacity_total -= self.fleet.machines[slot].cpu;
         self.cpu_used_total -= s.cpu_used;
         (s.cpu_used, s.mem_used) = (0.0, 0.0);
         self.online -= 1;
@@ -413,25 +481,26 @@ impl SchedCluster {
                     self.take_down(slot);
                     self.slots[slot].tasks.clear();
                 }
-                self.slots[slot].machine = m;
+                self.fleet_mut().machines[slot] = m;
                 slot
             }
             None => {
                 let slot = self.slots.len();
                 let handle = u32::try_from(slot).expect("fewer than 2^32 machines");
-                self.slot_of.insert(m.id, handle);
                 self.hot.push(Hot {
                     id: m.id,
                     free_cpu: m.cpu,
                     free_mem: m.memory,
                 });
                 self.slots.push(Slot {
-                    machine: m,
                     cpu_used: 0.0,
                     mem_used: 0.0,
                     tasks: Vec::new(),
                     state: State::Vacant,
                 });
+                let fleet = self.fleet_mut();
+                fleet.slot_of.insert(m.id, handle);
+                fleet.machines.push(m);
                 slot
             }
         };
@@ -471,7 +540,7 @@ impl SchedCluster {
         }
         s.state = State::Vacant;
         Some(std::mem::replace(
-            &mut s.machine,
+            &mut self.fleet_mut().machines[slot],
             Machine::new(id, 0.0, 0.0),
         ))
     }
@@ -509,18 +578,22 @@ impl SchedCluster {
         let Some(slot) = self.slot(id) else {
             return false;
         };
-        let s = &mut self.slots[slot];
-        match s.state {
-            State::Online => self.index.update_attr(slot as u64, attr, value.as_ref()),
-            State::Parked => {} // no index entry to maintain
-            State::Vacant => return false,
+        let state = self.slots[slot].state;
+        if state == State::Vacant {
+            return false;
         }
+        let fleet = self.fleet_mut();
+        // A parked machine has no index entry to maintain.
+        if state == State::Online {
+            fleet.index.update_attr(slot as u64, attr, value.as_ref());
+        }
+        let m = &mut fleet.machines[slot];
         match value {
             Some(v) => {
-                s.machine.set_attr(attr, v);
+                m.set_attr(attr, v);
             }
             None => {
-                s.machine.remove_attr(attr);
+                m.remove_attr(attr);
             }
         }
         true
@@ -539,8 +612,9 @@ impl SchedCluster {
             s.tasks.clear();
             match s.state {
                 State::Online => {
+                    let m = &self.fleet.machines[slot];
                     let h = &mut self.hot[slot];
-                    (h.free_cpu, h.free_mem) = (s.machine.cpu, s.machine.memory);
+                    (h.free_cpu, h.free_mem) = (m.cpu, m.memory);
                     self.cap.insert(&self.hot, slot as u32);
                 }
                 State::Parked => self.bring_online(slot),
@@ -589,6 +663,14 @@ impl SchedCluster {
         out
     }
 
+    /// How many online machines satisfy the requirements (constraint
+    /// feasibility only, not capacity) — the ground-truth suitable-node
+    /// count, read off the attribute index without allocating (the
+    /// online count for an unconstrained task).
+    pub fn count_suitable(&self, reqs: &[AttrRequirement]) -> usize {
+        self.fleet.index.count_matching(reqs)
+    }
+
     /// Streams every suitable machine to `f` without materialising a
     /// candidate list (visit order unspecified — callers needing an
     /// order track their own min key). `f` returns false to stop early;
@@ -598,7 +680,8 @@ impl SchedCluster {
         reqs: &[AttrRequirement],
         mut f: impl FnMut(MachineView<'_>) -> bool,
     ) -> bool {
-        self.index
+        self.fleet
+            .index
             .matching_visit(reqs, |slot| f(self.view_at(slot as usize)))
     }
 
@@ -618,7 +701,7 @@ impl SchedCluster {
     /// of [`SchedCluster::tightest_fit`] for this constraint set.
     fn candidate_driven(&self, reqs: &[AttrRequirement]) -> bool {
         !reqs.is_empty()
-            && self.index.selectivity_hint(reqs) * Self::CANDIDATE_DRIVEN_SHARE <= self.online
+            && self.fleet.index.selectivity_hint(reqs) * Self::CANDIDATE_DRIVEN_SHARE <= self.online
     }
 
     /// The feasible machine minimising `(capacity_bucket(free_cpu), id)`
@@ -650,7 +733,7 @@ impl SchedCluster {
             if bucket.cpu.max >= cpu && bucket.mem.max >= mem {
                 for &s in &bucket.slots {
                     let s = s as usize;
-                    if self.hot[s].fits(cpu, mem) && machine_suitable(&self.slots[s].machine, reqs)
+                    if self.hot[s].fits(cpu, mem) && machine_suitable(&self.fleet.machines[s], reqs)
                     {
                         return CapacityFit::Fit(self.hot[s].id);
                     }
@@ -658,7 +741,7 @@ impl SchedCluster {
             }
             from = b + 1;
         }
-        if reqs.is_empty() || self.index.matches_any(reqs) {
+        if reqs.is_empty() || self.fleet.index.matches_any(reqs) {
             CapacityFit::NoCapacity
         } else {
             CapacityFit::Infeasible
@@ -674,7 +757,7 @@ impl SchedCluster {
         if reqs.is_empty() {
             self.online
         } else {
-            self.index.selectivity_hint(reqs).min(self.online)
+            self.fleet.index.selectivity_hint(reqs).min(self.online)
         }
     }
 
@@ -714,11 +797,11 @@ impl SchedCluster {
     /// its usage sums: in place when the capacity bucket is unchanged,
     /// else by moving the slot between buckets.
     fn refile(&mut self, slot: usize) {
-        let s = &self.slots[slot];
+        let (m, s) = (&self.fleet.machines[slot], &self.slots[slot]);
         let was = self.hot[slot];
         let now = Hot {
-            free_cpu: s.machine.cpu - s.cpu_used,
-            free_mem: s.machine.memory - s.mem_used,
+            free_cpu: m.cpu - s.cpu_used,
+            free_mem: m.memory - s.mem_used,
             ..was
         };
         let bucket = capacity_bucket(was.free_cpu);
@@ -776,7 +859,7 @@ impl SchedCluster {
     /// One online machine's attribute value.
     pub fn machine_attr(&self, id: MachineId, attr: AttrId) -> Option<&AttrValue> {
         self.online_slot(id)
-            .and_then(|s| self.slots[s].machine.attr(attr))
+            .and_then(|s| self.fleet.machines[s].attr(attr))
     }
 
     /// Total CPU utilisation across the cluster (0..1) — answered from
@@ -1027,10 +1110,10 @@ mod tests {
                 );
                 for (h, &s) in rows.iter().zip(&bucket.slots) {
                     assert_eq!(capacity_bucket(h.free_cpu), b);
-                    let slot = &self.slots[s as usize];
+                    let (m, slot) = (&self.fleet.machines[s as usize], &self.slots[s as usize]);
                     assert_eq!(slot.state, State::Online);
-                    assert_eq!(h.free_cpu, slot.machine.cpu - slot.cpu_used);
-                    assert_eq!(h.free_mem, slot.machine.memory - slot.mem_used);
+                    assert_eq!(h.free_cpu, m.cpu - slot.cpu_used);
+                    assert_eq!(h.free_mem, m.memory - slot.mem_used);
                 }
                 for (peak, of) in [
                     (bucket.cpu, (|h| h.free_cpu) as fn(&Hot) -> f64),
@@ -1090,6 +1173,80 @@ mod tests {
         c.reset();
         c.assert_index_exact();
         assert_eq!(c.len(), 6);
+    }
+
+    #[test]
+    fn a_clone_never_sees_the_other_sides_fleet_changes() {
+        use ctlm_data::compaction::collapse;
+        use ctlm_trace::{ConstraintOp as Op, TaskConstraint};
+        let pin = |v| collapse(&[TaskConstraint::new(0, Op::Equal(Some(AttrValue::Int(v))))]);
+        let low = collapse(&[TaskConstraint::new(0, Op::LessThan(2))]).unwrap();
+        let (pin2, pin99) = (pin(2).unwrap(), pin(99).unwrap());
+        // Everything a reader of the untouched side can ask.
+        let seen = |c: &SchedCluster| {
+            (
+                [c.suitable(&low), c.suitable(&pin2), c.suitable(&pin99)],
+                [
+                    c.tightest_fit(&[], 0.5, 0.5),
+                    c.tightest_fit(&pin2, 0.5, 0.5),
+                    c.tightest_fit(&pin99, 0.1, 0.1),
+                ],
+                (0..5)
+                    .map(|id| c.machine_attr(id, 0).cloned())
+                    .collect::<Vec<_>>(),
+                c.len(),
+                c.cpu_utilisation(),
+            )
+        };
+        for change_the_clone in [true, false] {
+            let mut original = cluster3();
+            original.place(1, 50, 0.3, 0.3, 2);
+            let mut clone = original.clone();
+            assert!(
+                Arc::ptr_eq(&original.fleet, &clone.fleet),
+                "a clone shares the fleet"
+            );
+            let (changed, untouched) = if change_the_clone {
+                (&mut clone, &mut original)
+            } else {
+                (&mut original, &mut clone)
+            };
+            let before = seen(untouched);
+            assert!(changed.update_attr(1, 0, Some(AttrValue::Int(99))));
+            assert_eq!(changed.remove_machine(1), Some(vec![(50, 0.3, 0.3, 2)]));
+            assert!(changed.restore_machine(1));
+            let mut m = Machine::new(3, 1.0, 1.0);
+            m.set_attr(0, AttrValue::Int(3));
+            changed.add_machine(m);
+            let mut m = Machine::new(0, 1.0, 1.0);
+            m.set_attr(0, AttrValue::Int(7));
+            changed.add_machine(m);
+            assert!(changed.remove_machine(2).is_some());
+            assert!(changed.take_offline(2).is_some());
+            changed.place(3, 60, 0.6, 0.6, 1);
+            changed.place(1, 61, 0.2, 0.2, 1);
+
+            assert!(!Arc::ptr_eq(&changed.fleet, &untouched.fleet));
+            assert_eq!(
+                seen(untouched),
+                before,
+                "change_the_clone: {change_the_clone}"
+            );
+            untouched.assert_index_exact();
+            changed.assert_index_exact();
+            // The changed side sees its own changes.
+            assert_eq!(changed.suitable(&pin99), vec![1]);
+            assert_eq!(changed.suitable(&pin2), Vec::<MachineId>::new());
+            assert_eq!(changed.machine_attr(0, 0), Some(&AttrValue::Int(7)));
+            assert_eq!(changed.len(), 3);
+            // And the untouched side still works on its own fleet.
+            untouched.place(2, 70, 0.5, 0.5, 1);
+            assert_eq!(untouched.tightest_fit(&pin2, 0.5, 0.5), CapacityFit::Fit(2));
+            assert_eq!(
+                changed.tightest_fit(&pin2, 0.1, 0.1),
+                CapacityFit::Infeasible
+            );
+        }
     }
 
     #[test]

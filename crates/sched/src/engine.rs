@@ -1039,28 +1039,24 @@ pub fn arrivals_from_trace(
     max_tasks: usize,
 ) -> (SchedCluster, Vec<PendingTask>) {
     // One pass over the machine adds: each machine is cloned exactly once
-    // (out of the borrowed trace) and later *moved* into the cluster; the
-    // truth-group counts come from a transient inverted index over
-    // borrowed machines instead of a second fully-cloned cluster state.
+    // (out of the borrowed trace) and *moved* into the cluster, whose
+    // attribute index then answers the truth-group counts.
     let mut machines: Vec<Machine> = Vec::new();
     let mut slot: HashMap<MachineId, usize> = HashMap::new();
-    let mut index = ctlm_agocs::AttrIndex::new();
     for ev in &trace.events {
         if let EventPayload::MachineAdd(m) = &ev.payload {
             if let Some(&i) = slot.get(&m.id) {
                 // Re-add supersedes: mirror `ClusterState::add_machine`.
-                index.remove_machine(m.id);
-                index.add_machine(m);
                 machines[i] = m.clone();
             } else {
                 slot.insert(m.id, machines.len());
-                index.add_machine(m);
                 machines.push(m.clone());
             }
         }
     }
+    let cluster = SchedCluster::from_machines(machines);
     let mut arrivals = Vec::new();
-    // The index is fixed from here on, so a suitable count is a pure
+    // The fleet is fixed from here on, so a suitable count is a pure
     // function of the collapsed set: one index walk per distinct set.
     // Only looked up, never iterated — hash order reaches no output.
     let mut suitable_by_set: HashMap<Vec<AttrRequirement>, usize> = HashMap::new();
@@ -1075,7 +1071,7 @@ pub fn arrivals_from_trace(
             let suitable = match suitable_by_set.get(reqs.as_slice()) {
                 Some(&n) => n,
                 None => {
-                    let n = index.count_matching(&reqs);
+                    let n = cluster.count_suitable(&reqs);
                     suitable_by_set.insert(reqs.clone(), n);
                     n
                 }
@@ -1089,7 +1085,7 @@ pub fn arrivals_from_trace(
             ));
         }
     }
-    (SchedCluster::from_machines(machines), arrivals)
+    (cluster, arrivals)
 }
 
 #[cfg(test)]
@@ -1295,5 +1291,49 @@ mod tests {
         assert!(arrivals
             .iter()
             .all(|t| t.cpu <= 0.9 && (t.truth_group as usize) < 26));
+    }
+
+    #[test]
+    fn truth_groups_match_a_linear_scan_of_the_fleet() {
+        // Ground truth is read off the cluster's attribute index; a plain
+        // `satisfies_all` scan over the deduplicated fleet must label
+        // every task the same, and drop exactly the tasks nothing fits.
+        use ctlm_data::dataset::group_for_count;
+        use ctlm_trace::{CellSet, Scale, TraceGenerator};
+        let trace = TraceGenerator::generate_cell(
+            CellSet::C2019c,
+            Scale {
+                machines: 120,
+                collections: 300,
+                seed: 11,
+            },
+        );
+        let (cluster, arrivals) = arrivals_from_trace(&trace, usize::MAX);
+        let mut fleet: Vec<&Machine> = Vec::new();
+        for ev in &trace.events {
+            if let EventPayload::MachineAdd(m) = &ev.payload {
+                match fleet.iter().position(|f| f.id == m.id) {
+                    Some(i) => fleet[i] = m,
+                    None => fleet.push(m),
+                }
+            }
+        }
+        assert_eq!(cluster.len(), fleet.len());
+        let by_id: HashMap<u64, u8> = arrivals.iter().map(|t| (t.id, t.truth_group)).collect();
+        assert_eq!(by_id.len(), arrivals.len(), "task ids are unique");
+        let mut constrained = 0;
+        for ev in &trace.events {
+            let EventPayload::TaskSubmit(task) = &ev.payload else {
+                continue;
+            };
+            let suitable = fleet
+                .iter()
+                .filter(|m| m.satisfies_all(&task.constraints))
+                .count();
+            let expected = (suitable > 0).then(|| group_for_count(suitable, trace.group_width));
+            assert_eq!(by_id.get(&task.id).copied(), expected, "task {}", task.id);
+            constrained += usize::from(!task.constraints.is_empty());
+        }
+        assert!(constrained > 0, "the slice carries constrained tasks");
     }
 }

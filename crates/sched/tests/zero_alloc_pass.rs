@@ -14,7 +14,10 @@
 //!   drain / restore / reset over the machine table — outside the
 //!   kernel, with recurring task shapes, and asserts the incremental
 //!   index maintenance is allocation-free once bucket capacities have
-//!   settled.
+//!   settled;
+//! * the *clone* test pins what a copy of the cluster costs: the
+//!   schedulers of a grid point share one machine table, so a clone's
+//!   allocation count does not grow with the fleet.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -320,6 +323,24 @@ fn span_recorder_disabled_is_free_and_enabled_changes_no_report_byte() {
 }
 
 #[test]
+fn a_clone_costs_the_same_few_allocations_whatever_the_fleet_size() {
+    // Clones share the machine table and the attribute index, so a clone
+    // copies only the per-run usage state: a fixed number of buffers
+    // when every machine has the same free capacity (one bucket).
+    let clone_cost = |n: u64| {
+        let c = fleet(n);
+        let before = allocations();
+        let copy = c.clone();
+        let cost = allocations() - before;
+        assert_eq!(copy.len(), c.len());
+        cost
+    };
+    let (small, large) = (clone_cost(100), clone_cost(10_000));
+    assert_eq!(small, large, "a clone must not scale with the fleet");
+    assert!(small <= 8, "a clone allocated {small} times");
+}
+
+#[test]
 fn capacity_index_maintenance_does_not_allocate_in_steady_state() {
     let mut c = fleet(8);
     let pin = collapse(&[TaskConstraint::new(0, Op::Equal(Some(AttrValue::Int(3))))]).unwrap();
@@ -385,7 +406,9 @@ fn capacity_index_maintenance_does_not_allocate_in_steady_state() {
     // the one allocation a *loaded* drain costs; the window drains idle
     // machines. Attribute values are shared by two machines each: the
     // attribute index drops a value's posting list with its last holder
-    // and would re-allocate it on restore.
+    // and would re-allocate it on restore. The cluster is its fleet's
+    // only owner, so the copy-on-write fleet is written in place and
+    // never copied.
     let mut d = SchedCluster::from_machines((0..8u64).map(|i| {
         let mut m = Machine::new(i, 1.0, 1.0);
         m.set_attr(0, AttrValue::Int(i as i64 / 2));

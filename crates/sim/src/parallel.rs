@@ -79,7 +79,11 @@ pub struct CellKernel<'a, E> {
 // SAFETY: see the module docs ("Why `CellKernel` is `Send`"). The inner
 // `Sim` is a self-contained island of non-`Send` state; the coordinator
 // only moves it across threads between epochs, with the pool latch
-// ordering every access.
+// ordering every access. The one thing a shard may share with the world
+// outside it is a cluster's fleet `Arc` (`ctlm_sched::SchedCluster`):
+// its count is atomic, and it is only ever written through
+// `Arc::make_mut`, which copies a shared fleet before the first write —
+// so no shard writes memory another thread can read.
 unsafe impl<E: Send> Send for CellKernel<'_, E> {}
 
 impl<'a, E> CellKernel<'a, E> {
