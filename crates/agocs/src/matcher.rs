@@ -5,22 +5,10 @@
 //! the focus of this investigation.” Counting the suitable machines for a
 //! task produces the ground-truth group label every model trains against.
 
-use rayon::prelude::*;
-
 use ctlm_data::compaction::AttrRequirement;
 use ctlm_trace::Machine;
 
 use crate::state::ClusterState;
-
-/// Machines below this population are scanned sequentially by the
-/// *linear* reference path; above it that scan parallelises with Rayon
-/// (the per-machine predicate is pure). Deliberately higher than
-/// `ctlm_tensor::ops::PAR_THRESHOLD` (64): a constraint check is a few
-/// nanoseconds per machine, so thread dispatch amortises much later than
-/// for a GEMM row. The production path ([`count_suitable`]) uses the
-/// inverted [`crate::index::AttrIndex`] instead and has no threshold —
-/// its cost scales with the answer, not the cluster.
-pub const PAR_THRESHOLD: usize = 1024;
 
 /// Evaluates collapsed requirements against one machine — the point
 /// check `ctlm_sched::SchedCluster` runs per capacity-ordered candidate.
@@ -45,23 +33,12 @@ pub fn suitable_machines(state: &ClusterState, reqs: &[AttrRequirement]) -> Vec<
 /// Pre-index reference: counts suitable machines by scanning the fleet.
 /// Retained as the equivalence oracle for the index property tests and
 /// the `matching` bench (measured against [`count_suitable`] in the same
-/// run).
+/// run). Its cost scales with the cluster; the index's with the answer.
 pub fn count_suitable_linear(state: &ClusterState, reqs: &[AttrRequirement]) -> usize {
-    if reqs.is_empty() {
-        return state.machine_count();
-    }
-    let machines = state.machines_vec();
-    if machines.len() >= PAR_THRESHOLD {
-        machines
-            .par_iter()
-            .filter(|m| machine_suitable(m, reqs))
-            .count()
-    } else {
-        machines
-            .iter()
-            .filter(|m| machine_suitable(m, reqs))
-            .count()
-    }
+    state
+        .machines()
+        .filter(|m| machine_suitable(m, reqs))
+        .count()
 }
 
 /// Pre-index reference for [`suitable_machines`] (ascending ids).
@@ -152,10 +129,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_agrees_with_sequential() {
-        // Build a cluster straddling the parallel threshold and compare
-        // both paths via the public API (the threshold is internal, so we
-        // compare against a manual sequential count).
+    fn index_and_linear_scan_agree_on_a_large_cluster() {
         let mut s = ClusterState::new();
         for i in 0..2000u64 {
             let mut m = Machine::new(i, 0.5, 0.5);
@@ -163,8 +137,7 @@ mod tests {
             s.add_machine(m);
         }
         let r = reqs(&[TaskConstraint::new(0, Op::LessThan(1234))]);
-        let manual = s.machines().filter(|m| machine_suitable(m, &r)).count();
-        assert_eq!(count_suitable(&s, &r), manual);
-        assert_eq!(manual, 1234);
+        assert_eq!(count_suitable(&s, &r), 1234);
+        assert_eq!(count_suitable_linear(&s, &r), 1234);
     }
 }

@@ -37,11 +37,6 @@ impl ClusterState {
         self.machines.values()
     }
 
-    /// Live machines as a slice-friendly Vec of references (for Rayon).
-    pub fn machines_vec(&self) -> Vec<&Machine> {
-        self.machines.values().collect()
-    }
-
     /// A machine by id.
     pub fn machine(&self, id: MachineId) -> Option<&Machine> {
         self.machines.get(&id)

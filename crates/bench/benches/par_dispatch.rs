@@ -1,8 +1,7 @@
 //! Parallel-dispatch overhead of the rayon shim.
 //!
 //! The shim feeds a persistent worker pool. This bench isolates the
-//! per-call dispatch cost on a small payload (the regime `PAR_THRESHOLD`
-//! guards):
+//! per-call dispatch cost on a small payload:
 //!
 //! ```text
 //! RAYON_NUM_THREADS=4 cargo bench -p ctlm-bench --bench par_dispatch

@@ -16,8 +16,8 @@
 //!   about 27 distinct rows per batch, which the optimized step forwards
 //!   once each. `optimized_minibatch` keeps its uniformly drawn batch
 //!   with no repeated row, so its ratio bounds what finding duplicates
-//!   costs when there are none. CI runs the whole family at pool width
-//!   1, where both ratios depend on the kernels and not on the runner.
+//!   costs when there are none. No kernel here reaches the thread pool,
+//!   so both ratios depend on the kernels and not on the runner's cores.
 //! * **`training_step/{growing_transfer,fully_retrain}`** — the paper's
 //!   model-level comparison (Growing 1–6 min vs 7–42 min from scratch),
 //!   at CI scale.

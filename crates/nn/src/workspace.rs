@@ -21,14 +21,6 @@
 //! first use — the trainer builds a fresh workspace per step, so growing
 //! them by doubling as distinct counts vary would cost allocations on
 //! every step.
-//!
-//! One caveat, documented rather than hidden: above
-//! `ctlm_tensor::ops::PAR_THRESHOLD` output rows the kernels take their
-//! Rayon path, and at a pool width above one the thread-pool shim
-//! allocates while dispatching. At width 1 those paths run inline and
-//! allocate nothing either, so the guarantee covers every batch size
-//! there (the test pins the trainer's 128-row batch); wider pools trade
-//! the dispatch allocations for multi-core throughput.
 
 use ctlm_tensor::{Csr, Matrix};
 

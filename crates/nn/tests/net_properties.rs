@@ -139,9 +139,9 @@ fn param_bits(net: &mut Net) -> Vec<(String, Vec<u32>, Vec<u32>)> {
 /// for three steps on duplicate-heavy batches.
 #[test]
 fn deduplicated_step_matches_the_per_sample_pass_bit_for_bit() {
-    // Row counts on both sides of the kernels' parallel threshold: the
-    // batch's reductions change association there.
-    const { assert!(40 < ops::PAR_THRESHOLD && 130 > ops::PAR_THRESHOLD) };
+    // Row counts on both sides of `col_sums_acc`'s block threshold: the
+    // bias gradients change association there.
+    const { assert!(40 < ops::COL_SUMS_BLOCK_THRESHOLD && 130 > ops::COL_SUMS_BLOCK_THRESHOLD) };
     let d = 12;
     for n in [40, 130] {
         for arch in ["fresh", "growing", "mlp"] {

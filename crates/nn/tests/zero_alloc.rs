@@ -4,12 +4,11 @@
 //!
 //! A counting global allocator wraps the system one; each test warms every
 //! buffer with a few steps, then asserts the allocation counter does not
-//! move for subsequent steps. One batch shape stays below
-//! `ctlm_tensor::ops::PAR_THRESHOLD`; the other is the trainer's 128 rows,
-//! above it, at pool width 1 — where the kernels' parallel paths run
-//! inline — once with all-distinct rows and once with the lab's mostly
-//! repeated ones. Above width 1 the Rayon shim allocates while
-//! dispatching workers (see `ctlm_nn::workspace`).
+//! move for subsequent steps. The batch shapes are 48 rows and the
+//! trainer's 128 rows — on both sides of `col_sums_acc`'s 64-row block
+//! threshold — the latter once with all-distinct rows and once with the
+//! lab's mostly repeated ones, all at a pool width of four: no kernel
+//! reaches the pool, so the width changes nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -140,21 +139,11 @@ fn assert_steady_state_steps_do_not_allocate(n: usize, (full, labels): (Csr, Vec
 }
 
 #[test]
-fn steady_state_training_step_does_not_allocate() {
-    // Below the parallel threshold: every kernel takes its sequential
-    // path, whatever the pool width.
-    const { assert!(48 < ctlm_tensor::ops::PAR_THRESHOLD) };
+fn steady_state_training_step_does_not_allocate_at_any_pool_width() {
+    // Set before anything in this binary could start the pool: were a
+    // kernel to dispatch to it, the dispatch would allocate here.
+    std::env::set_var("RAYON_NUM_THREADS", "4");
     assert_steady_state_steps_do_not_allocate(48, batch(48 * 4 - 5, 40, 1));
-}
-
-#[test]
-fn steady_state_trainer_sized_step_does_not_allocate_at_width_one() {
-    // The trainer's batch size, above the parallel threshold, at the pool
-    // width the benchmark pins. The shim reads its width once, on the
-    // first parallel call, and no other test in this binary makes one.
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    assert_eq!(rayon::current_num_threads(), 1, "pool width already fixed");
-    const { assert!(128 >= ctlm_tensor::ops::PAR_THRESHOLD) };
     assert_steady_state_steps_do_not_allocate(128, batch(128 * 4 - 5, 40, 1));
     // Mostly duplicates: the slot map, the gathered distinct rows and the
     // batch-order copies reuse their buffers too, while the distinct

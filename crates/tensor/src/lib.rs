@@ -10,8 +10,7 @@
 //!   CO-VV / CO-EL feature datasets (the paper notes ones represent less
 //!   than 0.01 % of entries at full scale).
 //! * [`ops`] — the linear-algebra kernels (dense GEMM, sparse×dense
-//!   products, reductions), parallelised with Rayon where batch sizes make
-//!   it worthwhile.
+//!   products, reductions), cache-blocked and register-tiled.
 //! * [`init`] — PyTorch-compatible layer weight initialisation
 //!   (Kaiming-uniform fan-in scaling, as `torch.nn.Linear` uses).
 //!

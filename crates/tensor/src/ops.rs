@@ -19,27 +19,20 @@
 //! * **`_into`/`_acc` variants** — every kernel can write into (or
 //!   accumulate onto) a caller-provided buffer, which is what lets
 //!   `ctlm_nn::Workspace` run steady-state training steps without heap
-//!   allocation;
-//! * **Rayon row-parallelism** above [`PAR_THRESHOLD`], the idiom the HPC
-//!   guides prescribe: `par_chunks_mut` over independent output rows, no
-//!   shared mutable state.
+//!   allocation.
 //!
 //! The pre-optimization reference kernels are retained in [`naive`]; the
 //! property tests in `tests/kernel_properties.rs` pin the blocked kernels
 //! to them within 1e-5, and `ctlm-bench`'s `training_step` bench measures
 //! both sides in the same run.
 
-use rayon::prelude::*;
-
 use crate::dense::Matrix;
 use crate::sparse::Csr;
 
-/// Minimum *output-row* count before a kernel switches to its parallel
-/// path. Tiny batches are faster sequentially (thread dispatch dominates,
-/// and the shim pool spawns per call). The same constant gates every
-/// kernel in this module; `ctlm_agocs::matcher::PAR_THRESHOLD` documents
-/// its own (higher) value for the much cheaper per-machine predicate.
-pub const PAR_THRESHOLD: usize = 64;
+/// Row count from which [`col_sums_acc`] sums each column per `MC`-row
+/// block instead of in plain row order. Trained weights depend on the
+/// bits either association gives, so the switch stays where it is.
+pub const COL_SUMS_BLOCK_THRESHOLD: usize = 64;
 
 /// Rows of `a` processed per cache block: one block's k-panel traffic is
 /// amortised over `MC` output rows.
@@ -96,16 +89,8 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         }
         debug_assert_eq!(rows * m, out_block.len());
     };
-    if n >= PAR_THRESHOLD {
-        out.as_mut_slice()
-            .par_chunks_mut(MC * m)
-            .enumerate()
-            .for_each(body);
-    } else {
-        out.as_mut_slice()
-            .chunks_mut(MC * m)
-            .enumerate()
-            .for_each(body);
+    for (block, out_block) in out.as_mut_slice().chunks_mut(MC * m).enumerate() {
+        body((block, out_block));
     }
 }
 
@@ -154,13 +139,8 @@ pub fn matmul_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
             *o = acc;
         }
     };
-    if n >= PAR_THRESHOLD {
-        out.as_mut_slice()
-            .par_chunks_mut(m)
-            .enumerate()
-            .for_each(body);
-    } else {
-        out.as_mut_slice().chunks_mut(m).enumerate().for_each(body);
+    for (r, out_row) in out.as_mut_slice().chunks_mut(m).enumerate() {
+        body((r, out_row));
     }
 }
 
@@ -206,16 +186,8 @@ pub fn matmul_at_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
             }
         }
     };
-    if k >= PAR_THRESHOLD {
-        out.as_mut_slice()
-            .par_chunks_mut(NR * m)
-            .enumerate()
-            .for_each(body);
-    } else {
-        out.as_mut_slice()
-            .chunks_mut(NR * m)
-            .enumerate()
-            .for_each(body);
+    for (block, out_block) in out.as_mut_slice().chunks_mut(NR * m).enumerate() {
+        body((block, out_block));
     }
 }
 
@@ -294,23 +266,14 @@ pub fn csr_matmul_bt_into(x: &Csr, w: &Matrix, out: &mut Matrix) {
             out_row[oo] = x.row_entries(r).map(|(j, v)| v * w_row[j]).sum();
         }
     };
-    if n >= PAR_THRESHOLD {
-        out.as_mut_slice()
-            .par_chunks_mut(out_f)
-            .enumerate()
-            .for_each(body);
-    } else {
-        out.as_mut_slice()
-            .chunks_mut(out_f)
-            .enumerate()
-            .for_each(body);
+    for (r, out_row) in out.as_mut_slice().chunks_mut(out_f).enumerate() {
+        body((r, out_row));
     }
 }
 
 /// Sparse weight-gradient product, accumulating:
 /// `gw (out×d) += grad_outᵀ (out×n) · x (n×d, CSR)` with `gw` pre-shaped
-/// `(grad_out.cols × x.cols)`. Parallelises over output
-/// neurons so each thread owns one `grad_W` row.
+/// `(grad_out.cols × x.cols)`, one `grad_W` row per output neuron.
 ///
 /// Like [`csr_matmul_bt_into`], retained only as the bit-for-bit
 /// reference of its input-major successor, [`csr_matmul_at_acc`].
@@ -328,7 +291,6 @@ pub fn csr_grad_weight_acc(grad_out: &Matrix, x: &Csr, gw: &mut Matrix) {
         (grad_out.cols(), x.cols()),
         "csr_grad_weight_acc output shape mismatch"
     );
-    let out_f = grad_out.cols();
     let d = x.cols();
     let n = x.rows();
     let body = |(o, gw_row): (usize, &mut [f32])| {
@@ -341,13 +303,8 @@ pub fn csr_grad_weight_acc(grad_out: &Matrix, x: &Csr, gw: &mut Matrix) {
             }
         }
     };
-    if n >= PAR_THRESHOLD && out_f > 1 {
-        gw.as_mut_slice()
-            .par_chunks_mut(d)
-            .enumerate()
-            .for_each(body);
-    } else {
-        gw.as_mut_slice().chunks_mut(d).enumerate().for_each(body);
+    for (o, gw_row) in gw.as_mut_slice().chunks_mut(d).enumerate() {
+        body((o, gw_row));
     }
 }
 
@@ -381,16 +338,8 @@ pub fn csr_matmul_into(x: &Csr, w: &Matrix, out: &mut Matrix) {
             }
         }
     };
-    if n >= PAR_THRESHOLD {
-        out.as_mut_slice()
-            .par_chunks_mut(out_f)
-            .enumerate()
-            .for_each(body);
-    } else {
-        out.as_mut_slice()
-            .chunks_mut(out_f)
-            .enumerate()
-            .for_each(body);
+    for (r, out_row) in out.as_mut_slice().chunks_mut(out_f).enumerate() {
+        body((r, out_row));
     }
 }
 
@@ -399,11 +348,9 @@ pub fn csr_matmul_into(x: &Csr, w: &Matrix, out: &mut Matrix) {
 /// gradient of the sparse input layer (`g` is `dL/d(output)`). Every
 /// stored entry updates one contiguous `m`-wide row of `out`.
 ///
-/// Sequential: rows of `out` are shared between samples, and at the
-/// paper's shapes (≈ 7 k stored entries × 30 per batch) a fork-join costs
-/// more than the update. Bit-identical to [`csr_grad_weight_acc`] on the
-/// transposed gradient: each element accumulates over samples in row
-/// order, then stored-entry order, and exact zeros in `g` add nothing.
+/// Bit-identical to [`csr_grad_weight_acc`] on the transposed gradient:
+/// each element accumulates over samples in row order, then stored-entry
+/// order, and exact zeros in `g` add nothing.
 ///
 /// # Panics
 /// Panics on sample-count or output-shape mismatch.
@@ -445,13 +392,9 @@ pub fn csr_matmul_at_acc(x: &Csr, g: &Matrix, out: &mut Matrix) {
 /// Sparse matrix–vector product `x (n×d) · v (d) → (n)`.
 pub fn csr_matvec(x: &Csr, v: &[f32]) -> Vec<f32> {
     assert_eq!(x.cols(), v.len(), "csr_matvec dimension mismatch");
-    let n = x.rows();
-    let body = |r: usize| -> f32 { x.row_entries(r).map(|(j, xv)| xv * v[j]).sum() };
-    if n >= PAR_THRESHOLD {
-        (0..n).into_par_iter().map(body).collect()
-    } else {
-        (0..n).map(body).collect()
-    }
+    (0..x.rows())
+        .map(|r| x.row_entries(r).map(|(j, xv)| xv * v[j]).sum())
+        .collect()
 }
 
 /// Transposed sparse matrix–vector product `xᵀ (d×n) · u (n) → (d)`.
@@ -468,31 +411,27 @@ pub fn csr_tmatvec(x: &Csr, u: &[f32]) -> Vec<f32> {
     out
 }
 
-/// Adds `bias` (length m) to every row of `a (n×m)` in place, in
-/// parallel above [`PAR_THRESHOLD`] rows.
+/// Adds `bias` (length m) to every row of `a (n×m)` in place.
 pub fn add_bias(a: &mut Matrix, bias: &[f32]) {
     assert_eq!(a.cols(), bias.len(), "bias length mismatch");
-    let (n, m) = a.shape();
+    let m = a.cols();
     let body = |row: &mut [f32]| {
         for (v, &b) in row.iter_mut().zip(bias.iter()) {
             *v += b;
         }
     };
-    if n >= PAR_THRESHOLD {
-        a.as_mut_slice().par_chunks_mut(m).for_each(body);
-    } else {
-        a.as_mut_slice().chunks_mut(m).for_each(body);
+    for row in a.as_mut_slice().chunks_mut(m) {
+        body(row);
     }
 }
 
 /// Accumulating column sums: `out[c] += Σ_r a[r][c]` — the bias gradient
 /// `Σ_samples grad_out`. Allocation-free at every size (the Workspace hot
-/// path). Below [`PAR_THRESHOLD`] rows each column sums in row order;
-/// above it each column adds one partial per `MC`-row block, in block
-/// order. That association is pinned — trained weights, and so every
-/// model-backed report, depend on its bits. The partials of a
-/// 64-column strip live on the stack; a layer-wide output is too little
-/// work to be worth a pool dispatch.
+/// path). Below [`COL_SUMS_BLOCK_THRESHOLD`] rows each column sums in row
+/// order; from it on each column adds one partial per `MC`-row block, in
+/// block order. That association is pinned — trained weights, and so
+/// every model-backed report, depend on its bits. The partials of a
+/// 64-column strip live on the stack.
 ///
 /// # Panics
 /// Panics when `out.len() != a.cols()`.
@@ -503,7 +442,7 @@ pub fn col_sums_acc(a: &Matrix, out: &mut [f32]) {
         return;
     }
     let data = a.as_slice();
-    if n >= PAR_THRESHOLD {
+    if n >= COL_SUMS_BLOCK_THRESHOLD {
         for (strip, out_strip) in out.chunks_mut(COL_STRIP).enumerate() {
             let c0 = strip * COL_STRIP;
             let w = out_strip.len();
@@ -534,7 +473,7 @@ pub fn col_sums_acc(a: &Matrix, out: &mut [f32]) {
 /// In-place row-wise softmax, numerically stabilised by max subtraction —
 /// the allocation-free path `CrossEntropyLoss` uses on workspace buffers.
 pub fn softmax_rows_inplace(logits: &mut Matrix) {
-    let (n, m) = logits.shape();
+    let m = logits.cols();
     let body = |row: &mut [f32]| {
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;
@@ -547,10 +486,8 @@ pub fn softmax_rows_inplace(logits: &mut Matrix) {
             *v *= inv;
         }
     };
-    if n >= PAR_THRESHOLD {
-        logits.as_mut_slice().par_chunks_mut(m).for_each(body);
-    } else {
-        logits.as_mut_slice().chunks_mut(m).for_each(body);
+    for row in logits.as_mut_slice().chunks_mut(m) {
+        body(row);
     }
 }
 
@@ -559,8 +496,7 @@ pub mod naive {
     //!
     //! Retained on purpose: the property tests pin every blocked kernel
     //! to these within 1e-5, and the criterion benches measure both sides
-    //! in the same run. Textbook loops over `get()`, no blocking, no
-    //! parallelism.
+    //! in the same run. Textbook loops over `get()`, no blocking.
 
     use crate::dense::Matrix;
     use crate::sparse::Csr;
@@ -730,7 +666,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_parallel_path_matches_naive() {
+    fn matmul_over_several_row_blocks_matches_naive() {
         let a = Matrix::from_fn(130, 9, |r, c| ((r * 7 + c) % 11) as f32 - 5.0);
         let b = Matrix::from_fn(9, 4, |r, c| ((r + c) % 3) as f32);
         assert!(matmul(&a, &b).max_abs_diff(&naive::matmul(&a, &b)) < 1e-4);
@@ -875,14 +811,14 @@ mod tests {
     }
 
     #[test]
-    fn col_sums_parallel_reduction_matches_naive() {
-        let a = Matrix::from_fn(3 * PAR_THRESHOLD + 7, 5, |r, c| {
+    fn col_sums_blocked_reduction_matches_naive() {
+        let a = Matrix::from_fn(3 * COL_SUMS_BLOCK_THRESHOLD + 7, 5, |r, c| {
             ((r * 3 + c) % 13) as f32 - 6.0
         });
-        let par = col_sums(&a);
+        let blocked = col_sums(&a);
         let reference = naive::col_sums(&a);
-        for (p, n) in par.iter().zip(reference.iter()) {
-            assert!((p - n).abs() < 1e-3, "{p} vs {n}");
+        for (b, n) in blocked.iter().zip(reference.iter()) {
+            assert!((b - n).abs() < 1e-3, "{b} vs {n}");
         }
     }
 
@@ -891,7 +827,7 @@ mod tests {
     /// onto `out` in block order. Trained weights depend on these bits.
     #[test]
     fn col_sums_adds_block_partials_in_block_order() {
-        let (n, m) = (3 * PAR_THRESHOLD + 7, 5);
+        let (n, m) = (3 * COL_SUMS_BLOCK_THRESHOLD + 7, 5);
         let a = Matrix::from_fn(n, m, |r, c| (r as f32 * 0.37 + c as f32).sin() * 1e3);
         let mut out = vec![0.25f32; m];
         col_sums_acc(&a, &mut out);

@@ -1,9 +1,9 @@
 //! Property tests pinning every blocked/`_into` kernel to the retained
-//! naive references within 1e-5, over shapes chosen to straddle the
-//! parallel threshold (`ops::PAR_THRESHOLD` = 64 rows) and the blocking
-//! parameters (`MC` = 32 row blocks, `KC` = 256 k-panels, `NR` = 4 wide
-//! register tiles) — so sequential/parallel paths, full blocks, and every
-//! tail all get exercised.
+//! naive references within 1e-5, over shapes chosen to straddle
+//! `col_sums_acc`'s block threshold (`ops::COL_SUMS_BLOCK_THRESHOLD` = 64
+//! rows) and the blocking parameters (`MC` = 32 row blocks, `KC` = 256
+//! k-panels, `NR` = 4 wide register tiles) — so both reduction orders,
+//! full blocks, and every tail all get exercised.
 
 use proptest::prelude::*;
 
@@ -11,8 +11,9 @@ use ctlm_tensor::ops::{self, naive};
 use ctlm_tensor::{CsrBuilder, Matrix};
 
 /// Dimensions that cross the interesting boundaries: microkernel tails
-/// (1..6), the MC=32 row block (31..34), the PAR_THRESHOLD=64 switch
-/// (63..66), and a straggler past two blocks (70).
+/// (1..6), the MC=32 row block (31..34), the
+/// COL_SUMS_BLOCK_THRESHOLD=64 switch (63..66), and a straggler past two
+/// blocks (70).
 fn arb_dim() -> impl Strategy<Value = usize> {
     prop_oneof![1usize..6, 31usize..34, 63usize..66, Just(70usize)]
 }
@@ -132,7 +133,7 @@ proptest! {
     /// replaced in `ctlm-nn`: not close — equal, bit for bit, which is
     /// what lets the layout change under recorded goldens. `sparse` mixes
     /// in rows without stored entries, `dense` exact zeros in `grad_out`;
-    /// `o` crosses the NR = 4 tile tail and `n` the parallel threshold.
+    /// `o` crosses the NR = 4 tile tail and `n` the 64-row block threshold.
     #[test]
     fn input_major_csr_kernels_equal_out_major_bit_for_bit(
         n in arb_dim(),

@@ -3,9 +3,12 @@
 //! The build container has no crates.io access, so this shim implements
 //! the combinator chains the workspace actually uses:
 //!
-//! * `slice.par_chunks_mut(n)[.enumerate()].for_each(f)`
-//! * `slice.par_iter().map(f).collect::<Vec<_>>()` / `.filter(p).count()`
-//! * `(0..n).into_par_iter().map(f).collect::<Vec<_>>()`
+//! * `slice.par_chunks_mut(n).for_each(f)` — `ctlm_sim::ParallelSim`'s
+//!   shards;
+//! * `slice.par_iter().map(f).collect::<Vec<_>>()` — `ctlm_lab`'s sweep
+//!   grid points and `ctlm_baselines`' per-class ridge solves — and
+//!   `.map(f).sum()`, which `benches/par_dispatch.rs` times;
+//! * `current_num_threads()`.
 //!
 //! Work is split into one contiguous range per available worker. Ranges
 //! run on the lazily started worker pool (`pool` module) — long-lived
@@ -77,9 +80,7 @@ pub use pool::configured_threads as current_num_threads;
 
 pub mod prelude {
     //! Drop-in `rayon::prelude`.
-    pub use super::{
-        IntoParallelIterator, IntoParallelRefIterator, ParallelSlice, ParallelSliceMut,
-    };
+    pub use super::{IntoParallelRefIterator, ParallelSliceMut};
 }
 
 // ---------------------------------------------------------------------------
@@ -108,36 +109,19 @@ pub struct ParChunksMut<'a, T> {
     chunk_size: usize,
 }
 
-impl<'a, T: Send> ParChunksMut<'a, T> {
-    /// Pairs each chunk with its index.
-    pub fn enumerate(self) -> ParChunksMutEnumerate<'a, T> {
-        ParChunksMutEnumerate { inner: self }
-    }
-
+impl<T: Send> ParChunksMut<'_, T> {
     /// Applies `f` to every chunk, in parallel.
     pub fn for_each(self, f: impl Fn(&mut [T]) + Sync + Send) {
-        self.enumerate().for_each(|(_, chunk)| f(chunk));
-    }
-}
-
-/// Enumerated parallel chunks.
-pub struct ParChunksMutEnumerate<'a, T> {
-    inner: ParChunksMut<'a, T>,
-}
-
-impl<T: Send> ParChunksMutEnumerate<'_, T> {
-    /// Applies `f` to every `(index, chunk)` pair, in parallel.
-    pub fn for_each(self, f: impl Fn((usize, &mut [T])) + Sync + Send) {
-        let chunk_size = self.inner.chunk_size;
-        let data = self.inner.data;
+        let chunk_size = self.chunk_size;
+        let data = self.data;
         let n_chunks = data.len().div_ceil(chunk_size);
         if n_chunks == 0 {
             return;
         }
         let workers = worker_count(n_chunks);
         if workers <= 1 {
-            for (i, chunk) in data.chunks_mut(chunk_size).enumerate() {
-                f((i, chunk));
+            for chunk in data.chunks_mut(chunk_size) {
+                f(chunk);
             }
             return;
         }
@@ -153,10 +137,9 @@ impl<T: Send> ParChunksMutEnumerate<'_, T> {
             let elems = ((range.end - range.start) * chunk_size).min(rest.len());
             let (head, tail) = rest.split_at_mut(elems);
             rest = tail;
-            let first_chunk = range.start;
             jobs.push(Box::new(move || {
-                for (i, chunk) in head.chunks_mut(chunk_size).enumerate() {
-                    f((first_chunk + i, chunk));
+                for chunk in head.chunks_mut(chunk_size) {
+                    f(chunk);
                 }
             }));
         }
@@ -193,19 +176,6 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     }
 }
 
-/// Alias trait so `use rayon::prelude::*` also exposes `par_chunks`-style
-/// helpers on slices (only the shared-iterator entry is needed today).
-pub trait ParallelSlice<T: Sync> {
-    /// Parallel shared iterator over the slice.
-    fn par_slice_iter(&self) -> ParIter<'_, T>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_slice_iter(&self) -> ParIter<'_, T> {
-        ParIter { slice: self }
-    }
-}
-
 /// Parallel shared-reference iterator.
 pub struct ParIter<'a, T> {
     slice: &'a [T],
@@ -218,29 +188,6 @@ impl<'a, T: Sync> ParIter<'a, T> {
             slice: self.slice,
             f,
         }
-    }
-
-    /// Filters elements.
-    pub fn filter<P: Fn(&&'a T) -> bool + Sync>(self, p: P) -> ParIterFilter<'a, T, P> {
-        ParIterFilter {
-            slice: self.slice,
-            p,
-        }
-    }
-
-    /// Applies `f` to every element, in parallel.
-    pub fn for_each(self, f: impl Fn(&'a T) + Sync + Send) {
-        let slice = self.slice;
-        run_split(slice.len(), |r| {
-            for item in &slice[r] {
-                f(item);
-            }
-        });
-    }
-
-    /// Number of elements.
-    pub fn count(self) -> usize {
-        self.slice.len()
     }
 }
 
@@ -269,33 +216,6 @@ impl<'a, T: Sync, U: Send, F: Fn(&'a T) -> U + Sync> ParIterMap<'a, T, F> {
     }
 }
 
-/// `par_iter().filter(p)`.
-pub struct ParIterFilter<'a, T, P> {
-    slice: &'a [T],
-    p: P,
-}
-
-impl<'a, T: Sync, P: Fn(&&'a T) -> bool + Sync> ParIterFilter<'a, T, P> {
-    /// Counts matching elements.
-    pub fn count(self) -> usize {
-        let slice = self.slice;
-        let p = &self.p;
-        run_split(slice.len(), |r| slice[r].iter().filter(|t| p(t)).count())
-            .into_iter()
-            .sum()
-    }
-
-    /// Collects matching elements in order.
-    pub fn collect<C: FromMapped<&'a T>>(self) -> C {
-        let slice = self.slice;
-        let p = &self.p;
-        let parts = run_split(slice.len(), |r| {
-            slice[r].iter().filter(|t| p(t)).collect::<Vec<&T>>()
-        });
-        C::from_parts(parts)
-    }
-}
-
 /// Order-preserving concatenation target for parallel collects.
 pub trait FromMapped<U>: Sized {
     /// Builds the collection from in-order per-worker parts.
@@ -312,114 +232,31 @@ impl<U> FromMapped<U> for Vec<U> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// into_par_iter over ranges
-// ---------------------------------------------------------------------------
-
-/// `range.into_par_iter()` entry point.
-pub trait IntoParallelIterator {
-    /// Item type.
-    type Item: Send;
-    /// The parallel iterator.
-    type Iter;
-
-    /// Converts into a parallel iterator.
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-impl IntoParallelIterator for std::ops::Range<usize> {
-    type Item = usize;
-    type Iter = ParRange;
-
-    fn into_par_iter(self) -> ParRange {
-        ParRange { range: self }
-    }
-}
-
-/// Parallel iterator over `Range<usize>`.
-pub struct ParRange {
-    range: std::ops::Range<usize>,
-}
-
-impl ParRange {
-    /// Maps every index.
-    pub fn map<U: Send, F: Fn(usize) -> U + Sync>(self, f: F) -> ParRangeMap<F> {
-        ParRangeMap {
-            range: self.range,
-            f,
-        }
-    }
-
-    /// Applies `f` to every index, in parallel.
-    pub fn for_each(self, f: impl Fn(usize) + Sync + Send) {
-        let start = self.range.start;
-        let len = self.range.end.saturating_sub(start);
-        run_split(len, |r| {
-            for i in r {
-                f(start + i);
-            }
-        });
-    }
-}
-
-/// `range.into_par_iter().map(f)`.
-pub struct ParRangeMap<F> {
-    range: std::ops::Range<usize>,
-    f: F,
-}
-
-impl<U: Send, F: Fn(usize) -> U + Sync> ParRangeMap<F> {
-    /// Collects mapped values in order.
-    pub fn collect<C: FromMapped<U>>(self) -> C {
-        let start = self.range.start;
-        let len = self.range.end.saturating_sub(start);
-        let f = &self.f;
-        let parts = run_split(len, |r| r.map(|i| f(start + i)).collect::<Vec<U>>());
-        C::from_parts(parts)
-    }
-
-    /// Sums mapped values.
-    pub fn sum<S: std::iter::Sum<U> + Send + std::iter::Sum<S>>(self) -> S {
-        let start = self.range.start;
-        let len = self.range.end.saturating_sub(start);
-        let f = &self.f;
-        run_split(len, |r| r.map(|i| f(start + i)).sum::<S>())
-            .into_iter()
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
 
     #[test]
     fn chunks_mut_visits_every_chunk_once() {
-        let mut data = vec![0u32; 103];
-        data.par_chunks_mut(10).enumerate().for_each(|(i, chunk)| {
+        let mut data = vec![0usize; 103];
+        data.par_chunks_mut(10).for_each(|chunk| {
+            let len = chunk.len();
             for v in chunk.iter_mut() {
-                *v = i as u32 + 1;
+                *v += len;
             }
         });
         for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, (i / 10) as u32 + 1);
+            assert_eq!(*v, if i < 100 { 10 } else { 3 });
         }
     }
 
     #[test]
-    fn map_collect_preserves_order() {
-        let v: Vec<usize> = (0..1000).into_par_iter().map(|i| i * 2).collect();
-        assert_eq!(v, (0..1000).map(|i| i * 2).collect::<Vec<_>>());
+    fn map_collect_preserves_order_and_sum_matches_sequential() {
         let src: Vec<i64> = (0..500).collect();
         let mapped: Vec<i64> = src.par_iter().map(|&x| x + 1).collect();
         assert_eq!(mapped, (1..=500).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn filter_count_matches_sequential() {
-        let src: Vec<u64> = (0..997).collect();
-        let par = src.par_iter().filter(|&&x| x % 3 == 0).count();
-        assert_eq!(par, src.iter().filter(|&&x| x % 3 == 0).count());
+        let sum: i64 = src.par_iter().map(|&x| x * 2).sum();
+        assert_eq!(sum, src.iter().map(|&x| x * 2).sum::<i64>());
     }
 
     #[test]
@@ -428,8 +265,7 @@ mod tests {
         empty
             .par_chunks_mut(4)
             .for_each(|_| panic!("no chunks expected"));
-        assert_eq!(empty.par_iter().filter(|_| true).count(), 0);
-        let v: Vec<usize> = (0..0).into_par_iter().map(|i| i).collect();
+        let v: Vec<f32> = empty.par_iter().map(|&x| x).collect();
         assert!(v.is_empty());
     }
 }
