@@ -461,9 +461,10 @@ impl<'a> Autoscaler<'a> {
     fn evaluate(&mut self, now: Micros) {
         let (signals, crash_lost) = {
             let engine = self.engine.borrow();
-            let admitted = engine.admitted();
-            let no_capacity = engine.no_capacity_events();
-            let crashed = engine.crashed_machines();
+            let ledger = engine.ledger();
+            let admitted = ledger.admitted();
+            let no_capacity = ledger.stats().no_capacity;
+            let crashed = ledger.fault_stats().map_or(0, |f| f.crashed_machines);
             let s = Signals {
                 now,
                 fleet: engine.cluster.len(),
@@ -473,7 +474,7 @@ impl<'a> Autoscaler<'a> {
                 utilisation: engine.cluster.cpu_utilisation(),
                 admitted_delta: admitted - self.last_admitted,
                 no_capacity_delta: no_capacity - self.last_no_capacity,
-                recent_latency_mean: engine.recent_latency_mean(LATENCY_WINDOW),
+                recent_latency_mean: ledger.recent_latency_mean(LATENCY_WINDOW),
             };
             self.last_admitted = admitted;
             self.last_no_capacity = no_capacity;
@@ -500,7 +501,10 @@ impl<'a> Autoscaler<'a> {
             let ordered = desired - committed;
             let replacements = crash_lost.min(ordered) as u64;
             if crash_lost > 0 {
-                self.engine.borrow_mut().note_replacements(replacements);
+                self.engine
+                    .borrow_mut()
+                    .ledger_mut()
+                    .note_replacements(replacements);
             }
             // The decision's audit trail — policy, machine delta, crash
             // replacements — on the cell's flight recorder (when on).

@@ -98,7 +98,7 @@ fn bench_crash_recovery_roundtrip(c: &mut Criterion) {
             let cluster =
                 SchedCluster::from_machines(machine_ids.iter().map(|&i| Machine::new(i, 1.0, 1.0)));
             let mut harness = simulator.harness(cluster, &arrivals, &mut scheduler);
-            harness.state().borrow_mut().enable_faults(
+            harness.state().borrow_mut().ledger_mut().enable_faults(
                 Box::new(ExponentialBackoff {
                     base: 1_000_000,
                     cap: 8_000_000,
@@ -135,6 +135,7 @@ fn bench_crash_recovery_roundtrip(c: &mut Criterion) {
             let (_, result) = harness.run();
             let lost = state
                 .borrow()
+                .ledger()
                 .fault_stats()
                 .map(|f| f.tasks_lost)
                 .unwrap_or(0);

@@ -23,7 +23,9 @@
 //! histograms, kernel lane stats, slab recycle stats, autoscale
 //! lifecycle counters) as JSON — byte-identical for every `--threads`
 //! value. `--trace` additionally keeps a bounded per-cell ring of the
-//! last delivered engine events and embeds it in the metrics file.
+//! last steps the cell's task ledger recorded (admissions, passes,
+//! placement attempts, exits, machine and control events) and embeds it
+//! in the metrics file.
 //!
 //! `--spans <path>` turns on the causal flight recorder and writes the
 //! per-task lifecycle spans (with their decision records) as

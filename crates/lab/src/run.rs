@@ -133,8 +133,8 @@ pub struct CellTelemetry {
     pub slab_retired: u64,
     /// Task-slab segments still resident at the end of the run.
     pub slab_resident: usize,
-    /// The last-N delivered engine events, when the spec (or `--trace`)
-    /// enabled tracing.
+    /// The cell ledger's last-N steps, when the spec (or `--trace`)
+    /// enabled the event ring.
     pub trace: Option<TraceRing>,
     /// Fault-runtime counters and retry/reschedule histograms, when the
     /// cell ran a fault plane.
@@ -176,8 +176,10 @@ fn attach_full_cell<'a>(
     let spill = spec.spillover.enabled();
     let handle = simulator.attach_cell(sim, &cell.name, cluster, arrivals, scheduler, spill);
     if spec.observability.spans {
-        handle.state().borrow_mut().enable_spans();
+        handle.state().borrow_mut().ledger_mut().enable_spans();
     }
+    let ring = spec.observability.trace_events;
+    handle.state().borrow_mut().ledger_mut().enable_trace(ring);
     let part = |what: &str| format!("{}/{what}", cell.name);
     // Churn and the autoscaler mutate the same fleet; the shared
     // guard keeps them off each other's machines.
@@ -189,7 +191,7 @@ fn attach_full_cell<'a>(
     // The fault plane shares the guard too: a crash override-claims the
     // machine, voiding any in-flight drain or provision claim.
     if let Some(bf) = &cell.faults {
-        handle.state().borrow_mut().enable_faults(
+        handle.state().borrow_mut().ledger_mut().enable_faults(
             bf.retry.build()?,
             spec.sim.seed ^ (cell.index as u64).wrapping_mul(0x9E37_79B9),
         );
@@ -400,7 +402,6 @@ fn run_cells(
         Vec::with_capacity(built.len());
     let mut spills = vec![(0usize, 0usize); built.len()];
     let mut link_timeouts = vec![0u64; built.len()];
-    let trace_capacity = spec.observability.trace_events;
 
     // One kernel shard per cell under the epoch-barrier coordinator.
     // Always — so `execution.threads` can never change the simulated
@@ -436,11 +437,6 @@ fn run_cells(
     }
     let engines: Vec<_> = handles.iter().map(|h| h.engine).collect();
     let states: Vec<_> = handles.iter().map(|h| h.state()).collect();
-    if trace_capacity > 0 {
-        for state in &states {
-            state.borrow_mut().enable_trace(trace_capacity);
-        }
-    }
     let policy = spec.spillover;
     // Per-cell outbound link-outage windows from the fault plane —
     // pure spec data, so timeout decisions are thread-count-free.
@@ -522,10 +518,11 @@ fn run_cells(
             let (_, result) = handle.finish();
             // `finish` horizon-closed every open span; harvest the log
             // before the long immutable borrow below.
-            let spans = handle.state().borrow_mut().take_spans();
+            let spans = handle.state().borrow_mut().ledger_mut().take_spans();
             let state = handle.state();
             let state = state.borrow();
-            let fstats = state.fault_stats().cloned();
+            let ledger = state.ledger();
+            let fstats = ledger.fault_stats().cloned();
             let recovery = cell.faults.as_ref().map(|bf| {
                 let fs = fstats.clone().unwrap_or_default();
                 crate::report::RecoveryReport {
@@ -541,11 +538,11 @@ fn run_cells(
                 }
             });
             let telemetry = CellTelemetry {
-                stats: state.stats().clone(),
+                stats: ledger.stats().clone(),
                 lanes: lanes[i],
                 slab_retired: state.slab_retired(),
                 slab_resident: state.slab_resident_segments(),
-                trace: state.trace().cloned(),
+                trace: ledger.trace().cloned(),
                 faults: fstats,
                 spans,
             };

@@ -1022,8 +1022,9 @@ pub struct ObservabilitySpec {
     /// autoscale lifecycle counters). The `ctlm-lab --metrics <path>`
     /// flag switches this on and writes the registry as JSON.
     pub metrics: bool,
-    /// Per-cell bounded event-trace capacity (last-N delivered engine
-    /// events); 0 disables tracing. The ring preallocates and
+    /// Per-cell bounded event-trace capacity (the last N steps of the
+    /// cell's task ledger, the stream its counters and spans are
+    /// written from); 0 disables tracing. The ring preallocates and
     /// overwrites in place, so tracing keeps the zero-allocation pass
     /// contract. `ctlm-lab --trace` enables it at a default capacity.
     pub trace_events: usize,

@@ -12,13 +12,17 @@
 //!    the deterministic event sequence, folded in grid order — so the
 //!    serialized registry and the trace-event document must not change
 //!    between `execution.threads` 1, 2 and 4.
+//!
+//! Both rest on one seam: the cell's ledger turns each step into its
+//! counters, span and ring entry, so the ring and the counters can never
+//! tell two stories about one run.
 
 use std::path::{Path, PathBuf};
 
 use ctlm_lab::report::to_pretty_json;
 use ctlm_lab::run::ArrivalMode;
-use ctlm_lab::run_spec_observed;
 use ctlm_lab::spec::ExperimentSpec;
+use ctlm_lab::{run_spec_observed, Observations};
 
 fn experiments_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments")
@@ -45,6 +49,49 @@ fn load_spec(path: &Path) -> ExperimentSpec {
         .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()))
 }
 
+/// Ring large enough that no checked-in spec's cell wraps it, so every
+/// step a cell took is still in its ring.
+const WHOLE_RUN: usize = 1 << 15;
+
+/// Each cell's ring holds exactly the steps its counters count. Only
+/// meaningful for a single run: counters add up over a sweep's points,
+/// while the ring keeps the last point's.
+fn assert_ring_matches_counters(obs: &Observations, path: &Path) {
+    for (key, ring) in &obs.traces {
+        assert!(
+            ring.recorded() as usize <= WHOLE_RUN,
+            "{key} wrapped its ring in {}",
+            path.display()
+        );
+        let steps = |kind: &str| ring.iter().filter(|e| e.kind == kind).count() as u64;
+        let counter = |name: &str| obs.metrics.counter_value(&format!("{key}.{name}"));
+        for (kind, name) in [
+            ("admit_arrival", "engine.admitted_arrivals"),
+            ("admit_dynamic", "engine.admitted_dynamic"),
+            ("admit_gang", "engine.admitted_gang_members"),
+            ("spilled", "engine.spill_requests"),
+            ("pass", "engine.cycles"),
+            ("no_capacity", "engine.no_capacity"),
+            ("infeasible", "engine.infeasible"),
+            ("machine_crashed", "faults.crashed_machines"),
+        ] {
+            assert_eq!(
+                steps(kind),
+                counter(name).unwrap_or(0),
+                "{key}: ring `{kind}` vs counter `{name}` in {}",
+                path.display()
+            );
+        }
+        let placed = counter("engine.placed").unwrap_or(0)
+            + counter("engine.placed_with_preemption").unwrap_or(0);
+        assert!(
+            steps("placed") >= placed,
+            "{key}: fewer ring placements than counted in {}",
+            path.display()
+        );
+    }
+}
+
 #[test]
 fn observability_never_changes_report_bytes() {
     for path in checked_in_specs() {
@@ -53,7 +100,7 @@ fn observability_never_changes_report_bytes() {
         let (plain, _) = run_spec_observed(&spec, ArrivalMode::Streaming)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         spec.observability.metrics = true;
-        spec.observability.trace_events = 1024;
+        spec.observability.trace_events = WHOLE_RUN;
         spec.observability.profile = true;
         spec.observability.spans = true;
         let (observed, obs) = run_spec_observed(&spec, ArrivalMode::Streaming)
@@ -74,6 +121,9 @@ fn observability_never_changes_report_bytes() {
             "no traces recorded for {}",
             path.display()
         );
+        if spec.sweep.is_none() {
+            assert_ring_matches_counters(&obs, &path);
+        }
         assert!(
             obs.spans.iter().any(|(_, log)| !log.is_empty()),
             "no spans recorded for {}",

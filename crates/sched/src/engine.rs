@@ -25,9 +25,10 @@
 //!
 //! This module only *schedules*: it routes, places, draws runtimes and
 //! emits events. What each step of a task's life records — counters,
-//! the result, the retry budget, the flight-recorder span, which arena
-//! slots are dead — is the private `ledger` module's decision alone;
-//! the engine reports every transition there as one `Step`.
+//! the result, the retry budget, the flight-recorder span, the event
+//! ring entry, which arena slots are dead — is the [`Ledger`]'s decision
+//! alone; the engine reports every transition there as one `Step`, and
+//! observers read the ledger through [`EngineState::ledger`].
 //!
 //! Intra-instant ordering is pinned by kernel delivery classes: at one
 //! timestamp, completions and machine-state changes ([`PRIO_STATE`])
@@ -51,15 +52,14 @@ use serde::{Deserialize, Serialize};
 
 use ctlm_data::compaction::{collapse, AttrRequirement};
 use ctlm_sim::{CompId, Component, Ctx, Event, Sim};
-use ctlm_telemetry::{SpanLog, TraceEvent, TraceRing};
 use ctlm_trace::{
     AttrId, AttrValue, EventPayload, GeneratedTrace, Machine, MachineId, Micros, TaskId,
 };
 
 use crate::arena::TaskSlab;
 use crate::cluster::{CapacityFit, SchedCluster};
-use crate::ledger::{Admission, Exit, Ledger, Next, Step, Via};
-pub use crate::ledger::{EngineStats, PlacedRecord, SimResult, SpillRoute};
+use crate::ledger::{Admission, Exit, Next, Step, Via};
+pub use crate::ledger::{EngineStats, Ledger, PlacedRecord, SimResult, SpillRoute};
 use crate::lifecycle::LifecycleOwner;
 use crate::placement::{BestFit, PlaceCtx, Placement, Placer, PreemptiveBestFit};
 use crate::queue::PendingTask;
@@ -191,16 +191,13 @@ pub struct EngineState<'a> {
     pending_gang_members: usize,
     rng: StdRng,
     /// All accounting — counters, result, the live-task table, the
-    /// fault runtime, the flight recorder. Every lifecycle transition
-    /// is reported there and recorded nowhere else.
+    /// fault runtime, the flight recorder, the event ring. Every
+    /// lifecycle transition is reported there and recorded nowhere else.
     ledger: Ledger,
     next_epoch: u64,
     engine_id: CompId,
     /// Reusable placement scratch threaded through every attempt.
     place_ctx: PlaceCtx,
-    /// Bounded structured event trace; `None` (the default) records
-    /// nothing. See [`EngineState::enable_trace`].
-    trace: Option<TraceRing>,
 }
 
 impl<'a> EngineState<'a> {
@@ -229,7 +226,6 @@ impl<'a> EngineState<'a> {
             next_epoch: 0,
             engine_id: 0,
             place_ctx: PlaceCtx::new(),
-            trace: None,
         }
     }
 
@@ -280,86 +276,25 @@ impl<'a> EngineState<'a> {
         self.pending_gang_members
     }
 
-    /// Cumulative task admissions (fresh arrivals, dynamic admits and
-    /// gang members; churn requeues are *not* re-counted) — control
-    /// planes diff successive reads for an arrival-rate estimate.
-    pub fn admitted(&self) -> u64 {
-        self.ledger.admitted()
+    /// The cell's ledger: counters, the result so far, the fault
+    /// runtime's stats, the flight recorder and the event ring —
+    /// everything an observer reads.
+    pub fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 
-    /// Cumulative `NoCapacity` placement outcomes — the queue-pressure
-    /// signal an autoscaler watches: suitable machines existed but none
-    /// had room, so the task burned a cycle slot and went back to the
-    /// queue.
-    pub fn no_capacity_events(&self) -> u64 {
-        self.ledger.stats().no_capacity
-    }
-
-    /// The sim-plane telemetry counters and histograms accumulated so
-    /// far. Always maintained (the cost is a handful of integer adds per
-    /// event); exporters snapshot this after the run.
-    pub fn stats(&self) -> &EngineStats {
-        self.ledger.stats()
-    }
-
-    /// Switches on the bounded structured event trace: the last
-    /// `capacity` delivered events are kept in a preallocated ring (a
-    /// `capacity` of 0 turns tracing back off). Recording into a full
-    /// ring overwrites the oldest entry and never allocates, so tracing
-    /// is compatible with the zero-allocation scheduling-pass contract
-    /// once the ring exists.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = if capacity == 0 {
-            None
-        } else {
-            Some(TraceRing::new(capacity))
-        };
-    }
-
-    /// The event trace ring, when [`EngineState::enable_trace`] switched
-    /// it on.
-    pub fn trace(&self) -> Option<&TraceRing> {
-        self.trace.as_ref()
-    }
-
-    /// Switches on the fault-plane runtime: crash-lost tasks consult
-    /// `policy` (jitter drawn from a dedicated RNG seeded with `seed`)
-    /// and are rescheduled or dead-lettered. Without this, a delivered
-    /// [`SchedEvent::MachineCrash`] dead-letters every lost task
-    /// immediately.
-    pub fn enable_faults(&mut self, policy: Box<dyn crate::faults::RetryPolicy>, seed: u64) {
-        self.ledger.enable_faults(policy, seed);
-    }
-
-    /// The fault runtime's counters and histograms, when
-    /// [`EngineState::enable_faults`] switched it on.
-    pub fn fault_stats(&self) -> Option<&crate::faults::FaultStats> {
-        self.ledger.fault_stats()
-    }
-
-    /// Switches on the causal flight recorder (idempotent). The log is
-    /// the ledger's alone; [`EngineState::take_spans`] hands it over
-    /// after the run.
-    ///
-    /// Recording is sim-plane only, so the log is byte-identical across
-    /// `execution.threads`, and span storage grows only on lifecycle
-    /// *transitions* — steady-state scheduling passes update open spans
-    /// in place without allocating.
-    pub fn enable_spans(&mut self) {
-        self.ledger.enable_spans();
-    }
-
-    /// Takes the recorded span log out of the engine (after the run),
-    /// leaving the recorder disabled. Finish the run first (e.g.
-    /// [`CellHandle::finish`]) so open spans are closed at the horizon.
-    pub fn take_spans(&mut self) -> Option<SpanLog> {
-        self.ledger.take_spans()
+    /// The ledger, to switch a recorder or the fault runtime on before
+    /// the run, note control-plane replacements, or take the span log
+    /// after it. Steps can only be reported by the engine itself.
+    pub fn ledger_mut(&mut self) -> &mut Ledger {
+        &mut self.ledger
     }
 
     /// Records a control-plane decision (the autoscaler's `scale_up` /
     /// `scale_down` verdicts) as an instant span on the cell's control
     /// track: `plan` is the policy that decided, `a`/`b` the
-    /// kind-specific payload words. No-op without the flight recorder.
+    /// kind-specific payload words. Lands in the event ring too; no-op
+    /// with neither on.
     pub fn control_decision(
         &mut self,
         kind: &'static str,
@@ -376,7 +311,7 @@ impl<'a> EngineState<'a> {
     /// claim on `machine` the crash displaced (`None`: nobody's) — on
     /// the cell's control track. Called when the crash is decided, ahead
     /// of its delivery, so the record precedes the `machine_down` span
-    /// it explains. No-op without the flight recorder.
+    /// it explains. Lands in the event ring too; no-op with neither on.
     pub fn claim_overridden(
         &mut self,
         machine: MachineId,
@@ -387,19 +322,6 @@ impl<'a> EngineState<'a> {
         self.record(now, Step::ClaimOverridden(machine, owner));
     }
 
-    /// Crash events that removed an online machine so far — control
-    /// planes diff successive reads to detect crash-induced capacity
-    /// loss (always 0 without the fault runtime).
-    pub fn crashed_machines(&self) -> u64 {
-        self.fault_stats().map_or(0, |f| f.crashed_machines)
-    }
-
-    /// Counts replacement machines the control plane ordered against
-    /// crash-induced capacity loss (no-op when the fault plane is off).
-    pub fn note_replacements(&mut self, n: u64) {
-        self.ledger.note_replacements(n);
-    }
-
     /// Slab segments retired (fully drained and recycled) so far.
     pub fn slab_retired(&self) -> u64 {
         self.slab.retired()
@@ -408,18 +330,6 @@ impl<'a> EngineState<'a> {
     /// Slab segments currently resident in memory.
     pub fn slab_resident_segments(&self) -> usize {
         self.slab.resident_segments()
-    }
-
-    /// Mean scheduling latency over the `last` most recently placed
-    /// tasks (`None` before anything placed) — the admission-latency
-    /// signal, windowed so old history cannot mask a building backlog.
-    pub fn recent_latency_mean(&self, last: usize) -> Option<f64> {
-        let placed = self.ledger.placed();
-        if placed.is_empty() || last == 0 {
-            return None;
-        }
-        let tail = &placed[placed.len().saturating_sub(last)..];
-        Some(tail.iter().map(|r| r.latency as f64).sum::<f64>() / tail.len() as f64)
     }
 
     /// Drains a machine — a [`SchedEvent::MachineFail`] delivery, and the
@@ -587,7 +497,7 @@ impl<'a> EngineState<'a> {
     /// The scheduler pass: retry gangs, serve the whole HP queue, then a
     /// bounded number of main-queue heads.
     fn cycle(&mut self, ctx: &mut Ctx<'_, SchedEvent>) {
-        self.ledger.pass(self.hp.len(), self.main.len());
+        self.record(ctx.now(), Step::Pass(self.hp.len(), self.main.len()));
         // Gangs retry all-or-nothing ahead of individual placements —
         // compacted in place (FIFO retry order preserved, no take/realloc
         // churn on the pending list).
@@ -675,33 +585,6 @@ impl<'a> EngineState<'a> {
     }
 
     fn handle(&mut self, ev: SchedEvent, ctx: &mut Ctx<'_, SchedEvent>) {
-        if let Some(ring) = &mut self.trace {
-            // One fixed-shape record per delivered event: a static kind
-            // tag plus two payload words — no formatting, no allocation.
-            let (kind, a, b) = match &ev {
-                SchedEvent::Wake => ("wake", 0, 0),
-                SchedEvent::Arrival(idx) => ("arrival", *idx as u64, 0),
-                SchedEvent::Admit(t) => ("admit", t.id, 0),
-                SchedEvent::GangArrival(members) => ("gang_arrival", members.len() as u64, 0),
-                SchedEvent::Cycle => ("cycle", 0, 0),
-                SchedEvent::Finish { task, machine, .. } => ("finish", *task, *machine),
-                SchedEvent::MachineFail(id) => ("machine_fail", *id, 0),
-                SchedEvent::MachineCrash(id) => ("machine_crash", *id, 0),
-                SchedEvent::MachineRestore(id) => ("machine_restore", *id, 0),
-                SchedEvent::MachineJoin(m) => ("machine_join", m.id, 0),
-                SchedEvent::AttrUpdate { machine, attr, .. } => {
-                    ("attr_update", *machine, u64::from(*attr))
-                }
-                SchedEvent::SpillRequest(idx) => ("spill_request", *idx as u64, 0),
-                SchedEvent::TaskRetry(idx) => ("task_retry", *idx as u64, 0),
-            };
-            ring.push(TraceEvent {
-                time: ctx.now(),
-                kind,
-                a,
-                b,
-            });
-        }
         let now = ctx.now();
         match ev {
             SchedEvent::Arrival(idx) => self.admit(idx, now, Admission::Arrival),
@@ -756,6 +639,7 @@ impl<'a> EngineState<'a> {
                 attr,
                 value,
             } => {
+                self.record(now, Step::AttrUpdated(machine, attr));
                 self.cluster.update_attr(machine, attr, value);
             }
             SchedEvent::Wake => {}

@@ -3,37 +3,42 @@
 //! The engine schedules (route, place, draw a runtime, emit events) and
 //! reports every state change here as one [`Step`]; [`Ledger::transition`]
 //! alone checks the step is legal, bumps the counters, updates the
-//! live-task table, writes the flight-recorder span and releases the
-//! arena slot of a task that is gone for good. A task enters the table
-//! at its first placement (that is what earns its one [`PlacedRecord`])
-//! and leaves it when it terminates; before that it is *new* (not yet
-//! admitted, or in spill transit) or *queued*, and tracked nowhere.
+//! live-task table, writes the flight-recorder span, appends the step to
+//! the event ring and releases the arena slot of a task that is gone for
+//! good. A task enters the table at its first placement (that is what
+//! earns its one [`PlacedRecord`]) and leaves it when it terminates;
+//! before that it is *new* (not yet admitted, or in spill transit) or
+//! *queued*, and tracked nowhere.
 //!
-//! | step | phase | counters | span: kind(cause) → outcome |
-//! |---|---|---|---|
-//! | `Admitted` | new → queued | `admitted_{arrivals,dynamic,gang_members}` | open `queued`(`arrival` / `dynamic` / `gang`) |
-//! | `Spilled` | new → transit | `spill_requests` | open `spill_transit`(the rejection: `backlog_full` / `no_capacity` / `infeasible`) |
-//! | `SpillResolved` | transit → new, or gone (`Sibling`) | — | close → `routed_home` / `link_timeout` / `routed`, a = landing cell |
-//! | `NoCapacity` | queued → queued | `no_capacity` | in place: attempts + 1, b = candidates |
-//! | `Placed` | queued → `Running` | `placed` / `placed_with_preemption` (gangs: neither); first time: the `PlacedRecord`; from `RetryWait`: `reschedule` sample | close `queued` → `placed`, plan = placer or `gang`, detail = index arm, a = machine, b = candidates; open `running`(`placed`) |
-//! | `GangPlaced` | — | `gangs_placed` | — |
-//! | `Infeasible` | queued → gone | `infeasible`; `unplaced` if never placed, else (fault runtime on) `failed_permanently` + `dead_lettered` | close `queued` → `infeasible`; then instant `dead_letter`(`infeasible`) |
-//! | `Finished` | `Running` → gone | — | close `running` → `finished` |
-//! | `Preempted` | `Running` → gone | `preemptions`, the record's `was_preempted` | close `running` → `preempted`, a = machine, b = preemptor |
-//! | `Drained` | `Running` → `Requeued` | `churn_rescheduled` | close `running` → `machine_drain`; open `queued`(`churn_requeue`) |
-//! | `Lost`, in budget | `Running` → `RetryWait` | `tasks_lost`, `lost_work_us`, `retries_scheduled`, `backoff` | close `running` → `machine_crash`; open `retry_wait`(`machine_crash`), plan = policy, attempts = losses, a = delay, b = machine |
-//! | `Lost`, budget spent or no fault runtime | `Running` → gone | `tasks_lost`, `lost_work_us`, `dead_lettered`, `failed_permanently` | close `running` → `machine_crash`; instant `dead_letter`(`budget_exhausted`), a = machine |
-//! | `BackoffElapsed` | `RetryWait` (now queued) | — | close `retry_wait` → `backoff_elapsed`; open `queued`(`retry`) |
-//! | [`Ledger::finish`] | any → gone | `unplaced` per queued task never placed | close everything → `horizon` |
-//! | `MachineCrashed` | — | `crashed_machines` | open `machine_down`(`crash`) |
-//! | `MachineDrained` | — | — | open `machine_drain`(`drain`) |
-//! | `MachineRestored` | — | — | close the machine's span → `restored` |
-//! | `MachineJoined` | — | — | instant `machine_join`(`join`) |
-//! | `Control` | — | — | instant ctrl span as given: the autoscaler's `scale_up`(`demand` / `crash_loss`; a = ordered, b = replacements) and `scale_down`(`surplus`; a = released) |
-//! | `ClaimOverridden` | — | — | instant `claim_override`(`crash`) on the machine, plan = `fault`, detail = the displaced owner: the fault plane's crash provenance, reported when a crash is *decided*, ahead of its `MachineCrashed` |
+//! | step | phase | counters | span: kind(cause) → outcome | ring: kind (a, b) |
+//! |---|---|---|---|---|
+//! | `Admitted` | new → queued | `admitted_{arrivals,dynamic,gang_members}` | open `queued`(`arrival` / `dynamic` / `gang`) | `admit_arrival` / `admit_dynamic` / `admit_gang` (task, 0) |
+//! | `Spilled` | new → transit | `spill_requests` | open `spill_transit`(the rejection: `backlog_full` / `no_capacity` / `infeasible`) | `spilled` (task, 0) |
+//! | `SpillResolved` | transit → new, or gone (`Sibling`) | — | close → `routed_home` / `link_timeout` / `routed`, a = landing cell | `spill_resolved` (task, landing cell) |
+//! | `Pass` | — | `cycles`; `hp_depth` and `main_depth` samples | — | `pass` (HP depth, main depth) |
+//! | `NoCapacity` | queued → queued | `no_capacity` | in place: attempts + 1, b = candidates | `no_capacity` (task, 0) |
+//! | `Placed` | queued → `Running` | `placed` / `placed_with_preemption` (gangs: neither); first time: the `PlacedRecord`; from `RetryWait`: `reschedule` sample | close `queued` → `placed`, plan = placer or `gang`, detail = index arm, a = machine, b = candidates; open `running`(`placed`) | `placed` (task, machine) |
+//! | `GangPlaced` | — | `gangs_placed` | — | `gang_placed` (0, 0) |
+//! | `Infeasible` | queued → gone | `infeasible`; `unplaced` if never placed, else (fault runtime on) `failed_permanently` + `dead_lettered` | close `queued` → `infeasible`; then instant `dead_letter`(`infeasible`) | `infeasible` (task, 0) |
+//! | `Finished` | `Running` → gone | — | close `running` → `finished` | `finished` (task, machine) |
+//! | `Preempted` | `Running` → gone | `preemptions`, the record's `was_preempted` | close `running` → `preempted`, a = machine, b = preemptor | `preempted` (task, machine) |
+//! | `Drained` | `Running` → `Requeued` | `churn_rescheduled` | close `running` → `machine_drain`; open `queued`(`churn_requeue`) | `drained` (task, machine) |
+//! | `Lost`, in budget | `Running` → `RetryWait` | `tasks_lost`, `lost_work_us`, `retries_scheduled`, `backoff` | close `running` → `machine_crash`; open `retry_wait`(`machine_crash`), plan = policy, attempts = losses, a = delay, b = machine | `lost` (task, machine) |
+//! | `Lost`, budget spent or no fault runtime | `Running` → gone | `tasks_lost`, `lost_work_us`, `dead_lettered`, `failed_permanently` | close `running` → `machine_crash`; instant `dead_letter`(`budget_exhausted`), a = machine | `lost` (task, machine) |
+//! | `BackoffElapsed` | `RetryWait` (now queued) | — | close `retry_wait` → `backoff_elapsed`; open `queued`(`retry`) | `backoff_elapsed` (task, 0) |
+//! | [`Ledger::finish`] | any → gone | `unplaced` per queued task never placed | close everything → `horizon` | — |
+//! | `MachineCrashed` | — | `crashed_machines` | open `machine_down`(`crash`) | `machine_crashed` (machine, 0) |
+//! | `MachineDrained` | — | — | open `machine_drain`(`drain`) | `machine_drained` (machine, 0) |
+//! | `MachineRestored` | — | — | close the machine's span → `restored` | `machine_restored` (machine, 0) |
+//! | `MachineJoined` | — | — | instant `machine_join`(`join`) | `machine_joined` (machine, 0) |
+//! | `AttrUpdated` | — | — | — | `attr_update` (machine, attribute) |
+//! | `Control` | — | — | instant ctrl span as given: the autoscaler's `scale_up`(`demand` / `crash_loss`; a = ordered, b = replacements) and `scale_down`(`surplus`; a = released) | the span's kind (a, b) |
+//! | `ClaimOverridden` | — | — | instant `claim_override`(`crash`) on the machine, plan = `fault`, detail = the displaced owner: the fault plane's crash provenance, reported when a crash is *decided*, ahead of its `MachineCrashed` | `claim_override` (machine, 0) |
 //!
-//! No span is written anywhere else: the ledger owns the log outright.
-//! `lab::flight::payload_args` names the `a`/`b` words per kind.
+//! No span, counter or ring entry is written anywhere else: the ledger
+//! owns all three outright, and every observer reads them through
+//! [`EngineState::ledger`](crate::engine::EngineState::ledger).
+//! `lab::flight::payload_args` names the span `a`/`b` words per kind.
 
 use std::collections::hash_map::{Entry, HashMap};
 
@@ -41,8 +46,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use ctlm_telemetry::{Histogram, SpanLog};
-use ctlm_trace::{MachineId, Micros, TaskId};
+use ctlm_telemetry::{Histogram, SpanLog, TraceEvent, TraceRing};
+use ctlm_trace::{AttrId, MachineId, Micros, TaskId};
 
 use crate::arena::TaskSlab;
 use crate::cluster::SchedCluster;
@@ -194,6 +199,9 @@ pub(crate) enum Step {
     Spilled(usize, &'static str),
     /// With the route and the cell the task lands in.
     SpillResolved(usize, SpillRoute, usize),
+    /// A scheduler pass starts with these high-priority and main queue
+    /// depths.
+    Pass(usize, usize),
     NoCapacity(usize),
     /// Arena index, machine, placement epoch, what decided. Reported
     /// *before* the cluster reservation, so the decision audit reads the
@@ -208,10 +216,47 @@ pub(crate) enum Step {
     MachineDrained(MachineId),
     MachineRestored(MachineId),
     MachineJoined(MachineId),
+    /// The machine's attribute was set or cleared.
+    AttrUpdated(MachineId, AttrId),
     /// A control-plane decision: kind, cause, plan, payload words a, b.
     Control(&'static str, &'static str, &'static str, u64, u64),
     /// The fault plane took the machine from the named lifecycle owner.
     ClaimOverridden(MachineId, &'static str),
+}
+
+impl Step {
+    /// The step as one fixed-shape ring record (the module table's last
+    /// column): a static kind tag and two payload words — no formatting,
+    /// no allocation. Reads the arena, so it runs before the step
+    /// releases a slot.
+    fn event(&self, slab: &TaskSlab<'_>, time: Micros) -> TraceEvent {
+        let id_of = |idx: usize| slab.get(idx).id;
+        let (kind, a, b) = match *self {
+            Step::Admitted(idx, Admission::Arrival) => ("admit_arrival", id_of(idx), 0),
+            Step::Admitted(idx, Admission::Dynamic) => ("admit_dynamic", id_of(idx), 0),
+            Step::Admitted(idx, Admission::Gang) => ("admit_gang", id_of(idx), 0),
+            Step::Spilled(idx, _) => ("spilled", id_of(idx), 0),
+            Step::SpillResolved(idx, _, cell) => ("spill_resolved", id_of(idx), cell as u64),
+            Step::Pass(hp, main) => ("pass", hp as u64, main as u64),
+            Step::NoCapacity(idx) => ("no_capacity", id_of(idx), 0),
+            Step::Placed(idx, machine, ..) => ("placed", id_of(idx), machine),
+            Step::GangPlaced => ("gang_placed", 0, 0),
+            Step::Infeasible(idx, _) => ("infeasible", id_of(idx), 0),
+            Step::Left(task, machine, Exit::Finished) => ("finished", task, machine),
+            Step::Left(task, machine, Exit::Preempted(_)) => ("preempted", task, machine),
+            Step::Left(task, machine, Exit::Drained) => ("drained", task, machine),
+            Step::Left(task, machine, Exit::Crashed) => ("lost", task, machine),
+            Step::BackoffElapsed(idx) => ("backoff_elapsed", id_of(idx), 0),
+            Step::MachineCrashed(id) => ("machine_crashed", id, 0),
+            Step::MachineDrained(id) => ("machine_drained", id, 0),
+            Step::MachineRestored(id) => ("machine_restored", id, 0),
+            Step::MachineJoined(id) => ("machine_joined", id, 0),
+            Step::AttrUpdated(id, attr) => ("attr_update", id, attr.into()),
+            Step::Control(kind, _, _, a, b) => (kind, a, b),
+            Step::ClaimOverridden(id, _) => ("claim_override", id, 0),
+        };
+        TraceEvent { time, kind, a, b }
+    }
 }
 
 /// What the engine owes a task after a transition.
@@ -267,13 +312,22 @@ fn rec(spans: &mut Option<SpanLog>, write: impl FnOnce(&mut SpanLog)) {
 }
 
 /// A cell's whole accounting: counters, result, the live-task table, the
-/// fault runtime and the flight recorder.
-pub(crate) struct Ledger {
+/// fault runtime, the flight recorder and the event ring — what every
+/// observer of a cell reads, through
+/// [`EngineState::ledger`](crate::engine::EngineState::ledger).
+///
+/// The engine reports each lifecycle transition here as one step, and
+/// only the ledger turns it into counters, a result record, a span and a
+/// ring entry, so no two of them can disagree about what happened.
+pub struct Ledger {
     stats: EngineStats,
     result: SimResult,
     live: HashMap<TaskId, Live>,
     faults: Option<Box<FaultRuntime>>,
     spans: Option<SpanLog>,
+    /// Bounded ring of the last steps; `None` (the default) records
+    /// nothing.
+    trace: Option<TraceRing>,
 }
 
 impl Ledger {
@@ -289,52 +343,93 @@ impl Ledger {
             live: HashMap::with_capacity(n),
             faults: None,
             spans: None,
+            trace: None,
         }
     }
 
-    pub(crate) fn stats(&self) -> &EngineStats {
+    /// The sim-plane telemetry counters and histograms accumulated so
+    /// far. Always maintained (the cost is a handful of integer adds per
+    /// step); exporters snapshot this after the run.
+    pub fn stats(&self) -> &EngineStats {
         &self.stats
     }
 
-    /// Tasks admitted so far, by any route.
-    pub(crate) fn admitted(&self) -> u64 {
+    /// Cumulative task admissions (fresh arrivals, dynamic admits and
+    /// gang members; churn requeues are *not* re-counted) — control
+    /// planes diff successive reads for an arrival-rate estimate.
+    pub fn admitted(&self) -> u64 {
         let s = &self.stats;
         s.admitted_arrivals + s.admitted_dynamic + s.admitted_gang_members
     }
 
-    pub(crate) fn placed(&self) -> &[PlacedRecord] {
-        &self.result.placed
+    /// Mean scheduling latency over the `last` most recently placed
+    /// tasks (`None` before anything placed) — the admission-latency
+    /// signal, windowed so old history cannot mask a building backlog.
+    pub fn recent_latency_mean(&self, last: usize) -> Option<f64> {
+        let placed = &self.result.placed;
+        if placed.is_empty() || last == 0 {
+            return None;
+        }
+        let tail = &placed[placed.len().saturating_sub(last)..];
+        Some(tail.iter().map(|r| r.latency as f64).sum::<f64>() / tail.len() as f64)
     }
 
-    pub(crate) fn enable_faults(&mut self, policy: Box<dyn RetryPolicy>, seed: u64) {
+    /// Switches on the fault-plane runtime: crash-lost tasks consult
+    /// `policy` (jitter drawn from a dedicated RNG seeded with `seed`)
+    /// and are rescheduled or dead-lettered. Without it, a delivered
+    /// [`SchedEvent::MachineCrash`](crate::engine::SchedEvent::MachineCrash)
+    /// dead-letters every lost task immediately.
+    pub fn enable_faults(&mut self, policy: Box<dyn RetryPolicy>, seed: u64) {
         let rng = StdRng::seed_from_u64(seed ^ 0xFA17_4E77);
         let stats = FaultStats::default();
         self.faults = Some(Box::new(FaultRuntime { policy, rng, stats }));
     }
 
-    pub(crate) fn fault_stats(&self) -> Option<&FaultStats> {
+    /// The fault runtime's counters and histograms, when
+    /// [`Ledger::enable_faults`] switched it on.
+    pub fn fault_stats(&self) -> Option<&FaultStats> {
         self.faults.as_deref().map(|f| &f.stats)
     }
 
-    pub(crate) fn note_replacements(&mut self, n: u64) {
+    /// Counts replacement machines the control plane ordered against
+    /// crash-induced capacity loss (no-op when the fault plane is off).
+    pub fn note_replacements(&mut self, n: u64) {
         if let Some(f) = self.faults.as_deref_mut() {
             f.stats.replacements_ordered += n;
         }
     }
 
-    pub(crate) fn enable_spans(&mut self) {
+    /// Switches on the causal flight recorder (idempotent);
+    /// [`Ledger::take_spans`] hands the log over after the run.
+    ///
+    /// Recording is sim-plane only, so the log is byte-identical across
+    /// `execution.threads`, and span storage grows only on lifecycle
+    /// *transitions* — steady-state scheduling passes update open spans
+    /// in place without allocating.
+    pub fn enable_spans(&mut self) {
         self.spans.get_or_insert_with(SpanLog::default);
     }
 
-    pub(crate) fn take_spans(&mut self) -> Option<SpanLog> {
+    /// Takes the recorded span log out (after the run), leaving the
+    /// recorder disabled. Finish the run first (e.g.
+    /// [`CellHandle::finish`](crate::engine::CellHandle::finish)) so open
+    /// spans are closed at the horizon.
+    pub fn take_spans(&mut self) -> Option<SpanLog> {
         self.spans.take()
     }
 
-    /// Per-pass sampling: one more cycle, the queue depths at its start.
-    pub(crate) fn pass(&mut self, hp: usize, main: usize) {
-        self.stats.cycles += 1;
-        self.stats.hp_depth.record(hp as u64);
-        self.stats.main_depth.record(main as u64);
+    /// Switches on the event ring: the last `capacity` steps are kept in
+    /// a preallocated ring (a `capacity` of 0 turns it back off).
+    /// Recording into a full ring overwrites the oldest entry and never
+    /// allocates, so the ring is compatible with the zero-allocation
+    /// scheduling-pass contract once it exists.
+    pub fn enable_trace(&mut self, capacity: usize) {
+        self.trace = (capacity > 0).then(|| TraceRing::new(capacity));
+    }
+
+    /// The event ring, when [`Ledger::enable_trace`] switched it on.
+    pub fn trace(&self) -> Option<&TraceRing> {
+        self.trace.as_ref()
     }
 
     /// True while `task` runs placement `epoch` on `machine` — false
@@ -363,6 +458,9 @@ impl Ledger {
         now: Micros,
         step: Step,
     ) -> Next {
+        if let Some(ring) = &mut self.trace {
+            ring.push(step.event(slab, now));
+        }
         let spans = &mut self.spans;
         match step {
             Step::Admitted(idx, cause) => {
@@ -394,6 +492,11 @@ impl Ledger {
                 if route == SpillRoute::Sibling {
                     slab.release(idx);
                 }
+            }
+            Step::Pass(hp, main) => {
+                self.stats.cycles += 1;
+                self.stats.hp_depth.record(hp as u64);
+                self.stats.main_depth.record(main as u64);
             }
             // The hot one (several per placement under load): a counter
             // and, recorder on, an in-place span update — no lookup.
@@ -493,6 +596,7 @@ impl Ledger {
             Step::MachineJoined(id) => rec(spans, |l| {
                 l.instant_ctrl(id, "machine_join", now, "join", "", "", 0, 0)
             }),
+            Step::AttrUpdated(..) => {}
             Step::Control(kind, cause, plan, a, b) => rec(spans, |l| {
                 l.instant_ctrl(0, kind, now, cause, plan, "", a, b)
             }),
@@ -780,6 +884,48 @@ mod tests {
         assert_eq!((r.placed.len(), r.unplaced), (1, 2));
         assert_eq!(r.failed_permanently, 0, "no fault runtime, no dead letter");
         assert_eq!(b.ledger.stats().infeasible, 2);
+    }
+
+    #[test]
+    fn the_ring_records_every_step_in_order_with_its_task_ids() {
+        let list = [task(7, 0), task(8, 0)];
+        let mut b = Bench::over(&list);
+        b.ledger.enable_trace(16);
+        b.admit(0, 0);
+        b.admit(1, 0);
+        b.step(10, Step::Pass(0, 2));
+        b.step(10, Step::NoCapacity(1));
+        b.place(0, 1, 10);
+        // The step releases task 8's slot; the ring still names it.
+        b.step(20, Step::Infeasible(1, "test"));
+        b.step(30, Step::AttrUpdated(1, 4));
+        b.step(40, Step::Left(7, 1, Exit::Drained));
+        b.step(50, Step::Control("scale_up", "demand", "test", 2, 1));
+        let ring = b.ledger.trace().expect("ring on");
+        let seen: Vec<_> = ring.iter().map(|e| (e.time, e.kind, e.a, e.b)).collect();
+        assert_eq!(
+            seen,
+            [
+                (0, "admit_arrival", 7, 0),
+                (0, "admit_arrival", 8, 0),
+                (10, "pass", 0, 2),
+                (10, "no_capacity", 8, 0),
+                (10, "placed", 7, 1),
+                (20, "infeasible", 8, 0),
+                (30, "attr_update", 1, 4),
+                (40, "drained", 7, 1),
+                (50, "scale_up", 2, 1),
+            ]
+        );
+        // The counters read the same stream.
+        let s = b.ledger.stats();
+        assert_eq!(
+            (s.cycles, s.no_capacity, s.placed, s.infeasible),
+            (1, 1, 1, 1)
+        );
+        b.ledger.enable_trace(0);
+        b.step(60, Step::Pass(1, 0));
+        assert!(b.ledger.trace().is_none(), "capacity 0 turns the ring off");
     }
 
     #[test]

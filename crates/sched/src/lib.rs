@@ -48,10 +48,12 @@
 //!   affinity, and the Kubernetes-style preemption fallback;
 //! * [`gang`] — atomic (all-or-nothing) gang placement;
 //! * [`engine`] — the kernel-hosted simulation measuring scheduling
-//!   latency per suitable-node group. It only schedules; the private
-//!   `ledger` module alone decides what each lifecycle transition
-//!   records (counters, result, live-task table, retry budgets, spans,
-//!   arena-slot release) — its module doc holds the transition table;
+//!   latency per suitable-node group. It only schedules; the cell's
+//!   [`Ledger`] alone decides what each lifecycle transition records
+//!   (counters, result, live-task table, retry budgets, spans, event
+//!   ring, arena-slot release) — the private `ledger` module's doc holds
+//!   the transition table — and every observer reads it through
+//!   [`engine::EngineState::ledger`];
 //! * [`stream`] — the arrival feed and its two inputs
 //!   ([`stream::Arrivals`]): a borrowed list, or chunked task decode
 //!   ([`stream::ArrivalStream`]) into the engine's task arena without
@@ -88,7 +90,7 @@ pub mod timed;
 pub mod updater;
 
 pub use cluster::{CapacityFit, SchedCluster};
-pub use engine::{CellHandle, EngineStats, SchedEvent, SimConfig, SimResult, Simulator};
+pub use engine::{CellHandle, EngineStats, Ledger, SchedEvent, SimConfig, SimResult, Simulator};
 pub use faults::{
     ExponentialBackoff, FaultAction, FaultPlan, FaultPlane, FaultStats, FixedRetry, RetryPolicy,
 };

@@ -145,14 +145,19 @@ fn run_case(case: &FaultCase) -> (SimResult, u64, FaultStats) {
     harness
         .state()
         .borrow_mut()
+        .ledger_mut()
         .enable_faults(policy(case), case.sim_seed);
     let plane = FaultPlane::new(plan, harness.engine, harness.state());
     attach(&mut harness.sim, "faults", plane);
     let state = harness.state();
     let (_, result) = harness.run();
     let state = state.borrow();
-    let admitted = state.stats().admitted_arrivals;
-    let stats = state.fault_stats().cloned().expect("fault runtime enabled");
+    let admitted = state.ledger().stats().admitted_arrivals;
+    let stats = state
+        .ledger()
+        .fault_stats()
+        .cloned()
+        .expect("fault runtime enabled");
     (result, admitted, stats)
 }
 
@@ -232,7 +237,7 @@ fn crash_overrides_inflight_drain_and_conservation_holds() {
     let simulator = Simulator::new(config);
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster, &arrivals, &mut scheduler);
-    harness.state().borrow_mut().enable_faults(
+    harness.state().borrow_mut().ledger_mut().enable_faults(
         Box::new(FixedRetry {
             delay: 2_000_000,
             budget: 3,
@@ -248,11 +253,11 @@ fn crash_overrides_inflight_drain_and_conservation_holds() {
     let state = harness.state();
     let (cluster_after, result) = harness.run();
     let state = state.borrow();
-    let stats = state.fault_stats().cloned().unwrap();
+    let stats = state.ledger().fault_stats().cloned().unwrap();
     assert!(stats.crashed_machines >= 1, "online machine 3 crashed");
     assert!(stats.tasks_lost >= 1, "machine 3 carried running tasks");
     assert_eq!(
-        state.stats().admitted_arrivals as usize,
+        state.ledger().stats().admitted_arrivals as usize,
         result.placed.len() + result.unplaced
     );
     assert_eq!(stats.dead_lettered as usize, result.failed_permanently);
@@ -296,7 +301,7 @@ fn crash_without_retry_runtime_dead_letters_immediately() {
         result.failed_permanently
     );
     assert_eq!(
-        state.stats().admitted_arrivals as usize,
+        state.ledger().stats().admitted_arrivals as usize,
         result.placed.len() + result.unplaced
     );
 }

@@ -263,10 +263,10 @@ fn a_requeued_task_that_turns_infeasible_is_counted_once() {
     let (_, result) = harness.run();
     let state = state.borrow();
     assert_eq!(result.churn_rescheduled, 1);
-    assert_eq!(state.stats().infeasible, 1);
+    assert_eq!(state.ledger().stats().infeasible, 1);
     assert_eq!((result.placed.len(), result.unplaced), (1, 0));
     assert_eq!(
-        state.admitted() as usize,
+        state.ledger().admitted() as usize,
         result.placed.len() + result.unplaced
     );
     assert_eq!(result.failed_permanently, 0, "no fault plane ran");

@@ -146,7 +146,7 @@ fn scheduling_pass_with_telemetry_enabled_does_not_allocate() {
     // The engine scenario again, but with every observability feature
     // switched on: the always-on `EngineStats` counters/histograms are
     // maintained throughout, and a bounded trace ring records every
-    // delivered event. The ring preallocates at `enable_trace` and
+    // ledger step. The ring preallocates at `enable_trace` and
     // overwrites in place once full, and `Histogram::record` is a fixed
     // array increment — so the steady-state window must still show zero
     // heap allocations.
@@ -166,7 +166,7 @@ fn scheduling_pass_with_telemetry_enabled_does_not_allocate() {
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(fleet(4), &arrivals, &mut scheduler);
     let state = harness.state();
-    state.borrow_mut().enable_trace(256);
+    state.borrow_mut().ledger_mut().enable_trace(256);
 
     harness.sim.run_until(150_000_000);
 
@@ -182,7 +182,8 @@ fn scheduling_pass_with_telemetry_enabled_does_not_allocate() {
 
     {
         let s = state.borrow();
-        let stats = s.stats();
+        let ledger = s.ledger();
+        let stats = ledger.stats();
         assert_eq!(stats.admitted_arrivals, 52, "every task admitted once");
         assert_eq!(stats.placed, 12, "only the blockers place");
         assert!(stats.no_capacity > 0, "background tasks must churn");
@@ -192,12 +193,22 @@ fn scheduling_pass_with_telemetry_enabled_does_not_allocate() {
             stats.cycles,
             "one depth sample per pass"
         );
-        let trace = s.trace().expect("tracing was enabled");
+        let trace = ledger.trace().expect("tracing was enabled");
         assert_eq!(trace.len(), 256, "ring fills to capacity and stays there");
         assert!(
             trace.recorded() > 256,
             "long run must have wrapped the ring"
         );
+        // The ring and the counters read one step stream: admissions,
+        // placements, `NoCapacity` attempts and passes are every step
+        // this run takes, and each lands in the ring exactly once.
+        assert_eq!(
+            trace.recorded(),
+            stats.admitted_arrivals + stats.placed + stats.no_capacity + stats.cycles
+        );
+        let passes = trace.iter().filter(|e| e.kind == "pass").count() as u64;
+        let attempts = trace.iter().filter(|e| e.kind == "no_capacity").count() as u64;
+        assert!(passes > 0 && attempts > 0 && passes + attempts == 256);
     }
     let (_, result) = harness.run();
     assert_eq!(result.placed.len(), 12);
@@ -290,7 +301,7 @@ fn span_recorder_disabled_is_free_and_enabled_changes_no_report_byte() {
         let mut harness = simulator.harness(fleet(4), &arrivals, &mut scheduler);
         let state = harness.state();
         if with_spans {
-            state.borrow_mut().enable_spans();
+            state.borrow_mut().ledger_mut().enable_spans();
         }
 
         harness.sim.run_until(150_000_000);
@@ -304,7 +315,7 @@ fn span_recorder_disabled_is_free_and_enabled_changes_no_report_byte() {
             after - before
         );
         let (_, result) = harness.run();
-        let log = state.borrow_mut().take_spans();
+        let log = state.borrow_mut().ledger_mut().take_spans();
         assert_eq!(log.is_some(), with_spans);
         if let Some(log) = log {
             assert!(!log.is_empty(), "recorder on but no spans closed");

@@ -9,7 +9,7 @@
 //!   own JSON export is byte-identical for any `execution.threads` —
 //!   every value is a function of the (deterministic) simulation, not of
 //!   the host. The bounded [`TraceRing`] lives on this plane too: it
-//!   records the last-N structured engine/kernel events for debugging
+//!   keeps the last-N steps of a cell's task ledger for debugging
 //!   divergences. The [`SpanLog`] flight recorder extends the plane with
 //!   causal lifecycle spans and decision audits per task/machine.
 //! - **Host plane** (wall-clock): [`PerfReport`] carries per-shard
@@ -18,12 +18,12 @@
 //!   emitted only into a `_perf` section that `--no-meta` and byte-compare
 //!   gates exclude, so host noise can never leak into gated output.
 //!
-//! The subsystems themselves (`ctlm-sim`, `ctlm-sched`) stay free of any
-//! dependency on this crate: they keep plain `u64` counters inline (cheap
-//! enough to be always-on and allocation-free), and the lab harness
-//! snapshots those into a `Metrics` registry at end of run. That is what
-//! keeps the zero-allocation scheduling-pass invariant intact with
-//! metrics enabled.
+//! The simulator never writes a [`Metrics`] registry while it runs: it
+//! keeps plain counters, fixed-array [`Histogram`]s, the optional
+//! [`TraceRing`] and [`SpanLog`] (all allocation-free in steady state),
+//! and the lab harness snapshots them into a `Metrics` registry at end of
+//! run. That keeps the zero-allocation scheduling-pass invariant intact
+//! with metrics enabled.
 
 mod histogram;
 mod host;

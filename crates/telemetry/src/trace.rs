@@ -1,5 +1,7 @@
 //! Bounded structured event trace: a preallocated ring that keeps the
-//! last N events and dumps them as JSON on demand.
+//! last N events and dumps them as JSON on demand. `ctlm-sched`'s task
+//! ledger fills one per cell with its steps, in the order it records
+//! them.
 
 use serde::{Serialize, Value};
 
@@ -11,7 +13,8 @@ use serde::{Serialize, Value};
 pub struct TraceEvent {
     /// Sim time (µs) the event happened at.
     pub time: u64,
-    /// Static event-kind tag (e.g. `"admit"`, `"place"`, `"spill_out"`).
+    /// Static event-kind tag (e.g. `"admit_arrival"`, `"placed"`,
+    /// `"no_capacity"`).
     pub kind: &'static str,
     /// Primary subject (task id, machine id, …) — kind-specific.
     pub a: u64,
