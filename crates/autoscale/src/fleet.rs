@@ -22,10 +22,12 @@
 //! the configured [`ProvisionDelay`]; scale-down *drains* the emptiest
 //! online machines through the engine's churn path — every running task
 //! requeues before the machine leaves — then parks them warm or
-//! decommissions them. All fleet mutations go through the shared
-//! [`OwnershipGuard`], so a churn scenario running on the same timeline
-//! can never fail a machine the autoscaler is mid-transition on (or
-//! vice versa).
+//! decommissions them. Every fleet change is an engine method that
+//! claims or releases the machine on the cell's one claim table
+//! ([`ctlm_sched::lifecycle`]), so churn on the same timeline can never
+//! fail a machine the autoscaler is mid-transition on (or vice versa),
+//! and a crash that takes a provisioning or parked machine voids the
+//! autoscaler's plans for it.
 //!
 //! Everything is deterministic in the config seed: identical spec +
 //! seed produce bit-identical fleets, timelines and reports.
@@ -38,7 +40,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use ctlm_sched::engine::EngineState;
-use ctlm_sched::lifecycle::{LifecycleOwner, OwnershipGuard};
+use ctlm_sched::lifecycle::LifecycleOwner;
 use ctlm_sched::{SchedEvent, SimConfig, TimedSource};
 use ctlm_sim::Ctx;
 use ctlm_trace::{AttrValue, Machine, MachineId, Micros};
@@ -52,6 +54,9 @@ pub const PRIO_STATE: u8 = ctlm_sched::engine::PRIO_STATE;
 
 /// Window over recently placed tasks for the admission-latency signal.
 const LATENCY_WINDOW: usize = 32;
+
+/// The claim every fleet change of this control plane holds.
+const OWNER: LifecycleOwner = LifecycleOwner::Autoscaler;
 
 /// The shape of machines this autoscaler provisions.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -158,7 +163,9 @@ pub struct AutoscaleStats {
     pub decommissioned: usize,
     /// In-flight provisioning orders cancelled by a reversal.
     pub cancelled: usize,
-    /// Lifecycle actions skipped because churn held the machine.
+    /// Lifecycle actions skipped because another owner held the machine:
+    /// churn was draining it, or a crash claimed it while it was
+    /// provisioning or parked warm.
     pub conflicts_skipped: usize,
 }
 
@@ -166,11 +173,6 @@ impl AutoscaleStats {
     /// Largest online fleet observed.
     pub fn peak_active(&self) -> usize {
         self.timeline.iter().map(|s| s.active).max().unwrap_or(0)
-    }
-
-    /// Smallest online fleet observed.
-    pub fn min_active(&self) -> usize {
-        self.timeline.iter().map(|s| s.active).min().unwrap_or(0)
     }
 
     /// Online fleet at the last sample.
@@ -222,11 +224,16 @@ struct Provision {
 /// The control-plane component: a [`TimedSource`] —
 /// [`attach`](ctlm_sched::attach) it to the cell's simulation. It first
 /// acts at time 0, then on its cadence and at provisioning completions.
+///
+/// It holds the cell's shared engine state and changes the fleet only
+/// through the engine's claim methods: a machine on order or parked warm
+/// stays claimed for [`LifecycleOwner::Autoscaler`], activation is
+/// [`admit_claimed`](EngineState::admit_claimed) and scale-down is
+/// [`claim_and_take`](EngineState::claim_and_take).
 pub struct Autoscaler<'a> {
     cfg: AutoscaleConfig,
     policy: Box<dyn AutoscalePolicy>,
     engine: Rc<RefCell<EngineState<'a>>>,
-    guard: OwnershipGuard,
     rng: StdRng,
     /// In-flight orders, sorted by `(ready_at, machine id)`.
     provisioning: Vec<Provision>,
@@ -254,7 +261,6 @@ impl<'a> Autoscaler<'a> {
         cfg: AutoscaleConfig,
         policy: Box<dyn AutoscalePolicy>,
         engine: Rc<RefCell<EngineState<'a>>>,
-        guard: OwnershipGuard,
     ) -> (Self, Rc<RefCell<AutoscaleStats>>) {
         let stats = Rc::new(RefCell::new(AutoscaleStats {
             policy: policy.name().to_string(),
@@ -269,7 +275,6 @@ impl<'a> Autoscaler<'a> {
                 cfg,
                 policy,
                 engine,
-                guard,
                 rng,
                 provisioning: Vec::new(),
                 warm: Vec::new(),
@@ -299,7 +304,7 @@ impl<'a> Autoscaler<'a> {
         }
         // Fresh ids are never contested, but the claim is what makes
         // "drain while provisioning" impossible for any other owner.
-        let claimed = self.guard.try_claim(id, LifecycleOwner::Autoscaler);
+        let claimed = self.engine.borrow_mut().try_claim(id, OWNER);
         debug_assert!(claimed, "provisioned ids are namespaced and unclaimed");
         // A delay that runs past the end of time is an order that never
         // completes (like a link outage that never opens), not a wrapped
@@ -326,21 +331,19 @@ impl<'a> Autoscaler<'a> {
     fn complete_due(&mut self, now: Micros) {
         while self.provisioning.first().is_some_and(|p| p.ready_at <= now) {
             let p = self.provisioning.remove(0);
-            let id = p.machine.id;
-            if self.guard.owner(id) != Some(LifecycleOwner::Autoscaler) {
-                self.stats.borrow_mut().conflicts_skipped += 1;
-                continue;
-            }
-            match p.dest {
-                Destination::Active => {
-                    // Admit while still holding the claim, then release:
-                    // there is no instant where the machine is headed
-                    // online but unclaimed — the ordering a same-instant
-                    // drain could previously race.
-                    self.engine.borrow_mut().admit_machine(p.machine);
-                    self.guard.release_owned(id, LifecycleOwner::Autoscaler);
+            let mut engine = self.engine.borrow_mut();
+            let kept = match p.dest {
+                Destination::Active => engine.admit_claimed(p.machine, OWNER, now),
+                Destination::Warm => {
+                    let kept = engine.claims().owner(p.machine.id) == Some(OWNER);
+                    if kept {
+                        self.warm.push(p.machine);
+                    }
+                    kept
                 }
-                Destination::Warm => self.warm.push(p.machine),
+            };
+            if !kept {
+                self.stats.borrow_mut().conflicts_skipped += 1;
             }
         }
     }
@@ -375,17 +378,10 @@ impl<'a> Autoscaler<'a> {
                 continue;
             }
             let m = self.warm.remove(0);
-            let id = m.id;
-            if self.guard.owner(id) != Some(LifecycleOwner::Autoscaler) {
+            if !self.engine.borrow_mut().admit_claimed(m, OWNER, now) {
                 self.stats.borrow_mut().conflicts_skipped += 1;
                 continue;
             }
-            // Admit first, release second — the reverse order left an
-            // instant where the machine was unclaimed but not yet in the
-            // cluster, so a same-instant drain or crash claim could take
-            // it and the late admit would resurrect it.
-            self.engine.borrow_mut().admit_machine(m);
-            self.guard.release_owned(id, LifecycleOwner::Autoscaler);
             self.stats.borrow_mut().warm_activations += 1;
             remaining -= 1;
         }
@@ -399,32 +395,22 @@ impl<'a> Autoscaler<'a> {
         let mut scratch = std::mem::take(&mut self.scratch);
         self.engine
             .borrow()
-            .cluster
+            .cluster()
             .machines_by_free_cpu_desc(&mut scratch);
         let mut taken = 0usize;
         for &id in &scratch {
             if taken == excess {
                 break;
             }
-            if !self.guard.try_claim(id, LifecycleOwner::Autoscaler) {
+            let Some(m) = self.engine.borrow_mut().claim_and_take(id, OWNER, now) else {
                 self.stats.borrow_mut().conflicts_skipped += 1;
                 continue;
-            }
-            let mut engine = self.engine.borrow_mut();
-            if !engine.drain_machine(id, now) {
-                drop(engine);
-                self.guard.release_owned(id, LifecycleOwner::Autoscaler);
-                continue;
-            }
-            let m = engine
-                .take_offline_machine(id)
-                .expect("a just-drained machine is parked");
-            drop(engine);
+            };
             self.stats.borrow_mut().drained += 1;
             if self.warm_supply() < self.cfg.warm_pool {
                 self.warm.push(m); // keeps its claim while parked
             } else {
-                self.guard.release_owned(id, LifecycleOwner::Autoscaler);
+                self.engine.borrow_mut().release_claim(id, OWNER);
                 self.stats.borrow_mut().decommissioned += 1;
             }
             taken += 1;
@@ -449,8 +435,7 @@ impl<'a> Autoscaler<'a> {
                 // If a crash displaced the provision claim, the fault
                 // plane owns the id now — cancelling must not release a
                 // claim that is no longer ours.
-                self.guard
-                    .release_owned(p.machine.id, LifecycleOwner::Autoscaler);
+                self.engine.borrow_mut().release_claim(p.machine.id, OWNER);
                 self.stats.borrow_mut().cancelled += 1;
             }
             excess -= 1;
@@ -467,11 +452,11 @@ impl<'a> Autoscaler<'a> {
             let crashed = ledger.fault_stats().map_or(0, |f| f.crashed_machines);
             let s = Signals {
                 now,
-                fleet: engine.cluster.len(),
+                fleet: engine.cluster().len(),
                 pending: engine.main_queue_len()
                     + engine.hp_queue_len()
                     + engine.pending_gang_members(),
-                utilisation: engine.cluster.cpu_utilisation(),
+                utilisation: engine.cluster().cpu_utilisation(),
                 admitted_delta: admitted - self.last_admitted,
                 no_capacity_delta: no_capacity - self.last_no_capacity,
                 recent_latency_mean: ledger.recent_latency_mean(LATENCY_WINDOW),
@@ -550,7 +535,7 @@ impl<'a> Autoscaler<'a> {
     fn record(&mut self, now: Micros) {
         let sample = FleetSample {
             time: now,
-            active: self.engine.borrow().cluster.len(),
+            active: self.engine.borrow().cluster().len(),
             warm: self.warm.len(),
             provisioning: self.provisioning.len(),
         };

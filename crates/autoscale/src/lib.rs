@@ -39,11 +39,11 @@
 //! ## Determinism and coordination
 //!
 //! All randomness flows through a seeded RNG, so identical spec + seed
-//! produce bit-identical fleet timelines. Fleet mutations go through
-//! the shared [`OwnershipGuard`](ctlm_sched::lifecycle::OwnershipGuard),
-//! which keeps a churn scenario on the same timeline from failing a
-//! machine mid-provision or mid-drain (and the autoscaler from draining
-//! a machine churn holds).
+//! produce bit-identical fleet timelines. Fleet mutations are engine
+//! methods that claim the machine on the cell's one claim table
+//! ([`ctlm_sched::lifecycle`]), which keeps a churn scenario on the same
+//! timeline from failing a machine mid-provision or mid-drain (and the
+//! autoscaler from draining a machine churn holds).
 //!
 //! The declarative harness (`ctlm-lab`) exposes all of this as an
 //! `autoscale` block per cell — see `experiments/elastic_burst.json`

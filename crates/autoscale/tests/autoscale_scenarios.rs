@@ -14,7 +14,7 @@ use ctlm_autoscale::{
 };
 use ctlm_sched::engine::{SimConfig, Simulator};
 use ctlm_sched::scenario::{ChurnAction, ChurnPlan, ChurnSource};
-use ctlm_sched::{attach, OwnershipGuard, PendingTask, SchedCluster, SimResult};
+use ctlm_sched::{attach, PendingTask, SchedCluster, SimResult};
 use ctlm_trace::{Machine, Micros};
 
 fn fleet(n: usize) -> SchedCluster {
@@ -59,12 +59,11 @@ fn run_autoscaled(
     let simulator = Simulator::new(config);
     let mut scheduler = ctlm_sched::scheduler::MainOnly;
     let mut harness = simulator.harness(fleet(initial), arrivals, &mut scheduler);
-    let guard = OwnershipGuard::new();
     if let Some(plan) = churn {
-        let source = ChurnSource::new(plan, harness.engine).with_guard(guard.clone());
+        let source = ChurnSource::new(plan, harness.engine, harness.state());
         attach(&mut harness.sim, "churn", source);
     }
-    let (scaler, stats) = Autoscaler::new(cfg, policy, harness.state(), guard);
+    let (scaler, stats) = Autoscaler::new(cfg, policy, harness.state());
     attach(&mut harness.sim, "autoscaler", scaler);
     let (cluster, result) = harness.run();
     let stats = Rc::try_unwrap(stats)

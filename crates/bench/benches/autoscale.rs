@@ -22,7 +22,7 @@ use ctlm_autoscale::{
 use ctlm_sched::engine::{SimConfig, Simulator};
 use ctlm_sched::placement::{best_fit, Placement};
 use ctlm_sched::scheduler::MainOnly;
-use ctlm_sched::{attach, OwnershipGuard, PendingTask, SchedCluster};
+use ctlm_sched::{attach, PendingTask, SchedCluster};
 use ctlm_trace::Machine;
 
 /// A rotating, deterministic signal mix: idle, loaded, backlogged.
@@ -148,12 +148,8 @@ fn bench_elastic_small(c: &mut Criterion) {
                 delay: ProvisionDelay::Fixed(3_000_000),
                 ..AutoscaleConfig::new(2, 12, 2_000_000, &config)
             };
-            let (scaler, stats) = Autoscaler::new(
-                cfg,
-                Box::new(ThresholdStep::default()),
-                harness.state(),
-                OwnershipGuard::new(),
-            );
+            let (scaler, stats) =
+                Autoscaler::new(cfg, Box::new(ThresholdStep::default()), harness.state());
             attach(&mut harness.sim, "autoscaler", scaler);
             let (_, result) = harness.run();
             let peak = stats.borrow().peak_active();

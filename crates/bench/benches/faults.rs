@@ -21,7 +21,7 @@ use ctlm_autoscale::{AutoscaleConfig, Autoscaler, ProvisionDelay, ThresholdStep}
 use ctlm_sched::engine::{SimConfig, Simulator};
 use ctlm_sched::faults::{ExponentialBackoff, FaultPlan, FaultPlane, FixedRetry, RetryPolicy};
 use ctlm_sched::scheduler::MainOnly;
-use ctlm_sched::{attach, OwnershipGuard, PendingTask, SchedCluster};
+use ctlm_sched::{attach, PendingTask, SchedCluster};
 use ctlm_trace::Machine;
 
 /// Prices one retry decision: 16 policy calls across a rotating attempt
@@ -107,7 +107,6 @@ fn bench_crash_recovery_roundtrip(c: &mut Criterion) {
                 }),
                 config.seed,
             );
-            let guard = OwnershipGuard::new();
             let plan = FaultPlan::zone_crashes(
                 13,
                 &machine_ids,
@@ -116,20 +115,15 @@ fn bench_crash_recovery_roundtrip(c: &mut Criterion) {
                 (10_000_000, 50_000_000),
                 20_000_000,
             );
-            let plane =
-                FaultPlane::new(plan, harness.engine, harness.state()).with_guard(guard.clone());
+            let plane = FaultPlane::new(plan, harness.engine, harness.state());
             attach(&mut harness.sim, "faults", plane);
             let cfg = AutoscaleConfig {
                 warm_pool: 1,
                 delay: ProvisionDelay::Fixed(3_000_000),
                 ..AutoscaleConfig::new(4, 12, 2_000_000, &config)
             };
-            let (scaler, _stats) = Autoscaler::new(
-                cfg,
-                Box::new(ThresholdStep::default()),
-                harness.state(),
-                guard,
-            );
+            let (scaler, _stats) =
+                Autoscaler::new(cfg, Box::new(ThresholdStep::default()), harness.state());
             attach(&mut harness.sim, "autoscaler", scaler);
             let state = harness.state();
             let (_, result) = harness.run();

@@ -13,11 +13,12 @@
 //! here routes them (home cell or a feasible sibling, per the spillover
 //! policy) in the coordinator's deterministic `(time, priority, shard,
 //! seq)` merge order, telling the home engine each verdict with one
-//! [`EngineState::resolve_spill`] call. Everything else — churn, the
-//! fault plane, autoscalers with their ownership guards, gang and
-//! rollout sources, in-timeline retraining: each a [`TimedSource`] put
-//! on the cell's timeline by the one [`attach`] — is per-cell state and
-//! stays inside its shard, which is what makes dispatching shards to
+//! [`EngineState::resolve_spill`] call; the home ledger counts the
+//! routes. Everything else — churn, the fault plane and the autoscaler
+//! (which claim machines on their cell engine's one claim table), gang
+//! and rollout sources, in-timeline retraining: each a [`TimedSource`]
+//! put on the cell's timeline by the one [`attach`] — is per-cell state
+//! and stays inside its shard, which is what makes dispatching shards to
 //! worker threads sound (see the `ctlm_sim::parallel` island
 //! invariant). Model registries are `Arc`-based and safe to hot-swap
 //! from a shard.
@@ -62,8 +63,8 @@ use ctlm_sched::engine::{CellHandle, EngineState, SpillRoute, PRIO_ADMIT, PRIO_S
 use ctlm_sched::scenario::{ChurnSource, GangSource, RolloutSource};
 use ctlm_sched::timed::next_tick;
 use ctlm_sched::{
-    attach, Arrivals, EngineStats, FaultPlane, FaultStats, OwnershipGuard, PendingTask,
-    SchedCluster, SchedEvent, Scheduler, SimResult, Simulator, TimedSource,
+    attach, Arrivals, EngineStats, FaultPlane, FaultStats, PendingTask, SchedCluster, SchedEvent,
+    Scheduler, SimResult, Simulator, TimedSource,
 };
 use ctlm_sim::{Ctx, EpochAutotune, LaneStats, ParallelPerf, ParallelSim, Sim};
 use ctlm_telemetry::{SpanLog, TraceRing};
@@ -181,22 +182,18 @@ fn attach_full_cell<'a>(
     let ring = spec.observability.trace_events;
     handle.state().borrow_mut().ledger_mut().enable_trace(ring);
     let part = |what: &str| format!("{}/{what}", cell.name);
-    // Churn and the autoscaler mutate the same fleet; the shared
-    // guard keeps them off each other's machines.
-    let guard = OwnershipGuard::new();
+    // Churn, the fault plane and the autoscaler change the same fleet;
+    // the engine's claim table keeps them off each other's machines.
     if let Some(plan) = &cell.churn {
-        let churn = ChurnSource::new(plan.clone(), handle.engine).with_guard(guard.clone());
+        let churn = ChurnSource::new(plan.clone(), handle.engine, handle.state());
         attach(sim, part("churn"), churn);
     }
-    // The fault plane shares the guard too: a crash override-claims the
-    // machine, voiding any in-flight drain or provision claim.
     if let Some(bf) = &cell.faults {
         handle.state().borrow_mut().ledger_mut().enable_faults(
             bf.retry.build()?,
             spec.sim.seed ^ (cell.index as u64).wrapping_mul(0x9E37_79B9),
         );
-        let mut plane = FaultPlane::new(bf.plan.clone(), handle.engine, handle.state())
-            .with_guard(guard.clone());
+        let mut plane = FaultPlane::new(bf.plan.clone(), handle.engine, handle.state());
         if let Some(reg) = registry {
             plane = plane.with_registry(reg.clone());
         }
@@ -206,7 +203,7 @@ fn attach_full_cell<'a>(
     if let Some(auto) = &cell.autoscale {
         let policy =
             build_autoscale_policy(&auto.policy, &auto.params, &spec.sim, &auto.config.template)?;
-        let (scaler, stats) = Autoscaler::new(auto.config.clone(), policy, handle.state(), guard);
+        let (scaler, stats) = Autoscaler::new(auto.config.clone(), policy, handle.state());
         attach(sim, part("autoscaler"), scaler);
         autoscale_stats = Some(stats);
     }
@@ -257,7 +254,7 @@ fn route_spill(
                 let i = (home + offset) % states.len();
                 let state = states[i].borrow();
                 if state.can_admit(task) {
-                    let key = (state.cluster.cpu_utilisation(), i);
+                    let key = (state.cluster().cpu_utilisation(), i);
                     if best.is_none_or(|(bl, bi)| key < (bl, bi)) {
                         best = Some(key);
                     }
@@ -400,8 +397,6 @@ fn run_cells(
     let mut handles = Vec::with_capacity(built.len());
     let mut autoscale_stats: Vec<Option<Rc<RefCell<AutoscaleStats>>>> =
         Vec::with_capacity(built.len());
-    let mut spills = vec![(0usize, 0usize); built.len()];
-    let mut link_timeouts = vec![0u64; built.len()];
 
     // One kernel shard per cell under the epoch-barrier coordinator.
     // Always — so `execution.threads` can never change the simulated
@@ -470,7 +465,6 @@ fn run_cells(
             let mut outages = outages[home].iter();
             let (route, target, at) = match outages.find(|&&(s, e)| msg.time >= s && msg.time < e) {
                 Some(&(_, end)) => {
-                    link_timeouts[home] += 1;
                     let at = end.clamp(bound.min(horizon), horizon);
                     (SpillRoute::LinkTimeout, home, at)
                 }
@@ -494,8 +488,6 @@ fn run_cells(
             // cells).
             let mut state = states[home].borrow_mut();
             let event = if route == SpillRoute::Sibling {
-                spills[target].0 += 1;
-                spills[home].1 += 1;
                 SchedEvent::Admit(Box::new(state.task(idx).clone()))
             } else {
                 SchedEvent::Arrival(idx)
@@ -533,7 +525,7 @@ fn run_cells(
                     lost_work_us: fs.lost_work_us,
                     reschedule_mean_us: (fs.reschedule.count() > 0)
                         .then(|| fs.reschedule.sum() as f64 / fs.reschedule.count() as f64),
-                    link_timeouts: link_timeouts[i],
+                    link_timeouts: ledger.stats().link_timeouts,
                     unavailable_machine_us: bf.downtime_us,
                 }
             });
@@ -549,8 +541,9 @@ fn run_cells(
             CellOutcome {
                 cell: cell.name.clone(),
                 result,
-                spilled_in: spills[i].0,
-                spilled_out: spills[i].1,
+                // In a lab cell only a spill admits dynamically.
+                spilled_in: ledger.stats().admitted_dynamic as usize,
+                spilled_out: ledger.stats().spilled_out as usize,
                 autoscale: autoscale_stats[i].as_ref().map(|s| s.borrow().clone()),
                 recovery,
                 telemetry,

@@ -114,12 +114,6 @@ impl SparseLinear {
         self.weight_requires_grad = false;
         self.bias_requires_grad = false;
     }
-
-    /// Unfreezes both tensors.
-    pub fn unfreeze(&mut self) {
-        self.weight_requires_grad = true;
-        self.bias_requires_grad = true;
-    }
 }
 
 /// A fully-connected layer over dense input, storing its weight
@@ -219,12 +213,6 @@ impl Linear {
     pub fn freeze(&mut self) {
         self.weight_requires_grad = false;
         self.bias_requires_grad = false;
-    }
-
-    /// Unfreezes both tensors.
-    pub fn unfreeze(&mut self) {
-        self.weight_requires_grad = true;
-        self.bias_requires_grad = true;
     }
 }
 

@@ -30,6 +30,11 @@
 //! alone; the engine reports every transition there as one `Step`, and
 //! observers read the ledger through [`EngineState::ledger`].
 //!
+//! The engine also owns the cell's fleet outright: churn, the fault
+//! plane and the autoscaler claim, override and release machines on its
+//! one [`OwnershipGuard`] through engine methods, and no fleet change
+//! bypasses the ledger.
+//!
 //! Intra-instant ordering is pinned by kernel delivery classes: at one
 //! timestamp, completions and machine-state changes ([`PRIO_STATE`])
 //! deliver before admissions ([`PRIO_ADMIT`]), which deliver before the
@@ -60,7 +65,7 @@ use crate::arena::TaskSlab;
 use crate::cluster::{CapacityFit, SchedCluster};
 use crate::ledger::{Admission, Exit, Next, Step, Via};
 pub use crate::ledger::{EngineStats, Ledger, PlacedRecord, SimResult, SpillRoute};
-use crate::lifecycle::LifecycleOwner;
+use crate::lifecycle::{LifecycleOwner, OwnershipGuard};
 use crate::placement::{BestFit, PlaceCtx, Placement, Placer, PreemptiveBestFit};
 use crate::queue::PendingTask;
 use crate::scheduler::Scheduler;
@@ -175,8 +180,11 @@ pub struct EngineState<'a> {
     /// streamed arrival chunks, gang members, dynamic admits. Released
     /// slots let drained chunk segments reclaim their buffers.
     slab: TaskSlab<'a>,
-    /// The cluster under scheduling.
-    pub cluster: SchedCluster,
+    /// The cluster under scheduling; read it through
+    /// [`EngineState::cluster`].
+    cluster: SchedCluster,
+    /// The cell's machine-lifecycle claims (see [`crate::lifecycle`]).
+    claims: OwnershipGuard,
     scheduler: &'a mut dyn Scheduler,
     main_placer: &'a dyn Placer,
     hp_placer: &'a dyn Placer,
@@ -214,6 +222,7 @@ impl<'a> EngineState<'a> {
             cfg,
             slab: TaskSlab::over(arrivals),
             cluster,
+            claims: OwnershipGuard::new(),
             scheduler,
             main_placer,
             hp_placer,
@@ -252,6 +261,12 @@ impl<'a> EngineState<'a> {
             return None;
         }
         Some(self.slab.push_sealed(buf))
+    }
+
+    /// The cluster under scheduling (scenario components, control planes
+    /// and spill routers read it; only the engine changes it).
+    pub fn cluster(&self) -> &SchedCluster {
+        &self.cluster
     }
 
     /// Pending main-queue depth (scenario components may inspect it).
@@ -307,21 +322,6 @@ impl<'a> EngineState<'a> {
         self.record(now, Step::Control(kind, cause, plan, a, b));
     }
 
-    /// Records the fault plane's crash provenance — whose lifecycle
-    /// claim on `machine` the crash displaced (`None`: nobody's) — on
-    /// the cell's control track. Called when the crash is decided, ahead
-    /// of its delivery, so the record precedes the `machine_down` span
-    /// it explains. Lands in the event ring too; no-op with neither on.
-    pub fn claim_overridden(
-        &mut self,
-        machine: MachineId,
-        now: Micros,
-        by: Option<LifecycleOwner>,
-    ) {
-        let owner = by.map_or("unclaimed", LifecycleOwner::name);
-        self.record(now, Step::ClaimOverridden(machine, owner));
-    }
-
     /// Slab segments retired (fully drained and recycled) so far.
     pub fn slab_retired(&self) -> u64 {
         self.slab.retired()
@@ -332,12 +332,76 @@ impl<'a> EngineState<'a> {
         self.slab.resident_segments()
     }
 
+    /// The cell's machine-lifecycle claim table.
+    pub fn claims(&self) -> &OwnershipGuard {
+        &self.claims
+    }
+
+    /// Claims `id` for `owner` before a lifecycle transition; false (the
+    /// caller skips the machine) when any owner already holds it.
+    pub fn try_claim(&mut self, id: MachineId, owner: LifecycleOwner) -> bool {
+        self.claims.try_claim(id, owner)
+    }
+
+    /// Releases `owner`'s claim on `id`; false when a crash displaced it
+    /// and the machine's lifecycle belongs to the fault plane now.
+    pub fn release_claim(&mut self, id: MachineId, owner: LifecycleOwner) -> bool {
+        self.claims.release_owned(id, owner)
+    }
+
+    /// A crash is decided: `machine` now belongs to the fault plane,
+    /// whoever held it, and the displaced owner (`unclaimed` when none)
+    /// is recorded on the cell's control track. Called ahead of the
+    /// crash's delivery, so the record precedes the `machine_down` span
+    /// it explains.
+    pub fn override_claim(&mut self, machine: MachineId, now: Micros) {
+        let displaced = self.claims.override_claim(machine, LifecycleOwner::Fault);
+        let owner = displaced.map_or("unclaimed", LifecycleOwner::name);
+        self.record(now, Step::ClaimOverridden(machine, owner));
+    }
+
+    /// Brings machine `m`, which `owner` holds, into the live fleet and
+    /// releases the claim — admit first, release second, so there is no
+    /// instant where the machine is headed online but unclaimed for a
+    /// drain or crash claim to take. False, and the machine is dropped,
+    /// when `owner` no longer holds it: a crash displaced the claim and
+    /// the machine never comes online.
+    pub fn admit_claimed(&mut self, m: Machine, owner: LifecycleOwner, now: Micros) -> bool {
+        let id = m.id;
+        if self.claims.owner(id) != Some(owner) {
+            return false;
+        }
+        self.admit_machine(m, now);
+        self.claims.release_owned(id, owner)
+    }
+
+    /// Claims `id` for `owner`, drains it (its running tasks requeue)
+    /// and takes it out of the cluster, returning the machine with the
+    /// claim still held: the owner parks it, or releases the claim to
+    /// let it go for good. `None`, with nothing changed, when another
+    /// owner holds the machine or it is not online.
+    pub fn claim_and_take(
+        &mut self,
+        id: MachineId,
+        owner: LifecycleOwner,
+        now: Micros,
+    ) -> Option<Machine> {
+        if !self.claims.try_claim(id, owner) {
+            return None;
+        }
+        if self.drain_machine(id, now) {
+            return self.cluster.take_offline(id);
+        }
+        self.claims.release_owned(id, owner);
+        None
+    }
+
     /// Drains a machine — a [`SchedEvent::MachineFail`] delivery, and the
-    /// autoscaler's scale-down hook: its running tasks re-enter
-    /// admission (they keep their first-placement latency record; the
-    /// reschedule is counted) and the machine is parked offline. `now`
-    /// is the caller's sim time. Returns false for unknown machines.
-    pub fn drain_machine(&mut self, id: MachineId, now: Micros) -> bool {
+    /// middle of [`EngineState::claim_and_take`]: its running tasks
+    /// re-enter admission (they keep their first-placement latency
+    /// record; the reschedule is counted) and the machine is parked
+    /// offline. Returns false for machines that are not online.
+    fn drain_machine(&mut self, id: MachineId, now: Micros) -> bool {
         let Some(evicted) = self.cluster.remove_machine(id) else {
             return false;
         };
@@ -351,17 +415,12 @@ impl<'a> EngineState<'a> {
     }
 
     /// Adds a machine to the live fleet (capacity + attribute indexes
-    /// update incrementally) — the autoscaler's activation hook,
-    /// identical to a [`SchedEvent::MachineJoin`] delivery.
-    pub fn admit_machine(&mut self, m: Machine) {
+    /// update incrementally) — the one join path: a
+    /// [`SchedEvent::MachineJoin`] delivery and
+    /// [`EngineState::admit_claimed`] both end here.
+    fn admit_machine(&mut self, m: Machine, now: Micros) {
+        self.record(now, Step::MachineJoined(m.id));
         self.cluster.add_machine(m);
-    }
-
-    /// Takes a parked (drained) machine out of the cluster entirely —
-    /// see [`SchedCluster::take_offline`]. The decommission /
-    /// warm-parking hook.
-    pub fn take_offline_machine(&mut self, id: MachineId) -> Option<Machine> {
-        self.cluster.take_offline(id)
     }
 
     /// True when this cell could admit `task` right now: at least one
@@ -630,10 +689,7 @@ impl<'a> EngineState<'a> {
                 self.record(now, Step::MachineRestored(id));
                 self.cluster.restore_machine(id);
             }
-            SchedEvent::MachineJoin(m) => {
-                self.record(now, Step::MachineJoined(m.id));
-                self.cluster.add_machine(*m);
-            }
+            SchedEvent::MachineJoin(m) => self.admit_machine(*m, now),
             SchedEvent::AttrUpdate {
                 machine,
                 attr,

@@ -34,7 +34,7 @@
 //! | | drain ([`MachineFail`](crate::engine::SchedEvent::MachineFail)) | crash ([`MachineCrash`](crate::engine::SchedEvent::MachineCrash)) |
 //! |---|---|---|
 //! | running tasks | requeued immediately (`churn_rescheduled`) | lost; retried after backoff or dead-lettered |
-//! | lifecycle claim | cooperative [`try_claim`](OwnershipGuard::try_claim) — skipped when contended | forcible [`override_claim`](OwnershipGuard::override_claim) — displaces in-flight drain/provision claims |
+//! | lifecycle claim | cooperative [`try_claim`](EngineState::try_claim) — skipped when contended | forcible [`override_claim`](EngineState::override_claim) — displaces in-flight drain/provision claims |
 //! | recovery | paired restore after the outage | seeded MTTR per failure domain |
 //! | work accounting | no work lost | `lost_work_us` accumulates the severed run time |
 
@@ -50,7 +50,7 @@ use ctlm_telemetry::Histogram;
 use ctlm_trace::{MachineId, Micros};
 
 use crate::engine::{EngineState, SchedEvent, PRIO_STATE};
-use crate::lifecycle::{LifecycleOwner, OwnershipGuard};
+use crate::lifecycle::LifecycleOwner;
 use crate::timed::{Plan, TimedSource};
 
 /// Seed mix for fault plans, keeping the fault RNG stream disjoint from
@@ -276,12 +276,11 @@ pub struct FaultStats {
 /// [`attach`](crate::timed::attach).
 ///
 /// Crashes do not negotiate: where churn's drain skips a machine someone
-/// else holds, a crash [`override_claim`](OwnershipGuard::override_claim)s
-/// it, voiding any in-flight drain or provision claim (the displaced
-/// owner discovers this through
-/// [`release_owned`](OwnershipGuard::release_owned) and must abandon the
-/// machine). Each crash reports the displaced owner to the cell's engine
-/// ([`EngineState::claim_overridden`](crate::engine::EngineState::claim_overridden))
+/// else holds, a crash takes it through the engine's
+/// [`override_claim`](EngineState::override_claim), voiding any
+/// in-flight drain or provision claim (the displaced owner's
+/// [`release_claim`](EngineState::release_claim) fails and it must
+/// abandon the machine). The override also records the displaced owner
 /// when the crash is *decided*, ahead of its delivery — the provenance a
 /// post-mortem needs to tell "the fault plane stole this machine from
 /// the autoscaler" from a plain crash. Recovery releases the fault claim
@@ -291,7 +290,6 @@ pub struct FaultPlane<'a> {
     plan: Plan<FaultAction>,
     engine: CompId,
     state: Rc<RefCell<EngineState<'a>>>,
-    guard: Option<OwnershipGuard>,
     registry: Option<ctlm_core::ModelRegistry>,
     /// Outstanding outage depth per machine: a machine recovers only
     /// when its last overlapping outage ends.
@@ -306,17 +304,9 @@ impl<'a> FaultPlane<'a> {
             plan: Plan::new(plan.events),
             engine,
             state,
-            guard: None,
             registry: None,
             down: HashMap::new(),
         }
-    }
-
-    /// Registers the shared lifecycle guard: crashes override existing
-    /// claims, recoveries release the fault claim.
-    pub fn with_guard(mut self, guard: OwnershipGuard) -> Self {
-        self.guard = Some(guard);
-        self
     }
 
     /// Registers the model registry that degradation faults poison.
@@ -342,13 +332,7 @@ impl TimedSource for FaultPlane<'_> {
                     if *depth == 1 {
                         // A crash is not a negotiation: displace any
                         // in-flight drain/provision claim.
-                        let displaced = self
-                            .guard
-                            .as_ref()
-                            .and_then(|g| g.override_claim(*id, LifecycleOwner::Fault));
-                        self.state
-                            .borrow_mut()
-                            .claim_overridden(*id, now, displaced);
+                        self.state.borrow_mut().override_claim(*id, now);
                     }
                     ctx.emit_prio(0, PRIO_STATE, self.engine, SchedEvent::MachineCrash(*id));
                 }
@@ -359,9 +343,8 @@ impl TimedSource for FaultPlane<'_> {
                         *depth -= 1;
                         if *depth == 0 {
                             self.down.remove(id);
-                            if let Some(g) = &self.guard {
-                                g.release_owned(*id, LifecycleOwner::Fault);
-                            }
+                            let fault = LifecycleOwner::Fault;
+                            self.state.borrow_mut().release_claim(*id, fault);
                             let back = SchedEvent::MachineRestore(*id);
                             ctx.emit_prio(0, PRIO_STATE, self.engine, back);
                         }

@@ -14,7 +14,7 @@
 //! |---|---|---|---|---|
 //! | `Admitted` | new → queued | `admitted_{arrivals,dynamic,gang_members}` | open `queued`(`arrival` / `dynamic` / `gang`) | `admit_arrival` / `admit_dynamic` / `admit_gang` (task, 0) |
 //! | `Spilled` | new → transit | `spill_requests` | open `spill_transit`(the rejection: `backlog_full` / `no_capacity` / `infeasible`) | `spilled` (task, 0) |
-//! | `SpillResolved` | transit → new, or gone (`Sibling`) | — | close → `routed_home` / `link_timeout` / `routed`, a = landing cell | `spill_resolved` (task, landing cell) |
+//! | `SpillResolved` | transit → new, or gone (`Sibling`) | `spilled_out` (`Sibling`), `link_timeouts` (`LinkTimeout`) | close → `routed_home` / `link_timeout` / `routed`, a = landing cell | `spill_resolved` (task, landing cell) |
 //! | `Pass` | — | `cycles`; `hp_depth` and `main_depth` samples | — | `pass` (HP depth, main depth) |
 //! | `NoCapacity` | queued → queued | `no_capacity` | in place: attempts + 1, b = candidates | `no_capacity` (task, 0) |
 //! | `Placed` | queued → `Running` | `placed` / `placed_with_preemption` (gangs: neither); first time: the `PlacedRecord`; from `RetryWait`: `reschedule` sample | close `queued` → `placed`, plan = placer or `gang`, detail = index arm, a = machine, b = candidates; open `running`(`placed`) | `placed` (task, machine) |
@@ -30,7 +30,7 @@
 //! | `MachineCrashed` | — | `crashed_machines` | open `machine_down`(`crash`) | `machine_crashed` (machine, 0) |
 //! | `MachineDrained` | — | — | open `machine_drain`(`drain`) | `machine_drained` (machine, 0) |
 //! | `MachineRestored` | — | — | close the machine's span → `restored` | `machine_restored` (machine, 0) |
-//! | `MachineJoined` | — | — | instant `machine_join`(`join`) | `machine_joined` (machine, 0) |
+//! | `MachineJoined` | — | — | close the machine's open span → `joined`; then instant `machine_join`(`join`) — every join, from a `MachineJoin` event or the autoscaler | `machine_joined` (machine, 0) |
 //! | `AttrUpdated` | — | — | — | `attr_update` (machine, attribute) |
 //! | `Control` | — | — | instant ctrl span as given: the autoscaler's `scale_up`(`demand` / `crash_loss`; a = ordered, b = replacements) and `scale_down`(`surplus`; a = released) | the span's kind (a, b) |
 //! | `ClaimOverridden` | — | — | instant `claim_override`(`crash`) on the machine, plan = `fault`, detail = the displaced owner: the fault plane's crash provenance, reported when a crash is *decided*, ahead of its `MachineCrashed` | `claim_override` (machine, 0) |
@@ -143,6 +143,10 @@ pub struct EngineStats {
     /// Tasks this cell declined at arrival time and emitted to the epoch
     /// outbox as `SchedEvent::SpillRequest`.
     pub spill_requests: u64,
+    /// Spill requests routed to a sibling cell.
+    pub spilled_out: u64,
+    /// Spill requests that timed out in a link outage and bounced home.
+    pub link_timeouts: u64,
     /// Scheduler passes executed.
     pub cycles: u64,
     /// High-priority-queue depth, sampled at the start of every pass.
@@ -486,10 +490,12 @@ impl Ledger {
                     SpillRoute::LinkTimeout => "link_timeout",
                     SpillRoute::Sibling => "routed",
                 };
+                self.stats.link_timeouts += u64::from(route == SpillRoute::LinkTimeout);
                 rec(spans, |l| {
                     l.close_task_with(slab.get(idx).id, now, outcome, "", "", cell as u64, 0)
                 });
                 if route == SpillRoute::Sibling {
+                    self.stats.spilled_out += 1;
                     slab.release(idx);
                 }
             }
@@ -593,7 +599,9 @@ impl Ledger {
                 l.open_machine(id, "machine_drain", now, "drain", "")
             }),
             Step::MachineRestored(id) => rec(spans, |l| l.close_machine(id, now, "restored")),
+            // A rejoin ends the window its drain or crash opened.
             Step::MachineJoined(id) => rec(spans, |l| {
+                l.close_machine(id, now, "joined");
                 l.instant_ctrl(id, "machine_join", now, "join", "", "", 0, 0)
             }),
             Step::AttrUpdated(..) => {}

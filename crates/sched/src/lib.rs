@@ -66,8 +66,8 @@
 //!   requeue), correlated failure-domain outages with MTTR recovery,
 //!   degraded-dependency injection, and the retry/backoff policies that
 //!   decide between rescheduling and dead-lettering lost work;
-//! * [`lifecycle`] — the machine-ownership guard coordinating churn
-//!   with the `ctlm-autoscale` control plane;
+//! * [`lifecycle`] — the engine's machine-ownership claims keeping churn,
+//!   the fault plane and `ctlm-autoscale` off each other's machines;
 //! * [`updater`] — the background model-update thread (“updating ML model
 //!   runs in parallel and won't block or slow down the main cluster
 //!   scheduler”), feeding [`scheduler::LiveRegistry`] mid-run;

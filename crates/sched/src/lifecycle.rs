@@ -1,26 +1,25 @@
-//! Machine lifecycle ownership — the guard that keeps independent
-//! fleet-mutating components (churn, the autoscaler) from racing on one
-//! machine.
+//! Machine lifecycle ownership — the claim table that keeps the
+//! components changing one cell's fleet (churn, the fault plane, the
+//! autoscaler) from racing on one machine.
 //!
-//! Both [`ChurnSource`](crate::scenario::ChurnSource) and the
-//! `ctlm-autoscale` control plane drain and restore machines on the same
+//! All three drain, crash, restore and admit machines on the same
 //! timeline. Without coordination, churn could "fail" a machine the
 //! autoscaler is mid-way through provisioning or draining (or restore
-//! one the autoscaler already decommissioned), leaving the two
-//! components with contradictory views of the fleet. The
-//! [`OwnershipGuard`] is the shared claim table: a component claims a
-//! machine before taking it through a lifecycle transition and releases
-//! it when the machine is plainly online (or gone for good). A claim
-//! that fails means *someone else is operating on that machine* — the
-//! caller skips it and moves on.
+//! one the autoscaler already decommissioned), leaving the components
+//! with contradictory views of the fleet. An [`OwnershipGuard`] records
+//! who holds each machine: a component claims a machine before taking it
+//! through a lifecycle transition and releases it when the machine is
+//! plainly online (or gone for good). A claim that fails means *someone
+//! else is operating on that machine* — the caller skips it and moves
+//! on.
 //!
-//! The guard is deliberately advisory: components that never share
-//! machines (or single-owner simulations) can skip it entirely, and all
-//! legacy constructors do.
+//! There is one table per cell, a field of the cell's
+//! [`EngineState`](crate::engine::EngineState) created with the engine.
+//! Components claim, override and release only through the engine's
+//! methods, which also run the order-sensitive sequences (admit then
+//! release, claim then drain then take offline) as one call each.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use ctlm_trace::MachineId;
 
@@ -32,7 +31,8 @@ pub enum LifecycleOwner {
     /// The autoscaler is provisioning, draining or parking it.
     Autoscaler,
     /// The fault plane crashed it (and will recover it). Crashes are not
-    /// polite: they take the machine through [`OwnershipGuard::override_claim`]
+    /// polite: they take the machine through
+    /// [`EngineState::override_claim`](crate::engine::EngineState::override_claim)
     /// even when another owner holds it mid-transition.
     Fault,
 }
@@ -48,35 +48,29 @@ impl LifecycleOwner {
     }
 }
 
-/// A shared, interior-mutable claim table over machine ids. Clone the
-/// [`Rc`] handle into every component that mutates the fleet.
-#[derive(Clone, Debug, Default)]
+/// A cell's claim table over machine ids — owned by the cell's engine.
+#[derive(Debug)]
 pub struct OwnershipGuard {
-    owners: Rc<RefCell<HashMap<MachineId, LifecycleOwner>>>,
+    owners: HashMap<MachineId, LifecycleOwner>,
 }
 
 impl OwnershipGuard {
-    /// An empty guard.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty table.
+    pub(crate) fn new() -> Self {
+        Self {
+            owners: HashMap::new(),
+        }
     }
 
     /// Claims `id` for `owner`. Returns false — and records nothing —
     /// when any owner (including `owner` itself) already holds the
     /// machine: claims are exclusive and never reentrant.
-    pub fn try_claim(&self, id: MachineId, owner: LifecycleOwner) -> bool {
-        let mut owners = self.owners.borrow_mut();
-        if owners.contains_key(&id) {
+    pub(crate) fn try_claim(&mut self, id: MachineId, owner: LifecycleOwner) -> bool {
+        if self.owners.contains_key(&id) {
             return false;
         }
-        owners.insert(id, owner);
+        self.owners.insert(id, owner);
         true
-    }
-
-    /// Releases `id` (no-op when unclaimed). Returns the owner that held
-    /// it, if any.
-    pub fn release(&self, id: MachineId) -> Option<LifecycleOwner> {
-        self.owners.borrow_mut().remove(&id)
     }
 
     /// Forcibly claims `id` for `owner`, displacing whatever claim was in
@@ -85,18 +79,21 @@ impl OwnershipGuard {
     /// belongs to the fault plane, and the displaced component must treat
     /// its in-flight transition as void — [`Self::release_owned`] is how
     /// it discovers the displacement without leaking the claim.
-    pub fn override_claim(&self, id: MachineId, owner: LifecycleOwner) -> Option<LifecycleOwner> {
-        self.owners.borrow_mut().insert(id, owner)
+    pub(crate) fn override_claim(
+        &mut self,
+        id: MachineId,
+        owner: LifecycleOwner,
+    ) -> Option<LifecycleOwner> {
+        self.owners.insert(id, owner)
     }
 
     /// Releases `id` only if `owner` still holds it. Returns true when
     /// the release happened; false means the claim was displaced (or
     /// never existed) and the caller must not touch the machine — its
     /// new owner is responsible for the rest of the lifecycle.
-    pub fn release_owned(&self, id: MachineId, owner: LifecycleOwner) -> bool {
-        let mut owners = self.owners.borrow_mut();
-        if owners.get(&id) == Some(&owner) {
-            owners.remove(&id);
+    pub(crate) fn release_owned(&mut self, id: MachineId, owner: LifecycleOwner) -> bool {
+        if self.owners.get(&id) == Some(&owner) {
+            self.owners.remove(&id);
             true
         } else {
             false
@@ -105,12 +102,7 @@ impl OwnershipGuard {
 
     /// The current owner of `id`, if claimed.
     pub fn owner(&self, id: MachineId) -> Option<LifecycleOwner> {
-        self.owners.borrow().get(&id).copied()
-    }
-
-    /// Number of live claims.
-    pub fn claimed(&self) -> usize {
-        self.owners.borrow().len()
+        self.owners.get(&id).copied()
     }
 }
 
@@ -120,19 +112,19 @@ mod tests {
 
     #[test]
     fn claims_are_exclusive_across_and_within_owners() {
-        let g = OwnershipGuard::new();
+        let mut g = OwnershipGuard::new();
         assert!(g.try_claim(7, LifecycleOwner::Churn));
         assert!(!g.try_claim(7, LifecycleOwner::Autoscaler));
         assert!(!g.try_claim(7, LifecycleOwner::Churn), "not reentrant");
         assert_eq!(g.owner(7), Some(LifecycleOwner::Churn));
-        assert_eq!(g.release(7), Some(LifecycleOwner::Churn));
+        assert!(g.release_owned(7, LifecycleOwner::Churn));
         assert!(g.try_claim(7, LifecycleOwner::Autoscaler));
-        assert_eq!(g.claimed(), 1);
+        assert_eq!(g.owner(7), Some(LifecycleOwner::Autoscaler));
     }
 
     #[test]
     fn override_claim_displaces_and_owned_release_refuses_stale_claims() {
-        let g = OwnershipGuard::new();
+        let mut g = OwnershipGuard::new();
         // A crash lands while the autoscaler is mid-provision: the
         // override wins and reports whom it displaced.
         assert!(g.try_claim(3, LifecycleOwner::Autoscaler));
@@ -148,25 +140,15 @@ mod tests {
         // The current owner's release succeeds exactly once.
         assert!(g.release_owned(3, LifecycleOwner::Fault));
         assert!(!g.release_owned(3, LifecycleOwner::Fault));
-        assert_eq!(g.claimed(), 0);
+        assert_eq!(g.owner(3), None);
     }
 
     #[test]
     fn override_claim_on_unclaimed_machine_acts_like_a_claim() {
-        let g = OwnershipGuard::new();
+        let mut g = OwnershipGuard::new();
         assert_eq!(g.override_claim(9, LifecycleOwner::Fault), None);
         assert_eq!(g.owner(9), Some(LifecycleOwner::Fault));
         assert!(!g.try_claim(9, LifecycleOwner::Churn));
         assert!(g.release_owned(9, LifecycleOwner::Fault));
-    }
-
-    #[test]
-    fn clones_share_the_table() {
-        let g = OwnershipGuard::new();
-        let h = g.clone();
-        assert!(g.try_claim(1, LifecycleOwner::Autoscaler));
-        assert!(!h.try_claim(1, LifecycleOwner::Churn));
-        h.release(1);
-        assert_eq!(g.claimed(), 0);
     }
 }

@@ -14,13 +14,14 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use std::collections::HashSet;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use ctlm_sim::{CompId, Ctx};
 use ctlm_trace::{AttrId, AttrValue, Machine, MachineId, Micros};
 
-use crate::engine::{SchedEvent, PRIO_ADMIT, PRIO_STATE};
-use crate::lifecycle::{LifecycleOwner, OwnershipGuard};
+use crate::engine::{EngineState, SchedEvent, PRIO_ADMIT, PRIO_STATE};
+use crate::lifecycle::LifecycleOwner;
 use crate::timed::{Plan, TimedSource};
 
 /// One churn action at a point in time.
@@ -84,42 +85,34 @@ impl ChurnPlan {
 
 /// Walks a [`ChurnPlan`], emitting machine-state events at the engine.
 ///
-/// When built [`ChurnSource::with_guard`], every Fail claims the machine
-/// on the shared [`OwnershipGuard`] first; a failed claim (the
-/// autoscaler is provisioning, draining or parking that machine) skips
-/// the outage — and its paired Restore — instead of racing. A skipped
-/// outage emits no event and is recorded nowhere: the run simply has
-/// one churn failure fewer than the plan lists.
-pub struct ChurnSource {
+/// Every Fail claims the machine for [`LifecycleOwner::Churn`] on the
+/// cell's claim table first; a failed claim (the autoscaler is
+/// provisioning, draining or parking that machine, a crash holds it, or
+/// churn already drained it) skips the outage instead of racing. A
+/// Restore goes out only while churn's claim still stands, so it
+/// releases exactly the outages churn began — not a skipped one, and not
+/// one a crash took over mid-outage (recovery belongs to the fault plane
+/// then). A skipped action emits no event and is recorded nowhere: the
+/// run simply has one churn outage fewer than the plan lists.
+pub struct ChurnSource<'a> {
     plan: Plan<ChurnAction>,
     engine: CompId,
-    guard: Option<OwnershipGuard>,
-    /// Machines this source currently holds drained (claim released and
-    /// membership dropped at Restore). Only populated under a guard.
-    held: HashSet<MachineId>,
+    state: Rc<RefCell<EngineState<'a>>>,
 }
 
-impl ChurnSource {
-    /// A source over `plan`, targeting the engine component.
-    pub fn new(plan: ChurnPlan, engine: CompId) -> Self {
+impl<'a> ChurnSource<'a> {
+    /// A source over `plan`, targeting the engine component whose shared
+    /// state is `state`.
+    pub fn new(plan: ChurnPlan, engine: CompId, state: Rc<RefCell<EngineState<'a>>>) -> Self {
         Self {
             plan: Plan::new(plan.events),
             engine,
-            guard: None,
-            held: HashSet::new(),
+            state,
         }
-    }
-
-    /// Registers this source on a shared lifecycle-ownership guard:
-    /// Fail actions claim the machine (skipping the outage when another
-    /// component holds it), Restore actions release the claim.
-    pub fn with_guard(mut self, guard: OwnershipGuard) -> Self {
-        self.guard = Some(guard);
-        self
     }
 }
 
-impl TimedSource for ChurnSource {
+impl TimedSource for ChurnSource<'_> {
     const CLASS: u8 = PRIO_STATE;
 
     fn next_time(&self) -> Option<Micros> {
@@ -127,37 +120,19 @@ impl TimedSource for ChurnSource {
     }
 
     fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>) {
+        let churn = LifecycleOwner::Churn;
         while let Some(action) = self.plan.pop_due(now) {
+            let mut state = self.state.borrow_mut();
             let ev = match action {
                 ChurnAction::Fail(id) => {
-                    match &self.guard {
-                        Some(g) if !g.try_claim(*id, LifecycleOwner::Churn) => {
-                            // Another owner is operating on this machine
-                            // — skip the outage (and, via `held`, the
-                            // paired restore).
-                            continue;
-                        }
-                        Some(_) => {
-                            self.held.insert(*id);
-                        }
-                        None => {}
+                    if !state.try_claim(*id, churn) {
+                        continue;
                     }
                     SchedEvent::MachineFail(*id)
                 }
                 ChurnAction::Restore(id) => {
-                    if let Some(g) = &self.guard {
-                        if !self.held.remove(id) {
-                            // The fail was skipped; restoring would
-                            // resurrect a machine we never drained.
-                            continue;
-                        }
-                        if !g.release_owned(*id, LifecycleOwner::Churn) {
-                            // Our drain claim was displaced mid-outage (a
-                            // crash took the machine); recovery belongs
-                            // to the new owner — restoring here would
-                            // resurrect a crashed machine early.
-                            continue;
-                        }
+                    if !state.release_claim(*id, churn) {
+                        continue;
                     }
                     SchedEvent::MachineRestore(*id)
                 }

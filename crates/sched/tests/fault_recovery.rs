@@ -15,7 +15,7 @@ use ctlm_sched::engine::{SimConfig, SimResult, Simulator};
 use ctlm_sched::faults::{ExponentialBackoff, FaultPlan, FaultPlane, FixedRetry, RetryPolicy};
 use ctlm_sched::scenario::{ChurnAction, ChurnPlan, ChurnSource};
 use ctlm_sched::scheduler::MainOnly;
-use ctlm_sched::{attach, FaultStats, OwnershipGuard, PendingTask, SchedCluster};
+use ctlm_sched::{attach, FaultStats, PendingTask, SchedCluster};
 use ctlm_trace::{AttrValue, ConstraintOp as Op, Machine, MachineId, TaskConstraint};
 
 fn cluster(n: u64) -> (SchedCluster, Vec<MachineId>) {
@@ -244,11 +244,9 @@ fn crash_overrides_inflight_drain_and_conservation_holds() {
         }),
         7,
     );
-    let guard = OwnershipGuard::new();
-    let churn = ChurnSource::new(churn_plan, harness.engine).with_guard(guard.clone());
+    let churn = ChurnSource::new(churn_plan, harness.engine, harness.state());
     attach(&mut harness.sim, "churn", churn);
-    let plane =
-        FaultPlane::new(fault_plan, harness.engine, harness.state()).with_guard(guard.clone());
+    let plane = FaultPlane::new(fault_plan, harness.engine, harness.state());
     attach(&mut harness.sim, "faults", plane);
     let state = harness.state();
     let (cluster_after, result) = harness.run();
@@ -263,7 +261,10 @@ fn crash_overrides_inflight_drain_and_conservation_holds() {
     assert_eq!(stats.dead_lettered as usize, result.failed_permanently);
     // Recovery belongs to the fault plane; the churn source's stale
     // Restore was skipped, and nobody holds a leaked claim at the end.
-    assert!(guard.owner(0).is_none(), "no claim leaked on machine 0");
+    assert!(
+        state.claims().owner(0).is_none(),
+        "no claim leaked on machine 0"
+    );
     assert_eq!(
         cluster_after.len(),
         6,

@@ -222,7 +222,7 @@ fn churn_drains_machines_and_requeues_their_tasks() {
     let simulator = Simulator::new(config);
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster(6), &arrivals, &mut scheduler);
-    let churn = ChurnSource::new(plan, harness.engine);
+    let churn = ChurnSource::new(plan, harness.engine, harness.state());
     attach(&mut harness.sim, "churn", churn);
     let (cluster_after, result) = harness.run();
     assert!(
@@ -257,7 +257,7 @@ fn a_requeued_task_that_turns_infeasible_is_counted_once() {
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster(2), &arrivals, &mut scheduler);
     let plan = ChurnPlan::new(vec![(5_000_000, ChurnAction::Fail(0))]);
-    let churn = ChurnSource::new(plan, harness.engine);
+    let churn = ChurnSource::new(plan, harness.engine, harness.state());
     attach(&mut harness.sim, "churn", churn);
     let state = harness.state();
     let (_, result) = harness.run();
@@ -287,13 +287,84 @@ fn churned_cluster_resets_for_ab_runs() {
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster(6), &arrivals, &mut scheduler);
     let plan = ChurnPlan::new(vec![(5_000_000, ChurnAction::Fail(4))]);
-    let churn = ChurnSource::new(plan, harness.engine);
+    let churn = ChurnSource::new(plan, harness.engine, harness.state());
     attach(&mut harness.sim, "churn", churn);
     let (mut cluster_after, _) = harness.run();
     assert_eq!(cluster_after.len(), 5, "machine 4 still drained");
     cluster_after.reset();
     assert_eq!(cluster_after.len(), 6, "reset restores the fleet");
     assert_eq!(cluster_after.cpu_utilisation(), 0.0);
+}
+
+#[test]
+fn a_rejoin_ends_the_drain_window_on_every_join_path() {
+    // Machine 0 takes the autoscaler's path: claimed, drained and taken
+    // out of the cluster at 10 s, re-admitted from the warm pool at 20 s.
+    // Machine 1 takes the event path: a churn drain at 5 s, then the
+    // same machine re-added by a `MachineJoin` at 15 s (an online feed's
+    // remove / add). Both joins close the drain window at the join
+    // instant and land in the ring.
+    use ctlm_sched::lifecycle::LifecycleOwner;
+    let arrivals: Vec<PendingTask> = (0..6u64).map(|k| task(k, 0, 0.3, 2)).collect();
+    let simulator = Simulator::new(SimConfig {
+        cycle: 500_000,
+        attempts_per_cycle: 8,
+        mean_runtime: 400_000_000,
+        horizon: 40_000_000,
+        seed: 5,
+    });
+    let mut scheduler = MainOnly;
+    let mut harness = simulator.harness(cluster(3), &arrivals, &mut scheduler);
+    let state = harness.state();
+    state.borrow_mut().ledger_mut().enable_spans();
+    state.borrow_mut().ledger_mut().enable_trace(1 << 12);
+    let rejoin = Machine::new(1, 1.0, 1.0);
+    let plan = ChurnPlan::new(vec![
+        (5_000_000, ChurnAction::Fail(1)),
+        (15_000_000, ChurnAction::Join(Box::new(rejoin))),
+    ]);
+    let churn = ChurnSource::new(plan, harness.engine, harness.state());
+    attach(&mut harness.sim, "churn", churn);
+    let owner = LifecycleOwner::Autoscaler;
+    harness.sim.run_until(10_000_000);
+    let parked = state.borrow_mut().claim_and_take(0, owner, 10_000_000);
+    let parked = parked.expect("machine 0 is online and unclaimed");
+    assert_eq!(state.borrow().claims().owner(0), Some(owner));
+    harness.sim.run_until(20_000_000);
+    assert!(state.borrow_mut().admit_claimed(parked, owner, 20_000_000));
+    assert_eq!(state.borrow().claims().owner(0), None);
+    let (cluster_after, result) = harness.run();
+    assert_eq!(cluster_after.len(), 3, "both machines are back");
+    assert!(result.churn_rescheduled > 0, "the drains requeued tasks");
+
+    let mut state = state.borrow_mut();
+    let joined: Vec<_> = state
+        .ledger()
+        .trace()
+        .expect("ring on")
+        .iter()
+        .filter(|e| e.kind == "machine_joined")
+        .map(|e| (e.time, e.a))
+        .collect();
+    assert_eq!(joined, [(15_000_000, 1), (20_000_000, 0)]);
+    let spans = state.ledger_mut().take_spans().expect("spans on");
+    let window = |machine: u64| -> Vec<_> {
+        spans
+            .records()
+            .filter(|r| r.group == "machine" && r.subject == machine)
+            .map(|r| (r.kind, r.start, r.end, r.outcome))
+            .collect()
+    };
+    assert_eq!(
+        window(0),
+        [("machine_drain", 10_000_000, 20_000_000, "joined")]
+    );
+    assert_eq!(
+        window(1),
+        [("machine_drain", 5_000_000, 15_000_000, "joined")]
+    );
+    let join_instants = spans.records().filter(|r| r.kind == "machine_join").count();
+    assert_eq!(join_instants, 2);
 }
 
 #[test]
@@ -322,7 +393,7 @@ fn capacity_index_stays_consistent_through_kernel_churn() {
         (25_000_000, ChurnAction::Restore(4)),
         (30_000_000, ChurnAction::Fail(2)),
     ]);
-    let churn = ChurnSource::new(plan, harness.engine);
+    let churn = ChurnSource::new(plan, harness.engine, harness.state());
     attach(&mut harness.sim, "churn", churn);
     let (cluster_after, result) = harness.run();
     assert!(result.placed.len() > 12, "most tasks place despite churn");

@@ -88,11 +88,6 @@ impl TraceEvent {
     pub fn new(time: Micros, payload: EventPayload) -> Self {
         Self { time, payload }
     }
-
-    /// Formats the timestamp as the paper's Table XI does: `d HH:MM`.
-    pub fn day_hour_minute(&self) -> String {
-        format_day_hour_minute(self.time)
-    }
 }
 
 /// Rescales a time-ordered event stream onto `[0, span]`, preserving

@@ -137,7 +137,7 @@ fn main() {
         (8 * 60 * 1_000_000, 22 * 60 * 1_000_000),
         3 * 60 * 1_000_000,
     );
-    let churn = ChurnSource::new(plan, harness.engine);
+    let churn = ChurnSource::new(plan, harness.engine, harness.state());
     attach(&mut harness.sim, "churn", churn);
 
     println!("online simulation: replay + scheduling + churn + rollout on one timeline\n");
