@@ -7,6 +7,8 @@
 
 use std::collections::HashMap;
 
+use ctlm_tensor::ops::{self, AdamCoeffs};
+
 use crate::net::Net;
 
 /// Adam with PyTorch-default hyper-parameters.
@@ -50,9 +52,14 @@ impl Adam {
     pub fn step(&mut self, net: &mut Net) {
         self.t += 1;
         let t = self.t;
-        let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
-        let bias1 = 1.0 - b1.powi(t as i32);
-        let bias2 = 1.0 - b2.powi(t as i32);
+        let coeffs = AdamCoeffs {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            bias1: 1.0 - self.beta1.powi(t as i32),
+            bias2: 1.0 - self.beta2.powi(t as i32),
+        };
         let state = &mut self.state;
         net.visit_params_mut(|name, data, grad, requires_grad| {
             if !requires_grad {
@@ -69,18 +76,7 @@ impl Adam {
                 );
             }
             let (m, v) = state.get_mut(name).expect("just inserted");
-            // Zipped, not indexed: with no bounds check in the body the
-            // compiler runs the three divisions and the square root four
-            // lanes at a time — the same IEEE operations per element, so
-            // the same bits, at a quarter of the scalar cost.
-            let moments = m.iter_mut().zip(v.iter_mut());
-            for ((w, &g), (m, v)) in data.iter_mut().zip(grad).zip(moments) {
-                *m = b1 * *m + (1.0 - b1) * g;
-                *v = b2 * *v + (1.0 - b2) * g * g;
-                let m_hat = *m / bias1;
-                let v_hat = *v / bias2;
-                *w -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
+            ops::adam_update(data, grad, m, v, coeffs);
         });
     }
 }

@@ -8,10 +8,10 @@
 //! * **cache blocking** — GEMMs walk `b` in `KC`-deep k-panels shared
 //!   across an `MC`-row block of `a`, so the panel stays hot in cache
 //!   instead of being re-streamed per row;
-//! * **register microkernels** — dot-product kernels ([`matmul_bt_into`],
-//!   [`csr_matmul_bt_into`]) and outer-product kernels
-//!   ([`matmul_at_acc`]) keep an `NR`-wide accumulator tile in registers,
-//!   amortising every load of the shared operand over `NR` outputs;
+//! * **register microkernels** — the dot-product kernels
+//!   ([`matmul_bt_into`], [`csr_matmul_bt_into`]) keep an `NR`-wide
+//!   accumulator tile in registers, amortising every load of the shared
+//!   operand over `NR` outputs;
 //! * **input-major sparse products** — the sparse input layer stores its
 //!   weight `(in × out)`, so [`csr_matmul_into`] and
 //!   [`csr_matmul_at_acc`] touch one contiguous `out`-wide row per stored
@@ -19,7 +19,22 @@
 //! * **`_into`/`_acc` variants** — every kernel can write into (or
 //!   accumulate onto) a caller-provided buffer, which is what lets
 //!   `ctlm_nn::Workspace` run steady-state training steps without heap
-//!   allocation.
+//!   allocation;
+//! * **register blocks** — the axpy-shaped kernels ([`csr_matmul_into`],
+//!   [`matmul_into`], [`matmul_at_acc`]) keep `LANES` (32) outputs of a
+//!   row in registers across every term that row sums and write the row
+//!   once, instead of loading and storing it once per term; the paper's
+//!   layer widths (26, 30) take one block. [`csr_matmul_at_acc`], whose
+//!   every stored entry updates a different row, keeps the gradient row
+//!   in registers instead;
+//! * **one AVX2 dispatch** — the training kernels ([`csr_matmul_into`],
+//!   [`csr_matmul_at_acc`], [`matmul_into`], [`matmul_at_acc`],
+//!   [`adam_update`]) each keep one `#[inline(always)]` body, which the
+//!   private `avx2` module compiles a second time with AVX2 enabled; the
+//!   public function runs that build when the CPU reports AVX2. No `fma`
+//!   and no intrinsics: every lane does the same IEEE multiply, add,
+//!   divide and square root in either build, so both give the same bits
+//!   (the unit tests below run both on every kernel and compare them).
 //!
 //! The pre-optimization reference kernels are retained in [`naive`]; the
 //! property tests in `tests/kernel_properties.rs` pin the blocked kernels
@@ -42,8 +57,8 @@ const MC: usize = 32;
 /// widths) stay cache-hot while a row block consumes them.
 const KC: usize = 256;
 
-/// Width of the register accumulator tile in the dot-product and
-/// outer-product microkernels.
+/// Width of the register accumulator tile in the dot-product
+/// microkernels.
 const NR: usize = 4;
 
 /// Edge length of the square tiles used by [`transpose_into`].
@@ -53,44 +68,199 @@ const TILE: usize = 32;
 /// once (256 B): one strip covers the paper's layer widths (30, 26).
 const COL_STRIP: usize = 64;
 
+/// Lanes of one register block: four AVX2 or eight SSE2 vectors, one
+/// block at the paper's layer widths (26 and 30).
+const LANES: usize = 32;
+
+/// Lanes of one vector group in [`update_block`]: one AVX2 vector, two
+/// SSE2 ones.
+const GROUP: usize = 8;
+
+/// A row-major operand read `LANES` lanes at a time from any offset, for
+/// the register-block kernels. A read that would run past the end of the
+/// data takes the same lanes from a zero-padded copy of its last `LANES`
+/// elements. Lanes past a row's width hold the next row (or padding); the
+/// caller throws them away.
+struct LaneReader<'a> {
+    data: &'a [f32],
+    tail_start: usize,
+    tail: [f32; 2 * LANES],
+}
+
+impl<'a> LaneReader<'a> {
+    #[inline(always)]
+    fn new(data: &'a [f32]) -> Self {
+        let tail_start = data.len().saturating_sub(LANES);
+        let mut tail = [0.0; 2 * LANES];
+        tail[..data.len() - tail_start].copy_from_slice(&data[tail_start..]);
+        Self {
+            data,
+            tail_start,
+            tail,
+        }
+    }
+
+    /// The `LANES` elements from `start` on. Returning a fixed-length
+    /// array is what lets the compiler keep an accumulator block in
+    /// vector registers across a loop.
+    #[inline(always)]
+    fn block(&self, start: usize) -> &[f32; LANES] {
+        let lanes = match self.data.get(start..start + LANES) {
+            Some(lanes) => lanes,
+            None => &self.tail[start - self.tail_start..start - self.tail_start + LANES],
+        };
+        lanes.try_into().expect("a block is LANES long")
+    }
+}
+
+/// `acc[i] += c · lanes[i]` on every lane.
+#[inline(always)]
+fn axpy_block(acc: &mut [f32; LANES], c: f32, lanes: &[f32; LANES]) {
+    for (a, &l) in acc.iter_mut().zip(lanes) {
+        *a += c * l;
+    }
+}
+
+/// `out[i] = f(out[i], x[i])` for every `i < out.len() ≤ LANES`, in
+/// straight-line groups of `GROUP` lanes, so the compiler vectorises each
+/// group and can keep `x` in registers across calls (its own loop over a
+/// slice takes four vectors per iteration and left a 30-wide row to its
+/// 4-lane epilogue). A width that is not a multiple of `GROUP` ends with
+/// one group over its last `GROUP` lanes, computed from the values before
+/// any group is stored: the lanes it shares with the group before it get
+/// the same result twice.
+#[inline(always)]
+fn update_block(out: &mut [f32], x: &[f32; LANES], f: impl Fn(f32, f32) -> f32) {
+    let n = out.len();
+    if n < GROUP {
+        for (o, &x) in out.iter_mut().zip(x) {
+            *o = f(*o, x);
+        }
+        return;
+    }
+    let t0 = n - GROUP;
+    let tail = (!n.is_multiple_of(GROUP)).then(|| {
+        let mut tail: [f32; GROUP] = out[t0..].try_into().expect("GROUP lanes");
+        for (o, &x) in tail.iter_mut().zip(&x[t0..]) {
+            *o = f(*o, x);
+        }
+        tail
+    });
+    for c in (0..LANES).step_by(GROUP) {
+        if c + GROUP <= n {
+            let group: &mut [f32; GROUP] =
+                (&mut out[c..c + GROUP]).try_into().expect("GROUP lanes");
+            let mut vals = *group;
+            for (o, &x) in vals.iter_mut().zip(&x[c..]) {
+                *o = f(*o, x);
+            }
+            *group = vals;
+        }
+    }
+    if let Some(tail) = tail {
+        out[t0..].copy_from_slice(&tail);
+    }
+}
+
+/// The AVX2 build of each listed kernel body: the same `#[inline(always)]`
+/// function, compiled a second time inside a
+/// `#[target_feature(enable = "avx2")]` wrapper of the same name in
+/// `avx2`. [`dispatch!`] picks between the two.
+macro_rules! avx2_builds {
+    ($(fn $body:ident($($arg:ident: $ty:ty),* $(,)?);)*) => {
+        #[cfg(target_arch = "x86_64")]
+        mod avx2 {
+            use super::*;
+            $(
+                /// # Safety
+                /// Only on a CPU that supports AVX2.
+                #[target_feature(enable = "avx2")]
+                pub(super) fn $body($($arg: $ty),*) {
+                    super::$body($($arg),*)
+                }
+            )*
+        }
+    };
+}
+
+avx2_builds! {
+    fn matmul_into_body(a: &Matrix, b: &Matrix, out: &mut Matrix);
+    fn matmul_at_acc_body(a: &Matrix, b: &Matrix, out: &mut Matrix);
+    fn csr_matmul_into_body(x: &Csr, w: &Matrix, out: &mut Matrix);
+    fn csr_matmul_at_acc_body(x: &Csr, g: &Matrix, out: &mut Matrix);
+    fn adam_update_body(
+        w: &mut [f32],
+        g: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        c: AdamCoeffs,
+    );
+}
+
+/// Calls a kernel body's AVX2 build when the CPU has AVX2, its portable
+/// build otherwise.
+#[cfg(target_arch = "x86_64")]
+macro_rules! dispatch {
+    ($body:ident($($arg:expr),* $(,)?)) => {
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2 (checked just above), the one
+            // requirement for calling a function compiled with it enabled.
+            unsafe { avx2::$body($($arg),*) }
+        } else {
+            $body($($arg),*)
+        }
+    };
+}
+
+/// Off x86-64 only the portable build exists.
+#[cfg(not(target_arch = "x86_64"))]
+macro_rules! dispatch {
+    ($body:ident($($arg:expr),* $(,)?)) => {
+        $body($($arg),*)
+    };
+}
+
 /// Dense GEMM: `a (n×k) · b (k×m) → out (n×m)`, into a caller-provided
 /// output (resized, fully overwritten).
 ///
 /// # Panics
 /// Panics on inner-dimension mismatch.
 pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    dispatch!(matmul_into_body(a, b, out))
+}
+
+#[inline(always)]
+fn matmul_into_body(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
     let (n, k) = a.shape();
     let m = b.cols();
     out.resize(n, m);
-    let b_data = b.as_slice();
+    let b_rows = LaneReader::new(b.as_slice());
     let a_data = a.as_slice();
-    // Each body call owns an MC-row block of `out`; k-panels of `b` are
-    // the innermost shared operand, reused across the block's rows while
-    // cache-hot. The per-element zero skip from the original kernel is
-    // kept inside the panel loop — CO-VV gradients are full of zeros.
-    let body = |(block, out_block): (usize, &mut [f32])| {
+    // Each MC-row block of `out` takes `b` in k-panels, reused across the
+    // block's rows while cache-hot; within a panel each row accumulates
+    // one register block at a time. The per-element zero skip from the
+    // original kernel stays — CO-VV gradients are full of zeros.
+    for (block, out_block) in out.as_mut_slice().chunks_mut(MC * m).enumerate() {
         out_block.fill(0.0);
         let r0 = block * MC;
-        let rows = out_block.len() / m;
         for kb in (0..k).step_by(KC) {
             let k_end = (kb + KC).min(k);
             for (i, out_row) in out_block.chunks_exact_mut(m).enumerate() {
                 let a_row = &a_data[(r0 + i) * k + kb..(r0 + i) * k + k_end];
-                for (kk, &av) in a_row.iter().enumerate() {
-                    if av != 0.0 {
-                        let b_row = &b_data[(kb + kk) * m..(kb + kk + 1) * m];
-                        for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                            *o += av * bv;
+                for c0 in (0..m).step_by(LANES) {
+                    let width = (m - c0).min(LANES);
+                    let mut acc = [0.0f32; LANES];
+                    acc[..width].copy_from_slice(&out_row[c0..c0 + width]);
+                    for (kk, &av) in a_row.iter().enumerate() {
+                        if av != 0.0 {
+                            axpy_block(&mut acc, av, b_rows.block((kb + kk) * m + c0));
                         }
                     }
+                    out_row[c0..c0 + width].copy_from_slice(&acc[..width]);
                 }
             }
         }
-        debug_assert_eq!(rows * m, out_block.len());
-    };
-    for (block, out_block) in out.as_mut_slice().chunks_mut(MC * m).enumerate() {
-        body((block, out_block));
     }
 }
 
@@ -100,7 +270,8 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 ///
 /// Register microkernel: `NR` output columns share every load of the
 /// `a`-row, with `NR` scalar accumulators the compiler keeps in
-/// registers and vectorises along `k`.
+/// registers. It stays scalar: vectorising along `k` would reassociate
+/// each float sum and change its bits.
 pub fn matmul_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols(), b.cols(), "matmul_bt inner dimension mismatch");
     let n = a.rows();
@@ -149,13 +320,18 @@ pub fn matmul_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 /// weight-gradient product `grad_W += grad_outᵀ · x` for dense inputs:
 /// layers add straight onto `grad_weight` with no temporary.
 ///
-/// Outer-product microkernel: an `NR`-row group of `out` (columns of `a`)
-/// consumes each `b`-row once, so `b` is streamed `NR×` less often than
-/// in the row-at-a-time formulation.
+/// Register blocks: each row of `out` (a column of `a`) accumulates
+/// `LANES` outputs at a time over every sample, in sample order, and is
+/// written once per block instead of once per sample.
 ///
 /// # Panics
 /// Panics on sample-count or output-shape mismatch.
 pub fn matmul_at_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    dispatch!(matmul_at_acc_body(a, b, out))
+}
+
+#[inline(always)]
+fn matmul_at_acc_body(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.rows(), b.rows(), "matmul_at sample-count mismatch");
     assert_eq!(
         out.shape(),
@@ -164,30 +340,20 @@ pub fn matmul_at_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     );
     let k = a.cols();
     let m = b.cols();
-    let n = a.rows();
     let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    let body = |(block, out_block): (usize, &mut [f32])| {
-        let c0 = block * NR;
-        let width = out_block.len() / m;
-        for r in 0..n {
-            let a_row = &a_data[r * k + c0..r * k + c0 + width];
-            if a_row.iter().all(|&v| v == 0.0) {
-                continue;
-            }
-            let b_row = &b_data[r * m..(r + 1) * m];
-            for (j, &av) in a_row.iter().enumerate() {
+    let b_rows = LaneReader::new(b.as_slice());
+    for (j, out_row) in out.as_mut_slice().chunks_exact_mut(m).enumerate() {
+        for c0 in (0..m).step_by(LANES) {
+            let width = (m - c0).min(LANES);
+            let mut acc = [0.0f32; LANES];
+            acc[..width].copy_from_slice(&out_row[c0..c0 + width]);
+            for (r, &av) in a_data.iter().skip(j).step_by(k).enumerate() {
                 if av != 0.0 {
-                    let out_row = &mut out_block[j * m..(j + 1) * m];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                        *o += av * bv;
-                    }
+                    axpy_block(&mut acc, av, b_rows.block(r * m + c0));
                 }
             }
+            out_row[c0..c0 + width].copy_from_slice(&acc[..width]);
         }
-    };
-    for (block, out_block) in out.as_mut_slice().chunks_mut(NR * m).enumerate() {
-        body((block, out_block));
     }
 }
 
@@ -310,51 +476,72 @@ pub fn csr_grad_weight_acc(grad_out: &Matrix, x: &Csr, gw: &mut Matrix) {
 
 /// Sparse × dense product with the weight stored input-major:
 /// `x (n×d, CSR) · w (d×out) → (n×out)` — the forward pass of
-/// `ctlm_nn`'s sparse input layer. Every stored entry is one contiguous
-/// `out`-wide axpy (`out_row += v · w[j]`) instead of `out` loads at
-/// stride `d`.
+/// `ctlm_nn`'s sparse input layer. Every stored entry reads one
+/// contiguous `out`-wide weight row instead of `out` loads at stride `d`.
+///
+/// Register block: each pass over a row's stored entries accumulates
+/// `LANES` (32) outputs in registers and writes them once, one pass per
+/// 32 outputs. Lanes past the row width read the next weight row and are
+/// thrown away; a block that would read past the end of `w` reads a
+/// zero-padded copy of its last `LANES` elements instead.
 ///
 /// Bit-identical to [`csr_matmul_bt_into`] on the transposed weight:
 /// each output element still receives its row's products in stored-entry
 /// order, starting from that kernel's zero.
 pub fn csr_matmul_into(x: &Csr, w: &Matrix, out: &mut Matrix) {
+    dispatch!(csr_matmul_into_body(x, w, out))
+}
+
+#[inline(always)]
+fn csr_matmul_into_body(x: &Csr, w: &Matrix, out: &mut Matrix) {
     assert_eq!(x.cols(), w.rows(), "csr_matmul inner dimension mismatch");
     let n = x.rows();
     let out_f = w.cols();
     out.resize(n, out_f);
-    let w_data = w.as_slice();
+    let w_rows = LaneReader::new(w.as_slice());
     // The `(out × d)` kernel sums its `out % NR` tail columns with
     // `Iterator::sum`, whose identity is -0.0; its tiled columns start at
     // +0.0. Starting each column from the same zero keeps rows without
     // stored entries equal in sign as well as value.
     let tiled = out_f - out_f % NR;
-    let body = |(r, out_row): (usize, &mut [f32])| {
-        out_row[..tiled].fill(0.0);
-        out_row[tiled..].fill(-0.0);
-        for (j, v) in x.row_entries(r) {
-            let w_row = &w_data[j * out_f..(j + 1) * out_f];
-            for (o, &wv) in out_row.iter_mut().zip(w_row) {
-                *o += v * wv;
+    for c0 in (0..out_f).step_by(LANES) {
+        let width = (out_f - c0).min(LANES);
+        let mut zero = [0.0f32; LANES];
+        for (lane, z) in zero.iter_mut().enumerate() {
+            if c0 + lane >= tiled {
+                *z = -0.0;
             }
         }
-    };
-    for (r, out_row) in out.as_mut_slice().chunks_mut(out_f).enumerate() {
-        body((r, out_row));
+        for (r, out_row) in out.as_mut_slice().chunks_exact_mut(out_f).enumerate() {
+            let mut acc = zero;
+            for (j, v) in x.row_entries(r) {
+                axpy_block(&mut acc, v, w_rows.block(j * out_f + c0));
+            }
+            out_row[c0..c0 + width].copy_from_slice(&acc[..width]);
+        }
     }
 }
 
 /// Accumulating transposed-sparse × dense product:
 /// `out (d×m) += xᵀ (d×n, CSR) · g (n×m)` — the input-major weight
 /// gradient of the sparse input layer (`g` is `dL/d(output)`). Every
-/// stored entry updates one contiguous `m`-wide row of `out`.
+/// stored entry updates one contiguous `m`-wide row of `out`, while the
+/// sample's gradient row, copied into a `LANES`-wide block, stays in
+/// registers across the sample's stored entries.
 ///
 /// Bit-identical to [`csr_grad_weight_acc`] on the transposed gradient:
 /// each element accumulates over samples in row order, then stored-entry
-/// order, and exact zeros in `g` add nothing.
+/// order, and exact zeros in `g` add nothing — so a sample whose gradient
+/// row is all zeros is skipped whole.
 ///
 /// # Panics
 /// Panics on sample-count or output-shape mismatch.
 pub fn csr_matmul_at_acc(x: &Csr, g: &Matrix, out: &mut Matrix) {
+    dispatch!(csr_matmul_at_acc_body(x, g, out))
+}
+
+#[inline(always)]
+fn csr_matmul_at_acc_body(x: &Csr, g: &Matrix, out: &mut Matrix) {
     assert_eq!(x.rows(), g.rows(), "csr_matmul_at sample-count mismatch");
     assert_eq!(
         out.shape(),
@@ -366,23 +553,38 @@ pub fn csr_matmul_at_acc(x: &Csr, g: &Matrix, out: &mut Matrix) {
     for r in 0..x.rows() {
         let g_row = g.row(r);
         // A zero gradient leaves its element untouched, as in the
-        // `(out × d)` kernel (no `0 · inf`, no sign change): a select
-        // per element. The select loop alone would be correct for every
-        // row, but real gradients almost never hold an exact zero, and
-        // the plain axpy runs at half its cost — 34 vs 70 µs per call at
-        // the lab's retrain shape (128 rows × 58 entries, 30 wide; both
-        // loops lifted into one `rustc -O` program, five alternating
-        // rounds of 20 000 calls) — so one scan of the row picks it.
-        let has_zero = g_row.contains(&0.0);
-        for (j, v) in x.row_entries(r) {
-            let out_row = &mut out_data[j * m..(j + 1) * m];
-            if has_zero {
-                for (o, &gv) in out_row.iter_mut().zip(g_row) {
-                    *o = if gv != 0.0 { *o + gv * v } else { *o };
-                }
-            } else {
-                for (o, &gv) in out_row.iter_mut().zip(g_row) {
-                    *o += gv * v;
+        // `(out × d)` kernel (no `0 · inf`, no sign change): a select per
+        // element, and a row of zeros is no work at all. The select alone
+        // would be correct for every row, but real gradients almost never
+        // hold an exact zero and the plain update costs half as much (34
+        // vs 70 µs per call, measured on the row-at-a-time loops with 128
+        // rows × 58 entries, 30 wide), so one scan of the row picks it.
+        // The lab's retraining batches hold about 27 rows with stored
+        // entries, about 260 each: 5–12 k entries per batch.
+        let zeros = g_row.iter().filter(|&&gv| gv == 0.0).count();
+        if zeros == m {
+            continue;
+        }
+        for c0 in (0..m).step_by(LANES) {
+            let width = (m - c0).min(LANES);
+            let mut g_block = [0.0f32; LANES];
+            g_block[..width].copy_from_slice(&g_row[c0..c0 + width]);
+            for (j, v) in x.row_entries(r) {
+                let out_row = &mut out_data[j * m + c0..j * m + c0 + width];
+                if zeros > 0 {
+                    update_block(
+                        out_row,
+                        &g_block,
+                        |o, gv| {
+                            if gv != 0.0 {
+                                o + gv * v
+                            } else {
+                                o
+                            }
+                        },
+                    );
+                } else {
+                    update_block(out_row, &g_block, |o, gv| o + gv * v);
                 }
             }
         }
@@ -488,6 +690,59 @@ pub fn softmax_rows_inplace(logits: &mut Matrix) {
     };
     for row in logits.as_mut_slice().chunks_mut(m) {
         body(row);
+    }
+}
+
+/// The scalars of one [`adam_update`] step, shared by every element.
+#[derive(Clone, Copy, Debug)]
+pub struct AdamCoeffs {
+    /// Learning rate.
+    pub lr: f32,
+    /// First-moment decay β₁.
+    pub beta1: f32,
+    /// Second-moment decay β₂.
+    pub beta2: f32,
+    /// Denominator guard ε.
+    pub eps: f32,
+    /// First-moment bias correction `1 − β₁ᵗ`.
+    pub bias1: f32,
+    /// Second-moment bias correction `1 − β₂ᵗ`.
+    pub bias2: f32,
+}
+
+/// One Adam update of a parameter tensor `w` from its gradient `g`,
+/// with first and second moments `m` and `v` (updated in place), in
+/// `torch.optim.Adam`'s arithmetic: three divisions and a square root
+/// per element, each lane the same IEEE operations in either build.
+///
+/// # Panics
+/// Panics unless all four slices have the same length.
+pub fn adam_update(w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], c: AdamCoeffs) {
+    dispatch!(adam_update_body(w, g, m, v, c))
+}
+
+#[inline(always)]
+fn adam_update_body(w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], c: AdamCoeffs) {
+    let n = w.len();
+    assert!(
+        g.len() == n && m.len() == n && v.len() == n,
+        "adam_update length mismatch"
+    );
+    let AdamCoeffs {
+        lr,
+        beta1: b1,
+        beta2: b2,
+        eps,
+        bias1,
+        bias2,
+    } = c;
+    let moments = m.iter_mut().zip(v.iter_mut());
+    for ((w, &g), (m, v)) in w.iter_mut().zip(g).zip(moments) {
+        *m = b1 * *m + (1.0 - b1) * g;
+        *v = b2 * *v + (1.0 - b2) * g * g;
+        let m_hat = *m / bias1;
+        let v_hat = *v / bias2;
+        *w -= lr * m_hat / (v_hat.sqrt() + eps);
     }
 }
 
@@ -876,5 +1131,207 @@ mod tests {
         matmul_bt_into(&a, &w, &mut out);
         assert_eq!(out.shape(), (4, 5));
         assert!(out.max_abs_diff(&naive::matmul_bt(&a, &w)) < 1e-4);
+    }
+
+    /// Output widths that cross the `LANES` = 32 register block and the
+    /// `GROUP` = 8 vector groups, once and twice.
+    const WIDTHS: [usize; 13] = [1, 29, 30, 31, 32, 33, 64, 65, 66, 67, 68, 69, 70];
+
+    fn bits(m: &[f32]) -> Vec<u32> {
+        m.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `tests/kernel_properties.rs`' fill, plus `-0.0`: exact zeros of
+    /// both signs sprinkled among values of either sign.
+    fn dense(rows: usize, cols: usize, seed: u64) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| {
+            let h = (r as u64)
+                .wrapping_mul(0x9E37_79B9)
+                .wrapping_add((c as u64).wrapping_mul(0x85EB_CA6B))
+                .wrapping_add(seed.wrapping_mul(0xC2B2_AE35));
+            let h = (h ^ (h >> 13)).wrapping_mul(0x27D4_EB2F);
+            match h % 7 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => ((h % 2000) as f32 - 1000.0) / 503.0,
+            }
+        })
+    }
+
+    /// Rows of zero to four stored entries; the last row stores the last
+    /// column, so the forward reads the last weight row (the padded path).
+    fn sparse(rows: usize, cols: usize, seed: u64) -> Csr {
+        let mut b = CsrBuilder::new(cols);
+        for r in 0..rows {
+            let nnz = ((r as u64 + seed) % 5) as usize;
+            let mut entries: Vec<(usize, f32)> = (0..nnz)
+                .map(|k| {
+                    (
+                        (r * 31 + k * 7 + seed as usize) % cols,
+                        (k + r) as f32 * 0.5 - 1.0,
+                    )
+                })
+                .collect();
+            if r + 1 == rows {
+                entries.push((cols - 1, 1.5));
+            }
+            entries.sort_by_key(|&(c, _)| c);
+            entries.dedup_by_key(|e| e.0);
+            b.push_row(entries);
+        }
+        b.finish()
+    }
+
+    /// A gradient with an all-zero row (both signs) and a row zero in
+    /// all but one column among rows of mixed zeros.
+    fn gradient(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut g = dense(rows, cols, seed);
+        for c in 0..cols {
+            g.set(0, c, if c % 2 == 0 { 0.0 } else { -0.0 });
+            if rows > 2 && c != cols / 2 {
+                g.set(2, c, 0.0);
+            }
+        }
+        g
+    }
+
+    /// The AVX2 build of each dispatched kernel against its portable
+    /// build, bit for bit. The `ctlm-nn` tests and the end-to-end goldens
+    /// run whichever the host picks; this runs both on the same inputs.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_builds_equal_portable_builds_bit_for_bit() {
+        if !std::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        for &w in &WIDTHS {
+            for (n, d, seed) in [(1, 1, 0), (5, 3, 1), (40, 57, 2)] {
+                let x = sparse(n, d, seed);
+                let weight = dense(d, w, seed ^ 1);
+                let (mut portable, mut avx) = (Matrix::zeros(0, 0), dense(2, 3, 9));
+                csr_matmul_into_body(&x, &weight, &mut portable);
+                // SAFETY: AVX2 was detected at the top of this test.
+                unsafe { avx2::csr_matmul_into_body(&x, &weight, &mut avx) };
+                assert_eq!(
+                    bits(avx.as_slice()),
+                    bits(portable.as_slice()),
+                    "csr_matmul_into {n}×{d}·{w}"
+                );
+
+                let g = gradient(n, w, seed ^ 2);
+                let mut portable = dense(d, w, seed ^ 3);
+                let mut avx = portable.clone();
+                for _ in 0..2 {
+                    csr_matmul_at_acc_body(&x, &g, &mut portable);
+                    // SAFETY: AVX2 was detected at the top of this test.
+                    unsafe { avx2::csr_matmul_at_acc_body(&x, &g, &mut avx) };
+                }
+                assert_eq!(
+                    bits(avx.as_slice()),
+                    bits(portable.as_slice()),
+                    "csr_matmul_at_acc {n}×{d}·{w}"
+                );
+
+                let a = gradient(n, d, seed ^ 4);
+                let (mut portable, mut avx) = (Matrix::zeros(0, 0), dense(2, 3, 9));
+                matmul_into_body(&a, &weight, &mut portable);
+                // SAFETY: AVX2 was detected at the top of this test.
+                unsafe { avx2::matmul_into_body(&a, &weight, &mut avx) };
+                assert_eq!(
+                    bits(avx.as_slice()),
+                    bits(portable.as_slice()),
+                    "matmul_into {n}×{d}·{w}"
+                );
+
+                let mut portable = dense(d, w, seed ^ 5);
+                let mut avx = portable.clone();
+                matmul_at_acc_body(&a, &g, &mut portable);
+                // SAFETY: AVX2 was detected at the top of this test.
+                unsafe { avx2::matmul_at_acc_body(&a, &g, &mut avx) };
+                assert_eq!(
+                    bits(avx.as_slice()),
+                    bits(portable.as_slice()),
+                    "matmul_at_acc {n}×{d}·{w}"
+                );
+            }
+
+            let len = w * 37;
+            let grad = dense(1, len, 6).into_vec();
+            // Weights, first moments, second moments (non-negative).
+            let mut portable = [
+                dense(1, len, 7).into_vec(),
+                dense(1, len, 8).into_vec(),
+                (0..len).map(|i| (i % 13) as f32 * 1e-3).collect::<Vec<_>>(),
+            ];
+            let mut avx = portable.clone();
+            for t in 1..=3 {
+                let c = AdamCoeffs {
+                    lr: 0.05,
+                    beta1: 0.9,
+                    beta2: 0.999,
+                    eps: 1e-8,
+                    bias1: 1.0 - 0.9f32.powi(t),
+                    bias2: 1.0 - 0.999f32.powi(t),
+                };
+                let [w, m, v] = &mut portable;
+                adam_update_body(w, &grad, m, v, c);
+                let [w, m, v] = &mut avx;
+                // SAFETY: AVX2 was detected at the top of this test.
+                unsafe { avx2::adam_update_body(w, &grad, m, v, c) };
+            }
+            for (p, a) in portable.iter().zip(&avx) {
+                assert_eq!(bits(a), bits(p), "adam_update ×{len}");
+            }
+        }
+    }
+
+    /// The dense register-block kernels keep the association of the
+    /// row-at-a-time loops they replaced: each element adds its products
+    /// in `k` (or sample) order, skipping exact zeros of `a`, onto `+0.0`
+    /// (or onto what `out` held).
+    #[test]
+    fn dense_register_blocks_sum_in_the_old_order() {
+        for &w in &WIDTHS {
+            for (n, k, seed) in [(1, 1, 0), (6, 3, 1), (70, 33, 2), (3, 2 * KC + 5, 3)] {
+                let a = gradient(n, k, seed);
+                let b = dense(k, w, seed ^ 1);
+                let mut want = Matrix::zeros(n, w);
+                for r in 0..n {
+                    for kk in 0..k {
+                        let av = a.get(r, kk);
+                        if av != 0.0 {
+                            for c in 0..w {
+                                want.set(r, c, want.get(r, c) + av * b.get(kk, c));
+                            }
+                        }
+                    }
+                }
+                assert_eq!(
+                    bits(matmul(&a, &b).as_slice()),
+                    bits(want.as_slice()),
+                    "matmul_into {n}×{k}·{w}"
+                );
+
+                let x = dense(n, w, seed ^ 2);
+                let mut got = dense(k, w, seed ^ 3);
+                let mut want = got.clone();
+                matmul_at_acc(&a, &x, &mut got);
+                for r in 0..n {
+                    for j in 0..k {
+                        let av = a.get(r, j);
+                        if av != 0.0 {
+                            for c in 0..w {
+                                want.set(j, c, want.get(j, c) + av * x.get(r, c));
+                            }
+                        }
+                    }
+                }
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(want.as_slice()),
+                    "matmul_at_acc {n}×{k}·{w}"
+                );
+            }
+        }
     }
 }
