@@ -12,7 +12,8 @@
 //!
 //! Absolute numbers differ from the paper (different hardware, synthetic
 //! traces); the *shape* — who wins, by what factor, where the crossovers
-//! are — is the reproduction target. See `EXPERIMENTS.md`.
+//! are — is the reproduction target. The README's "The table and figure
+//! binaries" section maps each table and figure to its binary.
 
 use ctlm_agocs::replay::{ReplayOutput, Replayer};
 use ctlm_trace::{CellSet, Scale, TraceGenerator};

@@ -1,0 +1,41 @@
+//! The bench binaries' exit codes, end to end: `bench_check` exits 0
+//! when every ratio holds and 1 when one exceeds its limit; a bad
+//! command line or an unusable report is one `error:` line and exit
+//! code 2 there and in the table binaries, never a panic.
+
+use std::path::Path;
+use std::process::Command;
+
+#[test]
+fn bench_binaries_exit_with_their_documented_codes() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let report = dir.join("bench_report.json");
+    std::fs::write(
+        &report,
+        r#"{"g/fast": {"median_ns": 25.0}, "g/slow": {"median_ns": 100.0}}"#,
+    )
+    .expect("scratch report");
+    // Valid JSON, but no bench report: it lacks every id asked for.
+    let not_a_report = dir.join("not_a_report.json");
+    std::fs::write(&not_a_report, r#"{"name": "spec"}"#).expect("scratch file");
+    let (report, not_a_report) = (report.to_str().unwrap(), not_a_report.to_str().unwrap());
+    let bench_check = env!("CARGO_BIN_EXE_bench_check");
+    let table06 = env!("CARGO_BIN_EXE_table06_co_el");
+    let max = "--max-ratio";
+    for (bin, args, code) in [
+        (bench_check, &[report, max, "g/fast:g/slow=0.3"][..], 0),
+        (bench_check, &[report, max, "g/slow:g/fast=3"], 1),
+        (bench_check, &["/nonexistent.json", max, "a:b=1"], 2),
+        (bench_check, &[not_a_report, max, "a:b=1"], 2),
+        (bench_check, &[report, max, "g/fast:g/slow=abc"], 2),
+        (bench_check, &[report], 2),
+        (table06, &["stray"], 2),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
+        assert_eq!(errors, usize::from(code == 2), "{args:?}: {stderr}");
+    }
+}

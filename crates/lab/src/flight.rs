@@ -23,7 +23,8 @@
 //! (`_meta` kept) a **host-plane** `_perf` process group is appended —
 //! per-shard wall-clock `run_before` slices anchored at each epoch
 //! round's sim-time bound (ts is sim µs, dur is wall µs) — and
-//! `--no-meta` drops it, which is what the CI byte-compare relies on.
+//! `--no-meta` drops it, which is what the byte-compare across thread
+//! counts (`tests/parallel_determinism.rs`) relies on.
 //!
 //! [ui.perfetto.dev]: https://ui.perfetto.dev
 //!
@@ -520,7 +521,7 @@ fn subject_chain<'a>(rec: &'a FlightRecording, group: &str, subject: u64) -> Vec
 pub fn explain_task(rec: &FlightRecording, task: u64) -> String {
     let chain = subject_chain(rec, "task", task);
     if chain.is_empty() {
-        return format!("task {task}: no spans recorded");
+        return format!("task {task}: no spans recorded\n");
     }
     let mut out = format!("task {task}: {} span(s)\n", chain.len());
     for s in &chain {
@@ -546,7 +547,7 @@ pub fn explain_machine(rec: &FlightRecording, machine: u64) -> String {
         .collect();
     touched.sort_by_key(|s| s.start);
     if windows.is_empty() && touched.is_empty() {
-        return format!("machine {machine}: no spans recorded");
+        return format!("machine {machine}: no spans recorded\n");
     }
     let mut out = format!(
         "machine {machine}: {} availability window(s), {} task span(s)\n",
@@ -603,7 +604,7 @@ pub fn explain_worst(rec: &FlightRecording, k: usize) -> String {
     let mut ranked: Vec<(u64, u64)> = worst.into_iter().map(|(s, l)| (l, s)).collect();
     ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     if ranked.is_empty() {
-        return "no task spans recorded".to_string();
+        return "no task spans recorded\n".to_string();
     }
     let mut out = String::new();
     for (rank, &(latency, subject)) in ranked.iter().take(k).enumerate() {
@@ -800,6 +801,28 @@ mod tests {
         assert_eq!(headers.len(), 2, "one entry per task:\n{text}");
         assert!(headers[0].starts_with("#1 task 1 — 0.900ms"), "{text}");
         assert!(headers[1].starts_with("#2 task 2 — 0.500ms"), "{text}");
+    }
+
+    #[test]
+    fn every_explain_view_ends_its_last_line() {
+        let mut log = SpanLog::new();
+        log.open_task(1, "queued", 100, "arrival");
+        log.close_task_with(1, 300, "placed", "p", "", 2, 1);
+        log.open_task_full(1, "running", 300, "placed", "p", "", 0, 2, 1);
+        log.open_machine(2, "machine_drain", 200, "drain", "");
+        log.close_all(1_000);
+        let recorded =
+            parse_trace(&trace_document(&obs_with("main_only.hot", log), false)).unwrap();
+        let empty = parse_trace(&trace_document(&Observations::default(), false)).unwrap();
+        for rec in [&recorded, &empty] {
+            for text in [
+                explain_task(rec, 1),
+                explain_machine(rec, 2),
+                explain_worst(rec, 3),
+            ] {
+                assert!(text.ends_with('\n'), "{text:?}");
+            }
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! non-zero when any compared median (group-0 mean, other mean, or
 //! unplaced count) regresses — grows from `a` to `b` by more than the
 //! relative `--tolerance` (default 0, i.e. any increase fails; a zero
-//! baseline regresses on any increase) — so CI can diff two runs
+//! baseline regresses on any increase) — so a script can diff two runs
 //! directly.
 
 use std::io::Write as _;

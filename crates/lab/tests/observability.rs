@@ -1,53 +1,26 @@
-//! Telemetry determinism gates over the checked-in experiment specs.
-//!
-//! Two invariants anchor the observability design:
+//! Telemetry gates over the checked-in experiment specs.
 //!
 //! 1. **Enabling telemetry never changes the report.** Metrics, traces,
 //!    the flight recorder and shard profiling are read-only observers
 //!    of the simulation; with all four switched on, every checked-in
 //!    spec must produce a report body byte-identical to the unobserved
 //!    run.
-//! 2. **The metrics and spans exports are thread-count independent.**
-//!    Counters, histograms, traces and span logs are pure functions of
-//!    the deterministic event sequence, folded in grid order — so the
-//!    serialized registry and the trace-event document must not change
-//!    between `execution.threads` 1, 2 and 4.
+//! 2. **The observers tell one story.** The cell's ledger turns each
+//!    step into its counters, span and ring entry, so each cell's ring
+//!    holds exactly the steps its counters count, no span is ever
+//!    closed implicitly, and a machine's availability window ends at
+//!    its next join.
 //!
-//! Both rest on one seam: the cell's ledger turns each step into its
-//! counters, span and ring entry, so the ring and the counters can never
-//! tell two stories about one run.
+//! That the exports are thread-count independent is pinned, through
+//! the binary, in `parallel_determinism.rs`.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::path::Path;
 
 use ctlm_lab::report::to_pretty_json;
 use ctlm_lab::run::ArrivalMode;
-use ctlm_lab::spec::ExperimentSpec;
 use ctlm_lab::{run_spec_observed, Observations};
-
-fn experiments_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments")
-}
-
-/// Every top-level checked-in spec (the `scale/` tier is exercised by
-/// dedicated smoke runs — too large for the debug-build test suite).
-fn checked_in_specs() -> Vec<PathBuf> {
-    let mut specs: Vec<PathBuf> = std::fs::read_dir(experiments_dir())
-        .expect("experiments/ directory")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    specs.sort();
-    assert!(!specs.is_empty(), "no checked-in specs found");
-    specs
-}
-
-fn load_spec(path: &Path) -> ExperimentSpec {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    ExperimentSpec::from_json(&text)
-        .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()))
-}
 
 /// Ring large enough that no checked-in spec's cell wraps it, so every
 /// step a cell took is still in its ring.
@@ -92,10 +65,45 @@ fn assert_ring_matches_counters(obs: &Observations, path: &Path) {
     }
 }
 
+/// No `machine_drain` span runs past a later join of the same machine:
+/// every join closes the machine's open window first. Returns the number
+/// of joins seen. In today's specs every join is a fresh autoscaler
+/// machine: the autoscaler restocks its warm pool on every evaluation,
+/// so a machine it drains is decommissioned, never parked and rejoined.
+/// `kernel_scenarios.rs` in `ctlm-sched` drives that rejoin directly.
+fn assert_drains_close_at_joins(obs: &Observations, path: &Path) -> usize {
+    let mut seen = 0;
+    for (key, log) in &obs.spans {
+        let joins: Vec<(u64, u64)> = log
+            .records()
+            .filter(|r| r.kind == "machine_join")
+            .map(|r| (r.subject, r.start))
+            .collect();
+        seen += joins.len();
+        for drain in log.records().filter(|r| r.kind == "machine_drain") {
+            let late: Vec<u64> = joins
+                .iter()
+                .filter(|&&(m, t)| m == drain.subject && drain.start < t && t < drain.end)
+                .map(|&(_, t)| t)
+                .collect();
+            assert!(
+                late.is_empty(),
+                "{key}: machine {} drained {}..{} across joins at {late:?} in {}",
+                drain.subject,
+                drain.start,
+                drain.end,
+                path.display()
+            );
+        }
+    }
+    seen
+}
+
 #[test]
 fn observability_never_changes_report_bytes() {
-    for path in checked_in_specs() {
-        let mut spec = load_spec(&path);
+    let mut joins = 0;
+    for path in common::files(&common::experiments_dir(), "json") {
+        let mut spec = common::load(&path);
         spec.observability = Default::default();
         let (plain, _) = run_spec_observed(&spec, ArrivalMode::Streaming)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
@@ -138,41 +146,7 @@ fn observability_never_changes_report_bytes() {
             "a span was superseded in {}",
             path.display()
         );
+        joins += assert_drains_close_at_joins(&obs, &path);
     }
-}
-
-#[test]
-fn metrics_export_identical_across_thread_counts() {
-    for name in ["streaming_smoke.json", "three_cell_spillover.json"] {
-        let mut spec = load_spec(&experiments_dir().join(name));
-        spec.observability.metrics = true;
-        spec.observability.trace_events = 512;
-        spec.observability.spans = true;
-        let mut exports: Vec<(String, Vec<String>, String)> = Vec::new();
-        for threads in [1usize, 2, 4] {
-            spec.execution.threads = threads;
-            let (_, obs) = run_spec_observed(&spec, ArrivalMode::Streaming)
-                .unwrap_or_else(|e| panic!("{name} at {threads} threads: {e}"));
-            let mut traces: Vec<&(String, ctlm_telemetry::TraceRing)> = obs.traces.iter().collect();
-            traces.sort_by(|a, b| a.0.cmp(&b.0));
-            exports.push((
-                to_pretty_json(&obs.metrics),
-                traces
-                    .iter()
-                    .map(|(k, ring)| format!("{k}: {}", to_pretty_json(ring)))
-                    .collect(),
-                // The sim-plane spans document (no host track) must be
-                // byte-identical across thread counts.
-                to_pretty_json(&ctlm_lab::flight::trace_document(&obs, false)),
-            ));
-        }
-        assert_eq!(
-            exports[0], exports[1],
-            "{name}: metrics export differs between 1 and 2 threads"
-        );
-        assert_eq!(
-            exports[0], exports[2],
-            "{name}: metrics export differs between 1 and 4 threads"
-        );
-    }
+    assert!(joins > 0, "no checked-in spec records a machine join");
 }
