@@ -25,6 +25,7 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use ctlm_autoscale::{MachineTemplate, ProvisionDelay};
+use ctlm_sched::cluster::MAX_MACHINE_CPU;
 use ctlm_sched::{ExponentialBackoff, FixedRetry, RetryPolicy, SimConfig};
 use ctlm_trace::pareto::{BoundedPareto, Exponential};
 use ctlm_trace::{AttrId, CellSet, Micros};
@@ -347,6 +348,9 @@ impl WorkloadSpec {
                     w.machines.iter().any(|g| g.count > 0),
                     "synthetic workload needs at least one machine"
                 );
+                for (i, g) in w.machines.iter().enumerate() {
+                    check_shape(&format!("machine group {i}"), g.cpu, g.memory)?;
+                }
                 w.arrival.validate()?;
                 w.cpu.validate("cpu")?;
                 w.memory.validate("memory")?;
@@ -407,9 +411,10 @@ pub struct SyntheticWorkload {
 pub struct MachineGroup {
     /// Machines in the group.
     pub count: usize,
-    /// Per-machine CPU capacity.
+    /// Per-machine CPU capacity: above 0, at most
+    /// [`MAX_MACHINE_CPU`].
     pub cpu: f64,
-    /// Per-machine memory capacity.
+    /// Per-machine memory capacity: above 0, finite.
     pub memory: f64,
 }
 
@@ -565,6 +570,21 @@ impl ScenarioSpec {
     }
 }
 
+/// A machine shape the capacity index can file: positive capacities,
+/// finite memory, and CPU at most [`MAX_MACHINE_CPU`], which bounds the
+/// index's bucket table.
+fn check_shape(what: &str, cpu: f64, memory: f64) -> Result<(), LabError> {
+    ensure!(
+        cpu > 0.0 && cpu <= MAX_MACHINE_CPU,
+        "{what}: cpu {cpu}: require 0 < cpu <= {MAX_MACHINE_CPU}"
+    );
+    ensure!(
+        memory > 0.0 && memory.is_finite(),
+        "{what}: memory {memory}: require 0 < memory < inf"
+    );
+    Ok(())
+}
+
 /// A `[start, end]` window must not end before it starts.
 fn check_window(what: &str, (start, end): (Micros, Micros)) -> Result<(), LabError> {
     ensure!(
@@ -596,7 +616,7 @@ pub struct AutoscaleSpec {
     pub delay: ProvisionDelay,
     /// Shape of provisioned machines (`null` → the first machine
     /// group's shape for synthetic workloads, unit capacity for trace
-    /// slices).
+    /// slices). Bounded like a [`MachineGroup`]'s shape.
     #[serde(default)]
     pub template: Option<MachineTemplate>,
     /// Numeric policy parameters; unset fields take the policy's
@@ -608,6 +628,9 @@ pub struct AutoscaleSpec {
 impl AutoscaleSpec {
     /// Builds the policy; a zero-mean `Exponential` delay boots in 1 µs.
     pub fn validate(&self, sim: &SimConfig, workload: &WorkloadSpec) -> Result<(), LabError> {
+        if let Some(t) = self.template {
+            check_shape("autoscale template", t.cpu, t.memory)?;
+        }
         let template = self.machine_template(workload);
         crate::registry::build_autoscale_policy(&self.policy, &self.params, sim, &template)?;
         let (min, max) = (self.min, self.max);

@@ -12,19 +12,25 @@
 //!   [`SchedCluster::take_offline`]);
 //! * the fleet's `machines` — the [`Machine`] itself.
 //!
+//! A machine also has a **rank**: its slot's position in id order among
+//! every slot. The fleet's `rank_of` and `slot_at` map slot to rank and
+//! back.
+//!
 //! A `MachineId` is hashed to its slot once, where a call enters with an
 //! id (`place`, `release`, `remove_machine`, `restore_machine`,
-//! `update_attr`, the id-keyed getters). Nothing behind that boundary
-//! hashes: the capacity index's buckets hold slots (sorted by machine
-//! id) and the attribute index is keyed by slot, so whatever either of
-//! them yields indexes the tables directly.
+//! `update_attr`, the id-keyed getters), by one folded multiply (the
+//! crate's `IdMap`). Nothing behind that boundary hashes: the capacity
+//! index's buckets hold ranks, which `slot_at` turns into slots, and
+//! the attribute index is keyed by slot, so whatever either of them
+//! yields indexes the tables directly.
 //!
 //! ## Sharing
 //!
 //! A cluster is two parts:
 //!
-//! * the **fleet** — `slot_of`, the `machines` table and the slot-keyed
-//!   attribute index — behind an `Arc`, shared by every clone;
+//! * the **fleet** — `slot_of`, the rank tables, the `machines` table
+//!   and the slot-keyed attribute index — behind an `Arc`, shared by
+//!   every clone;
 //! * the **usage state** — `hot`, `slots`, the online count, the
 //!   capacity index and the fleet totals — owned by each clone.
 //!
@@ -47,14 +53,39 @@
 //! ## The capacity index
 //!
 //! Online machines are bucketed by quantized free CPU
-//! ([`capacity_bucket`]). A bucket also knows the largest free CPU and
-//! the largest free memory among its machines (each with a holder count,
-//! so the bound stays exact under removal without a rescan per removal),
-//! which lets a probe pass over a bucket none of whose machines can hold
-//! the request — the decimal near-miss case below — in one comparison.
-//! `place` / `release` rewrite the machine's `hot` row and the bucket
-//! bounds in place; slots move between buckets only when the quantized
-//! free CPU changed.
+//! ([`capacity_bucket`]). A bucket is a sparse bitmap over rank: a list
+//! of `(word index, bits)` by ascending word, with no empty word. Filing
+//! or unfiling a machine binary-searches at most fleet ÷ 64 word
+//! indices and sets or clears one bit; the list shifts only when a word
+//! appears or empties. A walk goes word by word, then bit by bit
+//! (`trailing_zeros`), which is ascending rank, so ascending id: the
+//! first machine a walk accepts is the `(bucket, id)` argmin.
+//!
+//! A bucket also knows the largest free CPU and the largest free memory
+//! among its machines (each with a holder count, so the bound stays
+//! exact under removal without a rescan per removal), which lets a probe
+//! pass over a bucket none of whose machines can hold the request — the
+//! decimal near-miss case below — in one comparison. `place` /
+//! `release` rewrite the machine's `hot` row and the bucket bounds in
+//! place; machines move between buckets only when the quantized free CPU
+//! changed.
+//!
+//! ## Ranks
+//!
+//! A new id above every known id takes the next rank, which keeps the
+//! ranks in id order for free; the synthetic builder, the trace
+//! generator and the autoscaler all mint ascending ids. A new id below
+//! the largest known one — a hand-built fleet, a trace with arbitrary
+//! ids, or an autoscaler machine that joins after one minted later —
+//! takes its rank in id order, and every machine above it moves up one
+//! rank, its bit with it. That costs the ranks it passes, not the
+//! fleet: a full re-rank (sort, then refile every online machine) per
+//! such join cost 15–19 ms of a 0.17–0.21 s `chaos_mix` pass, whose 420
+//! autoscaler joins each pass 400 ranks.
+//! [`SchedCluster::from_machines`] re-ranks in full, once, after its
+//! last machine, so *n* machines in any order cost one sort. A re-add
+//! under a known id, a restore and a rejoin after `take_offline` keep
+//! their slot and rank.
 //!
 //! ## The decimal near-miss
 //!
@@ -65,13 +96,14 @@
 //! goldens depend on that arithmetic; it is pinned by
 //! `a_unit_machine_holds_four_fifth_core_tasks_not_five`.
 
-use std::collections::HashMap;
 use std::sync::{Arc, LazyLock};
 
 use ctlm_agocs::matcher::machine_suitable;
 use ctlm_agocs::AttrIndex;
 use ctlm_data::compaction::AttrRequirement;
 use ctlm_trace::{AttrId, AttrValue, Machine, MachineId, TaskId};
+
+use crate::idmap::IdMap;
 
 /// Free-CPU quantization: capacity buckets of 1/1024 core. Best-fit
 /// tie-breaks are defined over `(capacity_bucket(free_cpu), id)`, so the
@@ -81,6 +113,12 @@ use ctlm_trace::{AttrId, AttrValue, Machine, MachineId, TaskId};
 pub fn capacity_bucket(free_cpu: f64) -> usize {
     (free_cpu.max(0.0) * 1024.0) as usize
 }
+
+/// The largest machine CPU capacity the capacity index files: its
+/// bucket table has one entry per 1/1024 core of free CPU, so this caps
+/// it at 2²⁰ buckets. Specs are checked against it before a cluster is
+/// built.
+pub const MAX_MACHINE_CPU: f64 = 1024.0;
 
 /// What a capacity probe reads of one machine.
 #[derive(Clone, Copy, Debug)]
@@ -202,27 +240,78 @@ impl Peak {
     }
 }
 
-/// One capacity bucket: the slots of the online machines whose free CPU
-/// quantizes here, sorted by machine id, and the bounds a probe tests
-/// before it scans them.
+/// The set bits of a word, lowest first.
+struct Bits(u64);
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        (self.0 != 0).then(|| {
+            let i = self.0.trailing_zeros() as usize;
+            self.0 &= self.0 - 1;
+            i
+        })
+    }
+}
+
+/// One capacity bucket: the online machines whose free CPU quantizes
+/// here, as a sparse bitmap over rank, and the bounds a probe tests
+/// before it reads them.
 #[derive(Clone, Debug)]
 struct Bucket {
-    slots: Vec<u32>,
+    /// `(w, bits)` by ascending `w`: bit `i` of `bits` is set when the
+    /// machine of rank `64·w + i` is here. No word is zero.
+    words: Vec<(u32, u64)>,
     cpu: Peak,
     mem: Peak,
 }
 
 impl Bucket {
     const EMPTY: Bucket = Bucket {
-        slots: Vec::new(),
+        words: Vec::new(),
         cpu: Peak::NONE,
         mem: Peak::NONE,
     };
 
-    /// Where `id` sits (`Ok`) or belongs (`Err`) in the id order.
-    fn position(&self, hot: &[Hot], id: MachineId) -> Result<usize, usize> {
-        self.slots
-            .binary_search_by_key(&id, |&s| hot[s as usize].id)
+    /// Where rank `rank`'s word sits (`Ok`) or belongs (`Err`), and its
+    /// bit.
+    fn word(&self, rank: u32) -> (Result<usize, usize>, u64) {
+        let w = rank / 64;
+        (
+            self.words.binary_search_by_key(&w, |&(w, _)| w),
+            1 << (rank % 64),
+        )
+    }
+
+    fn insert(&mut self, rank: u32) {
+        match self.word(rank) {
+            (Ok(i), bit) => {
+                let bits = &mut self.words[i].1;
+                assert!(*bits & bit == 0, "machine indexed in one bucket only");
+                *bits |= bit;
+            }
+            (Err(i), bit) => self.words.insert(i, (rank / 64, bit)),
+        }
+    }
+
+    fn remove(&mut self, rank: u32) {
+        let (Ok(i), bit) = self.word(rank) else {
+            panic!("machine indexed in bucket");
+        };
+        let bits = &mut self.words[i].1;
+        assert!(*bits & bit != 0, "machine indexed in bucket");
+        *bits &= !bit;
+        if *bits == 0 {
+            self.words.remove(i);
+        }
+    }
+
+    /// The ranks here, ascending: ascending machine id.
+    fn ranks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words
+            .iter()
+            .flat_map(|&(w, bits)| Bits(bits).map(move |i| w as usize * 64 + i))
     }
 
     fn add_peaks(&mut self, h: &Hot) {
@@ -231,20 +320,24 @@ impl Bucket {
     }
 
     /// Forgets `was`'s values; rescans when a bound lost its last holder.
-    fn forget_peaks(&mut self, hot: &[Hot], was: &Hot) {
+    fn forget_peaks(&mut self, hot: &[Hot], slot_at: &[u32], was: &Hot) {
         let stale = self.cpu.forget(was.free_cpu) | self.mem.forget(was.free_mem);
         if stale {
-            (self.cpu, self.mem) = (Peak::NONE, Peak::NONE);
-            for i in 0..self.slots.len() {
-                self.add_peaks(&hot[self.slots[i] as usize]);
+            let (mut cpu, mut mem) = (Peak::NONE, Peak::NONE);
+            for r in self.ranks() {
+                let h = &hot[slot_at[r] as usize];
+                cpu.add(h.free_cpu);
+                mem.add(h.free_mem);
             }
+            (self.cpu, self.mem) = (cpu, mem);
         }
     }
 }
 
 /// The maintained free-capacity ordering (see the module docs), plus an
 /// occupancy bitmap so a query can skip empty buckets a word at a time.
-/// Updates are O(bucket) with **zero heap allocations** once bucket
+/// An update sets or clears one bit after a binary search over at most
+/// fleet ÷ 64 words, with **zero heap allocations** once bucket
 /// capacities have warmed (the steady-state scheduling-pass guarantee).
 #[derive(Clone, Debug, Default)]
 struct CapacityIndex {
@@ -254,32 +347,27 @@ struct CapacityIndex {
 }
 
 impl CapacityIndex {
-    /// Files `slot` under its current `hot` row.
-    fn insert(&mut self, hot: &[Hot], slot: u32) {
-        let h = &hot[slot as usize];
-        let bucket = capacity_bucket(h.free_cpu);
+    /// Files `slot` under its current `hot` row, at its rank.
+    fn insert(&mut self, hot: &[Hot], fleet: &Fleet, slot: usize) {
+        let bucket = capacity_bucket(hot[slot].free_cpu);
         if bucket >= self.buckets.len() {
             self.buckets.resize(bucket + 1, Bucket::EMPTY);
             self.occupied.resize(self.buckets.len().div_ceil(64), 0);
         }
         let b = &mut self.buckets[bucket];
-        let pos = b
-            .position(hot, h.id)
-            .expect_err("machine indexed in one bucket only");
-        b.slots.insert(pos, slot);
-        b.add_peaks(h);
+        b.insert(fleet.rank_of[slot]);
+        b.add_peaks(&hot[slot]);
         self.occupied[bucket / 64] |= 1u64 << (bucket % 64);
     }
 
     /// Unfiles `slot`; its `hot` row must still read what `insert` saw.
-    fn remove(&mut self, hot: &[Hot], slot: u32) {
-        let h = &hot[slot as usize];
+    fn remove(&mut self, hot: &[Hot], fleet: &Fleet, slot: usize) {
+        let h = &hot[slot];
         let bucket = capacity_bucket(h.free_cpu);
         let b = &mut self.buckets[bucket];
-        let pos = b.position(hot, h.id).expect("machine indexed in bucket");
-        b.slots.remove(pos);
-        b.forget_peaks(hot, h);
-        if b.slots.is_empty() {
+        b.remove(fleet.rank_of[slot]);
+        b.forget_peaks(hot, &fleet.slot_at, h);
+        if b.words.is_empty() {
             self.occupied[bucket / 64] &= !(1u64 << (bucket % 64));
         }
     }
@@ -305,7 +393,7 @@ impl CapacityIndex {
 
     fn clear(&mut self) {
         for b in &mut self.buckets {
-            b.slots.clear();
+            b.words.clear();
             (b.cpu, b.mem) = (Peak::NONE, Peak::NONE);
         }
         self.occupied.fill(0);
@@ -329,7 +417,11 @@ pub enum CapacityFit {
 struct Fleet {
     /// `MachineId → slot`, consulted once per id-keyed call. An id keeps
     /// its slot for good, parked or vacant included.
-    slot_of: HashMap<MachineId, u32>,
+    slot_of: IdMap<MachineId, u32>,
+    /// Slot → rank: the slot's position in id order among every slot.
+    rank_of: Vec<u32>,
+    /// Rank → slot, the inverse of `rank_of`.
+    slot_at: Vec<u32>,
     /// The machine in each slot.
     machines: Vec<Machine>,
     /// Keyed by slot, online machines only.
@@ -394,11 +486,17 @@ impl SchedCluster {
         let n = machines.size_hint().0;
         let fleet = c.fleet_mut();
         fleet.slot_of.reserve(n);
+        fleet.rank_of.reserve(n);
+        fleet.slot_at.reserve(n);
         fleet.machines.reserve(n);
         c.hot.reserve(n);
         c.slots.reserve(n);
+        let mut in_order = true;
         for m in machines {
-            c.add_machine(m);
+            in_order &= c.add_at_next_rank(m);
+        }
+        if !in_order {
+            c.rerank();
         }
         c
     }
@@ -452,7 +550,7 @@ impl SchedCluster {
             free_mem: memory,
         };
         self.cpu_capacity_total += cpu;
-        self.cap.insert(&self.hot, slot as u32);
+        self.cap.insert(&self.hot, &self.fleet, slot);
         self.slots[slot].state = State::Online;
         self.online += 1;
     }
@@ -462,7 +560,7 @@ impl SchedCluster {
     /// list and its new state.
     fn take_down(&mut self, slot: usize) {
         self.fleet_mut().index.remove_machine(slot as u64);
-        self.cap.remove(&self.hot, slot as u32);
+        self.cap.remove(&self.hot, &self.fleet, slot);
         let s = &mut self.slots[slot];
         self.cpu_capacity_total -= self.fleet.machines[slot].cpu;
         self.cpu_used_total -= s.cpu_used;
@@ -472,7 +570,18 @@ impl SchedCluster {
 
     /// Adds a machine.
     pub fn add_machine(&mut self, m: Machine) {
-        let slot = match self.slot(m.id) {
+        if !self.add_at_next_rank(m) {
+            self.sink_last_rank();
+        }
+    }
+
+    /// [`add_machine`](Self::add_machine), except that a new id takes the
+    /// next rank even when that breaks id order. Returns false when it
+    /// did (the id is below the last-ranked one): the caller then owes a
+    /// [`sink_last_rank`](Self::sink_last_rank) or a
+    /// [`rerank`](Self::rerank).
+    fn add_at_next_rank(&mut self, m: Machine) -> bool {
+        let (slot, in_order) = match self.slot(m.id) {
             // A re-add under the same id supersedes the live machine and
             // its reservations, or the parked copy a later restore/reset
             // would otherwise bring back over it.
@@ -482,11 +591,13 @@ impl SchedCluster {
                     self.slots[slot].tasks.clear();
                 }
                 self.fleet_mut().machines[slot] = m;
-                slot
+                (slot, true)
             }
             None => {
                 let slot = self.slots.len();
                 let handle = u32::try_from(slot).expect("fewer than 2^32 machines");
+                let last = self.fleet.slot_at.last();
+                let in_order = last.is_none_or(|&s| self.hot[s as usize].id < m.id);
                 self.hot.push(Hot {
                     id: m.id,
                     free_cpu: m.cpu,
@@ -500,11 +611,69 @@ impl SchedCluster {
                 });
                 let fleet = self.fleet_mut();
                 fleet.slot_of.insert(m.id, handle);
+                fleet.rank_of.push(handle);
+                fleet.slot_at.push(handle);
                 fleet.machines.push(m);
-                slot
+                (slot, in_order)
             }
         };
         self.bring_online(slot);
+        in_order
+    }
+
+    /// Moves the last-ranked machine, online and just joined below the
+    /// largest known id, down to its rank in id order, and every machine
+    /// it passes up one rank, their bits with them. Bucket membership is
+    /// unchanged, so the bounds hold. A join costs the ranks it passes,
+    /// where a [`rerank`](Self::rerank) would cost the whole fleet.
+    fn sink_last_rank(&mut self) {
+        let f = &self.fleet;
+        let last = f.slot_at.len() - 1;
+        let id = f.machines[f.slot_at[last] as usize].id;
+        let to = f.slot_at[..last].partition_point(|&s| f.machines[s as usize].id < id);
+        let Fleet {
+            rank_of, slot_at, ..
+        } = self.fleet_mut();
+        slot_at[to..].rotate_right(1);
+        for (rank, &s) in slot_at.iter().enumerate().skip(to) {
+            rank_of[s as usize] = rank as u32;
+        }
+        // Out of the last rank first, then from the top down, so every
+        // bit moves into a rank just vacated.
+        let (hot, slot_at) = (&self.hot, &self.fleet.slot_at);
+        let bucket = |rank: usize| capacity_bucket(hot[slot_at[rank] as usize].free_cpu);
+        self.cap.buckets[bucket(to)].remove(last as u32);
+        for rank in (to + 1..=last).rev() {
+            if self.slots[slot_at[rank] as usize].state == State::Online {
+                let b = &mut self.cap.buckets[bucket(rank)];
+                b.remove(rank as u32 - 1);
+                b.insert(rank as u32);
+            }
+        }
+        self.cap.buckets[bucket(to)].insert(to as u32);
+    }
+
+    /// Puts the ranks back in id order and refiles every online machine
+    /// at its new rank, as `reset` does: one sort and one pass over the
+    /// table, for [`from_machines`](Self::from_machines) after its last
+    /// machine.
+    fn rerank(&mut self) {
+        let Fleet {
+            machines,
+            rank_of,
+            slot_at,
+            ..
+        } = self.fleet_mut();
+        slot_at.sort_unstable_by_key(|&s| machines[s as usize].id);
+        for (rank, &s) in slot_at.iter().enumerate() {
+            rank_of[s as usize] = rank as u32;
+        }
+        self.cap.clear();
+        for slot in 0..self.slots.len() {
+            if self.slots[slot].state == State::Online {
+                self.cap.insert(&self.hot, &self.fleet, slot);
+            }
+        }
     }
 
     /// Takes a machine offline (churn / failure). The machine's running
@@ -553,7 +722,10 @@ impl SchedCluster {
     pub fn machines_by_free_cpu_desc(&self, out: &mut Vec<MachineId>) {
         out.clear();
         for b in self.cap.buckets.iter().rev() {
-            out.extend(b.slots.iter().map(|&s| self.hot[s as usize].id));
+            out.extend(
+                b.ranks()
+                    .map(|r| self.hot[self.fleet.slot_at[r] as usize].id),
+            );
         }
     }
 
@@ -615,7 +787,7 @@ impl SchedCluster {
                     let m = &self.fleet.machines[slot];
                     let h = &mut self.hot[slot];
                     (h.free_cpu, h.free_mem) = (m.cpu, m.memory);
-                    self.cap.insert(&self.hot, slot as u32);
+                    self.cap.insert(&self.hot, &self.fleet, slot);
                 }
                 State::Parked => self.bring_online(slot),
                 State::Vacant => {}
@@ -724,15 +896,15 @@ impl SchedCluster {
             return self.tightest_fit_candidates(reqs, cpu, mem);
         }
         // Capacity-driven: first occupied bucket at or above the request
-        // holds the tightest candidates; ids ascend within a bucket, so
-        // the first hit is the argmin. A bucket whose bounds rule the
-        // request out is passed over unread.
+        // holds the tightest candidates; ranks (so ids) ascend within a
+        // bucket, so the first hit is the argmin. A bucket whose bounds
+        // rule the request out is passed over unread.
         let mut from = capacity_bucket(cpu);
         while let Some(b) = self.cap.next_occupied(from) {
             let bucket = &self.cap.buckets[b];
             if bucket.cpu.max >= cpu && bucket.mem.max >= mem {
-                for &s in &bucket.slots {
-                    let s = s as usize;
+                for r in bucket.ranks() {
+                    let s = self.fleet.slot_at[r] as usize;
                     if self.hot[s].fits(cpu, mem) && machine_suitable(&self.fleet.machines[s], reqs)
                     {
                         return CapacityFit::Fit(self.hot[s].id);
@@ -809,11 +981,11 @@ impl SchedCluster {
             self.hot[slot] = now;
             let b = &mut self.cap.buckets[bucket];
             b.add_peaks(&now);
-            b.forget_peaks(&self.hot, &was);
+            b.forget_peaks(&self.hot, &self.fleet.slot_at, &was);
         } else {
-            self.cap.remove(&self.hot, slot as u32);
+            self.cap.remove(&self.hot, &self.fleet, slot);
             self.hot[slot] = now;
-            self.cap.insert(&self.hot, slot as u32);
+            self.cap.insert(&self.hot, &self.fleet, slot);
         }
     }
 
@@ -1095,22 +1267,40 @@ mod tests {
     }
 
     impl SchedCluster {
-        /// Every online machine is filed once, in the bucket of its
-        /// `hot` row, in id order, and every bucket's bounds are the
-        /// exact maxima with the exact holder counts.
+        /// Ranks are id order over every slot, and every online
+        /// machine is filed once, in the bucket of its `hot` row, at
+        /// its rank; every bucket's bounds are the exact maxima with
+        /// the exact holder counts.
         fn assert_index_exact(&self) {
+            let f = &self.fleet;
+            assert_eq!(f.slot_at.len(), self.slots.len());
+            for (rank, &s) in f.slot_at.iter().enumerate() {
+                assert_eq!(f.rank_of[s as usize] as usize, rank, "rank tables invert");
+            }
+            assert!(
+                f.slot_at
+                    .windows(2)
+                    .all(|w| f.machines[w[0] as usize].id < f.machines[w[1] as usize].id),
+                "ranks in id order"
+            );
             let mut filed = 0;
             for (b, bucket) in self.cap.buckets.iter().enumerate() {
                 let bit = self.cap.occupied[b / 64] >> (b % 64) & 1 == 1;
-                assert_eq!(bit, !bucket.slots.is_empty(), "occupancy bit of bucket {b}");
-                let rows: Vec<Hot> = bucket.slots.iter().map(|&s| self.hot[s as usize]).collect();
+                assert_eq!(bit, !bucket.words.is_empty(), "occupancy bit of bucket {b}");
                 assert!(
-                    rows.windows(2).all(|w| w[0].id < w[1].id),
-                    "bucket {b} id order"
+                    bucket.words.windows(2).all(|w| w[0].0 < w[1].0),
+                    "bucket {b} word order"
                 );
-                for (h, &s) in rows.iter().zip(&bucket.slots) {
+                assert!(
+                    bucket.words.iter().all(|&(_, bits)| bits != 0),
+                    "bucket {b} zero word"
+                );
+                let slots: Vec<usize> = bucket.ranks().map(|r| f.slot_at[r] as usize).collect();
+                let rows: Vec<Hot> = slots.iter().map(|&s| self.hot[s]).collect();
+                for (h, &s) in rows.iter().zip(&slots) {
                     assert_eq!(capacity_bucket(h.free_cpu), b);
-                    let (m, slot) = (&self.fleet.machines[s as usize], &self.slots[s as usize]);
+                    let (m, slot) = (&f.machines[s], &self.slots[s]);
+                    assert_eq!(h.id, m.id);
                     assert_eq!(slot.state, State::Online);
                     assert_eq!(h.free_cpu, m.cpu - slot.cpu_used);
                     assert_eq!(h.free_mem, m.memory - slot.mem_used);
@@ -1173,6 +1363,67 @@ mod tests {
         c.reset();
         c.assert_index_exact();
         assert_eq!(c.len(), 6);
+    }
+
+    #[test]
+    fn the_index_stays_exact_when_ids_join_out_of_order() {
+        // 150 machines (three rank words) joining in a scrambled id
+        // order; then churn that joins new ids below the largest known
+        // one, re-adds known ids, drains, restores, and takes a machine
+        // offline before its id rejoins. `placement_equivalence.rs`
+        // checks what probes answer on such fleets.
+        let scrambled = (0..150u64).map(|i| (i * 37 % 151) * 4 + 2);
+        let mut c = SchedCluster::from_machines(scrambled.map(|id| Machine::new(id, 1.0, 1.0)));
+        c.assert_index_exact();
+        let sizes = [(0.2, 0.2), (0.1, 0.3), (0.0005, 0.1), (0.3, 0.1)];
+        let mut live: Vec<(TaskId, MachineId)> = Vec::new();
+        for step in 0..900u64 {
+            let (cpu, mem) = sizes[(step % 4) as usize];
+            if let CapacityFit::Fit(m) = c.tightest_fit(&[], cpu, mem) {
+                c.place(m, step, cpu, mem, 1);
+                live.push((step, m));
+            }
+            if step % 3 == 0 && !live.is_empty() {
+                let (task, m) = live.remove((step * 7) as usize % live.len());
+                assert!(c.release(m, task));
+            }
+            let known = c.hot[(step * 13 % 150) as usize].id;
+            match step % 50 {
+                // A new id below the largest: it sinks to its rank.
+                7 => c.add_machine(Machine::new(step / 50 * 4 + 1, 1.0, 1.0)),
+                17 => {
+                    c.remove_machine(known);
+                }
+                23 => c.add_machine(Machine::new(known, 0.5, 2.0)),
+                27 => {
+                    c.restore_machine(known);
+                }
+                31 => {
+                    c.remove_machine(known);
+                    c.take_offline(known);
+                }
+                // The id taken at step 31 rejoins.
+                41 => c.add_machine(Machine::new(
+                    c.hot[((step - 10) * 13 % 150) as usize].id,
+                    1.0,
+                    1.0,
+                )),
+                _ => {}
+            }
+            // Drains and re-adds drop what the machine held.
+            live.retain(|&(t, m)| {
+                c.slot(m)
+                    .is_some_and(|s| c.slots[s].tasks.iter().any(|x| x.0 == t))
+            });
+            c.assert_index_exact();
+        }
+        assert_eq!(
+            c.fleet.slot_at.len(),
+            150 + 18,
+            "18 ids joined below the largest"
+        );
+        c.reset();
+        c.assert_index_exact();
     }
 
     #[test]

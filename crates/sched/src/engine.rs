@@ -63,6 +63,7 @@ use ctlm_trace::{
 
 use crate::arena::TaskSlab;
 use crate::cluster::{CapacityFit, SchedCluster};
+use crate::idmap::IdMap;
 use crate::ledger::{Admission, Exit, Next, Step, Via};
 pub use crate::ledger::{EngineStats, Ledger, PlacedRecord, SimResult, SpillRoute};
 use crate::lifecycle::{LifecycleOwner, OwnershipGuard};
@@ -982,7 +983,7 @@ pub fn arrivals_from_trace(
     // (out of the borrowed trace) and *moved* into the cluster, whose
     // attribute index then answers the truth-group counts.
     let mut machines: Vec<Machine> = Vec::new();
-    let mut slot: HashMap<MachineId, usize> = HashMap::new();
+    let mut slot: IdMap<MachineId, usize> = IdMap::default();
     for ev in &trace.events {
         if let EventPayload::MachineAdd(m) = &ev.payload {
             if let Some(&i) = slot.get(&m.id) {

@@ -42,7 +42,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use ctlm_sim::{CompId, Ctx};
@@ -50,6 +49,7 @@ use ctlm_telemetry::Histogram;
 use ctlm_trace::{MachineId, Micros};
 
 use crate::engine::{EngineState, SchedEvent, PRIO_STATE};
+use crate::idmap::IdMap;
 use crate::lifecycle::LifecycleOwner;
 use crate::timed::{Plan, TimedSource};
 
@@ -218,7 +218,7 @@ impl FaultPlan {
     /// machines still down at the horizon accrue up to it. This is the
     /// per-cell unavailability a report quotes without replaying the run.
     pub fn downtime_us(&self, horizon: Micros) -> u64 {
-        let mut down: HashMap<MachineId, (Micros, u32)> = HashMap::new();
+        let mut down: IdMap<MachineId, (Micros, u32)> = IdMap::default();
         let mut total = 0u64;
         for &(t, ref action) in &self.events {
             match action {
@@ -293,7 +293,7 @@ pub struct FaultPlane<'a> {
     registry: Option<ctlm_core::ModelRegistry>,
     /// Outstanding outage depth per machine: a machine recovers only
     /// when its last overlapping outage ends.
-    down: HashMap<MachineId, u32>,
+    down: IdMap<MachineId, u32>,
 }
 
 impl<'a> FaultPlane<'a> {
@@ -305,7 +305,7 @@ impl<'a> FaultPlane<'a> {
             engine,
             state,
             registry: None,
-            down: HashMap::new(),
+            down: IdMap::default(),
         }
     }
 
@@ -367,6 +367,8 @@ impl TimedSource for FaultPlane<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     #[test]

@@ -40,7 +40,7 @@
 //! [`EngineState::ledger`](crate::engine::EngineState::ledger).
 //! `lab::flight::payload_args` names the span `a`/`b` words per kind.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,6 +52,7 @@ use ctlm_trace::{AttrId, MachineId, Micros, TaskId};
 use crate::arena::TaskSlab;
 use crate::cluster::SchedCluster;
 use crate::faults::{FaultStats, RetryPolicy};
+use crate::idmap::IdMap;
 use crate::latency::LatencyStats;
 
 /// One placed task's outcome.
@@ -326,7 +327,7 @@ fn rec(spans: &mut Option<SpanLog>, write: impl FnOnce(&mut SpanLog)) {
 pub struct Ledger {
     stats: EngineStats,
     result: SimResult,
-    live: HashMap<TaskId, Live>,
+    live: IdMap<TaskId, Live>,
     faults: Option<Box<FaultRuntime>>,
     spans: Option<SpanLog>,
     /// Bounded ring of the last steps; `None` (the default) records
@@ -344,7 +345,7 @@ impl Ledger {
         Self {
             stats: EngineStats::default(),
             result,
-            live: HashMap::with_capacity(n),
+            live: IdMap::with_capacity_and_hasher(n, Default::default()),
             faults: None,
             spans: None,
             trace: None,

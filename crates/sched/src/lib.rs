@@ -78,6 +78,7 @@ pub mod cluster;
 pub mod engine;
 pub mod faults;
 pub mod gang;
+mod idmap;
 pub mod latency;
 mod ledger;
 pub mod lifecycle;

@@ -19,9 +19,9 @@
 //! methods, which also run the order-sensitive sequences (admit then
 //! release, claim then drain then take offline) as one call each.
 
-use std::collections::HashMap;
-
 use ctlm_trace::MachineId;
+
+use crate::idmap::IdMap;
 
 /// Who currently owns a machine's lifecycle transition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,14 +51,14 @@ impl LifecycleOwner {
 /// A cell's claim table over machine ids — owned by the cell's engine.
 #[derive(Debug)]
 pub struct OwnershipGuard {
-    owners: HashMap<MachineId, LifecycleOwner>,
+    owners: IdMap<MachineId, LifecycleOwner>,
 }
 
 impl OwnershipGuard {
     /// An empty table.
     pub(crate) fn new() -> Self {
         Self {
-            owners: HashMap::new(),
+            owners: IdMap::default(),
         }
     }
 

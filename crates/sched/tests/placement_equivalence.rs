@@ -11,10 +11,16 @@
 //! memory — the cases the index's per-bucket bounds exist for. A third
 //! family draws CPU below a bucket's width, so the index's in-place
 //! update path runs.
+//!
+//! The index orders a bucket by each machine's rank: its position in id
+//! order among every machine the cluster has seen. A fleet whose ids
+//! join scrambled, and churn that joins ids below the largest known one
+//! or re-adds known ids, re-ranks; the last property covers that.
 
 use proptest::prelude::*;
 
 use ctlm_data::compaction::collapse;
+use ctlm_sched::cluster::capacity_bucket;
 use ctlm_sched::placement::{best_fit, best_fit_linear, Placement};
 use ctlm_sched::{CapacityFit, PendingTask, SchedCluster};
 use ctlm_trace::{AttrValue, ConstraintOp as Op, Machine, MachineId, TaskConstraint};
@@ -179,6 +185,161 @@ fn check_churn(
     Ok(())
 }
 
+/// A machine-lifecycle step on a fleet whose ids are not in join order.
+#[derive(Clone, Debug)]
+enum JoinOp {
+    /// Any [`ChurnOp`] (drain and restore pick among the known ids).
+    Churn(ChurnOp),
+    /// Add id `4k + 1`: unknown the first time, mostly below the largest
+    /// known id, a re-add after that.
+    Join(u64),
+    /// Re-add the k-th known id, with a new capacity.
+    ReAdd(usize, f64),
+    /// Take the k-th drained machine offline for good.
+    Take(usize),
+    /// Add the k-th taken id back.
+    Rejoin(usize),
+}
+
+fn arb_join_op() -> impl Strategy<Value = JoinOp> {
+    prop_oneof![
+        arb_op(tenths).prop_map(JoinOp::Churn),
+        arb_op(tenths).prop_map(JoinOp::Churn),
+        (0u64..160).prop_map(JoinOp::Join),
+        (0usize..256, 1u32..5).prop_map(|(k, c)| JoinOp::ReAdd(k, c as f64 / 2.0)),
+        (0usize..64).prop_map(JoinOp::Take),
+        (0usize..64).prop_map(JoinOp::Rejoin),
+    ]
+}
+
+fn machine(id: MachineId, capacity: f64) -> Machine {
+    let mut m = Machine::new(id, capacity, capacity);
+    m.set_attr(0, AttrValue::Int(id as i64 / 4));
+    if id.is_multiple_of(3) {
+        m.set_attr(1, AttrValue::Int(1));
+    }
+    m
+}
+
+/// Asserts `machines_by_free_cpu_desc` is the online fleet sorted by
+/// (capacity bucket descending, id ascending).
+fn assert_emptiest_first(cluster: &SchedCluster, online: &[MachineId]) {
+    let mut want: Vec<_> = online
+        .iter()
+        .map(|&id| (std::cmp::Reverse(capacity_bucket(cluster.free_cpu(id))), id))
+        .collect();
+    want.sort_unstable();
+    let mut got = Vec::new();
+    cluster.machines_by_free_cpu_desc(&mut got);
+    assert!(
+        got.iter().eq(want.iter().map(|(_, id)| id)),
+        "emptiest-first order diverged from the sort"
+    );
+}
+
+/// Builds a fleet of `machines` ids joined in the scrambled order
+/// `i ↦ (a·i + b) mod 251` (ids `4·that + 2`), applies `ops`, and after
+/// every step checks each probe against the linear reference and the
+/// emptiest-first order against a sort.
+fn check_out_of_order(
+    machines: u64,
+    (a, b): (u64, u64),
+    ops: Vec<JoinOp>,
+    probes: Vec<(Vec<TaskConstraint>, (f64, f64))>,
+) -> Result<(), TestCaseError> {
+    let ids = (0..machines).map(|i| (a * i + b) % 251 * 4 + 2);
+    let mut known: Vec<MachineId> = ids.clone().collect();
+    let mut cluster = SchedCluster::from_machines(ids.map(|id| machine(id, 1.0)));
+    let (mut drained, mut taken): (Vec<MachineId>, Vec<MachineId>) = (Vec::new(), Vec::new());
+    let mut live: Vec<(u64, MachineId)> = Vec::new();
+    let mut next_task = 0u64;
+    let check = |cluster: &SchedCluster,
+                 drained: &[MachineId],
+                 taken: &[MachineId],
+                 known: &[MachineId]| {
+        for (reqs, (cpu, mem)) in &probes {
+            assert_equivalent(cluster, &probe(reqs, *cpu, *mem));
+        }
+        let online: Vec<_> = known
+            .iter()
+            .copied()
+            .filter(|id| !drained.contains(id) && !taken.contains(id))
+            .collect();
+        assert_eq!(cluster.len(), online.len());
+        assert_emptiest_first(cluster, &online);
+    };
+    check(&cluster, &drained, &taken, &known);
+    for op in ops {
+        // The id whose tasks and parked copy the step drops, if any.
+        let mut readded = None;
+        match op {
+            JoinOp::Churn(ChurnOp::Admit { cpu, mem, priority }) => {
+                if let Placement::Placed(m) = best_fit(&cluster, &probe(&[], cpu, mem)) {
+                    cluster.place(m, next_task, cpu, mem, priority);
+                    live.push((next_task, m));
+                    next_task += 1;
+                }
+            }
+            JoinOp::Churn(ChurnOp::Complete(k)) => {
+                if !live.is_empty() {
+                    let (task, m) = live.remove(k % live.len());
+                    prop_assert!(cluster.release(m, task));
+                }
+            }
+            JoinOp::Churn(ChurnOp::Drain(k)) => {
+                let id = known[k % known.len()];
+                if cluster.remove_machine(id).is_some() {
+                    live.retain(|&(_, m)| m != id);
+                    drained.push(id);
+                }
+            }
+            JoinOp::Churn(ChurnOp::Restore(k)) => {
+                if !drained.is_empty() {
+                    let id = drained.remove(k % drained.len());
+                    prop_assert!(cluster.restore_machine(id));
+                }
+            }
+            JoinOp::Join(k) => {
+                let id = 4 * k + 1;
+                cluster.add_machine(machine(id, 1.0));
+                readded = Some(id);
+            }
+            JoinOp::ReAdd(k, capacity) => {
+                let id = known[k % known.len()];
+                cluster.add_machine(machine(id, capacity));
+                readded = Some(id);
+            }
+            JoinOp::Take(k) => {
+                if !drained.is_empty() {
+                    let id = drained.remove(k % drained.len());
+                    prop_assert!(cluster.take_offline(id).is_some());
+                    taken.push(id);
+                }
+            }
+            JoinOp::Rejoin(k) => {
+                if !taken.is_empty() {
+                    let id = taken[k % taken.len()];
+                    cluster.add_machine(machine(id, 1.0));
+                    readded = Some(id);
+                }
+            }
+        }
+        if let Some(id) = readded {
+            live.retain(|&(_, m)| m != id);
+            drained.retain(|&m| m != id);
+            taken.retain(|&m| m != id);
+            if !known.contains(&id) {
+                known.push(id);
+            }
+        }
+        check(&cluster, &drained, &taken, &known);
+    }
+    cluster.reset();
+    taken.iter().for_each(|id| known.retain(|m| m != id));
+    check(&cluster, &[], &[], &known);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -213,6 +374,20 @@ proptest! {
         probes in prop::collection::vec((arb_reqs(), crumbs()), 1..6),
     ) {
         check_churn(machines, ops, probes)?;
+    }
+
+    /// The same on a fleet whose ids joined scrambled, through joins
+    /// below the largest known id, re-adds, take-offline and rejoins —
+    /// and the emptiest-first order always equals the sort it stands
+    /// for.
+    #[test]
+    fn out_of_order_ids_track_linear_reference_under_churn(
+        machines in 1u64..140,
+        scramble in (1u64..251, 0u64..251),
+        ops in prop::collection::vec(arb_join_op(), 0..80),
+        probes in prop::collection::vec((arb_reqs(), tenths()), 1..6),
+    ) {
+        check_out_of_order(machines, scramble, ops, probes)?;
     }
 
     /// Saturation boundary: filling the fleet flips probes from Placed to
