@@ -31,11 +31,12 @@
 //! **Cells are built once per grid point.** A spec usually lists several
 //! schedulers to A/B on the same workload, and building a cell (trace
 //! generation, ground-truth groups) costs more than simulating it.
-//! [`run_schedulers_observed`] therefore builds a point's cells once per
-//! arrival flavour — list-fed and streamed, at most two builds — and runs
-//! every scheduler against them, each with its own usage state over the
-//! shared fleet (a run that changes its fleet copies it then; see
-//! [`SchedCluster`]).
+//! [`run_schedulers_observed`] therefore builds a point's cells once —
+//! streamed only when no scheduler in the list needs the arrival
+//! population — and runs every scheduler against them, each with its own
+//! usage state over the shared fleet (a run that changes its fleet copies
+//! it then; see [`SchedCluster`]). A list-fed and a streamed run of the
+//! same cell are byte-identical, so the choice never shows in a report.
 //! [`run_scheduler_observed`] is the same run on cells built for it
 //! alone.
 //!
@@ -85,9 +86,10 @@ use crate::LabError;
 pub enum ArrivalMode {
     /// Decode synthetic arrivals chunk by chunk at attach time — peak
     /// memory O(chunk) per cell — wherever nothing needs the whole
-    /// population up front. Cells that do (trace slices, model-backed
-    /// schedulers and retraining scenarios, which train on it) build the
-    /// list and feed it borrowed; results are bit-identical either way.
+    /// population up front. Cells that do (trace slices, retraining
+    /// scenarios, and every cell of a point whose scheduler list names a
+    /// model-backed scheduler, which trains on it) build the list and
+    /// feed it borrowed; results are bit-identical either way.
     Streaming,
     /// The test oracle: build every arrival list up front, so
     /// `streaming_equivalence.rs` can pin the streamed report against
@@ -278,28 +280,30 @@ fn route_spill(
 /// shard profile when the spec's `observability.profile` knob is on.
 pub type SchedulerOutcome = (Vec<CellOutcome>, Option<ParallelPerf>);
 
-/// Whether a cell streams its arrivals in a run under `sched_name`: only
+/// Whether a cell streams its arrivals in runs under `sched_names`: only
 /// when nothing needs its full arrival population up front — trace slices
 /// replay a list, model-backed schedulers and the retraining scenario
 /// train on it.
-fn streams(cs: &CellSpec, sched_name: &str, mode: ArrivalMode) -> bool {
+fn streams(cs: &CellSpec, sched_names: &[String], mode: ArrivalMode) -> bool {
     mode == ArrivalMode::Streaming
         && matches!(cs.workload, WorkloadSpec::Synthetic(_))
-        && !matches!(sched_name, "enhanced" | "live_registry")
+        && !sched_names
+            .iter()
+            .any(|name| matches!(name.as_str(), "enhanced" | "live_registry"))
         && cs.scenario.retrain.is_none()
 }
 
-/// Builds every cell of the spec the way a run under `sched_name` feeds
+/// Builds every cell of the spec the way runs under `sched_names` feed
 /// it.
 fn build_cells(
     spec: &ExperimentSpec,
-    sched_name: &str,
+    sched_names: &[String],
     mode: ArrivalMode,
 ) -> Result<Vec<BuiltCell>, LabError> {
     spec.cell_specs()
         .iter()
         .enumerate()
-        .map(|(i, cs)| build_cell(cs, &spec.sim, i, streams(cs, sched_name, mode)))
+        .map(|(i, cs)| build_cell(cs, &spec.sim, i, streams(cs, sched_names, mode)))
         .collect()
 }
 
@@ -312,62 +316,50 @@ pub fn run_scheduler_observed(
     sched_name: &str,
     mode: ArrivalMode,
 ) -> Result<SchedulerOutcome, LabError> {
-    let mut built = build_cells(spec, sched_name, mode)?;
-    let clusters = built
-        .iter_mut()
-        .map(|c| std::mem::take(&mut c.cluster))
-        .collect();
-    run_cells(spec, sched_name, &built, clusters)
+    let built = build_cells(spec, &[sched_name.to_owned()], mode)?;
+    run_last(spec, sched_name, built)
 }
 
 /// Runs the spec once under each of its schedulers, in list order,
 /// handing every run's outcome to `each`.
 ///
-/// A grid point's cells are built once per arrival flavour, not once per
-/// scheduler: one list-fed set serves every scheduler whose run streams
-/// nothing (and carries the CO-VV training set `enhanced` and
-/// `live_registry` share), one streamed set serves the rest — at most two
-/// builds however long the list, and a large synthetic spec under
+/// A grid point's cells are built once, not once per scheduler. They
+/// stream their arrivals only when no scheduler in the list needs the
+/// population (a list-fed set carries the CO-VV training set `enhanced`
+/// and `live_registry` share), so a large synthetic spec under
 /// `main_only` still streams in O(chunk). Each run gets its own usage
-/// state over the shared fleet; the last run on a set takes the set's own
-/// cluster, and the set is dropped with it — so a run that is the only
-/// one on its set holds the fleet's only reference and never copies it.
+/// state over the shared fleet; every run but the last gets a clone of
+/// the cells' cluster, and the last takes it, with the cells dropped
+/// before its outcome is handed on — so a spec with one scheduler holds
+/// the fleet's only reference and never copies it.
 pub fn run_schedulers_observed(
     spec: &ExperimentSpec,
     mode: ArrivalMode,
     mut each: impl FnMut(&str, SchedulerOutcome),
 ) -> Result<(), LabError> {
     let names = spec.scheduler_names();
-    let cell_specs = spec.cell_specs();
-    let streamed: Vec<bool> = names
-        .iter()
-        .map(|name| cell_specs.iter().any(|cs| streams(cs, name, mode)))
-        .collect();
-    let mut sets: [Option<Vec<BuiltCell>>; 2] = [None, None];
-    for (k, name) in names.iter().enumerate() {
-        let set = &mut sets[usize::from(streamed[k])];
-        let built = match set {
-            Some(built) => built,
-            None => set.insert(build_cells(spec, name, mode)?),
-        };
-        let last = !streamed[k + 1..].contains(&streamed[k]);
-        let clusters = built
-            .iter_mut()
-            .map(|c| {
-                if last {
-                    std::mem::take(&mut c.cluster)
-                } else {
-                    c.cluster.clone()
-                }
-            })
-            .collect();
-        let outcome = run_cells(spec, name, built, clusters)?;
-        if last {
-            *set = None;
-        }
-        each(name, outcome);
+    let built = build_cells(spec, &names, mode)?;
+    let (last, first) = names.split_last().expect("a spec names a scheduler");
+    for name in first {
+        let clusters = built.iter().map(|c| c.cluster.clone()).collect();
+        each(name, run_cells(spec, name, &built, clusters)?);
     }
+    each(last, run_last(spec, last, built)?);
     Ok(())
+}
+
+/// Runs `built` under the named scheduler, each engine taking its cell's
+/// own cluster; the cells are dropped with the call.
+fn run_last(
+    spec: &ExperimentSpec,
+    sched_name: &str,
+    mut built: Vec<BuiltCell>,
+) -> Result<SchedulerOutcome, LabError> {
+    let clusters = built
+        .iter_mut()
+        .map(|c| std::mem::take(&mut c.cluster))
+        .collect();
+    run_cells(spec, sched_name, &built, clusters)
 }
 
 /// Runs built cells once under the named scheduler, each engine taking

@@ -354,6 +354,9 @@ impl WorkloadSpec {
                 w.arrival.validate()?;
                 w.cpu.validate("cpu")?;
                 w.memory.validate("memory")?;
+                if let Some(r) = &w.restrictive {
+                    check_request("restrictive", r.cpu)?;
+                }
             }
         }
         Ok(())
@@ -523,7 +526,7 @@ pub struct RestrictiveSpec {
     pub start: Micros,
     /// Gap between submissions (µs).
     pub period: Micros,
-    /// CPU/memory request per restrictive task.
+    /// CPU/memory request per restrictive task: above 0, finite.
     pub cpu: f64,
     /// Priority band.
     pub priority: u8,
@@ -566,6 +569,10 @@ impl ScenarioSpec {
         if let Some(c) = &self.churn {
             check_window("churn", c.window)?;
         }
+        if let Some(g) = &self.gangs {
+            ensure!(g.size > 0, "gangs: size 0: require size > 0");
+            check_request("gangs", g.cpu)?;
+        }
         self.faults.as_ref().map_or(Ok(()), FaultsSpec::validate)
     }
 }
@@ -581,6 +588,16 @@ fn check_shape(what: &str, cpu: f64, memory: f64) -> Result<(), LabError> {
     ensure!(
         memory > 0.0 && memory.is_finite(),
         "{what}: memory {memory}: require 0 < memory < inf"
+    );
+    Ok(())
+}
+
+/// A task request the engine charges as both CPU and memory: positive
+/// and finite, so a placement can never raise a machine's free capacity.
+fn check_request(what: &str, cpu: f64) -> Result<(), LabError> {
+    ensure!(
+        cpu > 0.0 && cpu.is_finite(),
+        "{what}: cpu {cpu}: require 0 < cpu < inf"
     );
     Ok(())
 }
@@ -858,13 +875,13 @@ impl RetrySpec {
 pub struct GangSpec {
     /// Number of gangs.
     pub count: usize,
-    /// Members per gang.
+    /// Members per gang: at least 1.
     pub size: usize,
     /// First gang arrival (µs).
     pub start: Micros,
     /// Gap between gangs (µs).
     pub period: Micros,
-    /// CPU/memory request per member.
+    /// CPU/memory request per member: above 0, finite.
     pub cpu: f64,
     /// Priority band for members.
     #[serde(default)]

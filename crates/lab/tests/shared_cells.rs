@@ -1,6 +1,6 @@
 //! One build, one encoding, shared: a grid point's cells are built once
-//! per arrival flavour and every scheduler of the spec runs against them,
-//! and the in-timeline retrainer trains on row prefixes of the one CO-VV
+//! and every scheduler of the spec runs against them, and the
+//! in-timeline retrainer trains on row prefixes of the one CO-VV
 //! training set its cell carries. Both must be invisible in the output —
 //! the report is byte-equal to one assembled from standalone
 //! per-scheduler runs (the property the benchmark's traced pass relies
@@ -42,8 +42,10 @@ fn trace_spec() -> ExperimentSpec {
     .expect("spec parses")
 }
 
-/// A synthetic spec whose scheduler list needs both flavours: `main_only`
-/// and `oracle` stream, `enhanced` trains on the list.
+/// A synthetic spec that mixes arrival flavours: alone, `main_only` and
+/// `oracle` stream, while `enhanced` trains on the list — so the shared
+/// run feeds all three from the list, and must still equal the
+/// standalone streamed runs.
 fn two_flavour_spec() -> ExperimentSpec {
     ExperimentSpec::from_json(
         r#"{

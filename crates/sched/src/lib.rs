@@ -27,7 +27,10 @@
 //! drive retraining mid-run. Everything that acts on its own schedule —
 //! those, the feed, the timer, the fault plane, the autoscaler — is a
 //! [`timed::TimedSource`] behind the one walker [`timed::attach`]
-//! registers.
+//! registers. Retraining runs on the simulation clock too: a model is
+//! trained and installed into the `ModelRegistry` at the simulated
+//! instant its dataset step completes, taking no simulated time, so the
+//! scheduler never waits for it and the crate starts no OS threads.
 //!
 //! Policies are open: the [`scheduler::Scheduler`] trait routes each
 //! arriving task to the high-priority or main queue
@@ -68,9 +71,6 @@
 //!   decide between rescheduling and dead-lettering lost work;
 //! * [`lifecycle`] — the engine's machine-ownership claims keeping churn,
 //!   the fault plane and `ctlm-autoscale` off each other's machines;
-//! * [`updater`] — the background model-update thread (“updating ML model
-//!   runs in parallel and won't block or slow down the main cluster
-//!   scheduler”), feeding [`scheduler::LiveRegistry`] mid-run;
 //! * [`latency`] — latency statistics.
 
 mod arena;
@@ -88,7 +88,6 @@ pub mod scenario;
 pub mod scheduler;
 pub mod stream;
 pub mod timed;
-pub mod updater;
 
 pub use cluster::{CapacityFit, SchedCluster};
 pub use engine::{CellHandle, EngineStats, Ledger, SchedEvent, SimConfig, SimResult, Simulator};

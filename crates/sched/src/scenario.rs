@@ -236,9 +236,10 @@ impl TimedSource for RolloutSource {
 ///
 /// Each trace event is first observed by the shared replay session
 /// behind a [`ReplayHandle`](ctlm_agocs::ReplayHandle) (growing the
-/// vocabulary, emitting dataset steps — whose callback typically submits
-/// retraining work to a background
-/// [`ModelUpdater`](crate::updater::ModelUpdater)), then mirrored at the
+/// vocabulary, emitting dataset steps — whose callback typically trains
+/// a model on the step and installs it into a
+/// [`ModelRegistry`](ctlm_core::ModelRegistry) at that simulated
+/// instant), then mirrored at the
 /// engine: machine adds/removes/attribute updates become cluster churn,
 /// and task submissions become admissions carrying the session's own
 /// labelling — the *live* ground-truth suitable-node count its dataset

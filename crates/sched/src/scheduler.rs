@@ -81,10 +81,11 @@ impl Scheduler for OracleEnhanced {
 }
 
 /// The online-loop scheduler: routes through whatever analyzer is
-/// currently installed in the [`ModelRegistry`], so a background
-/// [`crate::updater::ModelUpdater`] hot-swapping models *during* the
-/// simulated run changes routing live. Until a first model lands, every
-/// task goes to the main queue (the paper's cold-start behavior).
+/// currently installed in the [`ModelRegistry`], so a retrainer that
+/// hot-swaps models *during* the simulated run — at the simulated instant
+/// each one is trained — changes routing from the next task on. Until a
+/// first model lands, every task goes to the main queue (the paper's
+/// cold-start behavior).
 #[derive(Clone, Debug)]
 pub struct LiveRegistry {
     registry: ModelRegistry,

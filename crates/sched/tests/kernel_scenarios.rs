@@ -553,3 +553,64 @@ fn online_feed_emits_the_steps_replay_does_and_labels_tasks_with_their_rows() {
     );
     assert_eq!(result.placed.len() + result.unplaced, log.admitted.len());
 }
+
+/// The online loop's retrainer runs on the simulation clock: each dataset
+/// step trains and installs its model at the simulated instant the step
+/// completes, so by the end of the run the registry holds one model per
+/// step the run saw, and two runs route — and so schedule — identically.
+#[test]
+fn online_retraining_lands_on_the_simulation_clock() {
+    use std::cell::Cell;
+
+    use ctlm_agocs::{correct_stream, ReplayConfig, ReplayHandle};
+    use ctlm_sched::scenario::OnlineTraceFeed;
+    use ctlm_trace::{CellSet, Scale, TraceGenerator};
+
+    let trace = TraceGenerator::generate_cell(
+        CellSet::C2019c,
+        Scale {
+            machines: 60,
+            collections: 250,
+            seed: 19,
+        },
+    );
+    let run = || {
+        let (events, _) = correct_stream(&trace.events);
+        let end = events.last().unwrap().time;
+        let registry = ModelRegistry::new();
+        let steps = Cell::new(0u64);
+        let mut model = GrowingModel::new(TrainConfig {
+            epochs_limit: 2,
+            max_attempts: 1,
+            ..TrainConfig::default()
+        });
+        let replay =
+            ReplayHandle::new(ReplayConfig::default(), trace.group_width).on_step(|step, vocab| {
+                steps.set(steps.get() + 1);
+                model.step(&step.vv, step.index as u64);
+                registry.install(model.analyzer(vocab.clone()));
+            });
+        let simulator = Simulator::new(SimConfig {
+            cycle: 3_600_000_000,
+            attempts_per_cycle: 64,
+            mean_runtime: 60_000_000,
+            horizon: end + 3_600_000_000,
+            seed: 19,
+        });
+        let mut scheduler = LiveRegistry::new(registry.clone());
+        let mut harness = simulator.harness(SchedCluster::new(), &[], &mut scheduler);
+        let feed = OnlineTraceFeed::new(events, trace.group_width, harness.engine, replay);
+        attach(&mut harness.sim, "online_feed", feed);
+        let (_, result) = harness.run();
+        (result, registry.version(), steps.get())
+    };
+
+    let (a, installed, steps) = run();
+    assert!(steps >= 2, "the trace must grow its vocabulary mid-run");
+    assert_eq!(
+        installed, steps,
+        "every step the run saw installed its model before the run ended"
+    );
+    let (b, ..) = run();
+    assert_eq!(a, b, "retraining on the clock must be bit-deterministic");
+}

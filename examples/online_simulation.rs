@@ -10,11 +10,12 @@
 //!    dataset rows, Table XI steps) and mirrored at the scheduler engine
 //!    (machine joins, attribute updates, task admissions labelled with
 //!    live ground truth).
-//! 2. Each dataset step is submitted to the background [`ModelUpdater`]
-//!    thread; trained analyzers are hot-swapped into the
-//!    [`ModelRegistry`] while simulated scheduling continues — the
-//!    [`LiveRegistry`] scheduler starts routing restrictive tasks to the
-//!    high-priority queue as soon as the first model lands.
+//! 2. Each dataset step retrains a [`GrowingModel`] and hot-swaps the
+//!    analyzer into the [`ModelRegistry`] at the simulated instant the
+//!    step completes. Training takes no simulated time, so the scheduler
+//!    never waits for it — the [`LiveRegistry`] scheduler starts routing
+//!    restrictive tasks to the high-priority queue as soon as the first
+//!    model lands.
 //! 3. A [`ChurnPlan`] drains machines mid-run: their tasks re-enter the
 //!    queue and the fleet recovers minutes later.
 //! 4. A staged kernel rollout (synthetic `MachineAttrUpdate` events
@@ -28,7 +29,6 @@
 
 use ctlm::prelude::*;
 use ctlm::sched::scenario::{ChurnPlan, ChurnSource, OnlineTraceFeed};
-use ctlm::sched::updater::ModelUpdater;
 use ctlm::sched::{attach, SchedCluster};
 use ctlm::trace::event::compress_times;
 use ctlm::trace::generator::attrs;
@@ -78,17 +78,15 @@ fn main() {
     }
     events.sort_by_key(|e| e.time); // stable: same-time stream order kept
 
-    // Background retraining: dataset steps stream to the updater thread;
-    // analyzers hot-swap into the registry while the simulation runs.
+    // Retraining on the simulation clock: each dataset step trains the
+    // growing model and hot-swaps its analyzer into the registry at the
+    // step's simulated instant.
     let registry = ModelRegistry::new();
-    let updater = ModelUpdater::spawn(
-        registry.clone(),
-        TrainConfig {
-            epochs_limit: 40,
-            max_attempts: 2,
-            ..TrainConfig::default()
-        },
-    );
+    let mut model = GrowingModel::new(TrainConfig {
+        epochs_limit: 40,
+        max_attempts: 2,
+        ..TrainConfig::default()
+    });
     let replay = ctlm::agocs::ReplayHandle::new(
         ctlm::agocs::ReplayConfig {
             min_rows_for_step0: 30,
@@ -106,7 +104,8 @@ fn main() {
             step.features_count,
             step.new_features
         );
-        updater.submit(step.vv.clone(), vocab.clone(), step.index as u64);
+        model.step(&step.vv, step.index as u64);
+        registry.install(model.analyzer(vocab.clone()));
     });
 
     // The simulation: LiveRegistry routes with whatever model is
@@ -142,24 +141,19 @@ fn main() {
 
     println!("online simulation: replay + scheduling + churn + rollout on one timeline\n");
     let (cluster, result) = harness.run();
-    // Finishing the replay flushes the trailing step (one last retrain
-    // submission) and releases the updater borrow; shutdown then drains
-    // the training queue.
+    // Read before `finish`: its trailing flush may retrain once more,
+    // after the run.
+    let swapped = registry.version();
     let replay_out = replay.finish(correction);
-    let steps_done = updater.shutdown();
 
     println!("\nsimulation finished:");
     println!(
-        "  fleet: {} machines online, {} dataset rows encoded, {} retraining steps ({} trained in background)",
+        "  fleet: {} machines online, {} dataset rows encoded, {} retraining steps",
         cluster.len(),
         replay_out.total_rows,
         replay_out.steps.len(),
-        steps_done,
     );
-    println!(
-        "  model versions hot-swapped during the run: {}",
-        registry.version()
-    );
+    println!("  model versions hot-swapped during the run: {swapped}");
     println!(
         "  placed {} tasks ({} unplaced), churn rescheduled {}, preemptions {}",
         result.placed.len(),
