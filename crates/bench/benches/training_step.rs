@@ -21,6 +21,13 @@
 //! * **`training_step/{growing_transfer,fully_retrain}`** — the paper's
 //!   model-level comparison (Growing 1–6 min vs 7–42 min from scratch),
 //!   at CI scale.
+//! * **`training_kernels/*`** — each kernel of a training step on its
+//!   own, at the shapes a `fig3_trace` / `ctl_steps` step runs it: the
+//!   sparse input layer on the `fig3_shape` batch (128 rows, 1 211
+//!   columns, hidden 30), the output layer on 49 distinct rows × 26
+//!   classes, and the row hash behind the distinct-row map — plus the
+//!   output layer's forward on one row, a single task's prediction. Not
+//!   gated: a kernel change reads its per-call cost here.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -29,7 +36,7 @@ use ctlm_core::{FullRetrainModel, GrowingModel, TrainConfig};
 use ctlm_data::dataset::Dataset;
 use ctlm_nn::{Adam, CrossEntropyLoss, Net, Workspace};
 use ctlm_tensor::init::seeded_rng;
-use ctlm_tensor::ops::naive;
+use ctlm_tensor::ops::{self, naive};
 use ctlm_tensor::{Csr, CsrBuilder, Matrix};
 use ctlm_trace::{CellSet, Scale, TraceGenerator};
 
@@ -213,6 +220,65 @@ fn bench_minibatch(c: &mut Criterion) {
     group.finish();
 }
 
+/// A `rows × cols` matrix of uniform values in `[-1, 1)`: no exact
+/// zeros, like a real gradient or activation.
+fn uniform(rows: usize, cols: usize, seed: u64) -> Matrix {
+    use rand::Rng;
+    let mut rng = seeded_rng(seed);
+    Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0f32..1.0))
+}
+
+fn bench_kernels(c: &mut Criterion) {
+    use std::hint::black_box;
+    let mut group = c.benchmark_group("training_kernels");
+    group.sample_size(20);
+    let (hidden, classes, distinct) = (30, 26, 49);
+
+    // fc1: the sparse batch against the input-major (1 211 × 30) weight.
+    let (x, _) = fig3_batch(128, 1211, 22);
+    let w1 = uniform(x.cols(), hidden, 1);
+    let mut h = Matrix::zeros(0, 0);
+    group.bench_function("csr_matmul_into", |b| {
+        b.iter(|| ops::csr_matmul_into(black_box(&x), &w1, &mut h))
+    });
+    let g1 = uniform(x.rows(), hidden, 2);
+    let mut gw1 = Matrix::zeros(x.cols(), hidden);
+    group.bench_function("csr_matmul_at_acc", |b| {
+        b.iter(|| ops::csr_matmul_at_acc(black_box(&x), &g1, &mut gw1))
+    });
+
+    // fc2 (26 × 30, out × in): forward, its input gradient and its
+    // weight gradient.
+    let w2 = uniform(classes, hidden, 3);
+    let h2 = uniform(distinct, hidden, 4);
+    let mut logits = Matrix::zeros(0, 0);
+    group.bench_function("matmul_bt_into", |b| {
+        b.iter(|| ops::matmul_bt_into(black_box(&h2), &w2, &mut logits))
+    });
+    let h1 = uniform(1, hidden, 14);
+    group.bench_function("matmul_bt_into_1row", |b| {
+        b.iter(|| ops::matmul_bt_into(black_box(&h1), &w2, &mut logits))
+    });
+    let g2 = uniform(distinct, classes, 5);
+    let mut grad_h = Matrix::zeros(0, 0);
+    group.bench_function("matmul_into", |b| {
+        b.iter(|| ops::matmul_into(black_box(&g2), &w2, &mut grad_h))
+    });
+    let (g2_batch, h_batch) = (uniform(128, classes, 6), uniform(128, hidden, 7));
+    let mut gw2 = Matrix::zeros(classes, hidden);
+    group.bench_function("matmul_at_acc", |b| {
+        b.iter(|| ops::matmul_at_acc(black_box(&g2_batch), &h_batch, &mut gw2))
+    });
+
+    group.bench_function("row_hash", |b| {
+        b.iter(|| {
+            let x = black_box(&x);
+            (0..x.rows()).fold(0u64, |acc, r| acc ^ x.row_hash(r))
+        })
+    });
+    group.finish();
+}
+
 fn steps() -> (Dataset, Dataset) {
     let trace = TraceGenerator::generate_cell(
         CellSet::C2019c,
@@ -261,5 +327,5 @@ fn bench_models(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_minibatch, bench_models);
+criterion_group!(benches, bench_minibatch, bench_kernels, bench_models);
 criterion_main!(benches);

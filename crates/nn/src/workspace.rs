@@ -229,6 +229,54 @@ mod tests {
         assert_eq!(forced.firsts(), real.firsts());
     }
 
+    /// The numbering of a fixed batch, pinned: rows of 0 to 9 stored
+    /// entries (every remainder of the row hash's four-lane loop), with
+    /// duplicates and a near-duplicate. Any hash under which equal rows
+    /// hash equal gives the same numbering as the real one.
+    #[test]
+    fn slot_numbering_is_pinned_and_independent_of_the_hash() {
+        let long = |n: usize| {
+            (0..n)
+                .map(|k| (2 * k + 1, 0.5 + k as f32))
+                .collect::<Vec<_>>()
+        };
+        let mut nudged = long(9);
+        nudged[4].1 = f32::from_bits(nudged[4].1.to_bits() + 1);
+        let mut b = CsrBuilder::new(20);
+        for row in [
+            vec![],
+            long(1),
+            long(5),
+            vec![],
+            long(1),
+            long(9),
+            long(2),
+            long(5),
+            long(9),
+            nudged,
+            vec![],
+            long(2),
+            long(4),
+        ] {
+            b.push_row(row);
+        }
+        let x = b.finish();
+        let want_slots = [0, 1, 2, 0, 1, 3, 4, 2, 3, 5, 0, 4, 6];
+        let want_firsts = [0, 1, 2, 5, 6, 9, 12];
+        let mut slots = RowSlots::new();
+        slots.assign(&x, None);
+        assert_eq!(slots.slot_of(), &want_slots);
+        assert_eq!(slots.firsts(), &want_firsts);
+        let content_hashes: [&dyn Fn(usize) -> u64; 3] = [&|_| 7, &|r| x.row_nnz(r) as u64, &|r| {
+            x.row_entries(r).map(|(c, _)| c as u64).sum::<u64>() << 40
+        }];
+        for hash in content_hashes {
+            slots.assign_hashed(&x, None, hash);
+            assert_eq!(slots.slot_of(), &want_slots);
+            assert_eq!(slots.firsts(), &want_firsts);
+        }
+    }
+
     #[test]
     fn distinct_rows_map_to_themselves() {
         let mut b = CsrBuilder::new(3);

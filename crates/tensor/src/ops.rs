@@ -8,8 +8,8 @@
 //! * **cache blocking** — GEMMs walk `b` in `KC`-deep k-panels shared
 //!   across an `MC`-row block of `a`, so the panel stays hot in cache
 //!   instead of being re-streamed per row;
-//! * **register microkernels** — the dot-product kernels
-//!   ([`matmul_bt_into`], [`csr_matmul_bt_into`]) keep an `NR`-wide
+//! * **register microkernels** — [`csr_matmul_bt_into`], and
+//!   [`matmul_bt_into`] on fewer than four rows, keep an `NR`-wide
 //!   accumulator tile in registers, amortising every load of the shared
 //!   operand over `NR` outputs;
 //! * **input-major sparse products** — the sparse input layer stores its
@@ -20,26 +20,34 @@
 //!   accumulate onto) a caller-provided buffer, which is what lets
 //!   `ctlm_nn::Workspace` run steady-state training steps without heap
 //!   allocation;
-//! * **register blocks** — the axpy-shaped kernels ([`csr_matmul_into`],
-//!   [`matmul_into`], [`matmul_at_acc`]) keep `LANES` (32) outputs of a
-//!   row in registers across every term that row sums and write the row
-//!   once, instead of loading and storing it once per term; the paper's
-//!   layer widths (26, 30) take one block. [`csr_matmul_at_acc`], whose
-//!   every stored entry updates a different row, keeps the gradient row
-//!   in registers instead;
+//! * **whole 8-lane groups** — the axpy-shaped kernels
+//!   ([`csr_matmul_into`], [`csr_matmul_at_acc`], [`matmul_into`],
+//!   [`matmul_at_acc`], [`matmul_bt_into`]) run across a row's outputs in
+//!   `GROUP` (8) lane groups, one to `MAX_GROUPS` (4) per row block, the
+//!   count fixed at compile time. A block that is not a multiple of 8
+//!   lanes starts its last group at `width − 8`, overlapping its
+//!   neighbour: both compute the shared lanes from the same inputs, so
+//!   they store the same bits, and no lane is left to a scalar or
+//!   narrower-vector remainder. The paper's layer widths (26, 30) are one
+//!   four-group block; the accumulating kernels keep it in registers
+//!   across every term the row sums and write it once. [`matmul_bt_into`]
+//!   runs the same loop over a transposed panel of its `b` on the stack
+//!   from four rows of `a` on;
 //! * **one AVX2 dispatch** — the training kernels ([`csr_matmul_into`],
 //!   [`csr_matmul_at_acc`], [`matmul_into`], [`matmul_at_acc`],
-//!   [`adam_update`]) each keep one `#[inline(always)]` body, which the
-//!   private `avx2` module compiles a second time with AVX2 enabled; the
-//!   public function runs that build when the CPU reports AVX2. No `fma`
-//!   and no intrinsics: every lane does the same IEEE multiply, add,
-//!   divide and square root in either build, so both give the same bits
-//!   (the unit tests below run both on every kernel and compare them).
+//!   [`matmul_bt_into`], [`adam_update`]) each keep one
+//!   `#[inline(always)]` body, which the private `avx2` module compiles a
+//!   second time with AVX2 enabled; the public function runs that build
+//!   when the CPU reports AVX2. No `fma` and no intrinsics: every lane
+//!   does the same IEEE multiply, add, divide and square root in either
+//!   build, so both give the same bits (the unit tests below run both on
+//!   every kernel and compare them).
 //!
 //! The pre-optimization reference kernels are retained in [`naive`]; the
-//! property tests in `tests/kernel_properties.rs` pin the blocked kernels
-//! to them within 1e-5, and `ctlm-bench`'s `training_step` bench measures
-//! both sides in the same run.
+//! property tests in `tests/kernel_properties.rs` pin the dense products
+//! to them bit for bit and the other blocked kernels within 1e-5, and
+//! `ctlm-bench`'s `training_step` bench measures both sides in the same
+//! run.
 
 use crate::dense::Matrix;
 use crate::sparse::Csr;
@@ -68,98 +76,140 @@ const TILE: usize = 32;
 /// once (256 B): one strip covers the paper's layer widths (30, 26).
 const COL_STRIP: usize = 64;
 
-/// Lanes of one register block: four AVX2 or eight SSE2 vectors, one
-/// block at the paper's layer widths (26 and 30).
-const LANES: usize = 32;
-
-/// Lanes of one vector group in [`update_block`]: one AVX2 vector, two
-/// SSE2 ones.
+/// Lanes of one vector group: one AVX2 vector, two SSE2 ones.
 const GROUP: usize = 8;
 
-/// A row-major operand read `LANES` lanes at a time from any offset, for
-/// the register-block kernels. A read that would run past the end of the
-/// data takes the same lanes from a zero-padded copy of its last `LANES`
-/// elements. Lanes past a row's width hold the next row (or padding); the
-/// caller throws them away.
-struct LaneReader<'a> {
-    data: &'a [f32],
-    tail_start: usize,
-    tail: [f32; 2 * LANES],
+/// Most vector groups one row block keeps in registers.
+const MAX_GROUPS: usize = 4;
+
+/// Lanes of one row block: `MAX_GROUPS` groups, one block at the paper's
+/// layer widths (26 and 30).
+const LANES: usize = MAX_GROUPS * GROUP;
+
+/// Rows of `a` from which [`matmul_bt_into`] transposes panels of `b`:
+/// below it the transpose costs more than the vector loop saves. At the
+/// paper's `fc2` (26 × 30) the transpose costs ≈ 0.75 µs per call and the
+/// loop ≈ 0.05 µs per row, against ≈ 0.25 µs per row as dot products.
+const BT_MIN_ROWS: usize = 4;
+
+/// Depth of the transposed panel of `b` that [`matmul_bt_into`] keeps on
+/// the stack (4 KiB at `LANES` wide); one panel at the paper's hidden
+/// width (30).
+const BT_KC: usize = 32;
+
+/// A row block held in `G` vector groups of `GROUP` lanes.
+type Groups<const G: usize> = [[f32; GROUP]; G];
+
+/// The row blocks of an `m`-wide row, as `(start, width)`: `LANES` lanes
+/// each, except that a last block narrower than `GROUP` takes lanes from
+/// the block before it, so that in a row at least `GROUP` wide every
+/// block is too. The blocks never overlap.
+fn lane_blocks(m: usize) -> impl Iterator<Item = (usize, usize)> {
+    let edge = move |c: usize| {
+        if c > 0 && c < m && m - c < GROUP {
+            m - GROUP
+        } else {
+            c
+        }
+    };
+    (0..m).step_by(LANES).map(move |c0| {
+        let (start, end) = (edge(c0), edge((c0 + LANES).min(m)));
+        (start, end - start)
+    })
 }
 
-impl<'a> LaneReader<'a> {
-    #[inline(always)]
-    fn new(data: &'a [f32]) -> Self {
-        let tail_start = data.len().saturating_sub(LANES);
-        let mut tail = [0.0; 2 * LANES];
-        tail[..data.len() - tail_start].copy_from_slice(&data[tail_start..]);
-        Self {
-            data,
-            tail_start,
-            tail,
+/// Runs `$block::<G>(…)` with the group count `G` of a `$w`-lane block:
+/// `w / GROUP` rounded up, and 0 — lane by lane — below one group.
+macro_rules! by_groups {
+    ($w:expr, $block:ident($($arg:expr),* $(,)?)) => {
+        match $w {
+            w if w < GROUP => $block::<0>($($arg),*),
+            w if w <= GROUP => $block::<1>($($arg),*),
+            w if w <= 2 * GROUP => $block::<2>($($arg),*),
+            w if w <= 3 * GROUP => $block::<3>($($arg),*),
+            _ => $block::<4>($($arg),*),
+        }
+    };
+}
+
+/// Where each of the `G` groups of a `w`-lane block starts, for
+/// `GROUP · (G − 1) < w ≤ GROUP · G`: every `GROUP` lanes from 0, except
+/// the last group, which starts at `w − GROUP`, so it shares lanes with
+/// the group before it when `w` is not a multiple of `GROUP`.
+#[inline(always)]
+fn group_starts<const G: usize>(w: usize) -> [usize; G] {
+    std::array::from_fn(|g| if g + 1 == G { w - GROUP } else { g * GROUP })
+}
+
+#[inline(always)]
+fn load_groups<const G: usize>(lanes: &[f32], starts: &[usize; G]) -> Groups<G> {
+    std::array::from_fn(|g| {
+        lanes[starts[g]..starts[g] + GROUP]
+            .try_into()
+            .expect("GROUP lanes")
+    })
+}
+
+#[inline(always)]
+fn store_groups<const G: usize>(lanes: &mut [f32], starts: &[usize; G], groups: &Groups<G>) {
+    for (&s, group) in starts.iter().zip(groups) {
+        lanes[s..s + GROUP].copy_from_slice(group);
+    }
+}
+
+/// The across-outputs loop of every axpy-shaped kernel, on one row block:
+/// `out[i] += c · row[i]` on each lane `i`, for each term `(c, row)` in
+/// order, every `row` as wide as `out`. With `G > 0` the block stays in
+/// `G` register groups across all the terms and is stored once; `G = 0`
+/// is the lane-by-lane path of a block narrower than one group. Every
+/// lane gets the same operations in the same order either way.
+#[inline(always)]
+fn axpy_terms<'b, const G: usize>(out: &mut [f32], terms: impl Iterator<Item = (f32, &'b [f32])>) {
+    if G == 0 {
+        for (c, row) in terms {
+            for (o, &b) in out.iter_mut().zip(row) {
+                *o += c * b;
+            }
+        }
+        return;
+    }
+    let starts = group_starts::<G>(out.len());
+    let mut acc = load_groups(out, &starts);
+    for (c, row) in terms {
+        for (acc, &s) in acc.iter_mut().zip(&starts) {
+            let lanes: &[f32; GROUP] = row[s..s + GROUP].try_into().expect("GROUP lanes");
+            for (a, &l) in acc.iter_mut().zip(lanes) {
+                *a += c * l;
+            }
         }
     }
-
-    /// The `LANES` elements from `start` on. Returning a fixed-length
-    /// array is what lets the compiler keep an accumulator block in
-    /// vector registers across a loop.
-    #[inline(always)]
-    fn block(&self, start: usize) -> &[f32; LANES] {
-        let lanes = match self.data.get(start..start + LANES) {
-            Some(lanes) => lanes,
-            None => &self.tail[start - self.tail_start..start - self.tail_start + LANES],
-        };
-        lanes.try_into().expect("a block is LANES long")
-    }
+    store_groups(out, &starts, &acc);
 }
 
-/// `acc[i] += c · lanes[i]` on every lane.
+/// `out[i] = f(out[i], x[i])` on every lane of a block, with `x` also
+/// given as the groups `xg` over `starts`. Every group is computed from
+/// the values before any is stored, so lanes two groups share get the
+/// same result twice; `G = 0` goes lane by lane.
 #[inline(always)]
-fn axpy_block(acc: &mut [f32; LANES], c: f32, lanes: &[f32; LANES]) {
-    for (a, &l) in acc.iter_mut().zip(lanes) {
-        *a += c * l;
-    }
-}
-
-/// `out[i] = f(out[i], x[i])` for every `i < out.len() ≤ LANES`, in
-/// straight-line groups of `GROUP` lanes, so the compiler vectorises each
-/// group and can keep `x` in registers across calls (its own loop over a
-/// slice takes four vectors per iteration and left a 30-wide row to its
-/// 4-lane epilogue). A width that is not a multiple of `GROUP` ends with
-/// one group over its last `GROUP` lanes, computed from the values before
-/// any group is stored: the lanes it shares with the group before it get
-/// the same result twice.
-#[inline(always)]
-fn update_block(out: &mut [f32], x: &[f32; LANES], f: impl Fn(f32, f32) -> f32) {
-    let n = out.len();
-    if n < GROUP {
+fn update_groups<const G: usize>(
+    out: &mut [f32],
+    (x, xg): (&[f32], &Groups<G>),
+    starts: &[usize; G],
+    f: impl Fn(f32, f32) -> f32,
+) {
+    if G == 0 {
         for (o, &x) in out.iter_mut().zip(x) {
             *o = f(*o, x);
         }
         return;
     }
-    let t0 = n - GROUP;
-    let tail = (!n.is_multiple_of(GROUP)).then(|| {
-        let mut tail: [f32; GROUP] = out[t0..].try_into().expect("GROUP lanes");
-        for (o, &x) in tail.iter_mut().zip(&x[t0..]) {
+    let mut vals = load_groups(out, starts);
+    for (vals, xg) in vals.iter_mut().zip(xg) {
+        for (o, &x) in vals.iter_mut().zip(xg) {
             *o = f(*o, x);
         }
-        tail
-    });
-    for c in (0..LANES).step_by(GROUP) {
-        if c + GROUP <= n {
-            let group: &mut [f32; GROUP] =
-                (&mut out[c..c + GROUP]).try_into().expect("GROUP lanes");
-            let mut vals = *group;
-            for (o, &x) in vals.iter_mut().zip(&x[c..]) {
-                *o = f(*o, x);
-            }
-            *group = vals;
-        }
     }
-    if let Some(tail) = tail {
-        out[t0..].copy_from_slice(&tail);
-    }
+    store_groups(out, starts, &vals);
 }
 
 /// The AVX2 build of each listed kernel body: the same `#[inline(always)]`
@@ -186,6 +236,7 @@ macro_rules! avx2_builds {
 avx2_builds! {
     fn matmul_into_body(a: &Matrix, b: &Matrix, out: &mut Matrix);
     fn matmul_at_acc_body(a: &Matrix, b: &Matrix, out: &mut Matrix);
+    fn matmul_bt_into_body(a: &Matrix, b: &Matrix, out: &mut Matrix);
     fn csr_matmul_into_body(x: &Csr, w: &Matrix, out: &mut Matrix);
     fn csr_matmul_at_acc_body(x: &Csr, g: &Matrix, out: &mut Matrix);
     fn adam_update_body(
@@ -232,33 +283,36 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 #[inline(always)]
 fn matmul_into_body(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
-    let (n, k) = a.shape();
+    out.resize(a.rows(), b.cols());
+    out.as_mut_slice().fill(0.0);
+    for block in lane_blocks(b.cols()) {
+        by_groups!(block.1, matmul_block(a, b, out, block));
+    }
+}
+
+/// [`matmul_into`] on the row block `(c0, w)` of every output row.
+#[inline(always)]
+fn matmul_block<const G: usize>(a: &Matrix, b: &Matrix, out: &mut Matrix, (c0, w): (usize, usize)) {
+    let k = a.cols();
     let m = b.cols();
-    out.resize(n, m);
-    let b_rows = LaneReader::new(b.as_slice());
-    let a_data = a.as_slice();
+    let (a_data, b_data) = (a.as_slice(), b.as_slice());
     // Each MC-row block of `out` takes `b` in k-panels, reused across the
     // block's rows while cache-hot; within a panel each row accumulates
-    // one register block at a time. The per-element zero skip from the
+    // its block in registers. The per-element zero skip from the
     // original kernel stays — CO-VV gradients are full of zeros.
     for (block, out_block) in out.as_mut_slice().chunks_mut(MC * m).enumerate() {
-        out_block.fill(0.0);
         let r0 = block * MC;
         for kb in (0..k).step_by(KC) {
             let k_end = (kb + KC).min(k);
+            let panel = &b_data[kb * m..k_end * m];
             for (i, out_row) in out_block.chunks_exact_mut(m).enumerate() {
                 let a_row = &a_data[(r0 + i) * k + kb..(r0 + i) * k + k_end];
-                for c0 in (0..m).step_by(LANES) {
-                    let width = (m - c0).min(LANES);
-                    let mut acc = [0.0f32; LANES];
-                    acc[..width].copy_from_slice(&out_row[c0..c0 + width]);
-                    for (kk, &av) in a_row.iter().enumerate() {
-                        if av != 0.0 {
-                            axpy_block(&mut acc, av, b_rows.block((kb + kk) * m + c0));
-                        }
-                    }
-                    out_row[c0..c0 + width].copy_from_slice(&acc[..width]);
-                }
+                let terms = a_row
+                    .iter()
+                    .zip(panel.chunks_exact(m))
+                    .filter(|&(&av, _)| av != 0.0)
+                    .map(|(&av, b_row)| (av, &b_row[c0..c0 + w]));
+                axpy_terms::<G>(&mut out_row[c0..c0 + w], terms);
             }
         }
     }
@@ -268,19 +322,72 @@ fn matmul_into_body(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 /// `nn.Linear.forward` with `W` stored as `(out_features, in_features)` —
 /// into a caller-provided output (resized, overwritten).
 ///
-/// Register microkernel: `NR` output columns share every load of the
-/// `a`-row, with `NR` scalar accumulators the compiler keeps in
-/// registers. It stays scalar: vectorising along `k` would reassociate
-/// each float sum and change its bits.
+/// Vectorised across outputs, not along `k`: each `BT_KC`-deep k-panel
+/// of `b` is transposed into a buffer on the stack, and every row of `a`
+/// runs [`matmul_into`]'s loop over it, with no zero skip. Each output
+/// still adds its products in `k` order onto `+0.0`, so it has the bits
+/// of the plain dot product — which is what fewer than `BT_MIN_ROWS`
+/// rows run instead, since they cannot pay for the transpose.
 pub fn matmul_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    dispatch!(matmul_bt_into_body(a, b, out))
+}
+
+#[inline(always)]
+fn matmul_bt_into_body(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols(), b.cols(), "matmul_bt inner dimension mismatch");
-    let n = a.rows();
+    out.resize(a.rows(), b.rows());
+    if a.rows() < BT_MIN_ROWS {
+        matmul_bt_dots(a, b, out);
+        return;
+    }
+    out.as_mut_slice().fill(0.0);
+    for block in lane_blocks(b.rows()) {
+        by_groups!(block.1, matmul_bt_block(a, b, out, block));
+    }
+}
+
+/// [`matmul_bt_into`] on the row block `(c0, w)` of every output row:
+/// outputs `c0..c0 + w` are rows `c0..c0 + w` of `b`.
+#[inline(always)]
+fn matmul_bt_block<const G: usize>(
+    a: &Matrix,
+    b: &Matrix,
+    out: &mut Matrix,
+    (c0, w): (usize, usize),
+) {
     let k = a.cols();
     let m = b.rows();
-    out.resize(n, m);
+    let mut panel = [0.0f32; BT_KC * LANES];
+    for kb in (0..k).step_by(BT_KC) {
+        let depth = (k - kb).min(BT_KC);
+        let panel = &mut panel[..depth * w];
+        for (i, b_row) in b.as_slice()[c0 * k..].chunks_exact(k).take(w).enumerate() {
+            for (kk, &bv) in b_row[kb..kb + depth].iter().enumerate() {
+                panel[kk * w + i] = bv;
+            }
+        }
+        for (r, out_row) in out.as_mut_slice().chunks_exact_mut(m).enumerate() {
+            let terms = a.row(r)[kb..kb + depth]
+                .iter()
+                .copied()
+                .zip(panel.chunks_exact(w));
+            axpy_terms::<G>(&mut out_row[c0..c0 + w], terms);
+        }
+    }
+}
+
+/// [`matmul_bt_into`] on fewer than `BT_MIN_ROWS` rows — a single task's
+/// prediction — as dot products: `NR` outputs share each pass over the
+/// row of `a`, in `NR` scalar accumulators. Each output adds its
+/// products in `k` order onto `+0.0`, as the panel loop does.
+#[inline(always)]
+fn matmul_bt_dots(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let k = a.cols();
+    let m = b.rows();
     let b_data = b.as_slice();
-    let body = |(r, out_row): (usize, &mut [f32])| {
+    for r in 0..a.rows() {
         let a_row = a.row(r);
+        let out_row = &mut out.as_mut_slice()[r * m..(r + 1) * m];
         let mut c = 0;
         while c + NR <= m {
             let b0 = &b_data[c * k..(c + 1) * k];
@@ -295,23 +402,17 @@ pub fn matmul_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
                 s2 += av * b2[kk];
                 s3 += av * b3[kk];
             }
-            out_row[c] = s0;
-            out_row[c + 1] = s1;
-            out_row[c + 2] = s2;
-            out_row[c + 3] = s3;
+            out_row[c..c + NR].copy_from_slice(&[s0, s1, s2, s3]);
             c += NR;
         }
         for (tail, o) in out_row[c..].iter_mut().enumerate() {
             let b_row = &b_data[(c + tail) * k..(c + tail + 1) * k];
             let mut acc = 0.0f32;
-            for (&x, &w) in a_row.iter().zip(b_row.iter()) {
+            for (&x, &w) in a_row.iter().zip(b_row) {
                 acc += x * w;
             }
             *o = acc;
         }
-    };
-    for (r, out_row) in out.as_mut_slice().chunks_mut(m).enumerate() {
-        body((r, out_row));
     }
 }
 
@@ -320,9 +421,9 @@ pub fn matmul_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 /// weight-gradient product `grad_W += grad_outᵀ · x` for dense inputs:
 /// layers add straight onto `grad_weight` with no temporary.
 ///
-/// Register blocks: each row of `out` (a column of `a`) accumulates
-/// `LANES` outputs at a time over every sample, in sample order, and is
-/// written once per block instead of once per sample.
+/// Each row of `out` (a column of `a`) accumulates a row block in
+/// registers over every sample, in sample order, and is written once per
+/// block instead of once per sample.
 ///
 /// # Panics
 /// Panics on sample-count or output-shape mismatch.
@@ -338,22 +439,31 @@ fn matmul_at_acc_body(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         (a.cols(), b.cols()),
         "matmul_at_acc output shape mismatch"
     );
+    for block in lane_blocks(b.cols()) {
+        by_groups!(block.1, matmul_at_block(a, b, out, block));
+    }
+}
+
+/// [`matmul_at_acc`] on the row block `(c0, w)` of every output row.
+#[inline(always)]
+fn matmul_at_block<const G: usize>(
+    a: &Matrix,
+    b: &Matrix,
+    out: &mut Matrix,
+    (c0, w): (usize, usize),
+) {
     let k = a.cols();
     let m = b.cols();
-    let a_data = a.as_slice();
-    let b_rows = LaneReader::new(b.as_slice());
+    let (a_data, b_data) = (a.as_slice(), b.as_slice());
     for (j, out_row) in out.as_mut_slice().chunks_exact_mut(m).enumerate() {
-        for c0 in (0..m).step_by(LANES) {
-            let width = (m - c0).min(LANES);
-            let mut acc = [0.0f32; LANES];
-            acc[..width].copy_from_slice(&out_row[c0..c0 + width]);
-            for (r, &av) in a_data.iter().skip(j).step_by(k).enumerate() {
-                if av != 0.0 {
-                    axpy_block(&mut acc, av, b_rows.block(r * m + c0));
-                }
-            }
-            out_row[c0..c0 + width].copy_from_slice(&acc[..width]);
-        }
+        let terms = a_data
+            .iter()
+            .skip(j)
+            .step_by(k)
+            .zip(b_data.chunks_exact(m))
+            .filter(|&(&av, _)| av != 0.0)
+            .map(|(&av, b_row)| (av, &b_row[c0..c0 + w]));
+        axpy_terms::<G>(&mut out_row[c0..c0 + w], terms);
     }
 }
 
@@ -479,11 +589,8 @@ pub fn csr_grad_weight_acc(grad_out: &Matrix, x: &Csr, gw: &mut Matrix) {
 /// `ctlm_nn`'s sparse input layer. Every stored entry reads one
 /// contiguous `out`-wide weight row instead of `out` loads at stride `d`.
 ///
-/// Register block: each pass over a row's stored entries accumulates
-/// `LANES` (32) outputs in registers and writes them once, one pass per
-/// 32 outputs. Lanes past the row width read the next weight row and are
-/// thrown away; a block that would read past the end of `w` reads a
-/// zero-padded copy of its last `LANES` elements instead.
+/// Each pass over a row's stored entries accumulates a row block in
+/// registers and writes it once: one pass per 32 outputs.
 ///
 /// Bit-identical to [`csr_matmul_bt_into`] on the transposed weight:
 /// each output element still receives its row's products in stored-entry
@@ -495,44 +602,55 @@ pub fn csr_matmul_into(x: &Csr, w: &Matrix, out: &mut Matrix) {
 #[inline(always)]
 fn csr_matmul_into_body(x: &Csr, w: &Matrix, out: &mut Matrix) {
     assert_eq!(x.cols(), w.rows(), "csr_matmul inner dimension mismatch");
-    let n = x.rows();
+    out.resize(x.rows(), w.cols());
+    for block in lane_blocks(w.cols()) {
+        by_groups!(block.1, csr_matmul_block(x, w, out, block));
+    }
+}
+
+/// [`csr_matmul_into`] on the row block `(c0, width)` of every output
+/// row.
+#[inline(always)]
+fn csr_matmul_block<const G: usize>(
+    x: &Csr,
+    w: &Matrix,
+    out: &mut Matrix,
+    (c0, width): (usize, usize),
+) {
     let out_f = w.cols();
-    out.resize(n, out_f);
-    let w_rows = LaneReader::new(w.as_slice());
+    let w_block = &w.as_slice()[c0..];
     // The `(out × d)` kernel sums its `out % NR` tail columns with
     // `Iterator::sum`, whose identity is -0.0; its tiled columns start at
     // +0.0. Starting each column from the same zero keeps rows without
     // stored entries equal in sign as well as value.
     let tiled = out_f - out_f % NR;
-    for c0 in (0..out_f).step_by(LANES) {
-        let width = (out_f - c0).min(LANES);
-        let mut zero = [0.0f32; LANES];
-        for (lane, z) in zero.iter_mut().enumerate() {
-            if c0 + lane >= tiled {
-                *z = -0.0;
-            }
+    let mut zero = [0.0f32; LANES];
+    for (lane, z) in zero[..width].iter_mut().enumerate() {
+        if c0 + lane >= tiled {
+            *z = -0.0;
         }
-        for (r, out_row) in out.as_mut_slice().chunks_exact_mut(out_f).enumerate() {
-            let mut acc = zero;
-            for (j, v) in x.row_entries(r) {
-                axpy_block(&mut acc, v, w_rows.block(j * out_f + c0));
-            }
-            out_row[c0..c0 + width].copy_from_slice(&acc[..width]);
-        }
+    }
+    for (r, out_row) in out.as_mut_slice().chunks_exact_mut(out_f).enumerate() {
+        let lanes = &mut out_row[c0..c0 + width];
+        lanes.copy_from_slice(&zero[..width]);
+        let terms = x
+            .row_entries(r)
+            .map(|(j, v)| (v, &w_block[j * out_f..][..width]));
+        axpy_terms::<G>(lanes, terms);
     }
 }
 
 /// Accumulating transposed-sparse × dense product:
 /// `out (d×m) += xᵀ (d×n, CSR) · g (n×m)` — the input-major weight
 /// gradient of the sparse input layer (`g` is `dL/d(output)`). Every
-/// stored entry updates one contiguous `m`-wide row of `out`, while the
-/// sample's gradient row, copied into a `LANES`-wide block, stays in
-/// registers across the sample's stored entries.
+/// stored entry updates one contiguous row block of `out`, while the
+/// sample's gradient block stays in registers across the sample's stored
+/// entries.
 ///
 /// Bit-identical to [`csr_grad_weight_acc`] on the transposed gradient:
 /// each element accumulates over samples in row order, then stored-entry
 /// order, and exact zeros in `g` add nothing — so a sample whose gradient
-/// row is all zeros is skipped whole.
+/// block is all zeros is skipped whole.
 ///
 /// # Panics
 /// Panics on sample-count or output-shape mismatch.
@@ -548,44 +666,55 @@ fn csr_matmul_at_acc_body(x: &Csr, g: &Matrix, out: &mut Matrix) {
         (x.cols(), g.cols()),
         "csr_matmul_at_acc output shape mismatch"
     );
+    for block in lane_blocks(g.cols()) {
+        by_groups!(block.1, csr_matmul_at_block(x, g, out, block));
+    }
+}
+
+/// [`csr_matmul_at_acc`] on the row block `(c0, w)` of every updated row.
+#[inline(always)]
+fn csr_matmul_at_block<const G: usize>(
+    x: &Csr,
+    g: &Matrix,
+    out: &mut Matrix,
+    (c0, w): (usize, usize),
+) {
     let m = g.cols();
-    let out_data = out.as_mut_slice();
+    let out_block = &mut out.as_mut_slice()[c0..];
+    let starts = group_starts::<G>(w);
     for r in 0..x.rows() {
-        let g_row = g.row(r);
+        let g_lanes = &g.row(r)[c0..c0 + w];
         // A zero gradient leaves its element untouched, as in the
         // `(out × d)` kernel (no `0 · inf`, no sign change): a select per
-        // element, and a row of zeros is no work at all. The select alone
-        // would be correct for every row, but real gradients almost never
-        // hold an exact zero and the plain update costs half as much (34
-        // vs 70 µs per call, measured on the row-at-a-time loops with 128
-        // rows × 58 entries, 30 wide), so one scan of the row picks it.
-        // The lab's retraining batches hold about 27 rows with stored
-        // entries, about 260 each: 5–12 k entries per batch.
-        let zeros = g_row.iter().filter(|&&gv| gv == 0.0).count();
-        if zeros == m {
+        // element, and a block of zeros is no work at all. The select
+        // alone would be correct for every block, but real gradients
+        // almost never hold an exact zero and the plain update costs half
+        // as much (34 vs 70 µs per call, measured on the row-at-a-time
+        // loops with 128 rows × 58 entries, 30 wide), so one scan of the
+        // block picks it. The lab's retraining batches hold about 27 rows
+        // with stored entries, about 260 each: 5–12 k entries per batch.
+        let zeros = g_lanes.iter().filter(|&&gv| gv == 0.0).count();
+        if zeros == w {
             continue;
         }
-        for c0 in (0..m).step_by(LANES) {
-            let width = (m - c0).min(LANES);
-            let mut g_block = [0.0f32; LANES];
-            g_block[..width].copy_from_slice(&g_row[c0..c0 + width]);
+        let g = (g_lanes, &load_groups(g_lanes, &starts));
+        // One loop per update, not a branch per entry: with the branch
+        // inside, the compiler hoisted a lane both updates share out of
+        // the vector code.
+        if zeros > 0 {
             for (j, v) in x.row_entries(r) {
-                let out_row = &mut out_data[j * m + c0..j * m + c0 + width];
-                if zeros > 0 {
-                    update_block(
-                        out_row,
-                        &g_block,
-                        |o, gv| {
-                            if gv != 0.0 {
-                                o + gv * v
-                            } else {
-                                o
-                            }
-                        },
-                    );
-                } else {
-                    update_block(out_row, &g_block, |o, gv| o + gv * v);
-                }
+                let lanes = &mut out_block[j * m..][..w];
+                update_groups(
+                    lanes,
+                    g,
+                    &starts,
+                    |o, gv| if gv != 0.0 { o + gv * v } else { o },
+                );
+            }
+        } else {
+            for (j, v) in x.row_entries(r) {
+                let lanes = &mut out_block[j * m..][..w];
+                update_groups(lanes, g, &starts, |o, gv| o + gv * v);
             }
         }
     }
@@ -954,6 +1083,24 @@ mod tests {
         }
     }
 
+    /// `matmul_bt_into` skips no zero operand: `0 · inf` is NaN, as in
+    /// the plain dot product, on both of its paths and at every group
+    /// count.
+    #[test]
+    fn matmul_bt_zero_times_infinity_is_nan() {
+        for (n, m) in [(2, 3), (5, 3), (2, 26), (5, 8), (5, 26), (5, 30), (5, 33)] {
+            let a = Matrix::from_fn(n, 5, |r, c| if c == 1 { 0.0 } else { (r + c) as f32 });
+            let mut b = Matrix::from_fn(m, 5, |r, c| (r * 5 + c) as f32 * 0.25);
+            b.set(m - 1, 1, f32::INFINITY);
+            let got = matmul_bt(&a, &b);
+            let want = naive::matmul_bt(&a, &b);
+            for r in 0..n {
+                assert!(got.get(r, m - 1).is_nan(), "{n} × {m}, row {r}");
+                assert_eq!(got.get(r, 0).to_bits(), want.get(r, 0).to_bits());
+            }
+        }
+    }
+
     #[test]
     fn matmul_at_equals_transpose_then_matmul() {
         let a = Matrix::from_fn(8, 3, |r, c| ((r * c) % 5) as f32 - 2.0);
@@ -1133,9 +1280,14 @@ mod tests {
         assert!(out.max_abs_diff(&naive::matmul_bt(&a, &w)) < 1e-4);
     }
 
-    /// Output widths that cross the `LANES` = 32 register block and the
-    /// `GROUP` = 8 vector groups, once and twice.
-    const WIDTHS: [usize; 13] = [1, 29, 30, 31, 32, 33, 64, 65, 66, 67, 68, 69, 70];
+    /// Output widths at every group-count edge — below one group, one
+    /// to four whole or overlapping `GROUP` = 8 lane groups — and across
+    /// the `LANES` = 32 row block, once and twice, including the last
+    /// blocks narrower than a group that borrow lanes from the block
+    /// before.
+    const WIDTHS: [usize; 21] = [
+        1, 7, 8, 9, 16, 17, 24, 25, 26, 29, 30, 31, 32, 33, 64, 65, 66, 67, 68, 69, 70,
+    ];
 
     fn bits(m: &[f32]) -> Vec<u32> {
         m.iter().map(|v| v.to_bits()).collect()
@@ -1243,6 +1395,17 @@ mod tests {
                     "matmul_into {n}×{d}·{w}"
                 );
 
+                let b = dense(w, d, seed ^ 7);
+                let (mut portable, mut avx) = (Matrix::zeros(0, 0), dense(2, 3, 9));
+                matmul_bt_into_body(&a, &b, &mut portable);
+                // SAFETY: AVX2 was detected at the top of this test.
+                unsafe { avx2::matmul_bt_into_body(&a, &b, &mut avx) };
+                assert_eq!(
+                    bits(avx.as_slice()),
+                    bits(portable.as_slice()),
+                    "matmul_bt_into {n}×{d}·({w}×{d})ᵀ"
+                );
+
                 let mut portable = dense(d, w, seed ^ 5);
                 let mut avx = portable.clone();
                 matmul_at_acc_body(&a, &g, &mut portable);
@@ -1285,10 +1448,10 @@ mod tests {
         }
     }
 
-    /// The dense register-block kernels keep the association of the
-    /// row-at-a-time loops they replaced: each element adds its products
-    /// in `k` (or sample) order, skipping exact zeros of `a`, onto `+0.0`
-    /// (or onto what `out` held).
+    /// The dense kernels keep the association of the row-at-a-time loops
+    /// they replaced: each element adds its products in `k` (or sample)
+    /// order onto `+0.0` (or onto what `out` held), skipping exact zeros
+    /// of `a` — except `matmul_bt_into`, which skips nothing.
     #[test]
     fn dense_register_blocks_sum_in_the_old_order() {
         for &w in &WIDTHS {
@@ -1310,6 +1473,21 @@ mod tests {
                     bits(matmul(&a, &b).as_slice()),
                     bits(want.as_slice()),
                     "matmul_into {n}×{k}·{w}"
+                );
+
+                let bt = dense(w, k, seed ^ 4);
+                let mut want = Matrix::zeros(n, w);
+                for r in 0..n {
+                    for c in 0..w {
+                        for kk in 0..k {
+                            want.set(r, c, want.get(r, c) + a.get(r, kk) * bt.get(c, kk));
+                        }
+                    }
+                }
+                assert_eq!(
+                    bits(matmul_bt(&a, &bt).as_slice()),
+                    bits(want.as_slice()),
+                    "matmul_bt_into {n}×{k}·({w}×{k})ᵀ"
                 );
 
                 let x = dense(n, w, seed ^ 2);

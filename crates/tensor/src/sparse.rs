@@ -108,14 +108,29 @@ impl Csr {
     /// A hash of row `r`'s stored columns and value bits: rows that
     /// [`Csr::rows_equal`] calls equal hash equal. Unequal rows may
     /// collide, so a caller confirms a match with `rows_equal`.
+    ///
+    /// Four independent chains take the entries in turn, so their
+    /// multiplies overlap instead of each waiting on the one before; the
+    /// chains are then folded together, and the last `nnz % 4` entries
+    /// mixed in after them.
     pub fn row_hash(&self, r: usize) -> u64 {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+        let entry = |c: u32, v: f32| (u64::from(c) << 32) | u64::from(v.to_bits());
         let range = self.row_range(r);
-        let mut h = range.len() as u64;
-        for (&c, &v) in self.indices[range.clone()].iter().zip(&self.values[range]) {
-            let word = (u64::from(c) << 32) | u64::from(v.to_bits());
-            h = (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        let mut lanes = [range.len() as u64; 4];
+        let (cols, cols_rest) = self.indices[range.clone()].as_chunks::<4>();
+        let (vals, vals_rest) = self.values[range].as_chunks::<4>();
+        for (c, v) in cols.iter().zip(vals) {
+            for (lane, i) in lanes.iter_mut().zip(0..4) {
+                *lane = mix(*lane, entry(c[i], v[i]));
+            }
         }
-        h
+        let h = lanes.into_iter().fold(0, mix);
+        cols_rest
+            .iter()
+            .zip(vals_rest)
+            .fold(h, |h, (&c, &v)| mix(h, entry(c, v)))
     }
 
     /// Value at `(r, c)`; zero when not stored. O(log row_nnz).
@@ -404,6 +419,59 @@ mod tests {
         assert!(!m.rows_equal(0, 3), "values differ in one bit");
         assert!(!m.rows_equal(0, 4), "columns differ");
         assert!(!m.rows_equal(0, 1), "a stored row is not the empty row");
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+        /// Rows that `rows_equal` calls equal hash equal, at every length
+        /// from 0 to 9 — each remainder of the hash's four-lane loop, with
+        /// and without whole chunks — whatever rows sit before them; and
+        /// changing one stored value bit or one column changes the hash.
+        #[test]
+        fn rows_equal_rows_hash_equal(
+            len in 0usize..10,
+            cols in prop::collection::vec(0usize..6, 10..11),
+            values in prop::collection::vec(2u32..0x7f80_0000, 10..11),
+            lead in 0usize..5,
+        ) {
+            // Strictly increasing columns, finite values of either sign
+            // and never `±0.0`, which `push_row` drops.
+            let row: Vec<(usize, f32)> = (0..len)
+                .map(|k| {
+                    let v = f32::from_bits(values[k]);
+                    (k * 6 + cols[k], if cols[k] % 2 == 1 { -v } else { v })
+                })
+                .collect();
+            let mut b = CsrBuilder::new(64);
+            for r in 0..lead {
+                b.push_row([(r, 1.0 + r as f32)]);
+            }
+            b.push_row(row.iter().copied());
+            b.push_row([(63, -2.0)]);
+            b.push_row(row.iter().copied());
+            let mut changed = row.clone();
+            if let Some(last) = changed.last_mut() {
+                last.1 = f32::from_bits(last.1.to_bits() ^ 1);
+            }
+            b.push_row(changed.iter().copied());
+            let mut moved = row.clone();
+            if let Some(last) = moved.last_mut() {
+                last.0 = 60;
+            }
+            b.push_row(moved.iter().copied());
+            let m = b.finish();
+            let (first, second) = (lead, lead + 2);
+            prop_assert!(m.rows_equal(first, second));
+            prop_assert_eq!(m.row_hash(first), m.row_hash(second));
+            if len > 0 {
+                prop_assert!(!m.rows_equal(first, second + 1));
+                prop_assert!(m.row_hash(first) != m.row_hash(second + 1), "one value bit");
+                prop_assert!(m.row_hash(first) != m.row_hash(second + 2), "one column");
+            }
+        }
     }
 
     #[test]

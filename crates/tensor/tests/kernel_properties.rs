@@ -1,9 +1,10 @@
 //! Property tests pinning every blocked/`_into` kernel to the retained
-//! naive references within 1e-5, over shapes chosen to straddle
-//! `col_sums_acc`'s block threshold (`ops::COL_SUMS_BLOCK_THRESHOLD` = 64
-//! rows) and the blocking parameters (`MC` = 32 row blocks, `KC` = 256
-//! k-panels, `NR` = 4 wide register tiles) — so both reduction orders,
-//! full blocks, and every tail all get exercised.
+//! naive references — the dense products bit for bit, the rest within
+//! 1e-5 — over shapes chosen to straddle `col_sums_acc`'s block
+//! threshold (`ops::COL_SUMS_BLOCK_THRESHOLD` = 64 rows) and the blocking
+//! parameters (`MC` = 32 row blocks, `KC` = 256 k-panels, `NR` = 4 wide
+//! register tiles, 8-lane groups) — so both reduction orders, full
+//! blocks, and every tail all get exercised.
 
 use proptest::prelude::*;
 
@@ -55,6 +56,10 @@ fn sparse(rows: usize, cols: usize, seed: u64) -> ctlm_tensor::Csr {
     b.finish()
 }
 
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 /// 1e-5 relative to the magnitude of the values involved.
 fn close(a: &Matrix, b: &Matrix, scale: f32) -> bool {
     a.shape() == b.shape() && a.max_abs_diff(b) <= 1e-5 * scale.max(1.0)
@@ -63,6 +68,10 @@ fn close(a: &Matrix, b: &Matrix, scale: f32) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
+    /// The dense products add each output's products in `k` (or
+    /// sample) order onto `+0.0`, as the textbook loops do: equal bit for
+    /// bit, not close. Skipping an exact zero of `a` only drops a `±0.0`
+    /// term, which leaves a finite sum unchanged.
     #[test]
     fn matmul_matches_naive(n in arb_dim(), k in arb_inner(), m in arb_dim(), seed in 0u64..100) {
         let a = dense(n, k, seed);
@@ -71,7 +80,8 @@ proptest! {
         // A dirty, differently-shaped buffer: resized and overwritten.
         let mut out = dense(3, 7, 99);
         ops::matmul_into(&a, &b, &mut out);
-        prop_assert!(close(&out, &reference, k as f32 * 4.0));
+        prop_assert_eq!(out.shape(), reference.shape());
+        prop_assert_eq!(bits(&out), bits(&reference));
     }
 
     #[test]
@@ -79,9 +89,10 @@ proptest! {
         let a = dense(n, k, seed);
         let b = dense(m, k, seed ^ 2);
         let reference = naive::matmul_bt(&a, &b);
-        let mut out = Matrix::zeros(1, 1);
+        let mut out = dense(2, 5, 98);
         ops::matmul_bt_into(&a, &b, &mut out);
-        prop_assert!(close(&out, &reference, k as f32 * 4.0));
+        prop_assert_eq!(out.shape(), reference.shape());
+        prop_assert_eq!(bits(&out), bits(&reference));
     }
 
     #[test]
@@ -91,12 +102,19 @@ proptest! {
         let reference = naive::matmul_at(&a, &b);
         let mut acc = Matrix::zeros(k, m);
         ops::matmul_at_acc(&a, &b, &mut acc);
-        prop_assert!(close(&acc, &reference, n as f32 * 4.0));
-        // Accumulating: a second call adds on top of the gradient.
+        prop_assert_eq!(bits(&acc), bits(&reference));
+        // Accumulating: a second call adds each product, in sample order,
+        // on top of the gradient.
         ops::matmul_at_acc(&a, &b, &mut acc);
-        let mut doubled = reference.clone();
-        doubled.scale(2.0);
-        prop_assert!(close(&acc, &doubled, n as f32 * 8.0));
+        let mut twice = reference.clone();
+        for c in 0..k {
+            for j in 0..m {
+                for r in 0..n {
+                    twice.set(c, j, twice.get(c, j) + a.get(r, c) * b.get(r, j));
+                }
+            }
+        }
+        prop_assert_eq!(bits(&acc), bits(&twice));
     }
 
     #[test]
@@ -141,7 +159,6 @@ proptest! {
         o in arb_dim(),
         seed in 0u64..100,
     ) {
-        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let x = sparse(n, d, seed);
         let w = dense(o, d, seed ^ 4);
         let mut out_major = Matrix::zeros(0, 0);
