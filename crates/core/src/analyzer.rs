@@ -58,8 +58,8 @@ impl TaskCoAnalyzer {
     /// Scores an already-collapsed requirement set: CO-VV row, one network
     /// call; an unconstrained task scores the top group without one. This
     /// is the only place the analyzer encodes and classifies —
-    /// [`Self::predict_group`], the schedulers (whose queues hold
-    /// collapsed requirements) and the hybrid rule layer all end here.
+    /// [`Self::predict_group`] and the schedulers (whose queues hold
+    /// collapsed requirements) both end here.
     pub fn group_of(&self, reqs: &[AttrRequirement]) -> u8 {
         if reqs.is_empty() {
             return (ctlm_data::dataset::NUM_GROUPS - 1) as u8;

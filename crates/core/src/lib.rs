@@ -29,26 +29,21 @@
 //!   place a CO-VV row is encoded and the network called.
 //!   [`TaskCoAnalyzer::predict_group`] is `collapse` + `group_of`; the
 //!   `ctlm-sched` routers, whose queues already hold collapsed
-//!   requirements, call `group_of` directly; [`HybridAnalyzer::predict`]
-//!   collapses once for its rules and hands the same requirements on.
+//!   requirements, call `group_of` directly.
 //! * **trained model → analyzer** is [`GrowingModel::analyzer`]: the only
 //!   place a model is paired with a vocabulary, zero-padding `fc1.weight`
 //!   when the vocabulary has outgrown the last trained width.
 //!   `TaskCoAnalyzer::new` remains for a hand-built `Net`.
 
 pub mod analyzer;
-pub mod expiry;
 pub mod full_retrain;
 pub mod growing;
-pub mod hybrid;
 pub mod pipeline;
 pub mod trainer;
 
 pub use analyzer::{ModelRegistry, TaskCoAnalyzer};
-pub use expiry::{retire, Retirement, UsageTracker};
 pub use full_retrain::FullRetrainModel;
 pub use growing::GrowingModel;
-pub use hybrid::{HybridAnalyzer, HybridVerdict, VerdictSource};
 pub use pipeline::{
     run_baseline_over_steps, run_model_over_steps, BaselineKind, RunSummary, StepRecord,
 };

@@ -100,32 +100,6 @@ impl ValueVocab {
     pub fn attrs(&self) -> Vec<AttrId> {
         self.by_attr.keys().copied().collect()
     }
-
-    /// Builds a compacted vocabulary containing only the columns in
-    /// `keep` (in that order), returning it together with the
-    /// old-column → new-column remap. This is the vocabulary-side half of
-    /// the attribute-expiry extension; the model side is
-    /// `ctlm_nn::state_dict::select_input_columns`.
-    ///
-    /// # Panics
-    /// Panics if `keep` references a column out of range or repeats one.
-    pub fn rebuild_keeping(&self, keep: &[usize]) -> (ValueVocab, Vec<Option<usize>>) {
-        let mut remap = vec![None; self.columns.len()];
-        let mut new = ValueVocab::new();
-        for (new_col, &old_col) in keep.iter().enumerate() {
-            assert!(
-                old_col < self.columns.len(),
-                "column {old_col} out of range"
-            );
-            assert!(remap[old_col].is_none(), "column {old_col} kept twice");
-            let (attr, key) = self.columns[old_col].clone();
-            new.columns.push((attr, key.clone()));
-            new.index.insert((attr, key), new_col);
-            new.by_attr.entry(attr).or_default().push(new_col);
-            remap[old_col] = Some(new_col);
-        }
-        (new, remap)
-    }
 }
 
 #[cfg(test)]

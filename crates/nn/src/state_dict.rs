@@ -114,46 +114,6 @@ pub fn pad_input_weight(
     Ok(old_in)
 }
 
-/// The inverse of [`pad_input_weight`]: keeps only the listed input
-/// columns of a 2-D weight, in the given order. This is the model-side
-/// half of the attribute-expiry extension the paper lists as future work
-/// (“introducing a process to retire obsolete features will keep the
-/// model efficient and scalable”).
-pub fn select_input_columns(
-    sd: &mut StateDict,
-    key: &str,
-    keep: &[usize],
-) -> Result<(), StateDictError> {
-    let tensor = sd
-        .get_mut(key)
-        .ok_or_else(|| StateDictError::MissingKey(key.to_string()))?;
-    if tensor.shape.len() != 2 {
-        return Err(StateDictError::ShapeMismatch {
-            key: key.to_string(),
-            expected: vec![0, 0],
-            found: tensor.shape.clone(),
-        });
-    }
-    let (rows, cols) = (tensor.shape[0], tensor.shape[1]);
-    if let Some(&bad) = keep.iter().find(|&&c| c >= cols) {
-        return Err(StateDictError::ShapeMismatch {
-            key: key.to_string(),
-            expected: vec![rows, cols],
-            found: vec![rows, bad + 1],
-        });
-    }
-    let mut data = Vec::with_capacity(rows * keep.len());
-    for r in 0..rows {
-        let row = &tensor.data[r * cols..(r + 1) * cols];
-        for &c in keep {
-            data.push(row[c]);
-        }
-    }
-    tensor.shape = vec![rows, keep.len()];
-    tensor.data = data;
-    Ok(())
-}
-
 /// Saves a state dict as JSON (the reproduction's `torch.save`).
 pub fn save(sd: &StateDict, path: &Path) -> Result<(), StateDictError> {
     let json = serde_json::to_vec(sd).map_err(|e| StateDictError::Io(e.to_string()))?;
@@ -229,30 +189,6 @@ mod tests {
         let mut sd = sample_sd();
         let err = pad_input_weight(&mut sd, "fc1.bias", 10).unwrap_err();
         assert!(matches!(err, StateDictError::ShapeMismatch { .. }));
-    }
-
-    #[test]
-    fn select_columns_keeps_requested_order() {
-        let mut sd = sample_sd();
-        select_input_columns(&mut sd, "fc1.weight", &[2, 0]).unwrap();
-        let t = &sd["fc1.weight"];
-        assert_eq!(t.shape, vec![2, 2]);
-        assert_eq!(t.data, vec![3.0, 1.0, 6.0, 4.0]);
-    }
-
-    #[test]
-    fn select_then_pad_roundtrip_on_prefix() {
-        let mut sd = sample_sd();
-        select_input_columns(&mut sd, "fc1.weight", &[0, 1]).unwrap();
-        pad_input_weight(&mut sd, "fc1.weight", 3).unwrap();
-        let t = &sd["fc1.weight"];
-        assert_eq!(t.data, vec![1.0, 2.0, 0.0, 4.0, 5.0, 0.0]);
-    }
-
-    #[test]
-    fn select_rejects_out_of_range_column() {
-        let mut sd = sample_sd();
-        assert!(select_input_columns(&mut sd, "fc1.weight", &[0, 9]).is_err());
     }
 
     #[test]

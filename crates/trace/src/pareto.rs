@@ -3,9 +3,9 @@
 //! “Task resource consumption exhibited heavy-tailed Pareto distributions,
 //! with the top 1 % of tasks consuming over 99 % of total resources” (§V,
 //! citing Borg: the Next Generation). We implement a bounded Pareto for
-//! resource requests and a Zipf sampler for attribute-value popularity,
-//! rather than pulling in `rand_distr`, to keep the dependency set to the
-//! approved list.
+//! resource requests and a Zipf sampler for attribute-value popularity
+//! on top of `rand` alone, to keep the dependency set to the approved
+//! list.
 
 use rand::Rng;
 
