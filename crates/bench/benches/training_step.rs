@@ -18,6 +18,12 @@
 //!   with no repeated row, so its ratio bounds what finding duplicates
 //!   costs when there are none. No kernel here reaches the thread pool,
 //!   so both ratios depend on the kernels and not on the runner's cores.
+//! * **`training_step/confident_batch`** — `fig3_shape_optimized`'s
+//!   step after its net has trained on that batch until some of its
+//!   softmax numerators are subnormal. The loss stores those as `+0.0`;
+//!   kept, every subnormal operand of the backward kernels cost a
+//!   microcode assist and the step read 2–3 × the fresh one. CI gates
+//!   the ratio to `fig3_shape_optimized`, which a fresh net cannot show.
 //! * **`training_step/{growing_transfer,fully_retrain}`** — the paper's
 //!   model-level comparison (Growing 1–6 min vs 7–42 min from scratch),
 //!   at CI scale.
@@ -217,7 +223,44 @@ fn bench_minibatch(c: &mut Criterion) {
         &batch,
         &mut net,
     );
+
+    // The same step on the same net after CONFIDENT_STEPS Adam steps on
+    // this batch, by which time some of its softmax numerators are
+    // subnormal, as in a retraining step a few epochs in.
+    let (x, y) = &batch;
+    let mut ws = Workspace::new();
+    let mut opt = Adam::paper_default();
+    for _ in 0..CONFIDENT_STEPS {
+        net.train_batch(x, y, &loss_fn, &mut ws);
+        opt.step(&mut net);
+    }
+    assert!(
+        subnormal_numerators(&net.forward(x)) > 0,
+        "pre-training left no subnormal softmax numerator"
+    );
+    group.bench_function("confident_batch", |b| {
+        b.iter(|| net.train_batch(std::hint::black_box(x), y, &loss_fn, &mut ws))
+    });
     group.finish();
+}
+
+/// Adam steps that take `confident_batch`'s net from fresh to confident:
+/// on the `fig3_shape` batch the subnormal numerators level off at ≈ 50
+/// of 3 328 after about 60 steps.
+const CONFIDENT_STEPS: usize = 100;
+
+/// Softmax numerators `exp(x − max)` of a batch's logits that are
+/// subnormal.
+fn subnormal_numerators(logits: &Matrix) -> usize {
+    (0..logits.rows())
+        .map(|r| {
+            let row = logits.row(r);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            row.iter()
+                .filter(|&&v| (v - max).exp().is_subnormal())
+                .count()
+        })
+        .sum()
 }
 
 /// A `rows × cols` matrix of uniform values in `[-1, 1)`: no exact

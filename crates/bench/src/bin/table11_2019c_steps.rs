@@ -79,16 +79,18 @@ fn main() {
         ("Fully Retrain", &retrain, &retrain_host),
     ] {
         let wall = summary.wall_time_total.as_secs_f64();
-        let parts: Vec<String> = host
-            .phases
-            .parts()
-            .iter()
-            .map(|(part, d)| format!("{part} {:.1}%", 100.0 * d.as_secs_f64() / wall))
-            .collect();
+        let shares = |parts: &[(&str, std::time::Duration)]| {
+            parts
+                .iter()
+                .map(|(part, d)| format!("{part} {:.1}%", 100.0 * d.as_secs_f64() / wall))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
         println!(
-            "{name}: {} attempts; wall time by phase: {}",
+            "{name}: {} attempts; wall time by phase: {}; forward+backward by stage: {}",
             host.attempts,
-            parts.join(", ")
+            shares(&host.phases.parts()),
+            shares(&host.phases.batch.parts())
         );
     }
     let saved = 100.0 * (1.0 - growing.epochs_total as f64 / retrain.epochs_total.max(1) as f64);

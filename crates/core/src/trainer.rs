@@ -33,8 +33,9 @@
 //!
 //! Where a step's time goes is reported beside it: [`StepOutcome::phases`]
 //! splits `wall_time` into split, gather, forward + backward, gradient
-//! scaling, optimiser and evaluation (host plane only — it never reaches
-//! a serialised record).
+//! scaling, optimiser and evaluation, and forward + backward further into
+//! the stages of `Net::train_batch` ([`StageTimes`]) (host plane only —
+//! it never reaches a serialised record).
 
 use std::time::{Duration, Instant};
 
@@ -44,7 +45,7 @@ use ctlm_data::dataset::{Dataset, NUM_GROUPS};
 use ctlm_data::metrics::Evaluation;
 use ctlm_data::split::{stratified_split, SplitConfig};
 use ctlm_nn::grad_scale::ColumnGradScale;
-use ctlm_nn::{Adam, BatchIter, CrossEntropyLoss, Net, RowSlots, Workspace};
+use ctlm_nn::{Adam, BatchIter, CrossEntropyLoss, Lap, Net, RowSlots, StageTimes, Workspace};
 use ctlm_tensor::init::seeded_rng;
 use ctlm_tensor::Csr;
 
@@ -109,6 +110,8 @@ pub struct StepPhases {
     pub gather: Duration,
     /// `Net::train_batch`: zero-grad, forward, loss, backward.
     pub forward_backward: Duration,
+    /// `forward_backward` by stage, as `Net::train_batch` clocked it.
+    pub batch: StageTimes,
     /// The Listing-3 multiplier on `fc1.weight`'s gradient.
     pub grad_scale: Duration,
     /// `Adam::step`.
@@ -140,22 +143,10 @@ impl StepPhases {
         self.split += other.split;
         self.gather += other.gather;
         self.forward_backward += other.forward_backward;
+        self.batch.add(&other.batch);
         self.grad_scale += other.grad_scale;
         self.optimiser += other.optimiser;
         self.evaluate += other.evaluate;
-    }
-}
-
-/// Hands out the time since it was last asked, so consecutive phases
-/// tile the interval with one clock read per boundary.
-struct Lap(Instant);
-
-impl Lap {
-    fn lap(&mut self) -> Duration {
-        let now = Instant::now();
-        let d = now - self.0;
-        self.0 = now;
-        d
     }
 }
 
@@ -231,7 +222,7 @@ pub fn train_rows(
     assert!(config.max_attempts > 0, "max_attempts must be at least 1");
     assert!(y.len() <= x.rows(), "more labels than feature rows");
     let t_start = Instant::now();
-    let mut lap = Lap(t_start);
+    let mut lap = Lap::start();
     let mut phases = StepPhases::default();
     let (train_idx, test_idx) = stratified_split(
         y,
@@ -349,6 +340,7 @@ pub fn train_rows(
         // Fail-fast: discard this model; the next attempt reinitialises.
     }
 
+    phases.batch = ws.stage_times();
     let (evaluation, net) = best.expect("max_attempts > 0, so an attempt ran");
     (
         StepOutcome {
@@ -483,6 +475,22 @@ pub(crate) mod tests {
             out.phases
         );
         assert_eq!(out.phases.grad_scale, Duration::ZERO, "fresh start");
+        // The stages tile each `train_batch` call inside the trainer's
+        // lap around it.
+        let stage_parts = out.phases.batch.parts();
+        let (stages, step) = (
+            stage_parts.iter().map(|p| p.1).sum::<Duration>(),
+            out.phases.forward_backward,
+        );
+        assert!(stages <= step, "stages {stages:?} exceed {step:?}");
+        assert!(
+            stages.as_secs_f64() >= 0.9 * step.as_secs_f64(),
+            "stages account for {stages:?} of {step:?}: {stage_parts:?}"
+        );
+        assert!(
+            stage_parts.iter().all(|p| p.1 > Duration::ZERO),
+            "{stage_parts:?}"
+        );
         assert!(
             out.phases
                 .parts()

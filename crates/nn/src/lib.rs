@@ -19,7 +19,8 @@
 //! * [`Workspace`] — reusable forward/backward buffers making the
 //!   steady-state [`Net::train_batch`] step allocation-free, and
 //!   [`RowSlots`], the distinct-row map that lets a step run its per-row
-//!   work once per distinct `(row, label)` pair.
+//!   work once per distinct `(row, label)` pair, and [`StageTimes`], the
+//!   step's clock.
 
 pub mod batch;
 pub mod grad_scale;
@@ -36,4 +37,4 @@ pub use loss::CrossEntropyLoss;
 pub use net::Net;
 pub use optim::Adam;
 pub use state_dict::{pad_input_weight, StateDict, StateDictError, TensorData};
-pub use workspace::{RowSlots, Workspace};
+pub use workspace::{Lap, RowSlots, StageTimes, Workspace};

@@ -5,6 +5,17 @@
 //! the weighted-mean convention PyTorch uses (divide by the *sum of the
 //! selected samples' weights*, not the batch size). The paper sets the
 //! Group 0 weight to 200 and all others to 1.
+//!
+//! **No subnormal leaves the loss.** A confident network drives most
+//! off-target probabilities far below `f32::MIN_POSITIVE`, and every
+//! subnormal operand costs the backward kernels a microcode assist. So
+//! the softmax stores such probabilities as `+0.0`
+//! ([`ops::softmax_rows_inplace`]), and a gradient entry whose magnitude
+//! falls below `MIN_POSITIVE` after the per-sample `w / Σw` scaling is
+//! stored as zero too ([`ops::flush_subnormal`]). The target entry,
+//! `(p − 1) · w / Σw`, is normal (or zero where `p` rounds to 1), so in
+//! practice only off-target entries flush. The loss value cannot change:
+//! it reads `p.max(1e-12)`.
 
 use ctlm_tensor::{ops, Matrix};
 
@@ -110,7 +121,7 @@ impl CrossEntropyLoss {
             let w = self.weights[t as usize];
             let row = grad.row_mut(s as usize);
             for v in row.iter_mut() {
-                *v *= w * inv;
+                *v = ops::flush_subnormal(*v * (w * inv));
             }
             row[t as usize] -= w * inv;
         }
@@ -205,6 +216,78 @@ mod tests {
                 g.get(r, c)
             );
         }
+    }
+
+    /// The loss and gradient with the arithmetic of `forward_into` and no
+    /// flush anywhere: what the loss computed before subnormals were
+    /// kept out of it.
+    fn unflushed(weights: &[f32], logits: &Matrix, targets: &[u8]) -> (f32, Matrix) {
+        let mut grad = logits.clone();
+        for r in 0..grad.rows() {
+            let row = grad.row_mut(r);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0f32;
+            for v in row.iter_mut() {
+                *v = (*v - max).exp();
+                sum += *v;
+            }
+            let inv = 1.0 / sum;
+            row.iter_mut().for_each(|v| *v *= inv);
+        }
+        let (mut loss, mut weight_sum) = (0.0f64, 0.0f64);
+        for (i, &t) in targets.iter().enumerate() {
+            let w = weights[t as usize] as f64;
+            loss -= w * (grad.get(i, t as usize).max(1e-12) as f64).ln();
+            weight_sum += w;
+        }
+        let inv = 1.0 / weight_sum as f32;
+        for (i, &t) in targets.iter().enumerate() {
+            let w = weights[t as usize];
+            let row = grad.row_mut(i);
+            row.iter_mut().for_each(|v| *v *= w * inv);
+            row[t as usize] -= w * inv;
+        }
+        ((loss / weight_sum) as f32, grad)
+    }
+
+    /// No subnormal leaves the loss. Logits spread up to ±200 over the
+    /// paper's 26 classes, Group 0 weighted 200: no gradient entry is
+    /// subnormal, each equals the unflushed entry with its subnormals
+    /// stored as `+0.0`, bit for bit, and the loss is the unflushed loss
+    /// bit for bit. Some entries do flush, so the check is not vacuous.
+    #[test]
+    fn no_subnormal_gradient_leaves_the_loss() {
+        let loss_fn = CrossEntropyLoss::group0_boosted(26, 200.0);
+        let mut flushed = 0;
+        for spread in [10.0f32, 60.0, 120.0, 200.0] {
+            for n in [1usize, 5, 40] {
+                let mut state = 0x9e37_79b9u32 ^ (n as u32) ^ spread.to_bits();
+                let mut draw = || {
+                    state ^= state << 13;
+                    state ^= state >> 17;
+                    state ^= state << 5;
+                    state
+                };
+                let logits = Matrix::from_fn(n, 26, |_, _| {
+                    (draw() % 2001) as f32 / 1000.0 * spread - spread
+                });
+                let targets: Vec<u8> = (0..n).map(|_| (draw() % 26) as u8).collect();
+                let (loss, grad) = loss_fn.forward(&logits, &targets);
+                let (want_loss, want_grad) = unflushed(loss_fn.weights(), &logits, &targets);
+                assert_eq!(
+                    loss.to_bits(),
+                    want_loss.to_bits(),
+                    "loss at ±{spread}, {n} rows"
+                );
+                for (&g, &w) in grad.as_slice().iter().zip(want_grad.as_slice()) {
+                    assert!(!g.is_subnormal(), "subnormal gradient {g:e}");
+                    let want = if w.abs() < f32::MIN_POSITIVE { 0.0 } else { w };
+                    assert_eq!(g.to_bits(), want.to_bits(), "{w:e}");
+                    flushed += usize::from(w.is_subnormal());
+                }
+            }
+        }
+        assert!(flushed > 0, "no gradient entry reached a subnormal");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use ctlm_tensor::{ops, Csr, Matrix};
 use crate::layer::{relu_backward_into, Layer, Linear, SparseLinear};
 use crate::loss::CrossEntropyLoss;
 use crate::state_dict::{StateDict, StateDictError, TensorData};
-use crate::workspace::{RowSlots, Workspace};
+use crate::workspace::{Lap, RowSlots, Workspace};
 
 /// A sequential network over sparse input batches.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -222,7 +222,8 @@ impl Net {
     /// the batch (parameter gradients, loss) read it in batch order, so
     /// the loss and every gradient have the bits a per-sample pass gives.
     /// A batch without duplicates runs the same code with an identity
-    /// slot map.
+    /// slot map. Each stage's time is added to the workspace's
+    /// [`StageTimes`](crate::StageTimes).
     pub fn train_batch(
         &mut self,
         x: &Csr,
@@ -230,6 +231,7 @@ impl Net {
         loss_fn: &CrossEntropyLoss,
         ws: &mut Workspace,
     ) -> f32 {
+        let mut lap = Lap::start();
         self.zero_grad();
         ws.prepare(1 + self.layers.len(), x.rows(), self.widest());
         let Workspace {
@@ -239,6 +241,7 @@ impl Net {
             distinct,
             batch_grad,
             batch_act,
+            times,
         } = ws;
         slots.assign(x, Some(targets));
         let rows = if slots.is_identity() {
@@ -247,15 +250,19 @@ impl Net {
             x.select_rows_into(slots.firsts(), distinct);
             &*distinct
         };
+        times.rows += lap.lap();
 
         // Forward: acts[0] is fc1's output, acts[i] dense layer i − 1's.
         self.input.forward_into(rows, &mut acts[0]);
+        times.fc1_forward += lap.lap();
         for (i, layer) in self.layers.iter().enumerate() {
             let (prev, rest) = acts.split_at_mut(i + 1);
             layer.forward_dense_into(&prev[i], &mut rest[0]);
         }
+        times.dense_forward += lap.lap();
         let last = self.layers.len();
         let loss = loss_fn.forward_into(&acts[last], targets, slots.slot_of(), &mut grads[last]);
+        times.loss += lap.lap();
 
         // Backward: grads[i] carries dL/d(acts[i]).
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
@@ -272,8 +279,10 @@ impl Net {
                 Layer::Relu => relu_backward_into(&acts[i], grad_out, grad_in),
             }
         }
+        times.dense_backward += lap.lap();
         self.input
             .backward(x, batch_order(&grads[0], slots, batch_grad));
+        times.fc1_backward += lap.lap();
         loss
     }
 

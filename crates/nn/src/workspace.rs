@@ -21,6 +21,15 @@
 //! first use — the trainer builds a fresh workspace per step, so growing
 //! them by doubling as distinct counts vary would cost allocations on
 //! every step.
+//!
+//! A workspace also keeps the step's clock: [`StageTimes`] sums, over
+//! every batch it has carried, the time each stage of the step took.
+//! It costs seven `Instant` reads a batch and is read only when the
+//! caller asks ([`Workspace::stage_times`]).
+
+use std::time::{Duration, Instant};
+
+use serde::{Deserialize, Serialize};
 
 use ctlm_tensor::{Csr, Matrix};
 
@@ -119,6 +128,72 @@ impl RowSlots {
     }
 }
 
+/// Where [`crate::Net::train_batch`]'s time went, summed over the
+/// batches of one [`Workspace`]. The stages tile each call, in the order
+/// it runs them. Host-dependent like any wall time, so nothing derived
+/// from it may reach a result that is compared across runs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StageTimes {
+    /// Zero-grad, the row hash that numbers the distinct `(row, label)`
+    /// pairs, and the gather of the distinct rows.
+    pub rows: Duration,
+    /// `fc1`'s forward (`csr_matmul_into` and its bias).
+    pub fc1_forward: Duration,
+    /// The dense layers after `fc1` (the paper's ReLU and `fc2`),
+    /// forward.
+    pub dense_forward: Duration,
+    /// Softmax, loss and the weighted logit gradient.
+    pub loss: Duration,
+    /// The dense layers backward: their parameter gradients and the
+    /// gradient they pass down to `fc1`.
+    pub dense_backward: Duration,
+    /// `fc1`'s weight and bias gradients (`csr_matmul_at_acc`).
+    pub fc1_backward: Duration,
+}
+
+impl StageTimes {
+    /// The stages by name, in the order a step runs them.
+    pub fn parts(&self) -> [(&'static str, Duration); 6] {
+        [
+            ("rows", self.rows),
+            ("fc1-fwd", self.fc1_forward),
+            ("fc2-fwd", self.dense_forward),
+            ("loss", self.loss),
+            ("fc2-bwd", self.dense_backward),
+            ("fc1-grad", self.fc1_backward),
+        ]
+    }
+
+    /// Adds another workspace's stages to these.
+    pub fn add(&mut self, other: &StageTimes) {
+        self.rows += other.rows;
+        self.fc1_forward += other.fc1_forward;
+        self.dense_forward += other.dense_forward;
+        self.loss += other.loss;
+        self.dense_backward += other.dense_backward;
+        self.fc1_backward += other.fc1_backward;
+    }
+}
+
+/// Hands out the time since it was last asked, so consecutive stages
+/// tile an interval with one clock read per boundary.
+pub struct Lap(Instant);
+
+impl Lap {
+    /// A lap starting now.
+    pub fn start() -> Self {
+        Self(Instant::now())
+    }
+
+    /// The time since the last call (or [`Lap::start`]).
+    pub fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        let d = now - self.0;
+        self.0 = now;
+        d
+    }
+}
+
 /// Scratch buffers for one training loop: the batch's slot map and its
 /// distinct rows, per-layer activations and gradient carriers over those
 /// rows, and batch-order copies for the reductions — reused across
@@ -139,6 +214,8 @@ pub struct Workspace {
     pub(crate) batch_grad: Matrix,
     /// An activation expanded back to batch order.
     pub(crate) batch_act: Matrix,
+    /// Time per stage over every batch so far.
+    pub(crate) times: StageTimes,
 }
 
 impl Default for Workspace {
@@ -150,6 +227,7 @@ impl Default for Workspace {
             distinct: Csr::empty(0, 0),
             batch_grad: Matrix::zeros(0, 0),
             batch_act: Matrix::zeros(0, 0),
+            times: StageTimes::default(),
         }
     }
 }
@@ -158,6 +236,11 @@ impl Workspace {
     /// An empty workspace; buffers materialise on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Where the batches this workspace carried spent their time.
+    pub fn stage_times(&self) -> StageTimes {
+        self.times
     }
 
     /// Sizes the per-layer buffer vectors to exactly `n_layers` entries

@@ -54,11 +54,43 @@ fn duplicate_batch(n: usize, d: usize, seed: u64) -> (Csr, Vec<u8>) {
     (b.finish(), y)
 }
 
+/// How [`per_sample_step`] treats subnormals in the loss.
+#[derive(Clone, Copy)]
+enum Subnormals {
+    /// As the training step does: the softmax and the scaled gradient
+    /// store a value below `f32::MIN_POSITIVE` as `+0.0`.
+    Flush,
+    /// As the step did before that rule: every value kept.
+    Keep,
+}
+
+/// Row softmax with the arithmetic of `ops::softmax_rows_inplace` and
+/// no flush: `exp(x − max)`, the row sum, one reciprocal, one multiply.
+fn softmax_unflushed(m: &mut Matrix) {
+    for r in 0..m.rows() {
+        let row = m.row_mut(r);
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            sum += *v;
+        }
+        let inv = 1.0 / sum;
+        row.iter_mut().for_each(|v| *v *= inv);
+    }
+}
+
 /// The per-sample training pass, written with the public kernels: every
 /// batch row forwarded, soft-maxed, scaled and back-propagated on its own
 /// buffer row, as the step ran before rows were deduplicated. Leaves the
 /// gradients on `net` and returns the loss.
-fn per_sample_step(net: &mut Net, x: &Csr, y: &[u8], loss_fn: &CrossEntropyLoss) -> f32 {
+fn per_sample_step(
+    net: &mut Net,
+    x: &Csr,
+    y: &[u8],
+    loss_fn: &CrossEntropyLoss,
+    subnormals: Subnormals,
+) -> f32 {
     net.zero_grad();
     let fc1 = net.input_layer();
     let mut acts = vec![Matrix::zeros(0, 0)];
@@ -86,7 +118,16 @@ fn per_sample_step(net: &mut Net, x: &Csr, y: &[u8], loss_fn: &CrossEntropyLoss)
 
     let weights = loss_fn.weights();
     let mut grad = acts.last().expect("logits").clone();
-    ops::softmax_rows_inplace(&mut grad);
+    let flush = match subnormals {
+        Subnormals::Flush => {
+            ops::softmax_rows_inplace(&mut grad);
+            ops::flush_subnormal
+        }
+        Subnormals::Keep => {
+            softmax_unflushed(&mut grad);
+            std::convert::identity
+        }
+    };
     let (mut loss, mut weight_sum) = (0.0f64, 0.0f64);
     for (i, &t) in y.iter().enumerate() {
         let w = weights[t as usize] as f64;
@@ -97,7 +138,7 @@ fn per_sample_step(net: &mut Net, x: &Csr, y: &[u8], loss_fn: &CrossEntropyLoss)
     for (i, &t) in y.iter().enumerate() {
         let w = weights[t as usize];
         let row = grad.row_mut(i);
-        row.iter_mut().for_each(|v| *v *= w * inv);
+        row.iter_mut().for_each(|v| *v = flush(*v * (w * inv)));
         row[t as usize] -= w * inv;
     }
 
@@ -167,7 +208,7 @@ fn deduplicated_step_matches_the_per_sample_pass_bit_for_bit() {
                 slots.assign(&x, Some(&y));
                 assert!(slots.firsts().len() <= 7 * 3, "7 rows × 3 labels");
                 let loss_a = dedup.train_batch(&x, &y, &loss_fn, &mut ws);
-                let loss_b = per_sample_step(&mut reference, &x, &y, &loss_fn);
+                let loss_b = per_sample_step(&mut reference, &x, &y, &loss_fn, Subnormals::Flush);
                 if let Some(m) = &scale {
                     m.apply(dedup.input_layer_mut());
                     m.apply(reference.input_layer_mut());
@@ -183,6 +224,98 @@ fn deduplicated_step_matches_the_per_sample_pass_bit_for_bit() {
             }
         }
     }
+}
+
+/// Each parameter's values as bits, in visiting order: no gradients.
+fn value_bits(net: &mut Net) -> Vec<(String, Vec<u32>)> {
+    let mut out = Vec::new();
+    net.visit_params_mut(|name, data, _, _| {
+        out.push((name.to_string(), data.iter().map(|v| v.to_bits()).collect()));
+    });
+    out
+}
+
+/// Subnormal softmax numerators `exp(x − max)` in a batch's logits: the
+/// values the loss stores as `+0.0` where it would have kept them.
+fn subnormal_numerators(logits: &Matrix) -> usize {
+    (0..logits.rows())
+        .map(|r| {
+            let row = logits.row(r);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            row.iter()
+                .filter(|&&v| (v - max).exp().is_subnormal())
+                .count()
+        })
+        .sum()
+}
+
+/// The flush moves no trained weight: a CO-VV-shaped toy (70 % one
+/// empty row, seven wide constraint rows, each row one label, Group 0
+/// weighted 200) trains until its softmax numerators are subnormal, and
+/// after every Adam step each parameter of the deduplicated, flushing
+/// step equals, bit for bit, the one a per-sample pass gives that keeps
+/// every subnormal. The gradients themselves may differ below
+/// `MIN_POSITIVE`; what reaches the weights may not.
+#[test]
+fn flushing_subnormals_moves_no_weight_bit() {
+    use rand::Rng;
+    let (d, hidden, classes, n) = (64, 30, 8, 64);
+    let mut rng = seeded_rng(11);
+    // One constraint row of 20–30 stored columns per label below the
+    // last; the empty row takes the last label.
+    let sets: Vec<Vec<usize>> = (0..classes - 1)
+        .map(|_| {
+            let k = rng.gen_range(20..=30);
+            let mut cols: Vec<usize> = (0..d).collect();
+            for i in 0..k {
+                let j = rng.gen_range(i..d);
+                cols.swap(i, j);
+            }
+            let mut set = cols[..k].to_vec();
+            set.sort_unstable();
+            set
+        })
+        .collect();
+    let batch = |seed: u64| {
+        let mut rng = seeded_rng(seed);
+        let mut b = CsrBuilder::new(d);
+        let mut y = Vec::new();
+        for _ in 0..n {
+            if rng.gen_bool(0.7) {
+                b.push_row([]);
+                y.push(classes as u8 - 1);
+            } else {
+                let c: usize = rng.gen_range(0..classes - 1);
+                b.push_row(sets[c].iter().map(|&col| (col, 1.0)));
+                y.push(c as u8);
+            }
+        }
+        (b.finish(), y)
+    };
+    let loss_fn = CrossEntropyLoss::group0_boosted(classes, 200.0);
+    let mut flushing = Net::two_layer(d, hidden, classes, &mut seeded_rng(5));
+    let mut keeping = flushing.clone();
+    let (mut opt_a, mut opt_b) = (Adam::paper_default(), Adam::paper_default());
+    let mut ws = Workspace::new();
+    let mut flushed = 0;
+    for step in 0..200u64 {
+        let (x, y) = batch(1000 + step);
+        flushed += subnormal_numerators(&flushing.forward(&x));
+        let loss_a = flushing.train_batch(&x, &y, &loss_fn, &mut ws);
+        let loss_b = per_sample_step(&mut keeping, &x, &y, &loss_fn, Subnormals::Keep);
+        assert_eq!(loss_a.to_bits(), loss_b.to_bits(), "loss at step {step}");
+        opt_a.step(&mut flushing);
+        opt_b.step(&mut keeping);
+        assert_eq!(
+            value_bits(&mut flushing),
+            value_bits(&mut keeping),
+            "weights after step {step}"
+        );
+    }
+    assert!(
+        flushed > 0,
+        "no softmax numerator was subnormal: the toy never reached the flush"
+    );
 }
 
 proptest! {

@@ -43,6 +43,18 @@
 //!   build, so both give the same bits (the unit tests below run both on
 //!   every kernel and compare them).
 //!
+//! **No subnormal leaves the loss.** [`softmax_rows_inplace`] stores a
+//! numerator or probability below `f32::MIN_POSITIVE` as `+0.0`, and
+//! `ctlm_nn`'s loss flushes its scaled gradient the same way
+//! ([`flush_subnormal`]). A trained network's off-target probabilities
+//! underflow, and each subnormal operand of [`matmul_at_acc`],
+//! [`matmul_into`] or the softmax costs a microcode assist: with them,
+//! `fc2`'s backward cost more than twice its arithmetic. No row sum
+//! moves (see
+//! [`softmax_rows_inplace`]), and no MXCSR flag is set: the rule is the
+//! same on every host and reaches nothing outside the loss. A kernel
+//! change must not bring a subnormal back.
+//!
 //! The pre-optimization reference kernels are retained in [`naive`]; the
 //! property tests in `tests/kernel_properties.rs` pin the dense products
 //! to them bit for bit and the other blocked kernels within 1e-5, and
@@ -801,20 +813,53 @@ pub fn col_sums_acc(a: &Matrix, out: &mut [f32]) {
     }
 }
 
+/// Below this, `x − max` gives a subnormal or zero `exp` on any IEEE
+/// host: `ln(f32::MIN_POSITIVE) ≈ −87.3365`, and the margin covers a libm
+/// that is off by an ulp or two.
+const EXP_UNDERFLOW: f32 = -87.5;
+
+/// `v`, or `+0.0` when `v` is subnormal or a zero of either sign: the
+/// rule by which [`softmax_rows_inplace`] and `ctlm_nn`'s loss keep
+/// subnormals out of a training step.
+#[inline(always)]
+pub fn flush_subnormal(v: f32) -> f32 {
+    if v.abs() < f32::MIN_POSITIVE {
+        0.0
+    } else {
+        v
+    }
+}
+
 /// In-place row-wise softmax, numerically stabilised by max subtraction —
 /// the allocation-free path `CrossEntropyLoss` uses on workspace buffers.
+///
+/// No subnormal leaves it: a numerator `exp(x − max)` below
+/// `f32::MIN_POSITIVE` is stored as `+0.0`, and so is a normalised
+/// probability below it. `exp` is not called where `x − max` is below
+/// −87.5, where its result cannot reach `MIN_POSITIVE`. The row sum is
+/// the one without the flush whenever the row's maximum is finite: a
+/// subnormal moves a partial sum only while that sum is below 2⁻¹⁰²,
+/// which the maximum's numerator, 1.0, then rounds away, and it cannot
+/// move a sum of at least 1.0. So every output is the unflushed one, or
+/// `+0.0` where that is subnormal. [`naive::softmax_rows`] keeps the
+/// unflushed arithmetic as the reference.
 pub fn softmax_rows_inplace(logits: &mut Matrix) {
     let m = logits.cols();
     let body = |row: &mut [f32]| {
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
+            let d = *v - max;
+            *v = if d < EXP_UNDERFLOW {
+                0.0
+            } else {
+                flush_subnormal(d.exp())
+            };
             sum += *v;
         }
         let inv = 1.0 / sum;
         for v in row.iter_mut() {
-            *v *= inv;
+            *v = flush_subnormal(*v * inv);
         }
     };
     for row in logits.as_mut_slice().chunks_mut(m) {

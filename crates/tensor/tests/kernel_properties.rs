@@ -196,3 +196,43 @@ proptest! {
         prop_assert!(close(&inplace, &soft_ref, 1.0));
     }
 }
+
+/// No subnormal leaves the softmax. Over logits spread up to ±200, where
+/// most numerators of a row underflow: every output is normal or `+0.0`,
+/// within 1e-5 of the unflushed reference, `+0.0` wherever that
+/// reference is below `f32::MIN_POSITIVE`, and normal wherever it is
+/// clear of that bound (the reference divides where the kernel
+/// multiplies by a reciprocal, so they may differ in the last bit).
+/// Some of these rows do flush a subnormal the reference keeps, so the
+/// check is not vacuous.
+#[test]
+fn softmax_flushes_underflowed_probabilities() {
+    let mut flushed = 0;
+    for spread in [1.0f32, 20.0, 50.0, 100.0, 200.0] {
+        for (seed, (n, m)) in [(1, 26), (3, 26), (5, 7), (33, 30), (70, 3)]
+            .into_iter()
+            .enumerate()
+        {
+            // `dense` draws from (−2, 2) with exact zeros sprinkled in.
+            let mut logits = dense(n, m, seed as u64 + spread as u64);
+            logits
+                .as_mut_slice()
+                .iter_mut()
+                .for_each(|v| *v *= spread / 2.0);
+            let reference = naive::softmax_rows(&logits);
+            let mut got = logits.clone();
+            ops::softmax_rows_inplace(&mut got);
+            assert!(close(&got, &reference, 1.0), "spread {spread}, {n}×{m}");
+            for (&g, &r) in got.as_slice().iter().zip(reference.as_slice()) {
+                assert!(!g.is_subnormal(), "subnormal {g:e} at spread {spread}");
+                if r < f32::MIN_POSITIVE {
+                    assert_eq!(g.to_bits(), 0, "reference {r:e} not flushed to +0.0");
+                } else if r >= 2.0 * f32::MIN_POSITIVE {
+                    assert!(g.is_normal(), "reference {r:e} flushed to {g:e}");
+                }
+                flushed += usize::from(r.is_subnormal());
+            }
+        }
+    }
+    assert!(flushed > 0, "no case reached a subnormal probability");
+}
