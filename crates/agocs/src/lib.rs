@@ -13,9 +13,9 @@
 //! * **anomaly auto-correction** ([`corrector`]) — offsetting mis-timed
 //!   task updates to after creation, and deleting task markers when their
 //!   terminated collection finishes;
-//! * **dataset generation** ([`replay`]) — emitting cumulative CO-VV and
-//!   CO-EL dataset snapshots at every feature-array extension (the
-//!   “steps” of Table XI);
+//! * **dataset generation** ([`replay`]) — emitting cumulative CO-VV
+//!   dataset snapshots at every feature-array extension (the “steps” of
+//!   Table XI), and the whole replay's CO-EL dataset once, at the end;
 //! * **workload statistics** ([`stats`]) — the tasks-with-CO ratios of
 //!   Table IX.
 

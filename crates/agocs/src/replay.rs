@@ -4,8 +4,10 @@
 //! state, computes each constrained task's ground-truth suitable-node
 //! group via the [`matcher`](crate::matcher), and encodes CO-VV / CO-EL
 //! dataset rows. Whenever the attribute-value vocabulary grows — the
-//! feature array is *extended* — it emits a [`DatasetStep`] snapshot:
-//! exactly the retraining points Table XI tabulates.
+//! feature array is *extended* — it emits a [`DatasetStep`] snapshot of
+//! the CO-VV dataset: exactly the retraining points Table XI tabulates.
+//! No retraining step reads CO-EL, so its dataset is taken once, into
+//! [`ReplayOutput::co_el`].
 //!
 //! The logic lives in [`ReplaySession`], an incremental state machine
 //! consuming one [`TraceEvent`] at a time. [`Replayer::replay`] is the
@@ -44,8 +46,6 @@ pub struct ReplayConfig {
     /// step (the generator emits e.g. a machine batch and a kernel rollout
     /// a microsecond apart; the paper's steps are minutes apart).
     pub step_merge_window: Micros,
-    /// Whether to build the CO-EL dataset alongside CO-VV.
-    pub build_co_el: bool,
 }
 
 impl Default for ReplayConfig {
@@ -53,13 +53,12 @@ impl Default for ReplayConfig {
         Self {
             min_rows_for_step0: 30,
             step_merge_window: 30 * 60 * 1_000_000, // 30 simulated minutes
-            build_co_el: true,
         }
     }
 }
 
-/// One feature-array-extension step: the cumulative datasets as of the
-/// extension, plus the bookkeeping Table XI reports per step.
+/// One feature-array-extension step: the cumulative CO-VV dataset as of
+/// the extension, plus the bookkeeping Table XI reports per step.
 #[derive(Clone, Debug)]
 pub struct DatasetStep {
     /// Step number (0 = initial training).
@@ -75,8 +74,6 @@ pub struct DatasetStep {
     /// Cumulative CO-VV dataset (rows so far, widened to
     /// `features_count`).
     pub vv: Dataset,
-    /// Cumulative CO-EL dataset, when enabled.
-    pub el: Option<Dataset>,
 }
 
 /// Everything a replay produces.
@@ -107,6 +104,10 @@ pub struct ReplayOutput {
     pub markers_leaked: usize,
     /// Final CO-VV vocabulary.
     pub vocab: ValueVocab,
+    /// The CO-EL dataset over the whole replay: the same rows and labels
+    /// as the last step's CO-VV dataset, label-encoded (Table VI). Taken
+    /// once, at the end: no retraining step reads it.
+    pub co_el: Dataset,
 }
 
 /// What one [`ReplaySession::observe`] call produced.
@@ -183,14 +184,7 @@ impl ReplaySession {
     fn emit_step(&mut self, time: Micros) -> DatasetStep {
         let width = self.vocab.len();
         self.vv_builder.widen(width);
-        self.el_builder
-            .widen(self.el_encoder.len().max(self.el_builder.cols()));
         let vv = self.vv_builder.snapshot(width);
-        let el = if self.cfg.build_co_el {
-            Some(self.el_builder.snapshot(self.el_encoder.len()))
-        } else {
-            None
-        };
         let step = DatasetStep {
             index: self.steps_emitted,
             time,
@@ -198,7 +192,6 @@ impl ReplaySession {
             features_count: width,
             new_features: width - self.width_at_last_step,
             vv,
-            el,
         };
         self.steps_emitted += 1;
         self.width_at_last_step = width;
@@ -293,11 +286,9 @@ impl ReplaySession {
             self.vv_builder.widen(self.vocab.len());
             let vv_row = self.vv_encoder.encode_requirements(&reqs, &self.vocab);
             self.vv_builder.push(vv_row, label);
-            if self.cfg.build_co_el {
-                let el_row = self.el_encoder.encode_requirements(&reqs);
-                self.el_builder.widen(self.el_encoder.len());
-                self.el_builder.push(el_row, label);
-            }
+            let el_row = self.el_encoder.encode_requirements(&reqs);
+            self.el_builder.widen(self.el_encoder.len());
+            self.el_builder.push(el_row, label);
             // Step 0 fires once enough rows exist for the initial
             // training.
             if !self.step0_emitted && self.vv_builder.len() >= self.cfg.min_rows_for_step0 {
@@ -351,6 +342,7 @@ impl ReplaySession {
             markers_swept_by_collection: self.markers_swept,
             markers_leaked: self.state.live_task_markers(),
             vocab: self.vocab,
+            co_el: self.el_builder.finish(self.el_encoder.len()),
             steps,
         }
     }
@@ -541,7 +533,7 @@ mod tests {
     fn co_el_and_co_vv_have_same_rows_and_labels() {
         let out = replay_cell(CellSet::C2011, 3);
         let last = out.steps.last().unwrap();
-        let el = last.el.as_ref().unwrap();
+        let el = &out.co_el;
         assert_eq!(el.len(), last.vv.len());
         assert_eq!(el.y, last.vv.y);
         assert!(
@@ -637,9 +629,11 @@ mod tests {
                 (b.index, b.time, &b.label, b.features_count, b.new_features)
             );
             assert_eq!((&a.vv.x, &a.vv.y), (&b.vv.x, &b.vv.y));
-            let (ael, bel) = (a.el.as_ref().unwrap(), b.el.as_ref().unwrap());
-            assert_eq!((&ael.x, &ael.y), (&bel.x, &bel.y));
         }
+        assert_eq!(
+            (&out.co_el.x, &out.co_el.y),
+            (&by_hand.co_el.x, &by_hand.co_el.y)
+        );
         assert_eq!(out.correction, by_hand.correction);
         assert_eq!(
             (out.total_rows, out.group0_rows, out.vocab.len()),

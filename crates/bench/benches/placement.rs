@@ -248,9 +248,11 @@ fn bench_fig3_scaled(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("fig3_scaled_2k_machines", |b| {
         let simulator = Simulator::new(config);
-        let mut cluster = SchedCluster::from_machines(ms.clone());
+        let cluster = SchedCluster::from_machines(ms.clone());
         b.iter(|| {
-            let r = simulator.run(&mut cluster, &arrivals, &mut MainOnly);
+            let (_, r) = simulator
+                .harness(cluster.clone(), &arrivals, &mut MainOnly)
+                .run();
             assert!(r.placed.len() > 3_000, "scenario must mostly place");
             r.placed.len()
         })

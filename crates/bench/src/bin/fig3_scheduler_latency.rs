@@ -8,13 +8,11 @@
 //! the "minimizes task scheduling latency by prioritizing tasks with
 //! fewer suitable nodes" claim.
 
-use std::sync::Arc;
-
 use ctlm_bench::{replay_cell, rule, Cli};
-use ctlm_core::{GrowingModel, TrainConfig};
+use ctlm_core::{GrowingModel, ModelRegistry, TrainConfig};
 use ctlm_sched::engine::{arrivals_from_trace, compress_timeline, SimConfig, Simulator};
 use ctlm_sched::latency::LatencyStats;
-use ctlm_sched::scheduler::{Enhanced, MainOnly, OracleEnhanced};
+use ctlm_sched::scheduler::{LiveRegistry, MainOnly, OracleEnhanced, Scheduler};
 use ctlm_trace::{CellSet, TraceGenerator};
 
 fn show(name: &str, stats: Option<LatencyStats>) {
@@ -63,16 +61,15 @@ fn main() {
         horizon: 3_600_000_000,
         seed: cli.seed,
     });
-    // One cluster, three policy runs — `run` hands the cluster back
-    // reset, so no per-policy deep copy happens.
-    let mut cluster = cluster;
-    let base = sim.run(&mut cluster, &arrivals, &mut MainOnly);
-    let enhanced = sim.run(
-        &mut cluster,
-        &arrivals,
-        &mut Enhanced::new(Arc::new(analyzer)),
-    );
-    let oracle = sim.run(&mut cluster, &arrivals, &mut OracleEnhanced);
+    // One fleet, three policy runs, each on its own copy-on-write clone
+    // of the cluster — no per-policy deep copy happens.
+    let registry = ModelRegistry::new();
+    registry.install(analyzer);
+    let run =
+        |scheduler: &mut dyn Scheduler| sim.harness(cluster.clone(), &arrivals, scheduler).run().1;
+    let base = run(&mut MainOnly);
+    let enhanced = run(&mut LiveRegistry::new(registry));
+    let oracle = run(&mut OracleEnhanced);
 
     println!(
         "{:<34} {:>7} {:>12} {:>10} {:>10} {:>10}",

@@ -11,7 +11,7 @@ fn main() {
     println!("TABLE VI. SAMPLE OF THE CO-EL DATASET (CLUSTERDATA-2011)\n");
     let out = replay_cell(&cli, CellSet::C2011);
     let step = out.steps.last().expect("replay produced steps");
-    let el = step.el.as_ref().expect("CO-EL enabled by default");
+    let el = &out.co_el;
 
     println!(
         "dataset: {} rows × {} label columns ({} CO-VV columns for comparison)\n",

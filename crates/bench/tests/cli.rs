@@ -1,7 +1,8 @@
 //! The bench binaries' exit codes, end to end: `bench_check` exits 0
 //! when every ratio holds and 1 when one exceeds its limit; a bad
 //! command line or an unusable report is one `error:` line and exit
-//! code 2 there and in the table binaries, never a panic.
+//! code 2 there and in the table binaries, never a panic; a table
+//! binary at its default scale runs to completion and exits 0.
 
 use std::path::Path;
 use std::process::Command;
@@ -30,6 +31,7 @@ fn bench_binaries_exit_with_their_documented_codes() {
         (bench_check, &[report, max, "g/fast:g/slow=abc"], 2),
         (bench_check, &[report], 2),
         (table06, &["stray"], 2),
+        (table06, &[], 0),
     ] {
         let out = Command::new(bin).args(args).output().expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);

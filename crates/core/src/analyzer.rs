@@ -175,14 +175,6 @@ impl ModelRegistry {
         }
         self.current.read().expect("registry lock poisoned").clone()
     }
-
-    /// True once a model is installed.
-    pub fn is_ready(&self) -> bool {
-        self.current
-            .read()
-            .expect("registry lock poisoned")
-            .is_some()
-    }
 }
 
 #[cfg(test)]
@@ -298,11 +290,10 @@ mod tests {
     #[test]
     fn registry_hot_swaps() {
         let reg = ModelRegistry::new();
-        assert!(!reg.is_ready());
         assert!(reg.get().is_none());
         let a = trained_analyzer();
         reg.install(a);
-        assert!(reg.is_ready());
+        assert!(reg.get().is_some());
         let held = reg.get().unwrap();
         // Install a second analyzer; the held Arc stays valid (readers
         // are never blocked or invalidated).

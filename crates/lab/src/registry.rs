@@ -1,21 +1,20 @@
 //! Name → implementation registries over the open `ctlm-sched` traits.
 //!
 //! Specs select policies by string; the registries here resolve those
-//! strings into [`Scheduler`] / [`Placer`] instances. Model-backed
-//! schedulers are *trained here, from the spec's own workload* — no
-//! experiment-specific Rust: `enhanced` trains a
-//! [`TaskCoAnalyzer`] on the cell's arrivals
-//! before the run, and `live_registry` starts cold and receives
-//! hot-swapped models from the in-timeline retraining component
+//! strings into [`Scheduler`] / [`Placer`] instances. Both model-backed
+//! schedulers are a [`LiveRegistry`], and their models are *trained
+//! here, from the spec's own workload* — no experiment-specific Rust:
+//! `enhanced` trains a [`TaskCoAnalyzer`] on the cell's arrivals before
+//! the run and installs it in a registry only its scheduler holds, and
+//! `live_registry` starts cold and receives hot-swapped models from the
+//! in-timeline retraining component
 //! ([`RetrainSource`](crate::run::RetrainSource)).
-
-use std::sync::Arc;
 
 use ctlm_autoscale::{AutoscalePolicy, MachineTemplate, Predictive, TargetTracking, ThresholdStep};
 use ctlm_core::{GrowingModel, ModelRegistry, TaskCoAnalyzer, TrainConfig};
 use ctlm_data::compaction::collapse;
 use ctlm_sched::placement::{BestFit, FirstFit, Placer, PreemptiveBestFit, SoftAffinityBestFit};
-use ctlm_sched::scheduler::{Enhanced, LiveRegistry, MainOnly, OracleEnhanced, Scheduler};
+use ctlm_sched::scheduler::{LiveRegistry, MainOnly, OracleEnhanced, Scheduler};
 use ctlm_sched::SimConfig;
 use ctlm_trace::{AttrValue, ConstraintOp, TaskConstraint};
 
@@ -28,7 +27,10 @@ use crate::LabError;
 pub struct SchedulerInstance {
     /// The routing policy under test.
     pub scheduler: Box<dyn Scheduler>,
-    /// Hot-swap handle for in-timeline retraining.
+    /// Hot-swap handle for in-timeline retraining and the fault plane's
+    /// registry outages. `None` for `enhanced`: its registry is private
+    /// to its scheduler, so its pre-trained model stays installed for
+    /// the whole run.
     pub registry: Option<ModelRegistry>,
 }
 
@@ -109,9 +111,10 @@ pub fn build_scheduler(
             registry: None,
         }),
         "enhanced" => {
-            let analyzer = train_analyzer(cell, train, seed);
+            let registry = ModelRegistry::new();
+            registry.install(train_analyzer(cell, train, seed));
             Ok(SchedulerInstance {
-                scheduler: Box::new(Enhanced::new(Arc::new(analyzer))),
+                scheduler: Box::new(LiveRegistry::new(registry)),
                 registry: None,
             })
         }

@@ -8,6 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use ctlm_autoscale::ProvisionDelay;
 use ctlm_lab::report::to_pretty_json;
+use ctlm_lab::run::{run_scheduler_observed, ArrivalMode};
 use ctlm_lab::spec::{
     ArrivalProcess, AutoscaleSpec, ChurnSpec, ExecutionSpec, ExperimentSpec, GangSpec, KnobSpec,
     MachineGroup, ObservabilitySpec, PlacerSpec, PolicyParams, RestrictiveSpec, RetrySpec,
@@ -268,6 +269,53 @@ fn retrain_cadence_drives_live_registry() {
     );
     let cell = &a.runs[0].schedulers[0].cells[0];
     assert!(cell.placed > 200, "most tasks place");
+}
+
+#[test]
+fn enhanced_keeps_its_model_through_registry_outages_and_retrain_ticks() {
+    // `enhanced` routes through a registry only its scheduler holds, so
+    // a registry outage over the whole run and a retrain tick — which
+    // act on `live_registry`'s registry — must not change its run.
+    // Handing its registry to the fault plane would send every task to
+    // the main queue (the run would match main-only, which the model's
+    // run does not), and handing it to the retrainer would swap in, at
+    // 1 s, a model trained on the first 21 arrivals, none restrictive.
+    let spec = |schedulers: &str, scenario: &str| {
+        ExperimentSpec::from_json(&format!(
+            r#"{{
+            "name": "private_registry",
+            "sim": {{"cycle": 500000, "attempts_per_cycle": 3,
+                     "mean_runtime": 6000000, "horizon": 90000000, "seed": 9}},
+            "schedulers": {schedulers},
+            "workload": {{"Synthetic": {{
+                "machines": [{{"count": 6, "cpu": 1.0, "memory": 1.0}}],
+                "tasks": 250,
+                "arrival": {{"Uniform": {{"gap": 50000}}}},
+                "restrictive": {{"count": 8, "start": 2000000,
+                                 "period": 1500000, "cpu": 0.2, "priority": 6}}
+            }}}},
+            "scenario": {{{scenario}}},
+            "train": {{"epochs_limit": 25, "max_attempts": 1}}
+        }}"#
+        ))
+        .expect("spec parses")
+    };
+    let result = |spec: &ExperimentSpec, sched: &str| {
+        let (mut cells, _) =
+            run_scheduler_observed(spec, sched, ArrivalMode::Streaming).expect("spec runs");
+        cells.remove(0).result
+    };
+    let plain = result(&spec(r#"["enhanced"]"#, ""), "enhanced");
+    let main_only = result(&spec(r#"["main_only"]"#, ""), "main_only");
+    assert_ne!(plain.placed, main_only.placed, "the model lifts tasks");
+    let meddled = spec(
+        r#"["enhanced"]"#,
+        r#""retrain": {"start": 1000000, "period": 100000000},
+           "faults": {"degraded_registry": {"start": 1, "duration": 89000000}}"#,
+    );
+    let meddled = result(&meddled, "enhanced");
+    assert_eq!(plain.placed, meddled.placed, "placed records and latencies");
+    assert_eq!(plain.unplaced, meddled.unplaced);
 }
 
 #[test]

@@ -8,9 +8,8 @@
 //! over the arrivals seen so far would have produced.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use ctlm_core::GrowingModel;
+use ctlm_core::{GrowingModel, ModelRegistry};
 use ctlm_data::dataset::{DatasetBuilder, NUM_GROUPS};
 use ctlm_data::encode::co_vv::CoVvEncoder;
 use ctlm_lab::build::build_cell;
@@ -19,7 +18,7 @@ use ctlm_lab::report::{summarize, to_pretty_json, CellRun, LabReport, RunReport,
 use ctlm_lab::run::{run_scheduler_observed, ArrivalMode};
 use ctlm_lab::spec::WorkloadSpec;
 use ctlm_lab::{run_spec_observed, ExperimentSpec};
-use ctlm_sched::scheduler::{Enhanced, Scheduler};
+use ctlm_sched::scheduler::{LiveRegistry, Scheduler};
 use ctlm_trace::{EventPayload, Scale, TraceGenerator};
 
 /// A small Fig. 3 + live-retrain spec: all four schedulers on one trace
@@ -171,7 +170,11 @@ fn raw_constraints_collapsed_requirements_and_enhanced_agree_over_the_fig3_cell(
     let spec = ExperimentSpec::from_json(&text).expect("spec parses");
     let cell_spec = &spec.cell_specs()[0];
     let cell = build_cell(cell_spec, &spec.sim, 0, false).expect("cell builds");
-    let analyzer = Arc::new(train_analyzer(&cell, &spec.train, spec.sim.seed));
+    // The `enhanced` scheduler as the lab builds it: a registry holding
+    // the pre-trained analyzer, read by a `LiveRegistry`.
+    let registry = ModelRegistry::new();
+    registry.install(train_analyzer(&cell, &spec.train, spec.sim.seed));
+    let analyzer = registry.get().expect("installed");
 
     // The raw constraint lists, from the trace the cell was cut from.
     let WorkloadSpec::Trace(w) = &cell_spec.workload else {
@@ -194,7 +197,7 @@ fn raw_constraints_collapsed_requirements_and_enhanced_agree_over_the_fig3_cell(
         })
         .collect();
 
-    let mut enhanced = Enhanced::new(analyzer.clone());
+    let mut enhanced = LiveRegistry::new(registry);
     let (mut constrained, mut lifted) = (0, 0);
     for t in cell.arrivals.list().expect("trace cells materialise") {
         let constraints = raw[&t.id];

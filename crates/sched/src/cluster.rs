@@ -40,15 +40,19 @@
 //! tasks. On an idle fleet of one machine shape that is the same count
 //! at 100 machines as at 10 000 (`zero_alloc_pass.rs` pins it).
 //! Every write to the fleet — `add_machine`, a machine going offline or
-//! coming back (`remove_machine`, `restore_machine`, `reset`),
-//! `update_attr` and `take_offline` — goes through one private
-//! accessor, `fleet_mut`, which is `Arc::make_mut`: the first such write
-//! on a shared fleet copies it, once, and later writes reuse the copy. A
-//! run whose fleet never changes never copies; one whose fleet does
-//! (churn, rollout, autoscaling, crashes) pays at its first change what
-//! a deep clone used to cost up front. A cluster that holds the only
-//! reference writes in place, so the zero-allocation drain / restore /
-//! reset contract is unchanged.
+//! coming back (`remove_machine`, `restore_machine`), `update_attr` and
+//! `take_offline` — goes through one private accessor, `fleet_mut`,
+//! which is `Arc::make_mut`: the first such write on a shared fleet
+//! copies it, once, and later writes reuse the copy. A run whose fleet
+//! never changes never copies; one whose fleet does (churn, rollout,
+//! autoscaling, crashes) pays at its first change what a deep clone
+//! used to cost up front. A cluster that holds the only reference
+//! writes in place, so drain and restore allocate nothing.
+//!
+//! So an A/B comparison over one fleet runs each policy on its own
+//! clone of the pristine cluster: no run can see what another left
+//! behind — reservations, drained or joined machines, attribute
+//! rollouts — and nothing has to put the fleet back afterwards.
 //!
 //! ## The capacity index
 //!
@@ -142,8 +146,8 @@ impl Hot {
 enum State {
     /// In the fleet: indexed, placeable.
     Online,
-    /// Drained by churn — kept so `restore_machine` / `reset` can bring
-    /// it back without a copy of the fleet.
+    /// Drained by churn — kept so `restore_machine` can bring it back
+    /// without a copy of the fleet.
     Parked,
     /// Taken out by `take_offline`; the slot waits for its id to rejoin.
     Vacant,
@@ -583,8 +587,8 @@ impl SchedCluster {
     fn add_at_next_rank(&mut self, m: Machine) -> bool {
         let (slot, in_order) = match self.slot(m.id) {
             // A re-add under the same id supersedes the live machine and
-            // its reservations, or the parked copy a later restore/reset
-            // would otherwise bring back over it.
+            // its reservations, or the parked copy a later restore would
+            // otherwise bring back over it.
             Some(slot) => {
                 if self.slots[slot].state == State::Online {
                     self.take_down(slot);
@@ -654,9 +658,8 @@ impl SchedCluster {
     }
 
     /// Puts the ranks back in id order and refiles every online machine
-    /// at its new rank, as `reset` does: one sort and one pass over the
-    /// table, for [`from_machines`](Self::from_machines) after its last
-    /// machine.
+    /// at its new rank: one sort and one pass over the table, for
+    /// [`from_machines`](Self::from_machines) after its last machine.
     fn rerank(&mut self) {
         let Fleet {
             machines,
@@ -679,8 +682,8 @@ impl SchedCluster {
     /// Takes a machine offline (churn / failure). The machine's running
     /// tasks are returned as `(task, cpu, memory, priority)`, sorted by
     /// task id, so the engine can requeue them; the machine itself is
-    /// parked for [`SchedCluster::reset`] to restore. Returns `None` for
-    /// machines that are not online.
+    /// parked for [`SchedCluster::restore_machine`] to bring back.
+    /// Returns `None` for machines that are not online.
     pub fn remove_machine(&mut self, id: MachineId) -> Option<Vec<(TaskId, f64, f64, u8)>> {
         let slot = self.online_slot(id)?;
         self.take_down(slot);
@@ -698,9 +701,9 @@ impl SchedCluster {
     /// the decommission half of the autoscaler's scale-down path: after
     /// [`SchedCluster::remove_machine`] requeued its tasks, the owner
     /// takes the machine value and decides whether it re-enters as warm
-    /// standby or is gone for good. A taken machine is no longer
-    /// restored by [`SchedCluster::reset`]. Returns `None` when the
-    /// machine is not parked.
+    /// standby or is gone for good. A taken machine cannot be restored:
+    /// its id comes back only through [`SchedCluster::add_machine`].
+    /// Returns `None` when the machine is not parked.
     pub fn take_offline(&mut self, id: MachineId) -> Option<Machine> {
         let slot = self.slot(id)?;
         let s = &mut self.slots[slot];
@@ -769,30 +772,6 @@ impl SchedCluster {
             }
         }
         true
-    }
-
-    /// Returns the cluster to its pristine state: every reservation is
-    /// dropped and every churned machine rejoins. This is the cheap
-    /// alternative to deep-copying the cluster per policy run: one pass
-    /// over the table, nothing reallocated.
-    pub fn reset(&mut self) {
-        self.cap.clear();
-        self.cpu_used_total = 0.0;
-        for slot in 0..self.slots.len() {
-            let s = &mut self.slots[slot];
-            (s.cpu_used, s.mem_used) = (0.0, 0.0);
-            s.tasks.clear();
-            match s.state {
-                State::Online => {
-                    let m = &self.fleet.machines[slot];
-                    let h = &mut self.hot[slot];
-                    (h.free_cpu, h.free_mem) = (m.cpu, m.memory);
-                    self.cap.insert(&self.hot, &self.fleet, slot);
-                }
-                State::Parked => self.bring_online(slot),
-                State::Vacant => {}
-            }
-        }
     }
 
     /// Number of machines.
@@ -1124,14 +1103,14 @@ mod tests {
         let mut c = cluster3();
         c.remove_machine(2);
         // The machine rejoins via a fresh add (trace MachineAdd), takes
-        // load — a later reset must not clobber it with the stale copy.
+        // load — a later restore must not clobber it with the stale copy.
         let mut m = Machine::new(2, 1.0, 1.0);
         m.set_attr(0, AttrValue::Int(42));
         c.add_machine(m);
         c.place(2, 7, 0.5, 0.5, 1);
         assert!(!c.restore_machine(2), "no parked copy may remain");
-        c.reset();
         assert_eq!(c.len(), 3);
+        assert_eq!(c.free_cpu(2), 0.5);
         assert_eq!(c.machine_attr(2, 0), Some(&AttrValue::Int(42)));
     }
 
@@ -1179,7 +1158,7 @@ mod tests {
     }
 
     #[test]
-    fn capacity_index_survives_churn_and_reset() {
+    fn capacity_index_survives_churn() {
         let mut c = cluster3();
         c.place(0, 10, 0.5, 0.5, 1);
         c.remove_machine(0);
@@ -1188,7 +1167,7 @@ mod tests {
         // Restored machines rejoin empty, back in the full bucket.
         assert_eq!(c.tightest_fit(&[], 0.2, 0.2), CapacityFit::Fit(0));
         c.place(1, 11, 0.6, 0.6, 1);
-        c.reset();
+        assert!(c.release(1, 11));
         assert_eq!(c.tightest_fit(&[], 0.2, 0.2), CapacityFit::Fit(0));
         assert_eq!(c.cpu_utilisation(), 0.0);
     }
@@ -1200,8 +1179,7 @@ mod tests {
         let m = c.take_offline(1).expect("parked machine taken");
         assert_eq!(m.id, 1);
         assert!(!c.restore_machine(1), "taken machines cannot be restored");
-        c.reset();
-        assert_eq!(c.len(), 2, "reset must not resurrect a taken machine");
+        assert_eq!(c.len(), 2);
         assert!(
             c.take_offline(0).is_none(),
             "online machines are not parked"
@@ -1327,7 +1305,7 @@ mod tests {
     fn bucket_bounds_stay_exact_under_decimal_churn() {
         // Tenths (sums round), a size below a bucket's width (in-place
         // updates) and a memory-bound one, through place / release /
-        // drain / restore / re-add / reset.
+        // drain / restore / re-add.
         let sizes = [(0.2, 0.2), (0.1, 0.3), (0.0005, 0.1), (0.3, 0.1)];
         let mut c = SchedCluster::from_machines((0..6).map(|i| Machine::new(i, 1.0, 1.0)));
         let mut live: Vec<(TaskId, MachineId)> = Vec::new();
@@ -1360,9 +1338,6 @@ mod tests {
             }
             c.assert_index_exact();
         }
-        c.reset();
-        c.assert_index_exact();
-        assert_eq!(c.len(), 6);
     }
 
     #[test]
@@ -1422,8 +1397,6 @@ mod tests {
             150 + 18,
             "18 ids joined below the largest"
         );
-        c.reset();
-        c.assert_index_exact();
     }
 
     #[test]

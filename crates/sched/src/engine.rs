@@ -854,8 +854,12 @@ impl Simulator {
     /// components (churn, gang sources, trace feeds, rollouts) can join
     /// before [`Harness::run`].
     ///
-    /// The cluster is taken by value; [`Harness::run`] returns it (reset
-    /// to pristine) together with the result.
+    /// The cluster is taken by value and [`Harness::run`] hands it back
+    /// as the run left it. An A/B comparison over one fleet gives each
+    /// policy its own [`SchedCluster::clone`]: the clone shares the
+    /// machine table copy-on-write, so it costs a few allocations rather
+    /// than a copy of the fleet, and no run sees another's reservations,
+    /// drains or rollouts.
     pub fn harness<'a>(
         &'a self,
         cluster: SchedCluster,
@@ -877,26 +881,6 @@ impl Simulator {
             state: cell.state,
             horizon: self.config.horizon,
         }
-    }
-
-    /// Runs `arrivals` (sorted by arrival time) against the cluster under
-    /// `scheduler`.
-    ///
-    /// The cluster is borrowed and handed back **reset** (allocations
-    /// cleared, churned machines restored), so A/B policy runs reuse one
-    /// cluster without deep-copying it.
-    pub fn run(
-        &self,
-        cluster: &mut SchedCluster,
-        arrivals: &[PendingTask],
-        scheduler: &mut dyn Scheduler,
-    ) -> SimResult {
-        let taken = std::mem::take(cluster);
-        let harness = self.harness(taken, arrivals, scheduler);
-        let (mut back, result) = harness.run();
-        back.reset();
-        *cluster = back;
-        result
     }
 }
 
@@ -947,9 +931,9 @@ impl<'a> Harness<'a> {
         self.state.clone()
     }
 
-    /// Runs to the horizon and returns `(cluster, result)`. The cluster
-    /// is *not* reset — callers inspecting post-churn state see it as the
-    /// simulation left it.
+    /// Runs to the horizon and returns `(cluster, result)`, the cluster
+    /// as the simulation left it — callers inspecting post-churn state
+    /// see the drained machines still drained.
     pub fn run(mut self) -> (SchedCluster, SimResult) {
         self.sim.run_until(self.horizon);
         drop(self.sim); // components are done emitting
@@ -1032,7 +1016,7 @@ pub fn arrivals_from_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{MainOnly, OracleEnhanced};
+    use crate::scheduler::{MainOnly, OracleEnhanced, Scheduler};
     use ctlm_trace::{AttrValue, Machine};
 
     /// A 6-machine cluster hit by a 10-second burst of 400 small tasks:
@@ -1091,11 +1075,21 @@ mod tests {
         })
     }
 
+    /// One policy run on a clone of `cluster`, the way A/B runs share a
+    /// fleet.
+    fn run(
+        cluster: &SchedCluster,
+        arrivals: &[PendingTask],
+        scheduler: &mut dyn Scheduler,
+    ) -> SimResult {
+        sim().harness(cluster.clone(), arrivals, scheduler).run().1
+    }
+
     #[test]
     fn oracle_routing_cuts_group0_latency() {
-        let (mut cluster, arrivals) = contended_setup();
-        let base = sim().run(&mut cluster, &arrivals, &mut MainOnly);
-        let enhanced = sim().run(&mut cluster, &arrivals, &mut OracleEnhanced);
+        let (cluster, arrivals) = contended_setup();
+        let base = run(&cluster, &arrivals, &mut MainOnly);
+        let enhanced = run(&cluster, &arrivals, &mut OracleEnhanced);
         let b0 = base.group0_latency().expect("group0 placed under baseline");
         let e0 = enhanced
             .group0_latency()
@@ -1110,9 +1104,9 @@ mod tests {
 
     #[test]
     fn both_policies_place_most_tasks() {
-        let (mut cluster, arrivals) = contended_setup();
-        let base = sim().run(&mut cluster, &arrivals, &mut MainOnly);
-        let enhanced = sim().run(&mut cluster, &arrivals, &mut OracleEnhanced);
+        let (cluster, arrivals) = contended_setup();
+        let base = run(&cluster, &arrivals, &mut MainOnly);
+        let enhanced = run(&cluster, &arrivals, &mut OracleEnhanced);
         for (name, r) in [("base", &base), ("enhanced", &enhanced)] {
             let frac = r.placed.len() as f64 / arrivals.len() as f64;
             assert!(frac > 0.8, "{name} placed only {frac:.2}");
@@ -1120,15 +1114,20 @@ mod tests {
     }
 
     #[test]
-    fn ab_runs_on_one_cluster_match_fresh_clusters() {
-        // The reset path must leave no trace of the previous policy run.
-        let (mut shared, arrivals) = contended_setup();
-        let a1 = sim().run(&mut shared, &arrivals, &mut MainOnly);
-        let a2 = sim().run(&mut shared, &arrivals, &mut OracleEnhanced);
-        let (mut fresh1, _) = contended_setup();
-        let (mut fresh2, _) = contended_setup();
-        let b1 = sim().run(&mut fresh1, &arrivals, &mut MainOnly);
-        let b2 = sim().run(&mut fresh2, &arrivals, &mut OracleEnhanced);
+    fn ab_runs_on_clones_of_one_cluster_match_fresh_clusters() {
+        // A run on a clone must leave no trace on the fleet the next
+        // policy's clone shares.
+        let (shared, arrivals) = contended_setup();
+        let a1 = run(&shared, &arrivals, &mut MainOnly);
+        let a2 = run(&shared, &arrivals, &mut OracleEnhanced);
+        let b1 = sim()
+            .harness(contended_setup().0, &arrivals, &mut MainOnly)
+            .run()
+            .1;
+        let b2 = sim()
+            .harness(contended_setup().0, &arrivals, &mut OracleEnhanced)
+            .run()
+            .1;
         assert_eq!(a1, b1);
         assert_eq!(a2, b2);
     }
@@ -1138,7 +1137,6 @@ mod tests {
         // Fill every machine with low-priority work, then submit a pinned
         // high-priority task: the HP path must preempt.
         let (cluster, _) = contended_setup();
-        let mut cluster = cluster;
         let mut arrivals = Vec::new();
         for k in 0..18u64 {
             arrivals.push(PendingTask {
@@ -1172,7 +1170,9 @@ mod tests {
             horizon: 30_000_000,
             seed: 1,
         };
-        let r = Simulator::new(config).run(&mut cluster, &arrivals, &mut OracleEnhanced);
+        let (_, r) = Simulator::new(config)
+            .harness(cluster, &arrivals, &mut OracleEnhanced)
+            .run();
         assert!(r.preemptions > 0, "expected preemption to fire");
         assert!(
             r.placed.iter().any(|p| p.task == 999),
@@ -1186,16 +1186,15 @@ mod tests {
         // (any chunk size) must reproduce the borrowed-list run exactly
         // — same placements, latencies, preemptions.
         use crate::stream::SliceStream;
-        let (mut cluster, arrivals) = contended_setup();
-        let base_main = sim().run(&mut cluster, &arrivals, &mut MainOnly);
-        let base_orac = sim().run(&mut cluster, &arrivals, &mut OracleEnhanced);
+        let (cluster, arrivals) = contended_setup();
+        let base_main = run(&cluster, &arrivals, &mut MainOnly);
+        let base_orac = run(&cluster, &arrivals, &mut OracleEnhanced);
         for chunk in [3usize, 64, 4096] {
             for (which, base) in [(0, &base_main), (1, &base_orac)] {
                 let (fresh, _) = contended_setup();
                 let mut main = MainOnly;
                 let mut orac = OracleEnhanced;
-                let sched: &mut dyn crate::scheduler::Scheduler =
-                    if which == 0 { &mut main } else { &mut orac };
+                let sched: &mut dyn Scheduler = if which == 0 { &mut main } else { &mut orac };
                 let s = sim();
                 let mut kernel = Sim::new();
                 let cell = s.attach_cell(

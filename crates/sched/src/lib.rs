@@ -34,17 +34,18 @@
 //!
 //! Policies are open: the [`scheduler::Scheduler`] trait routes each
 //! arriving task to the high-priority or main queue
-//! ([`scheduler::MainOnly`], [`scheduler::Enhanced`],
-//! [`scheduler::OracleEnhanced`], and the hot-swapping
-//! [`scheduler::LiveRegistry`]); placement is pluggable through the
-//! [`placement::Placer`] trait instead of hardwired best-fit.
+//! ([`scheduler::MainOnly`], [`scheduler::OracleEnhanced`], and
+//! [`scheduler::LiveRegistry`], which routes through whatever analyzer
+//! its `ModelRegistry` holds — one trained before the run, or each model
+//! a retrainer hot-swaps in during it); placement is pluggable through
+//! the [`placement::Placer`] trait instead of hardwired best-fit.
 //!
 //! ## Modules
 //!
 //! * [`cluster`] — the slot-indexed machine table with capacity
 //!   accounting, the capacity index a probe walks without a hash lookup,
-//!   churn (offline/restore) and the cheap
-//!   [`cluster::SchedCluster::reset`] path for A/B policy runs;
+//!   churn (offline/restore), and the copy-on-write fleet that lets each
+//!   policy of an A/B comparison run on its own cheap clone;
 //! * [`queue`] — the pending task record;
 //! * [`scheduler`] — the open routing-policy trait and its impls;
 //! * [`placement`] — placement strategies: best-fit, first-fit, soft
@@ -98,6 +99,6 @@ pub use latency::LatencyStats;
 pub use lifecycle::{LifecycleOwner, OwnershipGuard};
 pub use placement::{BestFit, PlaceCtx, Placer, PreemptiveBestFit};
 pub use queue::PendingTask;
-pub use scheduler::{Enhanced, LiveRegistry, MainOnly, OracleEnhanced, Scheduler};
+pub use scheduler::{LiveRegistry, MainOnly, OracleEnhanced, Scheduler};
 pub use stream::{ArrivalStream, Arrivals, SliceStream};
 pub use timed::{attach, TimedSource};

@@ -22,9 +22,6 @@ use crate::queue::PendingTask;
 pub trait Scheduler {
     /// True routes the task to the high-priority scheduler.
     fn route_high_priority(&mut self, task: &PendingTask) -> bool;
-
-    /// Policy name, for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Conventional baseline: one FIFO queue, nothing is high-priority.
@@ -34,36 +31,6 @@ pub struct MainOnly;
 impl Scheduler for MainOnly {
     fn route_high_priority(&mut self, _task: &PendingTask) -> bool {
         false
-    }
-    fn name(&self) -> &'static str {
-        "main_only"
-    }
-}
-
-/// Fig. 3: the Task CO Analyzer flags restrictive tasks. The analyzer
-/// sees constraints only — never the ground-truth group.
-#[derive(Clone, Debug)]
-pub struct Enhanced {
-    analyzer: Arc<TaskCoAnalyzer>,
-    decisions: Decisions,
-}
-
-impl Enhanced {
-    /// An enhanced scheduler around a trained analyzer.
-    pub fn new(analyzer: Arc<TaskCoAnalyzer>) -> Self {
-        Self {
-            analyzer,
-            decisions: Decisions::default(),
-        }
-    }
-}
-
-impl Scheduler for Enhanced {
-    fn route_high_priority(&mut self, task: &PendingTask) -> bool {
-        self.decisions.flags(&self.analyzer, task)
-    }
-    fn name(&self) -> &'static str {
-        "enhanced"
     }
 }
 
@@ -75,26 +42,32 @@ impl Scheduler for OracleEnhanced {
     fn route_high_priority(&mut self, task: &PendingTask) -> bool {
         task.truth_group == 0
     }
-    fn name(&self) -> &'static str {
-        "oracle"
-    }
 }
 
-/// The online-loop scheduler: routes through whatever analyzer is
-/// currently installed in the [`ModelRegistry`], so a retrainer that
-/// hot-swaps models *during* the simulated run — at the simulated instant
-/// each one is trained — changes routing from the next task on. Until a
-/// first model lands, every task goes to the main queue (the paper's
-/// cold-start behavior).
+/// Fig. 3's model-backed scheduler: the Task CO Analyzer currently
+/// installed in a [`ModelRegistry`] flags restrictive tasks for the
+/// high-priority queue. The analyzer sees constraints only — never the
+/// ground-truth group.
+///
+/// A model trained once before the run is a registry with one install
+/// that nothing else writes to. In the online loop a retrainer
+/// hot-swaps models *during* the simulated run — at the simulated
+/// instant each one is trained — and routing changes from the next task
+/// on. Until a first model lands, and while the registry is degraded,
+/// every task goes to the main queue (the paper's cold-start behavior).
 #[derive(Clone, Debug)]
 pub struct LiveRegistry {
     registry: ModelRegistry,
     /// Cached analyzer, refreshed only when the registry version moves —
     /// keeps the per-task cost at one atomic load.
     cached: Option<(u64, Arc<TaskCoAnalyzer>)>,
-    /// Decisions of the cached analyzer; cleared on every refresh, so an
-    /// install, a poison and a heal each route afresh.
-    decisions: Decisions,
+    /// The cached analyzer's decisions, memoised per distinct collapsed
+    /// requirement set — a decision is a pure function of the set, and a
+    /// trace repeats a few hundred sets across thousands of tasks. Only
+    /// looked up, never iterated, so hash order reaches no output.
+    /// Cleared on every refresh, so an install, a poison and a heal each
+    /// route afresh.
+    decisions: HashMap<Vec<AttrRequirement>, bool>,
 }
 
 impl LiveRegistry {
@@ -103,62 +76,34 @@ impl LiveRegistry {
         Self {
             registry,
             cached: None,
-            decisions: Decisions::default(),
+            decisions: HashMap::new(),
         }
-    }
-
-    /// The registry version this scheduler last routed with. It counts
-    /// every registry bump — installs, poisons and heals — and reads 0
-    /// until the first install lands and while the registry is degraded.
-    pub fn model_version(&self) -> u64 {
-        self.cached.as_ref().map(|(v, _)| *v).unwrap_or(0)
     }
 }
 
 impl Scheduler for LiveRegistry {
+    /// The model-backed routing rule: a constrained task whose predicted
+    /// group is at or below the analyzer's priority threshold. The queue
+    /// stores collapsed requirements, so a miss is
+    /// [`TaskCoAnalyzer::group_of`] directly — no second collapse.
     fn route_high_priority(&mut self, task: &PendingTask) -> bool {
         let v = self.registry.version();
         if self.cached.as_ref().map(|(cv, _)| *cv) != Some(v) {
             self.cached = self.registry.get().map(|a| (v, a));
             self.decisions.clear();
         }
-        match &self.cached {
-            Some((_, analyzer)) => self.decisions.flags(analyzer, task),
-            None => false,
-        }
-    }
-    fn name(&self) -> &'static str {
-        "live_registry"
-    }
-}
-
-/// One analyzer's routing decisions, memoised per distinct collapsed
-/// requirement set — the decision is a pure function of the set, and a
-/// trace repeats a few hundred sets across thousands of tasks. Only
-/// looked up, never iterated, so hash order reaches no output. The owner
-/// clears it whenever its analyzer changes.
-#[derive(Clone, Debug, Default)]
-struct Decisions(HashMap<Vec<AttrRequirement>, bool>);
-
-impl Decisions {
-    /// The model-backed routing rule: a constrained task whose predicted
-    /// group is at or below the analyzer's priority threshold. The queue
-    /// stores collapsed requirements, so a miss is
-    /// [`TaskCoAnalyzer::group_of`] directly — no second collapse.
-    fn flags(&mut self, analyzer: &TaskCoAnalyzer, task: &PendingTask) -> bool {
+        let Some((_, analyzer)) = &self.cached else {
+            return false;
+        };
         if task.reqs.is_empty() {
             return false;
         }
-        if let Some(&flag) = self.0.get(task.reqs.as_slice()) {
+        if let Some(&flag) = self.decisions.get(task.reqs.as_slice()) {
             return flag;
         }
         let flag = analyzer.group_of(&task.reqs) <= analyzer.priority_threshold;
-        self.0.insert(task.reqs.clone(), flag);
+        self.decisions.insert(task.reqs.clone(), flag);
         flag
-    }
-
-    fn clear(&mut self) {
-        self.0.clear();
     }
 }
 
@@ -195,7 +140,6 @@ mod tests {
     fn live_registry_routes_nothing_until_install() {
         let mut s = LiveRegistry::new(ModelRegistry::new());
         assert!(!s.route_high_priority(&task(0)));
-        assert_eq!(s.model_version(), 0);
     }
 
     /// An analyzer whose network answers `group` for every row: a
@@ -235,16 +179,12 @@ mod tests {
         registry.install(constant_analyzer(0));
         assert!(s.route_high_priority(&t), "A flags group 0");
         assert!(s.route_high_priority(&t), "A, memoised");
-        assert_eq!(s.model_version(), 1);
         registry.install(constant_analyzer(5));
         assert!(!s.route_high_priority(&t), "B predicts group 5");
-        assert_eq!(s.model_version(), 2);
         registry.poison();
         assert!(!s.route_high_priority(&t), "degraded: no model");
-        assert_eq!(s.model_version(), 0);
         registry.heal();
         assert!(!s.route_high_priority(&t), "healed back to B");
-        assert_eq!(s.model_version(), 4);
         registry.install(constant_analyzer(0));
         assert!(s.route_high_priority(&t), "A again");
     }

@@ -3,8 +3,6 @@
 //! placement — paths the old monolithic loop either hardcoded or could
 //! not express.
 
-use std::sync::Arc;
-
 use ctlm_core::{GrowingModel, ModelRegistry, TaskCoAnalyzer, TrainConfig};
 use ctlm_data::compaction::collapse;
 use ctlm_data::dataset::{DatasetBuilder, NUM_GROUPS};
@@ -13,7 +11,7 @@ use ctlm_data::vocab::ValueVocab;
 use ctlm_sched::engine::{SimConfig, SimResult, Simulator};
 use ctlm_sched::placement::PreemptiveBestFit;
 use ctlm_sched::scenario::{ChurnAction, ChurnPlan, ChurnSource, GangSource};
-use ctlm_sched::scheduler::{Enhanced, LiveRegistry, MainOnly, OracleEnhanced, Scheduler};
+use ctlm_sched::scheduler::{LiveRegistry, MainOnly, OracleEnhanced, Scheduler};
 use ctlm_sched::{attach, PendingTask, SchedCluster};
 use ctlm_trace::{AttrValue, ConstraintOp as Op, Machine, TaskConstraint};
 
@@ -78,8 +76,8 @@ fn sim() -> Simulator {
 }
 
 /// A deterministically trained analyzer over a tiny synthetic CO-VV
-/// vocabulary (attribute 0, integer values) — enough for `Enhanced` and
-/// `LiveRegistry` to exercise the model path.
+/// vocabulary (attribute 0, integer values) — enough for `LiveRegistry`
+/// to exercise the model path.
 fn tiny_analyzer() -> TaskCoAnalyzer {
     let mut vocab = ValueVocab::new();
     for v in 0..8 {
@@ -107,10 +105,8 @@ fn tiny_analyzer() -> TaskCoAnalyzer {
 
 fn run_twice(mut make: impl FnMut() -> Box<dyn Scheduler>) -> (SimResult, SimResult) {
     let arrivals = workload();
-    let mut c1 = cluster(6);
-    let r1 = sim().run(&mut c1, &arrivals, make().as_mut());
-    let mut c2 = cluster(6);
-    let r2 = sim().run(&mut c2, &arrivals, make().as_mut());
+    let (_, r1) = sim().harness(cluster(6), &arrivals, make().as_mut()).run();
+    let (_, r2) = sim().harness(cluster(6), &arrivals, make().as_mut()).run();
     (r1, r2)
 }
 
@@ -124,16 +120,9 @@ fn every_scheduler_impl_is_bit_deterministic() {
     let (a, b) = run_twice(|| Box::new(OracleEnhanced));
     assert_eq!(a, b, "OracleEnhanced must be bit-identical across runs");
 
-    // Enhanced: the trained-model path.
-    let analyzer = Arc::new(tiny_analyzer());
-    let (a, b) = {
-        let analyzer = analyzer.clone();
-        run_twice(move || Box::new(Enhanced::new(analyzer.clone())))
-    };
-    assert_eq!(a, b, "Enhanced must be bit-identical across runs");
-
-    // LiveRegistry with a pre-installed model (no background racing):
-    // routing reads through the hot-swap point deterministically.
+    // LiveRegistry with a model installed before the run (the lab's
+    // `enhanced`): the trained-model path reads through the hot-swap
+    // point deterministically.
     let (a, b) = run_twice(|| {
         let registry = ModelRegistry::new();
         registry.install(tiny_analyzer());
@@ -155,8 +144,9 @@ fn preemption_fallback_fires_on_the_hp_path() {
         horizon: 20_000_000,
         seed: 5,
     };
-    let mut c = cluster(6);
-    let r = Simulator::new(config).run(&mut c, &arrivals, &mut OracleEnhanced);
+    let (_, r) = Simulator::new(config)
+        .harness(cluster(6), &arrivals, &mut OracleEnhanced)
+        .run();
     assert!(r.preemptions > 0, "expected eviction");
     let rec = r
         .placed
@@ -187,10 +177,11 @@ fn preemptive_placer_pluggable_on_the_main_queue() {
         horizon: 20_000_000,
         seed: 5,
     };
-    let mut c = cluster(6);
-    let r = Simulator::new(config)
-        .with_placers(Box::new(PreemptiveBestFit), Box::new(PreemptiveBestFit))
-        .run(&mut c, &arrivals, &mut MainOnly);
+    let simulator = Simulator::new(config)
+        .with_placers(Box::new(PreemptiveBestFit), Box::new(PreemptiveBestFit));
+    let (_, r) = simulator
+        .harness(cluster(6), &arrivals, &mut MainOnly)
+        .run();
     assert!(
         r.preemptions > 0,
         "preemptive strategy on the main queue must evict"
@@ -273,9 +264,10 @@ fn a_requeued_task_that_turns_infeasible_is_counted_once() {
 }
 
 #[test]
-fn churned_cluster_resets_for_ab_runs() {
-    // After a churn run, `reset` must bring back drained machines so an
-    // A/B comparison on the same cluster object stays fair.
+fn a_churn_run_on_a_clone_leaves_the_fleet_whole_for_the_next_run() {
+    // A/B runs share one fleet through clones: a run that drains a
+    // machine changes its own copy, and the next policy's clone starts
+    // from the whole, idle fleet — the same run a fresh cluster gives.
     let arrivals: Vec<PendingTask> = (0..6u64).map(|k| task(k, 0, 0.3, 2)).collect();
     let simulator = Simulator::new(SimConfig {
         cycle: 500_000,
@@ -284,16 +276,24 @@ fn churned_cluster_resets_for_ab_runs() {
         horizon: 20_000_000,
         seed: 3,
     });
+    let fleet = cluster(6);
     let mut scheduler = MainOnly;
-    let mut harness = simulator.harness(cluster(6), &arrivals, &mut scheduler);
-    let plan = ChurnPlan::new(vec![(5_000_000, ChurnAction::Fail(4))]);
+    let mut harness = simulator.harness(fleet.clone(), &arrivals, &mut scheduler);
+    let plan = ChurnPlan::new(vec![(5_000_000, ChurnAction::Fail(0))]);
     let churn = ChurnSource::new(plan, harness.engine, harness.state());
     attach(&mut harness.sim, "churn", churn);
-    let (mut cluster_after, _) = harness.run();
-    assert_eq!(cluster_after.len(), 5, "machine 4 still drained");
-    cluster_after.reset();
-    assert_eq!(cluster_after.len(), 6, "reset restores the fleet");
-    assert_eq!(cluster_after.cpu_utilisation(), 0.0);
+    let (cluster_after, churned) = harness.run();
+    assert_eq!(cluster_after.len(), 5, "machine 0 still drained");
+    assert!(churned.churn_rescheduled > 0, "machine 0 held tasks");
+    assert_eq!(fleet.len(), 6, "the shared fleet lost no machine");
+    assert_eq!(fleet.cpu_utilisation(), 0.0);
+    let (_, next) = simulator
+        .harness(fleet.clone(), &arrivals, &mut OracleEnhanced)
+        .run();
+    let (_, fresh) = simulator
+        .harness(cluster(6), &arrivals, &mut OracleEnhanced)
+        .run();
+    assert_eq!(next, fresh);
 }
 
 #[test]
@@ -473,9 +473,6 @@ impl Scheduler for AdmissionLog {
                 .push((!task.reqs.is_empty(), task.truth_group));
         }
         false
-    }
-    fn name(&self) -> &'static str {
-        "admission_log"
     }
 }
 

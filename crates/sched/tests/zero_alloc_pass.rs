@@ -11,7 +11,7 @@
 //!   simulated passes and asserts the allocation counter does not move;
 //! * the *cluster* test exercises the mutation path — `tightest_fit`
 //!   probes, `place`/`release` churn updating the capacity buckets, and
-//!   drain / restore / reset over the machine table — outside the
+//!   drain / restore over the machine table — outside the
 //!   kernel, with recurring task shapes, and asserts the incremental
 //!   index maintenance is allocation-free once bucket capacities have
 //!   settled;
@@ -412,7 +412,7 @@ fn capacity_index_maintenance_does_not_allocate_in_steady_state() {
     // memory-bound shape, and one below a capacity bucket's width (the
     // index is rewritten in place) — and across the whole machine table:
     // a drained machine keeps its slot, its task buffer and its place in
-    // the buckets' buffers, so drain, restore and reset allocate nothing
+    // the buckets' buffers, so drain and restore allocate nothing
     // either. A drain copies the task list out for its caller, which is
     // the one allocation a *loaded* drain costs; the window drains idle
     // machines. Attribute values are shared by two machines each: the
@@ -442,10 +442,6 @@ fn capacity_index_maintenance_does_not_allocate_in_steady_state() {
                 d.tightest_fit(&pair, 0.2, 0.2),
                 CapacityFit::Infeasible
             ));
-            if r % 16 == 15 {
-                d.reset();
-                continue;
-            }
             for k in 0..33u64 {
                 let id = r % 5 * 33 + k;
                 assert!((0..8).any(|m| d.release(m, id)), "task {id} must be live");
@@ -453,11 +449,7 @@ fn capacity_index_maintenance_does_not_allocate_in_steady_state() {
             let idle = r % 8;
             assert_eq!(d.remove_machine(idle), Some(vec![]));
             assert!(!d.fits(idle, 0.1, 0.1));
-            if r % 16 == 7 {
-                d.reset(); // brings the drained machine back itself
-            } else {
-                assert!(d.restore_machine(idle));
-            }
+            assert!(d.restore_machine(idle));
         }
     };
     table_churn(64);
@@ -467,7 +459,7 @@ fn capacity_index_maintenance_does_not_allocate_in_steady_state() {
     assert_eq!(
         after - before,
         0,
-        "place/release/drain/restore/reset churn allocated {} times",
+        "place/release/drain/restore churn allocated {} times",
         after - before
     );
 }

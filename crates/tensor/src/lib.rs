@@ -24,6 +24,3 @@ pub mod sparse;
 
 pub use dense::Matrix;
 pub use sparse::{Csr, CsrBuilder};
-
-/// Convenience alias used across the workspace for sample-index slices.
-pub type IndexSlice<'a> = &'a [usize];

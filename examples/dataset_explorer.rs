@@ -71,9 +71,8 @@ fn main() {
         last.vv.x.nnz(),
         100.0 * last.vv.x.density()
     );
-    if let Some(el) = &last.el {
-        println!("CO-EL: {} × {} labels", el.len(), el.features_count());
-    }
+    let el = &replay.co_el;
+    println!("CO-EL: {} × {} labels", el.len(), el.features_count());
     println!("class distribution: {:?}", last.vv.class_counts());
 
     // --- Multi-format export (§III: "generate datasets in various

@@ -91,7 +91,6 @@ fn main() {
         ctlm::agocs::ReplayConfig {
             min_rows_for_step0: 30,
             step_merge_window: 2 * 60 * 1_000_000, // 2 sim-minutes
-            build_co_el: false,
         },
         trace.group_width,
     )

@@ -62,6 +62,6 @@ pub mod prelude {
     pub use ctlm_data::dataset::{group_for_count, Dataset, NUM_GROUPS};
     pub use ctlm_data::metrics::Evaluation;
     pub use ctlm_sched::engine::{arrivals_from_trace, SimConfig, Simulator};
-    pub use ctlm_sched::scheduler::{Enhanced, LiveRegistry, MainOnly, OracleEnhanced, Scheduler};
+    pub use ctlm_sched::scheduler::{LiveRegistry, MainOnly, OracleEnhanced, Scheduler};
     pub use ctlm_trace::{CellSet, Scale, TraceGenerator};
 }

@@ -1,8 +1,6 @@
 //! End-to-end integration: trace → replay → continuous learning →
 //! analyzer → scheduler, across crates.
 
-use std::sync::Arc;
-
 use ctlm::prelude::*;
 use ctlm::sched::engine::{arrivals_from_trace, compress_timeline};
 
@@ -125,9 +123,10 @@ fn scheduler_integration_runs_all_policies() {
     for (i, step) in replay.steps.iter().enumerate() {
         model.step(&step.vv, i as u64);
     }
-    let analyzer = model.analyzer(replay.vocab.clone());
+    let registry = ModelRegistry::new();
+    registry.install(model.analyzer(replay.vocab.clone()));
 
-    let (mut cluster, mut arrivals) = arrivals_from_trace(&trace, 1_500);
+    let (cluster, mut arrivals) = arrivals_from_trace(&trace, 1_500);
     assert!(!arrivals.is_empty());
     // Trace arrivals span 31 days; compress onto the 20-minute sim window.
     compress_timeline(&mut arrivals, 1_200_000_000);
@@ -140,11 +139,13 @@ fn scheduler_integration_runs_all_policies() {
     });
     let mut policies: Vec<Box<dyn Scheduler>> = vec![
         Box::new(MainOnly),
-        Box::new(Enhanced::new(Arc::new(analyzer))),
+        Box::new(LiveRegistry::new(registry)),
         Box::new(OracleEnhanced),
     ];
     for policy in policies.iter_mut() {
-        let r = sim.run(&mut cluster, &arrivals, policy.as_mut());
+        let (_, r) = sim
+            .harness(cluster.clone(), &arrivals, policy.as_mut())
+            .run();
         let placed_frac = r.placed.len() as f64 / arrivals.len() as f64;
         assert!(placed_frac > 0.5, "placed only {placed_frac:.2}");
     }
@@ -168,9 +169,8 @@ fn co_el_new_labels_are_invisible_to_a_grown_model_co_vv_patterns_are_not() {
     use ctlm::tensor::CsrBuilder;
 
     let (_t, replay) = small_replay(CellSet::C2019c, 35);
-    let last = replay.steps.last().unwrap();
-    let el = last.el.as_ref().unwrap();
-    let vv = &last.vv;
+    let el = &replay.co_el;
+    let vv = &replay.steps.last().unwrap().vv;
     let cfg = TrainConfig {
         epochs_limit: 40,
         max_attempts: 2,
