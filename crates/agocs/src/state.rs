@@ -133,6 +133,7 @@ impl ClusterState {
     }
 
     /// True when the task has a live marker.
+    #[cfg(test)]
     pub fn has_task_marker(&self, task: TaskId) -> bool {
         self.task_owner.contains_key(&task)
     }

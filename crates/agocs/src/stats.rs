@@ -60,7 +60,7 @@ impl CoStatsCollector {
     ///
     /// # Panics
     /// Panics if `window_len == 0`.
-    pub fn with_window(window_len: Micros) -> Self {
+    fn with_window(window_len: Micros) -> Self {
         assert!(window_len > 0, "window length must be positive");
         Self {
             window_len,
@@ -86,6 +86,7 @@ impl CoStatsCollector {
     }
 
     /// Number of non-empty windows recorded.
+    #[cfg(test)]
     pub fn window_count(&self) -> usize {
         self.windows.iter().filter(|w| w.tasks > 0).count()
     }

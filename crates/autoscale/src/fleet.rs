@@ -15,9 +15,9 @@
 //! ```
 //!
 //! On every evaluation tick the component samples the engine's signals
-//! (queue depth, no-capacity placement failures, utilisation, arrival
-//! deltas), asks its [`AutoscalePolicy`] for a desired fleet size, and
-//! closes the gap: scale-up activates warm-pool machines first (instant)
+//! (queue depth, no-capacity placement failures, utilisation, admission
+//! latency), asks its [`ThresholdStep`] policy for a desired fleet size,
+//! and closes the gap: scale-up activates warm-pool machines first (instant)
 //! and orders the remainder through a provisioning delay sampled from
 //! the configured [`ProvisionDelay`]; scale-down *drains* the emptiest
 //! online machines through the engine's churn path — every running task
@@ -46,7 +46,7 @@ use ctlm_sim::Ctx;
 use ctlm_trace::{AttrValue, Machine, MachineId, Micros};
 
 use crate::delay::ProvisionDelay;
-use crate::policy::{AutoscalePolicy, Signals};
+use crate::policy::{Signals, ThresholdStep};
 
 /// Delivery class for fleet mutations — same phase as completions and
 /// machine churn (before admissions and the scheduling pass).
@@ -232,7 +232,7 @@ struct Provision {
 /// [`claim_and_take`](EngineState::claim_and_take).
 pub struct Autoscaler<'a> {
     cfg: AutoscaleConfig,
-    policy: Box<dyn AutoscalePolicy>,
+    policy: ThresholdStep,
     engine: Rc<RefCell<EngineState<'a>>>,
     rng: StdRng,
     /// In-flight orders, sorted by `(ready_at, machine id)`.
@@ -243,7 +243,6 @@ pub struct Autoscaler<'a> {
     /// and the next evaluation tick, horizon permitting.
     next_wake: Option<Micros>,
     next_eval: Micros,
-    last_admitted: u64,
     last_no_capacity: u64,
     last_crashed: u64,
     next_id: MachineId,
@@ -259,11 +258,11 @@ impl<'a> Autoscaler<'a> {
     /// after the run.
     pub fn new(
         cfg: AutoscaleConfig,
-        policy: Box<dyn AutoscalePolicy>,
+        policy: ThresholdStep,
         engine: Rc<RefCell<EngineState<'a>>>,
     ) -> (Self, Rc<RefCell<AutoscaleStats>>) {
         let stats = Rc::new(RefCell::new(AutoscaleStats {
-            policy: policy.name().to_string(),
+            policy: ThresholdStep::NAME.to_string(),
             ..AutoscaleStats::default()
         }));
         let rng = StdRng::seed_from_u64(cfg.seed ^ 0xA07C_5CA1_E000_0000);
@@ -280,7 +279,6 @@ impl<'a> Autoscaler<'a> {
                 warm: Vec::new(),
                 next_wake: Some(0),
                 next_eval,
-                last_admitted: 0,
                 last_no_capacity: 0,
                 last_crashed: 0,
                 next_id,
@@ -447,21 +445,17 @@ impl<'a> Autoscaler<'a> {
         let (signals, crash_lost) = {
             let engine = self.engine.borrow();
             let ledger = engine.ledger();
-            let admitted = ledger.admitted();
             let no_capacity = ledger.stats().no_capacity;
             let crashed = ledger.fault_stats().map_or(0, |f| f.crashed_machines);
             let s = Signals {
-                now,
                 fleet: engine.cluster().len(),
                 pending: engine.main_queue_len()
                     + engine.hp_queue_len()
                     + engine.pending_gang_members(),
                 utilisation: engine.cluster().cpu_utilisation(),
-                admitted_delta: admitted - self.last_admitted,
                 no_capacity_delta: no_capacity - self.last_no_capacity,
                 recent_latency_mean: ledger.recent_latency_mean(LATENCY_WINDOW),
             };
-            self.last_admitted = admitted;
             self.last_no_capacity = no_capacity;
             let lost = crashed - self.last_crashed;
             self.last_crashed = crashed;
@@ -502,7 +496,7 @@ impl<'a> Autoscaler<'a> {
                 "scale_up",
                 now,
                 cause,
-                self.policy.name(),
+                ThresholdStep::NAME,
                 ordered as u64,
                 replacements,
             );
@@ -514,7 +508,7 @@ impl<'a> Autoscaler<'a> {
                 "scale_down",
                 now,
                 "surplus",
-                self.policy.name(),
+                ThresholdStep::NAME,
                 released as u64,
                 0,
             );

@@ -18,19 +18,13 @@
 //!   room);
 //! * **fleet utilisation** — the cluster's O(1) incremental CPU
 //!   utilisation;
-//! * **arrival rate** — admissions since the last tick (the predictive
-//!   policy's forecasting input);
 //! * **admission latency** — mean scheduling latency over recently
 //!   placed tasks.
 //!
-//! ## Policies
+//! ## Policy
 //!
-//! Sizing is pluggable behind [`AutoscalePolicy`]:
-//! [`ThresholdStep`] (alarm-driven step scaling), [`TargetTracking`]
-//! (size for a utilisation setpoint) and [`Predictive`] (forecast
-//! arrivals from a sliding window and size *ahead* of the burst).
-//! Policies are pure sizing functions; the
-//! [`Autoscaler`] clamps their answer to the
+//! Sizing is [`ThresholdStep`]'s alarm-driven step scaling, a pure
+//! function of the signals; the [`Autoscaler`] clamps its answer to the
 //! configured `[min, max]` band and drives the lifecycle:
 //! provisioning (deterministic [`ProvisionDelay`] sampling) → warm
 //! standby / active → draining (running tasks requeue through the
@@ -56,4 +50,4 @@ pub mod policy;
 
 pub use delay::ProvisionDelay;
 pub use fleet::{AutoscaleConfig, AutoscaleStats, Autoscaler, FleetSample, MachineTemplate};
-pub use policy::{AutoscalePolicy, Predictive, Signals, TargetTracking, ThresholdStep};
+pub use policy::{Signals, ThresholdStep};

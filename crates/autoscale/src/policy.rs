@@ -1,24 +1,18 @@
-//! Autoscaling policies: signals in, desired fleet size out.
+//! The autoscaling policy: signals in, desired fleet size out.
 //!
-//! A policy is a pure sizing function — it never touches machines. The
+//! The policy is a pure sizing function — it never touches machines. The
 //! [`Autoscaler`](crate::fleet::Autoscaler) samples cell signals on its
 //! evaluation cadence, asks the policy for a desired fleet size, clamps
 //! the answer to the configured `[min, max]` band, and then drives the
 //! machine lifecycle (warm-pool activation, provisioning, drain) to
-//! close the gap. Keeping policies pure makes them trivially
+//! close the gap. Keeping the policy pure makes it trivially
 //! deterministic and benchmarkable in isolation (the `autoscale` bench
 //! family times exactly this decision path).
-
-use std::collections::VecDeque;
-
-use ctlm_trace::Micros;
 
 /// One evaluation tick's view of a scheduling cell, sampled from the
 /// engine's shared state.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Signals {
-    /// Simulation time of the sample (µs).
-    pub now: Micros,
     /// Online machines right now.
     pub fleet: usize,
     /// Queue pressure: pending main + high-priority tasks plus gang
@@ -26,8 +20,6 @@ pub struct Signals {
     pub pending: usize,
     /// Fleet CPU utilisation (0..1).
     pub utilisation: f64,
-    /// Tasks admitted since the previous evaluation.
-    pub admitted_delta: u64,
     /// `NoCapacity` placement outcomes since the previous evaluation —
     /// every count is one cycle slot burned on a task the fleet could
     /// suit but not hold (the `EngineState::can_admit`-failure signal).
@@ -36,27 +28,13 @@ pub struct Signals {
     pub recent_latency_mean: Option<f64>,
 }
 
-/// A fleet-sizing policy. Implementations may keep internal state (the
-/// predictive policy keeps its sliding window) but must stay
-/// deterministic: identical signal sequences produce identical answers.
-pub trait AutoscalePolicy {
-    /// Registry / report name.
-    fn name(&self) -> &'static str;
-
-    /// Desired active fleet size for the latest signals. The caller
-    /// clamps the answer to its `[min, max]` band — policies size for
-    /// the load, the planner enforces the budget.
-    fn desired_fleet(&mut self, s: &Signals) -> usize;
-}
-
 /// Threshold step-scaling: queue pressure above `up_pending` — or
 /// recent admission latency above `up_latency`, when set — adds `step`
 /// machines; an idle, under-utilised fleet (`pending == 0`,
 /// utilisation below `down_util`) sheds `step`.
 ///
 /// The classic alarm-driven scaler: simple, reactive, and prone to a
-/// provisioning-delay lag under bursts — the behaviour the predictive
-/// policy exists to beat.
+/// provisioning-delay lag under bursts.
 #[derive(Clone, Copy, Debug)]
 pub struct ThresholdStep {
     /// Queue-pressure level (pending + no-capacity events per tick)
@@ -82,12 +60,14 @@ impl Default for ThresholdStep {
     }
 }
 
-impl AutoscalePolicy for ThresholdStep {
-    fn name(&self) -> &'static str {
-        "threshold"
-    }
+impl ThresholdStep {
+    /// Registry / report name.
+    pub const NAME: &'static str = "threshold";
 
-    fn desired_fleet(&mut self, s: &Signals) -> usize {
+    /// Desired active fleet size for the latest signals. The caller
+    /// clamps the answer to its `[min, max]` band — the policy sizes
+    /// for the load, the planner enforces the budget.
+    pub fn desired_fleet(&self, s: &Signals) -> usize {
         let pressure = s.pending + s.no_capacity_delta as usize;
         let latency_alarm = self
             .up_latency
@@ -103,174 +83,15 @@ impl AutoscalePolicy for ThresholdStep {
     }
 }
 
-/// Target tracking on fleet utilisation: size the fleet so utilisation
-/// lands on `target_util`, ignoring deviations within `tolerance`.
-///
-/// `desired = ceil(fleet × utilisation / target_util)` — the standard
-/// cloud target-tracking rule. A saturated fleet grows geometrically
-/// until utilisation falls back into the band; an idle one shrinks the
-/// same way, so the policy self-corrects in a handful of evaluations.
-#[derive(Clone, Copy, Debug)]
-pub struct TargetTracking {
-    /// Utilisation the fleet should settle at (0..1).
-    pub target_util: f64,
-    /// Dead band around the target within which nothing happens.
-    pub tolerance: f64,
-}
-
-impl Default for TargetTracking {
-    fn default() -> Self {
-        Self {
-            target_util: 0.6,
-            tolerance: 0.1,
-        }
-    }
-}
-
-impl AutoscalePolicy for TargetTracking {
-    fn name(&self) -> &'static str {
-        "target_tracking"
-    }
-
-    fn desired_fleet(&mut self, s: &Signals) -> usize {
-        let target = self.target_util.clamp(0.05, 1.0);
-        if (s.utilisation - target).abs() <= self.tolerance {
-            return s.fleet;
-        }
-        let desired = (s.fleet as f64 * s.utilisation / target).ceil() as usize;
-        // A backlog means measured utilisation *understates* demand
-        // (queued work holds no CPU yet); never shrink under pressure.
-        if s.pending > 0 {
-            desired.max(s.fleet)
-        } else {
-            desired
-        }
-    }
-}
-
-/// Predictive scaling: forecast the next evaluation period's arrivals
-/// from a sliding window of observed arrival counts (linear trend), and
-/// size the fleet for the *forecast* concurrency rather than the
-/// current one — paying the provisioning delay before the burst peaks
-/// instead of after.
-///
-/// Concurrency model: tasks arrive at the forecast rate, each holding
-/// `task_cpu` of a machine (of `machine_cpu` capacity) for
-/// `task_duration` µs; the fleet needs
-/// `rate × duration × task_cpu × headroom / machine_cpu` machines.
-#[derive(Clone, Debug)]
-pub struct Predictive {
-    /// Sliding-window length, in evaluation periods.
-    pub window: usize,
-    /// Capacity multiplier over the point forecast (≥ 1 leaves slack).
-    pub headroom: f64,
-    /// Estimated CPU request per task.
-    pub task_cpu: f64,
-    /// Estimated task runtime (µs) — lab wiring passes the spec's mean.
-    pub task_duration: Micros,
-    /// CPU capacity of one machine (the provisioning template's size).
-    pub machine_cpu: f64,
-    /// `(sample time, arrivals since previous sample)` history.
-    history: VecDeque<(Micros, u64)>,
-}
-
-impl Predictive {
-    /// A predictive policy with the given window and workload estimates.
-    pub fn new(
-        window: usize,
-        headroom: f64,
-        task_cpu: f64,
-        task_duration: Micros,
-        machine_cpu: f64,
-    ) -> Self {
-        Self {
-            window: window.max(2),
-            headroom: headroom.max(1.0),
-            task_cpu: task_cpu.max(1e-3),
-            task_duration: task_duration.max(1),
-            machine_cpu: machine_cpu.max(1e-3),
-            history: VecDeque::new(),
-        }
-    }
-
-    /// Least-squares linear extrapolation of the next window sample from
-    /// the recorded arrival deltas; falls back to the last observation
-    /// while the window is still filling.
-    fn forecast_arrivals(&self) -> f64 {
-        let n = self.history.len();
-        if n == 0 {
-            return 0.0;
-        }
-        if n == 1 {
-            return self.history[0].1 as f64;
-        }
-        let (mut sx, mut sy, mut sxx, mut sxy) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for (i, &(_, d)) in self.history.iter().enumerate() {
-            let (x, y) = (i as f64, d as f64);
-            sx += x;
-            sy += y;
-            sxx += x * x;
-            sxy += x * y;
-        }
-        let nf = n as f64;
-        let denom = nf * sxx - sx * sx;
-        if denom.abs() < 1e-12 {
-            return sy / nf;
-        }
-        let slope = (nf * sxy - sx * sy) / denom;
-        let intercept = (sy - slope * sx) / nf;
-        (intercept + slope * nf).max(0.0)
-    }
-}
-
-impl AutoscalePolicy for Predictive {
-    fn name(&self) -> &'static str {
-        "predictive"
-    }
-
-    fn desired_fleet(&mut self, s: &Signals) -> usize {
-        self.history.push_back((s.now, s.admitted_delta));
-        while self.history.len() > self.window {
-            self.history.pop_front();
-        }
-        // Arrival *rate* needs the sampling period, derived from the
-        // window's own timestamps (robust to a changed cadence) — so a
-        // single sample has no rate basis at all: hold the fleet rather
-        // than divide by a degenerate 1 µs period and slam into `max`.
-        let span = self
-            .history
-            .back()
-            .zip(self.history.front())
-            .map(|(b, f)| b.0.saturating_sub(f.0))
-            .unwrap_or(0);
-        if span == 0 {
-            return s.fleet;
-        }
-        let periods = (self.history.len() - 1).max(1) as f64;
-        let period = (span as f64 / periods).max(1.0);
-        let rate = self.forecast_arrivals() / period; // tasks per µs
-        let concurrency = rate * self.task_duration as f64 * self.task_cpu;
-        let desired = (concurrency * self.headroom / self.machine_cpu).ceil() as usize;
-        // Like target tracking: a live backlog forbids shrinking.
-        if s.pending > 0 {
-            desired.max(s.fleet)
-        } else {
-            desired
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sig(fleet: usize, pending: usize, util: f64) -> Signals {
         Signals {
-            now: 0,
             fleet,
             pending,
             utilisation: util,
-            admitted_delta: 0,
             no_capacity_delta: 0,
             recent_latency_mean: None,
         }
@@ -302,78 +123,5 @@ mod tests {
         assert_eq!(p.desired_fleet(&s), 13, "slow admissions add a step");
         s.recent_latency_mean = Some(100_000.0);
         assert_eq!(p.desired_fleet(&s), 10, "fast admissions hold");
-    }
-
-    #[test]
-    fn target_tracking_converges_on_target() {
-        let mut p = TargetTracking {
-            target_util: 0.5,
-            tolerance: 0.05,
-        };
-        assert_eq!(p.desired_fleet(&sig(10, 0, 1.0)), 20, "overload doubles");
-        assert_eq!(p.desired_fleet(&sig(20, 0, 0.25)), 10, "idle halves");
-        assert_eq!(p.desired_fleet(&sig(10, 0, 0.52)), 10, "dead band holds");
-        assert_eq!(
-            p.desired_fleet(&sig(10, 5, 0.2)),
-            10,
-            "a backlog forbids shrinking"
-        );
-    }
-
-    #[test]
-    fn predictive_extrapolates_a_growing_trend() {
-        let mut p = Predictive::new(4, 1.0, 0.25, 8_000_000, 1.0);
-        // Arrival deltas 10, 20, 30, 40 per 1 s period → forecast 50/s;
-        // concurrency = 50e-6 tasks/µs × 8e6 µs × 0.25 cpu = 100 cpus.
-        let mut desired = 0;
-        for (k, d) in [10u64, 20, 30, 40].into_iter().enumerate() {
-            let mut s = sig(4, 0, 0.5);
-            s.now = (k as u64 + 1) * 1_000_000;
-            s.admitted_delta = d;
-            desired = p.desired_fleet(&s);
-        }
-        assert_eq!(desired, 100, "linear trend forecast sizes ahead of load");
-        // A flat history forecasts the flat rate.
-        let mut flat = Predictive::new(4, 1.0, 0.25, 8_000_000, 1.0);
-        let mut desired = 0;
-        for k in 0..4u64 {
-            let mut s = sig(4, 0, 0.5);
-            s.now = (k + 1) * 1_000_000;
-            s.admitted_delta = 10;
-            desired = flat.desired_fleet(&s);
-        }
-        assert_eq!(desired, 20, "10/s × 8 s × 0.25 cpu = 20 machines");
-    }
-
-    #[test]
-    fn predictive_holds_the_fleet_until_it_has_a_rate_basis() {
-        // One sample gives no sampling period; the first tick must not
-        // divide by a degenerate 1 µs and demand an absurd fleet.
-        let mut p = Predictive::new(4, 1.0, 0.25, 8_000_000, 1.0);
-        let mut s = sig(4, 0, 0.5);
-        s.now = 2_000_000;
-        s.admitted_delta = 10;
-        assert_eq!(p.desired_fleet(&s), 4, "first tick holds the fleet");
-        // The second sample establishes a period and forecasting starts.
-        let mut s2 = sig(4, 0, 0.5);
-        s2.now = 4_000_000;
-        s2.admitted_delta = 10;
-        assert_eq!(p.desired_fleet(&s2), 10, "10/2s × 8s × 0.25 = 10");
-    }
-
-    #[test]
-    fn predictive_is_deterministic_for_identical_histories() {
-        let run = || {
-            let mut p = Predictive::new(6, 1.3, 0.2, 5_000_000, 1.0);
-            (0..12u64)
-                .map(|k| {
-                    let mut s = sig(3, (k % 3) as usize, 0.4);
-                    s.now = k * 2_000_000;
-                    s.admitted_delta = (k * 7) % 23;
-                    p.desired_fleet(&s)
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
     }
 }

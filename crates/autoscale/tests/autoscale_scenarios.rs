@@ -9,8 +9,7 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use ctlm_autoscale::{
-    AutoscaleConfig, AutoscalePolicy, AutoscaleStats, Autoscaler, MachineTemplate, Predictive,
-    ProvisionDelay, TargetTracking, ThresholdStep,
+    AutoscaleConfig, AutoscaleStats, Autoscaler, MachineTemplate, ProvisionDelay, ThresholdStep,
 };
 use ctlm_sched::engine::{SimConfig, Simulator};
 use ctlm_sched::scenario::{ChurnAction, ChurnPlan, ChurnSource};
@@ -53,7 +52,7 @@ fn run_autoscaled(
     arrivals: &[PendingTask],
     config: SimConfig,
     cfg: AutoscaleConfig,
-    policy: Box<dyn AutoscalePolicy>,
+    policy: ThresholdStep,
     churn: Option<ChurnPlan>,
 ) -> (SchedCluster, SimResult, AutoscaleStats) {
     let simulator = Simulator::new(config);
@@ -101,7 +100,7 @@ fn burst_grows_the_fleet_then_drain_shrinks_it() {
         &arrivals,
         config,
         threshold_cfg(2, 20, &config),
-        Box::new(policy),
+        policy,
         None,
     );
     assert!(
@@ -145,43 +144,10 @@ fn a_delay_past_the_end_of_time_is_an_order_that_never_completes() {
         delay: ProvisionDelay::Fixed(Micros::MAX),
         ..threshold_cfg(2, 20, &config)
     };
-    let (cluster, _, stats) = run_autoscaled(4, &arrivals, config, cfg, Box::new(policy), None);
+    let (cluster, _, stats) = run_autoscaled(4, &arrivals, config, cfg, policy, None);
     assert!(stats.provisioned > 0, "the burst must order machines");
     assert_eq!(stats.warm_activations, 0, "no order ever completed");
     assert!(stats.peak_active() <= 4 && cluster.len() <= 4);
-}
-
-#[test]
-fn target_tracking_and_predictive_also_absorb_the_burst() {
-    let config = sim_config(240_000_000, 9);
-    let arrivals = burst_arrivals(300, 20_000_000, 66_000, 0.25);
-    for policy in [
-        Box::new(TargetTracking {
-            target_util: 0.6,
-            tolerance: 0.1,
-        }) as Box<dyn AutoscalePolicy>,
-        Box::new(Predictive::new(5, 1.2, 0.25, config.mean_runtime, 1.0)),
-    ] {
-        let name = policy.name();
-        let (_, result, stats) = run_autoscaled(
-            4,
-            &arrivals,
-            config,
-            threshold_cfg(2, 24, &config),
-            policy,
-            None,
-        );
-        assert_eq!(result.placed.len() + result.unplaced, arrivals.len());
-        assert!(
-            stats.peak_active() > 4,
-            "{name}: burst must grow the fleet (peak {})",
-            stats.peak_active()
-        );
-        assert!(
-            stats.final_active() < stats.peak_active(),
-            "{name}: fleet must shrink after the burst"
-        );
-    }
 }
 
 #[test]
@@ -196,7 +162,7 @@ fn identical_runs_are_bit_identical() {
             &arrivals,
             config,
             cfg.clone(),
-            Box::new(ThresholdStep::default()),
+            ThresholdStep::default(),
             None,
         )
     };
@@ -230,8 +196,7 @@ fn churn_cannot_drain_a_machine_mid_provisioning() {
         step: 4,
         ..ThresholdStep::default()
     };
-    let (cluster, result, stats) =
-        run_autoscaled(2, &arrivals, config, cfg, Box::new(policy), Some(plan));
+    let (cluster, result, stats) = run_autoscaled(2, &arrivals, config, cfg, policy, Some(plan));
     assert!(stats.provisioned >= 1, "pressure must order machines");
     assert_eq!(
         result.churn_rescheduled, 0,
@@ -263,7 +228,7 @@ fn autoscaler_skips_churn_claimed_machines() {
         ..ThresholdStep::default()
     };
     let cfg = AutoscaleConfig::new(1, 8, 4_000_000, &config);
-    let (_, _, stats) = run_autoscaled(3, &[], config, cfg, Box::new(policy), Some(plan));
+    let (_, _, stats) = run_autoscaled(3, &[], config, cfg, policy, Some(plan));
     assert_eq!(
         stats.conflicts_skipped, 1,
         "the same-instant claim must be detected exactly once"
@@ -299,7 +264,7 @@ proptest! {
         let mut cfg = threshold_cfg(min, 12, &config);
         cfg.warm_pool = 1;
         let (cluster, result, stats) =
-            run_autoscaled(initial, &arrivals, config, cfg, Box::new(policy), None);
+            run_autoscaled(initial, &arrivals, config, cfg, policy, None);
         prop_assert_eq!(
             result.placed.len() + result.unplaced,
             arrivals.len(),

@@ -2,11 +2,11 @@
 //! a fleet that mutates under it.
 //!
 //! Two costs matter when a control plane joins the kernel: the policy
-//! evaluation itself (`autoscale/policy_*` — pure sizing functions over
-//! sampled signals), and what fleet mutation does to the placement hot
-//! loop (`autoscale/grow_place_10000` — a join → place → release →
-//! drain round trip against the incremental capacity/attribute
-//! indexes). The latter is the acceptance guard for PR-5: placement
+//! evaluation itself (`autoscale/policy_threshold_x16` — the pure
+//! sizing function over sampled signals), and what fleet mutation does
+//! to the placement hot loop (`autoscale/grow_place_10000` — a join →
+//! place → release → drain round trip against the incremental
+//! capacity/attribute indexes). The latter is the acceptance guard for PR-5: placement
 //! medians must stay at indexed speed while machines come and go
 //! mid-run. `autoscale/elastic_small` prices a whole elastic scenario
 //! on the kernel. Neither is gated in CI: the ratio to
@@ -15,10 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use ctlm_autoscale::{
-    AutoscaleConfig, AutoscalePolicy, Autoscaler, Predictive, ProvisionDelay, Signals,
-    TargetTracking, ThresholdStep,
-};
+use ctlm_autoscale::{AutoscaleConfig, Autoscaler, ProvisionDelay, Signals, ThresholdStep};
 use ctlm_sched::engine::{SimConfig, Simulator};
 use ctlm_sched::placement::{best_fit, Placement};
 use ctlm_sched::scheduler::MainOnly;
@@ -29,11 +26,9 @@ use ctlm_trace::Machine;
 fn signal_mix() -> Vec<Signals> {
     (0..16u64)
         .map(|k| Signals {
-            now: k * 2_000_000,
             fleet: 8 + (k % 5) as usize,
             pending: ((k * 7) % 23) as usize,
             utilisation: ((k * 13) % 100) as f64 / 100.0,
-            admitted_delta: (k * 11) % 40,
             no_capacity_delta: (k * 3) % 9,
             recent_latency_mean: Some(250_000.0 + k as f64 * 10_000.0),
         })
@@ -46,23 +41,7 @@ fn bench_policies(c: &mut Criterion) {
     // Each iteration runs the whole 16-signal mix: single decisions sit
     // around a nanosecond, too small to gate against run-to-run noise.
     group.bench_function("policy_threshold_x16", |b| {
-        let mut p = ThresholdStep::default();
-        b.iter(|| {
-            mix.iter()
-                .map(|s| p.desired_fleet(std::hint::black_box(s)))
-                .sum::<usize>()
-        })
-    });
-    group.bench_function("policy_target_tracking_x16", |b| {
-        let mut p = TargetTracking::default();
-        b.iter(|| {
-            mix.iter()
-                .map(|s| p.desired_fleet(std::hint::black_box(s)))
-                .sum::<usize>()
-        })
-    });
-    group.bench_function("policy_predictive_x16", |b| {
-        let mut p = Predictive::new(8, 1.2, 0.25, 10_000_000, 1.0);
+        let p = ThresholdStep::default();
         b.iter(|| {
             mix.iter()
                 .map(|s| p.desired_fleet(std::hint::black_box(s)))
@@ -148,8 +127,7 @@ fn bench_elastic_small(c: &mut Criterion) {
                 delay: ProvisionDelay::Fixed(3_000_000),
                 ..AutoscaleConfig::new(2, 12, 2_000_000, &config)
             };
-            let (scaler, stats) =
-                Autoscaler::new(cfg, Box::new(ThresholdStep::default()), harness.state());
+            let (scaler, stats) = Autoscaler::new(cfg, ThresholdStep::default(), harness.state());
             attach(&mut harness.sim, "autoscaler", scaler);
             let (_, result) = harness.run();
             let peak = stats.borrow().peak_active();

@@ -122,8 +122,7 @@ fn bench_crash_recovery_roundtrip(c: &mut Criterion) {
                 delay: ProvisionDelay::Fixed(3_000_000),
                 ..AutoscaleConfig::new(4, 12, 2_000_000, &config)
             };
-            let (scaler, _stats) =
-                Autoscaler::new(cfg, Box::new(ThresholdStep::default()), harness.state());
+            let (scaler, _stats) = Autoscaler::new(cfg, ThresholdStep::default(), harness.state());
             attach(&mut harness.sim, "autoscaler", scaler);
             let state = harness.state();
             let (_, result) = harness.run();

@@ -95,27 +95,13 @@ impl TaskCoAnalyzer {
 
 /// Hot-swappable analyzer handle shared between the training pipeline and
 /// the schedulers.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ModelRegistry {
     current: Arc<RwLock<Option<Arc<TaskCoAnalyzer>>>>,
     /// Bumped on every install; readers cache the analyzer and re-read
     /// only when this moves, making the per-task fast path one atomic
     /// load instead of an `RwLock` acquisition.
     version: Arc<std::sync::atomic::AtomicU64>,
-    /// False while the registry is degraded (a failed or stale swap):
-    /// [`Self::get`] then answers `None` so readers fall back to their
-    /// no-model behaviour until a healthy version appears.
-    healthy: Arc<std::sync::atomic::AtomicBool>,
-}
-
-impl Default for ModelRegistry {
-    fn default() -> Self {
-        Self {
-            current: Arc::default(),
-            version: Arc::default(),
-            healthy: Arc::new(std::sync::atomic::AtomicBool::new(true)),
-        }
-    }
 }
 
 impl ModelRegistry {
@@ -125,40 +111,11 @@ impl ModelRegistry {
         Self::default()
     }
 
-    /// Installs a new analyzer; readers see it on their next lookup. A
-    /// fresh install is by definition a healthy version, so it also
-    /// clears any degradation mark.
+    /// Installs a new analyzer; readers see it on their next lookup.
     pub fn install(&self, analyzer: TaskCoAnalyzer) {
         *self.current.write().expect("registry lock poisoned") = Some(Arc::new(analyzer));
-        self.healthy
-            .store(true, std::sync::atomic::Ordering::Release);
         self.version
             .fetch_add(1, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Marks the registry degraded — a stale or failed model swap. Until
-    /// [`Self::heal`] or a fresh [`Self::install`], [`Self::get`] answers
-    /// `None` and cached readers observe a version bump, dropping their
-    /// analyzer and falling back to baseline behaviour.
-    pub fn poison(&self) {
-        self.healthy
-            .store(false, std::sync::atomic::Ordering::Release);
-        self.version
-            .fetch_add(1, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Clears a degradation mark without installing a new model: the
-    /// previously installed analyzer (if any) becomes visible again.
-    pub fn heal(&self) {
-        self.healthy
-            .store(true, std::sync::atomic::Ordering::Release);
-        self.version
-            .fetch_add(1, std::sync::atomic::Ordering::Release);
-    }
-
-    /// True while no degradation mark is set.
-    pub fn is_healthy(&self) -> bool {
-        self.healthy.load(std::sync::atomic::Ordering::Acquire)
     }
 
     /// Monotone install counter: 0 until the first model lands, bumped on
@@ -167,12 +124,8 @@ impl ModelRegistry {
         self.version.load(std::sync::atomic::Ordering::Acquire)
     }
 
-    /// The current analyzer, if any. `None` while degraded, even when a
-    /// model is installed — degraded readers must not trust it.
+    /// The current analyzer, if any.
     pub fn get(&self) -> Option<Arc<TaskCoAnalyzer>> {
-        if !self.is_healthy() {
-            return None;
-        }
         self.current.read().expect("registry lock poisoned").clone()
     }
 }

@@ -31,11 +31,6 @@ impl FullRetrainModel {
         }
     }
 
-    /// True once trained.
-    pub fn is_trained(&self) -> bool {
-        self.state.is_some()
-    }
-
     /// Feature width of the last trained model.
     pub fn features(&self) -> usize {
         self.features

@@ -50,6 +50,7 @@ impl GrowingModel {
     }
 
     /// True once a model has been trained and saved.
+    #[cfg(test)]
     pub fn is_trained(&self) -> bool {
         self.state.is_some()
     }

@@ -110,12 +110,14 @@ impl AttrRequirement {
     }
 
     /// True when the requirement is a pure range (the paper's *Between*
-    /// operator) — used for the Table V regeneration binary.
+    /// operator).
+    #[cfg(test)]
     pub fn is_between(&self) -> bool {
         self.equal.is_none() && (self.lo.is_some() || self.hi.is_some())
     }
 
     /// True when the requirement is a pure Non-Equal-Array.
+    #[cfg(test)]
     pub fn is_not_equal_array(&self) -> bool {
         self.equal.is_none()
             && self.lo.is_none()

@@ -19,11 +19,11 @@ use ctlm_trace::{
     AttrId, AttrValue, EventPayload, Machine, MachineId, Micros, Scale, TraceGenerator,
 };
 
-use ctlm_autoscale::AutoscaleConfig;
+use ctlm_autoscale::{AutoscaleConfig, ThresholdStep};
 
+use crate::registry::build_autoscale_policy;
 use crate::spec::{
-    CellSpec, PolicyParams, RetrainSpec, RetrySpec, ScenarioSpec, SyntheticWorkload, TraceWorkload,
-    WorkloadSpec,
+    CellSpec, RetrainSpec, RetrySpec, ScenarioSpec, SyntheticWorkload, TraceWorkload, WorkloadSpec,
 };
 use crate::stream::SyntheticStream;
 use crate::LabError;
@@ -42,14 +42,11 @@ pub const ATTR_VALUE_STRIDE: i64 = 1 << 32;
 /// original fleet.
 pub const AUTOSCALE_ID_BASE: u64 = 1 << 48;
 
-/// A cell's resolved autoscaler: the policy selection (resolved at run
-/// time through the registry, so sweeps can rewrite its parameters)
-/// plus the fully derived kernel config.
+/// A cell's resolved autoscaler: the policy built from the (possibly
+/// sweep-rewritten) spec, plus the fully derived kernel config.
 pub struct BuiltAutoscale {
-    /// Policy registry name.
-    pub policy: String,
-    /// Numeric policy parameters from the spec.
-    pub params: PolicyParams,
+    /// The sizing policy.
+    pub policy: ThresholdStep,
     /// Derived component configuration (seed, id/attr namespaces,
     /// template already resolved).
     pub config: AutoscaleConfig,
@@ -58,7 +55,7 @@ pub struct BuiltAutoscale {
 /// A cell's resolved fault plane: the seeded event plan plus the retry
 /// policy and spillover-outage windows the run assembly wires in.
 pub struct BuiltFaults {
-    /// Seeded crash/recover (and registry-degradation) timeline.
+    /// Seeded crash/recover timeline.
     pub plan: FaultPlan,
     /// Retry policy for crash-lost tasks.
     pub retry: RetrySpec,
@@ -239,9 +236,8 @@ pub fn build_cell(
             }
             WorkloadSpec::Trace(_) => None,
         };
-        BuiltAutoscale {
-            policy: a.policy.clone(),
-            params: a.params,
+        Ok::<_, LabError>(BuiltAutoscale {
+            policy: build_autoscale_policy(&a.policy, &a.params)?,
             config: AutoscaleConfig {
                 min: a.min,
                 max: a.max,
@@ -254,10 +250,11 @@ pub fn build_cell(
                 id_base: AUTOSCALE_ID_BASE,
                 attr_base,
             },
-        }
+        })
     });
+    let autoscale = autoscale.transpose()?;
     let faults = scenario.faults.as_ref().map(|f| {
-        let mut plan = match &f.crashes {
+        let plan = match &f.crashes {
             Some(c) => FaultPlan::zone_crashes(
                 // Churn-style seed mix, so sibling cells (and a churn
                 // plan over the same fleet) draw independent schedules.
@@ -276,9 +273,6 @@ pub fn build_cell(
             ),
             None => FaultPlan::default(),
         };
-        if let Some(d) = &f.degraded_registry {
-            plan = plan.and_registry_outage(d.start, d.duration);
-        }
         let downtime_us = plan.downtime_us(sim.horizon);
         let outages = f
             .link_outage

@@ -101,7 +101,7 @@ fn upsert<T: Clone>(list: &mut Vec<(String, T)>, key: &str, value: &T) {
 
 /// Converts the coordinator's raw nanosecond accumulators into the
 /// serializable per-shard profile.
-pub fn perf_report(p: &ParallelPerf, threads: usize) -> PerfReport {
+fn perf_report(p: &ParallelPerf, threads: usize) -> PerfReport {
     PerfReport {
         rounds: p.rounds,
         drain_ns: p.drain_ns,

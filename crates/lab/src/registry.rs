@@ -1,25 +1,26 @@
 //! Name → implementation registries over the open `ctlm-sched` traits.
 //!
 //! Specs select policies by string; the registries here resolve those
-//! strings into [`Scheduler`] / [`Placer`] instances. Both model-backed
-//! schedulers are a [`LiveRegistry`], and their models are *trained
-//! here, from the spec's own workload* — no experiment-specific Rust:
-//! `enhanced` trains a [`TaskCoAnalyzer`] on the cell's arrivals before
-//! the run and installs it in a registry only its scheduler holds, and
-//! `live_registry` starts cold and receives hot-swapped models from the
-//! in-timeline retraining component
+//! strings into [`Scheduler`] / [`Placer`] instances and the
+//! autoscaler's [`ThresholdStep`]. Every name is selected by a
+//! checked-in spec under `experiments/` or `benchmark/specs/`
+//! (`tests/registry_coverage.rs` fails otherwise).
+//!
+//! Both model-backed schedulers are a [`LiveRegistry`], and their models
+//! are *trained here, from the spec's own workload* — no
+//! experiment-specific Rust: `enhanced` trains a [`TaskCoAnalyzer`] on
+//! the cell's arrivals before the run and installs it in a registry only
+//! its scheduler holds, and `live_registry` starts cold and receives
+//! hot-swapped models from the in-timeline retraining component
 //! ([`RetrainSource`](crate::run::RetrainSource)).
 
-use ctlm_autoscale::{AutoscalePolicy, MachineTemplate, Predictive, TargetTracking, ThresholdStep};
+use ctlm_autoscale::ThresholdStep;
 use ctlm_core::{GrowingModel, ModelRegistry, TaskCoAnalyzer, TrainConfig};
-use ctlm_data::compaction::collapse;
-use ctlm_sched::placement::{BestFit, FirstFit, Placer, PreemptiveBestFit, SoftAffinityBestFit};
+use ctlm_sched::placement::{BestFit, Placer, PreemptiveBestFit};
 use ctlm_sched::scheduler::{LiveRegistry, MainOnly, OracleEnhanced, Scheduler};
-use ctlm_sched::SimConfig;
-use ctlm_trace::{AttrValue, ConstraintOp, TaskConstraint};
 
 use crate::build::BuiltCell;
-use crate::spec::{PlacerSpec, PolicyParams, SoftAffinitySpec, SoftOpSpec, TrainSpec};
+use crate::spec::{PolicyParams, TrainSpec};
 use crate::LabError;
 
 /// A resolved scheduler plus the model registry backing it (present only
@@ -27,10 +28,9 @@ use crate::LabError;
 pub struct SchedulerInstance {
     /// The routing policy under test.
     pub scheduler: Box<dyn Scheduler>,
-    /// Hot-swap handle for in-timeline retraining and the fault plane's
-    /// registry outages. `None` for `enhanced`: its registry is private
-    /// to its scheduler, so its pre-trained model stays installed for
-    /// the whole run.
+    /// Hot-swap handle for in-timeline retraining. `None` for
+    /// `enhanced`: its registry is private to its scheduler, so its
+    /// pre-trained model stays installed for the whole run.
     pub registry: Option<ModelRegistry>,
 }
 
@@ -38,15 +38,10 @@ pub struct SchedulerInstance {
 pub const SCHEDULER_NAMES: &[&str] = &["main_only", "oracle", "enhanced", "live_registry"];
 
 /// Placer registry names, in registration order.
-pub const PLACER_NAMES: &[&str] = &[
-    "best_fit",
-    "first_fit",
-    "preemptive_best_fit",
-    "best_fit_soft",
-];
+pub const PLACER_NAMES: &[&str] = &["best_fit", "preemptive_best_fit"];
 
 /// Autoscaling-policy registry names, in registration order.
-pub const AUTOSCALE_POLICY_NAMES: &[&str] = &["threshold", "target_tracking", "predictive"];
+pub const AUTOSCALE_POLICY_NAMES: &[&str] = &[ThresholdStep::NAME];
 
 /// Validates a scheduler name without building it (that needs a cell).
 pub fn check_scheduler(name: &str) -> Result<(), LabError> {
@@ -62,36 +57,22 @@ fn unknown(kind: &str, name: &str, registry: &[&str]) -> LabError {
     LabError::msg(format!("unknown {kind} {name:?} (registry: {names})"))
 }
 
-/// Builds an autoscaling policy by registry name. Unset [`PolicyParams`]
-/// fields take the documented defaults; the predictive policy derives
-/// its workload estimates from the spec's mean runtime and the
-/// provisioning template's capacity.
+/// Builds the autoscaling policy by registry name. Unset [`PolicyParams`]
+/// fields take the documented defaults.
 pub fn build_autoscale_policy(
     name: &str,
     params: &PolicyParams,
-    sim: &SimConfig,
-    template: &MachineTemplate,
-) -> Result<Box<dyn AutoscalePolicy>, LabError> {
-    match name {
-        "threshold" => Ok(Box::new(ThresholdStep {
-            up_pending: params.up_pending.unwrap_or(8) as usize,
-            up_latency: params.up_latency,
-            down_util: params.down_util.unwrap_or(0.3),
-            step: params.step.unwrap_or(2) as usize,
-        })),
-        "target_tracking" => Ok(Box::new(TargetTracking {
-            target_util: params.target_util.unwrap_or(0.6),
-            tolerance: params.tolerance.unwrap_or(0.1),
-        })),
-        "predictive" => Ok(Box::new(Predictive::new(
-            params.window.unwrap_or(6) as usize,
-            params.headroom.unwrap_or(1.2),
-            params.task_cpu.unwrap_or(0.25),
-            sim.mean_runtime,
-            template.cpu,
-        ))),
-        other => Err(unknown("autoscale policy", other, AUTOSCALE_POLICY_NAMES)),
+) -> Result<ThresholdStep, LabError> {
+    if name != ThresholdStep::NAME {
+        return Err(unknown("autoscale policy", name, AUTOSCALE_POLICY_NAMES));
     }
+    let d = ThresholdStep::default();
+    Ok(ThresholdStep {
+        up_pending: params.up_pending.map_or(d.up_pending, |v| v as usize),
+        up_latency: params.up_latency,
+        down_util: params.down_util.unwrap_or(d.down_util),
+        step: params.step.map_or(d.step, |v| v as usize),
+    })
 }
 
 /// Builds a scheduler instance for one cell.
@@ -129,42 +110,13 @@ pub fn build_scheduler(
     }
 }
 
-/// Builds a placer by registry name. The `best_fit_soft` strategy takes
-/// its preference set from the spec's `placers.soft` list instead of a
-/// hard-coded default — soft affinity is experiment data, not code.
-pub fn build_placer(name: &str, spec: &PlacerSpec) -> Result<Box<dyn Placer>, LabError> {
+/// Builds a placer by registry name.
+pub fn build_placer(name: &str) -> Result<Box<dyn Placer>, LabError> {
     match name {
         "best_fit" => Ok(Box::new(BestFit)),
-        "first_fit" => Ok(Box::new(FirstFit)),
         "preemptive_best_fit" => Ok(Box::new(PreemptiveBestFit)),
-        "best_fit_soft" => Ok(Box::new(SoftAffinityBestFit {
-            soft: soft_requirements(&spec.soft)?,
-        })),
         other => Err(unknown("placer", other, PLACER_NAMES)),
     }
-}
-
-/// Collapses the spec's soft-affinity terms into the requirement form
-/// the placer scores against.
-pub fn soft_requirements(
-    soft: &[SoftAffinitySpec],
-) -> Result<Vec<ctlm_data::compaction::AttrRequirement>, LabError> {
-    let constraints: Vec<TaskConstraint> = soft
-        .iter()
-        .map(|s| {
-            let op = match &s.op {
-                SoftOpSpec::Equal(v) => ConstraintOp::Equal(Some(AttrValue::Int(*v))),
-                SoftOpSpec::EqualStr(v) => ConstraintOp::Equal(Some(AttrValue::Str(v.clone()))),
-                SoftOpSpec::LessThan(v) => ConstraintOp::LessThan(*v),
-                SoftOpSpec::GreaterThan(v) => ConstraintOp::GreaterThan(*v),
-                SoftOpSpec::LessThanEqual(v) => ConstraintOp::LessThanEqual(*v),
-                SoftOpSpec::GreaterThanEqual(v) => ConstraintOp::GreaterThanEqual(*v),
-            };
-            TaskConstraint::new(s.attr, op)
-        })
-        .collect();
-    collapse(&constraints)
-        .map_err(|e| LabError::msg(format!("unsatisfiable soft-affinity set: {e:?}")))
 }
 
 /// Trains a [`TaskCoAnalyzer`] on the cell's own arrival population —

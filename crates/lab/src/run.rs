@@ -72,10 +72,8 @@ use ctlm_telemetry::{SpanLog, TraceRing};
 use ctlm_trace::Micros;
 
 use crate::build::{build_cell, BuiltArrivals, BuiltCell, CELL_ID_STRIDE};
-use crate::registry::{
-    build_autoscale_policy, build_placer, build_scheduler, train_config, SchedulerInstance,
-};
-use crate::spec::{CellSpec, ExperimentSpec, RetrainSpec, SpilloverPolicy, WorkloadSpec};
+use crate::registry::{build_placer, build_scheduler, train_config, SchedulerInstance};
+use crate::spec::{CellSpec, ExperimentSpec, RetrainSpec, WorkloadSpec};
 use crate::stream::SyntheticStream;
 use crate::LabError;
 
@@ -195,17 +193,12 @@ fn attach_full_cell<'a>(
             bf.retry.build()?,
             spec.sim.seed ^ (cell.index as u64).wrapping_mul(0x9E37_79B9),
         );
-        let mut plane = FaultPlane::new(bf.plan.clone(), handle.engine, handle.state());
-        if let Some(reg) = registry {
-            plane = plane.with_registry(reg.clone());
-        }
+        let plane = FaultPlane::new(bf.plan.clone(), handle.engine, handle.state());
         attach(sim, part("faults"), plane);
     }
     let mut autoscale_stats = None;
     if let Some(auto) = &cell.autoscale {
-        let policy =
-            build_autoscale_policy(&auto.policy, &auto.params, &spec.sim, &auto.config.template)?;
-        let (scaler, stats) = Autoscaler::new(auto.config.clone(), policy, handle.state());
+        let (scaler, stats) = Autoscaler::new(auto.config.clone(), auto.policy, handle.state());
         attach(sim, part("autoscaler"), scaler);
         autoscale_stats = Some(stats);
     }
@@ -235,45 +228,19 @@ fn attach_full_cell<'a>(
 
 /// Picks the cell a spill request lands in: home if it can admit the
 /// task by now (capacity may have freed since the arrival instant),
-/// otherwise the first feasible sibling (scanning forward, wrapping)
-/// under [`SpilloverPolicy::FirstFeasible`], or the feasible sibling
-/// with the lowest CPU utilisation (ties: lowest cell index) under
-/// [`SpilloverPolicy::LeastLoaded`]. Tasks nobody can admit still go to
-/// their home cell's queue.
-fn route_spill(
-    states: &[Rc<RefCell<EngineState<'_>>>],
-    policy: SpilloverPolicy,
-    home: usize,
-    task: &PendingTask,
-) -> usize {
+/// otherwise the first feasible sibling (scanning forward, wrapping).
+/// Tasks nobody can admit still go to their home cell's queue.
+fn route_spill(states: &[Rc<RefCell<EngineState<'_>>>], home: usize, task: &PendingTask) -> usize {
     if states[home].borrow().can_admit(task) {
         return home;
     }
-    match policy {
-        SpilloverPolicy::LeastLoaded => {
-            let mut best: Option<(f64, usize)> = None;
-            for offset in 1..states.len() {
-                let i = (home + offset) % states.len();
-                let state = states[i].borrow();
-                if state.can_admit(task) {
-                    let key = (state.cluster().cpu_utilisation(), i);
-                    if best.is_none_or(|(bl, bi)| key < (bl, bi)) {
-                        best = Some(key);
-                    }
-                }
-            }
-            best.map(|(_, i)| i).unwrap_or(home)
-        }
-        _ => {
-            for offset in 1..states.len() {
-                let i = (home + offset) % states.len();
-                if states[i].borrow().can_admit(task) {
-                    return i;
-                }
-            }
-            home
+    for offset in 1..states.len() {
+        let i = (home + offset) % states.len();
+        if states[i].borrow().can_admit(task) {
+            return i;
         }
     }
+    home
 }
 
 /// One scheduler's run of a spec: per-cell outcomes plus the wall-clock
@@ -379,8 +346,8 @@ fn run_cells(
     let simulators: Vec<Simulator> = (0..built.len())
         .map(|_| {
             Ok(Simulator::new(spec.sim).with_placers(
-                build_placer(&spec.placers.main, &spec.placers)?,
-                build_placer(&spec.placers.hp, &spec.placers)?,
+                build_placer(&spec.placers.main)?,
+                build_placer(&spec.placers.hp)?,
             ))
         })
         .collect::<Result<_, LabError>>()?;
@@ -424,7 +391,6 @@ fn run_cells(
     }
     let engines: Vec<_> = handles.iter().map(|h| h.engine).collect();
     let states: Vec<_> = handles.iter().map(|h| h.state()).collect();
-    let policy = spec.spillover;
     // Per-cell outbound link-outage windows from the fault plane —
     // pure spec data, so timeout decisions are thread-count-free.
     let outages: Vec<&[(Micros, Micros)]> = built
@@ -465,7 +431,7 @@ fn run_cells(
                     // whether the task came from a borrowed list or a
                     // streamed chunk.
                     let state = states[home].borrow();
-                    let target = route_spill(&states, policy, home, state.task(idx));
+                    let target = route_spill(&states, home, state.task(idx));
                     let route = if target == home {
                         SpillRoute::Home
                     } else {

@@ -70,10 +70,9 @@ pub struct ExperimentSpec {
     pub cells: Vec<CellSpec>,
     /// Multi-cell only: route arrivals through the spillover router,
     /// which forwards tasks a cell cannot admit to a sibling cell.
-    /// `"first_feasible"` forwards to the first feasible sibling,
-    /// `"least_loaded"` scores feasible siblings by CPU utilisation and
-    /// picks the emptiest; JSON `true`/`false` are accepted as legacy
-    /// aliases for `"first_feasible"`/off.
+    /// `"first_feasible"` forwards to the first feasible sibling; JSON
+    /// `true`/`false` are accepted as legacy aliases for
+    /// `"first_feasible"`/off.
     #[serde(default)]
     pub spillover: SpilloverPolicy,
     /// Training budget for model-backed schedulers (`enhanced`,
@@ -133,7 +132,7 @@ impl ExperimentSpec {
         self.placers.validate()?;
         self.train.validate()?;
         for cell in self.cell_specs() {
-            cell.validate(&self.sim, self.spillover)?;
+            cell.validate(self.spillover)?;
         }
         self.execution.validate()?;
         self.sweep.as_ref().map_or(Ok(()), SweepSpec::validate)
@@ -173,10 +172,6 @@ pub enum SpilloverPolicy {
     /// Forward to the first sibling (scanning forward from the home
     /// cell, wrapping) that can admit the task right now.
     FirstFeasible,
-    /// Forward to the feasible sibling with the lowest CPU utilisation
-    /// (ties: lowest cell index). The home cell still wins when it can
-    /// admit the task itself.
-    LeastLoaded,
 }
 
 impl SpilloverPolicy {
@@ -190,7 +185,6 @@ impl SpilloverPolicy {
         match self {
             SpilloverPolicy::Off => "off",
             SpilloverPolicy::FirstFeasible => "first_feasible",
-            SpilloverPolicy::LeastLoaded => "least_loaded",
         }
     }
 }
@@ -215,10 +209,9 @@ impl serde::Deserialize for SpilloverPolicy {
             serde_json::Value::Str(s) if s == "first_feasible" => {
                 Ok(SpilloverPolicy::FirstFeasible)
             }
-            serde_json::Value::Str(s) if s == "least_loaded" => Ok(SpilloverPolicy::LeastLoaded),
             other => Err(serde::Error::msg(format!(
-                "expected spillover policy (\"first_feasible\", \"least_loaded\", \
-                 \"off\", or a legacy bool), got {other:?}"
+                "expected spillover policy (\"first_feasible\", \"off\", or a legacy bool), \
+                 got {other:?}"
             ))),
         }
     }
@@ -239,12 +232,12 @@ pub struct CellSpec {
 impl CellSpec {
     /// The cell's blocks and spillover rules: the one place errors get
     /// the `cell "<name>": ` prefix.
-    pub fn validate(&self, sim: &SimConfig, spillover: SpilloverPolicy) -> Result<(), LabError> {
-        self.rules(sim, spillover)
+    pub fn validate(&self, spillover: SpilloverPolicy) -> Result<(), LabError> {
+        self.rules(spillover)
             .map_err(|e| LabError::msg(format!("cell {:?}: {}", self.name, e.0)))
     }
 
-    fn rules(&self, sim: &SimConfig, spillover: SpilloverPolicy) -> Result<(), LabError> {
+    fn rules(&self, spillover: SpilloverPolicy) -> Result<(), LabError> {
         // Only synthetic cells stride their pin-attribute values apart.
         ensure!(
             !spillover.enabled() || matches!(self.workload, WorkloadSpec::Synthetic(_)),
@@ -258,24 +251,18 @@ impl CellSpec {
             "link_outage needs spillover enabled (there is no link to fail otherwise)"
         );
         self.workload.validate()?;
-        self.scenario.validate(sim, &self.workload)
+        self.scenario.validate()
     }
 }
 
 /// Placement strategies for the two queues, by registry name.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct PlacerSpec {
     /// Main-queue strategy.
     pub main: String,
     /// High-priority-queue strategy.
     pub hp: String,
-    /// Soft-affinity preferences for the `best_fit_soft` placer:
-    /// machines satisfying more of these rank ahead, but none are
-    /// excluded. Ignored by the other strategies, so a sweep can flip
-    /// `main` between `best_fit` and `best_fit_soft` without touching
-    /// this list.
-    #[serde(default)]
-    pub soft: Vec<SoftAffinitySpec>,
 }
 
 impl Default for PlacerSpec {
@@ -283,48 +270,18 @@ impl Default for PlacerSpec {
         Self {
             main: "best_fit".to_string(),
             hp: "preemptive_best_fit".to_string(),
-            soft: Vec::new(),
         }
     }
 }
 
 impl PlacerSpec {
-    /// Builds both strategies; the soft list must be satisfiable anyway.
+    /// Builds both strategies.
     pub fn validate(&self) -> Result<(), LabError> {
         for name in [&self.main, &self.hp] {
-            crate::registry::build_placer(name, self)?;
+            crate::registry::build_placer(name)?;
         }
-        crate::registry::soft_requirements(&self.soft).map(drop)
+        Ok(())
     }
-}
-
-/// One soft-affinity preference: an attribute plus the predicate a
-/// preferred machine satisfies (the spec-level form of a Kubernetes
-/// `preferredDuringScheduling` term).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SoftAffinitySpec {
-    /// Machine attribute the preference inspects.
-    pub attr: AttrId,
-    /// The predicate.
-    pub op: SoftOpSpec,
-}
-
-/// Predicates a soft preference can express — the numeric/string subset
-/// of the trace constraint operators.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum SoftOpSpec {
-    /// Attribute equals this integer value.
-    Equal(i64),
-    /// Attribute equals this string value.
-    EqualStr(String),
-    /// Attribute present and `< value`.
-    LessThan(i64),
-    /// Attribute present and `> value`.
-    GreaterThan(i64),
-    /// Attribute present and `<= value`.
-    LessThanEqual(i64),
-    /// Attribute present and `>= value`.
-    GreaterThanEqual(i64),
 }
 
 /// Where a cell's cluster and arrivals come from.
@@ -551,20 +508,20 @@ pub struct ScenarioSpec {
     /// included).
     pub autoscale: Option<AutoscaleSpec>,
     /// Fault-plane injection: abrupt correlated machine crashes (lost
-    /// work, MTTR recovery), spillover link outages, registry
-    /// degradation windows, and the retry policy deciding between
-    /// rescheduling and dead-lettering lost tasks.
+    /// work, MTTR recovery), spillover link outages, and the retry
+    /// policy deciding between rescheduling and dead-lettering lost
+    /// tasks.
     pub faults: Option<FaultsSpec>,
 }
 
 impl ScenarioSpec {
     /// Each present component's rules.
-    pub fn validate(&self, sim: &SimConfig, workload: &WorkloadSpec) -> Result<(), LabError> {
+    pub fn validate(&self) -> Result<(), LabError> {
         if let Some(r) = &self.retrain {
             ensure!(r.period > 0, "retrain period must be > 0");
         }
         if let Some(auto) = &self.autoscale {
-            auto.validate(sim, workload)?;
+            auto.validate()?;
         }
         if let Some(c) = &self.churn {
             check_window("churn", c.window)?;
@@ -615,8 +572,7 @@ fn check_window(what: &str, (start, end): (Micros, Micros)) -> Result<(), LabErr
 /// fleet band, cadence, warm pool and provisioning behaviour.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AutoscaleSpec {
-    /// Policy registry name (`threshold`, `target_tracking`,
-    /// `predictive`).
+    /// Policy registry name (`threshold`).
     pub policy: String,
     /// Fleet floor — scale-down never drains below this.
     pub min: usize,
@@ -644,12 +600,11 @@ pub struct AutoscaleSpec {
 
 impl AutoscaleSpec {
     /// Builds the policy; a zero-mean `Exponential` delay boots in 1 µs.
-    pub fn validate(&self, sim: &SimConfig, workload: &WorkloadSpec) -> Result<(), LabError> {
+    pub fn validate(&self) -> Result<(), LabError> {
         if let Some(t) = self.template {
             check_shape("autoscale template", t.cpu, t.memory)?;
         }
-        let template = self.machine_template(workload);
-        crate::registry::build_autoscale_policy(&self.policy, &self.params, sim, &template)?;
+        crate::registry::build_autoscale_policy(&self.policy, &self.params)?;
         let (min, max) = (self.min, self.max);
         ensure!(min <= max, "autoscale min {min} exceeds max {max}");
         ensure!(self.cadence > 0, "autoscale cadence must be > 0");
@@ -674,11 +629,10 @@ impl AutoscaleSpec {
     }
 }
 
-/// Optional numeric knobs for the autoscaling policies. Each policy
-/// reads its own subset; unset fields fall back to the registry
-/// defaults (documented per field).
+/// Optional numeric knobs for the `threshold` autoscaling policy; unset
+/// fields fall back to the registry defaults (documented per field).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct PolicyParams {
     /// `threshold`: queue pressure triggering a scale-up (default 8).
     pub up_pending: Option<u64>,
@@ -690,18 +644,6 @@ pub struct PolicyParams {
     pub down_util: Option<f64>,
     /// `threshold`: machines added/removed per decision (default 2).
     pub step: Option<u64>,
-    /// `target_tracking`: the utilisation setpoint (default 0.6).
-    pub target_util: Option<f64>,
-    /// `target_tracking`: dead band around the setpoint (default 0.1).
-    pub tolerance: Option<f64>,
-    /// `predictive`: sliding-window length in evaluation periods
-    /// (default 6).
-    pub window: Option<u64>,
-    /// `predictive`: capacity multiplier over the forecast
-    /// (default 1.2).
-    pub headroom: Option<f64>,
-    /// `predictive`: estimated CPU request per task (default 0.25).
-    pub task_cpu: Option<f64>,
 }
 
 /// Churn intensity: `failures` distinct machines drain inside `window`,
@@ -724,7 +666,7 @@ pub struct ChurnSpec {
 /// engine charges each lost task against the retry budget and either
 /// reschedules it after a backoff delay or dead-letters it.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct FaultsSpec {
     /// Correlated failure-domain crashes with seeded MTTR recovery.
     pub crashes: Option<CrashSpec>,
@@ -732,9 +674,6 @@ pub struct FaultsSpec {
     /// cell's outbound spill requests time out at the epoch barrier and
     /// bounce back to the home queue.
     pub link_outage: Option<LinkOutageSpec>,
-    /// A degraded model-registry window: `live_registry` cells fall
-    /// back to main-queue routing until the registry heals.
-    pub degraded_registry: Option<DegradedRegistrySpec>,
     /// Retry policy for crash-lost tasks (default: exponential backoff,
     /// budget 3).
     pub retry: RetrySpec,
@@ -753,9 +692,6 @@ impl FaultsSpec {
                 l.count <= 1 || l.period > 0,
                 "repeated link_outage needs period > 0"
             );
-        }
-        if let Some(d) = &self.degraded_registry {
-            ensure!(d.duration > 0, "degraded_registry duration must be > 0");
         }
         self.retry.validate()
     }
@@ -796,16 +732,6 @@ pub struct LinkOutageSpec {
     /// `count > 1`.
     #[serde(default)]
     pub period: Micros,
-}
-
-/// A degraded model-registry window: the registry reports unhealthy
-/// from `start` for `duration` µs, then heals.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct DegradedRegistrySpec {
-    /// Degradation start (µs).
-    pub start: Micros,
-    /// Degradation length (µs).
-    pub duration: Micros,
 }
 
 /// Retry policy for crash-lost tasks. `fixed` waits `base` µs between

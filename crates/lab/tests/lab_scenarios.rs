@@ -185,6 +185,11 @@ fn checked_in_specs_parse_and_spillover_runs_deterministically() {
         ExperimentSpec::from_json(&text).expect("checked-in spec parses");
     }
     let text = std::fs::read_to_string("../../experiments/three_cell_spillover.json").unwrap();
+    assert_eq!(
+        ExperimentSpec::from_json(&text).unwrap().spillover,
+        SpilloverPolicy::FirstFeasible,
+        "legacy boolean `true` must parse as first_feasible"
+    );
     let a = run_spec_json(&text).expect("spillover run");
     let b = run_spec_json(&text).expect("spillover rerun");
     assert_eq!(
@@ -198,45 +203,6 @@ fn checked_in_specs_parse_and_spillover_runs_deterministically() {
     assert!(spilled > 0, "the hot cell must spill into its siblings");
     let received: usize = cells.iter().map(|c| c.spilled_in).sum();
     assert_eq!(spilled, received, "every spilled task lands somewhere");
-}
-
-#[test]
-fn least_loaded_spillover_is_deterministic_and_spreads_load() {
-    // Same checked-in three-cell topology, with the sibling-selection
-    // knob flipped to load-aware scoring. The legacy `true` in the spec
-    // parses as `first_feasible`; here we override it by name.
-    let text = std::fs::read_to_string("../../experiments/three_cell_spillover.json").unwrap();
-    let mut spec = ExperimentSpec::from_json(&text).unwrap();
-    assert_eq!(
-        spec.spillover,
-        SpilloverPolicy::FirstFeasible,
-        "legacy boolean `true` must parse as first_feasible"
-    );
-    spec.spillover = SpilloverPolicy::LeastLoaded;
-    let a = run_spec(&spec).expect("least-loaded run");
-    let b = run_spec(&spec).expect("least-loaded rerun");
-    assert_eq!(
-        to_pretty_json(&Serialize::to_value(&a)),
-        to_pretty_json(&Serialize::to_value(&b)),
-        "least-loaded spillover must be deterministic"
-    );
-    let cells: Vec<_> = a.runs[0].schedulers[0].cells.iter().collect();
-    let spilled: usize = cells.iter().map(|c| c.spilled_out).sum();
-    let received: usize = cells.iter().map(|c| c.spilled_in).sum();
-    assert!(spilled > 0, "the hot cell still spills");
-    assert_eq!(spilled, received, "every spilled task lands somewhere");
-    // Load-aware scoring sends work to *both* siblings, not just the
-    // next one in scan order.
-    let receivers = cells.iter().filter(|c| c.spilled_in > 0).count();
-    assert!(
-        receivers >= 2,
-        "least-loaded routing must use more than one sibling (got {receivers})"
-    );
-    // And the policy round-trips through the spec document by name.
-    let doc = spec.to_value();
-    assert_eq!(doc["spillover"].as_str(), Some("least_loaded"));
-    let back: ExperimentSpec = Deserialize::from_value(&doc).unwrap();
-    assert_eq!(back.spillover, SpilloverPolicy::LeastLoaded);
 }
 
 #[test]
@@ -272,14 +238,12 @@ fn retrain_cadence_drives_live_registry() {
 }
 
 #[test]
-fn enhanced_keeps_its_model_through_registry_outages_and_retrain_ticks() {
+fn enhanced_keeps_its_model_through_retrain_ticks() {
     // `enhanced` routes through a registry only its scheduler holds, so
-    // a registry outage over the whole run and a retrain tick — which
-    // act on `live_registry`'s registry — must not change its run.
-    // Handing its registry to the fault plane would send every task to
-    // the main queue (the run would match main-only, which the model's
-    // run does not), and handing it to the retrainer would swap in, at
-    // 1 s, a model trained on the first 21 arrivals, none restrictive.
+    // a retrain tick — which acts on `live_registry`'s registry — must
+    // not change its run. Handing its registry to the retrainer would
+    // swap in, at 1 s, a model trained on the first 21 arrivals, none
+    // restrictive.
     let spec = |schedulers: &str, scenario: &str| {
         ExperimentSpec::from_json(&format!(
             r#"{{
@@ -310,8 +274,7 @@ fn enhanced_keeps_its_model_through_registry_outages_and_retrain_ticks() {
     assert_ne!(plain.placed, main_only.placed, "the model lifts tasks");
     let meddled = spec(
         r#"["enhanced"]"#,
-        r#""retrain": {"start": 1000000, "period": 100000000},
-           "faults": {"degraded_registry": {"start": 1, "duration": 89000000}}"#,
+        r#""retrain": {"start": 1000000, "period": 100000000}"#,
     );
     let meddled = result(&meddled, "enhanced");
     assert_eq!(plain.placed, meddled.placed, "placed records and latencies");
@@ -470,7 +433,7 @@ fn arb_scenario() -> impl Strategy<Value = ScenarioSpec> {
             rollout: None,
             retrain: None,
             autoscale: (autoscale > 0).then(|| AutoscaleSpec {
-                policy: ["threshold", "target_tracking", "predictive"][autoscale % 3].to_string(),
+                policy: "threshold".to_string(),
                 min: 1,
                 max: 12,
                 cadence: 3_000_000,
@@ -633,7 +596,7 @@ fn cells_autoscale_independently_alongside_spillover() {
         "sim": {"cycle": 500000, "attempts_per_cycle": 8,
                  "mean_runtime": 8000000, "horizon": 120000000, "seed": 13},
         "schedulers": ["main_only"],
-        "spillover": "least_loaded",
+        "spillover": "first_feasible",
         "cells": [
             {
                 "name": "hot",
@@ -645,10 +608,9 @@ fn cells_autoscale_independently_alongside_spillover() {
                     "priority": 2
                 }},
                 "scenario": {"autoscale": {
-                    "policy": "target_tracking",
+                    "policy": "threshold",
                     "min": 3, "max": 16, "cadence": 2000000, "warm_pool": 1,
-                    "delay": {"Fixed": 5000000},
-                    "params": {"target_util": 0.55}
+                    "delay": {"Fixed": 5000000}
                 }}
             },
             {
@@ -684,40 +646,6 @@ fn cells_autoscale_independently_alongside_spillover() {
         stat.spilled_in > 0,
         "overflow while provisioning spills to the sibling"
     );
-}
-
-#[test]
-fn spec_driven_soft_affinity_placers_run_and_validate() {
-    let spec = r#"{
-        "name": "soft",
-        "sim": {"cycle": 500000, "attempts_per_cycle": 4,
-                 "mean_runtime": 5000000, "horizon": 60000000, "seed": 5},
-        "placers": {"main": "best_fit_soft", "hp": "preemptive_best_fit",
-                     "soft": [{"attr": 0, "op": {"LessThan": 3}}]},
-        "workload": {"Synthetic": {
-            "machines": [{"count": 6, "cpu": 1.0, "memory": 1.0}],
-            "tasks": 120,
-            "arrival": {"Uniform": {"gap": 400000}},
-            "cpu": {"Fixed": 0.5}, "memory": {"Fixed": 0.5}
-        }}
-    }"#;
-    let a = run_spec_json(spec).expect("soft-placer run");
-    let b = run_spec_json(spec).expect("soft-placer rerun");
-    assert_eq!(&a, &b, "soft placement must stay deterministic");
-    let cell = &a.runs[0].schedulers[0].cells[0];
-    assert!(cell.placed > 100, "most tasks place under soft affinity");
-    // The soft list round-trips through the normalized document.
-    let parsed = ExperimentSpec::from_json(spec).unwrap();
-    let doc = parsed.to_value();
-    let back: ExperimentSpec = Deserialize::from_value(&doc).unwrap();
-    assert_eq!(back.placers, parsed.placers);
-    // Contradictory soft terms are rejected at validation time.
-    let err = ExperimentSpec::from_json(&spec.replace(
-        r#"[{"attr": 0, "op": {"LessThan": 3}}]"#,
-        r#"[{"attr": 0, "op": {"Equal": 1}}, {"attr": 0, "op": {"Equal": 2}}]"#,
-    ))
-    .expect_err("contradictory soft set");
-    assert!(err.to_string().contains("soft-affinity"), "got: {err}");
 }
 
 #[test]
@@ -828,6 +756,12 @@ fn every_per_cell_error_names_its_cell_once() {
         ),
         spec(false, &good, r#""retrain": {"period": 0}"#),
         spec(false, &good, &autoscale("quantum", 1, 1_000_000, fixed)),
+        spec(
+            false,
+            &good,
+            &autoscale("target_tracking", 1, 1_000_000, fixed),
+        ),
+        spec(false, &good, &autoscale("predictive", 1, 1_000_000, fixed)),
         spec(false, &good, &autoscale("threshold", 9, 1_000_000, fixed)),
         spec(false, &good, &autoscale("threshold", 1, 0, fixed)),
         spec(
@@ -864,11 +798,6 @@ fn every_per_cell_error_names_its_cell_once() {
             true,
             &good,
             r#""faults": {"link_outage": {"start": 1, "duration": 5, "count": 2}}"#,
-        ),
-        spec(
-            false,
-            &good,
-            r#""faults": {"degraded_registry": {"start": 1, "duration": 0}}"#,
         ),
         spec(false, &good, r#""faults": {"retry": {"policy": "linear"}}"#),
         spec(false, &good, r#""faults": {"retry": {"base": 0}}"#),

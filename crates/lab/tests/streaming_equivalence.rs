@@ -84,7 +84,7 @@ fn randomized_synthetic_specs_stream_bit_identically() {
                          "mean_runtime": 6000000, "horizon": 40000000,
                          "seed": {seed}}},
                 "schedulers": ["main_only", "oracle"],
-                "spillover": "least_loaded",
+                "spillover": "first_feasible",
                 "execution": {{"threads": 2, "epoch_us": "auto",
                                "arrival_chunk": 128}},
                 "cells": [

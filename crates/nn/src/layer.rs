@@ -239,7 +239,7 @@ impl Layer {
 }
 
 /// Element-wise ReLU into a caller-provided buffer.
-pub fn relu_into(x: &Matrix, out: &mut Matrix) {
+fn relu_into(x: &Matrix, out: &mut Matrix) {
     out.copy_from(x);
     out.as_mut_slice().iter_mut().for_each(|v| {
         if *v < 0.0 {

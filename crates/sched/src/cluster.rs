@@ -170,7 +170,6 @@ struct Slot {
 #[derive(Clone, Copy, Debug)]
 pub struct MachineView<'a> {
     hot: &'a Hot,
-    machine: &'a Machine,
     slot: &'a Slot,
 }
 
@@ -194,11 +193,6 @@ impl MachineView<'_> {
     /// `free ≥ request` on both resources).
     pub fn fits(&self, cpu: f64, mem: f64) -> bool {
         self.hot.fits(cpu, mem)
-    }
-
-    /// One attribute value.
-    pub fn attr(&self, attr: AttrId) -> Option<&AttrValue> {
-        self.machine.attr(attr)
     }
 
     /// Tasks here with priority strictly below `priority`, lowest
@@ -453,8 +447,8 @@ pub struct SchedCluster {
     /// [`SchedCluster::cpu_utilisation`] is O(1) and a pure function of
     /// the operation history: float addition is not associative, so a
     /// fold over the table would round differently from the sums the
-    /// reports were recorded with — near-tied load comparisons (the
-    /// least-loaded spillover router) would flip.
+    /// reports were recorded with — a reading near a threshold (the
+    /// autoscaler's `down_util`) would flip.
     cpu_capacity_total: f64,
     cpu_used_total: f64,
 }
@@ -525,7 +519,6 @@ impl SchedCluster {
     fn view_at(&self, slot: usize) -> MachineView<'_> {
         MachineView {
             hot: &self.hot[slot],
-            machine: &self.fleet.machines[slot],
             slot: &self.slots[slot],
         }
     }
@@ -1008,6 +1001,7 @@ impl SchedCluster {
     }
 
     /// One online machine's attribute value.
+    #[cfg(test)]
     pub fn machine_attr(&self, id: MachineId, attr: AttrId) -> Option<&AttrValue> {
         self.online_slot(id)
             .and_then(|s| self.fleet.machines[s].attr(attr))

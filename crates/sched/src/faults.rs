@@ -1,9 +1,9 @@
 //! Fault plane — seeded failure injection with policy-driven recovery.
 //!
 //! Everything the scenario layer could express before this module was
-//! *graceful*: drains requeue their tasks, spillover always reaches a
-//! healthy sibling, model hot-swaps always succeed. The fault plane adds
-//! the abrupt versions as first-class, deterministic timeline events:
+//! *graceful*: drains requeue their tasks and spillover always reaches a
+//! healthy sibling. The fault plane adds the abrupt versions as
+//! first-class, deterministic timeline events:
 //!
 //! * **Machine crashes** ([`FaultAction::Crash`]) — the machine leaves
 //!   the capacity index atomically and its *running tasks are lost*, in
@@ -11,11 +11,6 @@
 //!   whose drain requeues them. Crashes are injected per failure domain:
 //!   [`FaultPlan::zone_crashes`] partitions the fleet into zones and
 //!   takes whole zones down together, with seeded MTTR-based recovery.
-//! * **Degraded dependencies** ([`FaultAction::DegradeRegistry`]) — a
-//!   stale or failed model swap poisons the shared
-//!   [`ModelRegistry`](ctlm_core::ModelRegistry); `live_registry`
-//!   schedulers observe the version bump, drop their cached analyzer and
-//!   fall back to baseline routing until a healthy version appears.
 //! * **Link outages** between cells are spec-level windows enforced at
 //!   the epoch barrier by the lab runner (spill requests time out and
 //!   fall back to their home cell) — they need no kernel component, so
@@ -135,11 +130,6 @@ pub enum FaultAction {
     Crash(MachineId),
     /// A crashed machine comes back (empty) after its MTTR elapses.
     Recover(MachineId),
-    /// The shared model registry degrades: readers fall back to baseline
-    /// routing until it heals or a fresh model is installed.
-    DegradeRegistry,
-    /// The registry's degradation clears.
-    HealRegistry,
 }
 
 /// A deterministic fault schedule: `(time, action)` pairs sorted by
@@ -196,18 +186,6 @@ impl FaultPlan {
         Self::new(events)
     }
 
-    /// Adds a registry-degradation window `[start, start + duration)` to
-    /// the plan.
-    pub fn and_registry_outage(self, start: Micros, duration: Micros) -> Self {
-        let mut events = self.events;
-        events.push((start, FaultAction::DegradeRegistry));
-        events.push((
-            start.saturating_add(duration.max(1)),
-            FaultAction::HealRegistry,
-        ));
-        Self::new(events)
-    }
-
     /// True when no faults are scheduled.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
@@ -235,7 +213,6 @@ impl FaultPlan {
                         }
                     }
                 }
-                FaultAction::DegradeRegistry | FaultAction::HealRegistry => {}
             }
         }
         for (_, (start, _)) in down {
@@ -284,13 +261,11 @@ pub struct FaultStats {
 /// when the crash is *decided*, ahead of its delivery — the provenance a
 /// post-mortem needs to tell "the fault plane stole this machine from
 /// the autoscaler" from a plain crash. Recovery releases the fault claim
-/// and restores the machine empty. Registry faults poison/heal the
-/// shared model registry.
+/// and restores the machine empty.
 pub struct FaultPlane<'a> {
     plan: Plan<FaultAction>,
     engine: CompId,
     state: Rc<RefCell<EngineState<'a>>>,
-    registry: Option<ctlm_core::ModelRegistry>,
     /// Outstanding outage depth per machine: a machine recovers only
     /// when its last overlapping outage ends.
     down: IdMap<MachineId, u32>,
@@ -304,15 +279,8 @@ impl<'a> FaultPlane<'a> {
             plan: Plan::new(plan.events),
             engine,
             state,
-            registry: None,
             down: IdMap::default(),
         }
-    }
-
-    /// Registers the model registry that degradation faults poison.
-    pub fn with_registry(mut self, registry: ctlm_core::ModelRegistry) -> Self {
-        self.registry = Some(registry);
-        self
     }
 }
 
@@ -348,16 +316,6 @@ impl TimedSource for FaultPlane<'_> {
                             let back = SchedEvent::MachineRestore(*id);
                             ctx.emit_prio(0, PRIO_STATE, self.engine, back);
                         }
-                    }
-                }
-                FaultAction::DegradeRegistry => {
-                    if let Some(r) = &self.registry {
-                        r.poison();
-                    }
-                }
-                FaultAction::HealRegistry => {
-                    if let Some(r) = &self.registry {
-                        r.heal();
                     }
                 }
             }
@@ -473,17 +431,5 @@ mod tests {
         assert_eq!(plan.downtime_us(1_000), 200 + 600);
         // Horizon inside machine 1's outage.
         assert_eq!(plan.downtime_us(250), 150);
-    }
-
-    #[test]
-    fn registry_outage_brackets_the_window() {
-        let plan = FaultPlan::default().and_registry_outage(500, 1_000);
-        assert_eq!(
-            plan.events,
-            vec![
-                (500, FaultAction::DegradeRegistry),
-                (1_500, FaultAction::HealRegistry),
-            ]
-        );
     }
 }

@@ -28,13 +28,13 @@ pub struct LatencyStats {
 
 impl LatencyStats {
     /// Computes the summary; returns `None` for an empty sample.
+    #[cfg(test)]
     pub fn from_samples(samples: &[Micros]) -> Option<Self> {
         Self::from_vec(samples.to_vec())
     }
 
-    /// [`LatencyStats::from_samples`] taking ownership — sorts in place,
-    /// so result-path callers that already hold a sample `Vec` avoid the
-    /// snapshot copy.
+    /// Computes the summary from an owned sample, sorting it in place;
+    /// returns `None` for an empty sample.
     pub fn from_vec(mut s: Vec<Micros>) -> Option<Self> {
         if s.is_empty() {
             return None;

@@ -360,8 +360,7 @@ impl Ledger {
     }
 
     /// Cumulative task admissions (fresh arrivals, dynamic admits and
-    /// gang members; churn requeues are *not* re-counted) — control
-    /// planes diff successive reads for an arrival-rate estimate.
+    /// gang members; churn requeues are *not* re-counted).
     pub fn admitted(&self) -> u64 {
         let s = &self.stats;
         s.admitted_arrivals + s.admitted_dynamic + s.admitted_gang_members

@@ -48,8 +48,8 @@
 //!   policy of an A/B comparison run on its own cheap clone;
 //! * [`queue`] — the pending task record;
 //! * [`scheduler`] — the open routing-policy trait and its impls;
-//! * [`placement`] — placement strategies: best-fit, first-fit, soft
-//!   affinity, and the Kubernetes-style preemption fallback;
+//! * [`placement`] — placement strategies: best-fit and the
+//!   Kubernetes-style preemption fallback;
 //! * [`gang`] — atomic (all-or-nothing) gang placement;
 //! * [`engine`] — the kernel-hosted simulation measuring scheduling
 //!   latency per suitable-node group. It only schedules; the cell's
@@ -68,8 +68,8 @@
 //! * [`faults`] — the fault plane: seeded machine crashes (abrupt, task
 //!   losing — distinct from [`scenario`]'s graceful drains, which
 //!   requeue), correlated failure-domain outages with MTTR recovery,
-//!   degraded-dependency injection, and the retry/backoff policies that
-//!   decide between rescheduling and dead-lettering lost work;
+//!   and the retry/backoff policies that decide between rescheduling and
+//!   dead-lettering lost work;
 //! * [`lifecycle`] — the engine's machine-ownership claims keeping churn,
 //!   the fault plane and `ctlm-autoscale` off each other's machines;
 //! * [`latency`] — latency statistics.

@@ -15,12 +15,11 @@
 //! **zero heap allocations** (pinned by
 //! `crates/sched/tests/zero_alloc_pass.rs`). Tie-breaks are defined over
 //! `(capacity_bucket(free_cpu), id)` — see [`capacity_bucket`] — which makes
-//! the answer independent of visit order. Strategies that have to
-//! examine every candidate ([`FirstFit`], [`best_fit_soft`], the
-//! preemption fallback) receive them from
+//! the answer independent of visit order. The preemption fallback, which
+//! has to examine every candidate, receives them from
 //! [`SchedCluster::suitable_visit`] as
 //! [`MachineView`](crate::cluster::MachineView)s already resolved to the
-//! machine table's rows, so none pays a lookup per machine visited.
+//! machine table's rows, so it pays no lookup per machine visited.
 //! [`best_fit_linear`] retains the pre-index full scan as the
 //! equivalence reference for property tests and the `placement` bench
 //! family.
@@ -94,8 +93,9 @@ impl Placer for BestFit {
     }
 }
 
-/// [`best_fit_with_preemption`] as a strategy — the high-priority
-/// scheduler's default (Kubernetes-style eviction fallback).
+/// Best-fit with a preemption fallback — the high-priority scheduler's
+/// default (Kubernetes-style eviction): when no suitable machine has
+/// room, it evicts the fewest / lowest-priority tasks that make room.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PreemptiveBestFit;
 
@@ -105,50 +105,6 @@ impl Placer for PreemptiveBestFit {
     }
     fn name(&self) -> &'static str {
         "best_fit_with_preemption"
-    }
-}
-
-/// First-fit: the lowest-id suitable machine with room wins. A
-/// deliberately simple contrast strategy for A/B runs on the kernel.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FirstFit;
-
-impl Placer for FirstFit {
-    fn place(&self, cluster: &SchedCluster, task: &PendingTask, _ctx: &mut PlaceCtx) -> Placement {
-        let mut best: Option<MachineId> = None;
-        let mut suitable_any = false;
-        cluster.suitable_visit(&task.reqs, |m| {
-            suitable_any = true;
-            if m.fits(task.cpu, task.memory) && best.is_none_or(|b| m.id() < b) {
-                best = Some(m.id());
-            }
-            true
-        });
-        match best {
-            Some(id) => Placement::Placed(id),
-            None if suitable_any => Placement::NoCapacity,
-            None => Placement::Infeasible,
-        }
-    }
-    fn name(&self) -> &'static str {
-        "first_fit"
-    }
-}
-
-/// [`best_fit_soft`] as a strategy: hard constraints filter, the fixed
-/// soft-preference set ranks, best-fit tie-breaks.
-#[derive(Clone, Debug, Default)]
-pub struct SoftAffinityBestFit {
-    /// Soft requirements applied to every task this placer serves.
-    pub soft: Vec<ctlm_data::compaction::AttrRequirement>,
-}
-
-impl Placer for SoftAffinityBestFit {
-    fn place(&self, cluster: &SchedCluster, task: &PendingTask, _ctx: &mut PlaceCtx) -> Placement {
-        best_fit_soft(cluster, task, &self.soft)
-    }
-    fn name(&self) -> &'static str {
-        "best_fit_soft"
     }
 }
 
@@ -189,43 +145,6 @@ pub fn best_fit_linear(cluster: &SchedCluster, task: &PendingTask) -> Placement 
     }
 }
 
-/// Best-fit with Kubernetes-style *soft* node affinity (paper §VI, future
-/// work 5: “Kubernetes' 'soft' node-affinity adds complexity to
-/// scheduling, necessitating further research”).
-///
-/// `soft` requirements never exclude a machine; among suitable machines
-/// with capacity, the one satisfying the most soft requirements wins,
-/// with best-fit (smallest quantized CPU remainder, then lowest id) as
-/// the tie-break. Scoring has to examine each candidate, so this streams
-/// the suitable set (allocation-free) rather than using the capacity
-/// ordering.
-pub fn best_fit_soft(
-    cluster: &SchedCluster,
-    task: &PendingTask,
-    soft: &[ctlm_data::compaction::AttrRequirement],
-) -> Placement {
-    // Best key: (soft misses, capacity bucket, id), minimised — misses
-    // instead of score so the whole key minimises lexicographically.
-    let mut best: Option<(usize, usize, MachineId)> = None;
-    let mut suitable_any = false;
-    cluster.suitable_visit(&task.reqs, |m| {
-        suitable_any = true;
-        if m.fits(task.cpu, task.memory) {
-            let misses = soft.iter().filter(|r| !r.accepts(m.attr(r.attr))).count();
-            let key = (misses, capacity_bucket(m.free_cpu()), m.id());
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-            }
-        }
-        true
-    });
-    match best {
-        Some((_, _, id)) => Placement::Placed(id),
-        None if suitable_any => Placement::NoCapacity,
-        None => Placement::Infeasible,
-    }
-}
-
 /// Best-fit with a preemption fallback (the high-priority path).
 ///
 /// When no suitable machine has free room, the suitable machine where the
@@ -234,7 +153,7 @@ pub fn best_fit_soft(
 /// preempted pods). The fallback streams candidates through the `ctx`
 /// scratch; only a successful preemption allocates (the returned eviction
 /// list), which keeps the no-preemption steady state allocation-free.
-pub fn best_fit_with_preemption(
+fn best_fit_with_preemption(
     cluster: &SchedCluster,
     task: &PendingTask,
     ctx: &mut PlaceCtx,
@@ -351,66 +270,6 @@ mod tests {
             best_fit_linear(&c, &task(1, 0.2, 9, None)),
             Placement::NoCapacity
         );
-    }
-
-    #[test]
-    fn first_fit_takes_lowest_id_with_room() {
-        let mut c = cluster();
-        c.place(0, 99, 0.95, 0.95, 0);
-        let mut ctx = PlaceCtx::new();
-        let p = FirstFit.place(&c, &task(1, 0.2, 0, None), &mut ctx);
-        assert_eq!(p, Placement::Placed(1));
-    }
-
-    #[test]
-    fn soft_affinity_prefers_matching_machines_without_excluding() {
-        let c = cluster();
-        // Soft preference: node_index < 2 (machines 0, 1).
-        let soft = collapse(&[TaskConstraint::new(0, Op::LessThan(2))]).unwrap();
-        let t = task(1, 0.2, 0, None);
-        match best_fit_soft(&c, &t, &soft) {
-            Placement::Placed(id) => assert!(id < 2, "soft preference ignored (got {id})"),
-            other => panic!("expected placement, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn soft_affinity_degrades_gracefully_when_unsatisfiable() {
-        let mut c = cluster();
-        // Fill the preferred machines; the task must still place
-        // elsewhere (soft ≠ hard).
-        c.place(0, 90, 0.95, 0.95, 0);
-        c.place(1, 91, 0.95, 0.95, 0);
-        let soft = collapse(&[TaskConstraint::new(0, Op::LessThan(2))]).unwrap();
-        let t = task(1, 0.2, 0, None);
-        match best_fit_soft(&c, &t, &soft) {
-            Placement::Placed(id) => assert!(id >= 2, "must fall back to non-preferred"),
-            other => panic!("expected placement, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn soft_affinity_respects_hard_constraints_first() {
-        let c = cluster();
-        // Hard: node < 2. Soft: node >= 3 (impossible within hard set).
-        let soft = collapse(&[TaskConstraint::new(0, Op::GreaterThanEqual(3))]).unwrap();
-        let t = task(1, 0.2, 0, Some(2));
-        match best_fit_soft(&c, &t, &soft) {
-            Placement::Placed(id) => assert!(id < 2, "hard constraint violated"),
-            other => panic!("expected placement, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn soft_ties_break_by_best_fit() {
-        let mut c = cluster();
-        c.place(1, 90, 0.6, 0.6, 0); // machine 1 tighter but same soft score
-        let soft = collapse(&[TaskConstraint::new(0, Op::LessThan(2))]).unwrap();
-        let t = task(1, 0.2, 0, None);
-        match best_fit_soft(&c, &t, &soft) {
-            Placement::Placed(id) => assert_eq!(id, 1, "tie must break best-fit"),
-            other => panic!("expected placement, got {other:?}"),
-        }
     }
 
     #[test]

@@ -53,8 +53,8 @@ impl Scheduler for OracleEnhanced {
 /// that nothing else writes to. In the online loop a retrainer
 /// hot-swaps models *during* the simulated run — at the simulated
 /// instant each one is trained — and routing changes from the next task
-/// on. Until a first model lands, and while the registry is degraded,
-/// every task goes to the main queue (the paper's cold-start behavior).
+/// on. Until a first model lands, every task goes to the main queue (the
+/// paper's cold-start behavior).
 #[derive(Clone, Debug)]
 pub struct LiveRegistry {
     registry: ModelRegistry,
@@ -65,8 +65,7 @@ pub struct LiveRegistry {
     /// requirement set — a decision is a pure function of the set, and a
     /// trace repeats a few hundred sets across thousands of tasks. Only
     /// looked up, never iterated, so hash order reaches no output.
-    /// Cleared on every refresh, so an install, a poison and a heal each
-    /// route afresh.
+    /// Cleared on every refresh, so each install routes afresh.
     decisions: HashMap<Vec<AttrRequirement>, bool>,
 }
 
@@ -170,7 +169,7 @@ mod tests {
 
     /// Two models disagree on one set; the scheduler's per-set memo must
     /// follow whichever model is current at each moment — install A,
-    /// install B, poison, heal.
+    /// install B, install A again.
     #[test]
     fn live_registry_decisions_follow_the_current_model() {
         let registry = ModelRegistry::new();
@@ -181,10 +180,6 @@ mod tests {
         assert!(s.route_high_priority(&t), "A, memoised");
         registry.install(constant_analyzer(5));
         assert!(!s.route_high_priority(&t), "B predicts group 5");
-        registry.poison();
-        assert!(!s.route_high_priority(&t), "degraded: no model");
-        registry.heal();
-        assert!(!s.route_high_priority(&t), "healed back to B");
         registry.install(constant_analyzer(0));
         assert!(s.route_high_priority(&t), "A again");
     }

@@ -284,7 +284,7 @@ impl<'a, E: Send> ParallelSim<'a, E> {
     /// order is independent of shard scheduling — any permutation of
     /// the shard indices [`ParallelSim::add_shard`] returned must produce
     /// identical results. Ignored on the parallel path.
-    #[doc(hidden)]
+    #[cfg(test)]
     pub fn set_sequential_order(&mut self, order: Vec<usize>) {
         assert_eq!(order.len(), self.shards.len());
         self.exec_order = Some(order);

@@ -42,7 +42,7 @@ impl Histogram {
 
     /// The bucket index a value lands in: 0 for 0, otherwise the value's
     /// significant-bit count, clamped to the last bucket.
-    pub fn bucket_index(value: u64) -> usize {
+    fn bucket_index(value: u64) -> usize {
         ((u64::BITS - value.leading_zeros()) as usize).min(BUCKETS - 1)
     }
 
@@ -51,7 +51,7 @@ impl Histogram {
     ///
     /// # Panics
     /// Panics when `bucket >= BUCKETS`.
-    pub fn bucket_bound(bucket: usize) -> u64 {
+    fn bucket_bound(bucket: usize) -> u64 {
         assert!(bucket < BUCKETS, "bucket {bucket} out of range");
         if bucket == BUCKETS - 1 {
             u64::MAX
@@ -79,6 +79,7 @@ impl Histogram {
     }
 
     /// The raw per-bucket counts.
+    #[cfg(test)]
     pub fn bucket_counts(&self) -> &[u64; BUCKETS] {
         &self.counts
     }

@@ -64,6 +64,7 @@ impl Metrics {
     }
 
     /// The named histogram, if present.
+    #[cfg(test)]
     pub fn histogram_value(&self, name: &str) -> Option<&Histogram> {
         self.histograms
             .iter()

@@ -6,8 +6,6 @@
 //! is purely functional given `(CellProfile, Scale)` — the same inputs
 //! always yield the same trace.
 
-use std::collections::BTreeMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -594,26 +592,28 @@ impl TraceGenerator {
     }
 }
 
-/// Machine-count bookkeeping helper shared by tests: replays only machine
-/// events and returns the live machine population per unique timestamp.
-pub fn machine_population(events: &[TraceEvent]) -> BTreeMap<Micros, usize> {
-    let mut alive = 0usize;
-    let mut out = BTreeMap::new();
-    for ev in events {
-        match &ev.payload {
-            EventPayload::MachineAdd(_) => alive += 1,
-            EventPayload::MachineRemove(_) => alive = alive.saturating_sub(1),
-            _ => continue,
-        }
-        out.insert(ev.time, alive);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::profile::CellSet;
+
+    /// Machine-count bookkeeping: replays only machine events and returns
+    /// the live machine population per unique timestamp.
+    fn machine_population(events: &[TraceEvent]) -> BTreeMap<Micros, usize> {
+        let mut alive = 0usize;
+        let mut out = BTreeMap::new();
+        for ev in events {
+            match &ev.payload {
+                EventPayload::MachineAdd(_) => alive += 1,
+                EventPayload::MachineRemove(_) => alive = alive.saturating_sub(1),
+                _ => continue,
+            }
+            out.insert(ev.time, alive);
+        }
+        out
+    }
 
     fn small_trace(cell: CellSet) -> GeneratedTrace {
         TraceGenerator::generate_cell(
