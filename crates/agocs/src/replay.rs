@@ -6,8 +6,8 @@
 //! dataset rows. Whenever the attribute-value vocabulary grows — the
 //! feature array is *extended* — it emits a [`DatasetStep`] snapshot of
 //! the CO-VV dataset: exactly the retraining points Table XI tabulates.
-//! No retraining step reads CO-EL, so its dataset is taken once, into
-//! [`ReplayOutput::co_el`].
+//! No retraining step reads CO-EL, so a replay does not encode it; its
+//! readers derive it with [`Replayer::co_el`].
 //!
 //! The logic lives in [`ReplaySession`], an incremental state machine
 //! consuming one [`TraceEvent`] at a time. [`Replayer::replay`] is the
@@ -104,10 +104,6 @@ pub struct ReplayOutput {
     pub markers_leaked: usize,
     /// Final CO-VV vocabulary.
     pub vocab: ValueVocab,
-    /// The CO-EL dataset over the whole replay: the same rows and labels
-    /// as the last step's CO-VV dataset, label-encoded (Table VI). Taken
-    /// once, at the end: no retraining step reads it.
-    pub co_el: Dataset,
 }
 
 /// What one [`ReplaySession::observe`] call produced.
@@ -133,9 +129,7 @@ pub struct ReplaySession {
     state: ClusterState,
     vocab: ValueVocab,
     vv_encoder: CoVvEncoder,
-    el_encoder: CoElEncoder,
     vv_builder: DatasetBuilder,
-    el_builder: DatasetBuilder,
     stats: CoStatsCollector,
     steps_emitted: usize,
     width_at_last_step: usize,
@@ -158,9 +152,7 @@ impl ReplaySession {
             state: ClusterState::new(),
             vocab: ValueVocab::new(),
             vv_encoder: CoVvEncoder,
-            el_encoder: CoElEncoder::new(),
             vv_builder: DatasetBuilder::new(0, NUM_GROUPS),
-            el_builder: DatasetBuilder::new(0, NUM_GROUPS),
             stats: CoStatsCollector::daily(),
             steps_emitted: 0,
             width_at_last_step: 0,
@@ -276,19 +268,13 @@ impl ReplaySession {
             return;
         };
         let suitable = count_suitable(&self.state, &reqs);
-        if task.has_constraints() && suitable == 0 {
-            self.skipped_unschedulable += 1;
-        } else if task.has_constraints() {
-            let label = group_for_count(suitable, self.group_width);
+        if let Some(label) = row_label(task, suitable, self.group_width) {
             if label == 0 {
                 self.group0_rows += 1;
             }
             self.vv_builder.widen(self.vocab.len());
             let vv_row = self.vv_encoder.encode_requirements(&reqs, &self.vocab);
             self.vv_builder.push(vv_row, label);
-            let el_row = self.el_encoder.encode_requirements(&reqs);
-            self.el_builder.widen(self.el_encoder.len());
-            self.el_builder.push(el_row, label);
             // Step 0 fires once enough rows exist for the initial
             // training.
             if !self.step0_emitted && self.vv_builder.len() >= self.cfg.min_rows_for_step0 {
@@ -297,6 +283,8 @@ impl ReplaySession {
                 self.step0_emitted = true;
                 self.growth_pending_since = None;
             }
+        } else if task.has_constraints() {
+            self.skipped_unschedulable += 1;
         }
         out.submission = Some((reqs, suitable));
     }
@@ -342,10 +330,15 @@ impl ReplaySession {
             markers_swept_by_collection: self.markers_swept,
             markers_leaked: self.state.live_task_markers(),
             vocab: self.vocab,
-            co_el: self.el_builder.finish(self.el_encoder.len()),
             steps,
         }
     }
+}
+
+/// The label of the dataset row a submission adds, if it adds one: a
+/// constrained task that some machine suits, labelled by how many do.
+fn row_label(task: &Task, suitable: usize, group_width: usize) -> Option<u8> {
+    (task.has_constraints() && suitable > 0).then(|| group_for_count(suitable, group_width))
 }
 
 /// A [`ReplaySession`] shared between a driver and the feed that walks
@@ -443,6 +436,32 @@ impl Replayer {
             .collect();
         session.finish(steps, correction)
     }
+
+    /// The trace's CO-EL dataset (Table VI): the rows and labels of the
+    /// last step's CO-VV dataset from [`Replayer::replay`], in the same
+    /// order, label-encoded. It replays the trace once more — only the
+    /// CO-EL tables and examples read this encoding, so only they pay
+    /// for it.
+    pub fn co_el(&self, trace: &GeneratedTrace) -> Dataset {
+        let (events, _) = correct_stream(&trace.events);
+        let mut session = ReplaySession::new(self.config, trace.group_width);
+        let mut encoder = CoElEncoder::new();
+        let mut rows = DatasetBuilder::new(0, NUM_GROUPS);
+        for ev in &events {
+            let submission = session.observe(ev).submission;
+            let (EventPayload::TaskSubmit(task), Some((reqs, suitable))) =
+                (&ev.payload, submission)
+            else {
+                continue;
+            };
+            if let Some(label) = row_label(task, suitable, trace.group_width) {
+                let row = encoder.encode_requirements(&reqs);
+                rows.widen(encoder.len());
+                rows.push(row, label);
+            }
+        }
+        rows.finish(encoder.len())
+    }
 }
 
 #[cfg(test)]
@@ -450,16 +469,19 @@ mod tests {
     use super::*;
     use ctlm_trace::{CellSet, Scale, TraceGenerator};
 
-    fn replay_cell(cell: CellSet, seed: u64) -> ReplayOutput {
-        let trace = TraceGenerator::generate_cell(
+    fn trace_of(cell: CellSet, seed: u64) -> GeneratedTrace {
+        TraceGenerator::generate_cell(
             cell,
             Scale {
                 machines: 130,
                 collections: 400,
                 seed,
             },
-        );
-        Replayer::default().replay(&trace)
+        )
+    }
+
+    fn replay_cell(cell: CellSet, seed: u64) -> ReplayOutput {
+        Replayer::default().replay(&trace_of(cell, seed))
     }
 
     #[test]
@@ -531,10 +553,12 @@ mod tests {
 
     #[test]
     fn co_el_and_co_vv_have_same_rows_and_labels() {
-        let out = replay_cell(CellSet::C2011, 3);
+        let trace = trace_of(CellSet::C2011, 3);
+        let out = Replayer::default().replay(&trace);
         let last = out.steps.last().unwrap();
-        let el = &out.co_el;
+        let el = &Replayer::default().co_el(&trace);
         assert_eq!(el.len(), last.vv.len());
+        assert_eq!(el.len(), out.total_rows);
         assert_eq!(el.y, last.vv.y);
         assert!(
             el.features_count() < last.vv.features_count(),
@@ -630,10 +654,6 @@ mod tests {
             );
             assert_eq!((&a.vv.x, &a.vv.y), (&b.vv.x, &b.vv.y));
         }
-        assert_eq!(
-            (&out.co_el.x, &out.co_el.y),
-            (&by_hand.co_el.x, &by_hand.co_el.y)
-        );
         assert_eq!(out.correction, by_hand.correction);
         assert_eq!(
             (out.total_rows, out.group0_rows, out.vocab.len()),

@@ -3,15 +3,18 @@
 //! Replays a 2011-like trace and prints the first rows of the one-hot
 //! label-encoded dataset, with the label legend.
 
-use ctlm_bench::{replay_cell, Cli};
-use ctlm_trace::CellSet;
+use ctlm_agocs::Replayer;
+use ctlm_bench::Cli;
+use ctlm_trace::{CellSet, TraceGenerator};
 
 fn main() {
     let cli = Cli::parse();
     println!("TABLE VI. SAMPLE OF THE CO-EL DATASET (CLUSTERDATA-2011)\n");
-    let out = replay_cell(&cli, CellSet::C2011);
+    let cell = CellSet::C2011;
+    let trace = TraceGenerator::generate_cell(cell, cli.trace_scale(cell));
+    let out = Replayer::default().replay(&trace);
     let step = out.steps.last().expect("replay produced steps");
-    let el = &out.co_el;
+    let el = &Replayer::default().co_el(&trace);
 
     println!(
         "dataset: {} rows × {} label columns ({} CO-VV columns for comparison)\n",

@@ -10,7 +10,17 @@
 //! [`ModelRegistry`] is the hot-swap point: the training pipeline installs
 //! refreshed analyzers while schedulers keep reading the previous one
 //! lock-free-ish (a brief `RwLock` read).
+//!
+//! Scoring a task allocates nothing once warm. Every prediction —
+//! `LiveRegistry`, `predict_group`, the table binaries, the online loop —
+//! ends in [`TaskCoAnalyzer::group_of`], which encodes the CO-VV row into
+//! a per-thread scratch, rebuilds a one-row matrix there in place and
+//! runs `Net::forward_into` — the network's one forward pass — into the
+//! scratch's activation buffers. The scratch is private to this module
+//! and shared by every analyzer on the thread; it only ever grows, to the
+//! longest row and widest network the thread has scored.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use std::sync::RwLock;
@@ -18,9 +28,25 @@ use std::sync::RwLock;
 use ctlm_data::compaction::{collapse, AttrRequirement, CompactionError};
 use ctlm_data::encode::co_vv::CoVvEncoder;
 use ctlm_data::vocab::ValueVocab;
-use ctlm_nn::Net;
-use ctlm_tensor::CsrBuilder;
+use ctlm_nn::{Net, Workspace};
+use ctlm_tensor::{Csr, Matrix};
 use ctlm_trace::TaskConstraint;
+
+/// The buffers one prediction writes: the encoded row, the one-row
+/// matrix built from it, and the forward pass's activations.
+struct Scratch {
+    row: Vec<(usize, f32)>,
+    x: Csr,
+    ws: Workspace,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
+        row: Vec::new(),
+        x: Csr::empty(0, 0),
+        ws: Workspace::new(),
+    });
+}
 
 /// Real-time constraint classifier: CO-VV encoding + the trained network.
 #[derive(Clone, Debug)]
@@ -64,9 +90,17 @@ impl TaskCoAnalyzer {
         if reqs.is_empty() {
             return (ctlm_data::dataset::NUM_GROUPS - 1) as u8;
         }
-        let mut b = CsrBuilder::new(self.vocab.len());
-        b.push_row(CoVvEncoder.encode_requirements(reqs, &self.vocab));
-        self.net.predict(&b.finish())[0]
+        self.with_logits(reqs, |logits| logits.argmax_row(0) as u8)
+    }
+
+    /// Encodes `reqs` and runs the network on the row, handing the
+    /// one-row logits to `f` — all in this thread's scratch.
+    fn with_logits<R>(&self, reqs: &[AttrRequirement], f: impl FnOnce(&Matrix) -> R) -> R {
+        SCRATCH.with_borrow_mut(|Scratch { row, x, ws }| {
+            CoVvEncoder.encode_requirements_into(reqs, &self.vocab, row);
+            x.assign_row(self.vocab.len(), row);
+            f(self.net.forward_into(x, ws))
+        })
     }
 
     /// Predicts the suitable-node group for a task's raw constraints:
@@ -137,6 +171,8 @@ mod tests {
     use crate::trainer::TrainConfig;
     use ctlm_data::dataset::{DatasetBuilder, NUM_GROUPS};
     use ctlm_trace::{AttrValue, ConstraintOp as Op};
+    use proptest::prelude::*;
+    use rand::Rng;
 
     /// Builds a vocabulary for attribute 0 with integer values 0..n and a
     /// dataset labelling tasks by how many values their constraints
@@ -238,6 +274,78 @@ mod tests {
         let mut narrow = ValueVocab::new();
         narrow.observe(0, &AttrValue::Int(0));
         model.analyzer(narrow);
+    }
+
+    /// A vocabulary of `attrs` integer attributes whose values arrive
+    /// interleaved, so one attribute's columns are spread across the
+    /// array and a row touching two attributes is encoded out of column
+    /// order before the encoder sorts it.
+    fn interleaved_vocab(rng: &mut rand::rngs::StdRng, attrs: u32, values: usize) -> ValueVocab {
+        let mut vocab = ValueVocab::new();
+        for _ in 0..values {
+            let attr = rng.gen_range(0..attrs);
+            vocab.observe(attr, &AttrValue::Int(rng.gen_range(0..40)));
+        }
+        vocab
+    }
+
+    /// One random constraint on an attribute of the vocabulary (or one
+    /// it never saw), over the values it draws from.
+    fn random_constraint(rng: &mut rand::rngs::StdRng, attrs: u32) -> TaskConstraint {
+        let attr = rng.gen_range(0..attrs + 1);
+        let v = rng.gen_range(-2..42i64);
+        let op = match rng.gen_range(0..9) {
+            0 => Op::Equal(Some(AttrValue::Int(v))),
+            1 => Op::Equal(None),
+            2 => Op::NotEqual(AttrValue::Int(v)),
+            3 => Op::LessThan(v),
+            4 => Op::GreaterThan(v),
+            5 => Op::LessThanEqual(v),
+            6 => Op::GreaterThanEqual(v),
+            7 => Op::Present,
+            _ => Op::NotPresent,
+        };
+        TaskConstraint::new(attr, op)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// `group_of` against the formula it replaced: a fresh
+        /// `CsrBuilder` row from `encode_requirements`, `Net::forward`,
+        /// argmax. Groups are equal and the logits equal bit for bit, for
+        /// random vocabularies, requirement sets and networks, with the
+        /// scratch carried from one case to the next.
+        #[test]
+        fn group_of_equals_the_allocating_formula(
+            seed in 0u64..u64::MAX,
+            attrs in 1u32..5,
+            values in 1usize..120,
+            hidden in 1usize..40,
+        ) {
+            let mut rng = ctlm_tensor::init::seeded_rng(seed);
+            let vocab = interleaved_vocab(&mut rng, attrs, values);
+            let net = Net::two_layer(vocab.len(), hidden, NUM_GROUPS, &mut rng);
+            let analyzer = TaskCoAnalyzer::new(net.clone(), vocab.clone());
+            for _ in 0..8 {
+                let n = rng.gen_range(0..4);
+                let cs: Vec<TaskConstraint> =
+                    (0..n).map(|_| random_constraint(&mut rng, attrs)).collect();
+                let Ok(reqs) = collapse(&cs) else { continue };
+                let mut b = ctlm_tensor::CsrBuilder::new(vocab.len());
+                b.push_row(CoVvEncoder.encode_requirements(&reqs, &vocab));
+                let want = net.forward(&b.finish());
+                let want_group = if reqs.is_empty() {
+                    (NUM_GROUPS - 1) as u8
+                } else {
+                    want.argmax_rows()[0] as u8
+                };
+                prop_assert_eq!(analyzer.group_of(&reqs), want_group);
+                let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let got = analyzer.with_logits(&reqs, |logits| bits(logits.row(0)));
+                prop_assert_eq!(got, bits(want.row(0)));
+            }
+        }
     }
 
     #[test]

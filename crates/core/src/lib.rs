@@ -29,7 +29,12 @@
 //!   place a CO-VV row is encoded and the network called.
 //!   [`TaskCoAnalyzer::predict_group`] is `collapse` + `group_of`; the
 //!   `ctlm-sched` routers, whose queues already hold collapsed
-//!   requirements, call `group_of` directly.
+//!   requirements, call `group_of` directly. It encodes into a private
+//!   per-thread scratch and runs the network's one forward pass
+//!   (`Net::forward_into`) into that scratch's buffers, so a warm
+//!   prediction allocates nothing (`tests/zero_alloc.rs`); the trainer's
+//!   per-epoch evaluation runs the same pass through its training
+//!   `Workspace`.
 //! * **trained model → analyzer** is [`GrowingModel::analyzer`]: the only
 //!   place a model is paired with a vocabulary, zero-padding `fc1.weight`
 //!   when the vocabulary has outgrown the last trained width.

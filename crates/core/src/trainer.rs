@@ -26,8 +26,9 @@
 //! CO-VV data repeats rows (every unconstrained task is the empty row),
 //! and work that depends only on a row runs once per distinct row:
 //! `Net::train_batch` forwards each distinct `(row, label)` pair of a
-//! batch once, and the test rows are reduced to their distinct rows when
-//! they are gathered, so each epoch predicts those and maps the
+//! batch once, and the test rows are numbered where they lie and only
+//! the distinct ones gathered, so each epoch predicts those — through
+//! the training step's `Workspace`, with no allocation — and maps the
 //! predictions back. No float moves: a row's prediction does not depend
 //! on the rows beside it.
 //!
@@ -232,16 +233,15 @@ pub fn train_rows(
         },
     );
     // The test side is read whole once per epoch, so it is gathered once,
-    // each distinct row stored once: an epoch predicts those rows and
-    // maps the predictions back. The training side is only ever read a
-    // mini-batch at a time.
+    // each distinct row stored once: the rows are numbered where they
+    // lie, only the distinct ones are copied, and an epoch predicts
+    // those and maps the predictions back. The training side is only
+    // ever read a mini-batch at a time.
     let test_y: Vec<u8> = test_idx.iter().map(|&i| y[i]).collect();
     let mut test_slots = RowSlots::new();
-    let test_x = {
-        let all = x.select_rows(&test_idx);
-        test_slots.assign(&all, None);
-        all.select_rows(test_slots.firsts())
-    };
+    test_slots.assign_subset(x, &test_idx);
+    let distinct: Vec<usize> = test_slots.firsts().iter().map(|&i| test_idx[i]).collect();
+    let test_x = x.select_rows(&distinct);
     let mut pred: Vec<u8> = Vec::with_capacity(test_y.len());
     phases.split = lap.lap();
     let loss_fn = CrossEntropyLoss::group0_boosted(config.n_classes, config.group0_class_weight);
@@ -311,14 +311,15 @@ pub fn train_rows(
                 opt.step(&mut net);
                 phases.optimiser += lap.lap();
             }
-            // model.eval(); evaluate; early-exit when acceptable.
-            let distinct_pred = net.predict(&test_x);
+            // model.eval(); evaluate; early-exit when acceptable. The
+            // forward pass reuses the training step's buffers.
+            let logits = net.forward_into(&test_x, &mut ws);
             pred.clear();
             pred.extend(
                 test_slots
                     .slot_of()
                     .iter()
-                    .map(|&s| distinct_pred[s as usize]),
+                    .map(|&s| logits.argmax_row(s as usize) as u8),
             );
             eval = Evaluation::compute(&test_y, &pred, config.n_classes);
             phases.evaluate += lap.lap();

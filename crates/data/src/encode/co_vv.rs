@@ -46,6 +46,20 @@ impl CoVvEncoder {
         vocab: &ValueVocab,
     ) -> Vec<(usize, f32)> {
         let mut out = Vec::new();
+        self.encode_requirements_into(reqs, vocab, &mut out);
+        out
+    }
+
+    /// [`CoVvEncoder::encode_requirements`] into a caller-owned buffer,
+    /// which is cleared first: the row, sorted by column, with no
+    /// allocation once the buffer has held a row as long.
+    pub fn encode_requirements_into(
+        &self,
+        reqs: &[AttrRequirement],
+        vocab: &ValueVocab,
+        out: &mut Vec<(usize, f32)>,
+    ) {
+        out.clear();
         for req in reqs {
             for (col, key) in vocab.attr_columns(req.attr) {
                 let state: Option<&AttrValue> = match key {
@@ -58,7 +72,6 @@ impl CoVvEncoder {
             }
         }
         out.sort_unstable_by_key(|&(c, _)| c);
-        out
     }
 }
 

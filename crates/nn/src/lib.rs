@@ -8,7 +8,12 @@
 //!   [`Linear`] layers with `(out_features × in_features)` weights, both
 //!   with the `requires_grad` freezing semantics of Listing 1;
 //! * [`Net`] — an `nn.Sequential` equivalent with named layers
-//!   (`fc1`, `fc2`, …) and explicit forward/backward over sparse inputs;
+//!   (`fc1`, `fc2`, …) and explicit forward/backward over sparse inputs.
+//!   There is one forward pass: the training step, [`Net::forward`],
+//!   [`Net::predict`] and [`Net::forward_into`] — inference into a
+//!   [`Workspace`]'s activation buffers, which the analyzer and the
+//!   trainer's per-epoch evaluation run allocation-free — all go
+//!   through it;
 //! * [`CrossEntropyLoss`] with per-class weights (the paper boosts
 //!   Group 0 by 200×);
 //! * [`Adam`] (lr 0.05 in the paper);
@@ -17,7 +22,8 @@
 //!   that trains pre-trained input columns at 10 % rate while new columns
 //!   train at full rate;
 //! * [`Workspace`] — reusable forward/backward buffers making the
-//!   steady-state [`Net::train_batch`] step allocation-free, and
+//!   steady-state [`Net::train_batch`] step and
+//!   [`Net::forward_into`] allocation-free, and
 //!   [`RowSlots`], the distinct-row map that lets a step run its per-row
 //!   work once per distinct `(row, label)` pair, and [`StageTimes`], the
 //!   step's clock.

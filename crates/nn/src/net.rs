@@ -178,24 +178,45 @@ impl Net {
         &self.input
     }
 
-    /// Inference forward pass: the layers' buffer-writing forwards over
-    /// two matrices that swap roles, the last one returned.
-    pub fn forward(&self, x: &Csr) -> Matrix {
-        let (mut h, mut next) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        self.input.forward_into(x, &mut h);
-        for layer in &self.layers {
-            layer.forward_dense_into(&h, &mut next);
-            std::mem::swap(&mut h, &mut next);
+    /// The forward pass — the only one there is: `acts[0]` gets `fc1`'s
+    /// output and `acts[i + 1]` dense layer `i`'s, so the last entry holds
+    /// the logits. `after_fc1` runs between `fc1` and the dense stack
+    /// (the training step's clock reads there).
+    ///
+    /// # Panics
+    /// Panics unless `acts` holds one matrix per layer, `fc1` included.
+    fn forward_acts(&self, x: &Csr, acts: &mut [Matrix], after_fc1: impl FnOnce()) {
+        assert_eq!(acts.len(), 1 + self.layers.len(), "one buffer per layer");
+        self.input.forward_into(x, &mut acts[0]);
+        after_fc1();
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (prev, rest) = acts.split_at_mut(i + 1);
+            layer.forward_dense_into(&prev[i], &mut rest[0]);
         }
-        h
+    }
+
+    /// Inference forward pass into `ws`'s activation buffers, returning
+    /// the logits borrowed from it. Allocation-free once `ws` has carried
+    /// as many rows through a network as wide — the per-task analyzer
+    /// and the trainer's per-epoch evaluation both run here.
+    pub fn forward_into<'w>(&self, x: &Csr, ws: &'w mut Workspace) -> &'w Matrix {
+        ws.size_layers(1 + self.layers.len());
+        self.forward_acts(x, &mut ws.acts, || {});
+        ws.acts.last().expect("fc1 always has a buffer")
+    }
+
+    /// Inference forward pass into fresh buffers, the logits returned.
+    pub fn forward(&self, x: &Csr) -> Matrix {
+        let mut acts = vec![Matrix::zeros(0, 0); 1 + self.layers.len()];
+        self.forward_acts(x, &mut acts, || {});
+        acts.pop().expect("fc1 always has a buffer")
     }
 
     /// Predicted class per row.
     pub fn predict(&self, x: &Csr) -> Vec<u8> {
-        self.forward(x)
-            .argmax_rows()
-            .into_iter()
-            .map(|c| c as u8)
+        let logits = self.forward(x);
+        (0..logits.rows())
+            .map(|r| logits.argmax_row(r) as u8)
             .collect()
     }
 
@@ -252,13 +273,7 @@ impl Net {
         };
         times.rows += lap.lap();
 
-        // Forward: acts[0] is fc1's output, acts[i] dense layer i − 1's.
-        self.input.forward_into(rows, &mut acts[0]);
-        times.fc1_forward += lap.lap();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let (prev, rest) = acts.split_at_mut(i + 1);
-            layer.forward_dense_into(&prev[i], &mut rest[0]);
-        }
+        self.forward_acts(rows, acts, || times.fc1_forward += lap.lap());
         times.dense_forward += lap.lap();
         let last = self.layers.len();
         let loss = loss_fn.forward_into(&acts[last], targets, slots.slot_of(), &mut grads[last]);

@@ -10,6 +10,10 @@
 //! step performs **zero heap allocations**: buffers resize in place only
 //! when the batch shape or the architecture actually changes
 //! (`nn/tests/zero_alloc.rs` pins this with a counting allocator).
+//! [`crate::Net::forward_into`] runs the same forward pass into the same
+//! activation buffers for inference, so a workspace also carries the
+//! trainer's per-epoch evaluation and the analyzer's per-task
+//! prediction without allocating.
 //!
 //! CO-VV batches repeat rows: every unconstrained task encodes to the
 //! same empty row, and tasks sharing a constraint set share a row. A
@@ -67,14 +71,42 @@ impl RowSlots {
         self.assign_hashed(x, labels, |r| x.row_hash(r));
     }
 
+    /// Numbers the distinct rows among rows `rows` of `x`, read in
+    /// place: [`RowSlots::slot_of`] and [`RowSlots::firsts`] speak of
+    /// positions in `rows`, so slot `s`'s row is `rows[firsts()[s]]`.
+    /// The numbering is the one [`RowSlots::assign`] gives the gathered
+    /// `x.select_rows(rows)`, without the copy.
+    pub fn assign_subset(&mut self, x: &Csr, rows: &[usize]) {
+        self.number(
+            rows.len(),
+            |i| x.row_hash(rows[i]),
+            |a, b| x.rows_equal(rows[a], rows[b]),
+        );
+    }
+
     /// [`RowSlots::assign`] with the row hash supplied, so a test can
     /// force every row onto one probe sequence.
     fn assign_hashed(&mut self, x: &Csr, labels: Option<&[u8]>, hash: impl Fn(usize) -> u64) {
-        let n = x.rows();
         if let Some(l) = labels {
-            assert_eq!(l.len(), n, "batch size mismatch");
+            assert_eq!(l.len(), x.rows(), "batch size mismatch");
         }
         let label = |r: usize| labels.map_or(0, |l| l[r]);
+        self.number(
+            x.rows(),
+            |r| hash(r) ^ u64::from(label(r)),
+            |a, b| label(a) == label(b) && x.rows_equal(a, b),
+        );
+    }
+
+    /// Numbers `n` items in order of first appearance, `hash` keying the
+    /// table and `same` deciding equality (items that are `same` must
+    /// hash alike).
+    fn number(
+        &mut self,
+        n: usize,
+        hash: impl Fn(usize) -> u64,
+        same: impl Fn(usize, usize) -> bool,
+    ) {
         let bits = (2 * n).max(2).next_power_of_two().trailing_zeros();
         let size = 1usize << bits;
         if self.table.len() < size {
@@ -87,9 +119,8 @@ impl RowSlots {
         self.firsts.clear();
         self.firsts.reserve(n);
         for r in 0..n {
-            let t = label(r);
             // Multiplicative hashing: the product's top bits index the table.
-            let mixed = (hash(r) ^ u64::from(t)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mixed = hash(r).wrapping_mul(0x9e37_79b9_7f4a_7c15);
             let mut i = (mixed >> (64 - bits)) as usize;
             let slot = loop {
                 match table[i] {
@@ -100,8 +131,7 @@ impl RowSlots {
                         break s;
                     }
                     s => {
-                        let first = self.firsts[s as usize];
-                        if label(first) == t && x.rows_equal(first, r) {
+                        if same(self.firsts[s as usize], r) {
                             break s;
                         }
                     }
@@ -249,18 +279,19 @@ impl Workspace {
     /// exceeds. Existing buffers keep their capacity, so reuse with the
     /// same architecture never reallocates.
     pub(crate) fn prepare(&mut self, n_layers: usize, rows: usize, width: usize) {
-        self.acts.truncate(n_layers);
-        self.grads.truncate(n_layers);
-        while self.acts.len() < n_layers {
-            self.acts.push(Matrix::zeros(0, 0));
-        }
-        while self.grads.len() < n_layers {
-            self.grads.push(Matrix::zeros(0, 0));
-        }
+        self.size_layers(n_layers);
+        self.grads.resize_with(n_layers, || Matrix::zeros(0, 0));
         let matrices = self.acts.iter_mut().chain(self.grads.iter_mut());
         for m in matrices.chain([&mut self.batch_grad, &mut self.batch_act]) {
             m.reserve(rows, width);
         }
+    }
+
+    /// Sizes the activation buffers to exactly `n_layers` entries — all
+    /// an inference pass ([`crate::Net::forward_into`]) needs. Its
+    /// kernels grow each matrix to the rows they are given, once.
+    pub(crate) fn size_layers(&mut self, n_layers: usize) {
+        self.acts.resize_with(n_layers, || Matrix::zeros(0, 0));
     }
 }
 
@@ -358,6 +389,21 @@ mod tests {
             assert_eq!(slots.slot_of(), &want_slots);
             assert_eq!(slots.firsts(), &want_firsts);
         }
+    }
+
+    /// Numbering rows in place through an index list gives the numbering
+    /// of the gathered copy, repeated and reordered indices included.
+    #[test]
+    fn a_subset_numbers_like_its_gathered_copy() {
+        let x = rows();
+        let subset = [5, 1, 3, 0, 4, 4, 2];
+        let mut gathered = RowSlots::new();
+        gathered.assign(&x.select_rows(&subset), None);
+        let mut in_place = RowSlots::new();
+        in_place.assign_subset(&x, &subset);
+        assert_eq!(in_place.slot_of(), gathered.slot_of());
+        assert_eq!(in_place.firsts(), gathered.firsts());
+        assert_eq!(in_place.slot_of(), &[0, 1, 2, 0, 1, 1, 0]);
     }
 
     #[test]

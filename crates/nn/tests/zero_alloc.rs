@@ -1,6 +1,8 @@
 //! Pins the Workspace contract: a steady-state training step — batch
 //! gather, forward, weighted loss, backward, Adam — performs zero heap
-//! allocations once buffers have warmed up.
+//! allocations once buffers have warmed up, and so does the forward pass
+//! that inference and the trainer's evaluation run into the same
+//! buffers.
 //!
 //! A counting global allocator wraps the system one; each test warms every
 //! buffer with a few steps, then asserts the allocation counter does not
@@ -149,6 +151,70 @@ fn steady_state_training_step_does_not_allocate_at_any_pool_width() {
     // batch-order copies reuse their buffers too, while the distinct
     // count moves from batch to batch.
     assert_steady_state_steps_do_not_allocate(128, duplicate_heavy_batch(128 * 4 - 5, 40, 2));
+}
+
+/// The one forward pass, into a workspace's buffers, allocates nothing
+/// once warm: on one-row inputs (the analyzer's per-task call) and on
+/// 64-row ones (a per-epoch evaluation), in a workspace that only runs
+/// inference and in one that, as in the trainer, carries training steps
+/// between evaluations. The logits equal `Net::forward`'s bit for bit.
+#[test]
+fn warm_forward_pass_and_evaluation_do_not_allocate() {
+    let d = 40;
+    let (x64, _) = duplicate_heavy_batch(64, d, 5);
+    let (x1, _) = batch(1, d, 6);
+    let (train_x, train_y) = batch(128, d, 7);
+    let mut net = Net::two_layer(d, 30, 26, &mut seeded_rng(8));
+    let loss_fn = CrossEntropyLoss::group0_boosted(26, 200.0);
+    let mut opt = Adam::paper_default();
+    let mut pred: Vec<u8> = Vec::with_capacity(64);
+
+    // An evaluation as the trainer runs one: the logits' argmax per row
+    // into a reused buffer, then one single-row prediction.
+    let evaluate = |net: &Net, ws: &mut Workspace, pred: &mut Vec<u8>| {
+        let logits = net.forward_into(&x64, ws);
+        pred.clear();
+        pred.extend((0..logits.rows()).map(|r| logits.argmax_row(r) as u8));
+        net.forward_into(&x1, ws).argmax_row(0)
+    };
+
+    let mut inference = Workspace::new();
+    evaluate(&net, &mut inference, &mut pred);
+    let before = allocations();
+    for _ in 0..5 {
+        evaluate(&net, &mut inference, &mut pred);
+    }
+    assert_eq!(allocations() - before, 0, "warm inference allocated");
+
+    let mut ws = Workspace::new();
+    let mut train_and_evaluate = |net: &mut Net, ws: &mut Workspace, pred: &mut Vec<u8>| {
+        net.train_batch(&train_x, &train_y, &loss_fn, ws);
+        opt.step(net);
+        evaluate(net, ws, pred)
+    };
+    train_and_evaluate(&mut net, &mut ws, &mut pred);
+    let before = allocations();
+    for _ in 0..5 {
+        train_and_evaluate(&mut net, &mut ws, &mut pred);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "warm training steps with evaluations allocated"
+    );
+
+    for x in [&x1, &x64] {
+        let want = net.forward(x);
+        for ws in [&mut inference, &mut ws] {
+            let got = net.forward_into(x, ws);
+            assert_eq!(got.shape(), want.shape());
+            assert!(got
+                .as_slice()
+                .iter()
+                .zip(want.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+    }
 }
 
 #[test]

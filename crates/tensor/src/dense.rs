@@ -191,20 +191,21 @@ impl Matrix {
     /// Index of the maximum element in each row (`argmax(dim=1)`).
     /// Ties resolve to the lowest index, matching PyTorch.
     pub fn argmax_rows(&self) -> Vec<usize> {
-        (0..self.rows)
-            .map(|r| {
-                let row = self.row(r);
-                let mut best = 0usize;
-                let mut best_v = f32::NEG_INFINITY;
-                for (i, &v) in row.iter().enumerate() {
-                    if v > best_v {
-                        best_v = v;
-                        best = i;
-                    }
-                }
-                best
-            })
-            .collect()
+        (0..self.rows).map(|r| self.argmax_row(r)).collect()
+    }
+
+    /// Index of the maximum element of row `r`, ties to the lowest index
+    /// — one row of [`Matrix::argmax_rows`], without collecting a `Vec`.
+    pub fn argmax_row(&self, r: usize) -> usize {
+        let mut best = 0usize;
+        let mut best_v = f32::NEG_INFINITY;
+        for (i, &v) in self.row(r).iter().enumerate() {
+            if v > best_v {
+                best_v = v;
+                best = i;
+            }
+        }
+        best
     }
 
     /// Maximum absolute element difference to another matrix of the same

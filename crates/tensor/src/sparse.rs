@@ -202,6 +202,35 @@ impl Csr {
             out.indptr.push(out.indices.len() as u32);
         }
     }
+
+    /// Rebuilds the matrix in place as one row of width `cols` holding
+    /// `entries`, reusing its buffers like [`Csr::select_rows_into`]: the
+    /// same matrix [`CsrBuilder`] builds from those entries, without the
+    /// builder's allocations once capacities have warmed up. Zero values
+    /// are dropped, as [`CsrBuilder::push_row`] drops them.
+    ///
+    /// # Panics
+    /// Panics unless the columns strictly increase and stay below `cols`
+    /// — what the encoders emit.
+    pub fn assign_row(&mut self, cols: usize, entries: &[(usize, f32)]) {
+        assert!(
+            entries.windows(2).all(|p| p[0].0 < p[1].0),
+            "row columns must strictly increase"
+        );
+        if let Some(&(last, _)) = entries.last() {
+            assert!(last < cols, "column {last} out of bounds ({cols})");
+        }
+        self.rows = 1;
+        self.cols = cols;
+        self.indptr.clear();
+        self.indices.clear();
+        self.values.clear();
+        for &(c, v) in entries.iter().filter(|&&(_, v)| v != 0.0) {
+            self.indices.push(c as u32);
+            self.values.push(v);
+        }
+        self.indptr.extend([0, self.indices.len() as u32]);
+    }
 }
 
 /// Incremental row-by-row CSR builder.
@@ -400,6 +429,25 @@ mod tests {
         assert_eq!(s.rows(), 2);
         assert_eq!(s.get(0, 0), 2.0);
         assert_eq!(s.get(1, 1), 1.0);
+    }
+
+    #[test]
+    fn assign_row_equals_the_builder_and_reuses_the_matrix() {
+        let entries = [(0, 2.0), (2, 0.0), (3, -1.0), (6, 1.0)];
+        let mut b = CsrBuilder::new(7);
+        b.push_row(entries);
+        let want = b.finish();
+        let mut m = sample();
+        m.assign_row(7, &entries);
+        assert_eq!(m, want);
+        m.assign_row(4, &[]);
+        assert_eq!(m, Csr::empty(1, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increase")]
+    fn assign_row_rejects_unsorted_columns() {
+        Csr::empty(0, 4).assign_row(4, &[(2, 1.0), (1, 1.0)]);
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn main() {
         last.vv.x.nnz(),
         100.0 * last.vv.x.density()
     );
-    let el = &replay.co_el;
+    let el = &Replayer::default().co_el(&trace);
     println!("CO-EL: {} × {} labels", el.len(), el.features_count());
     println!("class distribution: {:?}", last.vv.class_counts());
 

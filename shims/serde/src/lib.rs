@@ -141,8 +141,11 @@ impl Error {
     /// Prepends a location (e.g. `Struct.field`) to the message, so a
     /// deserialization failure deep in a document names the offending
     /// field path (`Spec.sim.cycle: expected u64 in range, got Null`).
+    /// An array index already in front binds to the location without a
+    /// separator: `Spec.cells` before `[1]: …` reads `Spec.cells[1]: …`.
     pub fn context(self, path: &str) -> Self {
-        Self(format!("{path}: {}", self.0))
+        let sep = if self.0.starts_with('[') { "" } else { ": " };
+        Self(format!("{path}{sep}{}", self.0))
     }
 }
 
@@ -330,7 +333,11 @@ impl<T: Serialize> Serialize for [T] {
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
         match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
+            Value::Array(items) => items
+                .iter()
+                .enumerate()
+                .map(|(i, item)| T::from_value(item).map_err(|e| e.context(&format!("[{i}]"))))
+                .collect(),
             other => Err(Error::msg(format!("expected array, got {other:?}"))),
         }
     }

@@ -105,3 +105,25 @@ fn deny_unknown_fields_rejects_a_key_that_names_no_field() {
     let loose = object(&[("id", Value::Num(1.0)), ("zzz", Value::Num(0.0))]);
     assert_eq!(Row::from_value(&loose).unwrap().id, 1);
 }
+
+#[derive(Debug, Deserialize)]
+struct Grid {
+    #[allow(dead_code)]
+    rows: Vec<Vec<Row>>,
+}
+
+#[test]
+fn an_error_inside_an_array_names_the_element() {
+    let row = |id: Value| object(&[("id", id)]);
+    let grid = |rows: Vec<Value>| object(&[("rows", Value::Array(rows))]);
+    let bad = grid(vec![
+        Value::Array(vec![row(Value::Num(1.0))]),
+        Value::Array(vec![row(Value::Num(2.0)), row(Value::Null)]),
+    ]);
+    let err = Grid::from_value(&bad).unwrap_err().to_string();
+    assert!(err.starts_with("serde: Grid.rows[1][1]: Row.id: "), "{err}");
+    // A failure at the array itself carries no index.
+    let not_array = object(&[("rows", Value::Num(0.0))]);
+    let err = Grid::from_value(&not_array).unwrap_err().to_string();
+    assert!(err.starts_with("serde: Grid.rows: expected array"), "{err}");
+}

@@ -168,8 +168,8 @@ fn co_el_new_labels_are_invisible_to_a_grown_model_co_vv_patterns_are_not() {
     use ctlm::nn::state_dict::pad_input_weight;
     use ctlm::tensor::CsrBuilder;
 
-    let (_t, replay) = small_replay(CellSet::C2019c, 35);
-    let el = &replay.co_el;
+    let (trace, replay) = small_replay(CellSet::C2019c, 35);
+    let el = &Replayer::default().co_el(&trace);
     let vv = &replay.steps.last().unwrap().vv;
     let cfg = TrainConfig {
         epochs_limit: 40,
