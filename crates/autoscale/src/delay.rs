@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-use ctlm_trace::pareto::{BoundedPareto, Exponential};
+use ctlm_trace::pareto::Exponential;
 use ctlm_trace::Micros;
 
 /// How long a freshly ordered machine takes to come online.
@@ -21,16 +21,6 @@ pub enum ProvisionDelay {
     Exponential {
         /// Mean delay (µs).
         mean: Micros,
-    },
-    /// Bounded-Pareto delays — mostly fast boots with a heavy tail of
-    /// stragglers (image-pull storms, slow racks).
-    Pareto {
-        /// Minimum delay (µs).
-        lo: f64,
-        /// Maximum delay (µs).
-        hi: f64,
-        /// Tail exponent.
-        alpha: f64,
     },
 }
 
@@ -55,9 +45,6 @@ impl ProvisionDelay {
                     (Exponential::new(*mean as f64).sample(rng) as Micros).max(1)
                 }
             }
-            ProvisionDelay::Pareto { lo, hi, alpha } => {
-                (BoundedPareto::new(*lo, *hi, *alpha).sample(rng) as Micros).max(1)
-            }
         }
     }
 }
@@ -74,11 +61,6 @@ mod tests {
             ProvisionDelay::Fixed(5_000_000),
             ProvisionDelay::Exponential { mean: 2_000_000 },
             ProvisionDelay::Exponential { mean: 0 },
-            ProvisionDelay::Pareto {
-                lo: 1e6,
-                hi: 6e7,
-                alpha: 1.2,
-            },
         ] {
             let mut a = StdRng::seed_from_u64(7);
             let mut b = StdRng::seed_from_u64(7);

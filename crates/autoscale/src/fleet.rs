@@ -52,14 +52,11 @@ use crate::policy::{Signals, ThresholdStep};
 /// machine churn (before admissions and the scheduling pass).
 pub const PRIO_STATE: u8 = ctlm_sched::engine::PRIO_STATE;
 
-/// Window over recently placed tasks for the admission-latency signal.
-const LATENCY_WINDOW: usize = 32;
-
 /// The claim every fleet change of this control plane holds.
 const OWNER: LifecycleOwner = LifecycleOwner::Autoscaler;
 
 /// The shape of machines this autoscaler provisions.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MachineTemplate {
     /// CPU capacity per machine.
     pub cpu: f64,
@@ -454,7 +451,6 @@ impl<'a> Autoscaler<'a> {
                     + engine.pending_gang_members(),
                 utilisation: engine.cluster().cpu_utilisation(),
                 no_capacity_delta: no_capacity - self.last_no_capacity,
-                recent_latency_mean: ledger.recent_latency_mean(LATENCY_WINDOW),
             };
             self.last_no_capacity = no_capacity;
             let lost = crashed - self.last_crashed;

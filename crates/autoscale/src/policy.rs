@@ -24,14 +24,11 @@ pub struct Signals {
     /// every count is one cycle slot burned on a task the fleet could
     /// suit but not hold (the `EngineState::can_admit`-failure signal).
     pub no_capacity_delta: u64,
-    /// Mean scheduling latency over the recently placed tasks (µs).
-    pub recent_latency_mean: Option<f64>,
 }
 
-/// Threshold step-scaling: queue pressure above `up_pending` — or
-/// recent admission latency above `up_latency`, when set — adds `step`
-/// machines; an idle, under-utilised fleet (`pending == 0`,
-/// utilisation below `down_util`) sheds `step`.
+/// Threshold step-scaling: queue pressure above `up_pending` adds `step`
+/// machines; an idle, under-utilised fleet (`pending == 0`, utilisation
+/// below `down_util`) sheds `step`.
 ///
 /// The classic alarm-driven scaler: simple, reactive, and prone to a
 /// provisioning-delay lag under bursts.
@@ -40,9 +37,6 @@ pub struct ThresholdStep {
     /// Queue-pressure level (pending + no-capacity events per tick)
     /// that triggers a scale-up.
     pub up_pending: usize,
-    /// Recent mean admission latency (µs) that triggers a scale-up
-    /// regardless of queue depth; `None` disables the latency alarm.
-    pub up_latency: Option<f64>,
     /// Utilisation below which an idle fleet sheds machines.
     pub down_util: f64,
     /// Machines added or removed per decision.
@@ -53,7 +47,6 @@ impl Default for ThresholdStep {
     fn default() -> Self {
         Self {
             up_pending: 8,
-            up_latency: None,
             down_util: 0.3,
             step: 2,
         }
@@ -69,11 +62,7 @@ impl ThresholdStep {
     /// for the load, the planner enforces the budget.
     pub fn desired_fleet(&self, s: &Signals) -> usize {
         let pressure = s.pending + s.no_capacity_delta as usize;
-        let latency_alarm = self
-            .up_latency
-            .zip(s.recent_latency_mean)
-            .is_some_and(|(limit, seen)| seen > limit);
-        if pressure > self.up_pending || latency_alarm {
+        if pressure > self.up_pending {
             s.fleet + self.step.max(1)
         } else if s.pending == 0 && s.utilisation < self.down_util {
             s.fleet.saturating_sub(self.step.max(1))
@@ -93,15 +82,13 @@ mod tests {
             pending,
             utilisation: util,
             no_capacity_delta: 0,
-            recent_latency_mean: None,
         }
     }
 
     #[test]
     fn threshold_steps_up_and_down() {
-        let mut p = ThresholdStep {
+        let p = ThresholdStep {
             up_pending: 4,
-            up_latency: None,
             down_util: 0.3,
             step: 3,
         };
@@ -116,12 +103,5 @@ mod tests {
         let mut s = sig(10, 2, 0.8);
         s.no_capacity_delta = 6;
         assert_eq!(p.desired_fleet(&s), 13);
-        // The latency alarm scales up even when the queue looks short.
-        p.up_latency = Some(400_000.0);
-        let mut s = sig(10, 1, 0.5);
-        s.recent_latency_mean = Some(900_000.0);
-        assert_eq!(p.desired_fleet(&s), 13, "slow admissions add a step");
-        s.recent_latency_mean = Some(100_000.0);
-        assert_eq!(p.desired_fleet(&s), 10, "fast admissions hold");
     }
 }

@@ -93,7 +93,6 @@ fn burst_grows_the_fleet_then_drain_shrinks_it() {
         up_pending: 5,
         down_util: 0.25,
         step: 4,
-        ..ThresholdStep::default()
     };
     let (cluster, result, stats) = run_autoscaled(
         4,
@@ -194,7 +193,6 @@ fn churn_cannot_drain_a_machine_mid_provisioning() {
         up_pending: 4,
         down_util: 0.0, // never shed — isolates the provisioning path
         step: 4,
-        ..ThresholdStep::default()
     };
     let (cluster, result, stats) = run_autoscaled(2, &arrivals, config, cfg, policy, Some(plan));
     assert!(stats.provisioned >= 1, "pressure must order machines");
@@ -225,7 +223,6 @@ fn autoscaler_skips_churn_claimed_machines() {
         up_pending: 1000,
         down_util: 0.9, // idle fleet: shed every evaluation
         step: 1,
-        ..ThresholdStep::default()
     };
     let cfg = AutoscaleConfig::new(1, 8, 4_000_000, &config);
     let (_, _, stats) = run_autoscaled(3, &[], config, cfg, policy, Some(plan));
@@ -259,7 +256,6 @@ proptest! {
             up_pending: 6,
             down_util: down_util as f64 / 100.0,
             step: 2,
-            ..ThresholdStep::default()
         };
         let mut cfg = threshold_cfg(min, 12, &config);
         cfg.warm_pool = 1;

@@ -30,7 +30,6 @@ fn signal_mix() -> Vec<Signals> {
             pending: ((k * 7) % 23) as usize,
             utilisation: ((k * 13) % 100) as f64 / 100.0,
             no_capacity_delta: (k * 3) % 9,
-            recent_latency_mean: Some(250_000.0 + k as f64 * 10_000.0),
         })
         .collect()
 }

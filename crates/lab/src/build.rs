@@ -13,13 +13,11 @@ use ctlm_data::dataset::{Dataset, DatasetBuilder, NUM_GROUPS};
 use ctlm_data::encode::co_vv::CoVvEncoder;
 use ctlm_data::vocab::ValueVocab;
 use ctlm_sched::engine::{arrivals_from_trace, compress_timeline};
-use ctlm_sched::scenario::{ChurnPlan, RolloutStage};
+use ctlm_sched::scenario::ChurnPlan;
 use ctlm_sched::{ArrivalStream, FaultPlan, PendingTask, SchedCluster, SimConfig};
-use ctlm_trace::{
-    AttrId, AttrValue, EventPayload, Machine, MachineId, Micros, Scale, TraceGenerator,
-};
+use ctlm_trace::{AttrValue, EventPayload, Machine, MachineId, Micros, Scale, TraceGenerator};
 
-use ctlm_autoscale::{AutoscaleConfig, ThresholdStep};
+use ctlm_autoscale::{AutoscaleConfig, MachineTemplate, ThresholdStep};
 
 use crate::registry::build_autoscale_policy;
 use crate::spec::{
@@ -112,8 +110,6 @@ pub struct BuiltCell {
     pub churn: Option<ChurnPlan>,
     /// Gang arrivals derived from the scenario.
     pub gangs: Vec<(Micros, Vec<PendingTask>)>,
-    /// Rollout stages derived from the scenario, if any.
-    pub rollout: Option<(AttrId, Vec<RolloutStage>)>,
     /// Retraining cadence, passed through to the run assembly.
     pub retrain: Option<RetrainSpec>,
     /// Resolved autoscaler, if the scenario requested one.
@@ -209,32 +205,20 @@ pub fn build_cell(
         )
     });
     let gangs = build_gangs(scenario, id_base)?;
-    let rollout = scenario.rollout.as_ref().map(|r| {
-        let stages = r.stages.max(1);
-        let chunk = machine_ids.len().div_ceil(stages);
-        let stages = machine_ids
-            .chunks(chunk.max(1))
-            .enumerate()
-            .map(|(k, ms)| {
-                Ok(RolloutStage {
-                    time: kth_time("rollout stage", r.start, k, r.period)?,
-                    machines: ms.to_vec(),
-                    value: AttrValue::Int(r.value),
-                })
-            })
-            .collect::<Result<Vec<_>, LabError>>()?;
-        Ok::<_, LabError>((r.attr, stages))
-    });
-    let rollout = rollout.transpose()?;
     let autoscale = scenario.autoscale.as_ref().map(|a| {
         // Synthetic cells carry the pin attribute (attr 0); provisioned
         // machines continue the cell's value sequence past the initial
-        // fleet so no restrictive task ever aliases one.
-        let attr_base = match &spec.workload {
-            WorkloadSpec::Synthetic(_) => {
-                Some(index as i64 * ATTR_VALUE_STRIDE + machine_ids.len() as i64)
-            }
-            WorkloadSpec::Trace(_) => None,
+        // fleet so no restrictive task ever aliases one, and take the
+        // first machine group's shape (unit capacity in a trace cell).
+        let (attr_base, template) = match &spec.workload {
+            WorkloadSpec::Synthetic(w) => (
+                Some(index as i64 * ATTR_VALUE_STRIDE + machine_ids.len() as i64),
+                MachineTemplate {
+                    cpu: w.machines[0].cpu,
+                    memory: w.machines[0].memory,
+                },
+            ),
+            WorkloadSpec::Trace(_) => (None, MachineTemplate::default()),
         };
         Ok::<_, LabError>(BuiltAutoscale {
             policy: build_autoscale_policy(&a.policy, &a.params)?,
@@ -244,7 +228,7 @@ pub fn build_cell(
                 cadence: a.cadence,
                 warm_pool: a.warm_pool,
                 delay: a.delay,
-                template: a.machine_template(&spec.workload),
+                template,
                 seed: sim.seed ^ (index as u64).wrapping_mul(0xA5A5_1EAF_0000_0001),
                 horizon: sim.horizon,
                 id_base: AUTOSCALE_ID_BASE,
@@ -304,7 +288,6 @@ pub fn build_cell(
         vocab: Arc::new(vocab),
         churn,
         gangs,
-        rollout,
         retrain: scenario.retrain.clone(),
         autoscale,
         faults,

@@ -9,7 +9,7 @@
 //!   with uniform/exponential/bounded-Pareto gaps and Pareto-sized
 //!   requests;
 //! * **scenario intensities** — churn waves, gang size/frequency,
-//!   staged attribute rollouts, online-retraining cadence;
+//!   online-retraining cadence, autoscaling and the fault plane;
 //! * **policies** — scheduler and placer selection by name through a
 //!   registry over the open `ctlm-sched` traits;
 //! * **multi-cell runs** — several engine cells sharing one kernel

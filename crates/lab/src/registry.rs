@@ -43,6 +43,10 @@ pub const PLACER_NAMES: &[&str] = &["best_fit", "preemptive_best_fit"];
 /// Autoscaling-policy registry names, in registration order.
 pub const AUTOSCALE_POLICY_NAMES: &[&str] = &[ThresholdStep::NAME];
 
+/// Retry-policy names ([`RetrySpec::policy`](crate::spec::RetrySpec::policy)),
+/// in registration order.
+pub const RETRY_POLICY_NAMES: &[&str] = &["fixed", "exponential"];
+
 /// Validates a scheduler name without building it (that needs a cell).
 pub fn check_scheduler(name: &str) -> Result<(), LabError> {
     if SCHEDULER_NAMES.contains(&name) {
@@ -52,7 +56,7 @@ pub fn check_scheduler(name: &str) -> Result<(), LabError> {
 }
 
 /// The error for a `kind` name missing from its `registry`.
-fn unknown(kind: &str, name: &str, registry: &[&str]) -> LabError {
+pub(crate) fn unknown(kind: &str, name: &str, registry: &[&str]) -> LabError {
     let names = registry.join(", ");
     LabError::msg(format!("unknown {kind} {name:?} (registry: {names})"))
 }
@@ -69,7 +73,6 @@ pub fn build_autoscale_policy(
     let d = ThresholdStep::default();
     Ok(ThresholdStep {
         up_pending: params.up_pending.map_or(d.up_pending, |v| v as usize),
-        up_latency: params.up_latency,
         down_util: params.down_util.unwrap_or(d.down_util),
         step: params.step.map_or(d.step, |v| v as usize),
     })

@@ -15,8 +15,8 @@
 //! seq)` merge order, telling the home engine each verdict with one
 //! [`EngineState::resolve_spill`] call; the home ledger counts the
 //! routes. Everything else — churn, the fault plane and the autoscaler
-//! (which claim machines on their cell engine's one claim table), gang
-//! and rollout sources, in-timeline retraining: each a [`TimedSource`]
+//! (which claim machines on their cell engine's one claim table), the
+//! gang source, in-timeline retraining: each a [`TimedSource`]
 //! put on the cell's timeline by the one [`attach`] — is per-cell state
 //! and stays inside its shard, which is what makes dispatching shards to
 //! worker threads sound (see the `ctlm_sim::parallel` island
@@ -61,7 +61,7 @@ use ctlm_core::ModelRegistry;
 use ctlm_core::{GrowingModel, TrainConfig};
 use ctlm_data::vocab::ValueVocab;
 use ctlm_sched::engine::{CellHandle, EngineState, SpillRoute, PRIO_ADMIT, PRIO_STATE};
-use ctlm_sched::scenario::{ChurnSource, GangSource, RolloutSource};
+use ctlm_sched::scenario::{ChurnSource, GangSource};
 use ctlm_sched::timed::next_tick;
 use ctlm_sched::{
     attach, Arrivals, EngineStats, FaultPlane, FaultStats, PendingTask, SchedCluster, SchedEvent,
@@ -205,10 +205,6 @@ fn attach_full_cell<'a>(
     if !cell.gangs.is_empty() {
         let gangs = GangSource::new(cell.gangs.clone(), handle.engine);
         attach(sim, part("gangs"), gangs);
-    }
-    if let Some((attr, stages)) = &cell.rollout {
-        let rollout = RolloutSource::new(*attr, stages.clone(), handle.engine);
-        attach(sim, part("rollout"), rollout);
     }
     // In-timeline retraining: only meaningful when the scheduler reads a
     // registry (`live_registry`); otherwise the cadence is inert.
@@ -539,7 +535,7 @@ pub struct RetrainSource<'a> {
 
 impl<'a> RetrainSource<'a> {
     /// Builds the source over a cell's arrival population; the first
-    /// tick is at `cadence.start`, or one period in when that is 0.
+    /// tick is one period in.
     pub fn new(
         cell: &'a BuiltCell,
         registry: ModelRegistry,
@@ -553,11 +549,7 @@ impl<'a> RetrainSource<'a> {
             vocab: cell.vocab.clone(),
             model: GrowingModel::new(config),
             registry,
-            next: Some(if cadence.start > 0 {
-                cadence.start
-            } else {
-                cadence.period
-            }),
+            next: Some(cadence.period),
             period: cadence.period,
             horizon,
             seed,

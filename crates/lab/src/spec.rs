@@ -20,15 +20,20 @@
 //! [`RetrySpec`], [`PlacerSpec`], [`TrainSpec`], [`ExecutionSpec`] and
 //! [`SweepSpec`]. A block that becomes a runtime object validates by
 //! calling the constructor the run calls; nothing downstream re-checks.
+//!
+//! Every struct here rejects a key that names none of its fields, and
+//! every field and variant is set by some checked-in spec
+//! (`tests/registry_coverage.rs`): a knob arrives with the experiment
+//! that shows it.
 
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-use ctlm_autoscale::{MachineTemplate, ProvisionDelay};
+use ctlm_autoscale::ProvisionDelay;
 use ctlm_sched::cluster::MAX_MACHINE_CPU;
 use ctlm_sched::{ExponentialBackoff, FixedRetry, RetryPolicy, SimConfig};
 use ctlm_trace::pareto::{BoundedPareto, Exponential};
-use ctlm_trace::{AttrId, CellSet, Micros};
+use ctlm_trace::{CellSet, Micros};
 
 use crate::LabError;
 
@@ -43,6 +48,7 @@ macro_rules! ensure {
 
 /// A complete experiment description.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ExperimentSpec {
     /// Experiment name (report header).
     pub name: String,
@@ -69,10 +75,8 @@ pub struct ExperimentSpec {
     #[serde(default)]
     pub cells: Vec<CellSpec>,
     /// Multi-cell only: route arrivals through the spillover router,
-    /// which forwards tasks a cell cannot admit to a sibling cell.
-    /// `"first_feasible"` forwards to the first feasible sibling; JSON
-    /// `true`/`false` are accepted as legacy aliases for
-    /// `"first_feasible"`/off.
+    /// which forwards tasks a cell cannot admit to a sibling cell:
+    /// `"first_feasible"` or `"off"`.
     #[serde(default)]
     pub spillover: SpilloverPolicy,
     /// Training budget for model-backed schedulers (`enhanced`,
@@ -189,36 +193,30 @@ impl SpilloverPolicy {
     }
 }
 
+// On the wire the policy is its snake_case name, not the derive's
+// variant name.
 impl serde::Serialize for SpilloverPolicy {
     fn to_value(&self) -> serde_json::Value {
-        match self {
-            // Canonical off form stays the legacy `false` so normalized
-            // documents round-trip with pre-knob specs.
-            SpilloverPolicy::Off => serde_json::Value::Bool(false),
-            other => serde_json::Value::Str(other.name().to_string()),
-        }
+        serde_json::Value::Str(self.name().to_string())
     }
 }
 
 impl serde::Deserialize for SpilloverPolicy {
     fn from_value(v: &serde_json::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde_json::Value::Bool(false) => Ok(SpilloverPolicy::Off),
-            serde_json::Value::Bool(true) => Ok(SpilloverPolicy::FirstFeasible),
-            serde_json::Value::Str(s) if s == "off" => Ok(SpilloverPolicy::Off),
-            serde_json::Value::Str(s) if s == "first_feasible" => {
-                Ok(SpilloverPolicy::FirstFeasible)
-            }
-            other => Err(serde::Error::msg(format!(
-                "expected spillover policy (\"first_feasible\", \"off\", or a legacy bool), \
-                 got {other:?}"
-            ))),
-        }
+        [SpilloverPolicy::Off, SpilloverPolicy::FirstFeasible]
+            .into_iter()
+            .find(|p| matches!(v, serde_json::Value::Str(s) if s == p.name()))
+            .ok_or_else(|| {
+                serde::Error::msg(format!(
+                    "expected spillover policy (\"first_feasible\" or \"off\"), got {v:?}"
+                ))
+            })
     }
 }
 
 /// One cell of a (possibly multi-cell) experiment.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CellSpec {
     /// Cell name (report key).
     pub name: String,
@@ -322,6 +320,7 @@ impl WorkloadSpec {
 
 /// Replayed-trace workload parameters.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TraceWorkload {
     /// Which calibrated cell profile to generate.
     pub cell: CellSet,
@@ -343,6 +342,7 @@ pub struct TraceWorkload {
 
 /// Synthetic workload parameters.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SyntheticWorkload {
     /// Machine groups; machines get attribute 0 = a cell-offset unique
     /// index so restrictive tasks pin to exactly one node fleet-wide
@@ -368,6 +368,7 @@ pub struct SyntheticWorkload {
 
 /// A homogeneous group of machines.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct MachineGroup {
     /// Machines in the group.
     pub count: usize,
@@ -476,6 +477,7 @@ impl SizeDist {
 /// (ground-truth Group 0) — the population the paper's analyzer exists
 /// to protect.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RestrictiveSpec {
     /// How many restrictive tasks to submit.
     pub count: usize,
@@ -492,14 +494,12 @@ pub struct RestrictiveSpec {
 /// Scenario components with intensities; every field is optional, and
 /// all active components share the cell's timeline.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct ScenarioSpec {
     /// Machine churn: seeded random drain/restore waves.
     pub churn: Option<ChurnSpec>,
     /// All-or-nothing gang arrivals.
     pub gangs: Option<GangSpec>,
-    /// A staged attribute rollout washing over the fleet.
-    pub rollout: Option<RolloutSpec>,
     /// Online retraining cadence (drives the `live_registry` scheduler).
     pub retrain: Option<RetrainSpec>,
     /// Elastic fleet control: the `ctlm-autoscale` control plane
@@ -570,7 +570,10 @@ fn check_window(what: &str, (start, end): (Micros, Micros)) -> Result<(), LabErr
 
 /// One cell's autoscaler: policy selection by registry name plus the
 /// fleet band, cadence, warm pool and provisioning behaviour.
+/// Provisioned machines take the first machine group's shape (unit
+/// capacity for trace slices).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct AutoscaleSpec {
     /// Policy registry name (`threshold`).
     pub policy: String,
@@ -587,11 +590,6 @@ pub struct AutoscaleSpec {
     /// Provisioning-delay distribution (default: fixed 30 s).
     #[serde(default)]
     pub delay: ProvisionDelay,
-    /// Shape of provisioned machines (`null` → the first machine
-    /// group's shape for synthetic workloads, unit capacity for trace
-    /// slices). Bounded like a [`MachineGroup`]'s shape.
-    #[serde(default)]
-    pub template: Option<MachineTemplate>,
     /// Numeric policy parameters; unset fields take the policy's
     /// defaults. Every field is sweepable by dotted path.
     #[serde(default)]
@@ -599,33 +597,21 @@ pub struct AutoscaleSpec {
 }
 
 impl AutoscaleSpec {
-    /// Builds the policy; a zero-mean `Exponential` delay boots in 1 µs.
+    /// Builds the policy, refusing the parameters it would bend without
+    /// a word (a zero `step` runs as one, a NaN `down_util` never sheds);
+    /// a zero-mean `Exponential` delay boots in 1 µs.
     pub fn validate(&self) -> Result<(), LabError> {
-        if let Some(t) = self.template {
-            check_shape("autoscale template", t.cpu, t.memory)?;
-        }
-        crate::registry::build_autoscale_policy(&self.policy, &self.params)?;
+        let policy = crate::registry::build_autoscale_policy(&self.policy, &self.params)?;
+        ensure!(policy.step > 0, "autoscale params step 0: require step > 0");
+        let down_util = policy.down_util;
+        ensure!(
+            !down_util.is_nan(),
+            "autoscale params down_util {down_util}: require a number"
+        );
         let (min, max) = (self.min, self.max);
         ensure!(min <= max, "autoscale min {min} exceeds max {max}");
         ensure!(self.cadence > 0, "autoscale cadence must be > 0");
-        if let ProvisionDelay::Pareto { lo, hi, alpha } = self.delay {
-            BoundedPareto::try_new(lo, hi, alpha)
-                .map_err(|e| LabError::msg(format!("autoscale delay {:?}: {e}", self.delay)))?;
-        }
         Ok(())
-    }
-
-    /// `template`, else the first machine group's shape (unit capacity for traces).
-    pub(crate) fn machine_template(&self, workload: &WorkloadSpec) -> MachineTemplate {
-        let first = match workload {
-            WorkloadSpec::Synthetic(w) => w.machines.first(),
-            WorkloadSpec::Trace(_) => None,
-        };
-        let shape = first.map(|g| MachineTemplate {
-            cpu: g.cpu,
-            memory: g.memory,
-        });
-        self.template.or(shape).unwrap_or_default()
     }
 }
 
@@ -636,9 +622,6 @@ impl AutoscaleSpec {
 pub struct PolicyParams {
     /// `threshold`: queue pressure triggering a scale-up (default 8).
     pub up_pending: Option<u64>,
-    /// `threshold`: recent mean admission latency (µs) triggering a
-    /// scale-up regardless of queue depth (default: disabled).
-    pub up_latency: Option<f64>,
     /// `threshold`: idle-fleet utilisation below which machines shed
     /// (default 0.3).
     pub down_util: Option<f64>,
@@ -649,6 +632,7 @@ pub struct PolicyParams {
 /// Churn intensity: `failures` distinct machines drain inside `window`,
 /// each returning `outage` µs later.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ChurnSpec {
     /// Number of distinct machines to fail.
     pub failures: usize,
@@ -701,6 +685,7 @@ impl FaultsSpec {
 /// taking a whole failure domain (zone) down at once. Machines recover
 /// after a seeded exponential outage with mean `mttr`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CrashSpec {
     /// Number of crash events (each downs one whole zone).
     pub count: usize,
@@ -720,6 +705,7 @@ pub struct CrashSpec {
 /// Spillover link outage windows: `count` outages of `duration` µs,
 /// starting at `start` and repeating every `period`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct LinkOutageSpec {
     /// First outage start (µs).
     pub start: Micros,
@@ -769,10 +755,16 @@ impl Default for RetrySpec {
 }
 
 impl RetrySpec {
-    /// The policy builds, and waits before a retry.
+    /// The policy builds, waits before a retry and jitters by less than
+    /// the whole delay.
     pub fn validate(&self) -> Result<(), LabError> {
         self.build()?;
         ensure!(self.base > 0, "retry base delay must be > 0");
+        let jitter = self.jitter;
+        ensure!(
+            (0.0..1.0).contains(&jitter),
+            "retry jitter {jitter}: require 0 <= jitter < 1"
+        );
         Ok(())
     }
 
@@ -789,15 +781,18 @@ impl RetrySpec {
                 budget: self.budget,
                 jitter: self.jitter,
             })),
-            other => Err(LabError::msg(format!(
-                "unknown retry policy {other:?} (expected \"fixed\" or \"exponential\")"
-            ))),
+            other => Err(crate::registry::unknown(
+                "retry policy",
+                other,
+                crate::registry::RETRY_POLICY_NAMES,
+            )),
         }
     }
 }
 
 /// Gang arrival process: `count` gangs of `size` members each.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct GangSpec {
     /// Number of gangs.
     pub count: usize,
@@ -814,38 +809,21 @@ pub struct GangSpec {
     pub priority: u8,
 }
 
-/// Staged attribute rollout: the fleet is split into `stages` equal
-/// chunks, upgraded one chunk per `period`.
+/// Online retraining cadence: every `period`, starting one period in,
+/// retrain on the arrivals observed so far and hot-swap the result into
+/// the run's [`ModelRegistry`](ctlm_core::ModelRegistry).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RolloutSpec {
-    /// Attribute being rolled out.
-    pub attr: AttrId,
-    /// The integer value every upgraded machine reports.
-    pub value: i64,
-    /// Number of stages.
-    pub stages: usize,
-    /// First stage time (µs).
-    pub start: Micros,
-    /// Gap between stages (µs).
-    pub period: Micros,
-}
-
-/// Online retraining cadence: every `period`, retrain on the arrivals
-/// observed so far and hot-swap the result into the run's
-/// [`ModelRegistry`](ctlm_core::ModelRegistry).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RetrainSpec {
     /// Retraining period (µs).
     pub period: Micros,
-    /// First retraining tick (µs, 0 = one period in).
-    #[serde(default)]
-    pub start: Micros,
 }
 
 /// Training budget for model-backed schedulers. Deliberately far below
 /// the paper's full budget — specs train on their own (small) arrival
 /// populations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TrainSpec {
     /// Epoch cap per training attempt.
     pub epochs_limit: usize,
@@ -1013,7 +991,7 @@ pub struct ObservabilitySpec {
 /// with `seeds` × `repeats`. Runs execute in parallel on the rayon
 /// pool; the report carries per-point medians.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct SweepSpec {
     /// Numeric knobs, addressed by dotted path into the spec document
     /// (e.g. `"scenario.churn.failures"`, `"cells.0.workload.Synthetic.tasks"`).
@@ -1039,6 +1017,7 @@ impl SweepSpec {
 
 /// One sweep dimension.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct KnobSpec {
     /// Dotted path to a numeric field in the spec document.
     pub path: String,

@@ -114,10 +114,10 @@ fn oracle_beats_main_only_from_spec_alone() {
 #[test]
 fn a_schedulers_results_do_not_depend_on_its_place_in_the_list() {
     // The schedulers of a grid point share one built fleet, copy-on-write.
-    // Every run here changes its fleet — churn drains and restores,
-    // a rollout rewrites an attribute, the autoscaler adds and takes
-    // machines, crashes take them down — so a run that saw another run's
-    // changes would report differently in the other order.
+    // Every run here changes its fleet — churn drains and restores, the
+    // autoscaler adds and takes machines, crashes take them down — so a
+    // run that saw another run's changes would report differently in the
+    // other order.
     let spec = |order: &str| {
         format!(
             r#"{{
@@ -137,8 +137,6 @@ fn a_schedulers_results_do_not_depend_on_its_place_in_the_list() {
             "scenario": {{
                 "churn": {{"failures": 2, "window": [10000000, 40000000],
                            "outage": 15000000, "seed": 4}},
-                "rollout": {{"attr": 7, "value": 2, "stages": 3,
-                             "start": 5000000, "period": 10000000}},
                 "autoscale": {{"policy": "threshold", "min": 4, "max": 14,
                                "cadence": 2000000, "warm_pool": 1}},
                 "faults": {{"crashes": {{"count": 2, "window": [20000000, 70000000],
@@ -187,8 +185,7 @@ fn checked_in_specs_parse_and_spillover_runs_deterministically() {
     let text = std::fs::read_to_string("../../experiments/three_cell_spillover.json").unwrap();
     assert_eq!(
         ExperimentSpec::from_json(&text).unwrap().spillover,
-        SpilloverPolicy::FirstFeasible,
-        "legacy boolean `true` must parse as first_feasible"
+        SpilloverPolicy::FirstFeasible
     );
     let a = run_spec_json(&text).expect("spillover run");
     let b = run_spec_json(&text).expect("spillover rerun");
@@ -272,10 +269,7 @@ fn enhanced_keeps_its_model_through_retrain_ticks() {
     let plain = result(&spec(r#"["enhanced"]"#, ""), "enhanced");
     let main_only = result(&spec(r#"["main_only"]"#, ""), "main_only");
     assert_ne!(plain.placed, main_only.placed, "the model lifts tasks");
-    let meddled = spec(
-        r#"["enhanced"]"#,
-        r#""retrain": {"start": 1000000, "period": 100000000}"#,
-    );
+    let meddled = spec(r#"["enhanced"]"#, r#""retrain": {"period": 1000000}"#);
     let meddled = result(&meddled, "enhanced");
     assert_eq!(plain.placed, meddled.placed, "placed records and latencies");
     assert_eq!(plain.unplaced, meddled.unplaced);
@@ -430,7 +424,6 @@ fn arb_scenario() -> impl Strategy<Value = ScenarioSpec> {
                 cpu: 0.4,
                 priority: 3,
             }),
-            rollout: None,
             retrain: None,
             autoscale: (autoscale > 0).then(|| AutoscaleSpec {
                 policy: "threshold".to_string(),
@@ -439,7 +432,6 @@ fn arb_scenario() -> impl Strategy<Value = ScenarioSpec> {
                 cadence: 3_000_000,
                 warm_pool: autoscale,
                 delay: ProvisionDelay::Exponential { mean: 4_000_000 },
-                template: None,
                 params: PolicyParams {
                     up_pending: Some(6),
                     ..PolicyParams::default()
@@ -678,17 +670,6 @@ fn autoscale_spec_validation_rejects_bad_blocks() {
     );
     let err = ExperimentSpec::from_json(&bad_cadence).expect_err("cadence 0");
     assert!(err.to_string().contains("cadence"), "{err}");
-    let bad_delay = base.replace(
-        "AUTO",
-        r#"{"policy": "threshold", "min": 1, "max": 4, "cadence": 1000000,
-            "delay": {"Pareto": {"lo": 5000000, "hi": 1000000, "alpha": 1.2}}}"#,
-    );
-    let err = ExperimentSpec::from_json(&bad_delay).expect_err("hi below lo");
-    assert!(
-        err.to_string()
-            .contains("autoscale delay Pareto { lo: 5000000.0, hi: 1000000.0, alpha: 1.2 }: require 0 < lo < hi"),
-        "{err}"
-    );
 }
 
 /// Every per-cell rule reports its cell through one wrapper: one
@@ -705,19 +686,19 @@ fn every_per_cell_error_names_its_cell_once() {
     };
     let good = synthetic(uniform);
     let spec = |spillover: bool, workload: &str, scenario: &str| {
+        let spillover = if spillover { "first_feasible" } else { "off" };
         format!(
-            r#"{{"name": "prefix", "spillover": {spillover}, "cells": [
+            r#"{{"name": "prefix", "spillover": "{spillover}", "cells": [
                 {{"name": "a", "workload": {good}}},
                 {{"name": "b", "workload": {workload}, "scenario": {{{scenario}}}}}]}}"#
         )
     };
-    let autoscale = |policy: &str, min: u32, cadence: u64, delay: &str| {
+    let autoscale = |policy: &str, min: u32, cadence: u64, params: &str| {
         format!(
             r#""autoscale": {{"policy": "{policy}", "min": {min}, "max": 4,
-                "cadence": {cadence}, "delay": {delay}}}"#
+                "cadence": {cadence}, "delay": {{"Fixed": 1000}}, "params": {{{params}}}}}"#
         )
     };
-    let fixed = r#"{"Fixed": 1000}"#;
     let trace = |machines: usize| {
         format!(r#"{{"Trace": {{"cell": "C2019a", "machines": {machines}, "collections": 5}}}}"#)
     };
@@ -755,24 +736,19 @@ fn every_per_cell_error_names_its_cell_once() {
             "",
         ),
         spec(false, &good, r#""retrain": {"period": 0}"#),
-        spec(false, &good, &autoscale("quantum", 1, 1_000_000, fixed)),
+        spec(false, &good, &autoscale("quantum", 1, 1_000_000, "")),
         spec(
             false,
             &good,
-            &autoscale("target_tracking", 1, 1_000_000, fixed),
+            &autoscale("target_tracking", 1, 1_000_000, ""),
         ),
-        spec(false, &good, &autoscale("predictive", 1, 1_000_000, fixed)),
-        spec(false, &good, &autoscale("threshold", 9, 1_000_000, fixed)),
-        spec(false, &good, &autoscale("threshold", 1, 0, fixed)),
+        spec(false, &good, &autoscale("predictive", 1, 1_000_000, "")),
+        spec(false, &good, &autoscale("threshold", 9, 1_000_000, "")),
+        spec(false, &good, &autoscale("threshold", 1, 0, "")),
         spec(
             false,
             &good,
-            &autoscale(
-                "threshold",
-                1,
-                1_000_000,
-                r#"{"Pareto": {"lo": 0, "hi": 5, "alpha": 1}}"#,
-            ),
+            &autoscale("threshold", 1, 1_000_000, r#""step": 0"#),
         ),
         spec(
             false,
@@ -801,9 +777,28 @@ fn every_per_cell_error_names_its_cell_once() {
         ),
         spec(false, &good, r#""faults": {"retry": {"policy": "linear"}}"#),
         spec(false, &good, r#""faults": {"retry": {"base": 0}}"#),
+        spec(false, &good, r#""faults": {"retry": {"jitter": 1.0}}"#),
+        spec(false, &good, r#""faults": {"retry": {"jitter": -0.5}}"#),
     ];
-    for text in &cases {
-        let err = ExperimentSpec::from_json(text).expect_err(text).to_string();
+    let mut errors: Vec<String> = cases
+        .iter()
+        .map(|text| ExperimentSpec::from_json(text).expect_err(text).to_string())
+        .collect();
+    // JSON has no NaN, but a spec built in code can carry one.
+    let mut nan = ExperimentSpec::from_json(&spec(
+        false,
+        &good,
+        &autoscale("threshold", 1, 1_000_000, ""),
+    ))
+    .expect("the unbent autoscaler parses");
+    let auto = nan.cells[1]
+        .scenario
+        .autoscale
+        .as_mut()
+        .expect("cell b autoscales");
+    auto.params.down_util = Some(f64::NAN);
+    errors.push(nan.validate().expect_err("NaN down_util").to_string());
+    for err in &errors {
         assert!(err.starts_with("ctlm-lab: cell \"b\": "), "{err}");
         assert_eq!(err.matches("cell \"b\"").count(), 1, "{err}");
     }

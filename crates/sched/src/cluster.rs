@@ -44,7 +44,7 @@
 //! `take_offline` — goes through one private accessor, `fleet_mut`,
 //! which is `Arc::make_mut`: the first such write on a shared fleet
 //! copies it, once, and later writes reuse the copy. A run whose fleet
-//! never changes never copies; one whose fleet does (churn, rollout,
+//! never changes never copies; one whose fleet does (churn, trace feeds,
 //! autoscaling, crashes) pays at its first change what a deep clone
 //! used to cost up front. A cluster that holds the only reference
 //! writes in place, so drain and restore allocate nothing.
@@ -52,7 +52,7 @@
 //! So an A/B comparison over one fleet runs each policy on its own
 //! clone of the pristine cluster: no run can see what another left
 //! behind — reservations, drained or joined machines, attribute
-//! rollouts — and nothing has to put the fleet back afterwards.
+//! updates — and nothing has to put the fleet back afterwards.
 //!
 //! ## The capacity index
 //!
@@ -739,7 +739,7 @@ impl SchedCluster {
 
     /// Updates one machine attribute in place (None clears it), keeping
     /// the inverted index consistent. Machines currently drained by
-    /// churn receive the update on their parked copy, so a rollout that
+    /// churn receive the update on their parked copy, so an update that
     /// lands mid-outage is present when they rejoin. Returns true when
     /// the machine is known (online or parked).
     pub fn update_attr(&mut self, id: MachineId, attr: AttrId, value: Option<AttrValue>) -> bool {
@@ -1081,7 +1081,7 @@ mod tests {
     fn parked_machines_receive_attr_updates() {
         let mut c = cluster3();
         assert!(c.remove_machine(1).is_some());
-        // A rollout landing mid-outage must stick.
+        // An update landing mid-outage must stick.
         assert!(c.update_attr(1, 0, Some(AttrValue::Int(99))));
         assert!(c.restore_machine(1));
         assert_eq!(c.machine_attr(1, 0), Some(&AttrValue::Int(99)));

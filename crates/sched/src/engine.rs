@@ -40,7 +40,7 @@
 //! deliver before admissions ([`PRIO_ADMIT`]), which deliver before the
 //! scheduling pass ([`PRIO_PASS`]) — the same phase order the old
 //! monolithic loop hardcoded, now explicit and shared with any scenario
-//! component that joins the simulation (churn, trace feeds, rollouts).
+//! component that joins the simulation (churn, gangs, trace feeds).
 //!
 //! The contention mechanics matter: the main scheduler examines a bounded
 //! number of queue heads per cycle (head-of-line pressure), so a
@@ -120,8 +120,8 @@ pub enum SchedEvent {
     MachineRestore(MachineId),
     /// A new machine joins the fleet.
     MachineJoin(Box<Machine>),
-    /// One machine attribute changes (kernel rollouts and other
-    /// vocabulary-growing updates).
+    /// One machine attribute changes (a trace feed's kernel upgrades and
+    /// other vocabulary-growing updates).
     AttrUpdate {
         /// Machine being updated.
         machine: MachineId,
@@ -145,6 +145,7 @@ pub enum SchedEvent {
 
 /// Simulation parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SimConfig {
     /// Scheduler pass period (µs).
     pub cycle: Micros,
@@ -851,7 +852,7 @@ impl Simulator {
     }
 
     /// Builds the simulation harness without running it, so scenario
-    /// components (churn, gang sources, trace feeds, rollouts) can join
+    /// components (churn, gang sources, trace feeds) can join
     /// before [`Harness::run`].
     ///
     /// The cluster is taken by value and [`Harness::run`] hands it back
@@ -859,7 +860,7 @@ impl Simulator {
     /// policy its own [`SchedCluster::clone`]: the clone shares the
     /// machine table copy-on-write, so it costs a few allocations rather
     /// than a copy of the fleet, and no run sees another's reservations,
-    /// drains or rollouts.
+    /// drains or attribute updates.
     pub fn harness<'a>(
         &'a self,
         cluster: SchedCluster,

@@ -148,12 +148,12 @@ impl FaultPlan {
     }
 
     /// Seeded correlated crashes: the fleet is partitioned into `zones`
-    /// contiguous failure domains (declaration order, like rollout
-    /// stages); each of `crashes` events picks a zone uniformly, crashes
-    /// *every* machine in it at a time uniform in `window`, and recovers
-    /// the whole zone after an exponentially distributed outage with
-    /// mean `mttr`. Overlapping outages of one machine nest: it stays
-    /// down until its last outstanding recovery.
+    /// contiguous failure domains (declaration order); each of `crashes`
+    /// events picks a zone uniformly, crashes *every* machine in it at a
+    /// time uniform in `window`, and recovers the whole zone after an
+    /// exponentially distributed outage with mean `mttr`. Overlapping
+    /// outages of one machine nest: it stays down until its last
+    /// outstanding recovery.
     pub fn zone_crashes(
         seed: u64,
         fleet: &[MachineId],

@@ -366,18 +366,6 @@ impl Ledger {
         s.admitted_arrivals + s.admitted_dynamic + s.admitted_gang_members
     }
 
-    /// Mean scheduling latency over the `last` most recently placed
-    /// tasks (`None` before anything placed) — the admission-latency
-    /// signal, windowed so old history cannot mask a building backlog.
-    pub fn recent_latency_mean(&self, last: usize) -> Option<f64> {
-        let placed = &self.result.placed;
-        if placed.is_empty() || last == 0 {
-            return None;
-        }
-        let tail = &placed[placed.len().saturating_sub(last)..];
-        Some(tail.iter().map(|r| r.latency as f64).sum::<f64>() / tail.len() as f64)
-    }
-
     /// Switches on the fault-plane runtime: crash-lost tasks consult
     /// `policy` (jitter drawn from a dedicated RNG seeded with `seed`)
     /// and are rescheduled or dead-lettered. Without it, a delivered

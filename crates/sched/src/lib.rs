@@ -22,8 +22,8 @@
 //! [`engine::Simulator::attach_cell`] — [`engine::CycleTimer`] fires the
 //! scheduler pass, and [`engine::EngineComponent`] owns the cluster, the
 //! two queues and the task ledger. Scenario components ([`scenario`]) join
-//! the same timeline: machine churn, all-or-nothing gang arrivals,
-//! staged attribute rollouts, and (in examples) live trace feeds that
+//! the same timeline: machine churn, all-or-nothing gang arrivals, and
+//! (in examples) live trace feeds that update machine attributes and
 //! drive retraining mid-run. Everything that acts on its own schedule —
 //! those, the feed, the timer, the fault plane, the autoscaler — is a
 //! [`timed::TimedSource`] behind the one walker [`timed::attach`]
@@ -64,7 +64,7 @@
 //!   materialising the whole workload;
 //! * [`timed`] — the timed-source seam: the trait, the one component
 //!   that wakes / fires / re-arms a source, and `attach`;
-//! * [`scenario`] — churn, gang and rollout event sources;
+//! * [`scenario`] — churn, gang and trace-feed event sources;
 //! * [`faults`] — the fault plane: seeded machine crashes (abrupt, task
 //!   losing — distinct from [`scenario`]'s graceful drains, which
 //!   requeue), correlated failure-domain outages with MTTR recovery,

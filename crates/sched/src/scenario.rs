@@ -8,7 +8,7 @@
 //! wakes it and re-arms it. Because they share the one timeline,
 //! scenarios compose: churn can run under any
 //! [`Scheduler`](crate::scheduler::Scheduler), gangs can arrive during
-//! churn, and a staged kernel rollout can grow the attribute vocabulary
+//! churn, and a live trace feed can grow the attribute vocabulary
 //! while tasks are being scheduled.
 
 use rand::rngs::StdRng;
@@ -18,7 +18,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use ctlm_sim::{CompId, Ctx};
-use ctlm_trace::{AttrId, AttrValue, Machine, MachineId, Micros};
+use ctlm_trace::{Machine, MachineId, Micros};
 
 use crate::engine::{EngineState, SchedEvent, PRIO_ADMIT, PRIO_STATE};
 use crate::lifecycle::LifecycleOwner;
@@ -172,61 +172,6 @@ impl TimedSource for GangSource {
         while let Some(members) = self.gangs.pop_due(now) {
             let gang = SchedEvent::GangArrival(std::mem::take(members));
             ctx.emit_prio(0, PRIO_ADMIT, self.engine, gang);
-        }
-    }
-}
-
-/// One stage of a staged attribute rollout (e.g. a kernel-version
-/// upgrade washing over the fleet): at `time`, every machine in
-/// `machines` gets `attr = value`.
-#[derive(Clone, Debug)]
-pub struct RolloutStage {
-    /// When the stage lands.
-    pub time: Micros,
-    /// Machines upgraded in this stage.
-    pub machines: Vec<MachineId>,
-    /// The new attribute value.
-    pub value: AttrValue,
-}
-
-/// Emits staged [`SchedEvent::AttrUpdate`]s at the engine — the
-/// cluster-side half of a rollout. Online simulations mirror the same
-/// updates into a replay/retraining component so the vocabulary grows
-/// live (see `examples/online_simulation.rs`).
-pub struct RolloutSource {
-    attr: AttrId,
-    stages: Plan<RolloutStage>,
-    engine: CompId,
-}
-
-impl RolloutSource {
-    /// A source rolling `attr` through `stages` (sorted internally).
-    pub fn new(attr: AttrId, stages: Vec<RolloutStage>, engine: CompId) -> Self {
-        Self {
-            attr,
-            stages: Plan::new(stages.into_iter().map(|s| (s.time, s)).collect()),
-            engine,
-        }
-    }
-}
-
-impl TimedSource for RolloutSource {
-    const CLASS: u8 = PRIO_STATE;
-
-    fn next_time(&self) -> Option<Micros> {
-        self.stages.next_time()
-    }
-
-    fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>) {
-        while let Some(stage) = self.stages.pop_due(now) {
-            for &machine in &stage.machines {
-                let update = SchedEvent::AttrUpdate {
-                    machine,
-                    attr: self.attr,
-                    value: Some(stage.value.clone()),
-                };
-                ctx.emit_prio(0, PRIO_STATE, self.engine, update);
-            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The timed-source seam: one walker for every component that acts on
 //! its own schedule.
 //!
-//! Churn, gangs, rollouts, trace feeds, the fault plane, the cycle
+//! Churn, gangs, trace feeds, the fault plane, the cycle
 //! timer, the arrival feed, the autoscaler and the lab's in-timeline
 //! retrainer all have the same shape — wake at a known time, apply what
 //! is due, sleep until the next known time. A [`TimedSource`] states
@@ -75,7 +75,7 @@ pub fn next_tick(now: Micros, period: Micros, horizon: Micros) -> Option<Micros>
 }
 
 /// A time-sorted list of actions walked by a cursor — the state every
-/// plan-shaped source (churn, gangs, rollouts, faults, trace feeds)
+/// plan-shaped source (churn, gangs, faults, trace feeds)
 /// shares.
 pub struct Plan<T> {
     items: Vec<(Micros, T)>,

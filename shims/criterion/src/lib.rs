@@ -280,7 +280,10 @@ impl Bencher {
             std::hint::black_box(f());
             return;
         }
-        // Warm up and size the inner loop for ~5 ms per sample.
+        // One untimed call warms caches and lazily built state; a second,
+        // timed call sizes the inner loop for ~5 ms per sample, so a cold
+        // first call cannot shrink every sample far below that.
+        std::hint::black_box(f());
         let t0 = Instant::now();
         std::hint::black_box(f());
         let once = t0.elapsed().as_secs_f64().max(1e-9);
