@@ -9,18 +9,19 @@
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
+use ctlm_sim::SimDuration;
 use ctlm_trace::pareto::Exponential;
-use ctlm_trace::Micros;
 
 /// How long a freshly ordered machine takes to come online.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum ProvisionDelay {
     /// Every machine takes exactly this long (µs).
-    Fixed(Micros),
+    Fixed(u64),
     /// Exponentially distributed boot times with the given mean (µs).
     Exponential {
         /// Mean delay (µs).
-        mean: Micros,
+        mean: u64,
     },
 }
 
@@ -32,20 +33,18 @@ impl Default for ProvisionDelay {
 }
 
 impl ProvisionDelay {
-    /// Draws one delay (µs, always ≥ 1).
-    pub fn sample(&self, rng: &mut StdRng) -> Micros {
-        match self {
-            ProvisionDelay::Fixed(d) => (*d).max(1),
+    /// Draws one delay (always at least 1 µs).
+    pub fn sample(&self, rng: &mut StdRng) -> SimDuration {
+        let us = match *self {
+            ProvisionDelay::Fixed(d) => SimDuration::from_micros(d),
+            // A zero-mean spec degenerates to the fastest possible boot
+            // rather than panicking the sampler.
+            ProvisionDelay::Exponential { mean: 0 } => SimDuration::MICRO,
             ProvisionDelay::Exponential { mean } => {
-                // A zero-mean spec degenerates to the fastest possible
-                // boot rather than panicking the sampler.
-                if *mean == 0 {
-                    1
-                } else {
-                    (Exponential::new(*mean as f64).sample(rng) as Micros).max(1)
-                }
+                SimDuration::from_micros_f64(Exponential::new(mean as f64).sample(rng))
             }
-        }
+        };
+        us.max(SimDuration::MICRO)
     }
 }
 
@@ -66,7 +65,7 @@ mod tests {
             let mut b = StdRng::seed_from_u64(7);
             for _ in 0..64 {
                 let x = delay.sample(&mut a);
-                assert!(x >= 1);
+                assert!(x >= SimDuration::MICRO);
                 assert_eq!(x, delay.sample(&mut b), "same seed, same delays");
             }
         }

@@ -18,8 +18,8 @@
 //! (queue depth, no-capacity placement failures, utilisation, admission
 //! latency), asks its [`ThresholdStep`] policy for a desired fleet size,
 //! and closes the gap: scale-up activates warm-pool machines first (instant)
-//! and orders the remainder through a provisioning delay sampled from
-//! the configured [`ProvisionDelay`]; scale-down *drains* the emptiest
+//! and orders the remainder through a sampled [`ProvisionDelay`] (an order
+//! due past the end of time never comes online); scale-down *drains* the emptiest
 //! online machines through the engine's churn path — every running task
 //! requeues before the machine leaves — then parks them warm or
 //! decommissions them. Every fleet change is an engine method that
@@ -42,8 +42,8 @@ use serde::{Deserialize, Serialize};
 use ctlm_sched::engine::EngineState;
 use ctlm_sched::lifecycle::LifecycleOwner;
 use ctlm_sched::{SchedEvent, SimConfig, TimedSource};
-use ctlm_sim::Ctx;
-use ctlm_trace::{AttrValue, Machine, MachineId, Micros};
+use ctlm_sim::{Ctx, SimDuration, SimTime};
+use ctlm_trace::{AttrValue, Machine, MachineId};
 
 use crate::delay::ProvisionDelay;
 use crate::policy::{Signals, ThresholdStep};
@@ -81,9 +81,8 @@ pub struct AutoscaleConfig {
     pub min: usize,
     /// Fleet ceiling — scale-up never targets more than this.
     pub max: usize,
-    /// Evaluation cadence (µs); the first evaluation fires one cadence
-    /// in.
-    pub cadence: Micros,
+    /// Evaluation cadence; the first evaluation fires one cadence in.
+    pub cadence: SimDuration,
     /// Warm-pool target: provisioned machines kept on standby so a
     /// scale-up can activate instantly instead of paying the
     /// provisioning delay.
@@ -94,8 +93,8 @@ pub struct AutoscaleConfig {
     pub template: MachineTemplate,
     /// RNG seed (provisioning delays).
     pub seed: u64,
-    /// Simulation horizon (µs) — no wake-ups are scheduled past it.
-    pub horizon: Micros,
+    /// Simulation horizon — no wake-ups are scheduled past it.
+    pub horizon: SimTime,
     /// First machine id for provisioned machines (namespaced clear of
     /// the initial fleet).
     pub id_base: MachineId,
@@ -109,16 +108,16 @@ impl AutoscaleConfig {
     /// A config with the given fleet band and cadence; everything else
     /// defaulted (30 s fixed delay, no warm pool, unit-capacity
     /// template, ids from `1 << 48`).
-    pub fn new(min: usize, max: usize, cadence: Micros, sim: &SimConfig) -> Self {
+    pub fn new(min: usize, max: usize, cadence: SimDuration, sim: &SimConfig) -> Self {
         Self {
             min,
             max: max.max(min),
-            cadence: cadence.max(1),
+            cadence: cadence.max(SimDuration::MICRO),
             warm_pool: 0,
             delay: ProvisionDelay::default(),
             template: MachineTemplate::default(),
             seed: sim.seed,
-            horizon: sim.horizon,
+            horizon: SimTime::from_micros(sim.horizon),
             id_base: 1 << 48,
             attr_base: None,
         }
@@ -129,7 +128,7 @@ impl AutoscaleConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetSample {
     /// Simulation time (µs).
-    pub time: Micros,
+    pub time: u64,
     /// Online machines.
     pub active: usize,
     /// Warm-standby machines.
@@ -213,7 +212,7 @@ enum Destination {
 /// An in-flight provisioning order.
 #[derive(Debug)]
 struct Provision {
-    ready_at: Micros,
+    ready_at: SimTime,
     machine: Machine,
     dest: Destination,
 }
@@ -238,8 +237,8 @@ pub struct Autoscaler<'a> {
     warm: Vec<Machine>,
     /// The next wake: the earlier of the next provisioning completion
     /// and the next evaluation tick, horizon permitting.
-    next_wake: Option<Micros>,
-    next_eval: Micros,
+    next_wake: Option<SimTime>,
+    next_eval: SimTime,
     last_no_capacity: u64,
     last_crashed: u64,
     next_id: MachineId,
@@ -263,7 +262,7 @@ impl<'a> Autoscaler<'a> {
             ..AutoscaleStats::default()
         }));
         let rng = StdRng::seed_from_u64(cfg.seed ^ 0xA07C_5CA1_E000_0000);
-        let next_eval = cfg.cadence;
+        let next_eval = SimTime::ZERO.saturating_add(cfg.cadence);
         let next_id = cfg.id_base;
         let next_attr = cfg.attr_base.unwrap_or(0);
         (
@@ -274,7 +273,7 @@ impl<'a> Autoscaler<'a> {
                 rng,
                 provisioning: Vec::new(),
                 warm: Vec::new(),
-                next_wake: Some(0),
+                next_wake: Some(SimTime::ZERO),
                 next_eval,
                 last_no_capacity: 0,
                 last_crashed: 0,
@@ -289,7 +288,7 @@ impl<'a> Autoscaler<'a> {
 
     /// Orders one machine from the template; it comes online (or joins
     /// the warm pool) after a sampled provisioning delay.
-    fn order_machine(&mut self, now: Micros, dest: Destination) {
+    fn order_machine(&mut self, now: SimTime, dest: Destination) {
         let id = self.next_id;
         self.next_id += 1;
         let mut m = Machine::new(id, self.cfg.template.cpu, self.cfg.template.memory);
@@ -301,9 +300,6 @@ impl<'a> Autoscaler<'a> {
         // "drain while provisioning" impossible for any other owner.
         let claimed = self.engine.borrow_mut().try_claim(id, OWNER);
         debug_assert!(claimed, "provisioned ids are namespaced and unclaimed");
-        // A delay that runs past the end of time is an order that never
-        // completes (like a link outage that never opens), not a wrapped
-        // `ready_at` in the past.
         let ready_at = now.saturating_add(self.cfg.delay.sample(&mut self.rng));
         let pos = self
             .provisioning
@@ -323,7 +319,7 @@ impl<'a> Autoscaler<'a> {
     /// pool), in `(ready_at, id)` order. An order whose claim was
     /// displaced mid-provision (a crash overrode it) never comes online:
     /// the machine is dropped and the new owner keeps the claim.
-    fn complete_due(&mut self, now: Micros) {
+    fn complete_due(&mut self, now: SimTime) {
         while self.provisioning.first().is_some_and(|p| p.ready_at <= now) {
             let p = self.provisioning.remove(0);
             let mut engine = self.engine.borrow_mut();
@@ -364,7 +360,7 @@ impl<'a> Autoscaler<'a> {
     /// Grows the live fleet by `need` machines: warm pool first, then
     /// fresh provisioning orders. A warm machine whose claim was
     /// displaced (it crashed while parked) is dropped, not activated.
-    fn scale_up(&mut self, now: Micros, need: usize) {
+    fn scale_up(&mut self, now: SimTime, need: usize) {
         let mut remaining = need;
         while remaining > 0 {
             if self.warm.is_empty() {
@@ -386,7 +382,7 @@ impl<'a> Autoscaler<'a> {
     /// first: drain (tasks requeue through the engine's churn path),
     /// then park warm or decommission. Machines another owner holds are
     /// skipped, not contested.
-    fn scale_down(&mut self, now: Micros, excess: usize) {
+    fn scale_down(&mut self, now: SimTime, excess: usize) {
         let mut scratch = std::mem::take(&mut self.scratch);
         self.engine
             .borrow()
@@ -438,7 +434,7 @@ impl<'a> Autoscaler<'a> {
     }
 
     /// One policy evaluation: sample signals, size, act.
-    fn evaluate(&mut self, now: Micros) {
+    fn evaluate(&mut self, now: SimTime) {
         let (signals, crash_lost) = {
             let engine = self.engine.borrow();
             let ledger = engine.ledger();
@@ -515,16 +511,15 @@ impl<'a> Autoscaler<'a> {
             self.cancel_active_orders(committed - desired);
         }
         // Keep the standby pool stocked (initial prefill included).
-        let deficit = self.cfg.warm_pool.saturating_sub(self.warm_supply());
-        for _ in 0..deficit {
+        for _ in self.warm_supply()..self.cfg.warm_pool {
             self.order_machine(now, Destination::Warm);
         }
     }
 
     /// Appends a timeline sample when the counts changed.
-    fn record(&mut self, now: Micros) {
+    fn record(&mut self, now: SimTime) {
         let sample = FleetSample {
-            time: now,
+            time: now.as_micros(),
             active: self.engine.borrow().cluster().len(),
             warm: self.warm.len(),
             provisioning: self.provisioning.len(),
@@ -543,23 +538,22 @@ impl<'a> Autoscaler<'a> {
 impl TimedSource for Autoscaler<'_> {
     const CLASS: u8 = PRIO_STATE;
 
-    fn next_time(&self) -> Option<Micros> {
+    fn next_time(&self) -> Option<SimTime> {
         self.next_wake
     }
 
-    fn fire(&mut self, now: Micros, _ctx: &mut Ctx<'_, SchedEvent>) {
+    fn fire(&mut self, now: SimTime, _ctx: &mut Ctx<'_, SchedEvent>) {
         if self.stats.borrow().timeline.is_empty() {
             // First wake: baseline the timeline at the initial fleet
             // (and prefill the warm pool without waiting a cadence).
             self.record(now);
-            let deficit = self.cfg.warm_pool.saturating_sub(self.warm_supply());
-            for _ in 0..deficit {
+            for _ in self.warm_supply()..self.cfg.warm_pool {
                 self.order_machine(now, Destination::Warm);
             }
         }
         self.complete_due(now);
         while self.next_eval <= now {
-            self.next_eval += self.cfg.cadence;
+            self.next_eval = self.next_eval.saturating_add(self.cfg.cadence);
             self.evaluate(now);
         }
         self.record(now);

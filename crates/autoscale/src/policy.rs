@@ -65,7 +65,7 @@ impl ThresholdStep {
         if pressure > self.up_pending {
             s.fleet + self.step.max(1)
         } else if s.pending == 0 && s.utilisation < self.down_util {
-            s.fleet.saturating_sub(self.step.max(1))
+            s.fleet - self.step.max(1).min(s.fleet)
         } else {
             s.fleet
         }

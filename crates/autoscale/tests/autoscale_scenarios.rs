@@ -14,13 +14,22 @@ use ctlm_autoscale::{
 use ctlm_sched::engine::{SimConfig, Simulator};
 use ctlm_sched::scenario::{ChurnAction, ChurnPlan, ChurnSource};
 use ctlm_sched::{attach, PendingTask, SchedCluster, SimResult};
-use ctlm_trace::{Machine, Micros};
+use ctlm_sim::{SimDuration, SimTime};
+use ctlm_trace::Machine;
+
+fn t(us: u64) -> SimTime {
+    SimTime::from_micros(us)
+}
+
+fn d(us: u64) -> SimDuration {
+    SimDuration::from_micros(us)
+}
 
 fn fleet(n: usize) -> SchedCluster {
     SchedCluster::from_machines((0..n as u64).map(|i| Machine::new(i, 1.0, 1.0)))
 }
 
-fn burst_arrivals(count: usize, start: Micros, gap: Micros, cpu: f64) -> Vec<PendingTask> {
+fn burst_arrivals(count: usize, start: u64, gap: u64, cpu: f64) -> Vec<PendingTask> {
     (0..count)
         .map(|k| PendingTask {
             id: k as u64,
@@ -29,13 +38,13 @@ fn burst_arrivals(count: usize, start: Micros, gap: Micros, cpu: f64) -> Vec<Pen
             memory: cpu,
             priority: 2,
             reqs: vec![],
-            arrival: start + k as Micros * gap,
+            arrival: t(start + k as u64 * gap),
             truth_group: 25,
         })
         .collect()
 }
 
-fn sim_config(horizon: Micros, seed: u64) -> SimConfig {
+fn sim_config(horizon: u64, seed: u64) -> SimConfig {
     SimConfig {
         cycle: 500_000,
         attempts_per_cycle: 16,
@@ -79,7 +88,7 @@ fn threshold_cfg(min: usize, max: usize, sim: &SimConfig) -> AutoscaleConfig {
             cpu: 1.0,
             memory: 1.0,
         },
-        ..AutoscaleConfig::new(min, max, 2_000_000, sim)
+        ..AutoscaleConfig::new(min, max, d(2_000_000), sim)
     }
 }
 
@@ -140,7 +149,7 @@ fn a_delay_past_the_end_of_time_is_an_order_that_never_completes() {
         ..ThresholdStep::default()
     };
     let cfg = AutoscaleConfig {
-        delay: ProvisionDelay::Fixed(Micros::MAX),
+        delay: ProvisionDelay::Fixed(u64::MAX),
         ..threshold_cfg(2, 20, &config)
     };
     let (cluster, _, stats) = run_autoscaled(4, &arrivals, config, cfg, policy, None);
@@ -182,12 +191,12 @@ fn churn_cannot_drain_a_machine_mid_provisioning() {
     // orders machines; 10 s provisioning delay keeps them in the
     // Provisioning state until t=12 s.
     let arrivals = burst_arrivals(200, 0, 50_000, 0.3);
-    let mut cfg = AutoscaleConfig::new(2, 6, 2_000_000, &config);
+    let mut cfg = AutoscaleConfig::new(2, 6, d(2_000_000), &config);
     cfg.delay = ProvisionDelay::Fixed(10_000_000);
     let provisioned_id = cfg.id_base; // first ordered machine
     let plan = ChurnPlan::new(vec![
-        (5_000_000, ChurnAction::Fail(provisioned_id)),
-        (8_000_000, ChurnAction::Restore(provisioned_id)),
+        (t(5_000_000), ChurnAction::Fail(provisioned_id)),
+        (t(8_000_000), ChurnAction::Restore(provisioned_id)),
     ]);
     let policy = ThresholdStep {
         up_pending: 4,
@@ -216,15 +225,15 @@ fn churn_cannot_drain_a_machine_mid_provisioning() {
 fn autoscaler_skips_churn_claimed_machines() {
     let config = sim_config(30_000_000, 1);
     let plan = ChurnPlan::new(vec![
-        (4_000_000, ChurnAction::Fail(0)),
-        (20_000_000, ChurnAction::Restore(0)),
+        (t(4_000_000), ChurnAction::Fail(0)),
+        (t(20_000_000), ChurnAction::Restore(0)),
     ]);
     let policy = ThresholdStep {
         up_pending: 1000,
         down_util: 0.9, // idle fleet: shed every evaluation
         step: 1,
     };
-    let cfg = AutoscaleConfig::new(1, 8, 4_000_000, &config);
+    let cfg = AutoscaleConfig::new(1, 8, d(4_000_000), &config);
     let (_, _, stats) = run_autoscaled(3, &[], config, cfg, policy, Some(plan));
     assert_eq!(
         stats.conflicts_skipped, 1,

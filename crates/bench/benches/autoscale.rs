@@ -68,7 +68,7 @@ fn bench_grow_place(c: &mut Criterion) {
         memory: 0.25,
         priority: 5,
         reqs: vec![],
-        arrival: 0,
+        arrival: ctlm_sim::SimTime::ZERO,
         truth_group: 25,
     };
     let joiner_id = (1u64 << 48) + 1;
@@ -109,7 +109,7 @@ fn bench_elastic_small(c: &mut Criterion) {
             memory: 0.3,
             priority: 2,
             reqs: vec![],
-            arrival: 5_000_000 + k * 80_000,
+            arrival: ctlm_sim::SimTime::from_micros(5_000_000 + k * 80_000),
             truth_group: 25,
         })
         .collect();
@@ -124,7 +124,12 @@ fn bench_elastic_small(c: &mut Criterion) {
             let cfg = AutoscaleConfig {
                 warm_pool: 1,
                 delay: ProvisionDelay::Fixed(3_000_000),
-                ..AutoscaleConfig::new(2, 12, 2_000_000, &config)
+                ..AutoscaleConfig::new(
+                    2,
+                    12,
+                    ctlm_sim::SimDuration::from_micros(2_000_000),
+                    &config,
+                )
             };
             let (scaler, stats) = Autoscaler::new(cfg, ThresholdStep::default(), harness.state());
             attach(&mut harness.sim, "autoscaler", scaler);

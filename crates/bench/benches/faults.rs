@@ -22,7 +22,16 @@ use ctlm_sched::engine::{SimConfig, Simulator};
 use ctlm_sched::faults::{ExponentialBackoff, FaultPlan, FaultPlane, FixedRetry, RetryPolicy};
 use ctlm_sched::scheduler::MainOnly;
 use ctlm_sched::{attach, PendingTask, SchedCluster};
+use ctlm_sim::{SimDuration, SimTime};
 use ctlm_trace::Machine;
+
+fn t(us: u64) -> SimTime {
+    SimTime::from_micros(us)
+}
+
+fn d(us: u64) -> SimDuration {
+    SimDuration::from_micros(us)
+}
 
 /// Prices one retry decision: 16 policy calls across a rotating attempt
 /// number, summing the granted delays (dead-letters contribute zero).
@@ -30,7 +39,7 @@ fn bench_retry_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("faults");
     group.bench_function("retry_fixed_x16", |b| {
         let policy = FixedRetry {
-            delay: 2_000_000,
+            delay: d(2_000_000),
             budget: 3,
         };
         let mut rng = StdRng::seed_from_u64(7);
@@ -39,15 +48,15 @@ fn bench_retry_policies(c: &mut Criterion) {
                 .map(|k| {
                     policy
                         .delay(std::hint::black_box(k % 5), &mut rng)
-                        .unwrap_or(0)
+                        .map_or(0, SimDuration::as_micros)
                 })
                 .sum::<u64>()
         })
     });
     group.bench_function("retry_backoff_x16", |b| {
         let policy = ExponentialBackoff {
-            base: 1_000_000,
-            cap: 60_000_000,
+            base: d(1_000_000),
+            cap: d(60_000_000),
             budget: 3,
             jitter: 0.5,
         };
@@ -57,7 +66,7 @@ fn bench_retry_policies(c: &mut Criterion) {
                 .map(|k| {
                     policy
                         .delay(std::hint::black_box(k % 5), &mut rng)
-                        .unwrap_or(0)
+                        .map_or(0, SimDuration::as_micros)
                 })
                 .sum::<u64>()
         })
@@ -84,7 +93,7 @@ fn bench_crash_recovery_roundtrip(c: &mut Criterion) {
             memory: 0.3,
             priority: 2,
             reqs: vec![],
-            arrival: k * 150_000,
+            arrival: t(k * 150_000),
             truth_group: 25,
         })
         .collect();
@@ -100,8 +109,8 @@ fn bench_crash_recovery_roundtrip(c: &mut Criterion) {
             let mut harness = simulator.harness(cluster, &arrivals, &mut scheduler);
             harness.state().borrow_mut().ledger_mut().enable_faults(
                 Box::new(ExponentialBackoff {
-                    base: 1_000_000,
-                    cap: 8_000_000,
+                    base: d(1_000_000),
+                    cap: d(8_000_000),
                     budget: 3,
                     jitter: 0.5,
                 }),
@@ -112,15 +121,15 @@ fn bench_crash_recovery_roundtrip(c: &mut Criterion) {
                 &machine_ids,
                 3,
                 2,
-                (10_000_000, 50_000_000),
-                20_000_000,
+                (t(10_000_000), t(50_000_000)),
+                d(20_000_000),
             );
             let plane = FaultPlane::new(plan, harness.engine, harness.state());
             attach(&mut harness.sim, "faults", plane);
             let cfg = AutoscaleConfig {
                 warm_pool: 1,
                 delay: ProvisionDelay::Fixed(3_000_000),
-                ..AutoscaleConfig::new(4, 12, 2_000_000, &config)
+                ..AutoscaleConfig::new(4, 12, d(2_000_000), &config)
             };
             let (scaler, _stats) = Autoscaler::new(cfg, ThresholdStep::default(), harness.state());
             attach(&mut harness.sim, "autoscaler", scaler);

@@ -53,7 +53,10 @@ fn main() {
     // loaded regime where head-of-line blocking hurts restrictive tasks.
     let trace = TraceGenerator::generate_cell(cell, cli.trace_scale(cell));
     let (cluster, mut arrivals) = arrivals_from_trace(&trace, 6_000);
-    compress_timeline(&mut arrivals, 20 * 60 * 1_000_000);
+    compress_timeline(
+        &mut arrivals,
+        ctlm_sim::SimTime::from_micros(20 * 60 * 1_000_000),
+    );
     let sim = Simulator::new(SimConfig {
         cycle: 1_000_000,
         attempts_per_cycle: 4,

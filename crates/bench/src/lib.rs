@@ -19,6 +19,7 @@ use ctlm_agocs::replay::{ReplayOutput, Replayer};
 use ctlm_trace::{CellSet, Scale, TraceGenerator};
 
 pub mod args;
+pub mod source;
 
 pub use args::ParsedArgs;
 

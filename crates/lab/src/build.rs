@@ -15,6 +15,7 @@ use ctlm_data::vocab::ValueVocab;
 use ctlm_sched::engine::{arrivals_from_trace, compress_timeline};
 use ctlm_sched::scenario::ChurnPlan;
 use ctlm_sched::{ArrivalStream, FaultPlan, PendingTask, SchedCluster, SimConfig};
+use ctlm_sim::{SimDuration, SimTime};
 use ctlm_trace::{AttrValue, EventPayload, Machine, MachineId, Micros, Scale, TraceGenerator};
 
 use ctlm_autoscale::{AutoscaleConfig, MachineTemplate, ThresholdStep};
@@ -59,7 +60,7 @@ pub struct BuiltFaults {
     pub retry: RetrySpec,
     /// Outbound spillover link-outage windows `[start, end)`, merged
     /// and time-sorted.
-    pub outages: Vec<(Micros, Micros)>,
+    pub outages: Vec<(SimTime, SimTime)>,
     /// Planned machine-downtime integral over the horizon (µs·machine),
     /// reported as per-cell unavailability.
     pub downtime_us: u64,
@@ -109,7 +110,7 @@ pub struct BuiltCell {
     /// Churn plan derived from the scenario, if any.
     pub churn: Option<ChurnPlan>,
     /// Gang arrivals derived from the scenario.
-    pub gangs: Vec<(Micros, Vec<PendingTask>)>,
+    pub gangs: Vec<(SimTime, Vec<PendingTask>)>,
     /// Retraining cadence, passed through to the run assembly.
     pub retrain: Option<RetrainSpec>,
     /// Resolved autoscaler, if the scenario requested one.
@@ -200,8 +201,8 @@ pub fn build_cell(
             sim.seed ^ c.seed ^ (index as u64).wrapping_mul(0x9E37_79B9),
             &machine_ids,
             c.failures,
-            c.window,
-            c.outage,
+            window(c.window),
+            SimDuration::from_micros(c.outage),
         )
     });
     let gangs = build_gangs(scenario, id_base)?;
@@ -225,12 +226,12 @@ pub fn build_cell(
             config: AutoscaleConfig {
                 min: a.min,
                 max: a.max,
-                cadence: a.cadence,
+                cadence: SimDuration::from_micros(a.cadence),
                 warm_pool: a.warm_pool,
                 delay: a.delay,
                 template,
                 seed: sim.seed ^ (index as u64).wrapping_mul(0xA5A5_1EAF_0000_0001),
-                horizon: sim.horizon,
+                horizon: SimTime::from_micros(sim.horizon),
                 id_base: AUTOSCALE_ID_BASE,
                 attr_base,
             },
@@ -252,22 +253,25 @@ pub fn build_cell(
                     c.zones
                 },
                 c.count,
-                c.window,
-                c.mttr,
+                window(c.window),
+                SimDuration::from_micros(c.mttr),
             ),
             None => FaultPlan::default(),
         };
-        let downtime_us = plan.downtime_us(sim.horizon);
+        let downtime_us = plan.downtime_us(SimTime::from_micros(sim.horizon));
         let outages = f
             .link_outage
             .as_ref()
             .map(|l| {
+                let period = SimDuration::from_micros(l.period);
                 (0..l.count.max(1))
                     .map(|k| {
-                        // An outage pushed past the end of time never
-                        // opens: saturate, do not wrap.
-                        let start = l.start.saturating_add(l.period.saturating_mul(k as Micros));
-                        (start, start.saturating_add(l.duration))
+                        let start = SimTime::from_micros(l.start)
+                            .saturating_add(period.saturating_mul(k as u64));
+                        (
+                            start,
+                            start.saturating_add(SimDuration::from_micros(l.duration)),
+                        )
                     })
                     .collect()
             })
@@ -314,7 +318,7 @@ fn build_trace_workload(w: &TraceWorkload, sim: &SimConfig) -> Workload {
     };
     let (cluster, mut arrivals) = arrivals_from_trace(&trace, max_tasks);
     if w.compress_to > 0 {
-        compress_timeline(&mut arrivals, w.compress_to);
+        compress_timeline(&mut arrivals, SimTime::from_micros(w.compress_to));
     }
     // Machine order and vocabulary follow the (deterministic) event
     // stream, never cluster-map iteration order.
@@ -402,17 +406,22 @@ pub(crate) fn kth_time(
         })
 }
 
+/// A spec's `[start, end)` window on the time axis.
+fn window((start, end): (u64, u64)) -> (SimTime, SimTime) {
+    (SimTime::from_micros(start), SimTime::from_micros(end))
+}
+
 /// Gang arrivals from the scenario spec.
 fn build_gangs(
     scenario: &ScenarioSpec,
     id_base: u64,
-) -> Result<Vec<(Micros, Vec<PendingTask>)>, LabError> {
+) -> Result<Vec<(SimTime, Vec<PendingTask>)>, LabError> {
     let Some(g) = &scenario.gangs else {
         return Ok(Vec::new());
     };
     (0..g.count)
         .map(|k| {
-            let time = kth_time("gang", g.start, k, g.period)?;
+            let time = SimTime::from_micros(kth_time("gang", g.start, k, g.period)?);
             let members = (0..g.size)
                 .map(|m| PendingTask {
                     id: id_base + 600_000_000 + (k * g.size + m) as u64,

@@ -65,6 +65,14 @@ use ctlm_lab::ExperimentSpec;
 use ctlm_telemetry::{HostFingerprint, Metrics, PerfReport};
 use serde::Deserialize;
 
+/// The synopsis at the top of this file, printed on a bad command line
+/// after `error: ` (so each line is indented under the first's forms).
+const USAGE: &str = "\
+usage: ctlm-lab <spec.json> [--out report.json] [--json] [--seed N] [--threads N]
+                       [--no-meta] [--metrics metrics.json] [--trace] [--spans spans.json]
+              ctlm-lab --diff <a.json> <b.json> [--tolerance X]
+              ctlm-lab explain <spans.json> [--task N] [--machine M] [--worst-latency K]";
+
 /// Counting allocator so `_meta.alloc_peak_bytes` reflects the run (the
 /// library never installs it; only this binary pays the two atomics).
 #[global_allocator]
@@ -125,11 +133,7 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::from(1));
     }
     let [path] = args.positionals() else {
-        return Err(
-            "usage: ctlm-lab <spec.json> [--out report.json] [--json] [--seed N] [--threads N]\n\
-             \x20      ctlm-lab --diff <a.json> <b.json> [--tolerance X]"
-                .into(),
-        );
+        return Err(USAGE.into());
     };
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read spec {path:?}: {e}"))?;

@@ -62,14 +62,14 @@ use ctlm_core::{GrowingModel, TrainConfig};
 use ctlm_data::vocab::ValueVocab;
 use ctlm_sched::engine::{CellHandle, EngineState, SpillRoute, PRIO_ADMIT, PRIO_STATE};
 use ctlm_sched::scenario::{ChurnSource, GangSource};
-use ctlm_sched::timed::next_tick;
 use ctlm_sched::{
     attach, Arrivals, EngineStats, FaultPlane, FaultStats, PendingTask, SchedCluster, SchedEvent,
     Scheduler, SimResult, Simulator, TimedSource,
 };
-use ctlm_sim::{Ctx, EpochAutotune, LaneStats, ParallelPerf, ParallelSim, Sim};
+use ctlm_sim::{
+    Ctx, EpochAutotune, LaneStats, ParallelPerf, ParallelSim, Sim, SimDuration, SimTime,
+};
 use ctlm_telemetry::{SpanLog, TraceRing};
-use ctlm_trace::Micros;
 
 use crate::build::{build_cell, BuiltArrivals, BuiltCell, CELL_ID_STRIDE};
 use crate::registry::{build_placer, build_scheduler, train_config, SchedulerInstance};
@@ -163,7 +163,7 @@ fn attach_full_cell<'a>(
     registry: &Option<ModelRegistry>,
     cluster: SchedCluster,
 ) -> Result<AttachedCell<'a>, LabError> {
-    let horizon = spec.sim.horizon;
+    let horizon = SimTime::from_micros(spec.sim.horizon);
     let arrivals = match &cell.arrivals {
         BuiltArrivals::Materialised(list) => Arrivals::List(list),
         BuiltArrivals::Streamed(w) => Arrivals::Stream(Box::new(SyntheticStream::new(
@@ -347,7 +347,7 @@ fn run_cells(
             ))
         })
         .collect::<Result<_, LabError>>()?;
-    let horizon = spec.sim.horizon;
+    let horizon = SimTime::from_micros(spec.sim.horizon);
 
     let mut handles = Vec::with_capacity(built.len());
     let mut autoscale_stats: Vec<Option<Rc<RefCell<AutoscaleStats>>>> =
@@ -356,8 +356,8 @@ fn run_cells(
     // One kernel shard per cell under the epoch-barrier coordinator.
     // Always — so `execution.threads` can never change the simulated
     // outcome, only the wall clock.
-    let mut psim: ParallelSim<'_, SchedEvent> =
-        ParallelSim::new(spec.execution.epoch_us.initial(), spec.execution.threads);
+    let epoch = SimDuration::from_micros(spec.execution.epoch_us.initial());
+    let mut psim: ParallelSim<'_, SchedEvent> = ParallelSim::new(epoch, spec.execution.threads);
     if spec.execution.epoch_us.is_auto() {
         psim.set_autotune(EpochAutotune::default());
     }
@@ -389,7 +389,7 @@ fn run_cells(
     let states: Vec<_> = handles.iter().map(|h| h.state()).collect();
     // Per-cell outbound link-outage windows from the fault plane —
     // pure spec data, so timeout decisions are thread-count-free.
-    let outages: Vec<&[(Micros, Micros)]> = built
+    let outages: Vec<&[(SimTime, SimTime)]> = built
         .iter()
         .map(|c| {
             c.faults
@@ -525,9 +525,9 @@ pub struct RetrainSource<'a> {
     vocab: Arc<ValueVocab>,
     model: GrowingModel,
     registry: ModelRegistry,
-    next: Option<Micros>,
-    period: Micros,
-    horizon: Micros,
+    next: Option<SimTime>,
+    period: SimDuration,
+    horizon: SimTime,
     seed: u64,
     trained_upto: usize,
     ticks: u64,
@@ -541,16 +541,17 @@ impl<'a> RetrainSource<'a> {
         registry: ModelRegistry,
         config: TrainConfig,
         cadence: &RetrainSpec,
-        horizon: Micros,
+        horizon: SimTime,
         seed: u64,
     ) -> Self {
+        let period = SimDuration::from_micros(cadence.period);
         Self {
             cell,
             vocab: cell.vocab.clone(),
             model: GrowingModel::new(config),
             registry,
-            next: Some(cadence.period),
-            period: cadence.period,
+            next: Some(SimTime::ZERO.saturating_add(period)),
+            period,
             horizon,
             seed,
             trained_upto: 0,
@@ -559,7 +560,7 @@ impl<'a> RetrainSource<'a> {
     }
 
     /// How many rows of the training set have arrived by `now`.
-    fn seen(&self, now: Micros) -> usize {
+    fn seen(&self, now: SimTime) -> usize {
         self.cell
             .arrivals
             .list()
@@ -571,11 +572,11 @@ impl<'a> RetrainSource<'a> {
 impl TimedSource for RetrainSource<'_> {
     const CLASS: u8 = PRIO_STATE;
 
-    fn next_time(&self) -> Option<Micros> {
+    fn next_time(&self) -> Option<SimTime> {
         self.next
     }
 
-    fn fire(&mut self, now: Micros, _ctx: &mut Ctx<'_, SchedEvent>) {
+    fn fire(&mut self, now: SimTime, _ctx: &mut Ctx<'_, SchedEvent>) {
         let seen = self.seen(now);
         if seen >= RETRAIN_MIN_ROWS && seen > self.trained_upto {
             self.trained_upto = seen;
@@ -589,6 +590,6 @@ impl TimedSource for RetrainSource<'_> {
                 .install(self.model.analyzer(self.vocab.clone()));
             self.ticks += 1;
         }
-        self.next = next_tick(now, self.period, self.horizon);
+        self.next = now.next_tick(self.period, self.horizon);
     }
 }

@@ -32,6 +32,7 @@ use serde::{Deserialize, Serialize};
 use ctlm_autoscale::ProvisionDelay;
 use ctlm_sched::cluster::MAX_MACHINE_CPU;
 use ctlm_sched::{ExponentialBackoff, FixedRetry, RetryPolicy, SimConfig};
+use ctlm_sim::SimDuration;
 use ctlm_trace::pareto::{BoundedPareto, Exponential};
 use ctlm_trace::{CellSet, Micros};
 
@@ -382,6 +383,7 @@ pub struct MachineGroup {
 /// Inter-arrival gap processes (`ctlm-trace` provides the heavy-tailed
 /// sampler).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum ArrivalProcess {
     /// Fixed gap between arrivals.
     Uniform {
@@ -431,6 +433,7 @@ impl ArrivalProcess {
 
 /// Resource-request distributions.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum SizeDist {
     /// Every task requests exactly this much.
     Fixed(f64),
@@ -772,12 +775,12 @@ impl RetrySpec {
     pub(crate) fn build(&self) -> Result<Box<dyn RetryPolicy>, LabError> {
         match self.policy.as_str() {
             "fixed" => Ok(Box::new(FixedRetry {
-                delay: self.base,
+                delay: SimDuration::from_micros(self.base),
                 budget: self.budget,
             })),
             "exponential" => Ok(Box::new(ExponentialBackoff {
-                base: self.base,
-                cap: self.cap.max(self.base),
+                base: SimDuration::from_micros(self.base),
+                cap: SimDuration::from_micros(self.cap.max(self.base)),
                 budget: self.budget,
                 jitter: self.jitter,
             })),

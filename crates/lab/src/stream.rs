@@ -30,6 +30,7 @@ use rand::{Rng, SeedableRng};
 use ctlm_data::compaction::collapse;
 use ctlm_data::dataset::group_for_count;
 use ctlm_sched::{ArrivalStream, PendingTask, SimConfig};
+use ctlm_sim::SimTime;
 use ctlm_trace::{AttrValue, ConstraintOp, Micros, TaskConstraint};
 
 use crate::build::{kth_time, ATTR_VALUE_STRIDE};
@@ -120,6 +121,7 @@ impl SyntheticStream {
                     ConstraintOp::Equal(Some(AttrValue::Int(pin))),
                 )])
                 .map_err(|e| LabError::msg(format!("restrictive constraint: {e:?}")))?;
+                let arrival = kth_time("restrictive task", r.start, j, r.period)?;
                 restrictive.push(PendingTask {
                     id: id_base + 500_000_000 + j as u64,
                     collection: 2,
@@ -127,7 +129,7 @@ impl SyntheticStream {
                     memory: r.cpu,
                     priority: r.priority,
                     reqs,
-                    arrival: kth_time("restrictive task", r.start, j, r.period)?,
+                    arrival: SimTime::from_micros(arrival),
                     truth_group: 0,
                 });
             }
@@ -169,7 +171,7 @@ impl SyntheticStream {
             memory: self.memory.sample(&mut self.rng),
             priority: self.priority,
             reqs: vec![],
-            arrival: self.now,
+            arrival: SimTime::from_micros(self.now),
             truth_group: self.background_group,
         };
         self.next_id += 1;
@@ -241,7 +243,7 @@ mod tests {
             seed: 11,
             ..SimConfig::default()
         };
-        let drain = |chunk: usize| -> Vec<(u64, Micros, u64, u64, u8, usize)> {
+        let drain = |chunk: usize| -> Vec<(u64, SimTime, u64, u64, u8, usize)> {
             let mut s = SyntheticStream::new(&w, &sim, 1, 1 << 40, chunk).unwrap();
             let mut all = Vec::new();
             while s.refill(&mut all) > 0 {}

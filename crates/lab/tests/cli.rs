@@ -76,6 +76,36 @@ fn every_regression_spec_exits_as_recorded() {
     }
 }
 
+/// A command line that names no spec prints the synopsis at the top of
+/// `main.rs` — every form and option, not a subset.
+#[test]
+fn a_bad_command_line_prints_the_whole_synopsis() {
+    let main = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("src/main.rs"))
+        .expect("main.rs");
+    let synopsis: Vec<&str> = main
+        .lines()
+        .skip_while(|l| *l != "//! ```text")
+        .skip(1)
+        .take_while(|l| *l != "//! ```")
+        .map(|l| l.trim_start_matches("//! "))
+        .collect();
+    assert_eq!(synopsis.len(), 4, "{synopsis:?}");
+    for args in [&[][..], &["a.json", "b.json"]] {
+        let out = ctlm_lab(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let printed: Vec<&str> = stderr
+            .lines()
+            .enumerate()
+            .map(|(i, l)| match i {
+                0 => l.strip_prefix("error: usage: ").unwrap_or(l),
+                _ => l.strip_prefix(&" ".repeat(14)).unwrap_or(l),
+            })
+            .collect();
+        assert_eq!(printed, synopsis, "{args:?}: {stderr}");
+    }
+}
+
 /// One command line: its arguments, its exit code, its exact stdout
 /// (where that is the point) and what its stderr must contain.
 type Case<'a> = (&'a [&'a str], i32, Option<&'a str>, &'a [&'a str]);

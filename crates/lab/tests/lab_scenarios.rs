@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use ctlm_autoscale::ProvisionDelay;
+use ctlm_lab::flight::trace_document;
 use ctlm_lab::report::to_pretty_json;
 use ctlm_lab::run::{run_scheduler_observed, ArrivalMode};
 use ctlm_lab::spec::{
@@ -14,7 +15,7 @@ use ctlm_lab::spec::{
     MachineGroup, ObservabilitySpec, PlacerSpec, PolicyParams, RestrictiveSpec, RetrySpec,
     ScenarioSpec, SizeDist, SpilloverPolicy, SweepSpec, SyntheticWorkload, TrainSpec, WorkloadSpec,
 };
-use ctlm_lab::{run_spec, run_spec_json};
+use ctlm_lab::{run_spec, run_spec_json, run_spec_observed};
 use ctlm_sched::SimConfig;
 
 /// A small contended synthetic spec exercising churn, gangs and a sweep.
@@ -929,6 +930,52 @@ fn arrivals_past_the_end_of_the_time_axis_are_errors_not_wrapped_runs() {
         );
         run_spec_json(&spec(scheduler, 30_000, "")).expect("the unbent spec runs");
     }
+}
+
+/// A runtime drawn past the end of time is a task that never finishes
+/// before the horizon — the same run as one whose runtimes merely
+/// outlast it. Wrapped, each completion landed just before its own
+/// placement and every run span closed at length 0.
+#[test]
+fn runtimes_past_the_end_of_time_never_finish() {
+    let run = |mean_runtime: u64| {
+        let text = format!(
+            r#"{{
+            "name": "late_runtime",
+            "schedulers": ["main_only"],
+            "sim": {{"cycle": 500000, "attempts_per_cycle": 3,
+                     "mean_runtime": {mean_runtime}, "horizon": 60000000, "seed": 7}},
+            "workload": {{"Synthetic": {{
+                "machines": [{{"count": 4, "cpu": 1.0, "memory": 1.0}}],
+                "tasks": 40,
+                "arrival": {{"Uniform": {{"gap": 30000}}}}
+            }}}},
+            "observability": {{"metrics": true, "spans": true}}
+        }}"#
+        );
+        let spec = ExperimentSpec::from_json(&text).expect("spec parses");
+        let (report, obs) = run_spec_observed(&spec, ArrivalMode::Streaming).expect("spec runs");
+        let spans = to_pretty_json(&trace_document(&obs, false));
+        let runs: Vec<(u64, u64)> = obs
+            .spans
+            .iter()
+            .flat_map(|(_, log)| log.records())
+            .filter(|r| r.kind == "running")
+            .map(|r| (r.start, r.end))
+            .collect();
+        (to_pretty_json(&report), obs.metrics, spans, runs)
+    };
+    let (report, metrics, spans, runs) = run(u64::MAX);
+    assert!(!runs.is_empty(), "tasks were placed");
+    assert!(
+        runs.iter()
+            .all(|&(start, end)| end == 60_000_000 && start < end),
+        "every run lasts until the horizon: {runs:?}"
+    );
+    let (long_report, long_metrics, long_spans, _) = run(100_000_000_000_000_000);
+    assert_eq!(report, long_report);
+    assert_eq!(metrics, long_metrics);
+    assert_eq!(spans, long_spans);
 }
 
 #[test]

@@ -125,7 +125,7 @@ fn every_retrain_tick_trains_on_what_a_from_scratch_builder_would_hold() {
         .map(|k| k * period)
         .take_while(|&t| t <= spec.sim.horizon)
     {
-        let seen = arrivals.partition_point(|t| t.arrival <= now);
+        let seen = arrivals.partition_point(|t| t.arrival.as_micros() <= now);
         if seen == 0 {
             continue;
         }

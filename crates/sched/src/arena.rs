@@ -215,7 +215,7 @@ mod tests {
             memory: 0.1,
             priority: 2,
             reqs: vec![],
-            arrival: id,
+            arrival: ctlm_sim::SimTime::from_micros(id),
             truth_group: 25,
         }
     }

@@ -56,10 +56,8 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use ctlm_data::compaction::{collapse, AttrRequirement};
-use ctlm_sim::{CompId, Component, Ctx, Event, Sim};
-use ctlm_trace::{
-    AttrId, AttrValue, EventPayload, GeneratedTrace, Machine, MachineId, Micros, TaskId,
-};
+use ctlm_sim::{CompId, Component, Ctx, Event, Sim, SimDuration, SimTime};
+use ctlm_trace::{AttrId, AttrValue, EventPayload, GeneratedTrace, Machine, MachineId, TaskId};
 
 use crate::arena::TaskSlab;
 use crate::cluster::{CapacityFit, SchedCluster};
@@ -71,7 +69,7 @@ use crate::placement::{BestFit, PlaceCtx, Placement, Placer, PreemptiveBestFit};
 use crate::queue::PendingTask;
 use crate::scheduler::Scheduler;
 use crate::stream::{ArrivalFeed, ArrivalStream, Arrivals};
-use crate::timed::{attach, next_tick, TimedSource};
+use crate::timed::{attach, TimedSource};
 
 /// Delivery class for completions and machine-state changes — first at a
 /// timestamp.
@@ -148,14 +146,14 @@ pub enum SchedEvent {
 #[serde(deny_unknown_fields)]
 pub struct SimConfig {
     /// Scheduler pass period (µs).
-    pub cycle: Micros,
+    pub cycle: u64,
     /// Main-queue placement attempts per cycle (the head-of-line budget).
     pub attempts_per_cycle: usize,
     /// Mean task runtime (µs), exponential.
-    pub mean_runtime: Micros,
+    pub mean_runtime: u64,
     /// Give-up horizon (µs) — tasks still pending at the end count as
     /// unplaced.
-    pub horizon: Micros,
+    pub horizon: u64,
     /// RNG seed for runtimes.
     pub seed: u64,
 }
@@ -315,7 +313,7 @@ impl<'a> EngineState<'a> {
     pub fn control_decision(
         &mut self,
         kind: &'static str,
-        now: Micros,
+        now: SimTime,
         cause: &'static str,
         plan: &'static str,
         a: u64,
@@ -356,7 +354,7 @@ impl<'a> EngineState<'a> {
     /// is recorded on the cell's control track. Called ahead of the
     /// crash's delivery, so the record precedes the `machine_down` span
     /// it explains.
-    pub fn override_claim(&mut self, machine: MachineId, now: Micros) {
+    pub fn override_claim(&mut self, machine: MachineId, now: SimTime) {
         let displaced = self.claims.override_claim(machine, LifecycleOwner::Fault);
         let owner = displaced.map_or("unclaimed", LifecycleOwner::name);
         self.record(now, Step::ClaimOverridden(machine, owner));
@@ -368,7 +366,7 @@ impl<'a> EngineState<'a> {
     /// drain or crash claim to take. False, and the machine is dropped,
     /// when `owner` no longer holds it: a crash displaced the claim and
     /// the machine never comes online.
-    pub fn admit_claimed(&mut self, m: Machine, owner: LifecycleOwner, now: Micros) -> bool {
+    pub fn admit_claimed(&mut self, m: Machine, owner: LifecycleOwner, now: SimTime) -> bool {
         let id = m.id;
         if self.claims.owner(id) != Some(owner) {
             return false;
@@ -386,7 +384,7 @@ impl<'a> EngineState<'a> {
         &mut self,
         id: MachineId,
         owner: LifecycleOwner,
-        now: Micros,
+        now: SimTime,
     ) -> Option<Machine> {
         if !self.claims.try_claim(id, owner) {
             return None;
@@ -403,7 +401,7 @@ impl<'a> EngineState<'a> {
     /// re-enter admission (they keep their first-placement latency
     /// record; the reschedule is counted) and the machine is parked
     /// offline. Returns false for machines that are not online.
-    fn drain_machine(&mut self, id: MachineId, now: Micros) -> bool {
+    fn drain_machine(&mut self, id: MachineId, now: SimTime) -> bool {
         let Some(evicted) = self.cluster.remove_machine(id) else {
             return false;
         };
@@ -420,7 +418,7 @@ impl<'a> EngineState<'a> {
     /// update incrementally) — the one join path: a
     /// [`SchedEvent::MachineJoin`] delivery and
     /// [`EngineState::admit_claimed`] both end here.
-    fn admit_machine(&mut self, m: Machine, now: Micros) {
+    fn admit_machine(&mut self, m: Machine, now: SimTime) {
         self.record(now, Step::MachineJoined(m.id));
         self.cluster.add_machine(m);
     }
@@ -456,7 +454,7 @@ impl<'a> EngineState<'a> {
     /// The arrival feed just emitted the task to the epoch outbox as a
     /// [`SchedEvent::SpillRequest`]; `reason` is its
     /// [`EngineState::rejection`].
-    pub(crate) fn spilled(&mut self, idx: usize, now: Micros, reason: &'static str) {
+    pub(crate) fn spilled(&mut self, idx: usize, now: SimTime, reason: &'static str) {
         self.record(now, Step::Spilled(idx, reason));
     }
 
@@ -465,18 +463,18 @@ impl<'a> EngineState<'a> {
     /// home cell's own index unless `route` is [`SpillRoute::Sibling`])
     /// at time `at`. Closes the transit span and, for a task cloned away
     /// to a sibling, retires the home arena slot — clone it first.
-    pub fn resolve_spill(&mut self, idx: usize, at: Micros, route: SpillRoute, cell: usize) {
+    pub fn resolve_spill(&mut self, idx: usize, at: SimTime, route: SpillRoute, cell: usize) {
         self.record(at, Step::SpillResolved(idx, route, cell));
     }
 
     /// Reports one lifecycle transition to the ledger.
-    fn record(&mut self, now: Micros, step: Step) -> Next {
+    fn record(&mut self, now: SimTime, step: Step) -> Next {
         self.ledger
             .transition(&mut self.slab, &self.cluster, now, step)
     }
 
     /// Admits a task: recorded, then routed into a queue.
-    fn admit(&mut self, idx: usize, now: Micros, cause: Admission) {
+    fn admit(&mut self, idx: usize, now: SimTime, cause: Admission) {
         self.record(now, Step::Admitted(idx, cause));
         self.enqueue(idx);
     }
@@ -504,7 +502,8 @@ impl<'a> EngineState<'a> {
         self.cluster
             .place(machine, task, t.cpu, t.memory, t.priority);
         let u: f64 = self.rng.gen_range(1e-9..1.0);
-        let runtime = (((-u.ln()) * self.cfg.mean_runtime as f64) as Micros).max(1);
+        let mean = self.cfg.mean_runtime as f64;
+        let runtime = SimDuration::from_micros_f64(-u.ln() * mean).max(SimDuration::MICRO);
         ctx.emit_prio(
             runtime,
             PRIO_STATE,
@@ -713,7 +712,8 @@ impl<'a> EngineState<'a> {
     fn finish(&mut self) -> (SchedCluster, SimResult) {
         let queued = (self.hp.drain(..).chain(self.main.drain(..)))
             .chain(self.pending_gangs.drain(..).flat_map(|(s, len)| s..s + len));
-        let result = self.ledger.finish(&self.slab, self.cfg.horizon, queued);
+        let horizon = SimTime::from_micros(self.cfg.horizon);
+        let result = self.ledger.finish(&self.slab, horizon, queued);
         self.pending_gang_members = 0;
         (std::mem::take(&mut self.cluster), result)
     }
@@ -733,22 +733,22 @@ impl Component<SchedEvent> for EngineComponent<'_> {
 
 /// Fires the scheduler pass every `period` µs, from 0 up to the horizon.
 pub struct CycleTimer {
-    next: Option<Micros>,
-    period: Micros,
-    horizon: Micros,
+    next: Option<SimTime>,
+    period: SimDuration,
+    horizon: SimTime,
     engine: CompId,
 }
 
 impl TimedSource for CycleTimer {
     const CLASS: u8 = PRIO_PASS;
 
-    fn next_time(&self) -> Option<Micros> {
+    fn next_time(&self) -> Option<SimTime> {
         self.next
     }
 
-    fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>) {
-        ctx.emit_prio(0, PRIO_PASS, self.engine, SchedEvent::Cycle);
-        self.next = next_tick(now, self.period, self.horizon);
+    fn fire(&mut self, now: SimTime, ctx: &mut Ctx<'_, SchedEvent>) {
+        ctx.emit_prio(SimDuration::ZERO, PRIO_PASS, self.engine, SchedEvent::Cycle);
+        self.next = now.next_tick(self.period, self.horizon);
     }
 }
 
@@ -842,9 +842,9 @@ impl Simulator {
         let feed = ArrivalFeed::new(list.len(), stream, state.clone(), engine, spill);
         attach(sim, format!("{name}/arrival_feed"), feed);
         let timer = CycleTimer {
-            next: Some(0),
-            period: cfg.cycle,
-            horizon: cfg.horizon,
+            next: Some(SimTime::ZERO),
+            period: SimDuration::from_micros(cfg.cycle),
+            horizon: SimTime::from_micros(cfg.horizon),
             engine,
         };
         attach(sim, format!("{name}/cycle_timer"), timer);
@@ -880,7 +880,7 @@ impl Simulator {
             sim,
             engine: cell.engine,
             state: cell.state,
-            horizon: self.config.horizon,
+            horizon: SimTime::from_micros(self.config.horizon),
         }
     }
 }
@@ -921,7 +921,7 @@ pub struct Harness<'a> {
     /// emit scheduling events to.
     pub engine: CompId,
     state: Rc<RefCell<EngineState<'a>>>,
-    horizon: Micros,
+    horizon: SimTime,
 }
 
 impl<'a> Harness<'a> {
@@ -943,17 +943,17 @@ impl<'a> Harness<'a> {
     }
 }
 
-/// Rescales arrival times into `[0, span]`, preserving order — trace
+/// Rescales arrival times into `[0, end]`, preserving order — trace
 /// horizons are weeks, scheduler experiments run minutes-to-hours of
 /// simulated time, so the workload is compressed onto the experiment
 /// window (intensifying contention, which is the regime of interest).
-pub fn compress_timeline(arrivals: &mut [PendingTask], span: Micros) {
-    let max = arrivals.iter().map(|t| t.arrival).max().unwrap_or(0);
-    if max == 0 {
+pub fn compress_timeline(arrivals: &mut [PendingTask], end: SimTime) {
+    let max = arrivals.iter().map(|t| t.arrival).max().unwrap_or_default();
+    if max == SimTime::ZERO {
         return;
     }
     for t in arrivals.iter_mut() {
-        t.arrival = ((t.arrival as u128 * span as u128) / max as u128) as Micros;
+        t.arrival = t.arrival.rescale(max, end);
     }
 }
 
@@ -1007,7 +1007,7 @@ pub fn arrivals_from_trace(
                 reqs,
                 suitable,
                 trace.group_width,
-                ev.time,
+                SimTime::from_micros(ev.time),
             ));
         }
     }
@@ -1041,7 +1041,7 @@ mod tests {
                 memory: 0.1,
                 priority: 2,
                 reqs: vec![],
-                arrival: k * 25_000, // 400 tasks in 10 s
+                arrival: SimTime::from_micros(k * 25_000), // 400 tasks in 10 s
                 truth_group: 25,
             });
         }
@@ -1058,7 +1058,7 @@ mod tests {
                 memory: 0.2,
                 priority: 6,
                 reqs,
-                arrival: t_arr,
+                arrival: SimTime::from_micros(t_arr),
                 truth_group: 0,
             });
         }
@@ -1147,7 +1147,7 @@ mod tests {
                 memory: 0.33,
                 priority: 1,
                 reqs: vec![],
-                arrival: 0,
+                arrival: SimTime::from_micros(0),
                 truth_group: 25,
             });
         }
@@ -1161,7 +1161,7 @@ mod tests {
             memory: 0.5,
             priority: 9,
             reqs,
-            arrival: 2_000_000,
+            arrival: SimTime::from_micros(2_000_000),
             truth_group: 0,
         });
         let config = SimConfig {
@@ -1206,7 +1206,7 @@ mod tests {
                     sched,
                     false,
                 );
-                kernel.run_until(s.config().horizon);
+                kernel.run_until(SimTime::from_micros(s.config().horizon));
                 drop(kernel);
                 let (_, result) = cell.finish();
                 assert_eq!(&result, base, "chunk {chunk} scheduler {which}");

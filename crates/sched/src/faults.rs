@@ -19,10 +19,10 @@
 //! Recovery is policy-driven: every lost task is charged against a
 //! [`RetryPolicy`] budget and either rescheduled after a (possibly
 //! jittered, but always seeded) backoff delay or dead-lettered as
-//! `failed_permanently` — never silently hung. All randomness flows
-//! through seeded [`StdRng`]s, so a fault schedule is a pure function of
-//! the spec plus the seed and reports stay byte-identical at any
-//! `execution.threads`.
+//! `failed_permanently` — never silently hung; a backoff or recovery
+//! past the end of time never lands. Randomness flows through seeded
+//! [`StdRng`]s: a fault schedule is a pure function of spec and seed,
+//! and reports stay byte-identical at any `execution.threads`.
 //!
 //! ## Crash vs. drain
 //!
@@ -39,14 +39,14 @@ use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ctlm_sim::{CompId, Ctx};
+use ctlm_sim::{CompId, Ctx, SimDuration, SimTime};
 use ctlm_telemetry::Histogram;
-use ctlm_trace::{MachineId, Micros};
+use ctlm_trace::MachineId;
 
 use crate::engine::{EngineState, SchedEvent, PRIO_STATE};
 use crate::idmap::IdMap;
 use crate::lifecycle::LifecycleOwner;
-use crate::timed::{Plan, TimedSource};
+use crate::timed::{draw_in, Plan, TimedSource};
 
 /// Seed mix for fault plans, keeping the fault RNG stream disjoint from
 /// churn (`^ 0xC4012`) and the engine (`^ 0x5C4E_D111`).
@@ -61,7 +61,7 @@ const PLAN_SEED_MIX: u64 = 0xFA17_70B5;
 /// deterministic.
 pub trait RetryPolicy {
     /// Backoff delay before retry `attempt`, or `None` to dead-letter.
-    fn delay(&self, attempt: u32, rng: &mut StdRng) -> Option<Micros>;
+    fn delay(&self, attempt: u32, rng: &mut StdRng) -> Option<SimDuration>;
 
     /// Registry name, surfaced in docs and reports.
     fn name(&self) -> &'static str;
@@ -71,14 +71,14 @@ pub trait RetryPolicy {
 #[derive(Clone, Copy, Debug)]
 pub struct FixedRetry {
     /// Delay before every retry.
-    pub delay: Micros,
+    pub delay: SimDuration,
     /// Maximum retry attempts before dead-lettering.
     pub budget: u32,
 }
 
 impl RetryPolicy for FixedRetry {
-    fn delay(&self, attempt: u32, _rng: &mut StdRng) -> Option<Micros> {
-        (attempt <= self.budget).then_some(self.delay.max(1))
+    fn delay(&self, attempt: u32, _rng: &mut StdRng) -> Option<SimDuration> {
+        (attempt <= self.budget).then_some(self.delay.max(SimDuration::MICRO))
     }
 
     fn name(&self) -> &'static str {
@@ -92,9 +92,9 @@ impl RetryPolicy for FixedRetry {
 #[derive(Clone, Copy, Debug)]
 pub struct ExponentialBackoff {
     /// First-attempt delay.
-    pub base: Micros,
+    pub base: SimDuration,
     /// Upper bound on the un-jittered delay.
-    pub cap: Micros,
+    pub cap: SimDuration,
     /// Maximum retry attempts before dead-lettering.
     pub budget: u32,
     /// Jitter half-width as a fraction of the delay, clamped to `[0, 1)`.
@@ -102,19 +102,20 @@ pub struct ExponentialBackoff {
 }
 
 impl RetryPolicy for ExponentialBackoff {
-    fn delay(&self, attempt: u32, rng: &mut StdRng) -> Option<Micros> {
+    fn delay(&self, attempt: u32, rng: &mut StdRng) -> Option<SimDuration> {
         if attempt > self.budget {
             return None;
         }
         let shift = (attempt - 1).min(62);
-        let raw = self.base.saturating_mul(1u64 << shift).min(self.cap.max(1));
+        let cap = self.cap.max(SimDuration::MICRO);
+        let raw = self.base.saturating_mul(1u64 << shift).min(cap);
         let jitter = self.jitter.clamp(0.0, 0.999);
         let factor = if jitter > 0.0 {
             1.0 - jitter + rng.gen_range(0.0..(2.0 * jitter))
         } else {
             1.0
         };
-        Some(((raw as f64 * factor) as Micros).max(1))
+        Some(raw.mul_f64(factor).max(SimDuration::MICRO))
     }
 
     fn name(&self) -> &'static str {
@@ -137,12 +138,12 @@ pub enum FaultAction {
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     /// The schedule, sorted by time.
-    pub events: Vec<(Micros, FaultAction)>,
+    pub events: Vec<(SimTime, FaultAction)>,
 }
 
 impl FaultPlan {
     /// A plan from explicit pairs (sorted internally, stable).
-    pub fn new(mut events: Vec<(Micros, FaultAction)>) -> Self {
+    pub fn new(mut events: Vec<(SimTime, FaultAction)>) -> Self {
         events.sort_by_key(|&(t, _)| t);
         Self { events }
     }
@@ -159,8 +160,8 @@ impl FaultPlan {
         fleet: &[MachineId],
         zones: usize,
         crashes: usize,
-        window: (Micros, Micros),
-        mttr: Micros,
+        window: (SimTime, SimTime),
+        mttr: SimDuration,
     ) -> Self {
         if fleet.is_empty() || crashes == 0 {
             return Self::default();
@@ -169,14 +170,12 @@ impl FaultPlan {
         let zones = zones.clamp(1, fleet.len());
         let chunk = fleet.len().div_ceil(zones);
         let domains: Vec<&[MachineId]> = fleet.chunks(chunk.max(1)).collect();
-        let span = window.1.saturating_sub(window.0).max(1);
         let mut events = Vec::with_capacity(crashes * 2 * chunk);
         for _ in 0..crashes {
             let zone = domains[rng.gen_range(0..domains.len())];
-            let t = window.0.saturating_add(rng.gen_range(0..span));
+            let t = draw_in(window, &mut rng);
             let u: f64 = rng.gen_range(1e-9..1.0);
-            let outage = (((-u.ln()) * mttr as f64) as Micros).max(1);
-            // A recovery that would land past the end of time never lands.
+            let outage = mttr.mul_f64(-u.ln()).max(SimDuration::MICRO);
             let back = t.saturating_add(outage);
             for &m in zone {
                 events.push((t, FaultAction::Crash(m)));
@@ -186,17 +185,12 @@ impl FaultPlan {
         Self::new(events)
     }
 
-    /// True when no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Total machine-downtime (machine·µs) the plan implies within
     /// `[0, horizon]` — nested outages of one machine count once, and
     /// machines still down at the horizon accrue up to it. This is the
     /// per-cell unavailability a report quotes without replaying the run.
-    pub fn downtime_us(&self, horizon: Micros) -> u64 {
-        let mut down: IdMap<MachineId, (Micros, u32)> = IdMap::default();
+    pub fn downtime_us(&self, horizon: SimTime) -> u64 {
+        let mut down: IdMap<MachineId, (SimTime, u32)> = IdMap::default();
         let mut total = 0u64;
         for &(t, ref action) in &self.events {
             match action {
@@ -209,14 +203,14 @@ impl FaultPlan {
                         entry.1 -= 1;
                         if entry.1 == 0 {
                             let (start, _) = down.remove(id).expect("entry present");
-                            total += t.min(horizon).saturating_sub(start.min(horizon));
+                            total += t.min(horizon).since(start).as_micros();
                         }
                     }
                 }
             }
         }
         for (_, (start, _)) in down {
-            total += horizon.saturating_sub(start.min(horizon));
+            total += horizon.since(start).as_micros();
         }
         total
     }
@@ -287,11 +281,12 @@ impl<'a> FaultPlane<'a> {
 impl TimedSource for FaultPlane<'_> {
     const CLASS: u8 = PRIO_STATE;
 
-    fn next_time(&self) -> Option<Micros> {
+    fn next_time(&self) -> Option<SimTime> {
         self.plan.next_time()
     }
 
-    fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>) {
+    fn fire(&mut self, now: SimTime, ctx: &mut Ctx<'_, SchedEvent>) {
+        const NOW: SimDuration = SimDuration::ZERO;
         while let Some(action) = self.plan.pop_due(now) {
             match action {
                 FaultAction::Crash(id) => {
@@ -302,7 +297,7 @@ impl TimedSource for FaultPlane<'_> {
                         // in-flight drain/provision claim.
                         self.state.borrow_mut().override_claim(*id, now);
                     }
-                    ctx.emit_prio(0, PRIO_STATE, self.engine, SchedEvent::MachineCrash(*id));
+                    ctx.emit_prio(NOW, PRIO_STATE, self.engine, SchedEvent::MachineCrash(*id));
                 }
                 FaultAction::Recover(id) => {
                     // Recover only when the last overlapping outage ends;
@@ -314,7 +309,7 @@ impl TimedSource for FaultPlane<'_> {
                             let fault = LifecycleOwner::Fault;
                             self.state.borrow_mut().release_claim(*id, fault);
                             let back = SchedEvent::MachineRestore(*id);
-                            ctx.emit_prio(0, PRIO_STATE, self.engine, back);
+                            ctx.emit_prio(NOW, PRIO_STATE, self.engine, back);
                         }
                     }
                 }
@@ -329,29 +324,37 @@ mod tests {
 
     use super::*;
 
+    fn t(us: u64) -> SimTime {
+        SimTime::from_micros(us)
+    }
+
+    fn d(us: u64) -> SimDuration {
+        SimDuration::from_micros(us)
+    }
+
     #[test]
     fn fixed_retry_exhausts_its_budget() {
         let p = FixedRetry {
-            delay: 500,
+            delay: d(500),
             budget: 2,
         };
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(p.delay(1, &mut rng), Some(500));
-        assert_eq!(p.delay(2, &mut rng), Some(500));
+        assert_eq!(p.delay(1, &mut rng), Some(d(500)));
+        assert_eq!(p.delay(2, &mut rng), Some(d(500)));
         assert_eq!(p.delay(3, &mut rng), None);
     }
 
     #[test]
     fn exponential_backoff_grows_caps_and_jitters_within_bounds() {
         let p = ExponentialBackoff {
-            base: 1_000,
-            cap: 6_000,
+            base: d(1_000),
+            cap: d(6_000),
             budget: 10,
             jitter: 0.5,
         };
         let mut rng = StdRng::seed_from_u64(7);
         for attempt in 1..=10u32 {
-            let d = p.delay(attempt, &mut rng).unwrap();
+            let d = p.delay(attempt, &mut rng).unwrap().as_micros();
             let raw = 1_000u64.saturating_mul(1 << (attempt - 1)).min(6_000);
             let lo = (raw as f64 * 0.5) as u64;
             let hi = (raw as f64 * 1.5) as u64 + 1;
@@ -366,8 +369,8 @@ mod tests {
     #[test]
     fn exponential_backoff_is_deterministic_per_seed() {
         let p = ExponentialBackoff {
-            base: 2_000,
-            cap: 60_000,
+            base: d(2_000),
+            cap: d(60_000),
             budget: 5,
             jitter: 0.5,
         };
@@ -382,7 +385,7 @@ mod tests {
     #[test]
     fn zone_crashes_take_whole_domains_down_together() {
         let fleet: Vec<MachineId> = (0..12).collect();
-        let plan = FaultPlan::zone_crashes(9, &fleet, 3, 2, (1_000, 2_000), 5_000);
+        let plan = FaultPlan::zone_crashes(9, &fleet, 3, 2, (t(1_000), t(2_000)), d(5_000));
         // 2 crash events × 4 machines per zone, each with a paired
         // recovery.
         let crashes: Vec<_> = plan
@@ -392,7 +395,7 @@ mod tests {
             .collect();
         assert_eq!(crashes.len(), 8);
         // All members of one event share a crash instant.
-        let mut by_time: HashMap<Micros, usize> = HashMap::new();
+        let mut by_time: HashMap<SimTime, usize> = HashMap::new();
         for (t, _) in &crashes {
             *by_time.entry(*t).or_insert(0) += 1;
         }
@@ -402,7 +405,7 @@ mod tests {
         // Deterministic per seed.
         assert_eq!(
             plan.events,
-            FaultPlan::zone_crashes(9, &fleet, 3, 2, (1_000, 2_000), 5_000).events
+            FaultPlan::zone_crashes(9, &fleet, 3, 2, (t(1_000), t(2_000)), d(5_000)).events
         );
     }
 
@@ -412,24 +415,24 @@ mod tests {
         // long as the time axis: every recovery clamps to the end of
         // time — none wraps to before its crash.
         let fleet: Vec<MachineId> = (0..4).collect();
-        let plan =
-            FaultPlan::zone_crashes(1, &fleet, 2, 2, (Micros::MAX, Micros::MAX), Micros::MAX);
+        let end = (SimTime::MAX, SimTime::MAX);
+        let plan = FaultPlan::zone_crashes(1, &fleet, 2, 2, end, d(u64::MAX));
         assert_eq!(plan.events.len(), 8);
-        assert!(plan.events.iter().all(|&(t, _)| t == Micros::MAX));
+        assert!(plan.events.iter().all(|&(t, _)| t == SimTime::MAX));
     }
 
     #[test]
     fn downtime_clamps_to_horizon_and_merges_nested_outages() {
         let plan = FaultPlan::new(vec![
-            (100, FaultAction::Crash(1)),
-            (150, FaultAction::Crash(1)), // nested: same machine again
-            (200, FaultAction::Recover(1)),
-            (300, FaultAction::Recover(1)), // last recovery ends the outage
-            (400, FaultAction::Crash(2)),   // never recovers
+            (t(100), FaultAction::Crash(1)),
+            (t(150), FaultAction::Crash(1)), // nested: same machine again
+            (t(200), FaultAction::Recover(1)),
+            (t(300), FaultAction::Recover(1)), // last recovery ends the outage
+            (t(400), FaultAction::Crash(2)),   // never recovers
         ]);
         // Machine 1: down 100..300 (200 µs). Machine 2: 400..horizon.
-        assert_eq!(plan.downtime_us(1_000), 200 + 600);
+        assert_eq!(plan.downtime_us(t(1_000)), 200 + 600);
         // Horizon inside machine 1's outage.
-        assert_eq!(plan.downtime_us(250), 150);
+        assert_eq!(plan.downtime_us(t(250)), 150);
     }
 }

@@ -7,9 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use ctlm_trace::Micros;
-
-/// Summary statistics of a latency sample.
+/// Summary statistics of a latency sample (µs, as reports carry them).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LatencyStats {
     /// Sample count.
@@ -17,30 +15,30 @@ pub struct LatencyStats {
     /// Mean latency (µs).
     pub mean: f64,
     /// Median (µs).
-    pub p50: Micros,
+    pub p50: u64,
     /// 95th percentile (µs).
-    pub p95: Micros,
+    pub p95: u64,
     /// 99th percentile (µs).
-    pub p99: Micros,
+    pub p99: u64,
     /// Maximum (µs).
-    pub max: Micros,
+    pub max: u64,
 }
 
 impl LatencyStats {
     /// Computes the summary; returns `None` for an empty sample.
     #[cfg(test)]
-    pub fn from_samples(samples: &[Micros]) -> Option<Self> {
+    pub fn from_samples(samples: &[u64]) -> Option<Self> {
         Self::from_vec(samples.to_vec())
     }
 
     /// Computes the summary from an owned sample, sorting it in place;
     /// returns `None` for an empty sample.
-    pub fn from_vec(mut s: Vec<Micros>) -> Option<Self> {
+    pub fn from_vec(mut s: Vec<u64>) -> Option<Self> {
         if s.is_empty() {
             return None;
         }
         s.sort_unstable();
-        let pct = |p: f64| -> Micros {
+        let pct = |p: f64| -> u64 {
             let idx = ((s.len() as f64 - 1.0) * p).round() as usize;
             s[idx]
         };
@@ -76,7 +74,7 @@ mod tests {
 
     #[test]
     fn percentiles_ordered() {
-        let samples: Vec<Micros> = (1..=1000).collect();
+        let samples: Vec<u64> = (1..=1000).collect();
         let s = LatencyStats::from_samples(&samples).unwrap();
         assert!(s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
         // Nearest-rank on 1000 samples: index round(999 × .5) = 500 → 501.

@@ -46,8 +46,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use ctlm_sim::{SimDuration, SimTime};
 use ctlm_telemetry::{Histogram, SpanLog, TraceEvent, TraceRing};
-use ctlm_trace::{AttrId, MachineId, Micros, TaskId};
+use ctlm_trace::{AttrId, MachineId, TaskId};
 
 use crate::arena::TaskSlab;
 use crate::cluster::SchedCluster;
@@ -63,7 +64,7 @@ pub struct PlacedRecord {
     /// Ground-truth suitable-node group.
     pub truth_group: u8,
     /// Scheduling latency: placement time − arrival time (µs).
-    pub latency: Micros,
+    pub latency: u64,
     /// Whether this task was ever preempted after placement.
     pub was_preempted: bool,
 }
@@ -93,7 +94,7 @@ pub struct SimResult {
 impl SimResult {
     /// Latency statistics over tasks whose truth group satisfies `pred`.
     pub fn latency_where(&self, pred: impl Fn(u8) -> bool) -> Option<LatencyStats> {
-        let samples: Vec<Micros> = self
+        let samples: Vec<u64> = self
             .placed
             .iter()
             .filter(|r| pred(r.truth_group))
@@ -234,7 +235,7 @@ impl Step {
     /// column): a static kind tag and two payload words — no formatting,
     /// no allocation. Reads the arena, so it runs before the step
     /// releases a slot.
-    fn event(&self, slab: &TaskSlab<'_>, time: Micros) -> TraceEvent {
+    fn event(&self, slab: &TaskSlab<'_>, time: u64) -> TraceEvent {
         let id_of = |idx: usize| slab.get(idx).id;
         let (kind, a, b) = match *self {
             Step::Admitted(idx, Admission::Arrival) => ("admit_arrival", id_of(idx), 0),
@@ -271,7 +272,7 @@ pub(crate) enum Next {
     /// Back into a queue (arena index).
     Requeue(usize),
     /// A `TaskRetry` for the arena index after the backoff delay.
-    Retry(usize, Micros),
+    Retry(usize, SimDuration),
 }
 
 /// Where a placed, unterminated task is.
@@ -295,7 +296,7 @@ struct Live {
     /// Index of its [`PlacedRecord`] in the result.
     record: usize,
     phase: Phase,
-    since: Micros,
+    since: SimTime,
     /// Crash losses charged against the retry budget.
     losses: u32,
 }
@@ -447,11 +448,12 @@ impl Ledger {
         &mut self,
         slab: &mut TaskSlab<'_>,
         cluster: &SchedCluster,
-        now: Micros,
+        now: SimTime,
         step: Step,
     ) -> Next {
+        let us = now.as_micros();
         if let Some(ring) = &mut self.trace {
-            ring.push(step.event(slab, now));
+            ring.push(step.event(slab, us));
         }
         let spans = &mut self.spans;
         match step {
@@ -463,13 +465,13 @@ impl Ledger {
                 };
                 *count += 1;
                 rec(spans, |l| {
-                    l.open_task(slab.get(idx).id, "queued", now, cause)
+                    l.open_task(slab.get(idx).id, "queued", us, cause)
                 });
             }
             Step::Spilled(idx, reason) => {
                 self.stats.spill_requests += 1;
                 rec(spans, |l| {
-                    l.open_task(slab.get(idx).id, "spill_transit", now, reason)
+                    l.open_task(slab.get(idx).id, "spill_transit", us, reason)
                 });
             }
             Step::SpillResolved(idx, route, cell) => {
@@ -480,7 +482,7 @@ impl Ledger {
                 };
                 self.stats.link_timeouts += u64::from(route == SpillRoute::LinkTimeout);
                 rec(spans, |l| {
-                    l.close_task_with(slab.get(idx).id, now, outcome, "", "", cell as u64, 0)
+                    l.close_task_with(slab.get(idx).id, us, outcome, "", "", cell as u64, 0)
                 });
                 if route == SpillRoute::Sibling {
                     self.stats.spilled_out += 1;
@@ -514,8 +516,8 @@ impl Ledger {
                 rec(spans, |l| {
                     let cand = cluster.candidate_estimate(&t.reqs) as u64;
                     let arm = cluster.plan_hint(&t.reqs);
-                    l.close_task_with(t.id, now, "placed", plan, arm, machine, cand);
-                    l.open_task_full(t.id, "running", now, "placed", plan, arm, 0, machine, cand);
+                    l.close_task_with(t.id, us, "placed", plan, arm, machine, cand);
+                    l.open_task_full(t.id, "running", us, "placed", plan, arm, 0, machine, cand);
                 });
                 // The first placement earns the task's one record and its
                 // table entry (as if requeued, for the moment).
@@ -524,7 +526,7 @@ impl Ledger {
                     placed.push(PlacedRecord {
                         task: t.id,
                         truth_group: t.truth_group,
-                        latency: now - t.arrival,
+                        latency: now.since(t.arrival).as_micros(),
                         was_preempted: false,
                     });
                     Live {
@@ -538,7 +540,7 @@ impl Ledger {
                 let queued = !matches!(live.phase, Phase::Running { .. });
                 debug_assert!(queued, "task {} placed while running", t.id);
                 if let (Phase::RetryWait, Some(f)) = (live.phase, &mut self.faults) {
-                    f.stats.reschedule.record(now.saturating_sub(live.since));
+                    f.stats.reschedule.record(now.since(live.since).as_micros());
                 }
                 (live.phase, live.since) = (Phase::Running { machine, epoch }, now);
             }
@@ -547,7 +549,7 @@ impl Ledger {
                 let task = slab.get(idx).id;
                 self.stats.infeasible += 1;
                 rec(spans, |l| {
-                    l.close_task_with(task, now, "infeasible", plan, "", 0, 0)
+                    l.close_task_with(task, us, "infeasible", plan, "", 0, 0)
                 });
                 // A requeued or retried task whose every suitable machine
                 // has left keeps its placed record; under the fault
@@ -557,7 +559,7 @@ impl Ledger {
                     f.stats.dead_lettered += 1;
                     let losses = held.losses.into();
                     rec(&mut self.spans, |l| {
-                        l.instant_task(task, "dead_letter", now, "infeasible", plan, "", losses, 0)
+                        l.instant_task(task, "dead_letter", us, "infeasible", plan, "", losses, 0)
                     });
                 }
                 slab.release(idx);
@@ -571,8 +573,8 @@ impl Ledger {
                     "task {task} was not lost"
                 );
                 rec(spans, |l| {
-                    l.close_task(task, now, "backoff_elapsed");
-                    l.open_task(task, "queued", now, "retry");
+                    l.close_task(task, us, "backoff_elapsed");
+                    l.open_task(task, "queued", us, "retry");
                 });
             }
             Step::MachineCrashed(id) => {
@@ -580,24 +582,24 @@ impl Ledger {
                     f.stats.crashed_machines += 1;
                 }
                 rec(spans, |l| {
-                    l.open_machine(id, "machine_down", now, "crash", "")
+                    l.open_machine(id, "machine_down", us, "crash", "")
                 });
             }
             Step::MachineDrained(id) => rec(spans, |l| {
-                l.open_machine(id, "machine_drain", now, "drain", "")
+                l.open_machine(id, "machine_drain", us, "drain", "")
             }),
-            Step::MachineRestored(id) => rec(spans, |l| l.close_machine(id, now, "restored")),
+            Step::MachineRestored(id) => rec(spans, |l| l.close_machine(id, us, "restored")),
             // A rejoin ends the window its drain or crash opened.
             Step::MachineJoined(id) => rec(spans, |l| {
-                l.close_machine(id, now, "joined");
-                l.instant_ctrl(id, "machine_join", now, "join", "", "", 0, 0)
+                l.close_machine(id, us, "joined");
+                l.instant_ctrl(id, "machine_join", us, "join", "", "", 0, 0)
             }),
             Step::AttrUpdated(..) => {}
             Step::Control(kind, cause, plan, a, b) => rec(spans, |l| {
-                l.instant_ctrl(0, kind, now, cause, plan, "", a, b)
+                l.instant_ctrl(0, kind, us, cause, plan, "", a, b)
             }),
             Step::ClaimOverridden(id, owner) => rec(spans, |l| {
-                l.instant_ctrl(id, "claim_override", now, "crash", "fault", owner, 0, 0)
+                l.instant_ctrl(id, "claim_override", us, "crash", "fault", owner, 0, 0)
             }),
         }
         Next::Done
@@ -613,8 +615,9 @@ impl Ledger {
         task: TaskId,
         machine: MachineId,
         why: Exit,
-        now: Micros,
+        now: SimTime,
     ) -> Next {
+        let us = now.as_micros();
         let spans = &mut self.spans;
         let entry = match self.live.entry(task) {
             Entry::Occupied(e) if matches!(e.get().phase, Phase::Running { .. }) => Some(e),
@@ -626,13 +629,13 @@ impl Ledger {
         };
         let live = entry.get_mut();
         match why {
-            Exit::Finished => rec(spans, |l| l.close_task(task, now, "finished")),
+            Exit::Finished => rec(spans, |l| l.close_task(task, us, "finished")),
             // Kubernetes-style: the victim loses its slot and never
             // re-enters a queue (rescheduling checkpointed work is out
             // of scope for the latency experiment).
             Exit::Preempted(by) => {
                 rec(spans, |l| {
-                    l.close_task_with(task, now, "preempted", "", "", machine, by)
+                    l.close_task_with(task, us, "preempted", "", "", machine, by)
                 });
                 self.result.preemptions += 1;
                 self.result.placed[live.record].was_preempted = true;
@@ -641,8 +644,8 @@ impl Ledger {
                 live.phase = Phase::Requeued;
                 self.result.churn_rescheduled += 1;
                 rec(spans, |l| {
-                    l.close_task(task, now, "machine_drain");
-                    l.open_task(task, "queued", now, "churn_requeue");
+                    l.close_task(task, us, "machine_drain");
+                    l.open_task(task, "queued", us, "churn_requeue");
                 });
                 return Next::Requeue(live.idx);
             }
@@ -654,12 +657,12 @@ impl Ledger {
                     Some(f) => {
                         live.losses += 1;
                         f.stats.tasks_lost += 1;
-                        f.stats.lost_work_us += now.saturating_sub(live.since);
+                        f.stats.lost_work_us += now.since(live.since).as_micros();
                         let delay = f.policy.delay(live.losses, &mut f.rng);
                         match delay {
                             Some(d) => {
                                 f.stats.retries_scheduled += 1;
-                                f.stats.backoff.record(d);
+                                f.stats.backoff.record(d.as_micros());
                             }
                             None => f.stats.dead_lettered += 1,
                         }
@@ -668,18 +671,19 @@ impl Ledger {
                     None => (None, "none"),
                 };
                 let (crash, losses) = ("machine_crash", live.losses.into());
-                rec(spans, |l| l.close_task(task, now, crash));
+                rec(spans, |l| l.close_task(task, us, crash));
                 if let Some(d) = delay {
                     (live.phase, live.since) = (Phase::RetryWait, now);
                     rec(spans, |l| {
                         let wait = "retry_wait";
-                        l.open_task_full(task, wait, now, crash, policy, "", losses, d, machine)
+                        let d = d.as_micros();
+                        l.open_task_full(task, wait, us, crash, policy, "", losses, d, machine)
                     });
                     return Next::Retry(live.idx, d);
                 }
                 rec(spans, |l| {
                     let spent = "budget_exhausted";
-                    l.instant_task(task, "dead_letter", now, spent, policy, "", losses, machine)
+                    l.instant_task(task, "dead_letter", us, spent, policy, "", losses, machine)
                 });
                 self.result.failed_permanently += 1;
             }
@@ -695,10 +699,10 @@ impl Ledger {
     pub(crate) fn finish(
         &mut self,
         slab: &TaskSlab<'_>,
-        horizon: Micros,
+        horizon: SimTime,
         queued: impl Iterator<Item = usize>,
     ) -> SimResult {
-        rec(&mut self.spans, |l| l.close_all(horizon));
+        rec(&mut self.spans, |l| l.close_all(horizon.as_micros()));
         for idx in queued {
             self.end_short(slab.get(idx).id);
         }
@@ -729,7 +733,7 @@ mod tests {
     use crate::queue::PendingTask;
     use ctlm_trace::Machine;
 
-    fn task(id: TaskId, arrival: Micros) -> PendingTask {
+    fn task(id: TaskId, arrival: u64) -> PendingTask {
         PendingTask {
             id,
             collection: 1,
@@ -737,7 +741,7 @@ mod tests {
             memory: 0.1,
             priority: 2,
             reqs: vec![],
-            arrival,
+            arrival: SimTime::from_micros(arrival),
             truth_group: 25,
         }
     }
@@ -764,17 +768,18 @@ mod tests {
             }
         }
 
-        fn step(&mut self, now: Micros, step: Step) -> Next {
+        fn step(&mut self, now: u64, step: Step) -> Next {
+            let now = SimTime::from_micros(now);
             self.ledger
                 .transition(&mut self.slab, &self.cluster, now, step)
         }
 
-        fn admit(&mut self, idx: usize, now: Micros) {
+        fn admit(&mut self, idx: usize, now: u64) {
             self.step(now, Step::Admitted(idx, Admission::Arrival));
         }
 
         /// Places `idx` on `machine`, returning the placement's epoch.
-        fn place(&mut self, idx: usize, machine: MachineId, now: Micros) -> u64 {
+        fn place(&mut self, idx: usize, machine: MachineId, now: u64) -> u64 {
             self.epoch += 1;
             let epoch = self.epoch;
             self.step(now, Step::Placed(idx, machine, epoch, Via::Placer("test")));
@@ -782,8 +787,11 @@ mod tests {
         }
 
         fn finish(&mut self, queued: &[usize]) -> SimResult {
-            self.ledger
-                .finish(&self.slab, 1_000_000, queued.iter().copied())
+            self.ledger.finish(
+                &self.slab,
+                SimTime::from_micros(1_000_000),
+                queued.iter().copied(),
+            )
         }
     }
 
@@ -816,7 +824,7 @@ mod tests {
         let list = [task(1, 0), task(2, 0), task(3, 50)];
         let mut b = Bench::over(&list);
         for (idx, t) in list.iter().enumerate() {
-            b.admit(idx, t.arrival);
+            b.admit(idx, t.arrival.as_micros());
         }
         b.place(0, 1, 10);
         b.place(1, 0, 10);
@@ -832,7 +840,7 @@ mod tests {
     fn a_loss_is_rescheduled_once_and_forgotten_when_the_task_finishes() {
         let mut b = Bench::over(&[]);
         let retry = FixedRetry {
-            delay: 500,
+            delay: SimDuration::from_micros(500),
             budget: 1,
         };
         b.ledger.enable_faults(Box::new(retry), 3);
@@ -840,7 +848,10 @@ mod tests {
         b.admit(idx, 0);
         b.place(idx, 0, 100);
         let lost = Step::Left(7, 0, Exit::Crashed);
-        assert_eq!(b.step(1_000, lost), Next::Retry(idx, 500));
+        assert_eq!(
+            b.step(1_000, lost),
+            Next::Retry(idx, SimDuration::from_micros(500))
+        );
         b.step(1_500, Step::BackoffElapsed(idx));
         b.place(idx, 1, 2_000);
         // A later drain is not a loss: re-placing after it samples nothing.
@@ -860,7 +871,10 @@ mod tests {
         b.admit(idx, 5_000);
         b.place(idx, 0, 5_100);
         let lost = Step::Left(7, 0, Exit::Crashed);
-        assert_eq!(b.step(6_000, lost), Next::Retry(idx, 500));
+        assert_eq!(
+            b.step(6_000, lost),
+            Next::Retry(idx, SimDuration::from_micros(500))
+        );
     }
 
     #[test]

@@ -225,7 +225,7 @@ mod tests {
             memory: cpu,
             priority: prio,
             reqs,
-            arrival: 0,
+            arrival: ctlm_sim::SimTime::ZERO,
             truth_group: 25,
         }
     }

@@ -3,7 +3,8 @@
 
 use ctlm_data::compaction::AttrRequirement;
 use ctlm_data::dataset::group_for_count;
-use ctlm_trace::{CollectionId, Micros, Task, TaskId};
+use ctlm_sim::SimTime;
+use ctlm_trace::{CollectionId, Task, TaskId};
 
 /// A task waiting to be scheduled.
 #[derive(Clone, Debug)]
@@ -21,7 +22,7 @@ pub struct PendingTask {
     /// Collapsed constraints (empty = unconstrained).
     pub reqs: Vec<AttrRequirement>,
     /// Arrival time (latency measurement anchor).
-    pub arrival: Micros,
+    pub arrival: SimTime,
     /// Ground-truth suitable-node group (for reporting only — the
     /// schedulers never read it).
     pub truth_group: u8,
@@ -39,7 +40,7 @@ impl PendingTask {
         reqs: Vec<AttrRequirement>,
         suitable: usize,
         group_width: usize,
-        arrival: Micros,
+        arrival: SimTime,
     ) -> Option<Self> {
         (suitable > 0).then(|| Self {
             id: task.id,

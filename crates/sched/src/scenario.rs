@@ -17,12 +17,12 @@ use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ctlm_sim::{CompId, Ctx};
-use ctlm_trace::{Machine, MachineId, Micros};
+use ctlm_sim::{CompId, Ctx, SimDuration, SimTime};
+use ctlm_trace::{Machine, MachineId};
 
 use crate::engine::{EngineState, SchedEvent, PRIO_ADMIT, PRIO_STATE};
 use crate::lifecycle::LifecycleOwner;
-use crate::timed::{Plan, TimedSource};
+use crate::timed::{draw_in, Plan, TimedSource};
 
 /// One churn action at a point in time.
 #[derive(Clone, Debug)]
@@ -39,47 +39,41 @@ pub enum ChurnAction {
 #[derive(Clone, Debug, Default)]
 pub struct ChurnPlan {
     /// `(time, action)` pairs, sorted by time.
-    pub events: Vec<(Micros, ChurnAction)>,
+    pub events: Vec<(SimTime, ChurnAction)>,
 }
 
 impl ChurnPlan {
     /// A plan from explicit `(time, action)` pairs (sorted internally —
     /// relative order of same-time actions is preserved).
-    pub fn new(mut events: Vec<(Micros, ChurnAction)>) -> Self {
+    pub fn new(mut events: Vec<(SimTime, ChurnAction)>) -> Self {
         events.sort_by_key(|&(t, _)| t);
         Self { events }
     }
 
     /// Seeded random drain/restore waves: `failures` *distinct* machines
-    /// picked from `fleet` fail uniformly inside `window`, each coming
-    /// back `outage` µs later.
+    /// picked from `fleet` fail uniformly inside `window`, the `k`-th
+    /// coming back `outage` plus `k` µs later.
     pub fn random_drain(
         seed: u64,
         fleet: &[MachineId],
         failures: usize,
-        window: (Micros, Micros),
-        outage: Micros,
+        window: (SimTime, SimTime),
+        outage: SimDuration,
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC4012);
         let mut events = Vec::new();
-        let span = window.1.saturating_sub(window.0).max(1);
         // Sample without replacement — a duplicate pick would make the
         // second Fail a no-op and quietly run fewer failures than asked.
         let mut pool: Vec<MachineId> = fleet.to_vec();
         for k in 0..failures.min(fleet.len()) {
             let id = pool.swap_remove(rng.gen_range(0..pool.len()));
-            let t = window.0 + rng.gen_range(0..span);
+            let t = draw_in(window, &mut rng);
             events.push((t, ChurnAction::Fail(id)));
-            // A restore that would land past the end of time never lands.
-            let back = t.saturating_add(outage).saturating_add(k as Micros);
+            let stagger = SimDuration::from_micros(k as u64);
+            let back = t.saturating_add(outage).saturating_add(stagger);
             events.push((back, ChurnAction::Restore(id)));
         }
         Self::new(events)
-    }
-
-    /// True when no actions are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 }
 
@@ -115,11 +109,11 @@ impl<'a> ChurnSource<'a> {
 impl TimedSource for ChurnSource<'_> {
     const CLASS: u8 = PRIO_STATE;
 
-    fn next_time(&self) -> Option<Micros> {
+    fn next_time(&self) -> Option<SimTime> {
         self.plan.next_time()
     }
 
-    fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>) {
+    fn fire(&mut self, now: SimTime, ctx: &mut Ctx<'_, SchedEvent>) {
         let churn = LifecycleOwner::Churn;
         while let Some(action) = self.plan.pop_due(now) {
             let mut state = self.state.borrow_mut();
@@ -138,7 +132,7 @@ impl TimedSource for ChurnSource<'_> {
                 }
                 ChurnAction::Join(m) => SchedEvent::MachineJoin(m.clone()),
             };
-            ctx.emit_prio(0, PRIO_STATE, self.engine, ev);
+            ctx.emit_prio(SimDuration::ZERO, PRIO_STATE, self.engine, ev);
         }
     }
 }
@@ -153,7 +147,7 @@ pub struct GangSource {
 
 impl GangSource {
     /// A source over `(time, members)` gangs (sorted internally).
-    pub fn new(gangs: Vec<(Micros, Vec<crate::queue::PendingTask>)>, engine: CompId) -> Self {
+    pub fn new(gangs: Vec<(SimTime, Vec<crate::queue::PendingTask>)>, engine: CompId) -> Self {
         Self {
             gangs: Plan::new(gangs),
             engine,
@@ -164,14 +158,14 @@ impl GangSource {
 impl TimedSource for GangSource {
     const CLASS: u8 = PRIO_ADMIT;
 
-    fn next_time(&self) -> Option<Micros> {
+    fn next_time(&self) -> Option<SimTime> {
         self.gangs.next_time()
     }
 
-    fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>) {
+    fn fire(&mut self, now: SimTime, ctx: &mut Ctx<'_, SchedEvent>) {
         while let Some(members) = self.gangs.pop_due(now) {
             let gang = SchedEvent::GangArrival(std::mem::take(members));
-            ctx.emit_prio(0, PRIO_ADMIT, self.engine, gang);
+            ctx.emit_prio(SimDuration::ZERO, PRIO_ADMIT, self.engine, gang);
         }
     }
 }
@@ -207,8 +201,11 @@ impl<'a> OnlineTraceFeed<'a> {
         engine: CompId,
         replay: ctlm_agocs::ReplayHandle<'a>,
     ) -> Self {
+        let timed = events
+            .into_iter()
+            .map(|e| (SimTime::from_micros(e.time), e));
         Self {
-            events: Plan::new(events.into_iter().map(|e| (e.time, e)).collect()),
+            events: Plan::new(timed.collect()),
             engine,
             replay,
             group_width,
@@ -219,32 +216,33 @@ impl<'a> OnlineTraceFeed<'a> {
 impl TimedSource for OnlineTraceFeed<'_> {
     const CLASS: u8 = PRIO_STATE;
 
-    fn next_time(&self) -> Option<Micros> {
+    fn next_time(&self) -> Option<SimTime> {
         self.events.next_time()
     }
 
-    fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>) {
+    fn fire(&mut self, now: SimTime, ctx: &mut Ctx<'_, SchedEvent>) {
         use ctlm_trace::EventPayload;
+        const NOW: SimDuration = SimDuration::ZERO;
         while let Some(ev) = self.events.pop_due(now) {
             // Replay sees the event first, so a submission's suitable-node
             // count is taken against the state *including* this event.
             let submission = self.replay.observe(ev);
             match &ev.payload {
                 EventPayload::MachineAdd(m) => ctx.emit_prio(
-                    0,
+                    NOW,
                     PRIO_STATE,
                     self.engine,
                     SchedEvent::MachineJoin(Box::new(m.clone())),
                 ),
                 EventPayload::MachineRemove(id) => {
-                    ctx.emit_prio(0, PRIO_STATE, self.engine, SchedEvent::MachineFail(*id))
+                    ctx.emit_prio(NOW, PRIO_STATE, self.engine, SchedEvent::MachineFail(*id))
                 }
                 EventPayload::MachineAttrUpdate {
                     machine,
                     attr,
                     value,
                 } => ctx.emit_prio(
-                    0,
+                    NOW,
                     PRIO_STATE,
                     self.engine,
                     SchedEvent::AttrUpdate {
@@ -260,11 +258,11 @@ impl TimedSource for OnlineTraceFeed<'_> {
                             reqs,
                             suitable,
                             self.group_width,
-                            ev.time,
+                            SimTime::from_micros(ev.time),
                         )
                     });
                     if let Some(t) = admitted {
-                        ctx.emit_prio(0, PRIO_ADMIT, self.engine, SchedEvent::Admit(Box::new(t)));
+                        ctx.emit_prio(NOW, PRIO_ADMIT, self.engine, SchedEvent::Admit(Box::new(t)));
                     }
                 }
                 _ => {}

@@ -118,7 +118,7 @@ mod tests {
             memory: 0.1,
             priority: 0,
             reqs: vec![],
-            arrival: 0,
+            arrival: ctlm_sim::SimTime::ZERO,
             truth_group,
         }
     }

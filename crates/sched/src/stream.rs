@@ -28,8 +28,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ctlm_sim::{CompId, Ctx};
-use ctlm_trace::Micros;
+use ctlm_sim::{CompId, Ctx, SimDuration, SimTime};
 
 use crate::engine::{EngineState, SchedEvent, PRIO_ADMIT};
 use crate::queue::PendingTask;
@@ -135,7 +134,7 @@ pub struct ArrivalFeed<'a> {
     spill: bool,
     /// Last emitted arrival stamp — guards the stream's cross-chunk
     /// sort contract in debug builds.
-    last_arrival: Micros,
+    last_arrival: SimTime,
 }
 
 impl<'a> ArrivalFeed<'a> {
@@ -157,7 +156,7 @@ impl<'a> ArrivalFeed<'a> {
             next: 0,
             end: list_len,
             spill,
-            last_arrival: 0,
+            last_arrival: SimTime::ZERO,
         };
         feed.refill();
         feed
@@ -193,11 +192,11 @@ impl<'a> ArrivalFeed<'a> {
 impl TimedSource for ArrivalFeed<'_> {
     const CLASS: u8 = PRIO_ADMIT;
 
-    fn next_time(&self) -> Option<Micros> {
+    fn next_time(&self) -> Option<SimTime> {
         (self.next < self.end).then(|| self.state.borrow().task(self.next).arrival)
     }
 
-    fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>) {
+    fn fire(&mut self, now: SimTime, ctx: &mut Ctx<'_, SchedEvent>) {
         while self.next < self.end {
             let (arrival, rejection) = {
                 let state = self.state.borrow();
@@ -210,7 +209,10 @@ impl TimedSource for ArrivalFeed<'_> {
             }
             self.last_arrival = arrival;
             match rejection {
-                None => ctx.emit_prio(0, PRIO_ADMIT, self.engine, SchedEvent::Arrival(self.next)),
+                None => {
+                    let arrival = SchedEvent::Arrival(self.next);
+                    ctx.emit_prio(SimDuration::ZERO, PRIO_ADMIT, self.engine, arrival);
+                }
                 Some(reason) => {
                     self.state.borrow_mut().spilled(self.next, now, reason);
                     ctx.emit_remote(PRIO_ADMIT, SchedEvent::SpillRequest(self.next));
@@ -226,7 +228,7 @@ impl TimedSource for ArrivalFeed<'_> {
 mod tests {
     use super::*;
 
-    fn task(id: u64, arrival: Micros) -> PendingTask {
+    fn task(id: u64, arrival: u64) -> PendingTask {
         PendingTask {
             id,
             collection: 1,
@@ -234,7 +236,7 @@ mod tests {
             memory: 0.1,
             priority: 2,
             reqs: vec![],
-            arrival,
+            arrival: SimTime::from_micros(arrival),
             truth_group: 25,
         }
     }

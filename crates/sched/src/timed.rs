@@ -12,10 +12,13 @@
 //! wake. The walker refuses a re-arm that does not advance the clock, so
 //! a source that stops making progress (a zero period that slipped past
 //! validation) panics at its first wake instead of spinning at one
-//! instant forever.
+//! instant forever. A next action past the end of time sums to
+//! [`SimTime::MAX`], so it never wakes before a horizon: no source
+//! guards its own sums.
 
-use ctlm_sim::{CompId, Component, Ctx, Event, Sim};
-use ctlm_trace::Micros;
+use rand::Rng;
+
+use ctlm_sim::{CompId, Component, Ctx, Event, Sim, SimDuration, SimTime};
 
 use crate::engine::SchedEvent;
 
@@ -28,11 +31,11 @@ pub trait TimedSource {
     /// When the source next acts; `None` once it is done. The walker
     /// reads it at [`attach`] (the first wake) and after every
     /// [`TimedSource::fire`] (the re-arm).
-    fn next_time(&self) -> Option<Micros>;
+    fn next_time(&self) -> Option<SimTime>;
 
     /// Applies everything due at `now`, in order. Afterwards
     /// [`TimedSource::next_time`] must lie strictly after `now`.
-    fn fire(&mut self, now: Micros, ctx: &mut Ctx<'_, SchedEvent>);
+    fn fire(&mut self, now: SimTime, ctx: &mut Ctx<'_, SchedEvent>);
 }
 
 /// The one kernel component behind every [`TimedSource`].
@@ -47,7 +50,7 @@ impl<S: TimedSource> Component<SchedEvent> for Walker<S> {
                 next > now,
                 "timed source fired at {now} and re-armed at {next}: it must advance the clock"
             );
-            ctx.emit_self_prio(next - now, S::CLASS, SchedEvent::Wake);
+            ctx.emit_self_prio(next.since(now), S::CLASS, SchedEvent::Wake);
         }
     }
 }
@@ -67,36 +70,36 @@ pub fn attach<'a, S: TimedSource + 'a>(
     id
 }
 
-/// The tick after `now` of a source firing every `period` up to
-/// `horizon` (inclusive); `None` past the horizon, and when the sum
-/// would overflow.
-pub fn next_tick(now: Micros, period: Micros, horizon: Micros) -> Option<Micros> {
-    now.checked_add(period).filter(|&t| t <= horizon)
+/// An instant drawn uniformly from `[start, end)` — `start` itself when
+/// the window is empty or inverted.
+pub fn draw_in((start, end): (SimTime, SimTime), rng: &mut impl Rng) -> SimTime {
+    let offset = rng.gen_range(0..end.since(start).as_micros().max(1));
+    start.saturating_add(SimDuration::from_micros(offset))
 }
 
 /// A time-sorted list of actions walked by a cursor — the state every
 /// plan-shaped source (churn, gangs, faults, trace feeds)
 /// shares.
 pub struct Plan<T> {
-    items: Vec<(Micros, T)>,
+    items: Vec<(SimTime, T)>,
     next: usize,
 }
 
 impl<T> Plan<T> {
     /// A plan over `(time, action)` pairs, sorted by time (stable: the
     /// relative order of same-time actions is kept).
-    pub fn new(mut items: Vec<(Micros, T)>) -> Self {
+    pub fn new(mut items: Vec<(SimTime, T)>) -> Self {
         items.sort_by_key(|&(t, _)| t);
         Self { items, next: 0 }
     }
 
     /// The next action's time; `None` after the last one.
-    pub fn next_time(&self) -> Option<Micros> {
+    pub fn next_time(&self) -> Option<SimTime> {
         self.items.get(self.next).map(|&(t, _)| t)
     }
 
     /// The next action when it is due at `now`, moving past it.
-    pub fn pop_due(&mut self, now: Micros) -> Option<&mut T> {
+    pub fn pop_due(&mut self, now: SimTime) -> Option<&mut T> {
         let (t, action) = self.items.get_mut(self.next)?;
         (*t <= now).then(|| {
             self.next += 1;
@@ -111,47 +114,55 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    type Log = Rc<RefCell<Vec<(Micros, u32)>>>;
+    type Log = Rc<RefCell<Vec<(u64, u32)>>>;
+
+    fn t(us: u64) -> SimTime {
+        SimTime::from_micros(us)
+    }
+
+    fn plan(items: &[(u64, u32)]) -> Plan<u32> {
+        Plan::new(items.iter().map(|&(us, tag)| (t(us), tag)).collect())
+    }
 
     /// Walks a plan of tags, logging `(now, tag)` per action.
     struct Tags(Plan<u32>, Log);
 
     impl TimedSource for Tags {
         const CLASS: u8 = 1;
-        fn next_time(&self) -> Option<Micros> {
+        fn next_time(&self) -> Option<SimTime> {
             self.0.next_time()
         }
-        fn fire(&mut self, now: Micros, _ctx: &mut Ctx<'_, SchedEvent>) {
+        fn fire(&mut self, now: SimTime, _ctx: &mut Ctx<'_, SchedEvent>) {
             while let Some(tag) = self.0.pop_due(now) {
-                self.1.borrow_mut().push((now, *tag));
+                self.1.borrow_mut().push((now.as_micros(), *tag));
             }
         }
     }
 
     /// Ticks every `period` from 0 up to `horizon`, logging each tick.
     struct Every {
-        next: Option<Micros>,
-        period: Micros,
-        horizon: Micros,
+        next: Option<SimTime>,
+        period: SimDuration,
+        horizon: SimTime,
         log: Log,
     }
 
     impl TimedSource for Every {
         const CLASS: u8 = 2;
-        fn next_time(&self) -> Option<Micros> {
+        fn next_time(&self) -> Option<SimTime> {
             self.next
         }
-        fn fire(&mut self, now: Micros, _ctx: &mut Ctx<'_, SchedEvent>) {
-            self.log.borrow_mut().push((now, 0));
-            self.next = next_tick(now, self.period, self.horizon);
+        fn fire(&mut self, now: SimTime, _ctx: &mut Ctx<'_, SchedEvent>) {
+            self.log.borrow_mut().push((now.as_micros(), 0));
+            self.next = now.next_tick(self.period, self.horizon);
         }
     }
 
-    fn every(period: Micros, horizon: Micros, log: &Log) -> Every {
+    fn every(period: u64, horizon: u64, log: &Log) -> Every {
         Every {
-            next: Some(0),
-            period,
-            horizon,
+            next: Some(SimTime::ZERO),
+            period: SimDuration::from_micros(period),
+            horizon: t(horizon),
             log: log.clone(),
         }
     }
@@ -159,7 +170,7 @@ mod tests {
     #[test]
     fn same_instant_actions_fire_in_plan_order_under_one_wake() {
         let log = Log::default();
-        let plan = Plan::new(vec![(30, 4), (10, 1), (20, 2), (20, 3)]);
+        let plan = plan(&[(30, 4), (10, 1), (20, 2), (20, 3)]);
         let mut sim = Sim::new();
         attach(&mut sim, "tags", Tags(plan, log.clone()));
         sim.run();
@@ -171,11 +182,11 @@ mod tests {
     fn no_wake_is_scheduled_after_the_last_action() {
         let log = Log::default();
         let mut sim = Sim::new();
-        attach(&mut sim, "tags", Tags(Plan::new(vec![(5, 1)]), log.clone()));
-        attach(&mut sim, "idle", Tags(Plan::new(vec![]), log.clone()));
+        attach(&mut sim, "tags", Tags(plan(&[(5, 1)]), log.clone()));
+        attach(&mut sim, "idle", Tags(plan(&[]), log.clone()));
         assert_eq!(sim.pending(), 1, "an empty plan is never woken");
         sim.run();
-        assert_eq!((sim.pending(), sim.now()), (0, 5));
+        assert_eq!((sim.pending(), sim.now()), (0, t(5)));
         assert_eq!(*log.borrow(), [(5, 1)]);
     }
 
@@ -186,12 +197,11 @@ mod tests {
             let mut sim = Sim::new();
             attach(&mut sim, "every", every(period, horizon, &log));
             sim.run();
-            let ticks: Vec<Micros> = log.borrow().iter().map(|&(t, _)| t).collect();
-            let expected: Vec<Micros> = (0..=last).step_by(period as usize).collect();
+            let ticks: Vec<u64> = log.borrow().iter().map(|&(us, _)| us).collect();
+            let expected: Vec<u64> = (0..=last).step_by(period as usize).collect();
             assert_eq!(ticks, expected, "period {period}, horizon {horizon}");
             assert_eq!(sim.pending(), 0, "nothing armed past the horizon");
         }
-        assert_eq!(next_tick(Micros::MAX - 1, 2, Micros::MAX), None, "no wrap");
     }
 
     #[test]

@@ -16,7 +16,16 @@ use ctlm_sched::faults::{ExponentialBackoff, FaultPlan, FaultPlane, FixedRetry, 
 use ctlm_sched::scenario::{ChurnAction, ChurnPlan, ChurnSource};
 use ctlm_sched::scheduler::MainOnly;
 use ctlm_sched::{attach, FaultStats, PendingTask, SchedCluster};
+use ctlm_sim::{SimDuration, SimTime};
 use ctlm_trace::{AttrValue, ConstraintOp as Op, Machine, MachineId, TaskConstraint};
+
+fn t(us: u64) -> SimTime {
+    SimTime::from_micros(us)
+}
+
+fn d(us: u64) -> SimDuration {
+    SimDuration::from_micros(us)
+}
 
 fn cluster(n: u64) -> (SchedCluster, Vec<MachineId>) {
     let mut ms = Vec::new();
@@ -37,7 +46,7 @@ fn task(id: u64, arrival: u64, cpu: f64) -> PendingTask {
         memory: cpu,
         priority: 2,
         reqs: vec![],
-        arrival,
+        arrival: t(arrival),
         truth_group: 25,
     }
 }
@@ -101,13 +110,13 @@ fn arb_case() -> impl Strategy<Value = FaultCase> {
 fn policy(case: &FaultCase) -> Box<dyn RetryPolicy> {
     if case.policy_fixed {
         Box::new(FixedRetry {
-            delay: case.base,
+            delay: d(case.base),
             budget: case.budget,
         })
     } else {
         Box::new(ExponentialBackoff {
-            base: case.base,
-            cap: case.base * 8,
+            base: d(case.base),
+            cap: d(case.base * 8),
             budget: case.budget,
             jitter: 0.5,
         })
@@ -136,8 +145,8 @@ fn run_case(case: &FaultCase) -> (SimResult, u64, FaultStats) {
         &ids,
         case.zones,
         case.crashes,
-        (5_000_000, 60_000_000),
-        case.mttr,
+        (t(5_000_000), t(60_000_000)),
+        d(case.mttr),
     );
     let simulator = Simulator::new(config);
     let mut scheduler = MainOnly;
@@ -224,22 +233,22 @@ fn crash_overrides_inflight_drain_and_conservation_holds() {
     // fault plane crashes the same machine at t=20s while it is drained
     // (capacity-inert) and recovers it at t=40s.
     let churn_plan = ChurnPlan::new(vec![
-        (10_000_000, ChurnAction::Fail(0)),
-        (50_000_000, ChurnAction::Restore(0)),
+        (t(10_000_000), ChurnAction::Fail(0)),
+        (t(50_000_000), ChurnAction::Restore(0)),
     ]);
     let fault_plan = FaultPlan::new(vec![
-        (20_000_000, ctlm_sched::FaultAction::Crash(0)),
-        (40_000_000, ctlm_sched::FaultAction::Recover(0)),
+        (t(20_000_000), ctlm_sched::FaultAction::Crash(0)),
+        (t(40_000_000), ctlm_sched::FaultAction::Recover(0)),
         // A second, online machine crashes too, so tasks are lost.
-        (22_000_000, ctlm_sched::FaultAction::Crash(3)),
-        (45_000_000, ctlm_sched::FaultAction::Recover(3)),
+        (t(22_000_000), ctlm_sched::FaultAction::Crash(3)),
+        (t(45_000_000), ctlm_sched::FaultAction::Recover(3)),
     ]);
     let simulator = Simulator::new(config);
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster, &arrivals, &mut scheduler);
     harness.state().borrow_mut().ledger_mut().enable_faults(
         Box::new(FixedRetry {
-            delay: 2_000_000,
+            delay: d(2_000_000),
             budget: 3,
         }),
         7,
@@ -287,7 +296,7 @@ fn crash_without_retry_runtime_dead_letters_immediately() {
         horizon: 40_000_000,
         seed: 4,
     };
-    let plan = FaultPlan::new(vec![(10_000_000, ctlm_sched::FaultAction::Crash(1))]);
+    let plan = FaultPlan::new(vec![(t(10_000_000), ctlm_sched::FaultAction::Crash(1))]);
     let simulator = Simulator::new(config);
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster, &arrivals, &mut scheduler);
@@ -305,4 +314,60 @@ fn crash_without_retry_runtime_dead_letters_immediately() {
         state.ledger().stats().admitted_arrivals as usize,
         result.placed.len() + result.unplaced
     );
+}
+
+/// A retry backoff as long as the time axis lands its retry at the end
+/// of time: the lost tasks wait out the run in `retry_wait` instead of
+/// wrapping back to before the crash.
+#[test]
+fn a_backoff_past_the_end_of_time_never_elapses() {
+    let never: [Box<dyn RetryPolicy>; 2] = [
+        Box::new(FixedRetry {
+            delay: d(u64::MAX),
+            budget: 3,
+        }),
+        Box::new(ExponentialBackoff {
+            base: d(u64::MAX),
+            cap: d(u64::MAX),
+            budget: 3,
+            jitter: 0.0,
+        }),
+    ];
+    for policy in never {
+        let (cluster, _) = cluster(3);
+        let arrivals: Vec<PendingTask> = (0..9u64).map(|k| task(k, 0, 0.3)).collect();
+        let config = SimConfig {
+            cycle: 500_000,
+            attempts_per_cycle: 20,
+            mean_runtime: 400_000_000,
+            horizon: 40_000_000,
+            seed: 4,
+        };
+        let plan = FaultPlan::new(vec![(t(10_000_000), ctlm_sched::FaultAction::Crash(1))]);
+        let simulator = Simulator::new(config);
+        let mut scheduler = MainOnly;
+        let mut harness = simulator.harness(cluster, &arrivals, &mut scheduler);
+        let name = policy.name();
+        let state = harness.state();
+        state.borrow_mut().ledger_mut().enable_faults(policy, 7);
+        state.borrow_mut().ledger_mut().enable_spans();
+        let plane = FaultPlane::new(plan, harness.engine, harness.state());
+        attach(&mut harness.sim, "faults", plane);
+        harness.run();
+        let mut state = state.borrow_mut();
+        let stats = state.ledger().fault_stats().cloned().unwrap();
+        assert!(
+            stats.retries_scheduled >= 1,
+            "{name}: a retry was scheduled"
+        );
+        let spans = state.ledger_mut().take_spans().unwrap();
+        let waits: Vec<_> = spans.records().filter(|r| r.kind == "retry_wait").collect();
+        assert_eq!(waits.len() as u64, stats.retries_scheduled, "{name}");
+        assert!(
+            waits
+                .iter()
+                .all(|r| (r.start, r.end, r.outcome) == (10_000_000, 40_000_000, "horizon")),
+            "{name}: every wait outlasts the run: {waits:?}"
+        );
+    }
 }

@@ -13,7 +13,12 @@ use ctlm_sched::placement::PreemptiveBestFit;
 use ctlm_sched::scenario::{ChurnAction, ChurnPlan, ChurnSource, GangSource};
 use ctlm_sched::scheduler::{LiveRegistry, MainOnly, OracleEnhanced, Scheduler};
 use ctlm_sched::{attach, PendingTask, SchedCluster};
+use ctlm_sim::SimTime;
 use ctlm_trace::{AttrValue, ConstraintOp as Op, Machine, TaskConstraint};
+
+fn t(us: u64) -> SimTime {
+    SimTime::from_micros(us)
+}
 
 fn cluster(n: u64) -> SchedCluster {
     let mut ms = Vec::new();
@@ -33,7 +38,7 @@ fn task(id: u64, arrival: u64, cpu: f64, priority: u8) -> PendingTask {
         memory: cpu,
         priority,
         reqs: vec![],
-        arrival,
+        arrival: t(arrival),
         truth_group: 25,
     }
 }
@@ -203,12 +208,12 @@ fn churn_drains_machines_and_requeues_their_tasks() {
         seed: 2,
     };
     let plan = ChurnPlan::new(vec![
-        (10_000_000, ChurnAction::Fail(0)),
-        (12_000_000, ChurnAction::Fail(1)),
-        (14_000_000, ChurnAction::Fail(2)),
-        (30_000_000, ChurnAction::Restore(0)),
-        (30_000_000, ChurnAction::Restore(1)),
-        (32_000_000, ChurnAction::Restore(2)),
+        (t(10_000_000), ChurnAction::Fail(0)),
+        (t(12_000_000), ChurnAction::Fail(1)),
+        (t(14_000_000), ChurnAction::Fail(2)),
+        (t(30_000_000), ChurnAction::Restore(0)),
+        (t(30_000_000), ChurnAction::Restore(1)),
+        (t(32_000_000), ChurnAction::Restore(2)),
     ]);
     let simulator = Simulator::new(config);
     let mut scheduler = MainOnly;
@@ -247,7 +252,7 @@ fn a_requeued_task_that_turns_infeasible_is_counted_once() {
     });
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster(2), &arrivals, &mut scheduler);
-    let plan = ChurnPlan::new(vec![(5_000_000, ChurnAction::Fail(0))]);
+    let plan = ChurnPlan::new(vec![(t(5_000_000), ChurnAction::Fail(0))]);
     let churn = ChurnSource::new(plan, harness.engine, harness.state());
     attach(&mut harness.sim, "churn", churn);
     let state = harness.state();
@@ -279,7 +284,7 @@ fn a_churn_run_on_a_clone_leaves_the_fleet_whole_for_the_next_run() {
     let fleet = cluster(6);
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(fleet.clone(), &arrivals, &mut scheduler);
-    let plan = ChurnPlan::new(vec![(5_000_000, ChurnAction::Fail(0))]);
+    let plan = ChurnPlan::new(vec![(t(5_000_000), ChurnAction::Fail(0))]);
     let churn = ChurnSource::new(plan, harness.engine, harness.state());
     attach(&mut harness.sim, "churn", churn);
     let (cluster_after, churned) = harness.run();
@@ -320,18 +325,20 @@ fn a_rejoin_ends_the_drain_window_on_every_join_path() {
     state.borrow_mut().ledger_mut().enable_trace(1 << 12);
     let rejoin = Machine::new(1, 1.0, 1.0);
     let plan = ChurnPlan::new(vec![
-        (5_000_000, ChurnAction::Fail(1)),
-        (15_000_000, ChurnAction::Join(Box::new(rejoin))),
+        (t(5_000_000), ChurnAction::Fail(1)),
+        (t(15_000_000), ChurnAction::Join(Box::new(rejoin))),
     ]);
     let churn = ChurnSource::new(plan, harness.engine, harness.state());
     attach(&mut harness.sim, "churn", churn);
     let owner = LifecycleOwner::Autoscaler;
-    harness.sim.run_until(10_000_000);
-    let parked = state.borrow_mut().claim_and_take(0, owner, 10_000_000);
+    harness.sim.run_until(t(10_000_000));
+    let parked = state.borrow_mut().claim_and_take(0, owner, t(10_000_000));
     let parked = parked.expect("machine 0 is online and unclaimed");
     assert_eq!(state.borrow().claims().owner(0), Some(owner));
-    harness.sim.run_until(20_000_000);
-    assert!(state.borrow_mut().admit_claimed(parked, owner, 20_000_000));
+    harness.sim.run_until(t(20_000_000));
+    assert!(state
+        .borrow_mut()
+        .admit_claimed(parked, owner, t(20_000_000)));
     assert_eq!(state.borrow().claims().owner(0), None);
     let (cluster_after, result) = harness.run();
     assert_eq!(cluster_after.len(), 3, "both machines are back");
@@ -387,11 +394,11 @@ fn capacity_index_stays_consistent_through_kernel_churn() {
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster(6), &arrivals, &mut scheduler);
     let plan = ChurnPlan::new(vec![
-        (5_000_000, ChurnAction::Fail(1)),
-        (8_000_000, ChurnAction::Fail(4)),
-        (20_000_000, ChurnAction::Restore(1)),
-        (25_000_000, ChurnAction::Restore(4)),
-        (30_000_000, ChurnAction::Fail(2)),
+        (t(5_000_000), ChurnAction::Fail(1)),
+        (t(8_000_000), ChurnAction::Fail(4)),
+        (t(20_000_000), ChurnAction::Restore(1)),
+        (t(25_000_000), ChurnAction::Restore(4)),
+        (t(30_000_000), ChurnAction::Fail(2)),
     ]);
     let churn = ChurnSource::new(plan, harness.engine, harness.state());
     attach(&mut harness.sim, "churn", churn);
@@ -440,7 +447,7 @@ fn gangs_place_all_or_nothing_on_the_kernel() {
     let simulator = Simulator::new(config);
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster(6), &arrivals, &mut scheduler);
-    let gangs = GangSource::new(vec![(1_000_000, gang_members)], harness.engine);
+    let gangs = GangSource::new(vec![(t(1_000_000), gang_members)], harness.engine);
     attach(&mut harness.sim, "gangs", gangs);
     let (_, result) = harness.run();
     assert_eq!(result.gangs_placed, 1, "gang must eventually place whole");

@@ -108,7 +108,7 @@ fn probe(reqs: &[TaskConstraint], cpu: f64, mem: f64) -> PendingTask {
         memory: mem,
         priority: 5,
         reqs: collapse(reqs).unwrap(),
-        arrival: 0,
+        arrival: ctlm_sim::SimTime::ZERO,
         truth_group: 25,
     }
 }

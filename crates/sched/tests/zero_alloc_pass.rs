@@ -19,6 +19,7 @@
 //!   schedulers of a grid point share one machine table, so a clone's
 //!   allocation count does not grow with the fleet.
 
+use ctlm_sim::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -30,6 +31,10 @@ use ctlm_sched::scheduler::MainOnly;
 use ctlm_sched::{attach, CapacityFit, PendingTask, SchedCluster, TimedSource};
 use ctlm_trace::{AttrValue, ConstraintOp as Op, Machine, TaskConstraint};
 use serde::Serialize;
+
+fn t(us: u64) -> SimTime {
+    SimTime::from_micros(us)
+}
 
 struct CountingAlloc;
 
@@ -83,7 +88,7 @@ fn task(id: u64, arrival: u64, cpu: f64) -> PendingTask {
         memory: cpu,
         priority: 2,
         reqs: vec![],
-        arrival,
+        arrival: t(arrival),
         truth_group: 25,
     }
 }
@@ -124,10 +129,10 @@ fn steady_state_scheduling_pass_does_not_allocate() {
 
     // Warm-up: all admissions, the blocker placements, and two full
     // wheel revolutions (2 × 67 s) of timer traffic.
-    harness.sim.run_until(150_000_000);
+    harness.sim.run_until(t(150_000_000));
 
     let before = allocations();
-    harness.sim.run_until(390_000_000);
+    harness.sim.run_until(t(390_000_000));
     let after = allocations();
     assert_eq!(
         after - before,
@@ -168,10 +173,10 @@ fn scheduling_pass_with_telemetry_enabled_does_not_allocate() {
     let state = harness.state();
     state.borrow_mut().ledger_mut().enable_trace(256);
 
-    harness.sim.run_until(150_000_000);
+    harness.sim.run_until(t(150_000_000));
 
     let before = allocations();
-    harness.sim.run_until(390_000_000);
+    harness.sim.run_until(t(390_000_000));
     let after = allocations();
     assert_eq!(
         after - before,
@@ -240,15 +245,15 @@ fn fault_free_run_adds_zero_allocations_and_identical_report_bytes() {
         let mut harness = simulator.harness(fleet(4), &arrivals, &mut scheduler);
         if with_empty_plane {
             let plan = FaultPlan::default();
-            assert!(plan.is_empty());
+            assert!(plan.events.is_empty());
             let plane = FaultPlane::new(plan, harness.engine, harness.state());
             assert!(plane.next_time().is_none(), "empty plan must never wake");
             attach(&mut harness.sim, "faults", plane);
         }
 
-        harness.sim.run_until(150_000_000);
+        harness.sim.run_until(t(150_000_000));
         let before = allocations();
-        harness.sim.run_until(390_000_000);
+        harness.sim.run_until(t(390_000_000));
         let after = allocations();
         assert_eq!(
             after - before,
@@ -304,9 +309,9 @@ fn span_recorder_disabled_is_free_and_enabled_changes_no_report_byte() {
             state.borrow_mut().ledger_mut().enable_spans();
         }
 
-        harness.sim.run_until(150_000_000);
+        harness.sim.run_until(t(150_000_000));
         let before = allocations();
-        harness.sim.run_until(390_000_000);
+        harness.sim.run_until(t(390_000_000));
         let after = allocations();
         assert_eq!(
             after - before,

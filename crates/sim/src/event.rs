@@ -4,16 +4,12 @@ use std::collections::BinaryHeap;
 
 use crate::kernel::CompId;
 
-/// Simulation time in microseconds — the GCD trace convention shared by
-/// every consumer of the kernel.
-pub type Time = u64;
-
 /// A scheduled event: a payload travelling from `src` to `dst`, delivered
 /// at `time`.
 #[derive(Clone, Debug)]
 pub struct Event<E> {
     /// Delivery time (µs).
-    pub time: Time,
+    pub time: u64,
     /// Delivery class at equal timestamps: lower delivers first. Lets a
     /// model define intra-instant phases (e.g. completions before
     /// admissions before the scheduling pass) without fragile reliance on
@@ -151,7 +147,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules an event, assigning the next sequence number.
-    pub fn push(&mut self, time: Time, priority: u8, src: CompId, dst: CompId, payload: E) {
+    pub fn push(&mut self, time: u64, priority: u8, src: CompId, dst: CompId, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let ev = Event {
@@ -219,7 +215,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Delivery time of the earliest event, if any.
-    pub fn peek_time(&mut self) -> Option<Time> {
+    pub fn peek_time(&mut self) -> Option<u64> {
         self.prime();
         let wheel = self.run.last().map(|e| e.time);
         let heap = self.heap.peek().map(|e| e.0.time);
@@ -285,7 +281,7 @@ mod tests {
         let mut q = EventQueue::new();
         let slot = 1u64 << WHEEL_SHIFT;
         let horizon = slot * WHEEL_SLOTS as u64;
-        let mut expect: Vec<(Time, u8, u64)> = Vec::new();
+        let mut expect: Vec<(u64, u8, u64)> = Vec::new();
         let mut state = 0x9E37_79B9u64;
         for i in 0..3000u64 {
             // Deterministic pseudo-random times spanning page 0, the
@@ -299,7 +295,7 @@ mod tests {
             expect.push((time, priority, i));
         }
         expect.sort_unstable();
-        let got: Vec<(Time, u8, u64)> =
+        let got: Vec<(u64, u8, u64)> =
             std::iter::from_fn(|| q.pop().map(|e| (e.time, e.priority, e.seq))).collect();
         assert_eq!(got, expect);
     }

@@ -1,6 +1,7 @@
 //! The simulation kernel: components, contexts, and the run loop.
 
-use crate::event::{Event, EventQueue, LaneStats, Time};
+use crate::event::{Event, EventQueue, LaneStats};
+use crate::time::{SimDuration, SimTime};
 
 /// Component identifier, assigned sequentially at registration.
 pub type CompId = usize;
@@ -23,39 +24,41 @@ pub trait Component<E> {
 /// returns, in emission order — so a handler that emits `a` then `b` at
 /// the same timestamp is guaranteed `a` delivers first.
 pub struct Ctx<'a, E> {
-    now: Time,
+    now: SimTime,
     self_id: CompId,
-    out: &'a mut Vec<(Time, u8, CompId, E)>,
-    outbox: &'a mut Vec<(Time, u8, CompId, E)>,
+    out: &'a mut Vec<(SimTime, u8, CompId, E)>,
+    outbox: &'a mut Vec<(SimTime, u8, CompId, E)>,
 }
 
 impl<E> Ctx<'_, E> {
     /// Current simulation time.
-    pub fn now(&self) -> Time {
+    pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// Emits `payload` to `dst` after `delay` microseconds, in delivery
-    /// class 0 (first at its timestamp).
-    pub fn emit(&mut self, delay: Time, dst: CompId, payload: E) {
+    /// Emits `payload` to `dst` after `delay`, in delivery class 0 (first
+    /// at its timestamp). A delay past the end of time lands at
+    /// [`SimTime::MAX`]: the event never comes before a horizon.
+    pub fn emit(&mut self, delay: SimDuration, dst: CompId, payload: E) {
         self.emit_prio(delay, 0, dst, payload);
     }
 
     /// [`Ctx::emit`] with an explicit delivery class — lower classes
     /// deliver first among events sharing a timestamp.
-    pub fn emit_prio(&mut self, delay: Time, priority: u8, dst: CompId, payload: E) {
-        self.out.push((self.now + delay, priority, dst, payload));
+    pub fn emit_prio(&mut self, delay: SimDuration, priority: u8, dst: CompId, payload: E) {
+        let at = self.now.saturating_add(delay);
+        self.out.push((at, priority, dst, payload));
     }
 
     /// Emits `payload` back to the handling component after `delay` —
     /// the timer/self-wakeup pattern.
-    pub fn emit_self(&mut self, delay: Time, payload: E) {
+    pub fn emit_self(&mut self, delay: SimDuration, payload: E) {
         let dst = self.self_id;
         self.emit(delay, dst, payload);
     }
 
     /// [`Ctx::emit_self`] with an explicit delivery class.
-    pub fn emit_self_prio(&mut self, delay: Time, priority: u8, payload: E) {
+    pub fn emit_self_prio(&mut self, delay: SimDuration, priority: u8, payload: E) {
         let dst = self.self_id;
         self.emit_prio(delay, priority, dst, payload);
     }
@@ -81,12 +84,12 @@ impl<E> Ctx<'_, E> {
 /// driver (e.g. the arrival list) instead of copying it into the
 /// simulation.
 pub struct Sim<'a, E> {
-    now: Time,
+    now: SimTime,
     queue: EventQueue<E>,
     components: Vec<Option<Box<dyn Component<E> + 'a>>>,
     names: Vec<String>,
-    out_buf: Vec<(Time, u8, CompId, E)>,
-    outbox: Vec<(Time, u8, CompId, E)>,
+    out_buf: Vec<(SimTime, u8, CompId, E)>,
+    outbox: Vec<(SimTime, u8, CompId, E)>,
     delivered: u64,
 }
 
@@ -100,7 +103,7 @@ impl<'a, E> Sim<'a, E> {
     /// An empty simulation at time 0.
     pub fn new() -> Self {
         Self {
-            now: 0,
+            now: SimTime::ZERO,
             queue: EventQueue::new(),
             components: Vec::new(),
             names: Vec::new(),
@@ -124,7 +127,7 @@ impl<'a, E> Sim<'a, E> {
     }
 
     /// Current simulation time.
-    pub fn now(&self) -> Time {
+    pub fn now(&self) -> SimTime {
         self.now
     }
 
@@ -149,7 +152,7 @@ impl<'a, E> Sim<'a, E> {
     ///
     /// # Panics
     /// Panics when `time` is before the current clock.
-    pub fn schedule(&mut self, time: Time, src: CompId, dst: CompId, payload: E) {
+    pub fn schedule(&mut self, time: SimTime, src: CompId, dst: CompId, payload: E) {
         self.schedule_prio(time, 0, src, dst, payload);
     }
 
@@ -159,14 +162,15 @@ impl<'a, E> Sim<'a, E> {
     /// Panics when `time` is before the current clock.
     pub fn schedule_prio(
         &mut self,
-        time: Time,
+        time: SimTime,
         priority: u8,
         src: CompId,
         dst: CompId,
         payload: E,
     ) {
         assert!(time >= self.now, "cannot schedule into the past");
-        self.queue.push(time, priority, src, dst, payload);
+        self.queue
+            .push(time.as_micros(), priority, src, dst, payload);
     }
 
     /// Delivers the earliest pending event. Returns false when the queue
@@ -176,8 +180,9 @@ impl<'a, E> Sim<'a, E> {
         let Some(ev) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(ev.time >= self.now, "queue violated time order");
-        self.now = ev.time;
+        let now = SimTime::from_micros(ev.time);
+        debug_assert!(now >= self.now, "queue violated time order");
+        self.now = now;
         self.delivered += 1;
         let dst = ev.dst;
         // Take the handler out so it can receive `&mut self` while the
@@ -195,7 +200,8 @@ impl<'a, E> Sim<'a, E> {
         handler.on_event(ev, &mut ctx);
         self.components[dst] = Some(handler);
         for (time, priority, to, payload) in self.out_buf.drain(..) {
-            self.queue.push(time, priority, dst, to, payload);
+            self.queue
+                .push(time.as_micros(), priority, dst, to, payload);
         }
         true
     }
@@ -208,11 +214,8 @@ impl<'a, E> Sim<'a, E> {
     /// Runs until the queue is empty or the next event lies strictly
     /// beyond `horizon`; events at exactly `horizon` are delivered. The
     /// clock never advances past the last delivered event.
-    pub fn run_until(&mut self, horizon: Time) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > horizon {
-                break;
-            }
+    pub fn run_until(&mut self, horizon: SimTime) {
+        while self.next_event_time().is_some_and(|t| t <= horizon) {
             self.step();
         }
     }
@@ -221,23 +224,20 @@ impl<'a, E> Sim<'a, E> {
     /// `bound` (exclusive — the epoch-barrier counterpart of
     /// [`Sim::run_until`]): every event strictly before `bound` is
     /// delivered, events at `bound` stay pending for the next epoch.
-    pub fn run_before(&mut self, bound: Time) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= bound {
-                break;
-            }
+    pub fn run_before(&mut self, bound: SimTime) {
+        while self.next_event_time().is_some_and(|t| t < bound) {
             self.step();
         }
     }
 
     /// Delivery time of the earliest pending event, if any.
-    pub fn next_event_time(&mut self) -> Option<Time> {
-        self.queue.peek_time()
+    pub fn next_event_time(&mut self) -> Option<SimTime> {
+        self.queue.peek_time().map(SimTime::from_micros)
     }
 
     /// Drains the cross-shard outbox (entries recorded by
     /// [`Ctx::emit_remote`] since the last take), in emission order.
-    pub fn take_outbox(&mut self) -> Vec<(Time, u8, CompId, E)> {
+    pub fn take_outbox(&mut self) -> Vec<(SimTime, u8, CompId, E)> {
         std::mem::take(&mut self.outbox)
     }
 
@@ -253,26 +253,36 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    fn t(us: u64) -> SimTime {
+        SimTime::from_micros(us)
+    }
+
+    fn d(us: u64) -> SimDuration {
+        SimDuration::from_micros(us)
+    }
+
     /// Records every delivery into a shared log.
     struct Recorder {
-        log: Rc<RefCell<Vec<(Time, u32)>>>,
+        log: Rc<RefCell<Vec<(u64, u32)>>>,
     }
     impl Component<u32> for Recorder {
         fn on_event(&mut self, ev: Event<u32>, ctx: &mut Ctx<'_, u32>) {
-            self.log.borrow_mut().push((ctx.now(), ev.payload));
+            self.log
+                .borrow_mut()
+                .push((ctx.now().as_micros(), ev.payload));
         }
     }
 
     /// Emits `payload + 1` to a recorder every `period` until `until`.
     struct Timer {
-        period: Time,
-        until: Time,
+        period: SimDuration,
+        until: SimTime,
         dst: CompId,
     }
     impl Component<u32> for Timer {
         fn on_event(&mut self, ev: Event<u32>, ctx: &mut Ctx<'_, u32>) {
-            ctx.emit(0, self.dst, ev.payload);
-            if ctx.now() + self.period <= self.until {
+            ctx.emit(SimDuration::ZERO, self.dst, ev.payload);
+            if ctx.now().saturating_add(self.period) <= self.until {
                 ctx.emit_self(self.period, ev.payload + 1);
             }
         }
@@ -286,15 +296,15 @@ mod tests {
         let timer = sim.add_component(
             "timer",
             Timer {
-                period: 10,
-                until: 35,
+                period: d(10),
+                until: t(35),
                 dst: rec,
             },
         );
-        sim.schedule(5, timer, timer, 0);
+        sim.schedule(t(5), timer, timer, 0);
         sim.run();
         assert_eq!(*log.borrow(), vec![(5, 0), (15, 1), (25, 2), (35, 3)]);
-        assert_eq!(sim.now(), 35);
+        assert_eq!(sim.now(), t(35));
     }
 
     #[test]
@@ -305,7 +315,7 @@ mod tests {
         impl Component<u32> for Burst {
             fn on_event(&mut self, _ev: Event<u32>, ctx: &mut Ctx<'_, u32>) {
                 for i in 0..5 {
-                    ctx.emit(0, self.dst, i);
+                    ctx.emit(SimDuration::ZERO, self.dst, i);
                 }
             }
         }
@@ -313,11 +323,11 @@ mod tests {
         let mut sim = Sim::new();
         let rec = sim.add_component("rec", Recorder { log: log.clone() });
         let burst = sim.add_component("burst", Burst { dst: rec });
-        sim.schedule(7, burst, burst, 0);
+        sim.schedule(t(7), burst, burst, 0);
         sim.run();
         let got: Vec<u32> = log.borrow().iter().map(|&(_, p)| p).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
-        assert_eq!(sim.now(), 7, "zero-delay events must not advance time");
+        assert_eq!(sim.now(), t(7), "zero-delay events must not advance time");
     }
 
     #[test]
@@ -325,12 +335,12 @@ mod tests {
         let log = Rc::new(RefCell::new(Vec::new()));
         let mut sim = Sim::new();
         let rec = sim.add_component("rec", Recorder { log: log.clone() });
-        for t in [10, 20, 30, 40] {
-            sim.schedule(t, rec, rec, t as u32);
+        for us in [10, 20, 30, 40] {
+            sim.schedule(t(us), rec, rec, us as u32);
         }
-        sim.run_until(30);
+        sim.run_until(t(30));
         assert_eq!(log.borrow().len(), 3);
-        assert_eq!(sim.now(), 30);
+        assert_eq!(sim.now(), t(30));
         assert_eq!(sim.pending(), 1);
         sim.run();
         assert_eq!(log.borrow().len(), 4);
@@ -359,7 +369,7 @@ mod tests {
                 total: total.clone(),
             },
         );
-        sim.schedule(0, s, s, ());
+        sim.schedule(SimTime::ZERO, s, s, ());
         sim.run();
         assert_eq!(*total.borrow(), 14);
     }
@@ -369,9 +379,34 @@ mod tests {
     fn scheduling_into_the_past_panics() {
         let mut sim: Sim<'_, ()> = Sim::new();
         let id = sim.add_component("noop", NoOp);
-        sim.schedule(50, id, id, ());
+        sim.schedule(t(50), id, id, ());
         sim.run();
-        sim.schedule(10, id, id, ());
+        sim.schedule(t(10), id, id, ());
+    }
+
+    #[test]
+    fn a_delay_past_the_end_of_time_never_comes_before_a_horizon() {
+        // Emits once with a delay that passes the end of time from a
+        // clock already far along it.
+        struct Late {
+            dst: CompId,
+        }
+        impl Component<u32> for Late {
+            fn on_event(&mut self, _ev: Event<u32>, ctx: &mut Ctx<'_, u32>) {
+                ctx.emit(d(u64::MAX), self.dst, 1);
+                ctx.emit(d(5), self.dst, 2);
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Sim::new();
+        let rec = sim.add_component("rec", Recorder { log: log.clone() });
+        let late = sim.add_component("late", Late { dst: rec });
+        sim.schedule(t(1_000), late, late, 0);
+        sim.run_until(t(u64::MAX - 1));
+        assert_eq!(*log.borrow(), [(1_005, 2)], "the late event waits");
+        assert_eq!(sim.next_event_time(), Some(SimTime::MAX));
+        sim.run();
+        assert_eq!(log.borrow().last(), Some(&(u64::MAX, 1)));
     }
 
     struct NoOp;

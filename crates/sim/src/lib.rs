@@ -32,8 +32,11 @@
 //! A single-timeline user (the `ctlm-sched` harness) uses the shard
 //! layer directly and never pays for coordination.
 //!
+//! Times are [`SimTime`] instants and [`SimDuration`] spans; [`time`]
+//! alone decides that a sum past the end of the axis means "never".
+//!
 //! ```
-//! use ctlm_sim::{Component, Ctx, Event, Sim};
+//! use ctlm_sim::{Component, Ctx, Event, Sim, SimDuration, SimTime};
 //!
 //! struct Ping { peer: ctlm_sim::CompId, left: u32 }
 //! impl Component<&'static str> for Ping {
@@ -41,7 +44,7 @@
 //!         if self.left > 0 {
 //!             self.left -= 1;
 //!             let reply = if ev.payload == "ping" { "pong" } else { "ping" };
-//!             ctx.emit(10, self.peer, reply);
+//!             ctx.emit(SimDuration::from_micros(10), self.peer, reply);
 //!         }
 //!     }
 //! }
@@ -49,18 +52,20 @@
 //! let mut sim = Sim::new();
 //! let a = sim.add_component("a", Ping { peer: 1, left: 2 });
 //! let b = sim.add_component("b", Ping { peer: 0, left: 2 });
-//! sim.schedule(0, a, b, "ping");
+//! sim.schedule(SimTime::ZERO, a, b, "ping");
 //! sim.run();
 //! // b replies at 10, a at 20, b at 30, a at 40; the final delivery
 //! // finds b out of budget, so the queue drains.
-//! assert_eq!(sim.now(), 40);
+//! assert_eq!(sim.now(), SimTime::from_micros(40));
 //! assert_eq!(sim.events_delivered(), 5);
 //! ```
 
 pub mod event;
 pub mod kernel;
 pub mod parallel;
+pub mod time;
 
-pub use event::{Event, EventQueue, LaneStats, Time};
+pub use event::{Event, EventQueue, LaneStats};
 pub use kernel::{CompId, Component, Ctx, Sim};
 pub use parallel::{CellKernel, EpochAutotune, ParallelPerf, ParallelSim, RemoteEvent};
+pub use time::{SimDuration, SimTime};

@@ -39,8 +39,8 @@
 
 use rayon::prelude::*;
 
-use crate::event::Time;
 use crate::kernel::{CompId, Sim};
+use crate::time::{SimDuration, SimTime};
 
 /// A cross-shard message drained from a shard outbox at an epoch
 /// barrier.
@@ -48,7 +48,7 @@ use crate::kernel::{CompId, Sim};
 pub struct RemoteEvent<E> {
     /// Shard-local time at which [`Ctx::emit_remote`](crate::Ctx::emit_remote)
     /// ran.
-    pub time: Time,
+    pub time: SimTime,
     /// Delivery class, as for queued events.
     pub priority: u8,
     /// Index of the shard that emitted the message.
@@ -89,7 +89,7 @@ unsafe impl<E: Send> Send for CellKernel<'_, E> {}
 impl<'a, E> CellKernel<'a, E> {
     /// One epoch of this shard: every event before `bound`, timed into
     /// `last_run_ns` when profiling (no clock call otherwise).
-    fn run_epoch(&mut self, bound: Time, profile: bool) {
+    fn run_epoch(&mut self, bound: SimTime, profile: bool) {
         if profile {
             let t0 = std::time::Instant::now();
             self.sim.run_before(bound);
@@ -125,10 +125,10 @@ impl<'a, E> std::ops::DerefMut for CellKernel<'a, E> {
 /// `[min, max]`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EpochAutotune {
-    /// Shortest epoch the controller may pick (µs).
-    pub min: Time,
-    /// Longest epoch the controller may pick (µs).
-    pub max: Time,
+    /// Shortest epoch the controller may pick.
+    pub min: SimDuration,
+    /// Longest epoch the controller may pick.
+    pub max: SimDuration,
     /// Desired events delivered per round; the epoch halves above
     /// `2 × target` and doubles below `target / 2`.
     pub target: u64,
@@ -137,8 +137,8 @@ pub struct EpochAutotune {
 impl Default for EpochAutotune {
     fn default() -> Self {
         Self {
-            min: 1_000,       // 1 ms
-            max: 600_000_000, // 10 min
+            min: SimDuration::from_micros(1_000),       // 1 ms
+            max: SimDuration::from_micros(600_000_000), // 10 min
             target: 4_096,
         }
     }
@@ -166,7 +166,7 @@ pub struct ParallelPerf {
     /// the flight-recorder host track: where each shard's wall time went,
     /// round by round. In-memory only — the `_perf` report serialization
     /// carries totals, never these samples.
-    pub round_bounds: Vec<Time>,
+    pub round_bounds: Vec<u64>,
     /// Per-round per-shard `run_before` wall time (ns), row-major:
     /// `round_shard_run_ns[round * shards + shard]`.
     pub round_shard_run_ns: Vec<u64>,
@@ -177,7 +177,7 @@ pub struct ParallelPerf {
 /// outboxes deterministically at each barrier.
 pub struct ParallelSim<'a, E> {
     shards: Vec<CellKernel<'a, E>>,
-    epoch: Time,
+    epoch: SimDuration,
     threads: usize,
     barriers: u64,
     /// Epoch-length controller; `None` keeps the configured epoch fixed.
@@ -194,7 +194,7 @@ pub struct ParallelSim<'a, E> {
 }
 
 impl<'a, E: Send> ParallelSim<'a, E> {
-    /// A coordinator with the given epoch length (µs) and thread count.
+    /// A coordinator with the given epoch length and thread count.
     ///
     /// `threads == 0` means "use the worker pool's configured width";
     /// `threads == 1` (or a single shard) runs shards sequentially on
@@ -202,8 +202,8 @@ impl<'a, E: Send> ParallelSim<'a, E> {
     ///
     /// # Panics
     /// Panics when `epoch` is 0.
-    pub fn new(epoch: Time, threads: usize) -> Self {
-        assert!(epoch > 0, "epoch length must be positive");
+    pub fn new(epoch: SimDuration, threads: usize) -> Self {
+        assert!(!epoch.is_zero(), "epoch length must be positive");
         Self {
             shards: Vec::new(),
             epoch,
@@ -243,7 +243,7 @@ impl<'a, E: Send> ParallelSim<'a, E> {
     /// # Panics
     /// Panics when `min` is 0 or `min > max`.
     pub fn set_autotune(&mut self, tune: EpochAutotune) {
-        assert!(tune.min > 0, "autotune min epoch must be positive");
+        assert!(!tune.min.is_zero(), "autotune min epoch must be positive");
         assert!(tune.min <= tune.max, "autotune min must not exceed max");
         self.epoch = self.epoch.clamp(tune.min, tune.max);
         self.autotune = Some(tune);
@@ -263,8 +263,8 @@ impl<'a, E: Send> ParallelSim<'a, E> {
         &self.shards[i]
     }
 
-    /// The configured epoch length (µs).
-    pub fn epoch(&self) -> Time {
+    /// The configured epoch length.
+    pub fn epoch(&self) -> SimDuration {
         self.epoch
     }
 
@@ -303,9 +303,9 @@ impl<'a, E: Send> ParallelSim<'a, E> {
     /// later (times below a shard's clock panic, as always). Each round
     /// delivers at least one event (`bound > t_min`), so the loop
     /// terminates whenever the underlying simulation does.
-    pub fn run_until<F>(&mut self, horizon: Time, mut hook: F)
+    pub fn run_until<F>(&mut self, horizon: SimTime, mut hook: F)
     where
-        F: FnMut(Time, Vec<RemoteEvent<E>>, &mut [CellKernel<'a, E>]),
+        F: FnMut(SimTime, Vec<RemoteEvent<E>>, &mut [CellKernel<'a, E>]),
     {
         let effective = match self.threads {
             0 => rayon::current_num_threads().max(1),
@@ -320,9 +320,9 @@ impl<'a, E: Send> ParallelSim<'a, E> {
             if t_min > horizon {
                 break;
             }
-            let bound = (t_min / self.epoch + 1)
-                .saturating_mul(self.epoch)
-                .min(horizon.saturating_add(1));
+            let bound = t_min
+                .next_multiple(self.epoch)
+                .min(horizon.saturating_add(SimDuration::MICRO));
             self.barriers += 1;
             let profile = self.perf.is_some();
             if effective > 1 && self.shards.len() > 1 {
@@ -352,7 +352,7 @@ impl<'a, E: Send> ParallelSim<'a, E> {
                 // remains the imbalance signal and the derivation keeps
                 // the hot path free of any synchronised clocks.
                 let round_max = self.shards.iter().map(|s| s.last_run_ns).max().unwrap_or(0);
-                perf.round_bounds.push(bound);
+                perf.round_bounds.push(bound.as_micros());
                 for (i, shard) in self.shards.iter().enumerate() {
                     perf.shard_run_ns[i] += shard.last_run_ns;
                     perf.shard_barrier_ns[i] += round_max - shard.last_run_ns;
@@ -406,14 +406,22 @@ mod tests {
     use std::rc::Rc;
 
     const HOPS: u64 = 64;
-    const EPOCH: Time = 1 << 18;
-    const HORIZON: Time = 1 << 26;
+    const EPOCH: SimDuration = d(1 << 18);
+    const HORIZON: SimTime = t(1 << 26);
+
+    const fn t(us: u64) -> SimTime {
+        SimTime::from_micros(us)
+    }
+
+    const fn d(us: u64) -> SimDuration {
+        SimDuration::from_micros(us)
+    }
 
     /// Logs every delivery, forwards the hop count cross-shard, and
     /// spawns some shard-local echo traffic so epochs are not trivially
     /// single-event.
     struct Relay {
-        log: Rc<RefCell<Vec<(Time, u64)>>>,
+        log: Rc<RefCell<Vec<(SimTime, u64)>>>,
     }
     impl Component<u64> for Relay {
         fn on_event(&mut self, ev: Event<u64>, ctx: &mut Ctx<'_, u64>) {
@@ -421,18 +429,18 @@ mod tests {
             if ev.payload < HOPS {
                 ctx.emit_remote(1, ev.payload + 1);
                 if ev.payload.is_multiple_of(2) {
-                    ctx.emit_self(EPOCH / 3 + 1, ev.payload + 1001);
+                    ctx.emit_self(d(EPOCH.as_micros() / 3 + 1), ev.payload + 1001);
                 }
             }
         }
     }
 
     /// One shard's delivery log, shared with its `Relay` component.
-    type DeliveryLog = Rc<RefCell<Vec<(Time, u64)>>>;
+    type DeliveryLog = Rc<RefCell<Vec<(SimTime, u64)>>>;
 
     /// Four shards ringing hop counters around; returns each shard's
     /// delivery log.
-    fn run_ring(threads: usize, order: Option<Vec<usize>>) -> Vec<Vec<(Time, u64)>> {
+    fn run_ring(threads: usize, order: Option<Vec<usize>>) -> Vec<Vec<(SimTime, u64)>> {
         const SHARDS: usize = 4;
         let logs: Vec<DeliveryLog> = (0..SHARDS)
             .map(|_| Rc::new(RefCell::new(Vec::new())))
@@ -442,7 +450,7 @@ mod tests {
         for log in &logs {
             let mut sim = Sim::new();
             let id = sim.add_component("relay", Relay { log: log.clone() });
-            sim.schedule(1000 * (relays.len() as u64 + 1), id, id, 0);
+            sim.schedule(t(1000 * (relays.len() as u64 + 1)), id, id, 0);
             relays.push(id);
             psim.add_shard(sim);
         }
@@ -506,18 +514,18 @@ mod tests {
                 ctx.emit_remote(0, 200 + self.shard as u64);
             }
         }
-        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(1_000, 1);
+        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(d(1_000), 1);
         for shard in 0..3 {
             let mut sim = Sim::new();
             let id = sim.add_component("burst", Burst { shard });
-            sim.schedule(500, id, id, 0);
+            sim.schedule(t(500), id, id, 0);
             psim.add_shard(sim);
         }
         let mut merged = Vec::new();
-        psim.run_until(2_000, |_bound, msgs, _shards| {
+        psim.run_until(t(2_000), |_bound, msgs, _shards| {
             merged.extend(
                 msgs.into_iter()
-                    .map(|m| (m.time, m.priority, m.shard, m.seq, m.payload)),
+                    .map(|m| (m.time.as_micros(), m.priority, m.shard, m.seq, m.payload)),
             );
         });
         assert_eq!(
@@ -539,19 +547,19 @@ mod tests {
         impl Component<u64> for Quiet {
             fn on_event(&mut self, _ev: Event<u64>, _ctx: &mut Ctx<'_, u64>) {}
         }
-        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(1_000, 1);
+        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(d(1_000), 1);
         let mut sim = Sim::new();
         let id = sim.add_component("quiet", Quiet);
         // Two busy epochs separated by ~100 empty ones.
-        sim.schedule(10, id, id, 0);
-        sim.schedule(20, id, id, 0);
-        sim.schedule(100_500, id, id, 0);
+        sim.schedule(t(10), id, id, 0);
+        sim.schedule(t(20), id, id, 0);
+        sim.schedule(t(100_500), id, id, 0);
         psim.add_shard(sim);
         let mut sim2 = Sim::new();
         let id2 = sim2.add_component("quiet", Quiet);
-        sim2.schedule(15, id2, id2, 0);
+        sim2.schedule(t(15), id2, id2, 0);
         psim.add_shard(sim2);
-        psim.run_until(1_000_000, |_, _, _| {});
+        psim.run_until(t(1_000_000), |_, _, _| {});
         assert_eq!(psim.barriers(), 2, "only busy epochs cross a barrier");
         assert_eq!(psim.events_delivered(), 4);
     }
@@ -559,10 +567,10 @@ mod tests {
     /// A fixed-step self-event chain: `hops` deliveries spaced `step` µs
     /// apart — event density is exactly `1/step`, so the autotune
     /// controller's trajectory is easy to predict.
-    fn chain_sim(hops: u64, step: Time) -> Sim<'static, u64> {
+    fn chain_sim(hops: u64, step: u64) -> Sim<'static, u64> {
         struct Chain {
             remaining: u64,
-            step: Time,
+            step: SimDuration,
         }
         impl Component<u64> for Chain {
             fn on_event(&mut self, _ev: Event<u64>, ctx: &mut Ctx<'_, u64>) {
@@ -577,10 +585,10 @@ mod tests {
             "chain",
             Chain {
                 remaining: hops,
-                step,
+                step: d(step),
             },
         );
-        sim.schedule(0, id, id, 0);
+        sim.schedule(SimTime::ZERO, id, id, 0);
         sim
     }
 
@@ -589,20 +597,20 @@ mod tests {
         // 100 µs steps under a 1 s epoch = 10k events per round against a
         // target of 128: the controller must halve its way down (and stay
         // above the floor).
-        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(1_000_000, 1);
+        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(d(1_000_000), 1);
         psim.add_shard(chain_sim(30_000, 100));
         psim.set_autotune(EpochAutotune {
-            min: 1_000,
-            max: 600_000_000,
+            min: d(1_000),
+            max: d(600_000_000),
             target: 128,
         });
-        psim.run_until(3_000_000, |_, _, _| {});
+        psim.run_until(t(3_000_000), |_, _, _| {});
         assert!(
-            psim.epoch() < 1_000_000,
+            psim.epoch() < d(1_000_000),
             "dense traffic should shrink the epoch, got {}",
             psim.epoch()
         );
-        assert!(psim.epoch() >= 1_000, "epoch must respect the floor");
+        assert!(psim.epoch() >= d(1_000), "epoch must respect the floor");
     }
 
     #[test]
@@ -610,41 +618,41 @@ mod tests {
         // One event per second under a 10 ms epoch: every round delivers
         // a single event, far below target/2, so the epoch doubles each
         // barrier until the ceiling.
-        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(10_000, 1);
+        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(d(10_000), 1);
         psim.add_shard(chain_sim(20, 1_000_000));
         psim.set_autotune(EpochAutotune {
-            min: 1_000,
-            max: 200_000,
+            min: d(1_000),
+            max: d(200_000),
             target: 128,
         });
-        psim.run_until(25_000_000, |_, _, _| {});
+        psim.run_until(t(25_000_000), |_, _, _| {});
         assert_eq!(
             psim.epoch(),
-            200_000,
+            d(200_000),
             "sparse traffic should hit the ceiling"
         );
     }
 
     #[test]
     fn autotune_clamps_at_min() {
-        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(1_000_000, 1);
+        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(d(1_000_000), 1);
         psim.add_shard(chain_sim(30_000, 100));
         psim.set_autotune(EpochAutotune {
-            min: 100_000,
-            max: 600_000_000,
+            min: d(100_000),
+            max: d(600_000_000),
             target: 1,
         });
-        psim.run_until(3_000_000, |_, _, _| {});
+        psim.run_until(t(3_000_000), |_, _, _| {});
         assert_eq!(
             psim.epoch(),
-            100_000,
+            d(100_000),
             "every round over-target: floor holds"
         );
     }
 
     /// `run_ring` with autotune enabled — returns the logs plus the final
     /// (adapted) epoch so thread-independence covers the controller too.
-    fn run_ring_tuned(threads: usize) -> (Vec<Vec<(Time, u64)>>, Time) {
+    fn run_ring_tuned(threads: usize) -> (Vec<Vec<(SimTime, u64)>>, SimDuration) {
         const SHARDS: usize = 4;
         let logs: Vec<DeliveryLog> = (0..SHARDS)
             .map(|_| Rc::new(RefCell::new(Vec::new())))
@@ -654,15 +662,15 @@ mod tests {
         // keeps halving — the run exercises adapted (changing) epochs
         // rather than settling in the dead band.
         psim.set_autotune(EpochAutotune {
-            min: 1 << 10,
-            max: 1 << 22,
+            min: d(1 << 10),
+            max: d(1 << 22),
             target: 1,
         });
         let mut relays = Vec::new();
         for log in &logs {
             let mut sim = Sim::new();
             let id = sim.add_component("relay", Relay { log: log.clone() });
-            sim.schedule(1000 * (relays.len() as u64 + 1), id, id, 0);
+            sim.schedule(t(1000 * (relays.len() as u64 + 1)), id, id, 0);
             relays.push(id);
             psim.add_shard(sim);
         }
@@ -712,7 +720,7 @@ mod tests {
         for log in &logs {
             let mut sim = Sim::new();
             let id = sim.add_component("relay", Relay { log: log.clone() });
-            sim.schedule(1000 * (relays.len() as u64 + 1), id, id, 0);
+            sim.schedule(t(1000 * (relays.len() as u64 + 1)), id, id, 0);
             relays.push(id);
             psim.add_shard(sim);
         }
@@ -729,7 +737,7 @@ mod tests {
                 );
             }
         });
-        let got: Vec<Vec<(Time, u64)>> = logs.iter().map(|l| l.borrow().clone()).collect();
+        let got: Vec<Vec<(SimTime, u64)>> = logs.iter().map(|l| l.borrow().clone()).collect();
         assert_eq!(got, baseline, "profiling must not perturb the simulation");
         let perf = psim.perf().expect("profiling enabled");
         assert_eq!(perf.rounds, psim.barriers());
@@ -750,9 +758,9 @@ mod tests {
 
     #[test]
     fn profiling_disabled_reports_no_perf() {
-        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(1_000, 1);
+        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(d(1_000), 1);
         psim.add_shard(chain_sim(5, 100));
-        psim.run_until(10_000, |_, _, _| {});
+        psim.run_until(t(10_000), |_, _, _| {});
         assert!(psim.perf().is_none());
     }
 
@@ -762,7 +770,7 @@ mod tests {
         let mut psim: ParallelSim<'_, u64> = ParallelSim::new(EPOCH, 4);
         let mut sim = Sim::new();
         let id = sim.add_component("relay", Relay { log: log.clone() });
-        sim.schedule(0, id, id, 0);
+        sim.schedule(SimTime::ZERO, id, id, 0);
         psim.add_shard(sim);
         psim.run_until(HORIZON, |bound, msgs, shards| {
             for m in msgs {

@@ -30,6 +30,7 @@
 use ctlm::prelude::*;
 use ctlm::sched::scenario::{ChurnPlan, ChurnSource, OnlineTraceFeed};
 use ctlm::sched::{attach, SchedCluster};
+use ctlm::sim::{SimDuration, SimTime};
 use ctlm::trace::event::compress_times;
 use ctlm::trace::generator::attrs;
 use ctlm::trace::{AttrValue, EventPayload, TraceEvent};
@@ -128,12 +129,13 @@ fn main() {
     // heterogeneous fleet.
     fleet_caps.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     let drain_pool: Vec<u64> = fleet_caps.iter().take(16).map(|&(id, _)| id).collect();
+    let minute = |m: u64| SimTime::from_micros(m * 60 * 1_000_000);
     let plan = ChurnPlan::random_drain(
         9,
         &drain_pool,
         8,
-        (8 * 60 * 1_000_000, 22 * 60 * 1_000_000),
-        3 * 60 * 1_000_000,
+        (minute(8), minute(22)),
+        SimDuration::from_micros(3 * 60 * 1_000_000),
     );
     let churn = ChurnSource::new(plan, harness.engine, harness.state());
     attach(&mut harness.sim, "churn", churn);

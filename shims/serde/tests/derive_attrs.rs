@@ -1,6 +1,6 @@
 //! The `#[serde(...)]` attributes the derive shim honors beyond field
 //! `default`: `skip_serializing_if`, container `default`, and
-//! `deny_unknown_fields`.
+//! `deny_unknown_fields` (on structs and on enums' struct variants).
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -104,6 +104,40 @@ fn deny_unknown_fields_rejects_a_key_that_names_no_field() {
     // Without the attribute, unknown keys are ignored as before.
     let loose = object(&[("id", Value::Num(1.0)), ("zzz", Value::Num(0.0))]);
     assert_eq!(Row::from_value(&loose).unwrap().id, 1);
+}
+
+#[derive(Debug, PartialEq, Deserialize)]
+#[serde(deny_unknown_fields)]
+enum Shape {
+    Dot,
+    Scaled(f64),
+    Box { w: u32, h: u32 },
+}
+
+#[test]
+fn deny_unknown_fields_on_an_enum_checks_its_struct_variants() {
+    let boxed = |pairs: &[(&str, Value)]| object(&[("Box", object(pairs))]);
+    let good = boxed(&[("w", Value::Num(2.0)), ("h", Value::Num(3.0))]);
+    assert_eq!(Shape::from_value(&good).unwrap(), Shape::Box { w: 2, h: 3 });
+    let extra = boxed(&[
+        ("w", Value::Num(2.0)),
+        ("h", Value::Num(3.0)),
+        ("d", Value::Num(4.0)),
+    ]);
+    let err = Shape::from_value(&extra).unwrap_err().to_string();
+    assert!(
+        err.contains("unknown Shape::Box field \"d\" (expected one of w/h)"),
+        "{err}"
+    );
+    let err = Shape::from_value(&object(&[("Box", Value::Num(1.0))])).unwrap_err();
+    assert!(err.to_string().contains("expected an object"), "{err}");
+    // Unit and tuple variants have no keys to check.
+    assert_eq!(
+        Shape::from_value(&Value::Str("Dot".to_string())).unwrap(),
+        Shape::Dot
+    );
+    let scaled = object(&[("Scaled", Value::Num(0.5))]);
+    assert_eq!(Shape::from_value(&scaled).unwrap(), Shape::Scaled(0.5));
 }
 
 #[derive(Debug, Deserialize)]

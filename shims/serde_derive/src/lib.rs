@@ -20,8 +20,9 @@
 //!   object when `path(&field)` is true (e.g. `"Option::is_none"`);
 //! * container `default` (named structs) — missing (or `null`) fields
 //!   come from the struct's own `Default`;
-//! * container `deny_unknown_fields` (named structs) — a key that names
-//!   no field is an error.
+//! * container `deny_unknown_fields` — a key that names no field is an
+//!   error: in a named struct, or in a struct variant's payload of an
+//!   enum (as real serde does for struct variants).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -152,7 +153,9 @@ fn parse_input(input: TokenStream) -> Input {
         },
         other => panic!("serde_derive shim: cannot derive for `{other}`"),
     };
-    if (attrs.default || attrs.deny_unknown_fields) && !matches!(shape, Shape::NamedStruct(_)) {
+    let named_struct = matches!(shape, Shape::NamedStruct(_));
+    let denying = named_struct || matches!(shape, Shape::Enum(_));
+    if attrs.default && !named_struct || attrs.deny_unknown_fields && !denying {
         panic!("serde_derive shim: container attributes on {name} need a named-field struct");
     }
     Input { name, attrs, shape }
@@ -404,17 +407,18 @@ fn field_init(owner: &str, f: &Field, src: &str, container_default: bool) -> Str
     )
 }
 
-/// Statements a named struct's container attributes put ahead of its
-/// field initializers: the value must be an object, its keys must all
-/// name fields (`deny_unknown_fields`), and `__d` holds the struct's
-/// `Default` for [`field_init`] to fall back on (`default`).
-fn container_preamble(name: &str, attrs: &Attrs, fields: &[Field]) -> String {
+/// Statements a named struct's (or struct variant's) container
+/// attributes put ahead of its field initializers: the value `src` must
+/// be an object, its keys must all name fields (`deny_unknown_fields`),
+/// and `__d` holds the struct's `Default` for [`field_init`] to fall
+/// back on (`default`).
+fn container_preamble(name: &str, attrs: &Attrs, fields: &[Field], src: &str) -> String {
     let mut out = String::new();
     if attrs.default || attrs.deny_unknown_fields {
         out += &format!(
-            "let ::serde::Value::Object(__pairs) = __v else {{ \
+            "let ::serde::Value::Object(__pairs) = {src} else {{ \
              return Err(::serde::Error::msg(format!(\
-             \"invalid {name} value {{__v:?}} (expected an object)\"))); }};"
+             \"invalid {name} value {{{src}:?}} (expected an object)\"))); }};"
         );
     }
     if attrs.deny_unknown_fields {
@@ -447,7 +451,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                 .collect();
             format!(
                 "{} Ok({name} {{ {} }})",
-                container_preamble(name, &input.attrs, fields),
+                container_preamble(name, &input.attrs, fields, "__v"),
                 inits.join(", ")
             )
         }
@@ -498,14 +502,14 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                             format!("{vname:?} => Ok({name}::{vname}({})),", inits.join(", "))
                         }
                         VariantKind::Named(fields) => {
+                            let path = format!("{name}::{vname}");
                             let inits: Vec<String> = fields
                                 .iter()
-                                .map(|f| {
-                                    field_init(&format!("{name}::{vname}"), f, "__inner", false)
-                                })
+                                .map(|f| field_init(&path, f, "__inner", false))
                                 .collect();
                             format!(
-                                "{vname:?} => Ok({name}::{vname} {{ {} }}),",
+                                "{vname:?} => {{ {} Ok({name}::{vname} {{ {} }}) }},",
+                                container_preamble(&path, &input.attrs, fields, "__inner"),
                                 inits.join(", ")
                             )
                         }

@@ -129,7 +129,10 @@ fn scheduler_integration_runs_all_policies() {
     let (cluster, mut arrivals) = arrivals_from_trace(&trace, 1_500);
     assert!(!arrivals.is_empty());
     // Trace arrivals span 31 days; compress onto the 20-minute sim window.
-    compress_timeline(&mut arrivals, 1_200_000_000);
+    compress_timeline(
+        &mut arrivals,
+        ctlm::sim::SimTime::from_micros(1_200_000_000),
+    );
     let sim = Simulator::new(SimConfig {
         cycle: 1_000_000,
         attempts_per_cycle: 6,
