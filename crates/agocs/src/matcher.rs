@@ -23,11 +23,16 @@ pub fn count_suitable(state: &ClusterState, reqs: &[AttrRequirement]) -> usize {
     state.index().count_matching(reqs)
 }
 
-/// Lists the ids of suitable machines in ascending order (used by the
-/// scheduler crate, which needs the actual candidate set, not just its
-/// size).
+/// Lists the ids of suitable machines in ascending order: the index's
+/// walk, its rows turned back into machine ids.
 pub fn suitable_machines(state: &ClusterState, reqs: &[AttrRequirement]) -> Vec<u64> {
-    state.index().matching(reqs)
+    let mut ids = Vec::new();
+    state.index().matching_visit(reqs, |row| {
+        ids.push(state.id_of_key(row));
+        true
+    });
+    ids.sort_unstable();
+    ids
 }
 
 /// Pre-index reference: counts suitable machines by scanning the fleet.

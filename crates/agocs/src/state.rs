@@ -6,14 +6,25 @@ use ctlm_trace::{AttrId, AttrValue, CollectionId, Machine, MachineId, TaskId};
 
 use crate::index::AttrIndex;
 
-/// The live cluster: machines with their attribute maps, plus the task
+/// The live cluster: machines with their attribute lists, plus the task
 /// markers AGOCS tracks (which tasks are known to the cell, grouped by
 /// collection so collection termination can clean them up). An
 /// [`AttrIndex`] is maintained incrementally alongside the machine map,
 /// so constraint matching never has to scan the fleet.
+///
+/// The index is keyed by **row**, not by machine id: every live machine
+/// holds a row, a removal frees its row and the next new machine takes
+/// it, so rows stay dense whatever the ids are (the index's tables are
+/// as long as its largest key). [`ClusterState::id_of_key`] turns a row
+/// the index yields back into the machine's id.
 #[derive(Clone, Debug, Default)]
 pub struct ClusterState {
-    machines: BTreeMap<MachineId, Machine>,
+    /// Live machines by id, each with its row.
+    machines: BTreeMap<MachineId, (u32, Machine)>,
+    /// Row → the id of the machine holding it (stale for a free row).
+    id_at: Vec<MachineId>,
+    /// Rows freed by removals, reused before a new row is opened.
+    free_rows: Vec<u32>,
     index: AttrIndex,
     /// Task markers per collection — the structures the paper's corrector
     /// deletes when a terminated collection finishes.
@@ -32,58 +43,78 @@ impl ClusterState {
         self.machines.len()
     }
 
-    /// Iterates live machines.
+    /// Iterates live machines in ascending id order.
     pub fn machines(&self) -> impl Iterator<Item = &Machine> {
-        self.machines.values()
+        self.machines.values().map(|(_, m)| m)
     }
 
     /// A machine by id.
     pub fn machine(&self, id: MachineId) -> Option<&Machine> {
-        self.machines.get(&id)
+        self.machines.get(&id).map(|(_, m)| m)
     }
 
-    /// The incrementally maintained inverted attribute index.
+    /// The incrementally maintained inverted attribute index, keyed by
+    /// row (see [`ClusterState::id_of_key`]).
     pub fn index(&self) -> &AttrIndex {
         &self.index
     }
 
+    /// The id of the live machine the index keys as `key`.
+    ///
+    /// # Panics
+    /// Panics when `key` is not a row the index yielded.
+    pub fn id_of_key(&self, key: MachineId) -> MachineId {
+        self.id_at[key as usize]
+    }
+
     /// Adds (or replaces) a machine.
     pub fn add_machine(&mut self, m: Machine) {
-        if self.machines.contains_key(&m.id) {
-            self.index.remove_machine(m.id);
-        }
-        self.index.add_machine(&m);
-        self.machines.insert(m.id, m);
+        let id = m.id;
+        let row = match self.machines.get(&id) {
+            Some(&(row, _)) => {
+                self.index.remove_machine(row.into());
+                row
+            }
+            None => match self.free_rows.pop() {
+                Some(row) => {
+                    self.id_at[row as usize] = id;
+                    row
+                }
+                None => {
+                    let row = u32::try_from(self.id_at.len()).expect("fewer than 2^32 machines");
+                    self.id_at.push(id);
+                    row
+                }
+            },
+        };
+        self.index.add_keyed(row.into(), &m);
+        self.machines.insert(id, (row, m));
     }
 
     /// Removes a machine; returns it if present.
     pub fn remove_machine(&mut self, id: MachineId) -> Option<Machine> {
-        let removed = self.machines.remove(&id);
-        if removed.is_some() {
-            self.index.remove_machine(id);
-        }
-        removed
+        let (row, m) = self.machines.remove(&id)?;
+        self.index.remove_machine(row.into());
+        self.free_rows.push(row);
+        Some(m)
     }
 
     /// Applies an attribute update; returns false when the machine is
     /// unknown (removed earlier — the update is stale and ignored).
     pub fn update_attr(&mut self, id: MachineId, attr: AttrId, value: Option<AttrValue>) -> bool {
-        match self.machines.get_mut(&id) {
-            Some(m) => {
-                match value {
-                    Some(v) => {
-                        self.index.update_attr(id, attr, Some(&v));
-                        m.set_attr(attr, v);
-                    }
-                    None => {
-                        self.index.update_attr(id, attr, None);
-                        m.remove_attr(attr);
-                    }
-                }
-                true
+        let Some((row, m)) = self.machines.get_mut(&id) else {
+            return false;
+        };
+        self.index.update_attr((*row).into(), attr, value.as_ref());
+        match value {
+            Some(v) => {
+                m.set_attr(attr, v);
             }
-            None => false,
+            None => {
+                m.remove_attr(attr);
+            }
         }
+        true
     }
 
     /// Registers a task marker.
@@ -152,6 +183,22 @@ mod tests {
         assert!(s.remove_machine(1).is_some());
         assert!(s.remove_machine(1).is_none());
         assert_eq!(s.machine_count(), 1);
+    }
+
+    #[test]
+    fn rows_stay_dense_whatever_the_ids() {
+        let mut s = ClusterState::new();
+        for id in [u64::MAX, 7, u64::MAX - 1] {
+            let mut m = Machine::new(id, 0.5, 0.5);
+            m.set_attr(0, AttrValue::Int(1));
+            s.add_machine(m);
+        }
+        assert!(s.remove_machine(7).is_some());
+        s.add_machine(Machine::new(1 << 40, 0.5, 0.5));
+        let rows = s.index().matching(&[]);
+        assert_eq!(rows, [0, 1, 2], "the new machine reuses the freed row");
+        let ids: Vec<MachineId> = rows.iter().map(|&r| s.id_of_key(r)).collect();
+        assert_eq!(ids, [u64::MAX, 1 << 40, u64::MAX - 1]);
     }
 
     #[test]

@@ -116,11 +116,14 @@ proptest! {
                 ops.into_iter().map(|(a, op)| TaskConstraint::new(a, op)).collect();
             let Ok(reqs) = collapse(&cs) else { continue };
             let linear = suitable_machines_linear(&state, &reqs);
+            // The index yields ClusterState's rows; `id_of_key` names them.
             state.index().matching_into(&reqs, &mut listed);
+            let mut listed: Vec<u64> = listed.iter().map(|&row| state.id_of_key(row)).collect();
+            listed.sort_unstable();
             prop_assert_eq!(&listed, &linear, "matching_into diverged for {:?}", &reqs);
             let mut visited = Vec::new();
-            let finished = state.index().matching_visit(&reqs, |id| {
-                visited.push(id);
+            let finished = state.index().matching_visit(&reqs, |row| {
+                visited.push(state.id_of_key(row));
                 true
             });
             prop_assert!(finished);
@@ -172,5 +175,42 @@ proptest! {
             );
         }
         prop_assert_eq!(count_suitable(&state, &[]), state.machine_count());
+    }
+
+    /// Rows freed and taken again, values moving between a posting of one
+    /// machine and a posting of many, and ids spread over the whole id
+    /// space (`u64::MAX` among them): after every step the index answers
+    /// exactly like the linear scan.
+    #[test]
+    fn rows_and_postings_survive_churn(
+        steps in prop::collection::vec((0u64..12, 0u8..4, arb_value()), 1..60),
+        ops in prop::collection::vec(arb_op(), 1..3),
+    ) {
+        let id_of = |i: u64| if i.is_multiple_of(2) { u64::MAX - i } else { i };
+        let cs: Vec<TaskConstraint> = ops.into_iter().map(|op| TaskConstraint::new(0, op)).collect();
+        let reqs = collapse(&cs).ok();
+        let mut state = ClusterState::new();
+        for (i, action, value) in steps {
+            let id = id_of(i);
+            match action {
+                0 => {
+                    state.remove_machine(id);
+                }
+                1 => state.add_machine(Machine::with_attributes(id, 0.5, 0.5, vec![(0, value)])),
+                2 => {
+                    state.update_attr(id, 0, Some(value));
+                }
+                _ => {
+                    state.update_attr(id, 0, None);
+                }
+            }
+            prop_assert_eq!(count_suitable(&state, &[]), state.machine_count());
+            if let Some(reqs) = &reqs {
+                let linear = suitable_machines_linear(&state, reqs);
+                prop_assert_eq!(&suitable_machines(&state, reqs), &linear, "after {:?}", (i, action));
+                prop_assert_eq!(count_suitable(&state, reqs), linear.len());
+                prop_assert_eq!(state.index().matches_any(reqs), !linear.is_empty());
+            }
+        }
     }
 }

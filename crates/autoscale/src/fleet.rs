@@ -291,11 +291,13 @@ impl<'a> Autoscaler<'a> {
     fn order_machine(&mut self, now: SimTime, dest: Destination) {
         let id = self.next_id;
         self.next_id += 1;
-        let mut m = Machine::new(id, self.cfg.template.cpu, self.cfg.template.memory);
+        let mut attributes = Vec::new();
         if self.cfg.attr_base.is_some() {
-            m.set_attr(0, AttrValue::Int(self.next_attr));
+            attributes = vec![(0, AttrValue::Int(self.next_attr))];
             self.next_attr += 1;
         }
+        let (cpu, memory) = (self.cfg.template.cpu, self.cfg.template.memory);
+        let m = Machine::with_attributes(id, cpu, memory, attributes);
         // Fresh ids are never contested, but the claim is what makes
         // "drain while provisioning" impossible for any other owner.
         let claimed = self.engine.borrow_mut().try_claim(id, OWNER);

@@ -4,22 +4,34 @@
 //! task. This bench measures the inverted-index path (`count_suitable`)
 //! against the retained linear scan (`count_suitable_linear`) at
 //! increasing cluster sizes, in the same run — the PR-1 speedup target
-//! (≥5× at 10k machines) reads straight off these ids.
+//! (≥5× at 10k machines) reads straight off these ids. `build/*` times
+//! indexing a whole fleet.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ctlm_agocs::matcher::count_suitable_linear;
-use ctlm_agocs::{count_suitable, ClusterState};
+use ctlm_agocs::{count_suitable, AttrIndex, ClusterState};
 use ctlm_data::compaction::collapse;
 use ctlm_trace::{AttrValue, ConstraintOp, Machine, TaskConstraint};
 
+/// `n` machines with a unique integer, one of 40 integers and one of 7
+/// strings.
+fn machines(n: usize) -> Vec<Machine> {
+    (0..n as u64)
+        .map(|i| {
+            let attributes = vec![
+                (0, AttrValue::Int(i as i64)),
+                (1, AttrValue::Int((i % 40) as i64)),
+                (2, AttrValue::Str(format!("k{}", i % 7))),
+            ];
+            Machine::with_attributes(i, 0.5, 0.5, attributes)
+        })
+        .collect()
+}
+
 fn cluster(n: usize) -> ClusterState {
     let mut s = ClusterState::new();
-    for i in 0..n as u64 {
-        let mut m = Machine::new(i, 0.5, 0.5);
-        m.set_attr(0, AttrValue::Int(i as i64));
-        m.set_attr(1, AttrValue::Int((i % 40) as i64));
-        m.set_attr(2, AttrValue::Str(format!("k{}", i % 7)));
+    for m in machines(n) {
         s.add_machine(m);
     }
     s
@@ -67,6 +79,19 @@ fn bench_matching(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("linear_pin", n), &n, |b, _| {
             b.iter(|| {
                 count_suitable_linear(std::hint::black_box(&state), std::hint::black_box(&pin))
+            })
+        });
+    }
+    // Building the index over a fleet: what a machine joining costs.
+    for n in [1_000usize, 10_000] {
+        let fleet = machines(n);
+        group.bench_with_input(BenchmarkId::new("build", n), &n, |b, _| {
+            b.iter(|| {
+                let mut index = AttrIndex::new();
+                for m in std::hint::black_box(&fleet) {
+                    index.add_machine(m);
+                }
+                index
             })
         });
     }

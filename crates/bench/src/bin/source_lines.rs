@@ -9,8 +9,11 @@
 //! `#[cfg(test)]`. Integration tests, benches and examples live outside
 //! `src` and are not counted at all. Prints one `<lines> <crate>` row per crate,
 //! then the total; the root defaults to the current directory. An
-//! unreadable root is one `error:` line and exit code 2.
+//! unreadable root is one `error:` line and exit code 2. A reader that
+//! stops early (`source_lines | head -1`) ends the run quietly, with
+//! exit code 0.
 
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 use ctlm_bench::args::{usage_error, ParsedArgs};
@@ -30,8 +33,17 @@ fn main() {
         .filter(|src| src.is_dir())
         .collect();
     dirs.sort();
+    match print_counts(&dirs) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        result => result.expect("stdout writable"),
+    }
+}
+
+/// Prints each crate's row, then the total.
+fn print_counts(dirs: &[PathBuf]) -> std::io::Result<()> {
+    let mut out = std::io::stdout().lock();
     let mut total = 0;
-    for src in &dirs {
+    for src in dirs {
         let mut files = Vec::new();
         rust_files(src, &mut files);
         let lines: usize = files
@@ -39,10 +51,11 @@ fn main() {
             .map(|f| count_non_test_lines(&std::fs::read_to_string(f).expect("source readable")))
             .sum();
         let name = src.parent().and_then(Path::file_name).expect("crate dir");
-        println!("{lines:>7} {}", name.to_string_lossy());
+        writeln!(out, "{lines:>7} {}", name.to_string_lossy())?;
         total += lines;
     }
-    println!("{total:>7} total");
+    writeln!(out, "{total:>7} total")?;
+    out.flush()
 }
 
 /// Every `.rs` file under `dir`, at any depth.

@@ -2,7 +2,8 @@
 //! when every ratio holds and 1 when one exceeds its limit; a bad
 //! command line or an unusable report is one `error:` line and exit
 //! code 2 there and in the table binaries, never a panic; a table
-//! binary at its default scale runs to completion and exits 0.
+//! binary at its default scale runs to completion and exits 0;
+//! `source_lines` into a pipe whose reader is gone exits 0, quietly.
 
 use std::path::Path;
 use std::process::Command;
@@ -40,4 +41,21 @@ fn bench_binaries_exit_with_their_documented_codes() {
         let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
         assert_eq!(errors, usize::from(code == 2), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn source_lines_into_a_closed_pipe_ends_quietly() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    // The reader is gone before the first row is written, as after
+    // `source_lines | head -1` has read its line.
+    drop(reader);
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let out = Command::new(env!("CARGO_BIN_EXE_source_lines"))
+        .arg(root)
+        .stdout(writer)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }

@@ -16,7 +16,6 @@
 //! normal form that both the dataset encoders and the tests' equivalence
 //! property consume.
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -178,6 +177,16 @@ pub enum CompactionError {
     },
 }
 
+impl CompactionError {
+    /// The attribute the error is about.
+    fn attr(&self) -> AttrId {
+        match self {
+            CompactionError::Contradiction { attr, .. }
+            | CompactionError::TypeMismatch { attr, .. } => *attr,
+        }
+    }
+}
+
 impl fmt::Display for CompactionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -195,25 +204,40 @@ impl std::error::Error for CompactionError {}
 
 /// Collapses a task's constraints into per-attribute requirements,
 /// in first-appearance attribute order.
+///
+/// The requirements are folded in place in the output, found by a linear
+/// scan (a task carries a handful of constraints), so a call allocates
+/// the output and nothing else. An operator that contradicts an earlier
+/// one fails at once; past that, of the attributes whose final check
+/// fails, the error is the lowest attribute id's.
 pub fn collapse(constraints: &[TaskConstraint]) -> Result<Vec<AttrRequirement>, CompactionError> {
-    let mut order: Vec<AttrId> = Vec::new();
-    let mut map: BTreeMap<AttrId, AttrRequirement> = BTreeMap::new();
+    let distinct = constraints
+        .iter()
+        .enumerate()
+        .filter(|&(i, c)| constraints[..i].iter().all(|e| e.attr != c.attr))
+        .count();
+    let mut out: Vec<AttrRequirement> = Vec::with_capacity(distinct);
     for c in constraints {
-        map.entry(c.attr).or_insert_with(|| {
-            order.push(c.attr);
-            AttrRequirement::new(c.attr)
-        });
-        let req = map.get_mut(&c.attr).expect("just inserted");
-        apply(req, &c.op)?;
+        let at = match out.iter().position(|r| r.attr == c.attr) {
+            Some(at) => at,
+            None => {
+                out.push(AttrRequirement::new(c.attr));
+                out.len() - 1
+            }
+        };
+        apply(&mut out[at], &c.op)?;
     }
     // Final normalisation pass per attribute.
-    for req in map.values_mut() {
-        normalise(req)?;
+    let mut first_error: Option<CompactionError> = None;
+    for req in &mut out {
+        let attr = req.attr;
+        if let Err(e) = normalise(req) {
+            if first_error.as_ref().is_none_or(|f| attr < f.attr()) {
+                first_error = Some(e);
+            }
+        }
     }
-    Ok(order
-        .into_iter()
-        .map(|a| map.remove(&a).expect("ordered key"))
-        .collect())
+    first_error.map_or(Ok(out), Err)
 }
 
 /// Folds one operator into the running requirement.
@@ -562,6 +586,14 @@ mod tests {
     }
 
     #[test]
+    fn of_two_failing_attributes_the_lower_id_is_reported() {
+        // Each attribute passes every operator and fails the final check.
+        let clash = |a| [c(a, Op::Equal(Some(iv(5)))), c(a, Op::NotEqual(iv(5)))];
+        let err = collapse(&[clash(3), clash(1)].concat()).unwrap_err();
+        assert_eq!(err.attr(), 1, "{err}");
+    }
+
+    #[test]
     fn duplicated_equal_is_fine() {
         let reqs = collapse(&[c(0, Op::Equal(Some(iv(1)))), c(0, Op::Equal(Some(iv(1))))]).unwrap();
         assert_eq!(reqs[0].equal, Some(iv(1)));
@@ -594,7 +626,45 @@ mod tests {
             ]
         }
 
+        /// The formula `collapse` had before it folded in place: a map
+        /// per call plus a first-appearance order, normalised in
+        /// ascending attribute order.
+        fn collapse_via_map(
+            constraints: &[TaskConstraint],
+        ) -> Result<Vec<AttrRequirement>, CompactionError> {
+            use std::collections::BTreeMap;
+            let mut order: Vec<AttrId> = Vec::new();
+            let mut map: BTreeMap<AttrId, AttrRequirement> = BTreeMap::new();
+            for c in constraints {
+                map.entry(c.attr).or_insert_with(|| {
+                    order.push(c.attr);
+                    AttrRequirement::new(c.attr)
+                });
+                let req = map.get_mut(&c.attr).expect("just inserted");
+                apply(req, &c.op)?;
+            }
+            for req in map.values_mut() {
+                normalise(req)?;
+            }
+            Ok(order
+                .into_iter()
+                .map(|a| map.remove(&a).expect("ordered key"))
+                .collect())
+        }
+
         proptest! {
+            /// Folding in place returns what the map formula returned —
+            /// the same requirements in the same order, or the same error
+            /// — for constraint lists over several attributes.
+            #[test]
+            fn collapse_equals_the_map_formula(
+                cs in prop::collection::vec((0u32..4, arb_op()), 0..9),
+            ) {
+                let constraints: Vec<TaskConstraint> =
+                    cs.into_iter().map(|(a, op)| TaskConstraint::new(a, op)).collect();
+                prop_assert_eq!(collapse(&constraints), collapse_via_map(&constraints));
+            }
+
             /// For any constraint set that collapses cleanly, the collapsed
             /// requirement accepts an attribute state iff every original
             /// operator matches it.

@@ -352,10 +352,15 @@ fn build_synthetic_fleet(
     let mut idx = 0u64;
     for group in &w.machines {
         for _ in 0..group.count {
-            let mut m = Machine::new(idx, group.cpu, group.memory);
-            m.set_attr(0, AttrValue::Int(attr_base + idx as i64));
-            vocab.observe(0, &AttrValue::Int(attr_base + idx as i64));
-            machines.push(m);
+            let pin = AttrValue::Int(attr_base + idx as i64);
+            vocab.observe(0, &pin);
+            let attributes = vec![(0, pin)];
+            machines.push(Machine::with_attributes(
+                idx,
+                group.cpu,
+                group.memory,
+                attributes,
+            ));
             idx += 1;
         }
     }

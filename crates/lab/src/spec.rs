@@ -47,6 +47,14 @@ macro_rules! ensure {
     };
 }
 
+/// The most scheduler passes (`sim.horizon / sim.cycle`) a spec may ask
+/// for. The kernel runs a pass every cycle until the horizon whether or
+/// not anything is queued: 10⁷ idle passes took 3 s on a 2-vCPU Xeon,
+/// so this bounds an idle run at seconds. The checked-in specs ask for
+/// at most 3 600. A horizon past it is a mistake such as `u64::MAX`,
+/// which at 0.5 s cycles is 3.7 × 10¹³ passes, months of wall time.
+pub const MAX_PASSES: u64 = 10_000_000;
+
 /// A complete experiment description.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
@@ -134,6 +142,13 @@ impl ExperimentSpec {
         }
         // A zero period never leaves the instant it fires at.
         ensure!(self.sim.cycle > 0, "`sim.cycle` must be > 0");
+        let passes = self.sim.horizon / self.sim.cycle;
+        ensure!(
+            passes <= MAX_PASSES,
+            "`sim.horizon` / `sim.cycle` is {passes} scheduler passes, above the ceiling of \
+             {MAX_PASSES}: a pass runs every cycle even with nothing queued, so the run would \
+             not end in useful time"
+        );
         self.placers.validate()?;
         self.train.validate()?;
         for cell in self.cell_specs() {

@@ -17,7 +17,9 @@
 //!   settled;
 //! * the *clone* test pins what a copy of the cluster costs: the
 //!   schedulers of a grid point share one machine table, so a clone's
-//!   allocation count does not grow with the fleet.
+//!   allocation count does not grow with the fleet;
+//! * the *fleet bytes* test pins what a built cluster holds per machine
+//!   of a synthetic fleet (live bytes, from the same allocator).
 
 use ctlm_sim::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -45,24 +47,38 @@ thread_local! {
     /// thread. Const-initialised and drop-free, so touching it from the
     /// allocator neither allocates nor outlives the thread's TLS.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread (wrapping: a
+    /// block freed here may have been allocated elsewhere).
+    static LIVE_BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
 }
 
+fn live_bytes() -> usize {
+    LIVE_BYTES.with(Cell::get)
+}
+
+fn track(grown: usize, shrunk: usize) {
+    let _ = LIVE_BYTES.try_with(|b| b.set(b.get().wrapping_add(grown).wrapping_sub(shrunk)));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        track(layout.size(), 0);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(0, layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        track(new_size, layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -420,11 +436,12 @@ fn capacity_index_maintenance_does_not_allocate_in_steady_state() {
     // the buckets' buffers, so drain and restore allocate nothing
     // either. A drain copies the task list out for its caller, which is
     // the one allocation a *loaded* drain costs; the window drains idle
-    // machines. Attribute values are shared by two machines each: the
-    // attribute index drops a value's posting list with its last holder
-    // and would re-allocate it on restore. The cluster is its fleet's
-    // only owner, so the copy-on-write fleet is written in place and
-    // never copied.
+    // machines. Attribute values are shared by two machines each, so a
+    // value's posting is a key list that a drain shrinks and a restore
+    // refills in its own buffer (`drain_and_restore_of_unique_values_…`
+    // covers a posting of one machine). The cluster is its fleet's only
+    // owner, so the copy-on-write fleet is written in place and never
+    // copied.
     let mut d = SchedCluster::from_machines((0..8u64).map(|i| {
         let mut m = Machine::new(i, 1.0, 1.0);
         m.set_attr(0, AttrValue::Int(i as i64 / 2));
@@ -466,5 +483,67 @@ fn capacity_index_maintenance_does_not_allocate_in_steady_state() {
         0,
         "place/release/drain/restore churn allocated {} times",
         after - before
+    );
+}
+
+#[test]
+fn drain_and_restore_of_unique_values_does_not_allocate() {
+    // One pin value per machine, the synthetic fleets' shape: a drain
+    // empties the value's posting, and the index keeps the value's row,
+    // so the restore finds it and writes the key back in place.
+    let mut d = fleet(8);
+    let pin = collapse(&[TaskConstraint::new(0, Op::Equal(Some(AttrValue::Int(5))))]).unwrap();
+    let mut drain_restore = |rounds: u64| {
+        for r in 0..rounds {
+            let idle = r % 8;
+            assert_eq!(d.remove_machine(idle), Some(vec![]));
+            let expect = if idle == 5 {
+                CapacityFit::Infeasible
+            } else {
+                CapacityFit::Fit(5)
+            };
+            assert_eq!(d.tightest_fit(&pin, 0.5, 0.5), expect);
+            assert!(d.restore_machine(idle));
+            assert_eq!(d.tightest_fit(&pin, 0.5, 0.5), CapacityFit::Fit(5));
+        }
+    };
+    drain_restore(16);
+    let before = allocations();
+    drain_restore(512);
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "drain/restore of unique-valued machines allocated {} times",
+        after - before
+    );
+}
+
+/// Live bytes a built cluster of `n` synthetic machines holds: one pin
+/// attribute each, of a value no other machine holds, built the way the
+/// lab's synthetic builder builds them.
+fn synthetic_fleet_bytes(n: u64) -> usize {
+    let before = live_bytes();
+    let cluster = SchedCluster::from_machines(
+        (0..n).map(|i| Machine::with_attributes(i, 1.0, 1.0, vec![(0, AttrValue::Int(i as i64))])),
+    );
+    let bytes = live_bytes().wrapping_sub(before);
+    assert_eq!(cluster.len() as u64, n);
+    bytes
+}
+
+#[test]
+fn a_synthetic_machine_costs_a_bounded_number_of_bytes() {
+    // Powers of two: every table that grows by doubling is full at both
+    // sizes, so the difference is the per-machine cost without slack.
+    let (small, large) = (
+        synthetic_fleet_bytes(1 << 13),
+        synthetic_fleet_bytes(1 << 14),
+    );
+    let per_machine = (large - small) / (1 << 13);
+    println!("a built synthetic cluster holds {per_machine} bytes per machine");
+    assert!(
+        per_machine <= 320,
+        "{per_machine} bytes per machine ({small} B at 8 192, {large} B at 16 384)"
     );
 }

@@ -133,36 +133,44 @@ impl TraceGenerator {
         let kernel_zipf = Zipf::new(kernel_versions_initial, 1.0);
         let disks_zipf = Zipf::new(8, 0.8);
 
+        // The attribute ids were interned in this order, so each list is
+        // built sorted, in one allocation of exactly its length. The rng
+        // draws keep their order: capacities, platform, clock, disks, gpu
+        // coin (and count), tier, pool.
         let make_machine = |id: u64, node_index: i64, kernel_ver: usize, rng: &mut StdRng| {
-            let mut m = Machine::new(
-                id,
-                0.25 + 0.75 * rng.gen_range(0.0..1.0f64).powf(2.0),
-                0.25 + 0.75 * rng.gen_range(0.0..1.0f64).powf(2.0),
-            );
-            m.set_attr(a_node, AttrValue::Int(node_index));
-            m.set_attr(
-                a_platform,
-                AttrValue::from(PLATFORMS[platform_zipf.sample(rng)]),
-            );
-            m.set_attr(a_kernel, AttrValue::Str(format!("k{kernel_ver}")));
-            m.set_attr(
-                a_clock,
-                AttrValue::Int(CLOCK_VALUES[rng.gen_range(0..CLOCK_VALUES.len())]),
-            );
-            m.set_attr(a_disks, AttrValue::Int(disks_zipf.sample(rng) as i64 + 1));
-            m.set_attr(a_rack, AttrValue::Int((node_index as usize % racks) as i64));
-            if rng.gen_bool(0.15) {
-                m.set_attr(a_gpu, AttrValue::Int(rng.gen_range(1..=4)));
-            }
-            m.set_attr(a_tier, AttrValue::Int(rng.gen_range(0..10)));
-            if let Some(ap) = a_power {
+            let cpu = 0.25 + 0.75 * rng.gen_range(0.0..1.0f64).powf(2.0);
+            let memory = 0.25 + 0.75 * rng.gen_range(0.0..1.0f64).powf(2.0);
+            let platform = AttrValue::from(PLATFORMS[platform_zipf.sample(rng)]);
+            let clock = AttrValue::Int(CLOCK_VALUES[rng.gen_range(0..CLOCK_VALUES.len())]);
+            let disks = AttrValue::Int(disks_zipf.sample(rng) as i64 + 1);
+            let gpu = rng
+                .gen_bool(0.15)
+                .then(|| AttrValue::Int(rng.gen_range(1..=4)));
+            let tier = AttrValue::Int(rng.gen_range(0..10));
+            let power = a_power.map(|ap| {
                 let domains = 57.min((m_total / 8).max(2));
-                m.set_attr(ap, AttrValue::Int((node_index as usize % domains) as i64));
-            }
-            if let Some(ap) = a_pool {
-                m.set_attr(ap, AttrValue::from(POOLS[rng.gen_range(0..POOLS.len())]));
-            }
-            m
+                (ap, AttrValue::Int((node_index as usize % domains) as i64))
+            });
+            let pool = a_pool.map(|ap| (ap, AttrValue::from(POOLS[rng.gen_range(0..POOLS.len())])));
+            let len = 7
+                + usize::from(gpu.is_some())
+                + usize::from(power.is_some())
+                + usize::from(pool.is_some());
+            let mut attributes = Vec::with_capacity(len);
+            attributes.extend([
+                (a_node, AttrValue::Int(node_index)),
+                (a_platform, platform),
+                (a_kernel, AttrValue::Str(format!("k{kernel_ver}"))),
+                (a_clock, clock),
+                (a_disks, disks),
+                (a_rack, AttrValue::Int((node_index as usize % racks) as i64)),
+            ]);
+            attributes.extend(gpu.map(|v| (a_gpu, v)));
+            attributes.push((a_tier, tier));
+            attributes.extend(power);
+            attributes.extend(pool);
+            debug_assert_eq!(attributes.len(), len);
+            Machine::with_attributes(id, cpu, memory, attributes)
         };
 
         let mut next_node_index: i64 = 0;
