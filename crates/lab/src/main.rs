@@ -56,7 +56,6 @@ use std::process::ExitCode;
 
 use ctlm_bench::ParsedArgs;
 use ctlm_lab::memtrack::{self, TrackingAlloc};
-use ctlm_lab::observe::Observations;
 use ctlm_lab::report::{
     diff_reports, to_pretty_json, KnobSetting, LabReport, ReportMeta, SummaryDiff,
 };
@@ -181,7 +180,7 @@ fn run() -> Result<ExitCode, String> {
         });
     }
     if let Some(path) = metrics_out {
-        write_json("metrics", path, &to_pretty_json(&metrics_document(&obs)))?;
+        write_json("metrics", path, &to_pretty_json(&obs.metrics_document()))?;
     }
     if let Some(path) = spans_out {
         let doc = ctlm_lab::flight::trace_document(&obs, !args.flag("--no-meta"));
@@ -293,37 +292,6 @@ fn parse_metrics(value: &serde_json::Value) -> Option<Metrics> {
     };
     let (_, m) = fields.iter().find(|(k, _)| k == "metrics")?;
     Deserialize::from_value(m).ok()
-}
-
-/// The document `--metrics <path>` writes: a `schema_version` stamp,
-/// the registry, plus the event traces (sorted by key) when tracing
-/// ran. Everything inside is sim-plane state, so the file is
-/// byte-identical for every `execution.threads` value.
-fn metrics_document(obs: &Observations) -> serde_json::Value {
-    let mut fields = vec![
-        (
-            "schema_version".to_string(),
-            serde_json::Value::Num(ctlm_telemetry::SCHEMA_VERSION as f64),
-        ),
-        (
-            "metrics".to_string(),
-            serde::Serialize::to_value(&obs.metrics),
-        ),
-    ];
-    if !obs.traces.is_empty() {
-        let mut traces: Vec<_> = obs.traces.iter().collect();
-        traces.sort_by(|(a, _), (b, _)| a.cmp(b));
-        fields.push((
-            "traces".to_string(),
-            serde_json::Value::Object(
-                traces
-                    .into_iter()
-                    .map(|(k, ring)| (k.clone(), serde::Serialize::to_value(ring)))
-                    .collect(),
-            ),
-        ));
-    }
-    serde_json::Value::Object(fields)
 }
 
 /// Warns when the two compared documents carry different

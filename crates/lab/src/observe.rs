@@ -88,6 +88,37 @@ impl Observations {
             upsert(&mut self.host_rounds, key, p);
         }
     }
+    /// The document `ctlm-lab --metrics <path>` writes: a
+    /// `schema_version` stamp, the registry, plus the event traces
+    /// (sorted by key) when tracing ran. Everything inside is sim-plane
+    /// state, so the document is byte-identical for every
+    /// `execution.threads` value.
+    pub fn metrics_document(&self) -> serde_json::Value {
+        let mut fields = vec![
+            (
+                "schema_version".to_string(),
+                serde_json::Value::Num(ctlm_telemetry::SCHEMA_VERSION as f64),
+            ),
+            (
+                "metrics".to_string(),
+                serde::Serialize::to_value(&self.metrics),
+            ),
+        ];
+        if !self.traces.is_empty() {
+            let mut traces: Vec<_> = self.traces.iter().collect();
+            traces.sort_by(|(a, _), (b, _)| a.cmp(b));
+            fields.push((
+                "traces".to_string(),
+                serde_json::Value::Object(
+                    traces
+                        .into_iter()
+                        .map(|(k, ring)| (k.clone(), serde::Serialize::to_value(ring)))
+                        .collect(),
+                ),
+            ));
+        }
+        serde_json::Value::Object(fields)
+    }
 }
 
 /// Last write wins under `key`; a new key goes to the end, so the list
