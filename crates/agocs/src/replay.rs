@@ -12,14 +12,10 @@
 //! The logic lives in [`ReplaySession`], an incremental state machine
 //! consuming one [`TraceEvent`] at a time. [`Replayer::replay`] is the
 //! batch form: a fold of the session over the corrected stream.
-//! [`ReplayHandle`] shares a session between a driver and a feed that
-//! walks the stream inside a simulation (`ctlm_sched`'s
-//! `OnlineTraceFeed`), so replay shares a timeline with the scheduler
-//! engine, churn sources and rollouts — the online loop where dataset
-//! steps drive live retraining mid-simulation.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! [`ReplayHandle`] is a session a feed walks inside a simulation
+//! (`ctlm_sched`'s `OnlineTraceFeed`), so replay shares a timeline with
+//! the scheduler engine, churn sources and rollouts — the online loop
+//! where dataset steps drive live retraining mid-simulation.
 
 use serde::{Deserialize, Serialize};
 
@@ -341,24 +337,52 @@ fn row_label(task: &Task, suitable: usize, group_width: usize) -> Option<u8> {
     (task.has_constraints() && suitable > 0).then(|| group_for_count(suitable, group_width))
 }
 
-/// A [`ReplaySession`] shared between a driver and the feed that walks
-/// the stream inside a simulation: the feed observes through its clone,
-/// `on_step` fires as each dataset step completes — the hook online
-/// simulations use to submit retraining work while the scheduler keeps
-/// running — and the driver finishes the session after the run.
-#[derive(Clone)]
+/// A [`ReplaySession`] walked by a feed inside a simulation: the feed
+/// observes each event through it, `on_step` fires as each dataset step
+/// completes — the hook online simulations use to submit retraining
+/// work while the scheduler keeps running — and the driver finishes the
+/// session after the run. The handle travels with the feed, so it is
+/// `Send` when the feed's simulation is.
 pub struct ReplayHandle<'a> {
-    inner: Rc<RefCell<ReplayInner<'a>>>,
-}
-
-struct ReplayInner<'a> {
     session: ReplaySession,
     steps: Vec<DatasetStep>,
     #[allow(clippy::type_complexity)]
-    on_step: Option<Box<dyn FnMut(&DatasetStep, &ValueVocab) + 'a>>,
+    on_step: Option<Box<dyn FnMut(&DatasetStep, &ValueVocab) + Send + 'a>>,
 }
 
-impl ReplayInner<'_> {
+impl<'a> ReplayHandle<'a> {
+    /// A handle to a fresh session.
+    pub fn new(cfg: ReplayConfig, group_width: usize) -> Self {
+        Self {
+            session: ReplaySession::new(cfg, group_width),
+            steps: Vec::new(),
+            on_step: None,
+        }
+    }
+
+    /// Installs a step callback (called with each step and the
+    /// vocabulary as of that step).
+    pub fn on_step(mut self, f: impl FnMut(&DatasetStep, &ValueVocab) + Send + 'a) -> Self {
+        self.on_step = Some(Box::new(f));
+        self
+    }
+
+    /// Consumes one trace event, returning the session's labelling of a
+    /// task submission (see [`Observed::submission`]).
+    pub fn observe(&mut self, ev: &TraceEvent) -> Option<(Vec<AttrRequirement>, usize)> {
+        let seen = self.session.observe(ev);
+        self.emit(seen.step);
+        seen.submission
+    }
+
+    /// Flushes the trailing step (also reported through the callback)
+    /// and assembles the output.
+    pub fn finish(mut self, correction: CorrectionReport) -> ReplayOutput {
+        let trailing = self.session.flush_trailing();
+        self.emit(trailing);
+        self.session.into_output(self.steps, correction)
+    }
+
     fn emit(&mut self, step: Option<DatasetStep>) {
         if let Some(step) = step {
             if let Some(f) = self.on_step.as_mut() {
@@ -366,48 +390,6 @@ impl ReplayInner<'_> {
             }
             self.steps.push(step);
         }
-    }
-}
-
-impl<'a> ReplayHandle<'a> {
-    /// A handle to a fresh session.
-    pub fn new(cfg: ReplayConfig, group_width: usize) -> Self {
-        Self {
-            inner: Rc::new(RefCell::new(ReplayInner {
-                session: ReplaySession::new(cfg, group_width),
-                steps: Vec::new(),
-                on_step: None,
-            })),
-        }
-    }
-
-    /// Installs a step callback (called with each step and the
-    /// vocabulary as of that step).
-    pub fn on_step(self, f: impl FnMut(&DatasetStep, &ValueVocab) + 'a) -> Self {
-        self.inner.borrow_mut().on_step = Some(Box::new(f));
-        self
-    }
-
-    /// Consumes one trace event, returning the session's labelling of a
-    /// task submission (see [`Observed::submission`]).
-    pub fn observe(&self, ev: &TraceEvent) -> Option<(Vec<AttrRequirement>, usize)> {
-        let mut inner = self.inner.borrow_mut();
-        let seen = inner.session.observe(ev);
-        inner.emit(seen.step);
-        seen.submission
-    }
-
-    /// Flushes the trailing step (also reported through the callback)
-    /// and assembles the output. Call after the simulation has run: the
-    /// feed's clone must have been dropped with the kernel by then.
-    pub fn finish(self, correction: CorrectionReport) -> ReplayOutput {
-        let mut inner = Rc::try_unwrap(self.inner)
-            .ok()
-            .expect("replay state uniquely owned after the run")
-            .into_inner();
-        let trailing = inner.session.flush_trailing();
-        inner.emit(trailing);
-        inner.session.into_output(inner.steps, correction)
     }
 }
 

@@ -32,9 +32,6 @@
 //! Everything is deterministic in the config seed: identical spec +
 //! seed produce bit-identical fleets, timelines and reports.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -221,15 +218,16 @@ struct Provision {
 /// [`attach`](ctlm_sched::attach) it to the cell's simulation. It first
 /// acts at time 0, then on its cadence and at provisioning completions.
 ///
-/// It holds the cell's shared engine state and changes the fleet only
-/// through the engine's claim methods: a machine on order or parked warm
+/// It reads the cell through the engine state every wake is handed and
+/// changes the fleet only through the engine's claim methods: a machine on order or parked warm
 /// stays claimed for [`LifecycleOwner::Autoscaler`], activation is
 /// [`admit_claimed`](EngineState::admit_claimed) and scale-down is
-/// [`claim_and_take`](EngineState::claim_and_take).
-pub struct Autoscaler<'a> {
+/// [`claim_and_take`](EngineState::claim_and_take). The driver keeps
+/// the autoscaler, attaches it by `&mut` and reads [`Autoscaler::stats`]
+/// after the run.
+pub struct Autoscaler {
     cfg: AutoscaleConfig,
     policy: ThresholdStep,
-    engine: Rc<RefCell<EngineState<'a>>>,
     rng: StdRng,
     /// In-flight orders, sorted by `(ready_at, machine id)`.
     provisioning: Vec<Provision>,
@@ -245,50 +243,41 @@ pub struct Autoscaler<'a> {
     next_attr: i64,
     /// Victim-selection scratch.
     scratch: Vec<MachineId>,
-    stats: Rc<RefCell<AutoscaleStats>>,
+    /// What the autoscaler did so far; read it after the run.
+    pub stats: AutoscaleStats,
 }
 
-impl<'a> Autoscaler<'a> {
-    /// Builds the component against a cell's shared engine state,
-    /// returning it together with the stats handle the driver reads
-    /// after the run.
-    pub fn new(
-        cfg: AutoscaleConfig,
-        policy: ThresholdStep,
-        engine: Rc<RefCell<EngineState<'a>>>,
-    ) -> (Self, Rc<RefCell<AutoscaleStats>>) {
-        let stats = Rc::new(RefCell::new(AutoscaleStats {
+impl Autoscaler {
+    /// Builds the component; it acts on whichever cell it is attached to.
+    pub fn new(cfg: AutoscaleConfig, policy: ThresholdStep) -> Self {
+        let stats = AutoscaleStats {
             policy: ThresholdStep::NAME.to_string(),
             ..AutoscaleStats::default()
-        }));
+        };
         let rng = StdRng::seed_from_u64(cfg.seed ^ 0xA07C_5CA1_E000_0000);
         let next_eval = SimTime::ZERO.saturating_add(cfg.cadence);
         let next_id = cfg.id_base;
         let next_attr = cfg.attr_base.unwrap_or(0);
-        (
-            Self {
-                cfg,
-                policy,
-                engine,
-                rng,
-                provisioning: Vec::new(),
-                warm: Vec::new(),
-                next_wake: Some(SimTime::ZERO),
-                next_eval,
-                last_no_capacity: 0,
-                last_crashed: 0,
-                next_id,
-                next_attr,
-                scratch: Vec::new(),
-                stats: stats.clone(),
-            },
+        Self {
+            cfg,
+            policy,
+            rng,
+            provisioning: Vec::new(),
+            warm: Vec::new(),
+            next_wake: Some(SimTime::ZERO),
+            next_eval,
+            last_no_capacity: 0,
+            last_crashed: 0,
+            next_id,
+            next_attr,
+            scratch: Vec::new(),
             stats,
-        )
+        }
     }
 
     /// Orders one machine from the template; it comes online (or joins
     /// the warm pool) after a sampled provisioning delay.
-    fn order_machine(&mut self, now: SimTime, dest: Destination) {
+    fn order_machine(&mut self, engine: &mut EngineState<'_>, now: SimTime, dest: Destination) {
         let id = self.next_id;
         self.next_id += 1;
         let mut attributes = Vec::new();
@@ -300,7 +289,7 @@ impl<'a> Autoscaler<'a> {
         let m = Machine::with_attributes(id, cpu, memory, attributes);
         // Fresh ids are never contested, but the claim is what makes
         // "drain while provisioning" impossible for any other owner.
-        let claimed = self.engine.borrow_mut().try_claim(id, OWNER);
+        let claimed = engine.try_claim(id, OWNER);
         debug_assert!(claimed, "provisioned ids are namespaced and unclaimed");
         let ready_at = now.saturating_add(self.cfg.delay.sample(&mut self.rng));
         let pos = self
@@ -314,17 +303,16 @@ impl<'a> Autoscaler<'a> {
                 dest,
             },
         );
-        self.stats.borrow_mut().provisioned += 1;
+        self.stats.provisioned += 1;
     }
 
     /// Brings every due provisioning order online (or into the warm
     /// pool), in `(ready_at, id)` order. An order whose claim was
     /// displaced mid-provision (a crash overrode it) never comes online:
     /// the machine is dropped and the new owner keeps the claim.
-    fn complete_due(&mut self, now: SimTime) {
+    fn complete_due(&mut self, engine: &mut EngineState<'_>, now: SimTime) {
         while self.provisioning.first().is_some_and(|p| p.ready_at <= now) {
             let p = self.provisioning.remove(0);
-            let mut engine = self.engine.borrow_mut();
             let kept = match p.dest {
                 Destination::Active => engine.admit_claimed(p.machine, OWNER, now),
                 Destination::Warm => {
@@ -336,7 +324,7 @@ impl<'a> Autoscaler<'a> {
                 }
             };
             if !kept {
-                self.stats.borrow_mut().conflicts_skipped += 1;
+                self.stats.conflicts_skipped += 1;
             }
         }
     }
@@ -362,20 +350,20 @@ impl<'a> Autoscaler<'a> {
     /// Grows the live fleet by `need` machines: warm pool first, then
     /// fresh provisioning orders. A warm machine whose claim was
     /// displaced (it crashed while parked) is dropped, not activated.
-    fn scale_up(&mut self, now: SimTime, need: usize) {
+    fn scale_up(&mut self, engine: &mut EngineState<'_>, now: SimTime, need: usize) {
         let mut remaining = need;
         while remaining > 0 {
             if self.warm.is_empty() {
-                self.order_machine(now, Destination::Active);
+                self.order_machine(engine, now, Destination::Active);
                 remaining -= 1;
                 continue;
             }
             let m = self.warm.remove(0);
-            if !self.engine.borrow_mut().admit_claimed(m, OWNER, now) {
-                self.stats.borrow_mut().conflicts_skipped += 1;
+            if !engine.admit_claimed(m, OWNER, now) {
+                self.stats.conflicts_skipped += 1;
                 continue;
             }
-            self.stats.borrow_mut().warm_activations += 1;
+            self.stats.warm_activations += 1;
             remaining -= 1;
         }
     }
@@ -384,27 +372,24 @@ impl<'a> Autoscaler<'a> {
     /// first: drain (tasks requeue through the engine's churn path),
     /// then park warm or decommission. Machines another owner holds are
     /// skipped, not contested.
-    fn scale_down(&mut self, now: SimTime, excess: usize) {
+    fn scale_down(&mut self, engine: &mut EngineState<'_>, now: SimTime, excess: usize) {
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.engine
-            .borrow()
-            .cluster()
-            .machines_by_free_cpu_desc(&mut scratch);
+        engine.cluster().machines_by_free_cpu_desc(&mut scratch);
         let mut taken = 0usize;
         for &id in &scratch {
             if taken == excess {
                 break;
             }
-            let Some(m) = self.engine.borrow_mut().claim_and_take(id, OWNER, now) else {
-                self.stats.borrow_mut().conflicts_skipped += 1;
+            let Some(m) = engine.claim_and_take(id, OWNER, now) else {
+                self.stats.conflicts_skipped += 1;
                 continue;
             };
-            self.stats.borrow_mut().drained += 1;
+            self.stats.drained += 1;
             if self.warm_supply() < self.cfg.warm_pool {
                 self.warm.push(m); // keeps its claim while parked
             } else {
-                self.engine.borrow_mut().release_claim(id, OWNER);
-                self.stats.borrow_mut().decommissioned += 1;
+                engine.release_claim(id, OWNER);
+                self.stats.decommissioned += 1;
             }
             taken += 1;
         }
@@ -413,7 +398,7 @@ impl<'a> Autoscaler<'a> {
 
     /// Cancels in-flight Active-bound orders on a reversal (newest
     /// first), retargeting them to the warm pool while it has room.
-    fn cancel_active_orders(&mut self, mut excess: usize) {
+    fn cancel_active_orders(&mut self, engine: &mut EngineState<'_>, mut excess: usize) {
         for i in (0..self.provisioning.len()).rev() {
             if excess == 0 {
                 break;
@@ -428,17 +413,16 @@ impl<'a> Autoscaler<'a> {
                 // If a crash displaced the provision claim, the fault
                 // plane owns the id now — cancelling must not release a
                 // claim that is no longer ours.
-                self.engine.borrow_mut().release_claim(p.machine.id, OWNER);
-                self.stats.borrow_mut().cancelled += 1;
+                engine.release_claim(p.machine.id, OWNER);
+                self.stats.cancelled += 1;
             }
             excess -= 1;
         }
     }
 
     /// One policy evaluation: sample signals, size, act.
-    fn evaluate(&mut self, now: SimTime) {
+    fn evaluate(&mut self, engine: &mut EngineState<'_>, now: SimTime) {
         let (signals, crash_lost) = {
-            let engine = self.engine.borrow();
             let ledger = engine.ledger();
             let no_capacity = ledger.stats().no_capacity;
             let crashed = ledger.fault_stats().map_or(0, |f| f.crashed_machines);
@@ -470,14 +454,11 @@ impl<'a> Autoscaler<'a> {
         // provisioning delay does not compound into over-ordering.
         let committed = signals.fleet + self.inflight_active();
         if desired > committed {
-            self.stats.borrow_mut().scale_ups += 1;
+            self.stats.scale_ups += 1;
             let ordered = desired - committed;
             let replacements = crash_lost.min(ordered) as u64;
             if crash_lost > 0 {
-                self.engine
-                    .borrow_mut()
-                    .ledger_mut()
-                    .note_replacements(replacements);
+                engine.ledger_mut().note_replacements(replacements);
             }
             // The decision's audit trail — policy, machine delta, crash
             // replacements — on the cell's flight recorder (when on).
@@ -486,7 +467,7 @@ impl<'a> Autoscaler<'a> {
             } else {
                 "demand"
             };
-            self.engine.borrow_mut().control_decision(
+            engine.control_decision(
                 "scale_up",
                 now,
                 cause,
@@ -494,11 +475,11 @@ impl<'a> Autoscaler<'a> {
                 ordered as u64,
                 replacements,
             );
-            self.scale_up(now, ordered);
+            self.scale_up(engine, now, ordered);
         } else if desired < signals.fleet {
-            self.stats.borrow_mut().scale_downs += 1;
+            self.stats.scale_downs += 1;
             let released = signals.fleet - desired;
-            self.engine.borrow_mut().control_decision(
+            engine.control_decision(
                 "scale_down",
                 now,
                 "surplus",
@@ -506,27 +487,27 @@ impl<'a> Autoscaler<'a> {
                 released as u64,
                 0,
             );
-            self.cancel_active_orders(self.inflight_active());
-            self.scale_down(now, released);
+            self.cancel_active_orders(engine, self.inflight_active());
+            self.scale_down(engine, now, released);
         } else if desired < committed {
             // Fleet is right-sized but orders are still in flight.
-            self.cancel_active_orders(committed - desired);
+            self.cancel_active_orders(engine, committed - desired);
         }
         // Keep the standby pool stocked (initial prefill included).
         for _ in self.warm_supply()..self.cfg.warm_pool {
-            self.order_machine(now, Destination::Warm);
+            self.order_machine(engine, now, Destination::Warm);
         }
     }
 
     /// Appends a timeline sample when the counts changed.
-    fn record(&mut self, now: SimTime) {
+    fn record(&mut self, engine: &EngineState<'_>, now: SimTime) {
         let sample = FleetSample {
             time: now.as_micros(),
-            active: self.engine.borrow().cluster().len(),
+            active: engine.cluster().len(),
             warm: self.warm.len(),
             provisioning: self.provisioning.len(),
         };
-        let mut stats = self.stats.borrow_mut();
+        let stats = &mut self.stats;
         let same = stats.timeline.last().is_some_and(|last| {
             (last.active, last.warm, last.provisioning)
                 == (sample.active, sample.warm, sample.provisioning)
@@ -537,28 +518,28 @@ impl<'a> Autoscaler<'a> {
     }
 }
 
-impl TimedSource for Autoscaler<'_> {
+impl TimedSource for Autoscaler {
     const CLASS: u8 = PRIO_STATE;
 
-    fn next_time(&self) -> Option<SimTime> {
+    fn next_time(&self, _engine: &EngineState<'_>) -> Option<SimTime> {
         self.next_wake
     }
 
-    fn fire(&mut self, now: SimTime, _ctx: &mut Ctx<'_, SchedEvent>) {
-        if self.stats.borrow().timeline.is_empty() {
+    fn fire(&mut self, now: SimTime, engine: &mut EngineState<'_>, _ctx: &mut Ctx<'_, SchedEvent>) {
+        if self.stats.timeline.is_empty() {
             // First wake: baseline the timeline at the initial fleet
             // (and prefill the warm pool without waiting a cadence).
-            self.record(now);
+            self.record(engine, now);
             for _ in self.warm_supply()..self.cfg.warm_pool {
-                self.order_machine(now, Destination::Warm);
+                self.order_machine(engine, now, Destination::Warm);
             }
         }
-        self.complete_due(now);
+        self.complete_due(engine, now);
         while self.next_eval <= now {
             self.next_eval = self.next_eval.saturating_add(self.cfg.cadence);
-            self.evaluate(now);
+            self.evaluate(engine, now);
         }
-        self.record(now);
+        self.record(engine, now);
         let ready = self.provisioning.first().map(|p| p.ready_at);
         let next = ready.map_or(self.next_eval, |r| r.min(self.next_eval));
         self.next_wake = (next <= self.cfg.horizon).then_some(next);

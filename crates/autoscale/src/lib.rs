@@ -10,7 +10,7 @@
 //! ## Signals
 //!
 //! On a configurable evaluation cadence the autoscaler samples, from
-//! the cell's shared [`EngineState`](ctlm_sched::engine::EngineState):
+//! the cell's [`EngineState`](ctlm_sched::engine::EngineState):
 //!
 //! * **queue pressure** — pending main + high-priority tasks, plus
 //!   `NoCapacity` placement outcomes since the last tick (the

@@ -3,9 +3,6 @@
 //! drain-while-provisioning regression), determinism, and the
 //! never-strand-a-task property.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use proptest::prelude::*;
 
 use ctlm_autoscale::{
@@ -66,18 +63,16 @@ fn run_autoscaled(
 ) -> (SchedCluster, SimResult, AutoscaleStats) {
     let simulator = Simulator::new(config);
     let mut scheduler = ctlm_sched::scheduler::MainOnly;
-    let mut harness = simulator.harness(fleet(initial), arrivals, &mut scheduler);
-    if let Some(plan) = churn {
-        let source = ChurnSource::new(plan, harness.engine, harness.state());
-        attach(&mut harness.sim, "churn", source);
-    }
-    let (scaler, stats) = Autoscaler::new(cfg, policy, harness.state());
-    attach(&mut harness.sim, "autoscaler", scaler);
-    let (cluster, result) = harness.run();
-    let stats = Rc::try_unwrap(stats)
-        .map(RefCell::into_inner)
-        .unwrap_or_else(|rc| rc.borrow().clone());
-    (cluster, result, stats)
+    let mut scaler = Autoscaler::new(cfg, policy);
+    let (cluster, result) = {
+        let mut harness = simulator.harness(fleet(initial), arrivals, &mut scheduler);
+        if let Some(plan) = churn {
+            attach(&mut harness.sim, ChurnSource::new(plan));
+        }
+        attach(&mut harness.sim, &mut scaler);
+        harness.run()
+    };
+    (cluster, result, scaler.stats)
 }
 
 fn threshold_cfg(min: usize, max: usize, sim: &SimConfig) -> AutoscaleConfig {

@@ -120,7 +120,6 @@ fn bench_elastic_small(c: &mut Criterion) {
             let simulator = Simulator::new(config);
             let mut scheduler = MainOnly;
             let cluster = SchedCluster::from_machines((0..3u64).map(|i| Machine::new(i, 1.0, 1.0)));
-            let mut harness = simulator.harness(cluster, &arrivals, &mut scheduler);
             let cfg = AutoscaleConfig {
                 warm_pool: 1,
                 delay: ProvisionDelay::Fixed(3_000_000),
@@ -131,10 +130,13 @@ fn bench_elastic_small(c: &mut Criterion) {
                     &config,
                 )
             };
-            let (scaler, stats) = Autoscaler::new(cfg, ThresholdStep::default(), harness.state());
-            attach(&mut harness.sim, "autoscaler", scaler);
-            let (_, result) = harness.run();
-            let peak = stats.borrow().peak_active();
+            let mut scaler = Autoscaler::new(cfg, ThresholdStep::default());
+            let (_, result) = {
+                let mut harness = simulator.harness(cluster, &arrivals, &mut scheduler);
+                attach(&mut harness.sim, &mut scaler);
+                harness.run()
+            };
+            let peak = scaler.stats.peak_active();
             assert!(peak > 3, "the burst must grow the fleet");
             result.placed.len()
         })

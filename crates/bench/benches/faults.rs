@@ -107,7 +107,7 @@ fn bench_crash_recovery_roundtrip(c: &mut Criterion) {
             let cluster =
                 SchedCluster::from_machines(machine_ids.iter().map(|&i| Machine::new(i, 1.0, 1.0)));
             let mut harness = simulator.harness(cluster, &arrivals, &mut scheduler);
-            harness.state().borrow_mut().ledger_mut().enable_faults(
+            harness.state_mut().ledger_mut().enable_faults(
                 Box::new(ExponentialBackoff {
                     base: d(1_000_000),
                     cap: d(8_000_000),
@@ -124,19 +124,20 @@ fn bench_crash_recovery_roundtrip(c: &mut Criterion) {
                 (t(10_000_000), t(50_000_000)),
                 d(20_000_000),
             );
-            let plane = FaultPlane::new(plan, harness.engine, harness.state());
-            attach(&mut harness.sim, "faults", plane);
+            let plane = FaultPlane::new(plan);
+            attach(&mut harness.sim, plane);
             let cfg = AutoscaleConfig {
                 warm_pool: 1,
                 delay: ProvisionDelay::Fixed(3_000_000),
                 ..AutoscaleConfig::new(4, 12, d(2_000_000), &config)
             };
-            let (scaler, _stats) = Autoscaler::new(cfg, ThresholdStep::default(), harness.state());
-            attach(&mut harness.sim, "autoscaler", scaler);
-            let state = harness.state();
+            attach(
+                &mut harness.sim,
+                Autoscaler::new(cfg, ThresholdStep::default()),
+            );
             let (_, result) = harness.run();
-            let lost = state
-                .borrow()
+            let lost = harness
+                .state()
                 .ledger()
                 .fault_stats()
                 .map(|f| f.tasks_lost)

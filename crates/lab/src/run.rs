@@ -18,13 +18,13 @@
 //! (which claim machines on their cell engine's one claim table), the
 //! gang source, in-timeline retraining: each a [`TimedSource`]
 //! put on the cell's timeline by the one [`attach`] — is per-cell state
-//! and stays inside its shard, which is what makes dispatching shards to
-//! worker threads sound (see the `ctlm_sim::parallel` island
-//! invariant). Model registries are `Arc`-based and safe to hot-swap
-//! from a shard.
+//! and stays inside its shard. A shard is `Send` by derivation, so the
+//! compiler checks that dispatching shards to worker threads shares
+//! nothing between them. Model registries are `Arc`-based and safe to
+//! hot-swap from a shard.
 //!
 //! Arrivals reach a cell through the one
-//! [`Simulator::attach_cell`] entry point, as a borrowed list or as a
+//! [`Simulator::cell`] entry point, as a borrowed list or as a
 //! [`SyntheticStream`]; which one is decided here from what the spec
 //! needs (see [`ArrivalMode`]), never by the user.
 //!
@@ -52,22 +52,20 @@
 //! (it only changes which OS thread runs a shard), reports are
 //! bit-identical for any `execution.threads` value.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use ctlm_autoscale::{AutoscaleStats, Autoscaler};
 use ctlm_core::ModelRegistry;
 use ctlm_core::{GrowingModel, TrainConfig};
 use ctlm_data::vocab::ValueVocab;
-use ctlm_sched::engine::{CellHandle, EngineState, SpillRoute, PRIO_ADMIT, PRIO_STATE};
+use ctlm_sched::engine::{EngineState, SpillRoute, PRIO_ADMIT, PRIO_STATE};
 use ctlm_sched::scenario::{ChurnSource, GangSource};
 use ctlm_sched::{
     attach, Arrivals, EngineStats, FaultPlane, FaultStats, PendingTask, SchedCluster, SchedEvent,
     Scheduler, SimResult, Simulator, TimedSource,
 };
 use ctlm_sim::{
-    Ctx, EpochAutotune, LaneStats, ParallelPerf, ParallelSim, Sim, SimDuration, SimTime,
+    CellKernel, Ctx, EpochAutotune, LaneStats, ParallelPerf, ParallelSim, Sim, SimDuration, SimTime,
 };
 use ctlm_telemetry::{SpanLog, TraceRing};
 
@@ -147,22 +145,20 @@ pub struct CellTelemetry {
     pub spans: Option<SpanLog>,
 }
 
-/// An attached cell: its engine handle plus the autoscale stats sink
-/// (when the scenario runs an autoscaler).
-type AttachedCell<'a> = (CellHandle<'a>, Option<Rc<RefCell<AutoscaleStats>>>);
-
-/// Attaches one cell — engine, arrival feed, cycle timer, and every
-/// scenario component — to `sim`. Under spillover the arrival feed
-/// admits-or-spills (its `SpillRequest`s go to the shard outbox).
-fn attach_full_cell<'a>(
-    sim: &mut Sim<'a, SchedEvent>,
+/// One cell's kernel simulation — engine, arrival feed, cycle timer, and
+/// every scenario source; the cell's `autoscaler`, which the driver
+/// keeps to read after the run, is attached by `&mut`. Under spillover
+/// the arrival feed admits-or-spills (its `SpillRequest`s go to the
+/// shard outbox).
+fn cell_sim<'a, 'w: 'a>(
     spec: &ExperimentSpec,
-    cell: &'a BuiltCell,
-    simulator: &'a Simulator,
-    scheduler: &'a mut dyn Scheduler,
+    cell: &'w BuiltCell,
+    simulator: &'w Simulator,
+    scheduler: &'w mut dyn Scheduler,
     registry: &Option<ModelRegistry>,
     cluster: SchedCluster,
-) -> Result<AttachedCell<'a>, LabError> {
+    autoscaler: Option<&'a mut Autoscaler>,
+) -> Result<Sim<'a, EngineState<'w>, SchedEvent>, LabError> {
     let horizon = SimTime::from_micros(spec.sim.horizon);
     let arrivals = match &cell.arrivals {
         BuiltArrivals::Materialised(list) => Arrivals::List(list),
@@ -175,36 +171,29 @@ fn attach_full_cell<'a>(
         )?)),
     };
     let spill = spec.spillover.enabled();
-    let handle = simulator.attach_cell(sim, &cell.name, cluster, arrivals, scheduler, spill);
+    let mut sim = simulator.cell(cluster, arrivals, scheduler, spill);
+    let ledger = sim.world_mut().ledger_mut();
     if spec.observability.spans {
-        handle.state().borrow_mut().ledger_mut().enable_spans();
+        ledger.enable_spans();
     }
-    let ring = spec.observability.trace_events;
-    handle.state().borrow_mut().ledger_mut().enable_trace(ring);
-    let part = |what: &str| format!("{}/{what}", cell.name);
+    ledger.enable_trace(spec.observability.trace_events);
     // Churn, the fault plane and the autoscaler change the same fleet;
     // the engine's claim table keeps them off each other's machines.
     if let Some(plan) = &cell.churn {
-        let churn = ChurnSource::new(plan.clone(), handle.engine, handle.state());
-        attach(sim, part("churn"), churn);
+        attach(&mut sim, ChurnSource::new(plan.clone()));
     }
     if let Some(bf) = &cell.faults {
-        handle.state().borrow_mut().ledger_mut().enable_faults(
+        sim.world_mut().ledger_mut().enable_faults(
             bf.retry.build()?,
             spec.sim.seed ^ (cell.index as u64).wrapping_mul(0x9E37_79B9),
         );
-        let plane = FaultPlane::new(bf.plan.clone(), handle.engine, handle.state());
-        attach(sim, part("faults"), plane);
+        attach(&mut sim, FaultPlane::new(bf.plan.clone()));
     }
-    let mut autoscale_stats = None;
-    if let Some(auto) = &cell.autoscale {
-        let (scaler, stats) = Autoscaler::new(auto.config.clone(), auto.policy, handle.state());
-        attach(sim, part("autoscaler"), scaler);
-        autoscale_stats = Some(stats);
+    if let Some(scaler) = autoscaler {
+        attach(&mut sim, scaler);
     }
     if !cell.gangs.is_empty() {
-        let gangs = GangSource::new(cell.gangs.clone(), handle.engine);
-        attach(sim, part("gangs"), gangs);
+        attach(&mut sim, GangSource::new(cell.gangs.clone()));
     }
     // In-timeline retraining: only meaningful when the scheduler reads a
     // registry (`live_registry`); otherwise the cadence is inert.
@@ -217,22 +206,26 @@ fn attach_full_cell<'a>(
             horizon,
             spec.sim.seed,
         );
-        attach(sim, part("retrain"), source);
+        attach(&mut sim, source);
     }
-    Ok((handle, autoscale_stats))
+    Ok(sim)
 }
 
 /// Picks the cell a spill request lands in: home if it can admit the
 /// task by now (capacity may have freed since the arrival instant),
 /// otherwise the first feasible sibling (scanning forward, wrapping).
 /// Tasks nobody can admit still go to their home cell's queue.
-fn route_spill(states: &[Rc<RefCell<EngineState<'_>>>], home: usize, task: &PendingTask) -> usize {
-    if states[home].borrow().can_admit(task) {
+fn route_spill(
+    shards: &[CellKernel<'_, EngineState<'_>, SchedEvent>],
+    home: usize,
+    task: &PendingTask,
+) -> usize {
+    if shards[home].world().can_admit(task) {
         return home;
     }
-    for offset in 1..states.len() {
-        let i = (home + offset) % states.len();
-        if states[i].borrow().can_admit(task) {
+    for offset in 1..shards.len() {
+        let i = (home + offset) % shards.len();
+        if shards[i].world().can_admit(task) {
             return i;
         }
     }
@@ -349,44 +342,45 @@ fn run_cells(
         .collect::<Result<_, LabError>>()?;
     let horizon = SimTime::from_micros(spec.sim.horizon);
 
-    let mut handles = Vec::with_capacity(built.len());
-    let mut autoscale_stats: Vec<Option<Rc<RefCell<AutoscaleStats>>>> =
-        Vec::with_capacity(built.len());
+    // The driver keeps each cell's autoscaler to read its stats after
+    // the run.
+    let mut autoscalers: Vec<Option<Autoscaler>> = built
+        .iter()
+        .map(|c| {
+            let auto = c.autoscale.as_ref()?;
+            Some(Autoscaler::new(auto.config.clone(), auto.policy))
+        })
+        .collect();
 
     // One kernel shard per cell under the epoch-barrier coordinator.
     // Always — so `execution.threads` can never change the simulated
     // outcome, only the wall clock.
     let epoch = SimDuration::from_micros(spec.execution.epoch_us.initial());
-    let mut psim: ParallelSim<'_, SchedEvent> = ParallelSim::new(epoch, spec.execution.threads);
+    let mut psim = ParallelSim::new(epoch, spec.execution.threads);
     if spec.execution.epoch_us.is_auto() {
         psim.set_autotune(EpochAutotune::default());
     }
     if spec.observability.profile {
         psim.enable_profiling();
     }
-    for ((((cell, simulator), instance), registry), cluster) in built
+    for (((((cell, simulator), instance), registry), cluster), autoscaler) in built
         .iter()
         .zip(&simulators)
         .zip(instances.iter_mut())
         .zip(&registries)
         .zip(clusters)
+        .zip(autoscalers.iter_mut())
     {
-        let mut sim: Sim<'_, SchedEvent> = Sim::new();
-        let (handle, stats) = attach_full_cell(
-            &mut sim,
+        psim.add_shard(cell_sim(
             spec,
             cell,
             simulator,
             instance.scheduler.as_mut(),
             registry,
             cluster,
-        )?;
-        psim.add_shard(sim);
-        handles.push(handle);
-        autoscale_stats.push(stats);
+            autoscaler.as_mut(),
+        )?);
     }
-    let engines: Vec<_> = handles.iter().map(|h| h.engine).collect();
-    let states: Vec<_> = handles.iter().map(|h| h.state()).collect();
     // Per-cell outbound link-outage windows from the fault plane —
     // pure spec data, so timeout decisions are thread-count-free.
     let outages: Vec<&[(SimTime, SimTime)]> = built
@@ -426,8 +420,7 @@ fn run_cells(
                     // The home engine's arena resolves the index
                     // whether the task came from a borrowed list or a
                     // streamed chunk.
-                    let state = states[home].borrow();
-                    let target = route_spill(&states, home, state.task(idx));
+                    let target = route_spill(shards, home, shards[home].world().task(idx));
                     let route = if target == home {
                         SpillRoute::Home
                     } else {
@@ -440,33 +433,32 @@ fn run_cells(
             // sibling gets a clone, the task's new home; resolving
             // then retires the home arena slot (a no-op for list-fed
             // cells).
-            let mut state = states[home].borrow_mut();
+            let state = shards[home].world_mut();
             let event = if route == SpillRoute::Sibling {
                 SchedEvent::Admit(Box::new(state.task(idx).clone()))
             } else {
                 SchedEvent::Arrival(idx)
             };
             state.resolve_spill(idx, at, route, target);
-            shards[target].schedule_prio(at, PRIO_ADMIT, engines[target], engines[target], event);
+            let engine = shards[target].world().engine();
+            shards[target].schedule_prio(at, PRIO_ADMIT, engine, engine, event);
         }
     });
-    let lanes: Vec<LaneStats> = (0..built.len())
-        .map(|i| psim.shard(i).lane_stats())
-        .collect();
     let perf = psim.perf().cloned();
-    drop(psim);
+    // Ending the shards ends their borrows of the autoscalers.
+    let cells: Vec<(LaneStats, EngineState<'_>)> = psim
+        .into_shards()
+        .map(|sim| (sim.lane_stats(), sim.into_world()))
+        .collect();
 
-    let outcomes = handles
-        .iter()
-        .zip(built.iter())
-        .enumerate()
-        .map(|(i, (handle, cell))| {
-            let (_, result) = handle.finish();
-            // `finish` horizon-closed every open span; harvest the log
-            // before the long immutable borrow below.
-            let spans = handle.state().borrow_mut().ledger_mut().take_spans();
-            let state = handle.state();
-            let state = state.borrow();
+    let outcomes = cells
+        .into_iter()
+        .zip(built)
+        .zip(autoscalers)
+        .map(|(((lanes, mut state), cell), autoscaler)| {
+            let (_, result) = state.finish();
+            // `finish` horizon-closed every open span.
+            let spans = state.ledger_mut().take_spans();
             let ledger = state.ledger();
             let fstats = ledger.fault_stats().cloned();
             let recovery = cell.faults.as_ref().map(|bf| {
@@ -485,7 +477,7 @@ fn run_cells(
             });
             let telemetry = CellTelemetry {
                 stats: ledger.stats().clone(),
-                lanes: lanes[i],
+                lanes,
                 slab_retired: state.slab_retired(),
                 slab_resident: state.slab_resident_segments(),
                 trace: ledger.trace().cloned(),
@@ -498,7 +490,7 @@ fn run_cells(
                 // In a lab cell only a spill admits dynamically.
                 spilled_in: ledger.stats().admitted_dynamic as usize,
                 spilled_out: ledger.stats().spilled_out as usize,
-                autoscale: autoscale_stats[i].as_ref().map(|s| s.borrow().clone()),
+                autoscale: autoscaler.map(|a| a.stats),
                 recovery,
                 telemetry,
             }
@@ -572,11 +564,11 @@ impl<'a> RetrainSource<'a> {
 impl TimedSource for RetrainSource<'_> {
     const CLASS: u8 = PRIO_STATE;
 
-    fn next_time(&self) -> Option<SimTime> {
+    fn next_time(&self, _state: &EngineState<'_>) -> Option<SimTime> {
         self.next
     }
 
-    fn fire(&mut self, now: SimTime, _ctx: &mut Ctx<'_, SchedEvent>) {
+    fn fire(&mut self, now: SimTime, _: &mut EngineState<'_>, _: &mut Ctx<'_, SchedEvent>) {
         let seen = self.seen(now);
         if seen >= RETRAIN_MIN_ROWS && seen > self.trained_upto {
             self.trained_upto = seen;

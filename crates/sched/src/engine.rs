@@ -14,9 +14,10 @@
 //!   chunks pulled from an [`ArrivalStream`]) and emits admission events
 //!   at each task's arrival time;
 //! * [`CycleTimer`] — fires the scheduler pass every `cycle` µs;
-//! * [`EngineComponent`] — owns the cluster and the queues; handles
-//!   admissions, scheduler passes, task completions, machine churn and
-//!   gang arrivals.
+//! * [`EngineComponent`] — handles admissions, scheduler passes, task
+//!   completions, machine churn and gang arrivals on the cell's
+//!   [`EngineState`], the world of the cell's simulation, which owns
+//!   the cluster and the queues.
 //!
 //! The first two — like every scenario source, the fault plane and the
 //! autoscaler — are [`TimedSource`]s: they state when they next act and
@@ -47,9 +48,7 @@
 //! restrictive task that misses its single suitable node keeps cycling to
 //! the back — exactly the pathology the paper's analyzer removes.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -170,8 +169,10 @@ impl Default for SimConfig {
     }
 }
 
-/// The engine's mutable state, shared between the engine component and
-/// the driver via `Rc<RefCell<...>>` (dslab-style).
+/// A cell's state: the world of its kernel simulation. The cell's `Sim`
+/// owns it and lends it to each handler in turn — the engine component
+/// and every [`TimedSource`] — and the driver reads or changes it
+/// between deliveries through [`Sim::world`] / [`Sim::world_mut`].
 pub struct EngineState<'a> {
     cfg: SimConfig,
     /// The task arena: the arrival list borrowed from the driver
@@ -209,7 +210,7 @@ pub struct EngineState<'a> {
 }
 
 impl<'a> EngineState<'a> {
-    fn new(
+    pub(crate) fn new(
         cfg: SimConfig,
         cluster: SchedCluster,
         arrivals: &'a [PendingTask],
@@ -236,6 +237,12 @@ impl<'a> EngineState<'a> {
             engine_id: 0,
             place_ctx: PlaceCtx::new(),
         }
+    }
+
+    /// The engine component's id — where sources send scheduling
+    /// events.
+    pub fn engine(&self) -> CompId {
+        self.engine_id
     }
 
     /// The task behind an arena index.
@@ -708,8 +715,9 @@ impl<'a> EngineState<'a> {
     }
 
     /// Takes the final cluster and result out of the state; tasks still
-    /// queued (individually or as pending gang members) end here.
-    fn finish(&mut self) -> (SchedCluster, SimResult) {
+    /// queued (individually or as pending gang members) end here, as
+    /// unplaced. Call once, after the run; the ledger stays readable.
+    pub fn finish(&mut self) -> (SchedCluster, SimResult) {
         let queued = (self.hp.drain(..).chain(self.main.drain(..)))
             .chain(self.pending_gangs.drain(..).flat_map(|(s, len)| s..s + len));
         let horizon = SimTime::from_micros(self.cfg.horizon);
@@ -719,15 +727,18 @@ impl<'a> EngineState<'a> {
     }
 }
 
-/// The engine as a kernel component: a thin shell delegating every event
-/// to the shared [`EngineState`].
-pub struct EngineComponent<'a> {
-    state: Rc<RefCell<EngineState<'a>>>,
-}
+/// The engine as a kernel component: delivers every event to the cell's
+/// [`EngineState`], the simulation's world.
+pub struct EngineComponent;
 
-impl Component<SchedEvent> for EngineComponent<'_> {
-    fn on_event(&mut self, event: Event<SchedEvent>, ctx: &mut Ctx<'_, SchedEvent>) {
-        self.state.borrow_mut().handle(event.payload, ctx);
+impl<'a> Component<EngineState<'a>, SchedEvent> for EngineComponent {
+    fn on_event(
+        &mut self,
+        event: Event<SchedEvent>,
+        state: &mut EngineState<'a>,
+        ctx: &mut Ctx<'_, SchedEvent>,
+    ) {
+        state.handle(event.payload, ctx);
     }
 }
 
@@ -736,18 +747,22 @@ pub struct CycleTimer {
     next: Option<SimTime>,
     period: SimDuration,
     horizon: SimTime,
-    engine: CompId,
 }
 
 impl TimedSource for CycleTimer {
     const CLASS: u8 = PRIO_PASS;
 
-    fn next_time(&self) -> Option<SimTime> {
+    fn next_time(&self, _state: &EngineState<'_>) -> Option<SimTime> {
         self.next
     }
 
-    fn fire(&mut self, now: SimTime, ctx: &mut Ctx<'_, SchedEvent>) {
-        ctx.emit_prio(SimDuration::ZERO, PRIO_PASS, self.engine, SchedEvent::Cycle);
+    fn fire(&mut self, now: SimTime, state: &mut EngineState<'_>, ctx: &mut Ctx<'_, SchedEvent>) {
+        ctx.emit_prio(
+            SimDuration::ZERO,
+            PRIO_PASS,
+            state.engine(),
+            SchedEvent::Cycle,
+        );
         self.next = now.next_tick(self.period, self.horizon);
     }
 }
@@ -791,13 +806,14 @@ impl Simulator {
         self.config
     }
 
-    /// Registers one scheduling **cell** — engine component, arrival feed
-    /// and cycle timer — on an existing kernel simulation, so several
-    /// cells can share a single timeline (multi-cell runs).
+    /// One scheduling **cell**: a kernel simulation whose world is the
+    /// cell's [`EngineState`], with the engine component, the arrival
+    /// feed and the cycle timer registered. Scenario sources join it
+    /// through [`attach`]; the driver runs it and then takes the result
+    /// with [`EngineState::finish`].
     ///
-    /// `name` prefixes the registered component names. `arrivals` is
-    /// either a borrowed time-sorted list (no task is cloned; an empty
-    /// list is fine for cells fed exclusively through
+    /// `arrivals` is either a borrowed time-sorted list (no task is
+    /// cloned; an empty list is fine for cells fed exclusively through
     /// [`SchedEvent::Admit`]) or a pull-based [`ArrivalStream`], decoded
     /// chunk by chunk into the task arena one chunk ahead of the clock —
     /// peak arena memory O(chunk + in-flight tasks) instead of O(total
@@ -810,50 +826,41 @@ impl Simulator {
     /// hook routes them (the hook reads the task via
     /// [`EngineState::task`] and reports each verdict with
     /// [`EngineState::resolve_spill`]).
-    pub fn attach_cell<'a>(
+    pub fn cell<'a>(
         &'a self,
-        sim: &mut Sim<'a, SchedEvent>,
-        name: &str,
         cluster: SchedCluster,
         arrivals: Arrivals<'a>,
         scheduler: &'a mut dyn Scheduler,
         spill: bool,
-    ) -> CellHandle<'a> {
+    ) -> Sim<'a, EngineState<'a>, SchedEvent> {
         let cfg = self.config;
         let (list, stream) = match arrivals {
             Arrivals::List(list) => (list, None),
             Arrivals::Stream(stream) => (&[][..], Some(stream)),
         };
-        let state = Rc::new(RefCell::new(EngineState::new(
+        let mut sim = Sim::new(EngineState::new(
             cfg,
             cluster,
             list,
             scheduler,
             self.main_placer.as_ref(),
             self.hp_placer.as_ref(),
-        )));
-        let engine = sim.add_component(
-            format!("{name}/engine"),
-            EngineComponent {
-                state: state.clone(),
-            },
-        );
-        state.borrow_mut().engine_id = engine;
-        let feed = ArrivalFeed::new(list.len(), stream, state.clone(), engine, spill);
-        attach(sim, format!("{name}/arrival_feed"), feed);
+        ));
+        sim.world_mut().engine_id = sim.add_component(EngineComponent);
+        let feed = ArrivalFeed::new(list.len(), stream, sim.world_mut(), spill);
+        attach(&mut sim, feed);
         let timer = CycleTimer {
             next: Some(SimTime::ZERO),
             period: SimDuration::from_micros(cfg.cycle),
             horizon: SimTime::from_micros(cfg.horizon),
-            engine,
         };
-        attach(sim, format!("{name}/cycle_timer"), timer);
-        CellHandle { engine, state }
+        attach(&mut sim, timer);
+        sim
     }
 
-    /// Builds the simulation harness without running it, so scenario
-    /// components (churn, gang sources, trace feeds) can join
-    /// before [`Harness::run`].
+    /// Builds one list-fed cell without running it, so scenario sources
+    /// (churn, gang sources, trace feeds) can join before
+    /// [`Harness::run`].
     ///
     /// The cluster is taken by value and [`Harness::run`] hands it back
     /// as the run left it. An A/B comparison over one fleet gives each
@@ -867,79 +874,42 @@ impl Simulator {
         arrivals: &'a [PendingTask],
         scheduler: &'a mut dyn Scheduler,
     ) -> Harness<'a> {
-        let mut sim = Sim::new();
-        let cell = self.attach_cell(
-            &mut sim,
-            "cell",
-            cluster,
-            Arrivals::List(arrivals),
-            scheduler,
-            false,
-        );
         Harness {
-            sim,
-            engine: cell.engine,
-            state: cell.state,
+            sim: self.cell(cluster, Arrivals::List(arrivals), scheduler, false),
             horizon: SimTime::from_micros(self.config.horizon),
         }
     }
 }
 
-/// One cell registered on a shared kernel simulation via
-/// [`Simulator::attach_cell`]: the engine's component id plus the shared
-/// engine state. The driver owns the `Sim` and runs it; after the run
-/// (once the `Sim` is dropped), [`CellHandle::finish`] extracts the
-/// cell's cluster and result.
-pub struct CellHandle<'a> {
-    /// The cell engine's component id — the destination for scheduling
-    /// events (admissions, churn, spillover forwards).
-    pub engine: CompId,
-    state: Rc<RefCell<EngineState<'a>>>,
-}
-
-impl<'a> CellHandle<'a> {
-    /// The cell's shared engine state (see [`Harness::state`]).
-    pub fn state(&self) -> Rc<RefCell<EngineState<'a>>> {
-        self.state.clone()
-    }
-
-    /// Extracts `(cluster, result)`, counting still-queued tasks as
-    /// unplaced. Call after the simulation has run (and its components
-    /// have released their handler borrows).
-    pub fn finish(&self) -> (SchedCluster, SimResult) {
-        self.state.borrow_mut().finish()
-    }
-}
-
-/// A built-but-not-run simulation: the kernel, the engine's component id
-/// and the shared engine state. Scenario components register against
-/// `sim`/`engine` before `run`.
+/// A built-but-not-run cell: its kernel simulation, whose world is the
+/// cell's [`EngineState`]. Scenario sources [`attach`] to `sim` before
+/// [`Harness::run`]; the state stays readable after it.
 pub struct Harness<'a> {
     /// The underlying kernel simulation.
-    pub sim: Sim<'a, SchedEvent>,
-    /// The engine's component id — the destination scenario components
-    /// emit scheduling events to.
-    pub engine: CompId,
-    state: Rc<RefCell<EngineState<'a>>>,
+    pub sim: Sim<'a, EngineState<'a>, SchedEvent>,
     horizon: SimTime,
 }
 
 impl<'a> Harness<'a> {
-    /// The shared engine state — scenario components and drivers may
-    /// inspect it (e.g. cluster state, queue depths) between or after
-    /// runs; holding the clone across [`Harness::run`] is fine.
-    pub fn state(&self) -> Rc<RefCell<EngineState<'a>>> {
-        self.state.clone()
+    /// The cell's engine state — the cluster, the queues and the ledger,
+    /// before, between or after runs.
+    pub fn state(&self) -> &EngineState<'a> {
+        self.sim.world()
+    }
+
+    /// The cell's engine state, to switch a recorder on or claim a
+    /// machine between deliveries.
+    pub fn state_mut(&mut self) -> &mut EngineState<'a> {
+        self.sim.world_mut()
     }
 
     /// Runs to the horizon and returns `(cluster, result)`, the cluster
     /// as the simulation left it — callers inspecting post-churn state
-    /// see the drained machines still drained.
-    pub fn run(mut self) -> (SchedCluster, SimResult) {
+    /// see the drained machines still drained. The ledger stays
+    /// readable through [`Harness::state`].
+    pub fn run(&mut self) -> (SchedCluster, SimResult) {
         self.sim.run_until(self.horizon);
-        drop(self.sim); // components are done emitting
-        let mut state = self.state.borrow_mut();
-        state.finish()
+        self.sim.world_mut().finish()
     }
 }
 
@@ -1197,18 +1167,10 @@ mod tests {
                 let mut orac = OracleEnhanced;
                 let sched: &mut dyn Scheduler = if which == 0 { &mut main } else { &mut orac };
                 let s = sim();
-                let mut kernel = Sim::new();
-                let cell = s.attach_cell(
-                    &mut kernel,
-                    "cell",
-                    fresh,
-                    Arrivals::Stream(Box::new(SliceStream::new(&arrivals, chunk))),
-                    sched,
-                    false,
-                );
+                let stream = Box::new(SliceStream::new(&arrivals, chunk));
+                let mut kernel = s.cell(fresh, Arrivals::Stream(stream), sched, false);
                 kernel.run_until(SimTime::from_micros(s.config().horizon));
-                drop(kernel);
-                let (_, result) = cell.finish();
+                let (_, result) = kernel.world_mut().finish();
                 assert_eq!(&result, base, "chunk {chunk} scheduler {which}");
             }
         }

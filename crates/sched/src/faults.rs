@@ -36,10 +36,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use ctlm_sim::{CompId, Ctx, SimDuration, SimTime};
+use ctlm_sim::{Ctx, SimDuration, SimTime};
 use ctlm_telemetry::Histogram;
 use ctlm_trace::MachineId;
 
@@ -59,7 +56,7 @@ const PLAN_SEED_MIX: u64 = 0xFA17_70B5;
 /// task dead-letters (`failed_permanently`). Implementations draw any
 /// jitter from the *caller's* seeded RNG so retry schedules stay
 /// deterministic.
-pub trait RetryPolicy {
+pub trait RetryPolicy: Send {
     /// Backoff delay before retry `attempt`, or `None` to dead-letter.
     fn delay(&self, attempt: u32, rng: &mut StdRng) -> Option<SimDuration>;
 
@@ -256,37 +253,33 @@ pub struct FaultStats {
 /// post-mortem needs to tell "the fault plane stole this machine from
 /// the autoscaler" from a plain crash. Recovery releases the fault claim
 /// and restores the machine empty.
-pub struct FaultPlane<'a> {
+pub struct FaultPlane {
     plan: Plan<FaultAction>,
-    engine: CompId,
-    state: Rc<RefCell<EngineState<'a>>>,
     /// Outstanding outage depth per machine: a machine recovers only
     /// when its last overlapping outage ends.
     down: IdMap<MachineId, u32>,
 }
 
-impl<'a> FaultPlane<'a> {
-    /// A fault plane over `plan`, targeting the engine component whose
-    /// shared state is `state`.
-    pub fn new(plan: FaultPlan, engine: CompId, state: Rc<RefCell<EngineState<'a>>>) -> Self {
+impl FaultPlane {
+    /// A fault plane over `plan`.
+    pub fn new(plan: FaultPlan) -> Self {
         Self {
             plan: Plan::new(plan.events),
-            engine,
-            state,
             down: IdMap::default(),
         }
     }
 }
 
-impl TimedSource for FaultPlane<'_> {
+impl TimedSource for FaultPlane {
     const CLASS: u8 = PRIO_STATE;
 
-    fn next_time(&self) -> Option<SimTime> {
+    fn next_time(&self, _state: &EngineState<'_>) -> Option<SimTime> {
         self.plan.next_time()
     }
 
-    fn fire(&mut self, now: SimTime, ctx: &mut Ctx<'_, SchedEvent>) {
+    fn fire(&mut self, now: SimTime, state: &mut EngineState<'_>, ctx: &mut Ctx<'_, SchedEvent>) {
         const NOW: SimDuration = SimDuration::ZERO;
+        let engine = state.engine();
         while let Some(action) = self.plan.pop_due(now) {
             match action {
                 FaultAction::Crash(id) => {
@@ -295,9 +288,9 @@ impl TimedSource for FaultPlane<'_> {
                     if *depth == 1 {
                         // A crash is not a negotiation: displace any
                         // in-flight drain/provision claim.
-                        self.state.borrow_mut().override_claim(*id, now);
+                        state.override_claim(*id, now);
                     }
-                    ctx.emit_prio(NOW, PRIO_STATE, self.engine, SchedEvent::MachineCrash(*id));
+                    ctx.emit_prio(NOW, PRIO_STATE, engine, SchedEvent::MachineCrash(*id));
                 }
                 FaultAction::Recover(id) => {
                     // Recover only when the last overlapping outage ends;
@@ -307,9 +300,9 @@ impl TimedSource for FaultPlane<'_> {
                         if *depth == 0 {
                             self.down.remove(id);
                             let fault = LifecycleOwner::Fault;
-                            self.state.borrow_mut().release_claim(*id, fault);
+                            state.release_claim(*id, fault);
                             let back = SchedEvent::MachineRestore(*id);
-                            ctx.emit_prio(NOW, PRIO_STATE, self.engine, back);
+                            ctx.emit_prio(NOW, PRIO_STATE, engine, back);
                         }
                     }
                 }

@@ -404,9 +404,9 @@ impl Ledger {
     }
 
     /// Takes the recorded span log out (after the run), leaving the
-    /// recorder disabled. Finish the run first (e.g.
-    /// [`CellHandle::finish`](crate::engine::CellHandle::finish)) so open
-    /// spans are closed at the horizon.
+    /// recorder disabled. Finish the run first
+    /// ([`EngineState::finish`](crate::engine::EngineState::finish)) so
+    /// open spans are closed at the horizon.
     pub fn take_spans(&mut self) -> Option<SpanLog> {
         self.spans.take()
     }

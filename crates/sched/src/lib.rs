@@ -16,12 +16,14 @@
 //! ## The component model
 //!
 //! The simulation is a set of `ctlm_sim::Component`s on one deterministic
-//! timeline. One [`stream::ArrivalFeed`] per cell admits tasks at their
+//! timeline. Each cell is one kernel simulation, built by the single
+//! [`engine::Simulator::cell`], whose world is the cell's
+//! [`engine::EngineState`] — the cluster, the two queues and the task
+//! ledger. One [`stream::ArrivalFeed`] per cell admits tasks at their
 //! arrival instant — from a *borrowed* arrival list or from chunks
-//! pulled off an [`stream::ArrivalStream`], attached through the single
-//! [`engine::Simulator::attach_cell`] — [`engine::CycleTimer`] fires the
-//! scheduler pass, and [`engine::EngineComponent`] owns the cluster, the
-//! two queues and the task ledger. Scenario components ([`scenario`]) join
+//! pulled off an [`stream::ArrivalStream`] — [`engine::CycleTimer`]
+//! fires the scheduler pass, and [`engine::EngineComponent`] handles
+//! every scheduling event. Scenario components ([`scenario`]) join
 //! the same timeline: machine churn, all-or-nothing gang arrivals, and
 //! (in examples) live trace feeds that update machine attributes and
 //! drive retraining mid-run. Everything that acts on its own schedule —
@@ -91,7 +93,7 @@ pub mod stream;
 pub mod timed;
 
 pub use cluster::{CapacityFit, SchedCluster};
-pub use engine::{CellHandle, EngineStats, Ledger, SchedEvent, SimConfig, SimResult, Simulator};
+pub use engine::{EngineStats, Ledger, SchedEvent, SimConfig, SimResult, Simulator};
 pub use faults::{
     ExponentialBackoff, FaultAction, FaultPlan, FaultPlane, FaultStats, FixedRetry, RetryPolicy,
 };

@@ -72,7 +72,7 @@ impl PlaceCtx {
 /// eviction bookkeeping. The `ctx` scratch is owned by the caller and
 /// reused across attempts (strategies must not assume it carries state
 /// between calls).
-pub trait Placer {
+pub trait Placer: Sync {
     /// Proposes a placement for `task` on the current cluster state.
     fn place(&self, cluster: &SchedCluster, task: &PendingTask, ctx: &mut PlaceCtx) -> Placement;
 

@@ -14,10 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use ctlm_sim::{CompId, Ctx, SimDuration, SimTime};
+use ctlm_sim::{Ctx, SimDuration, SimTime};
 use ctlm_trace::{Machine, MachineId};
 
 use crate::engine::{EngineState, SchedEvent, PRIO_ADMIT, PRIO_STATE};
@@ -88,35 +85,29 @@ impl ChurnPlan {
 /// one a crash took over mid-outage (recovery belongs to the fault plane
 /// then). A skipped action emits no event and is recorded nowhere: the
 /// run simply has one churn outage fewer than the plan lists.
-pub struct ChurnSource<'a> {
+pub struct ChurnSource {
     plan: Plan<ChurnAction>,
-    engine: CompId,
-    state: Rc<RefCell<EngineState<'a>>>,
 }
 
-impl<'a> ChurnSource<'a> {
-    /// A source over `plan`, targeting the engine component whose shared
-    /// state is `state`.
-    pub fn new(plan: ChurnPlan, engine: CompId, state: Rc<RefCell<EngineState<'a>>>) -> Self {
+impl ChurnSource {
+    /// A source over `plan`.
+    pub fn new(plan: ChurnPlan) -> Self {
         Self {
             plan: Plan::new(plan.events),
-            engine,
-            state,
         }
     }
 }
 
-impl TimedSource for ChurnSource<'_> {
+impl TimedSource for ChurnSource {
     const CLASS: u8 = PRIO_STATE;
 
-    fn next_time(&self) -> Option<SimTime> {
+    fn next_time(&self, _state: &EngineState<'_>) -> Option<SimTime> {
         self.plan.next_time()
     }
 
-    fn fire(&mut self, now: SimTime, ctx: &mut Ctx<'_, SchedEvent>) {
+    fn fire(&mut self, now: SimTime, state: &mut EngineState<'_>, ctx: &mut Ctx<'_, SchedEvent>) {
         let churn = LifecycleOwner::Churn;
         while let Some(action) = self.plan.pop_due(now) {
-            let mut state = self.state.borrow_mut();
             let ev = match action {
                 ChurnAction::Fail(id) => {
                     if !state.try_claim(*id, churn) {
@@ -132,7 +123,7 @@ impl TimedSource for ChurnSource<'_> {
                 }
                 ChurnAction::Join(m) => SchedEvent::MachineJoin(m.clone()),
             };
-            ctx.emit_prio(SimDuration::ZERO, PRIO_STATE, self.engine, ev);
+            ctx.emit_prio(SimDuration::ZERO, PRIO_STATE, state.engine(), ev);
         }
     }
 }
@@ -142,15 +133,13 @@ impl TimedSource for ChurnSource<'_> {
 /// never pass through the individual admission path.
 pub struct GangSource {
     gangs: Plan<Vec<crate::queue::PendingTask>>,
-    engine: CompId,
 }
 
 impl GangSource {
     /// A source over `(time, members)` gangs (sorted internally).
-    pub fn new(gangs: Vec<(SimTime, Vec<crate::queue::PendingTask>)>, engine: CompId) -> Self {
+    pub fn new(gangs: Vec<(SimTime, Vec<crate::queue::PendingTask>)>) -> Self {
         Self {
             gangs: Plan::new(gangs),
-            engine,
         }
     }
 }
@@ -158,14 +147,14 @@ impl GangSource {
 impl TimedSource for GangSource {
     const CLASS: u8 = PRIO_ADMIT;
 
-    fn next_time(&self) -> Option<SimTime> {
+    fn next_time(&self, _state: &EngineState<'_>) -> Option<SimTime> {
         self.gangs.next_time()
     }
 
-    fn fire(&mut self, now: SimTime, ctx: &mut Ctx<'_, SchedEvent>) {
+    fn fire(&mut self, now: SimTime, state: &mut EngineState<'_>, ctx: &mut Ctx<'_, SchedEvent>) {
         while let Some(members) = self.gangs.pop_due(now) {
             let gang = SchedEvent::GangArrival(std::mem::take(members));
-            ctx.emit_prio(SimDuration::ZERO, PRIO_ADMIT, self.engine, gang);
+            ctx.emit_prio(SimDuration::ZERO, PRIO_ADMIT, state.engine(), gang);
         }
     }
 }
@@ -187,7 +176,6 @@ impl TimedSource for GangSource {
 /// routing — something the two old monolithic loops could not express.
 pub struct OnlineTraceFeed<'a> {
     events: Plan<ctlm_trace::TraceEvent>,
-    engine: CompId,
     replay: ctlm_agocs::ReplayHandle<'a>,
     group_width: usize,
 }
@@ -198,7 +186,6 @@ impl<'a> OnlineTraceFeed<'a> {
     pub fn new(
         events: Vec<ctlm_trace::TraceEvent>,
         group_width: usize,
-        engine: CompId,
         replay: ctlm_agocs::ReplayHandle<'a>,
     ) -> Self {
         let timed = events
@@ -206,23 +193,28 @@ impl<'a> OnlineTraceFeed<'a> {
             .map(|e| (SimTime::from_micros(e.time), e));
         Self {
             events: Plan::new(timed.collect()),
-            engine,
             replay,
             group_width,
         }
+    }
+
+    /// The replay session, to finish once the run is over.
+    pub fn into_replay(self) -> ctlm_agocs::ReplayHandle<'a> {
+        self.replay
     }
 }
 
 impl TimedSource for OnlineTraceFeed<'_> {
     const CLASS: u8 = PRIO_STATE;
 
-    fn next_time(&self) -> Option<SimTime> {
+    fn next_time(&self, _state: &EngineState<'_>) -> Option<SimTime> {
         self.events.next_time()
     }
 
-    fn fire(&mut self, now: SimTime, ctx: &mut Ctx<'_, SchedEvent>) {
+    fn fire(&mut self, now: SimTime, state: &mut EngineState<'_>, ctx: &mut Ctx<'_, SchedEvent>) {
         use ctlm_trace::EventPayload;
         const NOW: SimDuration = SimDuration::ZERO;
+        let engine = state.engine();
         while let Some(ev) = self.events.pop_due(now) {
             // Replay sees the event first, so a submission's suitable-node
             // count is taken against the state *including* this event.
@@ -231,11 +223,11 @@ impl TimedSource for OnlineTraceFeed<'_> {
                 EventPayload::MachineAdd(m) => ctx.emit_prio(
                     NOW,
                     PRIO_STATE,
-                    self.engine,
+                    engine,
                     SchedEvent::MachineJoin(Box::new(m.clone())),
                 ),
                 EventPayload::MachineRemove(id) => {
-                    ctx.emit_prio(NOW, PRIO_STATE, self.engine, SchedEvent::MachineFail(*id))
+                    ctx.emit_prio(NOW, PRIO_STATE, engine, SchedEvent::MachineFail(*id))
                 }
                 EventPayload::MachineAttrUpdate {
                     machine,
@@ -244,7 +236,7 @@ impl TimedSource for OnlineTraceFeed<'_> {
                 } => ctx.emit_prio(
                     NOW,
                     PRIO_STATE,
-                    self.engine,
+                    engine,
                     SchedEvent::AttrUpdate {
                         machine: *machine,
                         attr: *attr,
@@ -262,7 +254,7 @@ impl TimedSource for OnlineTraceFeed<'_> {
                         )
                     });
                     if let Some(t) = admitted {
-                        ctx.emit_prio(NOW, PRIO_ADMIT, self.engine, SchedEvent::Admit(Box::new(t)));
+                        ctx.emit_prio(NOW, PRIO_ADMIT, engine, SchedEvent::Admit(Box::new(t)));
                     }
                 }
                 _ => {}

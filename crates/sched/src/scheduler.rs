@@ -19,7 +19,7 @@ use crate::queue::PendingTask;
 ///
 /// `route` takes `&mut self` so stateful schedulers (e.g. ones tracking
 /// queue pressure, or re-reading a hot-swapped model) fit the trait.
-pub trait Scheduler {
+pub trait Scheduler: Send {
     /// True routes the task to the high-priority scheduler.
     fn route_high_priority(&mut self, task: &PendingTask) -> bool;
 }

@@ -25,10 +25,7 @@
 //! the event sequence does not depend on the shape (the lab's
 //! list-vs-stream equivalence tests pin this bit-for-bit).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use ctlm_sim::{CompId, Ctx, SimDuration, SimTime};
+use ctlm_sim::{Ctx, SimDuration, SimTime};
 
 use crate::engine::{EngineState, SchedEvent, PRIO_ADMIT};
 use crate::queue::PendingTask;
@@ -49,7 +46,7 @@ use crate::timed::TimedSource;
 ///
 /// Implementations decide their own chunk size; [`ArrivalFeed`] adapts
 /// to whatever run length a refill produces.
-pub trait ArrivalStream {
+pub trait ArrivalStream: Send {
     /// Appends the next time-sorted run of tasks to `out`; returns how
     /// many were appended (0 = exhausted).
     fn refill(&mut self, out: &mut Vec<PendingTask>) -> usize;
@@ -98,7 +95,7 @@ impl ArrivalStream for SliceStream<'_> {
 }
 
 /// What feeds a cell its arrivals — the `arrivals` argument of
-/// [`Simulator::attach_cell`](crate::engine::Simulator::attach_cell).
+/// [`Simulator::cell`](crate::engine::Simulator::cell).
 pub enum Arrivals<'a> {
     /// A borrowed time-sorted list; the task arena resolves its indices
     /// into the slice, nothing is cloned. May be empty (cells fed
@@ -125,8 +122,6 @@ pub struct ArrivalFeed<'a> {
     /// Refills `[next, end)` once drained; `None` for a list-fed cell,
     /// whose whole list is the one and only run.
     stream: Option<Box<dyn ArrivalStream + 'a>>,
-    state: Rc<RefCell<EngineState<'a>>>,
-    engine: CompId,
     /// Arena index of the next task to admit.
     next: usize,
     /// One past the last task known to the arena.
@@ -145,31 +140,27 @@ impl<'a> ArrivalFeed<'a> {
     pub(crate) fn new(
         list_len: usize,
         stream: Option<Box<dyn ArrivalStream + 'a>>,
-        state: Rc<RefCell<EngineState<'a>>>,
-        engine: CompId,
+        state: &mut EngineState<'_>,
         spill: bool,
     ) -> Self {
         let mut feed = Self {
             stream,
-            state,
-            engine,
             next: 0,
             end: list_len,
             spill,
             last_arrival: SimTime::ZERO,
         };
-        feed.refill();
+        feed.refill(state);
         feed
     }
 
     /// Once `[next, end)` is drained, pulls the next chunk into a fresh
     /// arena segment; without a stream, or with it exhausted, the feed
     /// stays drained — and is done.
-    fn refill(&mut self) {
+    fn refill(&mut self, state: &mut EngineState<'_>) {
         if self.next < self.end {
             return;
         }
-        let mut state = self.state.borrow_mut();
         let Some((start, len)) = self
             .stream
             .as_deref_mut()
@@ -192,18 +183,15 @@ impl<'a> ArrivalFeed<'a> {
 impl TimedSource for ArrivalFeed<'_> {
     const CLASS: u8 = PRIO_ADMIT;
 
-    fn next_time(&self) -> Option<SimTime> {
-        (self.next < self.end).then(|| self.state.borrow().task(self.next).arrival)
+    fn next_time(&self, state: &EngineState<'_>) -> Option<SimTime> {
+        (self.next < self.end).then(|| state.task(self.next).arrival)
     }
 
-    fn fire(&mut self, now: SimTime, ctx: &mut Ctx<'_, SchedEvent>) {
+    fn fire(&mut self, now: SimTime, state: &mut EngineState<'_>, ctx: &mut Ctx<'_, SchedEvent>) {
         while self.next < self.end {
-            let (arrival, rejection) = {
-                let state = self.state.borrow();
-                let task = state.task(self.next);
-                let due = self.spill && task.arrival <= now;
-                (task.arrival, due.then(|| state.rejection(task)).flatten())
-            };
+            let task = state.task(self.next);
+            let due = self.spill && task.arrival <= now;
+            let (arrival, rejection) = (task.arrival, due.then(|| state.rejection(task)).flatten());
             if arrival > now {
                 return;
             }
@@ -211,15 +199,15 @@ impl TimedSource for ArrivalFeed<'_> {
             match rejection {
                 None => {
                     let arrival = SchedEvent::Arrival(self.next);
-                    ctx.emit_prio(SimDuration::ZERO, PRIO_ADMIT, self.engine, arrival);
+                    ctx.emit_prio(SimDuration::ZERO, PRIO_ADMIT, state.engine(), arrival);
                 }
                 Some(reason) => {
-                    self.state.borrow_mut().spilled(self.next, now, reason);
+                    state.spilled(self.next, now, reason);
                     ctx.emit_remote(PRIO_ADMIT, SchedEvent::SpillRequest(self.next));
                 }
             }
             self.next += 1;
-            self.refill();
+            self.refill(state);
         }
     }
 }

@@ -20,10 +20,16 @@ use rand::Rng;
 
 use ctlm_sim::{CompId, Component, Ctx, Event, Sim, SimDuration, SimTime};
 
-use crate::engine::SchedEvent;
+use crate::engine::{EngineState, SchedEvent};
 
 /// A component that acts at times it knows in advance.
-pub trait TimedSource {
+///
+/// A source reads and changes its cell through the [`EngineState`] it
+/// is handed — the cell simulation's world — and owns nothing else of
+/// the cell. A source whose result the driver reads after the run (an
+/// autoscaler's statistics, a replay session) stays with the driver and
+/// is attached by `&mut`.
+pub trait TimedSource: Send {
     /// Delivery class of this source's wakes — where in an instant's
     /// state → admit → pass order it acts.
     const CLASS: u8;
@@ -31,21 +37,38 @@ pub trait TimedSource {
     /// When the source next acts; `None` once it is done. The walker
     /// reads it at [`attach`] (the first wake) and after every
     /// [`TimedSource::fire`] (the re-arm).
-    fn next_time(&self) -> Option<SimTime>;
+    fn next_time(&self, state: &EngineState<'_>) -> Option<SimTime>;
 
     /// Applies everything due at `now`, in order. Afterwards
     /// [`TimedSource::next_time`] must lie strictly after `now`.
-    fn fire(&mut self, now: SimTime, ctx: &mut Ctx<'_, SchedEvent>);
+    fn fire(&mut self, now: SimTime, state: &mut EngineState<'_>, ctx: &mut Ctx<'_, SchedEvent>);
+}
+
+impl<S: TimedSource> TimedSource for &mut S {
+    const CLASS: u8 = S::CLASS;
+
+    fn next_time(&self, state: &EngineState<'_>) -> Option<SimTime> {
+        (**self).next_time(state)
+    }
+
+    fn fire(&mut self, now: SimTime, state: &mut EngineState<'_>, ctx: &mut Ctx<'_, SchedEvent>) {
+        (**self).fire(now, state, ctx);
+    }
 }
 
 /// The one kernel component behind every [`TimedSource`].
 struct Walker<S>(S);
 
-impl<S: TimedSource> Component<SchedEvent> for Walker<S> {
-    fn on_event(&mut self, _event: Event<SchedEvent>, ctx: &mut Ctx<'_, SchedEvent>) {
+impl<'a, S: TimedSource> Component<EngineState<'a>, SchedEvent> for Walker<S> {
+    fn on_event(
+        &mut self,
+        _event: Event<SchedEvent>,
+        state: &mut EngineState<'a>,
+        ctx: &mut Ctx<'_, SchedEvent>,
+    ) {
         let now = ctx.now();
-        self.0.fire(now, ctx);
-        if let Some(next) = self.0.next_time() {
+        self.0.fire(now, state, ctx);
+        if let Some(next) = self.0.next_time(state) {
             assert!(
                 next > now,
                 "timed source fired at {now} and re-armed at {next}: it must advance the clock"
@@ -55,15 +78,14 @@ impl<S: TimedSource> Component<SchedEvent> for Walker<S> {
     }
 }
 
-/// Registers `source` on `sim` under `name` and seeds its first wake;
+/// Registers `source` on a cell's simulation and seeds its first wake;
 /// a source with nothing to do is registered but never woken.
 pub fn attach<'a, S: TimedSource + 'a>(
-    sim: &mut Sim<'a, SchedEvent>,
-    name: impl Into<String>,
+    sim: &mut Sim<'a, EngineState<'_>, SchedEvent>,
     source: S,
 ) -> CompId {
-    let first = source.next_time();
-    let id = sim.add_component(name, Walker(source));
+    let first = source.next_time(sim.world());
+    let id = sim.add_component(Walker(source));
     if let Some(t) = first {
         sim.schedule_prio(t, S::CLASS, id, id, SchedEvent::Wake);
     }
@@ -111,10 +133,13 @@ impl<T> Plan<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use crate::engine::SimConfig;
+    use crate::placement::BestFit;
+    use crate::scheduler::MainOnly;
+    use crate::SchedCluster;
 
-    type Log = Rc<RefCell<Vec<(u64, u32)>>>;
+    /// `(time µs, tag)` per action a source took.
+    type Log = Vec<(u64, u32)>;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -124,17 +149,33 @@ mod tests {
         Plan::new(items.iter().map(|&(us, tag)| (t(us), tag)).collect())
     }
 
-    /// Walks a plan of tags, logging `(now, tag)` per action.
+    /// A cell's world with no engine, feed or timer registered, so only
+    /// the sources under test wake.
+    fn bare(scheduler: &mut MainOnly) -> Sim<'_, EngineState<'_>, SchedEvent> {
+        let state = EngineState::new(
+            SimConfig::default(),
+            SchedCluster::new(),
+            &[],
+            scheduler,
+            &BestFit,
+            &BestFit,
+        );
+        Sim::new(state)
+    }
+
+    /// Walks a plan of tags, logging `(now, tag)` per action. The tests
+    /// own their sources and attach them by `&mut`, so the logs stay
+    /// readable after the run.
     struct Tags(Plan<u32>, Log);
 
     impl TimedSource for Tags {
         const CLASS: u8 = 1;
-        fn next_time(&self) -> Option<SimTime> {
+        fn next_time(&self, _state: &EngineState<'_>) -> Option<SimTime> {
             self.0.next_time()
         }
-        fn fire(&mut self, now: SimTime, _ctx: &mut Ctx<'_, SchedEvent>) {
+        fn fire(&mut self, now: SimTime, _: &mut EngineState<'_>, _: &mut Ctx<'_, SchedEvent>) {
             while let Some(tag) = self.0.pop_due(now) {
-                self.1.borrow_mut().push((now.as_micros(), *tag));
+                self.1.push((now.as_micros(), *tag));
             }
         }
     }
@@ -149,66 +190,73 @@ mod tests {
 
     impl TimedSource for Every {
         const CLASS: u8 = 2;
-        fn next_time(&self) -> Option<SimTime> {
+        fn next_time(&self, _state: &EngineState<'_>) -> Option<SimTime> {
             self.next
         }
-        fn fire(&mut self, now: SimTime, _ctx: &mut Ctx<'_, SchedEvent>) {
-            self.log.borrow_mut().push((now.as_micros(), 0));
+        fn fire(&mut self, now: SimTime, _: &mut EngineState<'_>, _: &mut Ctx<'_, SchedEvent>) {
+            self.log.push((now.as_micros(), 0));
             self.next = now.next_tick(self.period, self.horizon);
         }
     }
 
-    fn every(period: u64, horizon: u64, log: &Log) -> Every {
+    fn every(period: u64, horizon: u64) -> Every {
         Every {
             next: Some(SimTime::ZERO),
             period: SimDuration::from_micros(period),
             horizon: t(horizon),
-            log: log.clone(),
+            log: Log::new(),
         }
     }
 
     #[test]
     fn same_instant_actions_fire_in_plan_order_under_one_wake() {
-        let log = Log::default();
-        let plan = plan(&[(30, 4), (10, 1), (20, 2), (20, 3)]);
-        let mut sim = Sim::new();
-        attach(&mut sim, "tags", Tags(plan, log.clone()));
+        let mut tags = Tags(plan(&[(30, 4), (10, 1), (20, 2), (20, 3)]), Log::new());
+        let mut scheduler = MainOnly;
+        let mut sim = bare(&mut scheduler);
+        attach(&mut sim, &mut tags);
         sim.run();
-        assert_eq!(*log.borrow(), [(10, 1), (20, 2), (20, 3), (30, 4)]);
         assert_eq!(sim.events_delivered(), 3, "one wake per distinct instant");
+        drop(sim);
+        assert_eq!(tags.1, [(10, 1), (20, 2), (20, 3), (30, 4)]);
     }
 
     #[test]
     fn no_wake_is_scheduled_after_the_last_action() {
-        let log = Log::default();
-        let mut sim = Sim::new();
-        attach(&mut sim, "tags", Tags(plan(&[(5, 1)]), log.clone()));
-        attach(&mut sim, "idle", Tags(plan(&[]), log.clone()));
+        let mut tags = Tags(plan(&[(5, 1)]), Log::new());
+        let mut idle = Tags(plan(&[]), Log::new());
+        let mut scheduler = MainOnly;
+        let mut sim = bare(&mut scheduler);
+        attach(&mut sim, &mut tags);
+        attach(&mut sim, &mut idle);
         assert_eq!(sim.pending(), 1, "an empty plan is never woken");
         sim.run();
         assert_eq!((sim.pending(), sim.now()), (0, t(5)));
-        assert_eq!(*log.borrow(), [(5, 1)]);
+        drop(sim);
+        assert_eq!((&tags.1[..], &idle.1[..]), (&[(5, 1)][..], &[][..]));
     }
 
     #[test]
     fn a_periodic_sources_last_tick_is_the_last_multiple_inside_the_horizon() {
         for (period, horizon, last) in [(10, 35, 30), (10, 40, 40), (50, 35, 0)] {
-            let log = Log::default();
-            let mut sim = Sim::new();
-            attach(&mut sim, "every", every(period, horizon, &log));
+            let mut source = every(period, horizon);
+            let mut scheduler = MainOnly;
+            let mut sim = bare(&mut scheduler);
+            attach(&mut sim, &mut source);
             sim.run();
-            let ticks: Vec<u64> = log.borrow().iter().map(|&(us, _)| us).collect();
+            assert_eq!(sim.pending(), 0, "nothing armed past the horizon");
+            drop(sim);
+            let ticks: Vec<u64> = source.log.iter().map(|&(us, _)| us).collect();
             let expected: Vec<u64> = (0..=last).step_by(period as usize).collect();
             assert_eq!(ticks, expected, "period {period}, horizon {horizon}");
-            assert_eq!(sim.pending(), 0, "nothing armed past the horizon");
         }
     }
 
     #[test]
     #[should_panic(expected = "must advance the clock")]
     fn a_source_that_does_not_advance_trips_the_guard() {
-        let mut sim = Sim::new();
-        attach(&mut sim, "stuck", every(0, 100, &Log::default()));
+        let mut scheduler = MainOnly;
+        let mut sim = bare(&mut scheduler);
+        attach(&mut sim, every(0, 100));
         sim.run();
     }
 }

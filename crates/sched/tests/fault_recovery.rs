@@ -152,15 +152,13 @@ fn run_case(case: &FaultCase) -> (SimResult, u64, FaultStats) {
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster, &arrivals, &mut scheduler);
     harness
-        .state()
-        .borrow_mut()
+        .state_mut()
         .ledger_mut()
         .enable_faults(policy(case), case.sim_seed);
-    let plane = FaultPlane::new(plan, harness.engine, harness.state());
-    attach(&mut harness.sim, "faults", plane);
-    let state = harness.state();
+    let plane = FaultPlane::new(plan);
+    attach(&mut harness.sim, plane);
     let (_, result) = harness.run();
-    let state = state.borrow();
+    let state = harness.state();
     let admitted = state.ledger().stats().admitted_arrivals;
     let stats = state
         .ledger()
@@ -246,20 +244,19 @@ fn crash_overrides_inflight_drain_and_conservation_holds() {
     let simulator = Simulator::new(config);
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster, &arrivals, &mut scheduler);
-    harness.state().borrow_mut().ledger_mut().enable_faults(
+    harness.state_mut().ledger_mut().enable_faults(
         Box::new(FixedRetry {
             delay: d(2_000_000),
             budget: 3,
         }),
         7,
     );
-    let churn = ChurnSource::new(churn_plan, harness.engine, harness.state());
-    attach(&mut harness.sim, "churn", churn);
-    let plane = FaultPlane::new(fault_plan, harness.engine, harness.state());
-    attach(&mut harness.sim, "faults", plane);
-    let state = harness.state();
+    let churn = ChurnSource::new(churn_plan);
+    attach(&mut harness.sim, churn);
+    let plane = FaultPlane::new(fault_plan);
+    attach(&mut harness.sim, plane);
     let (cluster_after, result) = harness.run();
-    let state = state.borrow();
+    let state = harness.state();
     let stats = state.ledger().fault_stats().cloned().unwrap();
     assert!(stats.crashed_machines >= 1, "online machine 3 crashed");
     assert!(stats.tasks_lost >= 1, "machine 3 carried running tasks");
@@ -300,11 +297,10 @@ fn crash_without_retry_runtime_dead_letters_immediately() {
     let simulator = Simulator::new(config);
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster, &arrivals, &mut scheduler);
-    let plane = FaultPlane::new(plan, harness.engine, harness.state());
-    attach(&mut harness.sim, "faults", plane);
-    let state = harness.state();
+    let plane = FaultPlane::new(plan);
+    attach(&mut harness.sim, plane);
     let (_, result) = harness.run();
-    let state = state.borrow();
+    let state = harness.state();
     assert!(
         result.failed_permanently >= 1,
         "lost tasks must surface as failed_permanently, got {}",
@@ -348,13 +344,13 @@ fn a_backoff_past_the_end_of_time_never_elapses() {
         let mut scheduler = MainOnly;
         let mut harness = simulator.harness(cluster, &arrivals, &mut scheduler);
         let name = policy.name();
-        let state = harness.state();
-        state.borrow_mut().ledger_mut().enable_faults(policy, 7);
-        state.borrow_mut().ledger_mut().enable_spans();
-        let plane = FaultPlane::new(plan, harness.engine, harness.state());
-        attach(&mut harness.sim, "faults", plane);
+        let ledger = harness.state_mut().ledger_mut();
+        ledger.enable_faults(policy, 7);
+        ledger.enable_spans();
+        let plane = FaultPlane::new(plan);
+        attach(&mut harness.sim, plane);
         harness.run();
-        let mut state = state.borrow_mut();
+        let state = harness.state_mut();
         let stats = state.ledger().fault_stats().cloned().unwrap();
         assert!(
             stats.retries_scheduled >= 1,

@@ -218,8 +218,8 @@ fn churn_drains_machines_and_requeues_their_tasks() {
     let simulator = Simulator::new(config);
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster(6), &arrivals, &mut scheduler);
-    let churn = ChurnSource::new(plan, harness.engine, harness.state());
-    attach(&mut harness.sim, "churn", churn);
+    let churn = ChurnSource::new(plan);
+    attach(&mut harness.sim, churn);
     let (cluster_after, result) = harness.run();
     assert!(
         result.churn_rescheduled >= 9,
@@ -253,11 +253,10 @@ fn a_requeued_task_that_turns_infeasible_is_counted_once() {
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster(2), &arrivals, &mut scheduler);
     let plan = ChurnPlan::new(vec![(t(5_000_000), ChurnAction::Fail(0))]);
-    let churn = ChurnSource::new(plan, harness.engine, harness.state());
-    attach(&mut harness.sim, "churn", churn);
-    let state = harness.state();
+    let churn = ChurnSource::new(plan);
+    attach(&mut harness.sim, churn);
     let (_, result) = harness.run();
-    let state = state.borrow();
+    let state = harness.state();
     assert_eq!(result.churn_rescheduled, 1);
     assert_eq!(state.ledger().stats().infeasible, 1);
     assert_eq!((result.placed.len(), result.unplaced), (1, 0));
@@ -285,8 +284,8 @@ fn a_churn_run_on_a_clone_leaves_the_fleet_whole_for_the_next_run() {
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(fleet.clone(), &arrivals, &mut scheduler);
     let plan = ChurnPlan::new(vec![(t(5_000_000), ChurnAction::Fail(0))]);
-    let churn = ChurnSource::new(plan, harness.engine, harness.state());
-    attach(&mut harness.sim, "churn", churn);
+    let churn = ChurnSource::new(plan);
+    attach(&mut harness.sim, churn);
     let (cluster_after, churned) = harness.run();
     assert_eq!(cluster_after.len(), 5, "machine 0 still drained");
     assert!(churned.churn_rescheduled > 0, "machine 0 held tasks");
@@ -320,31 +319,30 @@ fn a_rejoin_ends_the_drain_window_on_every_join_path() {
     });
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster(3), &arrivals, &mut scheduler);
-    let state = harness.state();
-    state.borrow_mut().ledger_mut().enable_spans();
-    state.borrow_mut().ledger_mut().enable_trace(1 << 12);
+    harness.state_mut().ledger_mut().enable_spans();
+    harness.state_mut().ledger_mut().enable_trace(1 << 12);
     let rejoin = Machine::new(1, 1.0, 1.0);
     let plan = ChurnPlan::new(vec![
         (t(5_000_000), ChurnAction::Fail(1)),
         (t(15_000_000), ChurnAction::Join(Box::new(rejoin))),
     ]);
-    let churn = ChurnSource::new(plan, harness.engine, harness.state());
-    attach(&mut harness.sim, "churn", churn);
+    let churn = ChurnSource::new(plan);
+    attach(&mut harness.sim, churn);
     let owner = LifecycleOwner::Autoscaler;
     harness.sim.run_until(t(10_000_000));
-    let parked = state.borrow_mut().claim_and_take(0, owner, t(10_000_000));
+    let parked = harness.state_mut().claim_and_take(0, owner, t(10_000_000));
     let parked = parked.expect("machine 0 is online and unclaimed");
-    assert_eq!(state.borrow().claims().owner(0), Some(owner));
+    assert_eq!(harness.state().claims().owner(0), Some(owner));
     harness.sim.run_until(t(20_000_000));
-    assert!(state
-        .borrow_mut()
+    assert!(harness
+        .state_mut()
         .admit_claimed(parked, owner, t(20_000_000)));
-    assert_eq!(state.borrow().claims().owner(0), None);
+    assert_eq!(harness.state().claims().owner(0), None);
     let (cluster_after, result) = harness.run();
     assert_eq!(cluster_after.len(), 3, "both machines are back");
     assert!(result.churn_rescheduled > 0, "the drains requeued tasks");
 
-    let mut state = state.borrow_mut();
+    let state = harness.state_mut();
     let joined: Vec<_> = state
         .ledger()
         .trace()
@@ -400,8 +398,8 @@ fn capacity_index_stays_consistent_through_kernel_churn() {
         (t(25_000_000), ChurnAction::Restore(4)),
         (t(30_000_000), ChurnAction::Fail(2)),
     ]);
-    let churn = ChurnSource::new(plan, harness.engine, harness.state());
-    attach(&mut harness.sim, "churn", churn);
+    let churn = ChurnSource::new(plan);
+    attach(&mut harness.sim, churn);
     let (cluster_after, result) = harness.run();
     assert!(result.placed.len() > 12, "most tasks place despite churn");
     assert_eq!(cluster_after.len(), 5, "machine 2 still drained");
@@ -447,8 +445,8 @@ fn gangs_place_all_or_nothing_on_the_kernel() {
     let simulator = Simulator::new(config);
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(cluster(6), &arrivals, &mut scheduler);
-    let gangs = GangSource::new(vec![(t(1_000_000), gang_members)], harness.engine);
-    attach(&mut harness.sim, "gangs", gangs);
+    let gangs = GangSource::new(vec![(t(1_000_000), gang_members)]);
+    attach(&mut harness.sim, gangs);
     let (_, result) = harness.run();
     assert_eq!(result.gangs_placed, 1, "gang must eventually place whole");
     let placed_members = result
@@ -516,12 +514,16 @@ fn online_feed_emits_the_steps_replay_does_and_labels_tasks_with_their_rows() {
         horizon: end + 3_600_000_000,
         seed: 19,
     });
+    // The driver keeps the feed, attached by `&mut`, to finish its
+    // replay session after the run.
+    let mut feed = OnlineTraceFeed::new(events, trace.group_width, replay);
     let mut log = AdmissionLog::default();
-    let mut harness = simulator.harness(SchedCluster::new(), &[], &mut log);
-    let feed = OnlineTraceFeed::new(events, trace.group_width, harness.engine, replay.clone());
-    attach(&mut harness.sim, "online_feed", feed);
-    let (_, result) = harness.run();
-    let online = replay.finish(correction);
+    let (_, result) = {
+        let mut harness = simulator.harness(SchedCluster::new(), &[], &mut log);
+        attach(&mut harness.sim, &mut feed);
+        harness.run()
+    };
+    let online = feed.into_replay().finish(correction);
 
     // The fold and the timeline agree, step for step.
     assert_eq!(online.steps.len(), folded.steps.len());
@@ -564,8 +566,6 @@ fn online_feed_emits_the_steps_replay_does_and_labels_tasks_with_their_rows() {
 /// step the run saw, and two runs route — and so schedule — identically.
 #[test]
 fn online_retraining_lands_on_the_simulation_clock() {
-    use std::cell::Cell;
-
     use ctlm_agocs::{correct_stream, ReplayConfig, ReplayHandle};
     use ctlm_sched::scenario::OnlineTraceFeed;
     use ctlm_trace::{CellSet, Scale, TraceGenerator};
@@ -582,7 +582,7 @@ fn online_retraining_lands_on_the_simulation_clock() {
         let (events, _) = correct_stream(&trace.events);
         let end = events.last().unwrap().time;
         let registry = ModelRegistry::new();
-        let steps = Cell::new(0u64);
+        let mut steps = 0u64;
         let mut model = GrowingModel::new(TrainConfig {
             epochs_limit: 2,
             max_attempts: 1,
@@ -590,7 +590,7 @@ fn online_retraining_lands_on_the_simulation_clock() {
         });
         let replay =
             ReplayHandle::new(ReplayConfig::default(), trace.group_width).on_step(|step, vocab| {
-                steps.set(steps.get() + 1);
+                steps += 1;
                 model.step(&step.vv, step.index as u64);
                 registry.install(model.analyzer(vocab.clone()));
             });
@@ -602,11 +602,13 @@ fn online_retraining_lands_on_the_simulation_clock() {
             seed: 19,
         });
         let mut scheduler = LiveRegistry::new(registry.clone());
-        let mut harness = simulator.harness(SchedCluster::new(), &[], &mut scheduler);
-        let feed = OnlineTraceFeed::new(events, trace.group_width, harness.engine, replay);
-        attach(&mut harness.sim, "online_feed", feed);
-        let (_, result) = harness.run();
-        (result, registry.version(), steps.get())
+        let (_, result) = {
+            let mut harness = simulator.harness(SchedCluster::new(), &[], &mut scheduler);
+            let feed = OnlineTraceFeed::new(events, trace.group_width, replay);
+            attach(&mut harness.sim, feed);
+            harness.run()
+        };
+        (result, registry.version(), steps)
     };
 
     let (a, installed, steps) = run();

@@ -186,8 +186,7 @@ fn scheduling_pass_with_telemetry_enabled_does_not_allocate() {
     let simulator = Simulator::new(config);
     let mut scheduler = MainOnly;
     let mut harness = simulator.harness(fleet(4), &arrivals, &mut scheduler);
-    let state = harness.state();
-    state.borrow_mut().ledger_mut().enable_trace(256);
+    harness.state_mut().ledger_mut().enable_trace(256);
 
     harness.sim.run_until(t(150_000_000));
 
@@ -202,8 +201,7 @@ fn scheduling_pass_with_telemetry_enabled_does_not_allocate() {
     );
 
     {
-        let s = state.borrow();
-        let ledger = s.ledger();
+        let ledger = harness.state().ledger();
         let stats = ledger.stats();
         assert_eq!(stats.admitted_arrivals, 52, "every task admitted once");
         assert_eq!(stats.placed, 12, "only the blockers place");
@@ -262,9 +260,10 @@ fn fault_free_run_adds_zero_allocations_and_identical_report_bytes() {
         if with_empty_plane {
             let plan = FaultPlan::default();
             assert!(plan.events.is_empty());
-            let plane = FaultPlane::new(plan, harness.engine, harness.state());
-            assert!(plane.next_time().is_none(), "empty plan must never wake");
-            attach(&mut harness.sim, "faults", plane);
+            let plane = FaultPlane::new(plan);
+            let wake = plane.next_time(harness.state());
+            assert!(wake.is_none(), "empty plan must never wake");
+            attach(&mut harness.sim, plane);
         }
 
         harness.sim.run_until(t(150_000_000));
@@ -320,9 +319,8 @@ fn span_recorder_disabled_is_free_and_enabled_changes_no_report_byte() {
         let simulator = Simulator::new(config);
         let mut scheduler = MainOnly;
         let mut harness = simulator.harness(fleet(4), &arrivals, &mut scheduler);
-        let state = harness.state();
         if with_spans {
-            state.borrow_mut().ledger_mut().enable_spans();
+            harness.state_mut().ledger_mut().enable_spans();
         }
 
         harness.sim.run_until(t(150_000_000));
@@ -336,7 +334,7 @@ fn span_recorder_disabled_is_free_and_enabled_changes_no_report_byte() {
             after - before
         );
         let (_, result) = harness.run();
-        let log = state.borrow_mut().ledger_mut().take_spans();
+        let log = harness.state_mut().ledger_mut().take_spans();
         assert_eq!(log.is_some(), with_spans);
         if let Some(log) = log {
             assert!(!log.is_empty(), "recorder on but no spans closed");

@@ -9,13 +9,43 @@ pub type CompId = usize;
 /// An event handler registered on the kernel.
 ///
 /// Handlers receive events *by value* — payloads move through the
-/// simulation without cloning — and emit follow-up events through the
-/// [`Ctx`]. Components that share mutable state (e.g. a cluster) do so
-/// via `Rc<RefCell<...>>`, dslab-style; the kernel itself is
-/// single-threaded.
-pub trait Component<E> {
+/// simulation without cloning — together with the simulation's *world*,
+/// the state its components share, which the [`Sim`] owns; they emit
+/// follow-up events through the [`Ctx`]. A component holds only its own
+/// state, so a [`Sim`] is `Send` whenever its world and payload are,
+/// and the compiler checks that a shard handed to a worker thread (see
+/// [`ParallelSim`](crate::parallel::ParallelSim)) shares nothing with
+/// another. A component that shares state by `Rc<RefCell<_>>` does not
+/// compile:
+///
+/// ```compile_fail,E0277
+/// use std::cell::RefCell;
+/// use std::rc::Rc;
+/// use ctlm_sim::{Component, Ctx, Event};
+///
+/// struct Counter(Rc<RefCell<u64>>);
+/// impl Component<(), ()> for Counter {
+///     fn on_event(&mut self, _: Event<()>, _: &mut (), _: &mut Ctx<'_, ()>) {
+///         *self.0.borrow_mut() += 1;
+///     }
+/// }
+/// ```
+///
+/// The count belongs in the world instead:
+///
+/// ```
+/// use ctlm_sim::{Component, Ctx, Event};
+///
+/// struct Counter;
+/// impl Component<u64, ()> for Counter {
+///     fn on_event(&mut self, _: Event<()>, count: &mut u64, _: &mut Ctx<'_, ()>) {
+///         *count += 1;
+///     }
+/// }
+/// ```
+pub trait Component<W, E>: Send {
     /// Handles one delivered event at `ctx.now() == event.time`.
-    fn on_event(&mut self, event: Event<E>, ctx: &mut Ctx<'_, E>);
+    fn on_event(&mut self, event: Event<E>, world: &mut W, ctx: &mut Ctx<'_, E>);
 }
 
 /// Emission context handed to a component while it handles an event.
@@ -77,53 +107,55 @@ impl<E> Ctx<'_, E> {
     }
 }
 
-/// The simulation: a clock, the event queue, and the registered
-/// components.
+/// The simulation: a clock, the event queue, the registered components
+/// and the world they share.
 ///
-/// The lifetime parameter lets components borrow data owned by the
-/// driver (e.g. the arrival list) instead of copying it into the
-/// simulation.
-pub struct Sim<'a, E> {
+/// The lifetime parameter lets components and the world borrow data
+/// owned by the driver (e.g. the arrival list) instead of copying it
+/// into the simulation.
+pub struct Sim<'a, W, E> {
     now: SimTime,
     queue: EventQueue<E>,
-    components: Vec<Option<Box<dyn Component<E> + 'a>>>,
-    names: Vec<String>,
+    components: Vec<Box<dyn Component<W, E> + 'a>>,
+    world: W,
     out_buf: Vec<(SimTime, u8, CompId, E)>,
     outbox: Vec<(SimTime, u8, CompId, E)>,
     delivered: u64,
 }
 
-impl<'a, E> Default for Sim<'a, E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<'a, E> Sim<'a, E> {
-    /// An empty simulation at time 0.
-    pub fn new() -> Self {
+impl<'a, W, E> Sim<'a, W, E> {
+    /// An empty simulation at time 0 around `world`.
+    pub fn new(world: W) -> Self {
         Self {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             components: Vec::new(),
-            names: Vec::new(),
+            world,
             out_buf: Vec::new(),
             outbox: Vec::new(),
             delivered: 0,
         }
     }
 
-    /// Registers a component under `name`, returning its id.
-    pub fn add_component(&mut self, name: impl Into<String>, c: impl Component<E> + 'a) -> CompId {
-        let id = self.components.len();
-        self.components.push(Some(Box::new(c)));
-        self.names.push(name.into());
-        id
+    /// Registers a component, returning its id.
+    pub fn add_component(&mut self, c: impl Component<W, E> + 'a) -> CompId {
+        self.components.push(Box::new(c));
+        self.components.len() - 1
     }
 
-    /// A registered component's name.
-    pub fn name(&self, id: CompId) -> &str {
-        &self.names[id]
+    /// The state the components share.
+    pub fn world(&self) -> &W {
+        &self.world
+    }
+
+    /// The shared state, for the driver to change between deliveries.
+    pub fn world_mut(&mut self) -> &mut W {
+        &mut self.world
+    }
+
+    /// Ends the simulation, handing back its world.
+    pub fn into_world(self) -> W {
+        self.world
     }
 
     /// Current simulation time.
@@ -175,7 +207,7 @@ impl<'a, E> Sim<'a, E> {
 
     /// Delivers the earliest pending event. Returns false when the queue
     /// is empty. Events addressed to unregistered components are dropped
-    /// (counted as delivered) — the equivalent of dslab's undelivered-log.
+    /// (counted as delivered).
     pub fn step(&mut self) -> bool {
         let Some(ev) = self.queue.pop() else {
             return false;
@@ -185,11 +217,8 @@ impl<'a, E> Sim<'a, E> {
         self.now = now;
         self.delivered += 1;
         let dst = ev.dst;
-        // Take the handler out so it can receive `&mut self` while the
-        // kernel stays borrowable through the context.
-        let mut handler = match self.components.get_mut(dst).and_then(Option::take) {
-            Some(h) => h,
-            None => return true, // unknown dst or re-entrant delivery: drop
+        let Some(handler) = self.components.get_mut(dst) else {
+            return true; // unknown dst: drop
         };
         let mut ctx = Ctx {
             now: self.now,
@@ -197,8 +226,7 @@ impl<'a, E> Sim<'a, E> {
             out: &mut self.out_buf,
             outbox: &mut self.outbox,
         };
-        handler.on_event(ev, &mut ctx);
-        self.components[dst] = Some(handler);
+        handler.on_event(ev, &mut self.world, &mut ctx);
         for (time, priority, to, payload) in self.out_buf.drain(..) {
             self.queue
                 .push(time.as_micros(), priority, dst, to, payload);
@@ -250,8 +278,10 @@ impl<'a, E> Sim<'a, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+
+    /// Each test's world: the `(time µs, payload)` deliveries the
+    /// [`Recorder`] saw.
+    type Log = Vec<(u64, u32)>;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -261,15 +291,11 @@ mod tests {
         SimDuration::from_micros(us)
     }
 
-    /// Records every delivery into a shared log.
-    struct Recorder {
-        log: Rc<RefCell<Vec<(u64, u32)>>>,
-    }
-    impl Component<u32> for Recorder {
-        fn on_event(&mut self, ev: Event<u32>, ctx: &mut Ctx<'_, u32>) {
-            self.log
-                .borrow_mut()
-                .push((ctx.now().as_micros(), ev.payload));
+    /// Records every delivery into the world.
+    struct Recorder;
+    impl Component<Log, u32> for Recorder {
+        fn on_event(&mut self, ev: Event<u32>, log: &mut Log, ctx: &mut Ctx<'_, u32>) {
+            log.push((ctx.now().as_micros(), ev.payload));
         }
     }
 
@@ -279,8 +305,8 @@ mod tests {
         until: SimTime,
         dst: CompId,
     }
-    impl Component<u32> for Timer {
-        fn on_event(&mut self, ev: Event<u32>, ctx: &mut Ctx<'_, u32>) {
+    impl Component<Log, u32> for Timer {
+        fn on_event(&mut self, ev: Event<u32>, _: &mut Log, ctx: &mut Ctx<'_, u32>) {
             ctx.emit(SimDuration::ZERO, self.dst, ev.payload);
             if ctx.now().saturating_add(self.period) <= self.until {
                 ctx.emit_self(self.period, ev.payload + 1);
@@ -290,21 +316,17 @@ mod tests {
 
     #[test]
     fn timer_chain_fires_on_schedule() {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Sim::new();
-        let rec = sim.add_component("rec", Recorder { log: log.clone() });
-        let timer = sim.add_component(
-            "timer",
-            Timer {
-                period: d(10),
-                until: t(35),
-                dst: rec,
-            },
-        );
+        let mut sim = Sim::new(Log::new());
+        let rec = sim.add_component(Recorder);
+        let timer = sim.add_component(Timer {
+            period: d(10),
+            until: t(35),
+            dst: rec,
+        });
         sim.schedule(t(5), timer, timer, 0);
         sim.run();
-        assert_eq!(*log.borrow(), vec![(5, 0), (15, 1), (25, 2), (35, 3)]);
         assert_eq!(sim.now(), t(35));
+        assert_eq!(sim.into_world(), [(5, 0), (15, 1), (25, 2), (35, 3)]);
     }
 
     #[test]
@@ -312,38 +334,36 @@ mod tests {
         struct Burst {
             dst: CompId,
         }
-        impl Component<u32> for Burst {
-            fn on_event(&mut self, _ev: Event<u32>, ctx: &mut Ctx<'_, u32>) {
+        impl Component<Log, u32> for Burst {
+            fn on_event(&mut self, _ev: Event<u32>, _: &mut Log, ctx: &mut Ctx<'_, u32>) {
                 for i in 0..5 {
                     ctx.emit(SimDuration::ZERO, self.dst, i);
                 }
             }
         }
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Sim::new();
-        let rec = sim.add_component("rec", Recorder { log: log.clone() });
-        let burst = sim.add_component("burst", Burst { dst: rec });
+        let mut sim = Sim::new(Log::new());
+        let rec = sim.add_component(Recorder);
+        let burst = sim.add_component(Burst { dst: rec });
         sim.schedule(t(7), burst, burst, 0);
         sim.run();
-        let got: Vec<u32> = log.borrow().iter().map(|&(_, p)| p).collect();
+        let got: Vec<u32> = sim.world().iter().map(|&(_, p)| p).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
         assert_eq!(sim.now(), t(7), "zero-delay events must not advance time");
     }
 
     #[test]
     fn run_until_stops_at_horizon_inclusive() {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Sim::new();
-        let rec = sim.add_component("rec", Recorder { log: log.clone() });
+        let mut sim = Sim::new(Log::new());
+        let rec = sim.add_component(Recorder);
         for us in [10, 20, 30, 40] {
             sim.schedule(t(us), rec, rec, us as u32);
         }
         sim.run_until(t(30));
-        assert_eq!(log.borrow().len(), 3);
+        assert_eq!(sim.world().len(), 3);
         assert_eq!(sim.now(), t(30));
         assert_eq!(sim.pending(), 1);
         sim.run();
-        assert_eq!(log.borrow().len(), 4);
+        assert_eq!(sim.world().len(), 4);
     }
 
     #[test]
@@ -353,32 +373,35 @@ mod tests {
         let data = vec![3u32, 1, 4, 1, 5];
         struct Summer<'s> {
             data: &'s [u32],
-            total: Rc<RefCell<u32>>,
         }
-        impl<E> Component<E> for Summer<'_> {
-            fn on_event(&mut self, _ev: Event<E>, _ctx: &mut Ctx<'_, E>) {
-                *self.total.borrow_mut() += self.data.iter().sum::<u32>();
+        impl<E> Component<u32, E> for Summer<'_> {
+            fn on_event(&mut self, _ev: Event<E>, total: &mut u32, _ctx: &mut Ctx<'_, E>) {
+                *total += self.data.iter().sum::<u32>();
             }
         }
-        let total = Rc::new(RefCell::new(0));
-        let mut sim: Sim<'_, ()> = Sim::new();
-        let s = sim.add_component(
-            "sum",
-            Summer {
-                data: &data,
-                total: total.clone(),
-            },
-        );
+        let mut sim: Sim<'_, u32, ()> = Sim::new(0);
+        let s = sim.add_component(Summer { data: &data });
         sim.schedule(SimTime::ZERO, s, s, ());
         sim.run();
-        assert_eq!(*total.borrow(), 14);
+        assert_eq!(sim.into_world(), 14);
+    }
+
+    #[test]
+    fn events_for_an_unknown_component_are_dropped() {
+        let mut sim = Sim::new(Log::new());
+        let rec = sim.add_component(Recorder);
+        sim.schedule(t(1), rec, rec + 1, 7);
+        sim.schedule(t(2), rec, rec, 8);
+        sim.run();
+        assert_eq!(sim.events_delivered(), 2);
+        assert_eq!(sim.into_world(), [(2, 8)]);
     }
 
     #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_the_past_panics() {
-        let mut sim: Sim<'_, ()> = Sim::new();
-        let id = sim.add_component("noop", NoOp);
+        let mut sim: Sim<'_, (), ()> = Sim::new(());
+        let id = sim.add_component(NoOp);
         sim.schedule(t(50), id, id, ());
         sim.run();
         sim.schedule(t(10), id, id, ());
@@ -391,26 +414,25 @@ mod tests {
         struct Late {
             dst: CompId,
         }
-        impl Component<u32> for Late {
-            fn on_event(&mut self, _ev: Event<u32>, ctx: &mut Ctx<'_, u32>) {
+        impl Component<Log, u32> for Late {
+            fn on_event(&mut self, _ev: Event<u32>, _: &mut Log, ctx: &mut Ctx<'_, u32>) {
                 ctx.emit(d(u64::MAX), self.dst, 1);
                 ctx.emit(d(5), self.dst, 2);
             }
         }
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Sim::new();
-        let rec = sim.add_component("rec", Recorder { log: log.clone() });
-        let late = sim.add_component("late", Late { dst: rec });
+        let mut sim = Sim::new(Log::new());
+        let rec = sim.add_component(Recorder);
+        let late = sim.add_component(Late { dst: rec });
         sim.schedule(t(1_000), late, late, 0);
         sim.run_until(t(u64::MAX - 1));
-        assert_eq!(*log.borrow(), [(1_005, 2)], "the late event waits");
+        assert_eq!(*sim.world(), [(1_005, 2)], "the late event waits");
         assert_eq!(sim.next_event_time(), Some(SimTime::MAX));
         sim.run();
-        assert_eq!(log.borrow().last(), Some(&(u64::MAX, 1)));
+        assert_eq!(sim.world().last(), Some(&(u64::MAX, 1)));
     }
 
     struct NoOp;
-    impl Component<()> for NoOp {
-        fn on_event(&mut self, _ev: Event<()>, _ctx: &mut Ctx<'_, ()>) {}
+    impl Component<(), ()> for NoOp {
+        fn on_event(&mut self, _ev: Event<()>, _: &mut (), _ctx: &mut Ctx<'_, ()>) {}
     }
 }

@@ -1,14 +1,15 @@
 //! # ctlm-sim — the deterministic discrete-event simulation kernel
 //!
-//! A small dslab-style kernel under the scheduler simulation
-//! (`ctlm-sched`, its only direct client): a monotonic microsecond
-//! clock, a typed event queue with stable tie-breaking, and a
-//! [`Component`] trait that event handlers register on. Everything that
-//! used to be a bespoke simulation loop becomes a component exchanging
-//! events on one timeline, so scenarios compose — scheduling, machine
-//! churn, an online trace feed and live model retraining can all run in
-//! a single simulation. (Batch trace replay is a plain fold in
-//! `ctlm-agocs` and does not link this crate.)
+//! A small kernel under the scheduler simulation (`ctlm-sched`, its
+//! only direct client): a monotonic microsecond clock, a typed event
+//! queue with stable tie-breaking, a [`Component`] trait that event
+//! handlers register on, and a *world* — the state the components
+//! share, owned by the simulation and lent to each handler in turn.
+//! Everything that used to be a bespoke simulation loop becomes a
+//! component exchanging events on one timeline, so scenarios compose —
+//! scheduling, machine churn, an online trace feed and live model
+//! retraining can all run in a single simulation. (Batch trace replay is
+//! a plain fold in `ctlm-agocs` and does not link this crate.)
 //!
 //! Determinism is the design constraint: two runs over the same inputs
 //! deliver the same events in the same order. The queue orders by
@@ -20,8 +21,10 @@
 //!
 //! * **Shard layer** ([`kernel`], [`event`]) — a sequential [`Sim`]: one
 //!   clock, one `(time, priority, seq)`-ordered queue (heap and
-//!   timer-wheel lanes), and the registered components. One `Sim` is one *cell kernel*: a self-contained
-//!   simulation island with no shared mutable state outside it.
+//!   timer-wheel lanes), the registered components and their world.
+//!   One `Sim` is one *cell kernel*: it owns everything its components
+//!   touch, so it is `Send` whenever its world and payload are — the
+//!   compiler, not a convention, keeps shards apart.
 //! * **Coordinator layer** ([`parallel`]) — [`ParallelSim`] hosts many
 //!   shards and advances them in epoch-barrier rounds on the worker
 //!   pool. Cross-shard traffic leaves a shard only through
@@ -38,26 +41,33 @@
 //! ```
 //! use ctlm_sim::{Component, Ctx, Event, Sim, SimDuration, SimTime};
 //!
-//! struct Ping { peer: ctlm_sim::CompId, left: u32 }
-//! impl Component<&'static str> for Ping {
-//!     fn on_event(&mut self, ev: Event<&'static str>, ctx: &mut Ctx<'_, &'static str>) {
-//!         if self.left > 0 {
-//!             self.left -= 1;
+//! // Two players rally until the budget they share, the world, is spent.
+//! struct Ping { peer: ctlm_sim::CompId }
+//! impl Component<u32, &'static str> for Ping {
+//!     fn on_event(
+//!         &mut self,
+//!         ev: Event<&'static str>,
+//!         left: &mut u32,
+//!         ctx: &mut Ctx<'_, &'static str>,
+//!     ) {
+//!         if *left > 0 {
+//!             *left -= 1;
 //!             let reply = if ev.payload == "ping" { "pong" } else { "ping" };
 //!             ctx.emit(SimDuration::from_micros(10), self.peer, reply);
 //!         }
 //!     }
 //! }
 //!
-//! let mut sim = Sim::new();
-//! let a = sim.add_component("a", Ping { peer: 1, left: 2 });
-//! let b = sim.add_component("b", Ping { peer: 0, left: 2 });
+//! let mut sim = Sim::new(4);
+//! let a = sim.add_component(Ping { peer: 1 });
+//! let b = sim.add_component(Ping { peer: 0 });
 //! sim.schedule(SimTime::ZERO, a, b, "ping");
 //! sim.run();
 //! // b replies at 10, a at 20, b at 30, a at 40; the final delivery
-//! // finds b out of budget, so the queue drains.
+//! // finds the budget spent, so the queue drains.
 //! assert_eq!(sim.now(), SimTime::from_micros(40));
 //! assert_eq!(sim.events_delivered(), 5);
+//! assert_eq!(sim.into_world(), 0);
 //! ```
 
 pub mod event;

@@ -1,9 +1,9 @@
 //! Epoch-sharded parallel execution: many independent [`Sim`] shards
 //! advancing in lock-step epochs on the worker pool.
 //!
-//! The model is conservative parallel discrete-event simulation in the
-//! dslab style. Each *shard* (one simulation cell) owns a complete
-//! [`Sim`] — its own clock, event queue, and components — and runs
+//! The model is conservative parallel discrete-event simulation. Each
+//! *shard* (one simulation cell) owns a complete [`Sim`] — its own
+//! clock, event queue, components and world — and runs
 //! independently up to the next epoch boundary
 //! `t_epoch = (floor(t_min / epoch) + 1) * epoch`, where `t_min` is the
 //! earliest pending event across all shards (so runs skip over empty
@@ -23,19 +23,11 @@
 //! (fixed by the sort key). For a given set of shards, seeds, and epoch
 //! length, results are bit-identical for any `threads` value.
 //!
-//! # Why `CellKernel` is `Send`
-//!
-//! Components are `Rc`/`RefCell`-rich and therefore not `Send` in
-//! general. [`CellKernel`] asserts `Send` anyway, under an *island
-//! invariant* the driver must uphold: every `Rc`/`RefCell` allocation
-//! reachable from a shard's components is reachable only from (a) that
-//! same shard and (b) barrier-time observers (the driver and the barrier
-//! hook), which access it only while no worker is running the shard. The
-//! pool's completion latch provides the happens-before edge between an
-//! epoch's worker and the barrier, so those accesses never race. Sharing
-//! an `Rc` between two shards, or touching a shard-held `Rc` from the
-//! driver mid-epoch, violates the invariant and is undefined behaviour —
-//! keep per-cell state per-cell, and move cross-cell state behind `Arc`.
+//! A shard runs its epoch on whichever worker thread picks it up, which
+//! the worker pool allows only because [`CellKernel`] is `Send`: its
+//! world, its components (every [`Component`](crate::Component) is
+//! `Send`) and its payloads are. State two shards could both reach does
+//! not compile, so no convention has to keep them apart.
 
 use rayon::prelude::*;
 
@@ -65,10 +57,11 @@ pub struct RemoteEvent<E> {
 /// One shard: a [`Sim`] hosted on the coordinator, dispatchable to a
 /// worker thread for the duration of an epoch.
 ///
-/// Dereferences to the inner [`Sim`], so a barrier hook can call
-/// [`Sim::schedule_prio`] etc. directly on a shard.
-pub struct CellKernel<'a, E> {
-    sim: Sim<'a, E>,
+/// Dereferences to the inner [`Sim`], so a barrier hook can read a
+/// shard's [`Sim::world`] and call [`Sim::schedule_prio`] etc. directly
+/// on it.
+pub struct CellKernel<'a, W, E> {
+    sim: Sim<'a, W, E>,
     /// Wall-clock ns the shard's last `run_before` took — written by
     /// whichever worker ran the shard this round (exactly one per round,
     /// so no race), read by the coordinator after the barrier. Only
@@ -76,17 +69,7 @@ pub struct CellKernel<'a, E> {
     last_run_ns: u64,
 }
 
-// SAFETY: see the module docs ("Why `CellKernel` is `Send`"). The inner
-// `Sim` is a self-contained island of non-`Send` state; the coordinator
-// only moves it across threads between epochs, with the pool latch
-// ordering every access. The one thing a shard may share with the world
-// outside it is a cluster's fleet `Arc` (`ctlm_sched::SchedCluster`):
-// its count is atomic, and it is only ever written through
-// `Arc::make_mut`, which copies a shared fleet before the first write —
-// so no shard writes memory another thread can read.
-unsafe impl<E: Send> Send for CellKernel<'_, E> {}
-
-impl<'a, E> CellKernel<'a, E> {
+impl<W, E> CellKernel<'_, W, E> {
     /// One epoch of this shard: every event before `bound`, timed into
     /// `last_run_ns` when profiling (no clock call otherwise).
     fn run_epoch(&mut self, bound: SimTime, profile: bool) {
@@ -100,14 +83,14 @@ impl<'a, E> CellKernel<'a, E> {
     }
 }
 
-impl<'a, E> std::ops::Deref for CellKernel<'a, E> {
-    type Target = Sim<'a, E>;
+impl<'a, W, E> std::ops::Deref for CellKernel<'a, W, E> {
+    type Target = Sim<'a, W, E>;
     fn deref(&self) -> &Self::Target {
         &self.sim
     }
 }
 
-impl<'a, E> std::ops::DerefMut for CellKernel<'a, E> {
+impl<W, E> std::ops::DerefMut for CellKernel<'_, W, E> {
     fn deref_mut(&mut self) -> &mut Self::Target {
         &mut self.sim
     }
@@ -175,8 +158,8 @@ pub struct ParallelPerf {
 /// The epoch-barrier coordinator: owns the shards, advances them epoch
 /// by epoch (in parallel when `threads > 1`), and merges cross-shard
 /// outboxes deterministically at each barrier.
-pub struct ParallelSim<'a, E> {
-    shards: Vec<CellKernel<'a, E>>,
+pub struct ParallelSim<'a, W, E> {
+    shards: Vec<CellKernel<'a, W, E>>,
     epoch: SimDuration,
     threads: usize,
     barriers: u64,
@@ -193,7 +176,7 @@ pub struct ParallelSim<'a, E> {
     perf: Option<ParallelPerf>,
 }
 
-impl<'a, E: Send> ParallelSim<'a, E> {
+impl<'a, W: Send, E: Send> ParallelSim<'a, W, E> {
     /// A coordinator with the given epoch length and thread count.
     ///
     /// `threads == 0` means "use the worker pool's configured width";
@@ -250,7 +233,7 @@ impl<'a, E: Send> ParallelSim<'a, E> {
     }
 
     /// Adds a shard, returning its index.
-    pub fn add_shard(&mut self, sim: Sim<'a, E>) -> usize {
+    pub fn add_shard(&mut self, sim: Sim<'a, W, E>) -> usize {
         self.shards.push(CellKernel {
             sim,
             last_run_ns: 0,
@@ -259,8 +242,13 @@ impl<'a, E: Send> ParallelSim<'a, E> {
     }
 
     /// A shard by index.
-    pub fn shard(&self, i: usize) -> &CellKernel<'a, E> {
+    pub fn shard(&self, i: usize) -> &CellKernel<'a, W, E> {
         &self.shards[i]
+    }
+
+    /// Ends the coordinator, handing back its shards in index order.
+    pub fn into_shards(self) -> impl Iterator<Item = Sim<'a, W, E>> {
+        self.shards.into_iter().map(|shard| shard.sim)
     }
 
     /// The configured epoch length.
@@ -305,7 +293,7 @@ impl<'a, E: Send> ParallelSim<'a, E> {
     /// terminates whenever the underlying simulation does.
     pub fn run_until<F>(&mut self, horizon: SimTime, mut hook: F)
     where
-        F: FnMut(SimTime, Vec<RemoteEvent<E>>, &mut [CellKernel<'a, E>]),
+        F: FnMut(SimTime, Vec<RemoteEvent<E>>, &mut [CellKernel<'a, W, E>]),
     {
         let effective = match self.threads {
             0 => rayon::current_num_threads().max(1),
@@ -402,8 +390,6 @@ mod tests {
     use super::*;
     use crate::event::Event;
     use crate::kernel::{Component, Ctx};
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     const HOPS: u64 = 64;
     const EPOCH: SimDuration = d(1 << 18);
@@ -417,15 +403,16 @@ mod tests {
         SimDuration::from_micros(us)
     }
 
-    /// Logs every delivery, forwards the hop count cross-shard, and
-    /// spawns some shard-local echo traffic so epochs are not trivially
-    /// single-event.
-    struct Relay {
-        log: Rc<RefCell<Vec<(SimTime, u64)>>>,
-    }
-    impl Component<u64> for Relay {
-        fn on_event(&mut self, ev: Event<u64>, ctx: &mut Ctx<'_, u64>) {
-            self.log.borrow_mut().push((ctx.now(), ev.payload));
+    /// One shard's world: its delivery log.
+    type Log = Vec<(SimTime, u64)>;
+
+    /// Logs every delivery into its shard's world, forwards the hop
+    /// count cross-shard, and spawns some shard-local echo traffic so
+    /// epochs are not trivially single-event.
+    struct Relay;
+    impl Component<Log, u64> for Relay {
+        fn on_event(&mut self, ev: Event<u64>, log: &mut Log, ctx: &mut Ctx<'_, u64>) {
+            log.push((ctx.now(), ev.payload));
             if ev.payload < HOPS {
                 ctx.emit_remote(1, ev.payload + 1);
                 if ev.payload.is_multiple_of(2) {
@@ -435,42 +422,42 @@ mod tests {
         }
     }
 
-    /// One shard's delivery log, shared with its `Relay` component.
-    type DeliveryLog = Rc<RefCell<Vec<(SimTime, u64)>>>;
-
     /// Four shards ringing hop counters around; returns each shard's
     /// delivery log.
-    fn run_ring(threads: usize, order: Option<Vec<usize>>) -> Vec<Vec<(SimTime, u64)>> {
-        const SHARDS: usize = 4;
-        let logs: Vec<DeliveryLog> = (0..SHARDS)
-            .map(|_| Rc::new(RefCell::new(Vec::new())))
-            .collect();
-        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(EPOCH, threads);
-        let mut relays = Vec::new();
-        for log in &logs {
-            let mut sim = Sim::new();
-            let id = sim.add_component("relay", Relay { log: log.clone() });
-            sim.schedule(t(1000 * (relays.len() as u64 + 1)), id, id, 0);
-            relays.push(id);
-            psim.add_shard(sim);
-        }
+    fn run_ring(threads: usize, order: Option<Vec<usize>>) -> Vec<Log> {
+        let mut psim = ring(threads);
         if let Some(order) = order {
             psim.set_sequential_order(order);
         }
+        run_ring_to_horizon(&mut psim)
+    }
+
+    const SHARDS: usize = 4;
+
+    /// Four relay shards, each seeded with one hop at a distinct time.
+    /// The relay is every shard's component 0.
+    fn ring(threads: usize) -> ParallelSim<'static, Log, u64> {
+        let mut psim = ParallelSim::new(EPOCH, threads);
+        for shard in 0..SHARDS {
+            let mut sim = Sim::new(Log::new());
+            let id = sim.add_component(Relay);
+            sim.schedule(t(1000 * (shard as u64 + 1)), id, id, 0);
+            psim.add_shard(sim);
+        }
+        psim
+    }
+
+    /// Runs a [`ring`] to the horizon, each hop going to the next shard;
+    /// returns each shard's delivery log.
+    fn run_ring_to_horizon(psim: &mut ParallelSim<'_, Log, u64>) -> Vec<Log> {
         psim.run_until(HORIZON, |bound, msgs, shards| {
             for m in msgs {
                 let target = (m.shard + 1) % SHARDS;
                 let at = bound.min(HORIZON);
-                shards[target].schedule_prio(
-                    at,
-                    m.priority,
-                    relays[target],
-                    relays[target],
-                    m.payload,
-                );
+                shards[target].schedule_prio(at, m.priority, 0, 0, m.payload);
             }
         });
-        logs.iter().map(|l| l.borrow().clone()).collect()
+        (0..SHARDS).map(|i| psim.shard(i).world().clone()).collect()
     }
 
     #[test]
@@ -507,17 +494,17 @@ mod tests {
         struct Burst {
             shard: usize,
         }
-        impl Component<u64> for Burst {
-            fn on_event(&mut self, _ev: Event<u64>, ctx: &mut Ctx<'_, u64>) {
+        impl Component<(), u64> for Burst {
+            fn on_event(&mut self, _ev: Event<u64>, _: &mut (), ctx: &mut Ctx<'_, u64>) {
                 // Same instant, mixed priorities, two messages per shard.
                 ctx.emit_remote(1, 100 + self.shard as u64);
                 ctx.emit_remote(0, 200 + self.shard as u64);
             }
         }
-        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(d(1_000), 1);
+        let mut psim: ParallelSim<'_, (), u64> = ParallelSim::new(d(1_000), 1);
         for shard in 0..3 {
-            let mut sim = Sim::new();
-            let id = sim.add_component("burst", Burst { shard });
+            let mut sim = Sim::new(());
+            let id = sim.add_component(Burst { shard });
             sim.schedule(t(500), id, id, 0);
             psim.add_shard(sim);
         }
@@ -544,19 +531,19 @@ mod tests {
     #[test]
     fn empty_epochs_are_skipped() {
         struct Quiet;
-        impl Component<u64> for Quiet {
-            fn on_event(&mut self, _ev: Event<u64>, _ctx: &mut Ctx<'_, u64>) {}
+        impl Component<(), u64> for Quiet {
+            fn on_event(&mut self, _ev: Event<u64>, _: &mut (), _ctx: &mut Ctx<'_, u64>) {}
         }
-        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(d(1_000), 1);
-        let mut sim = Sim::new();
-        let id = sim.add_component("quiet", Quiet);
+        let mut psim: ParallelSim<'_, (), u64> = ParallelSim::new(d(1_000), 1);
+        let mut sim = Sim::new(());
+        let id = sim.add_component(Quiet);
         // Two busy epochs separated by ~100 empty ones.
         sim.schedule(t(10), id, id, 0);
         sim.schedule(t(20), id, id, 0);
         sim.schedule(t(100_500), id, id, 0);
         psim.add_shard(sim);
-        let mut sim2 = Sim::new();
-        let id2 = sim2.add_component("quiet", Quiet);
+        let mut sim2 = Sim::new(());
+        let id2 = sim2.add_component(Quiet);
         sim2.schedule(t(15), id2, id2, 0);
         psim.add_shard(sim2);
         psim.run_until(t(1_000_000), |_, _, _| {});
@@ -567,27 +554,24 @@ mod tests {
     /// A fixed-step self-event chain: `hops` deliveries spaced `step` µs
     /// apart — event density is exactly `1/step`, so the autotune
     /// controller's trajectory is easy to predict.
-    fn chain_sim(hops: u64, step: u64) -> Sim<'static, u64> {
+    fn chain_sim(hops: u64, step: u64) -> Sim<'static, (), u64> {
         struct Chain {
             remaining: u64,
             step: SimDuration,
         }
-        impl Component<u64> for Chain {
-            fn on_event(&mut self, _ev: Event<u64>, ctx: &mut Ctx<'_, u64>) {
+        impl Component<(), u64> for Chain {
+            fn on_event(&mut self, _ev: Event<u64>, _: &mut (), ctx: &mut Ctx<'_, u64>) {
                 if self.remaining > 0 {
                     self.remaining -= 1;
                     ctx.emit_self(self.step, 0);
                 }
             }
         }
-        let mut sim = Sim::new();
-        let id = sim.add_component(
-            "chain",
-            Chain {
-                remaining: hops,
-                step: d(step),
-            },
-        );
+        let mut sim = Sim::new(());
+        let id = sim.add_component(Chain {
+            remaining: hops,
+            step: d(step),
+        });
         sim.schedule(SimTime::ZERO, id, id, 0);
         sim
     }
@@ -597,7 +581,7 @@ mod tests {
         // 100 µs steps under a 1 s epoch = 10k events per round against a
         // target of 128: the controller must halve its way down (and stay
         // above the floor).
-        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(d(1_000_000), 1);
+        let mut psim = ParallelSim::new(d(1_000_000), 1);
         psim.add_shard(chain_sim(30_000, 100));
         psim.set_autotune(EpochAutotune {
             min: d(1_000),
@@ -618,7 +602,7 @@ mod tests {
         // One event per second under a 10 ms epoch: every round delivers
         // a single event, far below target/2, so the epoch doubles each
         // barrier until the ceiling.
-        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(d(10_000), 1);
+        let mut psim = ParallelSim::new(d(10_000), 1);
         psim.add_shard(chain_sim(20, 1_000_000));
         psim.set_autotune(EpochAutotune {
             min: d(1_000),
@@ -635,7 +619,7 @@ mod tests {
 
     #[test]
     fn autotune_clamps_at_min() {
-        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(d(1_000_000), 1);
+        let mut psim = ParallelSim::new(d(1_000_000), 1);
         psim.add_shard(chain_sim(30_000, 100));
         psim.set_autotune(EpochAutotune {
             min: d(100_000),
@@ -652,12 +636,8 @@ mod tests {
 
     /// `run_ring` with autotune enabled — returns the logs plus the final
     /// (adapted) epoch so thread-independence covers the controller too.
-    fn run_ring_tuned(threads: usize) -> (Vec<Vec<(SimTime, u64)>>, SimDuration) {
-        const SHARDS: usize = 4;
-        let logs: Vec<DeliveryLog> = (0..SHARDS)
-            .map(|_| Rc::new(RefCell::new(Vec::new())))
-            .collect();
-        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(EPOCH, threads);
+    fn run_ring_tuned(threads: usize) -> (Vec<Log>, SimDuration) {
+        let mut psim = ring(threads);
         // target 1 pushes every round over 2×target, so the controller
         // keeps halving — the run exercises adapted (changing) epochs
         // rather than settling in the dead band.
@@ -666,29 +646,8 @@ mod tests {
             max: d(1 << 22),
             target: 1,
         });
-        let mut relays = Vec::new();
-        for log in &logs {
-            let mut sim = Sim::new();
-            let id = sim.add_component("relay", Relay { log: log.clone() });
-            sim.schedule(t(1000 * (relays.len() as u64 + 1)), id, id, 0);
-            relays.push(id);
-            psim.add_shard(sim);
-        }
-        psim.run_until(HORIZON, |bound, msgs, shards| {
-            for m in msgs {
-                let target = (m.shard + 1) % SHARDS;
-                let at = bound.min(HORIZON);
-                shards[target].schedule_prio(
-                    at,
-                    m.priority,
-                    relays[target],
-                    relays[target],
-                    m.payload,
-                );
-            }
-        });
-        let epoch = psim.epoch();
-        (logs.iter().map(|l| l.borrow().clone()).collect(), epoch)
+        let logs = run_ring_to_horizon(&mut psim);
+        (logs, psim.epoch())
     }
 
     #[test]
@@ -710,34 +669,9 @@ mod tests {
         let baseline = run_ring(2, None);
         // Same ring with profiling on: deliveries must not change, and
         // the profile must cover every shard and round.
-        const SHARDS: usize = 4;
-        let logs: Vec<DeliveryLog> = (0..SHARDS)
-            .map(|_| Rc::new(RefCell::new(Vec::new())))
-            .collect();
-        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(EPOCH, 2);
+        let mut psim = ring(2);
         psim.enable_profiling();
-        let mut relays = Vec::new();
-        for log in &logs {
-            let mut sim = Sim::new();
-            let id = sim.add_component("relay", Relay { log: log.clone() });
-            sim.schedule(t(1000 * (relays.len() as u64 + 1)), id, id, 0);
-            relays.push(id);
-            psim.add_shard(sim);
-        }
-        psim.run_until(HORIZON, |bound, msgs, shards| {
-            for m in msgs {
-                let target = (m.shard + 1) % SHARDS;
-                let at = bound.min(HORIZON);
-                shards[target].schedule_prio(
-                    at,
-                    m.priority,
-                    relays[target],
-                    relays[target],
-                    m.payload,
-                );
-            }
-        });
-        let got: Vec<Vec<(SimTime, u64)>> = logs.iter().map(|l| l.borrow().clone()).collect();
+        let got = run_ring_to_horizon(&mut psim);
         assert_eq!(got, baseline, "profiling must not perturb the simulation");
         let perf = psim.perf().expect("profiling enabled");
         assert_eq!(perf.rounds, psim.barriers());
@@ -758,7 +692,7 @@ mod tests {
 
     #[test]
     fn profiling_disabled_reports_no_perf() {
-        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(d(1_000), 1);
+        let mut psim = ParallelSim::new(d(1_000), 1);
         psim.add_shard(chain_sim(5, 100));
         psim.run_until(t(10_000), |_, _, _| {});
         assert!(psim.perf().is_none());
@@ -766,10 +700,9 @@ mod tests {
 
     #[test]
     fn single_shard_runs_sequentially_even_with_threads() {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut psim: ParallelSim<'_, u64> = ParallelSim::new(EPOCH, 4);
-        let mut sim = Sim::new();
-        let id = sim.add_component("relay", Relay { log: log.clone() });
+        let mut psim = ParallelSim::new(EPOCH, 4);
+        let mut sim = Sim::new(Log::new());
+        let id = sim.add_component(Relay);
         sim.schedule(SimTime::ZERO, id, id, 0);
         psim.add_shard(sim);
         psim.run_until(HORIZON, |bound, msgs, shards| {
@@ -777,6 +710,6 @@ mod tests {
                 shards[0].schedule_prio(bound.min(HORIZON), m.priority, m.src, m.src, m.payload);
             }
         });
-        assert!(log.borrow().len() as u64 > HOPS);
+        assert!(psim.shard(0).world().len() as u64 > HOPS);
     }
 }

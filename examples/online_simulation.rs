@@ -119,9 +119,9 @@ fn main() {
         horizon: window + 5 * 60 * 1_000_000,
         seed: 21,
     });
-    let mut harness = sim.harness(SchedCluster::new(), &[], &mut scheduler);
-    let feed = OnlineTraceFeed::new(events, trace.group_width, harness.engine, replay.clone());
-    attach(&mut harness.sim, "online_feed", feed);
+    // The feed stays here, attached by `&mut`, so its replay session
+    // can be finished after the run.
+    let mut feed = OnlineTraceFeed::new(events, trace.group_width, replay);
 
     // Mid-run churn: 8 machines drain in minutes 8–22, back ~3 minutes
     // later; their tasks re-enter the queue. Best-fit packs the
@@ -137,15 +137,18 @@ fn main() {
         (minute(8), minute(22)),
         SimDuration::from_micros(3 * 60 * 1_000_000),
     );
-    let churn = ChurnSource::new(plan, harness.engine, harness.state());
-    attach(&mut harness.sim, "churn", churn);
 
     println!("online simulation: replay + scheduling + churn + rollout on one timeline\n");
-    let (cluster, result) = harness.run();
+    let (cluster, result) = {
+        let mut harness = sim.harness(SchedCluster::new(), &[], &mut scheduler);
+        attach(&mut harness.sim, &mut feed);
+        attach(&mut harness.sim, ChurnSource::new(plan));
+        harness.run()
+    };
     // Read before `finish`: its trailing flush may retrain once more,
     // after the run.
     let swapped = registry.version();
-    let replay_out = replay.finish(correction);
+    let replay_out = feed.into_replay().finish(correction);
 
     println!("\nsimulation finished:");
     println!(
