@@ -179,7 +179,7 @@ fn the_unsafe_rule_reads_what_it_should() {
             "shims/rayon/src/pool.rs",
             "let job: StaticJob = unsafe { std::mem::transmute::<Job<'_>, StaticJob>(job) };",
         ),
-        ("crates/sim/src/kernel.rs", "// no `unsafe impl Send` here"),
+        ("crates/sim/src/kernel.rs", "// no `unsafe` block here"),
         ("crates/sim/src/kernel.rs", r#"let s = "unsafe { }";"#),
         (
             "crates/sim/src/kernel.rs",
@@ -187,7 +187,7 @@ fn the_unsafe_rule_reads_what_it_should() {
         ),
         (
             "crates/sim/src/kernel.rs",
-            "#[cfg(test)]\nmod tests {\n    unsafe impl Send for Probe {}\n}",
+            "#[cfg(test)]\nmod tests {\n    unsafe impl Sync for Probe {}\n}",
         ),
     ];
     for (file, code) in good {

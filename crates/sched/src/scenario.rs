@@ -162,8 +162,8 @@ impl TimedSource for GangSource {
 /// Feeds a (corrected, time-ordered) trace event stream into a combined
 /// replay + scheduling simulation — the online loop the paper describes.
 ///
-/// Each trace event is first observed by the shared replay session
-/// behind a [`ReplayHandle`](ctlm_agocs::ReplayHandle) (growing the
+/// Each trace event is first observed by the feed's replay session, a
+/// [`ReplayHandle`](ctlm_agocs::ReplayHandle) (growing the
 /// vocabulary, emitting dataset steps — whose callback typically trains
 /// a model on the step and installs it into a
 /// [`ModelRegistry`](ctlm_core::ModelRegistry) at that simulated

@@ -241,7 +241,8 @@ impl<'a, W: Send, E: Send> ParallelSim<'a, W, E> {
         self.shards.len() - 1
     }
 
-    /// A shard by index.
+    /// A shard by index, for tests to read its world between runs.
+    #[cfg(test)]
     pub fn shard(&self, i: usize) -> &CellKernel<'a, W, E> {
         &self.shards[i]
     }

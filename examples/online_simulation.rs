@@ -6,7 +6,7 @@
 //! monolithic loops; on one timeline they compose:
 //!
 //! 1. An [`OnlineTraceFeed`] walks the corrected trace stream. Every
-//!    event is observed by the shared replay session (vocabulary,
+//!    event is observed by the feed's replay session (vocabulary,
 //!    dataset rows, Table XI steps) and mirrored at the scheduler engine
 //!    (machine joins, attribute updates, task admissions labelled with
 //!    live ground truth).
