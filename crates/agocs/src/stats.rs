@@ -87,7 +87,7 @@ impl CoStatsCollector {
 
     /// Number of non-empty windows recorded.
     #[cfg(test)]
-    pub fn window_count(&self) -> usize {
+    fn window_count(&self) -> usize {
         self.windows.iter().filter(|w| w.tasks > 0).count()
     }
 

@@ -1,10 +1,9 @@
 //! The one hand-rolled argument parser for the workspace's binaries.
 //!
-//! Every table/figure binary used to open-code its `std::env::args` loop;
-//! this module centralizes the convention they share — boolean flags
-//! (`--medium`), valued options (`--seed 42`) and positional arguments
-//! (a spec path) — so the binaries and the `ctlm-lab` runner declare
-//! their vocabulary instead of re-implementing the scan.
+//! It holds the convention they share — boolean flags (`--medium`),
+//! valued options (`--seed 42`) and positional arguments (a spec path) —
+//! so `ctlm-lab`, `bench_check` and `source_lines` declare their
+//! vocabulary instead of re-implementing the scan.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -73,17 +72,6 @@ impl ParsedArgs {
         self.options.get(name).map(String::as_str)
     }
 
-    /// An option parsed into `T`, or `default` when absent. A value that
-    /// does not parse is a bad command line: `error: …`, exit code 2.
-    pub fn option_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        match self.option(name) {
-            Some(raw) => raw
-                .parse()
-                .unwrap_or_else(|_| usage_error(&format!("{name} got unparsable value {raw:?}"))),
-            None => default,
-        }
-    }
-
     /// Positional arguments, in order.
     pub fn positionals(&self) -> &[String] {
         &self.positionals
@@ -116,7 +104,7 @@ mod tests {
         .unwrap();
         assert!(a.flag("--medium"));
         assert!(!a.flag("--full"));
-        assert_eq!(a.option_or("--seed", 0u64), 7);
+        assert_eq!(a.option("--seed"), Some("7"));
         assert_eq!(a.positionals(), ["spec.json"]);
     }
 
@@ -134,9 +122,8 @@ mod tests {
     }
 
     #[test]
-    fn absent_option_falls_back() {
+    fn absent_option_is_none() {
         let a = ParsedArgs::parse(argv(&[]), &[], &["--seed"]).unwrap();
-        assert_eq!(a.option_or("--seed", 42u64), 42);
         assert_eq!(a.option("--seed"), None);
     }
 }

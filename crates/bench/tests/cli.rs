@@ -1,9 +1,8 @@
-//! The bench binaries' exit codes, end to end: `bench_check` exits 0
-//! when every ratio holds and 1 when one exceeds its limit; a bad
-//! command line or an unusable report is one `error:` line and exit
-//! code 2 there and in the table binaries, never a panic; a table
-//! binary at its default scale runs to completion and exits 0;
-//! `source_lines` into a pipe whose reader is gone exits 0, quietly.
+//! The bench tools' exit codes, end to end: `bench_check` exits 0 when
+//! every ratio holds and 1 when one exceeds its limit; a bad command
+//! line or an unusable report is one `error:` line and exit code 2,
+//! never a panic; `source_lines` into a pipe whose reader is gone exits
+//! 0, quietly.
 
 use std::path::Path;
 use std::process::Command;
@@ -22,19 +21,19 @@ fn bench_binaries_exit_with_their_documented_codes() {
     std::fs::write(&not_a_report, r#"{"name": "spec"}"#).expect("scratch file");
     let (report, not_a_report) = (report.to_str().unwrap(), not_a_report.to_str().unwrap());
     let bench_check = env!("CARGO_BIN_EXE_bench_check");
-    let table06 = env!("CARGO_BIN_EXE_table06_co_el");
     let max = "--max-ratio";
-    for (bin, args, code) in [
-        (bench_check, &[report, max, "g/fast:g/slow=0.3"][..], 0),
-        (bench_check, &[report, max, "g/slow:g/fast=3"], 1),
-        (bench_check, &["/nonexistent.json", max, "a:b=1"], 2),
-        (bench_check, &[not_a_report, max, "a:b=1"], 2),
-        (bench_check, &[report, max, "g/fast:g/slow=abc"], 2),
-        (bench_check, &[report], 2),
-        (table06, &["stray"], 2),
-        (table06, &[], 0),
+    for (args, code) in [
+        (&[report, max, "g/fast:g/slow=0.3"][..], 0),
+        (&[report, max, "g/slow:g/fast=3"], 1),
+        (&["/nonexistent.json", max, "a:b=1"], 2),
+        (&[not_a_report, max, "a:b=1"], 2),
+        (&[report, max, "g/fast:g/slow=abc"], 2),
+        (&[report], 2),
     ] {
-        let out = Command::new(bin).args(args).output().expect("binary runs");
+        let out = Command::new(bench_check)
+            .args(args)
+            .output()
+            .expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");

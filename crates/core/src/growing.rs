@@ -51,7 +51,7 @@ impl GrowingModel {
 
     /// True once a model has been trained and saved.
     #[cfg(test)]
-    pub fn is_trained(&self) -> bool {
+    fn is_trained(&self) -> bool {
         self.state.is_some()
     }
 

@@ -111,13 +111,13 @@ impl AttrRequirement {
     /// True when the requirement is a pure range (the paper's *Between*
     /// operator).
     #[cfg(test)]
-    pub fn is_between(&self) -> bool {
+    fn is_between(&self) -> bool {
         self.equal.is_none() && (self.lo.is_some() || self.hi.is_some())
     }
 
     /// True when the requirement is a pure Non-Equal-Array.
     #[cfg(test)]
-    pub fn is_not_equal_array(&self) -> bool {
+    fn is_not_equal_array(&self) -> bool {
         self.equal.is_none()
             && self.lo.is_none()
             && self.hi.is_none()

@@ -45,7 +45,7 @@ impl CoElEncoder {
 
     /// The label string at a column.
     #[cfg(test)]
-    pub fn label_at(&self, col: usize) -> Option<&str> {
+    fn label_at(&self, col: usize) -> Option<&str> {
         self.labels.get(col).map(|s| s.as_str())
     }
 

@@ -53,6 +53,7 @@ pub mod build;
 pub mod flight;
 pub mod memtrack;
 pub mod observe;
+pub mod paper;
 pub mod registry;
 pub mod report;
 pub mod run;

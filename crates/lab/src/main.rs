@@ -5,6 +5,7 @@
 //!          [--no-meta] [--metrics metrics.json] [--trace] [--spans spans.json]
 //! ctlm-lab --diff <a.json> <b.json> [--tolerance X]
 //! ctlm-lab explain <spans.json> [--task N] [--machine M] [--worst-latency K]
+//! ctlm-lab paper <name> [--seed N] [--medium|--full] [--out f] [--no-meta]
 //! ```
 //!
 //! Prints a human-readable summary (per-point medians) to stdout;
@@ -50,6 +51,14 @@
 //! relative `--tolerance` (default 0, i.e. any increase fails; a zero
 //! baseline regresses on any increase) — so a script can diff two runs
 //! directly.
+//!
+//! `paper` runs one experiment of the paper's evaluation section
+//! (`ctlm_lab::paper`) — `<name>` is `table05_compaction` …
+//! `ablation_gradient_rate` — and prints its JSON document, or writes it
+//! to `--out`. `--seed` changes the master seed (default 42), `--medium`
+//! and `--full` the trace scale, and `--no-meta` drops the host-clock
+//! figures, as for reports; `experiments/golden/paper/<name>.json` is
+//! the `--no-meta` document at the defaults.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -70,7 +79,8 @@ const USAGE: &str = "\
 usage: ctlm-lab <spec.json> [--out report.json] [--json] [--seed N] [--threads N]
                        [--no-meta] [--metrics metrics.json] [--trace] [--spans spans.json]
               ctlm-lab --diff <a.json> <b.json> [--tolerance X]
-              ctlm-lab explain <spans.json> [--task N] [--machine M] [--worst-latency K]";
+              ctlm-lab explain <spans.json> [--task N] [--machine M] [--worst-latency K]
+              ctlm-lab paper <name> [--seed N] [--medium|--full] [--out f] [--no-meta]";
 
 /// Counting allocator so `_meta.alloc_peak_bytes` reflects the run (the
 /// library never installs it; only this binary pays the two atomics).
@@ -89,7 +99,14 @@ fn main() -> ExitCode {
 /// command that ran (1 when `--diff` found regressions).
 fn run() -> Result<ExitCode, String> {
     let args = ParsedArgs::from_env(
-        &["--json", "--diff", "--no-meta", "--trace"],
+        &[
+            "--json",
+            "--diff",
+            "--no-meta",
+            "--trace",
+            "--medium",
+            "--full",
+        ],
         &[
             "--out",
             "--seed",
@@ -102,8 +119,13 @@ fn run() -> Result<ExitCode, String> {
             "--worst-latency",
         ],
     );
-    if args.positionals().first().map(String::as_str) == Some("explain") {
-        return run_explain(&args);
+    match args.positionals().first().map(String::as_str) {
+        Some("explain") => return run_explain(&args),
+        Some("paper") => return run_paper(&args),
+        _ if args.flag("--medium") || args.flag("--full") => {
+            return Err("--medium and --full scale `ctlm-lab paper` only".into())
+        }
+        _ => {}
     }
     if args.flag("--diff") {
         let [a, b] = args.positionals() else {
@@ -216,6 +238,37 @@ fn write_json(what: &str, path: &str, json: &str) -> Result<(), String> {
     write().map_err(|e| format!("cannot write {path:?}: {e}"))?;
     eprintln!("{what} written to {path}");
     Ok(())
+}
+
+/// The `paper` subcommand: one experiment's document, printed or
+/// written to `--out`.
+fn run_paper(args: &ParsedArgs) -> Result<ExitCode, String> {
+    use ctlm_lab::paper::{self, PaperRun, PaperScale};
+    let [_, name] = args.positionals() else {
+        return Err(format!(
+            "usage: ctlm-lab paper <name> [--seed N] [--medium|--full] [--out f] [--no-meta] \
+             (names: {})",
+            paper::names()
+        ));
+    };
+    let scale = if args.flag("--full") {
+        PaperScale::Full
+    } else if args.flag("--medium") {
+        PaperScale::Medium
+    } else {
+        PaperScale::Small
+    };
+    let run = PaperRun {
+        seed: number(args, "--seed")?.unwrap_or(PaperRun::default().seed),
+        scale,
+    };
+    let doc = paper::document(name, &run, !args.flag("--no-meta")).map_err(|e| e.to_string())?;
+    let json = to_pretty_json(&doc);
+    match args.option("--out") {
+        Some(out) => write_json("paper", out, &json)?,
+        None => println!("{json}"),
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `explain` subcommand: parse a written spans file and print the

@@ -89,7 +89,7 @@ fn a_bad_command_line_prints_the_whole_synopsis() {
         .take_while(|l| *l != "//! ```")
         .map(|l| l.trim_start_matches("//! "))
         .collect();
-    assert_eq!(synopsis.len(), 4, "{synopsis:?}");
+    assert_eq!(synopsis.len(), 5, "{synopsis:?}");
     for args in [&[][..], &["a.json", "b.json"]] {
         let out = ctlm_lab(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -132,10 +132,11 @@ fn command_lines_exit_with_their_documented_codes() {
 
     let (spec, no_spans, report_a, worse) =
         (utf8(&spec), utf8(&no_spans), utf8(&report_a), utf8(&worse));
-    let cases: [Case; 7] = [
+    let cases: [Case; 8] = [
         (&[spec, retired], 2, None, &["unknown argument", retired]),
         (&["/nonexistent/spec.json"], 2, None, &["cannot read spec"]),
         (&[spec, "--seed", "x"], 2, None, &["--seed needs a number"]),
+        (&[spec, "--full"], 2, None, &["`ctlm-lab paper` only"]),
         (&["--diff", report_a], 2, None, &["usage: ctlm-lab --diff"]),
         (
             &["explain", no_spans, "--task", "1", "--machine", "2"],
@@ -171,4 +172,32 @@ fn command_lines_exit_with_their_documented_codes() {
             assert!(stderr.contains(needle), "{args:?}: {stderr}");
         }
     }
+}
+
+/// `paper` with no name, an unknown name or a stray positional is one
+/// `error:` line naming every experiment; a known name prints its
+/// document, which at the defaults with `--no-meta` is its golden.
+#[test]
+fn paper_exits_with_its_documented_codes() {
+    for args in [
+        &["paper"][..],
+        &["paper", "table99"],
+        &["paper", "table06_co_el", "stray"],
+    ] {
+        let out = ctlm_lab(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        for (name, _) in ctlm_lab::paper::EXPERIMENTS {
+            assert!(stderr.contains(name), "{args:?}: {stderr}");
+        }
+    }
+    let out = ctlm_lab(&["paper", "table05_compaction", "--no-meta"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+    let golden = common::experiments_dir().join("golden/paper/table05_compaction.json");
+    let golden = std::fs::read_to_string(golden).expect("the golden");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), golden);
 }

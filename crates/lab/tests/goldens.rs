@@ -9,17 +9,26 @@
 //! `to_pretty_json` renders it; the CLI's file adds one newline) by its
 //! byte length and FNV-1a 64-bit digest.
 //!
+//! The paper's evaluation section is pinned the same way: each
+//! `ctlm-lab paper <name> --no-meta` document at seed 42 and the
+//! default scale must equal `experiments/golden/paper/<name>.json`.
+//! Table X and the two ablations train for 20 s to minutes at the
+//! suite's opt-level, so they are ignored here and CI runs them in release
+//! (`cargo test --release -p ctlm-lab --test goldens --
+//! --include-ignored`).
+//!
 //! On a mismatch the test names the first differing JSON path, writes
 //! the new golden under the target directory and prints the `cp` line
 //! that re-records it. A change that means to move simulated results
-//! re-records and says why; any other change must leave every golden
-//! as it is.
+//! or the paper's numbers re-records and says why; any other change
+//! must leave every golden as it is.
 
 mod common;
 
 use std::path::{Path, PathBuf};
 
 use ctlm_lab::flight::trace_document;
+use ctlm_lab::paper::{self, PaperRun, EXPERIMENTS};
 use ctlm_lab::report::to_pretty_json;
 use ctlm_lab::run::ArrivalMode;
 use ctlm_lab::run_spec_observed;
@@ -115,36 +124,50 @@ fn first_difference(a: &Value, b: &Value, path: &str) -> Option<String> {
     }
 }
 
+/// Compares a fresh rendering with the golden at `golden_path`. On a
+/// mismatch, writes the fresh file under the target directory and
+/// returns the failure: where the two first differ, and the `cp` line
+/// that re-records it.
+fn mismatch(label: &str, golden_path: &Path, fresh: &str) -> Option<String> {
+    let golden = std::fs::read_to_string(golden_path).unwrap_or_default();
+    if fresh == golden {
+        return None;
+    }
+    let at = match serde_json::parse_value(&golden) {
+        Ok(old) => {
+            let new = serde_json::parse_value(fresh).expect("a rendered document parses");
+            first_difference(&old, &new, "$").unwrap_or_else(|| "$ (layout only)".into())
+        }
+        Err(_) => "$ (no readable golden)".into(),
+    };
+    let relative = golden_path
+        .strip_prefix(golden_dir())
+        .expect("under the golden directory");
+    let fresh_path = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("golden")
+        .join(relative);
+    std::fs::create_dir_all(fresh_path.parent().expect("a file has a directory"))
+        .expect("create the fresh golden directory");
+    std::fs::write(&fresh_path, fresh).expect("write the fresh golden");
+    Some(format!(
+        "{label}: first difference at {at}\n  re-record: cp {} {}",
+        fresh_path.display(),
+        golden_path.display()
+    ))
+}
+
 #[test]
 fn every_accepted_spec_matches_its_golden() {
-    let fresh_dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden");
     let mut failures = Vec::new();
     for path in accepted_specs() {
         let name = stem(&path);
         let golden_path = golden_dir().join(format!("{name}.json"));
-        let golden = std::fs::read_to_string(&golden_path).unwrap_or_default();
         for threads in THREADS {
-            let fresh = document(&path, threads);
-            if fresh == golden {
-                continue;
+            let label = format!("{name} at threads {threads}");
+            if let Some(failure) = mismatch(&label, &golden_path, &document(&path, threads)) {
+                failures.push(failure);
+                break;
             }
-            let at = match serde_json::parse_value(&golden) {
-                Ok(old) => {
-                    let new = serde_json::parse_value(&fresh).expect("a rendered document parses");
-                    first_difference(&old, &new, "$").unwrap_or_else(|| "$ (layout only)".into())
-                }
-                Err(_) => "$ (no readable golden)".into(),
-            };
-            std::fs::create_dir_all(&fresh_dir).expect("create the fresh golden directory");
-            let fresh_path = fresh_dir.join(format!("{name}.json"));
-            std::fs::write(&fresh_path, &fresh).expect("write the fresh golden");
-            failures.push(format!(
-                "{name} at threads {threads}: first difference at {at}\n  \
-                 re-record: cp {} {}",
-                fresh_path.display(),
-                golden_path.display()
-            ));
-            break;
         }
     }
     assert!(
@@ -152,6 +175,80 @@ fn every_accepted_spec_matches_its_golden() {
         "goldens moved:\n{}",
         failures.join("\n")
     );
+}
+
+/// One paper document, as `ctlm-lab paper <name> --no-meta` prints it
+/// at seed 42 and the default scale, against its golden.
+fn paper_matches_its_golden(name: &str) {
+    let doc = paper::document(name, &PaperRun::default(), false).expect("a paper experiment");
+    let golden_path = golden_dir().join("paper").join(format!("{name}.json"));
+    if let Some(failure) = mismatch(name, &golden_path, &(to_pretty_json(&doc) + "\n")) {
+        panic!("golden moved:\n{failure}");
+    }
+}
+
+#[test]
+fn paper_table05_compaction() {
+    paper_matches_its_golden("table05_compaction");
+}
+
+#[test]
+fn paper_table06_co_el() {
+    paper_matches_its_golden("table06_co_el");
+}
+
+#[test]
+fn paper_table07_co_vv_notation() {
+    paper_matches_its_golden("table07_co_vv_notation");
+}
+
+#[test]
+fn paper_table08_co_vv() {
+    paper_matches_its_golden("table08_co_vv");
+}
+
+#[test]
+fn paper_table09_co_distribution() {
+    paper_matches_its_golden("table09_co_distribution");
+}
+
+#[test]
+#[ignore = "trains six models on four cells: ≈ 75 s in release; CI runs it in release"]
+fn paper_table10_model_comparison() {
+    paper_matches_its_golden("table10_model_comparison");
+}
+
+#[test]
+fn paper_table11_2019c_steps() {
+    paper_matches_its_golden("table11_2019c_steps");
+}
+
+#[test]
+fn paper_fig3_scheduler_latency() {
+    paper_matches_its_golden("fig3_scheduler_latency");
+}
+
+#[test]
+#[ignore = "23 s at the suite's opt-level (7 s in release); CI runs it in release"]
+fn paper_ablation_feature_batch() {
+    paper_matches_its_golden("ablation_feature_batch");
+}
+
+#[test]
+#[ignore = "retrains Table XI seven times: 50 s at the suite's opt-level (12 s in release); CI runs it in release"]
+fn paper_ablation_gradient_rate() {
+    paper_matches_its_golden("ablation_gradient_rate");
+}
+
+/// Each experiment has a golden, and each golden an experiment.
+#[test]
+fn every_paper_experiment_has_one_golden() {
+    let goldens = common::files(&golden_dir().join("paper"), "json");
+    let mut goldens: Vec<String> = goldens.iter().map(|p| stem(p)).collect();
+    let mut names: Vec<String> = EXPERIMENTS.iter().map(|(n, _)| n.to_string()).collect();
+    goldens.sort();
+    names.sort();
+    assert_eq!(goldens, names);
 }
 
 /// A golden whose spec is gone (renamed, or now rejected) pins nothing.

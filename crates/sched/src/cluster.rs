@@ -1002,7 +1002,7 @@ impl SchedCluster {
 
     /// One online machine's attribute value.
     #[cfg(test)]
-    pub fn machine_attr(&self, id: MachineId, attr: AttrId) -> Option<&AttrValue> {
+    fn machine_attr(&self, id: MachineId, attr: AttrId) -> Option<&AttrValue> {
         self.online_slot(id)
             .and_then(|s| self.fleet.machines[s].attr(attr))
     }

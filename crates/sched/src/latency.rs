@@ -27,7 +27,7 @@ pub struct LatencyStats {
 impl LatencyStats {
     /// Computes the summary; returns `None` for an empty sample.
     #[cfg(test)]
-    pub fn from_samples(samples: &[u64]) -> Option<Self> {
+    fn from_samples(samples: &[u64]) -> Option<Self> {
         Self::from_vec(samples.to_vec())
     }
 

@@ -274,7 +274,7 @@ impl<'a, W: Send, E: Send> ParallelSim<'a, W, E> {
     /// the shard indices [`ParallelSim::add_shard`] returned must produce
     /// identical results. Ignored on the parallel path.
     #[cfg(test)]
-    pub fn set_sequential_order(&mut self, order: Vec<usize>) {
+    fn set_sequential_order(&mut self, order: Vec<usize>) {
         assert_eq!(order.len(), self.shards.len());
         self.exec_order = Some(order);
     }

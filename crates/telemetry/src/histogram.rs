@@ -80,7 +80,7 @@ impl Histogram {
 
     /// The raw per-bucket counts.
     #[cfg(test)]
-    pub fn bucket_counts(&self) -> &[u64; BUCKETS] {
+    fn bucket_counts(&self) -> &[u64; BUCKETS] {
         &self.counts
     }
 

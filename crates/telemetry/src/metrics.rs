@@ -65,7 +65,7 @@ impl Metrics {
 
     /// The named histogram, if present.
     #[cfg(test)]
-    pub fn histogram_value(&self, name: &str) -> Option<&Histogram> {
+    fn histogram_value(&self, name: &str) -> Option<&Histogram> {
         self.histograms
             .iter()
             .find(|(n, _)| n == name)

@@ -35,7 +35,7 @@ impl AttrValue {
 
     /// True for the numeric variant.
     #[cfg(test)]
-    pub fn is_numeric(&self) -> bool {
+    fn is_numeric(&self) -> bool {
         matches!(self, AttrValue::Int(_))
     }
 }
