@@ -57,8 +57,9 @@
 //! `ablation_gradient_rate` — and prints its JSON document, or writes it
 //! to `--out`. `--seed` changes the master seed (default 42), `--medium`
 //! and `--full` the trace scale, and `--no-meta` drops the host-clock
-//! figures, as for reports; `experiments/golden/paper/<name>.json` is
-//! the `--no-meta` document at the defaults.
+//! figures, as for reports; any other option is an error.
+//! `experiments/golden/paper/<name>.json` is the `--no-meta` document
+//! at the defaults.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -82,6 +83,33 @@ usage: ctlm-lab <spec.json> [--out report.json] [--json] [--seed N] [--threads N
               ctlm-lab explain <spans.json> [--task N] [--machine M] [--worst-latency K]
               ctlm-lab paper <name> [--seed N] [--medium|--full] [--out f] [--no-meta]";
 
+/// Every flag of every form; each form reads its own.
+const FLAGS: [&str; 6] = [
+    "--json",
+    "--diff",
+    "--no-meta",
+    "--trace",
+    "--medium",
+    "--full",
+];
+
+/// Every valued option of every form.
+const OPTIONS: [&str; 9] = [
+    "--out",
+    "--seed",
+    "--threads",
+    "--tolerance",
+    "--metrics",
+    "--spans",
+    "--task",
+    "--machine",
+    "--worst-latency",
+];
+
+/// The flags and options `ctlm-lab paper` reads; any other is an error,
+/// not silently ignored (a `--metrics` file it would never write).
+const PAPER_ARGS: [&str; 5] = ["--seed", "--medium", "--full", "--out", "--no-meta"];
+
 /// Counting allocator so `_meta.alloc_peak_bytes` reflects the run (the
 /// library never installs it; only this binary pays the two atomics).
 #[global_allocator]
@@ -98,27 +126,7 @@ fn main() -> ExitCode {
 /// `error: …` line, exit code 2); `Ok` carries the exit code of a
 /// command that ran (1 when `--diff` found regressions).
 fn run() -> Result<ExitCode, String> {
-    let args = ParsedArgs::from_env(
-        &[
-            "--json",
-            "--diff",
-            "--no-meta",
-            "--trace",
-            "--medium",
-            "--full",
-        ],
-        &[
-            "--out",
-            "--seed",
-            "--threads",
-            "--tolerance",
-            "--metrics",
-            "--spans",
-            "--task",
-            "--machine",
-            "--worst-latency",
-        ],
-    );
+    let args = ParsedArgs::from_env(&FLAGS, &OPTIONS);
     match args.positionals().first().map(String::as_str) {
         Some("explain") => return run_explain(&args),
         Some("paper") => return run_paper(&args),
@@ -251,6 +259,17 @@ fn run_paper(args: &ParsedArgs) -> Result<ExitCode, String> {
             paper::names()
         ));
     };
+    let foreign = FLAGS
+        .iter()
+        .filter(|f| args.flag(f))
+        .chain(OPTIONS.iter().filter(|o| args.option(o).is_some()))
+        .find(|a| !PAPER_ARGS.contains(a));
+    if let Some(arg) = foreign {
+        return Err(format!(
+            "{arg} does not apply to `ctlm-lab paper` (it takes {})",
+            PAPER_ARGS.join(", ")
+        ));
+    }
     let scale = if args.flag("--full") {
         PaperScale::Full
     } else if args.flag("--medium") {

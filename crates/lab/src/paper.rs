@@ -73,9 +73,10 @@ impl Default for PaperRun {
 }
 
 impl PaperRun {
-    fn trace(&self, cell: CellSet) -> GeneratedTrace {
+    /// The trace size of `cell` at this run's scale.
+    fn scale(&self, cell: CellSet) -> Scale {
         let seed = self.seed;
-        let scale = match self.scale {
+        match self.scale {
             PaperScale::Small => Scale {
                 machines: 260,
                 collections: 1_600,
@@ -87,8 +88,11 @@ impl PaperRun {
                 seed,
             },
             PaperScale::Full => Scale::full(&cell.profile(), seed),
-        };
-        TraceGenerator::generate_cell(cell, scale)
+        }
+    }
+
+    fn trace(&self, cell: CellSet) -> GeneratedTrace {
+        TraceGenerator::generate_cell(cell, self.scale(cell))
     }
 
     fn replay(&self, cell: CellSet) -> ReplayOutput {
@@ -635,4 +639,21 @@ fn ablation_gradient_rate(run: &PaperRun) -> Value {
         "cell": (cell.profile().name),
         "rows": rows
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scales_grow_monotonically() {
+        let cell = CellSet::C2019c;
+        let machines = |scale| PaperRun { seed: 1, scale }.scale(cell).machines;
+        let small = machines(PaperScale::Small);
+        let medium = machines(PaperScale::Medium);
+        let full = machines(PaperScale::Full);
+        assert!(small < medium && medium < full, "{small} {medium} {full}");
+        assert_eq!(full, Scale::full(&cell.profile(), 1).machines);
+        assert_eq!(full, 12_600);
+    }
 }

@@ -175,8 +175,9 @@ fn command_lines_exit_with_their_documented_codes() {
 }
 
 /// `paper` with no name, an unknown name or a stray positional is one
-/// `error:` line naming every experiment; a known name prints its
-/// document, which at the defaults with `--no-meta` is its golden.
+/// `error:` line naming every experiment; an option of another form is
+/// one `error:` line naming it, and writes nothing; a known name prints
+/// its document, which at the defaults with `--no-meta` is its golden.
 #[test]
 fn paper_exits_with_its_documented_codes() {
     for args in [
@@ -193,6 +194,33 @@ fn paper_exits_with_its_documented_codes() {
             assert!(stderr.contains(name), "{args:?}: {stderr}");
         }
     }
+    let metrics = Path::new(env!("CARGO_TARGET_TMPDIR")).join("paper_metrics.json");
+    let _ = std::fs::remove_file(&metrics);
+    let metrics = utf8(&metrics);
+    for (args, foreign) in [
+        (
+            &["paper", "table05_compaction", "--metrics", metrics][..],
+            "--metrics",
+        ),
+        (
+            &["paper", "table05_compaction", "--threads", "4"],
+            "--threads",
+        ),
+        (
+            &["paper", "table05_compaction", "--no-meta", "--trace"],
+            "--trace",
+        ),
+        (&["paper", "table05_compaction", "--json"], "--json"),
+    ] {
+        let out = ctlm_lab(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(foreign), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+    assert!(!std::path::Path::new(metrics).exists(), "{metrics} written");
     let out = ctlm_lab(&["paper", "table05_compaction", "--no-meta"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
