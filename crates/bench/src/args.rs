@@ -2,8 +2,8 @@
 //!
 //! It holds the convention they share — boolean flags (`--medium`),
 //! valued options (`--seed 42`) and positional arguments (a spec path) —
-//! so `ctlm-lab`, `bench_check` and `source_lines` declare their
-//! vocabulary instead of re-implementing the scan.
+//! so each binary, and each form of `ctlm-lab`, declares the vocabulary
+//! it reads: any other `--` argument is an error, never ignored.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -39,14 +39,9 @@ impl ParsedArgs {
                 }
                 out.options.insert(arg, value);
             } else if arg.starts_with("--") {
+                let expected = [flags, options].concat().join(", ");
                 return Err(format!(
-                    "unknown argument {arg:?} (expected one of {})",
-                    flags
-                        .iter()
-                        .chain(options)
-                        .cloned()
-                        .collect::<Vec<_>>()
-                        .join(", ")
+                    "unknown argument {arg:?} (expected one of {expected})"
                 ));
             } else {
                 out.positionals.push(arg);

@@ -17,7 +17,7 @@ use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 use ctlm_bench::args::{usage_error, ParsedArgs};
-use ctlm_bench::source::count_non_test_lines;
+use ctlm_bench::source::{count_non_test_lines, rust_files};
 
 fn main() {
     let parsed = ParsedArgs::from_env(&[], &[]);
@@ -44,9 +44,8 @@ fn print_counts(dirs: &[PathBuf]) -> std::io::Result<()> {
     let mut out = std::io::stdout().lock();
     let mut total = 0;
     for src in dirs {
-        let mut files = Vec::new();
-        rust_files(src, &mut files);
-        let lines: usize = files
+        let lines: usize = rust_files(src)
+            .expect("source directory readable")
             .iter()
             .map(|f| count_non_test_lines(&std::fs::read_to_string(f).expect("source readable")))
             .sum();
@@ -56,16 +55,4 @@ fn print_counts(dirs: &[PathBuf]) -> std::io::Result<()> {
     }
     writeln!(out, "{total:>7} total")?;
     out.flush()
-}
-
-/// Every `.rs` file under `dir`, at any depth.
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    for entry in std::fs::read_dir(dir).expect("source directory readable") {
-        let path = entry.expect("directory entry").path();
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|x| x == "rs") {
-            out.push(path);
-        }
-    }
 }

@@ -1,13 +1,31 @@
-//! Reading Rust source the way the tooling needs it: the lines outside
-//! `#[cfg(test)]` items, each with its code separated from comments and
-//! literals. `source_lines` counts them; the source rules under
-//! `tests/` scan their code.
+//! Reading Rust source the way the tooling needs it: the `.rs` files
+//! under a directory, and their lines outside `#[cfg(test)]` items,
+//! each with its code separated from comments and literals.
+//! `source_lines` counts them; the source rules under `tests/` scan
+//! their code.
 //!
 //! A line belongs to test code when it lies inside an item marked
 //! `#[cfg(test)]`: from the attribute through the item's matching closing
 //! brace (or its `;`, for a declaration such as `mod tests;`). Braces
 //! inside comments, strings, raw strings and character literals do not
 //! count.
+
+use std::path::{Path, PathBuf};
+
+/// Every `.rs` file under `dir`, at any depth, sorted.
+pub fn rust_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            files.extend(rust_files(&path)?);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            files.push(path);
+        }
+    }
+    files.sort();
+    Ok(files)
+}
 
 /// One line of a Rust source file that lies outside every
 /// `#[cfg(test)]` item.

@@ -8,6 +8,14 @@
 //! ctlm-lab paper <name> [--seed N] [--medium|--full] [--out f] [--no-meta]
 //! ```
 //!
+//! Each form reads the options its line names and no others: an option
+//! of another form (`--metrics` after `explain`, `--seed` after
+//! `--diff`, `--full` after a spec) is one `error:` line naming it and
+//! exit code 2, the same as an unknown one. `explain` and `paper` are
+//! picked by their word, which comes first (`ctlm-lab --seed 3 paper …`
+//! is an error); `--diff` may stand anywhere; any other command line is
+//! the spec form.
+//!
 //! Prints a human-readable summary (per-point medians) to stdout;
 //! `--out` additionally writes the full structured report as
 //! pretty-printed JSON, `--json` replaces the summary with the report on
@@ -57,7 +65,7 @@
 //! `ablation_gradient_rate` — and prints its JSON document, or writes it
 //! to `--out`. `--seed` changes the master seed (default 42), `--medium`
 //! and `--full` the trace scale, and `--no-meta` drops the host-clock
-//! figures, as for reports; any other option is an error.
+//! figures, as for reports.
 //! `experiments/golden/paper/<name>.json` is the `--no-meta` document
 //! at the defaults.
 
@@ -74,41 +82,50 @@ use ctlm_lab::ExperimentSpec;
 use ctlm_telemetry::{HostFingerprint, Metrics, PerfReport};
 use serde::Deserialize;
 
-/// The synopsis at the top of this file, printed on a bad command line
-/// after `error: ` (so each line is indented under the first's forms).
-const USAGE: &str = "\
-usage: ctlm-lab <spec.json> [--out report.json] [--json] [--seed N] [--threads N]
-                       [--no-meta] [--metrics metrics.json] [--trace] [--spans spans.json]
-              ctlm-lab --diff <a.json> <b.json> [--tolerance X]
-              ctlm-lab explain <spans.json> [--task N] [--machine M] [--worst-latency K]
-              ctlm-lab paper <name> [--seed N] [--medium|--full] [--out f] [--no-meta]";
+/// One form of the command line: its synopsis as the module doc writes
+/// it, the flags and valued options it reads (any other is an error),
+/// and what runs it. A command `Err` is one `error: …` line and exit
+/// code 2; `Ok` carries the exit code of a command that ran.
+struct Form {
+    synopsis: &'static str,
+    flags: &'static [&'static str],
+    options: &'static [&'static str],
+    run: fn(&ParsedArgs) -> Result<ExitCode, String>,
+}
 
-/// Every flag of every form; each form reads its own.
-const FLAGS: [&str; 6] = [
-    "--json",
-    "--diff",
-    "--no-meta",
-    "--trace",
-    "--medium",
-    "--full",
-];
+const SPEC: Form = Form {
+    synopsis: concat!(
+        "ctlm-lab <spec.json> [--out report.json] [--json] [--seed N] [--threads N]\n",
+        "         [--no-meta] [--metrics metrics.json] [--trace] [--spans spans.json]",
+    ),
+    flags: &["--json", "--no-meta", "--trace"],
+    options: &["--out", "--seed", "--threads", "--metrics", "--spans"],
+    run: run_spec,
+};
 
-/// Every valued option of every form.
-const OPTIONS: [&str; 9] = [
-    "--out",
-    "--seed",
-    "--threads",
-    "--tolerance",
-    "--metrics",
-    "--spans",
-    "--task",
-    "--machine",
-    "--worst-latency",
-];
+const DIFF: Form = Form {
+    synopsis: "ctlm-lab --diff <a.json> <b.json> [--tolerance X]",
+    flags: &["--diff"],
+    options: &["--tolerance"],
+    run: run_diff,
+};
 
-/// The flags and options `ctlm-lab paper` reads; any other is an error,
-/// not silently ignored (a `--metrics` file it would never write).
-const PAPER_ARGS: [&str; 5] = ["--seed", "--medium", "--full", "--out", "--no-meta"];
+const EXPLAIN: Form = Form {
+    synopsis: "ctlm-lab explain <spans.json> [--task N] [--machine M] [--worst-latency K]",
+    flags: &[],
+    options: &["--task", "--machine", "--worst-latency"],
+    run: run_explain,
+};
+
+const PAPER: Form = Form {
+    synopsis: "ctlm-lab paper <name> [--seed N] [--medium|--full] [--out f] [--no-meta]",
+    flags: &["--medium", "--full", "--no-meta"],
+    options: &["--seed", "--out"],
+    run: run_paper,
+};
+
+/// Every form, in the synopsis' order.
+const FORMS: [&Form; 4] = [&SPEC, &DIFF, &EXPLAIN, &PAPER];
 
 /// Counting allocator so `_meta.alloc_peak_bytes` reflects the run (the
 /// library never installs it; only this binary pays the two atomics).
@@ -122,52 +139,44 @@ fn main() -> ExitCode {
     })
 }
 
-/// A bad command line or an unusable input file is an `Err` (one
-/// `error: …` line, exit code 2); `Ok` carries the exit code of a
-/// command that ran (1 when `--diff` found regressions).
+/// Picks the form, then parses the command line against its vocabulary
+/// alone.
 fn run() -> Result<ExitCode, String> {
-    let args = ParsedArgs::from_env(&FLAGS, &OPTIONS);
-    match args.positionals().first().map(String::as_str) {
-        Some("explain") => return run_explain(&args),
-        Some("paper") => return run_paper(&args),
-        _ if args.flag("--medium") || args.flag("--full") => {
-            return Err("--medium and --full scale `ctlm-lab paper` only".into())
-        }
-        _ => {}
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let form = match argv.first().map(String::as_str) {
+        Some("explain") => &EXPLAIN,
+        Some("paper") => &PAPER,
+        _ if argv.iter().any(|a| a == "--diff") => &DIFF,
+        _ => &SPEC,
+    };
+    let args = ParsedArgs::parse(argv.iter().cloned(), form.flags, form.options)?;
+    // Behind an option, a subcommand word would be read as a path.
+    let word = args.positionals().first().filter(|w| *w != &argv[0]);
+    if let Some(word) = word.filter(|w| matches!(w.as_str(), "explain" | "paper")) {
+        return Err(format!(
+            "{} comes before `{word}`: the subcommand word comes first",
+            argv[0]
+        ));
     }
-    if args.flag("--diff") {
-        let [a, b] = args.positionals() else {
-            return Err("usage: ctlm-lab --diff <a.json> <b.json> [--tolerance X]".into());
-        };
-        let tolerance: f64 = number(&args, "--tolerance")?.unwrap_or(0.0);
-        let (va, vb) = (load_json(a)?, load_json(b)?);
-        warn_schema_mismatch(&va, &vb);
-        // Two metrics files (written by `--metrics`) diff as counter
-        // deltas — informational, never gating.
-        if let (Some(ma), Some(mb)) = (parse_metrics(&va), parse_metrics(&vb)) {
-            print_metrics_diff(&ma, &mb);
-            return Ok(ExitCode::SUCCESS);
-        }
-        let regressions = print_diff(&parse_report(a, &va)?, &parse_report(b, &vb)?, tolerance);
-        if regressions.is_empty() {
-            return Ok(ExitCode::SUCCESS);
-        }
-        eprintln!(
-            "\n{} regression(s) beyond tolerance {tolerance}:",
-            regressions.len()
-        );
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        return Ok(ExitCode::from(1));
-    }
+    (form.run)(&args)
+}
+
+/// Every form's synopsis, printed after `error: ` on a command line that
+/// names no spec, so each line is indented under the first's forms.
+fn usage() -> String {
+    let lines: Vec<&str> = FORMS.iter().flat_map(|f| f.synopsis.lines()).collect();
+    format!("usage: {}", lines.join(&format!("\n{:14}", "")))
+}
+
+/// The spec form: run one spec and print its summary or its report.
+fn run_spec(args: &ParsedArgs) -> Result<ExitCode, String> {
     let [path] = args.positionals() else {
-        return Err(USAGE.into());
+        return Err(usage());
     };
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read spec {path:?}: {e}"))?;
     let mut spec = ExperimentSpec::from_json(&text).map_err(|e| e.to_string())?;
-    if let Some(seed) = number(&args, "--seed")? {
+    if let Some(seed) = number(args, "--seed")? {
         spec.sim.seed = seed;
         // An explicit sweep seed list would shadow the override; clear
         // it so every grid point runs under the requested seed.
@@ -175,7 +184,7 @@ fn run() -> Result<ExitCode, String> {
             sweep.seeds.clear();
         }
     }
-    if let Some(threads) = number(&args, "--threads")? {
+    if let Some(threads) = number(args, "--threads")? {
         spec.execution.threads = threads;
     }
     let metrics_out = args.option("--metrics");
@@ -228,6 +237,35 @@ fn run() -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// The `--diff` form: compare two reports (exit code 1 when a median
+/// regressed) or two metrics files.
+fn run_diff(args: &ParsedArgs) -> Result<ExitCode, String> {
+    let [a, b] = args.positionals() else {
+        return Err(format!("usage: {}", DIFF.synopsis));
+    };
+    let tolerance: f64 = number(args, "--tolerance")?.unwrap_or(0.0);
+    let (va, vb) = (load_json(a)?, load_json(b)?);
+    warn_schema_mismatch(&va, &vb);
+    // Two metrics files (written by `--metrics`) diff as counter
+    // deltas — informational, never gating.
+    if let (Some(ma), Some(mb)) = (parse_metrics(&va), parse_metrics(&vb)) {
+        print_metrics_diff(&ma, &mb);
+        return Ok(ExitCode::SUCCESS);
+    }
+    let regressions = print_diff(&parse_report(a, &va)?, &parse_report(b, &vb)?, tolerance);
+    if regressions.is_empty() {
+        return Ok(ExitCode::SUCCESS);
+    }
+    eprintln!(
+        "\n{} regression(s) beyond tolerance {tolerance}:",
+        regressions.len()
+    );
+    for r in &regressions {
+        eprintln!("  {r}");
+    }
+    Ok(ExitCode::from(1))
+}
+
 /// A numeric option, `None` when absent.
 fn number<T: std::str::FromStr>(args: &ParsedArgs, name: &str) -> Result<Option<T>, String> {
     args.option(name)
@@ -248,28 +286,17 @@ fn write_json(what: &str, path: &str, json: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The `paper` subcommand: one experiment's document, printed or
-/// written to `--out`.
+/// The `paper` form: one experiment's document, printed or written to
+/// `--out`.
 fn run_paper(args: &ParsedArgs) -> Result<ExitCode, String> {
     use ctlm_lab::paper::{self, PaperRun, PaperScale};
     let [_, name] = args.positionals() else {
         return Err(format!(
-            "usage: ctlm-lab paper <name> [--seed N] [--medium|--full] [--out f] [--no-meta] \
-             (names: {})",
+            "usage: {} (names: {})",
+            PAPER.synopsis,
             paper::names()
         ));
     };
-    let foreign = FLAGS
-        .iter()
-        .filter(|f| args.flag(f))
-        .chain(OPTIONS.iter().filter(|o| args.option(o).is_some()))
-        .find(|a| !PAPER_ARGS.contains(a));
-    if let Some(arg) = foreign {
-        return Err(format!(
-            "{arg} does not apply to `ctlm-lab paper` (it takes {})",
-            PAPER_ARGS.join(", ")
-        ));
-    }
     let scale = if args.flag("--full") {
         PaperScale::Full
     } else if args.flag("--medium") {
@@ -290,15 +317,12 @@ fn run_paper(args: &ParsedArgs) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The `explain` subcommand: parse a written spans file and print the
+/// The `explain` form: parse a written spans file and print the
 /// requested narrative(s). With no selector, prints a recording
 /// summary.
 fn run_explain(args: &ParsedArgs) -> Result<ExitCode, String> {
-    let Some(path) = args.positionals().get(1) else {
-        return Err(
-            "usage: ctlm-lab explain <spans.json> [--task N] [--machine M] [--worst-latency K]"
-                .into(),
-        );
+    let [_, path] = args.positionals() else {
+        return Err(format!("usage: {}", EXPLAIN.synopsis));
     };
     let rec = ctlm_lab::flight::parse_trace(&load_json(path)?).map_err(|e| e.to_string())?;
     if rec.schema_version != ctlm_telemetry::SCHEMA_VERSION as f64 as u64 {
@@ -457,9 +481,11 @@ fn regressed(pair: (Option<f64>, Option<f64>), tolerance: f64) -> Option<(f64, f
     (b > a * (1.0 + tolerance)).then_some((a, b))
 }
 
-/// `bytes → MiB` with one decimal.
-fn fmt_mib(bytes: u64) -> String {
-    format!("{:.1} MiB", bytes as f64 / (1024.0 * 1024.0))
+/// `a → b (±Δ)` between two byte counts, in MiB with one decimal.
+fn mib_delta(a: u64, b: u64) -> String {
+    let mib = |bytes: u64| format!("{:.1} MiB", bytes as f64 / (1024.0 * 1024.0));
+    let sign = if b >= a { "+" } else { "−" };
+    format!("{} → {} ({sign}{})", mib(a), mib(b), mib(b.abs_diff(a)))
 }
 
 /// Prints the peak-memory delta between two reports' `_meta` blocks.
@@ -469,24 +495,11 @@ fn print_meta_diff(a: &Option<ReportMeta>, b: &Option<ReportMeta>) {
         return;
     };
     if let (Some(ra), Some(rb)) = (ma.peak_rss_bytes, mb.peak_rss_bytes) {
-        println!(
-            "peak RSS:        {} → {} ({}{}) [informational]",
-            fmt_mib(ra),
-            fmt_mib(rb),
-            if rb >= ra { "+" } else { "−" },
-            fmt_mib(rb.abs_diff(ra)),
-        );
+        println!("peak RSS:        {} [informational]", mib_delta(ra, rb));
     }
     println!(
-        "alloc high-water: {} → {} ({}{}) [informational]",
-        fmt_mib(ma.alloc_peak_bytes),
-        fmt_mib(mb.alloc_peak_bytes),
-        if mb.alloc_peak_bytes >= ma.alloc_peak_bytes {
-            "+"
-        } else {
-            "−"
-        },
-        fmt_mib(mb.alloc_peak_bytes.abs_diff(ma.alloc_peak_bytes)),
+        "alloc high-water: {} [informational]",
+        mib_delta(ma.alloc_peak_bytes, mb.alloc_peak_bytes)
     );
     match (&ma.host, &mb.host) {
         (Some(ha), Some(hb)) if !ha.same_host(hb) => {
@@ -551,27 +564,13 @@ fn print_diff(a: &LabReport, b: &LabReport, tolerance: f64) -> Vec<String> {
             unplaced,
             marker
         );
-        if row.fleet_peak.0.is_some() || row.fleet_peak.1.is_some() {
-            let f = |v: Option<f64>| v.map_or("—".to_string(), |x| format!("{x}"));
-            println!(
-                "{:<34} {:<14} {:<10} fleet peak {} → {}",
-                "",
-                "",
-                "",
-                f(row.fleet_peak.0),
-                f(row.fleet_peak.1)
-            );
-        }
-        if row.dead_lettered.0.is_some() || row.dead_lettered.1.is_some() {
-            let f = |v: Option<f64>| v.map_or("—".to_string(), |x| format!("{x}"));
-            println!(
-                "{:<34} {:<14} {:<10} dead-lettered {} → {}",
-                "",
-                "",
-                "",
-                f(row.dead_lettered.0),
-                f(row.dead_lettered.1)
-            );
+        for (what, (va, vb)) in [
+            ("fleet peak", row.fleet_peak),
+            ("dead-lettered", row.dead_lettered),
+        ] {
+            if va.is_some() || vb.is_some() {
+                println!("{:61}{what} {} → {}", "", opt(va), opt(vb));
+            }
         }
         // Gate on the compared medians (fleet peak is informational:
         // bigger is not inherently worse).

@@ -110,6 +110,14 @@ fn a_bad_command_line_prints_the_whole_synopsis() {
 /// (where that is the point) and what its stderr must contain.
 type Case<'a> = (&'a [&'a str], i32, Option<&'a str>, &'a [&'a str]);
 
+/// A file a rejected command line names: absent before the run, and
+/// checked absent after it.
+fn absent(name: &str) -> PathBuf {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
 #[test]
 fn command_lines_exit_with_their_documented_codes() {
     let spec = common::experiments_dir().join("streaming_smoke.json");
@@ -129,15 +137,28 @@ fn command_lines_exit_with_their_documented_codes() {
     let report_a = scratch("report_a.json", &to_pretty_json(&report));
     report.summary[0].median_unplaced += 1.0;
     let worse = scratch("report_worse.json", &to_pretty_json(&report));
+    // What the rejected command lines below would write.
+    let unwritten = [
+        absent("unwritten_out.json"),
+        absent("unwritten_metrics.json"),
+        absent("unwritten_spans.json"),
+    ];
 
     let (spec, no_spans, report_a, worse) =
         (utf8(&spec), utf8(&no_spans), utf8(&report_a), utf8(&worse));
+    let [out, metrics, spans] = unwritten.each_ref().map(|p| utf8(p));
+    let t05 = "table05_compaction";
     let cases: [Case; 8] = [
         (&[spec, retired], 2, None, &["unknown argument", retired]),
         (&["/nonexistent/spec.json"], 2, None, &["cannot read spec"]),
         (&[spec, "--seed", "x"], 2, None, &["--seed needs a number"]),
-        (&[spec, "--full"], 2, None, &["`ctlm-lab paper` only"]),
         (&["--diff", report_a], 2, None, &["usage: ctlm-lab --diff"]),
+        (
+            &["explain", no_spans, "stray"],
+            2,
+            None,
+            &["usage: ctlm-lab explain"],
+        ),
         (
             &["explain", no_spans, "--task", "1", "--machine", "2"],
             0,
@@ -152,7 +173,31 @@ fn command_lines_exit_with_their_documented_codes() {
             &["1 regression(s) beyond tolerance 0", "unplaced"],
         ),
     ];
-    for (args, code, stdout, needles) in cases {
+    // Each form rejects the options of the others, naming them, and
+    // writes nothing; the subcommand word comes first.
+    let foreign: [(&[&str], &str); 17] = [
+        (&[spec, "--task", "3"], "--task"),
+        (&[spec, "--worst-latency", "2"], "--worst-latency"),
+        (&[spec, "--tolerance", "0.5"], "--tolerance"),
+        (&[spec, "--full", "--out", out], "--full"),
+        (&["--diff", report_a, report_a, "--seed", "9"], "--seed"),
+        (
+            &["--diff", report_a, report_a, "--metrics", metrics],
+            "--metrics",
+        ),
+        (&["--diff", report_a, report_a, "--spans", spans], "--spans"),
+        (&["explain", no_spans, "--out", out], "--out"),
+        (&["explain", no_spans, "--metrics", metrics], "--metrics"),
+        (&["explain", no_spans, "--json"], "--json"),
+        (&["paper", t05, "--metrics", metrics], "--metrics"),
+        (&["paper", t05, "--threads", "4"], "--threads"),
+        (&["paper", t05, "--no-meta", "--trace"], "--trace"),
+        (&["paper", t05, "--json", "--out", out], "--json"),
+        (&["paper", t05, "--spans", spans], "--spans"),
+        (&["--seed", "3", "paper", t05], "--seed"),
+        (&["--out", out, "paper", t05], "--out"),
+    ];
+    let check = |args: &[&str], code: i32, stdout: Option<&str>, needles: &[&str]| {
         let out = ctlm_lab(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
@@ -164,6 +209,7 @@ fn command_lines_exit_with_their_documented_codes() {
             2 => {
                 assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
                 assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+                assert!(out.stdout.is_empty(), "{args:?}");
             }
             _ => {}
         }
@@ -171,13 +217,21 @@ fn command_lines_exit_with_their_documented_codes() {
         for needle in needles {
             assert!(stderr.contains(needle), "{args:?}: {stderr}");
         }
+    };
+    for (args, code, stdout, needles) in cases {
+        check(args, code, stdout, needles);
+    }
+    for (args, option) in foreign {
+        check(args, 2, None, &[option]);
+    }
+    for path in unwritten {
+        assert!(!path.exists(), "{} written", path.display());
     }
 }
 
 /// `paper` with no name, an unknown name or a stray positional is one
-/// `error:` line naming every experiment; an option of another form is
-/// one `error:` line naming it, and writes nothing; a known name prints
-/// its document, which at the defaults with `--no-meta` is its golden.
+/// `error:` line naming every experiment; a known name prints its
+/// document, which at the defaults with `--no-meta` is its golden.
 #[test]
 fn paper_exits_with_its_documented_codes() {
     for args in [
@@ -194,33 +248,6 @@ fn paper_exits_with_its_documented_codes() {
             assert!(stderr.contains(name), "{args:?}: {stderr}");
         }
     }
-    let metrics = Path::new(env!("CARGO_TARGET_TMPDIR")).join("paper_metrics.json");
-    let _ = std::fs::remove_file(&metrics);
-    let metrics = utf8(&metrics);
-    for (args, foreign) in [
-        (
-            &["paper", "table05_compaction", "--metrics", metrics][..],
-            "--metrics",
-        ),
-        (
-            &["paper", "table05_compaction", "--threads", "4"],
-            "--threads",
-        ),
-        (
-            &["paper", "table05_compaction", "--no-meta", "--trace"],
-            "--trace",
-        ),
-        (&["paper", "table05_compaction", "--json"], "--json"),
-    ] {
-        let out = ctlm_lab(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
-        assert!(stderr.contains(foreign), "{args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?}");
-    }
-    assert!(!std::path::Path::new(metrics).exists(), "{metrics} written");
     let out = ctlm_lab(&["paper", "table05_compaction", "--no-meta"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
